@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint lint-baseline bench bench-service bench-micro examples experiments experiments-quick clean
+.PHONY: install test lint lint-baseline bench bench-service bench-suite bench-micro examples experiments experiments-quick clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -35,6 +35,12 @@ bench:
 # interactive-vs-bulk fairness percentiles.
 bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py
+
+# Time-to-tolerance benchmark (benchmarks/suite, BENCHMARK.json): every
+# workload in both modes (end-to-end metrics, then per-layer with --trace 1),
+# each in a fresh interpreter; the table goes to .bench_build/suite/.
+bench-suite:
+	$(PYTHON) benchmarks/suite/run.py --seed 9
 
 bench-micro:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

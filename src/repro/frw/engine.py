@@ -72,6 +72,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConvergenceError
+from ..geometry.structure import wall_distance
 from ..greens.sphere import interface_hemisphere_direction
 from .context import ExtractionContext
 
@@ -381,8 +382,8 @@ class WalkPipeline:
         except (TypeError, ValueError):  # pragma: no cover - exotic providers
             self._draws_out = False
         enc = ctx.structure.enclosure
-        self._enc_lo = np.asarray(enc.lo, dtype=np.float64)
-        self._enc_hi = np.asarray(enc.hi, dtype=np.float64)
+        self._enc_lo = tuple(float(v) for v in enc.lo)
+        self._enc_hi = tuple(float(v) for v in enc.hi)
         # Zero-copy far-field-aware query entry point, when the index has
         # one (GridIndex); falls back to the allocating ``query``.
         self._query_into = getattr(ctx.index, "query_into", None)
@@ -724,13 +725,9 @@ class WalkPipeline:
                 self._query_into(pos, dist_c, cond)
         else:
             dist_c, cond = self.ctx.index.query(pos)
-        # Enclosure distance inline (cached wall arrays, reusable buffers).
-        np.minimum(
-            (pos - self._enc_lo[None, :]).min(axis=1),
-            (self._enc_hi[None, :] - pos).min(axis=1),
-            out=ws.h[:n],
+        dist_e = wall_distance(
+            pos, self._enc_lo, self._enc_hi, out=ws.h[:n], tmp=ws.h2[:n]
         )
-        dist_e = ws.h[:n]
         if tm is not None:
             t0 = tm.lap("index", t0)
         # Hand the conductor ids to the absorb stage (a workspace view on
@@ -841,13 +838,12 @@ class WalkPipeline:
         np.minimum(allow, self.ctx.h_cap, out=allow)
         first = self._first[:n]
 
-        homogeneous = self._stack.is_homogeneous
-        if homogeneous:
-            n_iface = 0
-            dist_i = None
-            on_iface = None
+        if self._stack.is_homogeneous:
+            h = allow
+            snapped = None
         else:
             dist_i = self._stack.interface_distance(pos[:, 2])
+            h = np.minimum(allow, dist_i, out=ws.h2[:n])
             # First hops never snap: the hemisphere step has no unbiased
             # normal-gradient estimator across the interface, so the flux
             # weight must come from an interface-clamped cube (the context
@@ -856,102 +852,57 @@ class WalkPipeline:
                 dist_i, cfg.interface_snap_fraction * allow, out=ws.b0[:n]
             )
             on_iface &= np.logical_not(first, out=ws.b1[:n])
-            n_iface = int(np.count_nonzero(on_iface))
+            snapped = np.nonzero(on_iface)[0]
 
-        new_pos = self._pos_next
-        if n_iface == 0:
-            # Fast path: every walk takes a cube hop — full-vector kernels,
-            # no partition gathers.
-            if homogeneous:
-                h = allow
-            else:
-                h = np.minimum(allow, dist_i, out=ws.h2[:n])
-            floor = cfg.first_hop_interface_floor
-            if self._have_first and floor > 0.0:
-                fc_mask = first
-                if np.any(fc_mask):
-                    h[fc_mask] = np.maximum(
-                        h[fc_mask], floor * allow[fc_mask]
-                    )
-            cells = self._table.sample_cells(u[:, 0])
-            unit = self._table.unit_positions(cells, u[:, 1], u[:, 2])
-            npos = new_pos[:n]
-            np.subtract(pos, h[:, None], out=npos)
-            h2 = np.multiply(2.0, h, out=ws.h[:n])
-            np.multiply(unit, h2[:, None], out=unit)
-            np.add(npos, unit, out=npos)
-            if tm is not None:
-                t0 = tm.lap("sample", t0)
-            if self._have_first:
-                fc = np.nonzero(first)[0]
-                if fc.shape[0]:
-                    ratio = self._table.grad_ratio[self._naxis[fc], cells[fc]]
-                    omega = (
-                        -self._flux_scale
-                        * self._eps[fc]
-                        * self._nsign[fc]
-                        * ratio
-                        / (2.0 * h[fc])
-                    )
-                    self._store_omega(fc, omega)
-                if tm is not None:
-                    t0 = tm.lap("bookkeeping", t0)
-        else:
-            # Partitioned path: some walks snapped onto an interface.
-            cube = np.logical_not(on_iface, out=ws.b2[:n])
-            npos = new_pos[:n]
-            if np.any(cube):
-                h = np.minimum(allow[cube], dist_i[cube])
-                # First hops carry the 1/h flux weight: floor h near
-                # interfaces (the cube then crosses the interface slightly —
-                # a small, bounded bias instead of unbounded weight
-                # variance).
-                floor = cfg.first_hop_interface_floor
-                if floor > 0.0 and np.any(first[cube]):
-                    fc_mask = first[cube]
-                    h[fc_mask] = np.maximum(
-                        h[fc_mask], floor * allow[cube][fc_mask]
-                    )
-                cells = self._table.sample_cells(u[cube, 0])
-                unit = self._table.unit_positions(cells, u[cube, 1], u[cube, 2])
-                npos[cube] = (pos[cube] - h[:, None]) + unit * (2.0 * h)[:, None]
-                fc = first[cube]
-                if np.any(fc):
-                    cube_idx = np.nonzero(cube)[0][fc]
-                    ratio = self._table.grad_ratio[
-                        self._naxis[cube_idx], cells[fc]
-                    ]
-                    omega = (
-                        -self._flux_scale
-                        * self._eps[cube_idx]
-                        * self._nsign[cube_idx]
-                        * ratio
-                        / (2.0 * h[fc])
-                    )
-                    self._store_omega(cube_idx, omega)
-            z = pos[on_iface, 2]
-            k = self._stack.nearest_interface(z)
-            z_k = self._stack.interface_z(k)
+        # Every walk takes the cube hop over the full vector; the rows that
+        # snapped onto an interface are then overwritten by their hemisphere
+        # step.  Exact, because a cube hop has no side effects beyond its
+        # own output row, and first hops (which store omega) never snap.
+        floor = cfg.first_hop_interface_floor
+        if self._have_first and floor > 0.0 and np.any(first):
+            # First hops carry the 1/h flux weight: floor h near interfaces
+            # (the cube then crosses the interface slightly — a small,
+            # bounded bias instead of unbounded weight variance).
+            h[first] = np.maximum(h[first], floor * allow[first])
+        cells = self._table.sample_cells(u[:, 0])
+        unit = self._table.unit_positions(cells, u[:, 1], u[:, 2])
+        npos = self._pos_next[:n]
+        np.subtract(pos, h[:, None], out=npos)
+        h2 = np.multiply(2.0, h, out=ws.h[:n])
+        np.multiply(unit, h2[:, None], out=unit)
+        np.add(npos, unit, out=npos)
+        if snapped is not None and snapped.shape[0]:
+            k = self._stack.nearest_interface(pos[snapped, 2])
             eps_below, eps_above = self._stack.interface_eps_pair(k)
             # Sphere radius: stay clear of conductors/walls (minus the snap
             # displacement) and of the other interfaces.
             r = np.minimum(
-                allow[on_iface] - dist_i[on_iface],
+                allow[snapped] - dist_i[snapped],
                 _other_interface_gap(self._interfaces, k),
             )
             r = np.maximum(r, 0.5 * self.ctx.absorb_tol)
             direction = interface_hemisphere_direction(
-                u[on_iface, 0],
-                u[on_iface, 1],
-                u[on_iface, 2],
-                eps_below,
-                eps_above,
+                u[snapped, 0], u[snapped, 1], u[snapped, 2], eps_below, eps_above
             )
-            center = pos[on_iface].copy()
-            center[:, 2] = z_k
-            npos[on_iface] = center + r[:, None] * direction
+            center = pos[snapped]
+            center[:, 2] = self._stack.interface_z(k)
+            npos[snapped] = center + r[:, None] * direction
+        if tm is not None:
+            t0 = tm.lap("sample", t0)
+        if self._have_first:
+            fc = np.nonzero(first)[0]
+            if fc.shape[0]:
+                ratio = self._table.grad_ratio[self._naxis[fc], cells[fc]]
+                omega = (
+                    -self._flux_scale
+                    * self._eps[fc]
+                    * self._nsign[fc]
+                    * ratio
+                    / (2.0 * h[fc])
+                )
+                self._store_omega(fc, omega)
             if tm is not None:
-                t0 = tm.lap("sample", t0)
+                t0 = tm.lap("bookkeeping", t0)
 
         # Commit: double-buffer swap, no copy.
         self._pos, self._pos_next = self._pos_next, self._pos

@@ -81,6 +81,10 @@ def simulate_dynamic_queue(
     durations = np.asarray(durations, dtype=np.float64)
     n = durations.shape[0]
     t_count = max(1, int(n_threads))
+    if t_count == 1:
+        # cumsum adds in walk order from the heap loop's 0.0 start: same bits.
+        total = np.cumsum(np.concatenate(([0.0], durations)))[-1:]
+        return ScheduleResult([np.arange(n, dtype=np.int64)], total, total.copy())
     orders: list[list[int]] = [[] for _ in range(t_count)]
     work = np.zeros(t_count, dtype=np.float64)
     heap: list[tuple[float, int]] = [(0.0, t) for t in range(t_count)]

@@ -79,14 +79,24 @@ class DielectricStack:
         z = np.asarray(z, dtype=np.float64)
         if self.is_homogeneous:
             return np.full(z.shape, np.inf)
-        return np.abs(z[..., None] - self._z[None, :]).min(axis=-1)
+        dist = np.abs(z - self._z[0])
+        for zk in self._z[1:]:
+            np.minimum(dist, np.abs(z - zk), out=dist)
+        return dist
 
     def nearest_interface(self, z: np.ndarray) -> np.ndarray:
-        """Index of the nearest interface per z (homogeneous: error)."""
+        """Index of the nearest interface per z (homogeneous: error).  Ties
+        go to the lower index, as with ``argmin``."""
         if self.is_homogeneous:
             raise GeometryError("homogeneous stack has no interfaces")
         z = np.asarray(z, dtype=np.float64)
-        return np.abs(z[..., None] - self._z[None, :]).argmin(axis=-1)
+        best = np.abs(z - self._z[0])
+        idx = np.zeros(z.shape, dtype=np.int64)
+        for k in range(1, self._z.shape[0]):
+            dist = np.abs(z - self._z[k])
+            np.copyto(idx, k, where=dist < best)
+            np.minimum(best, dist, out=best)
+        return idx
 
     def interface_eps_pair(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Permittivities (below, above) of interface ``k``."""

@@ -282,8 +282,8 @@ class GridIndex:
         rel = np.subtract(points[:, axis], self._origin[axis])
         rel *= self._inv_cell[axis]
         ijk = rel.astype(np.int64)
-        np.clip(ijk, 0, int(self._cell_max[axis]), out=ijk)
-        return ijk
+        np.maximum(ijk, 0, out=ijk)
+        return np.minimum(ijk, int(self._cell_max[axis]), out=ijk)
 
     def _cell_ids(self, points: np.ndarray) -> np.ndarray:
         # Per-axis arithmetic: 1-D column ops instead of (n, 3) broadcasts.

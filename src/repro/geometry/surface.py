@@ -30,6 +30,20 @@ from .structure import Structure
 TRANSVERSE = ((1, 2), (0, 2), (0, 1))
 
 
+def face_points(
+    axis: np.ndarray, normal: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Points ``(n, 3)`` on axis-normal faces: column ``axis`` takes
+    ``normal``, the sorted transverse columns (:data:`TRANSVERSE`) take
+    ``a`` then ``b``.  Built by ``np.where`` selection per column."""
+    points = np.empty((axis.shape[0], 3), dtype=np.float64)
+    on_x = axis == 0
+    points[:, 0] = np.where(on_x, normal, a)
+    points[:, 1] = np.where(axis == 1, normal, np.where(on_x, a, b))
+    points[:, 2] = np.where(axis == 2, normal, b)
+    return points
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """A flat rectangular piece of the Gaussian surface.
@@ -128,16 +142,11 @@ class GaussianSurface:
         """
         u = np.asarray(u, dtype=np.float64)
         idx = np.searchsorted(self._cum, u[:, 0] * self.total_area, side="right")
-        idx = np.clip(idx, 0, self.n_patches - 1)
+        np.minimum(idx, self.n_patches - 1, out=idx)
         a = self._x0[idx] + u[:, 1] * (self._x1[idx] - self._x0[idx])
         b = self._y0[idx] + u[:, 2] * (self._y1[idx] - self._y0[idx])
         axis = self._axis[idx]
-        points = np.empty((u.shape[0], 3), dtype=np.float64)
-        points[np.arange(u.shape[0]), axis] = self._coord[idx]
-        t0 = np.array([TRANSVERSE[ax][0] for ax in axis])
-        t1 = np.array([TRANSVERSE[ax][1] for ax in axis])
-        points[np.arange(u.shape[0]), t0] = a
-        points[np.arange(u.shape[0]), t1] = b
+        points = face_points(axis, self._coord[idx], a, b)
         return points, axis, self._sign[idx]
 
 

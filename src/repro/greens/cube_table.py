@@ -22,10 +22,11 @@ coordinates are the two transverse axes in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ..geometry.surface import TRANSVERSE, face_points
 from .cube_series import (
     DEFAULT_MODES,
     gradient_kernel_parallel,
@@ -35,9 +36,6 @@ from .cube_series import (
 
 #: Default cells per face edge.
 DEFAULT_RESOLUTION = 32
-
-#: Transverse axes (sorted) per face axis — must match geometry.surface.
-TRANSVERSE = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,54 @@ class CubeTransitionTable:
         return int(self.prob.shape[0])
 
     def sample_cells(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms in [0,1) to flattened cell indices."""
-        idx = np.searchsorted(self.cdf, np.asarray(u, dtype=np.float64), side="right")
-        return np.clip(idx, 0, self.n_cells - 1)
+        """Map uniforms in [0,1) to flattened cell indices.
+
+        Returns ``clip(searchsorted(cdf, u, "right"), 0, N-1)`` exactly,
+        computed with a guide table of ``M = 4N`` buckets plus a fixed
+        number of vectorised bisection steps.
+
+        Why the bracket is exact: let ``e_j = fl(j/M)`` and
+        ``g[j] = searchsorted(cdf, e_j, "right")``, and let ``r(u)`` be the
+        wanted count of cdf entries ``<= u``, which is non-decreasing in
+        ``u``.  With ``q = floor(u*M)`` (exact), the integers ``q`` and
+        ``q+1`` are doubles and round-to-nearest is monotone, so
+        ``q <= fl(u*M) <= q+1`` and ``k = int(fl(u*M))`` is ``q`` or
+        ``q+1``.  Hence ``(k-1)/M <= u < (k+1)/M`` exactly; rounding both
+        sides (``u`` is itself a double) gives ``e_{k-1} <= u <= e_{k+1}``
+        and so ``g[k-1] <= r(u) <= g[k+1]``.  The bisection starts at
+        ``g[k-1]`` with a power-of-two width covering the widest such
+        bracket, over a cdf padded with ``+inf`` so that probes past the
+        end never count.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        buckets, last_le, cdf_pad, width = self._guide
+        # p: index of the last cdf entry known to be <= u (-1 for none).
+        # Every index is in range; mode="clip" only skips numpy's buffered
+        # bounds check.
+        k = np.multiply(u, buckets).astype(np.int64)
+        p = last_le.take(k, mode="clip")
+        probe = np.empty_like(p)
+        value = np.empty(u.shape)
+        hit = np.empty(u.shape, dtype=bool)
+        step = width >> 1
+        while step:
+            np.add(p, step, out=probe)
+            cdf_pad.take(probe, out=value, mode="clip")
+            np.less_equal(value, u, out=hit)
+            np.copyto(p, probe, where=hit)
+            step >>= 1
+        p += 1
+        return np.minimum(p, self.n_cells - 1, out=p)
+
+    @cached_property
+    def _guide(self) -> tuple:
+        return _guide_for(self.cdf.tobytes())
+
+    def __getstate__(self) -> dict:
+        # The guide is derived state: never pickled (nor published).
+        state = dict(self.__dict__)
+        state.pop("_guide", None)
+        return state
 
     def packed(self) -> tuple[dict, dict]:
         """(scalars, arrays) split for shared-memory publication."""
@@ -119,23 +162,26 @@ class CubeTransitionTable:
         (the distribution is piecewise constant per cell).
         """
         cells = np.asarray(cells, dtype=np.int64)
-        n = cells.shape[0]
-        axis = self.face_axis[cells]
-        side = self.face_side[cells].astype(np.float64)
         a = (self.cell_i[cells] + np.asarray(jitter_a)) / self.nf
         b = (self.cell_j[cells] + np.asarray(jitter_b)) / self.nf
-        pos = np.empty((n, 3), dtype=np.float64)
-        rows = np.arange(n)
-        pos[rows, axis] = side
-        t0 = _T0[axis]
-        t1 = _T1[axis]
-        pos[rows, t0] = a
-        pos[rows, t1] = b
-        return pos
+        return face_points(self.face_axis[cells], self.face_side[cells], a, b)
 
 
 _T0 = np.array([TRANSVERSE[a][0] for a in range(3)], dtype=np.int64)
-_T1 = np.array([TRANSVERSE[a][1] for a in range(3)], dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def _guide_for(cdf_bytes: bytes) -> tuple:
+    """``(M, g[k-1] - 1 for k = 0..M, +inf-padded cdf, bisection width)``
+    for :meth:`CubeTransitionTable.sample_cells`.  Keyed by the cdf's
+    bytes, so tables with equal cdfs (e.g. contexts attached from separate
+    shared-memory blocks) share one guide per process."""
+    cdf = np.frombuffer(cdf_bytes, dtype=np.float64)
+    buckets = 4 * cdf.shape[0]
+    g = np.searchsorted(cdf, np.arange(-1, buckets + 2) / buckets, side="right")
+    width = 1 << int((g[2:] - g[:-2]).max()).bit_length()
+    cdf_pad = np.concatenate([cdf, np.full(width, np.inf)])
+    return buckets, g[:-2] - 1, cdf_pad, width
 
 
 def _build(nf: int, modes: int) -> CubeTransitionTable:

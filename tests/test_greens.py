@@ -15,7 +15,7 @@ from repro.greens import (
     poisson_kernel_face,
     uniform_direction,
 )
-from repro.greens.cube_table import _T0, _T1
+from repro.greens.cube_table import _T0
 
 
 def test_series_mass_is_one():
