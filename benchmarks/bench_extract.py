@@ -29,8 +29,8 @@ on the serial engine and on the shared-memory process backend
 (``--process-workers`` workers, default 4), with the executor's dispatch
 telemetry — per-dispatch pickle bytes (the steady-state message is
 ``(manifest, uids)``, a few KB regardless of structure size) and
-per-worker context attach counts (each worker attaches each published
-block exactly once).  Process rows are asserted bit-identical to the
+per-worker asset attach counts (each worker attaches each published
+asset block — one index, one table — exactly once).  Process rows are asserted bit-identical to the
 serial rows; the walks/sec ratio is recorded honestly — on a single-core
 host the process backend *loses* to serial (pure dispatch overhead, no
 parallel speedup), and the trajectory says so.

@@ -57,6 +57,9 @@ class RunStats:
     #: Speculative batches dispatched but never accumulated (discarded when
     #: the stopping rule fired; their walk samples are simply unused).
     discarded_batches: int = 0
+    #: Walks launched for this master that never reached its row: every
+    #: discarded batch, plus walks a pipeline launched past the stop.
+    discarded_walks: int = 0
     #: Allocation rounds this master participated in (interleaved mode).
     allocation_rounds: int = 0
 
@@ -237,6 +240,7 @@ def extract_row_alg2(
     if discarded:
         progress.stats.dispatched_batches += discarded
         progress.stats.discarded_batches += discarded
+    progress.stats.discarded_walks += runner.discarded_walks
 
     return progress.finalize()
 

@@ -93,56 +93,46 @@ class ExtractionContext:
         return self.surface.total_area * EPS0_FF_PER_UM
 
 
-#: Default bounds on live cached assets per :class:`SharedAssets`.  A
-#: single extraction touches one index key and one table resolution, so
-#: the steady state never evicts; the bounds only matter when one
-#: ``SharedAssets`` outlives many differently-configured extractions (the
-#: long-lived ``repro.service`` daemon), where unbounded per-key retention
-#: would be a real leak.  Evicted assets are rebuilt bit-identically from
-#: the structure/config on the next request — the same revive-by-replay
-#: discipline as the MT walk-stream LRU (:mod:`repro.rng.mersenne`) — so
-#: the bounds are a pure memory/latency trade-off and never affect rows.
+#: Default bound on live cached indexes per :class:`SharedAssets`.  A
+#: single extraction touches one index key, so the steady state never
+#: evicts; the bound only matters when one ``SharedAssets`` outlives many
+#: differently-configured extractions (the long-lived ``repro.service``
+#: daemon), where unbounded per-key retention would be a real leak.
+#: Evicted indexes are rebuilt bit-identically from the structure/config
+#: on the next request — the same revive-by-replay discipline as the MT
+#: walk-stream LRU (:mod:`repro.rng.mersenne`) — so the bound is a pure
+#: memory/latency trade-off and never affects rows.
 DEFAULT_MAX_INDEXES = 8
-DEFAULT_MAX_TABLES = 4
 
 
 class SharedAssets:
-    """Bounded cache of master-independent context assets for one structure.
+    """Master-independent context assets for one structure.
 
     Owned by the solver (one per :class:`~repro.frw.solver.FRWSolver`):
-    the spatial index is keyed by ``h_cap`` (plus the fast-path knobs) and
-    the cube transition table by its resolution, so an N-master extraction
-    builds each exactly once.  Both caches are LRU-bounded
-    (``max_indexes`` / ``max_tables``); eviction is bit-invisible because
-    assets are pure functions of ``(structure, key)`` and rebuild
-    identically.  Hit/build/eviction counters feed the scheduler telemetry
+    the spatial index is cached by ``h_cap`` (plus the fast-path knobs) in
+    an LRU bounded by ``max_indexes`` — eviction is bit-invisible because
+    an index is a pure function of ``(structure, key)`` — and the cube
+    transition table comes from the one process-wide memo,
+    :func:`~repro.greens.get_cube_table`, so an N-master extraction builds
+    each exactly once.  The counters feed the scheduler telemetry
     (``meta["schedule"]["asset_cache"]``) and the extraction benchmark's
     cache assertions.
     """
 
     def __init__(
-        self,
-        structure: Structure,
-        max_indexes: int = DEFAULT_MAX_INDEXES,
-        max_tables: int = DEFAULT_MAX_TABLES,
+        self, structure: Structure, max_indexes: int = DEFAULT_MAX_INDEXES
     ):
         if max_indexes < 1:
             raise ValueError(f"max_indexes must be >= 1, got {max_indexes}")
-        if max_tables < 1:
-            raise ValueError(f"max_tables must be >= 1, got {max_tables}")
         self.structure = structure
         self.max_indexes = int(max_indexes)
-        self.max_tables = int(max_tables)
         self._indexes: OrderedDict[tuple, BruteForceIndex | GridIndex] = (
             OrderedDict()
         )
-        self._tables: OrderedDict[int, CubeTransitionTable] = OrderedDict()
         self.index_builds = 0
         self.index_hits = 0
         self.index_evictions = 0
         self.table_builds = 0
-        self.table_hits = 0
-        self.table_evictions = 0
 
     def index(
         self,
@@ -196,19 +186,12 @@ class SharedAssets:
         return merged.as_dict() if seen else None
 
     def table(self, resolution: int) -> CubeTransitionTable:
-        """The cube transition table at ``resolution`` (built once)."""
-        key = int(resolution)
-        table = self._tables.get(key)
-        if table is None:
-            table = get_cube_table(key)
-            self._tables[key] = table
-            self.table_builds += 1
-            while len(self._tables) > self.max_tables:
-                self._tables.popitem(last=False)
-                self.table_evictions += 1
-        else:
-            self._tables.move_to_end(key)
-            self.table_hits += 1
+        """The cube transition table at ``resolution``.  ``table_builds``
+        counts the lookups that missed :func:`get_cube_table`'s memo, i.e.
+        builds that actually ran."""
+        misses = get_cube_table.cache_info().misses
+        table = get_cube_table(int(resolution))
+        self.table_builds += get_cube_table.cache_info().misses - misses
         return table
 
     def stats(self) -> dict:
@@ -220,10 +203,6 @@ class SharedAssets:
             "index_live": len(self._indexes),
             "max_indexes": self.max_indexes,
             "table_builds": self.table_builds,
-            "table_hits": self.table_hits,
-            "table_evictions": self.table_evictions,
-            "table_live": len(self._tables),
-            "max_tables": self.max_tables,
         }
 
 

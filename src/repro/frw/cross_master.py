@@ -50,10 +50,8 @@ from .estimator import CapacitanceRow
 from .parallel import (
     PendingBatch,
     PersistentExecutor,
-    PipelinedBatchRunner,
-    SerialBatchRunner,
+    make_batch_runner,
     stream_spec,
-    streams_from_spec,
 )
 from .scheduler import allocate_quota, reweight_needed, variance_weights
 
@@ -95,29 +93,16 @@ class _MasterRun:
         self.done = False
         self.row: CapacitanceRow | None = None
         self.stats: RunStats | None = None
-        spec = stream_spec(cfg, master)
         if executor is not None:
-            self.key = executor.register(ctx, spec)
+            self.key = executor.register(ctx, stream_spec(cfg, master))
             self.runner = None
         else:
             # Serial fallback: a persistent per-master engine pipeline;
             # dispatch is lazy (PendingBatch thunks), so speculative
             # batches past the stopping rule are never computed.
             self.key = None
-            streams = streams_from_spec(spec)
-            group = cfg.antithetic_group if cfg.antithetic else 1
-            if cfg.pipeline:
-                self.runner = PipelinedBatchRunner(
-                    ctx,
-                    streams,
-                    cfg.batch_size,
-                    cfg.pipeline_lookahead,
-                    group=group,
-                )
-            else:
-                self.runner = SerialBatchRunner(
-                    ctx, streams, cfg.batch_size, group=group
-                )
+            serial = cfg.with_(executor="serial")
+            self.runner, _ = make_batch_runner(ctx, serial)
 
     def dispatch_next(self, max_chunks: int | None = None) -> None:
         """Put this master's next batch in flight (UIDs are fixed by the
@@ -146,10 +131,15 @@ class _MasterRun:
         self.next_accum += 1
         if self.progress.absorb(handle.result()):
             self.done = True
-            self.progress.stats.discarded_batches += len(self.inflight)
+            stats = self.progress.stats
+            stats.discarded_batches += len(self.inflight)
+            stats.discarded_walks += sum(
+                h.uids.shape[0] for h in self.inflight.values()
+            )
             self.inflight.clear()
             if self.runner is not None:
                 self.runner.close()
+                stats.discarded_walks += self.runner.discarded_walks
                 self.runner = None
             self.row, self.stats = self.progress.finalize()
         return self.done

@@ -466,6 +466,14 @@ class WalkPipeline:
         """Batches fed but not yet emitted."""
         return self._next_feed - self._next_emit
 
+    @property
+    def launched_ahead(self) -> int:
+        """Walks launched from batches not yet emitted."""
+        launched = self._next_g
+        if self._pending is not None:
+            launched -= self._pending.shape[0] - self._pending_off
+        return launched - self._win_base_g
+
     # ------------------------------------------------------------------
     # Feeding and launching
     # ------------------------------------------------------------------

@@ -31,9 +31,10 @@ differs only in how the walks are scheduled:
 
 The process backend ships contexts through the **shared-memory context
 plane** (:mod:`repro.frw.shm`) by default: registering a context publishes
-its arrays into a shared block once, and per-batch messages carry only a
-small manifest + the UID chunk — workers attach lazily and cache the
-attachment, so steady-state dispatch is manifest-only and works under any
+its index and cube table (each into one shared block per process, however
+many masters reference it), and per-batch messages carry only a small
+manifest + the UID chunk — workers attach lazily and cache each asset
+block once, so steady-state dispatch is manifest-only and works under any
 start method (``fork``, ``spawn``, ``forkserver``).  The legacy
 fork-inheritance protocol survives behind ``shared_context=False``.
 
@@ -165,11 +166,12 @@ def _reassemble(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
 # ----------------------------------------------------------------------
 # Process-pool worker side.  Two context-shipping protocols:
 #
-# * Shared-memory plane (default): the parent publishes each context into
-#   a shared block (repro.frw.shm) and dispatches (manifest, uids) work
-#   items.  Workers attach lazily — the first chunk of a context maps the
-#   block and rebuilds the context over zero-copy views; every later chunk
-#   hits the attachment cache.  Works under fork, spawn, and forkserver.
+# * Shared-memory plane (default): the parent publishes each context's
+#   assets into shared blocks (repro.frw.shm) and dispatches (manifest,
+#   uids) work items.  Workers attach lazily — the first chunk naming an
+#   asset block maps it and rebuilds the asset over zero-copy views; every
+#   later chunk hits the attachment caches.  Works under fork, spawn, and
+#   forkserver.
 # * Legacy fork inheritance (shared_context=False): the parent stores
 #   contexts in _FORK_REGISTRY immediately before forking the pool and
 #   workers inherit that memory; per-batch messages carry only (key, uids).
@@ -195,19 +197,18 @@ def _process_chunk(key: int, uids: np.ndarray) -> WalkResults:
 def _shm_chunk(manifest, uids: np.ndarray) -> WalkResults:
     """Worker entry of the shared-context protocol: attach (cached), run."""
     ctx = shm.attach_context(manifest)
-    cache_key = (manifest.block, manifest.spec)
-    streams = _WORKER_STREAMS.get(cache_key)
+    streams = _WORKER_STREAMS.get(manifest.spec)
     if streams is None:
         streams = streams_from_spec(manifest.spec)
         # det: allow(DET006) per-process memo of this worker's own stream
         # family; streams are counter-based (stateless per uid), so the cache
         # only avoids re-deriving keys and cannot affect sample values.
-        _WORKER_STREAMS[cache_key] = streams
+        _WORKER_STREAMS[manifest.spec] = streams
     return run_walks(ctx, streams, uids)
 
 
 def _worker_probe(delay: float) -> tuple[int, int]:
-    """Identify the executing worker: ``(pid, blocks attached so far)``.
+    """Identify the executing worker: ``(pid, asset blocks attached)``.
 
     Each probe sleeps briefly so a ``map(..., chunksize=1)`` of one probe
     per pool slot lands on distinct workers instead of racing onto one.
@@ -269,8 +270,8 @@ class PersistentExecutor:
         ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
     shared_context:
         Ship contexts through the shared-memory plane (default): the pool
-        is created once, registration publishes blocks, workers attach
-        lazily, and per-batch messages carry only the manifest.  With
+        is created once, registration publishes asset blocks, workers
+        attach lazily, and per-batch messages carry only the manifest.  With
         ``False`` the legacy fork-inheritance protocol is used: contexts
         travel by forking *after* registration, and registering a new
         context after the fork restarts the pool once.
@@ -332,10 +333,10 @@ class PersistentExecutor:
         """Register a context + stream spec once; returns its dispatch key.
 
         On the shared-context process backend this *publishes* the context
-        into a shared-memory block immediately — the pool (if any) keeps
-        running and workers attach on first dispatch.  On the legacy
-        fork-inheritance backend it bumps the registry version, which
-        triggers one pool restart at the next dispatch.
+        immediately (its assets' blocks on first reference) — the pool (if
+        any) keeps running and workers attach on first dispatch.  On the
+        legacy fork-inheritance backend it bumps the registry version,
+        which triggers one pool restart at the next dispatch.
         """
         ident = (id(ctx), spec)
         key = self._keys.get(ident)
@@ -356,7 +357,7 @@ class PersistentExecutor:
 
         Only the legacy fork-inheritance protocol does; the shared-memory
         context plane creates the pool once and later registrations just
-        publish new blocks, which workers attach lazily.  Schedulers use
+        publish manifests, which workers attach lazily.  Schedulers use
         this to decide whether in-flight handles must be drained before
         admitting a new registration wave.
         """
@@ -472,9 +473,15 @@ class PersistentExecutor:
         work item (the thread backend ships references, not pickles), so
         ``pickle_bytes_per_dispatch`` directly measures the steady-state
         per-dispatch payload — manifest-only under the shared-context
-        plane, regardless of context size.
+        plane, regardless of context size.  ``published_nbytes`` sums the
+        distinct asset blocks this executor's manifests name.
         """
         n = max(1, self.dispatches)
+        blocks = {
+            ref.block: ref.nbytes
+            for m in self._manifests.values()
+            for ref in (m.index, m.table)
+        }
         return {
             "dispatches": self.dispatches,
             "pickle_bytes": self.dispatch_pickle_bytes,
@@ -482,9 +489,8 @@ class PersistentExecutor:
                 self.dispatch_pickle_bytes / n, 1
             ),
             "published_contexts": len(self._manifests),
-            "published_nbytes": sum(
-                m.nbytes for m in self._manifests.values()
-            ),
+            "published_blocks": len(blocks),
+            "published_nbytes": sum(blocks.values()),
         }
 
     def worker_stats(self, probes_per_worker: int = 4, delay: float = 0.02) -> dict:
@@ -492,7 +498,7 @@ class PersistentExecutor:
 
         Maps short sleep probes across the pool (``chunksize=1`` so they
         spread over workers) and reports, per observed worker PID, how many
-        shared context blocks that worker has attached.  Empty for
+        shared asset blocks that worker has attached.  Empty for
         non-process backends.  Scheduling decides which workers answer, so
         this is telemetry — results never feed back into walk values.
         """
@@ -563,48 +569,15 @@ def _batch_feed(batch_size: int, lo: int = 0, hi: int | None = None):
     return feed
 
 
-class SerialBatchRunner:
-    """One batch at a time through the plain engine (the historical path).
+class PipelinedBatchRunner:
+    """A single refill pipeline spanning all batches (serial hardware).
 
-    Implemented as a *persistent* lookahead-0 :class:`WalkPipeline`: with
-    no lookahead, each batch drains completely before the next one feeds,
-    so the schedule — and therefore every result bit — is identical to
-    calling :func:`run_walks` per batch, but the slot arena and step
-    scratch are allocated once and reused for the whole run.
+    ``discarded_walks``, read from the pipeline at :meth:`close`, counts
+    the walks it launched from batches past the last one harvested —
+    speculation the row never consumed.
     """
 
-    def __init__(
-        self,
-        ctx: ExtractionContext,
-        streams,
-        batch_size: int,
-        timers: StageTimers | None = None,
-        group: int = 1,
-        prefetch: int | None = None,
-    ):
-        self.ctx = ctx
-        self.streams = streams
-        self.batch_size = int(batch_size)
-        self._pipe = WalkPipeline(
-            ctx,
-            streams,
-            _batch_feed(self.batch_size),
-            width=self.batch_size,
-            lookahead=0,
-            timers=timers,
-            group=group,
-            prefetch=prefetch,
-        )
-
-    def run_batch(self, batch_index: int) -> WalkResults:
-        return self._pipe.next_batch()
-
-    def close(self) -> None:
-        pass
-
-
-class PipelinedBatchRunner:
-    """A single refill pipeline spanning all batches (serial hardware)."""
+    discarded_walks = 0
 
     def __init__(
         self,
@@ -631,7 +604,28 @@ class PipelinedBatchRunner:
         return self._pipe.next_batch()
 
     def close(self) -> None:
-        pass
+        self.discarded_walks = self._pipe.launched_ahead
+
+
+class SerialBatchRunner(PipelinedBatchRunner):
+    """One batch at a time through the plain engine (the historical path).
+
+    A *persistent* lookahead-0 pipeline: each batch drains completely
+    before the next one feeds, so the schedule — and therefore every
+    result bit — is identical to calling :func:`run_walks` per batch, but
+    the slot arena and step scratch are allocated once for the whole run.
+    """
+
+    def __init__(
+        self,
+        ctx: ExtractionContext,
+        streams,
+        batch_size: int,
+        timers: StageTimers | None = None,
+        group: int = 1,
+        prefetch: int | None = None,
+    ):
+        super().__init__(ctx, streams, batch_size, 0, timers, group, prefetch)
 
 
 class ThreadedBatchRunner:
@@ -644,6 +638,8 @@ class ThreadedBatchRunner:
     executor's persistent thread pool; slot results are concatenated in
     chunk order, i.e. UID order.
     """
+
+    discarded_walks = 0
 
     def __init__(
         self,
@@ -710,6 +706,8 @@ class ThreadedBatchRunner:
         return _reassemble(uids, parts)
 
     def close(self) -> None:
+        if self._pipes is not None:
+            self.discarded_walks = sum(p.launched_ahead for p in self._pipes)
         self._pipes = None  # drop in-flight walk state; the pool is shared
         if self._timers is not None:
             for tm in self._slot_timers:
@@ -727,7 +725,8 @@ class ProcessBatchRunner:
     boundary.  Batch UIDs are a pure function of the batch index and every
     batch reassembles in UID order, so speculation changes wall time only;
     batches still in flight when the stopping rule fires are counted in
-    ``speculative_discarded`` (dispatched work the row never consumed).
+    ``speculative_discarded`` and their walks in ``discarded_walks``
+    (dispatched work the row never consumed).
     """
 
     def __init__(
@@ -745,6 +744,7 @@ class ProcessBatchRunner:
         self._inflight: dict[int, PendingBatch] = {}
         self._next_dispatch = 0
         self.speculative_discarded = 0
+        self.discarded_walks = 0
 
     def _dispatch(self, batch_index: int) -> PendingBatch:
         base = batch_index * self.batch_size
@@ -770,6 +770,9 @@ class ProcessBatchRunner:
         # gathered, so the only cost of speculation is worker time already
         # spent (bounded by `lookahead` batches).
         self.speculative_discarded += len(self._inflight)
+        self.discarded_walks += sum(
+            h.uids.shape[0] for h in self._inflight.values()
+        )
         self._inflight.clear()
 
 

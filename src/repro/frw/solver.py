@@ -366,6 +366,7 @@ class FRWSolver:
                 "query_stats": self.assets.query_stats(),
                 "dispatched_batches": sum(s.dispatched_batches for s in stats),
                 "discarded_batches": sum(s.discarded_batches for s in stats),
+                "discarded_walks": sum(s.discarded_walks for s in stats),
             }
         }
         if extra_meta:

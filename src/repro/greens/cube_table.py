@@ -116,7 +116,15 @@ class CubeTransitionTable:
 
     @cached_property
     def _guide(self) -> tuple:
-        return _guide_for(self.cdf.tobytes())
+        """``(M, g[k-1] - 1 for k = 0..M, +inf-padded cdf, bisection
+        width)`` for :meth:`sample_cells`, built once per table object."""
+        cdf = self.cdf
+        buckets = 4 * cdf.shape[0]
+        edges = np.arange(-1, buckets + 2) / buckets
+        g = np.searchsorted(cdf, edges, side="right")
+        width = 1 << int((g[2:] - g[:-2]).max()).bit_length()
+        cdf_pad = np.concatenate([cdf, np.full(width, np.inf)])
+        return buckets, g[:-2] - 1, cdf_pad, width
 
     def __getstate__(self) -> dict:
         # The guide is derived state: never pickled (nor published).
@@ -168,20 +176,6 @@ class CubeTransitionTable:
 
 
 _T0 = np.array([TRANSVERSE[a][0] for a in range(3)], dtype=np.int64)
-
-
-@lru_cache(maxsize=8)
-def _guide_for(cdf_bytes: bytes) -> tuple:
-    """``(M, g[k-1] - 1 for k = 0..M, +inf-padded cdf, bisection width)``
-    for :meth:`CubeTransitionTable.sample_cells`.  Keyed by the cdf's
-    bytes, so tables with equal cdfs (e.g. contexts attached from separate
-    shared-memory blocks) share one guide per process."""
-    cdf = np.frombuffer(cdf_bytes, dtype=np.float64)
-    buckets = 4 * cdf.shape[0]
-    g = np.searchsorted(cdf, np.arange(-1, buckets + 2) / buckets, side="right")
-    width = 1 << int((g[2:] - g[:-2]).max()).bit_length()
-    cdf_pad = np.concatenate([cdf, np.full(width, np.inf)])
-    return buckets, g[:-2] - 1, cdf_pad, width
 
 
 def _build(nf: int, modes: int) -> CubeTransitionTable:

@@ -113,15 +113,9 @@ class AssetCache(LRUCache):
     share the geometry SoA arrays).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 64,
-        max_indexes: int = 4,
-        max_tables: int = 2,
-    ):
+    def __init__(self, max_entries: int = 64, max_indexes: int = 4):
         super().__init__(max_entries, name="assets")
         self.max_indexes = int(max_indexes)
-        self.max_tables = int(max_tables)
 
     def assets_for(
         self, digest: str, structure: Structure
@@ -131,16 +125,11 @@ class AssetCache(LRUCache):
             digest,
             lambda: (
                 structure,
-                SharedAssets(
-                    structure,
-                    max_indexes=self.max_indexes,
-                    max_tables=self.max_tables,
-                ),
+                SharedAssets(structure, max_indexes=self.max_indexes),
             ),
         )
 
     def stats(self) -> dict:
         entry = super().stats()
         entry["max_indexes"] = self.max_indexes
-        entry["max_tables"] = self.max_tables
         return entry

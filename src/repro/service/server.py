@@ -71,7 +71,6 @@ class ServiceSettings:
     result_cache_entries: int = 1024
     asset_cache_entries: int = 64
     max_indexes: int = 4
-    max_tables: int = 2
     interactive_boost: float = 4.0
     port_file: str | None = None
 
@@ -135,7 +134,6 @@ class ExtractionService:
         self.assets = AssetCache(
             self.settings.asset_cache_entries,
             max_indexes=self.settings.max_indexes,
-            max_tables=self.settings.max_tables,
         )
         self._cond = threading.Condition()
         self._queues: dict[str, deque] = {
@@ -467,8 +465,6 @@ class ExtractionService:
                 "index_hits": 0,
                 "index_evictions": 0,
                 "table_builds": 0,
-                "table_hits": 0,
-                "table_evictions": 0,
             }
             for digest in sorted(self.assets._entries):
                 _structure, shared = self.assets._entries[digest]

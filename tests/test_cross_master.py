@@ -102,11 +102,12 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
     sched = result.matrix.meta["schedule"]
     assert sched["interleaved"] is True
     assert sched["allocation"] == "even"
-    # The structure index and cube table are built once and shared.
+    # The structure index is built once and shared; the cube table comes
+    # from the process-wide memo, so this solver built it at most once.
     cache = sched["asset_cache"]
     assert cache["index_builds"] == 1
     assert cache["index_hits"] == 2
-    assert cache["table_builds"] == 1
+    assert cache["table_builds"] in (0, 1)
     # The far-field fast path was live: the shared grid index reports its
     # query telemetry, and the 3-wire case has real open space.
     qs = sched["query_stats"]
@@ -117,6 +118,10 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
     # discard count accounts for the speculative overshoot.
     accumulated = sum(s.batches for s in result.stats)
     assert sched["dispatched_batches"] == accumulated + sched["discarded_batches"]
+    # On an executor every discarded batch is a whole batch of walks.
+    assert sched["discarded_walks"] == (
+        sched["discarded_batches"] * BASE["batch_size"]
+    )
     for s in result.stats:
         assert s.dispatched_batches >= s.batches
         assert s.allocation_rounds >= s.batches

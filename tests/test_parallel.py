@@ -265,7 +265,10 @@ def test_executor_dispatch_telemetry(plates):
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(400, dtype=np.uint64)
-    with PersistentExecutor("process", n_workers=2, chunk_size=100) as ex:
+    # Spawn workers inherit no attach cache, so their counts are exact.
+    with PersistentExecutor(
+        "process", n_workers=2, chunk_size=100, mp_start_method="spawn"
+    ) as ex:
         ex.register(ctx, stream_spec(cfg, 0))
         ex.run(ex.register(ctx, stream_spec(cfg, 0)), uids)
         stats = ex.dispatch_stats()
@@ -274,9 +277,54 @@ def test_executor_dispatch_telemetry(plates):
         assert stats["published_nbytes"] > 0
         # Steady-state messages are (manifest, uids): a few KB each.
         assert 0 < stats["pickle_bytes_per_dispatch"] < 16384
+        assert stats["published_blocks"] == 2  # one index, one table
         workers = ex.worker_stats()
-        assert set(workers["attach_counts"].values()) <= {0, 1}
-        assert workers["total_attaches"] <= ex.n_workers
+        assert set(workers["attach_counts"].values()) <= {0, 2}
+        assert workers["total_attaches"] <= 2 * ex.n_workers
+
+
+def test_spawn_worker_attaches_each_asset_once(three_wires):
+    """A spawn worker running every master of a multi-master case maps,
+    verifies and rebuilds one index and one table, not one per master."""
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=512, max_walks=512,
+        executor="process", n_workers=2, mp_start_method="spawn",
+    )
+    with FRWSolver(three_wires, cfg) as solver:
+        solver.extract()
+        ex = solver.walk_executor()
+        assert ex.dispatch_stats()["published_contexts"] == 3
+        workers = ex.worker_stats()
+    assert workers["attach_counts"]
+    assert max(workers["attach_counts"].values()) <= 2
+
+
+def test_executors_share_asset_blocks(plates):
+    """Two process executors in one process that register contexts over
+    the same table object share its block; closing one leaves the other
+    able to dispatch."""
+    cfg = FRWConfig.frw_r(seed=77)
+    ctx0 = build_context(plates, 0, cfg)
+    ctx1 = build_context(plates, 1, cfg)
+    assert ctx0.table is ctx1.table
+    uids = np.arange(300, dtype=np.uint64)
+    a = PersistentExecutor("process", n_workers=2, chunk_size=100)
+    b = PersistentExecutor("process", n_workers=2, chunk_size=100)
+    try:
+        a.register(ctx0, stream_spec(cfg, 0))
+        key = b.register(ctx1, stream_spec(cfg, 1))
+        table_block = a._manifests[0].table.block
+        assert b._manifests[key].table.block == table_block
+        a.close()
+        assert table_block in shm.published_blocks()
+        res = b.run(key, uids)
+    finally:
+        a.close()
+        b.close()
+    ref = run_walks(ctx1, WalkStreams(77, 1), uids)
+    assert np.array_equal(ref.omega, res.omega)
+    assert np.array_equal(ref.dest, res.dest)
+    assert table_block not in shm.published_blocks()
 
 
 def test_executor_close_unlinks_blocks(plates):
@@ -371,3 +419,38 @@ def test_pipelined_runner_counts_speculation(plates):
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
     assert stats.dispatched_batches == stats.batches + stats.discarded_batches
     assert stats.discarded_batches >= 1  # lookahead ran past the stop
+    assert stats.discarded_walks == stats.discarded_batches * 128
+
+
+@pytest.mark.parametrize("lookahead", [0, 1, 3])
+def test_serial_discarded_walks_are_launched_minus_counted(
+    plates, monkeypatch, lookahead
+):
+    """On the serial path the pipeline's refills run past the stopping
+    rule; ``discarded_walks`` reports exactly the walks launched for a
+    master that never reached its row (none without lookahead)."""
+    from repro.frw.engine import WalkPipeline
+
+    launched = []
+    launch = WalkPipeline._launch
+
+    def counting_launch(self, uids, start_g, off):
+        launched.append(uids.shape[0])
+        return launch(self, uids, start_g, off)
+
+    monkeypatch.setattr(WalkPipeline, "_launch", counting_launch)
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=512, max_walks=512,
+        executor="serial", pipeline_lookahead=lookahead,
+    )
+    with FRWSolver(plates, cfg) as solver:
+        result = solver.extract()  # interleaved masters, serial fallback
+    discarded = result.matrix.meta["schedule"]["discarded_walks"]
+    assert discarded == sum(launched) - result.total_walks
+    launched.clear()
+    row, stats = extract_row_alg2(build_context(plates, 0, cfg))
+    assert stats.discarded_walks == sum(launched) - row.walks
+    if lookahead == 0:
+        assert discarded == stats.discarded_walks == 0
+    else:
+        assert discarded > 0 and stats.discarded_walks > 0

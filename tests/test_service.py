@@ -19,6 +19,7 @@ from repro.frw.context import SharedAssets
 from repro.frw.scheduler import allocate_quota, backlog_weights
 from repro.frw.solver import FRWSolver
 from repro.geometry import structure_to_dict
+from repro.greens import get_cube_table
 from repro.service import (
     ExtractionService,
     LRUCache,
@@ -99,7 +100,7 @@ class TestLRUCache:
 
 
 # ----------------------------------------------------------------------
-# SharedAssets LRU bounds (satellite of the service work)
+# SharedAssets index LRU bound and the one table memo
 # ----------------------------------------------------------------------
 
 class TestSharedAssetsBounds:
@@ -107,8 +108,8 @@ class TestSharedAssetsBounds:
         structure = small_structure()
         with pytest.raises(ValueError):
             SharedAssets(structure, max_indexes=0)
-        with pytest.raises(ValueError):
-            SharedAssets(structure, max_tables=0)
+        with pytest.raises(TypeError):
+            SharedAssets(structure, max_tables=1)  # one memo, no knob
 
     def test_index_eviction_and_revival(self):
         structure = small_structure()
@@ -122,19 +123,18 @@ class TestSharedAssetsBounds:
         assert stats["index_live"] == 1
         assert stats["max_indexes"] == 1
 
-    def test_table_eviction_and_hits(self):
-        structure = small_structure()
-        assets = SharedAssets(structure, max_tables=1)
-        t1 = assets.table(8)
-        assert assets.table(8) is t1
-        assets.table(16)
-        rebuilt = assets.table(8)
-        stats = assets.stats()
-        assert stats["table_hits"] == 1
-        assert stats["table_evictions"] == 2
-        # Revival is bit-identical: pure function of the resolution.
-        assert np.array_equal(rebuilt.prob, t1.prob)
-        assert np.array_equal(rebuilt.cdf, t1.cdf)
+    def test_tables_come_from_one_memo(self):
+        """Every SharedAssets hands out the process-wide memoized table;
+        ``table_builds`` counts only builds that actually ran."""
+        get_cube_table.cache_clear()
+        first = SharedAssets(small_structure())
+        second = SharedAssets(small_structure())
+        t8 = first.table(8)
+        assert first.table(8) is t8
+        assert second.table(8) is t8
+        first.table(16)
+        assert first.stats()["table_builds"] == 2
+        assert second.stats()["table_builds"] == 0
 
     def test_eviction_is_bit_invisible_to_rows(self):
         """Rows with a thrashing 1-entry asset cache == rows with defaults."""
@@ -143,7 +143,7 @@ class TestSharedAssetsBounds:
         solver_a = FRWSolver(structure, config)
         ref = solver_a.extract([0, 1])
         solver_a.close()
-        tight = SharedAssets(structure, max_indexes=1, max_tables=1)
+        tight = SharedAssets(structure, max_indexes=1)
         solver_b = FRWSolver(structure, config, assets=tight)
         got = solver_b.extract([0, 1])
         solver_b.close()
@@ -164,11 +164,9 @@ class TestSharedAssetsBounds:
             "index_evictions",
             "max_indexes",
             "table_builds",
-            "table_hits",
-            "table_evictions",
-            "max_tables",
         ):
             assert key in cache_meta
+        assert "max_tables" not in cache_meta
         assert cache_meta["index_builds"] == 1
         assert cache_meta["index_evictions"] == 0
 

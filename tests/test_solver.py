@@ -5,6 +5,7 @@ import pytest
 
 from repro import FRWConfig, FRWSolver, extract
 from repro.errors import ConfigError
+from repro.greens import get_cube_table
 from repro.numerics import matrix_matched_digits
 
 
@@ -110,12 +111,19 @@ def test_modeled_runtime_validates_collected_dop(plates, quick_config):
 
 
 def test_shared_assets_built_once_across_masters(plates, quick_config):
+    get_cube_table.cache_clear()  # a cold process-wide table memo
     solver = FRWSolver(plates, quick_config)
     solver.extract()
     stats = solver.assets.stats()
     assert stats["index_builds"] == 1
     assert stats["index_hits"] == 1  # second master reused the index
     assert stats["table_builds"] == 1
+    # table_builds counts builds that ran: a second solver in this process
+    # finds the table memoized.
+    again = FRWSolver(plates, quick_config)
+    again.extract()
+    assert again.assets.stats()["table_builds"] == 0
+    assert again.context(0).table is solver.context(0).table
 
 
 def test_extract_meta_has_schedule_and_core_fields(plates, quick_config):

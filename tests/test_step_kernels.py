@@ -11,10 +11,12 @@ versions are kept here, verbatim in behaviour, as the oracle:
 * interface loops vs the ``(n, n_iface)`` broadcast;
 * the single-thread ``simulate_dynamic_queue`` fast path vs the heap loop.
 
-It also pins that the cube table's sampling guide is shared per process
-and never reaches pickles or the shared-memory plane.
+It also pins that the cube table's sampling guide is built once per table
+object, that attached contexts share one table, and that the guide never
+reaches pickles or the shared-memory plane.
 """
 
+import dataclasses
 import heapq
 import pickle
 
@@ -357,12 +359,15 @@ def _fresh_copy(table):
     )
 
 
-def test_equal_cdfs_share_one_guide():
+def test_guide_is_per_table_object():
+    """Each table object builds its guide once; an equal table over copied
+    arrays builds its own, with the same bits."""
     a = _fresh_copy(get_cube_table(8))
     b = _fresh_copy(get_cube_table(8))
-    assert a.cdf is not b.cdf
-    assert a._guide is b._guide
-    assert _fresh_copy(get_cube_table(16))._guide is not a._guide
+    assert a._guide is a._guide
+    assert a._guide is not b._guide
+    for x, y in zip(a._guide, b._guide):
+        assert _same_bits(x, y)
 
 
 def test_guide_is_not_pickled():
@@ -373,7 +378,7 @@ def test_guide_is_not_pickled():
     clone = pickle.loads(pickle.dumps(table))
     assert "_guide" not in clone.__dict__
     assert _same_bits(clone.sample_cells(u), want)
-    assert clone._guide is table._guide
+    assert clone._guide is not table._guide
 
 
 @pytest.fixture
@@ -384,16 +389,17 @@ def _clean_plane():
 
 
 def test_attached_contexts_share_one_guide(plates, _clean_plane):
-    """Two contexts attached from separate blocks in one process share one
-    guide."""
+    """Two contexts attached in one process share one table object, so the
+    guide is built once for both."""
     cfg = FRWConfig.frw_r(seed=3)
     ctxs = [build_context(plates, m, cfg) for m in (0, 1)]
     manifests = [
         shm.publish_context(ctx, ("philox", 3, m)) for m, ctx in enumerate(ctxs)
     ]
+    assert manifests[0].table == manifests[1].table  # one table block
     attached = [shm.attach_context(m) for m in manifests]
-    assert manifests[0].block != manifests[1].block
-    assert attached[0].table is not attached[1].table
+    assert attached[0] is not attached[1]
+    assert attached[0].table is attached[1].table
     uids = np.arange(200, dtype=np.uint64)
     for ctx in attached:
         run_walks(ctx, WalkStreams(3, ctx.master), uids)
@@ -401,25 +407,24 @@ def test_attached_contexts_share_one_guide(plates, _clean_plane):
 
 
 def test_publish_is_unchanged_by_the_guide(plates, _clean_plane):
-    """The guide never enters the published block: publishing the same
-    context before and after it exists gives the same manifest arrays and
-    content hash, and the table group holds exactly the packed arrays."""
+    """The guide never enters the table's asset block: equal tables
+    published before and after their guide exists give the same array
+    specs, scalars and content hash, and the block holds exactly the
+    packed arrays."""
     cfg = FRWConfig.frw_r(seed=4)
     ctx = build_context(plates, 0, cfg)
-    # A fresh table object (equal bytes) with no guide attached yet.
-    ctx.table = CubeTransitionTable.from_packed(*ctx.table.packed())
-    assert "_guide" not in ctx.table.__dict__
-    before = shm.publish_context(ctx, ("philox", 4, 0))
-    run_walks(ctx, WalkStreams(4, 0), np.arange(100, dtype=np.uint64))
-    assert "_guide" in ctx.table.__dict__
-    after = shm.publish_context(ctx, ("philox", 4, 0))
-    assert before.arrays == after.arrays
+    cold = dataclasses.replace(ctx, table=_fresh_copy(ctx.table))
+    warm = dataclasses.replace(ctx, table=_fresh_copy(ctx.table))
+    run_walks(warm, WalkStreams(4, 0), np.arange(100, dtype=np.uint64))
+    assert "_guide" not in cold.table.__dict__
+    assert "_guide" in warm.table.__dict__
+    before = shm.publish_context(cold, ("philox", 4, 0))
+    after = shm.publish_context(warm, ("philox", 4, 0))
+    assert before.table.block != after.table.block  # two table objects
+    assert before.table.arrays == after.table.arrays
+    assert before.table.scalars == after.table.scalars
+    assert before.table.content_hash == after.table.content_hash
     assert before.content_hash == after.content_hash
-    assert before.meta == after.meta
-    table_keys = [a.key for a in after.arrays if a.key.startswith("table.")]
-    assert table_keys == [
-        "table." + k
-        for k in (
-            "cdf", "prob", "grad_ratio", "face_axis", "face_side", "cell_i", "cell_j"
-        )
+    assert [a.key for a in after.table.arrays] == [
+        "cdf", "prob", "grad_ratio", "face_axis", "face_side", "cell_i", "cell_j"
     ]
