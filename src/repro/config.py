@@ -80,8 +80,7 @@ RESULT_FIELDS = (
 #: ``interleave_masters``, ``allocation``, ``allocation_hysteresis``,
 #: ``max_inflight_batches``, ``register_wave``: walk draws are a pure
 #: function of (seed, uid, step), so issue order cannot reach a bit),
-#: query fast paths (``far_field``, ``sort_queries``,
-#: ``bounds_resolution``: conservative bounds return exactly the
+#: query fast path (``far_field``: conservative bounds return exactly the
 #: brute-force answer), and guards (``sanitize``: raises or no-ops).
 ENGINE_FIELDS = (
     "executor",
@@ -98,8 +97,6 @@ ENGINE_FIELDS = (
     "max_inflight_batches",
     "register_wave",
     "far_field",
-    "sort_queries",
-    "bounds_resolution",
     "sanitize",
 )
 
@@ -244,23 +241,14 @@ class FRWConfig:
         required before quotas are recomputed (``"variance"`` policy only;
         0 reweights every round).
     far_field:
-        Spatial-index tier-1 fast path: precompute per-grid-cell distance
+        Spatial-index fast path: precompute per-grid-cell distance
         bounds so points in cells provably farther than the cap from every
         conductor answer ``(h_cap, -1)`` without touching candidate lists,
         and prune candidates that can never win.  Results are
         bit-identical with the flag off; disable only to A/B the cost of
-        the bounds arrays on dense structures with no open space.
-    sort_queries:
-        Spatial-index tier-2 fast path: process near-field points in
-        cell-id order so candidate rows are gathered once per unique cell
-        (cache-friendly, deduplicated); results are scattered back in
-        point order and stay bit-identical.
-    bounds_resolution:
-        Grid cells per ``h_cap`` along each axis (1-8, default 2: at 1 the
-        corner-to-corner slack of cap-sized cells leaves few cells provably
-        far on tight enclosures).  Finer grids give
-        tighter far-field bounds and shorter candidate lists at the cost
-        of bounds memory (~17 bytes/cell) and CSR size.
+        the bounds arrays on dense structures with no open space.  The
+        grid's resolution is derived from the structure (see
+        :class:`~repro.geometry.GridIndex`).
     max_inflight_batches:
         Total cross-master in-flight batch cap (0 = auto: enough to cover
         the executor width with a margin).  Bounds the walk work thrown
@@ -350,8 +338,6 @@ class FRWConfig:
     max_inflight_batches: int = 0
     register_wave: int = 0
     far_field: bool = True
-    sort_queries: bool = True
-    bounds_resolution: int = 2
     antithetic: bool = False
     antithetic_group: int = 2
     antithetic_depth: int = 1
@@ -473,11 +459,6 @@ class FRWConfig:
             raise ConfigError(
                 f"allocation_hysteresis must be in [0, 1], got "
                 f"{self.allocation_hysteresis}"
-            )
-        if not (1 <= self.bounds_resolution <= 8):
-            raise ConfigError(
-                f"bounds_resolution must be in [1, 8], got "
-                f"{self.bounds_resolution}"
             )
         if not (2 <= self.antithetic_group <= 8):
             raise ConfigError(

@@ -109,7 +109,7 @@ class SharedAssets:
     """Master-independent context assets for one structure.
 
     Owned by the solver (one per :class:`~repro.frw.solver.FRWSolver`):
-    the spatial index is cached by ``h_cap`` (plus the fast-path knobs) in
+    the spatial index is cached by ``h_cap`` (plus the far-field flag) in
     an LRU bounded by ``max_indexes`` — eviction is bit-invisible because
     an index is a pure function of ``(structure, key)`` — and the cube
     transition table comes from the one process-wide memo,
@@ -135,32 +135,17 @@ class SharedAssets:
         self.table_builds = 0
 
     def index(
-        self,
-        h_cap: float,
-        far_field: bool = True,
-        sort_queries: bool = True,
-        bounds_resolution: int = 2,
+        self, h_cap: float, far_field: bool = True
     ) -> BruteForceIndex | GridIndex:
-        """The structure's spatial index for ``h_cap`` and the fast-path
-        knobs (built once per distinct key).  Sharing one index — its CSR
-        lists *and* its tier-1 bounds arrays — means the far-field
+        """The structure's spatial index for ``h_cap`` and the far-field
+        flag (built once per distinct key).  Sharing one index — its CSR
+        lists *and* its cell bounds arrays — means the far-field
         precompute happens once per extraction, never per master, and fork
         workers inherit the built arrays instead of rebuilding them."""
-        key = (
-            float(h_cap),
-            bool(far_field),
-            bool(sort_queries),
-            int(bounds_resolution),
-        )
+        key = (float(h_cap), bool(far_field))
         index = self._indexes.get(key)
         if index is None:
-            index = build_index(
-                self.structure,
-                h_cap=key[0],
-                far_field=far_field,
-                sort_queries=sort_queries,
-                bounds_resolution=bounds_resolution,
-            )
+            index = build_index(self.structure, h_cap=key[0], far_field=far_field)
             self._indexes[key] = index
             self.index_builds += 1
             while len(self._indexes) > self.max_indexes:
@@ -229,20 +214,9 @@ def build_context(
     enc = structure.enclosure
     h_cap = config.h_cap_fraction * min(enc.sizes)
     if assets is not None:
-        index = assets.index(
-            h_cap,
-            far_field=config.far_field,
-            sort_queries=config.sort_queries,
-            bounds_resolution=config.bounds_resolution,
-        )
+        index = assets.index(h_cap, far_field=config.far_field)
     else:
-        index = build_index(
-            structure,
-            h_cap=h_cap,
-            far_field=config.far_field,
-            sort_queries=config.sort_queries,
-            bounds_resolution=config.bounds_resolution,
-        )
+        index = build_index(structure, h_cap=h_cap, far_field=config.far_field)
     absorb_tol = config.absorption_fraction * surface.delta
     # Fail early only on the degenerate configuration: a *horizontal*
     # Gaussian patch coplanar (within the absorption tolerance) with a

@@ -363,7 +363,13 @@ class FRWSolver:
                     else None
                 ),
                 "asset_cache": self.assets.stats(),
-                "query_stats": self.assets.query_stats(),
+                # Process workers query their own copies of the index, so
+                # the in-process counters would report zero queries.
+                "query_stats": (
+                    None
+                    if executor is not None and executor.backend == "process"
+                    else self.assets.query_stats()
+                ),
                 "dispatched_batches": sum(s.dispatched_batches for s in stats),
                 "discarded_batches": sum(s.discarded_batches for s in stats),
                 "discarded_walks": sum(s.discarded_walks for s in stats),

@@ -14,31 +14,29 @@ sizes the transition cube and decides absorption.  Two implementations:
   exceeds ``h_cap`` report exactly ``h_cap`` with no conductor, which is
   sufficient (and exact) for the engine.
 
-On top of the CSR lists the grid carries a **two-tier fast path**
-(classic FRW "space management", cf. the RWCap family):
+On top of the CSR lists the grid carries a **far-field fast path**
+(classic FRW "space management", cf. the RWCap family): at build time
+every cell gets a conservative lower bound ``cell_dmin`` and upper bound
+``cell_dmax`` on the distance from *any* point in the cell to the nearest
+conductor.  A cell with ``cell_dmin >= h_cap`` is *far-field*: all its
+points would report exactly ``(h_cap, -1)``, so the query answers them
+with a single vectorised mask and never touches candidate lists.
+``cell_dmax`` additionally prunes candidates at build time: a candidate
+whose lower bound to the cell exceeds the cell's best upper bound can
+never win (or even tie) for any point in the cell, so it is dropped from
+the CSR list.
 
-* **Tier 1 — per-cell distance bounds.**  At build time every cell gets a
-  conservative lower bound ``cell_dmin`` and upper bound ``cell_dmax`` on
-  the distance from *any* point in the cell to the nearest conductor.  A
-  cell with ``cell_dmin >= h_cap`` is *far-field*: all its points would
-  report exactly ``(h_cap, -1)``, so the query answers them with a single
-  vectorised mask and never touches candidate lists.  ``cell_dmax``
-  additionally prunes candidates at build time: a candidate whose lower
-  bound to the cell exceeds the cell's best upper bound can never win (or
-  even tie) for any point in the cell, so it is dropped from the CSR list.
-* **Tier 2 — cell-sorted gather.**  Surviving near-field points are
-  processed in cell-id order: points sharing a cell form runs, the
-  candidate rows and box coordinates are gathered once per *unique* cell
-  into a compact table, and per-point distances index into that warm
-  table.  Results are scattered back by original position, so the output
-  is bit-identical to the unsorted gather (all per-point arithmetic is
-  elementwise and each point's candidate order is unchanged).
+The grid chooses its own resolution: it builds with cells of
+``h_cap / 2`` and, where the pruned lists still average more than
+:data:`REFINE_DENSITY` candidates per near-field cell (conductors crowd
+within a cap of each other), rebuilds once at ``h_cap / 4``.
 
-Both tiers preserve the solver's bit-for-bit DOP-independence guarantee:
-skipping a query whose answer is provably ``h_cap`` returns the identical
-value, and pruning only removes candidates that can never influence the
-capped minimum (for points inside the enclosure, which is where walks
-live; the far-field *mask* is conservative for arbitrary points).
+The fast path and the resolution preserve the solver's bit-for-bit
+DOP-independence guarantee: skipping a query whose answer is provably
+``h_cap`` returns the identical value, and pruning only removes candidates
+that can never influence the capped minimum (for points inside the
+enclosure, which is where walks live; the far-field *mask* is conservative
+for arbitrary points).  Any resolution answers every query exactly.
 
 Both index classes return ``(distance, conductor_index)`` with
 ``conductor_index = -1`` when no conductor is within range.
@@ -54,6 +52,12 @@ import numpy as np
 from ..errors import GeometryError
 from .box import nearest_box
 from .structure import Structure
+
+#: Mean pruned candidates per near-field cell above which a grid built at
+#: the default two cells per ``h_cap`` is rebuilt at four.  Table I cases
+#: 1-4 and the service's bus nets measure 1.4-2.2 at two cells per cap;
+#: the dense SRAM arrays (cases 5 and 6) measure 3.1-3.4.
+REFINE_DENSITY = 2.5
 
 
 @dataclass
@@ -85,7 +89,7 @@ class QueryStats:
 
     @property
     def far_field_rate(self) -> float:
-        """Fraction of queried points answered by the tier-1 mask."""
+        """Fraction of queried points answered by the far-field mask."""
         if self.points == 0:
             return 0.0
         return self.far_field_hits / self.points
@@ -204,42 +208,32 @@ class GridIndex:
     h_cap:
         Maximum distance of interest.  Queries farther than ``h_cap`` from
         every conductor return ``(h_cap, -1)``.
-    cell_size:
-        Grid cell edge; defaults to ``h_cap / bounds_resolution``.
     far_field:
-        Enable the tier-1 per-cell bounds: far-field cells answer without
+        Enable the per-cell bounds: far-field cells answer without
         touching candidate lists, and provably-losing candidates are
         pruned from the CSR lists at build time.
-    sort_queries:
-        Enable the tier-2 cell-sorted near-field gather (deduplicated
-        per-unique-cell candidate tables, results scattered back in
-        original point order).
-    bounds_resolution:
-        Cells per ``h_cap`` along each axis (>= 1).  Finer cells give
-        tighter bounds — more far-field cells, shorter candidate lists —
-        at ~17 bytes per cell of bounds memory plus the larger CSR
-        ``indptr``.
+    resolution:
+        Cells per ``h_cap`` along each axis (>= 1).  ``None`` (the
+        default) derives it from the structure: 2, or 4 when the lists
+        built at 2 average more than :data:`REFINE_DENSITY` candidates per
+        near-field cell.  Any resolution gives bit-identical answers;
+        finer cells cost ~17 bytes each of bounds memory plus the larger
+        CSR ``indptr``.
     """
 
     def __init__(
         self,
         structure: Structure,
         h_cap: float,
-        cell_size: float | None = None,
         far_field: bool = True,
-        sort_queries: bool = True,
-        bounds_resolution: int = 2,
+        resolution: int | None = None,
     ):
         if h_cap <= 0:
             raise GeometryError(f"h_cap must be positive, got {h_cap}")
-        if bounds_resolution < 1:
-            raise GeometryError(
-                f"bounds_resolution must be >= 1, got {bounds_resolution}"
-            )
+        if resolution is not None and resolution < 1:
+            raise GeometryError(f"resolution must be >= 1, got {resolution}")
         self.h_cap = float(h_cap)
         self.far_field = bool(far_field)
-        self.sort_queries = bool(sort_queries)
-        self.bounds_resolution = int(bounds_resolution)
         self.stats = QueryStats()
         # Bulk counter updates take this lock, so stats invariants hold
         # exactly when pool threads share the index (fork workers each
@@ -258,19 +252,26 @@ class GridIndex:
         )
         enc = structure.enclosure
         self._origin = np.asarray(enc.lo, dtype=np.float64)
-        extent = np.asarray(enc.hi, dtype=np.float64) - self._origin
-        edge = (
-            float(cell_size)
-            if cell_size is not None
-            else self.h_cap / self.bounds_resolution
-        )
-        self._n_cells = np.maximum(
-            1, np.floor(extent / edge).astype(np.int64)
-        )
-        self._cell = extent / self._n_cells
-        self._inv_cell = 1.0 / self._cell
-        self._cell_max = self._n_cells - 1
-        self._build_csr()
+        self._extent = np.asarray(enc.hi, dtype=np.float64) - self._origin
+        if resolution is None:
+            counts, cells, boxes = self._build(2)
+            near = np.count_nonzero(counts)
+            if near and cells.shape[0] > REFINE_DENSITY * near:
+                counts, cells, boxes = self._build(4)
+        else:
+            counts, cells, boxes = self._build(int(resolution))
+        # Candidates in ascending box order within each cell, so ties
+        # resolve exactly as the brute-force argmin does.  The composite
+        # keys are unique (a box meets a cell at most once), so the fast
+        # unstable sort orders them deterministically.
+        m = self._lo.shape[0]
+        keys = cells * m
+        keys += boxes
+        keys.sort()
+        self._indices = keys % m
+        self._indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._indptr[1:])
+        self._near = self._cell_dmin < self.h_cap
 
     def _axis_cells(self, points: np.ndarray, axis: int) -> np.ndarray:
         """Clipped cell coordinate of every point along one axis.
@@ -294,97 +295,37 @@ class GridIndex:
         ids += self._axis_cells(points, 0)
         return ids
 
-    def _build_csr(self) -> None:
-        """Precompute per-cell candidate lists as flat CSR arrays.
+    def _build(
+        self, resolution: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lay a grid of ``resolution`` cells per ``h_cap`` and list every
+        cell's candidates; returns ``(counts, cells, boxes)``, the per-cell
+        candidate counts and the (cell, box) pairs in box-major order.
 
         A conductor box is a candidate of every cell within ``h_cap``
         (Chebyshev) of it; the cell ranges are computed with one outward
         guard cell so rounding can only *add* candidates, which is harmless
         — a candidate farther than ``h_cap`` can never win a capped query.
-        Within each cell, candidates are stored in ascending box order so
-        ties resolve exactly as the brute-force argmin does.
+        Everything runs on 1-D columns: per axis, each box's cell range is
+        a short run of a small ``(box, cell coordinate)`` lattice, and a
+        (box, cell) incidence is one lattice entry per axis.  Incidences
+        are expanded row-wise — one row per (box, z, y), each row a run of
+        consecutive x cells — with no per-box Python loop.
 
-        The (box, cell) incidence table is built by a batched cell-range
-        expansion — per-box extents are decomposed into flat lattice offsets
-        with vectorised div/mod arithmetic — so build time is O(total
-        incidences) with no per-box Python loop.
-
-        With ``far_field`` enabled the same incidence table yields the
-        tier-1 bounds: per (cell, box) pair the box-to-cell Chebyshev
-        distance interval ``[d_lo, d_hi]`` (exact per-axis interval
-        arithmetic), reduced per cell to ``cell_dmin = min d_lo`` and
-        ``cell_dmax = min d_hi``.  Pairs with ``d_lo >= h_cap`` (can never
-        beat the cap) or ``d_lo > cell_dmax`` (some other box is closer to
-        every point of the cell) are pruned from the CSR lists — they can
-        never set the capped minimum nor the winner, so queries stay
-        bit-identical.
-        """
-        nx, ny, nz = (int(v) for v in self._n_cells)
-        n_cells = nx * ny * nz
-        m = self._lo.shape[0]
-        self._cell_dmin = np.full(n_cells, np.inf, dtype=np.float64)
-        self._cell_dmax = np.full(n_cells, np.inf, dtype=np.float64)
-        if m:
-            limits = np.array([nx, ny, nz], dtype=np.int64)
-            lo = (self._lo - self.h_cap - self._origin[None, :]) / self._cell[None, :]
-            hi = (self._hi + self.h_cap - self._origin[None, :]) / self._cell[None, :]
-            i0 = np.clip(
-                np.floor(lo).astype(np.int64) - 1, 0, limits[None, :] - 1
-            )
-            i1 = np.clip(
-                np.floor(hi).astype(np.int64) + 1, 0, limits[None, :] - 1
-            )
-            ext = i1 - i0 + 1  # (m, 3) per-axis cell counts, all >= 1
-            per_box = ext[:, 0] * ext[:, 1] * ext[:, 2]
-            total = int(per_box.sum())
-            all_boxes = np.repeat(np.arange(m, dtype=np.int64), per_box)
-            # Offset within each box's lattice, x fastest (matching the
-            # historical (kk, jj, ii) ravel order), decomposed by div/mod.
-            starts = np.cumsum(per_box) - per_box
-            t = np.arange(total, dtype=np.int64) - np.repeat(starts, per_box)
-            ex = ext[all_boxes, 0]
-            ti = t % ex
-            r = t // ex
-            ey = ext[all_boxes, 1]
-            tj = r % ey
-            tk = r // ey
-            all_cells = (
-                (i0[all_boxes, 2] + tk) * ny + (i0[all_boxes, 1] + tj)
-            ) * nx + (i0[all_boxes, 0] + ti)
-            # Stable cell sort; all_boxes is non-decreasing, so candidates
-            # stay in ascending box order within each cell.
-            order = np.argsort(all_cells, kind="stable")
-            all_boxes = all_boxes[order]
-            all_cells = all_cells[order]
-            counts = np.bincount(all_cells, minlength=n_cells)
-            if self.far_field:
-                all_boxes, counts = self._build_bounds_and_prune(
-                    all_boxes, all_cells, counts
-                )
-            self._indices = all_boxes
-        else:
-            self._indices = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n_cells, dtype=np.int64)
-        self._indptr = np.zeros(n_cells + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._far = self._cell_dmin >= self.h_cap
-        self._near = ~self._far
-
-    def _build_bounds_and_prune(
-        self,
-        all_boxes: np.ndarray,
-        all_cells: np.ndarray,
-        counts: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Tier-1 bounds from the cell-sorted incidence table, then prune.
-
+        With ``far_field`` enabled the same incidences yield the bounds.
         Per pair, the Chebyshev distance from a point ``p`` in cell
         ``[cl, ch]`` to box ``[blo, bhi]`` ranges over exactly
         ``[max_ax max(blo-ch, cl-bhi, 0), max_ax max(blo-cl, ch-bhi, 0)]``
         (per-axis 1-D distances are independent, so min/max over the cell
-        factorise through the outer max).  The lower bound also holds for
-        points *outside* the grid that clip into the cell, so the
-        far-field mask is conservative everywhere.
+        factorise through the outer max).  The per-axis terms are computed
+        once per lattice entry and combined per pair by elementwise
+        maxima, which are exact; per cell, ``cell_dmin = min d_lo`` and
+        ``cell_dmax = min d_hi``.  The lower bound also holds for points
+        *outside* the grid that clip into the cell, so the far-field mask
+        is conservative everywhere.  Pairs with ``d_lo >= h_cap`` (can
+        never beat the cap) or ``d_lo > cell_dmax`` (some other box is
+        closer to every point of the cell) are pruned — they can never set
+        the capped minimum nor the winner, so queries stay bit-identical.
 
         The cell regions are padded by a few ULPs of the enclosure
         coordinates before the bounds are taken: cell *assignment* rounds
@@ -395,51 +336,111 @@ class GridIndex:
         boundary-aligned coordinates (it is purely conservative: a few
         boundary cells lose their far-field flag, never the reverse).
         """
-        n_cells = counts.shape[0]
-        ijk = np.empty((all_cells.shape[0], 3), dtype=np.int64)
-        nx, ny = int(self._n_cells[0]), int(self._n_cells[1])
-        ijk[:, 0] = all_cells % nx
-        rest = all_cells // nx
-        ijk[:, 1] = rest % ny
-        ijk[:, 2] = rest // ny
+        self.resolution = resolution
+        self._n_cells = np.maximum(
+            1, np.floor(self._extent / (self.h_cap / resolution)).astype(np.int64)
+        )
+        self._cell = self._extent / self._n_cells
+        self._inv_cell = 1.0 / self._cell
+        self._cell_max = self._n_cells - 1
+        nx, ny, _nz = (int(v) for v in self._n_cells)
+        n_cells = int(np.prod(self._n_cells))
+        m = self._lo.shape[0]
+        self._cell_dmin = np.full(n_cells, np.inf, dtype=np.float64)
+        self._cell_dmax = np.full(n_cells, np.inf, dtype=np.float64)
         pad = 4.0 * np.spacing(
             np.maximum(
                 np.abs(self._origin),
                 np.abs(self._origin + self._n_cells * self._cell),
             )
         )
-        cl = self._origin[None, :] + ijk * self._cell[None, :] - pad[None, :]
-        ch = cl + self._cell[None, :] + 2.0 * pad[None, :]
-        blo = self._lo[all_boxes]
-        bhi = self._hi[all_boxes]
-        d_lo = np.maximum(np.maximum(blo - ch, cl - bhi), 0.0).max(axis=1)
-        d_hi = np.maximum(np.maximum(blo - cl, ch - bhi), 0.0).max(axis=1)
-        seg_starts = np.cumsum(counts) - counts
-        nzc = counts > 0
-        self._cell_dmin[nzc] = np.fmin.reduceat(d_lo, seg_starts[nzc])
-        self._cell_dmax[nzc] = np.fmin.reduceat(d_hi, seg_starts[nzc])
-        keep = (d_lo < self.h_cap) & (d_lo <= self._cell_dmax[all_cells])
-        self.stats.candidates_pruned = int(
-            all_boxes.shape[0] - np.count_nonzero(keep)
-        )
-        if self.stats.candidates_pruned:
-            all_boxes = all_boxes[keep]
-            counts = np.bincount(all_cells[keep], minlength=n_cells)
-        return all_boxes, counts
+        # Per axis: each box's first cell, its cell count, its run's start
+        # in the axis lattice, and the lattice's interval distances.
+        first, ext, run, lat_lo, lat_hi = [], [], [], [], []
+        for a in range(3):
+            origin, cell = self._origin[a], self._cell[a]
+            i0 = np.floor(
+                (self._lo_ax[a] - self.h_cap - origin) / cell
+            ).astype(np.int64)
+            i0 -= 1
+            i1 = np.floor(
+                (self._hi_ax[a] + self.h_cap - origin) / cell
+            ).astype(np.int64)
+            i1 += 1
+            for ix in (i0, i1):
+                np.maximum(ix, 0, out=ix)
+                np.minimum(ix, int(self._cell_max[a]), out=ix)
+            n = i1 - i0 + 1  # all >= 1
+            start = np.cumsum(n) - n
+            first.append(i0)
+            ext.append(n)
+            run.append(start)
+            if self.far_field:
+                box = np.repeat(np.arange(m, dtype=np.int64), n)
+                ijk = np.arange(box.shape[0], dtype=np.int64)
+                ijk += np.repeat(i0 - start, n)
+                cl = origin + ijk * cell - pad[a]
+                ch = cl + cell + 2.0 * pad[a]
+                blo = self._lo_ax[a][box]
+                bhi = self._hi_ax[a][box]
+                lat_lo.append(np.maximum(np.maximum(blo - ch, cl - bhi), 0.0))
+                lat_hi.append(np.maximum(np.maximum(blo - cl, ch - bhi), 0.0))
+        # Rows: one per (box, z, y), y fastest, each a run of ext_x cells.
+        per_box = ext[1] * ext[2]
+        row_box = np.repeat(np.arange(m, dtype=np.int64), per_box)
+        r = np.arange(row_box.shape[0], dtype=np.int64)
+        r -= np.repeat(np.cumsum(per_box) - per_box, per_box)
+        ey = ext[1][row_box]
+        tj = r % ey
+        tk = r // ey
+        row_len = ext[0][row_box]
+        row_start = np.cumsum(row_len) - row_len
+        row_cell = (first[2][row_box] + tk) * ny
+        row_cell += first[1][row_box] + tj
+        row_cell *= nx
+        row_cell += first[0][row_box]
+        # Incidences: entry t of the flat table is x offset t - row_start
+        # within its row.
+        t = np.arange(int(row_start[-1] + row_len[-1]), dtype=np.int64)
+        cells = t + np.repeat(row_cell - row_start, row_len)
+        boxes = np.repeat(row_box, row_len)
+        if self.far_field:
+            gy = run[1][row_box] + tj
+            gz = run[2][row_box] + tk
+            gx = t + np.repeat(run[0][row_box] - row_start, row_len)
+            # y and z terms are constant along a row.
+            d_lo = np.repeat(np.maximum(lat_lo[1][gy], lat_lo[2][gz]), row_len)
+            np.maximum(d_lo, lat_lo[0][gx], out=d_lo)
+            d_hi = np.repeat(np.maximum(lat_hi[1][gy], lat_hi[2][gz]), row_len)
+            np.maximum(d_hi, lat_hi[0][gx], out=d_hi)
+            # Minima are exact, so the unordered scatter gives the same
+            # bits as any reduction order.
+            np.minimum.at(self._cell_dmin, cells, d_lo)
+            np.minimum.at(self._cell_dmax, cells, d_hi)
+            keep = d_lo < self.h_cap
+            keep &= d_lo <= self._cell_dmax[cells]
+            self.stats.candidates_pruned = int(
+                cells.shape[0] - np.count_nonzero(keep)
+            )
+            cells = cells[keep]
+            boxes = boxes[keep]
+        return np.bincount(cells, minlength=n_cells), cells, boxes
 
     def packed(self) -> tuple[dict, dict]:
         """(scalars, arrays) split for shared-memory publication.
 
-        The big build products — geometry SoA, CSR lists, tier-1 bounds —
-        go in ``arrays`` (shared); the grid geometry vectors are tiny and
-        travel in ``scalars`` (pickled), preserving their exact bits.
+        Only query state is published: the geometry SoA, the CSR lists and
+        the near-cell mask go in ``arrays`` (shared); the float cell
+        bounds are build-time products and stay with the builder.  Box ids
+        travel as int32, halving the largest array.  The grid geometry
+        vectors are tiny and travel in ``scalars`` (pickled), preserving
+        their exact bits.
         """
         scalars = {
             "kind": "grid",
             "h_cap": self.h_cap,
             "far_field": self.far_field,
-            "sort_queries": self.sort_queries,
-            "bounds_resolution": self.bounds_resolution,
+            "resolution": self.resolution,
             "candidates_pruned": int(self.stats.candidates_pruned),
             "origin": self._origin,
             "n_cells": self._n_cells,
@@ -452,9 +453,8 @@ class GridIndex:
             "hi": self._hi,
             "owner": self._owner,
             "indptr": self._indptr,
-            "indices": self._indices,
-            "cell_dmin": self._cell_dmin,
-            "cell_dmax": self._cell_dmax,
+            "indices": self._indices.astype(np.int32),
+            "near": self._near,
         }
         return scalars, arrays
 
@@ -462,9 +462,9 @@ class GridIndex:
     def from_packed(cls, scalars: dict, arrays: dict) -> "GridIndex":
         """Rebuild an index from :meth:`packed` state (worker-side attach).
 
-        The packed arrays may be read-only shared views.  Derived state —
-        the far/near cell masks and the SoA axis columns — is recomputed
-        locally by the same expressions the building constructor uses, so
+        The packed arrays may be read-only shared views.  The SoA axis
+        columns are recomputed locally and the box ids widened back to
+        int64 (fancy indexes with int64 ids skip a per-gather cast), so
         queries are bit-identical to the published index.  Stats counters
         start fresh (each attaching process accumulates its own telemetry)
         except the build-time ``candidates_pruned``, which is carried over.
@@ -472,8 +472,7 @@ class GridIndex:
         self = cls.__new__(cls)
         self.h_cap = float(scalars["h_cap"])
         self.far_field = bool(scalars["far_field"])
-        self.sort_queries = bool(scalars["sort_queries"])
-        self.bounds_resolution = int(scalars["bounds_resolution"])
+        self.resolution = int(scalars["resolution"])
         self.stats = QueryStats(
             candidates_pruned=int(scalars["candidates_pruned"])
         )
@@ -493,24 +492,14 @@ class GridIndex:
         self._inv_cell = np.asarray(scalars["inv_cell"], dtype=np.float64)
         self._cell_max = np.asarray(scalars["cell_max"], dtype=np.int64)
         self._indptr = arrays["indptr"]
-        self._indices = arrays["indices"]
-        self._cell_dmin = arrays["cell_dmin"]
-        self._cell_dmax = arrays["cell_dmax"]
-        self._far = self._cell_dmin >= self.h_cap
-        self._near = ~self._far
+        self._indices = arrays["indices"].astype(np.int64)
+        self._near = arrays["near"]
         return self
 
     @property
     def n_far_cells(self) -> int:
         """Cells whose lower bound proves the capped answer outright."""
-        return int(np.count_nonzero(self._far))
-
-    @property
-    def bounds_nbytes(self) -> int:
-        """Memory of the tier-1 bounds arrays (dmin + dmax + far mask)."""
-        return (
-            self._cell_dmin.nbytes + self._cell_dmax.nbytes + self._far.nbytes
-        )
+        return int(self._near.shape[0] - np.count_nonzero(self._near))
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Capped nearest Chebyshev distance and conductor index per point."""
@@ -532,8 +521,8 @@ class GridIndex:
         """Query into preallocated ``dist``/``cond`` views (length ``n``).
 
         The engine's zero-allocation entry point.  When ``timers`` (a
-        :class:`~repro.frw.engine.StageTimers`) is given, the tier-1 mask
-        split is charged to the ``index_fast`` stage and the near-field
+        :class:`~repro.frw.engine.StageTimers`) is given, the far-field
+        mask split is charged to the ``index_fast`` stage and the near-field
         gather to ``index``; returns the rolling timestamp.
         """
         points = np.asarray(points, dtype=np.float64)
@@ -557,19 +546,7 @@ class GridIndex:
             t0 = timers.lap("index_fast", t0)
         visited = 0
         if near.shape[0]:
-            if self.sort_queries and near.shape[0] > 1:
-                # Tier 2: process near points in cell order; `near` carries
-                # the original positions, so writes through it restore
-                # point order exactly (no separate inverse permutation).
-                # Any deterministic grouping permutation gives identical
-                # bits — each point's answer lands in its own slot and its
-                # candidate order is its cell's CSR order regardless of
-                # where the point sits in the batch — so the default
-                # introsort is used (stability is unnecessary).
-                near = near[np.argsort(cell_ids[near])]
-                visited = self._gather_sorted(points, cell_ids, near, dist, cond)
-            else:
-                visited = self._gather(points, cell_ids, near, dist, cond)
+            visited = self._gather(points, cell_ids, near, dist, cond)
         with self._stats_lock:
             st = self.stats
             st.queries += 1
@@ -590,7 +567,7 @@ class GridIndex:
         cond: np.ndarray,
     ) -> int:
         """Flat (point, candidate) gather + segment-min for the selected
-        points (the historical full-batch path, now subset-capable).
+        points, writing capped distances and winners at positions ``sel``.
         Returns the number of candidate rows visited."""
         k = sel.shape[0]
         cells = cell_ids[sel]
@@ -605,18 +582,10 @@ class GridIndex:
         pt = np.repeat(np.arange(k, dtype=np.int64), cnt)
         flat = np.arange(total, dtype=np.int64) + np.repeat(start - offs, cnt)
         cand = self._indices[flat]
-        d = self._pair_dist(points, sel[pt], cand)
-        win = self._reduce(d, cnt, offs, pt, sel, dist, cond)
-        if win.shape[0]:
-            cond[sel[pt[win]]] = self._owner[cand[win]]
-        return total
-
-    def _pair_dist(
-        self, points: np.ndarray, rows: np.ndarray, cand: np.ndarray
-    ) -> np.ndarray:
-        """Chebyshev point-to-box distance per flat (point, candidate) pair,
-        accumulated axis by axis over the SoA box columns (1-D gathers and
-        elementwise maxima; no (n, 3) temporaries or axis-1 reductions)."""
+        rows = sel[pt]
+        # Chebyshev point-to-box distance per pair, accumulated axis by
+        # axis over the SoA box columns (1-D gathers and elementwise
+        # maxima; no (n, 3) temporaries or axis-1 reductions).
         d = None
         for a in range(3):
             pa = points[:, a][rows]
@@ -629,105 +598,23 @@ class GridIndex:
             else:
                 np.maximum(d, g, out=d)
         np.maximum(d, 0.0, out=d)
-        return d
-
-    def _gather_sorted(
-        self,
-        points: np.ndarray,
-        cell_ids: np.ndarray,
-        sel: np.ndarray,
-        dist: np.ndarray,
-        cond: np.ndarray,
-    ) -> int:
-        """Cell-sorted gather: candidate rows and box coordinates are read
-        once per *unique* cell (CSR order, cache-friendly), and per-point
-        pair rows index into that compact table.  Identical arithmetic to
-        :meth:`_gather` — per point, the same candidates in the same order
-        — so results are bit-identical.  Returns the number of candidate
-        rows visited."""
-        k = sel.shape[0]
-        cells = cell_ids[sel]  # non-decreasing (sel is cell-sorted)
-        new_run = np.empty(k, dtype=bool)
-        new_run[0] = True
-        np.not_equal(cells[1:], cells[:-1], out=new_run[1:])
-        ucells = cells[new_run]
-        u_start = self._indptr[ucells]
-        u_cnt = self._indptr[ucells + 1] - u_start
-        u_off = np.cumsum(u_cnt) - u_cnt
-        total_u = int(u_off[-1] + u_cnt[-1])
-        run_id = np.cumsum(new_run) - 1  # point -> unique-cell position
-        cnt = u_cnt[run_id]
-        offs = np.cumsum(cnt) - cnt
-        total = int(offs[-1] + cnt[-1])
-        if total == 0:
-            return 0
-        # Compact per-unique-cell candidate table: one CSR gather per cell
-        # run instead of one per point.
-        flat_u = np.arange(total_u, dtype=np.int64) + np.repeat(
-            u_start - u_off, u_cnt
-        )
-        cand_u = self._indices[flat_u]
-        # Per-point pair rows -> compact-table rows.
-        pt = np.repeat(np.arange(k, dtype=np.int64), cnt)
-        crow = np.arange(total, dtype=np.int64) + np.repeat(
-            u_off[run_id] - offs, cnt
-        )
-        rows = sel[pt]
-        d = None
-        for a in range(3):
-            pa = points[:, a][rows]
-            lo_u = self._lo_ax[a][cand_u]
-            g = lo_u[crow]
-            np.subtract(g, pa, out=g)
-            hi_u = self._hi_ax[a][cand_u]
-            np.subtract(pa, hi_u[crow], out=pa)
-            np.maximum(g, pa, out=g)
-            if d is None:
-                d = g
-            else:
-                np.maximum(d, g, out=d)
-        np.maximum(d, 0.0, out=d)
-        win = self._reduce(d, cnt, offs, pt, sel, dist, cond)
-        if win.shape[0]:
-            # Only the winning rows expand through the compact table.
-            cond[sel[pt[win]]] = self._owner[cand_u[crow[win]]]
-        return total
-
-    def _reduce(
-        self,
-        d: np.ndarray,
-        cnt: np.ndarray,
-        offs: np.ndarray,
-        pt: np.ndarray,
-        sel: np.ndarray,
-        dist: np.ndarray,
-        cond: np.ndarray,
-    ) -> np.ndarray:
-        """Segment-min over the flat pair table, with capped distances
-        scattered to ``dist`` at positions ``sel``.  ``offs`` are the
-        per-point segment starts (``cumsum(cnt) - cnt``), already computed
-        by the gathers.  Returns the winning flat pair row per absorbed
-        point — the first candidate (lowest box index) achieving the
-        segment minimum, matching the brute-force argmin tie-break — for
-        the caller to map to conductor owners."""
-        k = cnt.shape[0]
-        # Per-point segment minimum over the flat candidate table.  The
-        # segments tile ``d`` contiguously in point order, so a single
-        # ``fmin.reduceat`` at the non-empty segment starts replaces the
-        # unbuffered ``np.minimum.at`` scatter loop (``d`` is NaN-free, so
-        # fmin == minimum).
+        # Per-point segment minimum.  The segments tile ``d`` contiguously
+        # in point order, so one ``fmin.reduceat`` at the non-empty segment
+        # starts does it (``d`` is NaN-free, so fmin == minimum).
         dsub = np.full(k, self.h_cap, dtype=np.float64)
         nz = cnt > 0
-        seg_min = np.fmin.reduceat(d, offs[nz])
-        dsub[nz] = np.minimum(seg_min, self.h_cap)
+        dsub[nz] = np.minimum(np.fmin.reduceat(d, offs[nz]), self.h_cap)
         dist[sel] = dsub
-        hit = (d == dsub[pt]) & (d < self.h_cap)
-        idx = np.nonzero(hit)[0]
-        if not idx.shape[0]:
-            return idx
-        first = np.ones(idx.shape[0], dtype=bool)
-        first[1:] = pt[idx[1:]] != pt[idx[:-1]]
-        return idx[first]
+        # Winner: the first candidate (lowest box index) achieving the
+        # segment minimum below the cap, matching the brute-force argmin
+        # tie-break.
+        idx = np.nonzero((d == dsub[pt]) & (d < self.h_cap))[0]
+        if idx.shape[0]:
+            first = np.ones(idx.shape[0], dtype=bool)
+            first[1:] = pt[idx[1:]] != pt[idx[:-1]]
+            win = idx[first]
+            cond[sel[pt[win]]] = self._owner[cand[win]]
+        return total
 
 
 def build_index(
@@ -735,8 +622,6 @@ def build_index(
     h_cap: float,
     brute_force_limit: int = 256,
     far_field: bool = True,
-    sort_queries: bool = True,
-    bounds_resolution: int = 2,
 ) -> BruteForceIndex | GridIndex:
     """Pick a sensible index for the structure size.
 
@@ -749,10 +634,4 @@ def build_index(
     """
     if not far_field and structure.n_boxes <= brute_force_limit:
         return BruteForceIndex(structure)
-    return GridIndex(
-        structure,
-        h_cap=h_cap,
-        far_field=far_field,
-        sort_queries=sort_queries,
-        bounds_resolution=bounds_resolution,
-    )
+    return GridIndex(structure, h_cap=h_cap, far_field=far_field)

@@ -137,17 +137,21 @@ class Structure:
     def conductor_clearance(self, index: int) -> float:
         """Minimum Chebyshev gap from conductor ``index`` to everything else
         (other conductors and the enclosure walls)."""
-        me = self.conductors[index]
-        gap = np.inf
-        for other_idx, other in enumerate(self.conductors):
-            if other_idx != index:
-                gap = min(gap, me.gap_linf(other))
-        enc = self.enclosure
-        for box in me.boxes:
-            for axis in range(3):
-                gap = min(gap, box.lo[axis] - enc.lo[axis])
-                gap = min(gap, enc.hi[axis] - box.hi[axis])
-        return float(gap)
+        # Indexes like the conductor list: negatives wrap, others raise.
+        mine = self._box_owner == range(len(self.conductors))[index]
+        lo, hi = self._box_lo[mine], self._box_hi[mine]
+        gap = min(
+            float((lo - np.asarray(self.enclosure.lo)).min()),
+            float((np.asarray(self.enclosure.hi) - hi).min()),
+        )
+        olo, ohi = self._box_lo[~mine], self._box_hi[~mine]
+        if olo.shape[0]:
+            # One vector pass over every other conductor's boxes per box
+            # of this net (nets have few boxes; structures may have many).
+            for blo, bhi in zip(lo, hi):
+                axis_gaps = np.maximum(np.maximum(olo - bhi, blo - ohi), 0.0)
+                gap = min(gap, float(axis_gaps.max(axis=1).min()))
+        return gap
 
     # ------------------------------------------------------------------
     # Enclosure distance kernels (the walk is always inside the enclosure)

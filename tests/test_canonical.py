@@ -72,8 +72,6 @@ ALT_ENGINE_VALUES = {
     "max_inflight_batches": 7,
     "register_wave": 3,
     "far_field": False,
-    "sort_queries": False,
-    "bounds_resolution": 3,
     "sanitize": True,
 }
 

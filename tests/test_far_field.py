@@ -1,11 +1,11 @@
 """Golden bit-identity suite for the spatial far-field fast path.
 
 The acceptance criterion of the fast path: capacitance rows extracted with
-``far_field=True`` (and the tier-2 ``sort_queries``) are byte-equal to
-``far_field=False`` rows on every reference case, every executor backend,
-and every worker count — the fast path may only skip work whose result is
-provably the capped default, never change a bit.  The open-field case
-additionally asserts the tier-1 mask actually fired
+``far_field=True`` are byte-equal to ``far_field=False`` rows on every
+reference case, every executor backend, and every worker count — the fast
+path may only skip work whose result is provably the capped default, never
+change a bit.  The same holds for the grid at any explicit resolution.
+The open-field case additionally asserts the far-field mask actually fired
 (``QueryStats.far_field_hits > 0``), so the equality is not vacuous.
 """
 
@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro import Box, Conductor, DielectricStack, FRWConfig, FRWSolver, Structure
+from repro.frw import context
+from repro.geometry import GridIndex
 
 BASE = dict(
     seed=77,
@@ -76,45 +78,48 @@ def _assert_rows_byte_equal(a, b):
 def reference(request):
     """Fast path fully off, serial: the pre-fast-path engine result."""
     case = request.param
-    result = _extract(
-        case,
-        executor="serial",
-        far_field=False,
-        sort_queries=False,
-    )
+    result = _extract(case, executor="serial", far_field=False)
     return case, result
 
 
 @pytest.mark.parametrize("backend,n_workers", BACKENDS)
 def test_far_field_rows_byte_equal(reference, backend, n_workers):
     case, ref = reference
-    on = _extract(
-        case,
-        executor=backend,
-        n_workers=n_workers,
-        far_field=True,
-        sort_queries=True,
-    )
+    on = _extract(case, executor=backend, n_workers=n_workers, far_field=True)
     _assert_rows_byte_equal(on, ref)
-    off = _extract(
-        case,
-        executor=backend,
-        n_workers=n_workers,
-        far_field=False,
-        sort_queries=False,
-    )
+    off = _extract(case, executor=backend, n_workers=n_workers, far_field=False)
     _assert_rows_byte_equal(off, ref)
 
 
 @pytest.mark.parametrize("knobs", [
-    dict(far_field=True, sort_queries=False),
-    dict(far_field=False, sort_queries=True),
-    dict(far_field=True, sort_queries=True, bounds_resolution=4),
+    dict(far_field=True, resolution=2),
+    dict(far_field=False, resolution=2),
+    dict(far_field=True, resolution=4),
 ])
-def test_each_tier_alone_is_bit_identical(reference, knobs):
+def test_each_tier_alone_is_bit_identical(reference, knobs, monkeypatch):
+    """The far-field bounds alone, the plain grid gather alone, and the
+    finer grid each reproduce the reference bytes.  The grid is built at
+    an explicit resolution instead of the derived one."""
     case, ref = reference
-    result = _extract(case, executor="thread", n_workers=2, **knobs)
+    built = []
+
+    def grid_at_resolution(structure, h_cap, far_field):
+        built.append(
+            GridIndex(
+                structure,
+                h_cap=h_cap,
+                far_field=far_field,
+                resolution=knobs["resolution"],
+            )
+        )
+        return built[-1]
+
+    monkeypatch.setattr(context, "build_index", grid_at_resolution)
+    result = _extract(
+        case, executor="thread", n_workers=2, far_field=knobs["far_field"]
+    )
     _assert_rows_byte_equal(result, ref)
+    assert [g.resolution for g in built] == [knobs["resolution"]]
 
 
 def test_far_field_hits_on_open_field_case():
@@ -128,3 +133,15 @@ def test_far_field_hits_on_open_field_case():
     assert qs["points"] == qs["far_field_hits"] + qs["near_points"]
     assert 0.0 < qs["far_field_rate"] < 1.0
     assert qs["candidates_pruned"] > 0
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_query_stats_only_where_queries_run(backend):
+    """Process workers query their own index copies, so the schedule
+    reports no counters for them rather than zero queries."""
+    result = _extract("homogeneous", executor=backend, n_workers=2)
+    qs = result.matrix.meta["schedule"]["query_stats"]
+    if backend == "process":
+        assert qs is None
+    else:
+        assert qs["queries"] > 0 and qs["points"] > 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FRWConfig
 from repro.errors import GeometryError
 from repro.geometry import (
     Box,
@@ -14,6 +15,9 @@ from repro.geometry import (
     Structure,
     build_index,
 )
+from repro.geometry.io import structure_from_dict
+from repro.service import TrafficGenerator
+from repro.structures import build_case
 
 
 def random_structure(seed: int, n: int = 30) -> Structure:
@@ -106,22 +110,22 @@ def test_build_index_selection():
     )
 
 
-@pytest.mark.parametrize("sort_queries", [False, True])
-@pytest.mark.parametrize("bounds_resolution", [1, 2])
-def test_far_field_fast_path_matches_plain_grid(sort_queries, bounds_resolution):
-    """Tier 1+2 on must be bitwise-identical to the plain gather path."""
+@pytest.mark.parametrize("boundary_points", [False, True])
+@pytest.mark.parametrize("resolution", [1, 2])
+def test_far_field_fast_path_matches_plain_grid(boundary_points, resolution):
+    """The far-field path at an explicit resolution must be
+    bitwise-identical to the plain gather path, also for points snapped
+    onto its cell lattice."""
     s = random_structure(11)
     h_cap = 3.0
-    plain = GridIndex(s, h_cap=h_cap, far_field=False, sort_queries=False)
-    fast = GridIndex(
-        s,
-        h_cap=h_cap,
-        far_field=True,
-        sort_queries=sort_queries,
-        bounds_resolution=bounds_resolution,
-    )
+    plain = GridIndex(s, h_cap=h_cap, far_field=False)
+    fast = GridIndex(s, h_cap=h_cap, far_field=True, resolution=resolution)
     rng = np.random.default_rng(12)
     pts = rng.uniform(-5, 50, (700, 3))
+    if boundary_points:
+        cell = fast._cell
+        lattice = fast._origin + np.round((pts - fast._origin) / cell) * cell
+        pts = np.clip(lattice, -5, 50)
     d_p, c_p = plain.query(pts)
     d_f, c_f = fast.query(pts)
     assert np.array_equal(d_p, d_f)
@@ -164,7 +168,7 @@ def test_cell_bounds_are_conservative():
     bounds (empty cells carry ``inf``, i.e. "provably beyond the cap")."""
     s = random_structure(17)
     h_cap = 3.0
-    grid = GridIndex(s, h_cap=h_cap, bounds_resolution=2)
+    grid = GridIndex(s, h_cap=h_cap, resolution=2)
     brute = BruteForceIndex(s)
     rng = np.random.default_rng(18)
     pts = rng.uniform(-5, 50, (500, 3))  # the enclosure exactly
@@ -185,24 +189,18 @@ def test_cell_bounds_are_conservative():
     n_boxes=st.integers(1, 25),
     h_cap=st.floats(0.5, 6.0),
     far_field=st.booleans(),
-    sort_queries=st.booleans(),
-    bounds_resolution=st.integers(1, 3),
+    resolution=st.one_of(st.none(), st.integers(1, 4)),
 )
 def test_grid_equals_brute_force_property(
-    seed, n_boxes, h_cap, far_field, sort_queries, bounds_resolution
+    seed, n_boxes, h_cap, far_field, resolution
 ):
     """``GridIndex.query`` == capped ``BruteForceIndex.query`` — distance
-    bits, winner index, and the lowest-box-index tie-break — for every
-    fast-path knob combination, on query clouds that include points
-    exactly on cell boundaries and at integer multiples of ``h_cap``."""
+    bits, winner index, and the lowest-box-index tie-break — with the
+    far-field path on and off at every resolution (derived included), on
+    query clouds that include points exactly on cell boundaries and at
+    integer multiples of ``h_cap``."""
     s = random_structure(seed, n=n_boxes)
-    grid = GridIndex(
-        s,
-        h_cap=h_cap,
-        far_field=far_field,
-        sort_queries=sort_queries,
-        bounds_resolution=bounds_resolution,
-    )
+    grid = GridIndex(s, h_cap=h_cap, far_field=far_field, resolution=resolution)
     rng = np.random.default_rng(seed ^ 0xA5A5)
     pts = rng.uniform(-5, 50, (160, 3))
     # Adversarial coordinates: snap a third of the points onto the grid's
@@ -237,3 +235,157 @@ def test_owner_mapping_multibox():
     d, c = brute.query(np.array([[5.5, 0.5, 0.5], [10.5, 0.5, 0.5]]))
     assert c.tolist() == [0, 1]
     assert np.allclose(d, 0.0)
+
+
+def reference_build(grid: GridIndex):
+    """The row-wise build the column-wise one replaced, kept verbatim as
+    the reference: (n, 3) incidence temporaries, 2-D fancy indexes and an
+    axis-1 ``max``, a stable cell argsort, and ``fmin.reduceat`` bounds.
+    Returns ``(indptr, indices, cell_dmin, cell_dmax, candidates_pruned)``
+    for ``grid``'s geometry."""
+    nx, ny, nz = (int(v) for v in grid._n_cells)
+    n_cells = nx * ny * nz
+    box_lo, box_hi = grid._lo, grid._hi
+    origin, cell, h_cap = grid._origin, grid._cell, grid.h_cap
+    m = box_lo.shape[0]
+    cell_dmin = np.full(n_cells, np.inf, dtype=np.float64)
+    cell_dmax = np.full(n_cells, np.inf, dtype=np.float64)
+    pruned = 0
+    limits = np.array([nx, ny, nz], dtype=np.int64)
+    lo = (box_lo - h_cap - origin[None, :]) / cell[None, :]
+    hi = (box_hi + h_cap - origin[None, :]) / cell[None, :]
+    i0 = np.clip(np.floor(lo).astype(np.int64) - 1, 0, limits[None, :] - 1)
+    i1 = np.clip(np.floor(hi).astype(np.int64) + 1, 0, limits[None, :] - 1)
+    ext = i1 - i0 + 1
+    per_box = ext[:, 0] * ext[:, 1] * ext[:, 2]
+    total = int(per_box.sum())
+    all_boxes = np.repeat(np.arange(m, dtype=np.int64), per_box)
+    starts = np.cumsum(per_box) - per_box
+    t = np.arange(total, dtype=np.int64) - np.repeat(starts, per_box)
+    ex = ext[all_boxes, 0]
+    ti = t % ex
+    r = t // ex
+    ey = ext[all_boxes, 1]
+    tj = r % ey
+    tk = r // ey
+    all_cells = (
+        (i0[all_boxes, 2] + tk) * ny + (i0[all_boxes, 1] + tj)
+    ) * nx + (i0[all_boxes, 0] + ti)
+    order = np.argsort(all_cells, kind="stable")
+    all_boxes = all_boxes[order]
+    all_cells = all_cells[order]
+    counts = np.bincount(all_cells, minlength=n_cells)
+    if grid.far_field:
+        ijk = np.empty((all_cells.shape[0], 3), dtype=np.int64)
+        ijk[:, 0] = all_cells % nx
+        rest = all_cells // nx
+        ijk[:, 1] = rest % ny
+        ijk[:, 2] = rest // ny
+        pad = 4.0 * np.spacing(
+            np.maximum(np.abs(origin), np.abs(origin + grid._n_cells * cell))
+        )
+        cl = origin[None, :] + ijk * cell[None, :] - pad[None, :]
+        ch = cl + cell[None, :] + 2.0 * pad[None, :]
+        blo = box_lo[all_boxes]
+        bhi = box_hi[all_boxes]
+        d_lo = np.maximum(np.maximum(blo - ch, cl - bhi), 0.0).max(axis=1)
+        d_hi = np.maximum(np.maximum(blo - cl, ch - bhi), 0.0).max(axis=1)
+        seg_starts = np.cumsum(counts) - counts
+        nzc = counts > 0
+        cell_dmin[nzc] = np.fmin.reduceat(d_lo, seg_starts[nzc])
+        cell_dmax[nzc] = np.fmin.reduceat(d_hi, seg_starts[nzc])
+        keep = (d_lo < h_cap) & (d_lo <= cell_dmax[all_cells])
+        pruned = int(all_boxes.shape[0] - np.count_nonzero(keep))
+        all_boxes = all_boxes[keep]
+        counts = np.bincount(all_cells[keep], minlength=n_cells)
+    indptr = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, all_boxes, cell_dmin, cell_dmax, pruned
+
+
+@st.composite
+def grid_builds(draw):
+    """A structure plus index parameters.  Boxes are random or aligned to
+    the grid's cell lattice, optionally shifted by exactly ``h_cap`` — the
+    coordinates where a box's cell range is decided by a floor at an
+    integer."""
+    h_cap = draw(st.floats(0.5, 6.0))
+    resolution = draw(st.integers(1, 4))
+    extent = 55.0
+    n = max(1, int(np.floor(extent / (h_cap / resolution))))
+    cell = extent / n
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            k0 = rng.integers(0, n, 3)
+            k1 = k0 + rng.integers(1, 3, 3)
+            shift = draw(st.sampled_from([0.0, h_cap, -h_cap]))
+            lo = -5.0 + k0 * cell + shift
+            hi = -5.0 + k1 * cell + shift
+        else:
+            lo = rng.uniform(-5.0, 45.0, 3)
+            hi = lo + rng.uniform(0.3, 4.0, 3)
+        boxes.append(Box.from_bounds(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]))
+    structure = Structure(
+        [Conductor.single(f"c{i}", b) for i, b in enumerate(boxes)],
+        enclosure=Box.from_bounds(-5, 50, -5, 50, -5, 50),
+    )
+    return structure, h_cap, resolution, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_builds())
+def test_column_build_matches_reference_build(build):
+    """The column-wise build gives byte-equal CSR lists, cell bounds and
+    pruned counts to the row-wise reference, with and without the
+    far-field bounds, at resolutions 1-4."""
+    structure, h_cap, resolution, far_field = build
+    grid = GridIndex(
+        structure, h_cap=h_cap, far_field=far_field, resolution=resolution
+    )
+    assert grid.resolution == resolution
+    indptr, indices, cell_dmin, cell_dmax, pruned = reference_build(grid)
+    assert grid._indptr.tobytes() == indptr.tobytes()
+    assert grid._indices.tobytes() == indices.tobytes()
+    assert grid._cell_dmin.tobytes() == cell_dmin.tobytes()
+    assert grid._cell_dmax.tobytes() == cell_dmax.tobytes()
+    assert grid.stats.candidates_pruned == pruned
+
+
+def _default_cap(structure: Structure) -> float:
+    return FRWConfig().h_cap_fraction * min(structure.enclosure.sizes)
+
+
+@pytest.mark.parametrize(
+    "case,expected", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 4), (6, 4)]
+)
+def test_derived_resolution_on_table_cases(case, expected):
+    """Only the dense SRAM arrays crowd more than REFINE_DENSITY pruned
+    candidates into a near-field cell at two cells per cap."""
+    structure = build_case(case)
+    assert GridIndex(structure, h_cap=_default_cap(structure)).resolution == expected
+
+
+def test_derived_resolution_on_traffic_nets():
+    generator = TrafficGenerator(seed=0, duplicate_rate=0.0)
+    for payload, _meta in generator.requests(3):
+        structure = structure_from_dict(payload["structure"])
+        grid = GridIndex(structure, h_cap=_default_cap(structure))
+        assert grid.resolution == 2
+
+
+def test_derived_resolution_matches_explicit_build():
+    """A derived grid is the explicit build at the resolution it chose."""
+    structure = build_case(5)
+    h_cap = _default_cap(structure)
+    derived = GridIndex(structure, h_cap=h_cap)
+    explicit = GridIndex(structure, h_cap=h_cap, resolution=derived.resolution)
+    for name in ("_indptr", "_indices", "_cell_dmin", "_cell_dmax"):
+        assert getattr(derived, name).tobytes() == getattr(explicit, name).tobytes()
+    assert derived.stats.candidates_pruned == explicit.stats.candidates_pruned
+
+
+def test_grid_rejects_bad_resolution():
+    with pytest.raises(GeometryError):
+        GridIndex(random_structure(4), h_cap=1.0, resolution=0)

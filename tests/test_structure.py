@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError, StructureValidationError
 from repro.geometry import Box, Conductor, DielectricStack, Structure
@@ -57,6 +59,52 @@ def test_conductor_clearance():
     assert s.conductor_clearance(0) == 1.0  # gap to wire b
     # Clearance also counts walls: wire b is 5 from enclosure hi x.
     assert s.conductor_clearance(1) == 1.0
+
+
+def loop_clearance(structure: Structure, index: int) -> float:
+    """The per-conductor ``gap_linf`` loop that ``conductor_clearance``
+    replaced, kept as the reference."""
+    me = structure.conductors[index]
+    gap = np.inf
+    for other_idx, other in enumerate(structure.conductors):
+        if other_idx != index:
+            gap = min(gap, me.gap_linf(other))
+    enc = structure.enclosure
+    for box in me.boxes:
+        for axis in range(3):
+            gap = min(gap, box.lo[axis] - enc.lo[axis])
+            gap = min(gap, enc.hi[axis] - box.hi[axis])
+    return float(gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nets=st.integers(1, 6),
+    lattice=st.booleans(),
+)
+def test_conductor_clearance_matches_loop(seed, n_nets, lattice):
+    """The vectorised clearance equals the loop for every conductor, on
+    random and lattice-aligned multi-box nets (touching and overlapping
+    boxes included)."""
+    rng = np.random.default_rng(seed)
+    conductors = []
+    for i in range(n_nets):
+        boxes = []
+        for _ in range(int(rng.integers(1, 4))):
+            if lattice:
+                lo = rng.integers(0, 8, 3).astype(float) * 0.25
+                hi = lo + rng.integers(1, 4, 3) * 0.25
+            else:
+                lo = rng.uniform(0.0, 9.0, 3)
+                hi = lo + rng.uniform(0.1, 2.0, 3)
+            boxes.append(Box.from_bounds(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]))
+        conductors.append(Conductor(f"n{i}", tuple(boxes)))
+    structure = Structure(conductors, auto_margin=0.5)
+    for index in range(n_nets):
+        assert structure.conductor_clearance(index) == loop_clearance(
+            structure, index
+        )
 
 
 def test_enclosure_distance():
