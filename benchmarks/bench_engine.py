@@ -183,7 +183,7 @@ def _extract_config(**overrides):
 
 def bench_extract_seed_style(structure):
     """The seed's full extraction loop: plain batches + scalar merge replay."""
-    cfg = _extract_config(executor="serial", pipeline=False)
+    cfg = _extract_config(executor="serial", pipeline_lookahead=0)
     ctx = build_context(structure, 0, cfg)
 
     def run():

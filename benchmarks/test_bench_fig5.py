@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.frw import (
+    PersistentExecutor,
     run_walks,
-    run_walks_parallel,
     simulate_dynamic_queue,
     simulate_static_blocks,
 )
@@ -43,9 +43,9 @@ def test_thread_pool_executor(benchmark, ctx_case1):
     uids = np.arange(2000, dtype=np.uint64)
 
     def run():
-        return run_walks_parallel(
-            ctx_case1, lambda: WalkStreams(9, 0), uids, n_workers=2
-        ).dest.shape[0]
+        with PersistentExecutor("thread", n_workers=2) as ex:
+            key = ex.register(ctx_case1, ("philox", 9, 0))
+            return ex.run(key, uids).dest.shape[0]
 
     assert benchmark(run) == 2000
 

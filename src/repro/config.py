@@ -74,12 +74,12 @@ RESULT_FIELDS = (
 #: cache-key-completeness pass (docs/STATIC_ANALYSIS.md): a field read on
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justifications, by group — backend placement (``executor``,
-#: ``n_workers``, ``chunk_size``, ``mp_start_method``, ``shared_context``:
-#: UID-ordered reassembly makes worker layout invisible), scheduling
-#: (``pipeline``, ``pipeline_lookahead``, ``rng_prefetch_depth``,
-#: ``interleave_masters``, ``allocation``, ``allocation_hysteresis``,
-#: ``max_inflight_batches``, ``register_wave``: walk draws are a pure
-#: function of (seed, uid, step), so issue order cannot reach a bit),
+#: ``n_workers``, ``chunk_size``, ``mp_start_method``: UID-ordered
+#: reassembly makes worker layout invisible), scheduling
+#: (``pipeline_lookahead``, ``rng_prefetch_depth``, ``interleave_masters``,
+#: ``allocation``, ``allocation_hysteresis``, ``max_inflight_batches``:
+#: walk draws are a pure function of (seed, uid, step), so issue order
+#: cannot reach a bit),
 #: query fast path (``far_field``: conservative bounds return exactly the
 #: brute-force answer), and guards (``sanitize``: raises or no-ops).
 ENGINE_FIELDS = (
@@ -87,15 +87,12 @@ ENGINE_FIELDS = (
     "n_workers",
     "chunk_size",
     "mp_start_method",
-    "shared_context",
-    "pipeline",
     "pipeline_lookahead",
     "rng_prefetch_depth",
     "interleave_masters",
     "allocation",
     "allocation_hysteresis",
     "max_inflight_batches",
-    "register_wave",
     "far_field",
     "sanitize",
 )
@@ -166,7 +163,9 @@ class FRWConfig:
     executor:
         Real-concurrency backend executing walk batches: ``"serial"``,
         ``"thread"`` (persistent thread pool; NumPy releases the GIL in its
-        inner loops), or ``"process"`` (persistent fork pool).  Results are
+        inner loops), or ``"process"`` (persistent process pool; contexts
+        reach its workers through the shared-memory plane,
+        :mod:`repro.frw.shm`).  Results are
         reassembled in UID order, so all backends are bit-identical to the
         serial engine — real parallelism changes wall time only, which is
         the DOP-independence contract of Alg. 2.
@@ -182,25 +181,19 @@ class FRWConfig:
     mp_start_method:
         Start method of the process backend: ``"fork"``, ``"spawn"``,
         ``"forkserver"``, or ``"auto"`` (fork where available, else
-        spawn).  With the shared-memory context plane all methods are
-        bit-identical; spawn/forkserver cost more per pool start but work
-        on every platform and give workers a clean interpreter state.
-    shared_context:
-        Ship contexts to process workers through the shared-memory context
-        plane (:mod:`repro.frw.shm`): registration publishes blocks and
-        per-batch dispatch carries only a small manifest, so the pool never
-        restarts and any start method works.  Disabling falls back to the
-        legacy fork-inheritance protocol (POSIX fork only; registering
-        after the pool forked restarts it).  Results are bit-identical
-        either way.
-    pipeline:
-        Cross-batch walk pipelining: when walks absorb, their vector slots
-        are refilled with UIDs from the next batch so the engine's vector
-        width stays near ``batch_size`` instead of shrinking to a ragged
-        tail.  Results are banked per batch and remain bit-identical.
+        spawn).  Contexts travel through the shared-memory context plane,
+        so all methods are bit-identical; spawn/forkserver cost more per
+        pool start but work on every platform and give workers a clean
+        interpreter state.
     pipeline_lookahead:
-        How many batches ahead the pipeline may refill from (bounds the
-        work discarded when the stopping rule fires mid-pipeline).
+        Cross-batch walk pipelining depth: when walks absorb, their vector
+        slots are refilled with UIDs from up to this many batches ahead,
+        so the engine's vector width stays near ``batch_size`` instead of
+        shrinking to a ragged tail (the process backend keeps that many
+        batches in flight beyond the one being gathered).  ``0`` drains
+        each batch before the next one starts.  Deeper lookahead discards
+        more work when the stopping rule fires; results are banked per
+        batch and bit-identical at every depth.
     rng_prefetch_depth:
         Steps of RNG prefetched per fused Philox pass (1-16, default 8).
         The engine keeps a ring buffer of draws for the next
@@ -253,11 +246,6 @@ class FRWConfig:
         Total cross-master in-flight batch cap (0 = auto: enough to cover
         the executor width with a margin).  Bounds the walk work thrown
         away when stopping rules fire while speculative batches run.
-    register_wave:
-        Masters activated (and, on the process backend, contexts
-        registered/shipped) per scheduler wave; 0 = auto.  Large master
-        sets are admitted in waves so context registration is lazy but
-        batched — one pool restart per wave instead of per master.
     antithetic:
         Generalized antithetic sampling (variance reduction): walk UIDs
         are grouped in aligned blocks of ``antithetic_group`` consecutive
@@ -328,15 +316,12 @@ class FRWConfig:
     n_workers: int = 0
     chunk_size: int = 0
     mp_start_method: str = "auto"
-    shared_context: bool = True
-    pipeline: bool = True
     pipeline_lookahead: int = 1
     rng_prefetch_depth: int = 8
     interleave_masters: bool = True
     allocation: str = "even"
     allocation_hysteresis: float = 0.25
     max_inflight_batches: int = 0
-    register_wave: int = 0
     far_field: bool = True
     antithetic: bool = False
     antithetic_group: int = 2
@@ -422,16 +407,6 @@ class FRWConfig:
                 f"mp_start_method must be one of {MP_START_METHODS}, got "
                 f"{self.mp_start_method!r}"
             )
-        if not self.shared_context and self.mp_start_method in (
-            "spawn",
-            "forkserver",
-        ):
-            # The legacy protocol ships contexts by fork inheritance, which
-            # spawn/forkserver children do not get.
-            raise ConfigError(
-                "shared_context=False requires mp_start_method 'fork' or "
-                f"'auto', got {self.mp_start_method!r}"
-            )
         if self.pipeline_lookahead < 0:
             raise ConfigError(
                 f"pipeline_lookahead must be >= 0, got {self.pipeline_lookahead}"
@@ -450,10 +425,6 @@ class FRWConfig:
             raise ConfigError(
                 f"max_inflight_batches must be >= 0, got "
                 f"{self.max_inflight_batches}"
-            )
-        if self.register_wave < 0:
-            raise ConfigError(
-                f"register_wave must be >= 0, got {self.register_wave}"
             )
         if not (0.0 <= self.allocation_hysteresis <= 1.0):
             raise ConfigError(

@@ -29,8 +29,6 @@ from .parallel import (
     make_batch_runner,
     resolve_start_method,
     resolve_workers,
-    run_walks_parallel,
-    run_walks_processes,
     stream_spec,
     streams_from_spec,
 )
@@ -96,9 +94,7 @@ __all__ = [
     "resolve_start_method",
     "resolve_workers",
     "run_walks",
-    "run_walks_parallel",
     "run_walks_pipelined",
-    "run_walks_processes",
     "resolve_wave",
     "simulate_dynamic_queue",
     "simulate_static_blocks",

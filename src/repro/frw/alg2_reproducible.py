@@ -203,9 +203,9 @@ def extract_row_alg2(
 ) -> tuple[CapacitanceRow, RunStats]:
     """Extract one capacitance-matrix row with the reproducible scheme.
 
-    Walk batches are produced by a batch runner selected from the config's
-    ``executor`` / ``pipeline`` knobs (serial engine, cross-batch pipeline,
-    thread slot-pipelines, or the persistent process pool).  Every runner
+    Walk batches are produced by the batch runner of the config's
+    ``executor`` backend (serial cross-batch pipeline, thread
+    slot-pipelines, or the persistent process pool).  Every runner
     yields per-batch results in UID order, so the accumulated row is
     bit-identical across all of them — the scheduling knobs trade wall time
     only.  Pass ``executor`` (e.g. from :class:`~repro.frw.solver.FRWSolver`)

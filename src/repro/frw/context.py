@@ -140,8 +140,9 @@ class SharedAssets:
         """The structure's spatial index for ``h_cap`` and the far-field
         flag (built once per distinct key).  Sharing one index — its CSR
         lists *and* its cell bounds arrays — means the far-field
-        precompute happens once per extraction, never per master, and fork
-        workers inherit the built arrays instead of rebuilding them."""
+        precompute happens once per extraction, never per master, and
+        process workers attach the one published copy instead of
+        rebuilding it."""
         key = (float(h_cap), bool(far_field))
         index = self._indexes.get(key)
         if index is None:

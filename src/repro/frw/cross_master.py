@@ -28,12 +28,11 @@ speculative batches are in flight — never their contents.  Every row is
 therefore bit-identical to the serial per-master extraction, at any
 backend, worker count, or allocation policy.
 
-Large master sets are admitted in *waves* (``config.register_wave``): a
-wave's contexts are built — and, on the process backend, registered and
-shipped in one pool fork — together, so context registration is lazy but
-batched.  Before a wave registers on the process backend, in-flight
-batches are drained (their results are cached on the handles), because
-registration re-forks the pool.
+Large master sets are admitted in *waves* of :func:`resolve_wave`
+masters: a master's context is built — and, on the process backend,
+published to the shared-memory plane — only when its wave is admitted,
+so a large structure never holds every context at once, and admission
+never waits on in-flight batches.
 """
 
 from __future__ import annotations
@@ -145,10 +144,8 @@ class _MasterRun:
         return self.done
 
 
-def resolve_wave(register_wave: int, n_workers: int) -> int:
-    """Masters admitted per scheduler wave (0 = auto)."""
-    if register_wave > 0:
-        return register_wave
+def resolve_wave(n_workers: int) -> int:
+    """Masters admitted per scheduler wave."""
     return max(8, 2 * n_workers)
 
 
@@ -172,7 +169,7 @@ def extract_rows_interleaved(
     per-master config.
     """
     workers = executor.n_workers if executor is not None else 1
-    wave = resolve_wave(config.register_wave, workers)
+    wave = resolve_wave(workers)
     overrides = thread_overrides or {}
 
     def master_config(master: int) -> FRWConfig:
@@ -187,18 +184,6 @@ def extract_rows_interleaved(
     def activate_wave() -> None:
         live = sum(1 for st in active if not st.done)
         take = min(wave - live, len(pending))
-        if take <= 0:
-            return
-        if executor is not None and executor.restarts_on_register:
-            # Legacy fork-inheritance protocol: registration re-forks the
-            # pool, so drain in-flight batches first — no handle may be
-            # left pointing into a terminated pool.  Results are cached on
-            # the handles, nothing is recomputed.  The shared-memory
-            # context plane never restarts, so no drain is needed there
-            # and admission stays overlap-free.
-            for st in active:
-                for handle in st.inflight.values():
-                    handle.result()
         for _ in range(take):
             m = pending.popleft()
             active.append(

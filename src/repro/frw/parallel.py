@@ -13,10 +13,10 @@ the serial engine — real parallelism changes wall time only, which is
 exactly the DOP-independence contract of Alg. 2.
 
 On top of the executor sit the *batch runners* used by
-``extract_row_alg2``: each runner exposes ``run_batch(batch_index)`` and
-differs only in how the walks are scheduled:
+``extract_row_alg2``, one per backend: each runner exposes
+``run_batch(batch_index)`` and differs only in how the walks are scheduled
+(``pipeline_lookahead=0`` drains every batch before the next one starts):
 
-* :class:`SerialBatchRunner` — the historical one-batch-at-a-time engine.
 * :class:`PipelinedBatchRunner` — one refill-capable
   :class:`~repro.frw.engine.WalkPipeline` spanning all batches.
 * :class:`ThreadedBatchRunner` — the batch is split into UID chunks; each
@@ -30,18 +30,17 @@ differs only in how the walks are scheduled:
   so speculation trades wall time only.
 
 The process backend ships contexts through the **shared-memory context
-plane** (:mod:`repro.frw.shm`) by default: registering a context publishes
-its index and cube table (each into one shared block per process, however
-many masters reference it), and per-batch messages carry only a small
-manifest + the UID chunk — workers attach lazily and cache each asset
-block once, so steady-state dispatch is manifest-only and works under any
-start method (``fork``, ``spawn``, ``forkserver``).  The legacy
-fork-inheritance protocol survives behind ``shared_context=False``.
+plane** (:mod:`repro.frw.shm`): registering a context publishes its index
+and cube table (each into one shared block per process, however many
+masters reference it), and per-batch messages carry only a small manifest
++ the UID chunk — workers attach lazily and cache each asset block once,
+so the pool is created once, steady-state dispatch is manifest-only, and
+every start method (``fork``, ``spawn``, ``forkserver``) works.
 
 Every path reuses the engine's slot arena across batches: the pipelined
 runners own persistent :class:`~repro.frw.engine.WalkPipeline` instances
 (one arena each, alive for the whole run), and chunk tasks that go through
-:func:`~repro.frw.engine.run_walks` — thread-pool futures and forked
+:func:`~repro.frw.engine.run_walks` — thread-pool futures and process
 workers alike — hit its per-thread workspace cache, so steady-state batch
 execution allocates no walk-state arrays anywhere.
 """
@@ -64,7 +63,7 @@ from .context import ExtractionContext
 from .engine import StageTimers, WalkPipeline, WalkResults, run_walks
 
 #: A stream spec is ``(rng_kind, seed, stream)`` — enough to rebuild a
-#: per-walk stream provider anywhere (in a worker thread or a forked
+#: per-walk stream provider anywhere (in a worker thread or a worker
 #: process), which is what makes "any worker can evaluate any walk" real.
 #: Antithetic configs extend it to ``(rng_kind, seed, stream, group,
 #: depth)``; the 3-tuple form is kept for antithetic-off configs so their
@@ -164,38 +163,19 @@ def _reassemble(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker side.  Two context-shipping protocols:
-#
-# * Shared-memory plane (default): the parent publishes each context's
-#   assets into shared blocks (repro.frw.shm) and dispatches (manifest,
-#   uids) work items.  Workers attach lazily — the first chunk naming an
-#   asset block maps it and rebuilds the asset over zero-copy views; every
-#   later chunk hits the attachment caches.  Works under fork, spawn, and
-#   forkserver.
-# * Legacy fork inheritance (shared_context=False): the parent stores
-#   contexts in _FORK_REGISTRY immediately before forking the pool and
-#   workers inherit that memory; per-batch messages carry only (key, uids).
+# Process-pool worker side: the parent publishes each context's assets into
+# shared blocks (repro.frw.shm) and dispatches (manifest, uids) work items.
+# Workers attach lazily — the first chunk naming an asset block maps it and
+# rebuilds the asset over zero-copy views; every later chunk hits the
+# attachment caches.  Works under fork, spawn, and forkserver.
 # ----------------------------------------------------------------------
 _LOG = logging.getLogger(__name__)
 
-_FORK_REGISTRY: dict = {}
 _WORKER_STREAMS: dict = {}
 
 
-def _process_chunk(key: int, uids: np.ndarray) -> WalkResults:
-    ctx, spec = _FORK_REGISTRY[key]
-    streams = _WORKER_STREAMS.get(key)
-    if streams is None:
-        streams = streams_from_spec(spec)
-        # det: allow(DET006) per-process memo of this worker's own stream
-        # family; streams are counter-based (stateless per uid), so the cache
-        # only avoids re-deriving keys and cannot affect sample values.
-        _WORKER_STREAMS[key] = streams
-    return run_walks(ctx, streams, uids)
-
-
 def _shm_chunk(manifest, uids: np.ndarray) -> WalkResults:
-    """Worker entry of the shared-context protocol: attach (cached), run."""
+    """Process-worker entry: attach the manifest's context (cached), run."""
     ctx = shm.attach_context(manifest)
     streams = _WORKER_STREAMS.get(manifest.spec)
     if streams is None:
@@ -264,23 +244,19 @@ class PersistentExecutor:
         Pool width; ``0`` means auto (host CPU count).
     chunk_size:
         UIDs per work item; ``0`` means auto (even split over workers).
-
     mp_start_method:
         Start method of the process backend (``"auto"``, ``"fork"``,
         ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
-    shared_context:
-        Ship contexts through the shared-memory plane (default): the pool
-        is created once, registration publishes asset blocks, workers
-        attach lazily, and per-batch messages carry only the manifest.  With
-        ``False`` the legacy fork-inheritance protocol is used: contexts
-        travel by forking *after* registration, and registering a new
-        context after the fork restarts the pool once.
 
     Contexts are registered once per master (:meth:`register`); thereafter
-    any number of batches can be dispatched with :meth:`run`.  Dispatch
-    telemetry (work items, pickled payload bytes) accumulates in
-    :meth:`dispatch_stats`; :meth:`worker_stats` probes the live pool for
-    worker PIDs and per-worker attachment counts.
+    any number of batches can be dispatched with :meth:`run`.  The process
+    pool is created once and never restarts: registration publishes the
+    context to the shared-memory plane and workers attach on first
+    dispatch.  Dispatch telemetry (work items, pickled payload bytes)
+    accumulates in :meth:`dispatch_stats`; :meth:`worker_stats` probes the
+    live pool for worker PIDs and per-worker attachment counts.  A closed
+    executor rejects further work with :class:`~repro.errors.ConfigError`
+    instead of silently re-creating pools or publishing blocks.
     """
 
     def __init__(
@@ -289,7 +265,6 @@ class PersistentExecutor:
         n_workers: int = 0,
         chunk_size: int = 0,
         mp_start_method: str = "auto",
-        shared_context: bool = True,
     ):
         # Set first so __del__/close stay safe if validation below raises.
         self._closed = True
@@ -301,30 +276,23 @@ class PersistentExecutor:
         self.n_workers = resolve_workers(n_workers)
         self.chunk_size = int(chunk_size)
         self.mp_start_method = mp_start_method
-        self.shared_context = bool(shared_context)
-        if backend == "process":
-            # Resolve eagerly so a bad method/platform combination fails at
-            # construction, not mid-extraction.
-            self._start_method = resolve_start_method(mp_start_method)
-            if not self.shared_context and self._start_method != "fork":
-                raise ConfigError(
-                    "shared_context=False ships contexts by fork "
-                    "inheritance and requires the fork start method, "
-                    f"got {self._start_method!r}"
-                )
-        else:
-            self._start_method = None
+        # Resolve eagerly so a bad method/platform combination fails at
+        # construction, not mid-extraction.
+        self._start_method = (
+            resolve_start_method(mp_start_method) if backend == "process" else None
+        )
         self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool = None
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
-        self._next_key = 0
-        self._version = 0
-        self._forked_version = -1
         self._closed = False
         self.dispatches = 0
         self.dispatch_pickle_bytes = 0
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ConfigError("PersistentExecutor is closed")
 
     # ------------------------------------------------------------------
     # Registration (context shipping)
@@ -332,36 +300,21 @@ class PersistentExecutor:
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
         """Register a context + stream spec once; returns its dispatch key.
 
-        On the shared-context process backend this *publishes* the context
-        immediately (its assets' blocks on first reference) — the pool (if
-        any) keeps running and workers attach on first dispatch.  On the
-        legacy fork-inheritance backend it bumps the registry version,
-        which triggers one pool restart at the next dispatch.
+        On the process backend this *publishes* the context immediately
+        (its assets' blocks on first reference); the pool (if any) keeps
+        running and workers attach on first dispatch.
         """
+        self._check_open()
         ident = (id(ctx), spec)
         key = self._keys.get(ident)
         if key is not None:
             return key
-        key = self._next_key
-        self._next_key += 1
+        key = len(self._registry)
         self._registry[key] = (ctx, spec)
         self._keys[ident] = key
-        self._version += 1
-        if self.backend == "process" and self.shared_context:
+        if self.backend == "process":
             self._manifests[key] = shm.publish_context(ctx, spec)
         return key
-
-    @property
-    def restarts_on_register(self) -> bool:
-        """Whether registering a new context forces a pool restart.
-
-        Only the legacy fork-inheritance protocol does; the shared-memory
-        context plane creates the pool once and later registrations just
-        publish manifests, which workers attach lazily.  Schedulers use
-        this to decide whether in-flight handles must be drained before
-        admitting a new registration wave.
-        """
-        return self.backend == "process" and not self.shared_context
 
     # ------------------------------------------------------------------
     # Pools
@@ -374,31 +327,14 @@ class PersistentExecutor:
         return self._thread_pool
 
     def _processes(self):
-        if self.shared_context:
-            # Shared-memory plane: one pool for the executor's lifetime.
-            # Contexts live in published blocks, so registration never
-            # requires a restart and any start method works.
-            if self._process_pool is None:
-                mp_ctx = multiprocessing.get_context(self._start_method)
-                self._process_pool = mp_ctx.Pool(processes=self.n_workers)
-                self._forked_version = self._version
-            return self._process_pool
-        if self._process_pool is None or self._forked_version != self._version:
-            if self._process_pool is not None:
-                self._process_pool.terminate()
-                self._process_pool.join()
-                self._process_pool = None
-            mp_ctx = multiprocessing.get_context("fork")
-            # Ship every registered context to the workers via fork
-            # inheritance: set the module-level registry, then fork.
-            _FORK_REGISTRY.clear()
-            _FORK_REGISTRY.update(self._registry)
+        if self._process_pool is None:
+            mp_ctx = multiprocessing.get_context(self._start_method)
             self._process_pool = mp_ctx.Pool(processes=self.n_workers)
-            self._forked_version = self._version
         return self._process_pool
 
     def submit(self, fn, *args):
         """Schedule a callable on the thread pool (slot-pipeline tasks)."""
+        self._check_open()
         return self._threads().submit(fn, *args)
 
     # ------------------------------------------------------------------
@@ -426,6 +362,7 @@ class PersistentExecutor:
         chunking).  An explicit ``chunk_size`` on the executor wins over
         the cap; chunking never changes results, only the schedule.
         """
+        self._check_open()
         uids = np.asarray(uids, dtype=np.uint64)
         n = uids.shape[0]
         ctx, spec = self._registry[key]
@@ -449,18 +386,13 @@ class PersistentExecutor:
             ]
             return PendingBatch(uids, waiters=[f.result for f in futures])
         pool = self._processes()
-        if self.shared_context:
-            manifest = self._manifests[key]
-            payloads = [(manifest, c) for c in chunks]
-            worker = _shm_chunk
-        else:
-            payloads = [(key, c) for c in chunks]
-            worker = _process_chunk
+        manifest = self._manifests[key]
+        payloads = [(manifest, c) for c in chunks]
         self.dispatch_pickle_bytes += sum(
             len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
             for p in payloads
         )
-        asyncs = [pool.apply_async(worker, p) for p in payloads]
+        asyncs = [pool.apply_async(_shm_chunk, p) for p in payloads]
         return PendingBatch(uids, waiters=[a.get for a in asyncs])
 
     # ------------------------------------------------------------------
@@ -472,9 +404,9 @@ class PersistentExecutor:
         ``pickle_bytes`` counts the pickled payload of every process-pool
         work item (the thread backend ships references, not pickles), so
         ``pickle_bytes_per_dispatch`` directly measures the steady-state
-        per-dispatch payload — manifest-only under the shared-context
-        plane, regardless of context size.  ``published_nbytes`` sums the
-        distinct asset blocks this executor's manifests name.
+        per-dispatch payload — manifest-only, regardless of context size.
+        ``published_nbytes`` sums the distinct asset blocks this executor's
+        manifests name.
         """
         n = max(1, self.dispatches)
         blocks = {
@@ -502,6 +434,7 @@ class PersistentExecutor:
         non-process backends.  Scheduling decides which workers answer, so
         this is telemetry — results never feed back into walk values.
         """
+        self._check_open()
         if self.backend != "process":
             return {}
         pool = self._processes()
@@ -607,27 +540,6 @@ class PipelinedBatchRunner:
         self.discarded_walks = self._pipe.launched_ahead
 
 
-class SerialBatchRunner(PipelinedBatchRunner):
-    """One batch at a time through the plain engine (the historical path).
-
-    A *persistent* lookahead-0 pipeline: each batch drains completely
-    before the next one feeds, so the schedule — and therefore every
-    result bit — is identical to calling :func:`run_walks` per batch, but
-    the slot arena and step scratch are allocated once for the whole run.
-    """
-
-    def __init__(
-        self,
-        ctx: ExtractionContext,
-        streams,
-        batch_size: int,
-        timers: StageTimers | None = None,
-        group: int = 1,
-        prefetch: int | None = None,
-    ):
-        super().__init__(ctx, streams, batch_size, 0, timers, group, prefetch)
-
-
 class ThreadedBatchRunner:
     """Slot pipelines over UID chunks, driven by the shared thread pool.
 
@@ -647,20 +559,16 @@ class ThreadedBatchRunner:
         spec: StreamSpec,
         batch_size: int,
         executor: PersistentExecutor,
-        pipeline: bool = True,
         lookahead: int = 1,
         timers: StageTimers | None = None,
         group: int = 1,
         prefetch: int | None = None,
     ):
-        self.ctx = ctx
-        self.spec = spec
         self.batch_size = int(batch_size)
         self.executor = executor
         self._bounds = _chunk_bounds(
             self.batch_size, executor.n_workers, executor.chunk_size
         )
-        self._group = max(1, int(group))
         # Each slot gets a private StageTimers (no racy float accumulation
         # across pool threads); they merge into the shared one at close().
         self._timers = timers
@@ -669,41 +577,25 @@ class ThreadedBatchRunner:
             if timers is not None
             else [None] * len(self._bounds)
         )
-        self._pipes: list[WalkPipeline] | None = None
-        if pipeline:
-            self._pipes = [
-                WalkPipeline(
-                    ctx,
-                    streams_from_spec(spec),
-                    _batch_feed(self.batch_size, a, b),
-                    width=b - a,
-                    lookahead=lookahead,
-                    timers=tm,
-                    group=self._group,
-                    prefetch=prefetch,
-                )
-                for (a, b), tm in zip(self._bounds, self._slot_timers)
-            ]
+        self._pipes: list[WalkPipeline] | None = [
+            WalkPipeline(
+                ctx,
+                streams_from_spec(spec),
+                _batch_feed(self.batch_size, a, b),
+                width=b - a,
+                lookahead=lookahead,
+                timers=tm,
+                group=max(1, int(group)),
+                prefetch=prefetch,
+            )
+            for (a, b), tm in zip(self._bounds, self._slot_timers)
+        ]
 
     def run_batch(self, batch_index: int) -> WalkResults:
         base = batch_index * self.batch_size
         uids = np.arange(base, base + self.batch_size, dtype=np.uint64)
-        if self._pipes is not None:
-            futures = [self.executor.submit(p.next_batch) for p in self._pipes]
-        else:
-            futures = [
-                self.executor.submit(
-                    run_walks,
-                    self.ctx,
-                    streams_from_spec(self.spec),
-                    uids[a:b],
-                    None,  # trace
-                    tm,
-                )
-                for (a, b), tm in zip(self._bounds, self._slot_timers)
-            ]
-        parts = [f.result() for f in futures]
-        return _reassemble(uids, parts)
+        futures = [self.executor.submit(p.next_batch) for p in self._pipes]
+        return _reassemble(uids, [f.result() for f in futures])
 
     def close(self) -> None:
         if self._pipes is not None:
@@ -782,7 +674,7 @@ def make_batch_runner(
     executor: PersistentExecutor | None = None,
     timers: StageTimers | None = None,
 ):
-    """Pick the batch runner for a config.
+    """Pick the batch runner for a config: one runner per backend.
 
     Returns ``(runner, owned_executor)`` where ``owned_executor`` is a
     :class:`PersistentExecutor` created here (caller must close it), or
@@ -790,11 +682,11 @@ def make_batch_runner(
     keeps one pool alive across masters) or not needed.
 
     ``timers`` (optional) accumulates the engine's per-stage wall time:
-    serial/pipelined runners charge it directly; the threaded runner gives
-    each slot pipeline a private timer and merges them at ``close()``
-    (stage seconds then sum over workers, i.e. CPU time not wall time).
-    The process runner cannot report stages — the engine loops run in
-    forked workers — and leaves ``timers`` untouched.
+    the serial runner charges it directly; the threaded runner gives each
+    slot pipeline a private timer and merges them at ``close()`` (stage
+    seconds then sum over workers, i.e. CPU time not wall time).  The
+    process runner cannot report stages — the engine loops run in worker
+    processes — and leaves ``timers`` untouched.
     """
     backend = config.executor
     workers = (
@@ -807,44 +699,31 @@ def make_batch_runner(
     # it from ``ctx.config.rng_prefetch_depth`` (prefetching is
     # bit-invisible, so the knob never needs to cross the wire separately).
     prefetch = config.rng_prefetch_depth
+    if backend == "serial" or workers <= 1:
+        runner = PipelinedBatchRunner(
+            ctx,
+            streams_from_spec(spec),
+            config.batch_size,
+            config.pipeline_lookahead,
+            timers=timers,
+            group=group,
+            prefetch=prefetch,
+        )
+        return runner, None
     owned = None
-    if backend != "serial" and workers > 1 and executor is None:
-        owned = PersistentExecutor(
+    if executor is None:
+        owned = executor = PersistentExecutor(
             backend,
             config.n_workers,
             config.chunk_size,
             mp_start_method=config.mp_start_method,
-            shared_context=config.shared_context,
         )
-        executor = owned
-    if backend == "serial" or workers <= 1 or executor is None:
-        streams = streams_from_spec(spec)
-        if config.pipeline:
-            runner = PipelinedBatchRunner(
-                ctx,
-                streams,
-                config.batch_size,
-                config.pipeline_lookahead,
-                timers=timers,
-                group=group,
-                prefetch=prefetch,
-            )
-        else:
-            runner = SerialBatchRunner(
-                ctx,
-                streams,
-                config.batch_size,
-                timers=timers,
-                group=group,
-                prefetch=prefetch,
-            )
-    elif backend == "thread":
+    if backend == "thread":
         runner = ThreadedBatchRunner(
             ctx,
             spec,
             config.batch_size,
             executor,
-            pipeline=config.pipeline,
             lookahead=config.pipeline_lookahead,
             timers=timers,
             group=group,
@@ -852,78 +731,6 @@ def make_batch_runner(
         )
     else:
         runner = ProcessBatchRunner(
-            ctx,
-            spec,
-            config.batch_size,
-            executor,
-            lookahead=config.pipeline_lookahead if config.pipeline else 0,
+            ctx, spec, config.batch_size, executor, config.pipeline_lookahead
         )
     return runner, owned
-
-
-# ----------------------------------------------------------------------
-# One-shot conveniences (kept for benchmarks and direct engine use; the
-# extraction path goes through PersistentExecutor + batch runners).
-# ----------------------------------------------------------------------
-def run_walks_parallel(
-    ctx: ExtractionContext,
-    streams_factory,
-    uids: np.ndarray,
-    n_workers: int,
-    chunk_size: int | None = None,
-) -> WalkResults:
-    """Execute one UID batch across a short-lived thread pool.
-
-    ``streams_factory()`` must yield a fresh stream provider per worker
-    (counter streams are stateless so any number of providers agree
-    bit-for-bit).  Results are reassembled in UID order.
-    """
-    uids = np.asarray(uids, dtype=np.uint64)
-    n = uids.shape[0]
-    workers = max(1, int(n_workers))
-    if workers == 1 or n < 2:
-        return run_walks(ctx, streams_factory(), uids)
-    bounds = _chunk_bounds(n, workers, int(chunk_size or 0))
-    chunks = [uids[a:b] for a, b in bounds]
-
-    def work(chunk: np.ndarray) -> WalkResults:
-        return run_walks(ctx, streams_factory(), chunk)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, chunks))
-    return _reassemble(uids, parts)
-
-
-def run_walks_processes(
-    ctx: ExtractionContext,
-    seed: int,
-    stream: int,
-    uids: np.ndarray,
-    n_workers: int,
-    chunk_size: int | None = None,
-    start_method: str = "auto",
-) -> WalkResults:
-    """Execute one UID batch across a short-lived process pool.
-
-    Mirrors the distributed-memory deployments of FRW solvers: workers
-    share nothing but the published context (one shared-memory block) and
-    the global seed; results are reassembled in UID order and are
-    bit-identical to the serial engine.  Counter-based streams make this
-    trivially correct — any worker can evaluate any walk.
-
-    ``start_method`` picks the pool start method (``"auto"``, ``"fork"``,
-    ``"spawn"``, ``"forkserver"``); the shared-memory context plane makes
-    all of them produce identical bits on every platform that has them.
-    """
-    uids = np.asarray(uids, dtype=np.uint64)
-    n = uids.shape[0]
-    workers = max(1, int(n_workers))
-    if workers == 1 or n < 2:
-        from ..rng import WalkStreams
-
-        return run_walks(ctx, WalkStreams(seed, stream), uids)
-    with PersistentExecutor(
-        "process", workers, int(chunk_size or 0), mp_start_method=start_method
-    ) as executor:
-        key = executor.register(ctx, ("philox", seed, stream))
-        return executor.run(key, uids)

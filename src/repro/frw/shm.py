@@ -2,11 +2,10 @@
 
 The process backend needs every worker to see the big read-only context
 assets — the cube transition table and the spatial index's geometry SoA,
-CSR arrays and tier-1 bounds.  Historically they travelled by fork
-inheritance, which forced a pool restart per registration wave and tied
-the backend to POSIX ``fork``.  This module replaces that with an
-explicit, spawn-safe protocol in which the *asset*, not the context, is
-the unit of publication:
+CSR arrays and tier-1 bounds.  This module is the only way they reach
+the workers: an explicit, spawn-safe protocol in which the *asset*, not
+the context, is the unit of publication, so the pool never restarts when
+a context registers and every start method works:
 
 * :func:`publish_context` copies each master-independent asset (the
   spatial index, the cube table) into its own

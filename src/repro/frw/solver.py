@@ -45,9 +45,9 @@ from ..reliability import PropertyReport, check_properties, regularize
 from .alg1_baseline import extract_row_alg1
 from .alg2_reproducible import RunStats, extract_row_alg2
 from .context import ExtractionContext, SharedAssets, build_context
-from .cross_master import extract_rows_interleaved, resolve_wave
+from .cross_master import extract_rows_interleaved
 from .estimator import CapacitanceRow
-from .parallel import PersistentExecutor, resolve_workers, stream_spec
+from .parallel import PersistentExecutor, resolve_workers
 
 
 @dataclass
@@ -225,7 +225,6 @@ class FRWSolver:
                 cfg.n_workers,
                 cfg.chunk_size,
                 mp_start_method=cfg.mp_start_method,
-                shared_context=cfg.shared_context,
             )
         return self._executor
 
@@ -269,40 +268,25 @@ class FRWSolver:
         thread_overrides: dict[int, int] | None,
     ) -> tuple[list[CapacitanceRow], list[RunStats]]:
         """The historical master-after-master loop (alg1, opted-out
-        interleaving).  Contexts for the process backend are registered
-        lazily in waves, so a small master subset of a large structure
-        builds and ships only its own contexts."""
+        interleaving).  Each master's context is built — and, on the
+        process backend, published by its batch runner — only when that
+        master runs, so a small master subset of a large structure builds
+        and ships only its own contexts."""
         overrides = thread_overrides or {}
-        wave = resolve_wave(
-            self.config.register_wave,
-            executor.n_workers if executor is not None else 1,
-        )
         rows: list[CapacitanceRow] = []
         stats: list[RunStats] = []
-        for start in range(0, len(masters), wave):
-            chunk = masters[start : start + wave]
-            if executor is not None and executor.backend == "process":
-                # One registration burst per wave.  On the shared-memory
-                # plane this publishes the wave's blocks up front (workers
-                # attach lazily; the pool keeps running); on the legacy
-                # fork-inheritance path the pool restarts once per wave,
-                # shipping the whole wave's contexts together.
-                for master in chunk:
-                    executor.register(
-                        self.context(master), stream_spec(self.config, master)
-                    )
-            for master in chunk:
-                cfg = self.config
-                t = overrides.get(master)
-                if t is not None and t != cfg.n_threads:
-                    cfg = cfg.with_(n_threads=max(1, t))
-                ctx = self.context(master)
-                if cfg.variant == "alg1":
-                    row, stat = extract_row_alg1(ctx, cfg)
-                else:
-                    row, stat = extract_row_alg2(ctx, cfg, executor=executor)
-                rows.append(row)
-                stats.append(stat)
+        for master in masters:
+            cfg = self.config
+            t = overrides.get(master)
+            if t is not None and t != cfg.n_threads:
+                cfg = cfg.with_(n_threads=max(1, t))
+            ctx = self.context(master)
+            if cfg.variant == "alg1":
+                row, stat = extract_row_alg1(ctx, cfg)
+            else:
+                row, stat = extract_row_alg2(ctx, cfg, executor=executor)
+            rows.append(row)
+            stats.append(stat)
         return rows, stats
 
     def extract(

@@ -435,14 +435,14 @@ _ANTI_BASE = dict(
 
 @pytest.fixture(scope="module")
 def anti_reference(plates):
-    cfg = FRWConfig.frw_r(**_ANTI_BASE, executor="serial", pipeline=False)
+    cfg = FRWConfig.frw_r(**_ANTI_BASE, executor="serial", pipeline_lookahead=0)
     return extract_row_alg2(build_context(plates, 0, cfg))
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(executor="serial", pipeline=True),
+        dict(executor="serial"),
         dict(executor="thread", n_workers=1),
         dict(executor="thread", n_workers=2),
         dict(executor="thread", n_workers=4),
@@ -472,7 +472,7 @@ def test_antithetic_on_bitwise_across_backends(plates, anti_reference, kwargs):
 @pytest.mark.parametrize("group,depth", [(4, 1), (2, 2), (8, 3)])
 def test_antithetic_group_depth_bitwise(plates, group, depth):
     base = dict(_ANTI_BASE, antithetic_group=group, antithetic_depth=depth)
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
+    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline_lookahead=0)
     ref_row, _ = extract_row_alg2(build_context(plates, 0, ref_cfg))
     cfg = FRWConfig.frw_r(**base, executor="thread", n_workers=2)
     row, _ = extract_row_alg2(build_context(plates, 0, cfg))

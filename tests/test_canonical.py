@@ -62,15 +62,12 @@ ALT_ENGINE_VALUES = {
     "n_workers": 3,
     "chunk_size": 17,
     "mp_start_method": "spawn",
-    "shared_context": False,
-    "pipeline": False,
     "pipeline_lookahead": 3,
     "rng_prefetch_depth": 2,
     "interleave_masters": False,
     "allocation": "variance",
     "allocation_hysteresis": 0.5,
     "max_inflight_batches": 7,
-    "register_wave": 3,
     "far_field": False,
     "sanitize": True,
 }

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import build_context, extract_row_alg2
+from repro.frw import build_context, cross_master, extract_row_alg2
 from repro.frw.scheduler import (
     allocate_quota,
     reweight_needed,
@@ -35,7 +35,8 @@ BASE = dict(
 def golden_rows(three_wires):
     """Pre-PR reference: serial per-master extraction (plain engine)."""
     cfg = FRWConfig.frw_r(
-        **BASE, executor="serial", pipeline=False, interleave_masters=False
+        **BASE, executor="serial", pipeline_lookahead=0,
+        interleave_masters=False,
     )
     return [
         extract_row_alg2(build_context(three_wires, m, cfg))
@@ -85,11 +86,10 @@ def test_interleave_opt_out_bitwise(three_wires, golden_rows):
     _assert_rows_match(result, golden_rows)
 
 
-def test_register_wave_bitwise(three_wires, golden_rows):
+def test_register_wave_bitwise(three_wires, golden_rows, monkeypatch):
     """Waved admission (one master at a time) changes only the schedule."""
-    cfg = FRWConfig.frw_r(
-        **BASE, executor="process", n_workers=2, register_wave=1
-    )
+    monkeypatch.setattr(cross_master, "resolve_wave", lambda n_workers: 1)
+    cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
     _assert_rows_match(result, golden_rows)

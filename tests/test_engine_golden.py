@@ -7,7 +7,8 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
 
 * the plain batch engine (``run_walks``),
 * the refill pipeline (``run_walks_pipelined``), pipelined and not,
-* thread-parallel chunked execution for ``n_workers`` in {1, 2, 4},
+* thread-parallel chunked execution on a ``PersistentExecutor`` for
+  ``n_workers`` in {1, 2, 4},
 * process-parallel execution over the shared-memory context plane, both
   ``fork`` and ``spawn`` start methods (spawn workers inherit nothing, so
   byte-equality proves the manifest protocol is complete).
@@ -25,8 +26,13 @@ import pytest
 
 import repro.frw.engine as engine_mod
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
-from repro.frw import build_context, run_walks, run_walks_pipelined
-from repro.frw.parallel import run_walks_parallel, run_walks_processes
+from repro.frw import (
+    PersistentExecutor,
+    build_context,
+    run_walks,
+    run_walks_pipelined,
+    stream_spec,
+)
 from repro.lint.sanitizer import forbid_global_rng
 from repro.rng import WalkStreams
 
@@ -161,20 +167,21 @@ def test_prefetch_ring_matches_golden(golden_case, prefetch):
     _check(case, res)
 
 
+def _executor_run(ctx, uids, backend, n_workers, **kwargs):
+    with PersistentExecutor(backend, n_workers, **kwargs) as ex:
+        return ex.run(ex.register(ctx, stream_spec(ctx.config, 0)), uids)
+
+
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_thread_parallel_matches_golden(golden_case, n_workers):
     case, ctx, uids = golden_case
-    res = run_walks_parallel(
-        ctx, lambda: WalkStreams(SEED, 0), uids, n_workers=n_workers
-    )
-    _check(case, res)
+    _check(case, _executor_run(ctx, uids, "thread", n_workers))
 
 
 @pytest.mark.parametrize("n_workers", [2, 4])
 def test_process_parallel_matches_golden(golden_case, n_workers):
     case, ctx, uids = golden_case
-    res = run_walks_processes(ctx, SEED, 0, uids, n_workers=n_workers)
-    _check(case, res)
+    _check(case, _executor_run(ctx, uids, "process", n_workers))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -182,8 +189,8 @@ def test_spawn_parallel_matches_golden(golden_case, n_workers):
     """Spawn workers inherit nothing: the golden bytes coming back prove
     the shared-memory manifest protocol carries the whole context."""
     case, ctx, uids = golden_case
-    res = run_walks_processes(
-        ctx, SEED, 0, uids, n_workers=n_workers, start_method="spawn"
+    res = _executor_run(
+        ctx, uids, "process", n_workers, mp_start_method="spawn"
     )
     _check(case, res)
 

@@ -1,19 +1,32 @@
-"""Tests for the real thread-pool walk executor."""
+"""Tests for the real thread/process walk executors and batch runners."""
 
 import numpy as np
+import pytest
 
 from repro import FRWConfig
-from repro.frw import build_context, run_walks, run_walks_parallel
+from repro.frw import (
+    PersistentExecutor,
+    build_context,
+    extract_row_alg2,
+    make_batch_runner,
+    run_walks,
+    stream_spec,
+)
+from repro.frw.solver import FRWSolver
 from repro.rng import WalkStreams
+
+
+def _run_once(backend, ctx, uids, n_workers, chunk_size=0):
+    """One batch on a fresh executor, closed on return."""
+    with PersistentExecutor(backend, n_workers, chunk_size) as ex:
+        return ex.run(ex.register(ctx, stream_spec(ctx.config, 0)), uids)
 
 
 def test_parallel_matches_serial_bitwise(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(2000, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    parallel = run_walks_parallel(
-        ctx, lambda: WalkStreams(77, 0), uids, n_workers=4
-    )
+    parallel = _run_once("thread", ctx, uids, n_workers=4)
     assert np.array_equal(serial.omega, parallel.omega)
     assert np.array_equal(serial.dest, parallel.dest)
     assert np.array_equal(serial.steps, parallel.steps)
@@ -23,8 +36,8 @@ def test_parallel_matches_serial_bitwise(plates):
 def test_parallel_chunk_size_irrelevant(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(501, dtype=np.uint64)  # odd size: ragged chunks
-    a = run_walks_parallel(ctx, lambda: WalkStreams(77, 0), uids, 3, chunk_size=64)
-    b = run_walks_parallel(ctx, lambda: WalkStreams(77, 0), uids, 2, chunk_size=200)
+    a = _run_once("thread", ctx, uids, 3, chunk_size=64)
+    b = _run_once("thread", ctx, uids, 2, chunk_size=200)
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.dest, b.dest)
 
@@ -32,29 +45,25 @@ def test_parallel_chunk_size_irrelevant(plates):
 def test_single_worker_shortcut(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(100, dtype=np.uint64)
-    res = run_walks_parallel(ctx, lambda: WalkStreams(77, 0), uids, 1)
+    res = _run_once("thread", ctx, uids, 1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
 
 
 def test_process_pool_matches_serial(plates):
     """The distributed-memory backend: bit-identical to the serial engine."""
-    from repro.frw import run_walks_processes
-
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    procs = run_walks_processes(ctx, 77, 0, uids, n_workers=2, chunk_size=150)
+    procs = _run_once("process", ctx, uids, n_workers=2, chunk_size=150)
     assert np.array_equal(serial.omega, procs.omega)
     assert np.array_equal(serial.dest, procs.dest)
 
 
 def test_process_pool_single_worker_shortcut(plates):
-    from repro.frw import run_walks_processes
-
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(50, dtype=np.uint64)
-    res = run_walks_processes(ctx, 77, 0, uids, n_workers=1)
+    res = _run_once("process", ctx, uids, n_workers=1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
 
@@ -62,15 +71,6 @@ def test_process_pool_single_worker_shortcut(plates):
 # ----------------------------------------------------------------------
 # Persistent executors and batch runners
 # ----------------------------------------------------------------------
-import pytest
-
-from repro.frw import (
-    PersistentExecutor,
-    extract_row_alg2,
-    make_batch_runner,
-    stream_spec,
-)
-from repro.frw.solver import FRWSolver
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -122,12 +122,12 @@ def test_executor_close_idempotent():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(executor="serial", pipeline=True),
-        dict(executor="serial", pipeline=True, pipeline_lookahead=3),
+        dict(executor="serial"),
+        dict(executor="serial", pipeline_lookahead=3),
         dict(executor="thread", n_workers=1),
         dict(executor="thread", n_workers=2),
         dict(executor="thread", n_workers=4),
-        dict(executor="thread", n_workers=2, pipeline=False),
+        dict(executor="thread", n_workers=2, pipeline_lookahead=0),
         dict(executor="thread", n_workers=2, chunk_size=77),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
@@ -141,7 +141,7 @@ def test_extract_row_backends_bitwise(plates, kwargs):
         seed=13, n_threads=4, batch_size=256, min_walks=512,
         max_walks=1024, tolerance=1e-6,
     )
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
+    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline_lookahead=0)
     ref_row, ref_stats = extract_row_alg2(build_context(plates, 0, ref_cfg))
     cfg = FRWConfig.frw_r(**base, **kwargs)
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
@@ -177,16 +177,13 @@ def test_solver_serial_config_has_no_executor(plates):
 def test_make_batch_runner_serial_fallback(plates):
     """executor='thread' with one worker degrades to the in-process path,
     so the default config is safe on single-core hosts."""
-    from repro.frw.parallel import PipelinedBatchRunner, SerialBatchRunner
+    from repro.frw.parallel import PipelinedBatchRunner
 
     cfg = FRWConfig.frw_r(executor="thread", n_workers=1)
     ctx = build_context(plates, 0, cfg)
     runner, owned = make_batch_runner(ctx, cfg)
     assert owned is None
     assert isinstance(runner, PipelinedBatchRunner)
-    runner2, owned2 = make_batch_runner(ctx, cfg.with_(pipeline=False))
-    assert isinstance(runner2, SerialBatchRunner)
-    assert owned2 is None
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +221,6 @@ def test_second_wave_registration_keeps_pool(plates):
     pool: the worker PID set is unchanged across registration waves."""
     cfg = FRWConfig.frw_r(seed=5)
     with PersistentExecutor("process", n_workers=2, chunk_size=128) as ex:
-        assert not ex.restarts_on_register
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
@@ -242,23 +238,6 @@ def test_second_wave_registration_keeps_pool(plates):
         assert np.array_equal(
             run_walks(ctx1, WalkStreams(5, 1), uids).omega, res1.omega
         )
-
-
-def test_legacy_fork_inheritance_still_bitwise(plates):
-    """shared_context=False keeps the historical fork-inheritance
-    protocol working (and restarting on registration)."""
-    cfg = FRWConfig.frw_r(seed=77)
-    ctx = build_context(plates, 0, cfg)
-    uids = np.arange(400, dtype=np.uint64)
-    serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(
-        "process", n_workers=2, chunk_size=128, shared_context=False
-    ) as ex:
-        assert ex.restarts_on_register
-        key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
-    assert np.array_equal(serial.omega, res.omega)
-    assert np.array_equal(serial.dest, res.dest)
 
 
 def test_executor_dispatch_telemetry(plates):
@@ -349,14 +328,31 @@ def test_solver_releases_shared_blocks(plates):
     assert shm.published_blocks() == []  # context-manager exit unlinked
 
 
-def test_spawn_requires_shared_context():
+def test_closed_executor_rejects_work(plates):
+    """A closed executor raises instead of re-creating its pool or
+    publishing blocks that no later close() would reclaim."""
+    cfg = FRWConfig.frw_r(seed=77)
+    ctx0 = build_context(plates, 0, cfg)
+    ctx1 = build_context(plates, 1, cfg)
+    uids = np.arange(200, dtype=np.uint64)
+    ex = PersistentExecutor("process", n_workers=2)
+    key = ex.register(ctx0, stream_spec(cfg, 0))
+    ex.run(key, uids)
+    ex.close()
+    blocks = shm.published_blocks()
     with pytest.raises(ConfigError):
-        PersistentExecutor(
-            "process", n_workers=2,
-            mp_start_method="spawn", shared_context=False,
-        )
+        ex.register(ctx1, stream_spec(cfg, 1))
     with pytest.raises(ConfigError):
-        FRWConfig.frw_r(mp_start_method="spawn", shared_context=False)
+        ex.run(key, uids)
+    with pytest.raises(ConfigError):
+        ex.run_async(key, uids)
+    with pytest.raises(ConfigError):
+        ex.submit(len, ())
+    with pytest.raises(ConfigError):
+        ex.worker_stats()
+    ex.close()
+    assert shm.published_blocks() == blocks
+    assert ex._process_pool is None
 
 
 def test_resolve_start_method():
@@ -393,13 +389,12 @@ def test_pipelined_process_runner_bitwise(plates):
         seed=13, n_threads=4, batch_size=256, min_walks=512,
         max_walks=1024, tolerance=1e-6,
     )
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
+    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline_lookahead=0)
     ref_row, ref_stats = extract_row_alg2(build_context(plates, 0, ref_cfg))
     for kwargs in (
-        dict(executor="process", n_workers=2, pipeline=True),
-        dict(executor="process", n_workers=2, pipeline=True,
-             pipeline_lookahead=3),
-        dict(executor="process", n_workers=2, pipeline=False),
+        dict(executor="process", n_workers=2),
+        dict(executor="process", n_workers=2, pipeline_lookahead=3),
+        dict(executor="process", n_workers=2, pipeline_lookahead=0),
     ):
         cfg = FRWConfig.frw_r(**base, **kwargs)
         row, stats = extract_row_alg2(build_context(plates, 0, cfg))
@@ -414,7 +409,7 @@ def test_pipelined_runner_counts_speculation(plates):
     runner must surface them so the telemetry stays honest."""
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=128, min_walks=256, max_walks=256,
-        executor="process", n_workers=2, pipeline=True, pipeline_lookahead=2,
+        executor="process", n_workers=2, pipeline_lookahead=2,
     )
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
     assert stats.dispatched_batches == stats.batches + stats.discarded_batches

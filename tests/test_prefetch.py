@@ -176,7 +176,7 @@ _BASE = dict(
 )
 
 _BACKENDS = [
-    dict(executor="serial", pipeline=True),
+    dict(executor="serial"),
     dict(executor="thread", n_workers=1),
     dict(executor="thread", n_workers=2),
     dict(executor="thread", n_workers=4),
@@ -206,7 +206,7 @@ def prefetch_reference(plates):
     """Depth-1 serial extraction: the no-ring baseline every (depth,
     backend, workers) combination must reproduce byte for byte."""
     return _extract(plates, rng_prefetch_depth=1, executor="serial",
-                    pipeline=False)
+                    pipeline_lookahead=0)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4, 8])
@@ -223,14 +223,14 @@ def test_rows_bitwise_across_depth_and_backends(
 @pytest.fixture(scope="module")
 def prefetch_anti_reference(plates):
     return _extract(plates, rng_prefetch_depth=1, executor="serial",
-                    pipeline=False, antithetic=True)
+                    pipeline_lookahead=0, antithetic=True)
 
 
 @pytest.mark.parametrize("depth", [2, 4, 8])
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(executor="serial", pipeline=True),
+        dict(executor="serial"),
         dict(executor="thread", n_workers=2),
         dict(executor="thread", n_workers=4),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),

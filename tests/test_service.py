@@ -334,6 +334,14 @@ class TestMemoization:
             with pytest.raises(ConfigError):
                 service.submit({"structure": structure, "priority": "vip"})
 
+    def test_removed_config_field_is_unknown(self):
+        """A retired engine knob is rejected as an unknown field (a typed
+        ConfigError naming it), never passed on to FRWConfig."""
+        config = {**BASE_CONFIG, "pipeline": True}
+        with ExtractionService(ServiceSettings(slots=1)) as service:
+            with pytest.raises(ConfigError, match=r"unknown config field\(s\): pipeline"):
+                service.submit(request_for(small_structure(), config=config))
+
     def test_submit_after_close_raises(self):
         service = ExtractionService(ServiceSettings(slots=1))
         service.close()
@@ -494,3 +502,11 @@ class TestHTTP:
         )
         assert status == 400
         assert b"error" in body
+
+    def test_removed_config_field_is_400(self, live_server):
+        config = {**BASE_CONFIG, "pipeline": True}
+        status, body = live_server._request(
+            "POST", "/extract", request_for(small_structure(), config=config)
+        )
+        assert status == 400
+        assert "unknown config field(s): pipeline" in json.loads(body)["error"]
