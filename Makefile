@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint lint-baseline bench bench-service bench-suite bench-micro examples experiments experiments-quick clean
+.PHONY: install test lint bench-suite bench-micro examples experiments experiments-quick clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -11,30 +11,10 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Determinism & cache-soundness static analysis, det-lint v2: per-file
-# rules + whole-program passes, gated by the committed lint-baseline.json
-# (see docs/STATIC_ANALYSIS.md).  Also emits the SARIF artifact CI uploads.
+# rules + whole-program passes; every unsuppressed finding fails (see
+# docs/STATIC_ANALYSIS.md).  Also emits the SARIF artifact CI uploads.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint --sarif det-lint.sarif src tests benchmarks
-
-# Deliberately regenerate the committed baseline of accepted findings.
-# Run this only when a finding has been reviewed and consciously accepted
-# (or paid down) — never to make CI green.
-lint-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro.lint --write-baseline src tests benchmarks
-
-# Append a fresh entry to both benchmark trajectories (BENCH_engine.json,
-# BENCH_extract.json): engine stage breakdown (seconds + dispatch counts,
-# incl. the open_field_prefetch1 RNG-prefetch A/B baseline) + far-field
-# hit rates, and the cross-master schedule comparison.
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine.py
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_extract.py
-
-# Append a fresh entry to the memoized-service trajectory
-# (BENCH_service.json): load p50/p99/rps + cache hit rate + the
-# interactive-vs-bulk fairness percentiles.
-bench-service:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py
 
 # Time-to-tolerance benchmark (benchmarks/suite, BENCHMARK.json): every
 # workload in both modes (end-to-end metrics, then per-layer with --trace 1),

@@ -23,7 +23,6 @@ VARIANTS = ("alg1", "frw-nk", "frw-nc", "frw-r", "frw-rr")
 RNG_KINDS = ("philox", "mt")
 SUMMATION_KINDS = ("kahan", "naive")
 EXECUTOR_KINDS = ("serial", "thread", "process")
-ALLOCATION_KINDS = ("even", "variance")
 MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
 
 #: Config fields that determine the extracted bits.  Two extractions of the
@@ -76,24 +75,18 @@ RESULT_FIELDS = (
 #: fails CI.  Justifications, by group — backend placement (``executor``,
 #: ``n_workers``, ``chunk_size``, ``mp_start_method``: UID-ordered
 #: reassembly makes worker layout invisible), scheduling
-#: (``pipeline_lookahead``, ``rng_prefetch_depth``, ``interleave_masters``,
-#: ``allocation``, ``allocation_hysteresis``, ``max_inflight_batches``:
-#: walk draws are a pure function of (seed, uid, step), so issue order
-#: cannot reach a bit),
-#: query fast path (``far_field``: conservative bounds return exactly the
-#: brute-force answer), and guards (``sanitize``: raises or no-ops).
+#: (``pipeline_lookahead``: walk draws are a pure function of
+#: (seed, uid, step), so issue order cannot reach a bit), and guards
+#: (``sanitize``: raises or no-ops).  Cross-master interleaving, the even
+#: in-flight quota, the far-field index tier and the RNG prefetch depth
+#: are fixed behaviour, not fields: each is bit-invisible and won its
+#: suite A/B (docs/PERFORMANCE.md).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
     "chunk_size",
     "mp_start_method",
     "pipeline_lookahead",
-    "rng_prefetch_depth",
-    "interleave_masters",
-    "allocation",
-    "allocation_hysteresis",
-    "max_inflight_batches",
-    "far_field",
     "sanitize",
 )
 
@@ -194,58 +187,6 @@ class FRWConfig:
         each batch before the next one starts.  Deeper lookahead discards
         more work when the stopping rule fires; results are banked per
         batch and bit-identical at every depth.
-    rng_prefetch_depth:
-        Steps of RNG prefetched per fused Philox pass (1-16, default 8).
-        The engine keeps a ring buffer of draws for the next
-        ``rng_prefetch_depth`` steps of every live walk and refills it
-        with one span kernel instead of one draw kernel per step, cutting
-        the rng stage's Python-dispatch count by up to that factor.
-        Because draws are pure functions of ``(seed, uid, step, slot)``,
-        prefetching is bit-invisible: results are byte-identical for
-        every depth, backend, worker count, and start method, antithetic
-        on or off.  The engine fuses adaptively — wide vectors whose span
-        lattice would fall out of cache take the per-step path (see
-        PERFORMANCE.md layer 8) — so oversizing the depth wastes only
-        ring memory (``24 * depth`` bytes per arena slot).  1 disables
-        prefetching; the stateful MT ablation streams cannot seek, so
-        they always run as if 1.
-    interleave_masters:
-        Multi-master extraction submits batches from *all* masters into
-        the one executor as a single interleaved stream (the cross-master
-        scheduler), so one master's convergence never idles workers while
-        another still needs walks.  Each master keeps its own UID stream,
-        batch order, and checkpoints, so every row is bit-identical to the
-        serial per-master extraction — interleaving trades wall time only.
-        Ignored for single-master calls and the ``alg1`` variant.
-    allocation:
-        Cross-master in-flight quota policy: ``"even"`` gives every
-        unconverged master the same speculative batch depth; ``"variance"``
-        reweights the quota toward the least-converged masters (relative
-        half-width vs. tolerance), with hysteresis — quotas are recomputed
-        only when the weight vector moves by more than
-        ``allocation_hysteresis`` or the live set changes.  Allocation
-        decides only *which* batches are in flight, never their contents,
-        so rows are bit-identical under either policy.  Default ``"even"``:
-        on balanced master sets the variance feedback loop tends to thrash
-        quotas without converging faster (see BENCH_extract.json); prefer
-        ``"variance"`` only for strongly heterogeneous masters.
-    allocation_hysteresis:
-        Relative L-inf movement of the normalised variance weight vector
-        required before quotas are recomputed (``"variance"`` policy only;
-        0 reweights every round).
-    far_field:
-        Spatial-index fast path: precompute per-grid-cell distance
-        bounds so points in cells provably farther than the cap from every
-        conductor answer ``(h_cap, -1)`` without touching candidate lists,
-        and prune candidates that can never win.  Results are
-        bit-identical with the flag off; disable only to A/B the cost of
-        the bounds arrays on dense structures with no open space.  The
-        grid's resolution is derived from the structure (see
-        :class:`~repro.geometry.GridIndex`).
-    max_inflight_batches:
-        Total cross-master in-flight batch cap (0 = auto: enough to cover
-        the executor width with a margin).  Bounds the walk work thrown
-        away when stopping rules fire while speculative batches run.
     antithetic:
         Generalized antithetic sampling (variance reduction): walk UIDs
         are grouped in aligned blocks of ``antithetic_group`` consecutive
@@ -317,12 +258,6 @@ class FRWConfig:
     chunk_size: int = 0
     mp_start_method: str = "auto"
     pipeline_lookahead: int = 1
-    rng_prefetch_depth: int = 8
-    interleave_masters: bool = True
-    allocation: str = "even"
-    allocation_hysteresis: float = 0.25
-    max_inflight_batches: int = 0
-    far_field: bool = True
     antithetic: bool = False
     antithetic_group: int = 2
     antithetic_depth: int = 1
@@ -410,26 +345,6 @@ class FRWConfig:
         if self.pipeline_lookahead < 0:
             raise ConfigError(
                 f"pipeline_lookahead must be >= 0, got {self.pipeline_lookahead}"
-            )
-        if not (1 <= self.rng_prefetch_depth <= 16):
-            raise ConfigError(
-                f"rng_prefetch_depth must be in [1, 16], got "
-                f"{self.rng_prefetch_depth}"
-            )
-        if self.allocation not in ALLOCATION_KINDS:
-            raise ConfigError(
-                f"allocation must be one of {ALLOCATION_KINDS}, got "
-                f"{self.allocation!r}"
-            )
-        if self.max_inflight_batches < 0:
-            raise ConfigError(
-                f"max_inflight_batches must be >= 0, got "
-                f"{self.max_inflight_batches}"
-            )
-        if not (0.0 <= self.allocation_hysteresis <= 1.0):
-            raise ConfigError(
-                f"allocation_hysteresis must be in [0, 1], got "
-                f"{self.allocation_hysteresis}"
             )
         if not (2 <= self.antithetic_group <= 8):
             raise ConfigError(

@@ -46,7 +46,6 @@ from .scheduler import (
     jittered_durations,
     simulate_dynamic_queue,
     simulate_static_blocks,
-    variance_weights,
 )
 from .solver import ExtractionResult, FRWSolver, assemble_result, extract
 from .walk import WalkTrace, run_single_walk, trace_walks
@@ -101,5 +100,4 @@ __all__ = [
     "stream_spec",
     "streams_from_spec",
     "trace_walks",
-    "variance_weights",
 ]

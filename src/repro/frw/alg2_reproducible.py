@@ -132,11 +132,6 @@ class RowProgress:
         self.done = False
         self._t_start = time.perf_counter()
 
-    @property
-    def self_relative_error(self) -> float:
-        """Current relative half-width of the diagonal entry."""
-        return self.acc.self_relative_error
-
     def absorb(self, results) -> bool:
         """Accumulate one batch (in batch order) and run the checkpoint.
 

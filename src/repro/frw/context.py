@@ -18,7 +18,6 @@ import numpy as np
 from ..config import FRWConfig
 from ..errors import GaussianSurfaceError
 from ..geometry import (
-    BruteForceIndex,
     GaussianSurface,
     GridIndex,
     Structure,
@@ -72,7 +71,7 @@ class ExtractionContext:
     master: int
     config: FRWConfig
     surface: GaussianSurface
-    index: BruteForceIndex | GridIndex
+    index: GridIndex
     table: CubeTransitionTable
     h_cap: float
     absorb_tol: float
@@ -109,9 +108,9 @@ class SharedAssets:
     """Master-independent context assets for one structure.
 
     Owned by the solver (one per :class:`~repro.frw.solver.FRWSolver`):
-    the spatial index is cached by ``h_cap`` (plus the far-field flag) in
-    an LRU bounded by ``max_indexes`` — eviction is bit-invisible because
-    an index is a pure function of ``(structure, key)`` — and the cube
+    the spatial index is cached by ``h_cap`` in an LRU bounded by
+    ``max_indexes`` — eviction is bit-invisible because an index is a pure
+    function of ``(structure, h_cap)`` — and the cube
     transition table comes from the one process-wide memo,
     :func:`~repro.greens.get_cube_table`, so an N-master extraction builds
     each exactly once.  The counters feed the scheduler telemetry
@@ -126,27 +125,22 @@ class SharedAssets:
             raise ValueError(f"max_indexes must be >= 1, got {max_indexes}")
         self.structure = structure
         self.max_indexes = int(max_indexes)
-        self._indexes: OrderedDict[tuple, BruteForceIndex | GridIndex] = (
-            OrderedDict()
-        )
+        self._indexes: OrderedDict[float, GridIndex] = OrderedDict()
         self.index_builds = 0
         self.index_hits = 0
         self.index_evictions = 0
         self.table_builds = 0
 
-    def index(
-        self, h_cap: float, far_field: bool = True
-    ) -> BruteForceIndex | GridIndex:
-        """The structure's spatial index for ``h_cap`` and the far-field
-        flag (built once per distinct key).  Sharing one index — its CSR
-        lists *and* its cell bounds arrays — means the far-field
-        precompute happens once per extraction, never per master, and
-        process workers attach the one published copy instead of
-        rebuilding it."""
-        key = (float(h_cap), bool(far_field))
+    def index(self, h_cap: float) -> GridIndex:
+        """The structure's spatial index for ``h_cap`` (built once per
+        distinct cap).  Sharing one index — its CSR lists *and* its cell
+        bounds arrays — means the far-field precompute happens once per
+        extraction, never per master, and process workers attach the one
+        published copy instead of rebuilding it."""
+        key = float(h_cap)
         index = self._indexes.get(key)
         if index is None:
-            index = build_index(self.structure, h_cap=key[0], far_field=far_field)
+            index = build_index(self.structure, h_cap=key)
             self._indexes[key] = index
             self.index_builds += 1
             while len(self._indexes) > self.max_indexes:
@@ -159,17 +153,13 @@ class SharedAssets:
 
     def query_stats(self) -> dict | None:
         """Aggregated :class:`~repro.geometry.QueryStats` over the cached
-        grid indexes, or ``None`` when only brute-force indexes exist."""
+        indexes, or ``None`` when none has been built."""
         from ..geometry import QueryStats
 
         merged = QueryStats()
-        seen = False
-        for _key, index in sorted(self._indexes.items()):
-            stats = getattr(index, "stats", None)
-            if stats is not None:
-                merged.merge(stats)
-                seen = True
-        return merged.as_dict() if seen else None
+        for key in sorted(self._indexes):
+            merged.merge(self._indexes[key].stats)
+        return merged.as_dict() if self._indexes else None
 
     def table(self, resolution: int) -> CubeTransitionTable:
         """The cube transition table at ``resolution``.  ``table_builds``
@@ -215,9 +205,9 @@ def build_context(
     enc = structure.enclosure
     h_cap = config.h_cap_fraction * min(enc.sizes)
     if assets is not None:
-        index = assets.index(h_cap, far_field=config.far_field)
+        index = assets.index(h_cap)
     else:
-        index = build_index(structure, h_cap=h_cap, far_field=config.far_field)
+        index = build_index(structure, h_cap=h_cap)
     absorb_tol = config.absorption_fraction * surface.delta
     # Fail early only on the degenerate configuration: a *horizontal*
     # Gaussian patch coplanar (within the absorption tolerance) with a

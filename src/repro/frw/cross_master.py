@@ -16,17 +16,16 @@ module interleaves *all* masters' batch streams over the one
   and reassembled in UID order when live masters run short of workers —
   so the pool only goes idle when *every* unconverged master's next
   batch is in flight;
-* **variance-guided allocation** reweights each master's in-flight batch
-  quota toward the least-converged masters after every checkpoint round
-  (:func:`~repro.frw.scheduler.variance_weights`), cutting the speculative
-  work thrown away when a nearly-converged master stops.
+* the in-flight budget ``max(live masters, 2 * workers)`` is split evenly
+  over the live masters (:func:`~repro.frw.scheduler.allocate_quota`)
+  after every checkpoint round.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
-batch order through ``RowProgress``), and allocation only decides *which*
+batch order through ``RowProgress``), and the quota only decides *which*
 speculative batches are in flight — never their contents.  Every row is
-therefore bit-identical to the serial per-master extraction, at any
-backend, worker count, or allocation policy.
+therefore bit-identical to the serial per-master extraction
+(``FRWSolver.extract_row``), at any backend or worker count.
 
 Large master sets are admitted in *waves* of :func:`resolve_wave`
 masters: a master's context is built — and, on the process backend,
@@ -52,7 +51,7 @@ from .parallel import (
     make_batch_runner,
     stream_spec,
 )
-from .scheduler import allocate_quota, reweight_needed, variance_weights
+from .scheduler import allocate_quota
 
 
 class _MasterRun:
@@ -191,11 +190,6 @@ def extract_rows_interleaved(
             )
 
     activate_wave()
-    # Hysteresis state of the variance policy: the weight vector and quota
-    # split of the last recomputation, plus the live set it applied to.
-    last_weights: np.ndarray | None = None
-    last_quotas: np.ndarray | None = None
-    last_live: tuple[int, ...] = ()
     while True:
         live = [st for st in active if not st.done]
         if not live:
@@ -210,27 +204,8 @@ def extract_rows_interleaved(
             # so one (never-computed-until-harvest) batch per master.
             quotas = np.ones(len(live), dtype=np.int64)
         else:
-            total = config.max_inflight_batches
-            if total <= 0:
-                total = max(len(live), 2 * workers)
-            if config.allocation == "variance" and len(live) > 1:
-                weights = variance_weights(
-                    np.array(
-                        [st.progress.self_relative_error for st in live]
-                    ),
-                    config.tolerance,
-                )
-                live_ids = tuple(st.master for st in live)
-                if live_ids != last_live or reweight_needed(
-                    weights, last_weights, config.allocation_hysteresis
-                ):
-                    last_quotas = allocate_quota(weights, total, min_share=1)
-                    last_weights = weights
-                    last_live = live_ids
-                quotas = last_quotas
-            else:
-                weights = np.ones(len(live))
-                quotas = allocate_quota(weights, total, min_share=1)
+            total = max(len(live), 2 * workers)
+            quotas = allocate_quota(np.ones(len(live)), total, min_share=1)
         # Cross-master concurrency already fills the pool, so a batch
         # only splits when live masters are fewer than workers.
         max_chunks = -(-workers // len(live))

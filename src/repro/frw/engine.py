@@ -97,13 +97,19 @@ STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 #: the per-step path is faster).  Matches the span kernel's column tile.
 SPAN_FUSE_BUDGET = 16384
 
+#: Default RNG prefetch depth ``K`` (steps per fused span pass).  On
+#: ``open_field_tol`` depth 8 cuts rng dispatches 5297 -> 2142 against
+#: depth 1 (docs/PERFORMANCE.md layer 8); it is bit-invisible, so it is a
+#: constant rather than a config field.
+RNG_PREFETCH_DEPTH = 8
+
 
 @dataclass
 class StageTimers:
     """Accumulated wall time *and dispatch counts* of the engine's stages.
 
     ``rng`` — counter-stream draws (with the prefetch ring, one fused span
-    pass covers ``rng_prefetch_depth`` steps, so its dispatch count drops by
+    pass covers ``RNG_PREFETCH_DEPTH`` steps, so its dispatch count drops by
     ~that factor while ``steps`` keeps counting every vector step);
     ``index_fast`` — the spatial index's tier-1 far-field split (cell
     lookup + bounds mask + capped scatter); ``index`` — the near-field
@@ -342,8 +348,8 @@ class WalkPipeline:
         per-slot cursor is simply ``(step_no[i], cursor)``.  Because
         draws are pure functions of ``(seed, uid, step, slot)``, results
         are bit-identical at every depth (prefetching can only compute
-        draws a retired walk never consumes).  ``None`` takes the depth
-        from ``ctx.config.rng_prefetch_depth``; depth 1 — or a stream
+        draws a retired walk never consumes).  ``None`` takes
+        :data:`RNG_PREFETCH_DEPTH`; depth 1 — or a stream
         provider without ``draws_span`` (the MT ablation) — keeps the
         per-step draw path.
     """
@@ -429,7 +435,7 @@ class WalkPipeline:
 
         # RNG prefetch ring (see the `prefetch` parameter docs).
         if prefetch is None:
-            prefetch = getattr(ctx.config, "rng_prefetch_depth", 1)
+            prefetch = RNG_PREFETCH_DEPTH
         span_fn = getattr(streams, "draws_span", None)
         self.prefetch = max(1, int(prefetch)) if span_fn is not None else 1
         if self.prefetch > 1:
@@ -990,9 +996,8 @@ def run_walks(
     timers:
         Optional :class:`StageTimers` accumulating per-stage wall time.
     prefetch:
-        RNG prefetch depth (``None`` = ``ctx.config.rng_prefetch_depth``);
-        see :class:`WalkPipeline`.  Bit-invisible — process workers reach
-        this through their shipped context's config.
+        RNG prefetch depth (``None`` = :data:`RNG_PREFETCH_DEPTH`); see
+        :class:`WalkPipeline`.  Bit-invisible.
 
     The slot arena is drawn from a thread-local workspace, so consecutive
     calls on one thread (executor chunk tasks, per-batch loops) reuse the
@@ -1032,7 +1037,8 @@ def run_walks_pipelined(
 
     Bit-identical to :func:`run_walks` on the same UIDs; only the schedule
     (and hence the throughput) differs.  ``prefetch`` selects the RNG
-    prefetch depth (``None`` = config default) — also bit-invisible.
+    prefetch depth (``None`` = :data:`RNG_PREFETCH_DEPTH`) — also
+    bit-invisible.
     """
     uids = np.asarray(uids, dtype=np.uint64)
     n = uids.shape[0]

@@ -171,6 +171,10 @@ def _reassemble(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
 # ----------------------------------------------------------------------
 _LOG = logging.getLogger(__name__)
 
+#: Upper bound on how long :meth:`PersistentExecutor.close` waits for
+#: dispatched process-pool chunks before terminating the pool.
+CLOSE_DRAIN_S = 30.0
+
 _WORKER_STREAMS: dict = {}
 
 
@@ -283,6 +287,8 @@ class PersistentExecutor:
         )
         self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool = None
+        # Dispatched process-pool chunks not yet known to be finished.
+        self._pending: list = []
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
@@ -393,6 +399,7 @@ class PersistentExecutor:
             for p in payloads
         )
         asyncs = [pool.apply_async(_shm_chunk, p) for p in payloads]
+        self._pending = [a for a in self._pending if not a.ready()] + asyncs
         return PendingBatch(uids, waiters=[a.get for a in asyncs])
 
     # ------------------------------------------------------------------
@@ -462,6 +469,15 @@ class PersistentExecutor:
             self._thread_pool.shutdown(wait=True)
             self._thread_pool = None
         if self._process_pool is not None:
+            # Let dispatched chunks (speculative batches nobody will gather)
+            # finish first.  A worker that terminate() kills while it sends
+            # a result never releases the pool's result-queue lock, and
+            # terminate() then deadlocks joining its task handler.  The wait
+            # is bounded, so a chunk lost with a dead worker cannot hang it.
+            deadline = time.monotonic() + CLOSE_DRAIN_S
+            for pending in self._pending:
+                pending.wait(max(0.0, deadline - time.monotonic()))
+            self._pending = []
             self._process_pool.terminate()
             self._process_pool.join()
             self._process_pool = None
@@ -520,7 +536,6 @@ class PipelinedBatchRunner:
         lookahead: int = 1,
         timers: StageTimers | None = None,
         group: int = 1,
-        prefetch: int | None = None,
     ):
         self._pipe = WalkPipeline(
             ctx,
@@ -530,7 +545,6 @@ class PipelinedBatchRunner:
             lookahead=lookahead,
             timers=timers,
             group=group,
-            prefetch=prefetch,
         )
 
     def run_batch(self, batch_index: int) -> WalkResults:
@@ -562,7 +576,6 @@ class ThreadedBatchRunner:
         lookahead: int = 1,
         timers: StageTimers | None = None,
         group: int = 1,
-        prefetch: int | None = None,
     ):
         self.batch_size = int(batch_size)
         self.executor = executor
@@ -586,7 +599,6 @@ class ThreadedBatchRunner:
                 lookahead=lookahead,
                 timers=tm,
                 group=max(1, int(group)),
-                prefetch=prefetch,
             )
             for (a, b), tm in zip(self._bounds, self._slot_timers)
         ]
@@ -694,11 +706,6 @@ def make_batch_runner(
     )
     spec = stream_spec(config, ctx.master)
     group = config.antithetic_group if config.antithetic else 1
-    # Threaded/serial runners get the prefetch depth explicitly; process
-    # workers rebuild their pipelines from the shipped context and inherit
-    # it from ``ctx.config.rng_prefetch_depth`` (prefetching is
-    # bit-invisible, so the knob never needs to cross the wire separately).
-    prefetch = config.rng_prefetch_depth
     if backend == "serial" or workers <= 1:
         runner = PipelinedBatchRunner(
             ctx,
@@ -707,7 +714,6 @@ def make_batch_runner(
             config.pipeline_lookahead,
             timers=timers,
             group=group,
-            prefetch=prefetch,
         )
         return runner, None
     owned = None
@@ -727,7 +733,6 @@ def make_batch_runner(
             lookahead=config.pipeline_lookahead,
             timers=timers,
             group=group,
-            prefetch=prefetch,
         )
     else:
         runner = ProcessBatchRunner(

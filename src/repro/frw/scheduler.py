@@ -105,61 +105,6 @@ def simulate_dynamic_queue(
     )
 
 
-def variance_weights(
-    rel_errors: np.ndarray, tolerance: float, cap: float = 32.0
-) -> np.ndarray:
-    """Quota weights from per-master convergence deficits.
-
-    A master's remaining walk demand scales like ``(rel_err / tol)^2``
-    (Monte-Carlo half-widths shrink as ``1/sqrt(M)``), so the weight is
-    that ratio squared, clamped to ``cap`` — masters with no estimate yet
-    (``inf`` half-width) weigh exactly ``cap``, converged masters weigh 0.
-    Deterministic: a pure function of the accumulated estimates.
-    """
-    rel = np.asarray(rel_errors, dtype=np.float64)
-    ratio = np.where(np.isfinite(rel), rel / max(tolerance, 1e-300), cap)
-    ratio = np.clip(ratio, 0.0, cap)
-    weights = ratio * ratio
-    weights[ratio <= 1.0] = 0.0
-    return weights
-
-
-def reweight_needed(
-    weights: np.ndarray,
-    previous: np.ndarray | None,
-    threshold: float,
-) -> bool:
-    """Whether the quota split should be recomputed for ``weights``.
-
-    Hysteresis for the variance policy: BENCH_extract.json showed the
-    per-round feedback loop *thrashing* quotas on balanced master sets —
-    half-width estimates wobble batch to batch, so quotas kept churning
-    (and in-flight work kept being re-targeted) without converging any
-    faster.  Quotas are now recomputed only when the *normalised* weight
-    vector moves by more than ``threshold`` in L-inf — i.e. some master's
-    share of the total demand changed by that fraction — which ignores the
-    uniform decay of all weights as every master converges.  Deterministic:
-    a pure function of the two weight vectors.
-
-    ``previous is None`` (first round) or a shape change (live set changed)
-    always reweights; ``threshold <= 0`` reweights every round.
-    """
-    if previous is None or previous.shape != weights.shape:
-        return True
-    if threshold <= 0.0:
-        return True
-
-    def _norm(w: np.ndarray) -> np.ndarray:
-        s = float(w.sum())
-        if s <= 0.0:
-            return np.full(w.shape[0], 1.0 / max(w.shape[0], 1))
-        return w / s
-
-    return bool(
-        np.abs(_norm(weights) - _norm(previous)).max() > threshold
-    )
-
-
 def backlog_weights(
     backlogs: np.ndarray, boost: np.ndarray | None = None
 ) -> np.ndarray:

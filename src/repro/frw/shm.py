@@ -27,9 +27,8 @@ a context registers and every start method works:
   the manifest.
 
 Reconstruction goes through the ``packed()`` / ``from_packed()`` pairs of
-:class:`~repro.geometry.GaussianSurface`, :class:`~repro.geometry.GridIndex`,
-:class:`~repro.geometry.BruteForceIndex` and
-:class:`~repro.greens.CubeTransitionTable`; derived state is recomputed by
+:class:`~repro.geometry.GaussianSurface`, :class:`~repro.geometry.GridIndex`
+and :class:`~repro.greens.CubeTransitionTable`; derived state is recomputed by
 the same expressions the building constructors use, so an attached context
 is *bit-identical* to the published one — the content hashes make that
 checkable, not assumed.
@@ -61,15 +60,13 @@ from multiprocessing.shared_memory import SharedMemory
 import numpy as np
 
 from ..errors import DeterminismError
-from ..geometry import BruteForceIndex, GaussianSurface, GridIndex
+from ..geometry import GaussianSurface, GridIndex
 from ..greens import CubeTransitionTable
 from .context import ExtractionContext, StructureView
 
 #: Alignment of every array inside a block (cache-line sized, and enough
 #: for any numpy dtype).
 _ALIGN = 64
-
-_INDEX_KINDS = {"grid": GridIndex, "brute": BruteForceIndex}
 
 
 @dataclass(frozen=True)
@@ -320,9 +317,7 @@ def attach_context(manifest: ContextManifest) -> ExtractionContext:
             f"context manifest {manifest.name!r} does not match its hash "
             f"({got} != {manifest.content_hash}); the manifest is corrupt"
         )
-    index = _attach_asset(
-        manifest.index, lambda s, a: _INDEX_KINDS[s["kind"]].from_packed(s, a)
-    )
+    index = _attach_asset(manifest.index, GridIndex.from_packed)
     table = _attach_asset(manifest.table, CubeTransitionTable.from_packed)
     meta = pickle.loads(manifest.meta)
     ctx = ExtractionContext(

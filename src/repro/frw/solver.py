@@ -23,9 +23,9 @@ frw-rr    Alg. 2, Kahan, CBRNG                       Alg. 3 regularization
 ========  =========================================  ====================
 
 Multi-master extractions run through the cross-master interleaved
-scheduler by default (``config.interleave_masters``): batches from all
-masters share the one executor, and per-master rows stay bit-identical
-to the serial per-master loop (see :mod:`repro.frw.cross_master`).
+scheduler: batches from all masters share the one executor, and
+per-master rows stay bit-identical to :meth:`FRWSolver.extract_row` run
+master by master (see :mod:`repro.frw.cross_master`).
 """
 
 from __future__ import annotations
@@ -267,11 +267,10 @@ class FRWSolver:
         executor: PersistentExecutor | None,
         thread_overrides: dict[int, int] | None,
     ) -> tuple[list[CapacitanceRow], list[RunStats]]:
-        """The historical master-after-master loop (alg1, opted-out
-        interleaving).  Each master's context is built — and, on the
-        process backend, published by its batch runner — only when that
-        master runs, so a small master subset of a large structure builds
-        and ships only its own contexts."""
+        """The master-after-master loop for alg1 and single-master
+        calls.  Each master's context is built — and, on the process
+        backend, published by its batch runner — only when that master
+        runs."""
         overrides = thread_overrides or {}
         rows: list[CapacitanceRow] = []
         stats: list[RunStats] = []
@@ -299,10 +298,10 @@ class FRWSolver:
         """Extract rows for the given masters (default: all conductors).
 
         Multi-master calls run through the cross-master interleaved
-        scheduler when ``config.interleave_masters`` is set (batches from
-        all masters share the executor; rows are bit-identical to the
-        serial per-master loop).  ``thread_overrides`` maps a master to
-        the virtual-thread DOP its accumulation replays at (used by
+        scheduler (batches from all masters share the executor; rows are
+        bit-identical to the per-master :meth:`extract_row`).
+        ``thread_overrides`` maps a master to the virtual-thread DOP its
+        accumulation replays at (used by
         :func:`~repro.frw.multilevel.multilevel_extract` group plans).
 
         For ``frw-rr``, masters must be ``0..Nm-1`` (the regularization
@@ -313,11 +312,7 @@ class FRWSolver:
         if not masters:
             raise ConfigError("need at least one master conductor")
         executor = self.walk_executor()
-        interleaved = (
-            self.config.interleave_masters
-            and len(masters) > 1
-            and self.config.variant != "alg1"
-        )
+        interleaved = len(masters) > 1 and self.config.variant != "alg1"
         t0 = time.perf_counter()
         with maybe_forbid_global_rng(self.config.sanitize):
             if interleaved:
@@ -337,7 +332,6 @@ class FRWSolver:
         meta = {
             "schedule": {
                 "interleaved": interleaved,
-                "allocation": self.config.allocation,
                 "antithetic": (
                     {
                         "group": self.config.antithetic_group,

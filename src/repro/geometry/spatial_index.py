@@ -4,8 +4,9 @@ Every FRW step asks, for a batch of points: *how far is the nearest
 conductor box (Chebyshev metric), and which conductor is it?*  The answer
 sizes the transition cube and decides absorption.  Two implementations:
 
-* :class:`BruteForceIndex` — vectorised all-pairs distances; exact, best for
-  small structures when the far-field fast path is disabled.
+* :class:`BruteForceIndex` — vectorised all-pairs distances; exact.  The
+  reference the grid is tested against, and the walk-on-spheres engine's
+  Euclidean index.
 * :class:`GridIndex` — a uniform grid whose per-cell candidate lists are
   precomputed into flat CSR arrays at build time, so a query is a fully
   vectorised gather + segment-min with no per-cell Python loop.  Since the
@@ -179,23 +180,6 @@ class BruteForceIndex:
         """Euclidean variant (used by the walk-on-spheres engine)."""
         return self._query(points, "l2")
 
-    def packed(self) -> tuple[dict, dict]:
-        """(scalars, arrays) split for shared-memory publication."""
-        scalars = {"kind": "brute", "chunk_budget": self.chunk_budget}
-        arrays = {"lo": self._lo, "hi": self._hi, "owner": self._owner}
-        return scalars, arrays
-
-    @classmethod
-    def from_packed(cls, scalars: dict, arrays: dict) -> "BruteForceIndex":
-        """Rebuild an index from :meth:`packed` state (worker-side attach).
-        The arrays may be read-only shared views — queries never write."""
-        self = cls.__new__(cls)
-        self._lo = arrays["lo"]
-        self._hi = arrays["hi"]
-        self._owner = arrays["owner"]
-        self.chunk_budget = int(scalars["chunk_budget"])
-        return self
-
 
 class GridIndex:
     """Uniform-grid candidate index with a distance cap and a far-field
@@ -208,10 +192,6 @@ class GridIndex:
     h_cap:
         Maximum distance of interest.  Queries farther than ``h_cap`` from
         every conductor return ``(h_cap, -1)``.
-    far_field:
-        Enable the per-cell bounds: far-field cells answer without
-        touching candidate lists, and provably-losing candidates are
-        pruned from the CSR lists at build time.
     resolution:
         Cells per ``h_cap`` along each axis (>= 1).  ``None`` (the
         default) derives it from the structure: 2, or 4 when the lists
@@ -225,7 +205,6 @@ class GridIndex:
         self,
         structure: Structure,
         h_cap: float,
-        far_field: bool = True,
         resolution: int | None = None,
     ):
         if h_cap <= 0:
@@ -233,7 +212,6 @@ class GridIndex:
         if resolution is not None and resolution < 1:
             raise GeometryError(f"resolution must be >= 1, got {resolution}")
         self.h_cap = float(h_cap)
-        self.far_field = bool(far_field)
         self.stats = QueryStats()
         # Bulk counter updates take this lock, so stats invariants hold
         # exactly when pool threads share the index (fork workers each
@@ -312,8 +290,8 @@ class GridIndex:
         are expanded row-wise — one row per (box, z, y), each row a run of
         consecutive x cells — with no per-box Python loop.
 
-        With ``far_field`` enabled the same incidences yield the bounds.
-        Per pair, the Chebyshev distance from a point ``p`` in cell
+        The same incidences yield the far-field bounds.  Per pair, the
+        Chebyshev distance from a point ``p`` in cell
         ``[cl, ch]`` to box ``[blo, bhi]`` ranges over exactly
         ``[max_ax max(blo-ch, cl-bhi, 0), max_ax max(blo-cl, ch-bhi, 0)]``
         (per-axis 1-D distances are independent, so min/max over the cell
@@ -375,16 +353,15 @@ class GridIndex:
             first.append(i0)
             ext.append(n)
             run.append(start)
-            if self.far_field:
-                box = np.repeat(np.arange(m, dtype=np.int64), n)
-                ijk = np.arange(box.shape[0], dtype=np.int64)
-                ijk += np.repeat(i0 - start, n)
-                cl = origin + ijk * cell - pad[a]
-                ch = cl + cell + 2.0 * pad[a]
-                blo = self._lo_ax[a][box]
-                bhi = self._hi_ax[a][box]
-                lat_lo.append(np.maximum(np.maximum(blo - ch, cl - bhi), 0.0))
-                lat_hi.append(np.maximum(np.maximum(blo - cl, ch - bhi), 0.0))
+            box = np.repeat(np.arange(m, dtype=np.int64), n)
+            ijk = np.arange(box.shape[0], dtype=np.int64)
+            ijk += np.repeat(i0 - start, n)
+            cl = origin + ijk * cell - pad[a]
+            ch = cl + cell + 2.0 * pad[a]
+            blo = self._lo_ax[a][box]
+            bhi = self._hi_ax[a][box]
+            lat_lo.append(np.maximum(np.maximum(blo - ch, cl - bhi), 0.0))
+            lat_hi.append(np.maximum(np.maximum(blo - cl, ch - bhi), 0.0))
         # Rows: one per (box, z, y), y fastest, each a run of ext_x cells.
         per_box = ext[1] * ext[2]
         row_box = np.repeat(np.arange(m, dtype=np.int64), per_box)
@@ -404,26 +381,25 @@ class GridIndex:
         t = np.arange(int(row_start[-1] + row_len[-1]), dtype=np.int64)
         cells = t + np.repeat(row_cell - row_start, row_len)
         boxes = np.repeat(row_box, row_len)
-        if self.far_field:
-            gy = run[1][row_box] + tj
-            gz = run[2][row_box] + tk
-            gx = t + np.repeat(run[0][row_box] - row_start, row_len)
-            # y and z terms are constant along a row.
-            d_lo = np.repeat(np.maximum(lat_lo[1][gy], lat_lo[2][gz]), row_len)
-            np.maximum(d_lo, lat_lo[0][gx], out=d_lo)
-            d_hi = np.repeat(np.maximum(lat_hi[1][gy], lat_hi[2][gz]), row_len)
-            np.maximum(d_hi, lat_hi[0][gx], out=d_hi)
-            # Minima are exact, so the unordered scatter gives the same
-            # bits as any reduction order.
-            np.minimum.at(self._cell_dmin, cells, d_lo)
-            np.minimum.at(self._cell_dmax, cells, d_hi)
-            keep = d_lo < self.h_cap
-            keep &= d_lo <= self._cell_dmax[cells]
-            self.stats.candidates_pruned = int(
-                cells.shape[0] - np.count_nonzero(keep)
-            )
-            cells = cells[keep]
-            boxes = boxes[keep]
+        gy = run[1][row_box] + tj
+        gz = run[2][row_box] + tk
+        gx = t + np.repeat(run[0][row_box] - row_start, row_len)
+        # y and z terms are constant along a row.
+        d_lo = np.repeat(np.maximum(lat_lo[1][gy], lat_lo[2][gz]), row_len)
+        np.maximum(d_lo, lat_lo[0][gx], out=d_lo)
+        d_hi = np.repeat(np.maximum(lat_hi[1][gy], lat_hi[2][gz]), row_len)
+        np.maximum(d_hi, lat_hi[0][gx], out=d_hi)
+        # Minima are exact, so the unordered scatter gives the same bits as
+        # any reduction order.
+        np.minimum.at(self._cell_dmin, cells, d_lo)
+        np.minimum.at(self._cell_dmax, cells, d_hi)
+        keep = d_lo < self.h_cap
+        keep &= d_lo <= self._cell_dmax[cells]
+        self.stats.candidates_pruned = int(
+            cells.shape[0] - np.count_nonzero(keep)
+        )
+        cells = cells[keep]
+        boxes = boxes[keep]
         return np.bincount(cells, minlength=n_cells), cells, boxes
 
     def packed(self) -> tuple[dict, dict]:
@@ -437,9 +413,7 @@ class GridIndex:
         their exact bits.
         """
         scalars = {
-            "kind": "grid",
             "h_cap": self.h_cap,
-            "far_field": self.far_field,
             "resolution": self.resolution,
             "candidates_pruned": int(self.stats.candidates_pruned),
             "origin": self._origin,
@@ -471,7 +445,6 @@ class GridIndex:
         """
         self = cls.__new__(cls)
         self.h_cap = float(scalars["h_cap"])
-        self.far_field = bool(scalars["far_field"])
         self.resolution = int(scalars["resolution"])
         self.stats = QueryStats(
             candidates_pruned=int(scalars["candidates_pruned"])
@@ -538,10 +511,7 @@ class GridIndex:
                 t0 = timers.lap("index_fast", t0)
             return t0
         cell_ids = self._cell_ids(points)
-        if self.far_field:
-            near = np.nonzero(self._near[cell_ids])[0]
-        else:
-            near = np.arange(n, dtype=np.int64)
+        near = np.nonzero(self._near[cell_ids])[0]
         if timers is not None:
             t0 = timers.lap("index_fast", t0)
         visited = 0
@@ -617,21 +587,11 @@ class GridIndex:
         return total
 
 
-def build_index(
-    structure: Structure,
-    h_cap: float,
-    brute_force_limit: int = 256,
-    far_field: bool = True,
-) -> BruteForceIndex | GridIndex:
-    """Pick a sensible index for the structure size.
+def build_index(structure: Structure, h_cap: float) -> GridIndex:
+    """The spatial index the walk engine queries: a :class:`GridIndex`.
 
-    With the far-field fast path enabled (the default), the grid wins at
-    every size — most FRW steps happen in open space and skip the
-    candidate gather entirely — so a :class:`GridIndex` is always built.
-    With ``far_field=False``, brute force wins below a few hundred boxes
-    (no grouping overhead); ``h_cap`` is still honoured by the engine's
-    own clamp when brute force is selected.
+    The far-field fast path makes the grid the winner at every structure
+    size (most FRW steps happen in open space and skip the candidate
+    gather entirely), so there is no brute-force selection.
     """
-    if not far_field and structure.n_boxes <= brute_force_limit:
-        return BruteForceIndex(structure)
-    return GridIndex(structure, h_cap=h_cap, far_field=far_field)
+    return GridIndex(structure, h_cap=h_cap)

@@ -47,22 +47,14 @@ DET012    no writes to a context/manifest after executor registration
 Violations are suppressed with a ``det: allow(DET001) reason`` comment —
 matched by rule id + enclosing function scope, so line drift cannot
 detach a suppression; a suppression without a reason is itself an error
-(DET000).  Findings can also be accepted in a committed baseline
-(:mod:`repro.lint.baseline`, ``lint-baseline.json``) that demotes them to
-non-gating, and every run can emit SARIF 2.1.0
-(:mod:`repro.lint.sarif`).  Run with ``python -m repro.lint [paths]`` or
+(DET000).  Every unsuppressed finding gates, and every run can emit
+SARIF 2.1.0 (:mod:`repro.lint.sarif`).  Run with ``python -m repro.lint [paths]`` or
 ``frw-rr lint`` (see :mod:`repro.lint.cli`); the full design is in
 ``docs/STATIC_ANALYSIS.md``.  The paired *runtime* guard is
 :func:`repro.lint.sanitizer.forbid_global_rng`, wired into
 ``FRWSolver.extract`` via ``FRWConfig.sanitize``.
 """
 
-from .baseline import (
-    apply_baseline,
-    fingerprint_findings,
-    load_baseline,
-    write_baseline,
-)
 from .core import (
     Finding,
     LintReport,
@@ -78,7 +70,7 @@ from .passes import ALL_PASSES, Pass
 from .project import lint_project
 from .rules import ALL_RULES, Rule
 from .sanitizer import forbid_global_rng
-from .sarif import to_sarif, write_sarif
+from .sarif import fingerprint_findings, to_sarif, write_sarif
 
 __all__ = [
     "ALL_PASSES",
@@ -90,7 +82,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "Suppression",
-    "apply_baseline",
     "build_graph",
     "fingerprint_findings",
     "forbid_global_rng",
@@ -98,7 +89,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_project",
-    "load_baseline",
     "module_name_for",
     "to_sarif",
     "write_sarif",

@@ -4,18 +4,11 @@ Usage::
 
     python -m repro.lint [paths ...] [--format {text,json,github}]
                          [--counts-json PATH] [--sarif PATH]
-                         [--baseline PATH | --no-baseline]
-                         [--write-baseline [PATH]]
                          [--show-suppressed] [--no-passes] [--list-rules]
 
 * default paths: ``src tests`` (resolved from the current directory);
 * the full v2 analysis (per-file rules + whole-program passes) runs by
   default; ``--no-passes`` restricts to the per-file rules;
-* when ``lint-baseline.json`` exists in the working directory it is
-  applied automatically — baselined findings are reported but do not
-  gate; ``--baseline`` points elsewhere, ``--no-baseline`` ignores it,
-  and ``--write-baseline`` regenerates it from the current findings
-  (the deliberate act behind ``make lint-baseline``);
 * ``--format=github`` emits ``::error``/``::notice`` workflow
   annotations; ``--sarif`` additionally writes a SARIF 2.1.0 artifact;
 * ``--counts-json`` writes per-rule hit counts *and* per-rule analysis
@@ -24,7 +17,7 @@ Usage::
 * the summary line shows per-rule finding counts and total analysis
   time, so a pass that suddenly costs 10x or fires 50 new findings is
   visible without opening artifacts;
-* exit code 0 iff no unsuppressed, unbaselined findings.
+* exit code 0 iff no unsuppressed findings.
 """
 
 from __future__ import annotations
@@ -36,16 +29,12 @@ from pathlib import Path
 
 from .core import Finding, LintReport
 
-#: Default committed baseline location (repo root / working directory).
-DEFAULT_BASELINE = "lint-baseline.json"
-
 
 def _summary(report: LintReport) -> str:
     counts = report.counts()
     per_rule = ", ".join(
         f"{rule}:{c['errors']}"
         + (f"+{c['suppressed']}s" if c["suppressed"] else "")
-        + (f"+{c['baselined']}b" if c["baselined"] else "")
         for rule, c in counts["rules"].items()
     )
     total_ms = sum(counts["timings_ms"].values())
@@ -55,13 +44,8 @@ def _summary(report: LintReport) -> str:
     slow = ", ".join(f"{k} {v / 1e3:.2f}s" for k, v in slowest)
     line = (
         f"det-lint: {report.files} files, {len(report.errors)} error(s), "
-        f"{len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined"
+        f"{len(report.suppressed)} suppressed"
     )
-    if report.stale_baseline:
-        line += f", {len(report.stale_baseline)} stale baseline entr" + (
-            "y" if len(report.stale_baseline) == 1 else "ies"
-        )
     line += f" [{per_rule or 'no findings'}]"
     line += f" in {total_ms / 1e3:.2f}s"
     if slow:
@@ -72,19 +56,10 @@ def _summary(report: LintReport) -> str:
 def _format_text(report: LintReport, show_suppressed: bool) -> list[str]:
     out = []
     for f in report.findings:
-        if (f.suppressed or f.baselined) and not show_suppressed:
+        if f.suppressed and not show_suppressed:
             continue
-        mark = ""
-        if f.suppressed:
-            mark = " (suppressed: %s)" % f.justification
-        elif f.baselined:
-            mark = " (baselined)"
+        mark = " (suppressed: %s)" % f.justification if f.suppressed else ""
         out.append(f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message}{mark}")
-    for fp in report.stale_baseline:
-        out.append(
-            f"lint-baseline: entry {fp} matches no current finding — "
-            "regenerate with 'make lint-baseline'"
-        )
     out.append(_summary(report))
     return out
 
@@ -108,17 +83,8 @@ def _format_github(report: LintReport, show_suppressed: bool) -> list[str]:
                         "notice", f, f" [suppressed: {f.justification}]"
                     )
                 )
-        elif f.baselined:
-            if show_suppressed:
-                out.append(annotation("notice", f, " [baselined]"))
         else:
             out.append(annotation("error", f))
-    for fp in report.stale_baseline:
-        out.append(
-            f"::notice title=det-lint baseline::baseline entry {fp} "
-            "matches no current finding — regenerate with "
-            "'make lint-baseline'"
-        )
     out.append(_summary(report))
     return out
 
@@ -153,31 +119,9 @@ def main(argv: list[str] | None = None) -> int:
         help="also write a SARIF 2.1.0 report to this file",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "baseline file of accepted findings (default: "
-            f"{DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding gates",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "regenerate the baseline from current findings and exit 0 "
-            f"(written to --baseline, default {DEFAULT_BASELINE})"
-        ),
-    )
-    parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="include suppressed and baselined findings in the output",
+        help="include suppressed findings in the output",
     )
     parser.add_argument(
         "--no-passes",
@@ -213,36 +157,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"det-lint: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline_path = args.baseline
-        if baseline_path is None and Path(DEFAULT_BASELINE).exists():
-            baseline_path = DEFAULT_BASELINE
-        if baseline_path is not None:
-            from .baseline import load_baseline
-
-            try:
-                baseline = load_baseline(baseline_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"det-lint: bad baseline: {exc}", file=sys.stderr)
-                return 2
-
     from .project import lint_project
 
     report = lint_project(
-        args.paths,
-        passes=() if args.no_passes else None,
-        root=root,
-        baseline=baseline,
+        args.paths, passes=() if args.no_passes else None, root=root
     )
-
-    if args.write_baseline:
-        from .baseline import write_baseline
-
-        target = args.baseline or DEFAULT_BASELINE
-        n = write_baseline(target, report)
-        print(f"det-lint: wrote {n} accepted finding(s) to {target}")
-        return 0
 
     if args.format == "json":
         payload = {
@@ -250,10 +169,8 @@ def main(argv: list[str] | None = None) -> int:
             "findings": [
                 f.as_dict()
                 for f in report.findings
-                if args.show_suppressed
-                or not (f.suppressed or f.baselined)
+                if args.show_suppressed or not f.suppressed
             ],
-            "stale_baseline": report.stale_baseline,
         }
         print(json.dumps(payload, indent=1))
     else:

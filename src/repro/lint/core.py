@@ -52,8 +52,6 @@ class Finding:
     justification: str = ""
     #: Enclosing function scope (``Class.method``), "" at module level.
     scope: str = ""
-    #: Present in the committed baseline: reported but not gating.
-    baselined: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -65,7 +63,6 @@ class Finding:
             "suppressed": self.suppressed,
             "justification": self.justification,
             "scope": self.scope,
-            "baselined": self.baselined,
         }
 
 
@@ -226,43 +223,29 @@ class LintReport:
     files: int = 0
     #: Wall seconds per rule/pass id (plus ``"graph"`` for the build).
     timings: dict[str, float] = field(default_factory=dict)
-    #: Baseline entries that matched no current finding (expired).
-    stale_baseline: list[str] = field(default_factory=list)
 
     @property
     def errors(self) -> list[Finding]:
         """Findings that count against the exit code."""
-        return [
-            f for f in self.findings if not f.suppressed and not f.baselined
-        ]
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
 
-    @property
-    def baselined(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined and not f.suppressed]
-
     def counts(self) -> dict:
         """Per-rule hit counts (the lint-debt artifact payload)."""
         out: dict[str, dict[str, int]] = {}
         for f in self.findings:
-            entry = out.setdefault(
-                f.rule, {"errors": 0, "suppressed": 0, "baselined": 0}
-            )
+            entry = out.setdefault(f.rule, {"errors": 0, "suppressed": 0})
             if f.suppressed:
                 entry["suppressed"] += 1
-            elif f.baselined:
-                entry["baselined"] += 1
             else:
                 entry["errors"] += 1
         return {
             "files": self.files,
             "errors": len(self.errors),
             "suppressed_total": len(self.suppressed),
-            "baselined_total": len(self.baselined),
-            "stale_baseline": len(self.stale_baseline),
             "rules": dict(sorted(out.items())),
             "timings_ms": {
                 k: round(v * 1e3, 3) for k, v in sorted(self.timings.items())

@@ -40,15 +40,8 @@ def lint_project(
     rules=None,
     passes=None,
     root: Path | None = None,
-    baseline: dict[str, dict] | None = None,
 ) -> LintReport:
-    """Run det-lint v2 (rules + whole-program passes) over paths.
-
-    ``baseline`` is a fingerprint map from
-    :func:`repro.lint.baseline.load_baseline`; matching findings are
-    demoted to non-gating and entries matching nothing are recorded in
-    ``report.stale_baseline``.
-    """
+    """Run det-lint v2 (rules + whole-program passes) over paths."""
     from .passes import ALL_PASSES
     from .rules import ALL_RULES
 
@@ -112,10 +105,4 @@ def lint_project(
         report.findings.extend(resolved)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if baseline is not None:
-        from .baseline import apply_baseline
-
-        apply_baseline(report, baseline)
-
     return report

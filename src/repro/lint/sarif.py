@@ -10,24 +10,25 @@ Mapping choices:
 * every rule *and* whole-program pass (plus the DET000 meta rule) is
   declared in ``tool.driver.rules`` with its title and docstring, so a
   viewer can show "why is this a problem" next to each hit;
-* gating findings map to ``level: error``; suppressed and baselined
-  findings are still emitted (the artifact is the audit trail) but carry
-  a SARIF ``suppressions`` entry — ``inSource`` with the justification
-  text for ``det: allow`` comments, ``external`` for baseline matches —
+* gating findings map to ``level: error``; suppressed findings are still
+  emitted (the artifact is the audit trail) but carry an ``inSource``
+  SARIF ``suppressions`` entry with the ``det: allow`` justification,
   which compliant viewers render as muted;
-* ``partialFingerprints`` carries the same line-free fingerprint the
-  baseline uses (:data:`repro.lint.baseline.FINGERPRINT_KEY`), so
-  result identity is stable across runs and line drift for any consumer
-  that does incremental triage.
+* ``partialFingerprints`` carries a line-free fingerprint
+  (:func:`fingerprint_findings`, key :data:`FINGERPRINT_KEY`), so result
+  identity is stable across runs and line drift for any consumer that
+  does incremental triage.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from pathlib import Path
+from typing import Iterable
 
-from .baseline import FINGERPRINT_KEY, fingerprint_findings
-from .core import LintReport
+from .core import Finding, LintReport
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -36,6 +37,38 @@ SARIF_SCHEMA = (
 )
 TOOL_NAME = "det-lint"
 TOOL_VERSION = "2.0.0"
+
+#: SARIF ``partialFingerprints`` key of the :func:`fingerprint_findings`
+#: recipe; bump it when the recipe changes.
+FINGERPRINT_KEY = "detLint/v1"
+
+_NUM_RE = re.compile(r"\b\d+\b")
+
+
+def fingerprint_findings(findings: Iterable[Finding]) -> list[str]:
+    """Stable, line-free fingerprint per finding, aligned with the input.
+
+    A finding is identified by ``rule | path | enclosing scope | message``
+    with volatile numerics (line refs, counts) masked, so edits that shift
+    code up or down keep its identity.  Findings that collide on that key
+    are disambiguated by an ordinal assigned in ``(line, col)`` order, so
+    the n-th identical finding in a scope keeps its fingerprint as long as
+    its relative position among the identical ones is unchanged.
+    """
+    findings = list(findings)
+    order = sorted(
+        range(len(findings)),
+        key=lambda i: (findings[i].path, findings[i].line, findings[i].col),
+    )
+    seen: dict[str, int] = {}
+    out: list[str] = [""] * len(findings)
+    for i in order:
+        f = findings[i]
+        base = "|".join((f.rule, f.path, f.scope, _NUM_RE.sub("#", f.message)))
+        ordinal = seen.get(base, 0)
+        seen[base] = ordinal + 1
+        out[i] = hashlib.sha256(f"{base}|{ordinal}".encode()).hexdigest()[:16]
+    return out
 
 
 def _rule_catalog() -> list[dict]:
@@ -114,14 +147,6 @@ def to_sarif(report: LintReport) -> dict:
                 {
                     "kind": "inSource",
                     "justification": f.justification,
-                }
-            ]
-        elif f.baselined:
-            result["suppressions"] = [
-                {
-                    "kind": "external",
-                    "justification": "accepted in committed det-lint "
-                    "baseline",
                 }
             ]
         results.append(result)

@@ -63,12 +63,6 @@ ALT_ENGINE_VALUES = {
     "chunk_size": 17,
     "mp_start_method": "spawn",
     "pipeline_lookahead": 3,
-    "rng_prefetch_depth": 2,
-    "interleave_masters": False,
-    "allocation": "variance",
-    "allocation_hysteresis": 0.5,
-    "max_inflight_batches": 7,
-    "far_field": False,
     "sanitize": True,
 }
 

@@ -2,20 +2,16 @@
 
 The acceptance criterion of the scheduler: every row of a multi-master
 ``extract()`` under the interleaved scheduler — any backend, any
-``n_workers``, allocation on or off — equals the pre-PR serial per-master
-rows bit for bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
+``n_workers`` — equals the serial per-master ``FRWSolver.extract_row`` rows
+bit for bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
 """
 
 import numpy as np
 import pytest
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import build_context, cross_master, extract_row_alg2
-from repro.frw.scheduler import (
-    allocate_quota,
-    reweight_needed,
-    variance_weights,
-)
+from repro.frw import cross_master
+from repro.frw.scheduler import allocate_quota
 
 BASE = dict(
     seed=13,
@@ -33,15 +29,10 @@ BASE = dict(
 
 @pytest.fixture(scope="module")
 def golden_rows(three_wires):
-    """Pre-PR reference: serial per-master extraction (plain engine)."""
-    cfg = FRWConfig.frw_r(
-        **BASE, executor="serial", pipeline_lookahead=0,
-        interleave_masters=False,
-    )
-    return [
-        extract_row_alg2(build_context(three_wires, m, cfg))
-        for m in range(3)
-    ]
+    """Reference: serial per-master ``extract_row`` (no look-ahead)."""
+    cfg = FRWConfig.frw_r(**BASE, executor="serial", pipeline_lookahead=0)
+    with FRWSolver(three_wires, cfg) as solver:
+        return [solver.extract_row(m) for m in range(3)]
 
 
 def _assert_rows_match(result, golden):
@@ -56,15 +47,10 @@ def _assert_rows_match(result, golden):
         assert got.converged == stats.converged
 
 
-@pytest.mark.parametrize("allocation", ["even", "variance"])
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_interleaved_bitwise_golden(
-    three_wires, golden_rows, backend, n_workers, allocation
-):
-    cfg = FRWConfig.frw_r(
-        **BASE, executor=backend, n_workers=n_workers, allocation=allocation
-    )
+def test_interleaved_bitwise_golden(three_wires, golden_rows, backend, n_workers):
+    cfg = FRWConfig.frw_r(**BASE, executor=backend, n_workers=n_workers)
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
     _assert_rows_match(result, golden_rows)
@@ -73,16 +59,6 @@ def test_interleaved_bitwise_golden(
 def test_interleaved_serial_executor_bitwise(three_wires, golden_rows):
     cfg = FRWConfig.frw_r(**BASE, executor="serial")
     result = FRWSolver(three_wires, cfg).extract()
-    _assert_rows_match(result, golden_rows)
-
-
-def test_interleave_opt_out_bitwise(three_wires, golden_rows):
-    cfg = FRWConfig.frw_r(
-        **BASE, executor="thread", n_workers=2, interleave_masters=False
-    )
-    with FRWSolver(three_wires, cfg) as solver:
-        result = solver.extract()
-    assert result.matrix.meta["schedule"]["interleaved"] is False
     _assert_rows_match(result, golden_rows)
 
 
@@ -101,7 +77,6 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
         result = solver.extract()
     sched = result.matrix.meta["schedule"]
     assert sched["interleaved"] is True
-    assert sched["allocation"] == "even"
     # The structure index is built once and shared; the cube table comes
     # from the process-wide memo, so this solver built it at most once.
     cache = sched["asset_cache"]
@@ -153,7 +128,7 @@ def test_lazy_registration_for_master_subset():
 
 
 # ----------------------------------------------------------------------
-# Allocation policy units
+# Quota split units
 # ----------------------------------------------------------------------
 def test_allocate_quota_even_split():
     q = allocate_quota(np.ones(3), total=9, min_share=1)
@@ -176,58 +151,3 @@ def test_allocate_quota_deterministic_ties():
 def test_allocate_quota_all_zero_weights_falls_back_even():
     q = allocate_quota(np.zeros(4), total=8, min_share=1)
     assert q.tolist() == [2, 2, 2, 2]
-
-
-def test_variance_weights_shape():
-    w = variance_weights(np.array([np.inf, 0.05, 0.005]), tolerance=0.01)
-    assert w[0] == pytest.approx(32.0**2)  # no estimate yet: max weight
-    assert w[1] == pytest.approx(25.0)  # 5x over tolerance
-    assert w[2] == 0.0  # converged: no speculation
-
-
-def test_reweight_needed_first_round_and_shape_change():
-    w = np.array([1.0, 2.0])
-    assert reweight_needed(w, None, threshold=0.25)
-    assert reweight_needed(w, np.array([1.0, 2.0, 3.0]), threshold=0.25)
-
-
-def test_reweight_needed_ignores_uniform_decay():
-    """All weights shrinking together (every master converging) must not
-    trigger a reweight — the *shares* are unchanged."""
-    prev = np.array([8.0, 4.0, 4.0])
-    assert not reweight_needed(prev / 10.0, prev, threshold=0.05)
-    assert not reweight_needed(prev * 3.0, prev, threshold=0.05)
-
-
-def test_reweight_needed_fires_on_share_shift():
-    prev = np.array([1.0, 1.0])  # shares (0.5, 0.5)
-    moved = np.array([4.0, 1.0])  # shares (0.8, 0.2): moved 0.3 in L-inf
-    assert reweight_needed(moved, prev, threshold=0.25)
-    assert not reweight_needed(moved, prev, threshold=0.35)
-
-
-def test_reweight_needed_zero_threshold_always_fires():
-    w = np.array([1.0, 2.0])
-    assert reweight_needed(w, w.copy(), threshold=0.0)
-
-
-def test_reweight_needed_all_zero_weights_stable():
-    """Converged-everywhere rounds normalise to even shares, not NaN."""
-    zeros = np.zeros(3)
-    assert not reweight_needed(zeros, np.ones(3), threshold=0.25)
-
-
-def test_variance_allocation_hysteresis_bitwise(three_wires, golden_rows):
-    """Hysteresis changes only the schedule, never the rows; disabling it
-    (threshold 0) restores the per-round reweighting and is bitwise too."""
-    for hysteresis in (0.0, 0.25, 1.0):
-        cfg = FRWConfig.frw_r(
-            **BASE,
-            executor="thread",
-            n_workers=4,
-            allocation="variance",
-            allocation_hysteresis=hysteresis,
-        )
-        with FRWSolver(three_wires, cfg) as solver:
-            result = solver.extract()
-        _assert_rows_match(result, golden_rows)

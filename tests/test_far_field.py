@@ -1,11 +1,13 @@
 """Golden bit-identity suite for the spatial far-field fast path.
 
-The acceptance criterion of the fast path: capacitance rows extracted with
-``far_field=True`` are byte-equal to ``far_field=False`` rows on every
-reference case, every executor backend, and every worker count — the fast
-path may only skip work whose result is provably the capped default, never
-change a bit.  The same holds for the grid at any explicit resolution.
-The open-field case additionally asserts the far-field mask actually fired
+The acceptance criterion of the fast path: capacitance rows extracted
+through the grid index (far-field mask, pruned candidate lists) are
+byte-equal to rows extracted through the exact all-pairs
+:class:`~repro.geometry.BruteForceIndex` on every reference case, every
+executor backend, and every worker count — the fast path may only skip
+work whose result is provably the capped default, never change a bit.
+The same holds for the grid at any explicit resolution.  The open-field
+case additionally asserts the far-field mask actually fired
 (``QueryStats.far_field_hits > 0``), so the equality is not vacuous.
 """
 
@@ -14,7 +16,7 @@ import pytest
 
 from repro import Box, Conductor, DielectricStack, FRWConfig, FRWSolver, Structure
 from repro.frw import context
-from repro.geometry import GridIndex
+from repro.geometry import BruteForceIndex, GridIndex
 
 BASE = dict(
     seed=77,
@@ -66,8 +68,9 @@ def _extract(case: str, **overrides):
         return solver.extract()
 
 
-def _assert_rows_byte_equal(a, b):
-    for ra, rb in zip(a.rows, b.rows):
+def _assert_rows_byte_equal(a, ref_rows):
+    assert len(a.rows) == len(ref_rows)
+    for ra, rb in zip(a.rows, ref_rows):
         assert ra.values.tobytes() == rb.values.tobytes()
         assert ra.sigma2.tobytes() == rb.sigma2.tobytes()
         assert np.array_equal(ra.hits, rb.hits)
@@ -76,48 +79,53 @@ def _assert_rows_byte_equal(a, b):
 
 @pytest.fixture(scope="module", params=CASES)
 def reference(request):
-    """Fast path fully off, serial: the pre-fast-path engine result."""
+    """Serial per-master rows through the brute-force index: no grid, no
+    far-field mask (the engine applies the cap itself)."""
     case = request.param
-    result = _extract(case, executor="serial", far_field=False)
-    return case, result
+    structure = _build_structure(case)
+
+    def brute_force(structure, h_cap):
+        return BruteForceIndex(structure)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(context, "build_index", brute_force)
+        cfg = FRWConfig.frw_r(**BASE, executor="serial")
+        with FRWSolver(structure, cfg) as solver:
+            rows = [
+                solver.extract_row(m)[0]
+                for m in range(len(structure.conductors))
+            ]
+    return case, rows
 
 
 @pytest.mark.parametrize("backend,n_workers", BACKENDS)
 def test_far_field_rows_byte_equal(reference, backend, n_workers):
     case, ref = reference
-    on = _extract(case, executor=backend, n_workers=n_workers, far_field=True)
-    _assert_rows_byte_equal(on, ref)
-    off = _extract(case, executor=backend, n_workers=n_workers, far_field=False)
-    _assert_rows_byte_equal(off, ref)
+    _assert_rows_byte_equal(
+        _extract(case, executor=backend, n_workers=n_workers), ref
+    )
 
 
 @pytest.mark.parametrize("knobs", [
-    dict(far_field=True, resolution=2),
-    dict(far_field=False, resolution=2),
-    dict(far_field=True, resolution=4),
+    dict(resolution=1),
+    dict(resolution=2),
+    dict(resolution=4),
 ])
 def test_each_tier_alone_is_bit_identical(reference, knobs, monkeypatch):
-    """The far-field bounds alone, the plain grid gather alone, and the
-    finer grid each reproduce the reference bytes.  The grid is built at
-    an explicit resolution instead of the derived one."""
+    """The grid at one, two and four cells per cap each reproduces the
+    brute-force bytes.  The grid is built at an explicit resolution
+    instead of the derived one."""
     case, ref = reference
     built = []
 
-    def grid_at_resolution(structure, h_cap, far_field):
+    def grid_at_resolution(structure, h_cap):
         built.append(
-            GridIndex(
-                structure,
-                h_cap=h_cap,
-                far_field=far_field,
-                resolution=knobs["resolution"],
-            )
+            GridIndex(structure, h_cap=h_cap, resolution=knobs["resolution"])
         )
         return built[-1]
 
     monkeypatch.setattr(context, "build_index", grid_at_resolution)
-    result = _extract(
-        case, executor="thread", n_workers=2, far_field=knobs["far_field"]
-    )
+    result = _extract(case, executor="thread", n_workers=2)
     _assert_rows_byte_equal(result, ref)
     assert [g.resolution for g in built] == [knobs["resolution"]]
 

@@ -1,6 +1,6 @@
-"""Tests for the det-lint SARIF writer and the baseline store: structural
-SARIF 2.1.0 validity, fingerprints that survive re-runs and line drift,
-and baseline add / demote / expire behavior end to end through the CLI.
+"""Tests for the det-lint SARIF writer and CLI: structural SARIF 2.1.0
+validity, fingerprints that survive re-runs and line drift, and the CLI's
+gating, summary and artifact outputs.
 """
 
 import json
@@ -8,18 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import (
-    BASELINE_VERSION,
-    FINGERPRINT_KEY,
-    apply_baseline,
-    fingerprint_findings,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.cli import main as lint_main
 from repro.lint.core import META_RULE
 from repro.lint.project import lint_project
-from repro.lint.sarif import SARIF_VERSION, to_sarif, write_sarif
+from repro.lint.sarif import (
+    FINGERPRINT_KEY,
+    SARIF_VERSION,
+    fingerprint_findings,
+    to_sarif,
+    write_sarif,
+)
 
 DIRTY = (
     "import time\n"
@@ -136,94 +134,16 @@ def test_identical_findings_get_distinct_ordinals(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baseline add / demote / expire
-# ----------------------------------------------------------------------
-def test_baseline_demotes_then_expires(tmp_path):
-    report = lint_fixture(tmp_path)
-    assert len(report.errors) == 1
-    baseline_path = tmp_path / "lint-baseline.json"
-    n = write_baseline(baseline_path, report)
-    assert n == 1
-    payload = json.loads(baseline_path.read_text())
-    assert payload["version"] == BASELINE_VERSION
-    assert payload["entries"][0]["rule"] == "DET002"
-
-    # Same finding + baseline: demoted, not gating, still reported.
-    baseline = load_baseline(baseline_path)
-    demoted = lint_fixture(tmp_path)
-    apply_baseline(demoted, baseline)
-    assert demoted.errors == []
-    assert [f.rule for f in demoted.baselined] == ["DET002"]
-    assert demoted.stale_baseline == []
-
-    # Drifted code: the line-free fingerprint still matches.
-    drifted = lint_fixture(tmp_path, DRIFTED)
-    apply_baseline(drifted, baseline)
-    assert drifted.errors == []
-    assert drifted.stale_baseline == []
-
-    # Finding fixed: the baseline entry expires and is reported stale.
-    clean = lint_fixture(tmp_path, "import math\nX = math.pi\n")
-    apply_baseline(clean, baseline)
-    assert clean.errors == []
-    assert len(clean.stale_baseline) == 1
-
-
-def test_baseline_does_not_mask_new_findings(tmp_path):
-    report = lint_fixture(tmp_path)
-    baseline_path = tmp_path / "lint-baseline.json"
-    write_baseline(baseline_path, report)
-    baseline = load_baseline(baseline_path)
-    # A *second* wall-clock call is a new finding: same rule, same scope,
-    # higher ordinal — it must gate even though the first is baselined.
-    grown = lint_fixture(
-        tmp_path,
-        "import time\n"
-        "def stamp():\n"
-        "    a = time.time()\n"
-        "    b = time.time()\n"
-        "    return a, b\n",
-    )
-    apply_baseline(grown, baseline)
-    assert len(grown.baselined) == 1
-    assert len(grown.errors) == 1
-
-
-def test_baseline_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "lint-baseline.json"
-    path.write_text(json.dumps({"version": 999, "entries": []}))
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(path)
-
-
-def test_suppressed_findings_never_enter_baseline(tmp_path):
-    allow = "# det: " + "al" + "low"
-    source = (
-        "import time\n"
-        "def stamp():\n"
-        f"    return time.time()  {allow}(DET002) wall stamp wanted\n"
-    )
-    report = lint_fixture(tmp_path, source)
-    baseline_path = tmp_path / "b.json"
-    assert write_baseline(baseline_path, report) == 0
-
-
-# ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------
-def test_cli_baseline_cycle(tmp_path, capsys, monkeypatch):
+def test_cli_gates_every_unsuppressed_finding(tmp_path, capsys, monkeypatch):
+    """Nothing demotes a finding, and the baseline flags are gone."""
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "src/repro/x.py", DIRTY)
     assert lint_main(["src"]) == 1
-    capsys.readouterr()
-    assert lint_main(["--write-baseline", "src"]) == 0
-    assert "wrote 1 accepted finding(s)" in capsys.readouterr().out
-    # lint-baseline.json in cwd is picked up automatically and demotes.
-    assert lint_main(["src"]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-    # --no-baseline restores gating.
-    assert lint_main(["--no-baseline", "src"]) == 1
+    assert "1 error(s)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        lint_main(["--no-baseline", "src"])
 
 
 def test_cli_sarif_and_summary(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the real thread/process walk executors and batch runners."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,31 @@ def test_executor_close_unlinks_blocks(plates):
     assert blocks  # registration published the context
     ex.close()
     assert all(b not in shm.published_blocks() for b in blocks)
+
+
+def test_close_lets_dispatched_chunks_finish(plates):
+    """close() with chunks still in flight lets them finish before it
+    terminates the pool: a worker killed while sending its result keeps
+    the pool's result-queue lock, and the pool teardown then deadlocks."""
+    cfg = FRWConfig.frw_r(seed=77)
+    ctx = build_context(plates, 0, cfg)
+    uids = np.arange(2048, dtype=np.uint64)
+    ex = PersistentExecutor("process", n_workers=2, chunk_size=64)
+    key = ex.register(ctx, stream_spec(cfg, 0))
+    handles = [ex.run_async(key, u) for u in np.split(uids, 4)]
+    gathered = []
+
+    def close_then_gather():
+        ex.close()
+        gathered.extend(h.result() for h in handles)
+
+    # A daemon thread, so a regression fails here instead of hanging.
+    worker = threading.Thread(target=close_then_gather, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    ref = run_walks(ctx, WalkStreams(77, 0), uids)
+    assert np.array_equal(np.concatenate([r.omega for r in gathered]), ref.omega)
 
 
 def test_solver_releases_shared_blocks(plates):

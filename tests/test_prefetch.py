@@ -7,13 +7,15 @@ Three layers of guarantees:
    replaces, for plain ``WalkStreams`` and through the ``MirroredDraws``
    antithetic view (hypothesis property tests over uids/steps/depths).
 2. Engine: ``run_walks_pipelined`` reproduces the pinned scalar-reference
-   goldens at every ``rng_prefetch_depth`` (also pinned per-depth in
+   goldens at every ``prefetch`` depth (also pinned per-depth in
    ``test_engine_golden``); the stateful MT ablation streams cannot seek,
    so they silently run at depth 1 and stay bit-identical too.
-3. Extraction: rows are byte-identical across ``rng_prefetch_depth``
-   {1, 2, 4, 8} x backends x n_workers {1, 2, 4}, antithetic off *and*
-   on — prefetching changes when draws are generated, never what they
-   are, so no schedule can observe it.
+3. Extraction: rows are byte-identical across the engine's prefetch depth
+   (:data:`repro.frw.engine.RNG_PREFETCH_DEPTH`, patched to {1, 2, 4, 8})
+   x backends x n_workers {1, 2, 4}, antithetic off *and* on —
+   prefetching changes when draws are generated, never what they are, so
+   no schedule can observe it.  Spawned process workers import the
+   module afresh and so run at the default depth.
 """
 
 import numpy as np
@@ -22,9 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FRWConfig
-from repro.errors import ConfigError
-from repro.frw import build_context, extract_row_alg2, make_streams
-from repro.frw.engine import run_walks_pipelined
+from repro.frw import build_context, engine, extract_row_alg2, make_streams
+from repro.frw.engine import RNG_PREFETCH_DEPTH, run_walks_pipelined
 from repro.rng import MirroredDraws, WalkStreams
 from repro.rng.counter_stream import MAX_PREFETCH_STEPS
 
@@ -115,13 +116,11 @@ def test_draws_span_validates_arguments():
 # Engine layer: pinned goldens at every depth, MT fallback included
 # ----------------------------------------------------------------------
 def test_config_prefetch_knob_validation():
-    assert FRWConfig.frw_r().rng_prefetch_depth == 8
-    FRWConfig.frw_r(rng_prefetch_depth=1)
-    FRWConfig.frw_r(rng_prefetch_depth=16)
-    with pytest.raises(ConfigError):
-        FRWConfig.frw_r(rng_prefetch_depth=0)
-    with pytest.raises(ConfigError):
-        FRWConfig.frw_r(rng_prefetch_depth=17)
+    """The depth is an engine constant inside the span kernel's range (the
+    retired config field is covered by the service's unknown-field
+    tests)."""
+    assert RNG_PREFETCH_DEPTH == 8
+    assert 1 <= RNG_PREFETCH_DEPTH <= MAX_PREFETCH_STEPS
 
 
 def test_mt_streams_fall_back_to_no_prefetch():
@@ -186,9 +185,11 @@ _BACKENDS = [
 ]
 
 
-def _extract(structure, **overrides):
+def _extract(structure, depth, **overrides):
     cfg = FRWConfig.frw_r(**_BASE, **overrides)
-    return extract_row_alg2(build_context(structure, 0, cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "RNG_PREFETCH_DEPTH", depth)
+        return extract_row_alg2(build_context(structure, 0, cfg))
 
 
 def _assert_rows_equal(got, ref):
@@ -205,8 +206,7 @@ def _assert_rows_equal(got, ref):
 def prefetch_reference(plates):
     """Depth-1 serial extraction: the no-ring baseline every (depth,
     backend, workers) combination must reproduce byte for byte."""
-    return _extract(plates, rng_prefetch_depth=1, executor="serial",
-                    pipeline_lookahead=0)
+    return _extract(plates, 1, executor="serial", pipeline_lookahead=0)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4, 8])
@@ -215,15 +215,16 @@ def test_rows_bitwise_across_depth_and_backends(
     plates, prefetch_reference, depth, kwargs
 ):
     _assert_rows_equal(
-        _extract(plates, rng_prefetch_depth=depth, **kwargs),
+        _extract(plates, depth, **kwargs),
         prefetch_reference,
     )
 
 
 @pytest.fixture(scope="module")
 def prefetch_anti_reference(plates):
-    return _extract(plates, rng_prefetch_depth=1, executor="serial",
-                    pipeline_lookahead=0, antithetic=True)
+    return _extract(
+        plates, 1, executor="serial", pipeline_lookahead=0, antithetic=True
+    )
 
 
 @pytest.mark.parametrize("depth", [2, 4, 8])
@@ -243,8 +244,6 @@ def test_antithetic_rows_bitwise_across_depths(
     partner transforms are applied inside the span pass, so grouped rows
     are byte-identical at every ring depth and backend."""
     _assert_rows_equal(
-        _extract(
-            plates, rng_prefetch_depth=depth, antithetic=True, **kwargs
-        ),
+        _extract(plates, depth, antithetic=True, **kwargs),
         prefetch_anti_reference,
     )

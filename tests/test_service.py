@@ -43,6 +43,19 @@ BASE_CONFIG = {
     "n_threads": 2,
 }
 
+#: Retired engine knobs, each with the value its last default had.  The
+#: behaviour they selected is fixed now, so a request naming one is
+#: malformed rather than silently ignored.
+REMOVED_CONFIG_FIELDS = {
+    "pipeline": True,
+    "rng_prefetch_depth": 8,
+    "interleave_masters": True,
+    "allocation": "even",
+    "allocation_hysteresis": 0.25,
+    "max_inflight_batches": 0,
+    "far_field": True,
+}
+
 
 def small_structure(n_wires: int = 2) -> Structure:
     return parallel_wires(
@@ -335,12 +348,15 @@ class TestMemoization:
                 service.submit({"structure": structure, "priority": "vip"})
 
     def test_removed_config_field_is_unknown(self):
-        """A retired engine knob is rejected as an unknown field (a typed
-        ConfigError naming it), never passed on to FRWConfig."""
-        config = {**BASE_CONFIG, "pipeline": True}
+        """Every retired engine knob is rejected as an unknown field (a
+        typed ConfigError naming it), never passed on to FRWConfig."""
         with ExtractionService(ServiceSettings(slots=1)) as service:
-            with pytest.raises(ConfigError, match=r"unknown config field\(s\): pipeline"):
-                service.submit(request_for(small_structure(), config=config))
+            for name, value in sorted(REMOVED_CONFIG_FIELDS.items()):
+                config = {**BASE_CONFIG, name: value}
+                with pytest.raises(
+                    ConfigError, match=rf"unknown config field\(s\): {name}$"
+                ):
+                    service.submit(request_for(small_structure(), config=config))
 
     def test_submit_after_close_raises(self):
         service = ExtractionService(ServiceSettings(slots=1))
@@ -504,9 +520,12 @@ class TestHTTP:
         assert b"error" in body
 
     def test_removed_config_field_is_400(self, live_server):
-        config = {**BASE_CONFIG, "pipeline": True}
-        status, body = live_server._request(
-            "POST", "/extract", request_for(small_structure(), config=config)
-        )
-        assert status == 400
-        assert "unknown config field(s): pipeline" in json.loads(body)["error"]
+        for name, value in sorted(REMOVED_CONFIG_FIELDS.items()):
+            config = {**BASE_CONFIG, name: value}
+            status, body = live_server._request(
+                "POST", "/extract", request_for(small_structure(), config=config)
+            )
+            assert status == 400, name
+            assert json.loads(body)["error"].endswith(
+                f"unknown config field(s): {name}"
+            )

@@ -96,40 +96,33 @@ def test_brute_l2_query():
 
 
 def test_build_index_selection():
-    # With the far-field fast path (default), the grid wins at every size.
-    small = random_structure(8, n=10)
-    assert isinstance(build_index(small, h_cap=1.0), GridIndex)
-    # Opting out restores the historical size-based selection.
-    assert isinstance(
-        build_index(small, h_cap=1.0, far_field=False), BruteForceIndex
-    )
-    big = random_structure(9, n=40)
-    assert isinstance(
-        build_index(big, h_cap=1.0, far_field=False, brute_force_limit=20),
-        GridIndex,
-    )
+    # The far-field fast path makes the grid the index at every size.
+    for structure in (random_structure(8, n=10), random_structure(9, n=40)):
+        index = build_index(structure, h_cap=1.0)
+        assert isinstance(index, GridIndex)
+        assert index.h_cap == 1.0
 
 
 @pytest.mark.parametrize("boundary_points", [False, True])
 @pytest.mark.parametrize("resolution", [1, 2])
 def test_far_field_fast_path_matches_plain_grid(boundary_points, resolution):
     """The far-field path at an explicit resolution must be
-    bitwise-identical to the plain gather path, also for points snapped
-    onto its cell lattice."""
+    bitwise-identical to the plain all-pairs answer (capped brute force),
+    also for points snapped onto its cell lattice."""
     s = random_structure(11)
     h_cap = 3.0
-    plain = GridIndex(s, h_cap=h_cap, far_field=False)
-    fast = GridIndex(s, h_cap=h_cap, far_field=True, resolution=resolution)
+    fast = GridIndex(s, h_cap=h_cap, resolution=resolution)
     rng = np.random.default_rng(12)
     pts = rng.uniform(-5, 50, (700, 3))
     if boundary_points:
         cell = fast._cell
         lattice = fast._origin + np.round((pts - fast._origin) / cell) * cell
         pts = np.clip(lattice, -5, 50)
-    d_p, c_p = plain.query(pts)
+    d_b, c_b = BruteForceIndex(s).query(pts)
+    far = d_b >= h_cap
     d_f, c_f = fast.query(pts)
-    assert np.array_equal(d_p, d_f)
-    assert np.array_equal(c_p, c_f)
+    assert np.array_equal(d_f, np.where(far, h_cap, d_b))
+    assert np.array_equal(c_f, np.where(far, -1, c_b))
     # The structure has open space, so both tiers must actually engage.
     assert fast.n_far_cells > 0
     assert fast.stats.far_field_hits > 0
@@ -188,19 +181,16 @@ def test_cell_bounds_are_conservative():
     seed=st.integers(0, 2**31 - 1),
     n_boxes=st.integers(1, 25),
     h_cap=st.floats(0.5, 6.0),
-    far_field=st.booleans(),
     resolution=st.one_of(st.none(), st.integers(1, 4)),
 )
-def test_grid_equals_brute_force_property(
-    seed, n_boxes, h_cap, far_field, resolution
-):
+def test_grid_equals_brute_force_property(seed, n_boxes, h_cap, resolution):
     """``GridIndex.query`` == capped ``BruteForceIndex.query`` — distance
-    bits, winner index, and the lowest-box-index tie-break — with the
-    far-field path on and off at every resolution (derived included), on
+    bits, winner index, and the lowest-box-index tie-break — at every
+    resolution (derived included), on
     query clouds that include points exactly on cell boundaries and at
     integer multiples of ``h_cap``."""
     s = random_structure(seed, n=n_boxes)
-    grid = GridIndex(s, h_cap=h_cap, far_field=far_field, resolution=resolution)
+    grid = GridIndex(s, h_cap=h_cap, resolution=resolution)
     rng = np.random.default_rng(seed ^ 0xA5A5)
     pts = rng.uniform(-5, 50, (160, 3))
     # Adversarial coordinates: snap a third of the points onto the grid's
@@ -250,7 +240,6 @@ def reference_build(grid: GridIndex):
     m = box_lo.shape[0]
     cell_dmin = np.full(n_cells, np.inf, dtype=np.float64)
     cell_dmax = np.full(n_cells, np.inf, dtype=np.float64)
-    pruned = 0
     limits = np.array([nx, ny, nz], dtype=np.int64)
     lo = (box_lo - h_cap - origin[None, :]) / cell[None, :]
     hi = (box_hi + h_cap - origin[None, :]) / cell[None, :]
@@ -275,29 +264,28 @@ def reference_build(grid: GridIndex):
     all_boxes = all_boxes[order]
     all_cells = all_cells[order]
     counts = np.bincount(all_cells, minlength=n_cells)
-    if grid.far_field:
-        ijk = np.empty((all_cells.shape[0], 3), dtype=np.int64)
-        ijk[:, 0] = all_cells % nx
-        rest = all_cells // nx
-        ijk[:, 1] = rest % ny
-        ijk[:, 2] = rest // ny
-        pad = 4.0 * np.spacing(
-            np.maximum(np.abs(origin), np.abs(origin + grid._n_cells * cell))
-        )
-        cl = origin[None, :] + ijk * cell[None, :] - pad[None, :]
-        ch = cl + cell[None, :] + 2.0 * pad[None, :]
-        blo = box_lo[all_boxes]
-        bhi = box_hi[all_boxes]
-        d_lo = np.maximum(np.maximum(blo - ch, cl - bhi), 0.0).max(axis=1)
-        d_hi = np.maximum(np.maximum(blo - cl, ch - bhi), 0.0).max(axis=1)
-        seg_starts = np.cumsum(counts) - counts
-        nzc = counts > 0
-        cell_dmin[nzc] = np.fmin.reduceat(d_lo, seg_starts[nzc])
-        cell_dmax[nzc] = np.fmin.reduceat(d_hi, seg_starts[nzc])
-        keep = (d_lo < h_cap) & (d_lo <= cell_dmax[all_cells])
-        pruned = int(all_boxes.shape[0] - np.count_nonzero(keep))
-        all_boxes = all_boxes[keep]
-        counts = np.bincount(all_cells[keep], minlength=n_cells)
+    ijk = np.empty((all_cells.shape[0], 3), dtype=np.int64)
+    ijk[:, 0] = all_cells % nx
+    rest = all_cells // nx
+    ijk[:, 1] = rest % ny
+    ijk[:, 2] = rest // ny
+    pad = 4.0 * np.spacing(
+        np.maximum(np.abs(origin), np.abs(origin + grid._n_cells * cell))
+    )
+    cl = origin[None, :] + ijk * cell[None, :] - pad[None, :]
+    ch = cl + cell[None, :] + 2.0 * pad[None, :]
+    blo = box_lo[all_boxes]
+    bhi = box_hi[all_boxes]
+    d_lo = np.maximum(np.maximum(blo - ch, cl - bhi), 0.0).max(axis=1)
+    d_hi = np.maximum(np.maximum(blo - cl, ch - bhi), 0.0).max(axis=1)
+    seg_starts = np.cumsum(counts) - counts
+    nzc = counts > 0
+    cell_dmin[nzc] = np.fmin.reduceat(d_lo, seg_starts[nzc])
+    cell_dmax[nzc] = np.fmin.reduceat(d_hi, seg_starts[nzc])
+    keep = (d_lo < h_cap) & (d_lo <= cell_dmax[all_cells])
+    pruned = int(all_boxes.shape[0] - np.count_nonzero(keep))
+    all_boxes = all_boxes[keep]
+    counts = np.bincount(all_cells[keep], minlength=n_cells)
     indptr = np.zeros(n_cells + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, all_boxes, cell_dmin, cell_dmax, pruned
@@ -331,19 +319,16 @@ def grid_builds(draw):
         [Conductor.single(f"c{i}", b) for i, b in enumerate(boxes)],
         enclosure=Box.from_bounds(-5, 50, -5, 50, -5, 50),
     )
-    return structure, h_cap, resolution, draw(st.booleans())
+    return structure, h_cap, resolution
 
 
 @settings(max_examples=80, deadline=None)
 @given(grid_builds())
 def test_column_build_matches_reference_build(build):
     """The column-wise build gives byte-equal CSR lists, cell bounds and
-    pruned counts to the row-wise reference, with and without the
-    far-field bounds, at resolutions 1-4."""
-    structure, h_cap, resolution, far_field = build
-    grid = GridIndex(
-        structure, h_cap=h_cap, far_field=far_field, resolution=resolution
-    )
+    pruned counts to the row-wise reference at resolutions 1-4."""
+    structure, h_cap, resolution = build
+    grid = GridIndex(structure, h_cap=h_cap, resolution=resolution)
     assert grid.resolution == resolution
     indptr, indices, cell_dmin, cell_dmax, pruned = reference_build(grid)
     assert grid._indptr.tobytes() == indptr.tobytes()
