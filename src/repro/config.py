@@ -73,20 +73,18 @@ RESULT_FIELDS = (
 #: cache-key-completeness pass (docs/STATIC_ANALYSIS.md): a field read on
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justifications, by group — backend placement (``executor``,
-#: ``n_workers``, ``chunk_size``, ``mp_start_method``: UID-ordered
-#: reassembly makes worker layout invisible), scheduling
-#: (``pipeline_lookahead``: walk draws are a pure function of
-#: (seed, uid, step), so issue order cannot reach a bit), and guards
-#: (``sanitize``: raises or no-ops).  Cross-master interleaving, the even
-#: in-flight quota, the far-field index tier and the RNG prefetch depth
-#: are fixed behaviour, not fields: each is bit-invisible and won its
+#: ``n_workers``, ``mp_start_method``: UID-ordered reassembly makes worker
+#: layout and chunking invisible) and guards (``sanitize``: raises or
+#: no-ops).  The batch schedule — cross-master interleaving, the even
+#: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, per-batch
+#: chunking — plus the far-field index tier and the RNG prefetch depth
+#: are fixed behaviour, not fields: walk draws are a pure function of
+#: (seed, uid, step), so none of them can reach a bit, and each won its
 #: suite A/B (docs/PERFORMANCE.md).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
-    "chunk_size",
     "mp_start_method",
-    "pipeline_lookahead",
     "sanitize",
 )
 
@@ -158,19 +156,19 @@ class FRWConfig:
         ``"thread"`` (persistent thread pool; NumPy releases the GIL in its
         inner loops), or ``"process"`` (persistent process pool; contexts
         reach its workers through the shared-memory plane,
-        :mod:`repro.frw.shm`).  Results are
-        reassembled in UID order, so all backends are bit-identical to the
-        serial engine — real parallelism changes wall time only, which is
-        the DOP-independence contract of Alg. 2.
+        :mod:`repro.frw.shm`).  Every backend drives its batches through
+        the one Alg. 2 batch driver (:mod:`repro.frw.cross_master`):
+        thread batches run whole, process batches split evenly over idle
+        workers, and the serial engine refills its vector across batch
+        boundaries.  Results are reassembled in UID order, so all backends
+        are bit-identical to the serial engine — real parallelism changes
+        wall time only, which is the DOP-independence contract of Alg. 2.
     n_workers:
         Workers of the real executor; ``0`` means auto (the CPUs this
         process may actually run on — ``os.sched_getaffinity`` where
         available, so containerized/affinity-restricted hosts size pools
         correctly — falling back to the host CPU count).  With one worker
         the executor degrades to the serial path.
-    chunk_size:
-        UIDs per executor work item; ``0`` means auto (an even split of the
-        batch over the workers).
     mp_start_method:
         Start method of the process backend: ``"fork"``, ``"spawn"``,
         ``"forkserver"``, or ``"auto"`` (fork where available, else
@@ -178,15 +176,6 @@ class FRWConfig:
         so all methods are bit-identical; spawn/forkserver cost more per
         pool start but work on every platform and give workers a clean
         interpreter state.
-    pipeline_lookahead:
-        Cross-batch walk pipelining depth: when walks absorb, their vector
-        slots are refilled with UIDs from up to this many batches ahead,
-        so the engine's vector width stays near ``batch_size`` instead of
-        shrinking to a ragged tail (the process backend keeps that many
-        batches in flight beyond the one being gathered).  ``0`` drains
-        each batch before the next one starts.  Deeper lookahead discards
-        more work when the stopping rule fires; results are banked per
-        batch and bit-identical at every depth.
     antithetic:
         Generalized antithetic sampling (variance reduction): walk UIDs
         are grouped in aligned blocks of ``antithetic_group`` consecutive
@@ -255,9 +244,7 @@ class FRWConfig:
     deterministic_merge: bool = False
     executor: str = "thread"
     n_workers: int = 0
-    chunk_size: int = 0
     mp_start_method: str = "auto"
-    pipeline_lookahead: int = 1
     antithetic: bool = False
     antithetic_group: int = 2
     antithetic_depth: int = 1
@@ -335,16 +322,10 @@ class FRWConfig:
             )
         if self.n_workers < 0:
             raise ConfigError(f"n_workers must be >= 0, got {self.n_workers}")
-        if self.chunk_size < 0:
-            raise ConfigError(f"chunk_size must be >= 0, got {self.chunk_size}")
         if self.mp_start_method not in MP_START_METHODS:
             raise ConfigError(
                 f"mp_start_method must be one of {MP_START_METHODS}, got "
                 f"{self.mp_start_method!r}"
-            )
-        if self.pipeline_lookahead < 0:
-            raise ConfigError(
-                f"pipeline_lookahead must be >= 0, got {self.pipeline_lookahead}"
             )
         if not (2 <= self.antithetic_group <= 8):
             raise ConfigError(

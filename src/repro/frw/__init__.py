@@ -24,8 +24,10 @@ from .engine import (
 from .estimator import CapacitanceRow, RowAccumulator
 from .multilevel import GroupPlan, multilevel_extract, plan_groups
 from .parallel import (
+    BatchRunner,
     PendingBatch,
     PersistentExecutor,
+    executor_for,
     make_batch_runner,
     resolve_start_method,
     resolve_workers,
@@ -51,6 +53,7 @@ from .solver import ExtractionResult, FRWSolver, assemble_result, extract
 from .walk import WalkTrace, run_single_walk, trace_walks
 
 __all__ = [
+    "BatchRunner",
     "CapacitanceRow",
     "ContextManifest",
     "ExtractionContext",
@@ -77,6 +80,7 @@ __all__ = [
     "extract_row_alg2",
     "extract_row_alg2_from_structure",
     "extract_rows_interleaved",
+    "executor_for",
     "jittered_durations",
     "machine_rng",
     "make_batch_runner",

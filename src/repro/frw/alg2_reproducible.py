@@ -24,16 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import FRWConfig
-from ..rng import (
-    MirroredDraws,
-    MTWalkStreams,
-    WalkStreams,
-    seeded_generator,
-    splitmix64,
-)
+from ..rng import seeded_generator, splitmix64
 from .context import ExtractionContext, build_context
 from .estimator import CapacitanceRow, RowAccumulator
-from .parallel import PersistentExecutor, make_batch_runner
+from .parallel import (
+    PersistentExecutor,
+    executor_for,
+    stream_spec,
+    streams_from_spec,
+)
 from .scheduler import jittered_durations, simulate_dynamic_queue
 
 
@@ -64,15 +63,6 @@ class RunStats:
     allocation_rounds: int = 0
 
     @property
-    def parallel_efficiency(self) -> float:
-        """Load-balance efficiency of the simulated schedule."""
-        if self.makespan == 0.0:
-            return 1.0
-        return float(self.thread_work.sum()) / (
-            self.thread_work.shape[0] * self.makespan
-        )
-
-    @property
     def speculation_ratio(self) -> float:
         """Fraction of dispatched batches that were discarded."""
         if self.dispatched_batches == 0:
@@ -86,16 +76,7 @@ def make_streams(config: FRWConfig, master: int):
     Each master conductor gets an independent stream family (domain
     separation), so multi-level parallelism cannot collide streams.
     """
-    if config.rng == "mt":
-        return MTWalkStreams(config.seed, stream=master)
-    streams = WalkStreams(config.seed, stream=master)
-    if config.antithetic:
-        # Antithetic partners re-read their primary's counter words
-        # through a mirroring view; config validation guarantees philox.
-        streams = MirroredDraws(
-            streams, config.antithetic_group, config.antithetic_depth
-        )
-    return streams
+    return streams_from_spec(stream_spec(config, master))
 
 
 def machine_rng(config: FRWConfig, master: int) -> np.random.Generator:
@@ -109,12 +90,12 @@ class RowProgress:
     """Streaming accumulate-and-checkpoint state of one row extraction.
 
     This is the *only* implementation of the per-batch accumulation and
-    the Alg. 2 global checkpoint: both :func:`extract_row_alg2` and the
-    cross-master interleaved scheduler feed batch results through it, so
-    a master's row is bit-identical under any batch execution schedule by
-    construction — provided batches are absorbed in batch-index order
-    (the machine RNG and the virtual-thread replay consume them in that
-    order).
+    the Alg. 2 global checkpoint: the batch driver
+    (:func:`~repro.frw.cross_master.extract_rows_interleaved`) feeds batch
+    results through it, so a master's row is bit-identical under any
+    batch execution schedule by construction — provided batches are
+    absorbed in batch-index order (the machine RNG and the virtual-thread
+    replay consume them in that order).
     """
 
     def __init__(self, ctx: ExtractionContext, config: FRWConfig | None = None):
@@ -194,50 +175,33 @@ def extract_row_alg2(
     ctx: ExtractionContext,
     config: FRWConfig | None = None,
     executor: PersistentExecutor | None = None,
-    timers=None,
 ) -> tuple[CapacitanceRow, RunStats]:
     """Extract one capacitance-matrix row with the reproducible scheme.
 
-    Walk batches are produced by the batch runner of the config's
-    ``executor`` backend (serial cross-batch pipeline, thread
-    slot-pipelines, or the persistent process pool).  Every runner
-    yields per-batch results in UID order, so the accumulated row is
-    bit-identical across all of them — the scheduling knobs trade wall time
-    only.  Pass ``executor`` (e.g. from :class:`~repro.frw.solver.FRWSolver`)
-    to reuse one pool across masters; otherwise a pool is created and closed
-    here when the config calls for one.  ``timers`` (an optional
-    :class:`~repro.frw.engine.StageTimers`) collects the engine's per-stage
-    breakdown where the runner supports it (see
-    :func:`~repro.frw.parallel.make_batch_runner`).
+    A one-master run of the batch driver,
+    :func:`~repro.frw.cross_master.extract_rows_interleaved`, so the row is
+    bit-identical to the same master inside any multi-master extraction,
+    on every backend.  Pass ``executor`` (e.g. from
+    :class:`~repro.frw.solver.FRWSolver`) to reuse one pool across
+    masters; otherwise :func:`~repro.frw.parallel.executor_for` creates
+    one here when the config calls for it, and it is closed on return.
     """
-    cfg = config if config is not None else ctx.config
-    progress = RowProgress(ctx, cfg)
-    runner, owned = make_batch_runner(ctx, cfg, executor, timers=timers)
+    from .cross_master import extract_rows_interleaved
 
+    cfg = config if config is not None else ctx.config
+    owned = None
+    if executor is None:
+        owned = executor = executor_for(
+            cfg.executor, cfg.n_workers, cfg.mp_start_method
+        )
     try:
-        batch_index = 0
-        while True:
-            results = runner.run_batch(batch_index)
-            progress.stats.dispatched_batches += 1
-            batch_index += 1
-            if progress.absorb(results):
-                break
+        rows, stats = extract_rows_interleaved(
+            [ctx.master], cfg, lambda master: ctx, executor
+        )
     finally:
-        runner.close()
         if owned is not None:
             owned.close()
-
-    # Pipelined process dispatch may leave speculative batches in flight
-    # when the stopping rule fires; the runner counts them at close().
-    # They were dispatched work the row never consumed — account them so
-    # the speculation telemetry matches the cross-master scheduler's.
-    discarded = int(getattr(runner, "speculative_discarded", 0))
-    if discarded:
-        progress.stats.dispatched_batches += discarded
-        progress.stats.discarded_batches += discarded
-    progress.stats.discarded_walks += runner.discarded_walks
-
-    return progress.finalize()
+    return rows[0], stats[0]
 
 
 def extract_row_alg2_from_structure(

@@ -103,6 +103,13 @@ SPAN_FUSE_BUDGET = 16384
 #: constant rather than a config field.
 RNG_PREFETCH_DEPTH = 8
 
+#: Batches a master may run ahead of the one being gathered: the serial
+#: ``WalkPipeline`` refills freed slots from this many batches ahead, and
+#: the Alg. 2 driver keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's
+#: batches in flight on a pool.  Bit-invisible; deeper look-ahead only
+#: discards more work when the stopping rule fires.
+PIPELINE_LOOKAHEAD = 1
+
 
 @dataclass
 class StageTimers:
@@ -140,26 +147,6 @@ class StageTimers:
         setattr(self, stage, getattr(self, stage) + (t1 - t0))
         self.counts[stage] = self.counts.get(stage, 0) + 1
         return t1
-
-    def merge(self, other: "StageTimers") -> None:
-        """Fold another timer's stages into this one (cross-worker or
-        cross-master aggregation; stage seconds, dispatch counts and step
-        counts add)."""
-        self.rng += other.rng
-        self.index_fast += other.index_fast
-        self.index += other.index
-        self.sample += other.sample
-        # Timers merged from workers predating the `retire` stage (e.g.
-        # pickled across versions) simply contribute zero to it.
-        self.retire += getattr(other, "retire", 0.0)
-        self.bookkeeping += other.bookkeeping
-        self.steps += other.steps
-        other_counts = getattr(other, "counts", None)
-        if other_counts:
-            for stage in sorted(other_counts):
-                self.counts[stage] = (
-                    self.counts.get(stage, 0) + other_counts[stage]
-                )
 
     @property
     def total(self) -> float:
@@ -313,9 +300,10 @@ class WalkPipeline:
         arena's capacity.
     lookahead:
         How many batches beyond the oldest outstanding one may be pulled in
-        to refill freed slots.  ``0`` disables cross-batch refilling (the
-        active set shrinks to a tail within each batch, as the plain batch
-        engine does); the walks' *results* are identical either way.
+        to refill freed slots (``None`` = :data:`PIPELINE_LOOKAHEAD`).
+        ``0`` disables cross-batch refilling (the active set shrinks to a
+        tail within each batch, as the plain batch engine does); the walks'
+        *results* are identical either way.
     trace:
         When given, per-step positions of all active walks are appended as
         ``(rows_in_batch, positions)`` tuples (small single-batch runs only;
@@ -360,7 +348,7 @@ class WalkPipeline:
         streams,
         feed: Callable[[int], np.ndarray | None],
         width: int,
-        lookahead: int = 1,
+        lookahead: int | None = None,
         trace: list | None = None,
         workspace: ArenaWorkspace | None = None,
         timers: StageTimers | None = None,
@@ -371,6 +359,8 @@ class WalkPipeline:
         self.streams = streams
         self.feed = feed
         self.width = max(1, int(width))
+        if lookahead is None:
+            lookahead = PIPELINE_LOOKAHEAD
         self.lookahead = max(0, int(lookahead))
         self.group = max(1, int(group))
         self.trace = trace
@@ -466,11 +456,6 @@ class WalkPipeline:
     def active(self) -> int:
         """Number of in-flight walks."""
         return self._n
-
-    @property
-    def outstanding_batches(self) -> int:
-        """Batches fed but not yet emitted."""
-        return self._next_feed - self._next_emit
 
     @property
     def launched_ahead(self) -> int:

@@ -22,10 +22,10 @@ frw-r     Alg. 2, Kahan, CBRNG                       none
 frw-rr    Alg. 2, Kahan, CBRNG                       Alg. 3 regularization
 ========  =========================================  ====================
 
-Multi-master extractions run through the cross-master interleaved
-scheduler: batches from all masters share the one executor, and
-per-master rows stay bit-identical to :meth:`FRWSolver.extract_row` run
-master by master (see :mod:`repro.frw.cross_master`).
+Every Alg. 2 extraction, one master or many, runs through the batch
+driver of :mod:`repro.frw.cross_master`: batches from all masters share
+the one executor, and per-master rows stay bit-identical to
+:meth:`FRWSolver.extract_row` run master by master.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .alg2_reproducible import RunStats, extract_row_alg2
 from .context import ExtractionContext, SharedAssets, build_context
 from .cross_master import extract_rows_interleaved
 from .estimator import CapacitanceRow
-from .parallel import PersistentExecutor, resolve_workers
+from .parallel import PersistentExecutor, executor_for
 
 
 @dataclass
@@ -217,14 +217,9 @@ class FRWSolver:
         which case the batch runners fall back to the in-process engine.
         """
         cfg = self.config
-        if cfg.executor == "serial" or resolve_workers(cfg.n_workers) <= 1:
-            return None
         if self._executor is None:
-            self._executor = PersistentExecutor(
-                cfg.executor,
-                cfg.n_workers,
-                cfg.chunk_size,
-                mp_start_method=cfg.mp_start_method,
+            self._executor = executor_for(
+                cfg.executor, cfg.n_workers, cfg.mp_start_method
             )
         return self._executor
 
@@ -264,12 +259,10 @@ class FRWSolver:
     def _extract_serial_masters(
         self,
         masters: list[int],
-        executor: PersistentExecutor | None,
         thread_overrides: dict[int, int] | None,
     ) -> tuple[list[CapacitanceRow], list[RunStats]]:
-        """The master-after-master loop for alg1 and single-master
-        calls.  Each master's context is built — and, on the process
-        backend, published by its batch runner — only when that master
+        """The master-after-master Alg. 1 loop (Alg. 1 has no batches to
+        interleave).  Each master's context is built only when that master
         runs."""
         overrides = thread_overrides or {}
         rows: list[CapacitanceRow] = []
@@ -279,11 +272,7 @@ class FRWSolver:
             t = overrides.get(master)
             if t is not None and t != cfg.n_threads:
                 cfg = cfg.with_(n_threads=max(1, t))
-            ctx = self.context(master)
-            if cfg.variant == "alg1":
-                row, stat = extract_row_alg1(ctx, cfg)
-            else:
-                row, stat = extract_row_alg2(ctx, cfg, executor=executor)
+            row, stat = extract_row_alg1(self.context(master), cfg)
             rows.append(row)
             stats.append(stat)
         return rows, stats
@@ -297,8 +286,8 @@ class FRWSolver:
     ) -> ExtractionResult:
         """Extract rows for the given masters (default: all conductors).
 
-        Multi-master calls run through the cross-master interleaved
-        scheduler (batches from all masters share the executor; rows are
+        Alg. 2 variants run through the cross-master batch driver
+        (batches from all masters share the executor; rows are
         bit-identical to the per-master :meth:`extract_row`).
         ``thread_overrides`` maps a master to the virtual-thread DOP its
         accumulation replays at (used by
@@ -312,10 +301,13 @@ class FRWSolver:
         if not masters:
             raise ConfigError("need at least one master conductor")
         executor = self.walk_executor()
-        interleaved = len(masters) > 1 and self.config.variant != "alg1"
         t0 = time.perf_counter()
         with maybe_forbid_global_rng(self.config.sanitize):
-            if interleaved:
+            if self.config.variant == "alg1":
+                rows, stats = self._extract_serial_masters(
+                    masters, thread_overrides
+                )
+            else:
                 rows, stats = extract_rows_interleaved(
                     masters,
                     self.config,
@@ -323,15 +315,10 @@ class FRWSolver:
                     executor=executor,
                     thread_overrides=thread_overrides,
                 )
-            else:
-                rows, stats = self._extract_serial_masters(
-                    masters, executor, thread_overrides
-                )
         wall = time.perf_counter() - t0
 
         meta = {
             "schedule": {
-                "interleaved": interleaved,
                 "antithetic": (
                     {
                         "group": self.config.antithetic_group,

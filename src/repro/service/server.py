@@ -41,7 +41,7 @@ import numpy as np
 from .. import __version__
 from ..config import ENGINE_FIELDS, RESULT_FIELDS, FRWConfig
 from ..errors import ConfigError, GeometryError
-from ..frw.parallel import PersistentExecutor, resolve_workers
+from ..frw.parallel import PersistentExecutor, executor_for
 from ..frw.scheduler import allocate_quota, backlog_weights
 from ..frw.solver import FRWSolver
 from ..geometry import Structure, structure_from_dict
@@ -309,15 +309,13 @@ class ExtractionService:
     def _slot_executor(self, slot: int) -> PersistentExecutor | None:
         """The slot-owned persistent pool (lazy; ``None`` for serial)."""
         cfg = self.settings
-        if cfg.executor == "serial" or resolve_workers(cfg.n_workers) <= 1:
-            return None
         executor = self._executors.get(slot)
         if executor is None:
-            kwargs = {}
-            if cfg.mp_start_method is not None:
-                kwargs["mp_start_method"] = cfg.mp_start_method
-            executor = PersistentExecutor(cfg.executor, cfg.n_workers, **kwargs)
-            self._executors[slot] = executor
+            executor = executor_for(
+                cfg.executor, cfg.n_workers, cfg.mp_start_method or "auto"
+            )
+            if executor is not None:
+                self._executors[slot] = executor
         return executor
 
     def _worker_loop(self, slot: int) -> None:

@@ -60,9 +60,7 @@ ALT_RESULT_VALUES = {
 ALT_ENGINE_VALUES = {
     "executor": "process",
     "n_workers": 3,
-    "chunk_size": 17,
     "mp_start_method": "spawn",
-    "pipeline_lookahead": 3,
     "sanitize": True,
 }
 

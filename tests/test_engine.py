@@ -251,46 +251,6 @@ def test_stage_timers_lap_accumulates_seconds_and_counts():
     assert all(d[s] >= 0.0 for s in STAGE_NAMES)
 
 
-def test_stage_timers_merge_adds_all_fields():
-    from repro.frw import StageTimers
-    from repro.frw.engine import STAGE_NAMES
-
-    a = StageTimers(
-        rng=1.0, index_fast=0.5, index=2.0, sample=0.25, retire=0.125,
-        bookkeeping=4.0, steps=10, counts={"rng": 3, "retire": 1},
-    )
-    b = StageTimers(
-        rng=0.5, index_fast=0.25, index=1.0, sample=0.75, retire=0.375,
-        bookkeeping=1.0, steps=7, counts={"rng": 2, "sample": 5},
-    )
-    a.merge(b)
-    assert (a.rng, a.index_fast, a.index) == (1.5, 0.75, 3.0)
-    assert (a.sample, a.retire, a.bookkeeping) == (1.0, 0.5, 5.0)
-    assert a.steps == 17
-    assert a.counts == {"rng": 5, "retire": 1, "sample": 5}
-    assert a.total == pytest.approx(sum(getattr(a, s) for s in STAGE_NAMES))
-
-
-def test_stage_timers_merge_tolerates_legacy_timers():
-    """Timers from workers predating `retire`/`counts` (e.g. pickled across
-    versions) contribute zero to the new fields instead of raising."""
-    from repro.frw import StageTimers
-
-    class Legacy:
-        rng = 1.0
-        index_fast = 0.0
-        index = 2.0
-        sample = 3.0
-        bookkeeping = 4.0
-        steps = 5
-
-    tm = StageTimers(retire=0.5, counts={"rng": 1})
-    tm.merge(Legacy())
-    assert tm.retire == 0.5
-    assert tm.steps == 5
-    assert tm.counts == {"rng": 1}
-
-
 def test_engine_run_charges_dispatch_counts(plates):
     """A real engine run records at least one dispatch for every stage it
     timed, and with the prefetch ring the rng dispatch count drops below

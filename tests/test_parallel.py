@@ -7,8 +7,10 @@ import pytest
 
 from repro import FRWConfig
 from repro.frw import (
+    BatchRunner,
     PersistentExecutor,
     build_context,
+    engine,
     extract_row_alg2,
     make_batch_runner,
     run_walks,
@@ -18,10 +20,11 @@ from repro.frw.solver import FRWSolver
 from repro.rng import WalkStreams
 
 
-def _run_once(backend, ctx, uids, n_workers, chunk_size=0):
+def _run_once(backend, ctx, uids, n_workers, max_chunks=None):
     """One batch on a fresh executor, closed on return."""
-    with PersistentExecutor(backend, n_workers, chunk_size) as ex:
-        return ex.run(ex.register(ctx, stream_spec(ctx.config, 0)), uids)
+    with PersistentExecutor(backend, n_workers) as ex:
+        key = ex.register(ctx, stream_spec(ctx.config, 0))
+        return ex.run_async(key, uids, max_chunks).result()
 
 
 def test_parallel_matches_serial_bitwise(plates):
@@ -35,11 +38,11 @@ def test_parallel_matches_serial_bitwise(plates):
     assert serial.truncated == parallel.truncated
 
 
-def test_parallel_chunk_size_irrelevant(plates):
+def test_parallel_chunking_irrelevant(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(501, dtype=np.uint64)  # odd size: ragged chunks
-    a = _run_once("thread", ctx, uids, 3, chunk_size=64)
-    b = _run_once("thread", ctx, uids, 2, chunk_size=200)
+    a = _run_once("thread", ctx, uids, 3, max_chunks=8)
+    b = _run_once("thread", ctx, uids, 2, max_chunks=2)
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.dest, b.dest)
 
@@ -57,7 +60,7 @@ def test_process_pool_matches_serial(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    procs = _run_once("process", ctx, uids, n_workers=2, chunk_size=150)
+    procs = _run_once("process", ctx, uids, n_workers=2, max_chunks=4)
     assert np.array_equal(serial.omega, procs.omega)
     assert np.array_equal(serial.dest, procs.dest)
 
@@ -83,9 +86,9 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(backend, n_workers=n_workers, chunk_size=96) as ex:
+    with PersistentExecutor(backend, n_workers=n_workers) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
+        res = ex.run_async(key, uids, max_chunks=8).result()
     assert np.array_equal(serial.omega, res.omega)
     assert np.array_equal(serial.dest, res.dest)
     assert np.array_equal(serial.steps, res.steps)
@@ -121,32 +124,51 @@ def test_executor_close_idempotent():
     ex.close()
 
 
+_ROW_BASE = dict(
+    seed=13, n_threads=4, batch_size=256, min_walks=512,
+    max_walks=1024, tolerance=1e-6,
+)
+
+
+@pytest.fixture(scope="module")
+def one_batch_reference(plates):
+    """Serial row driven one batch at a time (no look-ahead)."""
+    cfg = FRWConfig.frw_r(**_ROW_BASE, executor="serial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "PIPELINE_LOOKAHEAD", 0)
+        return extract_row_alg2(build_context(plates, 0, cfg))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(executor="serial"),
-        dict(executor="serial", pipeline_lookahead=3),
+        dict(executor="serial", lookahead=3),
         dict(executor="thread", n_workers=1),
         dict(executor="thread", n_workers=2),
         dict(executor="thread", n_workers=4),
-        dict(executor="thread", n_workers=2, pipeline_lookahead=0),
-        dict(executor="thread", n_workers=2, chunk_size=77),
+        dict(executor="thread", n_workers=2, lookahead=0),
+        dict(executor="process", n_workers=1),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
+        dict(executor="process", n_workers=2, lookahead=3),
+        dict(executor="process", n_workers=2, lookahead=0),
+        dict(executor="process", n_workers=2, mp_start_method="spawn"),
+        dict(executor="process", n_workers=4, mp_start_method="spawn"),
     ],
 )
-def test_extract_row_backends_bitwise(plates, kwargs):
+def test_extract_row_backends_bitwise(plates, one_batch_reference, kwargs):
     """The acceptance criterion: the extracted row (values, sigma2, hits,
-    walks, steps) is bitwise identical across all executor backends and
-    worker counts — the knobs trade wall time only."""
-    base = dict(
-        seed=13, n_threads=4, batch_size=256, min_walks=512,
-        max_walks=1024, tolerance=1e-6,
-    )
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline_lookahead=0)
-    ref_row, ref_stats = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    cfg = FRWConfig.frw_r(**base, **kwargs)
-    row, stats = extract_row_alg2(build_context(plates, 0, cfg))
+    walks, steps) is bitwise identical across all executor backends,
+    worker counts, start methods and look-ahead depths — the schedule
+    trades wall time only.  ``lookahead`` patches PIPELINE_LOOKAHEAD."""
+    ref_row, ref_stats = one_batch_reference
+    kwargs = dict(kwargs)
+    lookahead = kwargs.pop("lookahead", engine.PIPELINE_LOOKAHEAD)
+    cfg = FRWConfig.frw_r(**_ROW_BASE, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
+        row, stats = extract_row_alg2(build_context(plates, 0, cfg))
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)
     assert np.array_equal(row.hits, ref_row.hits)
@@ -179,13 +201,15 @@ def test_solver_serial_config_has_no_executor(plates):
 def test_make_batch_runner_serial_fallback(plates):
     """executor='thread' with one worker degrades to the in-process path,
     so the default config is safe on single-core hosts."""
-    from repro.frw.parallel import PipelinedBatchRunner
-
-    cfg = FRWConfig.frw_r(executor="thread", n_workers=1)
+    cfg = FRWConfig.frw_r(seed=77, batch_size=64, executor="thread", n_workers=1)
     ctx = build_context(plates, 0, cfg)
     runner, owned = make_batch_runner(ctx, cfg)
     assert owned is None
-    assert isinstance(runner, PipelinedBatchRunner)
+    assert type(runner) is BatchRunner
+    res = runner.run_batch(0)
+    runner.close()
+    ref = run_walks(ctx, WalkStreams(77, 0), np.arange(64, dtype=np.uint64))
+    assert np.array_equal(res.omega, ref.omega)
 
 
 # ----------------------------------------------------------------------
@@ -208,10 +232,10 @@ def test_spawn_backend_bitwise(plates, n_workers):
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
     with PersistentExecutor(
-        "process", n_workers=n_workers, chunk_size=96, mp_start_method="spawn"
+        "process", n_workers=n_workers, mp_start_method="spawn"
     ) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
+        res = ex.run_async(key, uids, max_chunks=8).result()
     assert np.array_equal(serial.omega, res.omega)
     assert np.array_equal(serial.dest, res.dest)
     assert np.array_equal(serial.steps, res.steps)
@@ -222,7 +246,7 @@ def test_second_wave_registration_keeps_pool(plates):
     """Registering more contexts must publish blocks, not restart the
     pool: the worker PID set is unchanged across registration waves."""
     cfg = FRWConfig.frw_r(seed=5)
-    with PersistentExecutor("process", n_workers=2, chunk_size=128) as ex:
+    with PersistentExecutor("process", n_workers=2) as ex:
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
@@ -248,12 +272,13 @@ def test_executor_dispatch_telemetry(plates):
     uids = np.arange(400, dtype=np.uint64)
     # Spawn workers inherit no attach cache, so their counts are exact.
     with PersistentExecutor(
-        "process", n_workers=2, chunk_size=100, mp_start_method="spawn"
+        "process", n_workers=2, mp_start_method="spawn"
     ) as ex:
         ex.register(ctx, stream_spec(cfg, 0))
-        ex.run(ex.register(ctx, stream_spec(cfg, 0)), uids)
+        key = ex.register(ctx, stream_spec(cfg, 0))
+        ex.run_async(key, uids, max_chunks=4).result()
         stats = ex.dispatch_stats()
-        assert stats["dispatches"] == 4  # 400 uids / 100-uid chunks
+        assert stats["dispatches"] == 4  # 400 uids in 4 chunks
         assert stats["published_contexts"] == 1
         assert stats["published_nbytes"] > 0
         # Steady-state messages are (manifest, uids): a few KB each.
@@ -289,8 +314,8 @@ def test_executors_share_asset_blocks(plates):
     ctx1 = build_context(plates, 1, cfg)
     assert ctx0.table is ctx1.table
     uids = np.arange(300, dtype=np.uint64)
-    a = PersistentExecutor("process", n_workers=2, chunk_size=100)
-    b = PersistentExecutor("process", n_workers=2, chunk_size=100)
+    a = PersistentExecutor("process", n_workers=2)
+    b = PersistentExecutor("process", n_workers=2)
     try:
         a.register(ctx0, stream_spec(cfg, 0))
         key = b.register(ctx1, stream_spec(cfg, 1))
@@ -326,9 +351,9 @@ def test_close_lets_dispatched_chunks_finish(plates):
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(2048, dtype=np.uint64)
-    ex = PersistentExecutor("process", n_workers=2, chunk_size=64)
+    ex = PersistentExecutor("process", n_workers=2)
     key = ex.register(ctx, stream_spec(cfg, 0))
-    handles = [ex.run_async(key, u) for u in np.split(uids, 4)]
+    handles = [ex.run_async(key, u, max_chunks=8) for u in np.split(uids, 4)]
     gathered = []
 
     def close_then_gather():
@@ -374,8 +399,6 @@ def test_closed_executor_rejects_work(plates):
     with pytest.raises(ConfigError):
         ex.run_async(key, uids)
     with pytest.raises(ConfigError):
-        ex.submit(len, ())
-    with pytest.raises(ConfigError):
         ex.worker_stats()
     ex.close()
     assert shm.published_blocks() == blocks
@@ -408,35 +431,12 @@ def test_resolve_workers_affinity_fallback(monkeypatch):
     assert resolve_workers(0) == 3
 
 
-def test_pipelined_process_runner_bitwise(plates):
-    """ProcessBatchRunner with lookahead overlaps chunks from consecutive
-    batches across the pool; rows must stay bit-identical to the
-    unpipelined process path and the serial engine."""
-    base = dict(
-        seed=13, n_threads=4, batch_size=256, min_walks=512,
-        max_walks=1024, tolerance=1e-6,
-    )
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline_lookahead=0)
-    ref_row, ref_stats = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    for kwargs in (
-        dict(executor="process", n_workers=2),
-        dict(executor="process", n_workers=2, pipeline_lookahead=3),
-        dict(executor="process", n_workers=2, pipeline_lookahead=0),
-    ):
-        cfg = FRWConfig.frw_r(**base, **kwargs)
-        row, stats = extract_row_alg2(build_context(plates, 0, cfg))
-        assert np.array_equal(row.values, ref_row.values)
-        assert np.array_equal(row.sigma2, ref_row.sigma2)
-        assert row.walks == ref_row.walks
-        assert stats.batches == ref_stats.batches
-
-
 def test_pipelined_runner_counts_speculation(plates):
-    """Lookahead dispatches batches the stopping rule then discards; the
-    runner must surface them so the telemetry stays honest."""
+    """Look-ahead dispatches batches the stopping rule then discards; the
+    driver must surface them so the telemetry stays honest."""
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=128, min_walks=256, max_walks=256,
-        executor="process", n_workers=2, pipeline_lookahead=2,
+        executor="process", n_workers=2,
     )
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
     assert stats.dispatched_batches == stats.batches + stats.discarded_batches
@@ -461,9 +461,10 @@ def test_serial_discarded_walks_are_launched_minus_counted(
         return launch(self, uids, start_g, off)
 
     monkeypatch.setattr(WalkPipeline, "_launch", counting_launch)
+    monkeypatch.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=256, min_walks=512, max_walks=512,
-        executor="serial", pipeline_lookahead=lookahead,
+        executor="serial",
     )
     with FRWSolver(plates, cfg) as solver:
         result = solver.extract()  # interleaved masters, serial fallback

@@ -185,10 +185,12 @@ _BACKENDS = [
 ]
 
 
-def _extract(structure, depth, **overrides):
+def _extract(structure, depth, lookahead=None, **overrides):
     cfg = FRWConfig.frw_r(**_BASE, **overrides)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "RNG_PREFETCH_DEPTH", depth)
+        if lookahead is not None:
+            mp.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
         return extract_row_alg2(build_context(structure, 0, cfg))
 
 
@@ -206,7 +208,7 @@ def _assert_rows_equal(got, ref):
 def prefetch_reference(plates):
     """Depth-1 serial extraction: the no-ring baseline every (depth,
     backend, workers) combination must reproduce byte for byte."""
-    return _extract(plates, 1, executor="serial", pipeline_lookahead=0)
+    return _extract(plates, 1, lookahead=0, executor="serial")
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4, 8])
@@ -223,7 +225,7 @@ def test_rows_bitwise_across_depth_and_backends(
 @pytest.fixture(scope="module")
 def prefetch_anti_reference(plates):
     return _extract(
-        plates, 1, executor="serial", pipeline_lookahead=0, antithetic=True
+        plates, 1, lookahead=0, executor="serial", antithetic=True
     )
 
 

@@ -54,6 +54,8 @@ REMOVED_CONFIG_FIELDS = {
     "allocation_hysteresis": 0.25,
     "max_inflight_batches": 0,
     "far_field": True,
+    "chunk_size": 0,
+    "pipeline_lookahead": 1,
 }
 
 

@@ -131,4 +131,3 @@ def test_extract_meta_has_schedule_and_core_fields(plates, quick_config):
     meta = result.matrix.meta
     assert meta["seed"] == quick_config.seed
     assert meta["tolerance"] == quick_config.tolerance
-    assert meta["schedule"]["interleaved"] is True
