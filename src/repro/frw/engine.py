@@ -63,7 +63,6 @@ reports the breakdown.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -74,6 +73,7 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..geometry.structure import wall_distance
 from ..greens.sphere import interface_hemisphere_direction
+from ..rng.counter_stream import SPAN_TILE
 from .context import ExtractionContext
 
 
@@ -90,12 +90,6 @@ class WalkResults:
 
 #: Stage names of :class:`StageTimers`, in reporting order.
 STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
-
-#: Lattice-element budget of a fused RNG span pass (see WalkPipeline:
-#: prefetching pays off while fixed dispatch cost dominates, i.e. while the
-#: fused (2 * prefetch, n) counter lattice stays cache-resident; beyond it
-#: the per-step path is faster).  Matches the span kernel's column tile.
-SPAN_FUSE_BUDGET = 16384
 
 #: Default RNG prefetch depth ``K`` (steps per fused span pass).  On
 #: ``open_field_tol`` depth 8 cuts rng dispatches 5297 -> 2142 against
@@ -192,7 +186,6 @@ class ArenaWorkspace:
         "first",
         "naxis",
         "nsign",
-        "u4",
         "h",
         "h2",
         "dist",
@@ -203,13 +196,11 @@ class ArenaWorkspace:
         "b3",
         "b4",
         "ring",
-        "span_u",
     )
 
     def __init__(self, capacity: int):
         self.capacity = 0
         self.ring = None
-        self.span_u = None
         self.ensure(capacity)
 
     def ensure(self, capacity: int) -> None:
@@ -221,7 +212,6 @@ class ArenaWorkspace:
         # The prefetch ring is depth-dependent and capacity-sized; drop it
         # on growth so the next ensure_ring reallocates at the new width.
         self.ring = None
-        self.span_u = None
         self.uid = np.empty(capacity, dtype=np.uint64)
         self.grow = np.empty(capacity, dtype=np.int64)
         self.row = np.empty(capacity, dtype=np.int64)
@@ -233,7 +223,6 @@ class ArenaWorkspace:
         self.first = np.zeros(capacity, dtype=bool)
         self.naxis = np.empty(capacity, dtype=np.int64)
         self.nsign = np.empty(capacity, dtype=np.float64)
-        self.u4 = np.empty((capacity, 4), dtype=np.float64)
         self.h = np.empty(capacity, dtype=np.float64)
         self.h2 = np.empty(capacity, dtype=np.float64)
         # Query output buffers for the index's zero-copy ``query_into``.
@@ -248,24 +237,20 @@ class ArenaWorkspace:
     def ensure_ring(self, depth: int) -> None:
         """Allocate the RNG prefetch ring for ``depth`` steps ahead.
 
-        ``ring[k, d, i]`` holds hop-draw slot ``d`` of arena slot ``i`` at
-        the ``k``-th buffered step; ``span_u`` is the launch-time span
-        scratch (one extra plane for the step-0 surface draws).  Storage is
-        *slot-major* — ``(depth, 3, capacity)`` — so the span kernel's
-        conversion writes (through a transposed view) and the sample
-        stage's per-draw-slot column reads are both contiguous; the
-        ``(n, 3)`` draw blocks the step consumes are transposed views.
-        Reused across pipelines sharing the workspace; regrown when depth
-        or capacity grew.
+        ``ring[k, d, i]`` holds draw slot ``d`` of arena slot ``i`` at the
+        ``k``-th buffered step; it is the engine's only draw buffer (hop
+        draws and launch draws alike).  Storage is *slot-major* —
+        ``(depth, 3, capacity)`` — so the span kernel's conversion writes
+        (through a transposed view) and the sample stage's per-draw-slot
+        column reads are both contiguous; the ``(n, 3)`` draw blocks the
+        step consumes are transposed views.  Reused across pipelines
+        sharing the workspace; regrown when depth or capacity grew.
         """
         depth = int(depth)
         ring = self.ring
         if ring is not None and ring.shape[0] >= depth:
             return
         self.ring = np.empty((depth, 3, self.capacity), dtype=np.float64)
-        self.span_u = np.empty(
-            (depth + 1, 3, self.capacity), dtype=np.float64
-        )
 
 
 _THREAD_WS = threading.local()
@@ -290,7 +275,9 @@ class WalkPipeline:
     ctx:
         Extraction context of the master conductor.
     streams:
-        A per-walk stream provider (``WalkStreams`` or ``MTWalkStreams``).
+        A per-walk stream provider (``WalkStreams``, ``MirroredDraws`` or
+        ``MTWalkStreams``); the engine draws only through its
+        ``draws_span``.
     feed:
         ``feed(batch_index) -> uids | None``; called with consecutive batch
         indices (0, 1, 2, ...) and returns that batch's UID array, or
@@ -325,21 +312,19 @@ class WalkPipeline:
         deadlocking when the arena is empty or a batch tail is shorter
         than a group.
     prefetch:
-        RNG prefetch depth ``K``: one fused Philox span pass fills the
-        draws for the next ``K`` steps of every live slot into the
-        workspace ring buffer, consumed one plane per step, so the fixed
-        per-call draw-dispatch cost is paid once per ``K`` steps.  The
-        ring is *phase-aligned*: a single cursor is shared by all slots
-        (consuming a plane is a zero-dispatch view), launches prefetch a
+        RNG prefetch depth ``K``: one fused span pass fills the draws for
+        the next ``K`` steps of every live slot into the workspace ring
+        buffer, consumed one plane per step, so the fixed per-call
+        draw-dispatch cost is paid once per ``K`` steps.  The ring is
+        *phase-aligned*: a single cursor is shared by all slots
+        (consuming a plane is a zero-dispatch view), launches fill a
         partial span that joins the global phase, and retirement
         compaction moves ring columns with the other slot state — so the
-        per-slot cursor is simply ``(step_no[i], cursor)``.  Because
-        draws are pure functions of ``(seed, uid, step, slot)``, results
-        are bit-identical at every depth (prefetching can only compute
-        draws a retired walk never consumes).  ``None`` takes
-        :data:`RNG_PREFETCH_DEPTH`; depth 1 — or a stream
-        provider without ``draws_span`` (the MT ablation) — keeps the
-        per-step draw path.
+        per-slot cursor is simply ``(step_no[i], cursor)``.  Because each
+        walk's draws depend only on its own ``(uid, step)`` sequence,
+        results are bit-identical at every depth (prefetching can only
+        compute draws a retired walk never consumes).  ``None`` takes
+        :data:`RNG_PREFETCH_DEPTH`.
     """
 
     def __init__(
@@ -371,12 +356,6 @@ class WalkPipeline:
         self._table = ctx.table
         self._flux_scale = ctx.flux_scale
         self._can_release = hasattr(streams, "release")
-        try:
-            self._draws_out = (
-                "out" in inspect.signature(streams.draws).parameters
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic providers
-            self._draws_out = False
         enc = ctx.structure.enclosure
         self._enc_lo = tuple(float(v) for v in enc.lo)
         self._enc_hi = tuple(float(v) for v in enc.hi)
@@ -426,31 +405,23 @@ class WalkPipeline:
         # RNG prefetch ring (see the `prefetch` parameter docs).
         if prefetch is None:
             prefetch = RNG_PREFETCH_DEPTH
-        span_fn = getattr(streams, "draws_span", None)
-        self.prefetch = max(1, int(prefetch)) if span_fn is not None else 1
-        if self.prefetch > 1:
-            self._span_fn = span_fn
-            # Fuse only when the whole (2K, n) span lattice fits one
-            # cache-resident pass: fusing amortizes *fixed dispatch cost*,
-            # which dominates at small-to-mid vector widths (the pipeline's
-            # long-tail regime) but vanishes at full width, where a fused
-            # pass only adds cache pressure (measured 0.4x at n=8192,
-            # K=4).  Above the threshold the step falls back to the
-            # per-step draw path with the ring parked drained.
-            self._span_max_n = max(1, SPAN_FUSE_BUDGET // (2 * self.prefetch))
-            ws.ensure_ring(self.prefetch)
-            # Slot-major storage; the `_v` views expose the (depth, n,
-            # count) axis order draws_span expects, sharing the memory.
-            self._ring = ws.ring[: self.prefetch]
-            self._ring_v = self._ring.transpose(0, 2, 1)
-            self._span_u = ws.span_u[: self.prefetch + 1]
-            self._span_v = self._span_u.transpose(0, 2, 1)
-            # cursor == prefetch means "ring drained": the next step (or
-            # launch) refills before consuming.
-            self._ring_cursor = self.prefetch
-        else:
-            self._span_fn = None
-            self._ring = None
+        self.prefetch = max(1, int(prefetch))
+        # Refill K deep only while the whole (2K, n) span lattice fits one
+        # cache-resident tile: fusing amortizes *fixed dispatch cost*,
+        # which dominates at small-to-mid vector widths (the pipeline's
+        # long-tail regime) but vanishes at full width, where a deep pass
+        # only adds cache pressure (measured 0.4x at n=8192, K=4).  Wider
+        # vectors refill the ring one step deep.
+        self._span_max_n = max(1, SPAN_TILE // (2 * self.prefetch))
+        ws.ensure_ring(self.prefetch)
+        # Slot-major storage; the `_v` view exposes the (depth, n, count)
+        # axis order draws_span expects, sharing the memory.
+        self._ring = ws.ring[: self.prefetch]
+        self._ring_v = self._ring.transpose(0, 2, 1)
+        # Planes filled by the last refill; cursor == _ring_depth means
+        # "ring drained": the next step refills before consuming.
+        self._ring_depth = 1
+        self._ring_cursor = 1
 
     @property
     def active(self) -> int:
@@ -539,25 +510,18 @@ class WalkPipeline:
         k = uids.shape[0]
         n = self._n
         sl = slice(n, n + k)
-        if self._ring is not None and self._ring_cursor < self.prefetch:
-            # Launch span joins the global ring phase: with the cursor at
-            # ``c``, live slots hold steps ``step_no .. step_no+K-1-c`` in
-            # ring planes ``c..K-1``; a fresh walk (step_no 1) therefore
-            # needs steps ``1..K-c`` there, plus step 0 for the launch
-            # itself — one fused span of depth ``K-c+1`` starting at 0.
-            # (With the ring drained — cursor == K — there is nothing to
-            # join; the plain per-step draw below is the cheaper dispatch.)
-            c = self._ring_cursor
-            r = self.prefetch - c
-            span = self._span_fn(
-                uids, 0, r + 1, 3, out=self._span_v[: r + 1, :k]
-            )
-            u = span[0]
-            self._ring[c:, :, sl] = self._span_u[1 : r + 1, :, :k]
-        elif self._draws_out:
-            u = self.streams.draws(uids, 0, 3, out=self._ws.u4[:k])
-        else:
-            u = self.streams.draws(uids, 0, 3)
+        # The launch span joins the global ring phase: with the cursor at
+        # ``c``, live slots hold steps ``step_no .. step_no+r-1`` in the
+        # ``r`` unconsumed planes ``c..D-1`` (``D`` = ``_ring_depth``); a
+        # fresh walk (step_no 1) needs steps ``1..r`` there, plus step 0
+        # for the launch itself — one span of depth ``r+1`` starting at 0,
+        # written straight into planes ``c-1..D-1`` of the new slots
+        # (plane ``c-1`` is already consumed, so it is free for step 0).
+        c = self._ring_cursor
+        r = self._ring_depth - c
+        u = self.streams.draws_span(
+            uids, 0, r + 1, 3, out=self._ring_v[c - 1 : c + r, sl]
+        )[0]
         if tm is not None:
             t0 = tm.lap("rng", t0)
         pos, naxis, nsign = self.ctx.surface.sample(u)
@@ -632,13 +596,11 @@ class WalkPipeline:
             ):
                 arr[holes] = arr[movers]
             self._pos[holes] = self._pos[movers]
-            if self._ring is not None:
-                # Unconsumed prefetched planes travel with their slot; the
-                # phase alignment (plane c+j = step step_no+j) is preserved
-                # because compaction moves whole columns.
-                c = self._ring_cursor
-                if c < self.prefetch:
-                    self._ring[c:, :, holes] = self._ring[c:, :, movers]
+            # Unconsumed prefetched planes travel with their slot; the
+            # phase alignment (plane c+j = step step_no+j) is preserved
+            # because compaction moves whole columns.
+            live = slice(self._ring_cursor, self._ring_depth)
+            self._ring[live, :, holes] = self._ring[live, :, movers]
             for arr in extra:
                 arr[holes] = arr[movers]
         self._n = n_new
@@ -781,48 +743,34 @@ class WalkPipeline:
     def _stage_rng(self, t0: float):
         """Hop draws for the surviving cohort.
 
-        With the prefetch ring, most steps consume a ready plane (a
-        zero-dispatch view); one fused span pass per ``prefetch`` steps
-        refills all planes for every live slot in a single dispatch.
+        Most steps consume a ready ring plane (a zero-dispatch view); a
+        drained ring is refilled for every live slot by one span pass —
+        ``prefetch`` steps deep while the lattice is cache-resident, one
+        step deep for wider vectors.
         """
-        ws = self._ws
         tm = self._timers
         n = self._n
-        if self._ring is not None:
-            c = self._ring_cursor
-            if c < self.prefetch:
-                self._ring_cursor = c + 1
-                # (n, 3) transposed view: each draw-slot column is
-                # contiguous; consuming a ready plane dispatches nothing.
-                return t0, self._ring_v[c, :n]
-            if n <= self._span_max_n:
-                # Ring drained and the fused lattice is cache-resident:
-                # every live slot (including walks launched mid-ring, whose
-                # partial spans drained at the same phase) needs steps
-                # step_no .. step_no+K-1 — one fused pass.
-                self._span_fn(
-                    self._uid[:n],
-                    self._step_no[:n],
-                    self.prefetch,
-                    3,
-                    out=self._ring_v[:, :n],
-                )
-                if tm is not None:
-                    t0 = tm.lap("rng", t0)
-                self._ring_cursor = 1
-                return t0, self._ring_v[0, :n]
-            # Vector too wide to fuse profitably: per-step draws, ring
-            # stays parked drained (launches then prefetch nothing, so
-            # the phase invariant holds trivially).
-        if self._draws_out:
-            u = self.streams.draws(
-                self._uid[:n], self._step_no[:n], 3, out=ws.u4[:n]
-            )
-        else:
-            u = self.streams.draws(self._uid[:n], self._step_no[:n], 3)
+        c = self._ring_cursor
+        if c < self._ring_depth:
+            self._ring_cursor = c + 1
+            # (n, 3) transposed view: each draw-slot column is contiguous;
+            # consuming a ready plane dispatches nothing.
+            return t0, self._ring_v[c, :n]
+        # Every live slot (including walks launched mid-ring, whose partial
+        # spans drained at the same phase) needs steps step_no onwards.
+        depth = self.prefetch if n <= self._span_max_n else 1
+        self.streams.draws_span(
+            self._uid[:n],
+            self._step_no[:n],
+            depth,
+            3,
+            out=self._ring_v[:depth, :n],
+        )
         if tm is not None:
             t0 = tm.lap("rng", t0)
-        return t0, u
+        self._ring_depth = depth
+        self._ring_cursor = 1
+        return t0, self._ring_v[0, :n]
 
     def _stage_sample(self, t0: float, u, dist_c, dist_e) -> None:
         """Transition sampling and position update for the cohort."""
@@ -972,7 +920,8 @@ def run_walks(
     ctx:
         Extraction context of the master conductor.
     streams:
-        A per-walk stream provider (``WalkStreams`` or ``MTWalkStreams``).
+        A per-walk stream provider (``WalkStreams``, ``MirroredDraws`` or
+        ``MTWalkStreams``).
     uids:
         Walk UIDs to execute; results are returned in the same order.
     trace:

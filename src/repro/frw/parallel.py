@@ -168,20 +168,12 @@ _LOG = logging.getLogger(__name__)
 #: dispatched process-pool chunks before terminating the pool.
 CLOSE_DRAIN_S = 30.0
 
-_WORKER_STREAMS: dict = {}
-
 
 def _shm_chunk(manifest, uids: np.ndarray) -> WalkResults:
-    """Process-worker entry: attach the manifest's context (cached), run."""
+    """Process-worker entry: attach the manifest's context (cached), build
+    the chunk's stream provider from its spec, run."""
     ctx = shm.attach_context(manifest)
-    streams = _WORKER_STREAMS.get(manifest.spec)
-    if streams is None:
-        streams = streams_from_spec(manifest.spec)
-        # det: allow(DET006) per-process memo of this worker's own stream
-        # family; streams are counter-based (stateless per uid), so the cache
-        # only avoids re-deriving keys and cannot affect sample values.
-        _WORKER_STREAMS[manifest.spec] = streams
-    return run_walks(ctx, streams, uids)
+    return run_walks(ctx, streams_from_spec(manifest.spec), uids)
 
 
 def _worker_probe(delay: float) -> tuple[int, int]:

@@ -609,9 +609,9 @@ _PHILOX_KERNELS = frozenset(
     }
 )
 _PHILOX_MODULE = "repro.rng.philox"
-#: Stream-cursor attributes: the prefetch-ring cursor (engine) and the
-#: sequential stream position (repro.rng).
-_RING_CURSOR_ATTRS = frozenset({"_ring_cursor"})
+#: Stream-cursor attributes: the prefetch-ring cursor and fill depth
+#: (engine) and the sequential stream position (repro.rng).
+_RING_CURSOR_ATTRS = frozenset({"_ring_cursor", "_ring_depth"})
 _STREAM_CURSOR_ATTRS = frozenset({"_position"})
 
 
@@ -622,12 +622,12 @@ def det011_rng_counter_discipline(
 ) -> Iterator[Finding]:
     """Draws are a pure function of ``(seed, uid, step, slot)`` only
     because exactly one place builds Philox counters
-    (``repro.rng.counter_stream``'s fused kernels) and exactly one place
-    advances the prefetch-ring cursor (``repro.frw.engine``'s
+    (``repro.rng.counter_stream``'s span kernel) and exactly one place
+    moves the prefetch ring's cursor and fill depth (``repro.frw.engine``'s
     phase-aligned helpers).  A future kernel that calls ``philox4x32*``
-    directly, or bumps ``_ring_cursor`` / a stream's ``_position`` from
-    outside, silently forks the stream: results stay plausible and
-    bit-identity across DOP quietly dies.  This pass confines (a) calls
+    directly, or bumps ``_ring_cursor`` / ``_ring_depth`` / a stream's
+    ``_position`` from outside, silently forks the stream: results stay
+    plausible and bit-identity across DOP quietly dies.  This pass confines (a) calls
     to the raw Philox kernels and ``derive_key`` to ``repro.rng`` and
     (b) writes to the cursor attributes to their owning modules."""
     for module in _analyzed_modules(graph):
@@ -648,7 +648,7 @@ def det011_rng_counter_discipline(
                         f"raw Philox kernel call '{tail}' outside "
                         "repro.rng — counter arithmetic is confined to "
                         "the sanctioned stream helpers (WalkStreams."
-                        "draws/draws_span); a hand-built counter forks "
+                        "draws_span); a hand-built counter forks "
                         "the per-walk stream",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):

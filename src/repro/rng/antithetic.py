@@ -166,31 +166,12 @@ class MirroredDraws:
         self.group = int(group)
         self.depth = int(depth)
         self._reflect, self._offset = mirror_params(self.group)
-        self._cap = 0
-        self._uid_s: np.ndarray | None = None
-        self._k_s: np.ndarray | None = None
-        self._r_s: np.ndarray | None = None
-        self._o_s: np.ndarray | None = None
-        self._span_shape = (0, 0)
-        self._tr_s: np.ndarray | None = None
-        self._r2_s: np.ndarray | None = None
-        self._o2_s: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MirroredDraws({self.base!r}, group={self.group}, "
             f"depth={self.depth})"
         )
-
-    def _scratch(self, n: int):
-        if self._cap < n:
-            cap = max(n, 2 * self._cap)
-            self._uid_s = np.empty(cap, dtype=np.uint64)
-            self._k_s = np.empty(cap, dtype=np.uint64)
-            self._r_s = np.empty(cap, dtype=np.float64)
-            self._o_s = np.empty(cap, dtype=np.float64)
-            self._cap = cap
-        return self._uid_s[:n], self._k_s[:n], self._r_s[:n], self._o_s[:n]
 
     def draws(
         self,
@@ -199,54 +180,10 @@ class MirroredDraws:
         count: int,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Return ``(len(uids), count)`` uniforms in [0, 1).
-
-        Pure per-walk function of ``(uid, step, slot)`` exactly like the
-        base stream — batching, ordering, and co-scheduling of primaries
-        and partners are invisible to the values.  ``step`` may be a
-        scalar or a per-walk array, as for the base stream.
-        """
-        uids = np.asarray(uids, dtype=np.uint64)
-        n = uids.shape[0]
-        primary, k, reflect, offset = self._scratch(n)
-        np.mod(uids, np.uint64(self.group), out=k)
-        np.subtract(uids, k, out=primary)
-        u = self.base.draws(primary, step, count, out=out)
-        step_arr = np.asarray(step, dtype=np.uint64)
-        transform = (
-            (k > 0)
-            & (step_arr >= 1)
-            & (step_arr <= np.uint64(self.depth))
-        )
-        if not transform.any():
-            return u
-        # Branchless whole-block transform: untransformed rows get the
-        # exact identity (reflect 0, offset 0 — u*1+0 and u-floor(u) are
-        # bit-exact for u in [0, 1)), so no fancy-index write-back copy.
-        # Slot 0 is the transition-cube cell selection and transforms
-        # within its third (antipodal hop); the remaining slots transform
-        # over the whole interval.
-        kk = k.astype(np.intp)
-        np.multiply(self._reflect[kk], transform, out=reflect)
-        np.multiply(self._offset[kk], transform, out=offset)
-        antipodal_uniform(u[:, :1], reflect[:, None], offset[:, None])
-        if count > 1:
-            mirror_uniform(u[:, 1:], reflect[:, None], offset[:, None])
-        return u
-
-    def _span_scratch(self, depth: int, n: int):
-        d0, n0 = self._span_shape
-        if d0 < depth or n0 < n:
-            shape = (max(depth, d0), max(n, n0))
-            self._tr_s = np.empty(shape, dtype=bool)
-            self._r2_s = np.empty(shape, dtype=np.float64)
-            self._o2_s = np.empty(shape, dtype=np.float64)
-            self._span_shape = shape
-        return (
-            self._tr_s[:depth, :n],
-            self._r2_s[:depth, :n],
-            self._o2_s[:depth, :n],
-        )
+        """Return ``(len(uids), count)`` uniforms in [0, 1); the depth-1
+        view of :meth:`draws_span`."""
+        span_out = None if out is None else out[None]
+        return self.draws_span(uids, step, 1, count, out=span_out)[0]
 
     def draws_span(
         self,
@@ -256,45 +193,49 @@ class MirroredDraws:
         count: int,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Fused multi-step draws; plane ``k`` is bit-identical to
-        ``draws(uids, steps + k, count)``.
+        """Fused multi-step draws; plane ``k`` holds step ``steps + k``.
 
-        Delegates the Philox span to the base provider at the primary UIDs,
-        then applies the partner transforms plane-wise: the transform mask
-        is per ``(step offset, walk)``, so a span that straddles the
-        mirrored depth (``steps + k`` crossing ``self.depth``) transforms
-        exactly the in-range planes.  The engine's prefetch ring composes
-        with antithetic sampling through this method.
+        Pure per-walk function of ``(uid, step, slot)`` exactly like the
+        base stream — batching, ordering, and co-scheduling of primaries
+        and partners are invisible to the values.  Delegates the Philox
+        span to the base provider at the primary UIDs, then applies the
+        partner transforms plane-wise: the transform mask is per ``(step
+        offset, walk)``, so a span that straddles the mirrored depth
+        (``steps + k`` crossing ``self.depth``) transforms exactly the
+        in-range planes.
         """
         uids = np.asarray(uids, dtype=np.uint64)
-        n = uids.shape[0]
-        primary, k, _, _ = self._scratch(n)
-        np.mod(uids, np.uint64(self.group), out=k)
-        np.subtract(uids, k, out=primary)
-        u = self.base.draws_span(primary, steps, depth, count, out=out)
-        steps_arr = np.asarray(steps, dtype=np.uint64)
-        transform, reflect, offset = self._span_scratch(depth, n)
+        k = np.mod(uids, np.uint64(self.group))
+        u = self.base.draws_span(uids - k, steps, depth, count, out=out)
         # step_grid[k_off, i] = steps_i + k_off; broadcasting covers both
         # scalar and per-walk steps.
         step_grid = np.add(
-            steps_arr, np.arange(depth, dtype=np.uint64)[:, None]
+            np.asarray(steps, dtype=np.uint64),
+            np.arange(depth, dtype=np.uint64)[:, None],
         )
-        in_range = (step_grid >= np.uint64(1)) & (
-            step_grid <= np.uint64(self.depth)
+        transform = (
+            (k > 0)
+            & (step_grid >= np.uint64(1))
+            & (step_grid <= np.uint64(self.depth))
         )
-        np.logical_and(k > 0, in_range, out=transform)
         if not transform.any():
             return u
+        # Branchless whole-block transform: untransformed entries get the
+        # exact identity (reflect 0, offset 0 — u*1+0 and u-floor(u) are
+        # bit-exact for u in [0, 1)), so no fancy-index write-back copy.
+        # Slot 0 is the transition-cube cell selection and transforms
+        # within its third (antipodal hop); the remaining slots transform
+        # over the whole interval.
         kk = k.astype(np.intp)
-        np.multiply(self._reflect[kk], transform, out=reflect)
-        np.multiply(self._offset[kk], transform, out=offset)
-        antipodal_uniform(u[:, :, :1], reflect[:, :, None], offset[:, :, None])
+        reflect = (self._reflect[kk] * transform)[:, :, None]
+        offset = (self._offset[kk] * transform)[:, :, None]
+        antipodal_uniform(u[:, :, :1], reflect, offset)
         if count > 1:
-            mirror_uniform(u[:, :, 1:], reflect[:, :, None], offset[:, :, None])
+            mirror_uniform(u[:, :, 1:], reflect, offset)
         return u
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
-        """Scalar reference path; bit-identical to :meth:`draws`."""
+        """Scalar reference path; bit-identical to :meth:`draws_span`."""
         uid = int(uid)
         k = uid % self.group
         values = self.base.draws_scalar(uid - k, step, count)

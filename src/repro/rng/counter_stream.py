@@ -17,9 +17,18 @@ Counter layout (Philox4x32 counter words)::
 Each Philox call yields 4 words = 2 doubles, so a step may consume up to
 ``2 * BLOCKS_PER_STEP`` doubles.  The walk engine uses at most
 :data:`MAX_DRAWS_PER_STEP`.
+
+Every stream provider (:class:`WalkStreams`, the antithetic
+:class:`~repro.rng.MirroredDraws` view, the MT ablation's
+:class:`~repro.rng.MTWalkStreams`) speaks one protocol:
+``draws_span(uids, steps, depth, count, out=)`` fills ``depth``
+consecutive steps of every walk, and ``draws(uids, step, count, out=)``
+is its depth-1 view.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -44,18 +53,40 @@ MAX_DRAWS_PER_STEP = 2 * BLOCKS_PER_STEP
 DOMAIN_TAG = 0x46525752
 
 #: Maximum step depth of a fused :meth:`WalkStreams.draws_span` pass (the
-#: engine's RNG prefetch ring); bounds span scratch to a fixed size.
+#: engine's RNG prefetch ring); keeps a tile's lattice rows
+#: (``depth * BLOCKS_PER_STEP`` at most) far below :data:`SPAN_TILE`.
 MAX_PREFETCH_STEPS = 16
 
 #: Column-tile budget of the span kernel, in lattice elements per plane.
-#: Deep spans over wide walk vectors are evaluated in column tiles of about
-#: this many elements so the twelve scratch planes stay cache-resident — a
-#: single (2*depth, n) pass at n in the thousands thrashes the cache and
-#: loses the fused pass's dispatch win (measured: 0.8x at depth 8, n 8192
-#: untiled vs >2x tiled).
-_SPAN_TILE = 16384
+#: Spans over wide walk vectors are evaluated in ``(rows, cols)`` tiles
+#: with ``rows * cols <= SPAN_TILE`` so the twelve scratch planes stay
+#: cache-resident — a single (2*depth, n) pass at n in the thousands
+#: thrashes the cache and loses the fused pass's dispatch win (measured:
+#: 0.8x at depth 8, n 8192 untiled vs >2x tiled).  The engine sizes its
+#: prefetch depth against the same budget.
+SPAN_TILE = 16384
+
+#: Scratch planes of one span tile: four counter words, four in-place
+#: Philox round temporaries, two integer and two float conversion temps.
+_SPAN_PLANES = 12
 
 _MASK32 = 0xFFFFFFFF
+
+_SCRATCH = threading.local()
+
+
+def _span_scratch() -> np.ndarray:
+    """The calling thread's span scratch: ``(12, SPAN_TILE)`` u64 planes.
+
+    Fixed-size and per thread, so no stream instance carries state and the
+    footprint never depends on the walk count or the span depth a caller
+    has seen.
+    """
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None:
+        buf = np.empty((_SPAN_PLANES, SPAN_TILE), dtype=np.uint64)
+        _SCRATCH.buf = buf
+    return buf
 
 
 def encode_walk_uid(batch_index: int, walk_in_batch: int, batch_size: int) -> int:
@@ -74,57 +105,6 @@ def encode_walk_uid(batch_index: int, walk_in_batch: int, batch_size: int) -> in
     return batch_index * batch_size + walk_in_batch
 
 
-class _DrawScratch:
-    """Reusable buffers for the fused :meth:`WalkStreams.draws` kernel.
-
-    Sized for up to ``BLOCKS_PER_STEP`` Philox blocks over a walk-count
-    capacity; grown geometrically on demand.  Owned by one ``WalkStreams``
-    instance, which is therefore not safe for concurrent ``draws`` calls
-    from multiple threads (every parallel code path builds one provider per
-    worker).
-    """
-
-    __slots__ = ("capacity", "lattice", "t0", "t1", "f0", "f1")
-
-    def __init__(self, capacity: int):
-        self.capacity = int(capacity)
-        # Eight (BLOCKS_PER_STEP, capacity) u64 planes: four counter words
-        # plus four scratch planes for the in-place Philox rounds.
-        self.lattice = [
-            np.empty((BLOCKS_PER_STEP, self.capacity), dtype=np.uint64)
-            for _ in range(8)
-        ]
-        self.t0 = np.empty(self.capacity, dtype=np.uint64)
-        self.t1 = np.empty(self.capacity, dtype=np.uint64)
-        self.f0 = np.empty(self.capacity, dtype=np.float64)
-        self.f1 = np.empty(self.capacity, dtype=np.float64)
-
-
-class _SpanScratch:
-    """Reusable buffers for the fused :meth:`WalkStreams.draws_span` kernel.
-
-    Unlike :class:`_DrawScratch` (one step, walk-count capacity), the span
-    lattice is ``(depth * n_blocks, cols)`` where ``cols`` is the column
-    tile — its footprint is bounded by :data:`_SPAN_TILE` regardless of the
-    caller's walk count, so prefetch depth never blows the cache.
-    """
-
-    __slots__ = ("rows", "cols", "lattice", "t", "t0", "t1", "f0", "f1")
-
-    def __init__(self, rows: int, cols: int):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.lattice = [
-            np.empty((self.rows, self.cols), dtype=np.uint64) for _ in range(8)
-        ]
-        # 1-D counter temp plus 2-D conversion temps (used depth rows deep).
-        self.t = np.empty(self.cols, dtype=np.uint64)
-        self.t0 = np.empty((self.rows, self.cols), dtype=np.uint64)
-        self.t1 = np.empty((self.rows, self.cols), dtype=np.uint64)
-        self.f0 = np.empty((self.rows, self.cols), dtype=np.float64)
-        self.f1 = np.empty((self.rows, self.cols), dtype=np.float64)
-
-
 class WalkStreams:
     """Stateless per-walk random streams keyed by a global seed.
 
@@ -138,39 +118,18 @@ class WalkStreams:
         families under the same seed.
 
     The draw *values* are a pure function of ``(seed, stream, uid, step,
-    slot)``; the instance only carries reusable scratch buffers, so any
-    number of instances agree bit-for-bit.  One instance must not service
-    concurrent ``draws`` calls from different threads (the scratch is
-    shared); all parallel code paths construct one provider per worker.
+    slot)``, so any number of instances agree bit-for-bit.  An instance
+    holds only its key: the span kernel's scratch is per thread, so one
+    instance may serve concurrent calls from any number of threads.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
         self._k0, self._k1 = derive_key(self.seed, self.stream)
-        self._scratch: _DrawScratch | None = None
-        self._span_scratch: _SpanScratch | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WalkStreams(seed={self.seed}, stream={self.stream})"
-
-    def _ensure_scratch(self, n: int) -> _DrawScratch:
-        scratch = self._scratch
-        if scratch is None or scratch.capacity < n:
-            cap = max(n, 2 * scratch.capacity if scratch is not None else n)
-            scratch = _DrawScratch(cap)
-            self._scratch = scratch
-        return scratch
-
-    def _ensure_span_scratch(self, rows: int, cols: int) -> _SpanScratch:
-        scratch = self._span_scratch
-        if scratch is None or scratch.rows < rows or scratch.cols < cols:
-            scratch = _SpanScratch(
-                max(rows, scratch.rows if scratch is not None else 0),
-                max(cols, scratch.cols if scratch is not None else 0),
-            )
-            self._span_scratch = scratch
-        return scratch
 
     def draws(
         self,
@@ -181,63 +140,13 @@ class WalkStreams:
     ) -> np.ndarray:
         """Return ``(len(uids), count)`` uniforms in [0, 1).
 
-        The result depends only on ``(seed, stream, uid, step, slot)`` — not
-        on the order or grouping of ``uids`` — so batched evaluation is
-        bit-identical to scalar evaluation.  ``step`` may be a scalar or a
-        per-walk array (the pipelined engine mixes walks at different
-        depths in one vector); each walk's draws depend only on its own
-        ``(uid, step)``.
-
-        All blocks of the step are generated by a single fused Philox pass
-        over an ``(n_blocks, n)`` counter lattice (rather than one
-        vectorised call per block), writing through reusable scratch;
-        ``out`` — shape ``(n, >= count)``, float64 — lets the caller supply
-        the destination so steady-state callers allocate nothing.
+        The depth-1 view of :meth:`draws_span`: the result depends only on
+        ``(seed, stream, uid, step, slot)`` — not on the order or grouping
+        of ``uids`` — and ``step`` may be a scalar or a per-walk array.
+        ``out`` — shape ``(n, >= count)``, float64 — receives the draws.
         """
-        if count < 1 or count > MAX_DRAWS_PER_STEP:
-            raise RNGError(
-                f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"
-            )
-        uids = np.asarray(uids, dtype=np.uint64)
-        n = uids.shape[0]
-        n_blocks = (count + 1) // 2
-        if out is None:
-            out = np.empty((n, count), dtype=np.float64)
-        scratch = self._ensure_scratch(n)
-        lat = scratch.lattice
-        x0 = lat[0][:n_blocks, :n]
-        x1 = lat[1][:n_blocks, :n]
-        x2 = lat[2][:n_blocks, :n]
-        x3 = lat[3][:n_blocks, :n]
-        s0 = lat[4][:n_blocks, :n]
-        s1 = lat[5][:n_blocks, :n]
-        s2 = lat[6][:n_blocks, :n]
-        s3 = lat[7][:n_blocks, :n]
-        mask = np.uint64(_MASK32)
-        t0 = scratch.t0[:n]
-        # c0 = step * BLOCKS_PER_STEP + block, truncated to 32 bits exactly
-        # as the historical per-block path did.
-        np.multiply(
-            np.asarray(step, dtype=np.uint64), np.uint64(BLOCKS_PER_STEP), out=t0
-        )
-        for j in range(n_blocks):
-            np.add(t0, np.uint64(j), out=x0[j])
-        np.bitwise_and(x0, mask, out=x0)
-        np.bitwise_and(uids, mask, out=t0)
-        x1[...] = t0
-        np.right_shift(uids, np.uint64(32), out=t0)
-        x2[...] = t0
-        x3.fill(DOMAIN_TAG)
-        w0, w1, w2, w3 = philox4x32_inplace(
-            x0, x1, x2, x3, s0, s1, s2, s3, self._k0, self._k1
-        )
-        t0, t1 = scratch.t0[:n], scratch.t1[:n]
-        f0, f1 = scratch.f0[:n], scratch.f1[:n]
-        for d in range(count):
-            j = d // 2
-            hi, lo = (w0[j], w1[j]) if d % 2 == 0 else (w2[j], w3[j])
-            unit_double_into(hi, lo, t0, t1, f0, f1, out[:n, d])
-        return out[:n, :count]
+        span_out = None if out is None else out[None]
+        return self.draws_span(uids, step, 1, count, out=span_out)[0]
 
     def draws_span(
         self,
@@ -250,15 +159,17 @@ class WalkStreams:
         """Fused draws for ``depth`` consecutive steps of every walk.
 
         Returns ``(depth, len(uids), count)`` uniforms where ``[k, i, :]``
-        is bit-identical to ``draws(uids, steps + k, count)[i, :]`` — the
-        engine's RNG prefetch ring consumes one plane per step.  ``steps``
-        may be a scalar or per-walk array exactly like :meth:`draws`.  One
-        Philox pass covers the whole ``(depth * n_blocks, n)`` counter
-        lattice, so the fixed per-call dispatch cost is paid once per
-        ``depth`` steps; columns are tiled (:data:`_SPAN_TILE`) so the
-        scratch working set stays cache-resident at any walk count.  ``out``
-        — shape ``(depth, >= n, >= count)``, float64 — makes the call
-        allocation-free.
+        is draw slots ``0..count-1`` of step ``steps + k`` of walk
+        ``uids[i]`` (bit-identical to :meth:`draws_scalar`) — the engine's
+        RNG prefetch ring consumes one plane per step.  ``steps`` may be a
+        scalar or a per-walk array (the pipelined engine mixes walks at
+        different depths in one vector).  One Philox pass covers the
+        ``(depth * n_blocks, cols)`` counter lattice of each column tile,
+        so the fixed per-call dispatch cost is paid once per ``depth``
+        steps; tiles hold at most :data:`SPAN_TILE` lattice elements, so
+        the scratch working set stays cache-resident at any walk count.
+        ``out`` — shape ``(depth, >= n, >= count)``, float64, any strides
+        — makes the call allocation-free.
         """
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
@@ -281,14 +192,14 @@ class WalkStreams:
                 f"out shape {out.shape} too small for ({depth}, {n}, {count})"
             )
         steps_arr = np.asarray(steps, dtype=np.uint64)
-        tile = max(1, _SPAN_TILE // rows)
-        scratch = self._ensure_span_scratch(rows, min(n, tile))
-        lat = scratch.lattice
+        tile = SPAN_TILE // rows
+        buf = _span_scratch()
+        f_planes = buf[10:].view(np.float64)
         mask = np.uint64(_MASK32)
         # Lattice row r = j * depth + k (block j, step offset k), so each
         # draw slot's conversion input is a contiguous row range and
-        # c0 = (step + k) * BLOCKS_PER_STEP + j — the exact counter the
-        # per-step path builds at step + k.
+        # c0 = (step + k) * BLOCKS_PER_STEP + j — the counter of block j
+        # of step + k.
         r_idx = np.arange(rows, dtype=np.uint64)
         row_off = (r_idx % np.uint64(depth)) * np.uint64(BLOCKS_PER_STEP) + (
             r_idx // np.uint64(depth)
@@ -296,15 +207,12 @@ class WalkStreams:
         for a in range(0, n, tile):
             b = min(n, a + tile)
             m = b - a
-            x0 = lat[0][:rows, :m]
-            x1 = lat[1][:rows, :m]
-            x2 = lat[2][:rows, :m]
-            x3 = lat[3][:rows, :m]
-            s0 = lat[4][:rows, :m]
-            s1 = lat[5][:rows, :m]
-            s2 = lat[6][:rows, :m]
-            s3 = lat[7][:rows, :m]
-            t = scratch.t[:m]
+            x0, x1, x2, x3, s0, s1, s2, s3 = (
+                plane[: rows * m].reshape(rows, m) for plane in buf[:8]
+            )
+            # The 1-D counter temp is dead before the conversion temps
+            # that share its plane are written.
+            t = buf[8, :m]
             step_t = steps_arr if steps_arr.ndim == 0 else steps_arr[a:b]
             np.multiply(step_t, np.uint64(BLOCKS_PER_STEP), out=t)
             np.add(t[None, :], row_off[:, None], out=x0)
@@ -317,10 +225,12 @@ class WalkStreams:
             w0, w1, w2, w3 = philox4x32_inplace(
                 x0, x1, x2, x3, s0, s1, s2, s3, self._k0, self._k1
             )
-            t0 = scratch.t0[:depth, :m]
-            t1 = scratch.t1[:depth, :m]
-            f0 = scratch.f0[:depth, :m]
-            f1 = scratch.f1[:depth, :m]
+            t0, t1 = (
+                plane[: depth * m].reshape(depth, m) for plane in buf[8:10]
+            )
+            f0, f1 = (
+                plane[: depth * m].reshape(depth, m) for plane in f_planes
+            )
             for d in range(count):
                 j = d // 2
                 rs = slice(j * depth, (j + 1) * depth)
@@ -329,7 +239,7 @@ class WalkStreams:
         return out[:depth, :n, :count]
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
-        """Scalar reference path; bit-identical to :meth:`draws`."""
+        """Scalar reference path; bit-identical to :meth:`draws_span`."""
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
                 f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"

@@ -19,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import RNGError
-from .counter_stream import MAX_DRAWS_PER_STEP
+from .counter_stream import MAX_DRAWS_PER_STEP, MAX_PREFETCH_STEPS
 from .philox import splitmix64
 
 _MASK32 = 0xFFFFFFFF
@@ -73,27 +73,63 @@ class MTWalkStreams:
             self._states.move_to_end(uid)
         return state
 
-    def draws(self, uids: np.ndarray, step: int, count: int) -> np.ndarray:
-        """Return ``(len(uids), count)`` uniforms; loops per walk by design.
+    def draws(
+        self,
+        uids: np.ndarray,
+        step: int | np.ndarray,
+        count: int,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Return ``(len(uids), count)`` uniforms; the depth-1 view of
+        :meth:`draws_span`."""
+        span_out = None if out is None else out[None]
+        return self.draws_span(uids, step, 1, count, out=span_out)[0]
 
+    def draws_span(
+        self,
+        uids: np.ndarray,
+        steps: int | np.ndarray,
+        depth: int,
+        count: int,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Return ``(depth, len(uids), count)`` uniforms; loops per walk by
+        design.
+
+        Each walk hands out its next ``depth * count`` uniforms, plane
+        ``k`` taking the ``k``-th ``count`` of them — the same per-walk
+        sequence ``depth`` consecutive one-step calls produce, so the
+        engine's prefetch ring cannot change a value.  ``steps`` is
+        accepted for protocol compatibility and ignored: the stream is
+        sequential, and the engine requests each walk's steps in order.
         The per-walk Python loop and per-walk MT construction are the very
-        overheads the paper measures (~2x total runtime); keeping them makes
-        the FRW-NC ablation honest rather than an artificially slowed stub.
+        overheads the paper measures (~2x total runtime); keeping them
+        makes the FRW-NC ablation honest rather than an artificially
+        slowed stub.
         """
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
                 f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"
             )
+        if depth < 1 or depth > MAX_PREFETCH_STEPS:
+            raise RNGError(
+                f"depth must be in [1, {MAX_PREFETCH_STEPS}], got {depth}"
+            )
         uids = np.asarray(uids, dtype=np.uint64)
-        out = np.empty((uids.shape[0], count), dtype=np.float64)
+        n = uids.shape[0]
+        if out is None:
+            out = np.empty((depth, n, count), dtype=np.float64)
+        total = depth * count
         for row, uid_raw in enumerate(uids):
             uid = int(uid_raw)
-            out[row] = self._state_for(uid).random_sample(count)
-            self._consumed[uid] = self._consumed.get(uid, 0) + count
-        return out
+            values = self._state_for(uid).random_sample(total)
+            out[:depth, row, :count] = values.reshape(depth, count)
+            self._consumed[uid] = self._consumed.get(uid, 0) + total
+        return out[:depth, :n, :count]
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
-        """Scalar path, consistent with :meth:`draws` for a fresh stream."""
+        """Scalar path, consistent with :meth:`draws_span` for a fresh
+        stream."""
         uid = int(uid)
         values = list(self._state_for(uid).random_sample(count))
         self._consumed[uid] = self._consumed.get(uid, 0) + count

@@ -428,14 +428,15 @@ def test_mutation_leaking_shm_block_is_one_det010(repo_copy):
     assert errors[0].scope == "_rogue_scratch"
 
 
-def test_mutation_bypassing_ring_cursor_is_one_det011(repo_copy):
+@pytest.mark.parametrize("attr", ["_ring_cursor", "_ring_depth"])
+def test_mutation_bypassing_ring_cursor_is_one_det011(repo_copy, attr):
     walk = repo_copy / "src/repro/frw/walk.py"
     walk.write_text(
         walk.read_text()
         + "\n\ndef _rogue_advance(pipeline):\n"
-        + "    pipeline._ring_cursor += 1\n"
+        + f"    pipeline.{attr} += 1\n"
     )
     errors = mutated_errors(repo_copy)
     assert [f.rule for f in errors] == ["DET011"]
-    assert "_ring_cursor" in errors[0].message
+    assert attr in errors[0].message
     assert errors[0].scope == "_rogue_advance"

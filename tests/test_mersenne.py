@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import RNGError
 from repro.rng import MTWalkStreams
+from repro.rng.mersenne import DEFAULT_MAX_LIVE
 
 
 def test_deterministic_per_walk():
@@ -36,6 +37,26 @@ def test_sequential_consumption_within_walk():
     fresh = MTWalkStreams(seed=3)
     direct = fresh._state_for(5).random_sample(6)
     assert np.allclose(np.concatenate([first[0], second[0]]), direct)
+
+
+@pytest.mark.parametrize("max_live", [DEFAULT_MAX_LIVE, 2])
+def test_draws_span_is_consecutive_draws(max_live):
+    """A depth-``d`` span hands each walk its next ``d * count`` uniforms:
+    the same per-walk sequence ``d`` one-step calls produce — also when
+    ``max_live=2`` evicts streams between calls and revives them."""
+    uids = np.arange(8, dtype=np.uint64)
+    span = MTWalkStreams(seed=11, max_live=max_live).draws_span(uids, 0, 4, 3)
+    steps = MTWalkStreams(seed=11, max_live=max_live)
+    for s in range(4):
+        assert np.array_equal(span[s], steps.draws(uids, s, 3))
+    # A span that continues walks already drawn from (and, at max_live=2,
+    # evicted) resumes each walk's sequence exactly.
+    a = MTWalkStreams(seed=12, max_live=max_live)
+    b = MTWalkStreams(seed=12, max_live=max_live)
+    assert np.array_equal(a.draws(uids, 0, 3), b.draws(uids, 0, 3))
+    span = a.draws_span(uids, 1, 4, 3)
+    for s in range(1, 5):
+        assert np.array_equal(span[s - 1], b.draws(uids, s, 3))
 
 
 def test_release_resets_stream():

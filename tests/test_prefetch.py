@@ -2,14 +2,17 @@
 
 Three layers of guarantees:
 
-1. RNG: ``draws_span`` — the fused multi-step Philox pass that fills the
-   ring — produces *exactly* the words of the per-step ``draws`` calls it
-   replaces, for plain ``WalkStreams`` and through the ``MirroredDraws``
-   antithetic view (hypothesis property tests over uids/steps/depths).
+1. RNG: ``draws_span`` — the one vector Philox kernel, which fills the
+   ring — produces *exactly* the words of the scalar reference
+   ``draws_scalar`` at every step of the span, for plain ``WalkStreams``
+   and through the ``MirroredDraws`` antithetic view (hypothesis property
+   tests over uids/steps/depths), from a scratch footprint bounded by
+   ``SPAN_TILE`` whatever the span shapes.
 2. Engine: ``run_walks_pipelined`` reproduces the pinned scalar-reference
    goldens at every ``prefetch`` depth (also pinned per-depth in
-   ``test_engine_golden``); the stateful MT ablation streams cannot seek,
-   so they silently run at depth 1 and stay bit-identical too.
+   ``test_engine_golden``); the sequential MT ablation streams hand each
+   walk its next draws in order, so their spans run on the ring and stay
+   bit-identical too.
 3. Extraction: rows are byte-identical across the engine's prefetch depth
    (:data:`repro.frw.engine.RNG_PREFETCH_DEPTH`, patched to {1, 2, 4, 8})
    x backends x n_workers {1, 2, 4}, antithetic off *and* on —
@@ -17,6 +20,8 @@ Three layers of guarantees:
    no schedule can observe it.  Spawned process workers import the
    module afresh and so run at the default depth.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +32,7 @@ from repro import FRWConfig
 from repro.frw import build_context, engine, extract_row_alg2, make_streams
 from repro.frw.engine import RNG_PREFETCH_DEPTH, run_walks_pipelined
 from repro.rng import MirroredDraws, WalkStreams
-from repro.rng.counter_stream import MAX_PREFETCH_STEPS
+from repro.rng.counter_stream import MAX_PREFETCH_STEPS, SPAN_TILE
 
 from test_engine_golden import SEED, _build_structure, _digest
 
@@ -37,7 +42,7 @@ from test_engine_golden import SEED, _build_structure, _digest
 
 
 # ----------------------------------------------------------------------
-# RNG layer: the fused span pass is the per-step draws, verbatim
+# RNG layer: the fused span pass is the scalar reference, verbatim
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
 @given(
@@ -74,8 +79,14 @@ def test_draws_span_equals_per_step_draws(seed, data, depth, count):
     span = streams.draws_span(uids, steps, depth, count)
     assert span.shape == (depth, n, count)
     for k in range(depth):
-        expect = streams.draws(uids, steps + np.uint64(k), count)
+        expect = [
+            streams.draws_scalar(int(uid), int(step) + k, count)
+            for uid, step in zip(uids, steps)
+        ]
         np.testing.assert_array_equal(span[k], expect)
+    np.testing.assert_array_equal(
+        streams.draws(uids, steps, count), span[0]
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,17 +101,37 @@ def test_draws_span_equals_per_step_draws(seed, data, depth, count):
 def test_mirrored_draws_span_equals_per_step(
     seed, base, step0, depth, group, anti_depth
 ):
-    """The antithetic view's span applies the same transforms the per-step
-    path applies — one (depth, n) step grid instead of a scalar step, same
-    words out."""
+    """The antithetic view's span applies the same transforms the scalar
+    reference applies — one (depth, n) step grid, same words out."""
     n = 2 * group + 1
     uids = np.arange(base, base + n, dtype=np.uint64)
     mirrored = MirroredDraws(WalkStreams(seed, 0), group=group, depth=anti_depth)
     steps = np.arange(step0, step0 + n, dtype=np.uint64)
     span = mirrored.draws_span(uids, steps, depth, 3)
     for k in range(depth):
-        expect = mirrored.draws(uids, steps + np.uint64(k), 3)
+        expect = [
+            mirrored.draws_scalar(int(uid), int(step) + k, 3)
+            for uid, step in zip(uids, steps)
+        ]
         np.testing.assert_array_equal(span[k], expect)
+
+
+def test_span_scratch_is_bounded():
+    """Span scratch is one fixed ``SPAN_TILE`` tile set, not a buffer grown
+    to the largest rows and columns a stream has seen: a deep span over a
+    few walks followed by a one-step span over many walks must not leave a
+    (deep x wide) lattice behind."""
+    uids = np.arange(10_000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        streams = WalkStreams(5, 0)
+        deep = streams.draws_span(uids[:33], 0, 16, 3)
+        wide = streams.draws_span(uids, 0, 1, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 10_000 > SPAN_TILE // 2  # the wide span spans two column tiles
+    assert peak <= deep.nbytes + wide.nbytes + 2 * 2**20
 
 
 def test_draws_span_validates_arguments():
@@ -113,7 +144,7 @@ def test_draws_span_validates_arguments():
 
 
 # ----------------------------------------------------------------------
-# Engine layer: pinned goldens at every depth, MT fallback included
+# Engine layer: pinned goldens at every depth, MT spans included
 # ----------------------------------------------------------------------
 def test_config_prefetch_knob_validation():
     """The depth is an engine constant inside the span kernel's range (the
@@ -123,10 +154,10 @@ def test_config_prefetch_knob_validation():
     assert 1 <= RNG_PREFETCH_DEPTH <= MAX_PREFETCH_STEPS
 
 
-def test_mt_streams_fall_back_to_no_prefetch():
-    """The stateful MT ablation streams cannot seek to arbitrary steps, so
-    they have no ``draws_span``; asking for a deep ring silently runs the
-    per-step path and the walk bytes do not change."""
+def test_mt_streams_ring_bit_identical():
+    """The sequential MT ablation streams fill the ring too: a span hands
+    each walk its next ``depth * count`` uniforms — what ``depth`` one-step
+    calls would — so a deep ring leaves the walk bytes unchanged."""
     ctx = build_context(
         _build_structure("homogeneous"), 0, FRWConfig.frw_r(seed=SEED)
     )
@@ -142,16 +173,14 @@ def test_mt_streams_fall_back_to_no_prefetch():
 
 
 def test_wide_vectors_cross_fusion_threshold_bit_identical():
-    """A vector width past the adaptive-fusion budget starts on the
-    per-step path (ring parked drained) and drops below the threshold as
-    the walk population drains — one run mixes both phases, and the bytes
-    still cannot tell (the threshold is a pure scheduling decision)."""
-    from repro.frw.engine import SPAN_FUSE_BUDGET
-
+    """A vector width past the adaptive-fusion budget starts with one-step
+    ring refills and drops below the threshold as the walk population
+    drains — one run mixes both fill depths, and the bytes still cannot
+    tell (the threshold is a pure scheduling decision)."""
     ctx = build_context(
         _build_structure("homogeneous"), 0, FRWConfig.frw_r(seed=SEED)
     )
-    n = 5000  # > SPAN_FUSE_BUDGET / (2 * depth) for every depth tested
+    n = 5000  # > SPAN_TILE / (2 * depth) for every depth tested
     uids = np.arange(n, dtype=np.uint64)
     ref = _digest(
         run_walks_pipelined(
@@ -159,7 +188,7 @@ def test_wide_vectors_cross_fusion_threshold_bit_identical():
         )
     )
     for depth in (2, 8):
-        assert n > SPAN_FUSE_BUDGET // (2 * depth)  # crosses the budget
+        assert n > SPAN_TILE // (2 * depth)  # crosses the budget
         res = run_walks_pipelined(
             ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=depth
         )
