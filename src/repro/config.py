@@ -74,13 +74,15 @@ RESULT_FIELDS = (
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justifications, by group — backend placement (``executor``,
 #: ``n_workers``, ``mp_start_method``: UID-ordered reassembly makes worker
-#: layout and chunking invisible) and guards (``sanitize``: raises or
-#: no-ops).  The batch schedule — cross-master interleaving, the even
-#: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, per-batch
-#: chunking — plus the far-field index tier and the RNG prefetch depth
-#: are fixed behaviour, not fields: walk draws are a pure function of
-#: (seed, uid, step), so none of them can reach a bit, and each won its
-#: suite A/B (docs/PERFORMANCE.md).
+#: layout and work-item packing invisible) and guards (``sanitize``: raises
+#: or no-ops).  The batch schedule — cross-master interleaving, the even
+#: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, and round
+#: packing (each allocation round's batches of all masters cut into at
+#: most one work item per worker, several masters' walks sharing one
+#: engine vector) — plus the far-field index tier and the RNG prefetch
+#: depth are fixed behaviour, not fields: walk draws are a pure function
+#: of (master stream, uid, step), so none of them can reach a bit, and
+#: each won its suite A/B (docs/PERFORMANCE.md).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
@@ -157,12 +159,15 @@ class FRWConfig:
         inner loops), or ``"process"`` (persistent process pool; contexts
         reach its workers through the shared-memory plane,
         :mod:`repro.frw.shm`).  Every backend drives its batches through
-        the one Alg. 2 batch driver (:mod:`repro.frw.cross_master`):
-        thread batches run whole, process batches split evenly over idle
-        workers, and the serial engine refills its vector across batch
-        boundaries.  Results are reassembled in UID order, so all backends
-        are bit-identical to the serial engine — real parallelism changes
-        wall time only, which is the DOP-independence contract of Alg. 2.
+        the one Alg. 2 batch driver (:mod:`repro.frw.cross_master`): on a
+        pool, each allocation round's batches of all masters are packed
+        into at most one work item per worker (a lone batch is split only
+        as far as the pool needs), and each item runs its pieces through
+        one engine vector that refills from batch to batch; the serial
+        engine refills its per-master vector across batch boundaries.
+        Results are reassembled in UID order, so all backends are
+        bit-identical to the serial engine — real parallelism changes wall
+        time only, which is the DOP-independence contract of Alg. 2.
     n_workers:
         Workers of the real executor; ``0`` means auto (the CPUs this
         process may actually run on — ``os.sched_getaffinity`` where

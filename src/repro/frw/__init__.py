@@ -18,6 +18,7 @@ from .engine import (
     StageTimers,
     WalkPipeline,
     WalkResults,
+    run_segments,
     run_walks,
     run_walks_pipelined,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "StageTimers",
     "resolve_start_method",
     "resolve_workers",
+    "run_segments",
     "run_walks",
     "run_walks_pipelined",
     "resolve_wave",

@@ -15,17 +15,25 @@ convergence tail never idles the pool while master ``i+1`` waits:
   masters (:func:`~repro.frw.scheduler.allocate_quota`), and each master
   holds at most ``1 + PIPELINE_LOOKAHEAD`` batches of it, so a lone
   master's tail cannot flood the pool with batches it will discard;
-* process batches split evenly over the workers the live masters leave
-  idle; thread batches split only until the live masters' capped
-  in-flight batches cover the workers (the workers share one interpreter,
-  so a needless split only narrows each engine vector — at 2 workers every
-  thread batch runs whole).  Serial dispatch is lazy, so a serial master
-  holds one batch.
+* each allocation round sends its ``k`` new batches, of all masters, in
+  one :meth:`~repro.frw.parallel.PersistentExecutor.run_async` call with
+  ``min(workers, k * c)`` work items.  ``c`` is the per-batch item count:
+  ``ceil(workers / live)`` on processes (a batch over the workers the live
+  masters leave idle) and ``ceil(workers / (live * (1 +
+  PIPELINE_LOOKAHEAD)))`` on threads (only until the capped in-flight
+  batches cover the workers — the workers share one interpreter, so a
+  needless split only narrows each engine vector).  When ``k * c <=
+  workers`` every batch is cut into ``c`` items of its own, as if it
+  were dispatched alone; otherwise each worker gets one item whose engine
+  vector refills from batch to batch, so the batches' drain tails overlap
+  instead of running back to back.  Serial dispatch is lazy, so a serial
+  master holds one batch in its own persistent pipeline.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
-batch order through ``RowProgress``), and the quota only decides *which*
-speculative batches are in flight — never their contents.  Every row is
+batch order through ``RowProgress``), the quota only decides *which*
+speculative batches are in flight, and packing only decides which walks
+share an engine vector — never a batch's contents.  Every row is
 therefore bit-identical at any backend, worker count or master count.
 
 Large master sets are admitted in *waves* of :func:`resolve_wave`
@@ -83,13 +91,13 @@ class _MasterRun:
         self.row: CapacitanceRow | None = None
         self.stats: RunStats | None = None
 
-    def dispatch_next(self, max_chunks: int) -> None:
-        """Put this master's next batch in flight (UIDs are fixed by the
+    def next_batch(self) -> int:
+        """Reserve this master's next batch index (UIDs are fixed by the
         batch index, so dispatch order across masters is irrelevant)."""
         u = self.next_dispatch
-        self.inflight[u] = self.runner.dispatch(u, max_chunks)
         self.next_dispatch = u + 1
         self.progress.stats.dispatched_batches += 1
+        return u
 
     def harvest_next(self) -> bool:
         """Absorb the next in-order batch; returns ``True`` when the
@@ -177,15 +185,27 @@ def extract_rows_interleaved(
             quotas = np.minimum(
                 allocate_quota(np.ones(len(live)), total, min_share=1), cap
             )
-        # Split only as far as the pool needs: a process batch over the
-        # workers the live masters leave idle; a thread batch until the
-        # capped in-flight batches cover the workers (whole batches at 2
-        # workers, where wide engine vectors beat chunks).
-        max_chunks = -(-workers // (len(live) if split else len(live) * cap))
+        new = []
         for st, quota in zip(live, quotas):
             st.progress.stats.allocation_rounds += 1
-            while len(st.inflight) < quota:
-                st.dispatch_next(max_chunks)
+            new += [
+                (st, st.next_batch()) for _ in range(quota - len(st.inflight))
+            ]
+        if executor is None:
+            for st, u in new:
+                st.inflight[u] = st.runner.dispatch(u)
+        else:
+            # One call per round: c items per batch (a process batch over
+            # the workers the live masters leave idle, a thread batch until
+            # the capped in-flight batches cover the workers), packed into
+            # at most one item per worker.
+            c = -(-workers // (len(live) if split else len(live) * cap))
+            handles = executor.run_async(
+                [st.runner.request(u) for st, u in new],
+                min(workers, len(new) * c),
+            )
+            for (st, u), handle in zip(new, handles):
+                st.inflight[u] = handle
 
         # Harvest round: every live master absorbs its next in-order
         # batch and runs its own global checkpoint.

@@ -2,9 +2,10 @@
 
 Provides the counter-based Philox4x32-10 generator (implemented from
 scratch and validated against the Random123 known-answer vectors), per-walk
-stateless streams for fine-grained reseeding (Alg. 2), sequential streams for
-the Alg. 1 baseline, and a deliberately costly Mersenne-Twister adapter for
-the FRW-NC ablation.
+stateless streams for fine-grained reseeding (Alg. 2), the lane view that
+serves one walk vector mixing several masters' streams, sequential streams
+for the Alg. 1 baseline, and a deliberately costly Mersenne-Twister adapter
+for the FRW-NC ablation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .counter_stream import (
     WalkStreams,
     encode_walk_uid,
 )
+from .lanes import LaneDraws
 from .mersenne import MTWalkStreams
 from .philox import (
     PHILOX_ROUNDS,
@@ -56,6 +58,7 @@ def seeded_generator(seed: int) -> np.random.Generator:
 __all__ = [
     "BLOCKS_PER_STEP",
     "DOMAIN_TAG",
+    "LaneDraws",
     "MAX_DRAWS_PER_STEP",
     "MAX_GROUP",
     "MTWalkStreams",

@@ -173,6 +173,11 @@ class MirroredDraws:
             f"depth={self.depth})"
         )
 
+    @property
+    def key(self) -> tuple[int, int]:
+        """The base stream's Philox key."""
+        return self.base.key
+
     def draws(
         self,
         uids: np.ndarray,
@@ -192,6 +197,7 @@ class MirroredDraws:
         depth: int,
         count: int,
         out: np.ndarray | None = None,
+        keys: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Fused multi-step draws; plane ``k`` holds step ``steps + k``.
 
@@ -202,11 +208,14 @@ class MirroredDraws:
         partner transforms plane-wise: the transform mask is per ``(step
         offset, walk)``, so a span that straddles the mirrored depth
         (``steps + k`` crossing ``self.depth``) transforms exactly the
-        in-range planes.
+        in-range planes.  Per-walk ``keys`` pass through to the base
+        provider (the transform depends on the UID and step only).
         """
         uids = np.asarray(uids, dtype=np.uint64)
         k = np.mod(uids, np.uint64(self.group))
-        u = self.base.draws_span(uids - k, steps, depth, count, out=out)
+        u = self.base.draws_span(
+            uids - k, steps, depth, count, out=out, keys=keys
+        )
         # step_grid[k_off, i] = steps_i + k_off; broadcasting covers both
         # scalar and per-walk steps.
         step_grid = np.add(

@@ -23,7 +23,9 @@ Every stream provider (:class:`WalkStreams`, the antithetic
 :class:`~repro.rng.MTWalkStreams`) speaks one protocol:
 ``draws_span(uids, steps, depth, count, out=)`` fills ``depth``
 consecutive steps of every walk, and ``draws(uids, step, count, out=)``
-is its depth-1 view.
+is its depth-1 view.  The counter-based providers also take per-walk
+``keys=``, so one pass can serve walks of several streams
+(:class:`~repro.rng.LaneDraws`).
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ MAX_PREFETCH_STEPS = 16
 SPAN_TILE = 16384
 
 #: Scratch planes of one span tile: four counter words, four in-place
-#: Philox round temporaries, two integer and two float conversion temps.
+#: Philox round temporaries, two integer and two float conversion temps
+#: (the integer pair holds per-walk key rows during a keyed pass).
 _SPAN_PLANES = 12
 
 _MASK32 = 0xFFFFFFFF
@@ -131,6 +134,11 @@ class WalkStreams:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WalkStreams(seed={self.seed}, stream={self.stream})"
 
+    @property
+    def key(self) -> tuple[int, int]:
+        """The Philox key ``(k0, k1)`` derived from ``(seed, stream)``."""
+        return self._k0, self._k1
+
     def draws(
         self,
         uids: np.ndarray,
@@ -155,6 +163,7 @@ class WalkStreams:
         depth: int,
         count: int,
         out: np.ndarray | None = None,
+        keys: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Fused draws for ``depth`` consecutive steps of every walk.
 
@@ -169,7 +178,11 @@ class WalkStreams:
         steps; tiles hold at most :data:`SPAN_TILE` lattice elements, so
         the scratch working set stays cache-resident at any walk count.
         ``out`` — shape ``(depth, >= n, >= count)``, float64, any strides
-        — makes the call allocation-free.
+        — makes the call allocation-free.  ``keys`` — a ``(k0, k1)`` pair
+        of ``(n,)`` uint64 arrays — replaces this stream's key per walk, so
+        one pass serves walks of several streams (:class:`~repro.rng.
+        LaneDraws`); each walk's draws are then those of the stream whose
+        :attr:`key` it carries.
         """
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
@@ -222,8 +235,17 @@ class WalkStreams:
             np.right_shift(uids[a:b], np.uint64(32), out=t)
             x2[...] = t
             x3.fill(DOMAIN_TAG)
+            if keys is None:
+                k0, k1 = self._k0, self._k1
+            else:
+                # Per-walk key rows, advanced in place by the kernel: they
+                # take the counter temp's plane and the next one, both
+                # free until the conversion below.
+                k0, k1 = buf[8, :m], buf[9, :m]
+                k0[...] = keys[0][a:b]
+                k1[...] = keys[1][a:b]
             w0, w1, w2, w3 = philox4x32_inplace(
-                x0, x1, x2, x3, s0, s1, s2, s3, self._k0, self._k1
+                x0, x1, x2, x3, s0, s1, s2, s3, k0, k1
             )
             t0, t1 = (
                 plane[: depth * m].reshape(depth, m) for plane in buf[8:10]

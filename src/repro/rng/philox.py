@@ -141,8 +141,8 @@ def philox4x32_inplace(
     s1: np.ndarray,
     s2: np.ndarray,
     s3: np.ndarray,
-    k0: int,
-    k1: int,
+    k0: int | np.ndarray,
+    k1: int | np.ndarray,
     rounds: int = PHILOX_ROUNDS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Allocation-free Philox4x32 over preallocated ``uint64`` buffers.
@@ -150,10 +150,10 @@ def philox4x32_inplace(
     Bit-identical to :func:`philox4x32`, but dispatches ~10 in-place ufunc
     calls per round instead of ~18 allocating ones: the counter words are
     kept ``< 2**32`` as an invariant (so most of the reference kernel's
-    ``& mask`` operations are provably no-ops and are dropped), the key is
-    carried as Python ints (scalars broadcast for free), and every round
-    writes into the eight caller-supplied buffers, ping-ponging between the
-    ``x*`` and ``s*`` quadruples.
+    ``& mask`` operations are provably no-ops and are dropped), a scalar
+    key is carried as Python ints (scalars broadcast for free), and every
+    round writes into the eight caller-supplied buffers, ping-ponging
+    between the ``x*`` and ``s*`` quadruples.
 
     Parameters
     ----------
@@ -163,17 +163,25 @@ def philox4x32_inplace(
     s0, s1, s2, s3:
         Same-shape ``uint64`` scratch buffers (contents ignored).
     k0, k1:
-        Key words as plain ints.
+        Key words: plain ints (one key for every counter), or ``uint64``
+        rows of shape ``(cols,)`` with values ``< 2**32`` — one key per
+        counter *column* of a ``(rows, cols)`` lattice, broadcast down the
+        rows.  Key rows are consumed as scratch (advanced in place each
+        round), so the call stays allocation-free.
 
     Returns
     -------
     The four output-word arrays (aliases of four of the eight buffers),
     values ``< 2**32``.
     """
-    k0 = int(k0) & _MASK32
-    k1 = int(k1) & _MASK32
+    rows = np.ndim(k0) > 0
+    if not rows:
+        k0 = int(k0) & _MASK32
+        k1 = int(k1) & _MASK32
     m0 = _U64(PHILOX_M0)
     m1 = _U64(PHILOX_M1)
+    w0 = _U64(PHILOX_W0)
+    w1 = _U64(PHILOX_W1)
     mask = _U64(_MASK32)
     shift = _U64(32)
     for _ in range(rounds):
@@ -181,15 +189,21 @@ def philox4x32_inplace(
         np.multiply(m1, x2, out=s1)  # p1 = m1 * c2
         np.right_shift(s1, shift, out=s2)  # hi1
         np.bitwise_xor(s2, x1, out=s2)
-        np.bitwise_xor(s2, _U64(k0), out=s2)  # new c0 = hi1 ^ c1 ^ k0
+        np.bitwise_xor(s2, k0 if rows else _U64(k0), out=s2)  # hi1 ^ c1 ^ k0
         np.bitwise_and(s1, mask, out=s1)  # new c1 = lo1
         np.right_shift(s0, shift, out=s3)  # hi0
         np.bitwise_xor(s3, x3, out=s3)
-        np.bitwise_xor(s3, _U64(k1), out=s3)  # new c2 = hi0 ^ c3 ^ k1
+        np.bitwise_xor(s3, k1 if rows else _U64(k1), out=s3)  # hi0 ^ c3 ^ k1
         np.bitwise_and(s0, mask, out=s0)  # new c3 = lo0
         x0, x1, x2, x3, s0, s1, s2, s3 = s2, s1, s3, s0, x0, x1, x2, x3
-        k0 = (k0 + PHILOX_W0) & _MASK32
-        k1 = (k1 + PHILOX_W1) & _MASK32
+        if rows:
+            np.add(k0, w0, out=k0)
+            np.bitwise_and(k0, mask, out=k0)
+            np.add(k1, w1, out=k1)
+            np.bitwise_and(k1, mask, out=k1)
+        else:
+            k0 = (k0 + PHILOX_W0) & _MASK32
+            k1 = (k1 + PHILOX_W1) & _MASK32
     return x0, x1, x2, x3
 
 

@@ -417,7 +417,7 @@ def test_antithetic_off_matches_pinned_goldens(
     kwargs = {} if start_method is None else {"mp_start_method": start_method}
     with PersistentExecutor(backend, n_workers=n_workers, **kwargs) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run_async(key, uids, max_chunks=8).result()
+        res = ex.run_async([(key, uids)], 8)[0].result()
     _check("homogeneous", res)
     assert _digest(res) == GOLDEN["homogeneous"]["sha256"]
 
@@ -448,8 +448,8 @@ def anti_reference(plates):
         dict(executor="thread", n_workers=2),
         dict(executor="thread", n_workers=4),
         # A lone master splits each 256-walk thread batch into
-        # ceil(14 / 2) = 7 chunks of 37 UIDs: antithetic pairs straddle
-        # chunk boundaries.
+        # ceil(14 / 2) = 7 work items of 36 or 37 UIDs: antithetic pairs
+        # straddle item boundaries.
         dict(executor="thread", n_workers=14),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
@@ -475,7 +475,7 @@ def test_antithetic_on_bitwise_across_backends(plates, anti_reference, kwargs):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_antithetic_ragged_chunks_match_serial(plates, backend):
-    """Chunks of 43 UIDs cut antithetic groups of 4 apart; the
+    """Work items of 42 or 43 UIDs cut antithetic groups of 4 apart; the
     reassembled batch still equals the serial engine's."""
     cfg = FRWConfig.frw_r(**_ANTI_BASE, antithetic_group=4)
     ctx = build_context(plates, 0, cfg)
@@ -484,7 +484,7 @@ def test_antithetic_ragged_chunks_match_serial(plates, backend):
     ref = run_walks(ctx, streams_from_spec(spec), uids)
     with PersistentExecutor(backend, n_workers=2) as ex:
         key = ex.register(ctx, spec)
-        res = ex.run_async(key, uids, max_chunks=6).result()
+        res = ex.run_async([(key, uids)], 6)[0].result()
     assert np.array_equal(ref.omega, res.omega)
     assert np.array_equal(ref.dest, res.dest)
     assert np.array_equal(ref.steps, res.steps)

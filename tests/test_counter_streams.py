@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import RNGError
 from repro.rng import (
     MAX_DRAWS_PER_STEP,
+    LaneDraws,
+    MirroredDraws,
     SequentialStream,
     WalkStreams,
     encode_walk_uid,
@@ -144,3 +146,40 @@ def test_fused_draws_matches_scalar_property(seed, count, pairs, use_out):
     assert vec.shape == (len(pairs), count)
     for i, (uid, step) in enumerate(pairs):
         assert vec[i].tolist() == ws.draws_scalar(uid, step, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    depth=st.integers(min_value=1, max_value=16),
+    count=st.integers(min_value=1, max_value=MAX_DRAWS_PER_STEP),
+    walks=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # lane
+            st.integers(min_value=0, max_value=2**64 - 1),  # uid
+            st.integers(min_value=0, max_value=2**20),  # step
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    mirrored=st.booleans(),
+)
+def test_lane_span_matches_each_lanes_scalar(
+    seed, depth, count, walks, mirrored
+):
+    """One keyed span over a random lane assignment equals, walk by walk
+    and step by step, the scalar draws of that walk's own lane — for plain
+    counter streams and their antithetic view alike."""
+    lanes = [WalkStreams(seed, stream) for stream in range(4)]
+    if mirrored:
+        lanes = [MirroredDraws(base, 2, 3) for base in lanes]
+    lane = np.array([w[0] for w in walks], dtype=np.intp)
+    uids = np.array([w[1] for w in walks], dtype=np.uint64)
+    steps = np.array([w[2] for w in walks], dtype=np.uint64)
+    span = LaneDraws(lanes).draws_span(lane, uids, steps, depth, count)
+    assert span.shape == (depth, len(walks), count)
+    for i, (l, uid, step) in enumerate(walks):
+        for k in range(depth):
+            assert span[k, i].tolist() == lanes[l].draws_scalar(
+                uid, step + k, count
+            )
