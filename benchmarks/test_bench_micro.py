@@ -166,13 +166,16 @@ def test_engine_plain_batches(benchmark, ctx_case1):
 def test_engine_pipelined_batches(benchmark, ctx_case1):
     """Cross-batch pipelining over the same walks as test_engine_plain_batches:
     absorbed slots refill from the next batch, so the vector stays full."""
-    from repro.frw import run_walks_pipelined
+    from repro.frw import run_segments
 
-    uids = np.arange(4 * 512, dtype=np.uint64)
+    segments = [
+        (0, np.arange(u * 512, (u + 1) * 512, dtype=np.uint64))
+        for u in range(4)
+    ]
 
     def run():
-        return run_walks_pipelined(
-            ctx_case1, WalkStreams(seed=9), uids, width=512, lookahead=2
+        return run_segments(
+            ((ctx_case1, WalkStreams(seed=9)),), segments, 512, lookahead=2
         )
 
     benchmark(run)

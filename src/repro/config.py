@@ -163,9 +163,9 @@ class FRWConfig:
         pool, each allocation round's batches of all masters are packed
         into at most one work item per worker (a lone batch is split only
         as far as the pool needs), and each item runs its pieces through
-        one engine vector that refills from batch to batch; the serial
-        engine refills its per-master vector across batch boundaries.
-        Results are reassembled in UID order, so all backends are
+        one engine vector that refills from batch to batch; ``"serial"`` is
+        the same rule at one worker, in-process, on one vector shared by
+        every master.  Results are reassembled in UID order, so all backends are
         bit-identical to the serial engine — real parallelism changes wall
         time only, which is the DOP-independence contract of Alg. 2.
     n_workers:
@@ -173,7 +173,7 @@ class FRWConfig:
         process may actually run on — ``os.sched_getaffinity`` where
         available, so containerized/affinity-restricted hosts size pools
         correctly — falling back to the host CPU count).  With one worker
-        the executor degrades to the serial path.
+        every backend runs serially.
     mp_start_method:
         Start method of the process backend: ``"fork"``, ``"spawn"``,
         ``"forkserver"``, or ``"auto"`` (fork where available, else

@@ -20,7 +20,6 @@ from .engine import (
     WalkResults,
     run_segments,
     run_walks,
-    run_walks_pipelined,
 )
 from .estimator import CapacitanceRow, RowAccumulator
 from .multilevel import GroupPlan, multilevel_extract, plan_groups
@@ -99,7 +98,6 @@ __all__ = [
     "resolve_workers",
     "run_segments",
     "run_walks",
-    "run_walks_pipelined",
     "resolve_wave",
     "simulate_dynamic_queue",
     "simulate_static_blocks",

@@ -184,7 +184,7 @@ def extract_row_alg2(
     on every backend.  Pass ``executor`` (e.g. from
     :class:`~repro.frw.solver.FRWSolver`) to reuse one pool across
     masters; otherwise :func:`~repro.frw.parallel.executor_for` creates
-    one here when the config calls for it, and it is closed on return.
+    one here for the config, and it is closed on return.
     """
     from .cross_master import extract_rows_interleaved
 

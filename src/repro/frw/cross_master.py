@@ -26,8 +26,9 @@ convergence tail never idles the pool while master ``i+1`` waits:
   workers`` every batch is cut into ``c`` items of its own, as if it
   were dispatched alone; otherwise each worker gets one item whose engine
   vector refills from batch to batch, so the batches' drain tails overlap
-  instead of running back to back.  Serial dispatch is lazy, so a serial
-  master holds one batch in its own persistent pipeline.
+  instead of running back to back.  At one worker (serial) the live
+  masters share one engine vector: two or more hold one batch each and
+  speculate nothing, and a lone master's second batch fills its tail.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
@@ -79,11 +80,11 @@ class _MasterRun:
         master: int,
         ctx: ExtractionContext,
         cfg: FRWConfig,
-        executor: PersistentExecutor | None,
+        executor: PersistentExecutor,
     ):
         self.master = master
         self.progress = RowProgress(ctx, cfg)
-        self.runner: BatchRunner | None = BatchRunner(ctx, cfg, executor)
+        self.runner = BatchRunner(ctx, cfg, executor)
         self.inflight: dict[int, PendingBatch] = {}
         self.next_dispatch = 0
         self.next_accum = 0
@@ -102,18 +103,17 @@ class _MasterRun:
     def harvest_next(self) -> bool:
         """Absorb the next in-order batch; returns ``True`` when the
         stopping rule fired (remaining in-flight batches are discarded)."""
-        handle = self.inflight.pop(self.next_accum)
+        results = self.inflight[self.next_accum].result()
+        del self.inflight[self.next_accum]
         self.next_accum += 1
-        if self.progress.absorb(handle.result()):
+        if self.progress.absorb(results):
             self.done = True
             stats = self.progress.stats
-            self.runner.close()
             stats.discarded_batches += len(self.inflight)
-            stats.discarded_walks += self.runner.discarded_walks + sum(
-                h.uids.shape[0] for h in self.inflight.values()
+            stats.discarded_walks += sum(
+                h.discard() for h in self.inflight.values()
             )
             self.inflight.clear()
-            self.runner = None
             self.row, self.stats = self.progress.finalize()
         return self.done
 
@@ -127,7 +127,7 @@ def extract_rows_interleaved(
     masters: list[int],
     config: FRWConfig,
     context_for: Callable[[int], ExtractionContext],
-    executor: PersistentExecutor | None = None,
+    executor: PersistentExecutor,
     thread_overrides: dict[int, int] | None = None,
 ) -> tuple[list[CapacitanceRow], list[RunStats]]:
     """Extract all masters' rows as one interleaved batch stream.
@@ -142,10 +142,10 @@ def extract_rows_interleaved(
     bit-identical to the same master extracted alone, serially, with the
     same per-master config.
     """
-    workers = executor.n_workers if executor is not None else 1
+    workers = executor.n_workers
     wave = resolve_wave(workers)
     cap = 1 + engine.PIPELINE_LOOKAHEAD
-    split = executor is not None and executor.backend == "process"
+    split = executor.backend == "process"
     overrides = thread_overrides or {}
 
     def master_config(master: int) -> FRWConfig:
@@ -167,34 +167,27 @@ def extract_rows_interleaved(
             )
 
     activate_wave()
-    while True:
-        live = [st for st in active if not st.done]
-        if not live:
-            if not pending:
-                break
-            activate_wave()
+    try:
+        while True:
             live = [st for st in active if not st.done]
+            if not live:
+                if not pending:
+                    break
+                activate_wave()
+                live = [st for st in active if not st.done]
 
-        # Allocation round: decide each live master's in-flight quota.
-        if executor is None:
-            # Serial dispatch is lazy — speculation is free but useless,
-            # so one (never-computed-until-harvest) batch per master.
-            quotas = np.ones(len(live), dtype=np.int64)
-        else:
+            # Allocation round: decide each live master's in-flight quota.
             total = max(len(live), 2 * workers)
             quotas = np.minimum(
                 allocate_quota(np.ones(len(live)), total, min_share=1), cap
             )
-        new = []
-        for st, quota in zip(live, quotas):
-            st.progress.stats.allocation_rounds += 1
-            new += [
-                (st, st.next_batch()) for _ in range(quota - len(st.inflight))
-            ]
-        if executor is None:
-            for st, u in new:
-                st.inflight[u] = st.runner.dispatch(u)
-        else:
+            new = []
+            for st, quota in zip(live, quotas):
+                st.progress.stats.allocation_rounds += 1
+                new += [
+                    (st, st.next_batch())
+                    for _ in range(quota - len(st.inflight))
+                ]
             # One call per round: c items per batch (a process batch over
             # the workers the live masters leave idle, a thread batch until
             # the capped in-flight batches cover the workers), packed into
@@ -207,14 +200,20 @@ def extract_rows_interleaved(
             for (st, u), handle in zip(new, handles):
                 st.inflight[u] = handle
 
-        # Harvest round: every live master absorbs its next in-order
-        # batch and runs its own global checkpoint.
-        finished_any = False
-        for st in live:
-            if st.harvest_next():
-                finished_any = True
-        if finished_any and pending:
-            activate_wave()
+            # Harvest round: every live master absorbs its next in-order
+            # batch and runs its own global checkpoint.
+            finished_any = False
+            for st in live:
+                if st.harvest_next():
+                    finished_any = True
+            if finished_any and pending:
+                activate_wave()
+    finally:
+        # Abandon batches an error left in flight (done masters hold
+        # none): a one-worker executor's shared vector must not keep them.
+        for st in active:
+            for handle in st.inflight.values():
+                handle.discard()
 
     by_master = {st.master: st for st in active}
     rows = [by_master[m].row for m in masters]

@@ -98,17 +98,16 @@ class WalkResults:
 #: Stage names of :class:`StageTimers`, in reporting order.
 STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 
-#: Default RNG prefetch depth ``K`` (steps per fused span pass).  On
-#: ``open_field_tol`` depth 8 cuts rng dispatches 5297 -> 2142 against
+#: Default RNG prefetch depth ``K`` (steps per fused span pass).  On traced
+#: ``open_field_tol`` depth 8 cuts rng dispatches 9575 -> 2602 against
 #: depth 1 (docs/PERFORMANCE.md layer 8); it is bit-invisible, so it is a
 #: constant rather than a config field.
 RNG_PREFETCH_DEPTH = 8
 
-#: Batches a master may run ahead of the one being gathered: the serial
-#: ``WalkPipeline`` refills freed slots from this many batches ahead, and
-#: the Alg. 2 driver keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's
-#: batches in flight on a pool.  Bit-invisible; deeper look-ahead only
-#: discards more work when the stopping rule fires.
+#: Batches a master may run ahead of the one being gathered: the Alg. 2
+#: driver keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's batches in
+#: flight on any executor.  Bit-invisible; deeper look-ahead only discards
+#: more work when the stopping rule fires.
 PIPELINE_LOOKAHEAD = 1
 
 
@@ -298,13 +297,14 @@ class WalkPipeline:
     feed:
         ``feed(batch_index) -> (lane, uids) | None``; called with
         consecutive batch indices (0, 1, 2, ...) and returns that batch's
-        lane and UID array, or ``None`` when the supply is exhausted.
+        lane and UID array, or ``None`` when no batch is available yet (a
+        later call may supply one).
     width:
         Target active-vector width (normally the batch size); also the slot
         arena's capacity.
     lookahead:
         How many batches beyond the oldest outstanding one may be pulled in
-        to refill freed slots (``None`` = :data:`PIPELINE_LOOKAHEAD`).
+        to refill freed slots (``None``: as many as the feed supplies).
         ``0`` disables cross-batch refilling (the active set shrinks to a
         tail within each batch, as the plain batch engine does); the walks'
         *results* are identical either way.
@@ -356,24 +356,17 @@ class WalkPipeline:
         group: int = 1,
         prefetch: int | None = None,
     ):
-        lanes = tuple(lanes)
-        ctx = lanes[0][0]
-        for other, _ in lanes[1:]:
-            if not _shares_walk_space(ctx, other):
-                raise ConfigError(
-                    "pipeline lanes must share the structure, index, table, "
-                    "h_cap and step settings"
-                )
+        (ctx, streams), *others = lanes
         self.ctx = ctx
-        self._surfaces = tuple(c.surface for c, _ in lanes)
-        self._lane_flux = np.array([c.flux_scale for c, _ in lanes])
-        self._lane_tol = np.array([c.absorb_tol for c, _ in lanes])
-        self._draws = LaneDraws(s for _, s in lanes)
+        self._surfaces = (ctx.surface,)
+        self._lane_flux = np.array([ctx.flux_scale])
+        self._lane_tol = np.array([ctx.absorb_tol])
+        self._draws = LaneDraws((streams,))
+        for other, other_streams in others:
+            self.add_lane(other, other_streams)
         self.feed = feed
         self.width = max(1, int(width))
-        if lookahead is None:
-            lookahead = PIPELINE_LOOKAHEAD
-        self.lookahead = max(0, int(lookahead))
+        self.lookahead = np.inf if lookahead is None else max(0, int(lookahead))
         self.group = max(1, int(group))
         self.trace = trace
         self._timers = timers
@@ -390,11 +383,10 @@ class WalkPipeline:
 
         self._next_feed = 0
         self._next_emit = 0
-        self._pending: np.ndarray | None = None
+        self._pending = np.empty(0, dtype=np.uint64)
         self._pending_lane = 0
         self._pending_start_g = 0
         self._pending_off = 0
-        self._feed_done = False
 
         # Flat result window over the outstanding (fed, unemitted) batches.
         # Each walk banks its outcome by *global row* — a scatter write, no
@@ -452,17 +444,22 @@ class WalkPipeline:
         self._ring_cursor = 1
 
     @property
-    def active(self) -> int:
-        """Number of in-flight walks."""
-        return self._n
+    def unlaunched(self) -> int:
+        """Walks of the last fed batch not yet launched."""
+        return self._pending.shape[0] - self._pending_off
 
-    @property
-    def launched_ahead(self) -> int:
-        """Walks launched from batches not yet emitted."""
-        launched = self._next_g
-        if self._pending is not None:
-            launched -= self._pending.shape[0] - self._pending_off
-        return launched - self._win_base_g
+    def add_lane(self, ctx: ExtractionContext, streams) -> int:
+        """Add a master's lane (see ``lanes``); returns its index."""
+        if not _shares_walk_space(self.ctx, ctx):
+            raise ConfigError(
+                "pipeline lanes must share the structure, index, table, "
+                "h_cap and step settings"
+            )
+        self._surfaces += (ctx.surface,)
+        self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
+        self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
+        self._draws = LaneDraws(self._draws.providers + (streams,))
+        return len(self._surfaces) - 1
 
     # ------------------------------------------------------------------
     # Feeding and launching
@@ -470,16 +467,12 @@ class WalkPipeline:
     def _ensure_pending(self) -> bool:
         """Make sure un-launched UIDs are available; False when starved."""
         while True:
-            if (
-                self._pending is not None
-                and self._pending_off < self._pending.shape[0]
-            ):
+            if self._pending_off < self._pending.shape[0]:
                 return True
-            if self._feed_done or self._next_feed > self._next_emit + self.lookahead:
+            if self._next_feed > self._next_emit + self.lookahead:
                 return False
             fed = self.feed(self._next_feed)
             if fed is None:
-                self._feed_done = True
                 return False
             lane, uids = fed
             uids = np.asarray(uids, dtype=np.uint64)
@@ -931,15 +924,14 @@ class WalkPipeline:
         Slots freed by retiring walks are refilled with UIDs from up to
         ``lookahead`` batches ahead, so later batches are typically already
         in flight (or finished and banked) when their turn comes.  Returns
-        ``None`` when the feed is exhausted and no batch is outstanding.
+        ``None`` when no batch is outstanding and the feed supplies none.
         """
         while True:
             self._refill()
-            if self._win_remaining.shape[0]:
-                if self._win_remaining[0] == 0:
-                    return self._emit_front()
-            elif self._feed_done:
+            if not self._win_remaining.shape[0]:
                 return None
+            if self._win_remaining[0] == 0:
+                return self._emit_front()
             self._step()
 
 
@@ -979,7 +971,7 @@ def run_segments(
         lanes,
         feed,
         width=width,
-        lookahead=len(segments) if lookahead is None else lookahead,
+        lookahead=lookahead,
         trace=trace,
         workspace=_thread_workspace(width),
         timers=timers,
@@ -1038,39 +1030,6 @@ def concat_results(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
         steps=np.concatenate([p.steps for p in parts]),
         truncated=sum(p.truncated for p in parts),
     )
-
-
-def run_walks_pipelined(
-    ctx: ExtractionContext,
-    streams,
-    uids: np.ndarray,
-    width: int,
-    lookahead: int = 1,
-    timers: StageTimers | None = None,
-    group: int = 1,
-    prefetch: int | None = None,
-) -> WalkResults:
-    """Run a fixed UID set through the refill pipeline in ``width``-sized
-    batches, reassembling per-batch results in UID order.
-
-    Bit-identical to :func:`run_walks` on the same UIDs; only the schedule
-    (and hence the throughput) differs.  ``prefetch`` selects the RNG
-    prefetch depth (``None`` = :data:`RNG_PREFETCH_DEPTH`) — also
-    bit-invisible.
-    """
-    uids = np.asarray(uids, dtype=np.uint64)
-    width = max(1, int(width))
-    starts = range(0, max(1, uids.shape[0]), width)
-    parts = run_segments(
-        ((ctx, streams),),
-        [(0, uids[a : a + width]) for a in starts],
-        width,
-        lookahead=lookahead,
-        timers=timers,
-        group=group,
-        prefetch=prefetch,
-    )
-    return concat_results(uids, parts)
 
 
 def _same_asset(a, b) -> bool:

@@ -15,15 +15,17 @@ order, so the extraction output is bit-identical to the serial engine —
 real parallelism changes wall time only, which is exactly the
 DOP-independence contract of Alg. 2.
 
+Serial execution is the same rule with one worker: no pool, nothing
+published, and every master's batches queue on the feed of one in-process
+:class:`~repro.frw.engine.WalkPipeline` the executor owns.
+
 On top of the executor sits :class:`BatchRunner`, one per master: the
 batch source of the one Alg. 2 driver,
-:func:`~repro.frw.cross_master.extract_rows_interleaved`.  On a pool,
+:func:`~repro.frw.cross_master.extract_rows_interleaved`.
 ``request(u)`` names batch ``u`` for ``run_async``, which the driver calls
-once per allocation round with every master's new batches; without one,
-``dispatch(u)`` returns a lazy thunk over one persistent
-:class:`~repro.frw.engine.WalkPipeline`.  UIDs are a pure function of the
-batch index and results reassemble in UID order, so how batches are
-driven trades wall time only.
+once per allocation round with every master's new batches.  UIDs are a
+pure function of the batch index and results reassemble in UID order, so
+how batches are driven trades wall time only.
 
 The process backend ships contexts through the **shared-memory context
 plane** (:mod:`repro.frw.shm`): registering a context publishes its index
@@ -33,12 +35,11 @@ masters reference it), and work-item messages carry only small manifests
 so the pool is created once, steady-state dispatch is manifest-only, and
 every start method (``fork``, ``spawn``, ``forkserver``) works.
 
-Every path reuses the engine's slot arena across batches: the serial
-runner owns a persistent :class:`~repro.frw.engine.WalkPipeline` (one
-arena, alive for the whole run), and work items — which go through
-:func:`~repro.frw.engine.run_segments` in thread-pool futures and process
-workers alike — hit its per-thread workspace cache, so steady-state batch
-execution allocates no walk-state arrays anywhere.
+Every path reuses the engine's slot arena across batches: a one-worker
+executor keeps one arena for all its vectors, and work items — which go
+through :func:`~repro.frw.engine.run_segments` in thread-pool futures and
+process workers alike — hit its per-thread workspace cache, so
+steady-state batch execution allocates no walk-state arrays anywhere.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ import multiprocessing
 import os
 import pickle
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -58,12 +62,12 @@ from ..errors import ConfigError
 from . import shm
 from .context import ExtractionContext
 from .engine import (
+    ArenaWorkspace,
     StageTimers,
     WalkPipeline,
     WalkResults,
     concat_results,
     run_segments,
-    run_walks,
 )
 
 #: A stream spec is ``(rng_kind, seed, stream)`` — enough to rebuild a
@@ -237,39 +241,37 @@ def _worker_probe(delay: float) -> tuple[int, int]:
 class PendingBatch:
     """Handle to one dispatched walk batch (one UID set).
 
-    Either ``waiters`` or ``thunk`` backs the handle.  ``waiters`` are
-    blocking getters, one per work item holding a piece of the batch: a
-    work item may carry pieces of several batches (the executor's
-    ``dispatches`` counter counts work items, not batches), and each
-    getter returns this batch's piece.  ``thunk`` is a lazy whole-batch
-    computation.  :meth:`result` gathers and reassembles in UID order.
-    Lazy handles compute nothing until gathered, so speculative batches
-    that a stopping rule obsoletes are free to drop.
+    ``waiters`` are blocking getters of the batch's pieces in UID order:
+    one per work item holding a piece on a pool (an item may carry pieces
+    of several batches), one that steps the shared vector on one worker,
+    where ``unlaunched`` forgets the batch and returns its walks not yet
+    launched.
     """
 
-    __slots__ = ("uids", "_waiters", "_thunk", "_result")
+    __slots__ = ("uids", "_waiters", "_unlaunched", "_result")
 
-    def __init__(self, uids: np.ndarray, waiters=None, thunk=None):
+    def __init__(self, uids: np.ndarray, waiters, unlaunched=None):
         self.uids = uids
         self._waiters = waiters
-        self._thunk = thunk
+        self._unlaunched = unlaunched
         self._result: WalkResults | None = None
 
     def result(self) -> WalkResults:
         """Block until the batch completes; UID-ordered results."""
         if self._result is None:
-            if self._waiters is not None:
-                parts = [wait() for wait in self._waiters]
-                self._result = (
-                    parts[0]
-                    if len(parts) == 1
-                    else concat_results(self.uids, parts)
-                )
-            else:
-                self._result = self._thunk()
-            self._waiters = None
-            self._thunk = None
+            parts = [wait() for wait in self._waiters]
+            self._result = (
+                parts[0] if len(parts) == 1 else concat_results(self.uids, parts)
+            )
+            self._waiters = self._unlaunched = None
         return self._result
+
+    def discard(self) -> int:
+        """Drop the batch ungathered; returns how many of its walks were
+        launched (on a pool, all of them)."""
+        unlaunched = self._unlaunched() if self._unlaunched else 0
+        self._waiters = self._unlaunched = None
+        return self.uids.shape[0] - unlaunched
 
 
 class PersistentExecutor:
@@ -278,8 +280,7 @@ class PersistentExecutor:
     Parameters
     ----------
     backend:
-        ``"thread"`` or ``"process"`` (``"serial"`` is accepted and makes
-        :meth:`run` a plain engine call, for uniform call sites).
+        ``"thread"``, ``"process"`` or ``"serial"`` (one worker).
     n_workers:
         Pool width; ``0`` means auto (host CPU count).
     mp_start_method:
@@ -287,14 +288,18 @@ class PersistentExecutor:
         ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
 
     Contexts are registered once per master (:meth:`register`); thereafter
-    any number of batches can be dispatched with :meth:`run`.  The process
-    pool is created once and never restarts: registration publishes the
-    context to the shared-memory plane and workers attach on first
-    dispatch.  Dispatch telemetry (work items, pickled payload bytes)
-    accumulates in :meth:`dispatch_stats`; :meth:`worker_stats` probes the
-    live pool for worker PIDs and per-worker attachment counts.  A closed
-    executor rejects further work with :class:`~repro.errors.ConfigError`
-    instead of silently re-creating pools or publishing blocks.
+    any number of batches can be dispatched with :meth:`run`.  With one
+    worker there is no pool: batches of every master queue on one
+    in-process vector, dropped once no handle is live; ``timers``
+    (optional :class:`~repro.frw.engine.StageTimers`) times its stages.
+    The process pool is created once and never restarts: registration
+    publishes the context to the shared-memory plane and workers attach
+    on first dispatch.  Dispatch telemetry (work items,
+    pickled payload bytes) accumulates in :meth:`dispatch_stats`;
+    :meth:`worker_stats` probes the live pool for worker PIDs and
+    per-worker attachment counts.  A closed executor rejects further work
+    with :class:`~repro.errors.ConfigError` instead of silently
+    re-creating pools or publishing blocks.
     """
 
     def __init__(
@@ -310,8 +315,9 @@ class PersistentExecutor:
                 f"executor backend must be one of {EXECUTOR_KINDS}, got {backend!r}"
             )
         self.backend = backend
-        self.n_workers = resolve_workers(n_workers)
+        self.n_workers = 1 if backend == "serial" else resolve_workers(n_workers)
         self.mp_start_method = mp_start_method
+        self.timers: StageTimers | None = None
         # Resolve eagerly so a bad method/platform combination fails at
         # construction, not mid-extraction.
         self._start_method = (
@@ -324,6 +330,9 @@ class PersistentExecutor:
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
+        self._ids = count()  # dispatch keys and one-worker batch seqs
+        self._workspace: ArenaWorkspace | None = None
+        self._reset_vector()
         self._closed = False
         self.dispatches = 0
         self.dispatch_pickle_bytes = 0
@@ -338,21 +347,95 @@ class PersistentExecutor:
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
         """Register a context + stream spec once; returns its dispatch key.
 
-        On the process backend this *publishes* the context immediately
-        (its assets' blocks on first reference); the pool (if any) keeps
-        running and workers attach on first dispatch.
+        On a process pool this *publishes* the context immediately (its
+        assets' blocks on first reference); the pool keeps running and
+        workers attach on first dispatch.  With one worker it is a dict
+        insert.
         """
         self._check_open()
         ident = (id(ctx), spec)
         key = self._keys.get(ident)
         if key is not None:
             return key
-        key = len(self._registry)
+        key = next(self._ids)
         self._registry[key] = (ctx, spec)
         self._keys[ident] = key
-        if self.backend == "process":
+        if self.backend == "process" and self.n_workers > 1:
             self._manifests[key] = shm.publish_context(ctx, spec)
         return key
+
+    def release(self, contexts) -> None:
+        """Forget these contexts' registrations (published process blocks
+        stay until :meth:`close`)."""
+        ids = {id(ctx) for ctx in contexts}
+        for ident in [ident for ident in self._keys if ident[0] in ids]:
+            del self._registry[self._keys.pop(ident)]
+
+    # ------------------------------------------------------------------
+    # One worker: one in-process vector shared by every master
+    # ------------------------------------------------------------------
+    def _reset_vector(self) -> None:
+        self._pipe: WalkPipeline | None = None
+        self._lanes: dict[int, int] = {}  # dispatch key -> lane
+        self._queue: deque = deque()  # (seq, lane, uids) not yet fed
+        self._fed: deque = deque()  # seqs fed, not yet emitted
+        self._live: dict[int, WalkResults | None] = {}  # results once emitted
+
+    def _submit(self, key: int, uids: np.ndarray, width: int) -> PendingBatch:
+        lane = self._lanes.get(key)
+        if lane is None:
+            ctx, spec = self._registry[key]
+            streams = streams_from_spec(spec)
+            if self._pipe is None:
+                if self._workspace is None:
+                    self._workspace = ArenaWorkspace(width)
+                self._pipe = WalkPipeline(
+                    ((ctx, streams),),
+                    self._feed,
+                    width=width,
+                    workspace=self._workspace,
+                    timers=self.timers,
+                    group=spec[3] if len(spec) == 5 else 1,
+                )
+                lane = 0
+            else:
+                lane = self._pipe.add_lane(ctx, streams)
+            self._lanes[key] = lane
+        seq = next(self._ids)
+        self._queue.append((seq, lane, uids))
+        self._live[seq] = None
+        drop = partial(self._drop, seq, uids.shape[0])
+        return PendingBatch(uids, [partial(self._gather, seq)], drop)
+
+    def _feed(self, index: int):
+        while self._queue:
+            seq, lane, uids = self._queue.popleft()
+            if seq in self._live:  # else discarded before it was fed
+                self._fed.append(seq)
+                return lane, uids
+        return None
+
+    def _gather(self, seq: int) -> WalkResults:
+        while self._live[seq] is None:
+            results = self._pipe.next_batch()
+            done = self._fed.popleft()
+            if done in self._live:
+                self._live[done] = results
+        return self._forget(seq)
+
+    def _drop(self, seq: int, size: int) -> int:
+        if seq not in self._fed:  # still queued, or already emitted
+            unlaunched = size if self._live[seq] is None else 0
+        else:
+            unlaunched = self._pipe.unlaunched if seq == self._fed[-1] else 0
+        self._forget(seq)
+        return unlaunched
+
+    def _forget(self, seq: int) -> WalkResults | None:
+        results = self._live.pop(seq)
+        if not self._live:
+            self._reset_vector()
+        return results
 
     # ------------------------------------------------------------------
     # Pools
@@ -377,12 +460,6 @@ class PersistentExecutor:
         """Execute one batch of walks, reassembled in UID order."""
         return self.run_async([(key, uids)])[0].result()
 
-    def _lazy(self, key: int, uids: np.ndarray) -> PendingBatch:
-        ctx, spec = self._registry[key]
-        return PendingBatch(
-            uids, thunk=lambda: run_walks(ctx, streams_from_spec(spec), uids)
-        )
-
     def run_async(
         self, batches: list[tuple[int, np.ndarray]], items: int | None = None
     ) -> list[PendingBatch]:
@@ -400,22 +477,22 @@ class PersistentExecutor:
 
         A handle's :meth:`PendingBatch.result` reassembles its batch's
         pieces in UID order, so a gathered batch is bit-identical to the
-        serial engine however it was packed.  On the serial fallback the
-        handles are *lazy* — the walks run on the first ``result()`` call,
-        so handles that are dropped (speculative batches past a stopping
-        rule) cost nothing.  Packing never changes results, only the
-        schedule.
+        serial engine however it was packed.  With one worker (or fewer
+        than two walks) each batch queues on the executor's one in-process
+        vector instead, and runs only when a handle is gathered: a batch
+        discarded before the vector reaches it is never launched.  Packing
+        never changes results, only the schedule.
         """
         self._check_open()
         batches = [(key, np.asarray(uids, dtype=np.uint64)) for key, uids in batches]
         total = sum(uids.shape[0] for _, uids in batches)
-        if self.backend == "serial" or self.n_workers == 1 or total < 2:
-            return [self._lazy(key, uids) for key, uids in batches]
+        width = max((uids.shape[0] for _, uids in batches), default=1)
+        if self.n_workers == 1 or total < 2:
+            return [self._submit(key, uids, width) for key, uids in batches]
         work, slots = _pack(
             batches,
             max(1, min(self.n_workers if items is None else int(items), total)),
         )
-        width = max(uids.shape[0] for _, uids in batches)
         self.dispatches += len(work)
         if self.backend == "thread":
             pool = self._threads()
@@ -441,9 +518,7 @@ class PersistentExecutor:
             self._pending = [a for a in self._pending if not a.ready()] + asyncs
             getters = [a.get for a in asyncs]
         return [
-            PendingBatch(
-                uids, waiters=[_piece(getters[j], s) for j, s in pieces]
-            )
+            PendingBatch(uids, [_piece(getters[j], s) for j, s in pieces])
             for (_, uids), pieces in zip(batches, slots)
         ]
 
@@ -487,12 +562,12 @@ class PersistentExecutor:
 
         Maps short sleep probes across the pool (``chunksize=1`` so they
         spread over workers) and reports, per observed worker PID, how many
-        shared asset blocks that worker has attached.  Empty for
-        non-process backends.  Scheduling decides which workers answer, so
-        this is telemetry — results never feed back into walk values.
+        shared asset blocks that worker has attached.  Empty without a
+        process pool.  Scheduling decides which workers answer, so this is
+        telemetry — results never feed back into walk values.
         """
         self._check_open()
-        if self.backend != "process":
+        if self.backend != "process" or self.n_workers == 1:
             return {}
         pool = self._processes()
         n = max(1, self.n_workers) * max(1, int(probes_per_worker))
@@ -559,79 +634,39 @@ class PersistentExecutor:
 # ----------------------------------------------------------------------
 def executor_for(
     backend: str, n_workers: int, mp_start_method: str = "auto"
-) -> PersistentExecutor | None:
-    """A new pool for an engine configuration, or ``None`` when it runs
-    serially (``backend="serial"`` or at most one worker)."""
-    if backend == "serial" or resolve_workers(n_workers) <= 1:
-        return None
+) -> PersistentExecutor:
+    """A new executor for an engine configuration (one worker if serial)."""
     return PersistentExecutor(backend, n_workers, mp_start_method)
 
 
 class BatchRunner:
-    """One master's batches.
-
-    Batch ``u`` holds UIDs ``[u*B, (u+1)*B)``.  A pool runs batches only
-    through :meth:`PersistentExecutor.run_async`: :meth:`request` names
-    batch ``u`` as the ``(key, uids)`` pair it takes, so the Alg. 2 driver
-    can pack one allocation round's batches of all masters into one call.
-    Without a pool, :meth:`dispatch` returns a lazy thunk over one
-    persistent :class:`~repro.frw.engine.WalkPipeline` whose freed slots
-    refill from up to :data:`~repro.frw.engine.PIPELINE_LOOKAHEAD` batches
-    ahead: thunks must be gathered in dispatch order, and a thunk never
-    gathered costs nothing.  :meth:`run_batch` runs one batch at once on
-    either.  ``discarded_walks``, set at :meth:`close`, counts the walks
-    the serial pipeline launched past the last gathered batch.
+    """One master's batches on an executor: batch ``u`` holds UIDs
+    ``[u*B, (u+1)*B)``, and :meth:`request` names it as the ``(key, uids)``
+    pair :meth:`PersistentExecutor.run_async` takes, so the Alg. 2 driver
+    can send a round's batches of all masters in one call.
     """
 
     def __init__(
         self,
         ctx: ExtractionContext,
         config: FRWConfig,
-        executor: PersistentExecutor | None = None,
-        timers: StageTimers | None = None,
+        executor: PersistentExecutor,
     ):
         self.batch_size = int(config.batch_size)
-        self.discarded_walks = 0
         self._executor = executor
-        self._pipe: WalkPipeline | None = None
-        spec = stream_spec(config, ctx.master)
-        if executor is not None:
-            self._key = executor.register(ctx, spec)
-        else:
-            self._pipe = WalkPipeline(
-                ((ctx, streams_from_spec(spec)),),
-                lambda u: (0, self._uids(u)),
-                width=self.batch_size,
-                timers=timers,
-                group=config.antithetic_group if config.antithetic else 1,
-            )
-
-    def _uids(self, u: int) -> np.ndarray:
-        base = u * self.batch_size
-        return np.arange(base, base + self.batch_size, dtype=np.uint64)
+        self._key = executor.register(ctx, stream_spec(config, ctx.master))
 
     def request(self, u: int) -> tuple[int, np.ndarray]:
-        """Batch ``u`` as a ``run_async`` request ``(key, uids)`` (pool
-        runners)."""
-        return self._key, self._uids(u)
-
-    def dispatch(self, u: int) -> PendingBatch:
-        """Batch ``u`` as a lazy thunk over the pipeline (serial
-        runners)."""
-        return PendingBatch(self._uids(u), thunk=self._pipe.next_batch)
+        """Batch ``u`` as a ``run_async`` request ``(key, uids)``."""
+        base = u * self.batch_size
+        return self._key, np.arange(base, base + self.batch_size, dtype=np.uint64)
 
     def run_batch(self, u: int) -> WalkResults:
         """Run batch ``u`` and gather it."""
-        if self._pipe is None:
-            return self._executor.run(*self.request(u))
-        return self.dispatch(u).result()
+        return self._executor.run(*self.request(u))
 
     def close(self) -> None:
-        """Count the serial pipeline's launched-ahead walks and drop it
-        (the pool, if any, belongs to the caller)."""
-        if self._pipe is not None:
-            self.discarded_walks = self._pipe.launched_ahead
-            self._pipe = None
+        """Nothing to release: the executor belongs to the caller."""
 
 
 def make_batch_runner(
@@ -642,15 +677,17 @@ def make_batch_runner(
 ) -> tuple[BatchRunner, PersistentExecutor | None]:
     """The :class:`BatchRunner` of one master under a config.
 
-    Returns ``(runner, owned_executor)``: ``owned_executor`` is the pool
-    :func:`executor_for` created here when none was supplied (the caller
-    must close it), else ``None``.  ``timers`` (optional) accumulates the
-    engine's per-stage wall time on the serial runner; pool workers cannot
-    report stages, so executor-backed runners leave it untouched.
+    Returns ``(runner, owned_executor)``: ``owned_executor`` is the
+    executor :func:`executor_for` created here when none was supplied (the
+    caller must close it), else ``None``.  ``timers`` (optional) becomes
+    the executor's one-worker stage timers; pool workers cannot report
+    stages, so a pool leaves it untouched.
     """
     owned = None
     if executor is None:
         owned = executor = executor_for(
             config.executor, config.n_workers, config.mp_start_method
         )
-    return BatchRunner(ctx, config, executor, timers), owned
+    if timers is not None:
+        executor.timers = timers
+    return BatchRunner(ctx, config, executor), owned

@@ -157,13 +157,12 @@ class FRWSolver:
 
     The solver owns the real-concurrency resources: extraction contexts are
     cached per master (sharing the master-independent assets — spatial
-    index, cube table — through one :class:`SharedAssets` cache) and, when
-    the config selects a ``thread`` or ``process`` executor with more than
-    one worker, one :class:`~repro.frw.parallel.PersistentExecutor` is
-    created lazily and reused across batches *and* masters.  Call
-    :meth:`close` (or use the solver as a context manager) to release the
-    pools; results are bit-identical across executor backends, so this only
-    affects wall time.
+    index, cube table — through one :class:`SharedAssets` cache) and one
+    :class:`~repro.frw.parallel.PersistentExecutor` is created lazily and
+    reused across batches *and* masters.  Call :meth:`close` (or use the
+    solver as a context manager) to release its pools; results are
+    bit-identical across executor backends, so this only affects wall
+    time.
     """
 
     def __init__(
@@ -209,12 +208,10 @@ class FRWSolver:
             self._contexts[master] = ctx
         return ctx
 
-    def walk_executor(self) -> PersistentExecutor | None:
-        """The solver-owned persistent pool, or ``None`` for serial runs.
-
-        Created on first use; ``None`` whenever the config resolves to
-        serial execution (``executor="serial"`` or a single worker), in
-        which case the batch runners fall back to the in-process engine.
+    def walk_executor(self) -> PersistentExecutor:
+        """The solver's persistent executor, created on first use; a
+        serial config (``executor="serial"`` or a single worker) gets a
+        one-worker executor, which creates no pool and publishes nothing.
         """
         cfg = self.config
         if self._executor is None:
@@ -227,11 +224,14 @@ class FRWSolver:
         """Release owned executor pools (idempotent; solver stays usable).
 
         Borrowed executors (injected at construction) are left running —
-        their owner decides their lifetime.
+        their owner decides their lifetime — and only forget this solver's
+        contexts.
         """
         if self._executor is not None:
             if self._owns_executor:
                 self._executor.close()
+            else:
+                self._executor.release(self._contexts.values())
             self._executor = None
             self._owns_executor = True
 
@@ -332,7 +332,7 @@ class FRWSolver:
                 # the in-process counters would report zero queries.
                 "query_stats": (
                     None
-                    if executor is not None and executor.backend == "process"
+                    if executor.backend == "process" and executor.n_workers > 1
                     else self.assets.query_stats()
                 ),
                 "dispatched_batches": sum(s.dispatched_batches for s in stats),

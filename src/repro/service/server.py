@@ -168,7 +168,10 @@ class ExtractionService:
         Full cache hits resolve immediately (no queueing, no solver) —
         that is the interactive fast path the benchmark's warm p50
         measures.  Misses are enqueued under the request's priority class.
+        Recorded latency starts before parsing and, for full hits, ends
+        after the response is rendered.
         """
+        t0 = time.perf_counter()
         (
             structure,
             form,
@@ -180,7 +183,6 @@ class ExtractionService:
             priority,
         ) = self._parse(request)
         future: Future = Future()
-        t0 = time.perf_counter()
         with self._cond:
             if self._closing:
                 raise ConfigError("service is shutting down")
@@ -188,12 +190,11 @@ class ExtractionService:
             cached = self._assemble_if_complete(form, rhash, masters)
             if cached is not None:
                 self.full_hits += 1
-                self._latencies[priority].append(time.perf_counter() - t0)
-                future.set_result(
-                    self._response(
-                        form, rhash, cached, masters, names, cached=True
-                    )
+                response = self._response(
+                    form, rhash, cached, masters, names, cached=True
                 )
+                self._latencies[priority].append(time.perf_counter() - t0)
+                future.set_result(response)
                 return future
             self._queues[priority].append(
                 _Job(
@@ -306,16 +307,14 @@ class ExtractionService:
 
     # -- worker slots --------------------------------------------------
 
-    def _slot_executor(self, slot: int) -> PersistentExecutor | None:
-        """The slot-owned persistent pool (lazy; ``None`` for serial)."""
+    def _slot_executor(self, slot: int) -> PersistentExecutor:
+        """The slot-owned persistent executor (lazy)."""
         cfg = self.settings
         executor = self._executors.get(slot)
         if executor is None:
-            executor = executor_for(
+            executor = self._executors[slot] = executor_for(
                 cfg.executor, cfg.n_workers, cfg.mp_start_method or "auto"
             )
-            if executor is not None:
-                self._executors[slot] = executor
         return executor
 
     def _worker_loop(self, slot: int) -> None:
@@ -364,7 +363,7 @@ class ExtractionService:
             rows[m] = payload
         return rows
 
-    def _solve(self, job: _Job, executor: PersistentExecutor | None) -> dict:
+    def _solve(self, job: _Job, executor: PersistentExecutor) -> dict:
         """Solve the missing canonical rows, memoize, assemble the response."""
         form = job.form
         rows: dict[int, dict] = {}

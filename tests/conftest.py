@@ -1,8 +1,11 @@
-"""Shared fixtures: small structures and extraction configs."""
+"""Shared fixtures: small structures, extraction configs and a pipelined
+engine run."""
 
+import numpy as np
 import pytest
 
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
+from repro.frw.engine import concat_results, run_segments
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +51,27 @@ def quick_config():
     return FRWConfig.frw_r(
         seed=123, n_threads=4, batch_size=1500, tolerance=5e-2, min_walks=1500
     )
+
+
+def _run_pipelined(ctx, streams, uids, width, lookahead=1, **kwargs):
+    """Run a fixed UID set through one refill vector in ``width``-sized
+    batches (``run_segments``) and reassemble it in UID order —
+    bit-identical to ``run_walks`` on the same UIDs."""
+    uids = np.asarray(uids, dtype=np.uint64)
+    starts = range(0, max(1, uids.shape[0]), width)
+    parts = run_segments(
+        ((ctx, streams),),
+        [(0, uids[a : a + width]) for a in starts],
+        width,
+        lookahead=lookahead,
+        **kwargs,
+    )
+    return concat_results(uids, parts)
+
+
+@pytest.fixture(scope="session")
+def run_pipelined():
+    """``run_pipelined(ctx, streams, uids, width, lookahead=1, **kwargs)``;
+    ``kwargs`` go to ``run_segments`` (``timers``, ``group``,
+    ``prefetch``)."""
+    return _run_pipelined

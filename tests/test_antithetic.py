@@ -30,7 +30,6 @@ from repro.frw import (
     engine,
     extract_row_alg2,
     run_walks,
-    run_walks_pipelined,
     stream_spec,
 )
 from repro.frw.estimator import RowAccumulator
@@ -376,12 +375,12 @@ def test_add_batch_asserts_shapes_and_range():
 # ----------------------------------------------------------------------
 
 
-def test_pipeline_group_param_is_bit_invisible(plates):
+def test_pipeline_group_param_is_bit_invisible(plates, run_pipelined):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=SEED))
     uids = np.arange(300, dtype=np.uint64)
     ref = run_walks(ctx, WalkStreams(SEED, 0), uids)
     for group in (2, 4, 8):
-        res = run_walks_pipelined(
+        res = run_pipelined(
             ctx, WalkStreams(SEED, 0), uids, width=64, lookahead=2,
             group=group,
         )

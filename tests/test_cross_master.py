@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import PersistentExecutor, SharedAssets, cross_master, engine
+from repro.frw import (
+    PersistentExecutor,
+    RowProgress,
+    SharedAssets,
+    cross_master,
+    engine,
+)
 from repro.frw.scheduler import allocate_quota
 
 BASE = dict(
@@ -209,6 +215,37 @@ def test_round_packs_into_worker_items(eight_wires, backend, monkeypatch):
             assert np.array_equal(got.values, golden.values)
             assert np.array_equal(got.sigma2, golden.sigma2)
             assert np.array_equal(got.hits, golden.hits)
+
+
+def test_failed_extraction_abandons_its_batches(
+    three_wires, plates, monkeypatch
+):
+    """An extraction that raises with batches in flight abandons them, so
+    the one-worker executor it borrowed then serves another structure
+    exactly as a fresh one does."""
+    absorb = RowProgress.absorb
+    calls = []
+
+    def failing_absorb(self, results):
+        calls.append(self.ctx.master)
+        if len(calls) == 2:
+            raise RuntimeError("absorb failed")
+        return absorb(self, results)
+
+    cfg = FRWConfig.frw_r(**BASE, executor="serial")
+    with PersistentExecutor("serial") as shared:
+        with monkeypatch.context() as mp:
+            mp.setattr(RowProgress, "absorb", failing_absorb)
+            with FRWSolver(three_wires, cfg, executor=shared) as solver:
+                with pytest.raises(RuntimeError):
+                    solver.extract()
+        # Master 2's first batch was queued when master 1's absorb failed.
+        assert calls == [0, 1]
+        with FRWSolver(plates, cfg, executor=shared) as solver:
+            got = solver.extract()
+    with FRWSolver(plates, cfg) as fresh:
+        ref = fresh.extract()
+    assert got.matrix.values.tobytes() == ref.matrix.values.tobytes()
 
 
 def test_lazy_registration_for_master_subset():

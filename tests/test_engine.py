@@ -124,15 +124,13 @@ def test_step_cap_truncates(plates):
 # ----------------------------------------------------------------------
 # Cross-batch walk pipelining
 # ----------------------------------------------------------------------
-def test_pipelined_equals_plain_bitwise(plates):
+def test_pipelined_equals_plain_bitwise(plates, run_pipelined):
     """Refilling absorbed slots from later batches never changes outcomes."""
-    from repro.frw import run_walks_pipelined
-
     ctx = ctx_for(plates)
     uids = np.arange(3000, dtype=np.uint64)
     plain = run_walks(ctx, WalkStreams(11, 0), uids)
     for width, lookahead in [(256, 0), (256, 1), (512, 3), (3000, 1), (7, 2)]:
-        piped = run_walks_pipelined(
+        piped = run_pipelined(
             ctx, WalkStreams(11, 0), uids, width=width, lookahead=lookahead
         )
         assert np.array_equal(piped.uids, plain.uids)
@@ -343,16 +341,16 @@ def test_stage_timers_lap_accumulates_seconds_and_counts():
     assert all(d[s] >= 0.0 for s in STAGE_NAMES)
 
 
-def test_engine_run_charges_dispatch_counts(plates):
+def test_engine_run_charges_dispatch_counts(plates, run_pipelined):
     """A real engine run records at least one dispatch for every stage it
     timed, and with the prefetch ring the rng dispatch count drops below
     the vector-step count (the layer-8 amortisation, directly visible)."""
-    from repro.frw import StageTimers, run_walks_pipelined
+    from repro.frw import StageTimers
 
     ctx = ctx_for(plates)
     uids = np.arange(256, dtype=np.uint64)
     tm = StageTimers()
-    run_walks_pipelined(
+    run_pipelined(
         ctx, WalkStreams(11, 0), uids, width=64, prefetch=8, timers=tm
     )
     assert tm.steps > 0

@@ -6,7 +6,8 @@ independent of batching, pipelining, arena slot management, and executor
 scheduling.  Every engine entry point must reproduce them bit-for-bit:
 
 * the plain batch engine (``run_walks``),
-* the refill pipeline (``run_walks_pipelined``), pipelined and not,
+* the refill pipeline (``run_segments`` over consecutive batches),
+  pipelined and not,
 * thread-parallel chunked execution on a ``PersistentExecutor`` for
   ``n_workers`` in {1, 2, 4},
 * process-parallel execution over the shared-memory context plane, both
@@ -30,7 +31,6 @@ from repro.frw import (
     PersistentExecutor,
     build_context,
     run_walks,
-    run_walks_pipelined,
     stream_spec,
 )
 from repro.lint.sanitizer import forbid_global_rng
@@ -146,22 +146,24 @@ def test_scalar_reference_matches_golden_head(golden_case):
 
 
 @pytest.mark.parametrize("width,lookahead", [(64, 0), (64, 2), (96, 3)])
-def test_pipelined_engine_matches_golden(golden_case, width, lookahead):
+def test_pipelined_engine_matches_golden(
+    golden_case, run_pipelined, width, lookahead
+):
     case, ctx, uids = golden_case
-    res = run_walks_pipelined(
+    res = run_pipelined(
         ctx, WalkStreams(SEED, 0), uids, width=width, lookahead=lookahead
     )
     _check(case, res)
 
 
 @pytest.mark.parametrize("prefetch", [1, 2, 4, 8, 16])
-def test_prefetch_ring_matches_golden(golden_case, prefetch):
+def test_prefetch_ring_matches_golden(golden_case, run_pipelined, prefetch):
     """The RNG prefetch ring is bit-invisible: every depth reproduces the
     scalar-reference goldens byte for byte (draws are pure functions of
     ``(seed, uid, step, slot)``, so *when* they are generated cannot
     matter — this pins that the ring bookkeeping preserves it)."""
     case, ctx, uids = golden_case
-    res = run_walks_pipelined(
+    res = run_pipelined(
         ctx, WalkStreams(SEED, 0), uids, width=64, prefetch=prefetch
     )
     _check(case, res)

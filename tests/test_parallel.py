@@ -5,10 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro import FRWConfig
+from repro import Box, Conductor, FRWConfig, Structure
 from repro.frw import (
     BatchRunner,
     PersistentExecutor,
+    StageTimers,
+    WalkPipeline,
     build_context,
     engine,
     extract_row_alg2,
@@ -18,6 +20,7 @@ from repro.frw import (
 )
 from repro.frw.solver import FRWSolver
 from repro.rng import WalkStreams
+from repro.structures import build_case
 
 
 def _run_once(backend, ctx, uids, n_workers, items=None):
@@ -190,26 +193,46 @@ def test_solver_owns_executor_lifecycle(plates):
     assert solver._executor is None  # released on exit
 
 
-def test_solver_serial_config_has_no_executor(plates):
-    for cfg in (
-        FRWConfig.frw_r(executor="serial"),
-        FRWConfig.frw_r(executor="thread", n_workers=1),
+def test_solver_serial_config_gets_a_one_worker_executor(plates):
+    """A serial or one-worker config gets a one-worker executor, which
+    extracts in-process: it creates no pool and publishes no block."""
+    base = dict(seed=13, batch_size=256, min_walks=512, max_walks=512)
+    for kwargs in (
+        dict(executor="serial", n_workers=4),
+        dict(executor="thread", n_workers=1),
+        dict(executor="process", n_workers=1),
     ):
-        assert FRWSolver(plates, cfg).walk_executor() is None
+        with FRWSolver(plates, FRWConfig.frw_r(**base, **kwargs)) as solver:
+            ex = solver.walk_executor()
+            assert ex.n_workers == 1
+            result = solver.extract()
+            assert ex._thread_pool is None and ex._process_pool is None
+            stats = ex.dispatch_stats()
+            assert stats["dispatches"] == stats["published_contexts"] == 0
+            assert shm.published_blocks() == []
+        assert result.matrix.meta["schedule"]["query_stats"] is not None
 
 
-def test_make_batch_runner_serial_fallback(plates):
-    """executor='thread' with one worker degrades to the in-process path,
-    so the default config is safe on single-core hosts."""
+def test_make_batch_runner_one_worker(plates):
+    """executor='thread' with one worker makes (and hands over) a
+    one-worker executor, so the default config is safe on single-core
+    hosts; ``timers`` becomes its stage timers."""
     cfg = FRWConfig.frw_r(seed=77, batch_size=64, executor="thread", n_workers=1)
     ctx = build_context(plates, 0, cfg)
-    runner, owned = make_batch_runner(ctx, cfg)
-    assert owned is None
-    assert type(runner) is BatchRunner
-    res = runner.run_batch(0)
-    runner.close()
-    ref = run_walks(ctx, WalkStreams(77, 0), np.arange(64, dtype=np.uint64))
+    timers = StageTimers()
+    runner, owned = make_batch_runner(ctx, cfg, timers=timers)
+    try:
+        assert type(runner) is BatchRunner
+        assert owned.n_workers == 1
+        res = runner.run_batch(1)
+        runner.close()
+    finally:
+        owned.close()
+    ref = run_walks(ctx, WalkStreams(77, 0), np.arange(64, 128, dtype=np.uint64))
     assert np.array_equal(res.omega, ref.omega)
+    assert np.array_equal(res.dest, ref.dest)
+    assert np.array_equal(res.steps, ref.steps)
+    assert timers.steps > 0
 
 
 def test_make_batch_runner_on_a_pool(plates):
@@ -466,36 +489,146 @@ def test_pipelined_runner_counts_speculation(plates):
     assert stats.discarded_walks == stats.discarded_batches * 128
 
 
-@pytest.mark.parametrize("lookahead", [0, 1, 3])
-def test_serial_discarded_walks_are_launched_minus_counted(
-    plates, monkeypatch, lookahead
-):
-    """On the serial path the pipeline's refills run past the stopping
-    rule; ``discarded_walks`` reports exactly the walks launched for a
-    master that never reached its row (none without lookahead)."""
-    from repro.frw.engine import WalkPipeline
-
-    launched = []
+@pytest.fixture
+def launched(monkeypatch):
+    """Sizes of every launch of walks into any engine vector."""
+    sizes = []
     launch = WalkPipeline._launch
 
     def counting_launch(self, lane, uids, start_g, off):
-        launched.append(uids.shape[0])
+        sizes.append(uids.shape[0])
         return launch(self, lane, uids, start_g, off)
 
     monkeypatch.setattr(WalkPipeline, "_launch", counting_launch)
+    return sizes
+
+
+@pytest.mark.parametrize("lookahead", [0, 1, 3])
+def test_serial_discarded_walks_are_launched_minus_counted(
+    plates, monkeypatch, launched, lookahead
+):
+    """``discarded_walks`` reports exactly the walks launched for a master
+    that never reached its row.  Serial masters that share the vector
+    hold one batch each, so a multi-master extraction launches only the
+    walks it counts; a lone master's next batch fills the slots its
+    current one frees, so it runs past the stop (except without
+    lookahead)."""
     monkeypatch.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=256, min_walks=512, max_walks=512,
         executor="serial",
     )
     with FRWSolver(plates, cfg) as solver:
-        result = solver.extract()  # interleaved masters, serial fallback
-    discarded = result.matrix.meta["schedule"]["discarded_walks"]
-    assert discarded == sum(launched) - result.total_walks
+        result = solver.extract()  # two masters on one shared vector
+    assert result.matrix.meta["schedule"]["discarded_walks"] == 0
+    assert sum(launched) == result.total_walks
     launched.clear()
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
     assert stats.discarded_walks == sum(launched) - row.walks
-    if lookahead == 0:
-        assert discarded == stats.discarded_walks == 0
-    else:
-        assert discarded > 0 and stats.discarded_walks > 0
+    assert (stats.discarded_walks > 0) == (lookahead > 0)
+
+
+def _open_field():
+    """The benchmark suite's ``open_field_tol`` structure."""
+    wires = [
+        Conductor.single(
+            f"w{i}", Box.from_bounds(2.0 * i, 2.0 * i + 1.0, 0, 8, 0, 1)
+        )
+        for i in range(3)
+    ]
+    return Structure(wires, enclosure=Box.from_bounds(-20, 25, -20, 28, -20, 21))
+
+
+@pytest.mark.parametrize(
+    "case, overrides, max_discarded, row0_launched",
+    [
+        ("open_field", dict(tolerance=2.2e-2, h_cap_fraction=0.05), 0, 80_000),
+        ("case5", dict(tolerance=7e-2), 10_000, 30_000),
+    ],
+    ids=["open_field", "case5"],
+)
+def test_serial_schedule_on_suite_structures(
+    launched, case, overrides, max_discarded, row0_launched
+):
+    """At FRW seed 145 a serial ``extract()`` on the suite's open-field
+    and SRAM structures discards at most one batch (a per-master
+    look-ahead discarded 30,000 and 290,000 walks), and a lone master
+    launches what it always did."""
+    structure = _open_field() if case == "open_field" else build_case(5)
+    cfg = FRWConfig.frw_rr(seed=145, executor="serial", **overrides)
+    with FRWSolver(structure, cfg) as solver:
+        result = solver.extract()
+        assert result.matrix.meta["schedule"]["discarded_walks"] <= max_discarded
+        assert sum(launched) - result.total_walks <= max_discarded
+        launched.clear()
+        solver.extract_row(0)
+    assert sum(launched) == row0_launched
+
+
+def test_serial_masters_share_one_vector(three_wires, monkeypatch):
+    """In a serial extraction of several masters one vector carries
+    several masters' lanes, and at most one vector is built per
+    allocation round (a per-master pipeline builds one per master)."""
+    built, lanes = [], []
+    init, add_lane = WalkPipeline.__init__, WalkPipeline.add_lane
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        return init(self, *args, **kwargs)
+
+    def counting_add_lane(self, ctx, streams):
+        lanes.append(self)
+        return add_lane(self, ctx, streams)
+
+    monkeypatch.setattr(WalkPipeline, "__init__", counting_init)
+    monkeypatch.setattr(WalkPipeline, "add_lane", counting_add_lane)
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=512, max_walks=1536,
+        tolerance=2e-2, executor="serial",
+    )
+    with FRWSolver(three_wires, cfg) as solver:
+        result = solver.extract()
+    assert len(built) <= max(s.allocation_rounds for s in result.stats)
+    assert lanes and set(lanes) <= set(built)
+
+
+def test_discarded_unfed_batch_is_never_launched(plates, launched):
+    """A one-worker batch runs only when the vector reaches it: discarded
+    while still queued it launches nothing, and discarded after the
+    vector fed it, it reports the walks launched so far."""
+    cfg = FRWConfig.frw_r(seed=77)
+    ctx = build_context(plates, 0, cfg)
+    uids = np.arange(256, dtype=np.uint64)
+    with PersistentExecutor("serial") as ex:
+        key = ex.register(ctx, stream_spec(cfg, 0))
+        a, b = ex.run_async([(key, uids[:64]), (key, uids[64:128])])
+        assert launched == []
+        assert b.discard() == 0
+        res = a.result()
+        assert sum(launched) == 64
+        c, d = ex.run_async([(key, uids[128:192]), (key, uids[192:])])
+        c.result()
+        assert 0 < d.discard() == sum(launched) - 128
+    ref = run_walks(ctx, WalkStreams(77, 0), uids[:64])
+    assert np.array_equal(res.omega, ref.omega)
+    assert np.array_equal(res.steps, ref.steps)
+
+
+def test_one_serial_executor_serves_several_structures(plates, three_wires):
+    """The service pattern: one serial executor lent to solvers of
+    different structures, one after another, gives the rows of fresh
+    executors byte for byte."""
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=512, max_walks=1024,
+        tolerance=2e-2, executor="serial",
+    )
+    structures = [three_wires, plates, three_wires]
+    with PersistentExecutor("serial") as shared:
+        for structure in structures:
+            with FRWSolver(structure, cfg, executor=shared) as solver:
+                got = solver.extract()
+            with FRWSolver(structure, cfg) as fresh:
+                ref = fresh.extract()
+            assert got.matrix.values.tobytes() == ref.matrix.values.tobytes()
+            assert got.raw_matrix.sigma2.tobytes() == ref.raw_matrix.sigma2.tobytes()
+            assert got.total_walks == ref.total_walks

@@ -8,7 +8,7 @@ Three layers of guarantees:
    and through the ``MirroredDraws`` antithetic view (hypothesis property
    tests over uids/steps/depths), from a scratch footprint bounded by
    ``SPAN_TILE`` whatever the span shapes.
-2. Engine: ``run_walks_pipelined`` reproduces the pinned scalar-reference
+2. Engine: a pipelined ``run_segments`` run reproduces the pinned scalar-reference
    goldens at every ``prefetch`` depth (also pinned per-depth in
    ``test_engine_golden``); the sequential MT ablation streams hand each
    walk its next draws in order, so their spans run on the ring and stay
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro import FRWConfig
 from repro.frw import build_context, engine, extract_row_alg2, make_streams
-from repro.frw.engine import RNG_PREFETCH_DEPTH, run_walks_pipelined
+from repro.frw.engine import RNG_PREFETCH_DEPTH
 from repro.rng import MirroredDraws, WalkStreams
 from repro.rng.counter_stream import MAX_PREFETCH_STEPS, SPAN_TILE
 
@@ -154,7 +154,7 @@ def test_config_prefetch_knob_validation():
     assert 1 <= RNG_PREFETCH_DEPTH <= MAX_PREFETCH_STEPS
 
 
-def test_mt_streams_ring_bit_identical():
+def test_mt_streams_ring_bit_identical(run_pipelined):
     """The sequential MT ablation streams fill the ring too: a span hands
     each walk its next ``depth * count`` uniforms — what ``depth`` one-step
     calls would — so a deep ring leaves the walk bytes unchanged."""
@@ -163,16 +163,16 @@ def test_mt_streams_ring_bit_identical():
     )
     cfg_mt = FRWConfig.frw_nc(seed=SEED)
     uids = np.arange(128, dtype=np.uint64)
-    base = run_walks_pipelined(
+    base = run_pipelined(
         ctx, make_streams(cfg_mt, 0), uids, width=64, prefetch=1
     )
-    deep = run_walks_pipelined(
+    deep = run_pipelined(
         ctx, make_streams(cfg_mt, 0), uids, width=64, prefetch=8
     )
     assert _digest(base) == _digest(deep)
 
 
-def test_wide_vectors_cross_fusion_threshold_bit_identical():
+def test_wide_vectors_cross_fusion_threshold_bit_identical(run_pipelined):
     """A vector width past the adaptive-fusion budget starts with one-step
     ring refills and drops below the threshold as the walk population
     drains — one run mixes both fill depths, and the bytes still cannot
@@ -183,13 +183,13 @@ def test_wide_vectors_cross_fusion_threshold_bit_identical():
     n = 5000  # > SPAN_TILE / (2 * depth) for every depth tested
     uids = np.arange(n, dtype=np.uint64)
     ref = _digest(
-        run_walks_pipelined(
+        run_pipelined(
             ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=1
         )
     )
     for depth in (2, 8):
         assert n > SPAN_TILE // (2 * depth)  # crosses the budget
-        res = run_walks_pipelined(
+        res = run_pipelined(
             ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=depth
         )
         assert _digest(res) == ref

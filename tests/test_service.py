@@ -8,6 +8,7 @@ start method.
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.service import (
     canonicalize,
     permute_structure,
     run_server,
+    server,
     translate_structure,
 )
 from repro.structures import parallel_wires
@@ -365,6 +367,48 @@ class TestMemoization:
         service.close()
         with pytest.raises(ConfigError):
             service.submit(request_for(small_structure()))
+
+    def test_full_hit_latency_covers_parsing(self, monkeypatch):
+        """A full hit's recorded latency includes parsing and
+        canonicalization, not just the cache lookup."""
+        canonicalize = server.canonicalize
+
+        def slow_canonicalize(structure):
+            time.sleep(0.005)
+            return canonicalize(structure)
+
+        with ExtractionService(ServiceSettings(slots=1)) as service:
+            payload = request_for(small_structure())
+            service.submit(payload).result(timeout=300)
+            monkeypatch.setattr(server, "canonicalize", slow_canonicalize)
+            assert service.submit(payload).result(timeout=30)["cached"]
+            # Two samples: the p50 is the smaller, the full hit's.
+            latency = service.stats()["latency"]["interactive"]
+            assert latency["count"] == 2 and latency["p50_ms"] >= 5.0
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [{"executor": "serial", "n_workers": 1}, {"executor": "thread", "n_workers": 2}],
+    ids=["serial", "thread"],
+)
+def test_slot_executor_forgets_solved_contexts(engine):
+    """A slot's executor outlives every request: after each response it
+    holds no solved context, and its rows equal a fresh executor's."""
+    nets = [
+        small_structure(2),
+        small_structure(3),
+        parallel_wires(
+            n_wires=2, width=0.75, spacing=0.75, thickness=0.5, length=4.0
+        ),
+    ]
+    with ExtractionService(ServiceSettings(slots=1, **engine)) as service:
+        for net in nets:
+            got = service.submit(request_for(net)).result(timeout=300)
+            assert service._executors[0]._registry == {}
+            with ExtractionService(ServiceSettings(slots=1, **engine)) as fresh:
+                ref = fresh.submit(request_for(net)).result(timeout=300)
+            assert json.dumps(got["rows"]) == json.dumps(ref["rows"])
 
 
 # ----------------------------------------------------------------------
