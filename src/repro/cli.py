@@ -103,12 +103,6 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
         help="max memoized result rows",
     )
     p.add_argument(
-        "--asset-cache",
-        type=_positive("--asset-cache"),
-        default=64,
-        help="max cached per-geometry SharedAssets",
-    )
-    p.add_argument(
         "--interactive-boost",
         type=float,
         default=4.0,
@@ -204,7 +198,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         n_workers=args.workers,
         result_cache_entries=args.result_cache,
-        asset_cache_entries=args.asset_cache,
         interactive_boost=args.interactive_boost,
         port_file=args.port_file,
     )

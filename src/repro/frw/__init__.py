@@ -27,7 +27,6 @@ from .parallel import (
     BatchRunner,
     PendingBatch,
     PersistentExecutor,
-    executor_for,
     make_batch_runner,
     resolve_start_method,
     resolve_workers,
@@ -80,7 +79,6 @@ __all__ = [
     "extract_row_alg2",
     "extract_row_alg2_from_structure",
     "extract_rows_interleaved",
-    "executor_for",
     "jittered_durations",
     "machine_rng",
     "make_batch_runner",

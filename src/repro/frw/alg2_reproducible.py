@@ -27,12 +27,7 @@ from ..config import FRWConfig
 from ..rng import seeded_generator, splitmix64
 from .context import ExtractionContext, build_context
 from .estimator import CapacitanceRow, RowAccumulator
-from .parallel import (
-    PersistentExecutor,
-    executor_for,
-    stream_spec,
-    streams_from_spec,
-)
+from .parallel import PersistentExecutor, stream_spec, streams_from_spec
 from .scheduler import jittered_durations, simulate_dynamic_queue
 
 
@@ -183,15 +178,15 @@ def extract_row_alg2(
     bit-identical to the same master inside any multi-master extraction,
     on every backend.  Pass ``executor`` (e.g. from
     :class:`~repro.frw.solver.FRWSolver`) to reuse one pool across
-    masters; otherwise :func:`~repro.frw.parallel.executor_for` creates
-    one here for the config, and it is closed on return.
+    masters; otherwise one is created here for the config, and it is
+    closed on return.
     """
     from .cross_master import extract_rows_interleaved
 
     cfg = config if config is not None else ctx.config
     owned = None
     if executor is None:
-        owned = executor = executor_for(
+        owned = executor = PersistentExecutor(
             cfg.executor, cfg.n_workers, cfg.mp_start_method
         )
     try:

@@ -4,13 +4,13 @@ Building the Gaussian surface, spatial index, and transition table is done
 once per master conductor; the walk engine then only touches packed arrays.
 The spatial index and the transition table are *master-independent* (the
 index depends only on the structure and ``h_cap``, the table only on its
-resolution), so a multi-master extraction shares them through a
-:class:`SharedAssets` cache instead of rebuilding per master.
+resolution), so a multi-master extraction shares them instead of
+rebuilding per master: the index through the solver's
+:class:`SharedAssets`, the table through :func:`get_cube_table`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,62 +92,36 @@ class ExtractionContext:
         return self.surface.total_area * EPS0_FF_PER_UM
 
 
-#: Default bound on live cached indexes per :class:`SharedAssets`.  A
-#: single extraction touches one index key, so the steady state never
-#: evicts; the bound only matters when one ``SharedAssets`` outlives many
-#: differently-configured extractions (the long-lived ``repro.service``
-#: daemon), where unbounded per-key retention would be a real leak.
-#: Evicted indexes are rebuilt bit-identically from the structure/config
-#: on the next request — the same revive-by-replay discipline as the MT
-#: walk-stream LRU (:mod:`repro.rng.mersenne`) — so the bound is a pure
-#: memory/latency trade-off and never affects rows.
-DEFAULT_MAX_INDEXES = 8
-
-
 class SharedAssets:
-    """Master-independent context assets for one structure.
+    """The spatial index of one structure, built once per solver.
 
-    Owned by the solver (one per :class:`~repro.frw.solver.FRWSolver`):
-    the spatial index is cached by ``h_cap`` in an LRU bounded by
-    ``max_indexes`` — eviction is bit-invisible because an index is a pure
-    function of ``(structure, h_cap)`` — and the cube
-    transition table comes from the one process-wide memo,
-    :func:`~repro.greens.get_cube_table`, so an N-master extraction builds
-    each exactly once.  The counters feed the scheduler telemetry
-    (``meta["schedule"]["asset_cache"]``) and the extraction benchmark's
-    cache assertions.
+    Owned by the solver (one per :class:`~repro.frw.solver.FRWSolver`),
+    whose one config fixes one ``h_cap``, so every master's context holds
+    the same index object.  The cube transition table has its own cache,
+    the process-wide :func:`~repro.greens.get_cube_table` memo.  The
+    counters feed the scheduler telemetry
+    (``meta["schedule"]["asset_cache"]``) and the benchmark suite's
+    ``context.index_builds``.
     """
 
-    def __init__(
-        self, structure: Structure, max_indexes: int = DEFAULT_MAX_INDEXES
-    ):
-        if max_indexes < 1:
-            raise ValueError(f"max_indexes must be >= 1, got {max_indexes}")
+    def __init__(self, structure: Structure):
         self.structure = structure
-        self.max_indexes = int(max_indexes)
-        self._indexes: OrderedDict[float, GridIndex] = OrderedDict()
+        self._indexes: dict[float, GridIndex] = {}
         self.index_builds = 0
         self.index_hits = 0
-        self.index_evictions = 0
-        self.table_builds = 0
 
     def index(self, h_cap: float) -> GridIndex:
-        """The structure's spatial index for ``h_cap`` (built once per
-        distinct cap).  Sharing one index — its CSR lists *and* its cell
-        bounds arrays — means the far-field precompute happens once per
-        extraction, never per master, and process workers attach the one
-        published copy instead of rebuilding it."""
+        """The structure's spatial index for ``h_cap``.  Sharing one
+        index — its CSR lists *and* its cell bounds arrays — means the
+        far-field precompute happens once per extraction, never per
+        master, and process workers attach the one published copy instead
+        of rebuilding it."""
         key = float(h_cap)
         index = self._indexes.get(key)
         if index is None:
-            index = build_index(self.structure, h_cap=key)
-            self._indexes[key] = index
+            index = self._indexes[key] = build_index(self.structure, h_cap=key)
             self.index_builds += 1
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
-                self.index_evictions += 1
         else:
-            self._indexes.move_to_end(key)
             self.index_hits += 1
         return index
 
@@ -161,25 +135,9 @@ class SharedAssets:
             merged.merge(self._indexes[key].stats)
         return merged.as_dict() if self._indexes else None
 
-    def table(self, resolution: int) -> CubeTransitionTable:
-        """The cube transition table at ``resolution``.  ``table_builds``
-        counts the lookups that missed :func:`get_cube_table`'s memo, i.e.
-        builds that actually ran."""
-        misses = get_cube_table.cache_info().misses
-        table = get_cube_table(int(resolution))
-        self.table_builds += get_cube_table.cache_info().misses - misses
-        return table
-
     def stats(self) -> dict:
-        """Cache counters (for result meta and the extraction benchmark)."""
-        return {
-            "index_builds": self.index_builds,
-            "index_hits": self.index_hits,
-            "index_evictions": self.index_evictions,
-            "index_live": len(self._indexes),
-            "max_indexes": self.max_indexes,
-            "table_builds": self.table_builds,
-        }
+        """Index counters (for result meta and the benchmark suite)."""
+        return {"index_builds": self.index_builds, "index_hits": self.index_hits}
 
 
 def build_context(
@@ -190,9 +148,9 @@ def build_context(
 ) -> ExtractionContext:
     """Assemble the extraction context for one master conductor.
 
-    ``assets`` (optional) caches the master-independent pieces — the
-    spatial index and the transition table — across calls; the resulting
-    contexts are identical to standalone builds.
+    ``assets`` (optional) shares one spatial index across calls; the
+    transition table always comes from :func:`get_cube_table`.  The
+    resulting contexts are identical to standalone builds.
     """
     if not (0 <= master < len(structure.conductors)):
         raise GaussianSurfaceError(
@@ -230,18 +188,13 @@ def build_context(
                     "a dielectric interface; adjust offset_fraction or the "
                     "layer stack"
                 )
-    table = (
-        assets.table(config.table_resolution)
-        if assets is not None
-        else get_cube_table(config.table_resolution)
-    )
     return ExtractionContext(
         structure=structure,
         master=master,
         config=config,
         surface=surface,
         index=index,
-        table=table,
+        table=get_cube_table(config.table_resolution),
         h_cap=h_cap,
         absorb_tol=absorb_tol,
     )

@@ -289,8 +289,7 @@ class WalkPipeline:
         ``MTWalkStreams``) per master whose walks share the vector.  Lanes
         differ only in their launch surface, flux scale, absorption
         tolerance and streams; they must share the structure, the
-        ``index`` and ``table`` (the same objects, or bit-identical
-        rebuilds), ``h_cap`` and the step settings
+        ``index`` and ``table`` objects, ``h_cap`` and the step settings
         (:class:`~repro.errors.ConfigError` otherwise).  A walk's numbers
         depend only on its own lane and ``(uid, step)``, so mixing lanes
         never changes a value.  Single-master callers pass one lane.
@@ -1032,37 +1031,19 @@ def concat_results(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
     )
 
 
-def _same_asset(a, b) -> bool:
-    """Whether two index (or table) objects hold the same packed state.
-
-    An index is a pure function of ``(structure, h_cap)`` and a table of
-    its resolution, so an index evicted from a
-    :class:`~repro.frw.context.SharedAssets` LRU and rebuilt for a later
-    master — or attached by a worker from the rebuild's own block — is a
-    different object with identical contents.  The comparison runs only
-    when the objects differ.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    (sa, xa), (sb, xb) = a.packed(), b.packed()
-    return all(
-        p.keys() == q.keys() and all(np.array_equal(p[k], q[k]) for k in p)
-        for p, q in ((sa, sb), (xa, xb))
-    )
-
-
 def _shares_walk_space(a: ExtractionContext, b: ExtractionContext) -> bool:
     """Whether two masters' walks may share one vector: every per-step
     input other than the launch surface, the flux scale and the absorption
-    tolerance (which :class:`WalkPipeline` keeps per lane) must agree."""
+    tolerance (which :class:`WalkPipeline` keeps per lane) must agree.
+    The index and the table must be the same objects: one solver's
+    contexts share both, and a process worker attaches one object per
+    published block."""
     sa, sb = a.structure, b.structure
     ca, cb = a.config, b.config
     return (
         a.h_cap == b.h_cap
-        and _same_asset(a.index, b.index)
-        and _same_asset(a.table, b.table)
+        and a.index is b.index
+        and a.table is b.table
         and sa.dielectric == sb.dielectric
         and sa.enclosure == sb.enclosure
         and sa.enclosure_index == sb.enclosure_index

@@ -632,13 +632,6 @@ class PersistentExecutor:
 # ----------------------------------------------------------------------
 # One master's batch source for the Alg. 2 driver.
 # ----------------------------------------------------------------------
-def executor_for(
-    backend: str, n_workers: int, mp_start_method: str = "auto"
-) -> PersistentExecutor:
-    """A new executor for an engine configuration (one worker if serial)."""
-    return PersistentExecutor(backend, n_workers, mp_start_method)
-
-
 class BatchRunner:
     """One master's batches on an executor: batch ``u`` holds UIDs
     ``[u*B, (u+1)*B)``, and :meth:`request` names it as the ``(key, uids)``
@@ -678,14 +671,14 @@ def make_batch_runner(
     """The :class:`BatchRunner` of one master under a config.
 
     Returns ``(runner, owned_executor)``: ``owned_executor`` is the
-    executor :func:`executor_for` created here when none was supplied (the
+    executor created here for the config when none was supplied (the
     caller must close it), else ``None``.  ``timers`` (optional) becomes
     the executor's one-worker stage timers; pool workers cannot report
     stages, so a pool leaves it untouched.
     """
     owned = None
     if executor is None:
-        owned = executor = executor_for(
+        owned = executor = PersistentExecutor(
             config.executor, config.n_workers, config.mp_start_method
         )
     if timers is not None:

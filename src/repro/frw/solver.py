@@ -47,7 +47,7 @@ from .alg2_reproducible import RunStats, extract_row_alg2
 from .context import ExtractionContext, SharedAssets, build_context
 from .cross_master import extract_rows_interleaved
 from .estimator import CapacitanceRow
-from .parallel import PersistentExecutor, executor_for
+from .parallel import PersistentExecutor
 
 
 @dataclass
@@ -156,8 +156,9 @@ class FRWSolver:
     """Parallel FRW capacitance extractor for a :class:`Structure`.
 
     The solver owns the real-concurrency resources: extraction contexts are
-    cached per master (sharing the master-independent assets — spatial
-    index, cube table — through one :class:`SharedAssets` cache) and one
+    cached per master (sharing one spatial index through the solver's
+    :class:`SharedAssets` and one cube table through
+    :func:`~repro.greens.get_cube_table`) and one
     :class:`~repro.frw.parallel.PersistentExecutor` is created lazily and
     reused across batches *and* masters.  Call :meth:`close` (or use the
     solver as a context manager) to release its pools; results are
@@ -170,23 +171,17 @@ class FRWSolver:
         structure: Structure,
         config: FRWConfig | None = None,
         *,
-        assets: SharedAssets | None = None,
         executor: PersistentExecutor | None = None,
     ):
-        """``assets`` and ``executor`` (optional) inject *borrowed*
-        resources owned by a longer-lived host — the memoizing extraction
-        service shares one ``SharedAssets`` per canonical geometry and one
-        executor fleet across all requests.  A borrowed executor must match
-        the config's backend; it is never closed by this solver (only
-        owned pools are released by :meth:`close`).
+        """``executor`` (optional) injects a *borrowed* executor owned by a
+        longer-lived host — the memoizing extraction service shares one
+        executor fleet across all requests.  It must match the config's
+        backend; it is never closed by this solver (only owned pools are
+        released by :meth:`close`).
         """
         self.structure = structure
         self.config = config if config is not None else FRWConfig()
-        if assets is not None and assets.structure is not structure:
-            raise ConfigError(
-                "injected SharedAssets was built for a different structure"
-            )
-        self.assets = assets if assets is not None else SharedAssets(structure)
+        self.assets = SharedAssets(structure)
         self._contexts: dict[int, ExtractionContext] = {}
         self._executor: PersistentExecutor | None = None
         self._owns_executor = executor is None
@@ -215,7 +210,7 @@ class FRWSolver:
         """
         cfg = self.config
         if self._executor is None:
-            self._executor = executor_for(
+            self._executor = PersistentExecutor(
                 cfg.executor, cfg.n_workers, cfg.mp_start_method
             )
         return self._executor

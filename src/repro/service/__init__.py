@@ -8,8 +8,7 @@ a Monte-Carlo run.  This package provides:
 * :mod:`~repro.service.canonical` — canonical forms and content hashes
   under which equivalent requests (translated, conductor/box-permuted,
   renamed) collide;
-* :mod:`~repro.service.cache` — the bounded two-tier LRU memo (result
-  rows; per-geometry :class:`~repro.frw.context.SharedAssets`);
+* :mod:`~repro.service.cache` — the bounded LRU memo of result rows;
 * :mod:`~repro.service.server` — :class:`ExtractionService` (priority
   scheduling over per-slot executor fleets) and the stdlib asyncio HTTP
   front door behind ``python -m repro.cli serve``;
@@ -18,7 +17,7 @@ a Monte-Carlo run.  This package provides:
   duplicate rates, for benchmarks and the CI service-smoke job.
 """
 
-from .cache import AssetCache, LRUCache, ResultCache
+from .cache import LRUCache
 from .canonical import (
     CanonicalForm,
     canonical_hash,
@@ -37,12 +36,10 @@ from .server import (
 from .traffic import TrafficGenerator, permute_structure, translate_structure
 
 __all__ = [
-    "AssetCache",
     "CanonicalForm",
     "ExtractionService",
     "LRUCache",
     "PRIORITY_CLASSES",
-    "ResultCache",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",

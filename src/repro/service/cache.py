@@ -1,28 +1,18 @@
-"""Bounded memo caches for the extraction service.
+"""The extraction service's bounded result memo.
 
-Two tiers, both LRU with hit/miss/eviction counters:
-
-* **Result tier** (:class:`ResultCache`): fully rendered response rows
-  keyed by ``(canonical_hash, seed)``.  Because the solver is
-  deterministic, an entry never goes stale — eviction is purely a memory
-  bound, and a re-request after eviction recomputes the byte-identical
-  rows (the same revive-by-replay discipline as the MT walk-stream LRU
-  and the SharedAssets bounds).
-* **Asset tier** (:class:`AssetCache`): per-canonical-geometry
-  :class:`~repro.frw.context.SharedAssets`, so the expensive
-  master-independent builds (spatial index tiers, cube transition tables)
-  are amortized across requests *and* configs.  The inner SharedAssets is
-  itself LRU-bounded per config-level subkey, giving the two-tier bound
-  the service needs to run indefinitely.
+Fully rendered response rows are keyed by ``(canonical_hash, master)`` in
+one LRU with hit/miss/eviction counters.  Because the solver is
+deterministic, an entry never goes stale — eviction is purely a memory
+bound, and a re-request after eviction recomputes the byte-identical rows
+(the same revive-by-replay discipline as the MT walk-stream LRU).  It is
+the service's only cache: structure assets are built once per solve by
+the solver's :class:`~repro.frw.context.SharedAssets`, and cube tables
+come from :func:`~repro.greens.get_cube_table`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
-
-from ..frw.context import SharedAssets
-from ..geometry import Structure
 
 
 class LRUCache:
@@ -33,11 +23,10 @@ class LRUCache:
     change what a lookup returns.
     """
 
-    def __init__(self, max_entries: int, name: str = "cache"):
+    def __init__(self, max_entries: int):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
-        self.name = name
         self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -67,18 +56,6 @@ class LRUCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def get_or_create(self, key, factory: Callable):
-        """Cached value for ``key``, creating it via ``factory()`` on miss."""
-        value = self.get(key)
-        if value is None:
-            value = factory()
-            self.put(key, value)
-        return value
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept — they are telemetry)."""
-        self._entries.clear()
-
     def stats(self) -> dict:
         """Counters + occupancy for the service stats endpoint."""
         lookups = self.hits + self.misses
@@ -90,46 +67,3 @@ class LRUCache:
             "evictions": self.evictions,
             "hit_rate": round(self.hits / lookups, 4) if lookups else 0.0,
         }
-
-
-class ResultCache(LRUCache):
-    """Row-payload memo keyed by ``(canonical_hash, seed)``.
-
-    Stores the fully serialized response payload (JSON-safe dict), so a
-    hit replays byte-identical rows without touching the solver.
-    """
-
-    def __init__(self, max_entries: int = 1024):
-        super().__init__(max_entries, name="results")
-
-
-class AssetCache(LRUCache):
-    """Per-canonical-geometry :class:`SharedAssets` memo.
-
-    Keyed by the geometry digest; each entry owns the (bounded)
-    SharedAssets of one canonical structure.  ``assets_for`` also pins the
-    canonical structure on the entry so later requests with an equal
-    digest reuse the *same* Structure object (contexts built against it
-    share the geometry SoA arrays).
-    """
-
-    def __init__(self, max_entries: int = 64, max_indexes: int = 4):
-        super().__init__(max_entries, name="assets")
-        self.max_indexes = int(max_indexes)
-
-    def assets_for(
-        self, digest: str, structure: Structure
-    ) -> tuple[Structure, SharedAssets]:
-        """The pinned ``(structure, SharedAssets)`` pair for a geometry."""
-        return self.get_or_create(
-            digest,
-            lambda: (
-                structure,
-                SharedAssets(structure, max_indexes=self.max_indexes),
-            ),
-        )
-
-    def stats(self) -> dict:
-        entry = super().stats()
-        entry["max_indexes"] = self.max_indexes
-        return entry

@@ -134,13 +134,8 @@ def _hash_floats(h, values) -> None:
 
 
 def geometry_digest(form: CanonicalForm) -> str:
-    """Hex digest of the canonical geometry alone (no config).
-
-    This is the key of the service's *asset* tier: SharedAssets (spatial
-    indexes, cube tables) depend only on the geometry and the config-level
-    subkeys they already use internally, so one entry serves every config
-    over the same net.
-    """
+    """Hex digest of the canonical geometry alone (no config): the
+    geometry half of :func:`canonical_hash`."""
     h = hashlib.sha256()
     h.update(b"frw-geometry-v1")
     structure = form.structure

@@ -41,12 +41,12 @@ import numpy as np
 from .. import __version__
 from ..config import ENGINE_FIELDS, RESULT_FIELDS, FRWConfig
 from ..errors import ConfigError, GeometryError
-from ..frw.parallel import PersistentExecutor, executor_for
+from ..frw.parallel import PersistentExecutor
 from ..frw.scheduler import allocate_quota, backlog_weights
 from ..frw.solver import FRWSolver
-from ..geometry import Structure, structure_from_dict
-from .cache import AssetCache, ResultCache
-from .canonical import CanonicalForm, canonical_hash, canonicalize, geometry_digest
+from ..geometry import structure_from_dict
+from .cache import LRUCache
+from .canonical import CanonicalForm, canonical_hash, canonicalize
 
 #: Priority classes, in dispatch-preference order.
 PRIORITY_CLASSES = ("interactive", "bulk")
@@ -67,10 +67,8 @@ class ServiceSettings:
     slots: int = 1
     executor: str = "serial"
     n_workers: int = 1
-    mp_start_method: str | None = None
+    mp_start_method: str = "auto"
     result_cache_entries: int = 1024
-    asset_cache_entries: int = 64
-    max_indexes: int = 4
     interactive_boost: float = 4.0
     port_file: str | None = None
 
@@ -83,17 +81,13 @@ class ServiceSettings:
             raise ConfigError(
                 f"interactive_boost must be >= 1, got {self.interactive_boost}"
             )
-        if self.result_cache_entries < 1 or self.asset_cache_entries < 1:
+        if self.result_cache_entries < 1:
             raise ConfigError("cache bounds must be >= 1")
         # Engine fields reuse FRWConfig's own validation.
         FRWConfig(
             executor=self.executor,
             n_workers=self.n_workers,
-            **(
-                {"mp_start_method": self.mp_start_method}
-                if self.mp_start_method is not None
-                else {}
-            ),
+            mp_start_method=self.mp_start_method,
         )
 
 
@@ -102,9 +96,7 @@ class _Job:
     """One queued extraction request."""
 
     future: Future
-    structure: Structure
     form: CanonicalForm
-    gdigest: str
     rhash: str
     config: FRWConfig
     masters: list[int]
@@ -130,11 +122,7 @@ class ExtractionService:
     def __init__(self, settings: ServiceSettings | None = None):
         self.settings = settings if settings is not None else ServiceSettings()
         self.settings.validate()
-        self.results = ResultCache(self.settings.result_cache_entries)
-        self.assets = AssetCache(
-            self.settings.asset_cache_entries,
-            max_indexes=self.settings.max_indexes,
-        )
+        self.results = LRUCache(self.settings.result_cache_entries)
         self._cond = threading.Condition()
         self._queues: dict[str, deque] = {
             cls: deque() for cls in PRIORITY_CLASSES
@@ -172,16 +160,7 @@ class ExtractionService:
         after the response is rendered.
         """
         t0 = time.perf_counter()
-        (
-            structure,
-            form,
-            gdigest,
-            rhash,
-            config,
-            masters,
-            names,
-            priority,
-        ) = self._parse(request)
+        form, rhash, config, masters, names, priority = self._parse(request)
         future: Future = Future()
         with self._cond:
             if self._closing:
@@ -199,9 +178,7 @@ class ExtractionService:
             self._queues[priority].append(
                 _Job(
                     future=future,
-                    structure=structure,
                     form=form,
-                    gdigest=gdigest,
                     rhash=rhash,
                     config=config,
                     masters=masters,
@@ -246,10 +223,9 @@ class ExtractionService:
                 f"priority must be one of {PRIORITY_CLASSES}, got {priority!r}"
             )
         form = canonicalize(structure)
-        gdigest = geometry_digest(form)
         rhash = canonical_hash(form, config)
         names = [structure.conductors[m].name for m in range(n)]
-        return structure, form, gdigest, rhash, config, masters, names, priority
+        return form, rhash, config, masters, names, priority
 
     def _engine_overrides(self) -> dict:
         """The server-chosen engine fields applied to every request config.
@@ -260,14 +236,12 @@ class ExtractionService:
         sanitizer patches process-global state and concurrent slots would
         race on it (det-lint covers the service statically instead).
         """
-        overrides = {
+        return {
             "executor": self.settings.executor,
             "n_workers": self.settings.n_workers,
+            "mp_start_method": self.settings.mp_start_method,
             "sanitize": False,
         }
-        if self.settings.mp_start_method is not None:
-            overrides["mp_start_method"] = self.settings.mp_start_method
-        return overrides
 
     # -- priority scheduling -------------------------------------------
 
@@ -312,8 +286,8 @@ class ExtractionService:
         cfg = self.settings
         executor = self._executors.get(slot)
         if executor is None:
-            executor = self._executors[slot] = executor_for(
-                cfg.executor, cfg.n_workers, cfg.mp_start_method or "auto"
+            executor = self._executors[slot] = PersistentExecutor(
+                cfg.executor, cfg.n_workers, cfg.mp_start_method
             )
         return executor
 
@@ -375,18 +349,9 @@ class ExtractionService:
                     missing.append(form.to_canonical[m])
                 else:
                     rows[m] = payload
-            if missing:
-                canonical_structure, shared = self.assets.assets_for(
-                    job.gdigest, form.structure
-                )
         if missing:
             missing.sort()
-            solver = FRWSolver(
-                canonical_structure,
-                job.config,
-                assets=shared,
-                executor=executor,
-            )
+            solver = FRWSolver(form.structure, job.config, executor=executor)
             try:
                 result = solver.extract(missing)
             finally:
@@ -444,6 +409,7 @@ class ExtractionService:
     # -- telemetry + lifecycle -----------------------------------------
 
     def _percentiles(self, samples) -> dict:
+        """Nearest-rank p50/p99: the ``ceil(q·n)``-th smallest sample."""
         if not samples:
             return {"count": 0, "p50_ms": None, "p99_ms": None}
         ordered = sorted(samples)
@@ -451,23 +417,12 @@ class ExtractionService:
         return {
             "count": n,
             "p50_ms": round(ordered[(n - 1) // 2] * 1e3, 3),
-            "p99_ms": round(ordered[min(n - 1, (99 * n) // 100)] * 1e3, 3),
+            "p99_ms": round(ordered[(99 * n + 99) // 100 - 1] * 1e3, 3),
         }
 
     def stats(self) -> dict:
         """Counters for /stats: caches, queues, per-class latency."""
         with self._cond:
-            inner = {
-                "index_builds": 0,
-                "index_hits": 0,
-                "index_evictions": 0,
-                "table_builds": 0,
-            }
-            for digest in sorted(self.assets._entries):
-                _structure, shared = self.assets._entries[digest]
-                shared_stats = shared.stats()
-                for key in sorted(inner):
-                    inner[key] += shared_stats[key]
             return {
                 "version": __version__,
                 "slots": self.settings.slots,
@@ -480,8 +435,6 @@ class ExtractionService:
                     cls: len(self._queues[cls]) for cls in PRIORITY_CLASSES
                 },
                 "result_cache": self.results.stats(),
-                "asset_cache": self.assets.stats(),
-                "asset_inner": inner,
                 "latency": {
                     cls: self._percentiles(self._latencies[cls])
                     for cls in PRIORITY_CLASSES
@@ -511,7 +464,6 @@ class ExtractionService:
         for slot in sorted(self._executors):
             self._executors[slot].close()
         self._executors.clear()
-        self.assets.clear()
 
     def __enter__(self) -> "ExtractionService":
         return self
@@ -539,6 +491,10 @@ def _http_response(status: int, body: bytes) -> bytes:
     return head.encode() + body
 
 
+class _BodyTooLarge(ValueError):
+    """A declared request body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+
 async def _read_request(reader: asyncio.StreamReader):
     """Parse one HTTP/1.1 request: (method, path, body) or ``None`` on EOF."""
     line = await reader.readline()
@@ -557,7 +513,7 @@ async def _read_request(reader: asyncio.StreamReader):
         if name.strip().lower() == "content-length":
             length = int(value.strip())
     if length > MAX_BODY_BYTES:
-        raise ValueError(f"body exceeds {MAX_BODY_BYTES} bytes")
+        raise _BodyTooLarge(f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
     return method, path, body
 
@@ -581,8 +537,9 @@ class ServiceServer:
             writer.write(_http_response(status, _json_bytes(payload)))
             await writer.drain()
         except (ValueError, asyncio.IncompleteReadError) as exc:
+            status = 413 if isinstance(exc, _BodyTooLarge) else 400
             writer.write(
-                _http_response(400, _json_bytes({"error": str(exc)}))
+                _http_response(status, _json_bytes({"error": str(exc)}))
             )
             await writer.drain()
         except ConnectionError:

@@ -103,7 +103,7 @@ def test_serve_parser_defaults():
         ["serve", "--slots", "0"],
         ["serve", "--workers", "0"],
         ["serve", "--result-cache", "0"],
-        ["serve", "--asset-cache", "-3"],
+        ["serve", "--asset-cache", "4"],  # the flag is gone
         ["serve", "--executor", "bogus"],
         ["serve", "--slots", "two"],
     ],

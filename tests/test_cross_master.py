@@ -13,7 +13,6 @@ from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
 from repro.frw import (
     PersistentExecutor,
     RowProgress,
-    SharedAssets,
     cross_master,
     engine,
 )
@@ -78,30 +77,20 @@ def test_register_wave_bitwise(three_wires, golden_rows, monkeypatch):
     _assert_rows_match(result, golden_rows)
 
 
-class _EvictingAssets(SharedAssets):
-    """A one-entry index LRU that is pushed out after every lookup, as a
-    long-lived service's requests at other ``h_cap`` values do between
-    two scheduler waves: every master gets its own rebuilt index."""
-
-    def index(self, h_cap):
-        index = super().index(h_cap)
-        super().index(0.5 * h_cap)
-        return index
-
-
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_rebuilt_index_packs_with_the_evicted_one(
-    three_wires, golden_rows, backend
-):
-    """Masters holding different but bit-identical index objects still
-    share packed work items (the first round at 2 workers packs master 1's
-    and master 2's batches into one item), and rows stay golden."""
+def test_waves_share_one_index(three_wires, golden_rows, backend, monkeypatch):
+    """Masters admitted one wave at a time still hold the solver's one
+    index object, so a process pool publishes one index block and one
+    table block for all of them, and rows stay golden."""
+    monkeypatch.setattr(cross_master, "resolve_wave", lambda n_workers: 1)
     cfg = FRWConfig.frw_r(**BASE, executor=backend, n_workers=2)
-    assets = _EvictingAssets(three_wires, max_indexes=1)
-    with FRWSolver(three_wires, cfg, assets=assets) as solver:
+    with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
         indexes = {id(solver.context(m).index) for m in range(3)}
-    assert len(indexes) == 3
+        published = solver.walk_executor().dispatch_stats()["published_blocks"]
+    assert len(indexes) == 1
+    assert solver.assets.stats() == {"index_builds": 1, "index_hits": 2}
+    assert published == (2 if backend == "process" else 0)
     _assert_rows_match(result, golden_rows)
 
 
@@ -110,12 +99,8 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
     sched = result.matrix.meta["schedule"]
-    # The structure index is built once and shared; the cube table comes
-    # from the process-wide memo, so this solver built it at most once.
-    cache = sched["asset_cache"]
-    assert cache["index_builds"] == 1
-    assert cache["index_hits"] == 2
-    assert cache["table_builds"] in (0, 1)
+    # The structure index is built once and shared by all three masters.
+    assert sched["asset_cache"] == {"index_builds": 1, "index_hits": 2}
     # The far-field fast path was live: the shared grid index reports its
     # query telemetry, and the 3-wire case has real open space.
     qs = sched["query_stats"]

@@ -287,11 +287,12 @@ def test_lane_segments_match_run_walks(sram_structure, config):
 
 def test_lanes_must_share_the_walk_space(plates, three_wires):
     """Lanes over different structures cannot share one vector, even
-    with the same enclosure and ``h_cap``; separately built but identical
-    indexes can."""
+    with the same enclosure and ``h_cap``, and neither can separately
+    built equal indexes: lanes hold one index object, as one solver's
+    masters do."""
     from repro import Box, Conductor, Structure
     from repro.errors import ConfigError
-    from repro.frw import WalkPipeline
+    from repro.frw import SharedAssets, WalkPipeline
 
     moved = Structure(
         [
@@ -301,15 +302,18 @@ def test_lanes_must_share_the_walk_space(plates, three_wires):
         enclosure=plates.enclosure,
     )
     a = ctx_for(plates)
-    for b in (ctx_for(three_wires), ctx_for(moved, 1)):
+    rebuilt = ctx_for(plates, 1)
+    assert rebuilt.index is not a.index
+    for b in (ctx_for(three_wires), ctx_for(moved, 1), rebuilt):
         with pytest.raises(ConfigError):
             WalkPipeline(
                 ((a, WalkStreams(11, 0)), (b, WalkStreams(11, 1))),
                 lambda u: None,
                 width=8,
             )
-    b = ctx_for(plates, 1)
-    assert b.index is not a.index
+    assets = SharedAssets(plates)
+    a, b = (build_context(plates, m, a.config, assets) for m in (0, 1))
+    assert b.index is a.index
     WalkPipeline(
         ((a, WalkStreams(11, 0)), (b, WalkStreams(11, 1))),
         lambda u: None,

@@ -9,6 +9,7 @@ start method.
 import json
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro import Box, Conductor, FRWConfig, Structure
 from repro.errors import ConfigError
 from repro.frw import shm
-from repro.frw.context import SharedAssets
+from repro.frw.context import SharedAssets, build_context
 from repro.frw.scheduler import allocate_quota, backlog_weights
 from repro.frw.solver import FRWSolver
 from repro.geometry import structure_to_dict
@@ -104,70 +105,26 @@ class TestLRUCache:
         assert stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
 
-    def test_get_or_create(self):
-        cache = LRUCache(max_entries=4)
-        calls = []
-        assert cache.get_or_create("k", lambda: calls.append(1) or 7) == 7
-        assert cache.get_or_create("k", lambda: calls.append(1) or 8) == 7
-        assert len(calls) == 1
-
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
 
 
 # ----------------------------------------------------------------------
-# SharedAssets index LRU bound and the one table memo
+# One cache per structure asset
 # ----------------------------------------------------------------------
 
 class TestSharedAssetsBounds:
-    def test_invalid_bounds(self):
-        structure = small_structure()
-        with pytest.raises(ValueError):
-            SharedAssets(structure, max_indexes=0)
-        with pytest.raises(TypeError):
-            SharedAssets(structure, max_tables=1)  # one memo, no knob
-
-    def test_index_eviction_and_revival(self):
-        structure = small_structure()
-        assets = SharedAssets(structure, max_indexes=1)
-        assets.index(0.5)
-        assets.index(0.25)  # evicts the 0.5 entry
-        assets.index(0.5)  # rebuilt, evicting 0.25
-        stats = assets.stats()
-        assert stats["index_builds"] == 3
-        assert stats["index_evictions"] == 2
-        assert stats["index_live"] == 1
-        assert stats["max_indexes"] == 1
-
     def test_tables_come_from_one_memo(self):
-        """Every SharedAssets hands out the process-wide memoized table;
-        ``table_builds`` counts only builds that actually ran."""
-        get_cube_table.cache_clear()
-        first = SharedAssets(small_structure())
-        second = SharedAssets(small_structure())
-        t8 = first.table(8)
-        assert first.table(8) is t8
-        assert second.table(8) is t8
-        first.table(16)
-        assert first.stats()["table_builds"] == 2
-        assert second.stats()["table_builds"] == 0
-
-    def test_eviction_is_bit_invisible_to_rows(self):
-        """Rows with a thrashing 1-entry asset cache == rows with defaults."""
+        """Every context holds the process-wide memoized table, whichever
+        solver's SharedAssets built its index."""
         structure = small_structure()
         config = FRWConfig(**BASE_CONFIG)
-        solver_a = FRWSolver(structure, config)
-        ref = solver_a.extract([0, 1])
-        solver_a.close()
-        tight = SharedAssets(structure, max_indexes=1)
-        solver_b = FRWSolver(structure, config, assets=tight)
-        got = solver_b.extract([0, 1])
-        solver_b.close()
-        for a, b in zip(ref.rows, got.rows):
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.sigma2, b.sigma2)
-            assert np.array_equal(a.hits, b.hits)
+        first = build_context(structure, 0, config, SharedAssets(structure))
+        second = build_context(structure, 1, config, SharedAssets(structure))
+        assert first.index is not second.index
+        assert first.table is get_cube_table(config.table_resolution)
+        assert second.table is first.table
 
     def test_counters_flow_into_result_meta(self):
         structure = small_structure()
@@ -175,17 +132,7 @@ class TestSharedAssetsBounds:
         result = solver.extract([0, 1])
         solver.close()
         cache_meta = result.matrix.meta["schedule"]["asset_cache"]
-        for key in (
-            "index_builds",
-            "index_hits",
-            "index_evictions",
-            "max_indexes",
-            "table_builds",
-        ):
-            assert key in cache_meta
-        assert "max_tables" not in cache_meta
-        assert cache_meta["index_builds"] == 1
-        assert cache_meta["index_evictions"] == 0
+        assert cache_meta == {"index_builds": 1, "index_hits": 1}
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +314,35 @@ class TestMemoization:
         service.close()
         with pytest.raises(ConfigError):
             service.submit(request_for(small_structure()))
+
+    def test_one_slot_two_h_caps_match_fresh_solvers(self):
+        """One slot solves a net at two ``h_cap_fraction`` values, each
+        with its own index; both responses' rows are byte-equal to a
+        fresh solver's rows of the canonical net."""
+        structure = small_structure()
+        form = canonicalize(structure)
+        with ExtractionService(ServiceSettings(slots=1)) as service:
+            for fraction in (0.25, 0.125):
+                config = {**BASE_CONFIG, "h_cap_fraction": fraction}
+                got = service.submit(
+                    request_for(structure, config=config)
+                ).result(timeout=300)
+                cfg = FRWConfig(**config, executor="serial")
+                with FRWSolver(form.structure, cfg) as solver:
+                    ref = solver.extract()
+                for row in got["rows"]:
+                    want = ref.rows[form.to_canonical[row["master"]]]
+                    for key in ("values", "sigma2", "hits"):
+                        expected = form.map_row_values(getattr(want, key))
+                        assert np.asarray(
+                            row[key], dtype=expected.dtype
+                        ).tobytes() == expected.tobytes()
+
+    def test_stats_percentiles_are_nearest_rank(self):
+        service = ExtractionService(ServiceSettings(slots=1))
+        service.close()
+        latency = service._percentiles([k / 1e3 for k in range(1, 101)])
+        assert latency == {"count": 100, "p50_ms": 50.0, "p99_ms": 99.0}
 
     def test_full_hit_latency_covers_parsing(self, monkeypatch):
         """A full hit's recorded latency includes parsing and
@@ -564,6 +540,22 @@ class TestHTTP:
         )
         assert status == 400
         assert b"error" in body
+
+    def test_oversize_body_is_413(self, live_server):
+        """A declared body over the limit gets 413 with a JSON error, and
+        the server keeps serving."""
+        conn = HTTPConnection(live_server.host, live_server.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/extract")
+            conn.putheader("Content-Length", str(server.MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            status, body = response.status, response.read()
+        finally:
+            conn.close()
+        assert status == 413
+        assert "exceeds" in json.loads(body)["error"]
+        assert live_server.health()["ok"] is True
 
     def test_removed_config_field_is_400(self, live_server):
         for name, value in sorted(REMOVED_CONFIG_FIELDS.items()):
