@@ -174,9 +174,7 @@ def test_engine_pipelined_batches(benchmark, ctx_case1):
     ]
 
     def run():
-        return run_segments(
-            ((ctx_case1, WalkStreams(seed=9)),), segments, 512, lookahead=2
-        )
+        return run_segments(((ctx_case1, WalkStreams(seed=9)),), segments, 512)
 
     benchmark(run)
 

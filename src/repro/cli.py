@@ -102,12 +102,6 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
         default=1024,
         help="max memoized result rows",
     )
-    p.add_argument(
-        "--interactive-boost",
-        type=float,
-        default=4.0,
-        help="quota weight multiplier of the interactive class (>= 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +192,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         n_workers=args.workers,
         result_cache_entries=args.result_cache,
-        interactive_boost=args.interactive_boost,
         port_file=args.port_file,
     )
     try:

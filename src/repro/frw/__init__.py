@@ -7,7 +7,6 @@ from .alg2_reproducible import (
     RowProgress,
     RunStats,
     extract_row_alg2,
-    extract_row_alg2_from_structure,
     machine_rng,
     make_streams,
 )
@@ -43,7 +42,6 @@ from .shm import (
 )
 from .scheduler import (
     ScheduleResult,
-    allocate_quota,
     jittered_durations,
     simulate_dynamic_queue,
     simulate_static_blocks,
@@ -70,14 +68,12 @@ __all__ = [
     "WalkPipeline",
     "WalkResults",
     "WalkTrace",
-    "allocate_quota",
     "assemble_result",
     "attach_context",
     "build_context",
     "extract",
     "extract_row_alg1",
     "extract_row_alg2",
-    "extract_row_alg2_from_structure",
     "extract_rows_interleaved",
     "jittered_durations",
     "machine_rng",

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..config import FRWConfig
 from ..rng import seeded_generator, splitmix64
-from .context import ExtractionContext, build_context
+from .context import ExtractionContext
 from .estimator import CapacitanceRow, RowAccumulator
 from .parallel import PersistentExecutor, stream_spec, streams_from_spec
 from .scheduler import jittered_durations, simulate_dynamic_queue
@@ -197,10 +197,3 @@ def extract_row_alg2(
         if owned is not None:
             owned.close()
     return rows[0], stats[0]
-
-
-def extract_row_alg2_from_structure(
-    structure, master: int, config: FRWConfig
-) -> tuple[CapacitanceRow, RunStats]:
-    """Convenience wrapper that builds the context first."""
-    return extract_row_alg2(build_context(structure, master, config))

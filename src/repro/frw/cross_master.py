@@ -11,10 +11,11 @@ convergence tail never idles the pool while master ``i+1`` waits:
   :class:`~repro.frw.alg2_reproducible.RowProgress`, and its own
   :class:`~repro.frw.parallel.BatchRunner`;
 * after every checkpoint round the in-flight budget
-  ``max(live masters, 2 * workers)`` is split evenly over the live
-  masters (:func:`~repro.frw.scheduler.allocate_quota`), and each master
-  holds at most ``1 + PIPELINE_LOOKAHEAD`` batches of it, so a lone
-  master's tail cannot flood the pool with batches it will discard;
+  ``total = max(live masters, 2 * workers)`` is split evenly over the
+  ``L`` live masters — ``total // L`` each, one more for the first
+  ``total % L`` (:func:`inflight_quotas`) — and each master holds at most
+  ``1 + PIPELINE_LOOKAHEAD`` batches of it, so a lone master's tail
+  cannot flood the pool with batches it will discard;
 * each allocation round sends its ``k`` new batches, of all masters, in
   one :meth:`~repro.frw.parallel.PersistentExecutor.run_async` call with
   ``min(workers, k * c)`` work items.  ``c`` is the per-batch item count:
@@ -52,12 +53,16 @@ from typing import Callable
 import numpy as np
 
 from ..config import FRWConfig
-from . import engine
 from .alg2_reproducible import RowProgress, RunStats
 from .context import ExtractionContext
 from .estimator import CapacitanceRow
 from .parallel import BatchRunner, PendingBatch, PersistentExecutor
-from .scheduler import allocate_quota
+
+#: Batches a master may run ahead of the one being gathered: the driver
+#: keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's batches in flight
+#: on any executor.  Bit-invisible; deeper look-ahead only discards more
+#: work when the stopping rule fires.
+PIPELINE_LOOKAHEAD = 1
 
 
 class _MasterRun:
@@ -123,6 +128,15 @@ def resolve_wave(n_workers: int) -> int:
     return max(8, 2 * n_workers)
 
 
+def inflight_quotas(live: int, workers: int) -> np.ndarray:
+    """In-flight batch quota of each of ``live`` masters: the budget
+    ``max(live, 2 * workers)`` split evenly, one more for the first
+    ``budget % live`` masters, capped at ``1 + PIPELINE_LOOKAHEAD``."""
+    total = max(live, 2 * workers)
+    head = np.arange(live) < total % live
+    return np.minimum(total // live + head, 1 + PIPELINE_LOOKAHEAD)
+
+
 def extract_rows_interleaved(
     masters: list[int],
     config: FRWConfig,
@@ -144,7 +158,7 @@ def extract_rows_interleaved(
     """
     workers = executor.n_workers
     wave = resolve_wave(workers)
-    cap = 1 + engine.PIPELINE_LOOKAHEAD
+    cap = 1 + PIPELINE_LOOKAHEAD
     split = executor.backend == "process"
     overrides = thread_overrides or {}
 
@@ -177,12 +191,9 @@ def extract_rows_interleaved(
                 live = [st for st in active if not st.done]
 
             # Allocation round: decide each live master's in-flight quota.
-            total = max(len(live), 2 * workers)
-            quotas = np.minimum(
-                allocate_quota(np.ones(len(live)), total, min_share=1), cap
-            )
+            n = len(live)
             new = []
-            for st, quota in zip(live, quotas):
+            for st, quota in zip(live, inflight_quotas(n, workers)):
                 st.progress.stats.allocation_rounds += 1
                 new += [
                     (st, st.next_batch())
@@ -192,7 +203,7 @@ def extract_rows_interleaved(
             # the workers the live masters leave idle, a thread batch until
             # the capped in-flight batches cover the workers), packed into
             # at most one item per worker.
-            c = -(-workers // (len(live) if split else len(live) * cap))
+            c = -(-workers // (n if split else n * cap))
             handles = executor.run_async(
                 [st.runner.request(u) for st, u in new],
                 min(workers, len(new) * c),

@@ -98,17 +98,11 @@ class WalkResults:
 #: Stage names of :class:`StageTimers`, in reporting order.
 STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 
-#: Default RNG prefetch depth ``K`` (steps per fused span pass).  On traced
+#: RNG prefetch depth ``K`` (steps per fused span pass).  On traced
 #: ``open_field_tol`` depth 8 cuts rng dispatches 9575 -> 2602 against
 #: depth 1 (docs/PERFORMANCE.md layer 8); it is bit-invisible, so it is a
-#: constant rather than a config field.
+#: constant rather than a parameter.
 RNG_PREFETCH_DEPTH = 8
-
-#: Batches a master may run ahead of the one being gathered: the Alg. 2
-#: driver keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's batches in
-#: flight on any executor.  Bit-invisible; deeper look-ahead only discards
-#: more work when the stopping rule fires.
-PIPELINE_LOOKAHEAD = 1
 
 
 @dataclass
@@ -297,16 +291,13 @@ class WalkPipeline:
         ``feed(batch_index) -> (lane, uids) | None``; called with
         consecutive batch indices (0, 1, 2, ...) and returns that batch's
         lane and UID array, or ``None`` when no batch is available yet (a
-        later call may supply one).
+        later call may supply one).  Freed slots refill from every batch
+        the feed supplies, so the feed alone decides how far the vector
+        runs ahead of the oldest outstanding batch; the walks' *results*
+        are identical at any schedule.
     width:
         Target active-vector width (normally the batch size); also the slot
         arena's capacity.
-    lookahead:
-        How many batches beyond the oldest outstanding one may be pulled in
-        to refill freed slots (``None``: as many as the feed supplies).
-        ``0`` disables cross-batch refilling (the active set shrinks to a
-        tail within each batch, as the plain batch engine does); the walks'
-        *results* are identical either way.
     trace:
         When given, per-step positions of all active walks are appended as
         ``(rows_in_batch, positions)`` tuples (small single-batch runs only;
@@ -317,30 +308,19 @@ class WalkPipeline:
         omitted.  Must not be shared with a concurrently running pipeline.
     timers:
         Optional :class:`StageTimers` accumulating per-stage wall time.
-    group:
-        Antithetic group size; refills are rounded down to whole groups so
-        a primary and its mirrored partners launch in the same vector call
-        (they share one step-0 draw block and launch point, and their
-        anticorrelated first hops are evaluated together).  Purely a
-        scheduling preference — walk values are keyed by ``(uid, step)``
-        and never depend on co-scheduling — so results are bit-identical
-        at any ``group``, and the alignment is waived rather than
-        deadlocking when the arena is empty or a batch tail is shorter
-        than a group.
-    prefetch:
-        RNG prefetch depth ``K``: one fused span pass fills the draws for
-        the next ``K`` steps of every live slot into the workspace ring
-        buffer, consumed one plane per step, so the fixed per-call
-        draw-dispatch cost is paid once per ``K`` steps.  The ring is
-        *phase-aligned*: a single cursor is shared by all slots
-        (consuming a plane is a zero-dispatch view), launches fill a
-        partial span that joins the global phase, and retirement
-        compaction moves ring columns with the other slot state — so the
-        per-slot cursor is simply ``(step_no[i], cursor)``.  Because each
-        walk's draws depend only on its own ``(uid, step)`` sequence,
-        results are bit-identical at every depth (prefetching can only
-        compute draws a retired walk never consumes).  ``None`` takes
-        :data:`RNG_PREFETCH_DEPTH`.
+
+    Draws come through an RNG prefetch ring of depth ``K =``
+    :data:`RNG_PREFETCH_DEPTH`: one fused span pass fills the draws for the
+    next ``K`` steps of every live slot into the workspace ring buffer,
+    consumed one plane per step, so the fixed per-call draw-dispatch cost
+    is paid once per ``K`` steps.  The ring is *phase-aligned*: a single
+    cursor is shared by all slots (consuming a plane is a zero-dispatch
+    view), launches fill a partial span that joins the global phase, and
+    retirement compaction moves ring columns with the other slot state —
+    so the per-slot cursor is simply ``(step_no[i], cursor)``.  Because
+    each walk's draws depend only on its own ``(uid, step)`` sequence,
+    results are bit-identical at every depth (prefetching can only compute
+    draws a retired walk never consumes).
     """
 
     def __init__(
@@ -348,12 +328,9 @@ class WalkPipeline:
         lanes,
         feed: Callable[[int], tuple[int, np.ndarray] | None],
         width: int,
-        lookahead: int | None = None,
         trace: list | None = None,
         workspace: ArenaWorkspace | None = None,
         timers: StageTimers | None = None,
-        group: int = 1,
-        prefetch: int | None = None,
     ):
         (ctx, streams), *others = lanes
         self.ctx = ctx
@@ -365,8 +342,6 @@ class WalkPipeline:
             self.add_lane(other, other_streams)
         self.feed = feed
         self.width = max(1, int(width))
-        self.lookahead = np.inf if lookahead is None else max(0, int(lookahead))
-        self.group = max(1, int(group))
         self.trace = trace
         self._timers = timers
         self._stack = ctx.structure.dielectric
@@ -381,7 +356,6 @@ class WalkPipeline:
         self._query_into = getattr(ctx.index, "query_into", None)
 
         self._next_feed = 0
-        self._next_emit = 0
         self._pending = np.empty(0, dtype=np.uint64)
         self._pending_lane = 0
         self._pending_start_g = 0
@@ -421,21 +395,20 @@ class WalkPipeline:
         self._have_first = False
         self._cond_q = None  # conductor ids handed from index to absorb
 
-        # RNG prefetch ring (see the `prefetch` parameter docs).
-        if prefetch is None:
-            prefetch = RNG_PREFETCH_DEPTH
-        self.prefetch = max(1, int(prefetch))
+        # RNG prefetch ring (see the class docs), read from the module
+        # constant at construction.
+        self._prefetch = RNG_PREFETCH_DEPTH
         # Refill K deep only while the whole (2K, n) span lattice fits one
         # cache-resident tile: fusing amortizes *fixed dispatch cost*,
         # which dominates at small-to-mid vector widths (the pipeline's
         # long-tail regime) but vanishes at full width, where a deep pass
         # only adds cache pressure (measured 0.4x at n=8192, K=4).  Wider
         # vectors refill the ring one step deep.
-        self._span_max_n = max(1, SPAN_TILE // (2 * self.prefetch))
-        ws.ensure_ring(self.prefetch)
+        self._span_max_n = max(1, SPAN_TILE // (2 * self._prefetch))
+        ws.ensure_ring(self._prefetch)
         # Slot-major storage; the `_v` view exposes the (depth, n, count)
         # axis order draws_span expects, sharing the memory.
-        self._ring = ws.ring[: self.prefetch]
+        self._ring = ws.ring[: self._prefetch]
         self._ring_v = self._ring.transpose(0, 2, 1)
         # Planes filled by the last refill; cursor == _ring_depth means
         # "ring drained": the next step refills before consuming.
@@ -468,8 +441,6 @@ class WalkPipeline:
         while True:
             if self._pending_off < self._pending.shape[0]:
                 return True
-            if self._next_feed > self._next_emit + self.lookahead:
-                return False
             fed = self.feed(self._next_feed)
             if fed is None:
                 return False
@@ -502,20 +473,7 @@ class WalkPipeline:
         launched = False
         while self._n < self.width and self._ensure_pending():
             off = self._pending_off
-            remaining = self._pending.shape[0] - off
-            take = min(self.width - self._n, remaining)
-            if self.group > 1 and take < remaining:
-                # Keep groups launching together: round the take down to
-                # whole groups (a take that drains the batch is already
-                # aligned when the feed is group-sized, and is allowed
-                # regardless so odd batch tails cannot wedge the feed).
-                aligned = take - take % self.group
-                if aligned == 0 and self._n > 0:
-                    # Fewer free slots than a group while walks are in
-                    # flight: let retires free a whole group's worth.
-                    break
-                if aligned > 0:
-                    take = aligned
+            take = min(self.width - self._n, self._pending.shape[0] - off)
             uids = self._pending[off : off + take]
             self._pending_off = off + take
             self._launch(self._pending_lane, uids, self._pending_start_g, off)
@@ -651,10 +609,10 @@ class WalkPipeline:
         stage_rng -> stage_sample`` — communicating through workspace
         views (the boolean cohort masks ``b0..b4`` and the distance
         buffers).  The RNG stage consumes a prefetched ring plane on most
-        steps (one fused span dispatch per ``prefetch`` steps), so the
-        per-step fixed dispatch cost of the largest stage amortizes away;
-        each stage runs one large numpy kernel cohort over the dense slot
-        prefix rather than interleaving small ones.
+        steps (one fused span dispatch per ``RNG_PREFETCH_DEPTH`` steps),
+        so the per-step fixed dispatch cost of the largest stage amortizes
+        away; each stage runs one large numpy kernel cohort over the dense
+        slot prefix rather than interleaving small ones.
         """
         if self._n == 0:
             return
@@ -774,8 +732,8 @@ class WalkPipeline:
 
         Most steps consume a ready ring plane (a zero-dispatch view); a
         drained ring is refilled for every live slot by one span pass —
-        ``prefetch`` steps deep while the lattice is cache-resident, one
-        step deep for wider vectors.
+        ``RNG_PREFETCH_DEPTH`` steps deep while the lattice is
+        cache-resident, one step deep for wider vectors.
         """
         tm = self._timers
         n = self._n
@@ -787,7 +745,7 @@ class WalkPipeline:
             return t0, self._ring_v[c, :n]
         # Every live slot (including walks launched mid-ring, whose partial
         # spans drained at the same phase) needs steps step_no onwards.
-        depth = self.prefetch if n <= self._span_max_n else 1
+        depth = self._prefetch if n <= self._span_max_n else 1
         self._draws.draws_span(
             self._lane[:n],
             self._uid[:n],
@@ -914,15 +872,14 @@ class WalkPipeline:
         self._res_dest = self._res_dest[n0:]
         self._res_steps = self._res_steps[n0:]
         self._win_base_g += n0
-        self._next_emit += 1
         return res
 
     def next_batch(self) -> WalkResults | None:
         """Run until the oldest outstanding batch completes and return it.
 
-        Slots freed by retiring walks are refilled with UIDs from up to
-        ``lookahead`` batches ahead, so later batches are typically already
-        in flight (or finished and banked) when their turn comes.  Returns
+        Slots freed by retiring walks are refilled with UIDs from any batch
+        the feed supplies, so later batches are typically already in
+        flight (or finished and banked) when their turn comes.  Returns
         ``None`` when no batch is outstanding and the feed supplies none.
         """
         while True:
@@ -938,18 +895,15 @@ def run_segments(
     lanes,
     segments,
     width: int,
-    lookahead: int | None = None,
     trace: list | None = None,
     timers: StageTimers | None = None,
-    group: int = 1,
-    prefetch: int | None = None,
 ) -> list[WalkResults]:
     """Run ``(lane, uids)`` segments through one shared walk vector.
 
     ``lanes`` are the :class:`WalkPipeline` lanes; the segments are fed in
     order into a vector of ``width`` walks, whose freed slots refill from
-    up to ``lookahead`` segments ahead (``None``: all of them), so the
-    segments' drain tails overlap instead of running back to back.
+    the next segments, so the segments' drain tails overlap instead of
+    running back to back.
     Returns one :class:`WalkResults` per segment, in segment order, each in
     its segment's UID order — bit-identical to running every segment alone
     with :func:`run_walks` on its lane.
@@ -970,12 +924,9 @@ def run_segments(
         lanes,
         feed,
         width=width,
-        lookahead=lookahead,
         trace=trace,
         workspace=_thread_workspace(width),
         timers=timers,
-        group=group,
-        prefetch=prefetch,
     )
     return [pipe.next_batch() for _ in segments]
 
@@ -986,7 +937,6 @@ def run_walks(
     uids: np.ndarray,
     trace: list | None = None,
     timers: StageTimers | None = None,
-    prefetch: int | None = None,
 ) -> WalkResults:
     """Run a batch of walks to absorption: the one-segment case of
     :func:`run_segments`, with the vector as wide as the batch.
@@ -1005,9 +955,6 @@ def run_walks(
         batches only; used by the scalar reference and Fig. 2).
     timers:
         Optional :class:`StageTimers` accumulating per-stage wall time.
-    prefetch:
-        RNG prefetch depth (``None`` = :data:`RNG_PREFETCH_DEPTH`); see
-        :class:`WalkPipeline`.  Bit-invisible.
     """
     uids = np.asarray(uids, dtype=np.uint64)
     return run_segments(
@@ -1016,7 +963,6 @@ def run_walks(
         width=uids.shape[0],
         trace=trace,
         timers=timers,
-        prefetch=prefetch,
     )[0]
 
 

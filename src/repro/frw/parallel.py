@@ -203,6 +203,12 @@ _LOG = logging.getLogger(__name__)
 #: dispatched process-pool work items before terminating the pool.
 CLOSE_DRAIN_S = 30.0
 
+#: :meth:`PersistentExecutor.worker_stats` sends this many probes per
+#: worker, each sleeping ``PROBE_DELAY_S`` seconds so they spread over
+#: the pool.
+PROBES_PER_WORKER = 4
+PROBE_DELAY_S = 0.02
+
 
 def _run_item(segments, width: int) -> list[WalkResults]:
     """Run one work item: ``[((ctx, spec), uids), ...]`` segments through
@@ -228,13 +234,13 @@ def _shm_chunk(segments, width: int) -> list[WalkResults]:
     )
 
 
-def _worker_probe(delay: float) -> tuple[int, int]:
+def _worker_probe(_: int) -> tuple[int, int]:
     """Identify the executing worker: ``(pid, asset blocks attached)``.
 
     Each probe sleeps briefly so a ``map(..., chunksize=1)`` of one probe
     per pool slot lands on distinct workers instead of racing onto one.
     """
-    time.sleep(float(delay))
+    time.sleep(PROBE_DELAY_S)
     return os.getpid(), shm.attach_count()
 
 
@@ -395,7 +401,6 @@ class PersistentExecutor:
                     width=width,
                     workspace=self._workspace,
                     timers=self.timers,
-                    group=spec[3] if len(spec) == 5 else 1,
                 )
                 lane = 0
             else:
@@ -557,21 +562,22 @@ class PersistentExecutor:
             "published_nbytes": sum(blocks.values()),
         }
 
-    def worker_stats(self, probes_per_worker: int = 4, delay: float = 0.02) -> dict:
+    def worker_stats(self) -> dict:
         """Best-effort process-pool probe: worker PIDs and attach counts.
 
-        Maps short sleep probes across the pool (``chunksize=1`` so they
-        spread over workers) and reports, per observed worker PID, how many
-        shared asset blocks that worker has attached.  Empty without a
-        process pool.  Scheduling decides which workers answer, so this is
-        telemetry — results never feed back into walk values.
+        Maps :data:`PROBES_PER_WORKER` short sleep probes per worker across
+        the pool (``chunksize=1`` so they spread over workers) and reports,
+        per observed worker PID, how many shared asset blocks that worker
+        has attached.  Empty without a process pool.  Scheduling decides
+        which workers answer, so this is telemetry — results never feed
+        back into walk values.
         """
         self._check_open()
         if self.backend != "process" or self.n_workers == 1:
             return {}
         pool = self._processes()
-        n = max(1, self.n_workers) * max(1, int(probes_per_worker))
-        rows = pool.map(_worker_probe, [delay] * n, chunksize=1)
+        n = self.n_workers * PROBES_PER_WORKER
+        rows = pool.map(_worker_probe, range(n), chunksize=1)
         attaches: dict[int, int] = {}
         for pid, count in rows:
             attaches[pid] = max(count, attaches.get(pid, 0))

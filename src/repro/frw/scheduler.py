@@ -105,63 +105,6 @@ def simulate_dynamic_queue(
     )
 
 
-def backlog_weights(
-    backlogs: np.ndarray, boost: np.ndarray | None = None
-) -> np.ndarray:
-    """Quota weights for cross-request class scheduling.
-
-    The extraction service splits executor slots across priority classes
-    (interactive, bulk) with the same largest-remainder quota machinery the
-    cross-master scheduler uses for batches: weights are the queue
-    backlogs, optionally scaled by a per-class ``boost`` (interactive gets
-    a boost > 1 so a deep bulk queue cannot buy every slot).  Negative
-    backlogs clamp to zero.  Deterministic: a pure function of the queue
-    depths and the configured boosts.
-    """
-    weights = np.clip(np.asarray(backlogs, dtype=np.float64), 0.0, None)
-    if boost is not None:
-        weights = weights * np.asarray(boost, dtype=np.float64)
-    return weights
-
-
-def allocate_quota(
-    weights: np.ndarray, total: int, min_share: int = 1
-) -> np.ndarray:
-    """Integer quota split of ``total`` proportional to ``weights``.
-
-    Every entry receives at least ``min_share``; the remainder is split by
-    the largest-remainder method with ties broken by index, so the
-    allocation is deterministic.  All-zero weights fall back to an even
-    split.  Used by the cross-master scheduler to decide how many
-    speculative batches each master keeps in flight — never which walks a
-    batch contains.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    min_share = max(0, int(min_share))
-    quota = np.full(n, min_share, dtype=np.int64)
-    spare = int(total) - min_share * n
-    if spare <= 0:
-        return quota
-    wsum = float(weights.sum())
-    if wsum <= 0.0:
-        weights = np.ones(n, dtype=np.float64)
-        wsum = float(n)
-    shares = weights * (spare / wsum)
-    floors = np.floor(shares).astype(np.int64)
-    quota += floors
-    leftover = spare - int(floors.sum())
-    if leftover > 0:
-        remainders = shares - floors
-        # Largest remainder first; np.argsort is stable, so equal
-        # remainders resolve by index.
-        order = np.argsort(-remainders, kind="stable")
-        quota[order[:leftover]] += 1
-    return quota
-
-
 def simulate_static_blocks(
     durations: np.ndarray, n_threads: int
 ) -> ScheduleResult:

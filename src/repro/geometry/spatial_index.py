@@ -60,6 +60,9 @@ from .structure import Structure
 #: the dense SRAM arrays (cases 5 and 6) measure 3.1-3.4.
 REFINE_DENSITY = 2.5
 
+#: Most (point, box) pairs a :class:`BruteForceIndex` block evaluates.
+BRUTE_FORCE_CHUNK = 4_000_000
+
 
 @dataclass
 class QueryStats:
@@ -122,27 +125,15 @@ class BruteForceIndex:
     """Exact nearest-conductor queries via chunked all-pairs distances.
 
     The all-pairs distance table is evaluated in blocks so that no more
-    than ``chunk_budget`` (point, box) pairs — i.e. ``3 * chunk_budget``
+    than :data:`BRUTE_FORCE_CHUNK` (point, box) pairs — three times as many
     float64 temporaries — are materialised at once: :func:`nearest_box`
     already chunks over *boxes* when there are many, and the index
     additionally chunks over *points*, so neither a huge structure nor a
     huge query batch can blow memory.
-
-    Parameters
-    ----------
-    structure:
-        The geometry to index.
-    chunk_budget:
-        Maximum (point, box) pairs evaluated per block.
     """
 
-    def __init__(self, structure: Structure, chunk_budget: int = 4_000_000):
-        if chunk_budget < 1:
-            raise GeometryError(
-                f"chunk_budget must be positive, got {chunk_budget}"
-            )
+    def __init__(self, structure: Structure):
         self._lo, self._hi, self._owner = structure.box_arrays
-        self.chunk_budget = int(chunk_budget)
 
     def _query(
         self, points: np.ndarray, metric: str
@@ -150,10 +141,10 @@ class BruteForceIndex:
         points = np.asarray(points, dtype=np.float64)
         n = points.shape[0]
         m = self._lo.shape[0]
-        block = max(1, self.chunk_budget // max(m, 1))
+        block = max(1, BRUTE_FORCE_CHUNK // max(m, 1))
         if n <= block:
             dist, box_idx = nearest_box(
-                points, self._lo, self._hi, metric=metric, chunk=self.chunk_budget
+                points, self._lo, self._hi, metric=metric, chunk=BRUTE_FORCE_CHUNK
             )
             cond = np.where(box_idx >= 0, self._owner[box_idx], -1)
             return dist, cond
@@ -166,7 +157,7 @@ class BruteForceIndex:
                 self._lo,
                 self._hi,
                 metric=metric,
-                chunk=self.chunk_budget,
+                chunk=BRUTE_FORCE_CHUNK,
             )
             dist[start:stop] = d
             cond[start:stop] = np.where(box_idx >= 0, self._owner[box_idx], -1)

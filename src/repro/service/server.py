@@ -8,13 +8,11 @@ dictionary lookup, not a Monte-Carlo run.  The service is split in two:
 * :class:`ExtractionService` — the synchronous core.  Canonicalizes each
   request, serves full hits straight from the result cache, and shards
   misses over a fleet of per-slot worker threads, each owning its own
-  :class:`~repro.frw.parallel.PersistentExecutor`.  Slots are split across
-  the two priority classes (``interactive`` / ``bulk``) with the same
-  largest-remainder quota machinery the cross-master scheduler uses
-  (:func:`~repro.frw.scheduler.allocate_quota` over
-  :func:`~repro.frw.scheduler.backlog_weights`), with the invariant that a
-  non-empty interactive queue always holds at least one slot's quota —
-  bulk depth can never starve interactive latency.
+  :class:`~repro.frw.parallel.PersistentExecutor`.  A freed slot serves
+  the ``interactive`` class first; it takes ``bulk`` work while
+  interactive work waits only when interactive already holds a slot and
+  bulk holds none — bulk depth can never starve interactive latency, and
+  with two or more slots neither class starves.
 * :func:`run_server` — a stdlib-only ``asyncio`` HTTP/1.1 front door
   (``python -m repro.cli serve``).  JSON in, JSON out; response bodies are
   rendered with sorted keys so equal results are byte-equal on the wire.
@@ -30,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from collections import deque
@@ -42,11 +41,12 @@ from .. import __version__
 from ..config import ENGINE_FIELDS, RESULT_FIELDS, FRWConfig
 from ..errors import ConfigError, GeometryError
 from ..frw.parallel import PersistentExecutor
-from ..frw.scheduler import allocate_quota, backlog_weights
 from ..frw.solver import FRWSolver
 from ..geometry import structure_from_dict
 from .cache import LRUCache
 from .canonical import CanonicalForm, canonical_hash, canonicalize
+
+_LOG = logging.getLogger(__name__)
 
 #: Priority classes, in dispatch-preference order.
 PRIORITY_CLASSES = ("interactive", "bulk")
@@ -69,7 +69,6 @@ class ServiceSettings:
     n_workers: int = 1
     mp_start_method: str = "auto"
     result_cache_entries: int = 1024
-    interactive_boost: float = 4.0
     port_file: str | None = None
 
     def validate(self) -> None:
@@ -77,10 +76,6 @@ class ServiceSettings:
             raise ConfigError(f"slots must be >= 1, got {self.slots}")
         if not (0 <= self.port <= 65535):
             raise ConfigError(f"port must be in [0, 65535], got {self.port}")
-        if self.interactive_boost < 1.0:
-            raise ConfigError(
-                f"interactive_boost must be >= 1, got {self.interactive_boost}"
-            )
         if self.result_cache_entries < 1:
             raise ConfigError("cache bounds must be >= 1")
         # Engine fields reuse FRWConfig's own validation.
@@ -245,39 +240,18 @@ class ExtractionService:
 
     # -- priority scheduling -------------------------------------------
 
-    def _quota(self, backlogs: tuple[int, ...]) -> np.ndarray:
-        """Slot quota per priority class for the current backlogs.
-
-        Reuses the cross-master largest-remainder allocator; on top of it,
-        a non-empty interactive queue is always granted at least one slot,
-        so bulk depth can never price interactive out entirely.
-        """
-        boost = np.array([self.settings.interactive_boost, 1.0])
-        weights = backlog_weights(np.array(backlogs, dtype=np.float64), boost)
-        min_share = 1 if self.settings.slots >= len(PRIORITY_CLASSES) else 0
-        quota = allocate_quota(weights, self.settings.slots, min_share=min_share)
-        if backlogs[0] > 0:
-            quota[0] = max(quota[0], 1)
-        return quota
-
     def _pick_class(self) -> str | None:
-        """Which class the freed slot should serve next (caller holds lock)."""
-        backlogs = tuple(len(self._queues[cls]) for cls in PRIORITY_CLASSES)
-        live = [
-            cls for cls, depth in zip(PRIORITY_CLASSES, backlogs) if depth > 0
-        ]
-        if not live:
-            return None
-        if len(live) == 1:
-            return live[0]
-        quota = self._quota(backlogs)
-        deficits = [
-            int(quota[i]) - self._running[cls]
-            for i, cls in enumerate(PRIORITY_CLASSES)
-        ]
-        # max() keeps the first maximum, so ties resolve to interactive.
-        best = max(range(len(PRIORITY_CLASSES)), key=lambda i: deficits[i])
-        return PRIORITY_CLASSES[best]
+        """Which class the freed slot should serve next (caller holds lock).
+
+        Interactive first; with both classes queued, bulk gets the slot
+        only while interactive already holds one and bulk holds none.
+        """
+        live = [cls for cls in PRIORITY_CLASSES if self._queues[cls]]
+        if len(live) < 2:
+            return live[0] if live else None
+        if self._running["interactive"] and not self._running["bulk"]:
+            return "bulk"
+        return "interactive"
 
     # -- worker slots --------------------------------------------------
 
@@ -529,18 +503,22 @@ class ServiceServer:
 
     async def _handle(self, reader, writer) -> None:
         try:
-            request = await _read_request(reader)
-            if request is None:
-                return
-            method, path, body = request
-            status, payload = await self._route(method, path, body)
+            try:
+                request = await _read_request(reader)
+                if request is None:
+                    return
+                status, payload = await self._route(*request)
+            except ConnectionError:
+                raise
+            except (ValueError, asyncio.IncompleteReadError) as exc:
+                status = 413 if isinstance(exc, _BodyTooLarge) else 400
+                payload = {"error": str(exc)}
+            except Exception as exc:
+                # Whatever _route lets escape still gets a status line.
+                _LOG.exception("unhandled error serving a request")
+                status = 500
+                payload = {"error": f"{type(exc).__name__}: {exc}"}
             writer.write(_http_response(status, _json_bytes(payload)))
-            await writer.drain()
-        except (ValueError, asyncio.IncompleteReadError) as exc:
-            status = 413 if isinstance(exc, _BodyTooLarge) else 400
-            writer.write(
-                _http_response(status, _json_bytes({"error": str(exc)}))
-            )
             await writer.drain()
         except ConnectionError:
             pass

@@ -53,7 +53,7 @@ def quick_config():
     )
 
 
-def _run_pipelined(ctx, streams, uids, width, lookahead=1, **kwargs):
+def _run_pipelined(ctx, streams, uids, width, **kwargs):
     """Run a fixed UID set through one refill vector in ``width``-sized
     batches (``run_segments``) and reassemble it in UID order —
     bit-identical to ``run_walks`` on the same UIDs."""
@@ -63,7 +63,6 @@ def _run_pipelined(ctx, streams, uids, width, lookahead=1, **kwargs):
         ((ctx, streams),),
         [(0, uids[a : a + width]) for a in starts],
         width,
-        lookahead=lookahead,
         **kwargs,
     )
     return concat_results(uids, parts)
@@ -71,7 +70,6 @@ def _run_pipelined(ctx, streams, uids, width, lookahead=1, **kwargs):
 
 @pytest.fixture(scope="session")
 def run_pipelined():
-    """``run_pipelined(ctx, streams, uids, width, lookahead=1, **kwargs)``;
-    ``kwargs`` go to ``run_segments`` (``timers``, ``group``,
-    ``prefetch``)."""
+    """``run_pipelined(ctx, streams, uids, width, **kwargs)``; ``kwargs``
+    go to ``run_segments`` (``timers``, ``trace``)."""
     return _run_pipelined

@@ -27,7 +27,7 @@ from repro.errors import ConfigError, RNGError
 from repro.frw import (
     PersistentExecutor,
     build_context,
-    engine,
+    cross_master,
     extract_row_alg2,
     run_walks,
     stream_spec,
@@ -371,25 +371,6 @@ def test_add_batch_asserts_shapes_and_range():
 
 
 # ----------------------------------------------------------------------
-# Engine: group-aligned refill is scheduling-only
-# ----------------------------------------------------------------------
-
-
-def test_pipeline_group_param_is_bit_invisible(plates, run_pipelined):
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=SEED))
-    uids = np.arange(300, dtype=np.uint64)
-    ref = run_walks(ctx, WalkStreams(SEED, 0), uids)
-    for group in (2, 4, 8):
-        res = run_pipelined(
-            ctx, WalkStreams(SEED, 0), uids, width=64, lookahead=2,
-            group=group,
-        )
-        assert np.array_equal(ref.omega, res.omega)
-        assert np.array_equal(ref.dest, res.dest)
-        assert np.array_equal(ref.steps, res.steps)
-
-
-# ----------------------------------------------------------------------
 # Extraction: off-path byte-identity to the PR 6 goldens
 # ----------------------------------------------------------------------
 
@@ -435,7 +416,7 @@ _ANTI_BASE = dict(
 def anti_reference(plates):
     cfg = FRWConfig.frw_r(**_ANTI_BASE, executor="serial")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "PIPELINE_LOOKAHEAD", 0)
+        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         return extract_row_alg2(build_context(plates, 0, cfg))
 
 
@@ -494,7 +475,7 @@ def test_antithetic_group_depth_bitwise(plates, monkeypatch, group, depth):
     base = dict(_ANTI_BASE, antithetic_group=group, antithetic_depth=depth)
     ref_cfg = FRWConfig.frw_r(**base, executor="serial")
     with monkeypatch.context() as mp:
-        mp.setattr(engine, "PIPELINE_LOOKAHEAD", 0)
+        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         ref_row, _ = extract_row_alg2(build_context(plates, 0, ref_cfg))
     cfg = FRWConfig.frw_r(**base, executor="thread", n_workers=2)
     row, _ = extract_row_alg2(build_context(plates, 0, cfg))

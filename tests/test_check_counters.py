@@ -1,0 +1,68 @@
+"""The suite's counter gates: one committed file, one small checker."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def checker():
+    path = os.path.join(ROOT, "benchmarks", "check_counters.py")
+    spec = importlib.util.spec_from_file_location("check_counters", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _expected(checker):
+    with open(checker.EXPECTED) as fh:
+        return json.load(fh)
+
+
+def test_every_gate_names_a_declared_metric(checker):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    declared = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    workloads = {w["name"] for w in bench["workloads"]}
+    for name, entry in _expected(checker).items():
+        assert f"--workload {name.removesuffix('_traced')} " in entry["run"]
+        assert name.removesuffix("_traced") in workloads
+        for gate in entry["gates"]:
+            assert gate["metric"] in declared, (name, gate)
+            assert gate["op"] in checker.OPS
+            assert gate["why"]
+
+
+def test_violations_require_correct_and_every_bound(checker, tmp_path):
+    gates = _expected(checker)["sram_tol_traced"]["gates"]
+    values = {
+        "context.index_builds": 1,
+        "parallel.published_mb": 0.574,
+        "index.candidates_per_near_point": 3.452,
+        "cross_master.discarded_batches": 1.5,
+        "engine.rng_dispatches": 2060,
+        "parallel.dispatches": 10,
+        "latency_ms": 2500.0,
+    }
+    run = {
+        "correct": True,
+        "attempted": 2,
+        "metrics": {k: {"value": v} for k, v in values.items()},
+    }
+    assert checker.violations(run, gates) == []
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run))
+    assert checker.main([str(path), "sram_tol_traced"]) == 0
+
+    run["metrics"]["parallel.dispatches"]["value"] = 11
+    run["metrics"]["context.index_builds"]["value"] = 2
+    run["correct"] = False
+    found = checker.violations(run, gates)
+    assert len(found) == 3
+    assert found[0] == "correct is not true"
+    path.write_text(json.dumps(run))
+    assert checker.main([str(path), "sram_tol_traced"]) == 1

@@ -117,8 +117,10 @@ def test_serve_parser_rejects_invalid(argv):
 def test_serve_rejects_invalid_settings(capsys):
     assert main(["serve", "--port", "70000"]) == 2
     assert "port" in capsys.readouterr().err
-    assert main(["serve", "--interactive-boost", "0.5"]) == 2
-    assert "interactive_boost" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # the flag is gone
+        main(["serve", "--interactive-boost", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --interactive-boost" in capsys.readouterr().err
 
 
 def test_serve_startup_shutdown_no_leaks(tmp_path):

@@ -8,15 +8,11 @@ bit for bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import (
-    PersistentExecutor,
-    RowProgress,
-    cross_master,
-    engine,
-)
-from repro.frw.scheduler import allocate_quota
+from repro.frw import PersistentExecutor, RowProgress, cross_master
 
 BASE = dict(
     seed=13,
@@ -37,7 +33,7 @@ def golden_rows(three_wires):
     """Reference: serial per-master ``extract_row`` (no look-ahead)."""
     cfg = FRWConfig.frw_r(**BASE, executor="serial")
     with pytest.MonkeyPatch.context() as mp, FRWSolver(three_wires, cfg) as solver:
-        mp.setattr(engine, "PIPELINE_LOOKAHEAD", 0)
+        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         return [solver.extract_row(m) for m in range(3)]
 
 
@@ -133,7 +129,7 @@ def test_inflight_cap_bounds_discards(three_wires, backend):
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
     for s in result.stats:
-        assert s.discarded_batches <= engine.PIPELINE_LOOKAHEAD
+        assert s.discarded_batches <= cross_master.PIPELINE_LOOKAHEAD
 
 
 @pytest.mark.parametrize("n_workers", [2, 4, 8])
@@ -145,7 +141,7 @@ def test_thread_split_fills_the_pool(three_wires, golden_rows, n_workers):
     with FRWSolver(three_wires, cfg) as solver:
         row, stats = solver.extract_row(0)
         dispatches = solver._executor.dispatch_stats()["dispatches"]
-    chunks = -(-n_workers // (1 + engine.PIPELINE_LOOKAHEAD))
+    chunks = -(-n_workers // (1 + cross_master.PIPELINE_LOOKAHEAD))
     assert dispatches == chunks * stats.dispatched_batches
     golden_row, _ = golden_rows[0]
     assert np.array_equal(row.values, golden_row.values)
@@ -258,26 +254,63 @@ def test_lazy_registration_for_master_subset():
 
 
 # ----------------------------------------------------------------------
-# Quota split units
+# In-flight quota rule
 # ----------------------------------------------------------------------
-def test_allocate_quota_even_split():
-    q = allocate_quota(np.ones(3), total=9, min_share=1)
-    assert q.tolist() == [3, 3, 3]
+def _largest_remainder(weights, total, min_share=1):
+    """The largest-remainder allocator the driver used before its closed
+    form: ``min_share`` each, the rest split in proportion to ``weights``
+    with ties to the lowest index."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.shape[0]
+    quota = np.full(n, min_share, dtype=np.int64)
+    spare = int(total) - min_share * n
+    if spare <= 0:
+        return quota
+    wsum = float(weights.sum())
+    if wsum <= 0.0:
+        weights, wsum = np.ones(n), float(n)
+    shares = weights * (spare / wsum)
+    floors = np.floor(shares).astype(np.int64)
+    quota += floors
+    leftover = spare - int(floors.sum())
+    if leftover > 0:
+        order = np.argsort(-(shares - floors), kind="stable")
+        quota[order[:leftover]] += 1
+    return quota
 
 
-def test_allocate_quota_min_share_and_weights():
-    q = allocate_quota(np.array([0.0, 0.0, 10.0]), total=6, min_share=1)
-    assert q.tolist() == [1, 1, 4]
-    assert q.sum() == 6
+def test_allocate_quota_even_split(monkeypatch):
+    """A budget divisible by the live masters splits evenly."""
+    monkeypatch.setattr(cross_master, "PIPELINE_LOOKAHEAD", 8)
+    assert cross_master.inflight_quotas(3, 3).tolist() == [2, 2, 2]
+    assert cross_master.inflight_quotas(4, 4).tolist() == [2, 2, 2, 2]
+    assert cross_master.inflight_quotas(9, 1).tolist() == [1] * 9
 
 
-def test_allocate_quota_deterministic_ties():
-    a = allocate_quota(np.array([1.0, 1.0, 1.0]), total=5, min_share=1)
-    b = allocate_quota(np.array([1.0, 1.0, 1.0]), total=5, min_share=1)
-    assert a.tolist() == b.tolist()
-    assert a.sum() == 5
+def test_allocate_quota_deterministic_ties(monkeypatch):
+    """Equal shares leave a remainder that goes to the lowest-index
+    masters, the same way on every call."""
+    monkeypatch.setattr(cross_master, "PIPELINE_LOOKAHEAD", 8)
+    a = cross_master.inflight_quotas(3, 4)
+    b = cross_master.inflight_quotas(3, 4)
+    assert a.tolist() == b.tolist() == [3, 3, 2]
+    assert a.sum() == 8
 
 
-def test_allocate_quota_all_zero_weights_falls_back_even():
-    q = allocate_quota(np.zeros(4), total=8, min_share=1)
-    assert q.tolist() == [2, 2, 2, 2]
+@settings(max_examples=300, deadline=None)
+@given(
+    live=st.integers(min_value=1, max_value=299),
+    workers=st.integers(min_value=1, max_value=69),
+    lookahead=st.integers(min_value=0, max_value=3),
+)
+def test_inflight_quotas_match_the_even_largest_remainder_split(
+    live, workers, lookahead
+):
+    """The closed form is the old equal-weight largest-remainder split of
+    ``max(live, 2 * workers)`` batches, capped at ``1 + lookahead``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", lookahead)
+        got = cross_master.inflight_quotas(live, workers)
+    total = max(live, 2 * workers)
+    ref = np.minimum(_largest_remainder(np.ones(live), total), 1 + lookahead)
+    assert got.tolist() == ref.tolist()

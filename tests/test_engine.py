@@ -129,10 +129,8 @@ def test_pipelined_equals_plain_bitwise(plates, run_pipelined):
     ctx = ctx_for(plates)
     uids = np.arange(3000, dtype=np.uint64)
     plain = run_walks(ctx, WalkStreams(11, 0), uids)
-    for width, lookahead in [(256, 0), (256, 1), (512, 3), (3000, 1), (7, 2)]:
-        piped = run_pipelined(
-            ctx, WalkStreams(11, 0), uids, width=width, lookahead=lookahead
-        )
+    for width in (256, 512, 3000, 7):
+        piped = run_pipelined(ctx, WalkStreams(11, 0), uids, width=width)
         assert np.array_equal(piped.uids, plain.uids)
         assert np.array_equal(piped.omega, plain.omega)
         assert np.array_equal(piped.dest, plain.dest)
@@ -152,9 +150,7 @@ def test_pipeline_banks_batches_in_order(plates):
             return None
         return 0, np.arange(u * batch, (u + 1) * batch, dtype=np.uint64)
 
-    pipe = WalkPipeline(
-        ((ctx, WalkStreams(11, 0)),), feed, width=batch, lookahead=2
-    )
+    pipe = WalkPipeline(((ctx, WalkStreams(11, 0)),), feed, width=batch)
     ref = run_walks(ctx, WalkStreams(11, 0), np.arange(5 * batch, dtype=np.uint64))
     for u in range(5):
         res = pipe.next_batch()
@@ -181,9 +177,7 @@ def test_pipeline_mixed_length_batches(plates):
     def feed(u):
         return (0, batches[u]) if u < len(batches) else None
 
-    pipe = WalkPipeline(
-        ((ctx, WalkStreams(11, 0)),), feed, width=100, lookahead=2
-    )
+    pipe = WalkPipeline(((ctx, WalkStreams(11, 0)),), feed, width=100)
     all_uids = np.arange(offsets[-1], dtype=np.uint64)
     ref = run_walks(ctx, WalkStreams(11, 0), all_uids)
     for u, uids in enumerate(batches):
@@ -197,8 +191,8 @@ def test_pipeline_mixed_length_batches(plates):
 
 
 def test_pipeline_keeps_vector_width_full(plates):
-    """With lookahead, the active vector stays near `width` instead of
-    draining to a ragged tail at every batch boundary."""
+    """Refilling from later batches keeps the active vector near `width`
+    instead of draining to a ragged tail at every batch boundary."""
     from repro.frw import WalkPipeline
 
     ctx = ctx_for(plates)
@@ -214,7 +208,6 @@ def test_pipeline_keeps_vector_width_full(plates):
         ((ctx, WalkStreams(11, 0)),),
         feed,
         width=batch,
-        lookahead=2,
         trace=piped_trace,
     )
     while pipe.next_batch() is not None:
@@ -354,9 +347,7 @@ def test_engine_run_charges_dispatch_counts(plates, run_pipelined):
     ctx = ctx_for(plates)
     uids = np.arange(256, dtype=np.uint64)
     tm = StageTimers()
-    run_pipelined(
-        ctx, WalkStreams(11, 0), uids, width=64, prefetch=8, timers=tm
-    )
+    run_pipelined(ctx, WalkStreams(11, 0), uids, width=64, timers=tm)
     assert tm.steps > 0
     assert tm.counts["sample"] > 0
     assert tm.counts["retire"] > 0

@@ -6,8 +6,8 @@ independent of batching, pipelining, arena slot management, and executor
 scheduling.  Every engine entry point must reproduce them bit-for-bit:
 
 * the plain batch engine (``run_walks``),
-* the refill pipeline (``run_segments`` over consecutive batches),
-  pipelined and not,
+* the refill pipeline (``WalkPipeline`` over consecutive batches, with a
+  feed that holds later batches back or not) at every RNG prefetch depth,
 * thread-parallel chunked execution on a ``PersistentExecutor`` for
   ``n_workers`` in {1, 2, 4},
 * process-parallel execution over the shared-memory context plane, both
@@ -29,10 +29,12 @@ import repro.frw.engine as engine_mod
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
 from repro.frw import (
     PersistentExecutor,
+    WalkPipeline,
     build_context,
     run_walks,
     stream_spec,
 )
+from repro.frw.engine import concat_results
 from repro.lint.sanitizer import forbid_global_rng
 from repro.rng import WalkStreams
 
@@ -145,27 +147,42 @@ def test_scalar_reference_matches_golden_head(golden_case):
         assert int(res.steps[0]) == golden["steps_head"][i]
 
 
-@pytest.mark.parametrize("width,lookahead", [(64, 0), (64, 2), (96, 3)])
-def test_pipelined_engine_matches_golden(
-    golden_case, run_pipelined, width, lookahead
-):
+@pytest.mark.parametrize("width,ahead", [(64, 0), (64, 2), (96, 3)])
+def test_pipelined_engine_matches_golden(golden_case, width, ahead):
+    """``width``-walk batches through one refill vector whose feed holds
+    back every batch more than ``ahead`` past the oldest unemitted one
+    (``None``: "none yet", as the one-worker executor's queue answers).
+    At ``ahead = 0`` each batch drains alone; wider feeds refill across
+    batches.  The schedule never reaches a bit."""
     case, ctx, uids = golden_case
-    res = run_pipelined(
-        ctx, WalkStreams(SEED, 0), uids, width=width, lookahead=lookahead
-    )
-    _check(case, res)
+    batches = [uids[a : a + width] for a in range(0, uids.shape[0], width)]
+    emitted = 0
+
+    def feed(u):
+        if u >= len(batches) or u > emitted + ahead:
+            return None
+        return 0, batches[u]
+
+    pipe = WalkPipeline(((ctx, WalkStreams(SEED, 0)),), feed, width=width)
+    parts = []
+    while (res := pipe.next_batch()) is not None:
+        parts.append(res)
+        emitted += 1
+    assert emitted == len(batches)
+    _check(case, concat_results(uids, parts))
 
 
 @pytest.mark.parametrize("prefetch", [1, 2, 4, 8, 16])
-def test_prefetch_ring_matches_golden(golden_case, run_pipelined, prefetch):
+def test_prefetch_ring_matches_golden(
+    golden_case, run_pipelined, monkeypatch, prefetch
+):
     """The RNG prefetch ring is bit-invisible: every depth reproduces the
     scalar-reference goldens byte for byte (draws are pure functions of
     ``(seed, uid, step, slot)``, so *when* they are generated cannot
     matter — this pins that the ring bookkeeping preserves it)."""
     case, ctx, uids = golden_case
-    res = run_pipelined(
-        ctx, WalkStreams(SEED, 0), uids, width=64, prefetch=prefetch
-    )
+    monkeypatch.setattr(engine_mod, "RNG_PREFETCH_DEPTH", prefetch)
+    res = run_pipelined(ctx, WalkStreams(SEED, 0), uids, width=64)
     _check(case, res)
 
 

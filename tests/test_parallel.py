@@ -12,7 +12,7 @@ from repro.frw import (
     StageTimers,
     WalkPipeline,
     build_context,
-    engine,
+    cross_master,
     extract_row_alg2,
     make_batch_runner,
     run_walks,
@@ -138,7 +138,7 @@ def one_batch_reference(plates):
     """Serial row driven one batch at a time (no look-ahead)."""
     cfg = FRWConfig.frw_r(**_ROW_BASE, executor="serial")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "PIPELINE_LOOKAHEAD", 0)
+        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         return extract_row_alg2(build_context(plates, 0, cfg))
 
 
@@ -167,10 +167,10 @@ def test_extract_row_backends_bitwise(plates, one_batch_reference, kwargs):
     trades wall time only.  ``lookahead`` patches PIPELINE_LOOKAHEAD."""
     ref_row, ref_stats = one_batch_reference
     kwargs = dict(kwargs)
-    lookahead = kwargs.pop("lookahead", engine.PIPELINE_LOOKAHEAD)
+    lookahead = kwargs.pop("lookahead", cross_master.PIPELINE_LOOKAHEAD)
     cfg = FRWConfig.frw_r(**_ROW_BASE, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
+        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", lookahead)
         row, stats = extract_row_alg2(build_context(plates, 0, cfg))
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)
@@ -513,7 +513,7 @@ def test_serial_discarded_walks_are_launched_minus_counted(
     walks it counts; a lone master's next batch fills the slots its
     current one frees, so it runs past the stop (except without
     lookahead)."""
-    monkeypatch.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
+    monkeypatch.setattr(cross_master, "PIPELINE_LOOKAHEAD", lookahead)
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=256, min_walks=512, max_walks=512,
         executor="serial",

@@ -8,11 +8,11 @@ Three layers of guarantees:
    and through the ``MirroredDraws`` antithetic view (hypothesis property
    tests over uids/steps/depths), from a scratch footprint bounded by
    ``SPAN_TILE`` whatever the span shapes.
-2. Engine: a pipelined ``run_segments`` run reproduces the pinned scalar-reference
-   goldens at every ``prefetch`` depth (also pinned per-depth in
-   ``test_engine_golden``); the sequential MT ablation streams hand each
-   walk its next draws in order, so their spans run on the ring and stay
-   bit-identical too.
+2. Engine: a pipelined ``run_segments`` run reproduces the pinned
+   scalar-reference goldens at every prefetch depth (``RNG_PREFETCH_DEPTH``
+   patched; also pinned per-depth in ``test_engine_golden``); the
+   sequential MT ablation streams hand each walk its next draws in order,
+   so their spans run on the ring and stay bit-identical too.
 3. Extraction: rows are byte-identical across the engine's prefetch depth
    (:data:`repro.frw.engine.RNG_PREFETCH_DEPTH`, patched to {1, 2, 4, 8})
    x backends x n_workers {1, 2, 4}, antithetic off *and* on —
@@ -29,7 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FRWConfig
-from repro.frw import build_context, engine, extract_row_alg2, make_streams
+from repro.frw import (
+    build_context,
+    cross_master,
+    engine,
+    extract_row_alg2,
+    make_streams,
+)
 from repro.frw.engine import RNG_PREFETCH_DEPTH
 from repro.rng import MirroredDraws, WalkStreams
 from repro.rng.counter_stream import MAX_PREFETCH_STEPS, SPAN_TILE
@@ -154,7 +160,7 @@ def test_config_prefetch_knob_validation():
     assert 1 <= RNG_PREFETCH_DEPTH <= MAX_PREFETCH_STEPS
 
 
-def test_mt_streams_ring_bit_identical(run_pipelined):
+def test_mt_streams_ring_bit_identical(run_pipelined, monkeypatch):
     """The sequential MT ablation streams fill the ring too: a span hands
     each walk its next ``depth * count`` uniforms — what ``depth`` one-step
     calls would — so a deep ring leaves the walk bytes unchanged."""
@@ -163,16 +169,16 @@ def test_mt_streams_ring_bit_identical(run_pipelined):
     )
     cfg_mt = FRWConfig.frw_nc(seed=SEED)
     uids = np.arange(128, dtype=np.uint64)
-    base = run_pipelined(
-        ctx, make_streams(cfg_mt, 0), uids, width=64, prefetch=1
-    )
-    deep = run_pipelined(
-        ctx, make_streams(cfg_mt, 0), uids, width=64, prefetch=8
-    )
+    monkeypatch.setattr(engine, "RNG_PREFETCH_DEPTH", 1)
+    base = run_pipelined(ctx, make_streams(cfg_mt, 0), uids, width=64)
+    monkeypatch.setattr(engine, "RNG_PREFETCH_DEPTH", 8)
+    deep = run_pipelined(ctx, make_streams(cfg_mt, 0), uids, width=64)
     assert _digest(base) == _digest(deep)
 
 
-def test_wide_vectors_cross_fusion_threshold_bit_identical(run_pipelined):
+def test_wide_vectors_cross_fusion_threshold_bit_identical(
+    run_pipelined, monkeypatch
+):
     """A vector width past the adaptive-fusion budget starts with one-step
     ring refills and drops below the threshold as the walk population
     drains — one run mixes both fill depths, and the bytes still cannot
@@ -182,16 +188,12 @@ def test_wide_vectors_cross_fusion_threshold_bit_identical(run_pipelined):
     )
     n = 5000  # > SPAN_TILE / (2 * depth) for every depth tested
     uids = np.arange(n, dtype=np.uint64)
-    ref = _digest(
-        run_pipelined(
-            ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=1
-        )
-    )
+    monkeypatch.setattr(engine, "RNG_PREFETCH_DEPTH", 1)
+    ref = _digest(run_pipelined(ctx, WalkStreams(SEED, 0), uids, width=n))
     for depth in (2, 8):
         assert n > SPAN_TILE // (2 * depth)  # crosses the budget
-        res = run_pipelined(
-            ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=depth
-        )
+        monkeypatch.setattr(engine, "RNG_PREFETCH_DEPTH", depth)
+        res = run_pipelined(ctx, WalkStreams(SEED, 0), uids, width=n)
         assert _digest(res) == ref
 
 
@@ -219,7 +221,7 @@ def _extract(structure, depth, lookahead=None, **overrides):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "RNG_PREFETCH_DEPTH", depth)
         if lookahead is not None:
-            mp.setattr(engine, "PIPELINE_LOOKAHEAD", lookahead)
+            mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", lookahead)
         return extract_row_alg2(build_context(structure, 0, cfg))
 
 

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro import Box, Conductor, FRWConfig, Structure
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GeometryError
 from repro.frw import shm
 from repro.frw.context import SharedAssets, build_context
-from repro.frw.scheduler import allocate_quota, backlog_weights
 from repro.frw.solver import FRWSolver
 from repro.geometry import structure_to_dict
 from repro.greens import get_cube_table
@@ -59,6 +58,13 @@ REMOVED_CONFIG_FIELDS = {
     "far_field": True,
     "chunk_size": 0,
     "pipeline_lookahead": 1,
+}
+
+
+#: Structure documents whose dielectric or enclosure has the wrong shape.
+MALFORMED_FIELDS = {
+    "dielectric": {"dielectric": [1, 2]},
+    "enclosure": {"enclosure": [0, 0, 0]},
 }
 
 
@@ -140,21 +146,6 @@ class TestSharedAssetsBounds:
 # ----------------------------------------------------------------------
 
 class TestPriorityScheduling:
-    def test_backlog_weights(self):
-        weights = backlog_weights(np.array([2.0, 8.0]), np.array([4.0, 1.0]))
-        assert weights.tolist() == [8.0, 8.0]
-        assert backlog_weights(np.array([-1.0, 3.0])).tolist() == [0.0, 3.0]
-
-    def test_quota_reserves_interactive_slot(self):
-        service = ExtractionService(ServiceSettings(slots=1))
-        try:
-            # A deep bulk queue cannot buy the only slot away from a
-            # non-empty interactive queue.
-            quota = service._quota((1, 1000))
-            assert quota[0] >= 1
-        finally:
-            service.close()
-
     def test_pick_class_prefers_interactive(self):
         service = ExtractionService(ServiceSettings(slots=1))
         service.close()  # workers gone; scheduling logic is still testable
@@ -166,14 +157,41 @@ class TestPriorityScheduling:
         service._queues["bulk"].clear()
         assert service._pick_class() is None
 
-    def test_multi_slot_quota_serves_both_classes(self):
-        service = ExtractionService(ServiceSettings(slots=4))
-        try:
-            quota = service._quota((10, 10))
-            assert quota.sum() <= 4 + 1  # forced interactive floor at most
-            assert quota[0] >= 1 and quota[1] >= 1
-        finally:
-            service.close()
+    @pytest.mark.parametrize(
+        "slots,table",
+        [
+            (1, {(0, 0): "interactive"}),
+            (2, {(0, 0): "interactive", (1, 0): "bulk", (0, 1): "interactive"}),
+            (
+                3,
+                {
+                    (0, 0): "interactive",
+                    (1, 0): "bulk",
+                    (0, 1): "interactive",
+                    (2, 0): "bulk",
+                    (1, 1): "interactive",
+                    (0, 2): "interactive",
+                },
+            ),
+        ],
+        ids=["1", "2", "3"],
+    )
+    def test_pick_class_state_table(self, slots, table):
+        """``(interactive running, bulk running) -> pick`` for every state
+        with a free slot while both classes queue: interactive first, bulk
+        only while interactive holds a slot and bulk none.  A deep bulk
+        queue never takes the only slot, and at two slots both classes
+        run."""
+        service = ExtractionService(ServiceSettings(slots=slots))
+        service.close()
+        service._queues["interactive"].append("i")
+        service._queues["bulk"].extend(["b"] * 1000)
+        assert set(table) == {
+            (i, b) for i in range(slots) for b in range(slots - i)
+        }
+        for (i, b), pick in table.items():
+            service._running.update(interactive=i, bulk=b)
+            assert service._pick_class() == pick, (i, b)
 
     def test_interactive_overtakes_queued_bulk(self):
         """With one slot, an interactive request jumps the bulk backlog."""
@@ -308,6 +326,15 @@ class TestMemoization:
                     ConfigError, match=rf"unknown config field\(s\): {name}$"
                 ):
                     service.submit(request_for(small_structure(), config=config))
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+    def test_malformed_structure_is_a_geometry_error(self, field):
+        structure = {
+            **structure_to_dict(small_structure()), **MALFORMED_FIELDS[field]
+        }
+        with ExtractionService(ServiceSettings(slots=1)) as service:
+            with pytest.raises(GeometryError, match="malformed structure"):
+                service.submit({"structure": structure})
 
     def test_submit_after_close_raises(self):
         service = ExtractionService(ServiceSettings(slots=1))
@@ -567,3 +594,31 @@ class TestHTTP:
             assert json.loads(body)["error"].endswith(
                 f"unknown config field(s): {name}"
             )
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+    def test_malformed_structure_is_400(self, live_server, field):
+        structure = {
+            **structure_to_dict(small_structure()), **MALFORMED_FIELDS[field]
+        }
+        status, body = live_server._request(
+            "POST", "/extract", {"structure": structure}
+        )
+        assert status == 400
+        assert "malformed structure" in json.loads(body)["error"]
+
+    def test_unexpected_error_is_500(self, live_server):
+        """An exception the router does not expect still gets a JSON 500,
+        and the server keeps serving."""
+
+        def broken_submit(self, request):
+            raise RuntimeError("submit failed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExtractionService, "submit", broken_submit)
+            status, body = live_server._request(
+                "POST", "/extract", request_for(small_structure())
+            )
+        assert status == 500
+        assert json.loads(body) == {"error": "RuntimeError: submit failed"}
+        assert live_server.health()["ok"] is True
+        assert not live_server.extract(small_structure(), BASE_CONFIG)["cached"]

@@ -60,6 +60,22 @@ def test_malformed_document_raises():
         structure_from_dict({"conductors": [{"name": "a", "boxes": [[0, 0, 0]]}]})
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"dielectric": [1, 2]},
+        {"dielectric": {"eps": "ab"}},
+        {"enclosure": [0, 0, 0]},
+        {"enclosure": 5},
+    ],
+)
+def test_malformed_dielectric_or_enclosure_raises(extra):
+    """Every field is parsed under the same guard as the conductors."""
+    data = {"conductors": [{"name": "a", "boxes": [[0, 0, 0, 1, 1, 1]]}]}
+    with pytest.raises(GeometryError, match="malformed structure document"):
+        structure_from_dict({**data, **extra})
+
+
 def test_dict_is_json_serialisable():
     d = structure_to_dict(build_case(1, "fast"))
     json.dumps(d)  # must not raise
