@@ -38,4 +38,5 @@ def fixed_budget_config(walk_budget):
         min_walks=walk_budget,
         max_walks=walk_budget,
         tolerance=0.5,
+        antithetic=False,
     )

@@ -14,6 +14,7 @@ from repro.frw import build_context, extract_row_alg1, extract_row_alg2
 
 
 def budget_cfg(factory, walk_budget, **kw):
+    """A fixed-budget config of the paper's setup (no antithetic groups)."""
     return factory(
         seed=9,
         n_threads=16,
@@ -21,6 +22,7 @@ def budget_cfg(factory, walk_budget, **kw):
         min_walks=walk_budget,
         max_walks=walk_budget,
         tolerance=0.5,
+        antithetic=False,
         **kw,
     )
 

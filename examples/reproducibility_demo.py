@@ -23,6 +23,9 @@ def repeated_runs(structure, masters, factory, dops, machines):
             tolerance=2e-2,
             batch_size=2000,
             min_walks=2000,
+            # The paper's independent walks: antithetic groups would be
+            # absorbed in UID order, skipping the merge replay shown here.
+            antithetic=False,
         )
         result = FRWSolver(structure, config).extract(masters)
         matrices.append(result.matrix.values)

@@ -198,9 +198,17 @@ class FRWConfig:
         worker counts, and start methods holds exactly as without the
         flag.  Requires ``rng="philox"`` (partners re-read the primary's
         counter words; the stateful MT ablation streams cannot express
-        that), a ``batch_size`` divisible by ``antithetic_group``, and a
-        variant other than ``alg1``.  Off by default; ``min_walks`` /
-        ``max_walks`` keep counting raw walks (groups × group size).
+        that), a ``batch_size`` divisible by ``antithetic_group``,
+        ``min_walks >= 2 * antithetic_group``, and a variant other than
+        ``alg1``; each violation is a ``ConfigError`` naming
+        ``antithetic=False`` as the fix.  On by default: its group-mean
+        error bars reach their nominal coverage (``tests/test_coverage.py``)
+        and it cuts walks to tolerance 1.1-2.8x on the benchmark suite.
+        :meth:`alg1` and :meth:`frw_nc` default it off, and the paper
+        experiments turn it off to keep the paper's sampling (grouped
+        accumulation skips the virtual-thread merge replay that Table II's
+        RI study measures).  ``min_walks`` / ``max_walks`` keep counting
+        raw walks (groups × group size).
     antithetic_group:
         Walks per antithetic group (2-8): 2 is the classic reflected
         pair ``u -> 1 - u``; 4 adds the half-rotated pair (dihedral
@@ -250,7 +258,7 @@ class FRWConfig:
     executor: str = "thread"
     n_workers: int = 0
     mp_start_method: str = "auto"
-    antithetic: bool = False
+    antithetic: bool = True
     antithetic_group: int = 2
     antithetic_depth: int = 1
     sanitize: bool = False
@@ -343,31 +351,31 @@ class FRWConfig:
                 f"{self.antithetic_depth}"
             )
         if self.antithetic:
+            fix = "; pass antithetic=False to sample without groups"
             if self.rng != "philox":
                 # Partners re-read the primary's counter words; the
                 # stateful MT ablation streams consume sequentially and
                 # cannot express shared draws.
                 raise ConfigError(
-                    "antithetic requires rng='philox', got "
-                    f"{self.rng!r}"
+                    f"antithetic requires rng='philox', got {self.rng!r}{fix}"
                 )
             if self.variant == "alg1":
                 raise ConfigError(
                     "antithetic requires the reproducible variants; "
-                    "alg1 has no per-walk UID streams to mirror"
+                    f"alg1 has no per-walk UID streams to mirror{fix}"
                 )
             if self.batch_size % self.antithetic_group != 0:
                 # Groups are aligned UID blocks; a batch boundary inside
                 # a group would split it across checkpoints.
                 raise ConfigError(
                     f"batch_size ({self.batch_size}) must be a multiple "
-                    f"of antithetic_group ({self.antithetic_group})"
+                    f"of antithetic_group ({self.antithetic_group}){fix}"
                 )
             if self.min_walks < 2 * self.antithetic_group:
                 raise ConfigError(
                     "min_walks must cover at least two antithetic "
                     f"groups ({2 * self.antithetic_group}), got "
-                    f"{self.min_walks}"
+                    f"{self.min_walks}{fix}"
                 )
 
     # ------------------------------------------------------------------
@@ -375,8 +383,10 @@ class FRWConfig:
     # ------------------------------------------------------------------
     @classmethod
     def alg1(cls, **kwargs) -> "FRWConfig":
-        """Baseline Alg. 1 of [1]: naive summation, isolated convergence."""
+        """Baseline Alg. 1 of [1]: naive summation, isolated convergence,
+        no antithetic groups (it has no per-walk UID streams)."""
         kwargs.setdefault("summation", "naive")
+        kwargs.setdefault("antithetic", False)
         return cls(variant="alg1", **kwargs)
 
     @classmethod
@@ -386,7 +396,9 @@ class FRWConfig:
 
     @classmethod
     def frw_nc(cls, **kwargs) -> "FRWConfig":
-        """FRW-R with Mersenne Twister per-walk reseeding."""
+        """FRW-R with Mersenne Twister per-walk reseeding (stateful
+        streams, so no antithetic groups)."""
+        kwargs.setdefault("antithetic", False)
         return cls(variant="frw-nc", rng="mt", **kwargs)
 
     @classmethod

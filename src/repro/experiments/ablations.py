@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..config import FRWConfig
 from ..frw import (
     build_context,
     jittered_durations,
@@ -29,7 +28,7 @@ from ..frw import (
     simulate_dynamic_queue,
 )
 from ..structures import build_case
-from .common import ExperimentRecord, Stopwatch, environment_info
+from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
 
 def _fixed_budget_row(structure, master, cfg, n_walks):
@@ -52,7 +51,7 @@ def batch_size_sweep(
     structure = build_case(case, "fast")
     rows = []
     with Stopwatch() as sw:
-        cfg = FRWConfig.frw_r(seed=seed)
+        cfg = paper_config("frw-r", seed=seed)
         ctx = build_context(structure, 0, cfg)
         streams = make_streams(cfg, 0)
         rng = np.random.default_rng(0)
@@ -86,7 +85,7 @@ def table_resolution_sweep(
     estimates = []
     with Stopwatch() as sw:
         for nf in resolutions:
-            cfg = FRWConfig.frw_r(seed=seed, table_resolution=nf)
+            cfg = paper_config("frw-r", seed=seed, table_resolution=nf)
             c_self, mean_steps, _ = _fixed_budget_row(structure, 0, cfg, n_walks)
             estimates.append(c_self)
             rows.append([nf, f"{c_self:.5f}", f"{mean_steps:.2f}"])
@@ -113,7 +112,7 @@ def absorption_sweep(
     rows = []
     with Stopwatch() as sw:
         for frac in fractions:
-            cfg = FRWConfig.frw_r(seed=seed, absorption_fraction=frac)
+            cfg = paper_config("frw-r", seed=seed, absorption_fraction=frac)
             c_self, mean_steps, _ = _fixed_budget_row(structure, 0, cfg, n_walks)
             rows.append([f"{frac:g}", f"{c_self:.5f}", f"{mean_steps:.2f}"])
     return ExperimentRecord(
@@ -138,7 +137,7 @@ def interface_snap_sweep(
     rows = []
     with Stopwatch() as sw:
         for frac in fractions:
-            cfg = FRWConfig.frw_r(seed=seed, interface_snap_fraction=frac)
+            cfg = paper_config("frw-r", seed=seed, interface_snap_fraction=frac)
             c_self, mean_steps, res = _fixed_budget_row(structure, 0, cfg, n_walks)
             rows.append(
                 [f"{frac:g}", f"{c_self:.5f}", f"{mean_steps:.2f}", res.truncated]

@@ -8,8 +8,26 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..config import FRWConfig
+
 #: Default directory for experiment outputs.
 RESULTS_DIR = Path("results")
+
+_FACTORIES = {
+    "alg1": FRWConfig.alg1,
+    "frw-nk": FRWConfig.frw_nk,
+    "frw-nc": FRWConfig.frw_nc,
+    "frw-r": FRWConfig.frw_r,
+    "frw-rr": FRWConfig.frw_rr,
+}
+
+
+def paper_config(variant: str, **kwargs) -> FRWConfig:
+    """The paper's setup of ``variant``: independent walks, no antithetic
+    groups.  Table II's RI study needs the virtual-thread merge replay,
+    which grouped accumulation skips, and every table keeps the sampling
+    the paper measured."""
+    return _FACTORIES[variant](antithetic=False, **kwargs)
 
 
 @dataclass

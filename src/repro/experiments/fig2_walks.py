@@ -10,10 +10,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..config import FRWConfig
 from ..frw import build_context, trace_walks
 from ..structures import build_case
-from .common import RESULTS_DIR, ExperimentRecord, Stopwatch, environment_info
+from .common import (
+    RESULTS_DIR,
+    ExperimentRecord,
+    Stopwatch,
+    environment_info,
+    paper_config,
+)
 
 _COLORS = ("#c03030", "#3060c0", "#30a050", "#a07020", "#8040a0", "#108090")
 
@@ -92,7 +97,7 @@ def run(
 ) -> ExperimentRecord:
     """Trace walks and write the Fig. 2 SVG."""
     structure = build_case(case, profile)
-    cfg = FRWConfig.frw_r(seed=seed)
+    cfg = paper_config("frw-r", seed=seed)
     with Stopwatch() as sw:
         ctx = build_context(structure, master, cfg)
         traces = trace_walks(ctx, list(range(n_walks)))

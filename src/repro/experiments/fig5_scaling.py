@@ -21,24 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_seconds, format_table
-from ..config import FRWConfig
 from ..frw import FRWSolver, jittered_durations, simulate_dynamic_queue, simulate_static_blocks
 from ..structures import build_case, case_masters
-from .common import ExperimentRecord, Stopwatch, environment_info
+from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
 VARIANTS = ("alg1", "frw-nc", "frw-r", "frw-rr")
 DEFAULT_THREADS = (1, 2, 4, 8, 16, 32)
-
-
-def _config(variant: str, **kwargs) -> FRWConfig:
-    factory = {
-        "alg1": FRWConfig.alg1,
-        "frw-nk": FRWConfig.frw_nk,
-        "frw-nc": FRWConfig.frw_nc,
-        "frw-r": FRWConfig.frw_r,
-        "frw-rr": FRWConfig.frw_rr,
-    }[variant]
-    return factory(**kwargs)
 
 
 def run(
@@ -61,7 +49,7 @@ def run(
         for variant in variants:
             base_modeled = None
             for t in thread_counts:
-                cfg = _config(
+                cfg = paper_config(
                     variant,
                     seed=seed,
                     n_threads=t,
@@ -129,7 +117,7 @@ def _load_balance_note(structure, master, seed, batch_size, threads=16) -> str:
     """Quantify the dynamic-queue advantage over static blocks (Sec. III-C)."""
     from ..frw import build_context, make_streams, run_walks
 
-    cfg = FRWConfig.frw_r(seed=seed, batch_size=batch_size)
+    cfg = paper_config("frw-r", seed=seed, batch_size=batch_size)
     ctx = build_context(structure, master, cfg)
     res = run_walks(ctx, make_streams(cfg, master), np.arange(batch_size, dtype=np.uint64))
     durations = jittered_durations(res.steps, np.random.default_rng(0), 0.05)

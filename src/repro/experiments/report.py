@@ -42,7 +42,11 @@ modeled from the exact virtual-thread schedule x measured single-core
 throughput (see DESIGN.md, "Substitutions").  Case profiles are the
 laptop-scale `fast` generators; the `paper` profile reproduces the paper's
 conductor counts exactly (Table I) but extractions at that scale are not
-attempted in Python.
+attempted in Python.  Every table samples walks independently, as the
+paper does: the harnesses build their configs with `antithetic=False`
+(`repro.experiments.common.paper_config`), although the solver default
+turns antithetic groups on.  Grouped accumulation would skip the
+virtual-thread merge replay that Table II's RI study measures.
 
 """
 

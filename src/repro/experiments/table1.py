@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..config import FRWConfig
 from ..frw import FRWSolver
 from ..structures import CASES, build_case, case_masters
-from .common import ExperimentRecord, Stopwatch, environment_info
+from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
 
 def measure_nc(structure, masters, seed: int = 1, walks: int = 4000) -> int:
@@ -25,7 +24,8 @@ def measure_nc(structure, masters, seed: int = 1, walks: int = 4000) -> int:
     observed hits on conductor i (couplings are symmetric); diagonal entries
     count once per master.
     """
-    cfg = FRWConfig.frw_r(
+    cfg = paper_config(
+        "frw-r",
         seed=seed,
         batch_size=walks,
         min_walks=walks,

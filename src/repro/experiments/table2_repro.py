@@ -18,27 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..config import FRWConfig
 from ..frw import FRWSolver
 from ..numerics import RIStats, reproducibility_indices
 from ..structures import CASES, build_case, case_masters
-from .common import ExperimentRecord, Stopwatch, environment_info
+from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
 #: Machine-seed bases for the two simulated machines.
 MACHINE_BASES = (0, 100_000)
 
 VARIANTS = ("alg1", "frw-nk", "frw-r", "frw-rr")
-
-
-def _config(variant: str, n_threads: int, machine_seed: int, **kwargs) -> FRWConfig:
-    factory = {
-        "alg1": FRWConfig.alg1,
-        "frw-nk": FRWConfig.frw_nk,
-        "frw-nc": FRWConfig.frw_nc,
-        "frw-r": FRWConfig.frw_r,
-        "frw-rr": FRWConfig.frw_rr,
-    }[variant]
-    return factory(n_threads=n_threads, machine_seed=machine_seed, **kwargs)
 
 
 def run_mode(
@@ -58,7 +46,7 @@ def run_mode(
     for base in MACHINE_BASES:
         for r in range(runs_per_machine):
             threads = fixed_threads if mode == "fixed" else (run_index % 32) + 1
-            cfg = _config(
+            cfg = paper_config(
                 variant,
                 n_threads=threads,
                 machine_seed=base + r,

@@ -19,23 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_scientific, format_seconds, format_table
-from ..config import FRWConfig
 from ..fdm import FDMExtractor
 from ..frw import FRWSolver
 from ..reliability import capacitance_error, check_properties
 from ..structures import build_case, case_masters
-from .common import ExperimentRecord, Stopwatch, environment_info
+from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
 VARIANTS = ("alg1", "frw-r", "frw-rr")
-
-
-def _config(variant: str, **kwargs) -> FRWConfig:
-    factory = {
-        "alg1": FRWConfig.alg1,
-        "frw-r": FRWConfig.frw_r,
-        "frw-rr": FRWConfig.frw_rr,
-    }[variant]
-    return factory(**kwargs)
 
 
 def reference_matrix(
@@ -48,7 +38,8 @@ def reference_matrix(
         sol = FDMExtractor(structure, resolution=fdm_resolution, method="auto").extract()
         return sol.capacitance[masters]
     if kind == "frw":
-        cfg = FRWConfig.frw_rr(
+        cfg = paper_config(
+            "frw-rr",
             seed=seed + 777,
             n_threads=1,
             tolerance=tolerance / 3.0,
@@ -88,7 +79,7 @@ def run(
                 structure, masters, reference, seed, tolerance, fdm_resolution
             )
             for variant in variants:
-                cfg = _config(
+                cfg = paper_config(
                     variant,
                     seed=seed,
                     n_threads=n_threads,

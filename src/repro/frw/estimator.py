@@ -298,14 +298,6 @@ class RowAccumulator:
 
     @property
     def self_relative_error(self) -> float:
-        """Relative standard error of the diagonal entry, cheaply."""
-        m = self.samples
-        if m < 2:
-            return math.inf
-        sw = self.sum_w.value[self.master]
-        sw2 = self.sum_w2.value[self.master]
-        if sw == 0.0:
-            return math.inf
-        mean = sw / m
-        ss = max(sw2 - m * mean * mean, 0.0)
-        return math.sqrt(ss / (m * (m - 1))) / abs(mean)
+        """Relative standard error of the diagonal entry (the stopping
+        metric), from the one variance formula in :meth:`row`."""
+        return self.row().self_relative_error

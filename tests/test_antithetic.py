@@ -10,11 +10,13 @@ Three layers of guarantees:
 2. Estimator: group-mean accumulation keeps the mean bit-consistent with
    the raw mean and reports the variance *of group means*; mismatched
    merges and grouped/ungrouped mixing raise instead of corrupting.
-3. Extraction: antithetic-off stays byte-identical to the pinned PR 6
+3. Extraction: antithetic-off stays byte-identical to the pinned engine
    goldens across {thread, fork, spawn, forkserver} x n_workers {1,2,4};
-   antithetic-on rows are bit-identical across the same matrix.
+   the default (antithetic-on) row is pinned and bit-identical across
+   {serial, thread, fork, spawn, forkserver} x n_workers {1,2,4}.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -259,7 +261,7 @@ def test_config_antithetic_knob_validation():
 def test_stream_spec_shape_depends_on_antithetic():
     """Off-path specs stay 3-tuples so worker pickle payloads are byte
     identical to pre-antithetic builds; on-path specs carry the knobs."""
-    off = stream_spec(FRWConfig.frw_r(seed=3), 1)
+    off = stream_spec(FRWConfig.frw_r(seed=3, antithetic=False), 1)
     assert off == ("philox", 3, 1)
     on = stream_spec(
         FRWConfig.frw_r(
@@ -390,8 +392,7 @@ def test_antithetic_off_matches_pinned_goldens(
     """antithetic=False must leave the walk bytes untouched: the engine
     fed through the (new) stream-spec plumbing still reproduces the PR 6
     golden digests on every backend, start method, and worker count."""
-    cfg = FRWConfig.frw_r(seed=SEED)
-    assert not cfg.antithetic  # the default is off
+    cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
     ctx = build_context(three_wires, 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
     kwargs = {} if start_method is None else {"mp_start_method": start_method}
@@ -403,18 +404,36 @@ def test_antithetic_off_matches_pinned_goldens(
 
 
 # ----------------------------------------------------------------------
-# Extraction: on-path bit-identity across the execution matrix
+# Extraction: the default row, pinned across the execution matrix
 # ----------------------------------------------------------------------
 
-_ANTI_BASE = dict(
+_ROW = dict(
     seed=13, n_threads=4, batch_size=256, min_walks=512, max_walks=1024,
-    tolerance=1e-6, antithetic=True,
+    tolerance=1e-6,
 )
+_ANTI_BASE = dict(_ROW, antithetic=True)
+
+#: SHA-256 of the default-config row (values, sigma2, hits) of the plates'
+#: master 0 under ``_ROW``: antithetic groups of 2, mirrored to depth 1.
+DEFAULT_ROW = {
+    "sha256": "d24ea30b783856f5e16ceb8e4bf93d1d7abb8844546fd1bbe14830d1d4b868bb",
+    "walks": 1024,
+    "total_steps": 10039,
+    "batches": 4,
+}
+
+
+def _row_digest(row) -> str:
+    h = hashlib.sha256()
+    for a in (row.values, row.sigma2, row.hits):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
 def anti_reference(plates):
-    cfg = FRWConfig.frw_r(**_ANTI_BASE, executor="serial")
+    cfg = FRWConfig.frw_r(**_ROW, executor="serial")
+    assert cfg.antithetic  # the default is on
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         return extract_row_alg2(build_context(plates, 0, cfg))
@@ -431,26 +450,39 @@ def anti_reference(plates):
         # ceil(14 / 2) = 7 work items of 36 or 37 UIDs: antithetic pairs
         # straddle item boundaries.
         dict(executor="thread", n_workers=14),
-        dict(executor="process", n_workers=2),
-        dict(executor="process", n_workers=4),
+        dict(executor="process", n_workers=2, mp_start_method="fork"),
+        dict(executor="process", n_workers=4, mp_start_method="fork"),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
         dict(executor="process", n_workers=2, mp_start_method="forkserver"),
+        dict(executor="process", n_workers=1, mp_start_method="fork"),
+        dict(executor="process", n_workers=1, mp_start_method="spawn"),
+        dict(executor="process", n_workers=4, mp_start_method="spawn"),
     ],
 )
 def test_antithetic_on_bitwise_across_backends(plates, anti_reference, kwargs):
-    """The acceptance criterion: with antithetic sampling enabled, the
-    extracted row is bitwise identical across executor backends, worker
-    counts, and process start methods — the partner transform is inside
-    the per-UID draw function, so the schedule cannot touch it."""
+    """The default row (antithetic sampling on) is the pinned digest on
+    every executor backend, worker count and process start method: the
+    partner transform is inside the per-UID draw function, so the
+    schedule cannot touch it."""
     ref_row, ref_stats = anti_reference
-    cfg = FRWConfig.frw_r(**_ANTI_BASE, **kwargs)
+    assert _row_digest(ref_row) == DEFAULT_ROW["sha256"]
+    cfg = FRWConfig.frw_r(**_ROW, **kwargs)
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
-    assert np.array_equal(row.values, ref_row.values)
-    assert np.array_equal(row.sigma2, ref_row.sigma2)
-    assert np.array_equal(row.hits, ref_row.hits)
-    assert row.walks == ref_row.walks
-    assert row.total_steps == ref_row.total_steps
-    assert stats.batches == ref_stats.batches
+    assert _row_digest(row) == DEFAULT_ROW["sha256"]
+    assert row.walks == DEFAULT_ROW["walks"]
+    assert row.total_steps == DEFAULT_ROW["total_steps"]
+    assert stats.batches == DEFAULT_ROW["batches"]
+
+
+def test_default_row_is_bitwise_dop_independent(plates):
+    """Group means are absorbed in UID order, so the default row is the
+    pinned digest (made at ``n_threads=4``) at any virtual-thread DOP,
+    without ``deterministic_merge``."""
+    for n_threads in (1, 3, 16):
+        cfg = FRWConfig.frw_r(**dict(_ROW, n_threads=n_threads), executor="serial")
+        assert not cfg.deterministic_merge
+        row, _ = extract_row_alg2(build_context(plates, 0, cfg))
+        assert _row_digest(row) == DEFAULT_ROW["sha256"]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -492,7 +524,7 @@ def test_antithetic_estimate_agrees_with_plain(plates):
         tolerance=1e-9, executor="serial",
     )
     off_row, _ = extract_row_alg2(
-        build_context(plates, 0, FRWConfig.frw_r(**base))
+        build_context(plates, 0, FRWConfig.frw_r(**base, antithetic=False))
     )
     on_row, _ = extract_row_alg2(
         build_context(plates, 0, FRWConfig.frw_r(**base, antithetic=True))
@@ -517,7 +549,7 @@ def test_solver_meta_records_antithetic(three_wires):
     assert meta == {"group": 2, "depth": 1}
     off = FRWConfig.frw_r(
         seed=4, batch_size=256, min_walks=512, max_walks=512,
-        executor="serial",
+        executor="serial", antithetic=False,
     )
     with FRWSolver(three_wires, off) as solver:
         result = solver.extract([0])

@@ -42,10 +42,10 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
     values = {
         "context.index_builds": 1,
         "parallel.published_mb": 0.574,
-        "index.candidates_per_near_point": 3.452,
-        "cross_master.discarded_batches": 1.5,
-        "engine.rng_dispatches": 2060,
-        "parallel.dispatches": 10,
+        "index.candidates_per_near_point": 3.554,
+        "cross_master.discarded_batches": 0,
+        "engine.rng_dispatches": 1866,
+        "parallel.dispatches": 8,
         "latency_ms": 2500.0,
     }
     run = {

@@ -22,6 +22,36 @@ def test_named_constructors():
     assert FRWConfig.frw_rr().uses_regularization
 
 
+def test_antithetic_is_on_except_in_the_stream_free_presets():
+    """Antithetic groups of 2, mirrored to depth 1, are the default; the
+    presets without per-walk UID streams (Alg. 1, MT reseeding) default
+    them off, and an explicit value still wins."""
+    for factory in (FRWConfig, FRWConfig.frw_r, FRWConfig.frw_rr, FRWConfig.frw_nk):
+        cfg = factory()
+        assert cfg.antithetic
+        assert (cfg.antithetic_group, cfg.antithetic_depth) == (2, 1)
+    assert not FRWConfig.alg1().antithetic
+    assert not FRWConfig.frw_nc().antithetic
+    with pytest.raises(ConfigError, match="pass antithetic=False"):
+        FRWConfig.frw_nc(antithetic=True)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(rng="mt"),
+        dict(variant="alg1"),
+        dict(batch_size=1001),
+        dict(min_walks=3),
+    ],
+    ids=["mt", "alg1", "odd_batch", "min_walks"],
+)
+def test_antithetic_errors_name_the_fix(kwargs):
+    with pytest.raises(ConfigError, match="pass antithetic=False"):
+        FRWConfig(**kwargs)
+    assert not FRWConfig(**kwargs, antithetic=False).antithetic
+
+
 def test_with_replaces_fields():
     cfg = FRWConfig(seed=1).with_(seed=2, n_threads=8)
     assert cfg.seed == 2

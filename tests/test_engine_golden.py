@@ -108,7 +108,8 @@ def _build_structure(case: str) -> Structure:
 @pytest.fixture(scope="module", params=["homogeneous", "stratified"])
 def golden_case(request):
     case = request.param
-    ctx = build_context(_build_structure(case), 0, FRWConfig.frw_r(seed=SEED))
+    cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
+    ctx = build_context(_build_structure(case), 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
     return case, ctx, uids
 
@@ -217,9 +218,8 @@ def test_spawn_parallel_matches_golden(golden_case, n_workers):
 def test_stratified_case_exercises_interface_snapping(monkeypatch):
     """The stratified golden case must actually take hemisphere steps —
     otherwise it would not cover the interface-snap path it claims to."""
-    ctx = build_context(
-        _build_structure("stratified"), 0, FRWConfig.frw_r(seed=SEED)
-    )
+    cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
+    ctx = build_context(_build_structure("stratified"), 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
     calls = []
     original = engine_mod.interface_hemisphere_direction

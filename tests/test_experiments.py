@@ -8,8 +8,10 @@ orderings, not the publication-grade statistics.
 import numpy as np
 import pytest
 
+from repro import FRWConfig
 from repro.experiments import (
     ExperimentRecord,
+    ablations,
     fig2_walks,
     fig5_scaling,
     table1,
@@ -90,3 +92,32 @@ def test_fig2_svg(tmp_path):
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 3
     assert len(record.rows) == 3
+
+
+def test_every_experiment_config_samples_without_groups(tmp_path, monkeypatch):
+    """The paper experiments keep the paper's setup: every config any
+    harness builds has antithetic sampling off (Table II's RI study needs
+    the virtual-thread merge replay that grouped accumulation skips)."""
+    seen = []
+    post_init = FRWConfig.__post_init__
+
+    def recording(self):
+        seen.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FRWConfig, "__post_init__", recording)
+    monkeypatch.chdir(tmp_path)
+    table1.run(cases=[1])
+    table2_repro.run(
+        case=1, runs_per_machine=1, tolerance=0.3, batch_size=200, masters=[0]
+    )
+    fig5_scaling.run(
+        case=1, thread_counts=(1,), tolerance=0.3, batch_size=200, masters=[0]
+    )
+    table3_reliability.run(cases=[1], tolerance=0.3, batch_size=200, max_masters=1)
+    fig2_walks.run(case=1, n_walks=1, output=tmp_path / "walks.svg")
+    ablations.batch_size_sweep(batch_sizes=(64,))
+    ablations.table_resolution_sweep(resolutions=(4, 8), n_walks=64)
+    ablations.absorption_sweep(fractions=(0.2,), n_walks=64)
+    ablations.interface_snap_sweep(fractions=(0.05,), n_walks=64)
+    assert seen and not [cfg for cfg in seen if cfg.antithetic]

@@ -31,7 +31,7 @@ def _run_once(backend, ctx, uids, n_workers, items=None):
 
 
 def test_parallel_matches_serial_bitwise(plates):
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
+    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(2000, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
     parallel = _run_once("thread", ctx, uids, n_workers=4)
@@ -51,7 +51,7 @@ def test_parallel_chunking_irrelevant(plates):
 
 
 def test_single_worker_shortcut(plates):
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
+    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(100, dtype=np.uint64)
     res = _run_once("thread", ctx, uids, 1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
@@ -60,7 +60,7 @@ def test_single_worker_shortcut(plates):
 
 def test_process_pool_matches_serial(plates):
     """The distributed-memory backend: bit-identical to the serial engine."""
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
+    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
     procs = _run_once("process", ctx, uids, n_workers=2, items=4)
@@ -69,7 +69,7 @@ def test_process_pool_matches_serial(plates):
 
 
 def test_process_pool_single_worker_shortcut(plates):
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
+    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(50, dtype=np.uint64)
     res = _run_once("process", ctx, uids, n_workers=1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
@@ -85,7 +85,7 @@ def test_process_pool_single_worker_shortcut(plates):
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_persistent_executor_bitwise(plates, backend, n_workers):
     """Any backend at any worker count is bit-identical to the serial engine."""
-    cfg = FRWConfig.frw_r(seed=77)
+    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
@@ -100,7 +100,7 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
 
 def test_persistent_executor_reused_across_masters(plates):
     """One pool serves several registered contexts (masters)."""
-    cfg = FRWConfig.frw_r(seed=5)
+    cfg = FRWConfig.frw_r(seed=5, antithetic=False)
     with PersistentExecutor("thread", n_workers=2) as ex:
         for master in (0, 1):
             ctx = build_context(plates, master, cfg)
@@ -129,7 +129,7 @@ def test_executor_close_idempotent():
 
 _ROW_BASE = dict(
     seed=13, n_threads=4, batch_size=256, min_walks=512,
-    max_walks=1024, tolerance=1e-6,
+    max_walks=1024, tolerance=1e-6, antithetic=False,
 )
 
 
@@ -217,7 +217,9 @@ def test_make_batch_runner_one_worker(plates):
     """executor='thread' with one worker makes (and hands over) a
     one-worker executor, so the default config is safe on single-core
     hosts; ``timers`` becomes its stage timers."""
-    cfg = FRWConfig.frw_r(seed=77, batch_size=64, executor="thread", n_workers=1)
+    cfg = FRWConfig.frw_r(
+        seed=77, batch_size=64, executor="thread", n_workers=1, antithetic=False
+    )
     ctx = build_context(plates, 0, cfg)
     timers = StageTimers()
     runner, owned = make_batch_runner(ctx, cfg, timers=timers)
@@ -238,7 +240,9 @@ def test_make_batch_runner_one_worker(plates):
 def test_make_batch_runner_on_a_pool(plates):
     """A pool runner runs a batch through the executor's one packed
     dispatch path and owns the pool it created."""
-    cfg = FRWConfig.frw_r(seed=77, batch_size=64, executor="thread", n_workers=2)
+    cfg = FRWConfig.frw_r(
+        seed=77, batch_size=64, executor="thread", n_workers=2, antithetic=False
+    )
     ctx = build_context(plates, 0, cfg)
     runner, owned = make_batch_runner(ctx, cfg)
     assert owned is not None
@@ -268,7 +272,7 @@ def test_spawn_backend_bitwise(plates, n_workers):
     """The spawn start method inherits nothing — everything the workers
     see travels through the manifest protocol.  Bit-identity here is the
     proof the shared-memory plane carries the full context."""
-    cfg = FRWConfig.frw_r(seed=77)
+    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
@@ -286,7 +290,7 @@ def test_spawn_backend_bitwise(plates, n_workers):
 def test_second_wave_registration_keeps_pool(plates):
     """Registering more contexts must publish blocks, not restart the
     pool: the worker PID set is unchanged across registration waves."""
-    cfg = FRWConfig.frw_r(seed=5)
+    cfg = FRWConfig.frw_r(seed=5, antithetic=False)
     with PersistentExecutor("process", n_workers=2) as ex:
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
@@ -350,7 +354,7 @@ def test_executors_share_asset_blocks(plates):
     """Two process executors in one process that register contexts over
     the same table object share its block; closing one leaves the other
     able to dispatch."""
-    cfg = FRWConfig.frw_r(seed=77)
+    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx0 = build_context(plates, 0, cfg)
     ctx1 = build_context(plates, 1, cfg)
     assert ctx0.table is ctx1.table
@@ -391,7 +395,7 @@ def test_close_lets_dispatched_chunks_finish(plates):
     the pool's result-queue lock, and the pool teardown then deadlocks.
     The items of every call must be waited for, not only the last call's:
     four one-batch calls, then one call packing two batches."""
-    cfg = FRWConfig.frw_r(seed=77)
+    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(3072, dtype=np.uint64)
     ex = PersistentExecutor("process", n_workers=2)
@@ -555,7 +559,9 @@ def test_serial_schedule_on_suite_structures(
     look-ahead discarded 30,000 and 290,000 walks), and a lone master
     launches what it always did."""
     structure = _open_field() if case == "open_field" else build_case(5)
-    cfg = FRWConfig.frw_rr(seed=145, executor="serial", **overrides)
+    cfg = FRWConfig.frw_rr(
+        seed=145, executor="serial", antithetic=False, **overrides
+    )
     with FRWSolver(structure, cfg) as solver:
         result = solver.extract()
         assert result.matrix.meta["schedule"]["discarded_walks"] <= max_discarded
@@ -596,7 +602,7 @@ def test_discarded_unfed_batch_is_never_launched(plates, launched):
     """A one-worker batch runs only when the vector reaches it: discarded
     while still queued it launches nothing, and discarded after the
     vector fed it, it reports the walks launched so far."""
-    cfg = FRWConfig.frw_r(seed=77)
+    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(256, dtype=np.uint64)
     with PersistentExecutor("serial") as ex:

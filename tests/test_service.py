@@ -61,6 +61,15 @@ REMOVED_CONFIG_FIELDS = {
 }
 
 
+#: Request configs that conflict with antithetic sampling, which is on
+#: unless a request turns it off.
+ANTITHETIC_CONFLICTS = {
+    "mt": {"rng": "mt"},
+    "alg1": {"variant": "alg1"},
+    "odd_batch": {"batch_size": 127},
+    "min_walks": {"min_walks": 3},
+}
+
 #: Structure documents whose dielectric or enclosure has the wrong shape.
 MALFORMED_FIELDS = {
     "dielectric": {"dielectric": [1, 2]},
@@ -594,6 +603,20 @@ class TestHTTP:
             assert json.loads(body)["error"].endswith(
                 f"unknown config field(s): {name}"
             )
+
+    @pytest.mark.parametrize("conflict", sorted(ANTITHETIC_CONFLICTS))
+    def test_antithetic_conflict_is_400_naming_the_fix(self, live_server, conflict):
+        """A config the antithetic default rejects gets 400 with the
+        ConfigError that names ``antithetic=False``; with it, the same
+        request solves."""
+        config = {**BASE_CONFIG, **ANTITHETIC_CONFLICTS[conflict]}
+        status, body = live_server._request(
+            "POST", "/extract", request_for(small_structure(), config=config)
+        )
+        assert status == 400
+        assert "pass antithetic=False" in json.loads(body)["error"]
+        config["antithetic"] = False
+        assert not live_server.extract(small_structure(), config)["cached"]
 
     @pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
     def test_malformed_structure_is_400(self, live_server, field):
