@@ -2,7 +2,7 @@
 
 The runtime-vs-threads figure is driven by (a) raw walk throughput and (b)
 schedule quality.  These benchmarks time the vectorised engine, the
-dynamic-queue simulation across thread counts, and the real thread-pool
+dynamic-queue simulation across thread counts, and the real process-pool
 executor.
 """
 
@@ -39,11 +39,11 @@ def test_static_blocks_simulation(benchmark):
     benchmark(simulate_static_blocks, durations, 16)
 
 
-def test_thread_pool_executor(benchmark, ctx_case1):
+def test_process_pool_executor(benchmark, ctx_case1):
     uids = np.arange(2000, dtype=np.uint64)
 
     def run():
-        with PersistentExecutor("thread", n_workers=2) as ex:
+        with PersistentExecutor("process", n_workers=2) as ex:
             key = ex.register(ctx_case1, ("philox", 9, 0))
             return ex.run(key, uids).dest.shape[0]
 

@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .analysis.tables import format_table
-from .config import FRWConfig, VARIANTS
+from .config import EXECUTOR_KINDS, FRWConfig, VARIANTS
 from .frw import FRWSolver
 from .reliability import check_properties
 from .structures import CASES, build_case, case_masters
@@ -87,7 +87,7 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--executor",
         default="serial",
-        choices=["serial", "thread", "process"],
+        choices=EXECUTOR_KINDS,
         help="walk executor backend used by every slot",
     )
     p.add_argument(

@@ -22,7 +22,7 @@ from .errors import ConfigError
 VARIANTS = ("alg1", "frw-nk", "frw-nc", "frw-r", "frw-rr")
 RNG_KINDS = ("philox", "mt")
 SUMMATION_KINDS = ("kahan", "naive")
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
 
 #: Config fields that determine the extracted bits.  Two extractions of the
@@ -63,8 +63,8 @@ RESULT_FIELDS = (
 
 #: Config fields certified bit-invisible by the golden suites: they change
 #: wall time, scheduling, or diagnostics only, never a result bit.  The
-#: service's canonical hash ignores them, so e.g. a thread-backend request
-#: hits a row cached by a process-backend solve.  Every ``FRWConfig``
+#: service's canonical hash ignores them, so e.g. a serial request hits a
+#: row cached by a process-backend solve.  Every ``FRWConfig``
 #: field must appear in exactly one of the two tuples (enforced by
 #: ``tests/test_canonical.py``); a new field must be classified before the
 #: suite passes, which keeps the cache key honest by construction.
@@ -154,26 +154,29 @@ class FRWConfig:
         regardless of the schedule, guaranteeing bitwise-identical results
         (RI = 17) for any DOP.
     executor:
-        Real-concurrency backend executing walk batches: ``"serial"``,
-        ``"thread"`` (persistent thread pool; NumPy releases the GIL in its
-        inner loops), or ``"process"`` (persistent process pool; contexts
-        reach its workers through the shared-memory plane,
-        :mod:`repro.frw.shm`).  Every backend drives its batches through
-        the one Alg. 2 batch driver (:mod:`repro.frw.cross_master`): on a
+        Backend executing walk batches: ``"serial"`` (the default: one
+        worker, in-process, on one engine vector shared by every master)
+        or ``"process"`` (persistent process pool; contexts reach its
+        workers through the shared-memory plane, :mod:`repro.frw.shm`).
+        There is no thread backend: the engine makes ~110 small NumPy
+        calls per step, so threads contend for the GIL and run slower
+        than one worker.  Both backends drive their batches through the
+        one Alg. 2 batch driver (:mod:`repro.frw.cross_master`): on the
         pool, each allocation round's batches of all masters are packed
-        into at most one work item per worker (a lone batch is split only
-        as far as the pool needs), and each item runs its pieces through
-        one engine vector that refills from batch to batch; ``"serial"`` is
-        the same rule at one worker, in-process, on one vector shared by
-        every master.  Results are reassembled in UID order, so all backends are
-        bit-identical to the serial engine — real parallelism changes wall
-        time only, which is the DOP-independence contract of Alg. 2.
+        into at most one work item per worker (a lone batch is split
+        over the workers the live masters leave idle), and each item runs
+        its pieces through one engine vector that refills from batch to
+        batch; ``"serial"`` is the same rule at one worker.  Results are
+        reassembled in UID order, so both backends are bit-identical —
+        real parallelism changes wall time only, which is the
+        DOP-independence contract of Alg. 2.
     n_workers:
-        Workers of the real executor; ``0`` means auto (the CPUs this
+        Workers of the process backend; ``0`` means auto (the CPUs this
         process may actually run on — ``os.sched_getaffinity`` where
         available, so containerized/affinity-restricted hosts size pools
-        correctly — falling back to the host CPU count).  With one worker
-        every backend runs serially.
+        correctly — falling back to the host CPU count).  ``"serial"``
+        always runs one worker, and a one-worker process backend runs
+        serially too, with no pool.
     mp_start_method:
         Start method of the process backend: ``"fork"``, ``"spawn"``,
         ``"forkserver"``, or ``"auto"`` (fork where available, else
@@ -255,7 +258,7 @@ class FRWConfig:
     scheduler_jitter: float = 0.05
     machine_seed: int = 0
     deterministic_merge: bool = False
-    executor: str = "thread"
+    executor: str = "serial"
     n_workers: int = 0
     mp_start_method: str = "auto"
     antithetic: bool = True

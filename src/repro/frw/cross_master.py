@@ -18,18 +18,15 @@ convergence tail never idles the pool while master ``i+1`` waits:
   cannot flood the pool with batches it will discard;
 * each allocation round sends its ``k`` new batches, of all masters, in
   one :meth:`~repro.frw.parallel.PersistentExecutor.run_async` call with
-  ``min(workers, k * c)`` work items.  ``c`` is the per-batch item count:
-  ``ceil(workers / live)`` on processes (a batch over the workers the live
-  masters leave idle) and ``ceil(workers / (live * (1 +
-  PIPELINE_LOOKAHEAD)))`` on threads (only until the capped in-flight
-  batches cover the workers — the workers share one interpreter, so a
-  needless split only narrows each engine vector).  When ``k * c <=
-  workers`` every batch is cut into ``c`` items of its own, as if it
-  were dispatched alone; otherwise each worker gets one item whose engine
-  vector refills from batch to batch, so the batches' drain tails overlap
-  instead of running back to back.  At one worker (serial) the live
-  masters share one engine vector: two or more hold one batch each and
-  speculate nothing, and a lone master's second batch fills its tail.
+  ``min(workers, k * c)`` work items, where ``c = ceil(workers / live)``
+  is the per-batch item count: a batch spreads over the workers the live
+  masters leave idle.  When ``k * c <= workers`` every batch is cut into
+  ``c`` items of its own, as if it were dispatched alone; otherwise each
+  worker gets one item whose engine vector refills from batch to batch,
+  so the batches' drain tails overlap instead of running back to back.
+  At one worker (serial) the live masters share one engine vector: two
+  or more hold one batch each and speculate nothing, and a lone master's
+  second batch fills its tail.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
@@ -158,8 +155,6 @@ def extract_rows_interleaved(
     """
     workers = executor.n_workers
     wave = resolve_wave(workers)
-    cap = 1 + PIPELINE_LOOKAHEAD
-    split = executor.backend == "process"
     overrides = thread_overrides or {}
 
     def master_config(master: int) -> FRWConfig:
@@ -199,11 +194,10 @@ def extract_rows_interleaved(
                     (st, st.next_batch())
                     for _ in range(quota - len(st.inflight))
                 ]
-            # One call per round: c items per batch (a process batch over
-            # the workers the live masters leave idle, a thread batch until
-            # the capped in-flight batches cover the workers), packed into
-            # at most one item per worker.
-            c = -(-workers // (n if split else n * cap))
+            # One call per round: c items per batch (a batch over the
+            # workers the live masters leave idle), packed into at most one
+            # item per worker.
+            c = -(-workers // n)
             handles = executor.run_async(
                 [st.runner.request(u) for st, u in new],
                 min(workers, len(new) * c),

@@ -2,16 +2,16 @@
 
 The virtual-thread scheduler reproduces parallel *floating-point behaviour*;
 this module provides actual concurrency for throughput.  The centrepiece is
-:class:`PersistentExecutor`: a process or thread pool that is created once,
-reused across batches *and* master conductors, and shipped each
-:class:`~repro.frw.context.ExtractionContext` once — replacing the historical
-pool-per-call pattern.  :meth:`PersistentExecutor.run_async` takes a list
+:class:`PersistentExecutor`: a process pool (or one in-process worker)
+that is created once, reused across batches *and* master conductors, and
+shipped each :class:`~repro.frw.context.ExtractionContext` once —
+replacing the historical pool-per-call pattern.  :meth:`PersistentExecutor.run_async` takes a list
 of batches, possibly of several masters, and cuts their concatenated walk
 UIDs into near-equal work items, at most one per worker by default.  Each
-item runs its pieces through one shared engine vector (NumPy releases the
-GIL in its inner loops, so threads overlap on multicore hosts; the process
-backend sidesteps the GIL entirely), and every batch reassembles in UID
-order, so the extraction output is bit-identical to the serial engine —
+item runs its pieces through one shared engine vector in a worker process
+(the engine makes ~110 small NumPy calls per step, so threads would only
+contend for the GIL), and every batch reassembles in UID order, so the
+extraction output is bit-identical to the serial engine —
 real parallelism changes wall time only, which is exactly the
 DOP-independence contract of Alg. 2.
 
@@ -37,9 +37,9 @@ every start method (``fork``, ``spawn``, ``forkserver``) works.
 
 Every path reuses the engine's slot arena across batches: a one-worker
 executor keeps one arena for all its vectors, and work items — which go
-through :func:`~repro.frw.engine.run_segments` in thread-pool futures and
-process workers alike — hit its per-thread workspace cache, so
-steady-state batch execution allocates no walk-state arrays anywhere.
+through :func:`~repro.frw.engine.run_segments` in process workers — hit
+its per-thread workspace cache, so steady-state batch execution allocates
+no walk-state arrays anywhere.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import count
 
@@ -71,7 +70,7 @@ from .engine import (
 )
 
 #: A stream spec is ``(rng_kind, seed, stream)`` — enough to rebuild a
-#: per-walk stream provider anywhere (in a worker thread or a worker
+#: per-walk stream provider anywhere (in this process or a worker
 #: process), which is what makes "any worker can evaluate any walk" real.
 #: Antithetic configs extend it to ``(rng_kind, seed, stream, group,
 #: depth)``; the 3-tuple form is kept for antithetic-off configs so their
@@ -286,9 +285,9 @@ class PersistentExecutor:
     Parameters
     ----------
     backend:
-        ``"thread"``, ``"process"`` or ``"serial"`` (one worker).
+        ``"serial"`` (one worker, the default) or ``"process"``.
     n_workers:
-        Pool width; ``0`` means auto (host CPU count).
+        Process-pool width; ``0`` means auto (host CPU count).
     mp_start_method:
         Start method of the process backend (``"auto"``, ``"fork"``,
         ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
@@ -305,12 +304,12 @@ class PersistentExecutor:
     :meth:`worker_stats` probes the live pool for worker PIDs and
     per-worker attachment counts.  A closed executor rejects further work
     with :class:`~repro.errors.ConfigError` instead of silently
-    re-creating pools or publishing blocks.
+    re-creating its pool or publishing blocks.
     """
 
     def __init__(
         self,
-        backend: str = "thread",
+        backend: str = "serial",
         n_workers: int = 0,
         mp_start_method: str = "auto",
     ):
@@ -329,7 +328,6 @@ class PersistentExecutor:
         self._start_method = (
             resolve_start_method(mp_start_method) if backend == "process" else None
         )
-        self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool = None
         # Dispatched process-pool work items not yet known to be finished.
         self._pending: list = []
@@ -366,7 +364,7 @@ class PersistentExecutor:
         key = next(self._ids)
         self._registry[key] = (ctx, spec)
         self._keys[ident] = key
-        if self.backend == "process" and self.n_workers > 1:
+        if self.n_workers > 1:
             self._manifests[key] = shm.publish_context(ctx, spec)
         return key
 
@@ -443,15 +441,8 @@ class PersistentExecutor:
         return results
 
     # ------------------------------------------------------------------
-    # Pools
+    # Pool
     # ------------------------------------------------------------------
-    def _threads(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="frw-walk"
-            )
-        return self._thread_pool
-
     def _processes(self):
         if self._process_pool is None:
             mp_ctx = multiprocessing.get_context(self._start_method)
@@ -499,31 +490,19 @@ class PersistentExecutor:
             max(1, min(self.n_workers if items is None else int(items), total)),
         )
         self.dispatches += len(work)
-        if self.backend == "thread":
-            pool = self._threads()
-            getters = [
-                pool.submit(
-                    _run_item,
-                    [(self._registry[key], uids) for key, uids in item],
-                    width,
-                ).result
-                for item in work
-            ]
-        else:
-            payloads = [
-                ([(self._manifests[key], uids) for key, uids in item], width)
-                for item in work
-            ]
-            self.dispatch_pickle_bytes += sum(
-                len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
-                for p in payloads
-            )
-            pool = self._processes()
-            asyncs = [pool.apply_async(_shm_chunk, p) for p in payloads]
-            self._pending = [a for a in self._pending if not a.ready()] + asyncs
-            getters = [a.get for a in asyncs]
+        payloads = [
+            ([(self._manifests[key], uids) for key, uids in item], width)
+            for item in work
+        ]
+        self.dispatch_pickle_bytes += sum(
+            len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+            for p in payloads
+        )
+        pool = self._processes()
+        asyncs = [pool.apply_async(_shm_chunk, p) for p in payloads]
+        self._pending = [a for a in self._pending if not a.ready()] + asyncs
         return [
-            PendingBatch(uids, [_piece(getters[j], s) for j, s in pieces])
+            PendingBatch(uids, [_piece(asyncs[j].get, s) for j, s in pieces])
             for (_, uids), pieces in zip(batches, slots)
         ]
 
@@ -537,8 +516,7 @@ class PersistentExecutor:
         :meth:`run_async` call packs its batches into at most one item per
         worker, so an item may carry pieces of several masters' batches
         (the Alg. 2 driver's ``dispatched_batches`` counts batches).
-        ``pickle_bytes`` counts the pickled payload of every process-pool
-        work item (the thread backend ships references, not pickles), so
+        ``pickle_bytes`` counts the pickled payload of every work item, so
         ``pickle_bytes_per_dispatch`` measures the per-item payload — UIDs
         plus one manifest per master in the item, regardless of context
         size; packing more batches per item raises it while the total
@@ -573,7 +551,7 @@ class PersistentExecutor:
         back into walk values.
         """
         self._check_open()
-        if self.backend != "process" or self.n_workers == 1:
+        if self.n_workers == 1:
             return {}
         pool = self._processes()
         n = self.n_workers * PROBES_PER_WORKER
@@ -592,13 +570,10 @@ class PersistentExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pools down and release published blocks (idempotent)."""
+        """Shut the pool down and release published blocks (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
         if self._process_pool is not None:
             # Let dispatched items (speculative batches nobody will gather)
             # finish first.  A worker that terminate() kills while it sends

@@ -323,12 +323,11 @@ class FRWSolver:
                     else None
                 ),
                 "asset_cache": self.assets.stats(),
-                # Process workers query their own copies of the index, so
-                # the in-process counters would report zero queries.
+                # Pool workers are processes that query their own copies
+                # of the index, so the in-process counters would report
+                # zero queries.
                 "query_stats": (
-                    None
-                    if executor.backend == "process" and executor.n_workers > 1
-                    else self.assets.query_stats()
+                    None if executor.n_workers > 1 else self.assets.query_stats()
                 ),
                 "dispatched_batches": sum(s.dispatched_batches for s in stats),
                 "discarded_batches": sum(s.discarded_batches for s in stats),

@@ -73,7 +73,7 @@ class QueryStats:
     and can be :meth:`reset` between measurement windows.  The owning
     index applies each query's counts as one locked bulk update, so the
     cross-counter invariants (``points == far_field_hits + near_points``)
-    hold exactly even when pool threads share the index.
+    hold exactly even when threads share the index.
     """
 
     queries: int = 0
@@ -205,7 +205,7 @@ class GridIndex:
         self.h_cap = float(h_cap)
         self.stats = QueryStats()
         # Bulk counter updates take this lock, so stats invariants hold
-        # exactly when pool threads share the index (fork workers each
+        # exactly when threads share the index (fork workers each
         # inherit their own copy; the lock is never pickled).
         self._stats_lock = threading.Lock()
         self._lo, self._hi, self._owner = structure.box_arrays

@@ -11,9 +11,9 @@ Three layers of guarantees:
    the raw mean and reports the variance *of group means*; mismatched
    merges and grouped/ungrouped mixing raise instead of corrupting.
 3. Extraction: antithetic-off stays byte-identical to the pinned engine
-   goldens across {thread, fork, spawn, forkserver} x n_workers {1,2,4};
-   the default (antithetic-on) row is pinned and bit-identical across
-   {serial, thread, fork, spawn, forkserver} x n_workers {1,2,4}.
+   goldens across {fork, spawn, forkserver} x n_workers {1,2,4}; the
+   default (antithetic-on) row is pinned and bit-identical across
+   {serial, fork, spawn, forkserver} x n_workers {1,2,3,4}.
 """
 
 import hashlib
@@ -377,7 +377,6 @@ def test_add_batch_asserts_shapes_and_range():
 # ----------------------------------------------------------------------
 
 BACKENDS = [
-    ("thread", None),
     ("process", "fork"),
     ("process", "spawn"),
     ("process", "forkserver"),
@@ -443,13 +442,12 @@ def anti_reference(plates):
     "kwargs",
     [
         dict(executor="serial"),
-        dict(executor="thread", n_workers=1),
-        dict(executor="thread", n_workers=2),
-        dict(executor="thread", n_workers=4),
-        # A lone master splits each 256-walk thread batch into
-        # ceil(14 / 2) = 7 work items of 36 or 37 UIDs: antithetic pairs
-        # straddle item boundaries.
-        dict(executor="thread", n_workers=14),
+        # A lone master splits a 256-walk batch over 3 workers at UIDs 85
+        # and 170: antithetic pairs straddle item boundaries.
+        dict(executor="process", n_workers=3, mp_start_method="fork"),
+        dict(executor="process", n_workers=3, mp_start_method="forkserver"),
+        dict(executor="process", n_workers=4, mp_start_method="forkserver"),
+        dict(executor="process", n_workers=1, mp_start_method="forkserver"),
         dict(executor="process", n_workers=2, mp_start_method="fork"),
         dict(executor="process", n_workers=4, mp_start_method="fork"),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
@@ -485,7 +483,7 @@ def test_default_row_is_bitwise_dop_independent(plates):
         assert _row_digest(row) == DEFAULT_ROW["sha256"]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_antithetic_ragged_chunks_match_serial(plates, backend):
     """Work items of 42 or 43 UIDs cut antithetic groups of 4 apart; the
     reassembled batch still equals the serial engine's."""
@@ -509,7 +507,7 @@ def test_antithetic_group_depth_bitwise(plates, monkeypatch, group, depth):
     with monkeypatch.context() as mp:
         mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         ref_row, _ = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    cfg = FRWConfig.frw_r(**base, executor="thread", n_workers=2)
+    cfg = FRWConfig.frw_r(**base, executor="process", n_workers=2)
     row, _ = extract_row_alg2(build_context(plates, 0, cfg))
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)

@@ -66,3 +66,18 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
     assert found[0] == "correct is not true"
     path.write_text(json.dumps(run))
     assert checker.main([str(path), "sram_tol_traced"]) == 1
+
+
+def test_default_path_gate_dispatches_nothing(checker):
+    """The traced ``case1_tol`` run extracts with the default config, which
+    runs on one in-process vector: any pool work item fails its gate."""
+    expected = _expected(checker)
+    assert expected["case1_tol"]["gates"][0]["value"] == 170000
+    entry = expected["case1_tol_traced"]
+    assert "--trace 1" in entry["run"]
+    run = {"correct": True, "metrics": {"parallel.dispatches": {"value": 0}}}
+    assert checker.violations(run, entry["gates"]) == []
+    run["metrics"]["parallel.dispatches"]["value"] = 12
+    found = checker.violations(run, entry["gates"])
+    assert len(found) == 1
+    assert found[0].startswith("parallel.dispatches = 12, expected == 0")

@@ -106,6 +106,7 @@ def test_serve_parser_defaults():
         ["serve", "--asset-cache", "4"],  # the flag is gone
         ["serve", "--executor", "bogus"],
         ["serve", "--slots", "two"],
+        ["serve", "--executor", "thread"],  # the backend is gone
     ],
 )
 def test_serve_parser_rejects_invalid(argv):

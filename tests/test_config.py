@@ -94,6 +94,13 @@ def test_invalid_configs_rejected(kwargs):
         FRWConfig(**kwargs)
 
 
+def test_thread_executor_is_rejected():
+    """The thread backend is gone; asking for it names the two left."""
+    assert FRWConfig().executor == "serial"
+    with pytest.raises(ConfigError, match=r"\('serial', 'process'\)"):
+        FRWConfig(executor="thread")
+
+
 def test_every_field_boundary_values_accepted():
     """The validation ranges admit the values the test/experiment matrix
     actually uses (guards against over-tight DET007-driven validators)."""

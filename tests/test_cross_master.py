@@ -50,7 +50,7 @@ def _assert_rows_match(result, golden):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_interleaved_bitwise_golden(three_wires, golden_rows, backend, n_workers):
     cfg = FRWConfig.frw_r(**BASE, executor=backend, n_workers=n_workers)
     with FRWSolver(three_wires, cfg) as solver:
@@ -73,7 +73,7 @@ def test_register_wave_bitwise(three_wires, golden_rows, monkeypatch):
     _assert_rows_match(result, golden_rows)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_waves_share_one_index(three_wires, golden_rows, backend, monkeypatch):
     """Masters admitted one wave at a time still hold the solver's one
     index object, so a process pool publishes one index block and one
@@ -91,15 +91,19 @@ def test_waves_share_one_index(three_wires, golden_rows, backend, monkeypatch):
 
 
 def test_schedule_telemetry_and_asset_cache(three_wires):
-    cfg = FRWConfig.frw_r(**BASE, executor="thread", n_workers=2)
+    cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
     sched = result.matrix.meta["schedule"]
     # The structure index is built once and shared by all three masters.
     assert sched["asset_cache"] == {"index_builds": 1, "index_hits": 2}
     # The far-field fast path was live: the shared grid index reports its
-    # query telemetry, and the 3-wire case has real open space.
-    qs = sched["query_stats"]
+    # query telemetry, and the 3-wire case has real open space.  Process
+    # workers query their own index copies, so the in-process one-worker
+    # executor reports it.
+    assert sched["query_stats"] is None
+    with FRWSolver(three_wires, cfg.with_(executor="serial")) as solver:
+        qs = solver.extract().matrix.meta["schedule"]["query_stats"]
     assert qs is not None
     assert qs["far_field_hits"] > 0
     assert qs["points"] == qs["far_field_hits"] + qs["near_points"]
@@ -117,7 +121,7 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
         assert 0.0 <= s.speculation_ratio <= 1.0
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_inflight_cap_bounds_discards(three_wires, backend):
     """A master holds at most ``1 + PIPELINE_LOOKAHEAD`` batches in flight,
     so even the last live master, alone with the whole pool's budget,
@@ -132,17 +136,28 @@ def test_inflight_cap_bounds_discards(three_wires, backend):
         assert s.discarded_batches <= cross_master.PIPELINE_LOOKAHEAD
 
 
-@pytest.mark.parametrize("n_workers", [2, 4, 8])
-def test_thread_split_fills_the_pool(three_wires, golden_rows, n_workers):
-    """A lone thread master holds ``1 + PIPELINE_LOOKAHEAD`` batches, so
-    each batch splits just far enough to give every worker a chunk —
-    whole at 2 workers — and the row still matches the serial golden."""
-    cfg = FRWConfig.frw_r(**BASE, executor="thread", n_workers=n_workers)
+def test_lone_master_split_fills_the_pool(
+    three_wires, golden_rows, monkeypatch
+):
+    """A lone master's round is cut into one work item per worker: its
+    first round packs two whole batches, one per worker, and every later
+    round splits its one new batch over both workers.  The row still
+    matches the serial golden."""
+    rounds = []
+    run_async = PersistentExecutor.run_async
+
+    def recording(self, batches, items=None):
+        rounds.append((len(batches), items))
+        return run_async(self, batches, items)
+
+    monkeypatch.setattr(PersistentExecutor, "run_async", recording)
+    cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
         row, stats = solver.extract_row(0)
         dispatches = solver._executor.dispatch_stats()["dispatches"]
-    chunks = -(-n_workers // (1 + cross_master.PIPELINE_LOOKAHEAD))
-    assert dispatches == chunks * stats.dispatched_batches
+    assert rounds[0] == (1 + cross_master.PIPELINE_LOOKAHEAD, 2)
+    assert all(items == 2 for k, items in rounds if k)
+    assert dispatches == 2 * sum(1 for k, _ in rounds if k)
     golden_row, _ = golden_rows[0]
     assert np.array_equal(row.values, golden_row.values)
     assert np.array_equal(row.sigma2, golden_row.sigma2)
@@ -159,7 +174,7 @@ def eight_wires():
     return Structure(wires, enclosure=Box.from_bounds(-4, 19, -4, 12, -4, 5))
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_round_packs_into_worker_items(eight_wires, backend, monkeypatch):
     """The first allocation round of 8 masters dispatches 8 batches; at 2
     workers they travel as 2 work items, one per worker, and the rows
@@ -181,8 +196,7 @@ def test_round_packs_into_worker_items(eight_wires, backend, monkeypatch):
         return handles
 
     monkeypatch.setattr(PersistentExecutor, "run_async", recording)
-    methods = ["fork", "spawn"] if backend == "process" else ["auto"]
-    for method in methods:
+    for method in ("fork", "spawn"):
         for n_workers in (1, 2, 4):
             first_round.clear()
             cfg = FRWConfig.frw_r(

@@ -8,9 +8,11 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
 * the plain batch engine (``run_walks``),
 * the refill pipeline (``WalkPipeline`` over consecutive batches, with a
   feed that holds later batches back or not) at every RNG prefetch depth,
-* thread-parallel chunked execution on a ``PersistentExecutor`` for
-  ``n_workers`` in {1, 2, 4},
-* process-parallel execution over the shared-memory context plane, both
+* thread-parallel execution: concurrent caller threads (as the
+  service's slots are) running ``run_walks`` on one shared context, for
+  1, 2 and 4 threads,
+* process-parallel execution on a ``PersistentExecutor`` for
+  ``n_workers`` in {1, 2, 4} and over the shared-memory context plane, both
   ``fork`` and ``spawn`` start methods (spawn workers inherit nothing, so
   byte-equality proves the manifest protocol is complete).
 
@@ -21,6 +23,7 @@ debuggability; the full 256-walk result arrays are pinned by SHA-256.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -192,13 +195,42 @@ def _executor_run(ctx, uids, backend, n_workers, **kwargs):
         return ex.run(ex.register(ctx, stream_spec(ctx.config, 0)), uids)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_thread_parallel_matches_golden(golden_case, n_workers):
+@pytest.mark.parametrize("n_threads", [1, 2, 4])
+def test_thread_parallel_matches_golden(golden_case, n_threads):
+    """Caller threads sharing one context and one stream set — the
+    service's concurrent slots share a structure's index the same way —
+    each run interleaved 32-walk pieces on their own thread-local arena
+    and span scratch; the pieces, put back in UID order, are the
+    goldens."""
     case, ctx, uids = golden_case
-    _check(case, _executor_run(ctx, uids, "thread", n_workers))
+    streams = WalkStreams(SEED, 0)
+    pieces = [uids[a : a + 32] for a in range(0, uids.shape[0], 32)]
+    parts = [None] * len(pieces)
+    start = threading.Barrier(n_threads)
+    errors = []
+
+    def work(t):
+        try:
+            start.wait()
+            for i in range(t, len(pieces), n_threads):
+                parts[i] = run_walks(ctx, streams, pieces[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=work, args=(t,)) for t in range(n_threads)
+    ]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads)
+    if errors:
+        raise errors[0]
+    _check(case, concat_results(uids, parts))
 
 
-@pytest.mark.parametrize("n_workers", [2, 4])
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_process_parallel_matches_golden(golden_case, n_workers):
     case, ctx, uids = golden_case
     _check(case, _executor_run(ctx, uids, "process", n_workers))

@@ -31,9 +31,6 @@ CASES = ["homogeneous", "stratified"]
 
 BACKENDS = [
     ("serial", 1),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
     ("process", 2),
     ("process", 4),
 ]
@@ -125,15 +122,15 @@ def test_each_tier_alone_is_bit_identical(reference, knobs, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(context, "build_index", grid_at_resolution)
-    result = _extract(case, executor="thread", n_workers=2)
+    result = _extract(case, executor="serial")
     _assert_rows_byte_equal(result, ref)
     assert [g.resolution for g in built] == [knobs["resolution"]]
 
 
 def test_far_field_hits_on_open_field_case():
-    """The tier-1 mask fires on the open-field case (serial/thread, where
-    query stats accumulate in-process)."""
-    result = _extract("homogeneous", executor="thread", n_workers=2)
+    """The tier-1 mask fires on the open-field case (serial, where query
+    stats accumulate in-process)."""
+    result = _extract("homogeneous", executor="serial")
     qs = result.matrix.meta["schedule"]["query_stats"]
     assert qs is not None
     assert qs["far_field_hits"] > 0
@@ -143,7 +140,7 @@ def test_far_field_hits_on_open_field_case():
     assert qs["candidates_pruned"] > 0
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_query_stats_only_where_queries_run(backend):
     """Process workers query their own index copies, so the schedule
     reports no counters for them rather than zero queries."""

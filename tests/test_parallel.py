@@ -1,5 +1,7 @@
-"""Tests for the real thread/process walk executors and batch runners."""
+"""Tests for the real walk executors (one worker, process pool) and
+batch runners."""
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -34,7 +36,7 @@ def test_parallel_matches_serial_bitwise(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(2000, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    parallel = _run_once("thread", ctx, uids, n_workers=4)
+    parallel = _run_once("process", ctx, uids, n_workers=4)
     assert np.array_equal(serial.omega, parallel.omega)
     assert np.array_equal(serial.dest, parallel.dest)
     assert np.array_equal(serial.steps, parallel.steps)
@@ -44,8 +46,8 @@ def test_parallel_matches_serial_bitwise(plates):
 def test_parallel_chunking_irrelevant(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(501, dtype=np.uint64)  # odd size: ragged chunks
-    a = _run_once("thread", ctx, uids, 3, items=8)
-    b = _run_once("thread", ctx, uids, 2, items=2)
+    a = _run_once("process", ctx, uids, 2, items=8)
+    b = _run_once("process", ctx, uids, 2, items=2)
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.dest, b.dest)
 
@@ -53,9 +55,37 @@ def test_parallel_chunking_irrelevant(plates):
 def test_single_worker_shortcut(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(100, dtype=np.uint64)
-    res = _run_once("thread", ctx, uids, 1)
+    res = _run_once("serial", ctx, uids, 1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
+
+
+@pytest.mark.parametrize("items", [8, 14])
+def test_pack_reassembles_ragged_batches_in_uid_order(items):
+    """``_pack`` over ragged batches: ``items`` near-equal work items
+    whose pieces, read back through each batch's slots, are that batch's
+    UIDs in order, and each item's segments follow the concatenation."""
+    sizes = [37, 5, 1, 64, 19, 2]
+    starts = np.cumsum([0] + sizes)
+    batches = [
+        (b, np.arange(starts[b], starts[b + 1], dtype=np.uint64))
+        for b in range(len(sizes))
+    ]
+    work, slots = _pack(batches, items)
+    assert len(work) == items
+    counts = [sum(uids.shape[0] for _, uids in item) for item in work]
+    assert max(counts) - min(counts) <= 1
+    assert sum(counts) == starts[-1]
+    flat = [(key, uids) for item in work for key, uids in item]
+    assert np.array_equal(
+        np.concatenate([uids for _, uids in flat]), np.arange(starts[-1])
+    )
+    for (key, uids), pieces in zip(batches, slots):
+        got = [work[j][s] for j, s in pieces]
+        assert all(k == key for k, _ in got)
+        assert np.array_equal(np.concatenate([u for _, u in got]), uids)
+        items_of = [j for j, _ in pieces]
+        assert items_of == list(range(items_of[0], items_of[-1] + 1))
 
 
 def test_process_pool_matches_serial(plates):
@@ -81,7 +111,7 @@ def test_process_pool_single_worker_shortcut(plates):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_persistent_executor_bitwise(plates, backend, n_workers):
     """Any backend at any worker count is bit-identical to the serial engine."""
@@ -101,7 +131,7 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
 def test_persistent_executor_reused_across_masters(plates):
     """One pool serves several registered contexts (masters)."""
     cfg = FRWConfig.frw_r(seed=5, antithetic=False)
-    with PersistentExecutor("thread", n_workers=2) as ex:
+    with PersistentExecutor("process", n_workers=2) as ex:
         for master in (0, 1):
             ctx = build_context(plates, master, cfg)
             key = ex.register(ctx, stream_spec(cfg, master))
@@ -115,14 +145,14 @@ def test_persistent_executor_reused_across_masters(plates):
 def test_executor_register_is_idempotent(plates):
     cfg = FRWConfig.frw_r(seed=5)
     ctx = build_context(plates, 0, cfg)
-    with PersistentExecutor("thread", n_workers=2) as ex:
+    with PersistentExecutor("process", n_workers=2) as ex:
         k1 = ex.register(ctx, stream_spec(cfg, 0))
         k2 = ex.register(ctx, stream_spec(cfg, 0))
         assert k1 == k2
 
 
 def test_executor_close_idempotent():
-    ex = PersistentExecutor("thread", n_workers=2)
+    ex = PersistentExecutor("process", n_workers=2)
     ex.close()
     ex.close()
 
@@ -147,10 +177,10 @@ def one_batch_reference(plates):
     [
         dict(executor="serial"),
         dict(executor="serial", lookahead=3),
-        dict(executor="thread", n_workers=1),
-        dict(executor="thread", n_workers=2),
-        dict(executor="thread", n_workers=4),
-        dict(executor="thread", n_workers=2, lookahead=0),
+        dict(executor="process", n_workers=3),
+        dict(executor="process", n_workers=3, lookahead=3),
+        dict(executor="process", n_workers=2, mp_start_method="forkserver"),
+        dict(executor="process", n_workers=4, lookahead=0),
         dict(executor="process", n_workers=1),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
@@ -183,7 +213,7 @@ def test_extract_row_backends_bitwise(plates, one_batch_reference, kwargs):
 def test_solver_owns_executor_lifecycle(plates):
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=256, min_walks=512, max_walks=512,
-        executor="thread", n_workers=2,
+        executor="process", n_workers=2,
     )
     with FRWSolver(plates, cfg) as solver:
         ex = solver.walk_executor()
@@ -199,26 +229,39 @@ def test_solver_serial_config_gets_a_one_worker_executor(plates):
     base = dict(seed=13, batch_size=256, min_walks=512, max_walks=512)
     for kwargs in (
         dict(executor="serial", n_workers=4),
-        dict(executor="thread", n_workers=1),
         dict(executor="process", n_workers=1),
     ):
         with FRWSolver(plates, FRWConfig.frw_r(**base, **kwargs)) as solver:
             ex = solver.walk_executor()
             assert ex.n_workers == 1
             result = solver.extract()
-            assert ex._thread_pool is None and ex._process_pool is None
+            assert ex._process_pool is None
             stats = ex.dispatch_stats()
             assert stats["dispatches"] == stats["published_contexts"] == 0
             assert shm.published_blocks() == []
         assert result.matrix.meta["schedule"]["query_stats"] is not None
 
 
+def test_default_config_extracts_in_process():
+    """The default config extracts Table I case 1 on the one-worker
+    executor: it starts no thread and no child process, and dispatches
+    no pool work item."""
+    threads = threading.active_count()
+    children = sorted(p.pid for p in multiprocessing.active_children())
+    with FRWSolver(build_case(1), FRWConfig()) as solver:
+        result = solver.extract()
+        assert threading.active_count() == threads
+        assert sorted(p.pid for p in multiprocessing.active_children()) == children
+        assert solver.walk_executor().dispatch_stats()["dispatches"] == 0
+    assert result.converged
+
+
 def test_make_batch_runner_one_worker(plates):
-    """executor='thread' with one worker makes (and hands over) a
-    one-worker executor, so the default config is safe on single-core
-    hosts; ``timers`` becomes its stage timers."""
+    """executor='process' with one worker makes (and hands over) a
+    one-worker executor, so a pool config is safe on single-core hosts;
+    ``timers`` becomes its stage timers."""
     cfg = FRWConfig.frw_r(
-        seed=77, batch_size=64, executor="thread", n_workers=1, antithetic=False
+        seed=77, batch_size=64, executor="process", n_workers=1, antithetic=False
     )
     ctx = build_context(plates, 0, cfg)
     timers = StageTimers()
@@ -241,7 +284,7 @@ def test_make_batch_runner_on_a_pool(plates):
     """A pool runner runs a batch through the executor's one packed
     dispatch path and owns the pool it created."""
     cfg = FRWConfig.frw_r(
-        seed=77, batch_size=64, executor="thread", n_workers=2, antithetic=False
+        seed=77, batch_size=64, executor="process", n_workers=2, antithetic=False
     )
     ctx = build_context(plates, 0, cfg)
     runner, owned = make_batch_runner(ctx, cfg)
@@ -264,7 +307,7 @@ import os
 
 from repro.errors import ConfigError
 from repro.frw import shm
-from repro.frw.parallel import resolve_start_method, resolve_workers
+from repro.frw.parallel import _pack, resolve_start_method, resolve_workers
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])

@@ -207,9 +207,9 @@ _BASE = dict(
 
 _BACKENDS = [
     dict(executor="serial"),
-    dict(executor="thread", n_workers=1),
-    dict(executor="thread", n_workers=2),
-    dict(executor="thread", n_workers=4),
+    dict(executor="process", n_workers=1),
+    dict(executor="process", n_workers=3),
+    dict(executor="process", n_workers=2, mp_start_method="forkserver"),
     dict(executor="process", n_workers=2),
     dict(executor="process", n_workers=4),
     dict(executor="process", n_workers=2, mp_start_method="spawn"),
@@ -265,8 +265,8 @@ def prefetch_anti_reference(plates):
     "kwargs",
     [
         dict(executor="serial"),
-        dict(executor="thread", n_workers=2),
-        dict(executor="thread", n_workers=4),
+        dict(executor="process", n_workers=2),
+        dict(executor="process", n_workers=4),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
     ],
 )

@@ -325,6 +325,10 @@ class TestMemoization:
             with pytest.raises(ConfigError):
                 service.submit({"structure": structure, "priority": "vip"})
 
+    def test_settings_reject_thread_executor(self):
+        with pytest.raises(ConfigError, match="executor"):
+            ServiceSettings(executor="thread").validate()
+
     def test_removed_config_field_is_unknown(self):
         """Every retired engine knob is rejected as an unknown field (a
         typed ConfigError naming it), never passed on to FRWConfig."""
@@ -401,8 +405,11 @@ class TestMemoization:
 
 @pytest.mark.parametrize(
     "engine",
-    [{"executor": "serial", "n_workers": 1}, {"executor": "thread", "n_workers": 2}],
-    ids=["serial", "thread"],
+    [
+        {"executor": "serial", "n_workers": 1},
+        {"executor": "process", "n_workers": 2, "mp_start_method": "fork"},
+    ],
+    ids=["serial", "process"],
 )
 def test_slot_executor_forgets_solved_contexts(engine):
     """A slot's executor outlives every request: after each response it
@@ -429,7 +436,6 @@ def test_slot_executor_forgets_solved_contexts(engine):
 
 ENGINE_MATRIX = [
     {"executor": "serial", "n_workers": 1},
-    {"executor": "thread", "n_workers": 2},
     {"executor": "process", "n_workers": 2, "mp_start_method": "fork"},
     {"executor": "process", "n_workers": 2, "mp_start_method": "spawn"},
 ]
