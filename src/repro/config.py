@@ -74,15 +74,14 @@ RESULT_FIELDS = (
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justifications, by group — backend placement (``executor``,
 #: ``n_workers``, ``mp_start_method``: UID-ordered reassembly makes worker
-#: layout and work-item packing invisible) and guards (``sanitize``: raises
-#: or no-ops).  The batch schedule — cross-master interleaving, the even
-#: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, and round
-#: packing (each allocation round's batches of all masters cut into at
-#: most one work item per worker, several masters' walks sharing one
-#: engine vector) — plus the far-field index tier and the RNG prefetch
-#: depth are fixed behaviour, not fields: walk draws are a pure function
-#: of (master stream, uid, step), so none of them can reach a bit, and
-#: each won its suite A/B (docs/PERFORMANCE.md).
+#: layout and batch cuts invisible) and guards (``sanitize``: raises or
+#: no-ops).  The batch schedule — cross-master interleaving, the even
+#: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, and each
+#: worker's one vector refilling from its batch queue, several masters'
+#: walks sharing it, in completion order — plus the far-field index tier
+#: and the RNG prefetch depth are fixed behaviour, not fields: walk draws
+#: are a pure function of (master stream, uid, step), so none of them can
+#: reach a bit, and each won its suite A/B (docs/PERFORMANCE.md).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
@@ -156,17 +155,16 @@ class FRWConfig:
     executor:
         Backend executing walk batches: ``"serial"`` (the default: one
         worker, in-process, on one engine vector shared by every master)
-        or ``"process"`` (persistent process pool; contexts reach its
-        workers through the shared-memory plane, :mod:`repro.frw.shm`).
+        or ``"process"`` (persistent worker processes; contexts reach
+        them through the shared-memory plane, :mod:`repro.frw.shm`).
         There is no thread backend: the engine makes ~110 small NumPy
         calls per step, so threads contend for the GIL and run slower
         than one worker.  Both backends drive their batches through the
-        one Alg. 2 batch driver (:mod:`repro.frw.cross_master`): on the
-        pool, each allocation round's batches of all masters are packed
-        into at most one work item per worker (a lone batch is split
-        over the workers the live masters leave idle), and each item runs
-        its pieces through one engine vector that refills from batch to
-        batch; ``"serial"`` is the same rule at one worker.  Results are
+        one Alg. 2 batch driver (:mod:`repro.frw.cross_master`): every
+        worker runs one long-lived engine vector that refills from its
+        queue of batches of any master (a lone master's batches are cut
+        over the workers it would leave idle); ``"serial"`` is the same
+        rule at one worker, in-process.  Results are
         reassembled in UID order, so both backends are bit-identical —
         real parallelism changes wall time only, which is the
         DOP-independence contract of Alg. 2.

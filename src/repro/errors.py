@@ -49,6 +49,11 @@ class ConfigError(ReproError):
     """Invalid solver or experiment configuration."""
 
 
+class WorkerLostError(ReproError):
+    """A process worker of an executor died (killed, crashed or exited)
+    while the caller waited on it; its batches will never come back."""
+
+
 class DeterminismError(ReproError):
     """A determinism invariant was violated at runtime — e.g. global RNG
     state was touched while the sanitizer

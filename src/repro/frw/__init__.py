@@ -24,7 +24,6 @@ from .estimator import CapacitanceRow, RowAccumulator
 from .multilevel import GroupPlan, multilevel_extract, plan_groups
 from .parallel import (
     BatchRunner,
-    PendingBatch,
     PersistentExecutor,
     make_batch_runner,
     resolve_start_method,
@@ -57,7 +56,6 @@ __all__ = [
     "ExtractionResult",
     "FRWSolver",
     "GroupPlan",
-    "PendingBatch",
     "PersistentExecutor",
     "RowAccumulator",
     "RowProgress",

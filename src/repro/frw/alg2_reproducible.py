@@ -54,7 +54,7 @@ class RunStats:
     #: Walks launched for this master that never reached its row: every
     #: discarded batch, plus walks a pipeline launched past the stop.
     discarded_walks: int = 0
-    #: Allocation rounds this master participated in (interleaved mode).
+    #: Quota top-ups of this master: one at admission, one per absorbed batch.
     allocation_rounds: int = 0
 
     @property

@@ -3,37 +3,38 @@ many, runs here (Sec. IV multi-level parallelism, realised over the real
 executors).
 
 All masters' batch streams interleave over the one
-:class:`~repro.frw.parallel.PersistentExecutor`, so master ``i``'s
-convergence tail never idles the pool while master ``i+1`` waits:
+:class:`~repro.frw.parallel.PersistentExecutor`, the way the paper
+schedules Alg. 2's batches dynamically over its threads through a task
+queue, each master checking its stopping rule after each of its own
+batches:
 
 * every master keeps its own UID stream, batch order, accumulator, machine
   RNG, and Alg. 2 global checkpoints through
   :class:`~repro.frw.alg2_reproducible.RowProgress`, and its own
   :class:`~repro.frw.parallel.BatchRunner`;
-* after every checkpoint round the in-flight budget
-  ``total = max(live masters, 2 * workers)`` is split evenly over the
-  ``L`` live masters — ``total // L`` each, one more for the first
-  ``total % L`` (:func:`inflight_quotas`) — and each master holds at most
-  ``1 + PIPELINE_LOOKAHEAD`` batches of it, so a lone master's tail
-  cannot flood the pool with batches it will discard;
-* each allocation round sends its ``k`` new batches, of all masters, in
-  one :meth:`~repro.frw.parallel.PersistentExecutor.run_async` call with
-  ``min(workers, k * c)`` work items, where ``c = ceil(workers / live)``
-  is the per-batch item count: a batch spreads over the workers the live
-  masters leave idle.  When ``k * c <= workers`` every batch is cut into
-  ``c`` items of its own, as if it were dispatched alone; otherwise each
-  worker gets one item whose engine vector refills from batch to batch,
-  so the batches' drain tails overlap instead of running back to back.
-  At one worker (serial) the live masters share one engine vector: two
-  or more hold one batch each and speculate nothing, and a lone master's
-  second batch fills its tail.
+* a master is topped up to its in-flight quota when it is admitted and
+  after each batch it absorbs: the budget ``max(live masters, 2 *
+  workers)`` split evenly over the ``L`` live masters — ``budget // L``
+  each, one more for the first ``budget % L`` (:func:`inflight_quotas`) —
+  capped at ``1 + PIPELINE_LOOKAHEAD`` batches, so a lone master's tail
+  cannot flood the workers with batches it will discard;
+* while ``L * (1 + PIPELINE_LOOKAHEAD) < workers``, each batch is cut into
+  ``ceil(workers / (L * (1 + PIPELINE_LOOKAHEAD)))`` pieces, so a lone
+  master still spreads over every worker;
+* there is no round barrier: the driver waits for the next batch completed
+  on any worker and absorbs each master's batches in that master's batch
+  order (a batch that arrives early waits in its master's buffer).  At one
+  worker batches complete in submission order and the live masters share
+  the one in-process vector: two or more hold one batch each and
+  speculate nothing, and a lone master's second batch fills its tail.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
-batch order through ``RowProgress``), the quota only decides *which*
-speculative batches are in flight, and packing only decides which walks
-share an engine vector — never a batch's contents.  Every row is
-therefore bit-identical at any backend, worker count or master count.
+batch order through ``RowProgress``); the quota only decides *which*
+speculative batches are in flight, and completion order and piece cuts
+only decide when and where walks run — never a batch's contents.  Every
+row is therefore bit-identical at any backend, worker count or master
+count.
 
 Large master sets are admitted in *waves* of :func:`resolve_wave`
 masters: a master's context is built — and, on the process backend,
@@ -52,8 +53,9 @@ import numpy as np
 from ..config import FRWConfig
 from .alg2_reproducible import RowProgress, RunStats
 from .context import ExtractionContext
+from .engine import WalkResults
 from .estimator import CapacitanceRow
-from .parallel import BatchRunner, PendingBatch, PersistentExecutor
+from .parallel import BatchRunner, PersistentExecutor
 
 #: Batches a master may run ahead of the one being gathered: the driver
 #: keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's batches in flight
@@ -70,6 +72,7 @@ class _MasterRun:
         "progress",
         "runner",
         "inflight",
+        "arrived",
         "next_dispatch",
         "next_accum",
         "done",
@@ -87,7 +90,8 @@ class _MasterRun:
         self.master = master
         self.progress = RowProgress(ctx, cfg)
         self.runner = BatchRunner(ctx, cfg, executor)
-        self.inflight: dict[int, PendingBatch] = {}
+        self.inflight: dict[int, int] = {}  # batch -> ticket, until absorbed
+        self.arrived: dict[int, WalkResults] = {}  # back, not yet absorbed
         self.next_dispatch = 0
         self.next_accum = 0
         self.done = False
@@ -102,22 +106,16 @@ class _MasterRun:
         self.progress.stats.dispatched_batches += 1
         return u
 
-    def harvest_next(self) -> bool:
-        """Absorb the next in-order batch; returns ``True`` when the
-        stopping rule fired (remaining in-flight batches are discarded)."""
-        results = self.inflight[self.next_accum].result()
-        del self.inflight[self.next_accum]
-        self.next_accum += 1
-        if self.progress.absorb(results):
+    def absorb_next(self) -> None:
+        """Absorb the next batch in batch order, which has arrived; when
+        the stopping rule fires the row is final, and the batches left in
+        flight are the caller's to discard."""
+        u = self.next_accum
+        self.next_accum = u + 1
+        del self.inflight[u]
+        if self.progress.absorb(self.arrived.pop(u)):
             self.done = True
-            stats = self.progress.stats
-            stats.discarded_batches += len(self.inflight)
-            stats.discarded_walks += sum(
-                h.discard() for h in self.inflight.values()
-            )
-            self.inflight.clear()
             self.row, self.stats = self.progress.finalize()
-        return self.done
 
 
 def resolve_wave(n_workers: int) -> int:
@@ -165,60 +163,65 @@ def extract_rows_interleaved(
 
     pending = deque(masters)
     active: list[_MasterRun] = []
+    owner: dict[int, tuple[_MasterRun, int]] = {}  # ticket -> (master, batch)
+
+    def top_up(st: _MasterRun) -> None:
+        """Dispatch batches until ``st`` holds its quota in flight."""
+        live = [s for s in active if not s.done]
+        quota = inflight_quotas(len(live), workers)[live.index(st)]
+        pieces = -(-workers // (len(live) * (1 + PIPELINE_LOOKAHEAD)))
+        st.progress.stats.allocation_rounds += 1
+        while len(st.inflight) < quota:
+            u = st.next_batch()
+            ticket = executor.submit(*st.runner.request(u), pieces)
+            st.inflight[u] = ticket
+            owner[ticket] = (st, u)
 
     def activate_wave() -> None:
         live = sum(1 for st in active if not st.done)
-        take = min(wave - live, len(pending))
-        for _ in range(take):
-            m = pending.popleft()
-            active.append(
-                _MasterRun(m, context_for(m), master_config(m), executor)
-            )
+        take = [pending.popleft() for _ in range(min(wave - live, len(pending)))]
+        new = [
+            _MasterRun(m, context_for(m), master_config(m), executor)
+            for m in take
+        ]
+        active.extend(new)
+        for st in new:
+            top_up(st)
 
-    activate_wave()
     try:
-        while True:
-            live = [st for st in active if not st.done]
-            if not live:
-                if not pending:
-                    break
-                activate_wave()
-                live = [st for st in active if not st.done]
-
-            # Allocation round: decide each live master's in-flight quota.
-            n = len(live)
-            new = []
-            for st, quota in zip(live, inflight_quotas(n, workers)):
-                st.progress.stats.allocation_rounds += 1
-                new += [
-                    (st, st.next_batch())
-                    for _ in range(quota - len(st.inflight))
-                ]
-            # One call per round: c items per batch (a batch over the
-            # workers the live masters leave idle), packed into at most one
-            # item per worker.
-            c = -(-workers // n)
-            handles = executor.run_async(
-                [st.runner.request(u) for st, u in new],
-                min(workers, len(new) * c),
-            )
-            for (st, u), handle in zip(new, handles):
-                st.inflight[u] = handle
-
-            # Harvest round: every live master absorbs its next in-order
-            # batch and runs its own global checkpoint.
-            finished_any = False
-            for st in live:
-                if st.harvest_next():
-                    finished_any = True
-            if finished_any and pending:
+        activate_wave()
+        while owner:
+            # The next batch back on any worker; its master absorbs what
+            # is now in batch order, running its own global checkpoints,
+            # and is topped up after each batch it absorbs.
+            ticket, results = executor.next_done()
+            st, u = owner.pop(ticket)
+            st.arrived[u] = results
+            while not st.done and st.next_accum in st.arrived:
+                st.absorb_next()
+                if not st.done:
+                    top_up(st)
+            if not st.done:
+                continue
+            stats = st.progress.stats
+            stats.discarded_batches += len(st.inflight)
+            for u, ticket in sorted(st.inflight.items()):
+                if u in st.arrived:
+                    stats.discarded_walks += st.arrived[u].uids.shape[0]
+                else:
+                    del owner[ticket]
+                    stats.discarded_walks += executor.discard(ticket)
+            st.inflight.clear()
+            st.arrived.clear()
+            if pending:
                 activate_wave()
     finally:
         # Abandon batches an error left in flight (done masters hold
-        # none): a one-worker executor's shared vector must not keep them.
+        # none): no executor may keep running them.
         for st in active:
-            for handle in st.inflight.values():
-                handle.discard()
+            for u, ticket in st.inflight.items():
+                if u not in st.arrived:
+                    executor.discard(ticket)
 
     by_master = {st.master: st for st in active}
     rows = [by_master[m].row for m in masters]

@@ -55,12 +55,12 @@ One vector may also carry walks of several masters ("lanes"): each slot
 records its lane, launches use the lane's Gaussian surface and stream,
 absorption compares against the lane's tolerance, and one keyed RNG pass
 refills every lane at once (:class:`~repro.rng.LaneDraws`).
-:func:`run_segments` runs a list of ``(lane, uids)`` segments — an
-executor work item holding pieces of several masters' batches — through
-one such vector, so their drain tails overlap; :func:`run_walks`, the
-historical batch API, is its one-segment case.  Both reuse one
-thread-local workspace across calls, so repeated runs (e.g. executor work
-items) share a warm arena.
+:func:`run_segments` runs a fixed list of ``(lane, uids)`` segments —
+pieces of several masters' batches — through one such vector, so their
+drain tails overlap; :func:`run_walks`, the historical batch API, is its
+one-segment case.  Both reuse one thread-local workspace across calls,
+so repeated runs share a warm arena.  An executor's workers instead feed
+one long-lived vector from a batch queue (:mod:`repro.frw.parallel`).
 
 Per-stage costs (rng / index / sample / bookkeeping) can be measured by
 passing a :class:`StageTimers` to the pipeline; the engine benchmark
@@ -909,8 +909,8 @@ def run_segments(
     with :func:`run_walks` on its lane.
 
     The slot arena is drawn from a thread-local workspace, so consecutive
-    calls on one thread (executor work items, per-batch loops) reuse the
-    same preallocated buffers.
+    calls on one thread (per-batch loops) reuse the same preallocated
+    buffers.
     """
     segments = [
         (lane, np.asarray(uids, dtype=np.uint64)) for lane, uids in segments

@@ -1,63 +1,46 @@
 """Real shared-memory executors and batch runners for walk computation.
 
 The virtual-thread scheduler reproduces parallel *floating-point behaviour*;
-this module provides actual concurrency for throughput.  The centrepiece is
-:class:`PersistentExecutor`: a process pool (or one in-process worker)
-that is created once, reused across batches *and* master conductors, and
-shipped each :class:`~repro.frw.context.ExtractionContext` once —
-replacing the historical pool-per-call pattern.  :meth:`PersistentExecutor.run_async` takes a list
-of batches, possibly of several masters, and cuts their concatenated walk
-UIDs into near-equal work items, at most one per worker by default.  Each
-item runs its pieces through one shared engine vector in a worker process
-(the engine makes ~110 small NumPy calls per step, so threads would only
-contend for the GIL), and every batch reassembles in UID order, so the
-extraction output is bit-identical to the serial engine —
-real parallelism changes wall time only, which is exactly the
-DOP-independence contract of Alg. 2.
-
-Serial execution is the same rule with one worker: no pool, nothing
-published, and every master's batches queue on the feed of one in-process
-:class:`~repro.frw.engine.WalkPipeline` the executor owns.
-
-On top of the executor sits :class:`BatchRunner`, one per master: the
-batch source of the one Alg. 2 driver,
+this module provides actual concurrency for throughput.  Every worker has
+one shape, :class:`_Vector`: a long-lived
+:class:`~repro.frw.engine.WalkPipeline` fed from a queue of batches, whose
+freed slots refill from the next queued batch of any master.
+:class:`PersistentExecutor` runs one in-process at one worker, or one in
+each of ``n_workers`` long-lived worker processes fed through their own
+pipes (the engine makes ~110 small NumPy calls per step, so threads would
+only contend for the GIL).  :meth:`~PersistentExecutor.submit` cuts a
+batch into queue entries for the least-loaded workers, and
+:meth:`~PersistentExecutor.next_done` returns the next batch whose entries
+are all back, in UID order — bit-identical to the serial engine at any
+worker count, cut or completion order, which is exactly the
+DOP-independence contract of Alg. 2.  :class:`BatchRunner` names one
+master's batches for the Alg. 2 driver,
 :func:`~repro.frw.cross_master.extract_rows_interleaved`.
-``request(u)`` names batch ``u`` for ``run_async``, which the driver calls
-once per allocation round with every master's new batches.  UIDs are a
-pure function of the batch index and results reassemble in UID order, so
-how batches are driven trades wall time only.
 
-The process backend ships contexts through the **shared-memory context
-plane** (:mod:`repro.frw.shm`): registering a context publishes its index
-and cube table (each into one shared block per process, however many
-masters reference it), and work-item messages carry only small manifests
-+ the UID pieces — workers attach lazily and cache each asset block once,
-so the pool is created once, steady-state dispatch is manifest-only, and
-every start method (``fork``, ``spawn``, ``forkserver``) works.
-
-Every path reuses the engine's slot arena across batches: a one-worker
-executor keeps one arena for all its vectors, and work items — which go
-through :func:`~repro.frw.engine.run_segments` in process workers — hit
-its per-thread workspace cache, so steady-state batch execution allocates
-no walk-state arrays anywhere.
+Process workers get contexts through the **shared-memory context plane**
+(:mod:`repro.frw.shm`): registering a context publishes its index and cube
+table (one shared block each per process, however many masters reference
+them), and an entry carries only a small manifest and a UID range, which a
+worker attaches once — so every start method (``fork``, ``spawn``,
+``forkserver``) works.  A worker that dies raises
+:class:`~repro.errors.WorkerLostError` from the waiting call.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import multiprocessing
 import os
 import pickle
 import time
 from collections import deque
-from functools import partial
 from itertools import count
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from ..config import EXECUTOR_KINDS, MP_START_METHODS, FRWConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, WorkerLostError
 from . import shm
 from .context import ExtractionContext
 from .engine import (
@@ -66,7 +49,6 @@ from .engine import (
     WalkPipeline,
     WalkResults,
     concat_results,
-    run_segments,
 )
 
 #: A stream spec is ``(rng_kind, seed, stream)`` — enough to rebuild a
@@ -152,159 +134,152 @@ def resolve_start_method(method: str = "auto") -> str:
     return method
 
 
-def _pack(batches, items: int):
-    """Cut the concatenated ``(key, uids)`` batches into ``items``
-    near-equal work items (``1 <= items <= total walks``).
-
-    Returns ``(work, slots)``: ``work[j]`` lists item ``j``'s ``(key,
-    uids)`` segments in order, and ``slots[b]`` the ``(item, segment)``
-    positions of batch ``b``'s pieces.  The cuts are ``floor(j * total /
-    items)``, so ``items = k * c`` over ``k`` equal batches cuts each
-    batch into ``c`` items of its own.
+class _Vector:
+    """One long-lived engine vector fed from a queue of batches, one lane
+    per dispatch key.  A batch dropped while still queued is never
+    launched.  Once no batch is live the vector is dropped, and the next
+    :meth:`submit` builds a new one over the same slot arena; the batches
+    live at once must share their structure assets (one solver's do).
     """
-    total = sum(uids.shape[0] for _, uids in batches)
-    cuts = [j * total // items for j in range(items + 1)]
-    work: list[list] = [[] for _ in range(items)]
-    slots = []
-    start = 0
-    for key, uids in batches:
-        stop = start + uids.shape[0]
-        j = min(bisect.bisect_right(cuts, start), items) - 1
-        pieces, a = [], start
+
+    def __init__(self):
+        self.timers: StageTimers | None = None
+        self._workspace: ArenaWorkspace | None = None
+        self._reset()
+
+    def _reset(self) -> None:
+        self._pipe: WalkPipeline | None = None
+        self._lanes: dict = {}  # dispatch key -> lane
+        self._queue: deque = deque()  # (seq, lane, uids) not yet fed
+        self._fed: deque = deque()  # seqs fed, not yet emitted
+        self.live: dict[int, int] = {}  # seq -> walks, until emitted or dropped
+
+    def submit(
+        self, seq: int, key, ctx: ExtractionContext, spec: StreamSpec, uids
+    ) -> None:
+        lane = self._lanes.get(key)
+        if lane is None:
+            streams = streams_from_spec(spec)
+            if self._pipe is None:
+                width = max(1, uids.shape[0])
+                if self._workspace is None:
+                    self._workspace = ArenaWorkspace(width)
+                self._pipe = WalkPipeline(
+                    ((ctx, streams),),
+                    self._feed,
+                    width=width,
+                    workspace=self._workspace,
+                    timers=self.timers,
+                )
+                lane = 0
+            else:
+                lane = self._pipe.add_lane(ctx, streams)
+            self._lanes[key] = lane
+        self._queue.append((seq, lane, uids))
+        self.live[seq] = uids.shape[0]
+
+    def _feed(self, index: int):
+        while self._queue:
+            seq, lane, uids = self._queue.popleft()
+            if seq in self.live:  # else dropped before it was fed
+                self._fed.append(seq)
+                return lane, uids
+        return None
+
+    def emit(self) -> tuple[int, WalkResults]:
+        """Step until the oldest live batch completes: ``(seq, results)``."""
         while True:
-            b = min(stop, cuts[j + 1])
-            pieces.append((j, len(work[j])))
-            work[j].append((key, uids[a - start : b - start]))
-            if b == stop:
-                break
-            a, j = b, j + 1
-        slots.append(pieces)
-        start = stop
-    return work, slots
+            results = self._pipe.next_batch()
+            seq = self._fed.popleft()
+            if seq in self.live:  # else dropped after it was fed
+                self._forget(seq)
+                return seq, results
 
+    def drop(self, seq: int) -> int:
+        """Forget a batch; returns its walks not yet launched."""
+        if seq not in self.live:  # already emitted
+            return 0
+        if seq not in self._fed:
+            unlaunched = self.live[seq]
+        else:
+            unlaunched = self._pipe.unlaunched if seq == self._fed[-1] else 0
+        self._forget(seq)
+        return unlaunched
 
-def _piece(get, segment: int):
-    """Getter of one segment of a work item's result list."""
-    return lambda: get()[segment]
+    def _forget(self, seq: int) -> None:
+        del self.live[seq]
+        if not self.live:
+            self._reset()
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker side: the parent publishes each context's assets into
-# shared blocks (repro.frw.shm) and dispatches work items, each a list of
-# (manifest, uids) segments.  Workers attach lazily — the first item naming
-# an asset block maps it and rebuilds the asset over zero-copy views; every
-# later item hits the attachment caches.  Works under fork, spawn, and
-# forkserver.
+# Process workers: each runs one _Vector from the messages on its pipe.
 # ----------------------------------------------------------------------
 _LOG = logging.getLogger(__name__)
 
-#: Upper bound on how long :meth:`PersistentExecutor.close` waits for
-#: dispatched process-pool work items before terminating the pool.
-CLOSE_DRAIN_S = 30.0
-
-#: :meth:`PersistentExecutor.worker_stats` sends this many probes per
-#: worker, each sleeping ``PROBE_DELAY_S`` seconds so they spread over
-#: the pool.
-PROBES_PER_WORKER = 4
-PROBE_DELAY_S = 0.02
+#: How long :meth:`PersistentExecutor.close` lets its workers exit after
+#: the stop message before it terminates them.
+CLOSE_JOIN_S = 5.0
 
 
-def _run_item(segments, width: int) -> list[WalkResults]:
-    """Run one work item: ``[((ctx, spec), uids), ...]`` segments through
-    one shared engine vector of at most ``width`` walks, one lane per
-    distinct context and spec."""
-    lanes, lane_of, fed = [], {}, []
-    for (ctx, spec), uids in segments:
-        lane = lane_of.setdefault((id(ctx), spec), len(lanes))
-        if lane == len(lanes):
-            lanes.append((ctx, streams_from_spec(spec)))
-        fed.append((lane, uids))
-    return run_segments(
-        lanes, fed, min(width, sum(uids.shape[0] for _, uids in fed))
-    )
+def _wire(uids: np.ndarray):
+    """An entry's UIDs as sent: a contiguous run travels as ``(first,
+    count)``, so a parent never blocks on a pipe its worker is not
+    reading."""
+    n = uids.shape[0]
+    if n and np.array_equal(uids, uids[0] + np.arange(n, dtype=np.uint64)):
+        return int(uids[0]), n
+    return uids
 
 
-def _shm_chunk(segments, width: int) -> list[WalkResults]:
-    """Process-worker entry: attach each ``(manifest, uids)`` segment's
-    context (cached per manifest) and run the work item."""
-    return _run_item(
-        [((shm.attach_context(m), m.spec), uids) for m, uids in segments],
-        width,
-    )
-
-
-def _worker_probe(_: int) -> tuple[int, int]:
-    """Identify the executing worker: ``(pid, asset blocks attached)``.
-
-    Each probe sleeps briefly so a ``map(..., chunksize=1)`` of one probe
-    per pool slot lands on distinct workers instead of racing onto one.
-    """
-    time.sleep(PROBE_DELAY_S)
-    return os.getpid(), shm.attach_count()
-
-
-class PendingBatch:
-    """Handle to one dispatched walk batch (one UID set).
-
-    ``waiters`` are blocking getters of the batch's pieces in UID order:
-    one per work item holding a piece on a pool (an item may carry pieces
-    of several batches), one that steps the shared vector on one worker,
-    where ``unlaunched`` forgets the batch and returns its walks not yet
-    launched.
-    """
-
-    __slots__ = ("uids", "_waiters", "_unlaunched", "_result")
-
-    def __init__(self, uids: np.ndarray, waiters, unlaunched=None):
-        self.uids = uids
-        self._waiters = waiters
-        self._unlaunched = unlaunched
-        self._result: WalkResults | None = None
-
-    def result(self) -> WalkResults:
-        """Block until the batch completes; UID-ordered results."""
-        if self._result is None:
-            parts = [wait() for wait in self._waiters]
-            self._result = (
-                parts[0] if len(parts) == 1 else concat_results(self.uids, parts)
-            )
-            self._waiters = self._unlaunched = None
-        return self._result
-
-    def discard(self) -> int:
-        """Drop the batch ungathered; returns how many of its walks were
-        launched (on a pool, all of them)."""
-        unlaunched = self._unlaunched() if self._unlaunched else 0
-        self._waiters = self._unlaunched = None
-        return self.uids.shape[0] - unlaunched
+def _worker_main(conn) -> None:
+    """Process-worker entry.  Between batches, read every waiting
+    ``("run", seq, manifest, uids)``, ``("drop", seq)``, ``("stats",)`` or
+    ``("stop",)`` message (blocking only while idle), then step the vector
+    to its next completed batch and send back ``(seq, results)``."""
+    vector = _Vector()
+    try:
+        while True:
+            while not vector.live or conn.poll():
+                kind, *args = conn.recv()
+                if kind == "run":
+                    seq, manifest, uids = args
+                    if isinstance(uids, tuple):
+                        uids = np.arange(uids[0], sum(uids), dtype=np.uint64)
+                    ctx = shm.attach_context(manifest)
+                    vector.submit(seq, manifest.name, ctx, manifest.spec, uids)
+                elif kind == "drop":
+                    vector.drop(args[0])
+                elif kind == "stats":
+                    conn.send((None, (os.getpid(), shm.attach_count())))
+                else:
+                    return
+            conn.send(vector.emit())
+    except EOFError:  # the parent is gone
+        return
 
 
 class PersistentExecutor:
-    """A walk-execution pool created once and reused for a whole extraction.
+    """A walk executor created once and reused for a whole extraction.
 
     Parameters
     ----------
     backend:
         ``"serial"`` (one worker, the default) or ``"process"``.
     n_workers:
-        Process-pool width; ``0`` means auto (host CPU count).
+        Worker-process count; ``0`` means auto (host CPU count).
     mp_start_method:
         Start method of the process backend (``"auto"``, ``"fork"``,
         ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
 
-    Contexts are registered once per master (:meth:`register`); thereafter
-    any number of batches can be dispatched with :meth:`run`.  With one
-    worker there is no pool: batches of every master queue on one
-    in-process vector, dropped once no handle is live; ``timers``
-    (optional :class:`~repro.frw.engine.StageTimers`) times its stages.
-    The process pool is created once and never restarts: registration
-    publishes the context to the shared-memory plane and workers attach
-    on first dispatch.  Dispatch telemetry (work items,
-    pickled payload bytes) accumulates in :meth:`dispatch_stats`;
-    :meth:`worker_stats` probes the live pool for worker PIDs and
-    per-worker attachment counts.  A closed executor rejects further work
-    with :class:`~repro.errors.ConfigError` instead of silently
-    re-creating its pool or publishing blocks.
+    Contexts are registered once per master (:meth:`register`); then
+    batches are queued with :meth:`submit` and collected with
+    :meth:`next_done` (:meth:`run` does both for one batch).  With one
+    worker every master's batches queue on one in-process vector, which
+    runs only while a caller waits.  The process backend starts its
+    workers on first use and never restarts them.  A closed executor
+    rejects further work with :class:`~repro.errors.ConfigError` instead
+    of restarting workers or publishing blocks.
     """
 
     def __init__(
@@ -315,6 +290,7 @@ class PersistentExecutor:
     ):
         # Set first so __del__/close stay safe if validation below raises.
         self._closed = True
+        self._workers: list = []  # (Process, Connection), started on first use
         if backend not in EXECUTOR_KINDS:
             raise ConfigError(
                 f"executor backend must be one of {EXECUTOR_KINDS}, got {backend!r}"
@@ -322,21 +298,22 @@ class PersistentExecutor:
         self.backend = backend
         self.n_workers = 1 if backend == "serial" else resolve_workers(n_workers)
         self.mp_start_method = mp_start_method
-        self.timers: StageTimers | None = None
         # Resolve eagerly so a bad method/platform combination fails at
         # construction, not mid-extraction.
         self._start_method = (
             resolve_start_method(mp_start_method) if backend == "process" else None
         )
-        self._process_pool = None
-        # Dispatched process-pool work items not yet known to be finished.
-        self._pending: list = []
+        self._vector = _Vector() if self.n_workers == 1 else None
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
-        self._ids = count()  # dispatch keys and one-worker batch seqs
-        self._workspace: ArenaWorkspace | None = None
-        self._reset_vector()
+        self._ids = count()  # dispatch keys, tickets and entry seqs
+        self._queued = [0] * self.n_workers  # walks out on each worker
+        # seq -> (ticket, worker, walks) of every entry not yet back.
+        self._entries: dict[int, tuple[int, int, int]] = {}
+        # ticket -> (uids, entry seqs, results back by seq).
+        self._tickets: dict[int, tuple[np.ndarray, list[int], dict]] = {}
+        self._finished: dict[int, WalkResults] = {}  # not yet collected
         self._closed = False
         self.dispatches = 0
         self.dispatch_pickle_bytes = 0
@@ -351,10 +328,9 @@ class PersistentExecutor:
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
         """Register a context + stream spec once; returns its dispatch key.
 
-        On a process pool this *publishes* the context immediately (its
-        assets' blocks on first reference); the pool keeps running and
-        workers attach on first dispatch.  With one worker it is a dict
-        insert.
+        On the process backend this *publishes* the context immediately
+        (its assets' blocks on first reference); the workers keep running
+        and attach on first sight.  With one worker it is a dict insert.
         """
         self._check_open()
         ident = (id(ctx), spec)
@@ -364,7 +340,7 @@ class PersistentExecutor:
         key = next(self._ids)
         self._registry[key] = (ctx, spec)
         self._keys[ident] = key
-        if self.n_workers > 1:
+        if self._vector is None:
             self._manifests[key] = shm.publish_context(ctx, spec)
         return key
 
@@ -376,135 +352,135 @@ class PersistentExecutor:
             del self._registry[self._keys.pop(ident)]
 
     # ------------------------------------------------------------------
-    # One worker: one in-process vector shared by every master
+    # Worker processes
     # ------------------------------------------------------------------
-    def _reset_vector(self) -> None:
-        self._pipe: WalkPipeline | None = None
-        self._lanes: dict[int, int] = {}  # dispatch key -> lane
-        self._queue: deque = deque()  # (seq, lane, uids) not yet fed
-        self._fed: deque = deque()  # seqs fed, not yet emitted
-        self._live: dict[int, WalkResults | None] = {}  # results once emitted
-
-    def _submit(self, key: int, uids: np.ndarray, width: int) -> PendingBatch:
-        lane = self._lanes.get(key)
-        if lane is None:
-            ctx, spec = self._registry[key]
-            streams = streams_from_spec(spec)
-            if self._pipe is None:
-                if self._workspace is None:
-                    self._workspace = ArenaWorkspace(width)
-                self._pipe = WalkPipeline(
-                    ((ctx, streams),),
-                    self._feed,
-                    width=width,
-                    workspace=self._workspace,
-                    timers=self.timers,
-                )
-                lane = 0
-            else:
-                lane = self._pipe.add_lane(ctx, streams)
-            self._lanes[key] = lane
-        seq = next(self._ids)
-        self._queue.append((seq, lane, uids))
-        self._live[seq] = None
-        drop = partial(self._drop, seq, uids.shape[0])
-        return PendingBatch(uids, [partial(self._gather, seq)], drop)
-
-    def _feed(self, index: int):
-        while self._queue:
-            seq, lane, uids = self._queue.popleft()
-            if seq in self._live:  # else discarded before it was fed
-                self._fed.append(seq)
-                return lane, uids
-        return None
-
-    def _gather(self, seq: int) -> WalkResults:
-        while self._live[seq] is None:
-            results = self._pipe.next_batch()
-            done = self._fed.popleft()
-            if done in self._live:
-                self._live[done] = results
-        return self._forget(seq)
-
-    def _drop(self, seq: int, size: int) -> int:
-        if seq not in self._fed:  # still queued, or already emitted
-            unlaunched = size if self._live[seq] is None else 0
-        else:
-            unlaunched = self._pipe.unlaunched if seq == self._fed[-1] else 0
-        self._forget(seq)
-        return unlaunched
-
-    def _forget(self, seq: int) -> WalkResults | None:
-        results = self._live.pop(seq)
-        if not self._live:
-            self._reset_vector()
-        return results
-
-    # ------------------------------------------------------------------
-    # Pool
-    # ------------------------------------------------------------------
-    def _processes(self):
-        if self._process_pool is None:
+    def _processes(self) -> list:
+        if not self._workers:
             mp_ctx = multiprocessing.get_context(self._start_method)
-            self._process_pool = mp_ctx.Pool(processes=self.n_workers)
-        return self._process_pool
+            for _ in range(self.n_workers):
+                conn, child = mp_ctx.Pipe()
+                proc = mp_ctx.Process(
+                    target=_worker_main, args=(child,), daemon=True
+                )
+                proc.start()
+                child.close()
+                self._workers.append((proc, conn))
+        return self._workers
+
+    def _message(self, w: int, msg) -> int:
+        """Send ``msg`` to worker ``w``; returns its pickled size."""
+        data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            self._processes()[w][1].send_bytes(data)
+        except OSError as exc:
+            raise WorkerLostError(f"process worker {w} is gone") from exc
+        return len(data)
+
+    def _recv(self, workers) -> tuple:
+        """The next ``(seq, payload)`` any of ``workers`` sends; only a
+        worker holds its end of its pipe, so its death reads as EOF."""
+        conns = {self._workers[w][1]: w for w in workers}
+        conn = wait(list(conns))[0]
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            w = conns[conn]
+            raise WorkerLostError(
+                f"process worker {w} (pid {self._workers[w][0].pid}) died "
+                "with batches in flight"
+            ) from None
 
     # ------------------------------------------------------------------
-    # Batch dispatch
+    # Batch queue
     # ------------------------------------------------------------------
-    def run(self, key: int, uids: np.ndarray) -> WalkResults:
-        """Execute one batch of walks, reassembled in UID order."""
-        return self.run_async([(key, uids)])[0].result()
-
-    def run_async(
-        self, batches: list[tuple[int, np.ndarray]], items: int | None = None
-    ) -> list[PendingBatch]:
-        """Dispatch ``(key, uids)`` batches without blocking; returns one
-        handle per batch.
-
-        The batches are concatenated in the given order and cut into at
-        most ``items`` near-equal work items (default: one per worker); a
-        batch may straddle two items.  Each item runs its pieces through
-        one engine vector no wider than the largest batch
-        (:func:`~repro.frw.engine.run_segments`), so the drain tails of the
-        batches packed into it overlap instead of running back to back.
-        The batches of one call must share their structure assets (one
-        solver's masters do).
-
-        A handle's :meth:`PendingBatch.result` reassembles its batch's
-        pieces in UID order, so a gathered batch is bit-identical to the
-        serial engine however it was packed.  With one worker (or fewer
-        than two walks) each batch queues on the executor's one in-process
-        vector instead, and runs only when a handle is gathered: a batch
-        discarded before the vector reaches it is never launched.  Packing
-        never changes results, only the schedule.
-        """
+    def submit(self, key: int, uids: np.ndarray, pieces: int = 1) -> int:
+        """Queue one batch without blocking; returns its ticket.  The
+        batch is cut into ``pieces`` near-equal queue entries (at most one
+        per walk), each sent to the worker with the fewest queued walks;
+        :meth:`next_done` reassembles them in UID order."""
         self._check_open()
-        batches = [(key, np.asarray(uids, dtype=np.uint64)) for key, uids in batches]
-        total = sum(uids.shape[0] for _, uids in batches)
-        width = max((uids.shape[0] for _, uids in batches), default=1)
-        if self.n_workers == 1 or total < 2:
-            return [self._submit(key, uids, width) for key, uids in batches]
-        work, slots = _pack(
-            batches,
-            max(1, min(self.n_workers if items is None else int(items), total)),
-        )
-        self.dispatches += len(work)
-        payloads = [
-            ([(self._manifests[key], uids) for key, uids in item], width)
-            for item in work
-        ]
-        self.dispatch_pickle_bytes += sum(
-            len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
-            for p in payloads
-        )
-        pool = self._processes()
-        asyncs = [pool.apply_async(_shm_chunk, p) for p in payloads]
-        self._pending = [a for a in self._pending if not a.ready()] + asyncs
-        return [
-            PendingBatch(uids, [_piece(asyncs[j].get, s) for j, s in pieces])
-            for (_, uids), pieces in zip(batches, slots)
-        ]
+        uids = np.asarray(uids, dtype=np.uint64)
+        n = uids.shape[0]
+        pieces = max(1, min(int(pieces), n))
+        ticket = next(self._ids)
+        seqs = [next(self._ids) for _ in range(pieces)]
+        self._tickets[ticket] = (uids, seqs, {})
+        for j, seq in enumerate(seqs):
+            part = uids[j * n // pieces : (j + 1) * n // pieces]
+            w = self._queued.index(min(self._queued))
+            if self._vector is not None:
+                self._vector.submit(seq, key, *self._registry[key], part)
+            else:
+                msg = ("run", seq, self._manifests[key], _wire(part))
+                self.dispatch_pickle_bytes += self._message(w, msg)
+                self.dispatches += 1
+            self._queued[w] += part.shape[0]
+            self._entries[seq] = (ticket, w, part.shape[0])
+        return ticket
+
+    def _collect(self, seq: int, results: WalkResults) -> None:
+        """File one entry that came back; its batch finishes with its last
+        piece."""
+        entry = self._entries.pop(seq, None)
+        if entry is None:  # its batch was discarded
+            return
+        ticket, w, walks = entry
+        self._queued[w] -= walks
+        uids, seqs, parts = self._tickets[ticket]
+        parts[seq] = results
+        if len(parts) == len(seqs):
+            del self._tickets[ticket]
+            self._finished[ticket] = (
+                results
+                if len(seqs) == 1
+                else concat_results(uids, [parts[s] for s in seqs])
+            )
+
+    def _pump(self) -> None:
+        """Wait for one entry on any worker and file it."""
+        if self._vector is not None:
+            self._collect(*self._vector.emit())
+        else:
+            self._collect(*self._recv(range(self.n_workers)))
+
+    def next_done(self) -> tuple[int, WalkResults]:
+        """Wait for the next batch completed on any worker; returns
+        ``(ticket, results)``, the results in UID order.  Across workers
+        batches complete in any order; on one worker, in submission
+        order."""
+        self._check_open()
+        while not self._finished:
+            if not self._tickets:
+                raise ConfigError("next_done() with no batch in flight")
+            self._pump()
+        ticket = next(iter(self._finished))
+        return ticket, self._finished.pop(ticket)
+
+    def run(self, key: int, uids: np.ndarray) -> WalkResults:
+        """Execute one batch, cut over every worker, and wait for it;
+        reassembled in UID order."""
+        ticket = self.submit(key, uids, self.n_workers)
+        while ticket not in self._finished:
+            self._pump()
+        return self._finished.pop(ticket)
+
+    def discard(self, ticket: int) -> int:
+        """Drop a batch ungathered; returns how many of its walks were
+        launched.  A piece still queued is never launched; a piece out on a
+        process worker is dropped there too, but the worker reports
+        nothing back, so it counts whole."""
+        uids, seqs, parts = self._tickets.pop(ticket)
+        unlaunched = 0
+        for seq in seqs:
+            if seq in parts:
+                continue
+            _, w, walks = self._entries.pop(seq)
+            self._queued[w] -= walks
+            if self._vector is not None:
+                unlaunched += self._vector.drop(seq)
+            else:
+                self._message(w, ("drop", seq))
+        return uids.shape[0] - unlaunched
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -512,16 +488,11 @@ class PersistentExecutor:
     def dispatch_stats(self) -> dict:
         """Cumulative dispatch telemetry.
 
-        ``dispatches`` counts pool *work items*, not batches: one
-        :meth:`run_async` call packs its batches into at most one item per
-        worker, so an item may carry pieces of several masters' batches
-        (the Alg. 2 driver's ``dispatched_batches`` counts batches).
-        ``pickle_bytes`` counts the pickled payload of every work item, so
-        ``pickle_bytes_per_dispatch`` measures the per-item payload — UIDs
-        plus one manifest per master in the item, regardless of context
-        size; packing more batches per item raises it while the total
-        stays flat.  ``published_nbytes`` sums the distinct asset blocks
-        this executor's manifests name.
+        ``dispatches`` counts the queue entries sent to process workers
+        (one per batch, or per piece of a cut batch) and ``pickle_bytes``
+        their pickled messages: a manifest and a UID range each, whatever
+        the context size.  ``published_nbytes`` sums the distinct asset
+        blocks this executor's manifests name.
         """
         n = max(1, self.dispatches)
         blocks = {
@@ -541,52 +512,57 @@ class PersistentExecutor:
         }
 
     def worker_stats(self) -> dict:
-        """Best-effort process-pool probe: worker PIDs and attach counts.
-
-        Maps :data:`PROBES_PER_WORKER` short sleep probes per worker across
-        the pool (``chunksize=1`` so they spread over workers) and reports,
-        per observed worker PID, how many shared asset blocks that worker
-        has attached.  Empty without a process pool.  Scheduling decides
-        which workers answer, so this is telemetry — results never feed
-        back into walk values.
-        """
+        """Every process worker's PID and how many shared asset blocks it
+        has attached (starting the workers if need be); empty at one
+        worker.  Telemetry only — it never feeds back into walk values."""
         self._check_open()
-        if self.n_workers == 1:
+        if self._vector is not None:
             return {}
-        pool = self._processes()
-        n = self.n_workers * PROBES_PER_WORKER
-        rows = pool.map(_worker_probe, range(n), chunksize=1)
+        for w in range(self.n_workers):
+            self._message(w, ("stats",))
         attaches: dict[int, int] = {}
-        for pid, count in rows:
-            attaches[pid] = max(count, attaches.get(pid, 0))
+        for w in range(self.n_workers):
+            seq, payload = self._recv([w])
+            while seq is not None:  # a batch finished before the answer
+                self._collect(seq, payload)
+                seq, payload = self._recv([w])
+            pid, n = payload
+            attaches[pid] = n
         pids = sorted(attaches)
         return {
             "worker_pids": pids,
             "attach_counts": {str(pid): attaches[pid] for pid in pids},
-            "total_attaches": sum(attaches[pid] for pid in pids),
+            "total_attaches": sum(attaches.values()),
         }
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down and release published blocks (idempotent)."""
+        """Stop the workers and release published blocks (idempotent).
+
+        Each worker gets a stop message and :data:`CLOSE_JOIN_S` seconds
+        to exit, during which whatever it still sends is read and dropped
+        (so it is never stuck on a full pipe); then it is terminated."""
         if self._closed:
             return
         self._closed = True
-        if self._process_pool is not None:
-            # Let dispatched items (speculative batches nobody will gather)
-            # finish first.  A worker that terminate() kills while it sends
-            # a result never releases the pool's result-queue lock, and
-            # terminate() then deadlocks joining its task handler.  The wait
-            # is bounded, so an item lost with a dead worker cannot hang it.
-            deadline = time.monotonic() + CLOSE_DRAIN_S
-            for pending in self._pending:
-                pending.wait(max(0.0, deadline - time.monotonic()))
-            self._pending = []
-            self._process_pool.terminate()
-            self._process_pool.join()
-            self._process_pool = None
+        for _, conn in self._workers:
+            try:
+                conn.send(("stop",))
+            except OSError:  # already gone
+                pass
+        deadline = time.monotonic() + CLOSE_JOIN_S
+        for proc, conn in self._workers:
+            while wait([conn], max(0.0, deadline - time.monotonic())):
+                try:
+                    conn.recv_bytes()
+                except (EOFError, OSError):  # the worker has exited
+                    break
+            proc.terminate()
+            proc.join()
+            conn.close()
+        self._workers = []
         # Unlink after the workers are gone: attached mappings die with
         # them, so no segment outlives the executor in /dev/shm.
         if self._manifests:
@@ -604,7 +580,7 @@ class PersistentExecutor:
         try:
             self.close()
         except (OSError, RuntimeError, ValueError) as exc:
-            # Pool teardown can race interpreter shutdown (half-collected
+            # Teardown can race interpreter shutdown (half-collected
             # module globals, dead worker pipes).  Those failures are
             # expected here and only here; anything else should propagate.
             _LOG.debug("PersistentExecutor.__del__: close() failed: %r", exc)
@@ -616,8 +592,7 @@ class PersistentExecutor:
 class BatchRunner:
     """One master's batches on an executor: batch ``u`` holds UIDs
     ``[u*B, (u+1)*B)``, and :meth:`request` names it as the ``(key, uids)``
-    pair :meth:`PersistentExecutor.run_async` takes, so the Alg. 2 driver
-    can send a round's batches of all masters in one call.
+    pair :meth:`PersistentExecutor.submit` takes.
     """
 
     def __init__(
@@ -631,7 +606,7 @@ class BatchRunner:
         self._key = executor.register(ctx, stream_spec(config, ctx.master))
 
     def request(self, u: int) -> tuple[int, np.ndarray]:
-        """Batch ``u`` as a ``run_async`` request ``(key, uids)``."""
+        """Batch ``u`` as a ``submit`` request ``(key, uids)``."""
         base = u * self.batch_size
         return self._key, np.arange(base, base + self.batch_size, dtype=np.uint64)
 
@@ -653,15 +628,15 @@ def make_batch_runner(
 
     Returns ``(runner, owned_executor)``: ``owned_executor`` is the
     executor created here for the config when none was supplied (the
-    caller must close it), else ``None``.  ``timers`` (optional) becomes
-    the executor's one-worker stage timers; pool workers cannot report
-    stages, so a pool leaves it untouched.
+    caller must close it), else ``None``.  ``timers`` (optional) times
+    the stages of a one-worker executor's vector; process workers cannot
+    report stages, so they leave it untouched.
     """
     owned = None
     if executor is None:
         owned = executor = PersistentExecutor(
             config.executor, config.n_workers, config.mp_start_method
         )
-    if timers is not None:
-        executor.timers = timers
+    if timers is not None and executor._vector is not None:
+        executor._vector.timers = timers
     return BatchRunner(ctx, config, executor), owned

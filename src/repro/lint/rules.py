@@ -453,6 +453,21 @@ def det005_naive_accumulation(
 _SUBMIT_ATTRS = ("submit", "apply_async", "map_async", "starmap", "imap")
 
 
+def _submitted(node: ast.AST) -> ast.expr | None:
+    """The callable a call hands to an executor: the first argument of
+    ``.submit()``-style methods, or the ``target=`` of ``Process(...)`` /
+    ``ctx.Process(...)``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = getattr(func, "attr", getattr(func, "id", None))
+    if name == "Process":
+        return next((k.value for k in node.keywords if k.arg == "target"), None)
+    if isinstance(func, ast.Attribute) and name in _SUBMIT_ATTRS and node.args:
+        return node.args[0]
+    return None
+
+
 def _local_names(fn: ast.FunctionDef) -> set[str]:
     names = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
     names.update(
@@ -492,12 +507,13 @@ def _shared_mutations(fn: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
 
 @_make("DET006", "shared-state mutation inside executor-submitted callables")
 def det006_executor_races(rule: Rule, src: SourceFile) -> Iterator[Finding]:
-    """Callables handed to ``.submit()`` / ``.apply_async()`` that assign
-    to attributes or items of closed-over / global objects: with a thread
-    pool that is a data race, and either way the mutation order becomes
-    schedule-dependent.  Return values and reassemble in the dispatcher
-    instead (UID-ordered), or suppress with the reason the object is not
-    actually shared (e.g. per-process state in fork workers)."""
+    """Callables handed to ``.submit()`` / ``.apply_async()`` or run as
+    a ``Process(target=...)`` that assign to attributes or items of
+    closed-over / global objects: with a thread pool that is a data race,
+    and either way the mutation order becomes schedule-dependent.  Return
+    values and reassemble in the dispatcher instead (UID-ordered), or
+    suppress with the reason the object is not actually shared (e.g.
+    per-process state in fork workers)."""
     defs: dict[str, ast.FunctionDef] = {
         node.name: node
         for node in ast.walk(src.tree)
@@ -505,14 +521,9 @@ def det006_executor_races(rule: Rule, src: SourceFile) -> Iterator[Finding]:
     }
     reported: set[tuple[int, str]] = set()
     for node in ast.walk(src.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SUBMIT_ATTRS
-            and node.args
-        ):
+        callee = _submitted(node)
+        if callee is None:
             continue
-        callee = node.args[0]
         name = None
         if isinstance(callee, ast.Name):
             name = callee.id

@@ -397,7 +397,7 @@ def test_antithetic_off_matches_pinned_goldens(
     kwargs = {} if start_method is None else {"mp_start_method": start_method}
     with PersistentExecutor(backend, n_workers=n_workers, **kwargs) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run_async([(key, uids)], 8)[0].result()
+        res = ex.run(key, uids)
     _check("homogeneous", res)
     assert _digest(res) == GOLDEN["homogeneous"]["sha256"]
 
@@ -442,8 +442,7 @@ def anti_reference(plates):
     "kwargs",
     [
         dict(executor="serial"),
-        # A lone master splits a 256-walk batch over 3 workers at UIDs 85
-        # and 170: antithetic pairs straddle item boundaries.
+        # A lone master cuts each 256-walk batch into 2 queue entries.
         dict(executor="process", n_workers=3, mp_start_method="fork"),
         dict(executor="process", n_workers=3, mp_start_method="forkserver"),
         dict(executor="process", n_workers=4, mp_start_method="forkserver"),
@@ -485,8 +484,8 @@ def test_default_row_is_bitwise_dop_independent(plates):
 
 @pytest.mark.parametrize("backend", ["process"])
 def test_antithetic_ragged_chunks_match_serial(plates, backend):
-    """Work items of 42 or 43 UIDs cut antithetic groups of 4 apart; the
-    reassembled batch still equals the serial engine's."""
+    """Queue entries of 42 or 43 UIDs cut antithetic groups of 4 apart;
+    the reassembled batch still equals the serial engine's."""
     cfg = FRWConfig.frw_r(**_ANTI_BASE, antithetic_group=4)
     ctx = build_context(plates, 0, cfg)
     spec = stream_spec(cfg, 0)
@@ -494,7 +493,8 @@ def test_antithetic_ragged_chunks_match_serial(plates, backend):
     ref = run_walks(ctx, streams_from_spec(spec), uids)
     with PersistentExecutor(backend, n_workers=2) as ex:
         key = ex.register(ctx, spec)
-        res = ex.run_async([(key, uids)], 6)[0].result()
+        ex.submit(key, uids, 6)
+        _, res = ex.next_done()
     assert np.array_equal(ref.omega, res.omega)
     assert np.array_equal(ref.dest, res.dest)
     assert np.array_equal(ref.steps, res.steps)

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import PersistentExecutor, RowProgress, cross_master
+from repro.frw import (
+    PersistentExecutor,
+    RowProgress,
+    cross_master,
+    run_walks,
+    streams_from_spec,
+)
 
 BASE = dict(
     seed=13,
@@ -139,28 +145,29 @@ def test_inflight_cap_bounds_discards(three_wires, backend):
 def test_lone_master_split_fills_the_pool(
     three_wires, golden_rows, monkeypatch
 ):
-    """A lone master's round is cut into one work item per worker: its
-    first round packs two whole batches, one per worker, and every later
-    round splits its one new batch over both workers.  The row still
-    matches the serial golden."""
-    rounds = []
-    run_async = PersistentExecutor.run_async
+    """A lone master holds ``1 + PIPELINE_LOOKAHEAD`` batches, so at 2
+    workers each batch travels as one queue entry, and at 4 workers each
+    is cut into 2, so the two batches in flight still fill the pool.  The
+    row still matches the serial golden."""
+    cuts = []
+    submit = PersistentExecutor.submit
 
-    def recording(self, batches, items=None):
-        rounds.append((len(batches), items))
-        return run_async(self, batches, items)
+    def recording(self, key, uids, pieces=1):
+        cuts.append(pieces)
+        return submit(self, key, uids, pieces)
 
-    monkeypatch.setattr(PersistentExecutor, "run_async", recording)
-    cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
-    with FRWSolver(three_wires, cfg) as solver:
-        row, stats = solver.extract_row(0)
-        dispatches = solver._executor.dispatch_stats()["dispatches"]
-    assert rounds[0] == (1 + cross_master.PIPELINE_LOOKAHEAD, 2)
-    assert all(items == 2 for k, items in rounds if k)
-    assert dispatches == 2 * sum(1 for k, _ in rounds if k)
+    monkeypatch.setattr(PersistentExecutor, "submit", recording)
     golden_row, _ = golden_rows[0]
-    assert np.array_equal(row.values, golden_row.values)
-    assert np.array_equal(row.sigma2, golden_row.sigma2)
+    for n_workers, pieces in ((2, 1), (4, 2)):
+        cuts.clear()
+        cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=n_workers)
+        with FRWSolver(three_wires, cfg) as solver:
+            row, stats = solver.extract_row(0)
+            dispatches = solver._executor.dispatch_stats()["dispatches"]
+        assert set(cuts) == {pieces}
+        assert dispatches == pieces * stats.dispatched_batches
+        assert np.array_equal(row.values, golden_row.values)
+        assert np.array_equal(row.sigma2, golden_row.sigma2)
 
 
 @pytest.fixture(scope="module")
@@ -175,41 +182,80 @@ def eight_wires():
 
 
 @pytest.mark.parametrize("backend", ["process"])
-def test_round_packs_into_worker_items(eight_wires, backend, monkeypatch):
-    """The first allocation round of 8 masters dispatches 8 batches; at 2
-    workers they travel as 2 work items, one per worker, and the rows
-    still equal the serial golden at every worker count and start
-    method."""
+def test_each_batch_travels_as_one_entry(eight_wires, backend):
+    """Eight live masters hold one batch each; at 2 workers no batch is
+    cut, so ``dispatches`` counts the batches sent, and the rows equal the
+    serial golden at every worker count and start method."""
     base = dict(BASE, batch_size=128, min_walks=256, max_walks=256)
     with FRWSolver(eight_wires, FRWConfig.frw_r(**base, executor="serial")) as s:
         golden = s.extract().matrix
 
-    first_round = []
-    run_async = PersistentExecutor.run_async
-
-    def recording(self, batches, items=None):
-        handles = run_async(self, batches, items)
-        if not first_round:
-            first_round.append(
-                (len(batches), self.dispatch_stats()["dispatches"])
-            )
-        return handles
-
-    monkeypatch.setattr(PersistentExecutor, "run_async", recording)
     for method in ("fork", "spawn"):
         for n_workers in (1, 2, 4):
-            first_round.clear()
             cfg = FRWConfig.frw_r(
                 **base, executor=backend, n_workers=n_workers,
                 mp_start_method=method,
             )
             with FRWSolver(eight_wires, cfg) as solver:
                 got = solver.extract().matrix
+                dispatches = solver.walk_executor().dispatch_stats()["dispatches"]
             if n_workers == 2:
-                assert first_round == [(8, 2)]
+                assert dispatches == got.meta["schedule"]["dispatched_batches"]
             assert np.array_equal(got.values, golden.values)
             assert np.array_equal(got.sigma2, golden.sigma2)
             assert np.array_equal(got.hits, golden.hits)
+
+
+class _ShuffledExecutor:
+    """A stand-in executor of four workers that runs each batch on
+    submission and hands completions back in a seeded random order, across
+    masters and across one master's batches."""
+
+    n_workers = 4
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._registry = []
+        self._done = []  # (ticket, results) not yet handed back
+        self.returned = {}  # key -> batch bases in the order handed back
+
+    def register(self, ctx, spec):
+        self._registry.append((ctx, spec))
+        return len(self._registry) - 1
+
+    def submit(self, key, uids, pieces=1):
+        ctx, spec = self._registry[key]
+        ticket = (key, int(uids[0]))
+        self._done.append((ticket, run_walks(ctx, streams_from_spec(spec), uids)))
+        return ticket
+
+    def next_done(self):
+        ticket, results = self._done.pop(int(self._rng.integers(len(self._done))))
+        self.returned.setdefault(ticket[0], []).append(ticket[1])
+        return ticket, results
+
+    def discard(self, ticket):
+        (i,) = [i for i, (t, _) in enumerate(self._done) if t == ticket]
+        return self._done.pop(i)[1].uids.shape[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shuffled_completions_keep_rows_golden(three_wires, golden_rows, seed):
+    """Batches that come back out of order, across masters and within
+    one master, wait in that master's buffer until their turn: every row
+    is byte-equal to the serial golden."""
+    fake = _ShuffledExecutor(seed)
+    cfg = FRWConfig.frw_r(**BASE, executor="serial")
+    with FRWSolver(three_wires, cfg) as solver:
+        rows, stats = cross_master.extract_rows_interleaved(
+            [0, 1, 2], cfg, solver.context, fake
+        )
+    assert any(order != sorted(order) for order in fake.returned.values())
+    for got, s, (row, ref) in zip(rows, stats, golden_rows):
+        assert got.values.tobytes() == row.values.tobytes()
+        assert got.sigma2.tobytes() == row.sigma2.tobytes()
+        assert got.hits.tobytes() == row.hits.tobytes()
+        assert s.batches == ref.batches
 
 
 def test_failed_extraction_abandons_its_batches(

@@ -511,6 +511,35 @@ def test_det006_flags_self_mutation_from_method_submit(tmp_path):
     assert error_rules(findings) == ["DET006"]
 
 
+DET006_PROCESS = """\
+import multiprocessing
+
+CACHE = {}
+
+def worker(conn):
+    %s
+
+def start(ctx):
+    parent, child = ctx.Pipe()
+    ctx.Process(target=worker, args=(child,)).start()
+    multiprocessing.Process(target=worker, args=(child,)).start()
+    return parent
+"""
+
+
+def test_det006_flags_shared_mutation_in_process_target(tmp_path):
+    src = DET006_PROCESS % "CACHE[conn] = conn.recv()"
+    findings = run_rule(tmp_path, "src/repro/frw/x.py", src, "DET006")
+    assert error_rules(findings) == ["DET006"]
+    assert "CACHE" in findings[0].message
+
+
+def test_det006_allows_process_target_with_local_state(tmp_path):
+    src = DET006_PROCESS % "state = {}; state[conn] = conn.recv()"
+    findings = run_rule(tmp_path, "src/repro/frw/x.py", src, "DET006")
+    assert error_rules(findings) == []
+
+
 def test_det006_ignores_unsubmitted_functions(tmp_path):
     src = "CACHE = {}\n\ndef work(key):\n    CACHE[key] = key\n"
     findings = run_rule(tmp_path, "src/repro/frw/x.py", src, "DET006")

@@ -2,7 +2,10 @@
 batch runners."""
 
 import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,12 +14,14 @@ from repro import Box, Conductor, FRWConfig, Structure
 from repro.frw import (
     BatchRunner,
     PersistentExecutor,
+    RowProgress,
     StageTimers,
     WalkPipeline,
     build_context,
     cross_master,
     extract_row_alg2,
     make_batch_runner,
+    parallel,
     run_walks,
     stream_spec,
 )
@@ -25,11 +30,15 @@ from repro.rng import WalkStreams
 from repro.structures import build_case
 
 
-def _run_once(backend, ctx, uids, n_workers, items=None):
-    """One batch on a fresh executor, closed on return."""
+def _run_once(backend, ctx, uids, n_workers, pieces=1):
+    """One batch, cut into ``pieces`` queue entries, on a fresh executor,
+    closed on return."""
     with PersistentExecutor(backend, n_workers) as ex:
         key = ex.register(ctx, stream_spec(ctx.config, 0))
-        return ex.run_async([(key, uids)], items)[0].result()
+        ticket = ex.submit(key, uids, pieces)
+        done, res = ex.next_done()
+        assert done == ticket
+        return res
 
 
 def test_parallel_matches_serial_bitwise(plates):
@@ -46,8 +55,8 @@ def test_parallel_matches_serial_bitwise(plates):
 def test_parallel_chunking_irrelevant(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(501, dtype=np.uint64)  # odd size: ragged chunks
-    a = _run_once("process", ctx, uids, 2, items=8)
-    b = _run_once("process", ctx, uids, 2, items=2)
+    a = _run_once("process", ctx, uids, 2, pieces=8)
+    b = _run_once("process", ctx, uids, 2, pieces=2)
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.dest, b.dest)
 
@@ -60,40 +69,12 @@ def test_single_worker_shortcut(plates):
     assert np.array_equal(res.omega, ref.omega)
 
 
-@pytest.mark.parametrize("items", [8, 14])
-def test_pack_reassembles_ragged_batches_in_uid_order(items):
-    """``_pack`` over ragged batches: ``items`` near-equal work items
-    whose pieces, read back through each batch's slots, are that batch's
-    UIDs in order, and each item's segments follow the concatenation."""
-    sizes = [37, 5, 1, 64, 19, 2]
-    starts = np.cumsum([0] + sizes)
-    batches = [
-        (b, np.arange(starts[b], starts[b + 1], dtype=np.uint64))
-        for b in range(len(sizes))
-    ]
-    work, slots = _pack(batches, items)
-    assert len(work) == items
-    counts = [sum(uids.shape[0] for _, uids in item) for item in work]
-    assert max(counts) - min(counts) <= 1
-    assert sum(counts) == starts[-1]
-    flat = [(key, uids) for item in work for key, uids in item]
-    assert np.array_equal(
-        np.concatenate([uids for _, uids in flat]), np.arange(starts[-1])
-    )
-    for (key, uids), pieces in zip(batches, slots):
-        got = [work[j][s] for j, s in pieces]
-        assert all(k == key for k, _ in got)
-        assert np.array_equal(np.concatenate([u for _, u in got]), uids)
-        items_of = [j for j, _ in pieces]
-        assert items_of == list(range(items_of[0], items_of[-1] + 1))
-
-
 def test_process_pool_matches_serial(plates):
     """The distributed-memory backend: bit-identical to the serial engine."""
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    procs = _run_once("process", ctx, uids, n_workers=2, items=4)
+    procs = _run_once("process", ctx, uids, n_workers=2, pieces=4)
     assert np.array_equal(serial.omega, procs.omega)
     assert np.array_equal(serial.dest, procs.dest)
 
@@ -121,7 +102,7 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
     with PersistentExecutor(backend, n_workers=n_workers) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run_async([(key, uids)], 8)[0].result()
+        res = ex.run(key, uids)
     assert np.array_equal(serial.omega, res.omega)
     assert np.array_equal(serial.dest, res.dest)
     assert np.array_equal(serial.steps, res.steps)
@@ -235,7 +216,7 @@ def test_solver_serial_config_gets_a_one_worker_executor(plates):
             ex = solver.walk_executor()
             assert ex.n_workers == 1
             result = solver.extract()
-            assert ex._process_pool is None
+            assert ex._workers == []
             stats = ex.dispatch_stats()
             assert stats["dispatches"] == stats["published_contexts"] == 0
             assert shm.published_blocks() == []
@@ -245,7 +226,7 @@ def test_solver_serial_config_gets_a_one_worker_executor(plates):
 def test_default_config_extracts_in_process():
     """The default config extracts Table I case 1 on the one-worker
     executor: it starts no thread and no child process, and dispatches
-    no pool work item."""
+    no queue entry to a worker process."""
     threads = threading.active_count()
     children = sorted(p.pid for p in multiprocessing.active_children())
     with FRWSolver(build_case(1), FRWConfig()) as solver:
@@ -281,8 +262,8 @@ def test_make_batch_runner_one_worker(plates):
 
 
 def test_make_batch_runner_on_a_pool(plates):
-    """A pool runner runs a batch through the executor's one packed
-    dispatch path and owns the pool it created."""
+    """A pool runner cuts a batch over both workers and owns the
+    executor it created."""
     cfg = FRWConfig.frw_r(
         seed=77, batch_size=64, executor="process", n_workers=2, antithetic=False
     )
@@ -303,11 +284,9 @@ def test_make_batch_runner_on_a_pool(plates):
 # ----------------------------------------------------------------------
 # Shared-memory context plane: spawn-safe process backend
 # ----------------------------------------------------------------------
-import os
-
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerLostError
 from repro.frw import shm
-from repro.frw.parallel import _pack, resolve_start_method, resolve_workers
+from repro.frw.parallel import resolve_start_method, resolve_workers
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -323,7 +302,7 @@ def test_spawn_backend_bitwise(plates, n_workers):
         "process", n_workers=n_workers, mp_start_method="spawn"
     ) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run_async([(key, uids)], 8)[0].result()
+        res = ex.run(key, uids)
     assert np.array_equal(serial.omega, res.omega)
     assert np.array_equal(serial.dest, res.dest)
     assert np.array_equal(serial.steps, res.steps)
@@ -332,20 +311,20 @@ def test_spawn_backend_bitwise(plates, n_workers):
 
 def test_second_wave_registration_keeps_pool(plates):
     """Registering more contexts must publish blocks, not restart the
-    pool: the worker PID set is unchanged across registration waves."""
+    workers: the worker PID set is unchanged across registration waves."""
     cfg = FRWConfig.frw_r(seed=5, antithetic=False)
     with PersistentExecutor("process", n_workers=2) as ex:
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
         res0 = ex.run(k0, uids)
-        pids_before = {p.pid for p in ex._process_pool._pool}
+        pids_before = ex.worker_stats()["worker_pids"]
         # Second wave: a new master registers while the pool is warm.
         ctx1 = build_context(plates, 1, cfg)
         k1 = ex.register(ctx1, stream_spec(cfg, 1))
         res1 = ex.run(k1, uids)
-        pids_after = {p.pid for p in ex._process_pool._pool}
-        assert pids_before == pids_after
+        assert len(pids_before) == 2
+        assert ex.worker_stats()["worker_pids"] == pids_before
         assert np.array_equal(
             run_walks(ctx0, WalkStreams(5, 0), uids).omega, res0.omega
         )
@@ -364,17 +343,19 @@ def test_executor_dispatch_telemetry(plates):
     ) as ex:
         ex.register(ctx, stream_spec(cfg, 0))
         key = ex.register(ctx, stream_spec(cfg, 0))
-        ex.run_async([(key, uids)], 4)[0].result()
+        ex.submit(key, uids, 4)
+        ex.next_done()
         stats = ex.dispatch_stats()
-        assert stats["dispatches"] == 4  # 400 uids in 4 chunks
+        assert stats["dispatches"] == 4  # 400 uids in 4 queue entries
         assert stats["published_contexts"] == 1
         assert stats["published_nbytes"] > 0
-        # Steady-state messages are (manifest, uids): a few KB each.
+        # Steady-state entries are (manifest, UID range): a few KB each.
         assert 0 < stats["pickle_bytes_per_dispatch"] < 16384
         assert stats["published_blocks"] == 2  # one index, one table
         workers = ex.worker_stats()
-        assert set(workers["attach_counts"].values()) <= {0, 2}
-        assert workers["total_attaches"] <= 2 * ex.n_workers
+        # Two entries each: every worker attached the index and the table.
+        assert list(workers["attach_counts"].values()) == [2, 2]
+        assert workers["total_attaches"] == 2 * ex.n_workers
 
 
 def test_spawn_worker_attaches_each_asset_once(three_wires):
@@ -389,7 +370,7 @@ def test_spawn_worker_attaches_each_asset_once(three_wires):
         ex = solver.walk_executor()
         assert ex.dispatch_stats()["published_contexts"] == 3
         workers = ex.worker_stats()
-    assert workers["attach_counts"]
+    assert len(workers["worker_pids"]) == ex.n_workers
     assert max(workers["attach_counts"].values()) <= 2
 
 
@@ -412,6 +393,7 @@ def test_executors_share_asset_blocks(plates):
         a.close()
         assert table_block in shm.published_blocks()
         res = b.run(key, uids)
+        assert len(b.worker_stats()["worker_pids"]) == b.n_workers
     finally:
         a.close()
         b.close()
@@ -432,33 +414,70 @@ def test_executor_close_unlinks_blocks(plates):
     assert all(b not in shm.published_blocks() for b in blocks)
 
 
-def test_close_lets_dispatched_chunks_finish(plates):
-    """close() with chunks still in flight lets them finish before it
-    terminates the pool: a worker killed while sending its result keeps
-    the pool's result-queue lock, and the pool teardown then deadlocks.
-    The items of every call must be waited for, not only the last call's:
-    four one-batch calls, then one call packing two batches."""
+def _within(seconds, fn):
+    """Run ``fn`` on a daemon thread, so a regression fails the test
+    instead of hanging it; returns the exception ``fn`` raised, if any."""
+    raised = []
+
+    def call():
+        try:
+            fn()
+        except Exception as exc:  # handed back to the test
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive()
+    return raised[0] if raised else None
+
+
+def test_close_with_batches_in_flight_is_bounded(plates):
+    """close() with queue entries still out stops every worker promptly
+    (a stop message, then a bounded join) and leaves no child process;
+    the closed executor rejects a further wait."""
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
-    uids = np.arange(3072, dtype=np.uint64)
+    children = set(multiprocessing.active_children())
     ex = PersistentExecutor("process", n_workers=2)
     key = ex.register(ctx, stream_spec(cfg, 0))
-    parts = np.split(uids, 6)
-    handles = [ex.run_async([(key, u)], 8)[0] for u in parts[:4]]
-    handles += ex.run_async([(key, u) for u in parts[4:]], 8)
-    gathered = []
+    for part in np.split(np.arange(6144, dtype=np.uint64), 6):
+        ex.submit(key, part, 2)
+    assert _within(parallel.CLOSE_JOIN_S + 10, ex.close) is None
+    assert set(multiprocessing.active_children()) <= children
+    with pytest.raises(ConfigError):
+        ex.next_done()
 
-    def close_then_gather():
-        ex.close()
-        gathered.extend(h.result() for h in handles)
 
-    # A daemon thread, so a regression fails here instead of hanging.
-    worker = threading.Thread(target=close_then_gather, daemon=True)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    ref = run_walks(ctx, WalkStreams(77, 0), uids)
-    assert np.array_equal(np.concatenate([r.omega for r in gathered]), ref.omega)
+def test_killed_worker_raises_worker_lost_error(three_wires):
+    """A SIGKILLed fork worker ends the extraction in WorkerLostError
+    within seconds, never a hang, and leaves no child process and no
+    shared-memory block behind."""
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=4096, max_walks=8192,
+        tolerance=1e-9, executor="process", n_workers=2,
+        mp_start_method="fork",
+    )
+    absorb = RowProgress.absorb
+    killed = []
+    children = set(multiprocessing.active_children())
+
+    def killing_absorb(self, results):
+        if not killed:
+            os.kill(victim, signal.SIGKILL)
+            killed.append(time.monotonic())
+        return absorb(self, results)
+
+    with pytest.MonkeyPatch.context() as mp:
+        with FRWSolver(three_wires, cfg) as solver:
+            victim = solver.walk_executor().worker_stats()["worker_pids"][0]
+            mp.setattr(RowProgress, "absorb", killing_absorb)
+            raised = _within(30, solver.extract)
+            assert isinstance(raised, WorkerLostError)
+            assert time.monotonic() - killed[0] < 10
+    assert set(multiprocessing.active_children()) <= children
+    prefix = f"frwctx-{os.getpid()}-"
+    assert not [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
 
 
 def test_solver_releases_shared_blocks(plates):
@@ -489,12 +508,12 @@ def test_closed_executor_rejects_work(plates):
     with pytest.raises(ConfigError):
         ex.run(key, uids)
     with pytest.raises(ConfigError):
-        ex.run_async([(key, uids)])
+        ex.submit(key, uids)
     with pytest.raises(ConfigError):
         ex.worker_stats()
     ex.close()
     assert shm.published_blocks() == blocks
-    assert ex._process_pool is None
+    assert ex._workers == []
 
 
 def test_resolve_start_method():
@@ -650,14 +669,14 @@ def test_discarded_unfed_batch_is_never_launched(plates, launched):
     uids = np.arange(256, dtype=np.uint64)
     with PersistentExecutor("serial") as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        a, b = ex.run_async([(key, uids[:64]), (key, uids[64:128])])
+        a, b = ex.submit(key, uids[:64]), ex.submit(key, uids[64:128])
         assert launched == []
-        assert b.discard() == 0
-        res = a.result()
-        assert sum(launched) == 64
-        c, d = ex.run_async([(key, uids[128:192]), (key, uids[192:])])
-        c.result()
-        assert 0 < d.discard() == sum(launched) - 128
+        assert ex.discard(b) == 0
+        done, res = ex.next_done()
+        assert done == a and sum(launched) == 64
+        c, d = ex.submit(key, uids[128:192]), ex.submit(key, uids[192:])
+        assert ex.next_done()[0] == c
+        assert 0 < ex.discard(d) == sum(launched) - 128
     ref = run_walks(ctx, WalkStreams(77, 0), uids[:64])
     assert np.array_equal(res.omega, ref.omega)
     assert np.array_equal(res.steps, ref.steps)
