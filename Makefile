@@ -12,9 +12,9 @@ test:
 
 # Determinism & cache-soundness static analysis, det-lint v2: per-file
 # rules + whole-program passes; every unsuppressed finding fails (see
-# docs/STATIC_ANALYSIS.md).  Also emits the SARIF artifact CI uploads.
+# docs/STATIC_ANALYSIS.md).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.lint --sarif det-lint.sarif src tests benchmarks
+	PYTHONPATH=src $(PYTHON) -m repro.lint src tests benchmarks
 
 # Time-to-tolerance benchmark (benchmarks/suite, BENCHMARK.json): every
 # workload in both modes (end-to-end metrics, then per-layer with --trace 1),

@@ -14,6 +14,7 @@ from repro.frw import (
     run_walks,
     simulate_dynamic_queue,
     simulate_static_blocks,
+    stream_spec,
 )
 from repro.rng import WalkStreams
 
@@ -44,7 +45,7 @@ def test_process_pool_executor(benchmark, ctx_case1):
 
     def run():
         with PersistentExecutor("process", n_workers=2) as ex:
-            key = ex.register(ctx_case1, ("philox", 9, 0))
+            key = ex.register(ctx_case1, stream_spec(ctx_case1.config, 0))
             return ex.run(key, uids).dest.shape[0]
 
     assert benchmark(run) == 2000

@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     if argv is None:
         argv = sys.argv[1:]
-    # argparse.REMAINDER refuses leading option flags ("lint --sarif ..."),
+    # argparse.REMAINDER refuses leading option flags ("lint --format=json ..."),
     # so forward everything after the subcommand token ourselves.
     if argv and argv[0] == "lint":
         from .lint.cli import main as lint_main

@@ -57,8 +57,6 @@ RESULT_FIELDS = (
     "machine_seed",
     "deterministic_merge",
     "antithetic",
-    "antithetic_group",
-    "antithetic_depth",
 )
 
 #: Config fields certified bit-invisible by the golden suites: they change
@@ -183,47 +181,33 @@ class FRWConfig:
         pool start but work on every platform and give workers a clean
         interpreter state.
     antithetic:
-        Generalized antithetic sampling (variance reduction): walk UIDs
-        are grouped in aligned blocks of ``antithetic_group`` consecutive
-        UIDs; the first UID of each group is the *primary* and the rest
-        are partners whose hop-direction draws are fixed
-        reflections/rotations of the primary's Philox words
-        (:class:`repro.rng.MirroredDraws`).  Partners launch from the
-        primary's Gaussian-surface point and take mirrored first hops, so
-        their flux weights are negatively correlated and fewer walks
-        reach a given tolerance.  Estimation switches to per-group means
-        (unbiased mean *and* variance under the intra-group correlation),
-        and the stopping rule consumes the group-mean standard error.
-        Because partners are a pure function of ``(seed, primary uid,
-        partner index, step, slot)``, bit-identity across backends,
-        worker counts, and start methods holds exactly as without the
-        flag.  Requires ``rng="philox"`` (partners re-read the primary's
-        counter words; the stateful MT ablation streams cannot express
-        that), a ``batch_size`` divisible by ``antithetic_group``,
-        ``min_walks >= 2 * antithetic_group``, and a variant other than
+        Antithetic sampling (variance reduction): walk UIDs pair up as
+        ``(2k, 2k+1)``; the even UID is the *primary* and the odd one a
+        partner whose first-hop draws are the reflection of the
+        primary's Philox words (:class:`repro.rng.MirroredDraws`).  The
+        partner launches from the primary's Gaussian-surface point and
+        takes the antipodal first hop, so the two flux weights are
+        negatively correlated and fewer walks reach a given tolerance.
+        Estimation switches to pair means (unbiased mean *and* variance
+        under the intra-pair correlation), and the stopping rule
+        consumes the pair-mean standard error.  Because partners are a
+        pure function of ``(seed, primary uid, step, slot)``,
+        bit-identity across backends, worker counts, and start methods
+        holds exactly as without the flag.  Larger groups and deeper
+        mirroring measured worse than the pair (PERFORMANCE.md layer 7),
+        so the pair is fixed.  Requires ``rng="philox"`` (partners
+        re-read the primary's counter words; the stateful MT ablation
+        streams cannot express that), an even ``batch_size``,
+        ``min_walks >= 4``, and a variant other than
         ``alg1``; each violation is a ``ConfigError`` naming
-        ``antithetic=False`` as the fix.  On by default: its group-mean
+        ``antithetic=False`` as the fix.  On by default: its pair-mean
         error bars reach their nominal coverage (``tests/test_coverage.py``)
         and it cuts walks to tolerance 1.1-2.8x on the benchmark suite.
         :meth:`alg1` and :meth:`frw_nc` default it off, and the paper
-        experiments turn it off to keep the paper's sampling (grouped
+        experiments turn it off to keep the paper's sampling (pair-mean
         accumulation skips the virtual-thread merge replay that Table II's
         RI study measures).  ``min_walks`` / ``max_walks`` keep counting
-        raw walks (groups × group size).
-    antithetic_group:
-        Walks per antithetic group (2-8): 2 is the classic reflected
-        pair ``u -> 1 - u``; 4 adds the half-rotated pair (dihedral
-        set).  Larger groups buy smoother first-hop stratification but
-        dilute the per-partner anticorrelation; 2 is the sweet spot on
-        the bus benchmarks (see PERFORMANCE.md layer 7).
-    antithetic_depth:
-        Walk steps (1-64, counting from the first hop) whose draws are
-        mirrored; beyond this depth partners reuse the primary's words
-        untransformed (common random numbers).  Depth 1 mirrors only the
-        first hop — the step that dominates the flux-weight sign — and
-        is the default; deeper mirroring keeps diverged paths
-        anticorrelated slightly longer at no extra cost, but the effect
-        fades once geometry decorrelates the paths.
+        raw walks (pairs × 2).
     sanitize:
         Arm the runtime RNG sanitizer
         (:func:`repro.lint.sanitizer.forbid_global_rng`) for the duration
@@ -260,8 +244,6 @@ class FRWConfig:
     n_workers: int = 0
     mp_start_method: str = "auto"
     antithetic: bool = True
-    antithetic_group: int = 2
-    antithetic_depth: int = 1
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -341,18 +323,8 @@ class FRWConfig:
                 f"mp_start_method must be one of {MP_START_METHODS}, got "
                 f"{self.mp_start_method!r}"
             )
-        if not (2 <= self.antithetic_group <= 8):
-            raise ConfigError(
-                f"antithetic_group must be in [2, 8], got "
-                f"{self.antithetic_group}"
-            )
-        if not (1 <= self.antithetic_depth <= 64):
-            raise ConfigError(
-                f"antithetic_depth must be in [1, 64], got "
-                f"{self.antithetic_depth}"
-            )
         if self.antithetic:
-            fix = "; pass antithetic=False to sample without groups"
+            fix = "; pass antithetic=False to sample without pairs"
             if self.rng != "philox":
                 # Partners re-read the primary's counter words; the
                 # stateful MT ablation streams consume sequentially and
@@ -365,18 +337,16 @@ class FRWConfig:
                     "antithetic requires the reproducible variants; "
                     f"alg1 has no per-walk UID streams to mirror{fix}"
                 )
-            if self.batch_size % self.antithetic_group != 0:
-                # Groups are aligned UID blocks; a batch boundary inside
-                # a group would split it across checkpoints.
+            if self.batch_size % 2 != 0:
+                # Pairs are aligned UID blocks; a batch boundary inside
+                # a pair would split it across checkpoints.
                 raise ConfigError(
-                    f"batch_size ({self.batch_size}) must be a multiple "
-                    f"of antithetic_group ({self.antithetic_group}){fix}"
+                    f"batch_size ({self.batch_size}) must be even{fix}"
                 )
-            if self.min_walks < 2 * self.antithetic_group:
+            if self.min_walks < 4:
                 raise ConfigError(
                     "min_walks must cover at least two antithetic "
-                    f"groups ({2 * self.antithetic_group}), got "
-                    f"{self.min_walks}{fix}"
+                    f"pairs (4), got {self.min_walks}{fix}"
                 )
 
     # ------------------------------------------------------------------

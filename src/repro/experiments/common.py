@@ -24,8 +24,8 @@ _FACTORIES = {
 
 def paper_config(variant: str, **kwargs) -> FRWConfig:
     """The paper's setup of ``variant``: independent walks, no antithetic
-    groups.  Table II's RI study needs the virtual-thread merge replay,
-    which grouped accumulation skips, and every table keeps the sampling
+    pairs.  Table II's RI study needs the virtual-thread merge replay,
+    which paired accumulation skips, and every table keeps the sampling
     the paper measured."""
     return _FACTORIES[variant](antithetic=False, **kwargs)
 

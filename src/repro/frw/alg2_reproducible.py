@@ -101,7 +101,7 @@ class RowProgress:
             ctx.n_conductors,
             ctx.master,
             summation=cfg.summation,
-            group_size=cfg.antithetic_group if cfg.antithetic else 1,
+            paired=cfg.antithetic,
         )
         self.rng_machine = machine_rng(cfg, ctx.master)
         self.stats = RunStats(thread_work=np.zeros(cfg.n_threads))
@@ -125,10 +125,9 @@ class RowProgress:
             # Group-mean accumulation needs whole UID-aligned groups, so
             # it always consumes the batch in UID order regardless of
             # deterministic_merge (the virtual-thread replay would split
-            # groups across simulated threads); the schedule still feeds
-            # the Fig. 5 load-balance model.  Batches are whole multiples
-            # of the group (batch_size % antithetic_group == 0, enforced
-            # at config validation), so groups never straddle a batch.
+            # pairs across simulated threads); the schedule still feeds
+            # the Fig. 5 load-balance model.  Batches are even (enforced
+            # at config validation), so pairs never straddle a batch.
             acc.add_group_batch(results.omega, results.dest, results.steps)
         elif cfg.deterministic_merge:
             # Extension: accumulate in walk-ID order for guaranteed

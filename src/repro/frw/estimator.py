@@ -9,21 +9,21 @@ the total walk count ``M`` and the variance of each mean follows Eq. (9).
 The summation backend is pluggable (Kahan or naive) because the paper's
 FRW-NK ablation differs from FRW-R exactly here.
 
-**Antithetic (grouped) accumulation.**  With ``group_size > 1`` the
-accumulator switches to per-group means: walks arrive in UID order as
-aligned groups of ``group_size`` antithetically coupled partners, and what
-enters the sum/sum-of-squares registers is each group's *mean* weight
+**Antithetic (paired) accumulation.**  With ``paired=True`` the
+accumulator switches to per-pair means: walks arrive in UID order as
+aligned pairs ``(2k, 2k+1)`` of antithetically coupled partners, and what
+enters the sum/sum-of-squares registers is each pair's *mean* weight
 vector, not the raw per-walk weights.  The mean estimate is algebraically
-unchanged (mean of complete group means == raw mean), but the variance
-must be computed over group means: walks inside a group are deliberately
+unchanged (mean of complete pair means == raw mean), but the variance
+must be computed over pair means: the two walks of a pair are deliberately
 anticorrelated, so the raw per-walk sample variance over-counts the
 information and Eq. (9) applied to it would be *biased* (it would report
 the variance an independent sample of the same size would have, hiding the
 antithetic gain from the stopping rule — and from Alg. 3's regularizer).
-Treating each group mean as one i.i.d. observation (they are: disjoint UID
+Treating each pair mean as one i.i.d. observation (they are: disjoint UID
 blocks, independent Philox words) restores the textbook unbiased variance
-of the mean with ``m = number of groups``; this is the merged mean/variance
-algebra of Healy (PAPERS.md) applied at group granularity.
+of the mean with ``m = number of pairs``; this is the merged mean/variance
+algebra of Healy (PAPERS.md) applied at pair granularity.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ class CapacitanceRow:
 class RowAccumulator:
     """Streaming accumulator for one master conductor's row.
 
-    With ``group_size > 1`` the sum registers hold sums of *group means*
+    With ``paired=True`` the sum registers hold sums of *pair means*
     (see the module docstring); ``walks`` always counts raw walks, and
-    sample counts for mean/variance use ``walks // group_size`` complete
-    groups.  Grouped accumulation happens only through
-    :meth:`add_group_batch`; the per-walk paths refuse to run grouped so
-    the two bookkeeping schemes can never silently mix.
+    sample counts for mean/variance use ``walks // 2`` complete pairs.
+    Paired accumulation happens only through :meth:`add_group_batch`; the
+    per-walk paths refuse to run paired so the two bookkeeping schemes can
+    never silently mix.
     """
 
     def __init__(
@@ -82,15 +82,13 @@ class RowAccumulator:
         n_conductors: int,
         master: int,
         summation: str = "kahan",
-        group_size: int = 1,
+        paired: bool = False,
     ):
-        if group_size < 1:
-            raise ConfigError(f"group_size must be >= 1, got {group_size}")
         vector_cls = KahanVector if summation == "kahan" else NaiveVector
         self.master = master
         self.n_conductors = n_conductors
         self.summation = summation
-        self.group_size = int(group_size)
+        self.paired = bool(paired)
         self.sum_w = vector_cls(n_conductors)
         self.sum_w2 = vector_cls(n_conductors)
         self.hits = np.zeros(n_conductors, dtype=np.int64)
@@ -100,20 +98,20 @@ class RowAccumulator:
     def spawn(self) -> "RowAccumulator":
         """A fresh accumulator with the same configuration (thread-local)."""
         return RowAccumulator(
-            self.n_conductors, self.master, self.summation, self.group_size
+            self.n_conductors, self.master, self.summation, self.paired
         )
 
-    def _require_ungrouped(self, caller: str) -> None:
-        if self.group_size != 1:
+    def _require_unpaired(self, caller: str) -> None:
+        if self.paired:
             raise ConfigError(
-                f"{caller} accumulates raw per-walk weights; a grouped "
-                f"accumulator (group_size={self.group_size}) must use "
-                "add_group_batch so sum registers stay in group-mean units"
+                f"{caller} accumulates raw per-walk weights; a paired "
+                "accumulator must use add_group_batch so sum registers "
+                "stay in pair-mean units"
             )
 
     def add_walk(self, omega: float, dest: int, steps: int = 0) -> None:
         """Accumulate a single walk (scalar hot path of the simulator)."""
-        self._require_ungrouped("add_walk")
+        self._require_unpaired("add_walk")
         self.sum_w.add_at(dest, omega)
         self.sum_w2.add_at(dest, omega * omega)
         self.hits[dest] += 1
@@ -131,7 +129,7 @@ class RowAccumulator:
         the per-walk Python call overhead.  This is the hot path of the
         virtual-thread merge replay.
         """
-        self._require_ungrouped("add_walks_ordered")
+        self._require_unpaired("add_walks_ordered")
         omega = np.asarray(omega, dtype=np.float64)
         dest = np.asarray(dest, dtype=np.int64)
         self._check_batch(omega, dest)
@@ -152,7 +150,7 @@ class RowAccumulator:
         compensated accumulator, so the result is independent of how walks
         were scheduled — provided callers pass walks in UID order.
         """
-        self._require_ungrouped("add_batch")
+        self._require_unpaired("add_batch")
         omega = np.asarray(omega, dtype=np.float64)
         dest = np.asarray(dest, dtype=np.int64)
         self._check_batch(omega, dest)
@@ -170,37 +168,31 @@ class RowAccumulator:
     def add_group_batch(
         self, omega: np.ndarray, dest: np.ndarray, steps: np.ndarray | None = None
     ) -> None:
-        """Accumulate a UID-ordered batch of complete antithetic groups.
+        """Accumulate a UID-ordered batch of complete antithetic pairs.
 
-        ``omega``/``dest`` must cover whole groups: element ``g *
-        group_size + k`` is partner ``k`` of group ``g``.  Each group's
-        mean weight vector (its weight on each destination, divided by
-        ``group_size``) enters the compensated accumulators as one
-        observation; ``hits``/``walks``/``total_steps`` keep raw per-walk
+        ``omega``/``dest`` must cover whole pairs: elements ``2k`` and
+        ``2k + 1`` are the two partners of pair ``k``.  Each pair's mean
+        weight vector (its weight on each destination, divided by 2)
+        enters the compensated accumulators as one observation; ``hits``/``walks``/``total_steps`` keep raw per-walk
         counts.  Like :meth:`add_batch` the partial sums are formed with
         ``np.add.at`` over the input order, so the result depends only on
         the UID order — not the schedule that produced the batch.
         """
-        g = self.group_size
-        if g < 2:
-            raise ConfigError(
-                "add_group_batch requires a grouped accumulator "
-                f"(group_size >= 2), got group_size={g}"
-            )
+        if not self.paired:
+            raise ConfigError("add_group_batch requires a paired accumulator")
         omega = np.asarray(omega, dtype=np.float64)
         dest = np.asarray(dest, dtype=np.int64)
         self._check_batch(omega, dest)
         n = dest.shape[0]
-        if n % g != 0:
+        if n % 2 != 0:
             raise ConfigError(
-                f"add_group_batch needs whole groups: {n} walks is not a "
-                f"multiple of group_size {g}"
+                f"add_group_batch needs whole pairs: {n} walks is odd"
             )
-        n_groups = n // g
-        gm = np.zeros((n_groups, self.n_conductors), dtype=np.float64)
-        rows = np.repeat(np.arange(n_groups, dtype=np.int64), g)
+        n_pairs = n // 2
+        gm = np.zeros((n_pairs, self.n_conductors), dtype=np.float64)
+        rows = np.repeat(np.arange(n_pairs, dtype=np.int64), 2)
         np.add.at(gm, (rows, dest), omega)
-        gm /= g
+        gm /= 2
         self.sum_w.add(gm.sum(axis=0))
         self.sum_w2.add((gm * gm).sum(axis=0))
         np.add.at(self.hits, dest, 1)
@@ -212,9 +204,9 @@ class RowAccumulator:
         """Absorb another accumulator (e.g. a thread-local partial).
 
         Both sides must agree on the full accumulator configuration —
-        summation mode, conductor count, master, and group size.  Mixing
+        summation mode, conductor count, master, and pairing.  Mixing
         (say) a Kahan global with a naive partial, or raw-walk sums with
-        group-mean sums, would silently corrupt the registers; it now
+        pair-mean sums, would silently corrupt the registers; it now
         raises :class:`~repro.errors.ConfigError` instead.
         """
         if not isinstance(other, RowAccumulator):
@@ -235,10 +227,9 @@ class RowAccumulator:
             raise ConfigError(
                 f"merge: master mismatch ({self.master} vs {other.master})"
             )
-        if other.group_size != self.group_size:
+        if other.paired != self.paired:
             raise ConfigError(
-                f"merge: group_size mismatch ({self.group_size} vs "
-                f"{other.group_size})"
+                f"merge: pairing mismatch ({self.paired} vs {other.paired})"
             )
         self.sum_w.merge(other.sum_w)
         self.sum_w2.merge(other.sum_w2)
@@ -262,15 +253,15 @@ class RowAccumulator:
 
     @property
     def samples(self) -> int:
-        """Independent observations held: groups if grouped, else walks."""
-        return self.walks // self.group_size
+        """Independent observations held: pairs if paired, else walks."""
+        return self.walks // 2 if self.paired else self.walks
 
     def row(self) -> CapacitanceRow:
         """Current estimates as a :class:`CapacitanceRow`.
 
-        Grouped accumulators divide by the group count (the registers
-        hold group-mean sums — the resulting mean equals the raw walk
-        mean) and report the unbiased variance *of the group means*,
+        Paired accumulators divide by the pair count (the registers
+        hold pair-mean sums — the resulting mean equals the raw walk
+        mean) and report the unbiased variance *of the pair means*,
         which is what the stopping rule and Alg. 3 must consume under
         antithetic coupling.
         """

@@ -51,31 +51,21 @@ from .engine import (
     concat_results,
 )
 
-#: A stream spec is ``(rng_kind, seed, stream)`` — enough to rebuild a
-#: per-walk stream provider anywhere (in this process or a worker
-#: process), which is what makes "any worker can evaluate any walk" real.
-#: Antithetic configs extend it to ``(rng_kind, seed, stream, group,
-#: depth)``; the 3-tuple form is kept for antithetic-off configs so their
-#: dispatch payloads and worker caches stay byte-identical to before.
+#: A stream spec is ``(rng_kind, seed, stream, antithetic)`` — enough to
+#: rebuild a per-walk stream provider anywhere (in this process or a
+#: worker process), which is what makes "any worker can evaluate any walk"
+#: real.
 StreamSpec = tuple
 
 
 def stream_spec(config: FRWConfig, master: int) -> StreamSpec:
     """The stream spec of one master under a config (domain-separated)."""
-    if config.antithetic:
-        return (
-            config.rng,
-            config.seed,
-            master,
-            config.antithetic_group,
-            config.antithetic_depth,
-        )
-    return (config.rng, config.seed, master)
+    return (config.rng, config.seed, master, config.antithetic)
 
 
 def streams_from_spec(spec: StreamSpec):
     """Build a fresh per-walk stream provider from a spec."""
-    kind, seed, stream = spec[:3]
+    kind, seed, stream, antithetic = spec
     if kind == "mt":
         from ..rng import MTWalkStreams
 
@@ -83,10 +73,10 @@ def streams_from_spec(spec: StreamSpec):
     from ..rng import WalkStreams
 
     streams = WalkStreams(seed, stream)
-    if len(spec) == 5:
+    if antithetic:
         from ..rng import MirroredDraws
 
-        streams = MirroredDraws(streams, spec[3], spec[4])
+        streams = MirroredDraws(streams)
     return streams
 
 

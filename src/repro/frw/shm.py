@@ -101,9 +101,9 @@ class ContextManifest:
 
     ``meta`` is the pickled per-master state (scalars, config, dielectric
     stack, enclosure, Gaussian-surface arrays), ``spec`` the
-    ``(rng_kind, seed, stream)`` stream spec, ``index`` / ``table`` the
-    shared asset blocks, and ``content_hash`` one BLAKE2b over all of
-    them.  ``name`` is unique in the publishing process: blocks count
+    ``(rng_kind, seed, stream, antithetic)`` stream spec, ``index`` /
+    ``table`` the shared asset blocks, and ``content_hash`` one BLAKE2b
+    over all of them.  ``name`` is unique in the publishing process: blocks count
     their users by it, so releasing a manifest twice is a no-op.
     """
 
@@ -222,8 +222,8 @@ def publish_context(ctx: ExtractionContext, spec: tuple) -> ContextManifest:
     The publishing process owns the asset blocks: they stay mapped (and
     listed by :func:`published_blocks`) until the last manifest naming
     them is released, or :func:`release_all` / the atexit guard unlinks
-    them.  ``spec`` is the ``(rng_kind, seed, stream)`` stream spec the
-    workers rebuild their per-walk streams from.
+    them.  ``spec`` is the ``(rng_kind, seed, stream, antithetic)`` stream
+    spec the workers rebuild their per-walk streams from.
     """
     name = _next_name("manifest")
     index = _publish_asset(ctx.index, name)

@@ -314,14 +314,7 @@ class FRWSolver:
 
         meta = {
             "schedule": {
-                "antithetic": (
-                    {
-                        "group": self.config.antithetic_group,
-                        "depth": self.config.antithetic_depth,
-                    }
-                    if self.config.antithetic
-                    else None
-                ),
+                "antithetic": self.config.antithetic,
                 "asset_cache": self.assets.stats(),
                 # Pool workers are processes that query their own copies
                 # of the index, so the in-process counters would report

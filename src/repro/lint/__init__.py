@@ -47,9 +47,8 @@ DET012    no writes to a context/manifest after executor registration
 Violations are suppressed with a ``det: allow(DET001) reason`` comment —
 matched by rule id + enclosing function scope, so line drift cannot
 detach a suppression; a suppression without a reason is itself an error
-(DET000).  Every unsuppressed finding gates, and every run can emit
-SARIF 2.1.0 (:mod:`repro.lint.sarif`).  Run with ``python -m repro.lint [paths]`` or
-``frw-rr lint`` (see :mod:`repro.lint.cli`); the full design is in
+(DET000).  Every unsuppressed finding gates.  Run with
+``python -m repro.lint [paths]`` or ``frw-rr lint`` (see :mod:`repro.lint.cli`); the full design is in
 ``docs/STATIC_ANALYSIS.md``.  The paired *runtime* guard is
 :func:`repro.lint.sanitizer.forbid_global_rng`, wired into
 ``FRWSolver.extract`` via ``FRWConfig.sanitize``.
@@ -70,7 +69,6 @@ from .passes import ALL_PASSES, Pass
 from .project import lint_project
 from .rules import ALL_RULES, Rule
 from .sanitizer import forbid_global_rng
-from .sarif import fingerprint_findings, to_sarif, write_sarif
 
 __all__ = [
     "ALL_PASSES",
@@ -83,13 +81,10 @@ __all__ = [
     "SourceFile",
     "Suppression",
     "build_graph",
-    "fingerprint_findings",
     "forbid_global_rng",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_project",
     "module_name_for",
-    "to_sarif",
-    "write_sarif",
 ]

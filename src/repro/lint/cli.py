@@ -3,20 +3,16 @@
 Usage::
 
     python -m repro.lint [paths ...] [--format {text,json,github}]
-                         [--counts-json PATH] [--sarif PATH]
                          [--show-suppressed] [--no-passes] [--list-rules]
 
 * default paths: ``src tests`` (resolved from the current directory);
 * the full v2 analysis (per-file rules + whole-program passes) runs by
   default; ``--no-passes`` restricts to the per-file rules;
 * ``--format=github`` emits ``::error``/``::notice`` workflow
-  annotations; ``--sarif`` additionally writes a SARIF 2.1.0 artifact;
-* ``--counts-json`` writes per-rule hit counts *and* per-rule analysis
-  wall time as a JSON artifact so both lint debt and analyzer cost are
-  trackable per PR;
-* the summary line shows per-rule finding counts and total analysis
-  time, so a pass that suddenly costs 10x or fires 50 new findings is
-  visible without opening artifacts;
+  annotations; ``--format=json`` prints the per-rule hit counts and the
+  findings;
+* the summary line shows per-rule finding counts, so a pass that
+  suddenly fires 50 new findings is visible at a glance;
 * exit code 0 iff no unsuppressed findings.
 """
 
@@ -37,20 +33,10 @@ def _summary(report: LintReport) -> str:
         + (f"+{c['suppressed']}s" if c["suppressed"] else "")
         for rule, c in counts["rules"].items()
     )
-    total_ms = sum(counts["timings_ms"].values())
-    slowest = sorted(
-        counts["timings_ms"].items(), key=lambda kv: -kv[1]
-    )[:3]
-    slow = ", ".join(f"{k} {v / 1e3:.2f}s" for k, v in slowest)
-    line = (
+    return (
         f"det-lint: {report.files} files, {len(report.errors)} error(s), "
-        f"{len(report.suppressed)} suppressed"
+        f"{len(report.suppressed)} suppressed [{per_rule or 'no findings'}]"
     )
-    line += f" [{per_rule or 'no findings'}]"
-    line += f" in {total_ms / 1e3:.2f}s"
-    if slow:
-        line += f" (slowest: {slow})"
-    return line
 
 
 def _format_text(report: LintReport, show_suppressed: bool) -> list[str]:
@@ -107,16 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("text", "json", "github"),
         default="text",
         help="output format (github = workflow annotations)",
-    )
-    parser.add_argument(
-        "--counts-json",
-        metavar="PATH",
-        help="also write per-rule hit counts + timings to this JSON file",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 report to this file",
     )
     parser.add_argument(
         "--show-suppressed",
@@ -177,13 +153,4 @@ def main(argv: list[str] | None = None) -> int:
         fmt = _format_github if args.format == "github" else _format_text
         for line in fmt(report, args.show_suppressed):
             print(line)
-
-    if args.counts_json:
-        Path(args.counts_json).write_text(
-            json.dumps(report.counts(), indent=1) + "\n"
-        )
-    if args.sarif:
-        from .sarif import write_sarif
-
-        write_sarif(args.sarif, report)
     return 1 if report.errors else 0

@@ -221,8 +221,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
-    #: Wall seconds per rule/pass id (plus ``"graph"`` for the build).
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Finding]:
@@ -247,9 +245,6 @@ class LintReport:
             "errors": len(self.errors),
             "suppressed_total": len(self.suppressed),
             "rules": dict(sorted(out.items())),
-            "timings_ms": {
-                k: round(v * 1e3, 3) for k, v in sorted(self.timings.items())
-            },
         }
 
 

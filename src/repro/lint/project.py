@@ -7,10 +7,7 @@ run.  It parses every file exactly once, runs the per-file rules
 whole-program passes (:mod:`repro.lint.passes`) over it, and resolves
 ``det: allow`` suppressions uniformly across both kinds of findings —
 a pass finding lands in the file it points at and is suppressible there
-exactly like a rule finding.  Per-rule and per-pass wall time is
-recorded in ``report.timings`` (plus ``"parse"`` and ``"graph"``) so
-analysis-cost regressions are visible in the CLI summary and the
-counts-JSON artifact.
+exactly like a rule finding.
 
 Partial runs are first-class: linting a subset of the tree (CI lints
 ``src/repro/service`` on its own) builds a smaller graph, and every pass
@@ -20,7 +17,6 @@ its anchor modules are absent.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Iterable
 
@@ -50,23 +46,13 @@ def lint_project(
     active_ids = [r.id for r in rules] + [p.id for p in passes]
 
     report = LintReport()
-    timings = report.timings
-
-    def timed(key: str, fn):
-        t0 = time.perf_counter()
-        try:
-            return fn()
-        finally:
-            timings[key] = timings.get(key, 0.0) + (
-                time.perf_counter() - t0
-            )
 
     # Parse every file once; parse errors surface as DET000 findings.
     sources: list[SourceFile] = []
     for path in iter_python_files(paths):
         report.files += 1
         try:
-            src = timed("parse", lambda: SourceFile.parse(path, root))
+            src = SourceFile.parse(path, root)
         except SyntaxError as exc:
             display = path
             if root is not None:
@@ -85,13 +71,13 @@ def lint_project(
     # Per-file rules.
     for src in sources:
         for rule in rules:
-            raw[src.path].extend(timed(rule.id, lambda: rule.check(src)))
+            raw[src.path].extend(rule.check(src))
 
     # Whole-program passes over the shared graph.
     if passes:
-        graph = timed("graph", lambda: build_graph(sources))
+        graph = build_graph(sources)
         for p in passes:
-            for f in timed(p.id, lambda: p.check(graph)):
+            for f in p.check(graph):
                 if f.path in raw:
                     raw[f.path].append(f)
                 else:  # pass finding outside the parsed set (defensive)

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .antithetic import (
-    MAX_GROUP,
-    MirroredDraws,
-    antipodal_uniform,
-    mirror_params,
-    mirror_uniform,
-)
+from .antithetic import MirroredDraws, antipodal_uniform, mirror_uniform
 from .counter_stream import (
     BLOCKS_PER_STEP,
     DOMAIN_TAG,
@@ -60,11 +54,9 @@ __all__ = [
     "DOMAIN_TAG",
     "LaneDraws",
     "MAX_DRAWS_PER_STEP",
-    "MAX_GROUP",
     "MTWalkStreams",
     "MirroredDraws",
     "antipodal_uniform",
-    "mirror_params",
     "mirror_uniform",
     "PHILOX_ROUNDS",
     "SequentialStream",

@@ -7,8 +7,8 @@ gives it alone.  :class:`LaneDraws` serves such a vector:
 
 * one lane calls its provider directly, with the scalar Philox key;
 * counter-based lanes that differ only in their key (:class:`WalkStreams`,
-  or :class:`MirroredDraws` with one group and depth) take one Philox pass
-  with a key per walk column;
+  or :class:`MirroredDraws` over them) take one Philox pass with a key per
+  walk column;
 * anything else — the stateful MT ablation streams — is served one lane at
   a time; those providers loop per walk anyway.
 
@@ -27,11 +27,7 @@ from .counter_stream import WalkStreams
 def _rekeyable(p, head) -> bool:
     """Whether ``p`` draws exactly as ``head`` would under ``p``'s key."""
     if isinstance(head, MirroredDraws):
-        return (
-            isinstance(p, MirroredDraws)
-            and (p.group, p.depth) == (head.group, head.depth)
-            and _rekeyable(p.base, head.base)
-        )
+        return isinstance(p, MirroredDraws) and _rekeyable(p.base, head.base)
     return type(head) is WalkStreams and type(p) is WalkStreams
 
 

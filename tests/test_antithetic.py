@@ -1,4 +1,4 @@
-"""Tests for generalized antithetic sampling (MirroredDraws + grouped
+"""Tests for antithetic sampling (MirroredDraws + pair-mean
 accumulation).
 
 Three layers of guarantees:
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FRWConfig
-from repro.errors import ConfigError, RNGError
+from repro.errors import ConfigError
 from repro.frw import (
     PersistentExecutor,
     build_context,
@@ -38,11 +38,9 @@ from repro.frw.estimator import RowAccumulator
 from repro.frw.parallel import streams_from_spec
 from repro.greens.cube_table import get_cube_table
 from repro.rng import (
-    MAX_GROUP,
     MirroredDraws,
     WalkStreams,
     antipodal_uniform,
-    mirror_params,
     mirror_uniform,
 )
 
@@ -54,43 +52,25 @@ from test_engine_golden import GOLDEN, N_WALKS, SEED, _check, _digest
 # ----------------------------------------------------------------------
 
 
-def test_mirror_params_family():
-    reflect, offset = mirror_params(2)
-    assert reflect.tolist() == [0.0, 1.0]
-    assert offset.tolist() == [0.0, 0.0]
-    reflect, offset = mirror_params(4)
-    assert reflect.tolist() == [0.0, 1.0, 0.0, 1.0]
-    assert offset.tolist() == [0.0, 0.0, 0.5, 0.5]
-    for bad in (1, 0, MAX_GROUP + 1):
-        with pytest.raises(RNGError):
-            mirror_params(bad)
-
-
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=60)
 def test_mirror_uniform_identity_row_bit_exact(u):
-    """reflect=0, offset=0 must pass the value through unchanged: the
-    branchless whole-block transform relies on it."""
+    """reflect=0 must pass the value through unchanged: the branchless
+    whole-block transform relies on it."""
     arr = np.array([u])
-    mirror_uniform(arr, np.float64(0.0), np.float64(0.0))
+    mirror_uniform(arr, np.float64(0.0))
     assert arr[0] == u
     arr = np.array([u])
-    antipodal_uniform(arr, np.float64(0.0), np.float64(0.0))
+    antipodal_uniform(arr, np.float64(0.0))
     assert arr[0] == u
 
 
-@given(
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    st.integers(min_value=1, max_value=MAX_GROUP - 1),
-    st.integers(min_value=2, max_value=MAX_GROUP),
-)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=120)
-def test_transforms_stay_in_unit_interval(u, k, group):
-    k = min(k, group - 1)
-    reflect, offset = mirror_params(group)
+def test_transforms_stay_in_unit_interval(u):
     for fn in (mirror_uniform, antipodal_uniform):
         arr = np.array([u])
-        fn(arr, reflect[k], offset[k])
+        fn(arr, np.float64(1.0))
         assert 0.0 <= arr[0] < 1.0
 
 
@@ -99,9 +79,8 @@ def test_transforms_stay_in_unit_interval(u, k, group):
 def test_antipodal_preserves_third(u):
     """The slot-0 transform reflects *within* the draw's third of [0,1),
     so the selected face pair (cube axis) never changes."""
-    reflect, offset = mirror_params(2)
     arr = np.array([u])
-    antipodal_uniform(arr, reflect[1], offset[1])
+    antipodal_uniform(arr, np.float64(1.0))
     p_in = math.floor(u * 3.0)
     p_out = math.floor(arr[0] * 3.0)
     if p_out != p_in:
@@ -119,27 +98,23 @@ def test_antipodal_preserves_third(u):
     st.integers(min_value=0, max_value=2**40),
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=1, max_value=8),
-    st.integers(min_value=2, max_value=MAX_GROUP),
-    st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=60, deadline=None)
-def test_mirrored_draws_are_exact_transforms(seed, step, count, group, depth):
-    """The core property: partner k's draw at (step, slot) equals the
+def test_mirrored_draws_are_exact_transforms(seed, step, count):
+    """The core property: the partner's draw at (step, slot) equals the
     fixed transform of the *primary's* word at (step, slot), recomputed
     here independently of MirroredDraws' vectorised path."""
     base = WalkStreams(seed, 0)
-    md = MirroredDraws(base, group, depth=depth)
-    uids = np.arange(4 * group, dtype=np.uint64)
+    md = MirroredDraws(base)
+    uids = np.arange(8, dtype=np.uint64)
     got = md.draws(uids, step, count)
-    primary_words = base.draws(uids - uids % np.uint64(group), step, count)
-    reflect, offset = mirror_params(group)
+    primary_words = base.draws(uids - uids % np.uint64(2), step, count)
     for i, uid in enumerate(uids):
-        k = int(uid) % group
         expect = primary_words[i].copy()
-        if k > 0 and 1 <= step <= depth:
-            antipodal_uniform(expect[:1], reflect[k], offset[k])
+        if int(uid) % 2 and step == 1:
+            antipodal_uniform(expect[:1], np.float64(1.0))
             if count > 1:
-                mirror_uniform(expect[1:], reflect[k], offset[k])
+                mirror_uniform(expect[1:], np.float64(1.0))
         assert got[i].tolist() == expect.tolist()
 
 
@@ -147,11 +122,10 @@ def test_mirrored_draws_are_exact_transforms(seed, step, count, group, depth):
     st.integers(min_value=0, max_value=2**40),
     st.integers(min_value=0, max_value=2**20),
     st.integers(min_value=0, max_value=5),
-    st.integers(min_value=2, max_value=MAX_GROUP),
 )
 @settings(max_examples=60, deadline=None)
-def test_mirrored_scalar_matches_vectorised(seed, uid, step, group):
-    md = MirroredDraws(WalkStreams(seed, 3), group, depth=2)
+def test_mirrored_scalar_matches_vectorised(seed, uid, step):
+    md = MirroredDraws(WalkStreams(seed, 3))
     vec = md.draws(np.array([uid], dtype=np.uint64), step, 4)[0]
     assert vec.tolist() == md.draws_scalar(uid, step, 4)
 
@@ -160,13 +134,13 @@ def test_mirrored_draws_per_walk_step_array():
     """The engine passes per-walk step arrays; the transform mask must be
     evaluated per element."""
     base = WalkStreams(11, 0)
-    md = MirroredDraws(base, 2, depth=1)
+    md = MirroredDraws(base)
     uids = np.array([0, 1, 2, 3], dtype=np.uint64)
     steps = np.array([0, 1, 1, 2], dtype=np.uint64)
     got = md.draws(uids, steps, 3)
     prim = base.draws(uids - uids % np.uint64(2), steps, 3)
     # uid 0 (primary), uid 1 at step 1 (transformed), uid 2 primary,
-    # uid 3 at step 2 > depth (identity).
+    # uid 3 at step 2 (identity).
     assert np.array_equal(got[0], prim[0])
     assert not np.array_equal(got[1], prim[1])
     assert np.array_equal(got[2], prim[2])
@@ -177,7 +151,7 @@ def test_mirrored_draws_batch_invariant():
     """Partner values are pure per-UID functions: any batching/order of
     the same UIDs yields bit-identical numbers (the DOP-invariance
     guarantee inherited from the base stream)."""
-    md = MirroredDraws(WalkStreams(5, 1), 4, depth=2)
+    md = MirroredDraws(WalkStreams(5, 1))
     uids = np.arange(32, dtype=np.uint64)
     full = md.draws(uids, 1, 3)
     perm = np.argsort(np.mod(uids * np.uint64(13), np.uint64(32)))
@@ -186,19 +160,14 @@ def test_mirrored_draws_batch_invariant():
     assert np.array_equal(np.concatenate(parts), full)
 
 
-def test_mirrored_draws_rejects_bad_depth():
-    with pytest.raises(RNGError):
-        MirroredDraws(WalkStreams(1, 0), 2, depth=0)
-
-
 def test_partner_first_hop_is_antipodal_cell():
-    """Slot-0 transform + reflected jitter: partner k=1's first hop lands
+    """Slot-0 transform + reflected jitter: the partner's first hop lands
     on the *antipodal* transition-cube point — same axis, opposite side,
     point-mirrored transverse cell, mirrored jitter.  This is what makes
     the first-hop flux weights (odd centre-gradient kernel) cancel."""
     table = get_cube_table()
     base = WalkStreams(2024, 0)
-    md = MirroredDraws(base, 2, depth=1)
+    md = MirroredDraws(base)
     uids = np.arange(4096, dtype=np.uint64)
     u = md.draws(uids, 1, 3)
     cells = table.sample_cells(u[:, 0])
@@ -225,7 +194,7 @@ def test_group_mean_variance_drops_on_first_hop_weight():
     variance (this is the whole point of the transform)."""
     table = get_cube_table()
     base = WalkStreams(7, 0)
-    md = MirroredDraws(base, 2, depth=1)
+    md = MirroredDraws(base)
     uids = np.arange(8192, dtype=np.uint64)
     u = md.draws(uids, 1, 3)
     cells = table.sample_cells(u[:, 0])
@@ -240,16 +209,10 @@ def test_group_mean_variance_drops_on_first_hop_weight():
 
 
 def test_config_antithetic_knob_validation():
-    ok = FRWConfig.frw_r(antithetic=True, batch_size=1024, min_walks=1024)
-    assert ok.antithetic_group == 2 and ok.antithetic_depth == 1
+    ok = FRWConfig.frw_r(antithetic=True, batch_size=1024, min_walks=4)
+    assert ok.antithetic
     with pytest.raises(ConfigError):
-        FRWConfig.frw_r(antithetic_group=1)
-    with pytest.raises(ConfigError):
-        FRWConfig.frw_r(antithetic_group=9)
-    with pytest.raises(ConfigError):
-        FRWConfig.frw_r(antithetic_depth=0)
-    with pytest.raises(ConfigError):
-        FRWConfig.frw_r(antithetic=True, batch_size=1000, antithetic_group=3)
+        FRWConfig.frw_r(antithetic=True, batch_size=1001)
     with pytest.raises(ConfigError):
         FRWConfig.frw_nc(antithetic=True)  # MT streams are stateful
     with pytest.raises(ConfigError):
@@ -259,21 +222,13 @@ def test_config_antithetic_knob_validation():
 
 
 def test_stream_spec_shape_depends_on_antithetic():
-    """Off-path specs stay 3-tuples so worker pickle payloads are byte
-    identical to pre-antithetic builds; on-path specs carry the knobs."""
+    """A spec carries the antithetic flag, and only on-path specs build
+    the mirrored view."""
     off = stream_spec(FRWConfig.frw_r(seed=3, antithetic=False), 1)
-    assert off == ("philox", 3, 1)
-    on = stream_spec(
-        FRWConfig.frw_r(
-            seed=3, antithetic=True, antithetic_group=4, antithetic_depth=2,
-            batch_size=1024, min_walks=1024,
-        ),
-        1,
-    )
-    assert on == ("philox", 3, 1, 4, 2)
-    streams = streams_from_spec(on)
-    assert isinstance(streams, MirroredDraws)
-    assert streams.group == 4 and streams.depth == 2
+    assert off == ("philox", 3, 1, False)
+    on = stream_spec(FRWConfig.frw_r(seed=3, antithetic=True), 1)
+    assert on == ("philox", 3, 1, True)
+    assert isinstance(streams_from_spec(on), MirroredDraws)
     assert not isinstance(streams_from_spec(off), MirroredDraws)
 
 
@@ -293,24 +248,24 @@ def _fake_batch(n, n_cond=3, seed=0):
 
 def test_add_group_batch_mean_matches_raw_mean():
     omega, dest, steps = _fake_batch(96)
-    raw = RowAccumulator(3, 0, group_size=1)
+    raw = RowAccumulator(3, 0)
     raw.add_batch(omega, dest, steps)
-    grouped = RowAccumulator(3, 0, group_size=4)
+    grouped = RowAccumulator(3, 0, paired=True)
     grouped.add_group_batch(omega, dest, steps)
     np.testing.assert_allclose(
         grouped.row().values, raw.row().values, rtol=1e-12
     )
     assert grouped.walks == raw.walks == 96
-    assert grouped.samples == 24 and raw.samples == 96
+    assert grouped.samples == 48 and raw.samples == 96
     assert np.array_equal(grouped.row().hits, raw.row().hits)
     assert grouped.row().total_steps == raw.row().total_steps
 
 
 def test_add_group_batch_variance_is_of_group_means():
     omega, dest, _ = _fake_batch(64, n_cond=2, seed=1)
-    acc = RowAccumulator(2, 0, group_size=2)
+    acc = RowAccumulator(2, 0, paired=True)
     acc.add_group_batch(omega, dest)
-    # Reference: per-group mean weight landing on conductor 0.
+    # Reference: per-pair mean weight landing on conductor 0.
     w0 = np.where(dest == 0, omega, 0.0).reshape(-1, 2).mean(axis=1)
     m = w0.shape[0]
     expect = w0.var(ddof=1) / m
@@ -324,7 +279,7 @@ def test_add_group_batch_variance_is_of_group_means():
 
 
 def test_grouped_accumulator_refuses_per_walk_paths():
-    acc = RowAccumulator(3, 0, group_size=2)
+    acc = RowAccumulator(3, 0, paired=True)
     omega, dest, steps = _fake_batch(8)
     with pytest.raises(ConfigError):
         acc.add_walk(1.0, 0)
@@ -333,11 +288,9 @@ def test_grouped_accumulator_refuses_per_walk_paths():
     with pytest.raises(ConfigError):
         acc.add_walks_ordered(omega, dest, steps)
     with pytest.raises(ConfigError):
-        RowAccumulator(3, 0, group_size=1).add_group_batch(omega, dest)
+        RowAccumulator(3, 0).add_group_batch(omega, dest)
     with pytest.raises(ConfigError):
-        acc.add_group_batch(omega[:7], dest[:7])  # not whole groups
-    with pytest.raises(ConfigError):
-        RowAccumulator(3, 0, group_size=0)
+        acc.add_group_batch(omega[:7], dest[:7])  # not whole pairs
 
 
 def test_merge_asserts_matching_configuration():
@@ -351,7 +304,7 @@ def test_merge_asserts_matching_configuration():
     with pytest.raises(ConfigError):
         base.merge(RowAccumulator(3, 1, summation="kahan"))
     with pytest.raises(ConfigError):
-        base.merge(RowAccumulator(3, 0, summation="kahan", group_size=2))
+        base.merge(RowAccumulator(3, 0, summation="kahan", paired=True))
     with pytest.raises(ConfigError):
         base.merge(object())
     # And matching configurations still merge.
@@ -413,7 +366,7 @@ _ROW = dict(
 _ANTI_BASE = dict(_ROW, antithetic=True)
 
 #: SHA-256 of the default-config row (values, sigma2, hits) of the plates'
-#: master 0 under ``_ROW``: antithetic groups of 2, mirrored to depth 1.
+#: master 0 under ``_ROW``: antithetic pairs, mirrored on the first hop.
 DEFAULT_ROW = {
     "sha256": "d24ea30b783856f5e16ceb8e4bf93d1d7abb8844546fd1bbe14830d1d4b868bb",
     "walks": 1024,
@@ -484,9 +437,9 @@ def test_default_row_is_bitwise_dop_independent(plates):
 
 @pytest.mark.parametrize("backend", ["process"])
 def test_antithetic_ragged_chunks_match_serial(plates, backend):
-    """Queue entries of 42 or 43 UIDs cut antithetic groups of 4 apart;
-    the reassembled batch still equals the serial engine's."""
-    cfg = FRWConfig.frw_r(**_ANTI_BASE, antithetic_group=4)
+    """Queue entries of 43 UIDs cut antithetic pairs apart; the
+    reassembled batch still equals the serial engine's."""
+    cfg = FRWConfig.frw_r(**_ANTI_BASE)
     ctx = build_context(plates, 0, cfg)
     spec = stream_spec(cfg, 0)
     uids = np.arange(256, dtype=np.uint64)
@@ -498,20 +451,6 @@ def test_antithetic_ragged_chunks_match_serial(plates, backend):
     assert np.array_equal(ref.omega, res.omega)
     assert np.array_equal(ref.dest, res.dest)
     assert np.array_equal(ref.steps, res.steps)
-
-
-@pytest.mark.parametrize("group,depth", [(4, 1), (2, 2), (8, 3)])
-def test_antithetic_group_depth_bitwise(plates, monkeypatch, group, depth):
-    base = dict(_ANTI_BASE, antithetic_group=group, antithetic_depth=depth)
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial")
-    with monkeypatch.context() as mp:
-        mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
-        ref_row, _ = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    cfg = FRWConfig.frw_r(**base, executor="process", n_workers=2)
-    row, _ = extract_row_alg2(build_context(plates, 0, cfg))
-    assert np.array_equal(row.values, ref_row.values)
-    assert np.array_equal(row.sigma2, ref_row.sigma2)
-    assert row.walks == ref_row.walks
 
 
 def test_antithetic_estimate_agrees_with_plain(plates):
@@ -539,16 +478,15 @@ def test_solver_meta_records_antithetic(three_wires):
 
     cfg = FRWConfig.frw_r(
         seed=4, batch_size=256, min_walks=512, max_walks=512,
-        antithetic=True, antithetic_group=2, executor="serial",
+        antithetic=True, executor="serial",
     )
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract([0])
-    meta = result.matrix.meta["schedule"]["antithetic"]
-    assert meta == {"group": 2, "depth": 1}
+    assert result.matrix.meta["schedule"]["antithetic"] is True
     off = FRWConfig.frw_r(
         seed=4, batch_size=256, min_walks=512, max_walks=512,
         executor="serial", antithetic=False,
     )
     with FRWSolver(three_wires, off) as solver:
         result = solver.extract([0])
-    assert result.matrix.meta["schedule"]["antithetic"] is None
+    assert result.matrix.meta["schedule"]["antithetic"] is False

@@ -54,8 +54,6 @@ ALT_RESULT_VALUES = {
     "machine_seed": 99,
     "deterministic_merge": True,
     "antithetic": True,
-    "antithetic_group": 4,
-    "antithetic_depth": 2,
 }
 
 #: A value different from the default for every engine field.

@@ -23,13 +23,11 @@ def test_named_constructors():
 
 
 def test_antithetic_is_on_except_in_the_stream_free_presets():
-    """Antithetic groups of 2, mirrored to depth 1, are the default; the
-    presets without per-walk UID streams (Alg. 1, MT reseeding) default
-    them off, and an explicit value still wins."""
+    """Antithetic pairs are the default; the presets without per-walk UID
+    streams (Alg. 1, MT reseeding) default them off, and an explicit
+    value still wins."""
     for factory in (FRWConfig, FRWConfig.frw_r, FRWConfig.frw_rr, FRWConfig.frw_nk):
-        cfg = factory()
-        assert cfg.antithetic
-        assert (cfg.antithetic_group, cfg.antithetic_depth) == (2, 1)
+        assert factory().antithetic
     assert not FRWConfig.alg1().antithetic
     assert not FRWConfig.frw_nc().antithetic
     with pytest.raises(ConfigError, match="pass antithetic=False"):

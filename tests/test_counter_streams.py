@@ -172,7 +172,7 @@ def test_lane_span_matches_each_lanes_scalar(
     counter streams and their antithetic view alike."""
     lanes = [WalkStreams(seed, stream) for stream in range(4)]
     if mirrored:
-        lanes = [MirroredDraws(base, 2, 3) for base in lanes]
+        lanes = [MirroredDraws(base) for base in lanes]
     lane = np.array([w[0] for w in walks], dtype=np.intp)
     uids = np.array([w[1] for w in walks], dtype=np.uint64)
     steps = np.array([w[2] for w in walks], dtype=np.uint64)

@@ -240,7 +240,7 @@ def sram_structure():
     "config",
     [
         FRWConfig.frw_r(seed=11),
-        FRWConfig.frw_r(seed=11, antithetic=True, antithetic_group=2),
+        FRWConfig.frw_r(seed=11, antithetic=True),
         FRWConfig.frw_nc(seed=11),
     ],
     ids=["philox", "antithetic", "mt"],

@@ -706,6 +706,23 @@ def test_cli_text_output(tmp_path, capsys):
     assert "error(s)" in out
 
 
+def test_cli_gates_every_unsuppressed_finding(tmp_path, capsys):
+    """Nothing demotes a finding, and the baseline flags are gone."""
+    dirty = _cli_fixture(tmp_path)
+    assert lint_main([str(dirty)]) == 1
+    assert "1 error(s)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        lint_main(["--no-baseline", str(dirty)])
+
+
+def test_cli_summary_counts_per_rule(tmp_path, capsys):
+    dirty = _cli_fixture(tmp_path)
+    assert lint_main([str(dirty)]) == 1
+    out = capsys.readouterr().out
+    summary = [ln for ln in out.splitlines() if ln.startswith("det-lint:")]
+    assert summary and "DET002:1" in summary[0]
+
+
 def test_cli_github_annotations(tmp_path, capsys):
     dirty = _cli_fixture(tmp_path)
     lint_main([str(dirty), "--format=github"])
@@ -722,13 +739,25 @@ def test_cli_json_output_and_counts(tmp_path, capsys):
     import json
 
     dirty = _cli_fixture(tmp_path)
-    counts_path = tmp_path / "counts.json"
-    lint_main([str(dirty), "--format=json", f"--counts-json={counts_path}"])
+    lint_main([str(dirty), "--format=json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["errors"] == 1
+    assert payload["counts"]["rules"]["DET002"]["errors"] == 1
     assert payload["findings"][0]["rule"] == "DET002"
-    counts = json.loads(counts_path.read_text())
-    assert counts["rules"]["DET002"]["errors"] == 1
+
+
+def test_frw_rr_lint_forwards_option_flags(tmp_path, capsys, monkeypatch):
+    # argparse.REMAINDER chokes on a leading flag ("frw-rr lint --format
+    # ..."), so the main CLI forwards the tokens after "lint" itself.
+    import json
+
+    from repro.cli import main as repro_main
+
+    monkeypatch.chdir(tmp_path)
+    _cli_fixture(tmp_path)
+    assert repro_main(["lint", "--format=json", "src"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"]["rules"]["DET002"]["errors"] == 1
 
 
 def test_cli_list_rules(capsys):

@@ -99,19 +99,15 @@ def test_draws_span_equals_per_step_draws(seed, data, depth, count):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     base=st.integers(min_value=0, max_value=2**40),
-    step0=st.integers(min_value=0, max_value=200),
+    step0=st.integers(min_value=0, max_value=4),  # small: some spans cover step 1
     depth=st.integers(min_value=1, max_value=8),
-    group=st.sampled_from([2, 4, 8]),
-    anti_depth=st.integers(min_value=1, max_value=7),
 )
-def test_mirrored_draws_span_equals_per_step(
-    seed, base, step0, depth, group, anti_depth
-):
+def test_mirrored_draws_span_equals_per_step(seed, base, step0, depth):
     """The antithetic view's span applies the same transforms the scalar
     reference applies — one (depth, n) step grid, same words out."""
-    n = 2 * group + 1
+    n = 5
     uids = np.arange(base, base + n, dtype=np.uint64)
-    mirrored = MirroredDraws(WalkStreams(seed, 0), group=group, depth=anti_depth)
+    mirrored = MirroredDraws(WalkStreams(seed, 0))
     steps = np.arange(step0, step0 + n, dtype=np.uint64)
     span = mirrored.draws_span(uids, steps, depth, 3)
     for k in range(depth):

@@ -58,6 +58,8 @@ REMOVED_CONFIG_FIELDS = {
     "far_field": True,
     "chunk_size": 0,
     "pipeline_lookahead": 1,
+    "antithetic_group": 4,
+    "antithetic_depth": 2,
 }
 
 

@@ -37,7 +37,7 @@ def _clean_plane():
 def _publish(structure, seed=77, master=0):
     cfg = FRWConfig.frw_r(seed=seed)
     ctx = build_context(structure, master, cfg)
-    manifest = shm.publish_context(ctx, ("philox", seed, master))
+    manifest = shm.publish_context(ctx, stream_spec(cfg, master))
     return cfg, ctx, manifest
 
 
