@@ -9,6 +9,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..config import FRWConfig
+from ..errors import ConfigError
+from ..frw.parallel import first_batch_size
 
 #: Default directory for experiment outputs.
 RESULTS_DIR = Path("results")
@@ -24,10 +26,21 @@ _FACTORIES = {
 
 def paper_config(variant: str, **kwargs) -> FRWConfig:
     """The paper's setup of ``variant``: independent walks, no antithetic
-    pairs.  Table II's RI study needs the virtual-thread merge replay,
-    which paired accumulation skips, and every table keeps the sampling
-    the paper measured."""
-    return _FACTORIES[variant](antithetic=False, **kwargs)
+    pairs, and Alg. 2's fixed batch size ``B`` from the first checkpoint
+    on (``min_walks`` defaults to ``batch_size``, so the batch schedule
+    does not ramp).  Table II's RI study needs the virtual-thread merge
+    replay, which paired accumulation skips, and every table keeps the
+    sampling the paper measured."""
+    cfg = _FACTORIES[variant](antithetic=False, **kwargs)
+    if "min_walks" not in kwargs:
+        cfg = cfg.with_(min_walks=cfg.batch_size)
+    if first_batch_size(cfg) != cfg.batch_size:
+        raise ConfigError(
+            f"paper experiments keep the fixed batch size: min_walks "
+            f"({cfg.min_walks}) must be >= batch_size / 2 "
+            f"({cfg.batch_size / 2:g})"
+        )
+    return cfg
 
 
 @dataclass

@@ -11,7 +11,7 @@ from .alg2_reproducible import (
     make_streams,
 )
 from .context import ExtractionContext, SharedAssets, StructureView, build_context
-from .cross_master import extract_rows_interleaved, resolve_wave
+from .cross_master import extract_rows_interleaved
 from .engine import (
     ArenaWorkspace,
     StageTimers,
@@ -90,7 +90,6 @@ __all__ = [
     "resolve_workers",
     "run_segments",
     "run_walks",
-    "resolve_wave",
     "simulate_dynamic_queue",
     "simulate_static_blocks",
     "stream_spec",

@@ -1,11 +1,14 @@
 """Alg. 2 — the parallel FRW scheme with DOP-independent reproducibility.
 
-Walks are issued in globally numbered batches of ``B``; each walk's random
-stream is a pure function of its ID (fine-grained reseeding, realised here
-with counter-based streams so reseeding is free); batches are dynamically
+Walks are issued in globally numbered batches of ``B`` (the first few
+ramp up to ``B`` from the first checkpoint that can fire; see
+:class:`~repro.frw.parallel.BatchRunner`); each walk's random stream is a
+pure function of its ID (fine-grained reseeding, realised here with
+counter-based streams so reseeding is free); batches are dynamically
 scheduled over ``T`` threads with per-thread accumulators merged at a global
 checkpoint where the stopping criterion is evaluated.  Because the *set* of
-executed walks at every checkpoint is `{0 .. uB-1}` regardless of ``T``, the
+executed walks at every checkpoint is a UID prefix `{0 .. n_u-1}` fixed by
+the batch index ``u`` regardless of ``T``, the
 result differs across DOPs only through floating-point summation order —
 which Kahan accumulation compresses to the last one or two digits.
 
@@ -126,8 +129,9 @@ class RowProgress:
             # it always consumes the batch in UID order regardless of
             # deterministic_merge (the virtual-thread replay would split
             # pairs across simulated threads); the schedule still feeds
-            # the Fig. 5 load-balance model.  Batches are even (enforced
-            # at config validation), so pairs never straddle a batch.
+            # the Fig. 5 load-balance model.  Batches are even (config
+            # validation and ``first_batch_size``), so pairs never
+            # straddle a batch.
             acc.add_group_batch(results.omega, results.dest, results.steps)
         elif cfg.deterministic_merge:
             # Extension: accumulate in walk-ID order for guaranteed

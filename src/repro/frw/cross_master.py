@@ -11,13 +11,23 @@ batches:
 * every master keeps its own UID stream, batch order, accumulator, machine
   RNG, and Alg. 2 global checkpoints through
   :class:`~repro.frw.alg2_reproducible.RowProgress`, and its own
-  :class:`~repro.frw.parallel.BatchRunner`;
-* a master is topped up to its in-flight quota when it is admitted and
-  after each batch it absorbs: the budget ``max(live masters, 2 *
-  workers)`` split evenly over the ``L`` live masters — ``budget // L``
-  each, one more for the first ``budget % L`` (:func:`inflight_quotas`) —
-  capped at ``1 + PIPELINE_LOOKAHEAD`` batches, so a lone master's tail
-  cannot flood the workers with batches it will discard;
+  :class:`~repro.frw.parallel.BatchRunner`, whose batches ramp from a
+  first batch of ``b0`` walks up to the batch size ``B``;
+* the driver counts walks, not batches: it keeps about
+  ``budget = (2 * workers + 1) * B`` walks in flight (:func:`walk_budget`),
+  so every worker's ``B``-wide vector stays full however small the
+  batches are;
+* pending masters are admitted breadth-first, one first batch each, while
+  the walks in flight are under the budget;
+* a master is topped up to its share when it is admitted and after each
+  batch it absorbs: ``min((1 + PIPELINE_LOOKAHEAD) * B, budget // L)``
+  walks over the ``L`` live masters (:func:`walk_share`).  It takes its
+  next batch only while that fits, and only while its error estimate,
+  shrunk as ``1/sqrt(walks)``, does not expect it to stop at the
+  checkpoint before that batch; it always holds at least one batch.  The
+  cap keeps a lone master's tail from flooding the workers, and the
+  expected stop keeps small ramp batches from being dispatched only to
+  be discarded;
 * while ``L * (1 + PIPELINE_LOOKAHEAD) < workers``, each batch is cut into
   ``ceil(workers / (L * (1 + PIPELINE_LOOKAHEAD)))`` pieces, so a lone
   master still spreads over every worker;
@@ -25,42 +35,41 @@ batches:
   on any worker and absorbs each master's batches in that master's batch
   order (a batch that arrives early waits in its master's buffer).  At one
   worker batches complete in submission order and the live masters share
-  the one in-process vector: two or more hold one batch each and
-  speculate nothing, and a lone master's second batch fills its tail.
+  the one in-process vector.
 
 Reproducibility: a master's row is a pure function of its accumulated
-batch prefix (results are schedule-independent, accumulation happens in
-batch order through ``RowProgress``); the quota only decides *which*
+batch prefix (results are schedule-independent, the batch schedule depends
+only on the config and the batch index, and accumulation happens in batch
+order through ``RowProgress``); the budget only decides *which*
 speculative batches are in flight, and completion order and piece cuts
 only decide when and where walks run — never a batch's contents.  Every
 row is therefore bit-identical at any backend, worker count or master
 count.
 
-Large master sets are admitted in *waves* of :func:`resolve_wave`
-masters: a master's context is built — and, on the process backend,
-published to the shared-memory plane — only when its wave is admitted,
-so a large structure never holds every context at once, and admission
-never waits on in-flight batches.
+A master's context is built — and, on the process backend, published to
+the shared-memory plane — only when it is admitted, and every live master
+holds at least one batch of at least ``b0`` walks, so at most
+``ceil(budget / b0)`` masters are live at once and admission never waits
+on in-flight batches.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable
-
-import numpy as np
 
 from ..config import FRWConfig
 from .alg2_reproducible import RowProgress, RunStats
 from .context import ExtractionContext
 from .engine import WalkResults
 from .estimator import CapacitanceRow
-from .parallel import BatchRunner, PersistentExecutor
+from .parallel import BatchRunner, PersistentExecutor, first_batch_size
 
-#: Batches a master may run ahead of the one being gathered: the driver
-#: keeps at most ``1 + PIPELINE_LOOKAHEAD`` of a master's batches in flight
-#: on any executor.  Bit-invisible; deeper look-ahead only discards more
-#: work when the stopping rule fires.
+#: Batches a master may run ahead of the one being gathered: a master's
+#: share of the walks in flight is capped at ``1 + PIPELINE_LOOKAHEAD``
+#: batch sizes on any executor.  Bit-invisible; deeper look-ahead only
+#: discards more work when the stopping rule fires.
 PIPELINE_LOOKAHEAD = 1
 
 
@@ -72,6 +81,7 @@ class _MasterRun:
         "progress",
         "runner",
         "inflight",
+        "held",
         "arrived",
         "next_dispatch",
         "next_accum",
@@ -91,6 +101,7 @@ class _MasterRun:
         self.progress = RowProgress(ctx, cfg)
         self.runner = BatchRunner(ctx, cfg, executor)
         self.inflight: dict[int, int] = {}  # batch -> ticket, until absorbed
+        self.held = 0  # walks of the batches in ``inflight``
         self.arrived: dict[int, WalkResults] = {}  # back, not yet absorbed
         self.next_dispatch = 0
         self.next_accum = 0
@@ -106,30 +117,46 @@ class _MasterRun:
         self.progress.stats.dispatched_batches += 1
         return u
 
-    def absorb_next(self) -> None:
-        """Absorb the next batch in batch order, which has arrived; when
-        the stopping rule fires the row is final, and the batches left in
-        flight are the caller's to discard."""
+    def wants(self, share: int) -> bool:
+        """Whether to dispatch the next batch on top of those held: it
+        must fit in ``share`` walks, and the master must not be expected
+        to stop at the checkpoint before it — its error estimate, shrunk
+        as ``1/sqrt(walks)``, already under the tolerance there.  Only
+        which batches are in flight depends on this, never a row."""
+        base, size = self.runner.span(self.next_dispatch)
+        if self.held + size > share:
+            return False
+        acc, cfg = self.progress.acc, self.progress.cfg
+        if acc.walks == 0 or base < cfg.min_walks:
+            return True
+        expected = acc.self_relative_error * math.sqrt(acc.walks / base)
+        return expected >= cfg.tolerance
+
+    def absorb_next(self) -> int:
+        """Absorb the next batch in batch order, which has arrived, and
+        return its walks; when the stopping rule fires the row is final,
+        and the batches left in flight are the caller's to discard."""
         u = self.next_accum
         self.next_accum = u + 1
         del self.inflight[u]
-        if self.progress.absorb(self.arrived.pop(u)):
+        results = self.arrived.pop(u)
+        walks = results.uids.shape[0]
+        self.held -= walks
+        if self.progress.absorb(results):
             self.done = True
             self.row, self.stats = self.progress.finalize()
+        return walks
 
 
-def resolve_wave(n_workers: int) -> int:
-    """Masters admitted per scheduler wave."""
-    return max(8, 2 * n_workers)
+def walk_budget(workers: int, batch_size: int) -> int:
+    """Walks the driver keeps in flight over ``workers`` workers."""
+    return (2 * workers + 1) * batch_size
 
 
-def inflight_quotas(live: int, workers: int) -> np.ndarray:
-    """In-flight batch quota of each of ``live`` masters: the budget
-    ``max(live, 2 * workers)`` split evenly, one more for the first
-    ``budget % live`` masters, capped at ``1 + PIPELINE_LOOKAHEAD``."""
-    total = max(live, 2 * workers)
-    head = np.arange(live) < total % live
-    return np.minimum(total // live + head, 1 + PIPELINE_LOOKAHEAD)
+def walk_share(live: int, budget: int, batch_size: int) -> int:
+    """In-flight walks each of ``live`` masters tops up to: an even split
+    of ``budget``, capped at ``1 + PIPELINE_LOOKAHEAD`` batches."""
+    return min((1 + PIPELINE_LOOKAHEAD) * batch_size, budget // live)
 
 
 def extract_rows_interleaved(
@@ -152,7 +179,9 @@ def extract_rows_interleaved(
     same per-master config.
     """
     workers = executor.n_workers
-    wave = resolve_wave(workers)
+    batch_size = config.batch_size
+    first = first_batch_size(config)
+    budget = walk_budget(workers, batch_size)
     overrides = thread_overrides or {}
 
     def master_config(master: int) -> FRWConfig:
@@ -164,32 +193,47 @@ def extract_rows_interleaved(
     pending = deque(masters)
     active: list[_MasterRun] = []
     owner: dict[int, tuple[_MasterRun, int]] = {}  # ticket -> (master, batch)
+    live = 0  # admitted masters not yet done
+    in_flight = 0  # walks dispatched, not yet absorbed or discarded
+
+    def dispatch(st: _MasterRun) -> None:
+        nonlocal in_flight
+        u = st.next_batch()
+        key, uids = st.runner.request(u)
+        pieces = -(-workers // (live * (1 + PIPELINE_LOOKAHEAD)))
+        ticket = executor.submit(key, uids, pieces, batch_size)
+        st.inflight[u] = ticket
+        st.held += uids.shape[0]
+        in_flight += uids.shape[0]
+        owner[ticket] = (st, u)
 
     def top_up(st: _MasterRun) -> None:
-        """Dispatch batches until ``st`` holds its quota in flight."""
-        live = [s for s in active if not s.done]
-        quota = inflight_quotas(len(live), workers)[live.index(st)]
-        pieces = -(-workers // (len(live) * (1 + PIPELINE_LOOKAHEAD)))
+        """Dispatch ``st``'s next batches while they fit in its share."""
+        share = walk_share(live, budget, batch_size)
         st.progress.stats.allocation_rounds += 1
-        while len(st.inflight) < quota:
-            u = st.next_batch()
-            ticket = executor.submit(*st.runner.request(u), pieces)
-            st.inflight[u] = ticket
-            owner[ticket] = (st, u)
+        while not st.inflight or st.wants(share):
+            dispatch(st)
 
-    def activate_wave() -> None:
-        live = sum(1 for st in active if not st.done)
-        take = [pending.popleft() for _ in range(min(wave - live, len(pending)))]
+    def admit() -> None:
+        """Admit pending masters, one first batch each, while the walks
+        in flight stay under the budget; then top each up."""
+        nonlocal live
+        take = 0
+        while take < len(pending) and in_flight + take * first < budget:
+            take += 1
         new = [
             _MasterRun(m, context_for(m), master_config(m), executor)
-            for m in take
+            for m in (pending.popleft() for _ in range(take))
         ]
         active.extend(new)
+        live += len(new)
+        for st in new:
+            dispatch(st)
         for st in new:
             top_up(st)
 
     try:
-        activate_wave()
+        admit()
         while owner:
             # The next batch back on any worker; its master absorbs what
             # is now in batch order, running its own global checkpoints,
@@ -198,23 +242,25 @@ def extract_rows_interleaved(
             st, u = owner.pop(ticket)
             st.arrived[u] = results
             while not st.done and st.next_accum in st.arrived:
-                st.absorb_next()
+                in_flight -= st.absorb_next()
                 if not st.done:
                     top_up(st)
-            if not st.done:
-                continue
-            stats = st.progress.stats
-            stats.discarded_batches += len(st.inflight)
-            for u, ticket in sorted(st.inflight.items()):
-                if u in st.arrived:
-                    stats.discarded_walks += st.arrived[u].uids.shape[0]
-                else:
-                    del owner[ticket]
-                    stats.discarded_walks += executor.discard(ticket)
-            st.inflight.clear()
-            st.arrived.clear()
-            if pending:
-                activate_wave()
+            if st.done:
+                live -= 1
+                stats = st.progress.stats
+                stats.discarded_batches += len(st.inflight)
+                for u, ticket in sorted(st.inflight.items()):
+                    if u in st.arrived:
+                        stats.discarded_walks += st.arrived[u].uids.shape[0]
+                    else:
+                        del owner[ticket]
+                        stats.discarded_walks += executor.discard(ticket)
+                in_flight -= st.held
+                st.inflight.clear()
+                st.arrived.clear()
+                st.held = 0
+            if pending and in_flight < budget:
+                admit()
     finally:
         # Abandon batches an error left in flight (done masters hold
         # none): no executor may keep running them.

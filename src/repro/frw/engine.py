@@ -296,8 +296,7 @@ class WalkPipeline:
         runs ahead of the oldest outstanding batch; the walks' *results*
         are identical at any schedule.
     width:
-        Target active-vector width (normally the batch size); also the slot
-        arena's capacity.
+        Target active-vector width; also the slot arena's capacity.
     trace:
         When given, per-step positions of all active walks are appended as
         ``(rows_in_batch, positions)`` tuples (small single-batch runs only;

@@ -14,7 +14,8 @@ batch into queue entries for the least-loaded workers, and
 are all back, in UID order — bit-identical to the serial engine at any
 worker count, cut or completion order, which is exactly the
 DOP-independence contract of Alg. 2.  :class:`BatchRunner` names one
-master's batches for the Alg. 2 driver,
+master's batches, on a schedule that ramps up to the batch size, for the
+Alg. 2 driver,
 :func:`~repro.frw.cross_master.extract_rows_interleaved`.
 
 Process workers get contexts through the **shared-memory context plane**
@@ -128,8 +129,10 @@ class _Vector:
     """One long-lived engine vector fed from a queue of batches, one lane
     per dispatch key.  A batch dropped while still queued is never
     launched.  Once no batch is live the vector is dropped, and the next
-    :meth:`submit` builds a new one over the same slot arena; the batches
-    live at once must share their structure assets (one solver's do).
+    :meth:`submit` builds a new one over the same slot arena, as wide as
+    that entry's ``width`` (its config's batch size, so a small first
+    batch does not leave the vector narrow); the batches live at once
+    must share their structure assets (one solver's do).
     """
 
     def __init__(self):
@@ -145,13 +148,19 @@ class _Vector:
         self.live: dict[int, int] = {}  # seq -> walks, until emitted or dropped
 
     def submit(
-        self, seq: int, key, ctx: ExtractionContext, spec: StreamSpec, uids
+        self,
+        seq: int,
+        key,
+        ctx: ExtractionContext,
+        spec: StreamSpec,
+        uids,
+        width: int,
     ) -> None:
         lane = self._lanes.get(key)
         if lane is None:
             streams = streams_from_spec(spec)
             if self._pipe is None:
-                width = max(1, uids.shape[0])
+                width = max(1, width)
                 if self._workspace is None:
                     self._workspace = ArenaWorkspace(width)
                 self._pipe = WalkPipeline(
@@ -224,7 +233,7 @@ def _wire(uids: np.ndarray):
 
 def _worker_main(conn) -> None:
     """Process-worker entry.  Between batches, read every waiting
-    ``("run", seq, manifest, uids)``, ``("drop", seq)``, ``("stats",)`` or
+    ``("run", seq, manifest, uids, width)``, ``("drop", seq)``, ``("stats",)`` or
     ``("stop",)`` message (blocking only while idle), then step the vector
     to its next completed batch and send back ``(seq, results)``."""
     vector = _Vector()
@@ -233,11 +242,13 @@ def _worker_main(conn) -> None:
             while not vector.live or conn.poll():
                 kind, *args = conn.recv()
                 if kind == "run":
-                    seq, manifest, uids = args
+                    seq, manifest, uids, width = args
                     if isinstance(uids, tuple):
                         uids = np.arange(uids[0], sum(uids), dtype=np.uint64)
                     ctx = shm.attach_context(manifest)
-                    vector.submit(seq, manifest.name, ctx, manifest.spec, uids)
+                    vector.submit(
+                        seq, manifest.name, ctx, manifest.spec, uids, width
+                    )
                 elif kind == "drop":
                     vector.drop(args[0])
                 elif kind == "stats":
@@ -383,14 +394,23 @@ class PersistentExecutor:
     # ------------------------------------------------------------------
     # Batch queue
     # ------------------------------------------------------------------
-    def submit(self, key: int, uids: np.ndarray, pieces: int = 1) -> int:
+    def submit(
+        self,
+        key: int,
+        uids: np.ndarray,
+        pieces: int = 1,
+        width: int | None = None,
+    ) -> int:
         """Queue one batch without blocking; returns its ticket.  The
         batch is cut into ``pieces`` near-equal queue entries (at most one
         per walk), each sent to the worker with the fewest queued walks;
-        :meth:`next_done` reassembles them in UID order."""
+        :meth:`next_done` reassembles them in UID order.  ``width`` sizes
+        the vector an entry starts on an idle worker (default: this
+        batch's size); the batch driver passes its config's batch size."""
         self._check_open()
         uids = np.asarray(uids, dtype=np.uint64)
         n = uids.shape[0]
+        width = n if width is None else int(width)
         pieces = max(1, min(int(pieces), n))
         ticket = next(self._ids)
         seqs = [next(self._ids) for _ in range(pieces)]
@@ -399,9 +419,9 @@ class PersistentExecutor:
             part = uids[j * n // pieces : (j + 1) * n // pieces]
             w = self._queued.index(min(self._queued))
             if self._vector is not None:
-                self._vector.submit(seq, key, *self._registry[key], part)
+                self._vector.submit(seq, key, *self._registry[key], part, width)
             else:
-                msg = ("run", seq, self._manifests[key], _wire(part))
+                msg = ("run", seq, self._manifests[key], _wire(part), width)
                 self.dispatch_pickle_bytes += self._message(w, msg)
                 self.dispatches += 1
             self._queued[w] += part.shape[0]
@@ -446,10 +466,12 @@ class PersistentExecutor:
         ticket = next(iter(self._finished))
         return ticket, self._finished.pop(ticket)
 
-    def run(self, key: int, uids: np.ndarray) -> WalkResults:
+    def run(
+        self, key: int, uids: np.ndarray, width: int | None = None
+    ) -> WalkResults:
         """Execute one batch, cut over every worker, and wait for it;
         reassembled in UID order."""
-        ticket = self.submit(key, uids, self.n_workers)
+        ticket = self.submit(key, uids, self.n_workers, width)
         while ticket not in self._finished:
             self._pump()
         return self._finished.pop(ticket)
@@ -579,10 +601,41 @@ class PersistentExecutor:
 # ----------------------------------------------------------------------
 # One master's batch source for the Alg. 2 driver.
 # ----------------------------------------------------------------------
+def first_batch_size(config: FRWConfig) -> int:
+    """Walks in a master's first Alg. 2 batch: the smallest halving
+    ``B / 2**k`` of the batch size still above ``min_walks`` (no earlier
+    checkpoint could fire), and even when antithetic pairs are on (no
+    pair straddles a batch).  ``min_walks >= B / 2`` leaves ``B``, the
+    paper's fixed schedule."""
+    b = int(config.batch_size)
+    while b % 2 == 0 and b // 2 > config.min_walks and not (
+        config.antithetic and b % 4
+    ):
+        b //= 2
+    return b
+
+
+def batch_span(u: int, batch_size: int, first: int) -> tuple[int, int]:
+    """``(base, size)`` of batch ``u`` when the first batch holds
+    ``first`` walks: sizes ramp ``first, first, 2 first, 4 first, ...`` up
+    to ``batch_size`` and stay there, and bases are their prefix sums.  So
+    checkpoints land at ``first * 2**u`` until ``batch_size`` and then at
+    every multiple of it, where the fixed schedule has them."""
+    ramp = (batch_size // first).bit_length() - 1  # batches below B
+    if u == 0:
+        return 0, first
+    if u <= ramp:
+        size = first << (u - 1)
+        return size, size
+    return (u - ramp) * batch_size, batch_size
+
+
 class BatchRunner:
-    """One master's batches on an executor: batch ``u`` holds UIDs
-    ``[u*B, (u+1)*B)``, and :meth:`request` names it as the ``(key, uids)``
-    pair :meth:`PersistentExecutor.submit` takes.
+    """One master's batches on an executor: batch ``u`` holds the UIDs
+    :meth:`span` names, and :meth:`request` names it as the ``(key,
+    uids)`` pair :meth:`PersistentExecutor.submit` takes.  The schedule
+    depends only on the config and ``u``, so UIDs, checkpoints and rows
+    are the same on every executor.
     """
 
     def __init__(
@@ -592,17 +645,22 @@ class BatchRunner:
         executor: PersistentExecutor,
     ):
         self.batch_size = int(config.batch_size)
+        self.first_batch = first_batch_size(config)
         self._executor = executor
         self._key = executor.register(ctx, stream_spec(config, ctx.master))
 
+    def span(self, u: int) -> tuple[int, int]:
+        """``(base, size)`` of batch ``u`` (:func:`batch_span`)."""
+        return batch_span(u, self.batch_size, self.first_batch)
+
     def request(self, u: int) -> tuple[int, np.ndarray]:
         """Batch ``u`` as a ``submit`` request ``(key, uids)``."""
-        base = u * self.batch_size
-        return self._key, np.arange(base, base + self.batch_size, dtype=np.uint64)
+        base, size = self.span(u)
+        return self._key, np.arange(base, base + size, dtype=np.uint64)
 
     def run_batch(self, u: int) -> WalkResults:
         """Run batch ``u`` and gather it."""
-        return self._executor.run(*self.request(u))
+        return self._executor.run(*self.request(u), self.batch_size)
 
     def close(self) -> None:
         """Nothing to release: the executor belongs to the caller."""

@@ -382,46 +382,77 @@ def _row_digest(row) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def anti_reference(plates):
-    cfg = FRWConfig.frw_r(**_ROW, executor="serial")
+#: A ramped schedule (``min_walks < batch_size / 2``): batches of 64, 64,
+#: 128, 256, 512 and 512 walks, stopped by the walk cap.
+_RAMP_ROW = dict(_ROW, batch_size=512, min_walks=40, max_walks=1536)
+
+
+def _serial_reference(structure, row):
+    cfg = FRWConfig.frw_r(**row, executor="serial")
     assert cfg.antithetic  # the default is on
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
-        return extract_row_alg2(build_context(plates, 0, cfg))
+        return extract_row_alg2(build_context(structure, 0, cfg))
+
+
+@pytest.fixture(scope="module")
+def anti_reference(plates):
+    return _serial_reference(plates, _ROW)
+
+
+@pytest.fixture(scope="module")
+def ramp_reference(plates):
+    row, stats = _serial_reference(plates, _RAMP_ROW)
+    assert (row.walks, stats.batches) == (1536, 6)
+    return row, stats
+
+
+_MATRIX = [
+    dict(executor="serial"),
+    # A lone master cuts each 256-walk batch into 2 queue entries.
+    dict(executor="process", n_workers=3, mp_start_method="fork"),
+    dict(executor="process", n_workers=3, mp_start_method="forkserver"),
+    dict(executor="process", n_workers=4, mp_start_method="forkserver"),
+    dict(executor="process", n_workers=1, mp_start_method="forkserver"),
+    dict(executor="process", n_workers=2, mp_start_method="fork"),
+    dict(executor="process", n_workers=4, mp_start_method="fork"),
+    dict(executor="process", n_workers=2, mp_start_method="spawn"),
+    dict(executor="process", n_workers=2, mp_start_method="forkserver"),
+    dict(executor="process", n_workers=1, mp_start_method="fork"),
+    dict(executor="process", n_workers=1, mp_start_method="spawn"),
+    dict(executor="process", n_workers=4, mp_start_method="spawn"),
+]
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(executor="serial"),
-        # A lone master cuts each 256-walk batch into 2 queue entries.
-        dict(executor="process", n_workers=3, mp_start_method="fork"),
-        dict(executor="process", n_workers=3, mp_start_method="forkserver"),
-        dict(executor="process", n_workers=4, mp_start_method="forkserver"),
-        dict(executor="process", n_workers=1, mp_start_method="forkserver"),
-        dict(executor="process", n_workers=2, mp_start_method="fork"),
-        dict(executor="process", n_workers=4, mp_start_method="fork"),
-        dict(executor="process", n_workers=2, mp_start_method="spawn"),
-        dict(executor="process", n_workers=2, mp_start_method="forkserver"),
-        dict(executor="process", n_workers=1, mp_start_method="fork"),
-        dict(executor="process", n_workers=1, mp_start_method="spawn"),
-        dict(executor="process", n_workers=4, mp_start_method="spawn"),
-    ],
+    "ramped,kwargs",
+    [(False, k) for k in _MATRIX] + [(True, k) for k in _MATRIX],
+    ids=[f"kwargs{i}" for i in range(len(_MATRIX))]
+    + [f"ramped-kwargs{i}" for i in range(len(_MATRIX))],
 )
-def test_antithetic_on_bitwise_across_backends(plates, anti_reference, kwargs):
+def test_antithetic_on_bitwise_across_backends(
+    plates, anti_reference, ramp_reference, ramped, kwargs
+):
     """The default row (antithetic sampling on) is the pinned digest on
     every executor backend, worker count and process start method: the
     partner transform is inside the per-UID draw function, so the
-    schedule cannot touch it."""
-    ref_row, ref_stats = anti_reference
-    assert _row_digest(ref_row) == DEFAULT_ROW["sha256"]
-    cfg = FRWConfig.frw_r(**_ROW, **kwargs)
+    schedule cannot touch it.  A ramped batch schedule is just as
+    schedule-independent: its row equals the serial one."""
+    if ramped:
+        ref_row, ref_stats = ramp_reference
+        cfg = FRWConfig.frw_r(**_RAMP_ROW, **kwargs)
+    else:
+        ref_row, ref_stats = anti_reference
+        assert _row_digest(ref_row) == DEFAULT_ROW["sha256"]
+        assert ref_row.walks == DEFAULT_ROW["walks"]
+        assert ref_row.total_steps == DEFAULT_ROW["total_steps"]
+        assert ref_stats.batches == DEFAULT_ROW["batches"]
+        cfg = FRWConfig.frw_r(**_ROW, **kwargs)
     row, stats = extract_row_alg2(build_context(plates, 0, cfg))
-    assert _row_digest(row) == DEFAULT_ROW["sha256"]
-    assert row.walks == DEFAULT_ROW["walks"]
-    assert row.total_steps == DEFAULT_ROW["total_steps"]
-    assert stats.batches == DEFAULT_ROW["batches"]
+    assert _row_digest(row) == _row_digest(ref_row)
+    assert row.walks == ref_row.walks
+    assert row.total_steps == ref_row.total_steps
+    assert stats.batches == ref_stats.batches
 
 
 def test_default_row_is_bitwise_dop_independent(plates):

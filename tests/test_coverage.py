@@ -4,7 +4,11 @@ consume.
 Master 0 of three parallel wires is extracted once per FRW seed under the
 Alg. 2 stopping rule, with antithetic groups on (200 seeds) and off
 (100 seeds).  Batches are 200 walks and the tolerance is 4e-2, so the
-sequential rule, not a walk cap, ends every run.  Each row is compared with
+sequential rule, not a walk cap, ends every run.  Each case also runs
+on the ramped schedule of the default config's proportions: a batch
+size of 1600 and ``min_walks`` 100 give batches of 200, 200, 400, 800,
+then 1600 walks, whose early checkpoints give the rule more chances to
+stop on a low variance estimate.  Each row is compared with
 a reference row made once at a disjoint seed (``coverage_reference.json``,
 written by ``make_coverage_reference.py``):
 
@@ -30,8 +34,10 @@ from repro import FRWConfig
 from repro.frw import build_context, extract_row_alg2, make_streams
 from repro.frw.alg2_reproducible import RowProgress
 from repro.frw.engine import run_segments
+from repro.frw.parallel import batch_span, first_batch_size
 
 BATCH = 200
+RAMP_BATCH = 1600
 TOLERANCE = 4e-2
 SEEDS = {True: range(1, 201), False: range(1, 101)}
 #: Batches each unstopped seed runs per shared-vector round, and the width
@@ -42,16 +48,16 @@ WIDTH = 16_384
 NOMINAL = tuple((k, math.erf(k / math.sqrt(2.0))) for k in (1.0, 2.0))
 
 
-def _config(antithetic: bool) -> FRWConfig:
+def _config(antithetic: bool, ramped: bool) -> FRWConfig:
     return FRWConfig.frw_r(
         tolerance=TOLERANCE,
-        batch_size=BATCH,
-        min_walks=BATCH,
+        batch_size=RAMP_BATCH if ramped else BATCH,
+        min_walks=BATCH // 2 if ramped else BATCH,
         antithetic=antithetic,
     )
 
 
-def _stopped_rows(antithetic: bool, seeds) -> list:
+def _stopped_rows(antithetic: bool, ramped: bool, seeds) -> list:
     """``(row, stats)`` of every seed under the stopping rule, with every
     seed's walks sharing one wide vector.
 
@@ -61,14 +67,20 @@ def _stopped_rows(antithetic: bool, seeds) -> list:
     per-step overhead of a 200-walk vector.  A round gives every unstopped
     seed its next ``ROUND`` batches; batches past a seed's stop are
     dropped, as the driver discards them."""
-    cfg = _config(antithetic)
+    cfg = _config(antithetic, ramped)
     ctx = build_context(structure(), MASTER, cfg)
     progress = {s: RowProgress(ctx, cfg.with_(seed=s)) for s in seeds}
     lanes = {s: (ctx, make_streams(cfg.with_(seed=s), MASTER)) for s in seeds}
+    b0 = first_batch_size(cfg)
+
+    def uids(u: int) -> np.ndarray:
+        base, size = batch_span(u, cfg.batch_size, b0)
+        return np.arange(base, base + size, dtype=np.uint64)
+
     live, first = list(seeds), 0
     while live:
         segments = [
-            (i, np.arange(u * BATCH, (u + 1) * BATCH, dtype=np.uint64))
+            (i, uids(u))
             for i in range(len(live))
             for u in range(first, first + ROUND)
         ]
@@ -82,13 +94,18 @@ def _stopped_rows(antithetic: bool, seeds) -> list:
     return [progress[s].finalize() for s in seeds]
 
 
-@pytest.fixture(scope="module", params=[True, False], ids=["antithetic", "plain"])
+@pytest.fixture(
+    scope="module",
+    params=[(True, False), (False, False), (True, True), (False, True)],
+    ids=["antithetic", "plain", "antithetic-ramped", "plain-ramped"],
+)
 def stopped(request):
-    return request.param, _stopped_rows(request.param, SEEDS[request.param])
+    antithetic, ramped = request.param
+    return antithetic, ramped, _stopped_rows(antithetic, ramped, SEEDS[antithetic])
 
 
 def test_error_bars_reach_nominal_coverage(stopped):
-    antithetic, runs = stopped
+    antithetic, _, runs = stopped
     reference = json.loads(REFERENCE_PATH.read_text())
     assert reference["seed"] == REFERENCE_SEED not in SEEDS[antithetic]
     ref_values = np.array(reference["values"])
@@ -116,8 +133,8 @@ def test_error_bars_reach_nominal_coverage(stopped):
 
 def test_shared_vector_rows_match_the_driver(stopped):
     """The first two seeds' rows equal the batch driver's, byte for byte."""
-    antithetic, runs = stopped
-    cfg = _config(antithetic)
+    antithetic, ramped, runs = stopped
+    cfg = _config(antithetic, ramped)
     ctx = build_context(structure(), MASTER, cfg)
     for seed, (row, stats) in zip(SEEDS[antithetic][:2], runs):
         ref, ref_stats = extract_row_alg2(ctx, cfg.with_(seed=seed))

@@ -70,21 +70,38 @@ def test_interleaved_serial_executor_bitwise(three_wires, golden_rows):
     _assert_rows_match(result, golden_rows)
 
 
+def _admit_one_at_a_time(monkeypatch) -> None:
+    """A one-walk budget admits a pending master only while nothing is in
+    flight, so masters run one after another."""
+    monkeypatch.setattr(cross_master, "walk_budget", lambda workers, b: 1)
+
+
 def test_register_wave_bitwise(three_wires, golden_rows, monkeypatch):
-    """Waved admission (one master at a time) changes only the schedule."""
-    monkeypatch.setattr(cross_master, "resolve_wave", lambda n_workers: 1)
+    """One-master-at-a-time admission changes only the schedule: each
+    master's batches go out in one unbroken run, and rows stay golden."""
+    _admit_one_at_a_time(monkeypatch)
+    keys = []
+    submit = PersistentExecutor.submit
+
+    def recording(self, key, uids, pieces=1, width=None):
+        keys.append(key)
+        return submit(self, key, uids, pieces, width)
+
+    monkeypatch.setattr(PersistentExecutor, "submit", recording)
     cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
+    runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
+    assert len(runs) == len(set(runs)) == 3
     _assert_rows_match(result, golden_rows)
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_waves_share_one_index(three_wires, golden_rows, backend, monkeypatch):
-    """Masters admitted one wave at a time still hold the solver's one
-    index object, so a process pool publishes one index block and one
-    table block for all of them, and rows stay golden."""
-    monkeypatch.setattr(cross_master, "resolve_wave", lambda n_workers: 1)
+    """Masters admitted one at a time still hold the solver's one index
+    object, so a process pool publishes one index block and one table
+    block for all of them, and rows stay golden."""
+    _admit_one_at_a_time(monkeypatch)
     cfg = FRWConfig.frw_r(**BASE, executor=backend, n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
@@ -152,9 +169,9 @@ def test_lone_master_split_fills_the_pool(
     cuts = []
     submit = PersistentExecutor.submit
 
-    def recording(self, key, uids, pieces=1):
+    def recording(self, key, uids, pieces=1, width=None):
         cuts.append(pieces)
-        return submit(self, key, uids, pieces)
+        return submit(self, key, uids, pieces, width)
 
     monkeypatch.setattr(PersistentExecutor, "submit", recording)
     golden_row, _ = golden_rows[0]
@@ -223,7 +240,7 @@ class _ShuffledExecutor:
         self._registry.append((ctx, spec))
         return len(self._registry) - 1
 
-    def submit(self, key, uids, pieces=1):
+    def submit(self, key, uids, pieces=1, width=None):
         ctx, spec = self._registry[key]
         ticket = (key, int(uids[0]))
         self._done.append((ticket, run_walks(ctx, streams_from_spec(spec), uids)))
@@ -314,63 +331,93 @@ def test_lazy_registration_for_master_subset():
 
 
 # ----------------------------------------------------------------------
-# In-flight quota rule
+# Walk-budgeted admission and shares
 # ----------------------------------------------------------------------
-def _largest_remainder(weights, total, min_share=1):
-    """The largest-remainder allocator the driver used before its closed
-    form: ``min_share`` each, the rest split in proportion to ``weights``
-    with ties to the lowest index."""
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[0]
-    quota = np.full(n, min_share, dtype=np.int64)
-    spare = int(total) - min_share * n
-    if spare <= 0:
-        return quota
-    wsum = float(weights.sum())
-    if wsum <= 0.0:
-        weights, wsum = np.ones(n), float(n)
-    shares = weights * (spare / wsum)
-    floors = np.floor(shares).astype(np.int64)
-    quota += floors
-    leftover = spare - int(floors.sum())
-    if leftover > 0:
-        order = np.argsort(-(shares - floors), kind="stable")
-        quota[order[:leftover]] += 1
-    return quota
-
-
-def test_allocate_quota_even_split(monkeypatch):
-    """A budget divisible by the live masters splits evenly."""
+def test_walk_share_even_split(monkeypatch):
+    """The budget ``(2 * workers + 1) * B`` splits evenly over the live
+    masters, capped at ``1 + PIPELINE_LOOKAHEAD`` batches each."""
+    assert cross_master.walk_budget(2, 10_000) == 50_000
+    assert cross_master.walk_share(29, 50_000, 10_000) == 1724
+    assert cross_master.walk_share(3, 50_000, 10_000) == 16_666
+    assert cross_master.walk_share(1, 50_000, 10_000) == 20_000
     monkeypatch.setattr(cross_master, "PIPELINE_LOOKAHEAD", 8)
-    assert cross_master.inflight_quotas(3, 3).tolist() == [2, 2, 2]
-    assert cross_master.inflight_quotas(4, 4).tolist() == [2, 2, 2, 2]
-    assert cross_master.inflight_quotas(9, 1).tolist() == [1] * 9
-
-
-def test_allocate_quota_deterministic_ties(monkeypatch):
-    """Equal shares leave a remainder that goes to the lowest-index
-    masters, the same way on every call."""
-    monkeypatch.setattr(cross_master, "PIPELINE_LOOKAHEAD", 8)
-    a = cross_master.inflight_quotas(3, 4)
-    b = cross_master.inflight_quotas(3, 4)
-    assert a.tolist() == b.tolist() == [3, 3, 2]
-    assert a.sum() == 8
+    assert cross_master.walk_share(1, 50_000, 10_000) == 50_000
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     live=st.integers(min_value=1, max_value=299),
     workers=st.integers(min_value=1, max_value=69),
+    batch_size=st.integers(min_value=1, max_value=20_000),
     lookahead=st.integers(min_value=0, max_value=3),
 )
-def test_inflight_quotas_match_the_even_largest_remainder_split(
-    live, workers, lookahead
-):
-    """The closed form is the old equal-weight largest-remainder split of
-    ``max(live, 2 * workers)`` batches, capped at ``1 + lookahead``."""
+def test_walk_shares_fit_the_budget(live, workers, batch_size, lookahead):
+    """Shares never sum past the budget, never pass the look-ahead cap,
+    and reach one of the two."""
+    budget = cross_master.walk_budget(workers, batch_size)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", lookahead)
-        got = cross_master.inflight_quotas(live, workers)
-    total = max(live, 2 * workers)
-    ref = np.minimum(_largest_remainder(np.ones(live), total), 1 + lookahead)
-    assert got.tolist() == ref.tolist()
+        share = cross_master.walk_share(live, budget, batch_size)
+    cap = (1 + lookahead) * batch_size
+    assert live * share <= budget and share <= cap
+    assert share == cap or budget - live * share < live
+
+
+class _Tally:
+    """A one-worker executor that records, at each submit, the walks
+    then in flight and whether the batch is its master's first."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_workers = inner.n_workers
+        self.walks = {}  # ticket -> walks, until returned or discarded
+        self.seen = set()
+        self.log = []  # (first batch?, walks in flight before, size, width)
+
+    def register(self, ctx, spec):
+        return self.inner.register(ctx, spec)
+
+    def submit(self, key, uids, pieces=1, width=None):
+        self.log.append(
+            (key not in self.seen, sum(self.walks.values()), len(uids), width)
+        )
+        self.seen.add(key)
+        ticket = self.inner.submit(key, uids, pieces, width)
+        self.walks[ticket] = len(uids)
+        return ticket
+
+    def next_done(self):
+        ticket, results = self.inner.next_done()
+        del self.walks[ticket]
+        return ticket, results
+
+    def discard(self, ticket):
+        del self.walks[ticket]
+        return self.inner.discard(ticket)
+
+
+def test_admission_follows_the_walk_budget(eight_wires):
+    """Eight masters with 32-walk first batches under a 96-walk budget:
+    the first three are admitted together, a later master only while
+    fewer walks than the budget are in flight, and every batch opens
+    vectors at the full batch size.  Rows equal those under the default
+    budget."""
+    base = dict(BASE, batch_size=256, min_walks=16, max_walks=1024)
+    cfg = FRWConfig.frw_r(**base, executor="serial")
+    with FRWSolver(eight_wires, cfg) as solver:
+        golden = solver.extract().matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cross_master, "walk_budget", lambda workers, b: 96)
+        with PersistentExecutor("serial") as inner:
+            tally = _Tally(inner)
+            with FRWSolver(eight_wires, cfg) as solver:
+                rows, _ = cross_master.extract_rows_interleaved(
+                    list(range(8)), cfg, solver.context, tally
+                )
+    firsts = [(before, size) for first, before, size, _ in tally.log if first]
+    assert len(firsts) == 8
+    assert [before for before, _ in firsts[:3]] == [0, 32, 64]
+    assert all(before < 96 and size == 32 for before, size in firsts)
+    assert {width for *_, width in tally.log} == {256}
+    assert np.array_equal(np.stack([r.values for r in rows]), golden.values)
+    assert np.array_equal(np.stack([r.sigma2 for r in rows]), golden.sigma2)

@@ -2,7 +2,12 @@
 
 import time
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.experiments import ExperimentRecord, Stopwatch, environment_info
+from repro.experiments.common import paper_config
+from repro.frw.parallel import first_batch_size
 
 
 def test_record_roundtrip(tmp_path):
@@ -33,3 +38,15 @@ def test_stopwatch():
     with Stopwatch() as sw:
         time.sleep(0.01)
     assert sw.elapsed >= 0.01
+
+
+def test_paper_config_keeps_the_fixed_batch_schedule():
+    """Paper experiments run Alg. 2 at the paper's fixed ``B``: an unset
+    ``min_walks`` becomes ``batch_size``, and a ramping one is refused."""
+    for kwargs in ({}, {"batch_size": 2000}, {"batch_size": 800, "min_walks": 400}):
+        cfg = paper_config("frw-r", **kwargs)
+        assert first_batch_size(cfg) == cfg.batch_size
+        assert not cfg.antithetic
+    assert paper_config("frw-rr", batch_size=2000).min_walks == 2000
+    with pytest.raises(ConfigError, match="min_walks"):
+        paper_config("frw-r", batch_size=2000, min_walks=100)
