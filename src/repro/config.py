@@ -102,22 +102,21 @@ class FRWConfig:
         Degree of parallelism ``T`` (virtual threads of the reproducible
         scheme; also used by the real executors).
     batch_size:
-        Walks per batch ``B`` between global checkpoints (paper uses
-        10000), and the width of every worker's engine vector.  Below
-        ``B`` the schedule ramps: batches of ``b0, b0, 2 b0, 4 b0, ...``
-        walks up to ``B`` (see ``min_walks``), so checkpoints land at
-        ``b0 * 2**u`` until ``B`` and at every multiple of ``B`` after.
+        Batch size ``B`` (paper uses 10000): the width of every worker's
+        engine vector and the unit of the driver's walk budget.  Alg. 2
+        batches, and the checkpoints between them, are ``b0`` walks:
+        ``B`` unless ``min_walks < B / 2`` (see ``min_walks``).
     tolerance:
         Relative standard error target on the self-capacitance (paper: 1e-3
         for cases 1-2, 1e-2 otherwise).
     max_walks:
         Hard cap on walks per master conductor.
     min_walks:
-        Walks required before the stopping rule may fire.  Also places
-        the first checkpoint: the first batch ``b0`` is the smallest
+        Walks required before the stopping rule may fire.  Also sets the
+        checkpoint spacing: every batch holds ``b0`` walks, the smallest
         halving ``B / 2**k`` of ``batch_size`` still above ``min_walks``
         (and even under antithetic pairs), so ``min_walks >=
-        batch_size / 2`` keeps the paper's fixed schedule.
+        batch_size / 2`` keeps the paper's batches of ``B``.
     variant:
         One of :data:`VARIANTS`.
     rng:

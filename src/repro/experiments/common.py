@@ -10,7 +10,7 @@ from pathlib import Path
 
 from ..config import FRWConfig
 from ..errors import ConfigError
-from ..frw.parallel import first_batch_size
+from ..frw.parallel import checkpoint_walks
 
 #: Default directory for experiment outputs.
 RESULTS_DIR = Path("results")
@@ -26,15 +26,14 @@ _FACTORIES = {
 
 def paper_config(variant: str, **kwargs) -> FRWConfig:
     """The paper's setup of ``variant``: independent walks, no antithetic
-    pairs, and Alg. 2's fixed batch size ``B`` from the first checkpoint
-    on (``min_walks`` defaults to ``batch_size``, so the batch schedule
-    does not ramp).  Table II's RI study needs the virtual-thread merge
-    replay, which paired accumulation skips, and every table keeps the
-    sampling the paper measured."""
+    pairs, and Alg. 2's batches of the batch size ``B`` (``min_walks``
+    defaults to ``batch_size``, so ``b0`` is ``B``).  Table II's RI study
+    needs the virtual-thread merge replay, which paired accumulation
+    skips, and every table keeps the sampling the paper measured."""
     cfg = _FACTORIES[variant](antithetic=False, **kwargs)
     if "min_walks" not in kwargs:
         cfg = cfg.with_(min_walks=cfg.batch_size)
-    if first_batch_size(cfg) != cfg.batch_size:
+    if checkpoint_walks(cfg) != cfg.batch_size:
         raise ConfigError(
             f"paper experiments keep the fixed batch size: min_walks "
             f"({cfg.min_walks}) must be >= batch_size / 2 "

@@ -1,8 +1,8 @@
 """Alg. 2 — the parallel FRW scheme with DOP-independent reproducibility.
 
-Walks are issued in globally numbered batches of ``B`` (the first few
-ramp up to ``B`` from the first checkpoint that can fire; see
-:class:`~repro.frw.parallel.BatchRunner`); each walk's random stream is a
+Walks are issued in globally numbered batches of ``b0`` walks, the batch
+size ``B`` or its smallest halving above ``min_walks`` (see
+:func:`~repro.frw.parallel.checkpoint_walks`); each walk's random stream is a
 pure function of its ID (fine-grained reseeding, realised here with
 counter-based streams so reseeding is free); batches are dynamically
 scheduled over ``T`` threads with per-thread accumulators merged at a global
@@ -130,7 +130,7 @@ class RowProgress:
             # deterministic_merge (the virtual-thread replay would split
             # pairs across simulated threads); the schedule still feeds
             # the Fig. 5 load-balance model.  Batches are even (config
-            # validation and ``first_batch_size``), so pairs never
+            # validation and ``checkpoint_walks``), so pairs never
             # straddle a batch.
             acc.add_group_batch(results.omega, results.dest, results.steps)
         elif cfg.deterministic_merge:

@@ -11,8 +11,8 @@ batches:
 * every master keeps its own UID stream, batch order, accumulator, machine
   RNG, and Alg. 2 global checkpoints through
   :class:`~repro.frw.alg2_reproducible.RowProgress`, and its own
-  :class:`~repro.frw.parallel.BatchRunner`, whose batches ramp from a
-  first batch of ``b0`` walks up to the batch size ``B``;
+  :class:`~repro.frw.parallel.BatchRunner`, whose batches are ``b0``
+  walks each, so it checkpoints every ``b0`` walks;
 * the driver counts walks, not batches: it keeps about
   ``budget = (2 * workers + 1) * B`` walks in flight (:func:`walk_budget`),
   so every worker's ``B``-wide vector stays full however small the
@@ -22,12 +22,11 @@ batches:
 * a master is topped up to its share when it is admitted and after each
   batch it absorbs: ``min((1 + PIPELINE_LOOKAHEAD) * B, budget // L)``
   walks over the ``L`` live masters (:func:`walk_share`).  It takes its
-  next batch only while that fits, and only while its error estimate,
-  shrunk as ``1/sqrt(walks)``, does not expect it to stop at the
-  checkpoint before that batch; it always holds at least one batch.  The
-  cap keeps a lone master's tail from flooding the workers, and the
-  expected stop keeps small ramp batches from being dispatched only to
-  be discarded;
+  next batch only while that fits, and only while its predicted stop
+  lies safely past the checkpoint before that batch (:meth:`_MasterRun.wants`);
+  it always holds at least one batch.  The cap keeps a lone master's
+  tail from flooding the workers, and the predicted stop keeps batches
+  from being dispatched only to be discarded;
 * while ``L * (1 + PIPELINE_LOOKAHEAD) < workers``, each batch is cut into
   ``ceil(workers / (L * (1 + PIPELINE_LOOKAHEAD)))`` pieces, so a lone
   master still spreads over every worker;
@@ -64,13 +63,20 @@ from .alg2_reproducible import RowProgress, RunStats
 from .context import ExtractionContext
 from .engine import WalkResults
 from .estimator import CapacitanceRow
-from .parallel import BatchRunner, PersistentExecutor, first_batch_size
+from .parallel import BatchRunner, PersistentExecutor, checkpoint_walks
 
 #: Batches a master may run ahead of the one being gathered: a master's
 #: share of the walks in flight is capped at ``1 + PIPELINE_LOOKAHEAD``
 #: batch sizes on any executor.  Bit-invisible; deeper look-ahead only
 #: discards more work when the stopping rule fires.
 PIPELINE_LOOKAHEAD = 1
+
+#: A master takes a batch past those it holds only while its predicted
+#: stop lies ``STOP_MARGIN`` deviations past the batch's first walk.  The
+#: variance is the prediction's mean squared drift per walk (seeded with
+#: ``DRIFT_PRIOR`` times the row's relative variance per walk) times the
+#: walks ahead, times ``base / walks`` for a young row.  Bit-invisible.
+STOP_MARGIN, DRIFT_PRIOR = 3.0, 8.0
 
 
 class _MasterRun:
@@ -85,6 +91,9 @@ class _MasterRun:
         "arrived",
         "next_dispatch",
         "next_accum",
+        "stop",
+        "drift",
+        "drifts",
         "done",
         "row",
         "stats",
@@ -105,6 +114,9 @@ class _MasterRun:
         self.arrived: dict[int, WalkResults] = {}  # back, not yet absorbed
         self.next_dispatch = 0
         self.next_accum = 0
+        self.stop = 0.0  # predicted walks to tolerance, at the last checkpoint
+        self.drift = 0.0  # summed squared drift per walk of ``stop``
+        self.drifts = 0  # checkpoints with a finite prediction
         self.done = False
         self.row: CapacitanceRow | None = None
         self.stats: RunStats | None = None
@@ -119,18 +131,20 @@ class _MasterRun:
 
     def wants(self, share: int) -> bool:
         """Whether to dispatch the next batch on top of those held: it
-        must fit in ``share`` walks, and the master must not be expected
-        to stop at the checkpoint before it — its error estimate, shrunk
-        as ``1/sqrt(walks)``, already under the tolerance there.  Only
-        which batches are in flight depends on this, never a row."""
-        base, size = self.runner.span(self.next_dispatch)
+        must fit in ``share`` walks and start ``STOP_MARGIN`` deviations
+        below the predicted stop (below ``B`` before any prediction).
+        Only which batches are in flight depends on this, never a row."""
+        size = self.runner.b0
+        base = self.next_dispatch * size
         if self.held + size > share:
             return False
-        acc, cfg = self.progress.acc, self.progress.cfg
-        if acc.walks == 0 or base < cfg.min_walks:
+        if base < self.progress.cfg.min_walks:
             return True
-        expected = acc.self_relative_error * math.sqrt(acc.walks / base)
-        return expected >= cfg.tolerance
+        if not self.drifts:  # no estimate yet: fill one vector
+            return base < self.runner.batch_size
+        walks = self.progress.acc.walks
+        spread = math.sqrt(self.drift / self.drifts * (base - walks) * base / walks)
+        return self.stop - base > STOP_MARGIN * spread
 
     def absorb_next(self) -> int:
         """Absorb the next batch in batch order, which has arrived, and
@@ -145,6 +159,18 @@ class _MasterRun:
         if self.progress.absorb(results):
             self.done = True
             self.row, self.stats = self.progress.finalize()
+            return walks
+        # The error estimate shrinks as 1/sqrt(walks) to the predicted stop.
+        acc, cfg = self.progress.acc, self.progress.cfg
+        stop = acc.walks * (acc.self_relative_error / cfg.tolerance) ** 2
+        if 0.0 < stop < math.inf:
+            if self.drifts:
+                drift = math.log(stop / self.stop) * acc.walks
+                self.drift += drift * drift / self.runner.b0
+            else:
+                self.drift = DRIFT_PRIOR * stop * cfg.tolerance**2
+            self.drifts += 1
+            self.stop = stop
         return walks
 
 
@@ -180,7 +206,7 @@ def extract_rows_interleaved(
     """
     workers = executor.n_workers
     batch_size = config.batch_size
-    first = first_batch_size(config)
+    b0 = checkpoint_walks(config)
     budget = walk_budget(workers, batch_size)
     overrides = thread_overrides or {}
 
@@ -219,7 +245,7 @@ def extract_rows_interleaved(
         in flight stay under the budget; then top each up."""
         nonlocal live
         take = 0
-        while take < len(pending) and in_flight + take * first < budget:
+        while take < len(pending) and in_flight + take * b0 < budget:
             take += 1
         new = [
             _MasterRun(m, context_for(m), master_config(m), executor)

@@ -14,9 +14,8 @@ batch into queue entries for the least-loaded workers, and
 are all back, in UID order — bit-identical to the serial engine at any
 worker count, cut or completion order, which is exactly the
 DOP-independence contract of Alg. 2.  :class:`BatchRunner` names one
-master's batches, on a schedule that ramps up to the batch size, for the
-Alg. 2 driver,
-:func:`~repro.frw.cross_master.extract_rows_interleaved`.
+master's batches, a checkpoint every ``b0`` walks, for the Alg. 2
+driver, :func:`~repro.frw.cross_master.extract_rows_interleaved`.
 
 Process workers get contexts through the **shared-memory context plane**
 (:mod:`repro.frw.shm`): registering a context publishes its index and cube
@@ -130,8 +129,8 @@ class _Vector:
     per dispatch key.  A batch dropped while still queued is never
     launched.  Once no batch is live the vector is dropped, and the next
     :meth:`submit` builds a new one over the same slot arena, as wide as
-    that entry's ``width`` (its config's batch size, so a small first
-    batch does not leave the vector narrow); the batches live at once
+    that entry's ``width`` (its config's batch size, so ``b0``-walk
+    batches do not leave the vector narrow); the batches live at once
     must share their structure assets (one solver's do).
     """
 
@@ -601,12 +600,11 @@ class PersistentExecutor:
 # ----------------------------------------------------------------------
 # One master's batch source for the Alg. 2 driver.
 # ----------------------------------------------------------------------
-def first_batch_size(config: FRWConfig) -> int:
-    """Walks in a master's first Alg. 2 batch: the smallest halving
-    ``B / 2**k`` of the batch size still above ``min_walks`` (no earlier
-    checkpoint could fire), and even when antithetic pairs are on (no
-    pair straddles a batch).  ``min_walks >= B / 2`` leaves ``B``, the
-    paper's fixed schedule."""
+def checkpoint_walks(config: FRWConfig) -> int:
+    """Walks ``b0`` in every Alg. 2 batch, so between checkpoints: the
+    smallest halving ``B / 2**k`` of the batch size above ``min_walks``
+    (no earlier checkpoint could fire), even under antithetic pairs (no
+    pair straddles a batch); ``B`` when ``min_walks >= B / 2``."""
     b = int(config.batch_size)
     while b % 2 == 0 and b // 2 > config.min_walks and not (
         config.antithetic and b % 4
@@ -615,28 +613,11 @@ def first_batch_size(config: FRWConfig) -> int:
     return b
 
 
-def batch_span(u: int, batch_size: int, first: int) -> tuple[int, int]:
-    """``(base, size)`` of batch ``u`` when the first batch holds
-    ``first`` walks: sizes ramp ``first, first, 2 first, 4 first, ...`` up
-    to ``batch_size`` and stay there, and bases are their prefix sums.  So
-    checkpoints land at ``first * 2**u`` until ``batch_size`` and then at
-    every multiple of it, where the fixed schedule has them."""
-    ramp = (batch_size // first).bit_length() - 1  # batches below B
-    if u == 0:
-        return 0, first
-    if u <= ramp:
-        size = first << (u - 1)
-        return size, size
-    return (u - ramp) * batch_size, batch_size
-
-
 class BatchRunner:
-    """One master's batches on an executor: batch ``u`` holds the UIDs
-    :meth:`span` names, and :meth:`request` names it as the ``(key,
-    uids)`` pair :meth:`PersistentExecutor.submit` takes.  The schedule
-    depends only on the config and ``u``, so UIDs, checkpoints and rows
-    are the same on every executor.
-    """
+    """One master's batches on an executor: batch ``u`` is the ``b0``
+    UIDs from ``u * b0`` (:func:`checkpoint_walks`), run on vectors
+    ``batch_size`` wide.  It depends only on the config and ``u``, so
+    UIDs, checkpoints and rows are the same on every executor."""
 
     def __init__(
         self,
@@ -645,18 +626,13 @@ class BatchRunner:
         executor: PersistentExecutor,
     ):
         self.batch_size = int(config.batch_size)
-        self.first_batch = first_batch_size(config)
+        self.b0 = checkpoint_walks(config)
         self._executor = executor
         self._key = executor.register(ctx, stream_spec(config, ctx.master))
 
-    def span(self, u: int) -> tuple[int, int]:
-        """``(base, size)`` of batch ``u`` (:func:`batch_span`)."""
-        return batch_span(u, self.batch_size, self.first_batch)
-
     def request(self, u: int) -> tuple[int, np.ndarray]:
         """Batch ``u`` as a ``submit`` request ``(key, uids)``."""
-        base, size = self.span(u)
-        return self._key, np.arange(base, base + size, dtype=np.uint64)
+        return self._key, np.arange(u * self.b0, (u + 1) * self.b0, dtype=np.uint64)
 
     def run_batch(self, u: int) -> WalkResults:
         """Run batch ``u`` and gather it."""

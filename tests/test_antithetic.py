@@ -382,8 +382,8 @@ def _row_digest(row) -> str:
     return h.hexdigest()
 
 
-#: A ramped schedule (``min_walks < batch_size / 2``): batches of 64, 64,
-#: 128, 256, 512 and 512 walks, stopped by the walk cap.
+#: ``min_walks < batch_size / 2`` (the ``ramped`` ids): 24 batches of
+#: ``b0`` = 64 walks on vectors 512 wide, stopped by the walk cap.
 _RAMP_ROW = dict(_ROW, batch_size=512, min_walks=40, max_walks=1536)
 
 
@@ -402,8 +402,14 @@ def anti_reference(plates):
 
 @pytest.fixture(scope="module")
 def ramp_reference(plates):
+    """The ``_RAMP_ROW`` row, byte-equal to the row at ``batch_size=b0``:
+    ``B`` sets only the vector width."""
     row, stats = _serial_reference(plates, _RAMP_ROW)
-    assert (row.walks, stats.batches) == (1536, 6)
+    assert (row.walks, stats.batches) == (1536, 24)
+    narrow, narrow_stats = _serial_reference(plates, dict(_RAMP_ROW, batch_size=64))
+    assert _row_digest(narrow) == _row_digest(row)
+    assert narrow.total_steps == row.total_steps
+    assert narrow_stats.batches == stats.batches
     return row, stats
 
 
@@ -436,8 +442,8 @@ def test_antithetic_on_bitwise_across_backends(
     """The default row (antithetic sampling on) is the pinned digest on
     every executor backend, worker count and process start method: the
     partner transform is inside the per-UID draw function, so the
-    schedule cannot touch it.  A ramped batch schedule is just as
-    schedule-independent: its row equals the serial one."""
+    schedule cannot touch it.  Batches of ``b0 < B`` walks are just as
+    schedule-independent: their row equals the serial one."""
     if ramped:
         ref_row, ref_stats = ramp_reference
         cfg = FRWConfig.frw_r(**_RAMP_ROW, **kwargs)

@@ -44,8 +44,8 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
         "parallel.published_mb": 0.574,
         "index.candidates_per_near_point": 3.554,
         "cross_master.discarded_batches": 0,
-        "engine.rng_dispatches": 1878,
-        "parallel.dispatches": 68,
+        "engine.rng_dispatches": 1938,
+        "parallel.dispatches": 76,
         "latency_ms": 2500.0,
     }
     run = {
@@ -58,7 +58,7 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
     path.write_text(json.dumps(run))
     assert checker.main([str(path), "sram_tol_traced"]) == 0
 
-    run["metrics"]["parallel.dispatches"]["value"] = 69
+    run["metrics"]["parallel.dispatches"]["value"] = 77
     run["metrics"]["context.index_builds"]["value"] = 2
     run["correct"] = False
     found = checker.violations(run, gates)
@@ -72,7 +72,7 @@ def test_default_path_gate_dispatches_nothing(checker):
     """The traced ``case1_tol`` run extracts with the default config, which
     runs on one in-process vector: any pool work item fails its gate."""
     expected = _expected(checker)
-    assert expected["case1_tol"]["gates"][0]["value"] == 170000
+    assert expected["case1_tol"]["gates"][0]["value"] == 146667
     entry = expected["case1_tol_traced"]
     assert "--trace 1" in entry["run"]
     run = {"correct": True, "metrics": {"parallel.dispatches": {"value": 0}}}

@@ -5,10 +5,11 @@ Master 0 of three parallel wires is extracted once per FRW seed under the
 Alg. 2 stopping rule, with antithetic groups on (200 seeds) and off
 (100 seeds).  Batches are 200 walks and the tolerance is 4e-2, so the
 sequential rule, not a walk cap, ends every run.  Each case also runs
-on the ramped schedule of the default config's proportions: a batch
-size of 1600 and ``min_walks`` 100 give batches of 200, 200, 400, 800,
-then 1600 walks, whose early checkpoints give the rule more chances to
-stop on a low variance estimate.  Each row is compared with
+on the default config's uniform schedule, a checkpoint every ``b0``
+walks on vectors ``B`` wide: a batch size of 1600 and ``min_walks`` 50
+give batches of ``b0`` = 100 walks, whose twice as frequent checkpoints
+give the rule more chances to stop on a low variance estimate.  Each
+row is compared with
 a reference row made once at a disjoint seed (``coverage_reference.json``,
 written by ``make_coverage_reference.py``):
 
@@ -34,10 +35,10 @@ from repro import FRWConfig
 from repro.frw import build_context, extract_row_alg2, make_streams
 from repro.frw.alg2_reproducible import RowProgress
 from repro.frw.engine import run_segments
-from repro.frw.parallel import batch_span, first_batch_size
+from repro.frw.parallel import checkpoint_walks
 
 BATCH = 200
-RAMP_BATCH = 1600
+UNIFORM_BATCH = 1600
 TOLERANCE = 4e-2
 SEEDS = {True: range(1, 201), False: range(1, 101)}
 #: Batches each unstopped seed runs per shared-vector round, and the width
@@ -48,16 +49,16 @@ WIDTH = 16_384
 NOMINAL = tuple((k, math.erf(k / math.sqrt(2.0))) for k in (1.0, 2.0))
 
 
-def _config(antithetic: bool, ramped: bool) -> FRWConfig:
+def _config(antithetic: bool, uniform: bool) -> FRWConfig:
     return FRWConfig.frw_r(
         tolerance=TOLERANCE,
-        batch_size=RAMP_BATCH if ramped else BATCH,
-        min_walks=BATCH // 2 if ramped else BATCH,
+        batch_size=UNIFORM_BATCH if uniform else BATCH,
+        min_walks=BATCH // 4 if uniform else BATCH,
         antithetic=antithetic,
     )
 
 
-def _stopped_rows(antithetic: bool, ramped: bool, seeds) -> list:
+def _stopped_rows(antithetic: bool, uniform: bool, seeds) -> list:
     """``(row, stats)`` of every seed under the stopping rule, with every
     seed's walks sharing one wide vector.
 
@@ -67,15 +68,14 @@ def _stopped_rows(antithetic: bool, ramped: bool, seeds) -> list:
     per-step overhead of a 200-walk vector.  A round gives every unstopped
     seed its next ``ROUND`` batches; batches past a seed's stop are
     dropped, as the driver discards them."""
-    cfg = _config(antithetic, ramped)
+    cfg = _config(antithetic, uniform)
     ctx = build_context(structure(), MASTER, cfg)
     progress = {s: RowProgress(ctx, cfg.with_(seed=s)) for s in seeds}
     lanes = {s: (ctx, make_streams(cfg.with_(seed=s), MASTER)) for s in seeds}
-    b0 = first_batch_size(cfg)
+    b0 = checkpoint_walks(cfg)
 
     def uids(u: int) -> np.ndarray:
-        base, size = batch_span(u, cfg.batch_size, b0)
-        return np.arange(base, base + size, dtype=np.uint64)
+        return np.arange(u * b0, (u + 1) * b0, dtype=np.uint64)
 
     live, first = list(seeds), 0
     while live:
@@ -97,11 +97,11 @@ def _stopped_rows(antithetic: bool, ramped: bool, seeds) -> list:
 @pytest.fixture(
     scope="module",
     params=[(True, False), (False, False), (True, True), (False, True)],
-    ids=["antithetic", "plain", "antithetic-ramped", "plain-ramped"],
+    ids=["antithetic", "plain", "antithetic-uniform", "plain-uniform"],
 )
 def stopped(request):
-    antithetic, ramped = request.param
-    return antithetic, ramped, _stopped_rows(antithetic, ramped, SEEDS[antithetic])
+    antithetic, uniform = request.param
+    return antithetic, uniform, _stopped_rows(antithetic, uniform, SEEDS[antithetic])
 
 
 def test_error_bars_reach_nominal_coverage(stopped):
@@ -133,8 +133,8 @@ def test_error_bars_reach_nominal_coverage(stopped):
 
 def test_shared_vector_rows_match_the_driver(stopped):
     """The first two seeds' rows equal the batch driver's, byte for byte."""
-    antithetic, ramped, runs = stopped
-    cfg = _config(antithetic, ramped)
+    antithetic, uniform, runs = stopped
+    cfg = _config(antithetic, uniform)
     ctx = build_context(structure(), MASTER, cfg)
     for seed, (row, stats) in zip(SEEDS[antithetic][:2], runs):
         ref, ref_stats = extract_row_alg2(ctx, cfg.with_(seed=seed))

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import ExperimentRecord, Stopwatch, environment_info
 from repro.experiments.common import paper_config
-from repro.frw.parallel import first_batch_size
+from repro.frw.parallel import checkpoint_walks
 
 
 def test_record_roundtrip(tmp_path):
@@ -42,10 +42,10 @@ def test_stopwatch():
 
 def test_paper_config_keeps_the_fixed_batch_schedule():
     """Paper experiments run Alg. 2 at the paper's fixed ``B``: an unset
-    ``min_walks`` becomes ``batch_size``, and a ramping one is refused."""
+    ``min_walks`` becomes ``batch_size``, and one that cuts batches below ``B`` is refused."""
     for kwargs in ({}, {"batch_size": 2000}, {"batch_size": 800, "min_walks": 400}):
         cfg = paper_config("frw-r", **kwargs)
-        assert first_batch_size(cfg) == cfg.batch_size
+        assert checkpoint_walks(cfg) == cfg.batch_size
         assert not cfg.antithetic
     assert paper_config("frw-rr", batch_size=2000).min_walks == 2000
     with pytest.raises(ConfigError, match="min_walks"):

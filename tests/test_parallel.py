@@ -30,6 +30,7 @@ from repro.frw import (
     run_walks,
     stream_spec,
 )
+from repro.frw.parallel import checkpoint_walks
 from repro.frw.solver import FRWSolver
 from repro.rng import WalkStreams
 from repro.structures import build_case
@@ -282,33 +283,36 @@ class _KeyOnly:
 def test_batch_schedule_tiles_the_uids_and_keeps_every_checkpoint(
     batch_size, min_walks, antithetic
 ):
-    """``request`` ranges tile ``[0, n)`` with no gap or overlap; batches
-    are even under antithetic pairs; every multiple of ``B`` is a
-    checkpoint; the first batch is ``B`` or above ``min_walks``; and
-    ``min_walks >= B / 2`` gives the fixed schedule."""
+    """``request`` ranges tile ``[0, n)`` with no gap or overlap, ``b0``
+    walks each; batches are even under antithetic pairs; every multiple
+    of ``b0`` is a checkpoint, so every checkpoint of a schedule ramping
+    from ``b0`` (``b0 * 2**u`` up to ``B``, then every multiple of ``B``)
+    is kept; ``b0`` is ``B`` or above ``min_walks``; and ``min_walks >=
+    B / 2`` gives the paper's batches of ``B``."""
     batch_size += antithetic and batch_size % 2
     cfg = FRWConfig.frw_r(
         batch_size=batch_size, min_walks=min_walks, antithetic=antithetic
     )
     runner = BatchRunner(SimpleNamespace(master=0), cfg, _KeyOnly())
-    sizes, ends = [], []
-    while not ends or ends[-1] < 3 * batch_size:
-        _, uids = runner.request(len(sizes))
-        n = ends[-1] if ends else 0
-        assert np.array_equal(uids, np.arange(n, n + uids.shape[0], dtype=np.uint64))
-        sizes.append(uids.shape[0])
-        ends.append(n + uids.shape[0])
-    assert sizes == sorted(sizes) and sizes[-1] == batch_size
+    b0 = checkpoint_walks(cfg)
+    ends = [0]
+    while ends[-1] < 3 * batch_size:
+        _, uids = runner.request(len(ends) - 1)
+        n = ends[-1]
+        assert np.array_equal(uids, np.arange(n, n + b0, dtype=np.uint64))
+        ends.append(n + b0)
     if antithetic:
-        assert all(size % 2 == 0 for size in sizes)
-    assert set(range(batch_size, ends[-1] + 1, batch_size)) <= set(ends)
-    assert sizes[0] == batch_size or sizes[0] > min_walks
+        assert b0 % 2 == 0
+    ramp = {b0 << u for u in range((batch_size // b0).bit_length())}
+    ramp |= set(range(batch_size, ends[-1] + 1, batch_size))
+    assert ramp <= set(ends)
+    assert b0 == batch_size or b0 > min_walks
     if 2 * min_walks >= batch_size:
-        assert set(sizes) == {batch_size}
+        assert b0 == batch_size
 
 
 def test_vector_width_is_the_batch_size(plates):
-    """A ramped first batch still opens a vector as wide as the config's
+    """A ``b0``-walk batch still opens a vector as wide as the config's
     batch size, not as its own size."""
     cfg = FRWConfig.frw_r(seed=77, batch_size=256, min_walks=16)
     ctx = build_context(plates, 0, cfg)
@@ -668,22 +672,22 @@ def _open_field():
 
 
 @pytest.mark.parametrize(
-    "case, overrides, max_discarded, row0_launched",
+    "case, overrides, max_discarded, row0_walks",
     [
-        ("open_field", dict(tolerance=2.2e-2, h_cap_fraction=0.05), 0, 70_000),
-        ("case5", dict(tolerance=7e-2), 10_000, 20_000),
+        ("open_field", dict(tolerance=2.2e-2, h_cap_fraction=0.05), 0, 61_250),
+        ("case5", dict(tolerance=7e-2), 1_250, 13_750),
     ],
     ids=["open_field", "case5"],
 )
 def test_serial_schedule_on_suite_structures(
-    launched, case, overrides, max_discarded, row0_launched
+    launched, case, overrides, max_discarded, row0_walks
 ):
     """At FRW seed 145 a serial ``extract()`` on the suite's open-field
     and SRAM structures discards at most one batch (a per-master
     look-ahead discarded 30,000 and 290,000 walks), and a lone master
-    launches only the walks it counts: it does not look past the
-    checkpoint where its error estimate expects it to stop (one batch
-    past the stop launched 80,000 and 30,000)."""
+    launches only the walks it counts: it takes no batch its predicted
+    stop does not clear (one batch past the stop launched 80,000 and
+    30,000), and before its first checkpoint it fills one vector only."""
     structure = _open_field() if case == "open_field" else build_case(5)
     cfg = FRWConfig.frw_rr(
         seed=145, executor="serial", antithetic=False, **overrides
@@ -693,8 +697,8 @@ def test_serial_schedule_on_suite_structures(
         assert result.matrix.meta["schedule"]["discarded_walks"] <= max_discarded
         assert sum(launched) - result.total_walks <= max_discarded
         launched.clear()
-        solver.extract_row(0)
-    assert sum(launched) == row0_launched
+        row, _ = solver.extract_row(0)
+    assert sum(launched) == row.walks == row0_walks
 
 
 def test_serial_masters_share_one_vector(three_wires, monkeypatch):
