@@ -1,18 +1,19 @@
 """Multi-level parallelism on the SRAM array (Table I case 5, Sec. III-C).
 
-With many master conductors, splitting T threads into groups that extract
-different masters concurrently scales further than per-master parallelism
-alone — and, because every master owns an independent stream family, the
-capacitance values are unchanged.  This example extracts a scaled SRAM
-array both ways and compares values and modeled runtimes.
+With many master conductors, every master's batches interleave over one
+pool of workers, so the workers stay busy while individual masters
+converge after a batch or two.  Because every walk draws from its own
+counter stream and every master absorbs its batches in batch order, the
+rows do not depend on how many workers ran them.  This example extracts a
+scaled SRAM array on one in-process worker and on two process workers and
+checks that the rows are byte-identical.
 
 Run:  python examples/sram_scaling.py
 """
 
 import numpy as np
 
-from repro import FRWConfig, FRWSolver, multilevel_extract
-from repro.numerics import matrix_matched_digits
+from repro import FRWConfig, FRWSolver
 from repro.structures import case_masters, sram_like
 
 
@@ -22,35 +23,28 @@ def main() -> None:
     print(structure.summary())
     print(f"{len(masters)} masters (wordlines, bitline pairs, cell stubs)\n")
 
-    config = FRWConfig.frw_rr(
-        seed=5, n_threads=16, tolerance=4e-2, batch_size=3000
-    )
-    solver = FRWSolver(structure, config)
-
-    print("single-level: all 16 threads on one master at a time ...")
-    single = solver.extract(masters)
-    span_single = sum(float(s.thread_work.max()) for s in single.stats)
-
-    print("multi-level : 4 groups x 4 threads across masters ...")
-    multi = multilevel_extract(
-        FRWSolver(structure, config), masters, min_threads_per_group=4
-    )
-    # Groups run concurrently: the modeled span is the max over groups.
-    group_spans: dict[int, float] = {}
-    for master, stat in zip(masters, multi.stats):
-        group = master % 4
-        group_spans[group] = group_spans.get(group, 0.0) + float(
-            stat.thread_work.max()
+    config = FRWConfig.frw_rr(seed=5, tolerance=4e-2, batch_size=3000)
+    results = {}
+    for label, layout in (
+        ("1 worker (in process)", {"executor": "serial"}),
+        ("2 process workers", {"executor": "process", "n_workers": 2}),
+    ):
+        with FRWSolver(structure, config.with_(**layout)) as solver:
+            result = solver.extract(masters)
+        sched = result.matrix.meta["schedule"]
+        print(
+            f"{label:<22}: wall {result.wall_time:6.2f} s, "
+            f"{result.total_walks:,} walks, "
+            f"{sched['dispatched_batches']} batches dispatched, "
+            f"{sched['discarded_batches']} discarded"
         )
-    span_multi = max(group_spans.values())
+        results[label] = result
 
-    digits = matrix_matched_digits(single.matrix.values, multi.matrix.values)
-    print(f"\nvalues match to {digits} decimal digits "
-          "(same walks, different scheduling)")
-    print(f"modeled span, single-level : {span_single:,.0f} work units")
-    print(f"modeled span, multi-level  : {span_multi:,.0f} work units "
-          f"({span_single / span_multi:.2f}x better utilisation)")
-    print(f"\nreliability after Alg. 3: {multi.report}")
+    one, two = results.values()
+    assert np.array_equal(one.raw_matrix.values, two.raw_matrix.values)
+    assert np.array_equal(one.matrix.values, two.matrix.values)
+    print("\nrows are byte-identical at 1 and 2 workers")
+    print(f"reliability after Alg. 3: {two.report}")
 
 
 if __name__ == "__main__":

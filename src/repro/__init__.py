@@ -40,7 +40,6 @@ from .frw import (
     ExtractionResult,
     FRWSolver,
     extract,
-    multilevel_extract,
     run_single_walk,
     trace_walks,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "StructureValidationError",
     "check_properties",
     "extract",
-    "multilevel_extract",
     "naive_adjustment",
     "regularize",
     "reproducibility_indices",

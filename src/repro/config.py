@@ -99,8 +99,9 @@ class FRWConfig:
     seed:
         Global seed ``s``.
     n_threads:
-        Degree of parallelism ``T`` (virtual threads of the reproducible
-        scheme; also used by the real executors).
+        Degree of parallelism ``T``: Alg. 1's thread count and the
+        virtual threads of Alg. 2's merge replay.  The real executors'
+        workers come from ``n_workers``.
     batch_size:
         Batch size ``B`` (paper uses 10000): the width of every worker's
         engine vector and the unit of the driver's walk budget.  Alg. 2

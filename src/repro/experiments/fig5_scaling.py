@@ -60,14 +60,7 @@ def run(
                 )
                 result = FRWSolver(structure, cfg).extract(masters)
                 total_work = sum(float(s.thread_work.sum()) for s in result.stats)
-                span = sum(
-                    (
-                        float(s.makespan)
-                        if s.makespan
-                        else float(s.thread_work.max())
-                    )
-                    for s in result.stats
-                )
+                span = sum(float(s.makespan) for s in result.stats)
                 secs_per_unit = result.wall_time / total_work if total_work else 0.0
                 modeled = span * secs_per_unit
                 if base_modeled is None:

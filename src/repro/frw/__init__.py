@@ -21,7 +21,6 @@ from .engine import (
     run_walks,
 )
 from .estimator import CapacitanceRow, RowAccumulator
-from .multilevel import GroupPlan, multilevel_extract, plan_groups
 from .parallel import (
     BatchRunner,
     PersistentExecutor,
@@ -45,7 +44,7 @@ from .scheduler import (
     simulate_dynamic_queue,
     simulate_static_blocks,
 )
-from .solver import ExtractionResult, FRWSolver, assemble_result, extract
+from .solver import ExtractionResult, FRWSolver, extract
 from .walk import WalkTrace, run_single_walk, trace_walks
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "ExtractionContext",
     "ExtractionResult",
     "FRWSolver",
-    "GroupPlan",
     "PersistentExecutor",
     "RowAccumulator",
     "RowProgress",
@@ -66,7 +64,6 @@ __all__ = [
     "WalkPipeline",
     "WalkResults",
     "WalkTrace",
-    "assemble_result",
     "attach_context",
     "build_context",
     "extract",
@@ -77,8 +74,6 @@ __all__ = [
     "machine_rng",
     "make_batch_runner",
     "make_streams",
-    "multilevel_extract",
-    "plan_groups",
     "publish_context",
     "published_blocks",
     "release_all",

@@ -57,15 +57,6 @@ class RunStats:
     #: Walks launched for this master that never reached its row: every
     #: discarded batch, plus walks a pipeline launched past the stop.
     discarded_walks: int = 0
-    #: Quota top-ups of this master: one at admission, one per absorbed batch.
-    allocation_rounds: int = 0
-
-    @property
-    def speculation_ratio(self) -> float:
-        """Fraction of dispatched batches that were discarded."""
-        if self.dispatched_batches == 0:
-            return 0.0
-        return self.discarded_batches / self.dispatched_batches
 
 
 def make_streams(config: FRWConfig, master: int):

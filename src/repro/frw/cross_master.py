@@ -1,5 +1,5 @@
 """The Alg. 2 batch driver: every reproducible extraction, one master or
-many, runs here (Sec. IV multi-level parallelism, realised over the real
+many, runs here (Sec. III-C multi-level parallelism, realised over the real
 executors).
 
 All masters' batch streams interleave over the one
@@ -190,31 +190,20 @@ def extract_rows_interleaved(
     config: FRWConfig,
     context_for: Callable[[int], ExtractionContext],
     executor: PersistentExecutor,
-    thread_overrides: dict[int, int] | None = None,
 ) -> tuple[list[CapacitanceRow], list[RunStats]]:
     """Extract all masters' rows as one interleaved batch stream.
 
     ``context_for`` supplies (and may cache) per-master contexts —
-    typically ``FRWSolver.context``.  ``thread_overrides`` maps a master
-    to the virtual-thread DOP its accumulation replays at (multi-level
-    group plans); walk samples are DOP-independent, so overrides move
-    only the last floating-point bits, exactly as in the serial path.
+    typically ``FRWSolver.context``.
 
     Returns ``(rows, stats)`` aligned with ``masters``; every row is
     bit-identical to the same master extracted alone, serially, with the
-    same per-master config.
+    same config.
     """
     workers = executor.n_workers
     batch_size = config.batch_size
     b0 = checkpoint_walks(config)
     budget = walk_budget(workers, batch_size)
-    overrides = thread_overrides or {}
-
-    def master_config(master: int) -> FRWConfig:
-        t = overrides.get(master)
-        if t is None or t == config.n_threads:
-            return config
-        return config.with_(n_threads=max(1, t))
 
     pending = deque(masters)
     active: list[_MasterRun] = []
@@ -236,7 +225,6 @@ def extract_rows_interleaved(
     def top_up(st: _MasterRun) -> None:
         """Dispatch ``st``'s next batches while they fit in its share."""
         share = walk_share(live, budget, batch_size)
-        st.progress.stats.allocation_rounds += 1
         while not st.inflight or st.wants(share):
             dispatch(st)
 
@@ -248,7 +236,7 @@ def extract_rows_interleaved(
         while take < len(pending) and in_flight + take * b0 < budget:
             take += 1
         new = [
-            _MasterRun(m, context_for(m), master_config(m), executor)
+            _MasterRun(m, context_for(m), config, executor)
             for m in (pending.popleft() for _ in range(take))
         ]
         active.extend(new)

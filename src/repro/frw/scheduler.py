@@ -11,10 +11,12 @@ orders — precisely the perturbation whose effect on the final digits the
 Table II experiment measures — while the *walk samples themselves* are
 untouched (they come from per-walk counter streams).
 
-The same simulation doubles as the Fig. 5 performance model: per-thread
-work totals give the modeled parallel runtime
-``max_t(work_t) / throughput``, which exposes the load-balancing behaviour
-of the dynamic queue versus static block assignment.
+The same simulation doubles as the Fig. 5 performance model: the modeled
+parallel runtime is the sum of the batch makespans times the run's
+measured seconds per work unit,
+``t(T) = sum_batches makespan_T(batch) * s``, which exposes the
+load-balancing behaviour of the dynamic queue versus static block
+assignment.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ the one executor, and per-master rows stay bit-identical to
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -77,79 +76,6 @@ class ExtractionResult:
     def converged(self) -> bool:
         """Whether every master met the stopping criterion."""
         return all(s.converged for s in self.stats)
-
-    def modeled_runtime(self, n_threads: int | None = None) -> float:
-        """Parallel runtime model for Fig. 5 (seconds).
-
-        ``max_t(work_t)`` summed over masters, scaled by the measured
-        single-thread step throughput of this run.  The schedule work
-        counters are collected at the configured DOP; passing
-        ``n_threads`` asserts that every master's counters were collected
-        at exactly that DOP (a mismatch raises ``ValueError`` instead of
-        silently modeling the wrong machine).
-        """
-        if n_threads is not None:
-            collected = sorted(
-                {int(s.thread_work.shape[0]) for s in self.stats}
-            )
-            if collected != [int(n_threads)]:
-                raise ValueError(
-                    f"modeled_runtime(n_threads={n_threads}) but the "
-                    f"schedule was collected at DOP(s) {collected}"
-                )
-        total_span = math.fsum(float(s.thread_work.max()) for s in self.stats)
-        total_work = math.fsum(float(s.thread_work.sum()) for s in self.stats)
-        if total_work == 0.0:
-            return 0.0
-        seconds_per_unit = self.wall_time / total_work
-        return total_span * seconds_per_unit
-
-
-def assemble_result(
-    structure: Structure,
-    config: FRWConfig,
-    masters: list[int],
-    rows: list[CapacitanceRow],
-    stats: list[RunStats],
-    wall_time: float,
-    extra_meta: dict | None = None,
-) -> ExtractionResult:
-    """Matrix assembly + regularization epilogue shared by every
-    extraction entry point (``FRWSolver.extract``, ``multilevel_extract``),
-    so result metadata cannot drift between them."""
-    meta = {
-        "variant": config.variant,
-        "seed": config.seed,
-        "n_threads": config.n_threads,
-        "tolerance": config.tolerance,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    raw = CapacitanceMatrix(
-        values=np.stack([r.values for r in rows]),
-        masters=list(masters),
-        names=structure.names,
-        sigma2=np.stack([r.sigma2 for r in rows]),
-        hits=np.stack([r.hits for r in rows]),
-        meta=meta,
-    )
-    reg_time = 0.0
-    if config.uses_regularization:
-        t1 = time.perf_counter()
-        matrix = regularize(raw)
-        reg_time = time.perf_counter() - t1
-    else:
-        matrix = raw
-    return ExtractionResult(
-        matrix=matrix,
-        raw_matrix=raw,
-        rows=rows,
-        stats=stats,
-        config=config,
-        wall_time=wall_time,
-        regularization_time=reg_time,
-        report=check_properties(matrix),
-    )
 
 
 class FRWSolver:
@@ -252,41 +178,25 @@ class FRWSolver:
             )
 
     def _extract_serial_masters(
-        self,
-        masters: list[int],
-        thread_overrides: dict[int, int] | None,
+        self, masters: list[int]
     ) -> tuple[list[CapacitanceRow], list[RunStats]]:
         """The master-after-master Alg. 1 loop (Alg. 1 has no batches to
         interleave).  Each master's context is built only when that master
         runs."""
-        overrides = thread_overrides or {}
         rows: list[CapacitanceRow] = []
         stats: list[RunStats] = []
         for master in masters:
-            cfg = self.config
-            t = overrides.get(master)
-            if t is not None and t != cfg.n_threads:
-                cfg = cfg.with_(n_threads=max(1, t))
-            row, stat = extract_row_alg1(self.context(master), cfg)
+            row, stat = extract_row_alg1(self.context(master), self.config)
             rows.append(row)
             stats.append(stat)
         return rows, stats
 
-    def extract(
-        self,
-        masters: list[int] | None = None,
-        *,
-        thread_overrides: dict[int, int] | None = None,
-        extra_meta: dict | None = None,
-    ) -> ExtractionResult:
+    def extract(self, masters: list[int] | None = None) -> ExtractionResult:
         """Extract rows for the given masters (default: all conductors).
 
         Alg. 2 variants run through the cross-master batch driver
         (batches from all masters share the executor; rows are
         bit-identical to the per-master :meth:`extract_row`).
-        ``thread_overrides`` maps a master to the virtual-thread DOP its
-        accumulation replays at (used by
-        :func:`~repro.frw.multilevel.multilevel_extract` group plans).
 
         For ``frw-rr``, masters must be ``0..Nm-1`` (the regularization
         couples rows through the symmetry constraint).
@@ -295,26 +205,25 @@ class FRWSolver:
             masters = list(range(len(self.structure.conductors)))
         if not masters:
             raise ConfigError("need at least one master conductor")
+        cfg = self.config
         executor = self.walk_executor()
         t0 = time.perf_counter()
-        with maybe_forbid_global_rng(self.config.sanitize):
-            if self.config.variant == "alg1":
-                rows, stats = self._extract_serial_masters(
-                    masters, thread_overrides
-                )
+        with maybe_forbid_global_rng(cfg.sanitize):
+            if cfg.variant == "alg1":
+                rows, stats = self._extract_serial_masters(masters)
             else:
                 rows, stats = extract_rows_interleaved(
-                    masters,
-                    self.config,
-                    self.context,
-                    executor=executor,
-                    thread_overrides=thread_overrides,
+                    masters, cfg, self.context, executor=executor
                 )
         wall = time.perf_counter() - t0
 
         meta = {
+            "variant": cfg.variant,
+            "seed": cfg.seed,
+            "n_threads": cfg.n_threads,
+            "tolerance": cfg.tolerance,
             "schedule": {
-                "antithetic": self.config.antithetic,
+                "antithetic": cfg.antithetic,
                 "asset_cache": self.assets.stats(),
                 # Pool workers are processes that query their own copies
                 # of the index, so the in-process counters would report
@@ -325,12 +234,30 @@ class FRWSolver:
                 "dispatched_batches": sum(s.dispatched_batches for s in stats),
                 "discarded_batches": sum(s.discarded_batches for s in stats),
                 "discarded_walks": sum(s.discarded_walks for s in stats),
-            }
+            },
         }
-        if extra_meta:
-            meta.update(extra_meta)
-        return assemble_result(
-            self.structure, self.config, masters, rows, stats, wall, meta
+        raw = CapacitanceMatrix(
+            values=np.stack([r.values for r in rows]),
+            masters=list(masters),
+            names=self.structure.names,
+            sigma2=np.stack([r.sigma2 for r in rows]),
+            hits=np.stack([r.hits for r in rows]),
+            meta=meta,
+        )
+        matrix, reg_time = raw, 0.0
+        if cfg.uses_regularization:
+            t1 = time.perf_counter()
+            matrix = regularize(raw)
+            reg_time = time.perf_counter() - t1
+        return ExtractionResult(
+            matrix=matrix,
+            raw_matrix=raw,
+            rows=rows,
+            stats=stats,
+            config=cfg,
+            wall_time=wall,
+            regularization_time=reg_time,
+            report=check_properties(matrix),
         )
 
 

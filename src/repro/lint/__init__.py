@@ -39,7 +39,7 @@ DET009    every ``FRWConfig`` field read on the result path is in the
           fields are staleness
 DET010    ``SharedMemory`` lifecycle typestate: no leaks, double-unlinks,
           or use-after-close along any path
-DET011    Philox counter arithmetic and prefetch-ring/stream cursors stay
+DET011    Philox counter arithmetic and the prefetch-ring cursor stay
           inside their sanctioned helper modules
 DET012    no writes to a context/manifest after executor registration
 ========  ==============================================================

@@ -609,10 +609,8 @@ _PHILOX_KERNELS = frozenset(
     }
 )
 _PHILOX_MODULE = "repro.rng.philox"
-#: Stream-cursor attributes: the prefetch-ring cursor and fill depth
-#: (engine) and the sequential stream position (repro.rng).
+#: The prefetch-ring cursor and fill depth (engine).
 _RING_CURSOR_ATTRS = frozenset({"_ring_cursor", "_ring_depth"})
-_STREAM_CURSOR_ATTRS = frozenset({"_position"})
 
 
 @_make("DET011", "Philox counter arithmetic / prefetch-ring cursor outside "
@@ -625,11 +623,11 @@ def det011_rng_counter_discipline(
     (``repro.rng.counter_stream``'s span kernel) and exactly one place
     moves the prefetch ring's cursor and fill depth (``repro.frw.engine``'s
     phase-aligned helpers).  A future kernel that calls ``philox4x32*``
-    directly, or bumps ``_ring_cursor`` / ``_ring_depth`` / a stream's
-    ``_position`` from outside, silently forks the stream: results stay
-    plausible and bit-identity across DOP quietly dies.  This pass confines (a) calls
-    to the raw Philox kernels and ``derive_key`` to ``repro.rng`` and
-    (b) writes to the cursor attributes to their owning modules."""
+    directly, or bumps ``_ring_cursor`` / ``_ring_depth`` from outside,
+    silently forks the stream: results stay plausible and bit-identity
+    across DOP quietly dies.  This pass confines (a) calls to the raw
+    Philox kernels and ``derive_key`` to ``repro.rng`` and (b) writes to
+    the cursor attributes to ``repro.frw.engine``."""
     for module in _analyzed_modules(graph):
         src = graph.sources[module]
         resolver = graph.resolvers[module]
@@ -670,32 +668,6 @@ def det011_rng_counter_discipline(
                             "phase-aligned helpers; an outside bump "
                             "desynchronizes ring planes from walk steps",
                         )
-                    elif (
-                        target.attr in _STREAM_CURSOR_ATTRS
-                        and not in_rng
-                        and _uses_stream_base(target)
-                    ):
-                        yield p.finding(
-                            src,
-                            node,
-                            f"write to '{dotted_name(target) or target.attr}'"
-                            " outside repro.rng — a sequential stream's "
-                            "position is part of the RNG contract; "
-                            "seeking it from outside replays or skips "
-                            "draws",
-                        )
-
-
-def _uses_stream_base(target: ast.Attribute) -> bool:
-    """Restrict ``._position`` writes to stream-ish receivers.
-
-    ``self._position`` in arbitrary user classes is a common idiom
-    (parsers, iterators); only flag receivers whose name suggests an RNG
-    stream so the pass stays near-zero false positive.
-    """
-    base = dotted_name(target.value) or ""
-    tail = base.split(".")[-1].lower()
-    return any(s in tail for s in ("stream", "rng", "philox", "self"))
 
 
 # ----------------------------------------------------------------------

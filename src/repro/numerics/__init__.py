@@ -1,5 +1,5 @@
 """Numerical kernels: compensated summation, reproducibility metrics,
-dense and sparse Cholesky factorisations, and Monte Carlo statistics."""
+and dense and sparse Cholesky factorisations."""
 
 from .cholesky import (
     back_substitution,
@@ -17,7 +17,6 @@ from .reproducibility import (
 )
 from .sparse import CSCMatrix, csc_from_coo, csc_from_dense, csc_permute_symmetric
 from .sparse_cholesky import SparseCholesky, elimination_tree, rcm_ordering
-from .statistics import MeanEstimate, RunningStats, mean_variance_from_sums
 from .summation import (
     KahanScalar,
     KahanVector,
@@ -33,10 +32,8 @@ __all__ = [
     "CSCMatrix",
     "KahanScalar",
     "KahanVector",
-    "MeanEstimate",
     "NaiveVector",
     "RIStats",
-    "RunningStats",
     "SparseCholesky",
     "back_substitution",
     "cholesky",
@@ -50,7 +47,6 @@ __all__ = [
     "ldlt",
     "matched_digits",
     "matrix_matched_digits",
-    "mean_variance_from_sums",
     "naive_sum",
     "pairwise_sum",
     "rcm_ordering",

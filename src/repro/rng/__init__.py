@@ -2,10 +2,10 @@
 
 Provides the counter-based Philox4x32-10 generator (implemented from
 scratch and validated against the Random123 known-answer vectors), per-walk
-stateless streams for fine-grained reseeding (Alg. 2), the lane view that
-serves one walk vector mixing several masters' streams, sequential streams
-for the Alg. 1 baseline, and a deliberately costly Mersenne-Twister adapter
-for the FRW-NC ablation.
+stateless streams for fine-grained reseeding (Alg. 2; the Alg. 1 baseline
+runs on them too, with per-thread UIDs), the lane view that serves one walk
+vector mixing several masters' streams, and a deliberately costly
+Mersenne-Twister adapter for the FRW-NC ablation.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from .counter_stream import (
     BLOCKS_PER_STEP,
     DOMAIN_TAG,
     MAX_DRAWS_PER_STEP,
-    SequentialStream,
     WalkStreams,
-    encode_walk_uid,
 )
 from .lanes import LaneDraws
 from .mersenne import MTWalkStreams
@@ -59,10 +57,8 @@ __all__ = [
     "antipodal_uniform",
     "mirror_uniform",
     "PHILOX_ROUNDS",
-    "SequentialStream",
     "WalkStreams",
     "derive_key",
-    "encode_walk_uid",
     "philox4x32",
     "philox4x32_inplace",
     "philox4x32_scalar",

@@ -37,12 +37,10 @@ import numpy as np
 from ..errors import RNGError
 from .philox import (
     derive_key,
-    philox4x32,
     philox4x32_inplace,
     philox4x32_scalar,
     unit_double_into,
     unit_double_scalar,
-    words_to_unit_double,
 )
 
 #: Philox blocks reserved per walk step; 4 blocks = up to 8 doubles.
@@ -90,22 +88,6 @@ def _span_scratch() -> np.ndarray:
         buf = np.empty((_SPAN_PLANES, SPAN_TILE), dtype=np.uint64)
         _SCRATCH.buf = buf
     return buf
-
-
-def encode_walk_uid(batch_index: int, walk_in_batch: int, batch_size: int) -> int:
-    """Encode the paper's walk ID ``(u, v)`` into a flat 64-bit UID.
-
-    ``uid = u * B + v`` exactly as suggested in Sec. III-B ("e.g., using
-    ``s + uB + v`` as a unique seed"); the global seed ``s`` enters through
-    the Philox key instead so that UIDs stay small and collision-free.
-    """
-    if walk_in_batch < 0 or walk_in_batch >= batch_size:
-        raise RNGError(
-            f"walk_in_batch {walk_in_batch} out of range for batch size {batch_size}"
-        )
-    if batch_index < 0:
-        raise RNGError(f"batch_index must be non-negative, got {batch_index}")
-    return batch_index * batch_size + walk_in_batch
 
 
 class WalkStreams:
@@ -281,46 +263,3 @@ class WalkStreams:
             values.append(unit_double_scalar(w0, w1))
             values.append(unit_double_scalar(w2, w3))
         return values[:count]
-
-
-class SequentialStream:
-    """A stateful sequential stream (classic PRNG interface) over Philox.
-
-    Used to model the *baseline* Alg. 1 of [1], where each thread owns one
-    private PRNG seeded once and consumed sequentially for all of its walks.
-    Such a stream is reproducible only if the thread's whole walk sequence is
-    reproduced — the root cause of Alg. 1's fixed-DOP-only reproducibility.
-    """
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._k0, self._k1 = derive_key(self.seed, self.stream)
-        self._position = 0
-
-    def next_doubles(self, count: int) -> np.ndarray:
-        """Draw ``count`` uniforms, advancing the stream position."""
-        if count < 0:
-            raise RNGError(f"count must be non-negative, got {count}")
-        n_blocks = (count + 1) // 2
-        blocks = np.arange(
-            self._position, self._position + n_blocks, dtype=np.uint64
-        )
-        self._position += n_blocks
-        w0, w1, w2, w3 = philox4x32(
-            (blocks & np.uint64(_MASK32)).astype(np.uint32),
-            (blocks >> np.uint64(32)).astype(np.uint32),
-            np.uint32(0),
-            np.uint32(DOMAIN_TAG ^ 0x1),
-            np.uint32(self._k0),
-            np.uint32(self._k1),
-        )
-        out = np.empty(2 * n_blocks, dtype=np.float64)
-        out[0::2] = words_to_unit_double(w0, w1)
-        out[1::2] = words_to_unit_double(w2, w3)
-        return out[:count]
-
-    @property
-    def position(self) -> int:
-        """Number of Philox blocks consumed so far."""
-        return self._position

@@ -10,9 +10,7 @@ from repro.rng import (
     MAX_DRAWS_PER_STEP,
     LaneDraws,
     MirroredDraws,
-    SequentialStream,
     WalkStreams,
-    encode_walk_uid,
 )
 
 
@@ -77,42 +75,6 @@ def test_draw_count_limits():
         ws.draws(np.arange(2, dtype=np.uint64), 0, MAX_DRAWS_PER_STEP + 1)
     with pytest.raises(RNGError):
         ws.draws_scalar(0, 0, 0)
-
-
-def test_encode_walk_uid():
-    assert encode_walk_uid(0, 0, 1000) == 0
-    assert encode_walk_uid(2, 17, 1000) == 2017
-    with pytest.raises(RNGError):
-        encode_walk_uid(0, 1000, 1000)
-    with pytest.raises(RNGError):
-        encode_walk_uid(-1, 0, 1000)
-
-
-def test_sequential_stream_reproducible_and_stateful():
-    s1 = SequentialStream(5)
-    s2 = SequentialStream(5)
-    a = s1.next_doubles(7)
-    b = s1.next_doubles(7)
-    assert not np.array_equal(a, b)
-    # Same consumption pattern reproduces the stream.
-    assert np.array_equal(s2.next_doubles(7), a)
-    assert np.array_equal(s2.next_doubles(7), b)
-    assert s1.position == s2.position
-
-
-def test_sequential_stream_different_chunking_same_prefix():
-    """Position-based blocks: chunk sizes may change alignment, but
-    block-aligned consumption is stable."""
-    s1 = SequentialStream(5)
-    s2 = SequentialStream(5)
-    a = np.concatenate([s1.next_doubles(4), s1.next_doubles(4)])
-    b = s2.next_doubles(8)
-    assert np.array_equal(a, b)
-
-
-def test_sequential_stream_rejects_negative():
-    with pytest.raises(RNGError):
-        SequentialStream(1).next_doubles(-1)
 
 
 @settings(max_examples=60, deadline=None)

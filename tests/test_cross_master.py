@@ -140,8 +140,6 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
     )
     for s in result.stats:
         assert s.dispatched_batches >= s.batches
-        assert s.allocation_rounds >= s.batches
-        assert 0.0 <= s.speculation_ratio <= 1.0
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])

@@ -322,7 +322,7 @@ def test_det011_kernel_and_cursor_confinement(tmp_path):
             "    def bump(self):\n"
             "        self._ring_cursor += 1\n"
         ),
-        # engine may move its own cursor; rng may move stream positions
+        # engine may move its own cursor
         "src/repro/frw/engine.py": (
             "class Pipe:\n"
             "    def step(self):\n"

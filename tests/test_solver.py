@@ -95,21 +95,6 @@ def test_cross_variant_sample_agreement(plates, quick_config):
     )
 
 
-def test_modeled_runtime_positive(plates, quick_config):
-    result = FRWSolver(plates, quick_config).extract(masters=[0])
-    assert result.modeled_runtime() > 0
-
-
-def test_modeled_runtime_validates_collected_dop(plates, quick_config):
-    """``n_threads`` must match the DOP the schedule was collected at —
-    a mismatch raises instead of silently modeling the wrong machine."""
-    result = FRWSolver(plates, quick_config).extract(masters=[0])
-    dop = quick_config.n_threads
-    assert result.modeled_runtime(dop) == result.modeled_runtime()
-    with pytest.raises(ValueError, match="collected at DOP"):
-        result.modeled_runtime(dop + 1)
-
-
 def test_shared_assets_built_once_across_masters(plates, quick_config):
     get_cube_table.cache_clear()  # a cold process-wide table memo
     solver = FRWSolver(plates, quick_config)
@@ -128,5 +113,6 @@ def test_shared_assets_built_once_across_masters(plates, quick_config):
 def test_extract_meta_has_schedule_and_core_fields(plates, quick_config):
     result = FRWSolver(plates, quick_config).extract()
     meta = result.matrix.meta
+    assert list(meta) == ["variant", "seed", "n_threads", "tolerance", "schedule"]
     assert meta["seed"] == quick_config.seed
     assert meta["tolerance"] == quick_config.tolerance
