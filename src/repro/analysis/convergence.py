@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import FRWConfig
+from ..errors import ConfigError
 from ..frw.alg2_reproducible import make_streams
 from ..frw.context import ExtractionContext
 from ..frw.engine import run_walks
@@ -47,12 +48,23 @@ def trace_convergence(
     checkpoints: int = 20,
     config: FRWConfig | None = None,
 ) -> ConvergenceTrace:
-    """Run a fixed walk budget, recording the stopping metric along the way."""
+    """Run a fixed walk budget, recording the stopping metric along the way.
+
+    Under ``antithetic`` the error is the pair-mean one the stopping rule
+    reads, so checkpoints fall on whole pairs.
+    """
     cfg = config if config is not None else ctx.config
+    if cfg.antithetic and total_walks % 2:
+        raise ConfigError(
+            f"total_walks ({total_walks}) must be even under antithetic "
+            "pairs; pass antithetic=False to trace single walks"
+        )
     streams = make_streams(cfg, ctx.master)
-    acc = RowAccumulator(ctx.n_conductors, ctx.master, summation=cfg.summation)
+    acc = RowAccumulator(
+        ctx.n_conductors, ctx.master, summation=cfg.summation, paired=cfg.antithetic
+    )
     trace = ConvergenceTrace()
-    chunk = max(2, total_walks // checkpoints)
+    chunk = max(2, total_walks // checkpoints // 2 * 2)
     done = 0
     while done < total_walks:
         count = min(chunk, total_walks - done)

@@ -33,8 +33,8 @@ MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
 #: geometry) and replays cached rows for any request that collides.
 #: ``n_threads`` is here because the virtual-thread merge replay decides
 #: the accumulation order (the last floating-point bits are a documented
-#: function of the DOP ``T``); ``machine_seed``/``scheduler_jitter`` feed
-#: the simulated machine whose schedule Alg. 2 replays deterministically.
+#: function of the DOP ``T``); ``machine_seed`` seeds the simulated machine
+#: whose schedule Alg. 2 replays deterministically.
 RESULT_FIELDS = (
     "seed",
     "n_threads",
@@ -53,9 +53,7 @@ RESULT_FIELDS = (
     "first_hop_interface_floor",
     "max_steps",
     "check_every",
-    "scheduler_jitter",
     "machine_seed",
-    "deterministic_merge",
     "antithetic",
 )
 
@@ -149,15 +147,10 @@ class FRWConfig:
         counted as truncated).
     check_every:
         Alg. 1 only: walks between per-thread convergence checks.
-    scheduler_jitter:
-        Relative timing noise of the simulated machine (0 disables).
     machine_seed:
         Seed of the simulated machine's timing noise (distinct values model
-        distinct machines/OS schedules; never affects walk samples).
-    deterministic_merge:
-        Extension (not in the paper): accumulate each batch in walk-ID order
-        regardless of the schedule, guaranteeing bitwise-identical results
-        (RI = 17) for any DOP.
+        distinct machines/OS schedules; never affects walk samples).  The
+        noise amplitude is :data:`repro.frw.scheduler.MACHINE_JITTER`.
     executor:
         Backend executing walk batches: ``"serial"`` (the default: one
         worker, in-process, on one engine vector shared by every master)
@@ -245,9 +238,7 @@ class FRWConfig:
     first_hop_interface_floor: float = 0.02
     max_steps: int = 10_000
     check_every: int = 1_000
-    scheduler_jitter: float = 0.05
     machine_seed: int = 0
-    deterministic_merge: bool = False
     executor: str = "serial"
     n_workers: int = 0
     mp_start_method: str = "auto"
@@ -316,10 +307,6 @@ class FRWConfig:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.check_every < 1:
             raise ConfigError(f"check_every must be >= 1, got {self.check_every}")
-        if not (0.0 <= self.scheduler_jitter <= 1.0):
-            raise ConfigError(
-                f"scheduler_jitter must be in [0, 1], got {self.scheduler_jitter}"
-            )
         if self.executor not in EXECUTOR_KINDS:
             raise ConfigError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"

@@ -57,7 +57,7 @@ def batch_size_sweep(
         rng = np.random.default_rng(0)
         for b in batch_sizes:
             res = run_walks(ctx, streams, np.arange(b, dtype=np.uint64))
-            durations = jittered_durations(res.steps, rng, cfg.scheduler_jitter)
+            durations = jittered_durations(res.steps, rng)
             sched = simulate_dynamic_queue(durations, threads)
             rows.append(
                 [b, threads, f"{b / threads:.0f}", f"{sched.efficiency:.3f}"]

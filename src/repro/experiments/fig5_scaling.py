@@ -113,7 +113,7 @@ def _load_balance_note(structure, master, seed, batch_size, threads=16) -> str:
     cfg = paper_config("frw-r", seed=seed, batch_size=batch_size)
     ctx = build_context(structure, master, cfg)
     res = run_walks(ctx, make_streams(cfg, master), np.arange(batch_size, dtype=np.uint64))
-    durations = jittered_durations(res.steps, np.random.default_rng(0), 0.05)
+    durations = jittered_durations(res.steps, np.random.default_rng(0))
     dyn = simulate_dynamic_queue(durations, threads)
     stat = simulate_static_blocks(durations, threads)
     return (

@@ -45,7 +45,6 @@ def reference_matrix(
             tolerance=tolerance / 3.0,
             batch_size=20_000,
             min_walks=20_000,
-            deterministic_merge=True,
         )
         result = FRWSolver(structure, cfg).extract(masters)
         return result.matrix.values

@@ -62,15 +62,8 @@ def extract_row_alg1(
             )
             results = run_walks(ctx, streams, uids)
             # Thread-local sequential accumulation (walk order = stream order).
-            for w in range(results.dest.shape[0]):
-                acc.add_walk(
-                    float(results.omega[w]),
-                    int(results.dest[w]),
-                    int(results.steps[w]),
-                )
-            durations = jittered_durations(
-                results.steps, rng_machine, cfg.scheduler_jitter
-            )
+            acc.add_walks_ordered(results.omega, results.dest, results.steps)
+            durations = jittered_durations(results.steps, rng_machine)
             # det: allow(DET005) simulated-clock bookkeeping, not a sample
             # statistic: order is fixed (sequential per thread) and the value
             # only decides the merge permutation Alg. 1 is *meant* to expose.

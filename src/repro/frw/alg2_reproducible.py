@@ -111,25 +111,19 @@ class RowProgress:
         cfg = self.cfg
         acc = self.acc
         stats = self.stats
-        durations = jittered_durations(
-            results.steps, self.rng_machine, cfg.scheduler_jitter
-        )
+        durations = jittered_durations(results.steps, self.rng_machine)
         schedule = simulate_dynamic_queue(durations, cfg.n_threads)
-        if cfg.antithetic:
-            # Group-mean accumulation needs whole UID-aligned groups, so
-            # it always consumes the batch in UID order regardless of
-            # deterministic_merge (the virtual-thread replay would split
-            # pairs across simulated threads); the schedule still feeds
-            # the Fig. 5 load-balance model.  Batches are even (config
-            # validation and ``checkpoint_walks``), so pairs never
-            # straddle a batch.
-            acc.add_group_batch(results.omega, results.dest, results.steps)
-        elif cfg.deterministic_merge:
-            # Extension: accumulate in walk-ID order for guaranteed
-            # bitwise reproducibility; the schedule still feeds the
-            # Fig. 5 model.
+        if acc.paired:
+            # Pair means need whole UID-aligned pairs, so paired rows are
+            # absorbed in UID order (the virtual-thread replay would split
+            # pairs across simulated threads) and are bitwise
+            # DOP-independent; the schedule still feeds the Fig. 5
+            # load-balance model.  Batches are even (config validation and
+            # ``checkpoint_walks``), so pairs never straddle a batch.
             acc.add_batch(results.omega, results.dest, results.steps)
         else:
+            # The paper's FRW-R: each virtual thread sums its walks in
+            # fetch order, and the partials merge at the checkpoint.
             for thread_order in schedule.thread_order:
                 local = acc.spawn()
                 local.add_walks_ordered(

@@ -72,7 +72,7 @@ class RowAccumulator:
     With ``paired=True`` the sum registers hold sums of *pair means*
     (see the module docstring); ``walks`` always counts raw walks, and
     sample counts for mean/variance use ``walks // 2`` complete pairs.
-    Paired accumulation happens only through :meth:`add_group_batch`; the
+    Paired accumulation happens only through :meth:`add_batch`; the
     per-walk paths refuse to run paired so the two bookkeeping schemes can
     never silently mix.
     """
@@ -105,7 +105,7 @@ class RowAccumulator:
         if self.paired:
             raise ConfigError(
                 f"{caller} accumulates raw per-walk weights; a paired "
-                "accumulator must use add_group_batch so sum registers "
+                "accumulator must use add_batch so sum registers "
                 "stay in pair-mean units"
             )
 
@@ -143,56 +143,26 @@ class RowAccumulator:
     def add_batch(
         self, omega: np.ndarray, dest: np.ndarray, steps: np.ndarray | None = None
     ) -> None:
-        """Accumulate a batch in array order (deterministic-merge mode).
+        """Accumulate a UID-ordered batch, one observation per sample.
 
-        Partial sums per destination are formed with ``np.add.at`` (a fixed
-        left-to-right order over the input arrays) and merged once into the
-        compensated accumulator, so the result is independent of how walks
-        were scheduled — provided callers pass walks in UID order.
+        Walks form samples of ``g`` consecutive walks: ``g = 2`` when
+        paired (elements ``2k`` and ``2k + 1`` are the partners of pair
+        ``k``), else ``g = 1``.  Each sample's mean weight vector enters
+        the compensated accumulators once; ``hits``/``walks``/
+        ``total_steps`` keep raw per-walk counts.  Partial sums are formed
+        over the input order, so the result depends only on the UID
+        order — not the schedule that produced the batch.
         """
-        self._require_unpaired("add_batch")
-        omega = np.asarray(omega, dtype=np.float64)
-        dest = np.asarray(dest, dtype=np.int64)
-        self._check_batch(omega, dest)
-        part_w = np.zeros(self.n_conductors, dtype=np.float64)
-        part_w2 = np.zeros(self.n_conductors, dtype=np.float64)
-        np.add.at(part_w, dest, omega)
-        np.add.at(part_w2, dest, omega * omega)
-        self.sum_w.add(part_w)
-        self.sum_w2.add(part_w2)
-        np.add.at(self.hits, dest, 1)
-        self.walks += int(dest.shape[0])
-        if steps is not None:
-            self.total_steps += int(np.sum(steps))
-
-    def add_group_batch(
-        self, omega: np.ndarray, dest: np.ndarray, steps: np.ndarray | None = None
-    ) -> None:
-        """Accumulate a UID-ordered batch of complete antithetic pairs.
-
-        ``omega``/``dest`` must cover whole pairs: elements ``2k`` and
-        ``2k + 1`` are the two partners of pair ``k``.  Each pair's mean
-        weight vector (its weight on each destination, divided by 2)
-        enters the compensated accumulators as one observation; ``hits``/``walks``/``total_steps`` keep raw per-walk
-        counts.  Like :meth:`add_batch` the partial sums are formed with
-        ``np.add.at`` over the input order, so the result depends only on
-        the UID order — not the schedule that produced the batch.
-        """
-        if not self.paired:
-            raise ConfigError("add_group_batch requires a paired accumulator")
+        g = 2 if self.paired else 1
         omega = np.asarray(omega, dtype=np.float64)
         dest = np.asarray(dest, dtype=np.int64)
         self._check_batch(omega, dest)
         n = dest.shape[0]
-        if n % 2 != 0:
-            raise ConfigError(
-                f"add_group_batch needs whole pairs: {n} walks is odd"
-            )
-        n_pairs = n // 2
-        gm = np.zeros((n_pairs, self.n_conductors), dtype=np.float64)
-        rows = np.repeat(np.arange(n_pairs, dtype=np.int64), 2)
-        np.add.at(gm, (rows, dest), omega)
-        gm /= 2
+        if n % g != 0:
+            raise ConfigError(f"add_batch needs whole pairs: {n} walks is odd")
+        gm = np.zeros((n // g, self.n_conductors), dtype=np.float64)
+        np.add.at(gm, (np.arange(n, dtype=np.int64) // g, dest), omega)
+        gm /= g
         self.sum_w.add(gm.sum(axis=0))
         self.sum_w2.add((gm * gm).sum(axis=0))
         np.add.at(self.hits, dest, 1)

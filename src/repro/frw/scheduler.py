@@ -57,17 +57,23 @@ class ScheduleResult:
         return self.total_work / (self.thread_work.shape[0] * span)
 
 
+#: Relative timing noise of the simulated machine.
+MACHINE_JITTER = 0.05
+
+
 def jittered_durations(
-    steps: np.ndarray, rng: np.random.Generator | None, jitter: float
+    steps: np.ndarray, rng: np.random.Generator | None
 ) -> np.ndarray:
     """Walk durations: step counts scaled by multiplicative timing noise.
 
-    The noise models OS scheduling/cache effects; it is drawn from ``rng``
-    (the *machine* RNG) and never touches walk samples.
+    The noise (relative amplitude :data:`MACHINE_JITTER`) models OS
+    scheduling/cache effects; it is drawn from ``rng`` (the *machine* RNG)
+    and never touches walk samples.  Without an ``rng`` the durations are
+    exactly ``steps + 1``.
     """
     durations = np.asarray(steps, dtype=np.float64) + 1.0
-    if rng is not None and jitter > 0.0:
-        noise = 1.0 + jitter * rng.standard_normal(durations.shape[0])
+    if rng is not None:
+        noise = 1.0 + MACHINE_JITTER * rng.standard_normal(durations.shape[0])
         durations = durations * np.clip(noise, 0.05, None)
     return durations
 

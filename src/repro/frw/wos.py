@@ -135,11 +135,13 @@ def wos_extract_row(
     n_walks: int,
 ) -> CapacitanceRow:
     """Fixed-budget WOS extraction of one capacitance-matrix row."""
-    from .alg2_reproducible import make_streams
+    from .parallel import streams_from_spec
 
     ctx = build_wos_context(structure, master, config)
     # Independent stream family so WOS never reuses cube-engine samples.
-    streams = make_streams(config, master + (1 << 20))
+    # Unmirrored: the antithetic reflection is built for the cube table's
+    # first hop; on a sphere hop it correlates the pair positively.
+    streams = streams_from_spec((config.rng, config.seed, master + (1 << 20), False))
     acc = RowAccumulator(structure.n_conductors, master)
     chunk = max(1, config.batch_size)
     done = 0

@@ -401,8 +401,7 @@ def det005_naive_accumulation(
     """Float accumulation via bare ``+=`` in a loop, or builtin ``sum()``
     over float terms, inside ``repro.frw`` / ``repro.numerics``: these are
     exactly the reductions whose rounding the paper compensates.  Use
-    ``KahanScalar`` / ``KahanVector`` / ``math.fsum`` from
-    ``repro.numerics.summation``."""
+    ``math.fsum`` or ``KahanVector`` from ``repro.numerics.summation``."""
     if not _in_modules(src, _HOT_MODULES) or src.module == _SUMMATION_MODULE:
         return
 
@@ -434,7 +433,7 @@ def det005_naive_accumulation(
                     src,
                     node,
                     f"builtin sum() over float terms ({why}) is an "
-                    "uncompensated left fold — use math.fsum or kahan_sum",
+                    "uncompensated left fold — use math.fsum or a KahanVector",
                 )
         is_loop = isinstance(node, (ast.For, ast.While))
         if is_loop:

@@ -17,20 +17,11 @@ from .reproducibility import (
 )
 from .sparse import CSCMatrix, csc_from_coo, csc_from_dense, csc_permute_symmetric
 from .sparse_cholesky import SparseCholesky, elimination_tree, rcm_ordering
-from .summation import (
-    KahanScalar,
-    KahanVector,
-    NaiveVector,
-    exact_sum,
-    kahan_sum,
-    naive_sum,
-    pairwise_sum,
-)
+from .summation import KahanVector, NaiveVector
 
 __all__ = [
     "BITWISE_RI",
     "CSCMatrix",
-    "KahanScalar",
     "KahanVector",
     "NaiveVector",
     "RIStats",
@@ -41,14 +32,10 @@ __all__ = [
     "csc_from_dense",
     "csc_permute_symmetric",
     "elimination_tree",
-    "exact_sum",
     "forward_substitution",
-    "kahan_sum",
     "ldlt",
     "matched_digits",
     "matrix_matched_digits",
-    "naive_sum",
-    "pairwise_sum",
     "rcm_ordering",
     "reproducibility_indices",
     "solve_cholesky",

@@ -6,66 +6,19 @@ merged value wobbles in its last bits.  The paper applies *Kahan compensated
 summation* (Sec. III-C) to shrink that wobble enough that results match to
 13+ digits and are frequently bitwise identical.
 
-This module provides:
+This module provides the two ``summation=`` backends of the estimator's
+registers:
 
-* :class:`KahanScalar` / :class:`KahanVector` — running compensated
-  accumulators (Neumaier's improved variant, which also handles the case
-  where the incoming term is larger than the running sum).
-* :func:`naive_sum` — strict left-to-right uncompensated summation (what the
-  FRW-NK ablation uses).
-* :func:`pairwise_sum` — recursive pairwise summation (NumPy-style).
-* :func:`kahan_sum` — one-shot compensated sum of an array.
-* :func:`exact_sum` — correctly-rounded sum via ``math.fsum`` (the
-  order-independent gold standard used in tests and the optional
-  deterministic-merge mode).
+* :class:`KahanVector` — running elementwise compensated accumulator
+  (Neumaier's improved variant, which also handles the case where the
+  incoming term is larger than the running sum); FRW-R.
+* :class:`NaiveVector` — the same interface, uncompensated; the FRW-NK
+  ablation.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
 import numpy as np
-
-
-class KahanScalar:
-    """Running Neumaier-compensated scalar accumulator.
-
-    ``value`` returns ``sum + compensation``; ``add`` costs four flops.
-    The compensated pair ``(sum, comp)`` can be merged with another
-    accumulator while retaining the compensation information.
-    """
-
-    __slots__ = ("total", "compensation")
-
-    def __init__(self, total: float = 0.0, compensation: float = 0.0):
-        self.total = float(total)
-        self.compensation = float(compensation)
-
-    def add(self, x: float) -> None:
-        """Add one term with Neumaier compensation."""
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.compensation += (self.total - t) + x
-        else:
-            self.compensation += (x - t) + self.total
-        self.total = t
-
-    def merge(self, other: "KahanScalar") -> None:
-        """Absorb another accumulator (compensations add, totals add)."""
-        self.add(other.total)
-        self.compensation += other.compensation
-
-    @property
-    def value(self) -> float:
-        """Best current estimate of the sum."""
-        return self.total + self.compensation
-
-    def copy(self) -> "KahanScalar":
-        return KahanScalar(self.total, self.compensation)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"KahanScalar({self.value!r})"
 
 
 class KahanVector:
@@ -136,12 +89,6 @@ class KahanVector:
         """Best current estimate of the elementwise sums."""
         return self.total + self.compensation
 
-    def copy(self) -> "KahanVector":
-        out = KahanVector(self.total.shape)
-        out.total = self.total.copy()
-        out.compensation = self.compensation.copy()
-        return out
-
 
 class NaiveVector:
     """Uncompensated elementwise accumulator (FRW-NK ablation).
@@ -177,45 +124,3 @@ class NaiveVector:
     @property
     def value(self) -> np.ndarray:
         return self.total.copy()
-
-    def copy(self) -> "NaiveVector":
-        out = NaiveVector(self.total.shape)
-        out.total = self.total.copy()
-        return out
-
-
-def naive_sum(values: Iterable[float]) -> float:
-    """Strict left-to-right uncompensated summation."""
-    total = 0.0
-    for v in values:
-        total = total + float(v)
-    return total
-
-
-def kahan_sum(values: Iterable[float]) -> float:
-    """One-shot Neumaier-compensated sum."""
-    acc = KahanScalar()
-    for v in values:
-        acc.add(float(v))
-    return acc.value
-
-
-def pairwise_sum(values: np.ndarray, block: int = 8) -> float:
-    """Recursive pairwise summation (error O(log n) in ulps).
-
-    ``block`` is the base-case size summed naively; the recursion halves the
-    array, mirroring NumPy's internal reduction strategy.
-    """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    n = arr.shape[0]
-    if n == 0:
-        return 0.0
-    if n <= block:
-        return naive_sum(arr.tolist())
-    half = n // 2
-    return pairwise_sum(arr[:half], block) + pairwise_sum(arr[half:], block)
-
-
-def exact_sum(values: Iterable[float]) -> float:
-    """Correctly-rounded, order-independent sum (``math.fsum``)."""
-    return math.fsum(float(v) for v in values)

@@ -53,17 +53,6 @@ def test_walk_count_is_dop_independent(plates):
     assert s1.walks == s2.walks
 
 
-def test_deterministic_merge_is_bitwise(plates):
-    rows = []
-    for t, machine in [(1, 3), (5, 1), (12, 9)]:
-        row, _ = run(
-            plates, n_threads=t, machine_seed=machine, deterministic_merge=True
-        )
-        rows.append(row.values)
-    assert np.array_equal(rows[0], rows[1])
-    assert np.array_equal(rows[0], rows[2])
-
-
 def test_seed_sensitivity(plates):
     a, _ = run(plates, seed=21)
     b, _ = run(plates, seed=22)

@@ -247,11 +247,12 @@ def _fake_batch(n, n_cond=3, seed=0):
 
 
 def test_add_group_batch_mean_matches_raw_mean():
+    """A paired ``add_batch`` (once ``add_group_batch``) keeps the raw mean."""
     omega, dest, steps = _fake_batch(96)
     raw = RowAccumulator(3, 0)
     raw.add_batch(omega, dest, steps)
     grouped = RowAccumulator(3, 0, paired=True)
-    grouped.add_group_batch(omega, dest, steps)
+    grouped.add_batch(omega, dest, steps)
     np.testing.assert_allclose(
         grouped.row().values, raw.row().values, rtol=1e-12
     )
@@ -264,7 +265,7 @@ def test_add_group_batch_mean_matches_raw_mean():
 def test_add_group_batch_variance_is_of_group_means():
     omega, dest, _ = _fake_batch(64, n_cond=2, seed=1)
     acc = RowAccumulator(2, 0, paired=True)
-    acc.add_group_batch(omega, dest)
+    acc.add_batch(omega, dest)
     # Reference: per-pair mean weight landing on conductor 0.
     w0 = np.where(dest == 0, omega, 0.0).reshape(-1, 2).mean(axis=1)
     m = w0.shape[0]
@@ -284,13 +285,16 @@ def test_grouped_accumulator_refuses_per_walk_paths():
     with pytest.raises(ConfigError):
         acc.add_walk(1.0, 0)
     with pytest.raises(ConfigError):
-        acc.add_batch(omega, dest, steps)
-    with pytest.raises(ConfigError):
         acc.add_walks_ordered(omega, dest, steps)
-    with pytest.raises(ConfigError):
-        RowAccumulator(3, 0).add_group_batch(omega, dest)
-    with pytest.raises(ConfigError):
-        acc.add_group_batch(omega[:7], dest[:7])  # not whole pairs
+    with pytest.raises(ConfigError, match="whole pairs"):
+        acc.add_batch(omega[:7], dest[:7])
+    assert acc.walks == 0 and not acc.sum_w.value.any()
+    # Whole pairs go through, and a plain accumulator takes any count.
+    acc.add_batch(omega, dest, steps)
+    assert acc.walks == 8 and acc.samples == 4
+    plain = RowAccumulator(3, 0)
+    plain.add_batch(omega[:7], dest[:7])
+    assert plain.samples == 7
 
 
 def test_merge_asserts_matching_configuration():
@@ -463,11 +467,9 @@ def test_antithetic_on_bitwise_across_backends(
 
 def test_default_row_is_bitwise_dop_independent(plates):
     """Group means are absorbed in UID order, so the default row is the
-    pinned digest (made at ``n_threads=4``) at any virtual-thread DOP,
-    without ``deterministic_merge``."""
+    pinned digest (made at ``n_threads=4``) at any virtual-thread DOP."""
     for n_threads in (1, 3, 16):
         cfg = FRWConfig.frw_r(**dict(_ROW, n_threads=n_threads), executor="serial")
-        assert not cfg.deterministic_merge
         row, _ = extract_row_alg2(build_context(plates, 0, cfg))
         assert _row_digest(row) == DEFAULT_ROW["sha256"]
 

@@ -50,9 +50,7 @@ ALT_RESULT_VALUES = {
     "first_hop_interface_floor": 0.051,
     "max_steps": 1_234,
     "check_every": 3,
-    "scheduler_jitter": 0.25,
     "machine_seed": 99,
-    "deterministic_merge": True,
     "antithetic": True,
 }
 

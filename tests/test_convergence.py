@@ -7,7 +7,8 @@ import pytest
 
 from repro import FRWConfig
 from repro.analysis import ConvergenceTrace, trace_convergence, walks_for_tolerance
-from repro.frw import build_context
+from repro.errors import ConfigError
+from repro.frw import RowAccumulator, build_context, make_streams, run_walks
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +50,21 @@ def test_trace_validation():
     short = ConvergenceTrace(walks=[10], estimate=[1.0], rel_error=[math.inf])
     with pytest.raises(ValueError):
         walks_for_tolerance(short, 0.01)
+
+
+def test_default_trace_error_is_the_pair_mean_error(plates):
+    """Under the default (antithetic) config the two walks of a pair are
+    one observation: the trace reports the paired estimate's error, the
+    one the stopping rule reads, not the unpaired one."""
+    cfg = FRWConfig.frw_r(seed=6)
+    ctx = build_context(plates, 0, cfg)
+    trace = trace_convergence(ctx, total_walks=6000, checkpoints=5)
+    res = run_walks(ctx, make_streams(cfg, 0), np.arange(6000, dtype=np.uint64))
+    paired = RowAccumulator(ctx.n_conductors, 0, paired=True)
+    paired.add_batch(res.omega, res.dest, res.steps)
+    assert trace.walks[-1] == 6000
+    assert trace.rel_error[-1] == pytest.approx(
+        paired.self_relative_error, rel=1e-9
+    )
+    with pytest.raises(ConfigError, match="even"):
+        trace_convergence(ctx, total_walks=6001)

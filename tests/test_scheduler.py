@@ -7,6 +7,7 @@ from repro.frw import (
     simulate_dynamic_queue,
     simulate_static_blocks,
 )
+from repro.frw.scheduler import MACHINE_JITTER
 
 
 def test_dynamic_queue_assigns_each_walk_once():
@@ -66,18 +67,20 @@ def test_static_blocks_partition():
 def test_jittered_durations():
     steps = np.arange(1, 101)
     rng = np.random.default_rng(4)
-    jittered = jittered_durations(steps, rng, 0.1)
+    jittered = jittered_durations(steps, rng)
     assert jittered.shape == steps.shape
     assert np.all(jittered > 0)
-    # Zero jitter or no RNG: exactly steps + 1.
-    assert np.array_equal(jittered_durations(steps, None, 0.1), steps + 1.0)
-    assert np.array_equal(jittered_durations(steps, rng, 0.0), steps + 1.0)
+    # Relative noise of amplitude MACHINE_JITTER.
+    rel = jittered / (steps + 1.0) - 1.0
+    assert 0.5 * MACHINE_JITTER < rel.std() < 2.0 * MACHINE_JITTER
+    # No RNG: exactly steps + 1.
+    assert np.array_equal(jittered_durations(steps, None), steps + 1.0)
 
 
 def test_jitter_perturbs_assignment():
     steps = np.random.default_rng(5).integers(5, 50, 300)
-    d1 = jittered_durations(steps, np.random.default_rng(10), 0.1)
-    d2 = jittered_durations(steps, np.random.default_rng(11), 0.1)
+    d1 = jittered_durations(steps, np.random.default_rng(10))
+    d2 = jittered_durations(steps, np.random.default_rng(11))
     s1 = simulate_dynamic_queue(d1, 4)
     s2 = simulate_dynamic_queue(d2, 4)
     same = all(

@@ -63,3 +63,18 @@ def test_walks_use_independent_streams(plates):
     wos_ctx = build_wos_context(plates, 0, cfg)
     wos = run_wos_walks(wos_ctx, WalkStreams(7, 1 << 20), np.arange(50, dtype=np.uint64))
     assert not np.array_equal(cube.omega, wos.omega)
+
+
+def test_wos_row_ignores_antithetic(plates):
+    """The antithetic reflection is built for the cube table's first hop,
+    so WOS draws unmirrored streams and its row (error bars included)
+    does not depend on ``antithetic``."""
+    rows = [
+        wos_extract_row(
+            plates, 0, FRWConfig.frw_r(seed=5, antithetic=anti), n_walks=4000
+        )
+        for anti in (True, False)
+    ]
+    assert rows[0].values.tobytes() == rows[1].values.tobytes()
+    assert rows[0].sigma2.tobytes() == rows[1].sigma2.tobytes()
+    assert np.array_equal(rows[0].hits, rows[1].hits)
