@@ -9,7 +9,7 @@ looking like statistical noise.  ``repro.lint`` encodes those invariants as
 machine-checked rules:
 
 ========  ==============================================================
-rule      invariant (per-file rules)
+check     invariant (per-file checks, :mod:`repro.lint.rules`)
 ========  ==============================================================
 DET001    no global-RNG use outside ``repro.rng`` / ``repro.experiments``
 DET002    no wall-clock- or entropy-derived seeds (``time.time``,
@@ -25,13 +25,12 @@ DET007    every ``FRWConfig`` field is validated in ``config.py`` and
 DET008    no raw ``SharedMemory`` use outside ``repro.frw.shm``
 ========  ==============================================================
 
-On top of the per-file rules, det-lint v2 builds a project-wide
-module/import/call graph (:mod:`repro.lint.graph`) and runs four
-**whole-program passes** (:mod:`repro.lint.passes`) checking the
-contracts the memoizing service rests on:
+The **whole-program checks** (passes, :mod:`repro.lint.passes`) run on
+a project-wide module/import/call graph (:mod:`repro.lint.graph`) and
+check the contracts the memoizing service rests on:
 
 ========  ==============================================================
-pass      contract (whole-program passes)
+check     contract (whole-program checks)
 ========  ==============================================================
 DET009    every ``FRWConfig`` field read on the result path is in the
           canonical cache key (``RESULT_FIELDS``) or the declared
@@ -44,47 +43,18 @@ DET011    Philox counter arithmetic and the prefetch-ring cursor stay
 DET012    no writes to a context/manifest after executor registration
 ========  ==============================================================
 
+Both kinds are :class:`repro.lint.core.Check` objects in one registry
+(``CHECKS_BY_ID``), run by one runner
+(:func:`repro.lint.project.lint_project`) that parses each file once.
 Violations are suppressed with a ``det: allow(DET001) reason`` comment —
 matched by rule id + enclosing function scope, so line drift cannot
 detach a suppression; a suppression without a reason is itself an error
 (DET000).  Every unsuppressed finding gates.  Run with
-``python -m repro.lint [paths]`` or ``frw-rr lint`` (see :mod:`repro.lint.cli`); the full design is in
-``docs/STATIC_ANALYSIS.md``.  The paired *runtime* guard is
+``python -m repro.lint [paths]`` or ``frw-rr lint`` (see
+:mod:`repro.lint.cli`); the full design is in ``docs/STATIC_ANALYSIS.md``.
+The paired *runtime* guard is
 :func:`repro.lint.sanitizer.forbid_global_rng`, wired into
-``FRWSolver.extract`` via ``FRWConfig.sanitize``.
+``FRWSolver.extract`` via ``FRWConfig.sanitize``.  This package module
+re-exports nothing, so ``import repro`` (which loads the sanitizer) never
+loads the analyzer.
 """
-
-from .core import (
-    Finding,
-    LintReport,
-    SourceFile,
-    Suppression,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    module_name_for,
-)
-from .graph import ProjectGraph, build_graph
-from .passes import ALL_PASSES, Pass
-from .project import lint_project
-from .rules import ALL_RULES, Rule
-from .sanitizer import forbid_global_rng
-
-__all__ = [
-    "ALL_PASSES",
-    "ALL_RULES",
-    "Finding",
-    "LintReport",
-    "Pass",
-    "ProjectGraph",
-    "Rule",
-    "SourceFile",
-    "Suppression",
-    "build_graph",
-    "forbid_global_rng",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_project",
-    "module_name_for",
-]

@@ -3,11 +3,11 @@
 Usage::
 
     python -m repro.lint [paths ...] [--format {text,json,github}]
-                         [--show-suppressed] [--no-passes] [--list-rules]
+                         [--show-suppressed] [--list-rules]
 
 * default paths: ``src tests`` (resolved from the current directory);
-* the full v2 analysis (per-file rules + whole-program passes) runs by
-  default; ``--no-passes`` restricts to the per-file rules;
+* every check runs, per-file and whole-program alike, through
+  :func:`repro.lint.project.lint_project`;
 * ``--format=github`` emits ``::error``/``::notice`` workflow
   annotations; ``--format=json`` prints the per-rule hit counts and the
   findings;
@@ -100,29 +100,19 @@ def main(argv: list[str] | None = None) -> int:
         help="include suppressed findings in the output",
     )
     parser.add_argument(
-        "--no-passes",
-        action="store_true",
-        help="per-file rules only (skip the whole-program passes)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="describe the rules and passes, then exit",
+        help="describe every check, then exit",
     )
     args = parser.parse_args(argv)
 
-    from .passes import ALL_PASSES
-    from .rules import ALL_RULES
+    from .project import CHECKS_BY_ID, lint_project
 
     if args.list_rules:
-        for rule in ALL_RULES:
-            print(f"{rule.id}  {rule.title}")
-            doc = " ".join((rule.doc or "").split())
-            if doc:
-                print(f"        {doc}")
-        for p in ALL_PASSES:
-            print(f"{p.id}  [whole-program] {p.title}")
-            doc = " ".join((p.doc or "").split())
+        for c in CHECKS_BY_ID.values():
+            kind = "[whole-program] " if c.whole_program else ""
+            print(f"{c.id}  {kind}{c.title}")
+            doc = " ".join(c.doc.split())
             if doc:
                 print(f"        {doc}")
         return 0
@@ -133,11 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"det-lint: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    from .project import lint_project
-
-    report = lint_project(
-        args.paths, passes=() if args.no_passes else None, root=root
-    )
+    report = lint_project(args.paths, root=root)
 
     if args.format == "json":
         payload = {

@@ -1,9 +1,12 @@
-"""det-lint engine: source model, suppressions, and the file runner.
+"""det-lint engine: source model, the check frame, and suppressions.
 
-A *rule* is an object with an ``id``, a ``title``, and a
-``check(SourceFile) -> list[Finding]`` method (see :mod:`repro.lint.rules`).
-The engine parses each file once, hands the shared :class:`SourceFile` to
-every rule, and then applies the suppression comments::
+A *check* (:class:`Check`) is a registered function that yields
+:class:`Finding` objects.  A per-file check (DET001–008,
+:mod:`repro.lint.rules`) sees one parsed :class:`SourceFile` at a time; a
+whole-program check (DET009–012, :mod:`repro.lint.passes`) sees the
+:class:`~repro.lint.graph.ProjectGraph` built from every parsed file.
+:func:`repro.lint.project.lint_project` runs both over the same trees and
+then applies the suppression comments::
 
     stats = np.random.default_rng(0)  # det: allow(DET001) seeded, sim only
 
@@ -28,7 +31,7 @@ import ast
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Engine-level rule id: malformed/unjustified suppressions, parse errors.
 META_RULE = "DET000"
@@ -78,7 +81,6 @@ class Suppression:
     target_line: int
     #: Enclosing function scope of the target line ("" at module level).
     scope: str = ""
-    used: bool = False
 
     def covers(self, finding: Finding) -> bool:
         if finding.rule not in self.rules:
@@ -89,6 +91,16 @@ class Suppression:
         return finding.line == self.target_line
 
 
+def _relative(path: Path, root: Path | None) -> Path:
+    """``path`` relative to ``root`` when it lies under it, else as given."""
+    if root is not None:
+        try:
+            return path.resolve().relative_to(Path(root).resolve())
+        except ValueError:
+            pass
+    return path
+
+
 def module_name_for(path: Path, root: Path | None = None) -> str:
     """Dotted module name of a file, for rule scoping.
 
@@ -97,13 +109,7 @@ def module_name_for(path: Path, root: Path | None = None) -> str:
     ``src`` component map to their relative dotted path
     (``tests/test_lint.py`` -> ``tests.test_lint``).
     """
-    path = Path(path)
-    if root is not None:
-        try:
-            path = path.resolve().relative_to(Path(root).resolve())
-        except ValueError:
-            pass
-    parts = list(path.with_suffix("").parts)
+    parts = list(_relative(Path(path), root).with_suffix("").parts)
     if "src" in parts:
         parts = parts[len(parts) - parts[::-1].index("src") :]
     if parts and parts[-1] == "__init__":
@@ -111,9 +117,16 @@ def module_name_for(path: Path, root: Path | None = None) -> str:
     return ".".join(p for p in parts if p not in (".", ""))
 
 
+def in_package(module: str, prefixes: tuple[str, ...]) -> bool:
+    """Whether ``module`` is one of ``prefixes`` or lies beneath one."""
+    return any(
+        module == p or module.startswith(p + ".") for p in prefixes
+    )
+
+
 @dataclass
 class SourceFile:
-    """A parsed source file shared by all rules."""
+    """A parsed source file shared by all checks."""
 
     path: str
     module: str
@@ -133,14 +146,8 @@ class SourceFile:
         path = Path(path)
         text = path.read_text()
         tree = ast.parse(text, filename=str(path))
-        display = str(path)
-        if root is not None:
-            try:
-                display = str(path.resolve().relative_to(Path(root).resolve()))
-            except ValueError:
-                pass
         src = cls(
-            path=display,
+            path=str(_relative(path, root)),
             module=module_name_for(path, root),
             text=text,
             lines=text.splitlines(),
@@ -215,6 +222,52 @@ def _scan_suppressions(lines: list[str]) -> Iterator[Suppression]:
         )
 
 
+@dataclass(frozen=True)
+class Check:
+    """One registered det-lint check.
+
+    ``fn(check, target)`` yields findings.  A per-file check's target is
+    one :class:`SourceFile`; a whole-program check's target is the
+    :class:`~repro.lint.graph.ProjectGraph` built from every parsed file.
+    """
+
+    id: str
+    title: str
+    fn: Callable[..., Iterable[Finding]]
+    whole_program: bool = False
+    doc: str = ""
+
+    def run(self, target) -> list[Finding]:
+        return list(self.fn(self, target))
+
+    def finding(self, src: SourceFile, node: ast.AST, message: str) -> Finding:
+        return Finding(
+            rule=self.id,
+            path=src.path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            message=message,
+        )
+
+
+#: The registry: every check, per-file and whole-program, in id order
+#: (complete once :mod:`repro.lint.project` has imported the check
+#: modules).
+CHECKS_BY_ID: dict[str, Check] = {}
+
+
+def check(check_id: str, title: str, whole_program: bool = False):
+    """Decorator registering a check function in :data:`CHECKS_BY_ID`."""
+
+    def register(fn) -> Check:
+        CHECKS_BY_ID[check_id] = Check(
+            check_id, title, fn, whole_program, fn.__doc__ or ""
+        )
+        return CHECKS_BY_ID[check_id]
+
+    return register
+
+
 @dataclass
 class LintReport:
     """All findings over a set of files."""
@@ -266,24 +319,17 @@ def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             yield candidate
 
 
-def parse_error_finding(path: Path | str, exc: SyntaxError) -> Finding:
+def parse_error_finding(
+    path: Path, root: Path | None, exc: SyntaxError
+) -> Finding:
     """The DET000 finding for a file that does not parse."""
     return Finding(
         rule=META_RULE,
-        path=str(path),
+        path=str(_relative(path, root)),
         line=exc.lineno or 1,
         col=(exc.offset or 1) - 1,
         message=f"file does not parse: {exc.msg}",
     )
-
-
-def run_rules(src: SourceFile, rules) -> list[Finding]:
-    """Run per-file rules over one parsed source (no suppression logic)."""
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(src))
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return findings
 
 
 def apply_suppressions(
@@ -302,7 +348,6 @@ def apply_suppressions(
             continue
         for sup in src.suppressions:
             if sup.covers(f):
-                sup.used = True
                 resolved.append(
                     replace(f, suppressed=True, justification=sup.justification)
                 )
@@ -349,46 +394,3 @@ def suppression_meta_findings(
                 )
             )
     return out
-
-
-def lint_file(
-    path: Path | str, rules=None, root: Path | None = None
-) -> list[Finding]:
-    """Run all (or the given) per-file rules over one file.
-
-    Returns *every* finding, with suppressed ones marked — callers decide
-    whether suppressed findings are shown.  Engine-level problems (parse
-    errors, unjustified or unknown-rule suppressions) are reported as
-    :data:`META_RULE` findings, which cannot themselves be suppressed.
-    """
-    from .rules import ALL_RULES
-
-    path = Path(path)
-    rules = ALL_RULES if rules is None else rules
-    try:
-        src = SourceFile.parse(path, root)
-    except SyntaxError as exc:
-        return [parse_error_finding(path, exc)]
-
-    resolved = apply_suppressions(src, run_rules(src, rules))
-    resolved.extend(
-        suppression_meta_findings(src, (r.id for r in rules))
-    )
-    resolved.sort(key=lambda f: (f.line, f.col, f.rule))
-    return resolved
-
-
-def lint_paths(
-    paths: Iterable[Path | str], rules=None, root: Path | None = None
-) -> LintReport:
-    """Run the per-file pass over files and directories.
-
-    Whole-program passes (:mod:`repro.lint.passes`) need the project
-    graph; use :func:`repro.lint.project.lint_project` for the full
-    det-lint v2 analysis.
-    """
-    report = LintReport()
-    for path in iter_python_files(paths):
-        report.files += 1
-        report.findings.extend(lint_file(path, rules=rules, root=root))
-    return report

@@ -1,11 +1,14 @@
-"""Whole-program analysis graph for det-lint v2.
+"""Name resolution and the whole-program analysis graph for det-lint.
 
-The per-file rules (:mod:`repro.lint.rules`) see one ``SourceFile`` at a
+:func:`dotted_name` and :class:`ImportResolver` are how every check, per
+file or whole-program, turns an expression into an absolute dotted name.
+The per-file checks (:mod:`repro.lint.rules`) see one ``SourceFile`` at a
 time, which is enough for local invariants ("no ``time.time()`` here") but
 not for the *contracts* the memoizing service rests on — "every
 result-affecting ``FRWConfig`` field enters the canonical hash" is a
-property of the program, not of a file.  This module builds the shared
-substrate those whole-program passes (:mod:`repro.lint.passes`) run on:
+property of the program, not of a file.  This module also builds the
+shared substrate those whole-program passes (:mod:`repro.lint.passes`)
+run on:
 
 * **Module graph** — every parsed :class:`~repro.lint.core.SourceFile`
   keyed by dotted module name, with project-internal import edges
@@ -55,11 +58,11 @@ def dotted_name(node: ast.AST) -> str | None:
 class ImportResolver:
     """Alias map of one module's imports with relative imports resolved.
 
-    Unlike the per-file rules' alias map, this resolver knows the
-    importing module's dotted name, so ``from .philox import philox4x32``
-    inside ``repro.rng.counter_stream`` canonicalizes to
-    ``repro.rng.philox.philox4x32`` — which is what lets the passes
-    confine sanctioned helpers by their *absolute* module path.
+    The resolver knows the importing module's dotted name, so
+    ``from .philox import philox4x32`` inside ``repro.rng.counter_stream``
+    canonicalizes to ``repro.rng.philox.philox4x32`` — which is what lets
+    the checks confine sanctioned helpers by their *absolute* module
+    path.
     """
 
     def __init__(self, src: SourceFile):
@@ -324,11 +327,6 @@ class ProjectGraph:
             key=lambda f: f.lineno,
         )
 
-    def methods_named(self, name: str) -> list[FunctionInfo]:
-        """Every method/function with the given bare name (for passes that
-        accept over-approximation on dynamic dispatch)."""
-        return [f for f in self.functions.values() if f.name == name]
-
     # ------------------------------------------------------------------
     # Def-use chains
     # ------------------------------------------------------------------
@@ -380,8 +378,3 @@ class ProjectGraph:
                     du.attr_writes.append((base, sub))
         self._defuse[key] = du
         return du
-
-
-def build_graph(sources: Iterable[SourceFile]) -> ProjectGraph:
-    """Convenience constructor matching the pass-runner's call site."""
-    return ProjectGraph(sources)

@@ -1,4 +1,4 @@
-"""Whole-program det-lint passes (DET009..DET012).
+"""The whole-program det-lint checks, or passes (DET009..DET012).
 
 These run on the :class:`~repro.lint.graph.ProjectGraph` rather than one
 file at a time: each checks a *contract* that spans modules — the
@@ -26,7 +26,7 @@ DET012    post-registration mutation: a context/manifest handed to an
           frozen — later writes through it are schedule-visible
 ========  ==============================================================
 
-Like the per-file rules, the passes are calibrated heuristics: confident
+Like the per-file checks, the passes are calibrated heuristics: confident
 resolution only (a dynamic call the graph cannot resolve loses an edge,
 never invents a finding), suppressible with justified ``det: allow``
 comments, and tuned for near-zero false positives on this codebase.
@@ -41,49 +41,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Finding, SourceFile
+from .core import Check, Finding, SourceFile, check, in_package
 from .graph import DefUse, FunctionInfo, ProjectGraph, dotted_name
-
-
-@dataclass(frozen=True)
-class Pass:
-    """Pass metadata + check callable over the project graph."""
-
-    id: str
-    title: str
-    checker: object
-    doc: str = ""
-
-    def check(self, graph: ProjectGraph) -> list[Finding]:
-        return list(self.checker(graph))
-
-    def finding(
-        self, src: SourceFile, node: ast.AST, message: str
-    ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        return Finding(
-            rule=self.id,
-            path=src.path,
-            line=line,
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            scope=src.scope_at(line),
-        )
-
-
-def _make(pass_id: str, title: str):
-    def wrap(fn) -> Pass:
-        p = Pass(id=pass_id, title=title, checker=None, doc=fn.__doc__ or "")
-        object.__setattr__(p, "checker", lambda graph: fn(p, graph))
-        return p
-
-    return wrap
-
-
-def _in_package(module: str, prefixes: tuple[str, ...]) -> bool:
-    return any(
-        module == p or module.startswith(p + ".") for p in prefixes
-    )
+from .rules import CONFIG_MODULE, config_declarations
 
 
 def _analyzed_modules(graph: ProjectGraph) -> list[str]:
@@ -93,17 +53,12 @@ def _analyzed_modules(graph: ProjectGraph) -> list[str]:
     blocks, calling kernels directly to characterize them); the
     lifecycle/discipline contracts bind the product source only.
     """
-    return sorted(
-        m
-        for m in graph.sources
-        if m == "repro" or m.startswith("repro.")
-    )
+    return sorted(m for m in graph.sources if in_package(m, ("repro",)))
 
 
 # ----------------------------------------------------------------------
 # DET009 — cache-key completeness
 # ----------------------------------------------------------------------
-_CONFIG_MODULE = "repro.config"
 _HASH_MODULE = "repro.service.canonical"
 #: Result-path roots: everything importable from these determines bits.
 _ENTRY_MODULES = (
@@ -113,50 +68,6 @@ _ENTRY_MODULES = (
 )
 #: Names under which a config object conventionally travels.
 _CONFIG_NAMES = frozenset({"config", "cfg"})
-
-
-def _tuple_of_strings(node: ast.AST) -> list[tuple[str, ast.AST]] | None:
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    out = []
-    for elt in node.elts:
-        if not (
-            isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-        ):
-            return None
-        out.append((elt.value, elt))
-    return out
-
-
-def _config_declarations(src: SourceFile):
-    """FRWConfig dataclass fields + RESULT_FIELDS / ENGINE_FIELDS tuples.
-
-    Returns ``(fields, result, engine)`` where ``fields`` maps field name
-    to its ``AnnAssign`` node and the other two map entry name to the
-    string-constant node inside the tuple.
-    """
-    fields: dict[str, ast.AST] = {}
-    result: dict[str, ast.AST] = {}
-    engine: dict[str, ast.AST] = {}
-    for node in src.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "FRWConfig":
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    fields[stmt.target.id] = stmt
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            entries = _tuple_of_strings(node.value)
-            if entries is None:
-                continue
-            if target.id == "RESULT_FIELDS":
-                result.update(entries)
-            elif target.id == "ENGINE_FIELDS":
-                engine.update(entries)
-    return fields, result, engine
 
 
 def _config_aliases(du: DefUse) -> set[str]:
@@ -196,9 +107,13 @@ def _config_reads(
                 yield node.attr, src, node
 
 
-@_make("DET009", "FRWConfig cache-key completeness vs the canonical hash")
+@check(
+    "DET009",
+    "FRWConfig cache-key completeness vs the canonical hash",
+    whole_program=True,
+)
 def det009_cache_key_completeness(
-    p: Pass, graph: ProjectGraph
+    p: Check, graph: ProjectGraph
 ) -> Iterator[Finding]:
     """The memoizing service replays cached rows for any request whose
     canonical hash collides — so every config field that can change a
@@ -213,10 +128,10 @@ def det009_cache_key_completeness(
     module still derives its field list from ``result_key()`` /
     ``RESULT_FIELDS`` rather than a drifted private copy.
     """
-    cfg_src = graph.sources.get(_CONFIG_MODULE)
+    cfg_src = graph.sources.get(CONFIG_MODULE)
     if cfg_src is None:
         return
-    fields, result, engine = _config_declarations(cfg_src)
+    fields, _post_init, result, engine = config_declarations(cfg_src)
     if not fields:
         return
     field_set = frozenset(fields)
@@ -233,7 +148,7 @@ def det009_cache_key_completeness(
             )
 
     reach = graph.reachable_modules(_ENTRY_MODULES)
-    reach.discard(_CONFIG_MODULE)
+    reach.discard(CONFIG_MODULE)
     reads: dict[str, list[tuple[str, int, int, SourceFile, ast.AST]]] = {}
     for module in sorted(reach):
         for fname, src, node in _config_reads(graph, module, field_set):
@@ -338,7 +253,7 @@ class _TypestateWalker:
     iteration can only re-report the same event sites).
     """
 
-    def __init__(self, p: Pass, graph: ProjectGraph, info: FunctionInfo):
+    def __init__(self, p: Check, graph: ProjectGraph, info: FunctionInfo):
         self.p = p
         self.graph = graph
         self.info = info
@@ -572,9 +487,13 @@ class _TypestateWalker:
             self._mark_escapes(arg, state)
 
 
-@_make("DET010", "SharedMemory lifecycle typestate (leak / double-unlink / "
-       "use-after-close)")
-def det010_shm_typestate(p: Pass, graph: ProjectGraph) -> Iterator[Finding]:
+@check(
+    "DET010",
+    "SharedMemory lifecycle typestate (leak / double-unlink / "
+    "use-after-close)",
+    whole_program=True,
+)
+def det010_shm_typestate(p: Check, graph: ProjectGraph) -> Iterator[Finding]:
     """Models every locally-constructed ``SharedMemory`` block (and every
     locally-published context manifest) as a protocol automaton —
     create/attach -> close -> unlink exactly once — and walks each
@@ -613,10 +532,14 @@ _PHILOX_MODULE = "repro.rng.philox"
 _RING_CURSOR_ATTRS = frozenset({"_ring_cursor", "_ring_depth"})
 
 
-@_make("DET011", "Philox counter arithmetic / prefetch-ring cursor outside "
-       "sanctioned helpers")
+@check(
+    "DET011",
+    "Philox counter arithmetic / prefetch-ring cursor outside "
+    "sanctioned helpers",
+    whole_program=True,
+)
 def det011_rng_counter_discipline(
-    p: Pass, graph: ProjectGraph
+    p: Check, graph: ProjectGraph
 ) -> Iterator[Finding]:
     """Draws are a pure function of ``(seed, uid, step, slot)`` only
     because exactly one place builds Philox counters
@@ -631,8 +554,8 @@ def det011_rng_counter_discipline(
     for module in _analyzed_modules(graph):
         src = graph.sources[module]
         resolver = graph.resolvers[module]
-        in_rng = _in_package(module, _RNG_PACKAGES)
-        in_engine = _in_package(module, _CURSOR_MODULES)
+        in_rng = in_package(module, _RNG_PACKAGES)
+        in_engine = in_package(module, _CURSOR_MODULES)
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call) and not in_rng:
                 canon = resolver.canonical(node.func) or ""
@@ -696,9 +619,13 @@ def _stmt_sequence(node: ast.AST) -> Iterator[ast.stmt]:
             yield from _stmt_sequence(child)
 
 
-@_make("DET012", "context/manifest mutation after executor registration")
+@check(
+    "DET012",
+    "context/manifest mutation after executor registration",
+    whole_program=True,
+)
 def det012_post_registration_mutation(
-    p: Pass, graph: ProjectGraph
+    p: Check, graph: ProjectGraph
 ) -> Iterator[Finding]:
     """Registering a context with an executor (or publishing it to the
     shared-memory plane) snapshots it: process workers attach a
@@ -762,14 +689,3 @@ def det012_post_registration_mutation(
                             "fresh context)",
                         )
                         break
-
-
-#: The registry, in pass-id order.
-ALL_PASSES: tuple[Pass, ...] = (
-    det009_cache_key_completeness,
-    det010_shm_typestate,
-    det011_rng_counter_discipline,
-    det012_post_registration_mutation,
-)
-
-PASSES_BY_ID: dict[str, Pass] = {p.id: p for p in ALL_PASSES}

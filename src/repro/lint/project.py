@@ -1,18 +1,18 @@
-"""det-lint v2 project runner: per-file rules + whole-program passes.
+"""The det-lint runner: every check over one set of parsed trees.
 
-:func:`lint_project` is the full analysis the CLI, ``make lint``, and CI
-run.  It parses every file exactly once, runs the per-file rules
-(:mod:`repro.lint.rules`) over each tree, builds the
+:func:`lint_project` is the only runner; the CLI, ``make lint``, CI and
+the tests all go through it.  It parses every file exactly once, runs the
+per-file checks (:mod:`repro.lint.rules`) over each tree, builds the
 :class:`~repro.lint.graph.ProjectGraph` from the same trees, runs the
-whole-program passes (:mod:`repro.lint.passes`) over it, and resolves
-``det: allow`` suppressions uniformly across both kinds of findings —
-a pass finding lands in the file it points at and is suppressible there
-exactly like a rule finding.
+whole-program checks (:mod:`repro.lint.passes`) over it, and resolves
+``det: allow`` suppressions uniformly across both kinds of findings — a
+pass finding lands in the file it points at and is suppressible there
+exactly like a per-file finding.
 
-Partial runs are first-class: linting a subset of the tree (CI lints
-``src/repro/service`` on its own) builds a smaller graph, and every pass
-is written to degrade to *fewer* findings — never spurious ones — when
-its anchor modules are absent.
+Partial runs are first-class: linting a subset of the tree (say
+``src/repro/service`` alone) builds a smaller graph, and every pass is
+written to degrade to *fewer* findings — never spurious ones — when its
+anchor modules are absent.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
+# Importing the check modules registers every check in CHECKS_BY_ID;
+# passes imports rules, so DET001-008 register before DET009-012.
+from . import passes, rules
 from .core import (
+    CHECKS_BY_ID,
+    Check,
     LintReport,
     SourceFile,
     apply_suppressions,
@@ -28,23 +33,21 @@ from .core import (
     parse_error_finding,
     suppression_meta_findings,
 )
-from .graph import build_graph
+from .graph import ProjectGraph
 
 
 def lint_project(
     paths: Iterable[Path | str],
-    rules=None,
-    passes=None,
+    checks: Iterable[Check] | None = None,
     root: Path | None = None,
 ) -> LintReport:
-    """Run det-lint v2 (rules + whole-program passes) over paths."""
-    from .passes import ALL_PASSES
-    from .rules import ALL_RULES
+    """Run all (or the given) checks over files and directories.
 
-    rules = ALL_RULES if rules is None else rules
-    passes = ALL_PASSES if passes is None else passes
-    active_ids = [r.id for r in rules] + [p.id for p in passes]
-
+    The report holds *every* finding, with suppressed ones marked.
+    Engine-level problems (parse errors, unjustified or unknown-id
+    suppressions) are DET000 findings, which cannot be suppressed.
+    """
+    checks = list(CHECKS_BY_ID.values() if checks is None else checks)
     report = LintReport()
 
     # Parse every file once; parse errors surface as DET000 findings.
@@ -52,38 +55,24 @@ def lint_project(
     for path in iter_python_files(paths):
         report.files += 1
         try:
-            src = SourceFile.parse(path, root)
+            sources.append(SourceFile.parse(path, root))
         except SyntaxError as exc:
-            display = path
-            if root is not None:
-                try:
-                    display = Path(path).resolve().relative_to(
-                        Path(root).resolve()
-                    )
-                except ValueError:
-                    pass
-            report.findings.append(parse_error_finding(display, exc))
-            continue
-        sources.append(src)
+            report.findings.append(parse_error_finding(path, root, exc))
 
+    per_file = [c for c in checks if not c.whole_program]
+    whole_program = [c for c in checks if c.whole_program]
     raw: dict[str, list] = {src.path: [] for src in sources}
-
-    # Per-file rules.
     for src in sources:
-        for rule in rules:
-            raw[src.path].extend(rule.check(src))
-
-    # Whole-program passes over the shared graph.
-    if passes:
-        graph = build_graph(sources)
-        for p in passes:
-            for f in p.check(graph):
-                if f.path in raw:
-                    raw[f.path].append(f)
-                else:  # pass finding outside the parsed set (defensive)
-                    report.findings.append(f)
+        for c in per_file:
+            raw[src.path].extend(c.run(src))
+    if whole_program:
+        graph = ProjectGraph(sources)
+        for c in whole_program:
+            for f in c.run(graph):
+                raw[f.path].append(f)
 
     # Suppression resolution + engine meta findings, per file.
+    active_ids = [c.id for c in checks]
     for src in sources:
         resolved = apply_suppressions(src, raw[src.path])
         resolved.extend(suppression_meta_findings(src, active_ids))

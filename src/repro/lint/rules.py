@@ -1,116 +1,30 @@
-"""The det-lint rule set (DET001..DET008).
+"""The per-file det-lint checks (DET001..DET008).
 
-Every rule is a small AST visitor over one :class:`~repro.lint.core.SourceFile`
-(DET007 additionally reads ``README.md`` / ``docs/PERFORMANCE.md`` next to the
-config module).  Rules are *calibrated heuristics*: they are tuned to catch
-the failure modes that actually destroy DOP-independent reproducibility in
-this codebase with near-zero false positives, and every remaining
-intentional hit carries a justified ``# det: allow(...)`` suppression.
+Every check here is a small AST visitor over one
+:class:`~repro.lint.core.SourceFile` (DET007 additionally reads ``README.md``
+/ ``docs/PERFORMANCE.md`` next to the config module); names resolve through
+the same :class:`~repro.lint.graph.ImportResolver` the whole-program checks
+use.  Checks are *calibrated heuristics*: they are tuned to catch the
+failure modes that actually destroy DOP-independent reproducibility in this
+codebase with near-zero false positives, and every remaining intentional
+hit carries a justified ``# det: allow(...)`` suppression.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .core import Finding, SourceFile
+from .core import Check, Finding, SourceFile, check, in_package
+from .graph import ImportResolver, dotted_name
 
-# ----------------------------------------------------------------------
-# Shared helpers
-# ----------------------------------------------------------------------
 _RNG_WHITELIST = ("repro.rng", "repro.experiments")
 _HOT_MODULES = ("repro.frw", "repro.numerics")
 #: The module that *implements* the compensated primitives is allowed raw
 #: float recurrences — that is its whole job.
 _SUMMATION_MODULE = "repro.numerics.summation"
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` attribute chains as a dotted string (else ``None``)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class _Imports:
-    """Alias map of a module's imports (``np`` -> ``numpy`` etc.)."""
-
-    def __init__(self, tree: ast.Module):
-        self.aliases: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    self.aliases[a.asname or a.name.split(".")[0]] = (
-                        a.name if a.asname else a.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for a in node.names:
-                    if a.name == "*":
-                        continue
-                    self.aliases[a.asname or a.name] = (
-                        f"{node.module}.{a.name}"
-                    )
-
-    def canonical(self, node: ast.AST) -> str | None:
-        """Dotted name with the leading alias resolved to its module."""
-        name = _dotted(node)
-        if name is None:
-            return None
-        head, _, rest = name.partition(".")
-        target = self.aliases.get(head)
-        if target is None:
-            return name
-        return f"{target}.{rest}" if rest else target
-
-
-def _in_modules(src: SourceFile, prefixes: tuple[str, ...]) -> bool:
-    return any(
-        src.module == p or src.module.startswith(p + ".") for p in prefixes
-    )
-
-
-@dataclass(frozen=True)
-class Rule:
-    """Rule metadata + check callable (kept separable for --list-rules)."""
-
-    id: str
-    title: str
-    checker: object
-    doc: str = ""
-
-    def check(self, src: SourceFile) -> list[Finding]:
-        return list(self.checker(src))
-
-    def finding(
-        self, src: SourceFile, node: ast.AST, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.id,
-            path=src.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-
-def _make(rule_id: str, title: str):
-    """Decorator registering a checker as a :class:`Rule`."""
-
-    def wrap(fn) -> Rule:
-        rule = Rule(id=rule_id, title=title, checker=None, doc=fn.__doc__ or "")
-        # Close the loop: the checker needs the rule for finding construction.
-        object.__setattr__(rule, "checker", lambda src: fn(rule, src))
-        return rule
-
-    return wrap
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +47,11 @@ _PRIVATE_GENERATOR_CTORS = (
 )
 
 
-@_make(
+@check(
     "DET001",
     "global RNG use outside repro.rng / repro.experiments",
 )
-def det001_global_rng(rule: Rule, src: SourceFile) -> Iterator[Finding]:
+def det001_global_rng(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Any ``np.random.*`` / ``random.*`` call outside the whitelisted
     modules.  Walk samples must come from the counter-based per-walk
     streams; even *seeded* ad-hoc generators belong in :mod:`repro.rng`
@@ -145,10 +59,10 @@ def det001_global_rng(rule: Rule, src: SourceFile) -> Iterator[Finding]:
     for every RNG entry point in the solver.  Outside the library (tests,
     benchmarks), constructing a *private* seeded generator is allowed —
     it touches no global state; argless construction is still DET002."""
-    if _in_modules(src, _RNG_WHITELIST):
+    if in_package(src.module, _RNG_WHITELIST):
         return
     in_library = src.module.split(".", 1)[0] == "repro"
-    imports = _Imports(src.tree)
+    imports = ImportResolver(src)
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -214,12 +128,12 @@ def _is_argless_seed(node: ast.Call) -> bool:
     )
 
 
-@_make("DET002", "wall-clock- or entropy-derived values/seeds")
-def det002_entropy_seed(rule: Rule, src: SourceFile) -> Iterator[Finding]:
+@check("DET002", "wall-clock- or entropy-derived values/seeds")
+def det002_entropy_seed(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """``time.time()``, ``os.urandom``, argless ``default_rng()`` and
     friends: anything that injects the host's clock or entropy pool.
     Durations belong to ``time.perf_counter()``; seeds must be explicit."""
-    imports = _Imports(src.tree)
+    imports = ImportResolver(src)
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -278,7 +192,15 @@ def _unordered_iter(node: ast.AST) -> str | None:
     return None
 
 
-_ACCUM_CALLS = ("merge", "add_at", "add_ordered", "kahan_sum", "fsum")
+_ACCUM_CALLS = (
+    "merge",
+    "add_at",
+    "add_ordered",
+    "add_walk",
+    "add_walks_ordered",
+    "add_batch",
+    "fsum",
+)
 
 
 def _accumulation_evidence(body: list[ast.stmt]) -> str | None:
@@ -287,7 +209,7 @@ def _accumulation_evidence(body: list[ast.stmt]) -> str | None:
             if isinstance(node, ast.AugAssign) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
-                target = _dotted(node.target) or "<target>"
+                target = dotted_name(node.target) or "<target>"
                 return f"'{target} {'+=' if isinstance(node.op, ast.Add) else '-='} ...'"
             if isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
@@ -299,9 +221,9 @@ def _accumulation_evidence(body: list[ast.stmt]) -> str | None:
     return None
 
 
-@_make("DET003", "iteration over set/dict views feeding an accumulator")
+@check("DET003", "iteration over set/dict views feeding an accumulator")
 def det003_unordered_iteration(
-    rule: Rule, src: SourceFile
+    rule: Check, src: SourceFile
 ) -> Iterator[Finding]:
     """A ``for`` over a set (hash order) or a dict view (insertion order —
     which under concurrency is schedule order) whose body accumulates or
@@ -345,12 +267,12 @@ def _broad_handler(handler: ast.ExceptHandler) -> str | None:
     return None
 
 
-@_make("DET004", "bare/broad except in repro.frw / repro.numerics")
-def det004_broad_except(rule: Rule, src: SourceFile) -> Iterator[Finding]:
+@check("DET004", "bare/broad except in repro.frw / repro.numerics")
+def det004_broad_except(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Broad handlers in the hot paths swallow the very errors (RNG misuse,
     shape bugs, worker crashes) that reproducibility depends on surfacing.
     Handlers that re-raise are exempt."""
-    if not _in_modules(src, _HOT_MODULES):
+    if not in_package(src.module, _HOT_MODULES):
         return
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.ExceptHandler):
@@ -394,15 +316,15 @@ def _float_evidence(expr: ast.AST) -> str | None:
     return None
 
 
-@_make("DET005", "raw +=/sum() float accumulation in hot loops")
+@check("DET005", "raw +=/sum() float accumulation in hot loops")
 def det005_naive_accumulation(
-    rule: Rule, src: SourceFile
+    rule: Check, src: SourceFile
 ) -> Iterator[Finding]:
     """Float accumulation via bare ``+=`` in a loop, or builtin ``sum()``
     over float terms, inside ``repro.frw`` / ``repro.numerics``: these are
     exactly the reductions whose rounding the paper compensates.  Use
     ``math.fsum`` or ``KahanVector`` from ``repro.numerics.summation``."""
-    if not _in_modules(src, _HOT_MODULES) or src.module == _SUMMATION_MODULE:
+    if not in_package(src.module, _HOT_MODULES) or src.module == _SUMMATION_MODULE:
         return
 
     loop_stack: list[ast.AST] = []
@@ -413,7 +335,7 @@ def det005_naive_accumulation(
             if in_loop:
                 why = _float_evidence(node.value)
                 if why is not None:
-                    target = _dotted(node.target) or "<target>"
+                    target = dotted_name(node.target) or "<target>"
                     yield rule.finding(
                         src,
                         node,
@@ -501,11 +423,11 @@ def _shared_mutations(fn: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
             while isinstance(root, (ast.Attribute, ast.Subscript)):
                 root = root.value
             if isinstance(root, ast.Name) and root.id not in locals_:
-                yield node, _dotted(target) or f"{root.id}[...]"
+                yield node, dotted_name(target) or f"{root.id}[...]"
 
 
-@_make("DET006", "shared-state mutation inside executor-submitted callables")
-def det006_executor_races(rule: Rule, src: SourceFile) -> Iterator[Finding]:
+@check("DET006", "shared-state mutation inside executor-submitted callables")
+def det006_executor_races(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Callables handed to ``.submit()`` / ``.apply_async()`` or run as
     a ``Process(target=...)`` that assign to attributes or items of
     closed-over / global objects: with a thread pool that is a data race,
@@ -549,8 +471,60 @@ def det006_executor_races(rule: Rule, src: SourceFile) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # DET007 — FRWConfig fields: validated and documented
 # ----------------------------------------------------------------------
-_CONFIG_MODULE = "repro.config"
+CONFIG_MODULE = "repro.config"
 _DOC_FILES = ("README.md", "docs/PERFORMANCE.md")
+
+
+def _tuple_of_strings(node: ast.AST) -> list[tuple[str, ast.AST]] | None:
+    if not isinstance(node, (ast.Tuple, ast.List)):
+        return None
+    out = []
+    for elt in node.elts:
+        if not (
+            isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+        ):
+            return None
+        out.append((elt.value, elt))
+    return out
+
+
+def config_declarations(src: SourceFile):
+    """FRWConfig's fields and validator + RESULT_FIELDS / ENGINE_FIELDS.
+
+    Returns ``(fields, post_init, result, engine)``: ``fields`` maps field
+    name to its ``AnnAssign`` node, ``post_init`` is the ``__post_init__``
+    definition (or ``None``), and the last two map entry name to the
+    string-constant node inside the tuple.  DET007 and DET009 both read
+    the config module through this one parser.
+    """
+    fields: dict[str, ast.AnnAssign] = {}
+    post_init: ast.FunctionDef | None = None
+    result: dict[str, ast.AST] = {}
+    engine: dict[str, ast.AST] = {}
+    for node in src.tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "FRWConfig":
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name
+                ):
+                    fields[stmt.target.id] = stmt
+                elif (
+                    isinstance(stmt, ast.FunctionDef)
+                    and stmt.name == "__post_init__"
+                ):
+                    post_init = stmt
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if not isinstance(target, ast.Name):
+                continue
+            entries = _tuple_of_strings(node.value)
+            if entries is None:
+                continue
+            if target.id == "RESULT_FIELDS":
+                result.update(entries)
+            elif target.id == "ENGINE_FIELDS":
+                engine.update(entries)
+    return fields, post_init, result, engine
 
 
 def _repo_root(src: SourceFile) -> Path | None:
@@ -561,48 +535,24 @@ def _repo_root(src: SourceFile) -> Path | None:
     return None
 
 
-@_make("DET007", "FRWConfig fields must be validated and documented")
-def det007_config_coverage(rule: Rule, src: SourceFile) -> Iterator[Finding]:
+@check("DET007", "FRWConfig fields must be validated and documented")
+def det007_config_coverage(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Cross-file rule, evaluated when ``repro/config.py`` is linted:
     every ``FRWConfig`` dataclass field must be referenced by the
     ``__post_init__`` validator (bool fields are exempt — every bool is a
     valid value) and mentioned by name in ``README.md`` or
     ``docs/PERFORMANCE.md``.  Undocumented knobs rot into footguns;
     unvalidated knobs turn typos into silent misconfiguration."""
-    if src.module != _CONFIG_MODULE:
+    if src.module != CONFIG_MODULE:
         return
-    cls = next(
-        (
-            n
-            for n in ast.walk(src.tree)
-            if isinstance(n, ast.ClassDef) and n.name == "FRWConfig"
-        ),
-        None,
-    )
-    if cls is None:
-        return
-    fields = [
-        stmt
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    ]
-    post = next(
-        (
-            n
-            for n in cls.body
-            if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"
-        ),
-        None,
-    )
-    validated: set[str] = set()
-    if post is not None:
-        for node in ast.walk(post):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                validated.add(node.attr)
+    fields, post_init, _result, _engine = config_declarations(src)
+    validated = {
+        node.attr
+        for node in (ast.walk(post_init) if post_init else ())
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
 
     root = _repo_root(src)
     doc_text = ""
@@ -612,8 +562,7 @@ def det007_config_coverage(rule: Rule, src: SourceFile) -> Iterator[Finding]:
             if doc.exists():
                 doc_text += doc.read_text()
 
-    for stmt in fields:
-        name = stmt.target.id
+    for name, stmt in fields.items():
         is_bool = (
             isinstance(stmt.annotation, ast.Name)
             and stmt.annotation.id == "bool"
@@ -649,8 +598,8 @@ _SHM_CTORS = (
 )
 
 
-@_make("DET008", "raw SharedMemory use outside repro.frw.shm")
-def det008_raw_shared_memory(rule: Rule, src: SourceFile) -> Iterator[Finding]:
+@check("DET008", "raw SharedMemory use outside repro.frw.shm")
+def det008_raw_shared_memory(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Raw ``multiprocessing.shared_memory`` segments bypass the context
     plane's ownership protocol: blocks constructed elsewhere have no
     manifest, no content hash, no read-only discipline, and no
@@ -659,7 +608,7 @@ def det008_raw_shared_memory(rule: Rule, src: SourceFile) -> Iterator[Finding]:
     :func:`repro.frw.shm.publish_context` / ``attach_context``."""
     if src.module == _SHM_MODULE:
         return
-    imports = _Imports(src.tree)
+    imports = ImportResolver(src)
     for node in ast.walk(src.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -672,19 +621,3 @@ def det008_raw_shared_memory(rule: Rule, src: SourceFile) -> Iterator[Finding]:
                 f"{_SHM_MODULE} — publish/attach through repro.frw.shm so "
                 "blocks carry a manifest and are unlinked exactly once",
             )
-
-
-#: The registry, in rule-id order.  ``lint_file`` runs all of these unless
-#: given an explicit subset.
-ALL_RULES: tuple[Rule, ...] = (
-    det001_global_rng,
-    det002_entropy_seed,
-    det003_unordered_iteration,
-    det004_broad_except,
-    det005_naive_accumulation,
-    det006_executor_races,
-    det007_config_coverage,
-    det008_raw_shared_memory,
-)
-
-RULES_BY_ID: dict[str, Rule] = {r.id: r for r in ALL_RULES}

@@ -7,14 +7,16 @@ Suppression markers inside fixture strings are assembled via ``ALLOW`` so
 this test file's *own* lines never match the suppression-comment regex.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_file, lint_paths, module_name_for
 from repro.lint.cli import main as lint_main
-from repro.lint.core import META_RULE, iter_python_files
-from repro.lint.rules import ALL_RULES, RULES_BY_ID
+from repro.lint.core import META_RULE, iter_python_files, module_name_for
+from repro.lint.project import CHECKS_BY_ID, lint_project
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,11 +31,17 @@ def write(tmp_path: Path, rel: str, source: str) -> Path:
     return path
 
 
+def findings_of(path: Path, root: Path, rule_id: str | None = None):
+    """Every finding of one file (suppressed ones marked), under one
+    check or all of them."""
+    checks = None if rule_id is None else [CHECKS_BY_ID[rule_id]]
+    return lint_project([path], checks=checks, root=root).findings
+
+
 def run_rule(tmp_path: Path, rel: str, source: str, rule_id: str):
-    """Lint one fixture file with a single rule; return unsuppressed ids."""
+    """Lint one fixture file with a single check; return its findings."""
     path = write(tmp_path, rel, source)
-    findings = lint_file(path, rules=[RULES_BY_ID[rule_id]], root=tmp_path)
-    return findings
+    return findings_of(path, tmp_path, rule_id)
 
 
 def error_rules(findings) -> list[str]:
@@ -50,26 +58,23 @@ def test_module_name_for():
 
 
 def test_rule_registry_complete():
-    assert [r.id for r in ALL_RULES] == [f"DET00{i}" for i in range(1, 9)]
-    assert all(r.title for r in ALL_RULES)
+    # One registry in id order: the per-file checks come first.
+    assert list(CHECKS_BY_ID) == [f"DET{i:03d}" for i in range(1, 13)]
+    rules = [c for c in CHECKS_BY_ID.values() if not c.whole_program]
+    assert [r.id for r in rules] == [f"DET00{i}" for i in range(1, 9)]
+    assert all(r.title for r in rules)
+    assert all(c.id == key for key, c in CHECKS_BY_ID.items())
 
 
 def test_pass_registry_complete():
-    from repro.lint.passes import ALL_PASSES, PASSES_BY_ID
-
-    assert [p.id for p in ALL_PASSES] == [
-        f"DET{i:03d}" for i in range(9, 13)
-    ]
-    assert all(p.title and p.doc for p in ALL_PASSES)
-    assert set(PASSES_BY_ID) == {p.id for p in ALL_PASSES}
-    # Rule and pass id spaces must not collide (shared suppression and
-    # SARIF namespaces).
-    assert not {r.id for r in ALL_RULES} & set(PASSES_BY_ID)
+    passes = [c for c in CHECKS_BY_ID.values() if c.whole_program]
+    assert [p.id for p in passes] == [f"DET{i:03d}" for i in range(9, 13)]
+    assert all(p.title and p.doc for p in passes)
 
 
 def test_parse_error_is_meta_finding(tmp_path):
     path = write(tmp_path, "src/repro/bad.py", "def broken(:\n")
-    findings = lint_file(path, root=tmp_path)
+    findings = findings_of(path, tmp_path)
     assert [f.rule for f in findings] == [META_RULE]
     assert "does not parse" in findings[0].message
 
@@ -77,7 +82,7 @@ def test_parse_error_is_meta_finding(tmp_path):
 def test_unjustified_suppression_is_det000(tmp_path):
     src = f"import time\nt = time.time()  {ALLOW}(DET002)\n"
     path = write(tmp_path, "src/repro/x.py", src)
-    findings = lint_file(path, root=tmp_path)
+    findings = findings_of(path, tmp_path)
     # The DET002 finding is suppressed, but the empty justification is DET000.
     assert META_RULE in error_rules(findings)
     assert any("no justification" in f.message for f in findings)
@@ -86,11 +91,11 @@ def test_unjustified_suppression_is_det000(tmp_path):
 def test_unknown_rule_id_suppression_is_det000(tmp_path):
     src = f"x = 1  {ALLOW}(DET999) not a real rule\n"
     path = write(tmp_path, "src/repro/x.py", src)
-    findings = lint_file(path, root=tmp_path)
+    findings = findings_of(path, tmp_path)
     assert error_rules(findings) == []  # DET999 matches the id grammar
     src2 = f"x = 1  {ALLOW}(BOGUS) nonsense\n"
     path2 = write(tmp_path, "src/repro/y.py", src2)
-    findings2 = lint_file(path2, root=tmp_path)
+    findings2 = findings_of(path2, tmp_path)
     assert META_RULE in error_rules(findings2)
 
 
@@ -101,7 +106,7 @@ def test_standalone_suppression_covers_next_code_line(tmp_path):
         "t = time.time()\n"
     )
     path = write(tmp_path, "src/repro/x.py", src)
-    findings = lint_file(path, root=tmp_path)
+    findings = findings_of(path, tmp_path)
     assert error_rules(findings) == []
     assert any(f.suppressed and f.rule == "DET002" for f in findings)
 
@@ -117,7 +122,7 @@ def test_suppression_survives_line_drift_within_function(tmp_path):
         "        return t\n"
     )
     path = write(tmp_path, "src/repro/x.py", body)
-    before = lint_file(path, root=tmp_path)
+    before = findings_of(path, tmp_path)
     assert error_rules(before) == []
     # Drift: new code above shifts every line; the comment moves with its
     # function but no longer sits on the same absolute line.
@@ -131,7 +136,7 @@ def test_suppression_survives_line_drift_within_function(tmp_path):
         "        return (label, t)\n"
     )
     path2 = write(tmp_path, "src/repro/y.py", drifted)
-    after = lint_file(path2, root=tmp_path)
+    after = findings_of(path2, tmp_path)
     assert error_rules(after) == []
     assert any(f.suppressed and f.rule == "DET002" for f in after)
 
@@ -148,7 +153,7 @@ def test_scope_suppression_covers_whole_function_only(tmp_path):
         "    return time.time()\n"
     )
     path = write(tmp_path, "src/repro/x.py", body)
-    findings = lint_file(path, root=tmp_path)
+    findings = findings_of(path, tmp_path)
     assert error_rules(findings) == ["DET002"]
     flagged = [f for f in findings if not f.suppressed]
     assert flagged[0].scope == "b"
@@ -164,7 +169,7 @@ def test_module_level_suppression_stays_line_matched(tmp_path):
         "T1 = time.time()\n"
     )
     path = write(tmp_path, "src/repro/x.py", body)
-    findings = lint_file(path, root=tmp_path)
+    findings = findings_of(path, tmp_path)
     assert error_rules(findings) == ["DET002"]
     assert [f.line for f in findings if f.suppressed] == [3]
     assert [f.line for f in findings if not f.suppressed] == [4]
@@ -317,6 +322,21 @@ def test_det003_flags_set_iteration_with_merge(tmp_path):
     )
     findings = run_rule(tmp_path, "src/repro/x.py", src, "DET003")
     assert error_rules(findings) == ["DET003"]
+
+
+def test_det003_flags_row_accumulator_writes(tmp_path):
+    src = (
+        "def absorb(rows, acc):\n"
+        "    for r in set(rows):\n"
+        "        acc.add_walk(r, 0, 1.0)\n"
+        "    for r in rows.values():\n"
+        "        acc.add_batch(r)\n"
+        "    for r in rows.keys():\n"
+        "        acc.add_walks_ordered(r)\n"
+    )
+    findings = run_rule(tmp_path, "src/repro/x.py", src, "DET003")
+    assert error_rules(findings) == ["DET003"] * 3
+    assert [f.line for f in findings] == [2, 4, 6]
 
 
 def test_det003_allows_sorted_iteration(tmp_path):
@@ -587,7 +607,7 @@ def _write_config_repo(tmp_path, readme: str, extra_validation: str = ""):
 
 def test_det007_flags_unvalidated_and_undocumented(tmp_path):
     path = _write_config_repo(tmp_path, "docs mention alpha and flag\n")
-    findings = lint_file(path, rules=[RULES_BY_ID["DET007"]], root=tmp_path)
+    findings = findings_of(path, tmp_path, "DET007")
     messages = [f.message for f in findings if not f.suppressed]
     assert any("beta is never validated" in m for m in messages)
     assert any("beta is not mentioned" in m for m in messages)
@@ -604,7 +624,7 @@ def test_det007_clean_when_validated_and_documented(tmp_path):
             "            raise ValueError('beta')\n"
         ),
     )
-    findings = lint_file(path, rules=[RULES_BY_ID["DET007"]], root=tmp_path)
+    findings = findings_of(path, tmp_path, "DET007")
     assert error_rules(findings) == []
 
 
@@ -615,7 +635,7 @@ def test_det007_only_runs_on_config_module(tmp_path):
         "src/repro/frw/other.py",
         CONFIG_TEMPLATE.format(extra_validation=""),
     )
-    findings = lint_file(path, rules=[RULES_BY_ID["DET007"]], root=tmp_path)
+    findings = findings_of(path, tmp_path, "DET007")
     assert error_rules(findings) == []
 
 
@@ -627,7 +647,7 @@ def test_det007_suppressed(tmp_path):
         "    beta: float = 0.5",
     )
     path = write(tmp_path, "src/repro/config.py", src)
-    findings = lint_file(path, rules=[RULES_BY_ID["DET007"]], root=tmp_path)
+    findings = findings_of(path, tmp_path, "DET007")
     assert error_rules(findings) == []
 
 
@@ -763,33 +783,50 @@ def test_frw_rr_lint_forwards_option_flags(tmp_path, capsys, monkeypatch):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ALL_RULES:
-        assert rule.id in out
+    listed = [ln.split()[0] for ln in out.splitlines() if ln.startswith("DET")]
+    assert listed == list(CHECKS_BY_ID)
 
 
 # ----------------------------------------------------------------------
-# Repo-clean self-check — the enforced invariant this PR establishes.
+# Repo-clean self-check over exactly the paths CI and ``make lint`` lint.
 # ----------------------------------------------------------------------
-def test_repo_is_lint_clean():
-    """The full v2 analysis (rules + whole-program passes) must exit 0 on
-    this repo: every unsuppressed finding gates."""
-    from repro.lint.project import lint_project
-
-    report = lint_project(
-        [REPO_ROOT / "src", REPO_ROOT / "tests"], root=REPO_ROOT
+@pytest.fixture(scope="module")
+def repo_report():
+    return lint_project(
+        [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
+        root=REPO_ROOT,
     )
-    assert report.files > 0
+
+
+def test_repo_is_lint_clean(repo_report):
+    """The full analysis (per-file and whole-program checks) must exit 0
+    on this repo: every unsuppressed finding gates."""
+    assert repo_report.files > 0
     problems = [
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.errors
+        f"{f.path}:{f.line}: {f.rule} {f.message}"
+        for f in repo_report.errors
     ]
     assert problems == []
 
 
-def test_repo_suppressions_are_justified():
+def test_repo_suppressions_are_justified(repo_report):
     """Every suppression in the repo carries a non-trivial justification."""
-    report = lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
-        root=REPO_ROOT,
-    )
-    for f in report.suppressed:
+    for f in repo_report.suppressed:
         assert len(f.justification) >= 10, f"{f.path}:{f.line} ({f.rule})"
+
+
+def test_import_repro_does_not_load_the_analyzer():
+    """The solver imports the runtime sanitizer; that must not pull in
+    the static analyzer (parsers, graph, checks) on every import."""
+    code = (
+        "import sys, repro\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    ).stdout
+    assert out.strip() == "['repro.lint', 'repro.lint.sanitizer']"

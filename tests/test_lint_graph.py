@@ -15,9 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint.core import SourceFile
-from repro.lint.graph import build_graph
-from repro.lint.passes import ALL_PASSES, PASSES_BY_ID
-from repro.lint.project import lint_project
+from repro.lint.graph import ProjectGraph
+from repro.lint.project import CHECKS_BY_ID, lint_project
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,7 +33,7 @@ def graph_of(tmp_path: Path, files: dict[str, str]):
     for rel, body in files.items():
         path = write(tmp_path, rel, body)
         sources.append(SourceFile.parse(path, root=tmp_path))
-    return build_graph(sources)
+    return ProjectGraph(sources)
 
 
 def pass_errors(tmp_path: Path, files: dict[str, str], pass_id: str):
@@ -42,10 +41,7 @@ def pass_errors(tmp_path: Path, files: dict[str, str], pass_id: str):
     for rel, body in files.items():
         write(tmp_path, rel, body)
     report = lint_project(
-        [tmp_path / "src"],
-        rules=(),
-        passes=[PASSES_BY_ID[pass_id]],
-        root=tmp_path,
+        [tmp_path / "src"], checks=[CHECKS_BY_ID[pass_id]], root=tmp_path
     )
     return report.errors
 
@@ -372,10 +368,7 @@ def test_pass_findings_are_suppressible(tmp_path):
     for rel, body in files.items():
         write(tmp_path, rel, body)
     report = lint_project(
-        [tmp_path / "src"],
-        rules=(),
-        passes=[PASSES_BY_ID["DET012"]],
-        root=tmp_path,
+        [tmp_path / "src"], checks=[CHECKS_BY_ID["DET012"]], root=tmp_path
     )
     assert report.errors == []
     assert [f.rule for f in report.suppressed] == ["DET012"]
