@@ -36,23 +36,13 @@ def test_mt_per_walk_reseeding(benchmark):
 
 
 def test_philox_bulk_generation(benchmark):
-    from repro.rng import philox4x32, words_to_unit_double
+    """The engine's fused span draws: 100,000 uniforms per call."""
+    ws = WalkStreams(seed=1)
+    uids = np.arange(10_000, dtype=np.uint64)
+    out = np.empty((5, 10_000, 2))
 
-    blocks = np.arange(100_000, dtype=np.uint64)
-
-    def run():
-        w = philox4x32(
-            (blocks & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-            np.uint32(0),
-            np.uint32(0),
-            np.uint32(1),
-            np.uint32(2),
-            np.uint32(3),
-        )
-        return words_to_unit_double(w[0], w[1])
-
-    out = benchmark(run)
-    assert out.shape == (100_000,)
+    benchmark(ws.draws_span, uids, 0, 5, 2, out=out)
+    assert out.size == 100_000
 
 
 def test_kahan_vector_accumulate(benchmark):

@@ -137,14 +137,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     tolerance = (
         args.tolerance if args.tolerance is not None else CASES[args.case].tolerance
     )
-    factory = {
-        "alg1": FRWConfig.alg1,
-        "frw-nk": FRWConfig.frw_nk,
-        "frw-nc": FRWConfig.frw_nc,
-        "frw-r": FRWConfig.frw_r,
-        "frw-rr": FRWConfig.frw_rr,
-    }[args.variant]
-    config = factory(
+    config = FRWConfig.for_variant(
+        args.variant,
         seed=args.seed,
         n_threads=args.threads,
         tolerance=tolerance,

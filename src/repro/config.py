@@ -1,7 +1,9 @@
 """Solver configuration dataclasses.
 
-One :class:`FRWConfig` drives all solver variants; the named constructors
-mirror the paper's experiment matrix (Sec. V):
+One :class:`FRWConfig` drives all solver variants.  ``variant`` alone
+names the scheme: Sec. V of the paper defines each one as a fixed recipe
+of walk streams and summation, kept in the one table :data:`VARIANTS`,
+and the named constructors mirror the paper's experiment matrix:
 
 * ``alg1``   — the baseline parallel scheme of [1] (Alg. 1): per-thread
   private streams, per-thread convergence at ``eps * sqrt(T)``, naive
@@ -15,13 +17,36 @@ mirror the paper's experiment matrix (Sec. V):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConfigError
 
-VARIANTS = ("alg1", "frw-nk", "frw-nc", "frw-r", "frw-rr")
-RNG_KINDS = ("philox", "mt")
-SUMMATION_KINDS = ("kahan", "naive")
+
+class Scheme(NamedTuple):
+    """One variant's fixed recipe."""
+
+    #: ``"philox"`` (per-walk counter streams) or ``"mt"`` (per-walk
+    #: reseeded Mersenne Twister, the FRW-NC ablation).
+    rng: str
+    #: ``"kahan"`` or ``"naive"`` per-thread accumulators.
+    summation: str
+    #: Whether the variant can take antithetic pairs: partners re-read the
+    #: primary's Philox counter words, which Alg. 1's per-thread streams
+    #: and the stateful MT streams cannot express.
+    pairs: bool
+
+
+#: Every variant's scheme (Sec. V).  ``FRWConfig.rng`` and
+#: ``FRWConfig.summation`` read this table, so a config cannot name one
+#: variant and run another's arithmetic.
+VARIANTS = {
+    "alg1": Scheme("philox", "naive", False),
+    "frw-nk": Scheme("philox", "naive", True),
+    "frw-nc": Scheme("mt", "kahan", False),
+    "frw-r": Scheme("philox", "kahan", True),
+    "frw-rr": Scheme("philox", "kahan", True),
+}
 EXECUTOR_KINDS = ("serial", "process")
 MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
 
@@ -43,8 +68,6 @@ RESULT_FIELDS = (
     "max_walks",
     "min_walks",
     "variant",
-    "rng",
-    "summation",
     "table_resolution",
     "offset_fraction",
     "h_cap_fraction",
@@ -117,12 +140,11 @@ class FRWConfig:
         (and even under antithetic pairs), so ``min_walks >=
         batch_size / 2`` keeps the paper's batches of ``B``.
     variant:
-        One of :data:`VARIANTS`.
-    rng:
-        ``"philox"`` (CBRNG) or ``"mt"`` (per-walk-reseeded Mersenne
-        Twister, the FRW-NC ablation).
-    summation:
-        ``"kahan"`` or ``"naive"`` per-thread accumulators.
+        One of :data:`VARIANTS`; it fixes the scheme, which the read-only
+        :attr:`rng` and :attr:`summation` report: ``alg1`` and
+        ``frw-nk`` sum naively, ``frw-nc`` draws reseeded Mersenne
+        Twister streams, and every other variant draws Philox and sums
+        with Kahan.
     table_resolution:
         Cells per cube-face edge of the transition table.
     offset_fraction:
@@ -196,15 +218,15 @@ class FRWConfig:
         bit-identity across backends, worker counts, and start methods
         holds exactly as without the flag.  Larger groups and deeper
         mirroring measured worse than the pair (PERFORMANCE.md layer 7),
-        so the pair is fixed.  Requires ``rng="philox"`` (partners
-        re-read the primary's counter words; the stateful MT ablation
-        streams cannot express that), an even ``batch_size``,
-        ``min_walks >= 4``, and a variant other than
-        ``alg1``; each violation is a ``ConfigError`` naming
-        ``antithetic=False`` as the fix.  On by default: its pair-mean
-        error bars reach their nominal coverage (``tests/test_coverage.py``)
-        and it cuts walks to tolerance 1.1-2.8x on the benchmark suite.
-        :meth:`alg1` and :meth:`frw_nc` default it off, and the paper
+        so the pair is fixed.  Requires a variant that can take pairs
+        (:attr:`Scheme.pairs`: not ``alg1`` or ``frw-nc``), an even
+        ``batch_size`` and ``min_walks >= 4``; each violation is a
+        ``ConfigError`` naming ``antithetic=False`` as the fix.  On by
+        default: its pair-mean error bars reach their nominal coverage
+        (``tests/test_coverage.py``) and it cuts walks to tolerance
+        1.1-2.8x on the benchmark suite.
+        The named constructors default it off where the variant cannot
+        take pairs (:meth:`alg1`, :meth:`frw_nc`), and the paper
         experiments turn it off to keep the paper's sampling (pair-mean
         accumulation skips the virtual-thread merge replay that Table II's
         RI study measures).  ``min_walks`` / ``max_walks`` keep counting
@@ -228,8 +250,6 @@ class FRWConfig:
     max_walks: int = 20_000_000
     min_walks: int = 1_000
     variant: str = "frw-r"
-    rng: str = "philox"
-    summation: str = "kahan"
     table_resolution: int = 32
     offset_fraction: float = 0.5
     h_cap_fraction: float = 0.25
@@ -247,12 +267,8 @@ class FRWConfig:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.rng not in RNG_KINDS:
-            raise ConfigError(f"rng must be one of {RNG_KINDS}, got {self.rng!r}")
-        if self.summation not in SUMMATION_KINDS:
             raise ConfigError(
-                f"summation must be one of {SUMMATION_KINDS}, got {self.summation!r}"
+                f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}"
             )
         if self.seed < 0:
             # Seeds are folded through splitmix64 as unsigned 64-bit values;
@@ -320,17 +336,10 @@ class FRWConfig:
             )
         if self.antithetic:
             fix = "; pass antithetic=False to sample without pairs"
-            if self.rng != "philox":
-                # Partners re-read the primary's counter words; the
-                # stateful MT ablation streams consume sequentially and
-                # cannot express shared draws.
+            if not VARIANTS[self.variant].pairs:
                 raise ConfigError(
-                    f"antithetic requires rng='philox', got {self.rng!r}{fix}"
-                )
-            if self.variant == "alg1":
-                raise ConfigError(
-                    "antithetic requires the reproducible variants; "
-                    f"alg1 has no per-walk UID streams to mirror{fix}"
+                    f"antithetic requires per-walk Philox streams to "
+                    f"mirror; variant {self.variant!r} has none{fix}"
                 )
             if self.batch_size % 2 != 0:
                 # Pairs are aligned UID blocks; a batch boundary inside
@@ -348,34 +357,36 @@ class FRWConfig:
     # Named variant constructors
     # ------------------------------------------------------------------
     @classmethod
+    def for_variant(cls, variant: str, **kwargs) -> "FRWConfig":
+        """The config of ``variant``, with antithetic pairs on by default
+        exactly where the variant can take them."""
+        pairs = variant in VARIANTS and VARIANTS[variant].pairs
+        return cls(variant=variant, **{"antithetic": pairs, **kwargs})
+
+    @classmethod
     def alg1(cls, **kwargs) -> "FRWConfig":
-        """Baseline Alg. 1 of [1]: naive summation, isolated convergence,
-        no antithetic groups (it has no per-walk UID streams)."""
-        kwargs.setdefault("summation", "naive")
-        kwargs.setdefault("antithetic", False)
-        return cls(variant="alg1", **kwargs)
+        """Baseline Alg. 1 of [1]: naive summation, isolated convergence."""
+        return cls.for_variant("alg1", **kwargs)
 
     @classmethod
     def frw_nk(cls, **kwargs) -> "FRWConfig":
         """FRW-R without Kahan summation."""
-        return cls(variant="frw-nk", summation="naive", **kwargs)
+        return cls.for_variant("frw-nk", **kwargs)
 
     @classmethod
     def frw_nc(cls, **kwargs) -> "FRWConfig":
-        """FRW-R with Mersenne Twister per-walk reseeding (stateful
-        streams, so no antithetic groups)."""
-        kwargs.setdefault("antithetic", False)
-        return cls(variant="frw-nc", rng="mt", **kwargs)
+        """FRW-R with Mersenne Twister per-walk reseeding."""
+        return cls.for_variant("frw-nc", **kwargs)
 
     @classmethod
     def frw_r(cls, **kwargs) -> "FRWConfig":
         """The reproducible solver with all optimisations."""
-        return cls(variant="frw-r", **kwargs)
+        return cls.for_variant("frw-r", **kwargs)
 
     @classmethod
     def frw_rr(cls, **kwargs) -> "FRWConfig":
         """FRW-R plus the reliability regularization (Alg. 3)."""
-        return cls(variant="frw-rr", **kwargs)
+        return cls.for_variant("frw-rr", **kwargs)
 
     def with_(self, **kwargs) -> "FRWConfig":
         """Return a copy with fields replaced."""
@@ -391,6 +402,16 @@ class FRWConfig:
         this.
         """
         return tuple((name, getattr(self, name)) for name in RESULT_FIELDS)
+
+    @property
+    def rng(self) -> str:
+        """The variant's walk streams, :attr:`Scheme.rng`."""
+        return VARIANTS[self.variant].rng
+
+    @property
+    def summation(self) -> str:
+        """The variant's accumulators, :attr:`Scheme.summation`."""
+        return VARIANTS[self.variant].summation
 
     @property
     def uses_regularization(self) -> bool:

@@ -15,14 +15,6 @@ from ..frw.parallel import checkpoint_walks
 #: Default directory for experiment outputs.
 RESULTS_DIR = Path("results")
 
-_FACTORIES = {
-    "alg1": FRWConfig.alg1,
-    "frw-nk": FRWConfig.frw_nk,
-    "frw-nc": FRWConfig.frw_nc,
-    "frw-r": FRWConfig.frw_r,
-    "frw-rr": FRWConfig.frw_rr,
-}
-
 
 def paper_config(variant: str, **kwargs) -> FRWConfig:
     """The paper's setup of ``variant``: independent walks, no antithetic
@@ -30,7 +22,7 @@ def paper_config(variant: str, **kwargs) -> FRWConfig:
     defaults to ``batch_size``, so ``b0`` is ``B``).  Table II's RI study
     needs the virtual-thread merge replay, which paired accumulation
     skips, and every table keeps the sampling the paper measured."""
-    cfg = _FACTORIES[variant](antithetic=False, **kwargs)
+    cfg = FRWConfig.for_variant(variant, antithetic=False, **kwargs)
     if "min_walks" not in kwargs:
         cfg = cfg.with_(min_walks=cfg.batch_size)
     if checkpoint_walks(cfg) != cfg.batch_size:

@@ -10,13 +10,15 @@ Typical use::
     print(result.matrix.pretty())
     print(result.report)               # property metrics
 
-Variant dispatch (Sec. V):
+Variant dispatch (Sec. V).  The variant alone selects the scheme: its
+RNG and summation are the fixed recipe of :data:`repro.config.VARIANTS`,
+which the config's read-only ``rng`` and ``summation`` report.
 
 ========  =========================================  ====================
 variant   scheme                                     post-process
 ========  =========================================  ====================
-alg1      Alg. 1 baseline [1]                        none
-frw-nk    Alg. 2, naive summation                    none
+alg1      Alg. 1 baseline [1], CBRNG, naive sum      none
+frw-nk    Alg. 2, CBRNG, naive summation             none
 frw-nc    Alg. 2, Kahan, MT per-walk reseeding       none
 frw-r     Alg. 2, Kahan, CBRNG                       none
 frw-rr    Alg. 2, Kahan, CBRNG                       Alg. 3 regularization

@@ -14,11 +14,6 @@ from .cube_table import (
     CubeTransitionTable,
     get_cube_table,
 )
-from .multilayer import (
-    build_two_layer_table,
-    get_two_layer_table,
-    layer_split,
-)
 from .sphere import (
     gradient_weight,
     interface_hemisphere_direction,
@@ -29,10 +24,7 @@ __all__ = [
     "DEFAULT_MODES",
     "DEFAULT_RESOLUTION",
     "CubeTransitionTable",
-    "build_two_layer_table",
     "get_cube_table",
-    "get_two_layer_table",
-    "layer_split",
     "gradient_kernel_parallel",
     "gradient_kernel_side",
     "gradient_linear_response",

@@ -24,13 +24,11 @@ from .mersenne import MTWalkStreams
 from .philox import (
     PHILOX_ROUNDS,
     derive_key,
-    philox4x32,
     philox4x32_inplace,
     philox4x32_scalar,
     splitmix64,
     unit_double_into,
     unit_double_scalar,
-    words_to_unit_double,
 )
 
 def seeded_generator(seed: int) -> np.random.Generator:
@@ -59,12 +57,10 @@ __all__ = [
     "PHILOX_ROUNDS",
     "WalkStreams",
     "derive_key",
-    "philox4x32",
     "philox4x32_inplace",
     "philox4x32_scalar",
     "seeded_generator",
     "splitmix64",
     "unit_double_into",
     "unit_double_scalar",
-    "words_to_unit_double",
 ]

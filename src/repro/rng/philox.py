@@ -9,11 +9,12 @@ walk.  A CBRNG is a keyed bijection ``(key, counter) -> 4 random words``; a
 
 This module implements Philox4x32-10 exactly per the reference definition
 (verified against the Random123 known-answer vectors in the test suite),
-in both a scalar form (readable, used for cross-checks) and a NumPy
-vectorised form (used by the walk engine).  All arithmetic is modulo 2^32 on
-unsigned integers, so results are bit-identical across machines and NumPy
-versions — this is the "fixed implementation of PRNGs" the paper relies on
-for machine-independent reproducibility.
+in both a scalar form (readable, used for cross-checks) and an
+allocation-free NumPy kernel (the one the walk engine runs).  All
+arithmetic is modulo 2^32 on unsigned integers, so results are
+bit-identical across machines and NumPy versions — this is the "fixed
+implementation of PRNGs" the paper relies on for machine-independent
+reproducibility.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ PHILOX_W1 = 0xBB67AE85
 
 _MASK32 = 0xFFFFFFFF
 
-_U32 = np.uint32
 _U64 = np.uint64
 
 
@@ -81,57 +81,6 @@ def philox4x32_scalar(
     return c0, c1, c2, c3
 
 
-def philox4x32(
-    c0: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    c3: np.ndarray,
-    k0: np.ndarray,
-    k1: np.ndarray,
-    rounds: int = PHILOX_ROUNDS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised Philox4x32 over arrays of counters/keys.
-
-    All inputs are broadcast against each other and interpreted as unsigned
-    32-bit words.  Returns four ``uint32`` arrays of the broadcast shape.
-    """
-    c0 = np.asarray(c0, dtype=_U64)
-    c1 = np.asarray(c1, dtype=_U64)
-    c2 = np.asarray(c2, dtype=_U64)
-    c3 = np.asarray(c3, dtype=_U64)
-    k0 = np.asarray(k0, dtype=_U64)
-    k1 = np.asarray(k1, dtype=_U64)
-    c0, c1, c2, c3, k0, k1 = np.broadcast_arrays(c0, c1, c2, c3, k0, k1)
-    c0, c1, c2, c3 = c0.copy(), c1.copy(), c2.copy(), c3.copy()
-    k0, k1 = k0.copy(), k1.copy()
-
-    m0 = _U64(PHILOX_M0)
-    m1 = _U64(PHILOX_M1)
-    w0 = _U64(PHILOX_W0)
-    w1 = _U64(PHILOX_W1)
-    mask = _U64(_MASK32)
-    shift = _U64(32)
-
-    for _ in range(rounds):
-        prod0 = m0 * (c0 & mask)
-        prod1 = m1 * (c2 & mask)
-        hi0 = prod0 >> shift
-        lo0 = prod0 & mask
-        hi1 = prod1 >> shift
-        lo1 = prod1 & mask
-        new_c0 = (hi1 ^ (c1 & mask) ^ (k0 & mask)) & mask
-        new_c2 = (hi0 ^ (c3 & mask) ^ (k1 & mask)) & mask
-        c0, c1, c2, c3 = new_c0, lo1, new_c2, lo0
-        k0 = (k0 + w0) & mask
-        k1 = (k1 + w1) & mask
-    return (
-        c0.astype(_U32),
-        c1.astype(_U32),
-        c2.astype(_U32),
-        c3.astype(_U32),
-    )
-
-
 def philox4x32_inplace(
     x0: np.ndarray,
     x1: np.ndarray,
@@ -147,12 +96,12 @@ def philox4x32_inplace(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Allocation-free Philox4x32 over preallocated ``uint64`` buffers.
 
-    Bit-identical to :func:`philox4x32`, but dispatches ~10 in-place ufunc
-    calls per round instead of ~18 allocating ones: the counter words are
-    kept ``< 2**32`` as an invariant (so most of the reference kernel's
-    ``& mask`` operations are provably no-ops and are dropped), a scalar
-    key is carried as Python ints (scalars broadcast for free), and every
-    round writes into the eight caller-supplied buffers, ping-ponging
+    Bit-identical to :func:`philox4x32_scalar` (the known-answer tests
+    pin it), in ~10 in-place ufunc calls per round: the counter words are
+    kept ``< 2**32`` as an invariant (so the reference definition's
+    ``& mask`` operations on them are provably no-ops and are dropped), a
+    scalar key is carried as Python ints (scalars broadcast for free), and
+    every round writes into the eight caller-supplied buffers, ping-ponging
     between the ``x*`` and ``s*`` quadruples.
 
     Parameters
@@ -235,18 +184,6 @@ def derive_key(seed: int, stream: int = 0) -> tuple[int, int]:
     return mixed & _MASK32, (mixed >> 32) & _MASK32
 
 
-def words_to_unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Combine two uint32 words into a float64 uniform in [0, 1).
-
-    Uses the standard 53-bit construction (27 bits from ``hi``, 26 from
-    ``lo``), identical to the Mersenne-Twister ``genrand_res53`` recipe, so
-    the mapping is exact and platform-independent.
-    """
-    a = (np.asarray(hi, dtype=np.uint32) >> np.uint32(5)).astype(np.float64)
-    b = (np.asarray(lo, dtype=np.uint32) >> np.uint32(6)).astype(np.float64)
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-
-
 def unit_double_into(
     hi: np.ndarray,
     lo: np.ndarray,
@@ -256,12 +193,15 @@ def unit_double_into(
     f1: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Allocation-free :func:`words_to_unit_double` into ``out``.
+    """Combine two words into a float64 uniform in [0, 1), into ``out``.
 
-    ``hi``/``lo`` are ``uint64`` word arrays with values ``< 2**32``;
-    ``t0``/``t1`` are ``uint64`` scratch, ``f0``/``f1`` ``float64`` scratch
-    of the same shape.  The arithmetic sequence (shift, scale, add, scale)
-    is identical to the reference, so results are bit-identical.
+    Uses the standard 53-bit construction (27 bits from ``hi``, 26 from
+    ``lo``), identical to the Mersenne-Twister ``genrand_res53`` recipe, so
+    the mapping is exact and platform-independent.  ``hi``/``lo`` are
+    ``uint64`` word arrays with values ``< 2**32``; ``t0``/``t1`` are
+    ``uint64`` scratch, ``f0``/``f1`` ``float64`` scratch of the same
+    shape.  The arithmetic sequence (shift, scale, add, scale) is that of
+    :func:`unit_double_scalar`, so results are bit-identical.
     """
     np.right_shift(hi, _U64(5), out=t0)
     np.right_shift(lo, _U64(6), out=t1)
@@ -274,7 +214,7 @@ def unit_double_into(
 
 
 def unit_double_scalar(hi: int, lo: int) -> float:
-    """Scalar version of :func:`words_to_unit_double`."""
+    """Scalar version of :func:`unit_double_into`."""
     a = (hi & _MASK32) >> 5
     b = (lo & _MASK32) >> 6
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)

@@ -60,7 +60,13 @@ LATENCY_WINDOW = 4096
 
 @dataclass
 class ServiceSettings:
-    """Configuration of one service instance (CLI flags map 1:1)."""
+    """Configuration of one service instance.
+
+    ``frw-rr serve`` sets every field but ``mp_start_method`` from a flag
+    of the same name (``n_workers`` from ``--workers``,
+    ``result_cache_entries`` from ``--result-cache``); the start method
+    is set only from Python.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8231

@@ -5,7 +5,9 @@ import pytest
 
 from repro import FRWConfig
 from repro.frw import build_context, extract_row_alg2
+from repro.frw.alg2_reproducible import RowProgress, make_streams
 from repro.numerics import matrix_matched_digits
+from repro.rng import MTWalkStreams
 
 
 def run(structure, **overrides):
@@ -68,6 +70,14 @@ def test_naive_summation_still_close(plates):
     ctx = build_context(plates, 0, cfg)
     naive, _ = extract_row_alg2(ctx)
     assert matrix_matched_digits(kahan.values, naive.values) >= 8
+
+
+def test_bare_variant_runs_its_own_scheme(plates):
+    """``variant`` alone picks the accumulators and the streams."""
+    nk = FRWConfig(variant="frw-nk", antithetic=False)
+    assert RowProgress(build_context(plates, 0, nk)).acc.summation == "naive"
+    nc = FRWConfig(variant="frw-nc", antithetic=False)
+    assert isinstance(make_streams(nc, 0), MTWalkStreams)
 
 
 def test_max_walks_cap(plates):

@@ -40,8 +40,6 @@ ALT_RESULT_VALUES = {
     "max_walks": 4_096,
     "min_walks": 64,
     "variant": "frw-nc",
-    "rng": "mt",
-    "summation": "naive",
     "table_resolution": 17,
     "offset_fraction": 0.31,
     "h_cap_fraction": 0.41,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import FRWConfig
+from repro.config import VARIANTS
 from repro.errors import ConfigError
 
 
@@ -22,6 +23,27 @@ def test_named_constructors():
     assert FRWConfig.frw_rr().uses_regularization
 
 
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_variant_alone_names_the_scheme(variant):
+    """A bare ``variant`` runs the same RNG and summation as its named
+    constructor: no config can name one variant and run another's
+    arithmetic."""
+    named = getattr(FRWConfig, variant.replace("-", "_"))()
+    bare = FRWConfig(variant=variant, antithetic=False)
+    assert (bare.rng, bare.summation) == (named.rng, named.summation)
+    assert named == FRWConfig.for_variant(variant)
+    assert named.antithetic == VARIANTS[variant].pairs
+
+
+def test_rng_and_summation_are_not_knobs():
+    with pytest.raises(TypeError):
+        FRWConfig().with_(rng="mt")
+    with pytest.raises(TypeError):
+        FRWConfig(summation="naive")
+    with pytest.raises(AttributeError):
+        FRWConfig().rng = "mt"
+
+
 def test_antithetic_is_on_except_in_the_stream_free_presets():
     """Antithetic pairs are the default; the presets without per-walk UID
     streams (Alg. 1, MT reseeding) default them off, and an explicit
@@ -37,7 +59,7 @@ def test_antithetic_is_on_except_in_the_stream_free_presets():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(rng="mt"),
+        dict(variant="frw-nc"),
         dict(variant="alg1"),
         dict(batch_size=1001),
         dict(min_walks=3),
@@ -61,8 +83,8 @@ def test_with_replaces_fields():
     "kwargs",
     [
         dict(variant="bogus"),
-        dict(rng="xorshift"),
-        dict(summation="pairwise"),
+        dict(interface_snap_fraction=0.3),
+        dict(first_hop_interface_floor=0.2),
         dict(n_threads=0),
         dict(batch_size=0),
         dict(tolerance=0.0),

@@ -1,4 +1,8 @@
-"""Tests for the from-scratch Philox4x32-10 implementation."""
+"""Tests for the from-scratch Philox4x32-10 implementation.
+
+The known-answer vectors pin both the scalar reference and the
+allocation-free kernel the walk engine runs (``philox4x32_inplace`` and
+``unit_double_into``)."""
 
 import numpy as np
 import pytest
@@ -8,11 +12,11 @@ from hypothesis import strategies as st
 from repro.errors import RNGError
 from repro.rng import (
     derive_key,
-    philox4x32,
+    philox4x32_inplace,
     philox4x32_scalar,
     splitmix64,
+    unit_double_into,
     unit_double_scalar,
-    words_to_unit_double,
 )
 
 # Known-answer vectors from the Random123 distribution (kat_vectors).
@@ -31,17 +35,35 @@ KAT = [
 ]
 
 
+def engine_philox(counter, k0, k1):
+    """The engine's kernel on four equal-shape counter-word arrays; the
+    key is two ints or two ``uint64`` rows, one key per counter column."""
+    x = [np.array(c, dtype=np.uint64) for c in counter]
+    scratch = [np.empty_like(x[0]) for _ in range(4)]
+    return philox4x32_inplace(*x, *scratch, k0, k1)
+
+
+def engine_unit_double(hi, lo):
+    """The engine's word-pair-to-uniform conversion."""
+    hi = np.asarray(hi, dtype=np.uint64)
+    lo = np.asarray(lo, dtype=np.uint64)
+    out, f0, f1 = (np.empty(hi.shape) for _ in range(3))
+    unit_double_into(hi, lo, np.empty_like(hi), np.empty_like(hi), f0, f1, out)
+    return out
+
+
 @pytest.mark.parametrize("counter,key,expected", KAT)
 def test_known_answer_scalar(counter, key, expected):
     assert philox4x32_scalar(counter, key) == expected
 
 
 def test_known_answer_vectorised():
-    counters = np.array([k[0] for k in KAT], dtype=np.uint32).T
-    keys = np.array([k[1] for k in KAT], dtype=np.uint32).T
-    out = philox4x32(*counters, *keys)
+    """One lattice row, one KAT vector per column under its own key row."""
+    counters = np.array([k[0] for k in KAT], dtype=np.uint64).T[:, None, :]
+    k0, k1 = np.array([k[1] for k in KAT], dtype=np.uint64).T.copy()
+    out = engine_philox(counters, k0, k1)
     for lane in range(4):
-        assert out[lane].tolist() == [k[2][lane] for k in KAT]
+        assert out[lane][0].tolist() == [k[2][lane] for k in KAT]
 
 
 @given(
@@ -51,11 +73,11 @@ def test_known_answer_vectorised():
 @settings(max_examples=60)
 def test_scalar_matches_vectorised(counter, key):
     scalar = philox4x32_scalar(counter, key)
-    vec = philox4x32(
-        *(np.array([c], dtype=np.uint32) for c in counter),
-        *(np.array([k], dtype=np.uint32) for k in key),
-    )
-    assert tuple(int(v[0]) for v in vec) == scalar
+    counters = [[c] for c in counter]
+    by_int = engine_philox(counters, *key)
+    by_row = engine_philox(counters, *(np.array([k], dtype=np.uint64) for k in key))
+    assert tuple(int(v[0]) for v in by_int) == scalar
+    assert tuple(int(v[0]) for v in by_row) == scalar
 
 
 @given(
@@ -80,7 +102,7 @@ def test_output_changes_with_key():
 def test_uniform_conversion_range_and_resolution():
     hi = np.array([0, 0xFFFFFFFF, 0x80000000], dtype=np.uint32)
     lo = np.array([0, 0xFFFFFFFF, 0], dtype=np.uint32)
-    vals = words_to_unit_double(hi, lo)
+    vals = engine_unit_double(hi, lo)
     assert vals[0] == 0.0
     assert 0.0 <= vals.min() and vals.max() < 1.0
     assert vals[2] == 0.5
@@ -92,15 +114,9 @@ def test_uniform_conversion_range_and_resolution():
 def test_uniform_statistics():
     n = 200_000
     blocks = np.arange(n, dtype=np.uint64)
-    w = philox4x32(
-        (blocks & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-        np.uint32(0),
-        np.uint32(0),
-        np.uint32(7),
-        np.uint32(123),
-        np.uint32(456),
-    )
-    u = words_to_unit_double(w[0], w[1])
+    zeros = np.zeros(n, dtype=np.uint64)
+    w = engine_philox((blocks, zeros, zeros, zeros + 7), 123, 456)
+    u = engine_unit_double(w[0], w[1])
     assert abs(u.mean() - 0.5) < 3.0 / np.sqrt(12 * n)
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
     # Lag-1 correlation should be negligible.

@@ -45,10 +45,13 @@ BASE_CONFIG = {
     "n_threads": 2,
 }
 
-#: Retired engine knobs, each with the value its last default had.  The
-#: behaviour they selected is fixed now, so a request naming one is
-#: malformed rather than silently ignored.
+#: Retired config knobs, each with the value its last default had.  The
+#: behaviour they selected is fixed now (``rng`` and ``summation`` follow
+#: ``variant``), so a request naming one is malformed rather than
+#: silently ignored.
 REMOVED_CONFIG_FIELDS = {
+    "rng": "philox",
+    "summation": "kahan",
     "pipeline": True,
     "rng_prefetch_depth": 8,
     "interleave_masters": True,
@@ -66,7 +69,7 @@ REMOVED_CONFIG_FIELDS = {
 #: Request configs that conflict with antithetic sampling, which is on
 #: unless a request turns it off.
 ANTITHETIC_CONFLICTS = {
-    "mt": {"rng": "mt"},
+    "mt": {"variant": "frw-nc"},
     "alg1": {"variant": "alg1"},
     "odd_batch": {"batch_size": 127},
     "min_walks": {"min_walks": 3},
