@@ -2,8 +2,8 @@
 
 The paper claims Alg. 3 costs ``O(Nm^2 + Nc)`` and is negligible against
 extraction time (milliseconds for hundreds of masters).  These benchmarks
-time the regularizer on synthetic observations of growing size, the sparse
-vs dense solver paths, and the cheap Sec. IV-C variants.
+time the regularizer on synthetic observations of growing size, a sparse
+700-master one, and the cheap Sec. IV-C variants.
 """
 
 import numpy as np
@@ -48,15 +48,10 @@ def test_regularize_scaling(benchmark, nm):
     assert reg.meta["regularized"]
 
 
-def test_regularize_sparse_solver_large(benchmark):
+def test_regularize_sparse_large(benchmark):
     obs = synthetic_observation(700, 702, density=0.02)
-    reg = benchmark(regularize, obs, solver="sparse")
+    reg = benchmark(regularize, obs)
     assert reg.meta["regularized"]
-
-
-def test_regularize_dense_solver(benchmark):
-    obs = synthetic_observation(150, 152)
-    benchmark(regularize, obs, solver="dense")
 
 
 def test_symmetrize_only(benchmark):

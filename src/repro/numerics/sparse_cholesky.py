@@ -7,148 +7,103 @@ impossible, and the paper's ``O(Nm^2)`` cost bound assumes sparse direct
 solution [28].  This module implements:
 
 * :func:`elimination_tree` — the etree of a symmetric sparse matrix,
-* :func:`rcm_ordering` — reverse Cuthill-McKee bandwidth reduction (own BFS),
 * :class:`SparseCholesky` — an up-looking row-by-row Cholesky (CSparse-style
-  reach + sparse triangular solve) with forward/backward solves.
+  reach + sparse triangular solve) with forward/backward solves, on a SciPy
+  CSC matrix reordered by SciPy's reverse Cuthill-McKee.
 
-Everything is validated against dense Cholesky and SciPy in the tests.
+Everything is validated against NumPy's dense Cholesky and solve in the
+tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import NumericalError
-from .sparse import CSCMatrix, csc_permute_symmetric
 
 
-def elimination_tree(a: CSCMatrix) -> np.ndarray:
+def elimination_tree(a: sp.csc_matrix) -> np.ndarray:
     """Elimination tree of a symmetric CSC matrix (parent array, -1 = root).
 
     Uses the classic Liu algorithm with path compression via virtual
     ancestors.
     """
     n = a.shape[1]
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    indptr, indices = a.indptr.tolist(), a.indices.tolist()
+    parent = [-1] * n
+    ancestor = [-1] * n
     for k in range(n):
-        rows, _ = a.column(k)
-        for i in rows:
-            i = int(i)
+        for i in indices[indptr[k] : indptr[k + 1]]:
             while i != -1 and i < k:
-                next_anc = int(ancestor[i])
+                next_anc = ancestor[i]
                 ancestor[i] = k
                 if next_anc == -1:
                     parent[i] = k
                 i = next_anc
-    return parent
-
-
-def _adjacency(a: CSCMatrix) -> list[np.ndarray]:
-    """Symmetric adjacency lists (excluding the diagonal)."""
-    n = a.shape[1]
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    for j in range(n):
-        rows, _ = a.column(j)
-        for i in rows:
-            i = int(i)
-            if i != j:
-                neighbours[i].add(j)
-                neighbours[j].add(i)
-    return [np.array(sorted(s), dtype=np.int64) for s in neighbours]
-
-
-def rcm_ordering(a: CSCMatrix) -> np.ndarray:
-    """Reverse Cuthill-McKee ordering of a symmetric sparse matrix.
-
-    Returns a permutation ``perm`` such that ``A[perm][:, perm]`` has reduced
-    bandwidth, which bounds Cholesky fill-in.  Each connected component is
-    seeded from a minimum-degree vertex.
-    """
-    n = a.shape[1]
-    adj = _adjacency(a)
-    degree = np.array([len(x) for x in adj], dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    for seed in np.argsort(degree, kind="stable"):
-        seed = int(seed)
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        queue: deque[int] = deque([seed])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            fresh = [int(v) for v in adj[node] if not visited[v]]
-            fresh.sort(key=lambda v: (int(degree[v]), v))
-            for v in fresh:
-                visited[v] = True
-                queue.append(v)
-    return np.array(order[::-1], dtype=np.int64)
+    return np.array(parent, dtype=np.int64)
 
 
 class SparseCholesky:
-    """Up-looking sparse Cholesky factorisation of an SPD CSC matrix.
+    """Up-looking sparse Cholesky factorisation of an SPD matrix.
 
     Parameters
     ----------
     a:
-        SPD matrix in CSC form (full symmetric storage).
-    ordering:
-        ``"rcm"`` (default), ``"natural"``, or an explicit permutation array.
+        SPD matrix with full symmetric storage, as a ``scipy.sparse`` CSC
+        matrix (anything ``scipy.sparse.csc_matrix`` accepts works).  It is
+        factorised in reverse Cuthill-McKee order to bound the fill.
     """
 
-    def __init__(self, a: CSCMatrix, ordering: str | np.ndarray = "rcm"):
+    def __init__(self, a: sp.csc_matrix):
+        # Imported on first use: loading scipy.sparse.csgraph takes about
+        # 0.1 s, which every ``import repro`` and worker start would pay.
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        a = sp.csc_matrix(a, dtype=np.float64)
         if a.shape[0] != a.shape[1]:
             raise NumericalError("SparseCholesky needs a square matrix")
-        n = a.shape[0]
-        if isinstance(ordering, str):
-            if ordering == "rcm":
-                perm = rcm_ordering(a)
-            elif ordering == "natural":
-                perm = np.arange(n, dtype=np.int64)
-            else:
-                raise NumericalError(f"unknown ordering {ordering!r}")
-        else:
-            perm = np.asarray(ordering, dtype=np.int64)
-            if sorted(perm.tolist()) != list(range(n)):
-                raise NumericalError("ordering is not a permutation")
+        perm = reverse_cuthill_mckee(a, symmetric_mode=True).astype(np.int64)
         self.perm = perm
-        self.n = n
-        self._factorize(csc_permute_symmetric(a, perm))
+        self.n = a.shape[0]
+        permuted = sp.csc_matrix(a[perm][:, perm])
+        permuted.sum_duplicates()
+        self._factorize(permuted)
 
-    def _factorize(self, a: CSCMatrix) -> None:
+    def _factorize(self, a: sp.csc_matrix) -> None:
         n = self.n
-        parent = elimination_tree(a)
+        parent = elimination_tree(a).tolist()
+        # Plain lists: the loops below visit every entry in Python.
+        indptr, indices = a.indptr.tolist(), a.indices.tolist()
+        data = a.data.tolist()
         # Column lists of L: rows strictly below the diagonal, plus diagonal.
         col_rows: list[list[int]] = [[] for _ in range(n)]
         col_vals: list[list[float]] = [[] for _ in range(n)]
-        diag = np.zeros(n, dtype=np.float64)
-        x = np.zeros(n, dtype=np.float64)
-        mark = np.full(n, -1, dtype=np.int64)
+        diag = [0.0] * n
+        x = [0.0] * n
+        mark = [-1] * n
         for k in range(n):
-            rows, vals = a.column(k)
+            lo, hi = indptr[k], indptr[k + 1]
             # Scatter the upper-triangular part of column k (rows <= k)
             # and find the row-k pattern as the etree reach of those rows.
             pattern: list[int] = []
             akk = 0.0
-            for i, v in zip(rows, vals):
-                i = int(i)
+            for i, v in zip(indices[lo:hi], data[lo:hi]):
                 if i > k:
                     continue
                 if i == k:
-                    akk = float(v)
+                    akk = v
                     continue
-                x[i] = float(v)
+                x[i] = v
                 # Walk up the etree marking the path to k.
                 path = []
                 node = i
                 while node != -1 and node < k and mark[node] != k:
                     path.append(node)
                     mark[node] = k
-                    node = int(parent[node])
+                    node = parent[node]
                 pattern.extend(path)
             pattern.sort()
             d = akk
@@ -168,16 +123,16 @@ class SparseCholesky:
                     # r >= k entries belong to later rows; skip.
                 x[i] = lki
                 d -= lki * lki
-            if d <= 0.0 or not np.isfinite(d):
+            if d <= 0.0 or not math.isfinite(d):
                 raise NumericalError(
                     f"matrix is not positive definite (pivot {d!r} at row {k})"
                 )
-            diag[k] = float(np.sqrt(d))
+            diag[k] = math.sqrt(d)
             for i in pattern:
                 col_rows[i].append(k)
-                col_vals[i].append(float(x[i]))
+                col_vals[i].append(x[i])
                 x[i] = 0.0
-        self._diag = diag
+        self._diag = np.array(diag)
         self._col_rows = [np.array(r, dtype=np.int64) for r in col_rows]
         self._col_vals = [np.array(v, dtype=np.float64) for v in col_vals]
 
@@ -207,12 +162,3 @@ class SparseCholesky:
         out = np.empty_like(y)
         out[self.perm] = y
         return out
-
-    def factor_dense(self) -> np.ndarray:
-        """Materialise the permuted factor L as dense (tests only)."""
-        lower = np.zeros((self.n, self.n), dtype=np.float64)
-        for j in range(self.n):
-            lower[j, j] = self._diag[j]
-            rows = self._col_rows[j]
-            lower[rows, j] = self._col_vals[j]
-        return lower

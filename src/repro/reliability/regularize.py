@@ -3,46 +3,47 @@
 Given the raw FRW observation ``C-hat`` with per-entry variances
 ``sigma^2`` (Eq. 9), the constrained maximum-likelihood estimate under
 symmetry and zero row-sum is the solution of the weighted least squares
-problem (Eq. 12).  Following Sec. IV-B we
+problem (Eq. 12).  Following Sec. IV-B we work on the list of present
+(hit) entries only, in one vectorised pass:
 
 1. drop never-hit entries (and their symmetric positions) — they are known
    zeros;
-2. fuse each symmetric observation pair into a single variable with the
-   inverse-variance-weighted mean and variance (Eq. 13);
+2. fuse each symmetric observation pair into a single variable on the lower
+   master's row with the inverse-variance-weighted mean and variance
+   (Eq. 13); a one-sided pair is dropped like a never-hit one;
 3. change variables to whitened deviations ``y`` so the problem becomes the
    least-norm problem ``min ||y|| s.t. A y = b`` (Eq. 14), whose closed form
    is ``y* = A^T (A A^T)^{-1} b`` (Eq. 15);
 4. build ``A~ = A A^T`` and ``b`` directly from Eq. (16) *without forming
-   A*, solve the ``Nm x Nm`` SPD system by (sparse) Cholesky, and recover
-   ``C*``;
-5. fold the (rare) positive couplings into the diagonals (Alg. 3 line 6),
-   which preserves both row sums and symmetry.
+   A* — each variable touches one or two constraint rows, so the diagonal
+   and ``b`` are bin counts and each fused pair adds one off-diagonal
+   entry — solve the ``Nm x Nm`` SPD system by sparse Cholesky, and
+   recover ``C*``;
+5. fold the (rare) positive couplings into their row's diagonal (Alg. 3
+   line 6), which preserves both row sums and symmetry.
 
-Total cost is ``O(Nm^2 + Nc)`` as claimed in the paper.  The estimator is
-linear in the observations with weights independent of their values, so it
-remains unbiased; the Sec. IV-C diagonal weighting is available through
-``diagonal_weight``.
+Total cost is ``O(Nc + nnz(L))``, within the paper's ``O(Nm^2 + Nc)``.  The
+estimator is linear in the observations with weights independent of their
+values, so it remains unbiased; the Sec. IV-C diagonal weighting is
+available through ``diagonal_weight``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..analysis.capmatrix import CapacitanceMatrix
 from ..errors import RegularizationError
-from ..numerics.cholesky import solve_cholesky
-from ..numerics.sparse import csc_from_coo
 from ..numerics.sparse_cholesky import SparseCholesky
 
-#: Above this master count the Nm x Nm system is solved sparsely.
-_SPARSE_THRESHOLD = 600
+#: Lower bound applied to variances (guards degenerate single-sample
+#: estimates whose sample variance is zero).
+VARIANCE_FLOOR = 1e-300
 
 
 def regularize(
-    cap: CapacitanceMatrix,
-    diagonal_weight: float = 1.0,
-    solver: str = "auto",
-    variance_floor: float = 1e-300,
+    cap: CapacitanceMatrix, diagonal_weight: float = 1.0
 ) -> CapacitanceMatrix:
     """Apply the Alg. 3 constrained-MLE regularization to an FRW result.
 
@@ -50,16 +51,12 @@ def regularize(
     ----------
     cap:
         Raw extraction with ``sigma2`` and ``hits`` populated; any distinct
-        master subset is supported.
+        master subset is supported.  Every hit entry must have a finite
+        value and variance.
     diagonal_weight:
         Sec. IV-C robustness knob: scales the least-squares weight of the
         self-capacitances (> 1 pins them closer to their raw values; the
         result is then no longer the exact MLE but keeps all properties).
-    solver:
-        ``"dense"``, ``"sparse"``, or ``"auto"``.
-    variance_floor:
-        Lower bound applied to positive variances (guards degenerate
-        single-sample estimates).
 
     Returns
     -------
@@ -71,137 +68,101 @@ def regularize(
             "regularization needs per-entry variances and hit counts"
         )
     nm, n = cap.values.shape
-    masters = list(cap.masters)
-    if len(set(masters)) != nm or any(not (0 <= m < n) for m in masters):
+    masters = np.asarray(cap.masters, dtype=np.int64)
+    if np.unique(masters).size != nm or np.any((masters < 0) | (masters >= n)):
         raise RegularizationError("masters must be distinct conductor indices")
     if diagonal_weight <= 0:
         raise RegularizationError(
             f"diagonal_weight must be positive, got {diagonal_weight}"
         )
-    #: row index of each master conductor (column), -1 for non-masters.
-    row_of = np.full(n, -1, dtype=np.int64)
-    for r, m in enumerate(masters):
-        row_of[m] = r
-
-    values = cap.values
+    values = np.asarray(cap.values, dtype=np.float64)
     sigma2 = np.asarray(cap.sigma2, dtype=np.float64)
     hits = np.asarray(cap.hits, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Step 1-2: presence masks and fused pair observations (Eq. 13).
-    # present[r, j] describes the variable of row r and column j, stored
-    # only once per symmetric pair (on the row of the lower master index).
-    # ------------------------------------------------------------------
-    c_bar = np.zeros((nm, n), dtype=np.float64)
-    v_bar = np.zeros((nm, n), dtype=np.float64)
-    present = np.zeros((nm, n), dtype=bool)
-
-    diag_rows = np.arange(nm)
-    diag_cols = np.asarray(masters, dtype=np.int64)
-    if np.any(hits[diag_rows, diag_cols] == 0):
+    if np.any(hits[np.arange(nm), masters] == 0):
         raise RegularizationError(
             "a master conductor has no self-capacitance samples; extract "
             "longer before regularizing"
         )
-    present[diag_rows, diag_cols] = True
-    c_bar[diag_rows, diag_cols] = values[diag_rows, diag_cols]
-    v_bar[diag_rows, diag_cols] = np.maximum(
-        sigma2[diag_rows, diag_cols], variance_floor
-    ) / diagonal_weight
-
-    # Master-master pairs: fuse the two observations (Eq. 13).
-    for r in range(nm):
-        for s in range(r + 1, nm):
-            j = masters[s]
-            i = masters[r]
-            if hits[r, j] == 0 or hits[s, i] == 0:
-                continue  # known zero (or one-sided): excluded pair
-            s_ij = max(float(sigma2[r, j]), variance_floor)
-            s_ji = max(float(sigma2[s, i]), variance_floor)
-            denom = s_ij + s_ji
-            c_bar[r, j] = (s_ji * values[r, j] + s_ij * values[s, i]) / denom
-            v_bar[r, j] = s_ij * s_ji / denom
-            present[r, j] = True
-
-    # Non-master columns: single observations.
-    non_master_cols = np.nonzero(row_of < 0)[0]
-    if non_master_cols.size:
-        tail_present = hits[:, non_master_cols] > 0
-        present[:, non_master_cols] = tail_present
-        c_bar[:, non_master_cols] = np.where(
-            tail_present, values[:, non_master_cols], 0.0
-        )
-        v_bar[:, non_master_cols] = np.where(
-            tail_present,
-            np.maximum(sigma2[:, non_master_cols], variance_floor),
-            0.0,
-        )
 
     # ------------------------------------------------------------------
-    # Step 3: build A~ and b (Eq. 16) without forming A.
+    # Step 1-2: present observations and fused pair variables (Eq. 13),
+    # fused in place on the lower observation of each pair.
     # ------------------------------------------------------------------
-    b = np.zeros(nm, dtype=np.float64)
-    a_diag = np.zeros(nm, dtype=np.float64)
-    off_rows: list[int] = []
-    off_cols: list[int] = []
-    off_vals: list[float] = []
-    for r in range(nm):
-        row_present = present[r]
-        a_diag[r] += float(v_bar[r, row_present].sum())
-        b[r] -= float(c_bar[r, row_present].sum())
-        for s in range(r + 1, nm):
-            j = masters[s]
-            if present[r, j]:
-                # The pair variable also appears in constraint s.
-                a_diag[s] += v_bar[r, j]
-                b[s] -= c_bar[r, j]
-                off_rows.append(r)
-                off_cols.append(s)
-                off_vals.append(v_bar[r, j])
+    rows, cols = np.nonzero(hits > 0)
+    c_bar = values[rows, cols]
+    v_bar = sigma2[rows, cols]
+    bad = ~(np.isfinite(c_bar) & np.isfinite(v_bar))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise RegularizationError(
+            f"non-finite raw entry at (master {masters[rows[k]]}, column "
+            f"{cols[k]}): value {float(c_bar[k])}, variance {float(v_bar[k])}"
+        )
+    v_bar = np.maximum(v_bar, VARIANCE_FLOOR)
+    #: constraint row of each column's master conductor, -1 for non-masters.
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[masters] = np.arange(nm)
+    other = row_of[cols]
+    self_term = other == rows
+    v_bar[self_term] /= diagonal_weight
+    # A master-master observation becomes a variable on the lower row,
+    # and only when its mirror (other, masters[rows]) was hit as well.
+    pair = (other >= 0) & ~self_term
+    lower = pair & (rows < other)
+    keep = ~pair
+    keep[lower] = hits[other[lower], masters[rows[lower]]] > 0
+    fused = keep & pair
+    mirror = (other[fused], masters[rows[fused]])
+    s_ij = v_bar[fused]
+    s_ji = np.maximum(sigma2[mirror], VARIANCE_FLOOR)
+    denom = s_ij + s_ji
+    c_bar[fused] = (s_ji * c_bar[fused] + s_ij * values[mirror]) / denom
+    v_bar[fused] = s_ij * s_ji / denom
+    rows, cols, other = rows[keep], cols[keep], other[keep]
+    c_bar, v_bar, pair = c_bar[keep], v_bar[keep], pair[keep]
+
+    # ------------------------------------------------------------------
+    # Step 3: build A~ and b (Eq. 16) without forming A.  Variable k sits
+    # in constraint rows[k] and, for a fused pair, also in other[k].
+    # ------------------------------------------------------------------
+    r1, r2 = rows[pair], other[pair]
+    v2 = v_bar[pair]
+    a_diag = np.bincount(rows, v_bar, nm) + np.bincount(r2, v2, nm)
+    b = -(np.bincount(rows, c_bar, nm) + np.bincount(r2, c_bar[pair], nm))
+    diag = np.arange(nm)
+    a_tilde = sp.csc_matrix(
+        (
+            np.concatenate([a_diag, v2, v2]),
+            (np.concatenate([diag, r1, r2]), np.concatenate([diag, r2, r1])),
+        ),
+        shape=(nm, nm),
+    )
 
     # ------------------------------------------------------------------
     # Step 4: solve A~ z = b by Cholesky (Eq. 15 / Alg. 3 line 4).
     # ------------------------------------------------------------------
-    z = _solve_spd(nm, a_diag, off_rows, off_cols, off_vals, b, solver)
+    z = SparseCholesky(a_tilde).solve(b)
 
     # ------------------------------------------------------------------
     # Step 5: recover C* = C-bar + sigma-bar^2 * (z_i [+ z_j]) (line 5).
     # ------------------------------------------------------------------
+    zsum = z[rows]
+    zsum[pair] += z[r2]
+    recovered = c_bar + v_bar * zsum
     out = np.zeros((nm, n), dtype=np.float64)
-    out[diag_rows, diag_cols] = (
-        c_bar[diag_rows, diag_cols] + v_bar[diag_rows, diag_cols] * z
-    )
-    for r in range(nm):
-        for s in range(r + 1, nm):
-            j = masters[s]
-            if present[r, j]:
-                value = c_bar[r, j] + v_bar[r, j] * (z[r] + z[s])
-                out[r, j] = value
-                out[s, masters[r]] = value
-    if non_master_cols.size:
-        out[:, non_master_cols] = np.where(
-            present[:, non_master_cols],
-            c_bar[:, non_master_cols] + v_bar[:, non_master_cols] * z[:, None],
-            0.0,
-        )
+    out[rows, cols] = recovered
+    out[r2, masters[r1]] = recovered[pair]
 
     # ------------------------------------------------------------------
     # Step 6: delete rare positive couplings, compensating the diagonal.
+    # A positive fused pair shows on both its rows; it counts once.
     # ------------------------------------------------------------------
-    moved = 0
-    for r in range(nm):
-        i = masters[r]
-        for j in range(n):
-            if j == i:
-                continue
-            if out[r, j] > 0.0:
-                out[r, i] += out[r, j]
-                s = int(row_of[j])
-                if s >= 0:
-                    out[s, j] += out[s, i]
-                    out[s, i] = 0.0
-                out[r, j] = 0.0
-                moved += 1
+    pos_r, pos_c = np.nonzero(out > 0.0)
+    off = pos_c != masters[pos_r]
+    pos_r, pos_c = pos_r[off], pos_c[off]
+    np.add.at(out, (pos_r, masters[pos_r]), out[pos_r, pos_c])
+    out[pos_r, pos_c] = 0.0
+    moved = int(np.count_nonzero((row_of[pos_c] < 0) | (row_of[pos_c] > pos_r)))
 
     result = cap.copy()
     result.values = out
@@ -211,53 +172,7 @@ def regularize(
             "regularized": True,
             "diagonal_weight": diagonal_weight,
             "positive_couplings_folded": moved,
-            "n_variables": int(present.sum()),
+            "n_variables": int(rows.shape[0]),
         }
     )
     return result
-
-
-def _solve_spd(
-    nm: int,
-    a_diag: np.ndarray,
-    off_rows: list[int],
-    off_cols: list[int],
-    off_vals: list[float],
-    b: np.ndarray,
-    solver: str,
-) -> np.ndarray:
-    """Solve the Eq. (16) SPD system densely or sparsely."""
-    if solver == "auto":
-        solver = "sparse" if nm > _SPARSE_THRESHOLD else "dense"
-    if solver == "dense":
-        a = np.zeros((nm, nm), dtype=np.float64)
-        a[np.arange(nm), np.arange(nm)] = a_diag
-        for r, c, v in zip(off_rows, off_cols, off_vals):
-            a[r, c] += v
-            a[c, r] += v
-        return solve_cholesky(a, b)
-    if solver == "sparse":
-        rows = np.concatenate(
-            [
-                np.arange(nm, dtype=np.int64),
-                np.asarray(off_rows, dtype=np.int64),
-                np.asarray(off_cols, dtype=np.int64),
-            ]
-        )
-        cols = np.concatenate(
-            [
-                np.arange(nm, dtype=np.int64),
-                np.asarray(off_cols, dtype=np.int64),
-                np.asarray(off_rows, dtype=np.int64),
-            ]
-        )
-        vals = np.concatenate(
-            [
-                np.asarray(a_diag, dtype=np.float64),
-                np.asarray(off_vals, dtype=np.float64),
-                np.asarray(off_vals, dtype=np.float64),
-            ]
-        )
-        matrix = csc_from_coo(rows, cols, vals, (nm, nm))
-        return SparseCholesky(matrix).solve(b)
-    raise RegularizationError(f"unknown solver {solver!r}")

@@ -14,9 +14,10 @@ import numpy as np
 
 from ..analysis.capmatrix import CapacitanceMatrix
 from ..errors import RegularizationError
+from .regularize import VARIANCE_FLOOR
 
 
-def symmetrize(cap: CapacitanceMatrix, variance_floor: float = 1e-300) -> CapacitanceMatrix:
+def symmetrize(cap: CapacitanceMatrix) -> CapacitanceMatrix:
     """Inverse-variance-weighted symmetrization (Property 2 only).
 
     Each master-master pair is replaced by the Eq. (13) fused value — the
@@ -38,8 +39,8 @@ def symmetrize(cap: CapacitanceMatrix, variance_floor: float = 1e-300) -> Capaci
                 out[r, j] = 0.0
                 out[s, i] = 0.0
                 continue
-            s_ij = max(float(cap.sigma2[r, j]), variance_floor)
-            s_ji = max(float(cap.sigma2[s, i]), variance_floor)
+            s_ij = max(float(cap.sigma2[r, j]), VARIANCE_FLOOR)
+            s_ji = max(float(cap.sigma2[s, i]), VARIANCE_FLOOR)
             fused = (s_ji * cap.values[r, j] + s_ij * cap.values[s, i]) / (
                 s_ij + s_ji
             )

@@ -67,6 +67,7 @@ def test_fig5_scaling_shape(tmp_path, monkeypatch):
     assert speedups[0] == 1.0
     assert speedups[1] > 2.5  # near-linear at T=4
     assert speedups[2] > 8.0  # near-linear at T=16
+    assert all(float(r[6]) <= 1.0 for r in record.rows)  # efficiency
     assert record.notes and "dynamic-queue" in record.notes[0]
 
 

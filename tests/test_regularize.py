@@ -123,12 +123,120 @@ def test_positive_couplings_folded_into_diagonal():
     assert reg.meta["positive_couplings_folded"] > 0
 
 
-def test_dense_and_sparse_solvers_agree():
-    truth = synthetic_truth(8, 10, 12)
-    obs = observe(truth, 0.07, 13)
-    dense = regularize(obs, solver="dense")
-    sparse = regularize(obs, solver="sparse")
-    assert np.allclose(dense.values, sparse.values, atol=1e-9)
+def least_norm_reference(cap: CapacitanceMatrix, diagonal_weight: float) -> np.ndarray:
+    """Eq. (13)-(15) done the long way: fuse each two-sided master pair,
+    form the whitened constraint matrix A explicitly, and take the
+    minimum-norm solution of ``A y = b`` with ``np.linalg.lstsq``."""
+    nm, n = cap.values.shape
+    masters = list(cap.masters)
+    row_of = {m: r for r, m in enumerate(masters)}
+    variables = []  # (cells, fused value, fused variance)
+    for r in range(nm):
+        for j in range(n):
+            if cap.hits[r, j] == 0:
+                continue
+            s = row_of.get(j)
+            v = cap.sigma2[r, j]
+            if s is None:
+                variables.append(([(r, j)], cap.values[r, j], v))
+            elif s == r:
+                variables.append(([(r, j)], cap.values[r, j], v / diagonal_weight))
+            elif r < s and cap.hits[s, masters[r]] > 0:
+                w = cap.sigma2[s, masters[r]]
+                fused = (w * cap.values[r, j] + v * cap.values[s, masters[r]]) / (v + w)
+                variables.append(([(r, j), (s, masters[r])], fused, v * w / (v + w)))
+    a = np.zeros((nm, len(variables)))
+    b = np.zeros(nm)
+    for k, (cells, c, v) in enumerate(variables):
+        for r, _ in cells:
+            a[r, k] = np.sqrt(v)
+            b[r] -= c
+    y = np.linalg.lstsq(a, b, rcond=None)[0]
+    out = np.zeros((nm, n))
+    for k, (cells, c, v) in enumerate(variables):
+        for cell in cells:
+            out[cell] = c + np.sqrt(v) * y[k]
+    return out
+
+
+def _subset(obs: CapacitanceMatrix, rows: list[int]) -> CapacitanceMatrix:
+    return CapacitanceMatrix(
+        values=obs.values[rows],
+        masters=rows,
+        names=obs.names,
+        sigma2=obs.sigma2[rows],
+        hits=obs.hits[rows],
+    )
+
+
+def _one_sided(obs: CapacitanceMatrix) -> CapacitanceMatrix:
+    obs.hits[1, 2] = 0
+    obs.values[1, 2] = 0.0
+    obs.hits[3, 6] = 0  # a never-hit non-master entry too
+    return obs
+
+
+@pytest.mark.parametrize(
+    "make, weight",
+    [
+        pytest.param(lambda obs: obs, 1.0, id="full"),
+        pytest.param(lambda obs: _subset(obs, [0, 2, 5]), 1.0, id="subset"),
+        pytest.param(_one_sided, 1.0, id="one_sided"),
+        pytest.param(lambda obs: obs, 100.0, id="weighted"),
+    ],
+)
+def test_matches_least_norm_reference(make, weight):
+    truth = synthetic_truth(6, 9, 12)
+    obs = make(observe(truth, 0.07, 13))
+    reg = regularize(obs, diagonal_weight=weight)
+    assert reg.meta["positive_couplings_folded"] == 0
+    expected = least_norm_reference(obs, weight)
+    scale = np.abs(expected).max()
+    assert np.abs(reg.values - expected).max() <= 1e-12 * scale
+
+
+def banded_observation(nm: int, band: int = 12, tail: int = 2) -> CapacitanceMatrix:
+    """A noisy banded observation: each master couples to ``band`` masters
+    on either side and to every one of ``tail`` non-master conductors."""
+    rng = np.random.default_rng(nm)
+    n = nm + tail
+    i, j = np.meshgrid(np.arange(nm), np.arange(n), indexing="ij")
+    hit = ((np.abs(i - j) <= band) & (j < nm) & (i != j)) | (j >= nm)
+    values = np.where(hit, -rng.uniform(0.1, 1.0, (nm, n)), 0.0)
+    sigma2 = (0.03 * values) ** 2
+    diag = np.arange(nm)
+    values[diag, diag] = -values.sum(axis=1) * (1 + 0.01 * rng.standard_normal(nm))
+    sigma2[diag, diag] = (0.01 * values[diag, diag]) ** 2
+    hit[diag, diag] = True
+    return CapacitanceMatrix(
+        values=values,
+        masters=list(range(nm)),
+        names=[f"c{k}" for k in range(n)],
+        sigma2=sigma2,
+        hits=np.where(hit, 50, 0),
+    )
+
+
+def test_case5_sized_banded_input():
+    """Table I case 5 has 653 masters; Alg. 3 stays exact at that size."""
+    obs = banded_observation(653)
+    report = check_properties(regularize(obs))
+    assert report.err2 == 0.0
+    assert report.err3 <= 1e-15
+
+
+def test_nan_value_is_rejected_with_its_entry():
+    obs = observe(synthetic_truth(4, 6, 40), 0.05, 41)
+    obs.values[2, 5] = np.nan
+    with pytest.raises(RegularizationError, match=r"master 2, column 5"):
+        regularize(obs)
+
+
+def test_infinite_variance_is_rejected_with_its_entry():
+    obs = _subset(observe(synthetic_truth(4, 6, 42), 0.05, 43), [1, 3])
+    obs.sigma2[1, 0] = np.inf
+    with pytest.raises(RegularizationError, match=r"master 3, column 0"):
+        regularize(obs)
 
 
 def test_diagonal_weight_pins_self_capacitance():
@@ -156,8 +264,6 @@ def test_input_validation():
         regularize(bad_masters)
     with pytest.raises(RegularizationError):
         regularize(obs, diagonal_weight=0.0)
-    with pytest.raises(RegularizationError):
-        regularize(obs, solver="qr")
     no_self = obs.copy()
     no_self.hits = obs.hits.copy()
     no_self.hits[0, 0] = 0

@@ -1,19 +1,13 @@
-"""Tests for the sparse Cholesky factorisation and RCM ordering."""
+"""Tests for the sparse Cholesky factorisation and its RCM ordering."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NumericalError
-from repro.numerics import (
-    SparseCholesky,
-    cholesky,
-    csc_from_dense,
-    elimination_tree,
-    rcm_ordering,
-    solve_cholesky,
-)
+from repro.numerics import SparseCholesky, elimination_tree
 
 
 def random_sparse_spd(n: int, seed: int, density: float = 0.15) -> np.ndarray:
@@ -30,7 +24,7 @@ def test_elimination_tree_known_example():
     a = np.eye(n)
     a[:, -1] = 1.0
     a[-1, :] = 1.0
-    parent = elimination_tree(csc_from_dense(a))
+    parent = elimination_tree(sp.csc_matrix(a))
     assert parent[-1] == -1
     assert all(parent[i] == n - 1 for i in range(n - 1))
 
@@ -38,7 +32,7 @@ def test_elimination_tree_known_example():
 def test_elimination_tree_tridiagonal():
     n = 6
     a = 2 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-    parent = elimination_tree(csc_from_dense(a))
+    parent = elimination_tree(sp.csc_matrix(a))
     assert parent.tolist() == [1, 2, 3, 4, 5, -1]
 
 
@@ -51,11 +45,11 @@ def test_rcm_is_permutation_and_reduces_bandwidth():
     for i in range(n - 1):
         a[labels[i], labels[i + 1]] = 1.0
         a[labels[i + 1], labels[i]] = 1.0
-    perm = rcm_ordering(csc_from_dense(a))
-    assert sorted(perm.tolist()) == list(range(n))
-    p = a[np.ix_(perm, perm)]
-    rows, cols = np.nonzero(p)
+    chol = SparseCholesky(sp.csc_matrix(a))
+    assert sorted(chol.perm.tolist()) == list(range(n))
+    rows, cols = np.nonzero(a[np.ix_(chol.perm, chol.perm)])
     assert np.abs(rows - cols).max() <= 2
+    assert chol.nnz <= 2 * n  # a path's factor has no fill
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -64,48 +58,38 @@ def test_solve_matches_dense(seed):
     a = random_sparse_spd(n, seed)
     rng = np.random.default_rng(seed + 100)
     b = rng.standard_normal(n)
-    x = SparseCholesky(csc_from_dense(a)).solve(b)
+    x = SparseCholesky(sp.csc_matrix(a)).solve(b)
     assert np.allclose(a @ x, b, atol=1e-8 * n)
-    assert np.allclose(x, solve_cholesky(a, b), atol=1e-8)
+    assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
 
 
-def test_natural_ordering_factor_matches_dense_factor():
+def test_factor_matches_numpy_cholesky():
     a = random_sparse_spd(12, 42)
-    chol = SparseCholesky(csc_from_dense(a), ordering="natural")
-    dense_l = cholesky(a)
-    assert np.allclose(chol.factor_dense(), dense_l, atol=1e-10)
-
-
-def test_explicit_ordering():
-    a = random_sparse_spd(8, 3)
-    perm = np.array([7, 0, 3, 1, 6, 2, 5, 4])
-    chol = SparseCholesky(csc_from_dense(a), ordering=perm)
-    b = np.arange(8.0)
-    assert np.allclose(a @ chol.solve(b), b)
+    chol = SparseCholesky(sp.csc_matrix(a))
+    lower = np.diag(chol._diag)
+    for j, (rows, vals) in enumerate(zip(chol._col_rows, chol._col_vals)):
+        lower[rows, j] = vals
+    expected = np.linalg.cholesky(a[np.ix_(chol.perm, chol.perm)])
+    assert np.allclose(lower, expected, atol=1e-10)
 
 
 def test_rejects_bad_inputs():
-    a = random_sparse_spd(4, 0)
     with pytest.raises(NumericalError):
-        SparseCholesky(csc_from_dense(np.ones((2, 3))))
+        SparseCholesky(sp.csc_matrix(np.ones((2, 3))))
     with pytest.raises(NumericalError):
-        SparseCholesky(csc_from_dense(a), ordering="bogus")
-    with pytest.raises(NumericalError):
-        SparseCholesky(csc_from_dense(a), ordering=np.array([0, 0, 1, 2]))
-    with pytest.raises(NumericalError):
-        SparseCholesky(csc_from_dense(-np.eye(3)))
+        SparseCholesky(sp.csc_matrix(-np.eye(3)))
 
 
 def test_solve_shape_check():
     a = random_sparse_spd(4, 1)
-    chol = SparseCholesky(csc_from_dense(a))
+    chol = SparseCholesky(sp.csc_matrix(a))
     with pytest.raises(NumericalError):
         chol.solve(np.zeros(5))
 
 
 def test_diagonal_matrix_fast_path():
     d = np.diag([4.0, 9.0, 16.0])
-    chol = SparseCholesky(csc_from_dense(d))
+    chol = SparseCholesky(sp.csc_matrix(d))
     assert chol.nnz == 3
     assert np.allclose(chol.solve(np.array([4.0, 9.0, 16.0])), np.ones(3))
 
@@ -116,7 +100,7 @@ def test_solve_property(seed, n):
     a = random_sparse_spd(n, seed, density=0.3)
     rng = np.random.default_rng(seed + 1)
     b = rng.standard_normal(n)
-    x = SparseCholesky(csc_from_dense(a)).solve(b)
+    x = SparseCholesky(sp.csc_matrix(a)).solve(b)
     assert np.allclose(a @ x, b, atol=1e-7 * n)
 
 
@@ -124,5 +108,5 @@ def test_sparsity_preserved_on_banded():
     """RCM + sparse factorisation keeps a banded problem's fill small."""
     n = 200
     a = 4 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-    chol = SparseCholesky(csc_from_dense(a))
+    chol = SparseCholesky(sp.csc_matrix(a))
     assert chol.nnz <= 2 * n  # tridiagonal factor: <= 2n entries
