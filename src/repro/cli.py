@@ -23,7 +23,7 @@ import sys
 
 from . import __version__
 from .analysis.tables import format_table
-from .config import EXECUTOR_KINDS, FRWConfig, VARIANTS
+from .config import FRWConfig, VARIANTS
 from .frw import FRWSolver
 from .reliability import check_properties
 from .structures import CASES, build_case, case_masters
@@ -85,16 +85,11 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
         help="concurrent extraction slots (each owns one executor)",
     )
     p.add_argument(
-        "--executor",
-        default="serial",
-        choices=EXECUTOR_KINDS,
-        help="walk executor backend used by every slot",
-    )
-    p.add_argument(
         "--workers",
         type=_positive("--workers"),
         default=1,
-        help="workers per slot executor",
+        help="workers per slot executor: 1 runs in-process, more start a "
+        "process pool",
     )
     p.add_argument(
         "--result-cache",
@@ -183,7 +178,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         slots=args.slots,
-        executor=args.executor,
         n_workers=args.workers,
         result_cache_entries=args.result_cache,
         port_file=args.port_file,

@@ -13,7 +13,6 @@ from .alg2_reproducible import (
 from .context import ExtractionContext, SharedAssets, StructureView, build_context
 from .cross_master import extract_rows_interleaved
 from .engine import (
-    ArenaWorkspace,
     StageTimers,
     WalkPipeline,
     WalkResults,
@@ -79,7 +78,6 @@ __all__ = [
     "release_all",
     "release_manifest",
     "run_single_walk",
-    "ArenaWorkspace",
     "StageTimers",
     "resolve_start_method",
     "resolve_workers",

@@ -27,29 +27,31 @@ Walk recipe (Sec. II-B):
    ends there; within ``absorb_tol`` of the domain wall it ends on the
    enclosure conductor.  The walk's sample is ``x_ij = omega * [dest = j]``.
 
-The engine core is :class:`WalkPipeline`, a *refill-capable* vector loop
-over a fixed-capacity **slot arena** (:class:`ArenaWorkspace`): all
-per-walk state lives in arrays preallocated at ``width`` capacity, the
-active walks occupy the dense prefix ``[0, n)``, and every slot past ``n``
-is free.  Retiring walks frees slots by moving kept walks from the tail of
-the prefix into the holes (a vectorised scatter — the free-list is the
-tail, kept dense so every per-step kernel runs on contiguous views);
-launching scatter-writes new walks into the freed tail slots.  Steady-state
-steps therefore perform **zero array reallocation** of walk state: the
-step's own temporaries come from the same reusable workspace, and draws are
-generated straight into a preallocated buffer by the fused Philox kernel.
+The engine core is :class:`WalkPipeline`, one worker vector: a
+*refill-capable* vector loop over its own fixed-capacity **slot arena**
+and its own queue of submitted batches.  All per-walk state lives in
+arrays preallocated at ``width`` capacity, the active walks occupy the
+dense prefix ``[0, n)``, and every slot past ``n`` is free.  Retiring
+walks frees slots by moving kept walks from the tail of the prefix into
+the holes (a vectorised scatter — the free-list is the tail, kept dense so
+every per-step kernel runs on contiguous views); launching scatter-writes
+new walks into the freed tail slots.  Steady-state steps therefore perform
+**zero array reallocation** of walk state: the step's own temporaries come
+from the same arena, and draws are generated straight into a preallocated
+ring by the fused Philox kernel.
 
 Walks carry their own step counters, so the active set may mix walks from
 several batches at different depths.  When walks absorb, their slots are
-refilled with UIDs from subsequent batches instead of letting the active
-set shrink to a ragged tail — the vector width stays near the batch size
-for the whole run.  Completed-walk results are scatter-banked by global row
-into a flat result window covering the outstanding batches (no per-batch
-Python loops), so checkpoint consumers still see exactly the batch's UID
-set, in UID order, bit-identical to unpipelined execution (per-walk
-arithmetic is elementwise and draws are keyed by ``(uid, step)``, so
-co-scheduling never changes a walk's numbers — the slot a walk occupies is
-invisible to its arithmetic).
+refilled with UIDs from the next queued batches instead of letting the
+active set shrink to a ragged tail — the vector width stays near the batch
+size for the whole run.  Completed-walk results are scatter-banked by
+global row into a flat result window covering the outstanding batches (no
+per-batch Python loops), so checkpoint consumers still see exactly the
+batch's UID set, in UID order, bit-identical to unpipelined execution
+(per-walk arithmetic is elementwise and draws are keyed by ``(uid,
+step)``, so co-scheduling never changes a walk's numbers — the slot a walk
+occupies is invisible to its arithmetic).  A dropped batch launches no
+further walk.
 
 One vector may also carry walks of several masters ("lanes"): each slot
 records its lane, launches use the lane's Gaussian surface and stream,
@@ -58,9 +60,9 @@ refills every lane at once (:class:`~repro.rng.LaneDraws`).
 :func:`run_segments` runs a fixed list of ``(lane, uids)`` segments —
 pieces of several masters' batches — through one such vector, so their
 drain tails overlap; :func:`run_walks`, the historical batch API, is its
-one-segment case.  Both reuse one thread-local workspace across calls,
-so repeated runs share a warm arena.  An executor's workers instead feed
-one long-lived vector from a batch queue (:mod:`repro.frw.parallel`).
+one-segment case.  Both use the calling thread's own vector, so repeated
+runs share a warm arena.  An executor's workers each keep one long-lived
+vector (:mod:`repro.frw.parallel`).
 
 Per-stage costs (rng / index / sample / bookkeeping) can be measured by
 passing a :class:`StageTimers` to the pipeline; the engine benchmark
@@ -70,9 +72,9 @@ reports the breakdown.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 
@@ -165,206 +167,87 @@ class StageTimers:
         return out
 
 
-class ArenaWorkspace:
-    """Preallocated slot-arena state and step scratch for a pipeline.
-
-    All arrays are sized to ``capacity`` walks and reused for every step;
-    a workspace may be handed to successive pipelines (``run_walks`` keeps
-    one per thread) but must never be shared by two pipelines running
-    concurrently.
-    """
-
-    __slots__ = (
-        "capacity",
-        "uid",
-        "lane",
-        "tol",
-        "grow",
-        "row",
-        "step_no",
-        "pos",
-        "pos_next",
-        "eps",
-        "first",
-        "naxis",
-        "nsign",
-        "h",
-        "h2",
-        "dist",
-        "cond",
-        "b0",
-        "b1",
-        "b2",
-        "b3",
-        "b4",
-        "ring",
-    )
-
-    def __init__(self, capacity: int):
-        self.capacity = 0
-        self.ring = None
-        self.ensure(capacity)
-
-    def ensure(self, capacity: int) -> None:
-        """Grow every buffer to at least ``capacity`` slots."""
-        capacity = max(1, int(capacity))
-        if capacity <= self.capacity:
-            return
-        self.capacity = capacity
-        # The prefetch ring is depth-dependent and capacity-sized; drop it
-        # on growth so the next ensure_ring reallocates at the new width.
-        self.ring = None
-        self.uid = np.empty(capacity, dtype=np.uint64)
-        # The slot's lane (master) and that lane's absorption tolerance.
-        self.lane = np.empty(capacity, dtype=np.intp)
-        self.tol = np.empty(capacity, dtype=np.float64)
-        self.grow = np.empty(capacity, dtype=np.int64)
-        self.row = np.empty(capacity, dtype=np.int64)
-        # uint64 so the RNG's counter build consumes it without a cast copy.
-        self.step_no = np.empty(capacity, dtype=np.uint64)
-        self.pos = np.empty((capacity, 3), dtype=np.float64)
-        self.pos_next = np.empty((capacity, 3), dtype=np.float64)
-        self.eps = np.empty(capacity, dtype=np.float64)
-        self.first = np.zeros(capacity, dtype=bool)
-        self.naxis = np.empty(capacity, dtype=np.int64)
-        self.nsign = np.empty(capacity, dtype=np.float64)
-        self.h = np.empty(capacity, dtype=np.float64)
-        self.h2 = np.empty(capacity, dtype=np.float64)
-        # Query output buffers for the index's zero-copy ``query_into``.
-        self.dist = np.empty(capacity, dtype=np.float64)
-        self.cond = np.empty(capacity, dtype=np.int64)
-        self.b0 = np.empty(capacity, dtype=bool)
-        self.b1 = np.empty(capacity, dtype=bool)
-        self.b2 = np.empty(capacity, dtype=bool)
-        self.b3 = np.empty(capacity, dtype=bool)
-        self.b4 = np.empty(capacity, dtype=bool)
-
-    def ensure_ring(self, depth: int) -> None:
-        """Allocate the RNG prefetch ring for ``depth`` steps ahead.
-
-        ``ring[k, d, i]`` holds draw slot ``d`` of arena slot ``i`` at the
-        ``k``-th buffered step; it is the engine's only draw buffer (hop
-        draws and launch draws alike).  Storage is *slot-major* —
-        ``(depth, 3, capacity)`` — so the span kernel's conversion writes
-        (through a transposed view) and the sample stage's per-draw-slot
-        column reads are both contiguous; the ``(n, 3)`` draw blocks the
-        step consumes are transposed views.  Reused across pipelines
-        sharing the workspace; regrown when depth or capacity grew.
-        """
-        depth = int(depth)
-        ring = self.ring
-        if ring is not None and ring.shape[0] >= depth:
-            return
-        self.ring = np.empty((depth, 3, self.capacity), dtype=np.float64)
-
-
-_THREAD_WS = threading.local()
-
-
-def _thread_workspace(capacity: int) -> ArenaWorkspace:
-    """The calling thread's reusable arena (grown to ``capacity``)."""
-    ws = getattr(_THREAD_WS, "ws", None)
-    if ws is None:
-        ws = ArenaWorkspace(capacity)
-        _THREAD_WS.ws = ws
-    else:
-        ws.ensure(capacity)
-    return ws
-
-
 class WalkPipeline:
-    """Refill-capable walk engine with cross-batch pipelining.
+    """One worker vector: a refill-capable walk engine with cross-batch
+    pipelining, over its own slot arena and its own batch queue.
 
-    Parameters
+    :meth:`submit` queues a batch of one *lane*'s UIDs under the caller's
+    ``seq``; :meth:`next_batch` steps until the oldest live batch
+    completes and returns it; :meth:`drop` forgets a batch.  Freed slots
+    refill from the queued batches in submission order, so the caller
+    alone decides how far the vector runs ahead of the oldest outstanding
+    batch; the walks' *results* are identical at any schedule.
+
+    A lane is one master's ``(ctx, streams)``: an extraction context and a
+    per-walk stream provider (``WalkStreams``, ``MirroredDraws`` or
+    ``MTWalkStreams``), named by a caller's key.  Lanes differ only in
+    their launch surface, flux scale, absorption tolerance and streams;
+    they must share the structure, the ``index`` and ``table`` objects,
+    ``h_cap`` and the step settings (:class:`~repro.errors.ConfigError`
+    otherwise).  A walk's numbers depend only on its own lane and
+    ``(uid, step)``, so mixing lanes never changes a value.  Once no batch
+    is live the vector goes idle: it forgets its lanes, width and ring
+    phase, and the next :meth:`submit` starts it afresh on that call's
+    context and ``width``.  The arena arrays are kept (grown, never
+    shrunk), so a long-lived vector stays warm.
+
+    Attributes
     ----------
-    lanes:
-        ``((ctx, streams), ...)``: one extraction context and per-walk
-        stream provider (``WalkStreams``, ``MirroredDraws`` or
-        ``MTWalkStreams``) per master whose walks share the vector.  Lanes
-        differ only in their launch surface, flux scale, absorption
-        tolerance and streams; they must share the structure, the
-        ``index`` and ``table`` objects, ``h_cap`` and the step settings
-        (:class:`~repro.errors.ConfigError` otherwise).  A walk's numbers
-        depend only on its own lane and ``(uid, step)``, so mixing lanes
-        never changes a value.  Single-master callers pass one lane.
-    feed:
-        ``feed(batch_index) -> (lane, uids) | None``; called with
-        consecutive batch indices (0, 1, 2, ...) and returns that batch's
-        lane and UID array, or ``None`` when no batch is available yet (a
-        later call may supply one).  Freed slots refill from every batch
-        the feed supplies, so the feed alone decides how far the vector
-        runs ahead of the oldest outstanding batch; the walks' *results*
-        are identical at any schedule.
-    width:
-        Target active-vector width; also the slot arena's capacity.
+    timers:
+        Optional :class:`StageTimers` accumulating per-stage wall time.
     trace:
-        When given, per-step positions of all active walks are appended as
+        When a list, per-step positions of all active walks are appended as
         ``(rows_in_batch, positions)`` tuples (small single-batch runs only;
         used by the scalar reference and Fig. 2).  Frame-internal order is
         unspecified — consumers map rows by value.
-    workspace:
-        Optional :class:`ArenaWorkspace` to (re)use; one is allocated when
-        omitted.  Must not be shared with a concurrently running pipeline.
-    timers:
-        Optional :class:`StageTimers` accumulating per-stage wall time.
 
     Draws come through an RNG prefetch ring of depth ``K =``
-    :data:`RNG_PREFETCH_DEPTH`: one fused span pass fills the draws for the
-    next ``K`` steps of every live slot into the workspace ring buffer,
-    consumed one plane per step, so the fixed per-call draw-dispatch cost
-    is paid once per ``K`` steps.  The ring is *phase-aligned*: a single
-    cursor is shared by all slots (consuming a plane is a zero-dispatch
-    view), launches fill a partial span that joins the global phase, and
-    retirement compaction moves ring columns with the other slot state —
-    so the per-slot cursor is simply ``(step_no[i], cursor)``.  Because
-    each walk's draws depend only on its own ``(uid, step)`` sequence,
-    results are bit-identical at every depth (prefetching can only compute
-    draws a retired walk never consumes).
+    :data:`RNG_PREFETCH_DEPTH` (read when the vector starts): one fused
+    span pass fills the draws for the next ``K`` steps of every live slot
+    into the ring buffer, consumed one plane per step, so the fixed
+    per-call draw-dispatch cost is paid once per ``K`` steps.  The ring is
+    *phase-aligned*: a single cursor is shared by all slots (consuming a
+    plane is a zero-dispatch view), launches fill a partial span that
+    joins the global phase, and retirement compaction moves ring columns
+    with the other slot state — so the per-slot cursor is simply
+    ``(step_no[i], cursor)``.  Because each walk's draws depend only on
+    its own ``(uid, step)`` sequence, results are bit-identical at every
+    depth (prefetching can only compute draws a retired walk never
+    consumes).
     """
 
     def __init__(
-        self,
-        lanes,
-        feed: Callable[[int], tuple[int, np.ndarray] | None],
-        width: int,
-        trace: list | None = None,
-        workspace: ArenaWorkspace | None = None,
-        timers: StageTimers | None = None,
+        self, timers: StageTimers | None = None, trace: list | None = None
     ):
-        (ctx, streams), *others = lanes
-        self.ctx = ctx
-        self._surfaces = (ctx.surface,)
-        self._lane_flux = np.array([ctx.flux_scale])
-        self._lane_tol = np.array([ctx.absorb_tol])
-        self._draws = LaneDraws((streams,))
-        for other, other_streams in others:
-            self.add_lane(other, other_streams)
-        self.feed = feed
-        self.width = max(1, int(width))
+        self.timers = timers
         self.trace = trace
-        self._timers = timers
-        self._stack = ctx.structure.dielectric
-        self._interfaces = self._stack._z  # () for homogeneous
-        self._enclosure_index = ctx.enclosure_index
-        self._table = ctx.table
-        enc = ctx.structure.enclosure
-        self._enc_lo = tuple(float(v) for v in enc.lo)
-        self._enc_hi = tuple(float(v) for v in enc.hi)
-        # Zero-copy far-field-aware query entry point, when the index has
-        # one (GridIndex); falls back to the allocating ``query``.
-        self._query_into = getattr(ctx.index, "query_into", None)
+        self._capacity = 0
+        self._ring_store = None
+        self._reset()
 
-        self._next_feed = 0
+    def _reset(self) -> None:
+        """Go idle: forget the lanes, the queue, the result window and the
+        ring phase (the arena arrays stay for the next batches)."""
+        self.ctx = self._table = self._query_into = None
+        self.width = 0
+        self._keys: dict = {}  # caller's key -> lane
+        self._surfaces: tuple = ()
+        self._lane_flux = np.empty(0, dtype=np.float64)
+        self._lane_tol = np.empty(0, dtype=np.float64)
+        self._draws = None
+        self.live: dict = {}  # seq -> walks, until emitted or dropped
+        self._queue: deque = deque()  # (seq, lane, uids) not yet launching
+
         self._pending = np.empty(0, dtype=np.uint64)
         self._pending_lane = 0
         self._pending_start_g = 0
         self._pending_off = 0
 
-        # Flat result window over the outstanding (fed, unemitted) batches.
-        # Each walk banks its outcome by *global row* — a scatter write, no
+        # Flat result window over the launched, unemitted batches.  Each
+        # walk banks its outcome by *global row* — a scatter write, no
         # per-batch grouping loops.
+        self._win_seqs: list = []
         self._win_uids: list[np.ndarray] = []
-        self._win_sizes: list[int] = []
         self._win_starts = np.empty(0, dtype=np.int64)  # global start rows
         self._win_remaining = np.empty(0, dtype=np.int64)
         self._win_truncated = np.empty(0, dtype=np.int64)
@@ -374,28 +257,27 @@ class WalkPipeline:
         self._win_base_g = 0  # global row of the window's first slot
         self._next_g = 0  # next global row to assign
 
-        # Slot arena: active walks occupy [0, n); everything past is free.
-        ws = workspace if workspace is not None else ArenaWorkspace(self.width)
-        ws.ensure(self.width)
-        self._ws = ws
-        self._uid = ws.uid
-        self._lane = ws.lane
-        self._tol = ws.tol
-        self._grow = ws.grow
-        self._row = ws.row
-        self._step_no = ws.step_no
-        self._pos = ws.pos
-        self._pos_next = ws.pos_next
-        self._eps = ws.eps
-        self._first = ws.first
-        self._naxis = ws.naxis
-        self._nsign = ws.nsign
+        # Active walks occupy the arena prefix [0, n); the rest is free.
         self._n = 0
         self._have_first = False
-        self._cond_q = None  # conductor ids handed from index to absorb
+        # Planes filled by the last refill; cursor == _ring_depth means
+        # "ring drained": the next step refills before consuming.
+        self._ring_depth = 1
+        self._ring_cursor = 1
 
-        # RNG prefetch ring (see the class docs), read from the module
-        # constant at construction.
+    def _start(self, ctx: ExtractionContext, width: int) -> None:
+        """Start an idle vector on ``ctx``'s structure, ``width`` walks wide."""
+        self.ctx = ctx
+        self.width = max(1, int(width))
+        self._stack = ctx.structure.dielectric
+        self._interfaces = self._stack._z  # () for homogeneous
+        self._enclosure_index = ctx.enclosure_index
+        self._table = ctx.table
+        enc = ctx.structure.enclosure
+        self._enc_lo = tuple(float(v) for v in enc.lo)
+        self._enc_hi = tuple(float(v) for v in enc.hi)
+        self._query_into = ctx.index.query_into
+        self._grow_arena(self.width)
         self._prefetch = RNG_PREFETCH_DEPTH
         # Refill K deep only while the whole (2K, n) span lattice fits one
         # cache-resident tile: fusing amortizes *fixed dispatch cost*,
@@ -404,50 +286,119 @@ class WalkPipeline:
         # only adds cache pressure (measured 0.4x at n=8192, K=4).  Wider
         # vectors refill the ring one step deep.
         self._span_max_n = max(1, SPAN_TILE // (2 * self._prefetch))
-        ws.ensure_ring(self._prefetch)
-        # Slot-major storage; the `_v` view exposes the (depth, n, count)
-        # axis order draws_span expects, sharing the memory.
-        self._ring = ws.ring[: self._prefetch]
-        self._ring_v = self._ring.transpose(0, 2, 1)
-        # Planes filled by the last refill; cursor == _ring_depth means
-        # "ring drained": the next step refills before consuming.
-        self._ring_depth = 1
-        self._ring_cursor = 1
-
-    @property
-    def unlaunched(self) -> int:
-        """Walks of the last fed batch not yet launched."""
-        return self._pending.shape[0] - self._pending_off
-
-    def add_lane(self, ctx: ExtractionContext, streams) -> int:
-        """Add a master's lane (see ``lanes``); returns its index."""
-        if not _shares_walk_space(self.ctx, ctx):
-            raise ConfigError(
-                "pipeline lanes must share the structure, index, table, "
-                "h_cap and step settings"
+        ring = self._ring_store
+        if ring is None or ring.shape[0] < self._prefetch:
+            # ``ring[k, d, i]`` holds draw slot ``d`` of arena slot ``i`` at
+            # the ``k``-th buffered step; it is the engine's only draw
+            # buffer (hop and launch draws alike).  Slot-major storage
+            # keeps the span kernel's writes and the sample stage's
+            # per-draw-slot column reads contiguous.
+            self._ring_store = np.empty(
+                (self._prefetch, 3, self._capacity), dtype=np.float64
             )
-        self._surfaces += (ctx.surface,)
-        self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
-        self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
-        self._draws = LaneDraws(self._draws.providers + (streams,))
-        return len(self._surfaces) - 1
+        self._ring = self._ring_store[: self._prefetch]
+        # The `_v` view exposes the (depth, n, count) axis order
+        # draws_span expects, sharing the memory.
+        self._ring_v = self._ring.transpose(0, 2, 1)
+
+    def _grow_arena(self, capacity: int) -> None:
+        """Grow the slot arena and the step scratch to ``capacity`` slots.
+
+        Every array is reused for every step, so steady-state steps
+        allocate no walk state."""
+        if capacity <= self._capacity:
+            return
+        self._capacity = capacity
+        self._ring_store = None  # regrown at the new width by _start
+        self._uid = np.empty(capacity, dtype=np.uint64)
+        # The slot's lane (master) and that lane's absorption tolerance.
+        self._lane = np.empty(capacity, dtype=np.intp)
+        self._tol = np.empty(capacity, dtype=np.float64)
+        self._grow = np.empty(capacity, dtype=np.int64)
+        self._row = np.empty(capacity, dtype=np.int64)
+        # uint64 so the RNG's counter build consumes it without a cast copy.
+        self._step_no = np.empty(capacity, dtype=np.uint64)
+        self._pos = np.empty((capacity, 3), dtype=np.float64)
+        self._pos_next = np.empty((capacity, 3), dtype=np.float64)
+        self._eps = np.empty(capacity, dtype=np.float64)
+        self._first = np.zeros(capacity, dtype=bool)
+        self._naxis = np.empty(capacity, dtype=np.int64)
+        self._nsign = np.empty(capacity, dtype=np.float64)
+        # Step scratch: cube sizes, query_into's outputs, cohort masks.
+        self._h = np.empty(capacity, dtype=np.float64)
+        self._h2 = np.empty(capacity, dtype=np.float64)
+        self._dist = np.empty(capacity, dtype=np.float64)
+        self._cond = np.empty(capacity, dtype=np.int64)
+        self._b0 = np.empty(capacity, dtype=bool)
+        self._b1 = np.empty(capacity, dtype=bool)
+        self._b2 = np.empty(capacity, dtype=bool)
+        self._b3 = np.empty(capacity, dtype=bool)
+        self._b4 = np.empty(capacity, dtype=bool)
 
     # ------------------------------------------------------------------
-    # Feeding and launching
+    # The batch queue
+    # ------------------------------------------------------------------
+    def submit(
+        self, seq, key, ctx: ExtractionContext, streams, uids, width: int
+    ) -> None:
+        """Queue batch ``seq``: the ``uids`` of the lane ``key`` names.
+
+        A new key adds the lane ``(ctx, streams)``; a known key keeps the
+        lane it names, and ``ctx`` and ``streams`` go unused.  ``width``
+        sizes an idle vector and is otherwise unused.
+        """
+        lane = self._keys.get(key)
+        if lane is None:
+            if self.ctx is None:
+                self._start(ctx, width)
+            elif not _shares_walk_space(self.ctx, ctx):
+                raise ConfigError(
+                    "pipeline lanes must share the structure, index, table, "
+                    "h_cap and step settings"
+                )
+            lane = self._keys[key] = len(self._surfaces)
+            self._surfaces += (ctx.surface,)
+            self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
+            self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
+            providers = self._draws.providers if lane else ()
+            self._draws = LaneDraws(providers + (streams,))
+        uids = np.asarray(uids, dtype=np.uint64)
+        self._queue.append((seq, lane, uids))
+        self.live[seq] = uids.shape[0]
+
+    def drop(self, seq) -> int:
+        """Forget batch ``seq``; returns its walks not yet launched, which
+        then never are.  Its launched walks run out unreported."""
+        walks = self.live.pop(seq, None)
+        if walks is None:  # already emitted
+            return 0
+        if seq not in self._win_seqs:  # still queued
+            unlaunched = walks
+        elif seq == self._win_seqs[-1]:  # the batch launching now
+            unlaunched = self._pending.shape[0] - self._pending_off
+            self._pending_off = self._pending.shape[0]
+            self._win_remaining[-1] -= unlaunched
+        else:
+            unlaunched = 0
+        if not self.live:
+            self._reset()
+        return unlaunched
+
+    # ------------------------------------------------------------------
+    # Launching
     # ------------------------------------------------------------------
     def _ensure_pending(self) -> bool:
-        """Make sure un-launched UIDs are available; False when starved."""
-        while True:
-            if self._pending_off < self._pending.shape[0]:
-                return True
-            fed = self.feed(self._next_feed)
-            if fed is None:
+        """Make sure un-launched UIDs are available; False when the queue
+        holds no live batch."""
+        while self._pending_off >= self._pending.shape[0]:
+            if not self._queue:
                 return False
-            lane, uids = fed
-            uids = np.asarray(uids, dtype=np.uint64)
+            seq, lane, uids = self._queue.popleft()
+            if seq not in self.live:  # dropped while queued
+                continue
             n = uids.shape[0]
+            self._win_seqs.append(seq)
             self._win_uids.append(uids)
-            self._win_sizes.append(n)
             self._win_starts = np.append(self._win_starts, self._next_g)
             self._win_remaining = np.append(self._win_remaining, n)
             self._win_truncated = np.append(self._win_truncated, 0)
@@ -462,11 +413,11 @@ class WalkPipeline:
                     [self._res_steps, np.zeros(n, dtype=np.int64)]
                 )
             self._pending = uids
-            self._pending_lane = int(lane)
+            self._pending_lane = lane
             self._pending_start_g = self._next_g
             self._pending_off = 0
             self._next_g += n
-            self._next_feed += 1
+        return True
 
     def _refill(self) -> None:
         launched = False
@@ -486,7 +437,7 @@ class WalkPipeline:
     ) -> None:
         """Scatter-write freshly launched walks of one lane into free tail
         slots (its surface, its stream)."""
-        tm = self._timers
+        tm = self.timers
         if tm is not None:
             t0 = perf_counter()
         k = uids.shape[0]
@@ -615,7 +566,7 @@ class WalkPipeline:
         """
         if self._n == 0:
             return
-        tm = self._timers
+        tm = self.timers
         if tm is not None:
             tm.steps += 1
             t0 = perf_counter()
@@ -636,10 +587,9 @@ class WalkPipeline:
         """Safety net: retire over-cap survivors as absorbed by the
         enclosure (counted as truncated)."""
         cfg = self.ctx.config
-        ws = self._ws
-        tm = self._timers
+        tm = self.timers
         n = self._n
-        over = np.greater(self._step_no[:n], cfg.max_steps, out=ws.b0[:n])
+        over = np.greater(self._step_no[:n], cfg.max_steps, out=self._b0[:n])
         n_over = int(np.count_nonzero(over))
         if n_over:
             dest = np.full(n_over, self._enclosure_index, dtype=np.int64)
@@ -656,45 +606,36 @@ class WalkPipeline:
         """Conductor-distance and enclosure-distance queries for the
         active cohort (tier-1 far field split charged to ``index_fast``
         by the index itself)."""
-        ws = self._ws
-        tm = self._timers
+        tm = self.timers
         n = self._n
         pos = self._pos[:n]
-        if self._query_into is not None:
-            # Far-field fast path: the index fills the workspace buffers in
-            # place, charging its tier-1 split to ``index_fast`` and the
-            # near-field gather to ``index`` itself.
-            dist_c = ws.dist[:n]
-            cond = ws.cond[:n]
-            if tm is not None:
-                t0 = self._query_into(pos, dist_c, cond, timers=tm, t0=t0)
-            else:
-                self._query_into(pos, dist_c, cond)
+        # The index fills the arena's query buffers in place (the conductor
+        # ids in ``_cond``, read by the absorb stage), charging its tier-1
+        # split to ``index_fast`` and the near-field gather to ``index``.
+        dist_c = self._dist[:n]
+        if tm is not None:
+            t0 = self._query_into(pos, dist_c, self._cond[:n], timers=tm, t0=t0)
         else:
-            dist_c, cond = self.ctx.index.query(pos)
+            self._query_into(pos, dist_c, self._cond[:n])
         dist_e = wall_distance(
-            pos, self._enc_lo, self._enc_hi, out=ws.h[:n], tmp=ws.h2[:n]
+            pos, self._enc_lo, self._enc_hi, out=self._h[:n], tmp=self._h2[:n]
         )
         if tm is not None:
             t0 = tm.lap("index", t0)
-        # Hand the conductor ids to the absorb stage (a workspace view on
-        # the fast path, a fresh array on the fallback).
-        self._cond_q = cond
         return t0, dist_c, dist_e
 
     def _stage_absorb(self, t0: float, dist_c, dist_e):
         """Absorption masks over the queried cohort, then retirement and
         slot compaction of the absorbed walks."""
-        ws = self._ws
-        tm = self._timers
+        tm = self.timers
         n = self._n
-        cond = self._cond_q
+        cond = self._cond[:n]
         tol = self._tol[:n]
-        absorb_wall = np.less(dist_e, tol, out=ws.b0[:n])
-        absorb_cond = np.less(dist_c, tol, out=ws.b1[:n])
-        absorb_cond &= np.greater_equal(cond, 0, out=ws.b2[:n])
-        absorb_cond &= np.logical_not(absorb_wall, out=ws.b3[:n])
-        done = np.logical_or(absorb_wall, absorb_cond, out=ws.b4[:n])
+        absorb_wall = np.less(dist_e, tol, out=self._b0[:n])
+        absorb_cond = np.less(dist_c, tol, out=self._b1[:n])
+        absorb_cond &= np.greater_equal(cond, 0, out=self._b2[:n])
+        absorb_cond &= np.logical_not(absorb_wall, out=self._b3[:n])
+        done = np.logical_or(absorb_wall, absorb_cond, out=self._b4[:n])
         n_done = int(np.count_nonzero(done))
         if n_done:
             if self._have_first and bool(np.any(done & self._first[:n])):
@@ -705,9 +646,9 @@ class WalkPipeline:
             dest = np.where(
                 absorb_wall[done], self._enclosure_index, cond[done]
             )
-            # dist_e lives in ws.h, which later stages reuse — move it out.
-            dist_e = ws.h2[:n]
-            dist_e[:] = ws.h[:n]
+            # dist_e lives in self._h, which later stages reuse — move it out.
+            dist_e = self._h2[:n]
+            dist_e[:] = self._h[:n]
             self._retire_compact(
                 done,
                 dest,
@@ -734,7 +675,7 @@ class WalkPipeline:
         ``RNG_PREFETCH_DEPTH`` steps deep while the lattice is
         cache-resident, one step deep for wider vectors.
         """
-        tm = self._timers
+        tm = self.timers
         n = self._n
         c = self._ring_cursor
         if c < self._ring_depth:
@@ -762,8 +703,7 @@ class WalkPipeline:
     def _stage_sample(self, t0: float, u, dist_c, dist_e) -> None:
         """Transition sampling and position update for the cohort."""
         cfg = self.ctx.config
-        ws = self._ws
-        tm = self._timers
+        tm = self.timers
         n = self._n
         pos = self._pos[:n]
         # allow = min(dist_c, dist_e, h_cap); dist_c is dead after this and
@@ -777,15 +717,15 @@ class WalkPipeline:
             snapped = None
         else:
             dist_i = self._stack.interface_distance(pos[:, 2])
-            h = np.minimum(allow, dist_i, out=ws.h2[:n])
+            h = np.minimum(allow, dist_i, out=self._h2[:n])
             # First hops never snap: the hemisphere step has no unbiased
             # normal-gradient estimator across the interface, so the flux
             # weight must come from an interface-clamped cube (the context
             # guarantees launch points keep clearance from interfaces).
             on_iface = np.less(
-                dist_i, cfg.interface_snap_fraction * allow, out=ws.b0[:n]
+                dist_i, cfg.interface_snap_fraction * allow, out=self._b0[:n]
             )
-            on_iface &= np.logical_not(first, out=ws.b1[:n])
+            on_iface &= np.logical_not(first, out=self._b1[:n])
             snapped = np.nonzero(on_iface)[0]
 
         # Every walk takes the cube hop over the full vector; the rows that
@@ -802,7 +742,7 @@ class WalkPipeline:
         unit = self._table.unit_positions(cells, u[:, 1], u[:, 2])
         npos = self._pos_next[:n]
         np.subtract(pos, h[:, None], out=npos)
-        h2 = np.multiply(2.0, h, out=ws.h[:n])
+        h2 = np.multiply(2.0, h, out=self._h[:n])
         np.multiply(unit, h2[:, None], out=unit)
         np.add(npos, unit, out=npos)
         if snapped is not None and snapped.shape[0]:
@@ -852,10 +792,12 @@ class WalkPipeline:
     # ------------------------------------------------------------------
     # Batch emission
     # ------------------------------------------------------------------
-    def _emit_front(self) -> WalkResults:
-        """Slice the completed oldest batch out of the result window."""
-        n0 = self._win_sizes.pop(0)
+    def _emit_front(self) -> tuple:
+        """Slice the completed oldest batch out of the result window:
+        ``(seq, results)``."""
+        seq = self._win_seqs.pop(0)
         uids = self._win_uids.pop(0)
+        n0 = uids.shape[0]
         truncated = int(self._win_truncated[0])
         self._win_starts = self._win_starts[1:]
         self._win_remaining = self._win_remaining[1:]
@@ -871,23 +813,31 @@ class WalkPipeline:
         self._res_dest = self._res_dest[n0:]
         self._res_steps = self._res_steps[n0:]
         self._win_base_g += n0
-        return res
+        return seq, res
 
-    def next_batch(self) -> WalkResults | None:
-        """Run until the oldest outstanding batch completes and return it.
+    def next_batch(self) -> tuple[object, WalkResults] | None:
+        """Run until the oldest live batch completes: ``(seq, results)``,
+        or ``None`` when no batch is live.
 
-        Slots freed by retiring walks are refilled with UIDs from any batch
-        the feed supplies, so later batches are typically already in
-        flight (or finished and banked) when their turn comes.  Returns
-        ``None`` when no batch is outstanding and the feed supplies none.
+        Slots freed by retiring walks are refilled from the queue, so
+        later batches are typically already in flight (or finished and
+        banked) when their turn comes.  A dropped batch's launched walks
+        finish in their turn and are never returned.
         """
-        while True:
+        while self.live:
             self._refill()
-            if not self._win_remaining.shape[0]:
-                return None
-            if self._win_remaining[0] == 0:
-                return self._emit_front()
-            self._step()
+            if self._win_remaining[0]:
+                self._step()
+                continue
+            seq, res = self._emit_front()
+            if self.live.pop(seq, None) is not None:  # else dropped
+                if not self.live:
+                    self._reset()
+                return seq, res
+        return None
+
+
+_THREAD = threading.local()
 
 
 def run_segments(
@@ -899,35 +849,29 @@ def run_segments(
 ) -> list[WalkResults]:
     """Run ``(lane, uids)`` segments through one shared walk vector.
 
-    ``lanes`` are the :class:`WalkPipeline` lanes; the segments are fed in
-    order into a vector of ``width`` walks, whose freed slots refill from
-    the next segments, so the segments' drain tails overlap instead of
-    running back to back.
+    ``lanes`` are ``(ctx, streams)`` pairs (see :class:`WalkPipeline`);
+    the segments are queued in order on a vector of ``width`` walks,
+    whose freed slots refill from the next segments, so the segments'
+    drain tails overlap instead of running back to back.
     Returns one :class:`WalkResults` per segment, in segment order, each in
     its segment's UID order — bit-identical to running every segment alone
     with :func:`run_walks` on its lane.
 
-    The slot arena is drawn from a thread-local workspace, so consecutive
-    calls on one thread (per-batch loops) reuse the same preallocated
-    buffers.
+    The vector is the calling thread's own :class:`WalkPipeline`, so
+    consecutive calls on one thread (per-batch loops) reuse its
+    preallocated arena.
     """
-    segments = [
-        (lane, np.asarray(uids, dtype=np.uint64)) for lane, uids in segments
-    ]
-    width = max(1, int(width))
-
-    def feed(index: int) -> tuple[int, np.ndarray] | None:
-        return segments[index] if index < len(segments) else None
-
-    pipe = WalkPipeline(
-        lanes,
-        feed,
-        width=width,
-        trace=trace,
-        workspace=_thread_workspace(width),
-        timers=timers,
-    )
-    return [pipe.next_batch() for _ in segments]
+    pipe = getattr(_THREAD, "pipe", None)
+    if pipe is None:
+        pipe = _THREAD.pipe = WalkPipeline()
+    pipe.timers, pipe.trace = timers, trace
+    try:
+        for seq, (lane, uids) in enumerate(segments):
+            pipe.submit(seq, lane, *lanes[lane], uids, width)
+        return [pipe.next_batch()[1] for _ in segments]
+    finally:
+        pipe._reset()  # idle for the next call, even after a failed one
+        pipe.timers = pipe.trace = None
 
 
 def run_walks(

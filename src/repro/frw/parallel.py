@@ -1,14 +1,13 @@
 """Real shared-memory executors and batch runners for walk computation.
 
 The virtual-thread scheduler reproduces parallel *floating-point behaviour*;
-this module provides actual concurrency for throughput.  Every worker has
-one shape, :class:`_Vector`: a long-lived
-:class:`~repro.frw.engine.WalkPipeline` fed from a queue of batches, whose
-freed slots refill from the next queued batch of any master.
-:class:`PersistentExecutor` runs one in-process at one worker, or one in
-each of ``n_workers`` long-lived worker processes fed through their own
-pipes (the engine makes ~110 small NumPy calls per step, so threads would
-only contend for the GIL).  :meth:`~PersistentExecutor.submit` cuts a
+this module provides actual concurrency for throughput.  Every worker is
+one long-lived :class:`~repro.frw.engine.WalkPipeline`, which keeps its
+own queue of batches and refills freed slots from the next queued batch
+of any master.  :class:`PersistentExecutor` runs one in-process at one
+worker, or one in each of ``n_workers`` long-lived worker processes fed
+through their own pipes (the engine makes ~110 small NumPy calls per
+step, so threads would only contend for the GIL).  :meth:`~PersistentExecutor.submit` cuts a
 batch into queue entries for the least-loaded workers, and
 :meth:`~PersistentExecutor.next_done` returns the next batch whose entries
 are all back, in UID order — bit-identical to the serial engine at any
@@ -33,7 +32,6 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections import deque
 from itertools import count
 from multiprocessing.connection import wait
 
@@ -43,13 +41,7 @@ from ..config import EXECUTOR_KINDS, MP_START_METHODS, FRWConfig
 from ..errors import ConfigError, WorkerLostError
 from . import shm
 from .context import ExtractionContext
-from .engine import (
-    ArenaWorkspace,
-    StageTimers,
-    WalkPipeline,
-    WalkResults,
-    concat_results,
-)
+from .engine import StageTimers, WalkPipeline, WalkResults, concat_results
 
 #: A stream spec is ``(rng_kind, seed, stream, antithetic)`` — enough to
 #: rebuild a per-walk stream provider anywhere (in this process or a
@@ -124,94 +116,8 @@ def resolve_start_method(method: str = "auto") -> str:
     return method
 
 
-class _Vector:
-    """One long-lived engine vector fed from a queue of batches, one lane
-    per dispatch key.  A batch dropped while still queued is never
-    launched.  Once no batch is live the vector is dropped, and the next
-    :meth:`submit` builds a new one over the same slot arena, as wide as
-    that entry's ``width`` (its config's batch size, so ``b0``-walk
-    batches do not leave the vector narrow); the batches live at once
-    must share their structure assets (one solver's do).
-    """
-
-    def __init__(self):
-        self.timers: StageTimers | None = None
-        self._workspace: ArenaWorkspace | None = None
-        self._reset()
-
-    def _reset(self) -> None:
-        self._pipe: WalkPipeline | None = None
-        self._lanes: dict = {}  # dispatch key -> lane
-        self._queue: deque = deque()  # (seq, lane, uids) not yet fed
-        self._fed: deque = deque()  # seqs fed, not yet emitted
-        self.live: dict[int, int] = {}  # seq -> walks, until emitted or dropped
-
-    def submit(
-        self,
-        seq: int,
-        key,
-        ctx: ExtractionContext,
-        spec: StreamSpec,
-        uids,
-        width: int,
-    ) -> None:
-        lane = self._lanes.get(key)
-        if lane is None:
-            streams = streams_from_spec(spec)
-            if self._pipe is None:
-                width = max(1, width)
-                if self._workspace is None:
-                    self._workspace = ArenaWorkspace(width)
-                self._pipe = WalkPipeline(
-                    ((ctx, streams),),
-                    self._feed,
-                    width=width,
-                    workspace=self._workspace,
-                    timers=self.timers,
-                )
-                lane = 0
-            else:
-                lane = self._pipe.add_lane(ctx, streams)
-            self._lanes[key] = lane
-        self._queue.append((seq, lane, uids))
-        self.live[seq] = uids.shape[0]
-
-    def _feed(self, index: int):
-        while self._queue:
-            seq, lane, uids = self._queue.popleft()
-            if seq in self.live:  # else dropped before it was fed
-                self._fed.append(seq)
-                return lane, uids
-        return None
-
-    def emit(self) -> tuple[int, WalkResults]:
-        """Step until the oldest live batch completes: ``(seq, results)``."""
-        while True:
-            results = self._pipe.next_batch()
-            seq = self._fed.popleft()
-            if seq in self.live:  # else dropped after it was fed
-                self._forget(seq)
-                return seq, results
-
-    def drop(self, seq: int) -> int:
-        """Forget a batch; returns its walks not yet launched."""
-        if seq not in self.live:  # already emitted
-            return 0
-        if seq not in self._fed:
-            unlaunched = self.live[seq]
-        else:
-            unlaunched = self._pipe.unlaunched if seq == self._fed[-1] else 0
-        self._forget(seq)
-        return unlaunched
-
-    def _forget(self, seq: int) -> None:
-        del self.live[seq]
-        if not self.live:
-            self._reset()
-
-
 # ----------------------------------------------------------------------
-# Process workers: each runs one _Vector from the messages on its pipe.
+# Process workers: each runs one WalkPipeline from the messages on its pipe.
 # ----------------------------------------------------------------------
 _LOG = logging.getLogger(__name__)
 
@@ -235,7 +141,7 @@ def _worker_main(conn) -> None:
     ``("run", seq, manifest, uids, width)``, ``("drop", seq)``, ``("stats",)`` or
     ``("stop",)`` message (blocking only while idle), then step the vector
     to its next completed batch and send back ``(seq, results)``."""
-    vector = _Vector()
+    vector = WalkPipeline()
     try:
         while True:
             while not vector.live or conn.poll():
@@ -245,16 +151,15 @@ def _worker_main(conn) -> None:
                     if isinstance(uids, tuple):
                         uids = np.arange(uids[0], sum(uids), dtype=np.uint64)
                     ctx = shm.attach_context(manifest)
-                    vector.submit(
-                        seq, manifest.name, ctx, manifest.spec, uids, width
-                    )
+                    streams = streams_from_spec(manifest.spec)
+                    vector.submit(seq, manifest.name, ctx, streams, uids, width)
                 elif kind == "drop":
                     vector.drop(args[0])
                 elif kind == "stats":
                     conn.send((None, (os.getpid(), shm.attach_count())))
                 else:
                     return
-            conn.send(vector.emit())
+            conn.send(vector.next_batch())
     except EOFError:  # the parent is gone
         return
 
@@ -303,7 +208,7 @@ class PersistentExecutor:
         self._start_method = (
             resolve_start_method(mp_start_method) if backend == "process" else None
         )
-        self._vector = _Vector() if self.n_workers == 1 else None
+        self._vector = WalkPipeline() if self.n_workers == 1 else None
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
@@ -418,7 +323,10 @@ class PersistentExecutor:
             part = uids[j * n // pieces : (j + 1) * n // pieces]
             w = self._queued.index(min(self._queued))
             if self._vector is not None:
-                self._vector.submit(seq, key, *self._registry[key], part, width)
+                ctx, spec = self._registry[key]
+                self._vector.submit(
+                    seq, key, ctx, streams_from_spec(spec), part, width
+                )
             else:
                 msg = ("run", seq, self._manifests[key], _wire(part), width)
                 self.dispatch_pickle_bytes += self._message(w, msg)
@@ -448,7 +356,7 @@ class PersistentExecutor:
     def _pump(self) -> None:
         """Wait for one entry on any worker and file it."""
         if self._vector is not None:
-            self._collect(*self._vector.emit())
+            self._collect(*self._vector.next_batch())
         else:
             self._collect(*self._recv(range(self.n_workers)))
 
@@ -477,8 +385,9 @@ class PersistentExecutor:
 
     def discard(self, ticket: int) -> int:
         """Drop a batch ungathered; returns how many of its walks were
-        launched.  A piece still queued is never launched; a piece out on a
-        process worker is dropped there too, but the worker reports
+        launched.  A piece still queued is never launched, and a piece
+        launching launches no further walk; a piece out on a process
+        worker is dropped there the same way, but the worker reports
         nothing back, so it counts whole."""
         uids, seqs, parts = self._tickets.pop(ticket)
         unlaunched = 0

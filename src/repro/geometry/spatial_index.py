@@ -171,6 +171,13 @@ class BruteForceIndex:
         """Euclidean variant (used by the walk-on-spheres engine)."""
         return self._query(points, "l2")
 
+    def query_into(self, points, dist, cond, timers=None, t0: float = 0.0):
+        """:meth:`query` into preallocated views: the walk engine's entry
+        point, as on :class:`GridIndex` (the engine charges the time to
+        its ``index`` stage); returns ``t0``."""
+        dist[:], cond[:] = self.query(points)
+        return t0
+
 
 class GridIndex:
     """Uniform-grid candidate index with a distance cap and a far-field

@@ -57,6 +57,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Per-class latency samples retained for the stats endpoint.
 LATENCY_WINDOW = 4096
 
+#: How long a client may take to send one whole request before its
+#: connection is closed unanswered.
+READ_REQUEST_S = 30.0
+
 
 @dataclass
 class ServiceSettings:
@@ -65,17 +69,23 @@ class ServiceSettings:
     ``frw-rr serve`` sets every field but ``mp_start_method`` from a flag
     of the same name (``n_workers`` from ``--workers``,
     ``result_cache_entries`` from ``--result-cache``); the start method
-    is set only from Python.
+    is set only from Python.  The worker count picks each slot's
+    executor backend (:attr:`executor`).
     """
 
     host: str = "127.0.0.1"
     port: int = 8231
     slots: int = 1
-    executor: str = "serial"
     n_workers: int = 1
     mp_start_method: str = "auto"
     result_cache_entries: int = 1024
     port_file: str | None = None
+
+    @property
+    def executor(self) -> str:
+        """One worker runs in-process (``"serial"``); any other count,
+        ``0`` (auto) included, is a process pool."""
+        return "serial" if self.n_workers == 1 else "process"
 
     def validate(self) -> None:
         if self.slots < 1:
@@ -510,12 +520,16 @@ class ServiceServer:
     async def _handle(self, reader, writer) -> None:
         try:
             try:
-                request = await _read_request(reader)
+                request = await asyncio.wait_for(
+                    _read_request(reader), READ_REQUEST_S
+                )
                 if request is None:
                     return
                 status, payload = await self._route(*request)
             except ConnectionError:
                 raise
+            except asyncio.TimeoutError:  # a stalled client: close unanswered
+                return
             except (ValueError, asyncio.IncompleteReadError) as exc:
                 status = 413 if isinstance(exc, _BodyTooLarge) else 400
                 payload = {"error": str(exc)}
@@ -547,7 +561,7 @@ class ServiceServer:
         if method == "POST" and path == "/extract":
             try:
                 request = json.loads(body) if body else {}
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 return 400, {"error": f"invalid JSON body: {exc}"}
             try:
                 future = self.service.submit(request)

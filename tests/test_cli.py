@@ -94,7 +94,8 @@ def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve"])
     assert args.port == 8231
     assert args.slots == 1
-    assert args.executor == "serial"
+    assert args.workers == 1
+    assert not hasattr(args, "executor")  # the backend follows --workers
 
 
 @pytest.mark.parametrize(
@@ -104,9 +105,9 @@ def test_serve_parser_defaults():
         ["serve", "--workers", "0"],
         ["serve", "--result-cache", "0"],
         ["serve", "--asset-cache", "4"],  # the flag is gone
-        ["serve", "--executor", "bogus"],
+        ["serve", "--executor", "bogus"],  # the flag is gone
         ["serve", "--slots", "two"],
-        ["serve", "--executor", "thread"],  # the backend is gone
+        ["serve", "--executor", "process"],  # --workers picks the backend
     ],
 )
 def test_serve_parser_rejects_invalid(argv):

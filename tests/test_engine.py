@@ -138,23 +138,30 @@ def test_pipelined_equals_plain_bitwise(plates, run_pipelined):
         assert piped.truncated == plain.truncated
 
 
+def _submit_all(pipe, ctx, batches, width):
+    """Queue ``batches`` of lane 0 on ``pipe`` as batches 0, 1, 2, ..."""
+    for u, uids in enumerate(batches):
+        pipe.submit(u, 0, ctx, WalkStreams(11, 0), uids, width)
+
+
 def test_pipeline_banks_batches_in_order(plates):
     """next_batch yields exactly batch u's UIDs, in order, for u = 0, 1, ..."""
     from repro.frw import WalkPipeline
 
     ctx = ctx_for(plates)
     batch = 64
-
-    def feed(u):
-        if u >= 5:
-            return None
-        return 0, np.arange(u * batch, (u + 1) * batch, dtype=np.uint64)
-
-    pipe = WalkPipeline(((ctx, WalkStreams(11, 0)),), feed, width=batch)
+    pipe = WalkPipeline()
+    _submit_all(
+        pipe,
+        ctx,
+        [np.arange(u * batch, (u + 1) * batch, dtype=np.uint64) for u in range(5)],
+        batch,
+    )
     ref = run_walks(ctx, WalkStreams(11, 0), np.arange(5 * batch, dtype=np.uint64))
     for u in range(5):
-        res = pipe.next_batch()
+        seq, res = pipe.next_batch()
         sl = slice(u * batch, (u + 1) * batch)
+        assert seq == u
         assert np.array_equal(res.uids, ref.uids[sl])
         assert np.array_equal(res.omega, ref.omega[sl])
         assert np.array_equal(res.dest, ref.dest[sl])
@@ -163,7 +170,7 @@ def test_pipeline_banks_batches_in_order(plates):
 
 
 def test_pipeline_mixed_length_batches(plates):
-    """Ragged feeds (odd sizes, including an empty batch) stay bit-exact."""
+    """Ragged batches (odd sizes, including an empty batch) stay bit-exact."""
     from repro.frw import WalkPipeline
 
     ctx = ctx_for(plates)
@@ -173,16 +180,14 @@ def test_pipeline_mixed_length_batches(plates):
         np.arange(offsets[i], offsets[i + 1], dtype=np.uint64)
         for i in range(len(sizes))
     ]
-
-    def feed(u):
-        return (0, batches[u]) if u < len(batches) else None
-
-    pipe = WalkPipeline(((ctx, WalkStreams(11, 0)),), feed, width=100)
+    pipe = WalkPipeline()
+    _submit_all(pipe, ctx, batches, 100)
     all_uids = np.arange(offsets[-1], dtype=np.uint64)
     ref = run_walks(ctx, WalkStreams(11, 0), all_uids)
     for u, uids in enumerate(batches):
-        res = pipe.next_batch()
+        seq, res = pipe.next_batch()
         sl = slice(int(offsets[u]), int(offsets[u + 1]))
+        assert seq == u
         assert np.array_equal(res.uids, uids)
         assert np.array_equal(res.omega, ref.omega[sl])
         assert np.array_equal(res.dest, ref.dest[sl])
@@ -197,29 +202,17 @@ def test_pipeline_keeps_vector_width_full(plates):
 
     ctx = ctx_for(plates)
     batch = 128
-
-    def feed(u):
-        if u >= 8:
-            return None
-        return 0, np.arange(u * batch, (u + 1) * batch, dtype=np.uint64)
-
+    batches = [
+        np.arange(u * batch, (u + 1) * batch, dtype=np.uint64) for u in range(8)
+    ]
     piped_trace = []
-    pipe = WalkPipeline(
-        ((ctx, WalkStreams(11, 0)),),
-        feed,
-        width=batch,
-        trace=piped_trace,
-    )
+    pipe = WalkPipeline(trace=piped_trace)
+    _submit_all(pipe, ctx, batches, batch)
     while pipe.next_batch() is not None:
         pass
     plain_trace = []
-    for u in range(8):
-        run_walks(
-            ctx,
-            WalkStreams(11, 0),
-            np.arange(u * batch, (u + 1) * batch, dtype=np.uint64),
-            trace=plain_trace,
-        )
+    for uids in batches:
+        run_walks(ctx, WalkStreams(11, 0), uids, trace=plain_trace)
     # Each trace frame is one vectorised engine iteration; refilling keeps
     # the vector full, so the same walks need far fewer (wider) iterations
     # than per-batch execution, which drains to a ragged tail 8 times.
@@ -297,21 +290,19 @@ def test_lanes_must_share_the_walk_space(plates, three_wires):
     a = ctx_for(plates)
     rebuilt = ctx_for(plates, 1)
     assert rebuilt.index is not a.index
+    uids = np.arange(4, dtype=np.uint64)
     for b in (ctx_for(three_wires), ctx_for(moved, 1), rebuilt):
+        pipe = WalkPipeline()
+        pipe.submit(0, "a", a, WalkStreams(11, 0), uids, 8)
         with pytest.raises(ConfigError):
-            WalkPipeline(
-                ((a, WalkStreams(11, 0)), (b, WalkStreams(11, 1))),
-                lambda u: None,
-                width=8,
-            )
+            pipe.submit(1, "b", b, WalkStreams(11, 1), uids, 8)
     assets = SharedAssets(plates)
     a, b = (build_context(plates, m, a.config, assets) for m in (0, 1))
     assert b.index is a.index
-    WalkPipeline(
-        ((a, WalkStreams(11, 0)), (b, WalkStreams(11, 1))),
-        lambda u: None,
-        width=8,
-    )
+    pipe = WalkPipeline()
+    pipe.submit(0, "a", a, WalkStreams(11, 0), uids, 8)
+    pipe.submit(1, "b", b, WalkStreams(11, 1), uids, 8)
+    assert [pipe.next_batch()[0] for _ in range(2)] == [0, 1]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
 
 * the plain batch engine (``run_walks``),
 * the refill pipeline (``WalkPipeline`` over consecutive batches, with a
-  feed that holds later batches back or not) at every RNG prefetch depth,
+  caller that holds later batches back or not) at every RNG prefetch depth,
 * thread-parallel execution: concurrent caller threads (as the
   service's slots are) running ``run_walks`` on one shared context, for
   1, 2 and 4 threads,
@@ -153,26 +153,23 @@ def test_scalar_reference_matches_golden_head(golden_case):
 
 @pytest.mark.parametrize("width,ahead", [(64, 0), (64, 2), (96, 3)])
 def test_pipelined_engine_matches_golden(golden_case, width, ahead):
-    """``width``-walk batches through one refill vector whose feed holds
-    back every batch more than ``ahead`` past the oldest unemitted one
-    (``None``: "none yet", as the one-worker executor's queue answers).
-    At ``ahead = 0`` each batch drains alone; wider feeds refill across
-    batches.  The schedule never reaches a bit."""
+    """``width``-walk batches through one refill vector whose caller holds
+    back every batch more than ``ahead`` past the oldest unemitted one.
+    At ``ahead = 0`` each batch drains alone (the vector goes idle between
+    batches); wider queues refill across batches.  The schedule never
+    reaches a bit."""
     case, ctx, uids = golden_case
     batches = [uids[a : a + width] for a in range(0, uids.shape[0], width)]
-    emitted = 0
-
-    def feed(u):
-        if u >= len(batches) or u > emitted + ahead:
-            return None
-        return 0, batches[u]
-
-    pipe = WalkPipeline(((ctx, WalkStreams(SEED, 0)),), feed, width=width)
-    parts = []
-    while (res := pipe.next_batch()) is not None:
+    pipe, parts, submitted = WalkPipeline(), [], 0
+    while len(parts) < len(batches):
+        while submitted < len(batches) and submitted <= len(parts) + ahead:
+            batch = batches[submitted]
+            pipe.submit(submitted, 0, ctx, WalkStreams(SEED, 0), batch, width)
+            submitted += 1
+        seq, res = pipe.next_batch()
+        assert seq == len(parts)
         parts.append(res)
-        emitted += 1
-    assert emitted == len(batches)
+    assert pipe.next_batch() is None
     _check(case, concat_results(uids, parts))
 
 

@@ -321,7 +321,7 @@ def test_vector_width_is_the_batch_size(plates):
         key, uids = runner.request(0)
         ex.submit(key, uids, 1, runner.batch_size)
         assert uids.shape[0] == 32
-        assert ex._vector._pipe.width == 256
+        assert ex._vector.width == 256
         _, res = ex.next_done()
     ref = run_walks(ctx, make_streams(cfg, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
@@ -702,30 +702,29 @@ def test_serial_schedule_on_suite_structures(
 
 
 def test_serial_masters_share_one_vector(three_wires, monkeypatch):
-    """In a serial extraction of several masters one vector carries
-    several masters' lanes, and no more vectors are built than a master
-    absorbs batches (a per-master pipeline builds one per master)."""
-    built, lanes = [], []
-    init, add_lane = WalkPipeline.__init__, WalkPipeline.add_lane
+    """A serial extraction of several masters builds one vector, its
+    executor's, and queues every master's batches on it."""
+    built, keys = [], set()
+    init, submit = WalkPipeline.__init__, WalkPipeline.submit
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         return init(self, *args, **kwargs)
 
-    def counting_add_lane(self, ctx, streams):
-        lanes.append(self)
-        return add_lane(self, ctx, streams)
+    def recording_submit(self, seq, key, *args):
+        keys.add((self, key))
+        return submit(self, seq, key, *args)
 
     monkeypatch.setattr(WalkPipeline, "__init__", counting_init)
-    monkeypatch.setattr(WalkPipeline, "add_lane", counting_add_lane)
+    monkeypatch.setattr(WalkPipeline, "submit", recording_submit)
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=256, min_walks=512, max_walks=1536,
         tolerance=2e-2, executor="serial",
     )
     with FRWSolver(three_wires, cfg) as solver:
-        result = solver.extract()
-    assert len(built) <= max(s.batches for s in result.stats)
-    assert lanes and set(lanes) <= set(built)
+        solver.extract()
+        assert built == [solver.walk_executor()._vector]
+    assert len(keys) == len(three_wires.conductors)
 
 
 def test_discarded_unfed_batch_is_never_launched(plates, launched):
@@ -746,6 +745,29 @@ def test_discarded_unfed_batch_is_never_launched(plates, launched):
         assert ex.next_done()[0] == c
         assert 0 < ex.discard(d) == sum(launched) - 128
     ref = run_walks(ctx, WalkStreams(77, 0), uids[:64])
+    assert np.array_equal(res.omega, ref.omega)
+    assert np.array_equal(res.steps, ref.steps)
+
+
+def test_discarded_launching_batch_stops_launching(plates, launched):
+    """Discarding the batch the one-worker vector is launching stops its
+    launches while a later batch is live: it runs only the walks
+    ``discard`` reports, and the later batch is unchanged."""
+    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
+    ctx = build_context(plates, 0, cfg)
+    uids = np.arange(64 + 2048 + 64, dtype=np.uint64)
+    with PersistentExecutor("serial") as ex:
+        key = ex.register(ctx, stream_spec(cfg, 0))
+        a = ex.submit(key, uids[:64])
+        b = ex.submit(key, uids[64:2112], 1, 64)
+        c = ex.submit(key, uids[2112:])
+        assert ex.next_done()[0] == a
+        reported = ex.discard(b)
+        assert 0 < reported < 2048
+        done, res = ex.next_done()
+        assert done == c
+    assert sum(launched) == 128 + reported
+    ref = run_walks(ctx, WalkStreams(77, 0), uids[2112:])
     assert np.array_equal(res.omega, ref.omega)
     assert np.array_equal(res.steps, ref.steps)
 

@@ -7,6 +7,7 @@ start method.
 """
 
 import json
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -331,8 +332,15 @@ class TestMemoization:
                 service.submit({"structure": structure, "priority": "vip"})
 
     def test_settings_reject_thread_executor(self):
-        with pytest.raises(ConfigError, match="executor"):
-            ServiceSettings(executor="thread").validate()
+        """The backend is no setting: it follows the worker count, so
+        ``executor=`` is rejected like any unknown field."""
+        with pytest.raises(TypeError, match="executor"):
+            ServiceSettings(executor="thread")
+        assert ServiceSettings().executor == "serial"
+        for n in (0, 2, 4):
+            settings = ServiceSettings(n_workers=n)
+            settings.validate()
+            assert settings.executor == "process"
 
     def test_removed_config_field_is_unknown(self):
         """Every retired engine knob is rejected as an unknown field (a
@@ -411,8 +419,8 @@ class TestMemoization:
 @pytest.mark.parametrize(
     "engine",
     [
-        {"executor": "serial", "n_workers": 1},
-        {"executor": "process", "n_workers": 2, "mp_start_method": "fork"},
+        {"n_workers": 1},
+        {"n_workers": 2, "mp_start_method": "fork"},
     ],
     ids=["serial", "process"],
 )
@@ -440,14 +448,14 @@ def test_slot_executor_forgets_solved_contexts(engine):
 # ----------------------------------------------------------------------
 
 ENGINE_MATRIX = [
-    {"executor": "serial", "n_workers": 1},
-    {"executor": "process", "n_workers": 2, "mp_start_method": "fork"},
-    {"executor": "process", "n_workers": 2, "mp_start_method": "spawn"},
+    {"n_workers": 1},
+    {"n_workers": 2, "mp_start_method": "fork"},
+    {"n_workers": 2, "mp_start_method": "spawn"},
 ]
 
 
 @pytest.mark.parametrize(
-    "engine", ENGINE_MATRIX, ids=lambda e: "-".join(str(v) for v in e.values())
+    "engine", ENGINE_MATRIX, ids=["serial-1", "process-2-fork", "process-2-spawn"]
 )
 def test_golden_cache_hit_matches_cold_across_engines(engine):
     """The headline guarantee, certified per engine: a warm hit replays
@@ -602,6 +610,39 @@ class TestHTTP:
             conn.close()
         assert status == 413
         assert "exceeds" in json.loads(body)["error"]
+        assert live_server.health()["ok"] is True
+
+    def test_deeply_nested_json_is_400(self, live_server):
+        """A body nested past the JSON decoder's recursion limit is a
+        client error, not a 500, and the server keeps serving."""
+        conn = HTTPConnection(live_server.host, live_server.port, timeout=30)
+        try:
+            conn.request("POST", "/extract", body=b"[" * 100_000)
+            response = conn.getresponse()
+            status, body = response.status, response.read()
+        finally:
+            conn.close()
+        assert status == 400
+        assert "invalid JSON body" in json.loads(body)["error"]
+        assert live_server.health()["ok"] is True
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"GET /health HTTP/1.1\r\n",
+            b"POST /extract HTTP/1.1\r\nContent-Length: 50\r\n\r\n[]",
+        ],
+        ids=["request-line-only", "short-body"],
+    )
+    def test_stalled_client_is_dropped(self, live_server, monkeypatch, sent):
+        """A client that never finishes its request is disconnected
+        unanswered after ``READ_REQUEST_S``, and the server keeps
+        serving."""
+        monkeypatch.setattr(server, "READ_REQUEST_S", 0.2)
+        address = (live_server.host, live_server.port)
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(sent)
+            assert sock.recv(1024) == b""  # closed, no response
         assert live_server.health()["ok"] is True
 
     def test_removed_config_field_is_400(self, live_server):
