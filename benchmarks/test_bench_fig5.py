@@ -44,7 +44,7 @@ def test_process_pool_executor(benchmark, ctx_case1):
     uids = np.arange(2000, dtype=np.uint64)
 
     def run():
-        with PersistentExecutor("process", n_workers=2) as ex:
+        with PersistentExecutor(2) as ex:
             key = ex.register(ctx_case1, stream_spec(ctx_case1.config, 0))
             return ex.run(key, uids).dest.shape[0]
 

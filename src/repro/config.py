@@ -174,30 +174,26 @@ class FRWConfig:
         distinct machines/OS schedules; never affects walk samples).  The
         noise amplitude is :data:`repro.frw.scheduler.MACHINE_JITTER`.
     executor:
-        Backend executing walk batches: ``"serial"`` (the default: one
-        worker, in-process, on one engine vector shared by every master)
-        or ``"process"`` (persistent worker processes; contexts reach
-        them through the shared-memory plane, :mod:`repro.frw.shm`).
-        There is no thread backend: the engine makes ~110 small NumPy
-        calls per step, so threads contend for the GIL and run slower
-        than one worker.  Both backends drive their batches through the
-        one Alg. 2 batch driver (:mod:`repro.frw.cross_master`): every
-        worker runs one long-lived engine vector that refills from its
-        queue of batches of any master (a lone master's batches are cut
-        over the workers it would leave idle); ``"serial"`` is the same
-        rule at one worker, in-process.  Results are
-        reassembled in UID order, so both backends are bit-identical —
-        real parallelism changes wall time only, which is the
+        ``"serial"`` (the default) runs one in-process worker whatever
+        ``n_workers`` says, and ``"process"`` runs ``n_workers``; the
+        benchmark harness still spells one worker this way.  The worker
+        count alone picks the executor
+        (:meth:`repro.frw.parallel.PersistentExecutor.for_config` is this
+        field's one reader): one worker is an in-process engine
+        vector shared by every master; more start worker processes fed
+        through the shared-memory plane (:mod:`repro.frw.shm`).  There is
+        no thread backend (the engine's ~110 small NumPy calls per step
+        would contend for the GIL).  Every executor reassembles batches
+        in UID order, so rows are bit-identical on all of them — the
         DOP-independence contract of Alg. 2.
     n_workers:
-        Workers of the process backend; ``0`` means auto (the CPUs this
-        process may actually run on — ``os.sched_getaffinity`` where
-        available, so containerized/affinity-restricted hosts size pools
-        correctly — falling back to the host CPU count).  ``"serial"``
-        always runs one worker, and a one-worker process backend runs
-        serially too, with no pool.
+        Worker count under ``executor="process"``; ``0`` means auto (the
+        CPUs this process may actually run on — ``os.sched_getaffinity``
+        where available, so containerized/affinity-restricted hosts size
+        pools correctly — falling back to the host CPU count).  A count
+        that resolves to one runs in-process, with no pool.
     mp_start_method:
-        Start method of the process backend: ``"fork"``, ``"spawn"``,
+        Start method of the worker processes: ``"fork"``, ``"spawn"``,
         ``"forkserver"``, or ``"auto"`` (fork where available, else
         spawn).  Contexts travel through the shared-memory context plane,
         so all methods are bit-identical; spawn/forkserver cost more per

@@ -16,8 +16,6 @@ walk *set* is thread-local, exactly as in [1].
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..config import FRWConfig
@@ -43,7 +41,6 @@ def extract_row_alg1(
     streams = make_streams(cfg, ctx.master)
     rng_machine = machine_rng(cfg, ctx.master)
     stats = RunStats(thread_work=np.zeros(t_count))
-    t_start = time.perf_counter()
 
     thread_accs: list[RowAccumulator] = []
     finish_times = np.zeros(t_count, dtype=np.float64)
@@ -96,5 +93,4 @@ def extract_row_alg1(
     stats.batches = 0
     stats.makespan = float(finish_times.max())
     stats.converged = converged_all
-    stats.wall_time = time.perf_counter() - t_start
     return merged.row(), stats

@@ -21,7 +21,6 @@ including merge order and machine timing noise.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,6 @@ class RunStats:
     batches: int = 0
     total_steps: int = 0
     truncated: int = 0
-    wall_time: float = 0.0
     converged: bool = False
     #: Accumulated per-thread work (jittered step counts) across batches.
     thread_work: np.ndarray = field(default_factory=lambda: np.zeros(1))
@@ -100,7 +98,6 @@ class RowProgress:
         self.rng_machine = machine_rng(cfg, ctx.master)
         self.stats = RunStats(thread_work=np.zeros(cfg.n_threads))
         self.done = False
-        self._t_start = time.perf_counter()
 
     def absorb(self, results) -> bool:
         """Accumulate one batch (in batch order) and run the checkpoint.
@@ -150,7 +147,6 @@ class RowProgress:
         """Freeze the totals and return ``(row, stats)``."""
         self.stats.walks = self.acc.walks
         self.stats.total_steps = self.acc.total_steps
-        self.stats.wall_time = time.perf_counter() - self._t_start
         return self.acc.row(), self.stats
 
 
@@ -174,9 +170,7 @@ def extract_row_alg2(
     cfg = config if config is not None else ctx.config
     owned = None
     if executor is None:
-        owned = executor = PersistentExecutor(
-            cfg.executor, cfg.n_workers, cfg.mp_start_method
-        )
+        owned = executor = PersistentExecutor.for_config(cfg)
     try:
         rows, stats = extract_rows_interleaved(
             [ctx.master], cfg, lambda master: ctx, executor

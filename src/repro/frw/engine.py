@@ -197,9 +197,11 @@ class WalkPipeline:
         Optional :class:`StageTimers` accumulating per-stage wall time.
     trace:
         When a list, per-step positions of all active walks are appended as
-        ``(rows_in_batch, positions)`` tuples (small single-batch runs only;
-        used by the scalar reference and Fig. 2).  Frame-internal order is
-        unspecified — consumers map rows by value.
+        ``(global_rows, positions)`` tuples, a walk's global row being its
+        launch index since the vector last went idle — its row in the
+        batch for a single-batch run (small runs only; used by the scalar
+        reference and Fig. 2).  Frame-internal order is unspecified —
+        consumers map rows by value.
 
     Draws come through an RNG prefetch ring of depth ``K =``
     :data:`RNG_PREFETCH_DEPTH` (read when the vector starts): one fused
@@ -315,7 +317,6 @@ class WalkPipeline:
         self._lane = np.empty(capacity, dtype=np.intp)
         self._tol = np.empty(capacity, dtype=np.float64)
         self._grow = np.empty(capacity, dtype=np.int64)
-        self._row = np.empty(capacity, dtype=np.int64)
         # uint64 so the RNG's counter build consumes it without a cast copy.
         self._step_no = np.empty(capacity, dtype=np.uint64)
         self._pos = np.empty((capacity, 3), dtype=np.float64)
@@ -430,7 +431,7 @@ class WalkPipeline:
             launched = True
         if launched and self.trace is not None:
             n = self._n
-            self.trace.append((self._row[:n].copy(), self._pos[:n].copy()))
+            self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
 
     def _launch(
         self, lane: int, uids: np.ndarray, start_g: int, off: int
@@ -467,7 +468,6 @@ class WalkPipeline:
         self._grow[sl] = np.arange(
             start_g + off, start_g + off + k, dtype=np.int64
         )
-        self._row[sl] = np.arange(off, off + k, dtype=np.int64)
         self._step_no[sl] = 1
         self._pos[sl] = pos
         self._eps[sl] = eps
@@ -524,7 +524,6 @@ class WalkPipeline:
                 self._lane,
                 self._tol,
                 self._grow,
-                self._row,
                 self._step_no,
                 self._eps,
                 self._first,
@@ -785,7 +784,7 @@ class WalkPipeline:
             self._have_first = False
         self._step_no[:n] += 1
         if self.trace is not None:
-            self.trace.append((self._row[:n].copy(), self._pos[:n].copy()))
+            self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
         if tm is not None:
             tm.lap("bookkeeping", t0)
 

@@ -37,7 +37,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from ..config import EXECUTOR_KINDS, MP_START_METHODS, FRWConfig
+from ..config import MP_START_METHODS, FRWConfig
 from ..errors import ConfigError, WorkerLostError
 from . import shm
 from .context import ExtractionContext
@@ -73,7 +73,8 @@ def streams_from_spec(spec: StreamSpec):
 
 
 def resolve_workers(n_workers: int) -> int:
-    """Worker count with ``0`` meaning auto.
+    """Worker count with ``0`` meaning auto; a negative count raises
+    :class:`~repro.errors.ConfigError`.
 
     Auto prefers ``os.sched_getaffinity(0)`` — the CPUs this process may
     actually run on — over ``os.cpu_count()``: in containers and under
@@ -82,6 +83,8 @@ def resolve_workers(n_workers: int) -> int:
     ``cpu_count``, undersizes it).  Falls back to the host count where
     affinity is not exposed (macOS, Windows).
     """
+    if n_workers < 0:
+        raise ConfigError(f"n_workers must be >= 0, got {n_workers}")
     if n_workers > 0:
         return int(n_workers)
     getaffinity = getattr(os, "sched_getaffinity", None)
@@ -94,7 +97,7 @@ def resolve_workers(n_workers: int) -> int:
 
 
 def resolve_start_method(method: str = "auto") -> str:
-    """Concrete multiprocessing start method for the process backend.
+    """Concrete multiprocessing start method for worker processes.
 
     ``"auto"`` resolves to ``fork`` where the platform offers it (cheapest
     pool start) and ``spawn`` otherwise.  Explicit methods are validated
@@ -169,45 +172,33 @@ class PersistentExecutor:
 
     Parameters
     ----------
-    backend:
-        ``"serial"`` (one worker, the default) or ``"process"``.
     n_workers:
-        Worker-process count; ``0`` means auto (host CPU count).
+        Worker count; ``0`` means auto (:func:`resolve_workers`).  One
+        worker runs in-process; more start a pool of worker processes.
     mp_start_method:
-        Start method of the process backend (``"auto"``, ``"fork"``,
-        ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
+        Start method of the worker processes (``"auto"``, ``"fork"``,
+        ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`),
+        validated here whatever the worker count.
 
     Contexts are registered once per master (:meth:`register`); then
     batches are queued with :meth:`submit` and collected with
     :meth:`next_done` (:meth:`run` does both for one batch).  With one
     worker every master's batches queue on one in-process vector, which
-    runs only while a caller waits.  The process backend starts its
-    workers on first use and never restarts them.  A closed executor
-    rejects further work with :class:`~repro.errors.ConfigError` instead
-    of restarting workers or publishing blocks.
+    runs only while a caller waits.  A pool starts its workers on first
+    use and never restarts them.  A closed executor rejects further work
+    with :class:`~repro.errors.ConfigError` instead of restarting
+    workers or publishing blocks.
     """
 
-    def __init__(
-        self,
-        backend: str = "serial",
-        n_workers: int = 0,
-        mp_start_method: str = "auto",
-    ):
+    def __init__(self, n_workers: int = 1, mp_start_method: str = "auto"):
         # Set first so __del__/close stay safe if validation below raises.
         self._closed = True
         self._workers: list = []  # (Process, Connection), started on first use
-        if backend not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"executor backend must be one of {EXECUTOR_KINDS}, got {backend!r}"
-            )
-        self.backend = backend
-        self.n_workers = 1 if backend == "serial" else resolve_workers(n_workers)
+        self.n_workers = resolve_workers(n_workers)
         self.mp_start_method = mp_start_method
         # Resolve eagerly so a bad method/platform combination fails at
         # construction, not mid-extraction.
-        self._start_method = (
-            resolve_start_method(mp_start_method) if backend == "process" else None
-        )
+        self._start_method = resolve_start_method(mp_start_method)
         self._vector = WalkPipeline() if self.n_workers == 1 else None
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
@@ -223,6 +214,13 @@ class PersistentExecutor:
         self.dispatches = 0
         self.dispatch_pickle_bytes = 0
 
+    @classmethod
+    def for_config(cls, config: FRWConfig) -> "PersistentExecutor":
+        """The executor a config asks for: ``executor="serial"`` is one
+        worker, ``"process"`` is ``n_workers`` of them."""
+        n_workers = 1 if config.executor == "serial" else config.n_workers
+        return cls(n_workers, config.mp_start_method)
+
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigError("PersistentExecutor is closed")
@@ -233,9 +231,9 @@ class PersistentExecutor:
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
         """Register a context + stream spec once; returns its dispatch key.
 
-        On the process backend this *publishes* the context immediately
-        (its assets' blocks on first reference); the workers keep running
-        and attach on first sight.  With one worker it is a dict insert.
+        With a pool this *publishes* the context immediately (its assets'
+        blocks on first reference); the workers keep running and attach
+        on first sight.  With one worker it is a dict insert.
         """
         self._check_open()
         ident = (id(ctx), spec)
@@ -567,9 +565,7 @@ def make_batch_runner(
     """
     owned = None
     if executor is None:
-        owned = executor = PersistentExecutor(
-            config.executor, config.n_workers, config.mp_start_method
-        )
+        owned = executor = PersistentExecutor.for_config(config)
     if timers is not None and executor._vector is not None:
         executor._vector.timers = timers
     return BatchRunner(ctx, config, executor), owned

@@ -103,23 +103,17 @@ class FRWSolver:
     ):
         """``executor`` (optional) injects a *borrowed* executor owned by a
         longer-lived host — the memoizing extraction service shares one
-        executor fleet across all requests.  It must match the config's
-        backend; it is never closed by this solver (only owned pools are
-        released by :meth:`close`).
+        executor fleet across all requests.  Any executor serves any
+        config, since rows are bit-identical on every executor; it is
+        never closed by this solver (only owned pools are released by
+        :meth:`close`).
         """
         self.structure = structure
         self.config = config if config is not None else FRWConfig()
         self.assets = SharedAssets(structure)
         self._contexts: dict[int, ExtractionContext] = {}
-        self._executor: PersistentExecutor | None = None
         self._owns_executor = executor is None
-        if executor is not None:
-            if executor.backend != self.config.executor:
-                raise ConfigError(
-                    f"injected executor backend {executor.backend!r} does "
-                    f"not match config.executor {self.config.executor!r}"
-                )
-            self._executor = executor
+        self._executor = executor
 
     def context(self, master: int) -> ExtractionContext:
         """Cached extraction context for one master conductor."""
@@ -132,15 +126,12 @@ class FRWSolver:
         return ctx
 
     def walk_executor(self) -> PersistentExecutor:
-        """The solver's persistent executor, created on first use; a
-        serial config (``executor="serial"`` or a single worker) gets a
-        one-worker executor, which creates no pool and publishes nothing.
+        """The solver's persistent executor, created on first use
+        (:meth:`PersistentExecutor.for_config`); a one-worker executor
+        creates no pool and publishes nothing.
         """
-        cfg = self.config
         if self._executor is None:
-            self._executor = PersistentExecutor(
-                cfg.executor, cfg.n_workers, cfg.mp_start_method
-            )
+            self._executor = PersistentExecutor.for_config(self.config)
         return self._executor
 
     def close(self) -> None:

@@ -18,10 +18,10 @@ dictionary lookup, not a Monte-Carlo run.  The service is split in two:
   rendered with sorted keys so equal results are byte-equal on the wire.
 
 Request config handling: only :data:`repro.config.RESULT_FIELDS` are read
-from the request.  Engine fields (executor backend, worker count, ...) are
-certified bit-invisible by the golden suites, so the server substitutes its
-own — which is exactly why a request solved under one engine is a valid
-cache hit for every other.
+from the request.  Engine fields (executor, worker count, ...) are
+certified bit-invisible by the golden suites, so the server drops them and
+solves on its slot's own executor — which is exactly why a request solved
+under one engine is a valid cache hit for every other.
 """
 
 from __future__ import annotations
@@ -40,7 +40,11 @@ import numpy as np
 from .. import __version__
 from ..config import ENGINE_FIELDS, RESULT_FIELDS, FRWConfig
 from ..errors import ConfigError, GeometryError
-from ..frw.parallel import PersistentExecutor
+from ..frw.parallel import (
+    PersistentExecutor,
+    resolve_start_method,
+    resolve_workers,
+)
 from ..frw.solver import FRWSolver
 from ..geometry import structure_from_dict
 from .cache import LRUCache
@@ -69,8 +73,9 @@ class ServiceSettings:
     ``frw-rr serve`` sets every field but ``mp_start_method`` from a flag
     of the same name (``n_workers`` from ``--workers``,
     ``result_cache_entries`` from ``--result-cache``); the start method
-    is set only from Python.  The worker count picks each slot's
-    executor backend (:attr:`executor`).
+    is set only from Python.  Each slot's executor has ``n_workers``
+    workers: one runs in-process, any other count, ``0`` (auto)
+    included, starts a process pool.
     """
 
     host: str = "127.0.0.1"
@@ -81,12 +86,6 @@ class ServiceSettings:
     result_cache_entries: int = 1024
     port_file: str | None = None
 
-    @property
-    def executor(self) -> str:
-        """One worker runs in-process (``"serial"``); any other count,
-        ``0`` (auto) included, is a process pool."""
-        return "serial" if self.n_workers == 1 else "process"
-
     def validate(self) -> None:
         if self.slots < 1:
             raise ConfigError(f"slots must be >= 1, got {self.slots}")
@@ -94,12 +93,8 @@ class ServiceSettings:
             raise ConfigError(f"port must be in [0, 65535], got {self.port}")
         if self.result_cache_entries < 1:
             raise ConfigError("cache bounds must be >= 1")
-        # Engine fields reuse FRWConfig's own validation.
-        FRWConfig(
-            executor=self.executor,
-            n_workers=self.n_workers,
-            mp_start_method=self.mp_start_method,
-        )
+        resolve_workers(self.n_workers)
+        resolve_start_method(self.mp_start_method)
 
 
 @dataclass
@@ -216,8 +211,11 @@ class ExtractionService:
         )
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-        kwargs = {k: raw_config[k] for k in RESULT_FIELDS if k in raw_config}
-        config = FRWConfig(**kwargs).with_(**self._engine_overrides())
+        # ``sanitize`` stays at its default, off: the runtime RNG sanitizer
+        # patches process-global state, so concurrent slots would race on it.
+        config = FRWConfig(
+            **{k: raw_config[k] for k in RESULT_FIELDS if k in raw_config}
+        )
         n = len(structure.conductors)
         masters = request.get("masters")
         if masters is None:
@@ -237,22 +235,6 @@ class ExtractionService:
         rhash = canonical_hash(form, config)
         names = [structure.conductors[m].name for m in range(n)]
         return form, rhash, config, masters, names, priority
-
-    def _engine_overrides(self) -> dict:
-        """The server-chosen engine fields applied to every request config.
-
-        All of these are bit-invisible (golden-certified), so substituting
-        them preserves byte-identical rows while letting the daemon own its
-        real concurrency.  ``sanitize`` is forced off: the runtime RNG
-        sanitizer patches process-global state and concurrent slots would
-        race on it (det-lint covers the service statically instead).
-        """
-        return {
-            "executor": self.settings.executor,
-            "n_workers": self.settings.n_workers,
-            "mp_start_method": self.settings.mp_start_method,
-            "sanitize": False,
-        }
 
     # -- priority scheduling -------------------------------------------
 
@@ -277,7 +259,7 @@ class ExtractionService:
         executor = self._executors.get(slot)
         if executor is None:
             executor = self._executors[slot] = PersistentExecutor(
-                cfg.executor, cfg.n_workers, cfg.mp_start_method
+                cfg.n_workers, cfg.mp_start_method
             )
         return executor
 
@@ -416,7 +398,6 @@ class ExtractionService:
             return {
                 "version": __version__,
                 "slots": self.settings.slots,
-                "executor": self.settings.executor,
                 "n_workers": self.settings.n_workers,
                 "requests": dict(self.requests),
                 "full_hits": self.full_hits,

@@ -333,26 +333,18 @@ def test_add_batch_asserts_shapes_and_range():
 # Extraction: off-path byte-identity to the PR 6 goldens
 # ----------------------------------------------------------------------
 
-BACKENDS = [
-    ("process", "fork"),
-    ("process", "spawn"),
-    ("process", "forkserver"),
-]
-
-
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
-@pytest.mark.parametrize("backend,start_method", BACKENDS)
-def test_antithetic_off_matches_pinned_goldens(
-    three_wires, backend, start_method, n_workers
-):
+@pytest.mark.parametrize(
+    "start_method", ["fork", "spawn", "forkserver"], ids=lambda m: f"process-{m}"
+)
+def test_antithetic_off_matches_pinned_goldens(three_wires, start_method, n_workers):
     """antithetic=False must leave the walk bytes untouched: the engine
     fed through the (new) stream-spec plumbing still reproduces the PR 6
-    golden digests on every backend, start method, and worker count."""
+    golden digests at every start method and worker count."""
     cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
     ctx = build_context(three_wires, 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
-    kwargs = {} if start_method is None else {"mp_start_method": start_method}
-    with PersistentExecutor(backend, n_workers=n_workers, **kwargs) as ex:
+    with PersistentExecutor(n_workers, mp_start_method=start_method) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
         res = ex.run(key, uids)
     _check("homogeneous", res)
@@ -474,8 +466,8 @@ def test_default_row_is_bitwise_dop_independent(plates):
         assert _row_digest(row) == DEFAULT_ROW["sha256"]
 
 
-@pytest.mark.parametrize("backend", ["process"])
-def test_antithetic_ragged_chunks_match_serial(plates, backend):
+@pytest.mark.parametrize("n_workers", [2], ids=["process"])
+def test_antithetic_ragged_chunks_match_serial(plates, n_workers):
     """Queue entries of 43 UIDs cut antithetic pairs apart; the
     reassembled batch still equals the serial engine's."""
     cfg = FRWConfig.frw_r(**_ANTI_BASE)
@@ -483,7 +475,7 @@ def test_antithetic_ragged_chunks_match_serial(plates, backend):
     spec = stream_spec(cfg, 0)
     uids = np.arange(256, dtype=np.uint64)
     ref = run_walks(ctx, streams_from_spec(spec), uids)
-    with PersistentExecutor(backend, n_workers=2) as ex:
+    with PersistentExecutor(n_workers) as ex:
         key = ex.register(ctx, spec)
         ex.submit(key, uids, 6)
         _, res = ex.next_done()

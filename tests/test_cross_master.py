@@ -289,7 +289,7 @@ def test_failed_extraction_abandons_its_batches(
         return absorb(self, results)
 
     cfg = FRWConfig.frw_r(**BASE, executor="serial")
-    with PersistentExecutor("serial") as shared:
+    with PersistentExecutor(1) as shared:
         with monkeypatch.context() as mp:
             mp.setattr(RowProgress, "absorb", failing_absorb)
             with FRWSolver(three_wires, cfg, executor=shared) as solver:
@@ -406,7 +406,7 @@ def test_admission_follows_the_walk_budget(eight_wires):
         golden = solver.extract().matrix
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cross_master, "walk_budget", lambda workers, b: 96)
-        with PersistentExecutor("serial") as inner:
+        with PersistentExecutor(1) as inner:
             tally = _Tally(inner)
             with FRWSolver(eight_wires, cfg) as solver:
                 rows, _ = cross_master.extract_rows_interleaved(

@@ -187,8 +187,8 @@ def test_prefetch_ring_matches_golden(
     _check(case, res)
 
 
-def _executor_run(ctx, uids, backend, n_workers, **kwargs):
-    with PersistentExecutor(backend, n_workers, **kwargs) as ex:
+def _executor_run(ctx, uids, n_workers, **kwargs):
+    with PersistentExecutor(n_workers, **kwargs) as ex:
         return ex.run(ex.register(ctx, stream_spec(ctx.config, 0)), uids)
 
 
@@ -230,7 +230,7 @@ def test_thread_parallel_matches_golden(golden_case, n_threads):
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_process_parallel_matches_golden(golden_case, n_workers):
     case, ctx, uids = golden_case
-    _check(case, _executor_run(ctx, uids, "process", n_workers))
+    _check(case, _executor_run(ctx, uids, n_workers))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -239,7 +239,7 @@ def test_spawn_parallel_matches_golden(golden_case, n_workers):
     the shared-memory manifest protocol carries the whole context."""
     case, ctx, uids = golden_case
     res = _executor_run(
-        ctx, uids, "process", n_workers, mp_start_method="spawn"
+        ctx, uids, n_workers, mp_start_method="spawn"
     )
     _check(case, res)
 

@@ -36,10 +36,10 @@ from repro.rng import WalkStreams
 from repro.structures import build_case
 
 
-def _run_once(backend, ctx, uids, n_workers, pieces=1):
+def _run_once(ctx, uids, n_workers, pieces=1):
     """One batch, cut into ``pieces`` queue entries, on a fresh executor,
     closed on return."""
-    with PersistentExecutor(backend, n_workers) as ex:
+    with PersistentExecutor(n_workers) as ex:
         key = ex.register(ctx, stream_spec(ctx.config, 0))
         ticket = ex.submit(key, uids, pieces)
         done, res = ex.next_done()
@@ -51,7 +51,7 @@ def test_parallel_matches_serial_bitwise(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(2000, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    parallel = _run_once("process", ctx, uids, n_workers=4)
+    parallel = _run_once(ctx, uids, n_workers=4)
     assert np.array_equal(serial.omega, parallel.omega)
     assert np.array_equal(serial.dest, parallel.dest)
     assert np.array_equal(serial.steps, parallel.steps)
@@ -61,8 +61,8 @@ def test_parallel_matches_serial_bitwise(plates):
 def test_parallel_chunking_irrelevant(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(501, dtype=np.uint64)  # odd size: ragged chunks
-    a = _run_once("process", ctx, uids, 2, pieces=8)
-    b = _run_once("process", ctx, uids, 2, pieces=2)
+    a = _run_once(ctx, uids, 2, pieces=8)
+    b = _run_once(ctx, uids, 2, pieces=2)
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.dest, b.dest)
 
@@ -70,7 +70,7 @@ def test_parallel_chunking_irrelevant(plates):
 def test_single_worker_shortcut(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(100, dtype=np.uint64)
-    res = _run_once("serial", ctx, uids, 1)
+    res = _run_once(ctx, uids, 1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
 
@@ -80,7 +80,7 @@ def test_process_pool_matches_serial(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    procs = _run_once("process", ctx, uids, n_workers=2, pieces=4)
+    procs = _run_once(ctx, uids, n_workers=2, pieces=4)
     assert np.array_equal(serial.omega, procs.omega)
     assert np.array_equal(serial.dest, procs.dest)
 
@@ -88,7 +88,7 @@ def test_process_pool_matches_serial(plates):
 def test_process_pool_single_worker_shortcut(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(50, dtype=np.uint64)
-    res = _run_once("process", ctx, uids, n_workers=1)
+    res = _run_once(ctx, uids, n_workers=1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
 
@@ -98,15 +98,14 @@ def test_process_pool_single_worker_shortcut(plates):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["process"])
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_persistent_executor_bitwise(plates, backend, n_workers):
-    """Any backend at any worker count is bit-identical to the serial engine."""
+@pytest.mark.parametrize("n_workers", [1, 2, 4], ids=lambda n: f"{n}-process")
+def test_persistent_executor_bitwise(plates, n_workers):
+    """Any worker count is bit-identical to the serial engine."""
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(backend, n_workers=n_workers) as ex:
+    with PersistentExecutor(n_workers) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
         res = ex.run(key, uids)
     assert np.array_equal(serial.omega, res.omega)
@@ -118,7 +117,7 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
 def test_persistent_executor_reused_across_masters(plates):
     """One pool serves several registered contexts (masters)."""
     cfg = FRWConfig.frw_r(seed=5, antithetic=False)
-    with PersistentExecutor("process", n_workers=2) as ex:
+    with PersistentExecutor(2) as ex:
         for master in (0, 1):
             ctx = build_context(plates, master, cfg)
             key = ex.register(ctx, stream_spec(cfg, master))
@@ -132,14 +131,14 @@ def test_persistent_executor_reused_across_masters(plates):
 def test_executor_register_is_idempotent(plates):
     cfg = FRWConfig.frw_r(seed=5)
     ctx = build_context(plates, 0, cfg)
-    with PersistentExecutor("process", n_workers=2) as ex:
+    with PersistentExecutor(2) as ex:
         k1 = ex.register(ctx, stream_spec(cfg, 0))
         k2 = ex.register(ctx, stream_spec(cfg, 0))
         assert k1 == k2
 
 
 def test_executor_close_idempotent():
-    ex = PersistentExecutor("process", n_workers=2)
+    ex = PersistentExecutor(2)
     ex.close()
     ex.close()
 
@@ -316,7 +315,7 @@ def test_vector_width_is_the_batch_size(plates):
     batch size, not as its own size."""
     cfg = FRWConfig.frw_r(seed=77, batch_size=256, min_walks=16)
     ctx = build_context(plates, 0, cfg)
-    with PersistentExecutor("serial") as ex:
+    with PersistentExecutor(1) as ex:
         runner = BatchRunner(ctx, cfg, ex)
         key, uids = runner.request(0)
         ex.submit(key, uids, 1, runner.batch_size)
@@ -364,9 +363,7 @@ def test_spawn_backend_bitwise(plates, n_workers):
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(
-        "process", n_workers=n_workers, mp_start_method="spawn"
-    ) as ex:
+    with PersistentExecutor(n_workers, mp_start_method="spawn") as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
         res = ex.run(key, uids)
     assert np.array_equal(serial.omega, res.omega)
@@ -379,7 +376,7 @@ def test_second_wave_registration_keeps_pool(plates):
     """Registering more contexts must publish blocks, not restart the
     workers: the worker PID set is unchanged across registration waves."""
     cfg = FRWConfig.frw_r(seed=5, antithetic=False)
-    with PersistentExecutor("process", n_workers=2) as ex:
+    with PersistentExecutor(2) as ex:
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
@@ -404,9 +401,7 @@ def test_executor_dispatch_telemetry(plates):
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(400, dtype=np.uint64)
     # Spawn workers inherit no attach cache, so their counts are exact.
-    with PersistentExecutor(
-        "process", n_workers=2, mp_start_method="spawn"
-    ) as ex:
+    with PersistentExecutor(2, mp_start_method="spawn") as ex:
         ex.register(ctx, stream_spec(cfg, 0))
         key = ex.register(ctx, stream_spec(cfg, 0))
         ex.submit(key, uids, 4)
@@ -449,8 +444,8 @@ def test_executors_share_asset_blocks(plates):
     ctx1 = build_context(plates, 1, cfg)
     assert ctx0.table is ctx1.table
     uids = np.arange(300, dtype=np.uint64)
-    a = PersistentExecutor("process", n_workers=2)
-    b = PersistentExecutor("process", n_workers=2)
+    a = PersistentExecutor(2)
+    b = PersistentExecutor(2)
     try:
         a.register(ctx0, stream_spec(cfg, 0))
         key = b.register(ctx1, stream_spec(cfg, 1))
@@ -472,7 +467,7 @@ def test_executors_share_asset_blocks(plates):
 def test_executor_close_unlinks_blocks(plates):
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
-    ex = PersistentExecutor("process", n_workers=2)
+    ex = PersistentExecutor(2)
     key = ex.register(ctx, stream_spec(cfg, 0))
     blocks = shm.published_blocks()
     assert blocks  # registration published the context
@@ -505,7 +500,7 @@ def test_close_with_batches_in_flight_is_bounded(plates):
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     children = set(multiprocessing.active_children())
-    ex = PersistentExecutor("process", n_workers=2)
+    ex = PersistentExecutor(2)
     key = ex.register(ctx, stream_spec(cfg, 0))
     for part in np.split(np.arange(6144, dtype=np.uint64), 6):
         ex.submit(key, part, 2)
@@ -564,7 +559,7 @@ def test_closed_executor_rejects_work(plates):
     ctx0 = build_context(plates, 0, cfg)
     ctx1 = build_context(plates, 1, cfg)
     uids = np.arange(200, dtype=np.uint64)
-    ex = PersistentExecutor("process", n_workers=2)
+    ex = PersistentExecutor(2)
     key = ex.register(ctx0, stream_spec(cfg, 0))
     ex.run(key, uids)
     ex.close()
@@ -606,6 +601,23 @@ def test_resolve_workers_affinity_fallback(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", boom, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert resolve_workers(0) == 3
+
+
+def test_worker_count_picks_the_executor():
+    """One worker runs in-process, more start a pool, a negative count
+    is an error, and a config's ``executor="serial"`` means one worker."""
+    with pytest.raises(ConfigError, match="n_workers"):
+        PersistentExecutor(-1)
+    with pytest.raises(ConfigError, match="greenlet"):
+        PersistentExecutor(1, "greenlet")
+    for cfg, n in [
+        (FRWConfig(executor="serial", n_workers=4), 1),
+        (FRWConfig(executor="process", n_workers=1), 1),
+        (FRWConfig(executor="process", n_workers=2), 2),
+    ]:
+        with PersistentExecutor.for_config(cfg) as ex:
+            assert ex.n_workers == n
+            assert (ex._vector is not None) == (n == 1)
 
 
 def test_pipelined_runner_counts_speculation(plates):
@@ -734,7 +746,7 @@ def test_discarded_unfed_batch_is_never_launched(plates, launched):
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(256, dtype=np.uint64)
-    with PersistentExecutor("serial") as ex:
+    with PersistentExecutor(1) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
         a, b = ex.submit(key, uids[:64]), ex.submit(key, uids[64:128])
         assert launched == []
@@ -756,7 +768,7 @@ def test_discarded_launching_batch_stops_launching(plates, launched):
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(64 + 2048 + 64, dtype=np.uint64)
-    with PersistentExecutor("serial") as ex:
+    with PersistentExecutor(1) as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
         a = ex.submit(key, uids[:64])
         b = ex.submit(key, uids[64:2112], 1, 64)
@@ -781,7 +793,7 @@ def test_one_serial_executor_serves_several_structures(plates, three_wires):
         tolerance=2e-2, executor="serial",
     )
     structures = [three_wires, plates, three_wires]
-    with PersistentExecutor("serial") as shared:
+    with PersistentExecutor(1) as shared:
         for structure in structures:
             with FRWSolver(structure, cfg, executor=shared) as solver:
                 got = solver.extract()
@@ -790,3 +802,21 @@ def test_one_serial_executor_serves_several_structures(plates, three_wires):
             assert got.matrix.values.tobytes() == ref.matrix.values.tobytes()
             assert got.raw_matrix.sigma2.tobytes() == ref.raw_matrix.sigma2.tobytes()
             assert got.total_walks == ref.total_walks
+
+
+def test_borrowed_executor_serves_any_config(three_wires):
+    """A solver runs on whatever executor it is lent: a 2-worker pool
+    lent to a ``executor="serial"`` config gives the rows of the
+    solver's own in-process executor byte for byte."""
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=512, max_walks=1024,
+        tolerance=2e-2, executor="serial",
+    )
+    with PersistentExecutor(2) as lent:
+        with FRWSolver(three_wires, cfg, executor=lent) as solver:
+            got = solver.extract()
+    with FRWSolver(three_wires, cfg) as own:
+        ref = own.extract()
+    assert got.matrix.values.tobytes() == ref.matrix.values.tobytes()
+    assert got.raw_matrix.sigma2.tobytes() == ref.raw_matrix.sigma2.tobytes()
+    assert got.total_walks == ref.total_walks

@@ -332,15 +332,22 @@ class TestMemoization:
                 service.submit({"structure": structure, "priority": "vip"})
 
     def test_settings_reject_thread_executor(self):
-        """The backend is no setting: it follows the worker count, so
-        ``executor=`` is rejected like any unknown field."""
+        """The executor is no setting: the worker count alone picks it, so
+        ``executor=`` is rejected like any unknown field and settings
+        carry no executor name."""
         with pytest.raises(TypeError, match="executor"):
             ServiceSettings(executor="thread")
-        assert ServiceSettings().executor == "serial"
-        for n in (0, 2, 4):
-            settings = ServiceSettings(n_workers=n)
-            settings.validate()
-            assert settings.executor == "process"
+        assert not hasattr(ServiceSettings(), "executor")
+        for n in (0, 1, 2, 4):
+            ServiceSettings(n_workers=n).validate()
+
+    def test_settings_validate_engine_eagerly(self):
+        """A bad worker count or start method fails at validation, not
+        when a slot first builds its executor."""
+        with pytest.raises(ConfigError, match="n_workers"):
+            ServiceSettings(n_workers=-1).validate()
+        with pytest.raises(ConfigError, match="greenlet"):
+            ServiceSettings(mp_start_method="greenlet").validate()
 
     def test_removed_config_field_is_unknown(self):
         """Every retired engine knob is rejected as an unknown field (a

@@ -167,7 +167,7 @@ def test_case5_publishes_one_index_and_one_table():
     cfg = FRWConfig.frw_r(seed=1)
     solver = FRWSolver(structure, cfg)
     ctx = solver.context(0)
-    with PersistentExecutor("process", n_workers=2) as ex:
+    with PersistentExecutor(2) as ex:
         for m in range(len(structure.conductors)):
             ex.register(solver.context(m), stream_spec(cfg, m))
         assert len(shm.published_blocks()) == 2
