@@ -9,10 +9,12 @@
 import numpy as np
 import pytest
 
+from repro import FRWConfig
 from repro.geometry import BruteForceIndex, GridIndex
 from repro.greens import get_cube_table
 from repro.numerics import KahanVector, NaiveVector
 from repro.rng import MTWalkStreams, WalkStreams
+from repro.structures import build_case
 
 
 N_WALKS = 2000
@@ -43,6 +45,36 @@ def test_philox_bulk_generation(benchmark):
 
     benchmark(ws.draws_span, uids, 0, 5, 2, out=out)
     assert out.size == 100_000
+
+
+@pytest.mark.parametrize("depth", [1, 8])
+def test_draws_span_compiled(benchmark, depth):
+    """The compiled span kernel at the engine's full width, filling the
+    engine's slot-major ring (three draw slots per step) one step deep,
+    as at full width, and eight deep, as in the drain tail."""
+    n = 10_000
+    ws = WalkStreams(seed=1)
+    uids = np.arange(n, dtype=np.uint64)
+    steps = np.arange(n, dtype=np.uint64) % 40
+    ring = np.empty((depth, 3, n)).transpose(0, 2, 1)
+
+    benchmark(ws.draws_span, uids, steps, depth, 3, out=ring)
+
+
+def test_grid_query_into_case5(benchmark):
+    """The compiled grid query on SRAM case 5 at the default cap: 10,000
+    enclosure points, most of them near-field."""
+    structure = build_case(5)
+    index = GridIndex(
+        structure, h_cap=FRWConfig().h_cap_fraction * min(structure.enclosure.sizes)
+    )
+    lo = np.asarray(structure.enclosure.lo)
+    hi = np.asarray(structure.enclosure.hi)
+    pts = lo + (hi - lo) * np.random.default_rng(5).random((10_000, 3))
+    dist = np.empty(10_000)
+    cond = np.empty(10_000, dtype=np.int64)
+
+    benchmark(index.query_into, pts, dist, cond)
 
 
 def test_kahan_vector_accumulate(benchmark):

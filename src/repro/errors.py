@@ -58,3 +58,9 @@ class DeterminismError(ReproError):
     """A determinism invariant was violated at runtime — e.g. global RNG
     state was touched while the sanitizer
     (:func:`repro.lint.sanitizer.forbid_global_rng`) is active."""
+
+
+class KernelBuildError(ReproError):
+    """The compiled engine kernels (``repro/native/kernels.c``) could not
+    be built or loaded: no C compiler, a failed compile, or a kernel cache
+    directory another user can write."""

@@ -82,7 +82,6 @@ from ..errors import ConfigError, ConvergenceError
 from ..geometry.structure import wall_distance
 from ..greens.sphere import interface_hemisphere_direction
 from ..rng import LaneDraws
-from ..rng.counter_stream import SPAN_TILE
 from .context import ExtractionContext
 
 
@@ -106,6 +105,15 @@ STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 #: constant rather than a parameter.
 RNG_PREFETCH_DEPTH = 8
 
+#: Width budget of a deep ring refill, in (step block, walk) lattice
+#: entries: a vector of ``n`` live walks refills ``K`` steps deep while
+#: ``2 * K * n <= RING_TILE`` (``n <= 1024`` at ``K = 8``) and one step
+#: deep above that.  Deep refills amortize a fixed per-call cost, which
+#: dominates in the pipeline's narrow drain tail; at full width they only
+#: add cache pressure and draws that retiring walks never consume.  The
+#: rule sets ``engine.rng_dispatches``, which CI gates.
+RING_TILE = 16384
+
 
 @dataclass
 class StageTimers:
@@ -114,9 +122,10 @@ class StageTimers:
     ``rng`` — counter-stream draws (with the prefetch ring, one fused span
     pass covers ``RNG_PREFETCH_DEPTH`` steps, so its dispatch count drops by
     ~that factor while ``steps`` keeps counting every vector step);
-    ``index_fast`` — the spatial index's tier-1 far-field split (cell
-    lookup + bounds mask + capped scatter); ``index`` — the near-field
-    candidate gather plus enclosure distance queries; ``sample`` —
+    ``index`` — the compiled grid query (cell lookup, far-field mask and
+    candidate scan in one call) plus the enclosure distance queries;
+    ``index_fast`` — the far-field split of the former NumPy query, now
+    always 0 (benchmark harnesses still read it); ``sample`` —
     surface/cube-kernel sampling and the position update; ``retire`` —
     result banking, stream release and slot compaction of absorbed walks;
     ``bookkeeping`` — masks, launch scatter-writes and the remaining
@@ -281,13 +290,8 @@ class WalkPipeline:
         self._query_into = ctx.index.query_into
         self._grow_arena(self.width)
         self._prefetch = RNG_PREFETCH_DEPTH
-        # Refill K deep only while the whole (2K, n) span lattice fits one
-        # cache-resident tile: fusing amortizes *fixed dispatch cost*,
-        # which dominates at small-to-mid vector widths (the pipeline's
-        # long-tail regime) but vanishes at full width, where a deep pass
-        # only adds cache pressure (measured 0.4x at n=8192, K=4).  Wider
-        # vectors refill the ring one step deep.
-        self._span_max_n = max(1, SPAN_TILE // (2 * self._prefetch))
+        # Refill K deep only up to the RING_TILE width (see there).
+        self._span_max_n = max(1, RING_TILE // (2 * self._prefetch))
         ring = self._ring_store
         if ring is None or ring.shape[0] < self._prefetch:
             # ``ring[k, d, i]`` holds draw slot ``d`` of arena slot ``i`` at
@@ -603,14 +607,12 @@ class WalkPipeline:
 
     def _stage_index(self, t0: float):
         """Conductor-distance and enclosure-distance queries for the
-        active cohort (tier-1 far field split charged to ``index_fast``
-        by the index itself)."""
+        active cohort, both charged to ``index``."""
         tm = self.timers
         n = self._n
         pos = self._pos[:n]
         # The index fills the arena's query buffers in place (the conductor
-        # ids in ``_cond``, read by the absorb stage), charging its tier-1
-        # split to ``index_fast`` and the near-field gather to ``index``.
+        # ids in ``_cond``, read by the absorb stage).
         dist_c = self._dist[:n]
         if tm is not None:
             t0 = self._query_into(pos, dist_c, self._cond[:n], timers=tm, t0=t0)
@@ -671,8 +673,8 @@ class WalkPipeline:
 
         Most steps consume a ready ring plane (a zero-dispatch view); a
         drained ring is refilled for every live slot by one span pass —
-        ``RNG_PREFETCH_DEPTH`` steps deep while the lattice is
-        cache-resident, one step deep for wider vectors.
+        ``RNG_PREFETCH_DEPTH`` steps deep up to the :data:`RING_TILE`
+        width, one step deep for wider vectors.
         """
         tm = self.timers
         n = self._n

@@ -37,6 +37,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
+from .. import native
 from ..config import MP_START_METHODS, FRWConfig
 from ..errors import ConfigError, WorkerLostError
 from . import shm
@@ -259,6 +260,11 @@ class PersistentExecutor:
     # ------------------------------------------------------------------
     def _processes(self) -> list:
         if not self._workers:
+            # Build or load the compiled kernels before any worker starts:
+            # fork workers inherit the loaded library, and spawn and
+            # forkserver workers load the cached build, so no worker
+            # compiles.
+            native.library()
             mp_ctx = multiprocessing.get_context(self._start_method)
             for _ in range(self.n_workers):
                 conn, child = mp_ctx.Pipe()

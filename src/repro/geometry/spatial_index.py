@@ -8,8 +8,9 @@ sizes the transition cube and decides absorption.  Two implementations:
   reference the grid is tested against, and the walk-on-spheres engine's
   Euclidean index.
 * :class:`GridIndex` — a uniform grid whose per-cell candidate lists are
-  precomputed into flat CSR arrays at build time, so a query is a fully
-  vectorised gather + segment-min with no per-cell Python loop.  Since the
+  precomputed into flat CSR arrays at build time, so a query is one call
+  of a compiled kernel (:func:`repro.native.grid_query`) that scans each
+  point's short candidate list.  Since the
   walk engine caps the transition cube at ``h_cap`` anyway, a cell only
   needs candidates within ``h_cap`` of it; queries whose true distance
   exceeds ``h_cap`` report exactly ``h_cap`` with no conductor, which is
@@ -21,7 +22,7 @@ every cell gets a conservative lower bound ``cell_dmin`` and upper bound
 ``cell_dmax`` on the distance from *any* point in the cell to the nearest
 conductor.  A cell with ``cell_dmin >= h_cap`` is *far-field*: all its
 points would report exactly ``(h_cap, -1)``, so the query answers them
-with a single vectorised mask and never touches candidate lists.
+from a per-cell flag and never touches candidate lists.
 ``cell_dmax`` additionally prunes candidates at build time: a candidate
 whose lower bound to the cell exceeds the cell's best upper bound can
 never win (or even tie) for any point in the cell, so it is dropped from
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..errors import GeometryError
 from .box import nearest_box
 from .structure import Structure
@@ -216,10 +218,10 @@ class GridIndex:
         # inherit their own copy; the lock is never pickled).
         self._stats_lock = threading.Lock()
         self._lo, self._hi, self._owner = structure.box_arrays
-        # Structure-of-arrays views of the box bounds: per-axis contiguous
-        # columns make the hot gather a handful of fast 1-D fancy indexes
-        # instead of (n, 3) row gathers and axis-1 reductions, which are
-        # dramatically slower in numpy for 3-wide rows.
+        # The compiled query's state, made on the first query.
+        self._grid = None
+        # Per-axis contiguous columns of the box bounds for the build's
+        # 1-D lattice arithmetic.
         self._lo_ax = tuple(
             np.ascontiguousarray(self._lo[:, a]) for a in range(3)
         )
@@ -248,28 +250,6 @@ class GridIndex:
         self._indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])
         self._near = self._cell_dmin < self.h_cap
-
-    def _axis_cells(self, points: np.ndarray, axis: int) -> np.ndarray:
-        """Clipped cell coordinate of every point along one axis.
-
-        int64 truncation equals floor for non-negative relatives; negative
-        relatives land in ``(-n, 1)`` either way and the clip pins them to
-        cell 0, so the result matches the floor+clip formulation exactly.
-        """
-        rel = np.subtract(points[:, axis], self._origin[axis])
-        rel *= self._inv_cell[axis]
-        ijk = rel.astype(np.int64)
-        np.maximum(ijk, 0, out=ijk)
-        return np.minimum(ijk, int(self._cell_max[axis]), out=ijk)
-
-    def _cell_ids(self, points: np.ndarray) -> np.ndarray:
-        # Per-axis arithmetic: 1-D column ops instead of (n, 3) broadcasts.
-        ids = self._axis_cells(points, 2)
-        ids *= int(self._n_cells[1])
-        ids += self._axis_cells(points, 1)
-        ids *= int(self._n_cells[0])
-        ids += self._axis_cells(points, 0)
-        return ids
 
     def _build(
         self, resolution: int
@@ -434,10 +414,9 @@ class GridIndex:
     def from_packed(cls, scalars: dict, arrays: dict) -> "GridIndex":
         """Rebuild an index from :meth:`packed` state (worker-side attach).
 
-        The packed arrays may be read-only shared views.  The SoA axis
-        columns are recomputed locally and the box ids widened back to
-        int64 (fancy indexes with int64 ids skip a per-gather cast), so
-        queries are bit-identical to the published index.  Stats counters
+        The packed arrays may be read-only shared views.  The box ids are
+        widened back to the int64 the compiled query reads, so queries are
+        bit-identical to the published index.  Stats counters
         start fresh (each attaching process accumulates its own telemetry)
         except the build-time ``candidates_pruned``, which is carried over.
         """
@@ -451,12 +430,7 @@ class GridIndex:
         self._lo = arrays["lo"]
         self._hi = arrays["hi"]
         self._owner = arrays["owner"]
-        self._lo_ax = tuple(
-            np.ascontiguousarray(self._lo[:, a]) for a in range(3)
-        )
-        self._hi_ax = tuple(
-            np.ascontiguousarray(self._hi[:, a]) for a in range(3)
-        )
+        self._grid = None
         self._origin = np.asarray(scalars["origin"], dtype=np.float64)
         self._n_cells = np.asarray(scalars["n_cells"], dtype=np.int64)
         self._cell = np.asarray(scalars["cell"], dtype=np.float64)
@@ -491,98 +465,54 @@ class GridIndex:
     ) -> float:
         """Query into preallocated ``dist``/``cond`` views (length ``n``).
 
-        The engine's zero-allocation entry point.  When ``timers`` (a
-        :class:`~repro.frw.engine.StageTimers`) is given, the far-field
-        mask split is charged to the ``index_fast`` stage and the near-field
-        gather to ``index``; returns the rolling timestamp.
+        The engine's zero-allocation entry point: one call of the compiled
+        grid kernel (:func:`repro.native.grid_query`) looks up every
+        point's cell, answers far-field cells with ``(h_cap, -1)`` and
+        scans the candidate lists of near ones, keeping the first lowest
+        box.  When ``timers`` (a :class:`~repro.frw.engine.StageTimers`)
+        is given, the whole query is charged to its ``index`` stage;
+        returns the rolling timestamp.
         """
         points = np.asarray(points, dtype=np.float64)
         n = points.shape[0]
-        dist[:] = self.h_cap
-        cond[:] = -1
-        if n == 0 or self._lo.shape[0] == 0:
-            with self._stats_lock:
-                self.stats.queries += 1
-                self.stats.points += n
-                self.stats.far_field_hits += n
-            if timers is not None:
-                t0 = timers.lap("index_fast", t0)
-            return t0
-        cell_ids = self._cell_ids(points)
-        near = np.nonzero(self._near[cell_ids])[0]
-        if timers is not None:
-            t0 = timers.lap("index_fast", t0)
-        visited = 0
-        if near.shape[0]:
-            visited = self._gather(points, cell_ids, near, dist, cond)
+        if (
+            points.shape != (n, 3)
+            or dist.shape != (n,)
+            or cond.shape != (n,)
+            or dist.dtype != np.float64
+            or cond.dtype != np.int64
+            or not (dist.flags.writeable and cond.flags.writeable)
+        ):
+            raise GeometryError(
+                f"query_into needs (n, 3) points and writeable (n,) "
+                f"float64/int64 outputs, got {points.shape}, {dist.dtype} {dist.shape}, "
+                f"{cond.dtype} {cond.shape}"
+            )
+        if self._grid is None:
+            self._grid = native.grid(
+                self.h_cap,
+                self._origin,
+                self._inv_cell,
+                self._n_cells,
+                self._cell_max,
+                near=self._near,
+                indptr=self._indptr,
+                indices=self._indices,
+                lo=self._lo,
+                hi=self._hi,
+                owner=self._owner,
+            )
+        near, visited = native.grid_query(self._grid, points, dist, cond)
         with self._stats_lock:
             st = self.stats
             st.queries += 1
             st.points += n
-            st.far_field_hits += n - near.shape[0]
-            st.near_points += near.shape[0]
+            st.far_field_hits += n - near
+            st.near_points += near
             st.candidates_visited += visited
         if timers is not None:
             t0 = timers.lap("index", t0)
         return t0
-
-    def _gather(
-        self,
-        points: np.ndarray,
-        cell_ids: np.ndarray,
-        sel: np.ndarray,
-        dist: np.ndarray,
-        cond: np.ndarray,
-    ) -> int:
-        """Flat (point, candidate) gather + segment-min for the selected
-        points, writing capped distances and winners at positions ``sel``.
-        Returns the number of candidate rows visited."""
-        k = sel.shape[0]
-        cells = cell_ids[sel]
-        start = self._indptr[cells]
-        cnt = self._indptr[cells + 1] - start
-        offs = np.cumsum(cnt) - cnt
-        total = int(offs[-1] + cnt[-1])
-        if total == 0:
-            return 0
-        # Flat (point, candidate) pairs: point i contributes cnt[i] rows, in
-        # CSR (ascending box) order within each point.
-        pt = np.repeat(np.arange(k, dtype=np.int64), cnt)
-        flat = np.arange(total, dtype=np.int64) + np.repeat(start - offs, cnt)
-        cand = self._indices[flat]
-        rows = sel[pt]
-        # Chebyshev point-to-box distance per pair, accumulated axis by
-        # axis over the SoA box columns (1-D gathers and elementwise
-        # maxima; no (n, 3) temporaries or axis-1 reductions).
-        d = None
-        for a in range(3):
-            pa = points[:, a][rows]
-            g = self._lo_ax[a][cand]
-            np.subtract(g, pa, out=g)
-            np.subtract(pa, self._hi_ax[a][cand], out=pa)
-            np.maximum(g, pa, out=g)
-            if d is None:
-                d = g
-            else:
-                np.maximum(d, g, out=d)
-        np.maximum(d, 0.0, out=d)
-        # Per-point segment minimum.  The segments tile ``d`` contiguously
-        # in point order, so one ``fmin.reduceat`` at the non-empty segment
-        # starts does it (``d`` is NaN-free, so fmin == minimum).
-        dsub = np.full(k, self.h_cap, dtype=np.float64)
-        nz = cnt > 0
-        dsub[nz] = np.minimum(np.fmin.reduceat(d, offs[nz]), self.h_cap)
-        dist[sel] = dsub
-        # Winner: the first candidate (lowest box index) achieving the
-        # segment minimum below the cap, matching the brute-force argmin
-        # tie-break.
-        idx = np.nonzero((d == dsub[pt]) & (d < self.h_cap))[0]
-        if idx.shape[0]:
-            first = np.ones(idx.shape[0], dtype=bool)
-            first[1:] = pt[idx[1:]] != pt[idx[:-1]]
-            win = idx[first]
-            cond[sel[pt[win]]] = self._owner[cand[win]]
-        return total
 
 
 def build_index(structure: Structure, h_cap: float) -> GridIndex:

@@ -518,16 +518,18 @@ def det010_shm_typestate(p: Check, graph: ProjectGraph) -> Iterator[Finding]:
 _RNG_PACKAGES = ("repro.rng",)
 #: Only the engine's stage kernels may advance the prefetch-ring cursor.
 _CURSOR_MODULES = ("repro.frw.engine",)
-#: The raw Philox kernels and key-derivation entry points.
+#: The raw Philox kernels and key-derivation entry points, Python and
+#: compiled (the ``repro.native`` wrappers of ``kernels.c``).
 _PHILOX_KERNELS = frozenset(
     {
         "philox4x32",
-        "philox4x32_inplace",
         "philox4x32_scalar",
+        "philox4x32_block",
+        "philox_span",
         "derive_key",
     }
 )
-_PHILOX_MODULE = "repro.rng.philox"
+_PHILOX_PACKAGES = ("repro.rng.", "repro.native.")
 #: The prefetch-ring cursor and fill depth (engine).
 _RING_CURSOR_ATTRS = frozenset({"_ring_cursor", "_ring_depth"})
 
@@ -543,14 +545,16 @@ def det011_rng_counter_discipline(
 ) -> Iterator[Finding]:
     """Draws are a pure function of ``(seed, uid, step, slot)`` only
     because exactly one place builds Philox counters
-    (``repro.rng.counter_stream``'s span kernel) and exactly one place
+    (``repro.rng.counter_stream``, through the compiled span kernel
+    ``repro.native.philox_span``) and exactly one place
     moves the prefetch ring's cursor and fill depth (``repro.frw.engine``'s
     phase-aligned helpers).  A future kernel that calls ``philox4x32*``
     directly, or bumps ``_ring_cursor`` / ``_ring_depth`` from outside,
     silently forks the stream: results stay plausible and bit-identity
     across DOP quietly dies.  This pass confines (a) calls to the raw
     Philox kernels and ``derive_key`` to ``repro.rng`` and (b) writes to
-    the cursor attributes to ``repro.frw.engine``."""
+    the cursor attributes to ``repro.frw.engine``.  The compiled
+    kernels' Python wrappers in ``repro.native`` count as raw kernels."""
     for module in _analyzed_modules(graph):
         src = graph.sources[module]
         resolver = graph.resolvers[module]
@@ -561,7 +565,7 @@ def det011_rng_counter_discipline(
                 canon = resolver.canonical(node.func) or ""
                 tail = canon.rsplit(".", 1)[-1]
                 if tail in _PHILOX_KERNELS and canon.startswith(
-                    "repro.rng."
+                    _PHILOX_PACKAGES
                 ):
                     yield p.finding(
                         src,

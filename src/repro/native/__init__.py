@@ -1,0 +1,256 @@
+"""The compiled engine kernels: build, cache and call ``kernels.c``.
+
+Two stages of the walk engine run in C: the Philox span fill behind
+:meth:`repro.rng.WalkStreams.draws_span` and the grid query behind
+:meth:`repro.geometry.GridIndex.query_into`.  They give the bits of their
+references exactly (``docs/DETERMINISM.md``).
+
+The library is built with the system C compiler on first use — never at
+``import repro`` — by :func:`library`, and cached as
+``$XDG_CACHE_HOME/repro/kernels-<hash>.so`` (``~/.cache/repro`` without
+``XDG_CACHE_HOME``).  The hash covers the source, the compile command and
+the platform, so an edited source or flag builds a new file.  A build
+writes a temporary file in the cache directory and renames it into place,
+so processes that build at once (pool workers, service boots, test
+processes) each load a complete library.  The cache directory must be
+owned by the user and writable by nobody else, since the library is
+loaded into the process.  A missing compiler, a failed compile or an
+unsafe directory raises :class:`~repro.errors.KernelBuildError`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import stat
+import subprocess
+import sysconfig
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+from ..errors import KernelBuildError
+
+#: The kernel source, shipped as package data.
+SOURCE = Path(__file__).with_name("kernels.c")
+
+#: The compile command, less its output and input paths.  No fast-math,
+#: and no fused multiply-add, so every operation is the IEEE one NumPy
+#: performs.
+COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_LOCK = threading.Lock()
+_LIB = None
+
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
+
+class Grid(ctypes.Structure):
+    """A :class:`~repro.geometry.GridIndex`'s query state (``grid_t``)."""
+
+    _fields_ = [
+        ("h_cap", ctypes.c_double),
+        ("origin", ctypes.c_double * 3),
+        ("inv_cell", ctypes.c_double * 3),
+        ("n_cells", _I64 * 3),
+        ("cell_max", _I64 * 3),
+        ("near", _PTR),
+        ("indptr", _PTR),
+        ("indices", _PTR),
+        ("lo", _PTR),
+        ("hi", _PTR),
+        ("owner", _PTR),
+    ]
+
+
+def cache_dir() -> Path:
+    """The directory the compiled library is cached in."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(base) / "repro"
+
+
+def library_path() -> Path:
+    """The cached library's path for this source, command and platform."""
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update("\0".join(COMPILE).encode())
+    digest.update(sysconfig.get_platform().encode())
+    return cache_dir() / f"kernels-{digest.hexdigest()[:16]}.so"
+
+
+def _checked_dir(path: Path) -> None:
+    """Create ``path`` private to the user, or refuse it if another user
+    could plant a library there."""
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.stat()
+    if st.st_uid != os.getuid() or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise KernelBuildError(
+            f"refusing kernel cache directory {path}: it must be owned by "
+            "the user and not group- or world-writable"
+        )
+
+
+def _build(path: Path) -> None:
+    """Compile the source to a temporary file and rename it to ``path``."""
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
+    os.close(fd)
+    cmd = [*COMPILE, "-o", tmp, str(SOURCE)]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelBuildError(
+                f"cannot run the kernel compiler: {' '.join(cmd)}: {exc}"
+            ) from exc
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"kernel compile failed (exit {proc.returncode}): "
+                f"{' '.join(cmd)}\n{proc.stderr.strip()}"
+            )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load() -> ctypes.CDLL:
+    path = library_path()
+    _checked_dir(path.parent)
+    if not path.exists():
+        _build(path)
+    lib = ctypes.CDLL(str(path))
+    signatures = {
+        "philox4x32_block": [_PTR, _PTR, _PTR],
+        # n, depth, count, uids, uid stride, steps, step stride, k0s, k1s,
+        # key stride, out, out strides (k, i, d)
+        "philox_span": [_I64] * 3 + [_PTR, _I64] * 2 + [_PTR, _PTR]
+        + [_I64, _PTR] + [_I64] * 3,
+        # grid, n, points, point strides (row, axis), dist, dist stride,
+        # cond, cond stride, counts
+        "grid_query": [ctypes.POINTER(Grid), _I64, _PTR, _I64, _I64]
+        + [_PTR, _I64] * 2 + [_PTR],
+    }
+    for name, argtypes in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = None
+    return lib
+
+
+def library() -> ctypes.CDLL:
+    """The loaded kernel library, built into the cache on first use."""
+    global _LIB
+    if _LIB is None:
+        with _LOCK:
+            if _LIB is None:
+                _LIB = _load()
+    return _LIB
+
+
+def _ptr(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _stride(a: np.ndarray, axis: int) -> int:
+    return a.strides[axis] // a.itemsize
+
+
+def philox4x32_block(counter, key) -> tuple[int, int, int, int]:
+    """One raw Philox4x32-10 block of the compiled kernel."""
+    ctr = np.asarray(counter, dtype=np.uint32)
+    k = np.asarray(key, dtype=np.uint32)
+    out = np.empty(4, dtype=np.uint32)
+    library().philox4x32_block(_ptr(ctr), _ptr(k), _ptr(out))
+    return tuple(int(w) for w in out)
+
+
+def philox_span(
+    uids: np.ndarray,
+    steps: np.ndarray,
+    k0: np.ndarray,
+    k1: np.ndarray,
+    depth: int,
+    count: int,
+    out: np.ndarray,
+) -> None:
+    """Fill ``out[k, i, d]`` with draw slot ``d`` of step ``steps[i] + k``
+    of walk ``uids[i]`` under key ``(k0[i], k1[i])``.
+
+    ``uids`` is ``(n,)`` uint64; ``steps``, ``k0`` and ``k1`` are uint64,
+    ``(n,)`` or 0-d (one value for every walk); ``out`` is float64 of
+    shape ``(depth, n, count)`` with any strides.  Arguments are not
+    validated here: :meth:`~repro.rng.WalkStreams.draws_span` does that.
+    """
+    library().philox_span(
+        uids.shape[0],
+        depth,
+        count,
+        _ptr(uids),
+        _stride(uids, 0),
+        _ptr(steps),
+        _stride(steps, 0) if steps.ndim else 0,
+        _ptr(k0),
+        _ptr(k1),
+        _stride(k0, 0) if k0.ndim else 0,
+        _ptr(out),
+        *(_stride(out, axis) for axis in range(3)),
+    )
+
+
+def grid(
+    h_cap: float,
+    origin: np.ndarray,
+    inv_cell: np.ndarray,
+    n_cells: np.ndarray,
+    cell_max: np.ndarray,
+    **arrays: np.ndarray,
+) -> Grid:
+    """The query state of a grid index for :func:`grid_query`.
+
+    ``arrays`` are ``near`` (per-cell bool), ``indptr`` and ``indices``
+    (int64 CSR lists), ``lo`` and ``hi`` (``(m, 3)`` float64 box bounds)
+    and ``owner`` (int64 box owners); the descriptor keeps them alive.
+    """
+    dtypes = {"near": np.bool_, "lo": np.float64, "hi": np.float64}
+    kept = {
+        name: np.ascontiguousarray(arrays[name], dtype=dtypes.get(name, np.int64))
+        for name, _ in Grid._fields_[5:]
+    }
+    g = Grid(
+        h_cap,
+        tuple(float(v) for v in origin),
+        tuple(float(v) for v in inv_cell),
+        tuple(int(v) for v in n_cells),
+        tuple(int(v) for v in cell_max),
+        *(_ptr(a) for a in kept.values()),
+    )
+    g.arrays = kept
+    return g
+
+
+def grid_query(
+    g: Grid, points: np.ndarray, dist: np.ndarray, cond: np.ndarray
+) -> tuple[int, int]:
+    """Capped nearest-conductor distance and conductor of every point of
+    ``points`` (``(n, 3)`` float64) into ``dist`` (float64) and ``cond``
+    (int64), both ``(n,)`` with any stride.  Returns ``(near_points,
+    candidates_visited)``."""
+    counts = np.zeros(2, dtype=np.int64)
+    library().grid_query(
+        ctypes.byref(g),
+        points.shape[0],
+        _ptr(points),
+        _stride(points, 0),
+        _stride(points, 1),
+        _ptr(dist),
+        _stride(dist, 0),
+        _ptr(cond),
+        _stride(cond, 0),
+        _ptr(counts),
+    )
+    return int(counts[0]), int(counts[1])

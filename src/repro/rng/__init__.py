@@ -24,10 +24,8 @@ from .mersenne import MTWalkStreams
 from .philox import (
     PHILOX_ROUNDS,
     derive_key,
-    philox4x32_inplace,
     philox4x32_scalar,
     splitmix64,
-    unit_double_into,
     unit_double_scalar,
 )
 
@@ -57,10 +55,8 @@ __all__ = [
     "PHILOX_ROUNDS",
     "WalkStreams",
     "derive_key",
-    "philox4x32_inplace",
     "philox4x32_scalar",
     "seeded_generator",
     "splitmix64",
-    "unit_double_into",
     "unit_double_scalar",
 ]

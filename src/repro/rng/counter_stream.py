@@ -30,18 +30,11 @@ is its depth-1 view.  The counter-based providers also take per-walk
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..errors import RNGError
-from .philox import (
-    derive_key,
-    philox4x32_inplace,
-    philox4x32_scalar,
-    unit_double_into,
-    unit_double_scalar,
-)
+from ..native import philox_span
+from .philox import derive_key, philox4x32_scalar, unit_double_scalar
 
 #: Philox blocks reserved per walk step; 4 blocks = up to 8 doubles.
 BLOCKS_PER_STEP = 4
@@ -53,41 +46,10 @@ MAX_DRAWS_PER_STEP = 2 * BLOCKS_PER_STEP
 DOMAIN_TAG = 0x46525752
 
 #: Maximum step depth of a fused :meth:`WalkStreams.draws_span` pass (the
-#: engine's RNG prefetch ring); keeps a tile's lattice rows
-#: (``depth * BLOCKS_PER_STEP`` at most) far below :data:`SPAN_TILE`.
+#: engine's RNG prefetch ring).
 MAX_PREFETCH_STEPS = 16
 
-#: Column-tile budget of the span kernel, in lattice elements per plane.
-#: Spans over wide walk vectors are evaluated in ``(rows, cols)`` tiles
-#: with ``rows * cols <= SPAN_TILE`` so the twelve scratch planes stay
-#: cache-resident — a single (2*depth, n) pass at n in the thousands
-#: thrashes the cache and loses the fused pass's dispatch win (measured:
-#: 0.8x at depth 8, n 8192 untiled vs >2x tiled).  The engine sizes its
-#: prefetch depth against the same budget.
-SPAN_TILE = 16384
-
-#: Scratch planes of one span tile: four counter words, four in-place
-#: Philox round temporaries, two integer and two float conversion temps
-#: (the integer pair holds per-walk key rows during a keyed pass).
-_SPAN_PLANES = 12
-
 _MASK32 = 0xFFFFFFFF
-
-_SCRATCH = threading.local()
-
-
-def _span_scratch() -> np.ndarray:
-    """The calling thread's span scratch: ``(12, SPAN_TILE)`` u64 planes.
-
-    Fixed-size and per thread, so no stream instance carries state and the
-    footprint never depends on the walk count or the span depth a caller
-    has seen.
-    """
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None:
-        buf = np.empty((_SPAN_PLANES, SPAN_TILE), dtype=np.uint64)
-        _SCRATCH.buf = buf
-    return buf
 
 
 class WalkStreams:
@@ -104,7 +66,7 @@ class WalkStreams:
 
     The draw *values* are a pure function of ``(seed, stream, uid, step,
     slot)``, so any number of instances agree bit-for-bit.  An instance
-    holds only its key: the span kernel's scratch is per thread, so one
+    holds only its key, and the span kernel keeps no scratch, so one
     instance may serve concurrent calls from any number of threads.
     """
 
@@ -112,6 +74,9 @@ class WalkStreams:
         self.seed = int(seed)
         self.stream = int(stream)
         self._k0, self._k1 = derive_key(self.seed, self.stream)
+        self._key_words = tuple(
+            np.array(k, dtype=np.uint64) for k in (self._k0, self._k1)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WalkStreams(seed={self.seed}, stream={self.stream})"
@@ -154,11 +119,9 @@ class WalkStreams:
         ``uids[i]`` (bit-identical to :meth:`draws_scalar`) — the engine's
         RNG prefetch ring consumes one plane per step.  ``steps`` may be a
         scalar or a per-walk array (the pipelined engine mixes walks at
-        different depths in one vector).  One Philox pass covers the
-        ``(depth * n_blocks, cols)`` counter lattice of each column tile,
-        so the fixed per-call dispatch cost is paid once per ``depth``
-        steps; tiles hold at most :data:`SPAN_TILE` lattice elements, so
-        the scratch working set stays cache-resident at any walk count.
+        different depths in one vector).  One call of the compiled span
+        kernel (:func:`repro.native.philox_span`) fills every plane, so
+        the fixed per-call cost is paid once per ``depth`` steps.
         ``out`` — shape ``(depth, >= n, >= count)``, float64, any strides
         — makes the call allocation-free.  ``keys`` — a ``(k0, k1)`` pair
         of ``(n,)`` uint64 arrays — replaces this stream's key per walk, so
@@ -175,72 +138,35 @@ class WalkStreams:
                 f"depth must be in [1, {MAX_PREFETCH_STEPS}], got {depth}"
             )
         uids = np.asarray(uids, dtype=np.uint64)
+        if uids.ndim != 1:
+            raise RNGError(f"uids must be one-dimensional, got {uids.shape}")
         n = uids.shape[0]
-        n_blocks = (count + 1) // 2
-        rows = depth * n_blocks
         if out is None:
             out = np.empty((depth, n, count), dtype=np.float64)
         elif (
-            out.shape[0] < depth or out.shape[1] < n or out.shape[2] < count
+            out.dtype != np.float64
+            or not out.flags.writeable
+            or out.shape[0] < depth
+            or out.shape[1] < n
+            or out.shape[2] < count
         ):
             raise RNGError(
-                f"out shape {out.shape} too small for ({depth}, {n}, {count})"
+                f"out {out.dtype} {out.shape} is not a writeable float64 "
+                f"array of at least ({depth}, {n}, {count})"
             )
-        steps_arr = np.asarray(steps, dtype=np.uint64)
-        tile = SPAN_TILE // rows
-        buf = _span_scratch()
-        f_planes = buf[10:].view(np.float64)
-        mask = np.uint64(_MASK32)
-        # Lattice row r = j * depth + k (block j, step offset k), so each
-        # draw slot's conversion input is a contiguous row range and
-        # c0 = (step + k) * BLOCKS_PER_STEP + j — the counter of block j
-        # of step + k.
-        r_idx = np.arange(rows, dtype=np.uint64)
-        row_off = (r_idx % np.uint64(depth)) * np.uint64(BLOCKS_PER_STEP) + (
-            r_idx // np.uint64(depth)
-        )
-        for a in range(0, n, tile):
-            b = min(n, a + tile)
-            m = b - a
-            x0, x1, x2, x3, s0, s1, s2, s3 = (
-                plane[: rows * m].reshape(rows, m) for plane in buf[:8]
+        steps = np.asarray(steps, dtype=np.uint64)
+        if keys is None:
+            k0, k1 = self._key_words
+        else:
+            k0, k1 = (np.asarray(k, dtype=np.uint64) for k in keys)
+        if any(a.shape not in ((), (n,)) for a in (steps, k0, k1)):
+            raise RNGError(
+                f"steps {steps.shape} and keys {k0.shape} must be scalar "
+                f"or one per walk ({n},)"
             )
-            # The 1-D counter temp is dead before the conversion temps
-            # that share its plane are written.
-            t = buf[8, :m]
-            step_t = steps_arr if steps_arr.ndim == 0 else steps_arr[a:b]
-            np.multiply(step_t, np.uint64(BLOCKS_PER_STEP), out=t)
-            np.add(t[None, :], row_off[:, None], out=x0)
-            np.bitwise_and(x0, mask, out=x0)
-            np.bitwise_and(uids[a:b], mask, out=t)
-            x1[...] = t
-            np.right_shift(uids[a:b], np.uint64(32), out=t)
-            x2[...] = t
-            x3.fill(DOMAIN_TAG)
-            if keys is None:
-                k0, k1 = self._k0, self._k1
-            else:
-                # Per-walk key rows, advanced in place by the kernel: they
-                # take the counter temp's plane and the next one, both
-                # free until the conversion below.
-                k0, k1 = buf[8, :m], buf[9, :m]
-                k0[...] = keys[0][a:b]
-                k1[...] = keys[1][a:b]
-            w0, w1, w2, w3 = philox4x32_inplace(
-                x0, x1, x2, x3, s0, s1, s2, s3, k0, k1
-            )
-            t0, t1 = (
-                plane[: depth * m].reshape(depth, m) for plane in buf[8:10]
-            )
-            f0, f1 = (
-                plane[: depth * m].reshape(depth, m) for plane in f_planes
-            )
-            for d in range(count):
-                j = d // 2
-                rs = slice(j * depth, (j + 1) * depth)
-                hi, lo = (w0[rs], w1[rs]) if d % 2 == 0 else (w2[rs], w3[rs])
-                unit_double_into(hi, lo, t0, t1, f0, f1, out[:depth, a:b, d])
-        return out[:depth, :n, :count]
+        out = out[:depth, :n, :count]
+        philox_span(uids, steps, k0, k1, depth, count, out)
+        return out
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
         """Scalar reference path; bit-identical to :meth:`draws_span`."""

@@ -8,18 +8,15 @@ walk.  A CBRNG is a keyed bijection ``(key, counter) -> 4 random words``; a
 "stream" is just a counter prefix, so seeding costs nothing.
 
 This module implements Philox4x32-10 exactly per the reference definition
-(verified against the Random123 known-answer vectors in the test suite),
-in both a scalar form (readable, used for cross-checks) and an
-allocation-free NumPy kernel (the one the walk engine runs).  All
+(verified against the Random123 known-answer vectors in the test suite)
+in scalar form: readable, and the reference the walk engine's compiled
+span kernel (``repro/native/kernels.c``) is tested against.  All
 arithmetic is modulo 2^32 on unsigned integers, so results are
-bit-identical across machines and NumPy versions — this is the "fixed
-implementation of PRNGs" the paper relies on for machine-independent
-reproducibility.
+bit-identical across machines — this is the "fixed implementation of
+PRNGs" the paper relies on for machine-independent reproducibility.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import RNGError
 
@@ -35,8 +32,6 @@ PHILOX_W0 = 0x9E3779B9
 PHILOX_W1 = 0xBB67AE85
 
 _MASK32 = 0xFFFFFFFF
-
-_U64 = np.uint64
 
 
 def _mulhilo32(a: int, b: int) -> tuple[int, int]:
@@ -81,81 +76,6 @@ def philox4x32_scalar(
     return c0, c1, c2, c3
 
 
-def philox4x32_inplace(
-    x0: np.ndarray,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    x3: np.ndarray,
-    s0: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    s3: np.ndarray,
-    k0: int | np.ndarray,
-    k1: int | np.ndarray,
-    rounds: int = PHILOX_ROUNDS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Allocation-free Philox4x32 over preallocated ``uint64`` buffers.
-
-    Bit-identical to :func:`philox4x32_scalar` (the known-answer tests
-    pin it), in ~10 in-place ufunc calls per round: the counter words are
-    kept ``< 2**32`` as an invariant (so the reference definition's
-    ``& mask`` operations on them are provably no-ops and are dropped), a
-    scalar key is carried as Python ints (scalars broadcast for free), and
-    every round writes into the eight caller-supplied buffers, ping-ponging
-    between the ``x*`` and ``s*`` quadruples.
-
-    Parameters
-    ----------
-    x0, x1, x2, x3:
-        Counter words as same-shape ``uint64`` arrays with values
-        ``< 2**32``.  Consumed as scratch.
-    s0, s1, s2, s3:
-        Same-shape ``uint64`` scratch buffers (contents ignored).
-    k0, k1:
-        Key words: plain ints (one key for every counter), or ``uint64``
-        rows of shape ``(cols,)`` with values ``< 2**32`` — one key per
-        counter *column* of a ``(rows, cols)`` lattice, broadcast down the
-        rows.  Key rows are consumed as scratch (advanced in place each
-        round), so the call stays allocation-free.
-
-    Returns
-    -------
-    The four output-word arrays (aliases of four of the eight buffers),
-    values ``< 2**32``.
-    """
-    rows = np.ndim(k0) > 0
-    if not rows:
-        k0 = int(k0) & _MASK32
-        k1 = int(k1) & _MASK32
-    m0 = _U64(PHILOX_M0)
-    m1 = _U64(PHILOX_M1)
-    w0 = _U64(PHILOX_W0)
-    w1 = _U64(PHILOX_W1)
-    mask = _U64(_MASK32)
-    shift = _U64(32)
-    for _ in range(rounds):
-        np.multiply(m0, x0, out=s0)  # p0 = m0 * c0 (fits in u64)
-        np.multiply(m1, x2, out=s1)  # p1 = m1 * c2
-        np.right_shift(s1, shift, out=s2)  # hi1
-        np.bitwise_xor(s2, x1, out=s2)
-        np.bitwise_xor(s2, k0 if rows else _U64(k0), out=s2)  # hi1 ^ c1 ^ k0
-        np.bitwise_and(s1, mask, out=s1)  # new c1 = lo1
-        np.right_shift(s0, shift, out=s3)  # hi0
-        np.bitwise_xor(s3, x3, out=s3)
-        np.bitwise_xor(s3, k1 if rows else _U64(k1), out=s3)  # hi0 ^ c3 ^ k1
-        np.bitwise_and(s0, mask, out=s0)  # new c3 = lo0
-        x0, x1, x2, x3, s0, s1, s2, s3 = s2, s1, s3, s0, x0, x1, x2, x3
-        if rows:
-            np.add(k0, w0, out=k0)
-            np.bitwise_and(k0, mask, out=k0)
-            np.add(k1, w1, out=k1)
-            np.bitwise_and(k1, mask, out=k1)
-        else:
-            k0 = (k0 + PHILOX_W0) & _MASK32
-            k1 = (k1 + PHILOX_W1) & _MASK32
-    return x0, x1, x2, x3
-
-
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 output function (a 64-bit finaliser).
 
@@ -184,37 +104,14 @@ def derive_key(seed: int, stream: int = 0) -> tuple[int, int]:
     return mixed & _MASK32, (mixed >> 32) & _MASK32
 
 
-def unit_double_into(
-    hi: np.ndarray,
-    lo: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    f0: np.ndarray,
-    f1: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Combine two words into a float64 uniform in [0, 1), into ``out``.
+def unit_double_scalar(hi: int, lo: int) -> float:
+    """Combine two words into a float64 uniform in [0, 1).
 
     Uses the standard 53-bit construction (27 bits from ``hi``, 26 from
     ``lo``), identical to the Mersenne-Twister ``genrand_res53`` recipe, so
-    the mapping is exact and platform-independent.  ``hi``/``lo`` are
-    ``uint64`` word arrays with values ``< 2**32``; ``t0``/``t1`` are
-    ``uint64`` scratch, ``f0``/``f1`` ``float64`` scratch of the same
-    shape.  The arithmetic sequence (shift, scale, add, scale) is that of
-    :func:`unit_double_scalar`, so results are bit-identical.
+    the mapping is exact and platform-independent; the compiled span
+    kernel performs the same shift, scale, add, scale sequence.
     """
-    np.right_shift(hi, _U64(5), out=t0)
-    np.right_shift(lo, _U64(6), out=t1)
-    np.copyto(f0, t0, casting="unsafe")  # exact: values < 2**27
-    f0 *= 67108864.0
-    np.copyto(f1, t1, casting="unsafe")
-    f0 += f1
-    f0 *= 1.0 / 9007199254740992.0
-    out[...] = f0
-
-
-def unit_double_scalar(hi: int, lo: int) -> float:
-    """Scalar version of :func:`unit_double_into`."""
     a = (hi & _MASK32) >> 5
     b = (lo & _MASK32) >> 6
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)

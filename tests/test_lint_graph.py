@@ -421,6 +421,29 @@ def test_mutation_leaking_shm_block_is_one_det010(repo_copy):
     assert errors[0].scope == "_rogue_scratch"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "from repro.native import philox_span\n"
+        "def _rogue_draws(uids, steps, k0, k1, out):\n"
+        "    philox_span(uids, steps, k0, k1, 1, 3, out)\n",
+        "from .. import native\n"
+        "def _rogue_draws(counter, key):\n"
+        "    return native.philox4x32_block(counter, key)\n",
+    ],
+    ids=["philox_span", "philox4x32_block"],
+)
+def test_mutation_calling_compiled_philox_is_one_det011(repo_copy, call):
+    """The compiled kernel's wrappers are raw Philox kernels: calling one
+    from outside repro.rng forks the stream like a hand-built counter."""
+    walk = repo_copy / "src/repro/frw/walk.py"
+    walk.write_text(walk.read_text() + "\n\n" + call)
+    errors = mutated_errors(repo_copy)
+    assert [f.rule for f in errors] == ["DET011"]
+    assert "raw Philox kernel call" in errors[0].message
+    assert errors[0].scope == "_rogue_draws"
+
+
 @pytest.mark.parametrize("attr", ["_ring_cursor", "_ring_depth"])
 def test_mutation_bypassing_ring_cursor_is_one_det011(repo_copy, attr):
     walk = repo_copy / "src/repro/frw/walk.py"

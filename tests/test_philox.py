@@ -1,8 +1,10 @@
 """Tests for the from-scratch Philox4x32-10 implementation.
 
-The known-answer vectors pin both the scalar reference and the
-allocation-free kernel the walk engine runs (``philox4x32_inplace`` and
-``unit_double_into``)."""
+The known-answer vectors pin both the scalar reference and the compiled
+kernel the walk engine runs (``repro/native/kernels.c``, through its raw
+block entry ``repro.native.philox4x32_block``); the engine's span fill
+converts the compiled words to uniforms exactly as
+``unit_double_scalar`` does."""
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RNGError
+from repro.native import philox4x32_block
 from repro.rng import (
+    BLOCKS_PER_STEP,
+    DOMAIN_TAG,
+    WalkStreams,
     derive_key,
-    philox4x32_inplace,
     philox4x32_scalar,
     splitmix64,
-    unit_double_into,
     unit_double_scalar,
 )
 
@@ -35,35 +39,15 @@ KAT = [
 ]
 
 
-def engine_philox(counter, k0, k1):
-    """The engine's kernel on four equal-shape counter-word arrays; the
-    key is two ints or two ``uint64`` rows, one key per counter column."""
-    x = [np.array(c, dtype=np.uint64) for c in counter]
-    scratch = [np.empty_like(x[0]) for _ in range(4)]
-    return philox4x32_inplace(*x, *scratch, k0, k1)
-
-
-def engine_unit_double(hi, lo):
-    """The engine's word-pair-to-uniform conversion."""
-    hi = np.asarray(hi, dtype=np.uint64)
-    lo = np.asarray(lo, dtype=np.uint64)
-    out, f0, f1 = (np.empty(hi.shape) for _ in range(3))
-    unit_double_into(hi, lo, np.empty_like(hi), np.empty_like(hi), f0, f1, out)
-    return out
-
-
 @pytest.mark.parametrize("counter,key,expected", KAT)
 def test_known_answer_scalar(counter, key, expected):
     assert philox4x32_scalar(counter, key) == expected
 
 
 def test_known_answer_vectorised():
-    """One lattice row, one KAT vector per column under its own key row."""
-    counters = np.array([k[0] for k in KAT], dtype=np.uint64).T[:, None, :]
-    k0, k1 = np.array([k[1] for k in KAT], dtype=np.uint64).T.copy()
-    out = engine_philox(counters, k0, k1)
-    for lane in range(4):
-        assert out[lane][0].tolist() == [k[2][lane] for k in KAT]
+    """Every KAT vector through the compiled kernel's raw block entry."""
+    for counter, key, expected in KAT:
+        assert philox4x32_block(counter, key) == expected
 
 
 @given(
@@ -72,12 +56,7 @@ def test_known_answer_vectorised():
 )
 @settings(max_examples=60)
 def test_scalar_matches_vectorised(counter, key):
-    scalar = philox4x32_scalar(counter, key)
-    counters = [[c] for c in counter]
-    by_int = engine_philox(counters, *key)
-    by_row = engine_philox(counters, *(np.array([k], dtype=np.uint64) for k in key))
-    assert tuple(int(v[0]) for v in by_int) == scalar
-    assert tuple(int(v[0]) for v in by_row) == scalar
+    assert philox4x32_block(counter, key) == philox4x32_scalar(counter, key)
 
 
 @given(
@@ -100,23 +79,33 @@ def test_output_changes_with_key():
 
 
 def test_uniform_conversion_range_and_resolution():
-    hi = np.array([0, 0xFFFFFFFF, 0x80000000], dtype=np.uint32)
-    lo = np.array([0, 0xFFFFFFFF, 0], dtype=np.uint32)
-    vals = engine_unit_double(hi, lo)
+    hi = [0, 0xFFFFFFFF, 0x80000000]
+    lo = [0, 0xFFFFFFFF, 0]
+    vals = [unit_double_scalar(h, l) for h, l in zip(hi, lo)]
     assert vals[0] == 0.0
-    assert 0.0 <= vals.min() and vals.max() < 1.0
+    assert vals[1] == 1.0 - 2.0**-53  # the largest double below 1
     assert vals[2] == 0.5
-    # scalar path agrees bit-for-bit
-    for h, l, v in zip(hi, lo, vals):
-        assert unit_double_scalar(int(h), int(l)) == v
+    # The compiled span converts a block's words exactly as the scalar
+    # does: slots (0, 1) of step 3 of walk 2**40 + 7 are block 12's word
+    # pairs.
+    streams = WalkStreams(11, 2)
+    uid = 2**40 + 7
+    words = philox4x32_scalar(
+        (3 * BLOCKS_PER_STEP, uid & 0xFFFFFFFF, uid >> 32, DOMAIN_TAG),
+        streams.key,
+    )
+    span = streams.draws_span(np.array([uid], dtype=np.uint64), 3, 1, 2)
+    assert span[0, 0].tolist() == [
+        unit_double_scalar(words[0], words[1]),
+        unit_double_scalar(words[2], words[3]),
+    ]
 
 
 def test_uniform_statistics():
     n = 200_000
-    blocks = np.arange(n, dtype=np.uint64)
-    zeros = np.zeros(n, dtype=np.uint64)
-    w = engine_philox((blocks, zeros, zeros, zeros + 7), 123, 456)
-    u = engine_unit_double(w[0], w[1])
+    u = WalkStreams(123, 456).draws_span(np.arange(n, dtype=np.uint64), 0, 1, 1)
+    u = u.ravel()
+    assert 0.0 <= u.min() and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 3.0 / np.sqrt(12 * n)
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
     # Lag-1 correlation should be negligible.

@@ -6,8 +6,8 @@ Three layers of guarantees:
    ring — produces *exactly* the words of the scalar reference
    ``draws_scalar`` at every step of the span, for plain ``WalkStreams``
    and through the ``MirroredDraws`` antithetic view (hypothesis property
-   tests over uids/steps/depths), from a scratch footprint bounded by
-   ``SPAN_TILE`` whatever the span shapes.
+   tests over uids/steps/depths), allocating nothing past its output
+   whatever the span shapes.
 2. Engine: a pipelined ``run_segments`` run reproduces the pinned
    scalar-reference goldens at every prefetch depth (``RNG_PREFETCH_DEPTH``
    patched; also pinned per-depth in ``test_engine_golden``); the
@@ -36,9 +36,9 @@ from repro.frw import (
     extract_row_alg2,
     make_streams,
 )
-from repro.frw.engine import RNG_PREFETCH_DEPTH
+from repro.frw.engine import RING_TILE, RNG_PREFETCH_DEPTH
 from repro.rng import MirroredDraws, WalkStreams
-from repro.rng.counter_stream import MAX_PREFETCH_STEPS, SPAN_TILE
+from repro.rng.counter_stream import MAX_PREFETCH_STEPS
 
 from test_engine_golden import SEED, _build_structure, _digest
 
@@ -119,21 +119,20 @@ def test_mirrored_draws_span_equals_per_step(seed, base, step0, depth):
 
 
 def test_span_scratch_is_bounded():
-    """Span scratch is one fixed ``SPAN_TILE`` tile set, not a buffer grown
-    to the largest rows and columns a stream has seen: a deep span over a
-    few walks followed by a one-step span over many walks must not leave a
-    (deep x wide) lattice behind."""
+    """The span kernel keeps no scratch: a deep span over a few walks
+    followed by a one-step span over many walks allocates their outputs
+    and nothing that grows with the span shapes."""
     uids = np.arange(10_000, dtype=np.uint64)
+    streams = WalkStreams(5, 0)
+    streams.draws_span(uids[:2], 0, 1, 3)  # the library loads outside the trace
     tracemalloc.start()
     try:
-        streams = WalkStreams(5, 0)
         deep = streams.draws_span(uids[:33], 0, 16, 3)
         wide = streams.draws_span(uids, 0, 1, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 10_000 > SPAN_TILE // 2  # the wide span spans two column tiles
-    assert peak <= deep.nbytes + wide.nbytes + 2 * 2**20
+    assert peak <= deep.nbytes + wide.nbytes + 64 * 2**10
 
 
 def test_draws_span_validates_arguments():
@@ -182,12 +181,12 @@ def test_wide_vectors_cross_fusion_threshold_bit_identical(
     ctx = build_context(
         _build_structure("homogeneous"), 0, FRWConfig.frw_r(seed=SEED)
     )
-    n = 5000  # > SPAN_TILE / (2 * depth) for every depth tested
+    n = 5000  # > RING_TILE / (2 * depth) for every depth tested
     uids = np.arange(n, dtype=np.uint64)
     monkeypatch.setattr(engine, "RNG_PREFETCH_DEPTH", 1)
     ref = _digest(run_pipelined(ctx, WalkStreams(SEED, 0), uids, width=n))
     for depth in (2, 8):
-        assert n > SPAN_TILE // (2 * depth)  # crosses the budget
+        assert n > RING_TILE // (2 * depth)  # crosses the budget
         monkeypatch.setattr(engine, "RNG_PREFETCH_DEPTH", depth)
         res = run_pipelined(ctx, WalkStreams(SEED, 0), uids, width=n)
         assert _digest(res) == ref

@@ -36,6 +36,32 @@ def random_structure(seed: int, n: int = 30) -> Structure:
     )
 
 
+def cell_ids(grid: GridIndex, pts: np.ndarray) -> np.ndarray:
+    """The cell each point maps to: per axis, its scaled offset from the
+    grid origin, floored and clipped to the grid."""
+    rel = (pts - grid._origin) * grid._inv_cell
+    ijk = np.clip(np.floor(rel), 0, grid._cell_max).astype(np.int64)
+    nx, ny, _ = (int(v) for v in grid._n_cells)
+    return (ijk[:, 2] * ny + ijk[:, 1]) * nx + ijk[:, 0]
+
+
+def reference_query(grid: GridIndex, pts: np.ndarray):
+    """The grid query point by point: a far-field cell answers
+    ``(h_cap, -1)``; a near one scans its candidates in ascending box
+    order, and the first strictly lowest capped distance wins."""
+    dist = np.full(pts.shape[0], grid.h_cap)
+    cond = np.full(pts.shape[0], -1, dtype=np.int64)
+    for i, c in enumerate(cell_ids(grid, pts)):
+        if not grid._near[c]:
+            continue
+        for box in grid._indices[grid._indptr[c] : grid._indptr[c + 1]]:
+            gap = np.maximum(grid._lo[box] - pts[i], pts[i] - grid._hi[box])
+            d = max(0.0, float(gap.max()))
+            if d < dist[i]:
+                dist[i], cond[i] = d, grid._owner[box]
+    return dist, cond
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grid_matches_brute_force_under_cap(seed):
     s = random_structure(seed)
@@ -167,7 +193,7 @@ def test_cell_bounds_are_conservative():
     pts = rng.uniform(-5, 50, (500, 3))  # the enclosure exactly
     d_true, _ = brute.query(pts)
     d_cap = np.minimum(d_true, h_cap)
-    cells = grid._cell_ids(pts)
+    cells = cell_ids(grid, pts)
     assert np.all(np.minimum(grid._cell_dmin[cells], h_cap) <= d_cap + 1e-12)
     # dmax is an upper bound on the *uncapped* nearest distance wherever a
     # candidate exists; empty cells legitimately report inf.
@@ -209,6 +235,110 @@ def test_grid_equals_brute_force_property(seed, n_boxes, h_cap, resolution):
     d_g, c_g = grid.query(pts)
     assert np.array_equal(d_g, d_ref)
     assert np.array_equal(c_g, c_ref)
+
+
+def zero_face_structure(seed: int, n: int) -> Structure:
+    """Random boxes plus boxes with faces on the coordinate planes, where
+    a point at -0.0 or +0.0 makes a signed-zero face distance."""
+    rng = np.random.default_rng(seed)
+    conductors = [
+        Conductor.single("z0", Box.from_bounds(-2, 0, 0, 1.5, -1, 0)),
+        Conductor.single("z1", Box.from_bounds(0, 1, -1.5, 0, 0, 2)),
+    ]
+    for i in range(n):
+        lo = rng.uniform(-4.0, 45.0, 3)
+        hi = lo + rng.uniform(0.3, 4.0, 3)
+        box = Box.from_bounds(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+        conductors.append(Conductor.single(f"c{i}", box))
+    return Structure(
+        conductors, enclosure=Box.from_bounds(-5, 50, -5, 50, -5, 50)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_boxes=st.integers(0, 20),
+    h_cap=st.floats(0.5, 6.0),
+    resolution=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_compiled_query_matches_references(seed, n_boxes, h_cap, resolution):
+    """The compiled query equals capped brute force at every point inside
+    the enclosure — random, on cell boundaries, on the coordinate planes
+    at -0.0 and +0.0 — and the point-by-point reference outside it, where
+    cells clip and pruning no longer matches brute force.  Distances never
+    carry a negative zero."""
+    s = zero_face_structure(seed, n_boxes)
+    grid = GridIndex(s, h_cap=h_cap, resolution=resolution)
+    rng = np.random.default_rng(seed ^ 0x5A5A)
+    inside = rng.uniform(-5, 50, (240, 3))
+    cell = grid._cell
+    lattice = grid._origin + np.round((inside[:60] - grid._origin) / cell) * cell
+    inside[:60] = np.clip(lattice, -5, 50)
+    inside[60:120] = rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0, 1.5, -1.5], (60, 3))
+    d_b, c_b = BruteForceIndex(s).query(inside)
+    far = d_b >= h_cap
+    d_g, c_g = grid.query(inside)
+    assert np.array_equal(d_g, np.where(far, h_cap, d_b))
+    assert np.array_equal(c_g, np.where(far, -1, c_b))
+    assert not np.signbit(d_g).any()
+    outside = rng.uniform(-5, 50, (120, 3))
+    axis = rng.integers(0, 3, 120)
+    beyond = [-1e3, -5 - 2 * h_cap, -5.5, 50.5, 50 + 2 * h_cap, 1e3]
+    outside[np.arange(120), axis] = rng.choice(beyond, 120)
+    d_o, c_o = grid.query(outside)
+    d_r, c_r = reference_query(grid, outside)
+    assert d_o.tobytes() == d_r.tobytes()
+    assert np.array_equal(c_o, c_r)
+
+
+def test_query_stats_totals_are_pinned():
+    """Query counters on fixed point sets: a sparse structure queried
+    partly outside its enclosure, and SRAM case 5 at the default cap."""
+    grid = GridIndex(random_structure(11), h_cap=3.0, resolution=1)
+    pts = np.random.default_rng(14).uniform(-8, 53, (2000, 3))
+    grid.query(pts)
+    grid.query(pts[:500])
+    assert grid.stats.as_dict() == {
+        "queries": 2,
+        "points": 2500,
+        "far_field_hits": 2201,
+        "near_points": 299,
+        "candidates_visited": 344,
+        "candidates_pruned": 3398,
+        "far_field_rate": 0.8804,
+    }
+    s = build_case(5)
+    grid = GridIndex(s, h_cap=_default_cap(s))
+    lo, hi = np.asarray(s.enclosure.lo), np.asarray(s.enclosure.hi)
+    pts = lo + (hi - lo) * np.random.default_rng(5).random((10_000, 3))
+    d, c = grid.query(pts)
+    assert grid.stats.as_dict() == {
+        "queries": 1,
+        "points": 10_000,
+        "far_field_hits": 1664,
+        "near_points": 8336,
+        "candidates_visited": 13124,
+        "candidates_pruned": 50952,
+        "far_field_rate": 0.1664,
+    }
+    assert d.sum().hex() == "0x1.d814ab96234c6p+14"
+    assert int(c.sum()) == 179353
+
+
+def test_query_into_rejects_mismatched_outputs():
+    grid = GridIndex(random_structure(15), h_cap=2.5)
+    pts = np.zeros((8, 3))
+    with pytest.raises(GeometryError):
+        grid.query_into(pts, np.empty(7), np.empty(8, dtype=np.int64))
+    with pytest.raises(GeometryError):
+        grid.query_into(pts, np.empty(8), np.empty(8, dtype=np.int32))
+    with pytest.raises(GeometryError):
+        grid.query_into(pts[:, :2], np.empty(8), np.empty(8, dtype=np.int64))
+    frozen = np.empty(8)
+    frozen.flags.writeable = False
+    with pytest.raises(GeometryError, match="writeable"):
+        grid.query_into(pts, frozen, np.empty(8, dtype=np.int64))
 
 
 def test_owner_mapping_multibox():
