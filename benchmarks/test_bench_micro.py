@@ -129,6 +129,8 @@ def test_surface_sampling(benchmark, ctx_case1):
 
 
 def test_cube_table_sampling(benchmark):
+    """The table's cell draw and unit-cube point: thin wrappers over the
+    inline C functions the engine's cube hop calls."""
     table = get_cube_table(32)
     rng = np.random.default_rng(3)
     u = rng.random(10_000)
@@ -146,6 +148,83 @@ def test_cube_table_construction(benchmark):
     from repro.greens.cube_table import _build
 
     benchmark(_build, 16, 48)
+
+
+# ----------------------------------------------------------------------
+# The compiled vector step (locate / retire / cube_hop) at full width
+# ----------------------------------------------------------------------
+STEP_WIDTH = 10_000
+
+
+@pytest.fixture(scope="module")
+def case5_vector():
+    """A pipeline on SRAM case 5 (stratified, so some walks snap onto an
+    interface) with 10,000 walks launched and one step taken, plus a
+    snapshot of its arena to restore between rounds."""
+    from repro.frw import WalkPipeline, build_context
+
+    ctx = build_context(build_case(5), 0, FRWConfig.frw_r(seed=9))
+    pipe = WalkPipeline()
+    uids = np.arange(STEP_WIDTH, dtype=np.uint64)
+    pipe.submit(0, 0, ctx, WalkStreams(9, 0), uids, STEP_WIDTH)
+    pipe._refill()
+    pipe._step()
+    names = ("uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
+             "naxis", "nsign", "dist", "dist_e")
+    saved = {name: getattr(pipe, "_" + name).copy() for name in names}
+    saved_n, saved_ring = pipe._n, (pipe._ring_cursor, pipe._ring_depth)
+
+    def restore():
+        for name, arr in saved.items():
+            getattr(pipe, "_" + name)[...] = arr
+        pipe._n = saved_n
+        pipe._ring_cursor, pipe._ring_depth = saved_ring
+
+    return pipe, restore
+
+
+def test_step_locate_case5(benchmark, case5_vector):
+    """Query, wall distance and absorption test of every live walk."""
+    pipe, restore = case5_vector
+    restore()
+    benchmark(pipe._locate, pipe._arena_ref, pipe._n)
+
+
+def test_step_cube_hop_case5(benchmark, case5_vector):
+    """Allow, interface distance and snap list, cell draw and move."""
+    pipe, restore = case5_vector
+    restore()
+
+    def setup():
+        restore()
+        pipe._locate(pipe._arena_ref, pipe._n)
+
+    n_snap = benchmark.pedantic(
+        pipe._cube_hop, args=(pipe._arena_ref, pipe._n, 0), setup=setup,
+        rounds=50,
+    )
+    assert 0 < n_snap < pipe._n
+
+
+def test_step_retire_case5(benchmark, case5_vector):
+    """Banking and compaction of one walk in ten, ring planes included."""
+    pipe, restore = case5_vector
+    restore()
+    n = pipe._n
+    done = np.zeros(pipe._capacity, dtype=bool)
+    done[:n:10] = True
+    remaining = pipe._win_remaining.copy()
+
+    def setup():
+        restore()
+        pipe._done[:] = done
+        pipe._dest[:] = 0
+        pipe._win_remaining[:] = remaining
+        # One live ring plane travels with each moved walk.
+        pipe._ring_cursor, pipe._ring_depth = 0, 1
+
+    benchmark.pedantic(pipe._retire_done, args=(False,), setup=setup, rounds=50)
+    assert pipe._n == n - np.count_nonzero(done)
 
 
 # ----------------------------------------------------------------------

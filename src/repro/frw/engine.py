@@ -33,12 +33,17 @@ and its own queue of submitted batches.  All per-walk state lives in
 arrays preallocated at ``width`` capacity, the active walks occupy the
 dense prefix ``[0, n)``, and every slot past ``n`` is free.  Retiring
 walks frees slots by moving kept walks from the tail of the prefix into
-the holes (a vectorised scatter — the free-list is the tail, kept dense so
-every per-step kernel runs on contiguous views); launching scatter-writes
-new walks into the freed tail slots.  Steady-state steps therefore perform
-**zero array reallocation** of walk state: the step's own temporaries come
-from the same arena, and draws are generated straight into a preallocated
-ring by the fused Philox kernel.
+the holes (the free-list is the tail, kept dense so every per-step kernel
+runs on contiguous slots); launching scatter-writes new walks into the
+freed tail slots.  Steady-state steps therefore perform **zero array
+reallocation** of walk state: the step's own temporaries come from the
+same arena, and draws are generated straight into a preallocated ring by
+the fused Philox kernel.  The step itself is compiled
+(``repro/native/kernels.c``): ``locate`` queries and absorbs, ``retire``
+banks and compacts, and ``cube_hop`` moves every walk, each in one call
+over a :class:`repro.native.Arena` descriptor of the slot arena.  Only
+walks that snap onto a dielectric interface take their hemisphere step
+in NumPy.
 
 Walks carry their own step counters, so the active set may mix walks from
 several batches at different depths.  When walks absorb, their slots are
@@ -71,6 +76,7 @@ reports the breakdown.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,8 +84,8 @@ from time import perf_counter
 
 import numpy as np
 
+from .. import native
 from ..errors import ConfigError, ConvergenceError
-from ..geometry.structure import wall_distance
 from ..greens.sphere import interface_hemisphere_direction
 from ..rng import LaneDraws
 from .context import ExtractionContext
@@ -122,14 +128,15 @@ class StageTimers:
     ``rng`` — counter-stream draws (with the prefetch ring, one fused span
     pass covers ``RNG_PREFETCH_DEPTH`` steps, so its dispatch count drops by
     ~that factor while ``steps`` keeps counting every vector step);
-    ``index`` — the compiled grid query (cell lookup, far-field mask and
-    candidate scan in one call) plus the enclosure distance queries;
-    ``index_fast`` — the far-field split of the former NumPy query, now
-    always 0 (benchmark harnesses still read it); ``sample`` —
-    surface/cube-kernel sampling and the position update; ``retire`` —
-    result banking, stream release and slot compaction of absorbed walks;
-    ``bookkeeping`` — masks, launch scatter-writes and the remaining
-    per-step glue.
+    ``index`` — the compiled ``locate`` call: grid query (cell lookup,
+    far-field mask and candidate scan), enclosure distance and the
+    absorption test; ``index_fast`` — the far-field split of the former
+    NumPy query, now always 0 (benchmark harnesses still read it);
+    ``sample`` — launch surface sampling, the compiled cube hop (position
+    update and first-hop weights included) and the hemisphere step of
+    snapped walks; ``retire`` — stream release, result banking and slot
+    compaction of absorbed or over-cap walks; ``bookkeeping`` — the
+    over-cap mask, launch scatter-writes and the remaining per-step glue.
 
     ``counts[stage]`` counts ``lap`` calls — i.e. kernel-cohort dispatches
     charged to the stage — so a stage's fixed Python-dispatch overhead is
@@ -218,7 +225,7 @@ class WalkPipeline:
     into the ring buffer, consumed one plane per step, so the fixed
     per-call draw-dispatch cost is paid once per ``K`` steps.  The ring is
     *phase-aligned*: a single cursor is shared by all slots (consuming a
-    plane is a zero-dispatch view), launches fill a partial span that
+    plane dispatches nothing), launches fill a partial span that
     joins the global phase, and retirement compaction moves ring columns
     with the other slot state — so the per-slot cursor is simply
     ``(step_no[i], cursor)``.  Because each walk's draws depend only on
@@ -234,12 +241,18 @@ class WalkPipeline:
         self.trace = trace
         self._capacity = 0
         self._ring_store = None
+        # The compiled step kernels' view of the arena, built by the first
+        # _grow_arena: slot pointers are set there, the walk space, ring
+        # and result window by _start, and the window and lane weights
+        # again whenever those arrays change.  An idle vector's descriptor
+        # may point at freed arrays; no kernel runs before _start.
+        self._arena = None
         self._reset()
 
     def _reset(self) -> None:
         """Go idle: forget the lanes, the queue, the result window and the
         ring phase (the arena arrays stay for the next batches)."""
-        self.ctx = self._table = self._query_into = None
+        self.ctx = self._index = None
         self.width = 0
         self._keys: dict = {}  # caller's key -> lane
         self._surfaces: tuple = ()
@@ -270,7 +283,6 @@ class WalkPipeline:
 
         # Active walks occupy the arena prefix [0, n); the rest is free.
         self._n = 0
-        self._have_first = False
         # Planes filled by the last refill; cursor == _ring_depth means
         # "ring drained": the next step refills before consuming.
         self._ring_depth = 1
@@ -283,11 +295,7 @@ class WalkPipeline:
         self._stack = ctx.structure.dielectric
         self._interfaces = self._stack._z  # () for homogeneous
         self._enclosure_index = ctx.enclosure_index
-        self._table = ctx.table
-        enc = ctx.structure.enclosure
-        self._enc_lo = tuple(float(v) for v in enc.lo)
-        self._enc_hi = tuple(float(v) for v in enc.hi)
-        self._query_into = ctx.index.query_into
+        self._index = ctx.index
         self._grow_arena(self.width)
         self._prefetch = RNG_PREFETCH_DEPTH
         # Refill K deep only up to the RING_TILE width (see there).
@@ -297,8 +305,8 @@ class WalkPipeline:
             # ``ring[k, d, i]`` holds draw slot ``d`` of arena slot ``i`` at
             # the ``k``-th buffered step; it is the engine's only draw
             # buffer (hop and launch draws alike).  Slot-major storage
-            # keeps the span kernel's writes and the sample stage's
-            # per-draw-slot column reads contiguous.
+            # keeps the span kernel's writes and the step kernels' per-draw-
+            # slot reads contiguous.
             self._ring_store = np.empty(
                 (self._prefetch, 3, self._capacity), dtype=np.float64
             )
@@ -306,9 +314,29 @@ class WalkPipeline:
         # The `_v` view exposes the (depth, n, count) axis order
         # draws_span expects, sharing the memory.
         self._ring_v = self._ring.transpose(0, 2, 1)
+        cfg = ctx.config
+        enc = ctx.structure.enclosure
+        a = self._arena
+        a.ring = native.address(self._ring_store)
+        a.grid = ctypes.addressof(ctx.index.descriptor())
+        a.table = ctypes.addressof(ctx.table._native)
+        a.interfaces = native.address(self._interfaces)
+        a.n_interfaces = self._interfaces.shape[0]
+        a.enc_lo[:] = [float(v) for v in enc.lo]
+        a.enc_hi[:] = [float(v) for v in enc.hi]
+        a.enc_index = self._enclosure_index
+        a.h_cap = ctx.h_cap
+        a.snap_fraction = cfg.interface_snap_fraction
+        a.first_floor = cfg.first_hop_interface_floor
+        self._point_window()
+        lib = native.library()
+        self._locate, self._retire, self._cube_hop = (
+            lib.locate, lib.retire, lib.cube_hop
+        )
 
     def _grow_arena(self, capacity: int) -> None:
-        """Grow the slot arena and the step scratch to ``capacity`` slots.
+        """Grow the slot arena and the step scratch to ``capacity`` slots
+        and point the arena descriptor at them.
 
         Every array is reused for every step, so steady-state steps
         allocate no walk state."""
@@ -318,27 +346,46 @@ class WalkPipeline:
         self._ring_store = None  # regrown at the new width by _start
         self._uid = np.empty(capacity, dtype=np.uint64)
         # The slot's lane (master) and that lane's absorption tolerance.
-        self._lane = np.empty(capacity, dtype=np.intp)
+        self._lane = np.empty(capacity, dtype=np.int64)
         self._tol = np.empty(capacity, dtype=np.float64)
         self._grow = np.empty(capacity, dtype=np.int64)
         # uint64 so the RNG's counter build consumes it without a cast copy.
         self._step_no = np.empty(capacity, dtype=np.uint64)
         self._pos = np.empty((capacity, 3), dtype=np.float64)
-        self._pos_next = np.empty((capacity, 3), dtype=np.float64)
         self._eps = np.empty(capacity, dtype=np.float64)
         self._first = np.zeros(capacity, dtype=bool)
         self._naxis = np.empty(capacity, dtype=np.int64)
         self._nsign = np.empty(capacity, dtype=np.float64)
-        # Step scratch: cube sizes, query_into's outputs, cohort masks.
-        self._h = np.empty(capacity, dtype=np.float64)
-        self._h2 = np.empty(capacity, dtype=np.float64)
+        # Step scratch: the kernels' distances, absorption and snap lists.
         self._dist = np.empty(capacity, dtype=np.float64)
-        self._cond = np.empty(capacity, dtype=np.int64)
-        self._b0 = np.empty(capacity, dtype=bool)
-        self._b1 = np.empty(capacity, dtype=bool)
-        self._b2 = np.empty(capacity, dtype=bool)
-        self._b3 = np.empty(capacity, dtype=bool)
-        self._b4 = np.empty(capacity, dtype=bool)
+        self._dist_e = np.empty(capacity, dtype=np.float64)
+        self._dist_i = np.empty(capacity, dtype=np.float64)
+        self._done = np.empty(capacity, dtype=bool)
+        self._dest = np.empty(capacity, dtype=np.int64)
+        self._snapped = np.empty(capacity, dtype=np.int64)
+        if self._arena is None:
+            self._arena = native.Arena()
+            self._arena_ref = ctypes.byref(self._arena)
+        a = self._arena
+        for name in (
+            "uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
+            "naxis", "nsign", "dist", "dist_e", "dist_i", "done", "dest",
+            "snapped",
+        ):
+            setattr(a, name, native.address(getattr(self, "_" + name)))
+        a.capacity = capacity
+
+    def _point_window(self) -> None:
+        """Point the arena descriptor at the current result window."""
+        a = self._arena
+        a.res_omega = native.address(self._res_omega)
+        a.res_dest = native.address(self._res_dest)
+        a.res_steps = native.address(self._res_steps)
+        a.win_starts = native.address(self._win_starts)
+        a.win_remaining = native.address(self._win_remaining)
+        a.win_truncated = native.address(self._win_truncated)
+        a.n_win = self._win_starts.shape[0]
+        a.win_base_g = self._win_base_g
 
     # ------------------------------------------------------------------
     # The batch queue
@@ -364,6 +411,7 @@ class WalkPipeline:
             lane = self._keys[key] = len(self._surfaces)
             self._surfaces += (ctx.surface,)
             self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
+            self._arena.lane_flux = native.address(self._lane_flux)
             self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
             providers = self._draws.providers if lane else ()
             self._draws = LaneDraws(providers + (streams,))
@@ -422,6 +470,7 @@ class WalkPipeline:
             self._pending_start_g = self._next_g
             self._pending_off = 0
             self._next_g += n
+            self._point_window()
         return True
 
     def _refill(self) -> None:
@@ -479,93 +528,43 @@ class WalkPipeline:
         self._naxis[sl] = naxis
         self._nsign[sl] = nsign
         self._n = n + k
-        self._have_first = True
         if tm is not None:
             tm.lap("bookkeeping", t0)
 
     # ------------------------------------------------------------------
     # Retiring and compaction
     # ------------------------------------------------------------------
-    def _retire_compact(
-        self,
-        done: np.ndarray,
-        dest: np.ndarray,
-        steps: np.ndarray,
-        truncated: bool,
-        extra: tuple = (),
-    ) -> None:
-        """Bank the outcomes of the masked walks, release their streams,
-        and compact the arena by moving kept tail walks into the holes.
-
-        ``done`` is a boolean mask over the active prefix; ``dest``/``steps``
-        are the retired walks' outcomes in mask order.  ``extra`` arrays
-        (per-active-walk temporaries the caller keeps using) receive the
-        same compaction moves.
-        """
+    def _retire_done(self, truncated: bool) -> None:
+        """Retire the walks flagged in ``_done`` (with their ``_dest``):
+        release their streams, then bank their outcomes by global row and
+        compact the arena by moving kept tail walks into the holes, in one
+        compiled call (``retire``), which carries their unconsumed ring
+        planes with them."""
         n = self._n
-        g = self._grow[:n][done]
-        idx = g - self._win_base_g
-        self._res_dest[idx] = dest
-        self._res_steps[idx] = steps
-        # Grouped per-batch remaining/truncated decrements: one bincount
-        # scatter-add instead of a per-unique-batch Python loop.
-        b = np.searchsorted(self._win_starts, g, side="right") - 1
-        counts = np.bincount(b, minlength=self._win_remaining.shape[0])
-        self._win_remaining -= counts
-        if truncated:
-            self._win_truncated += counts
         if self._draws.releases:
             # Each stream is released exactly once, when its walk retires
             # (matters for the MTWalkStreams per-walk state cache).
+            done = self._done[:n]
             self._draws.release(self._lane[:n][done], self._uid[:n][done])
-        n_done = dest.shape[0]
-        n_new = n - n_done
-        movers = n_new + np.nonzero(~done[n_new:n])[0]
-        holes = np.nonzero(done[:n_new])[0]
-        if holes.shape[0]:
-            for arr in (
-                self._uid,
-                self._lane,
-                self._tol,
-                self._grow,
-                self._step_no,
-                self._eps,
-                self._first,
-                self._naxis,
-                self._nsign,
-            ):
-                arr[holes] = arr[movers]
-            self._pos[holes] = self._pos[movers]
-            # Unconsumed prefetched planes travel with their slot; the
-            # phase alignment (plane c+j = step step_no+j) is preserved
-            # because compaction moves whole columns.
-            live = slice(self._ring_cursor, self._ring_depth)
-            self._ring[live, :, holes] = self._ring[live, :, movers]
-            for arr in extra:
-                arr[holes] = arr[movers]
-        self._n = n_new
-
-    def _store_omega(self, idx: np.ndarray, omega: np.ndarray) -> None:
-        """Scatter first-hop weights into the result window by global row."""
-        self._res_omega[self._grow[idx] - self._win_base_g] = omega
+        self._n = self._retire(
+            self._arena_ref, n, truncated, self._ring_cursor, self._ring_depth
+        )
 
     # ------------------------------------------------------------------
-    # The vector step: decoupled stage kernels
+    # The vector step
     # ------------------------------------------------------------------
     def _step(self) -> None:
-        """Advance every active walk by one hop (identical math to the
-        historical batch loop; walks at different depths mix freely because
-        all per-walk operations are elementwise).
+        """Advance every active walk by one hop (walks at different depths
+        mix freely because all per-walk operations are elementwise).
 
-        The step is a pipeline of cohort-wise stage kernels —
-        ``stage_retire_overcap -> stage_index -> stage_absorb ->
-        stage_rng -> stage_sample`` — communicating through workspace
-        views (the boolean cohort masks ``b0..b4`` and the distance
-        buffers).  The RNG stage consumes a prefetched ring plane on most
-        steps (one fused span dispatch per ``RNG_PREFETCH_DEPTH`` steps),
-        so the per-step fixed dispatch cost of the largest stage amortizes
-        away; each stage runs one large numpy kernel cohort over the dense
-        slot prefix rather than interleaving small ones.
+        The step is four stages over the dense slot prefix:
+        ``stage_retire_overcap -> stage_locate -> stage_rng ->
+        stage_sample``.  Locating, retiring and the cube hop are one
+        compiled call each over the arena descriptor; the RNG stage
+        consumes a prefetched ring plane on most steps (one fused span
+        dispatch per ``RNG_PREFETCH_DEPTH`` steps), and only the walks
+        that snap onto a dielectric interface take the NumPy hemisphere
+        step.
         """
         if self._n == 0:
             return
@@ -579,100 +578,56 @@ class WalkPipeline:
         t0 = self._stage_retire_overcap(t0)
         if self._n == 0:
             return
-        t0, dist_c, dist_e = self._stage_index(t0)
-        t0, dist_c, dist_e = self._stage_absorb(t0, dist_c, dist_e)
+        t0 = self._stage_locate(t0)
         if self._n == 0:
             return
-        t0, u = self._stage_rng(t0)
-        self._stage_sample(t0, u, dist_c, dist_e)
+        t0, plane = self._stage_rng(t0)
+        self._stage_sample(t0, plane)
 
     def _stage_retire_overcap(self, t0: float) -> float:
         """Safety net: retire over-cap survivors as absorbed by the
         enclosure (counted as truncated)."""
-        cfg = self.ctx.config
         tm = self.timers
         n = self._n
-        over = np.greater(self._step_no[:n], cfg.max_steps, out=self._b0[:n])
-        n_over = int(np.count_nonzero(over))
-        if n_over:
-            dest = np.full(n_over, self._enclosure_index, dtype=np.int64)
-            self._retire_compact(
-                over, dest, self._step_no[:n][over], truncated=True
-            )
+        over = np.greater(
+            self._step_no[:n], self.ctx.config.max_steps, out=self._done[:n]
+        )
+        if over.any():
+            self._dest[:n] = self._enclosure_index
+            self._retire_done(truncated=True)
             if tm is not None:
                 t0 = tm.lap("retire", t0)
         elif tm is not None:
             t0 = tm.lap("bookkeeping", t0)
         return t0
 
-    def _stage_index(self, t0: float):
-        """Conductor-distance and enclosure-distance queries for the
-        active cohort, both charged to ``index``."""
+    def _stage_locate(self, t0: float) -> float:
+        """Conductor and wall distances and the absorption test of every
+        walk (``locate``, charged to ``index``), then retirement of the
+        absorbed ones."""
         tm = self.timers
         n = self._n
-        pos = self._pos[:n]
-        # The index fills the arena's query buffers in place (the conductor
-        # ids in ``_cond``, read by the absorb stage).
-        dist_c = self._dist[:n]
-        if tm is not None:
-            t0 = self._query_into(pos, dist_c, self._cond[:n], timers=tm, t0=t0)
-        else:
-            self._query_into(pos, dist_c, self._cond[:n])
-        dist_e = wall_distance(
-            pos, self._enc_lo, self._enc_hi, out=self._h[:n], tmp=self._h2[:n]
-        )
+        absorbed = self._locate(self._arena_ref, n)
+        self._index.count_query(n, *self._arena.counts)
+        if absorbed < 0:
+            raise ConvergenceError(
+                "walk absorbed before its first hop; the Gaussian surface "
+                "offset is smaller than the absorption tolerance"
+            )
         if tm is not None:
             t0 = tm.lap("index", t0)
-        return t0, dist_c, dist_e
-
-    def _stage_absorb(self, t0: float, dist_c, dist_e):
-        """Absorption masks over the queried cohort, then retirement and
-        slot compaction of the absorbed walks."""
-        tm = self.timers
-        n = self._n
-        cond = self._cond[:n]
-        tol = self._tol[:n]
-        absorb_wall = np.less(dist_e, tol, out=self._b0[:n])
-        absorb_cond = np.less(dist_c, tol, out=self._b1[:n])
-        absorb_cond &= np.greater_equal(cond, 0, out=self._b2[:n])
-        absorb_cond &= np.logical_not(absorb_wall, out=self._b3[:n])
-        done = np.logical_or(absorb_wall, absorb_cond, out=self._b4[:n])
-        n_done = int(np.count_nonzero(done))
-        if n_done:
-            if self._have_first and bool(np.any(done & self._first[:n])):
-                raise ConvergenceError(
-                    "walk absorbed before its first hop; the Gaussian surface "
-                    "offset is smaller than the absorption tolerance"
-                )
-            dest = np.where(
-                absorb_wall[done], self._enclosure_index, cond[done]
-            )
-            # dist_e lives in self._h, which later stages reuse — move it out.
-            dist_e = self._h2[:n]
-            dist_e[:] = self._h[:n]
-            self._retire_compact(
-                done,
-                dest,
-                self._step_no[:n][done],
-                truncated=False,
-                extra=(dist_c, dist_e),
-            )
-            n = self._n
+        if absorbed:
+            self._retire_done(truncated=False)
             if tm is not None:
                 t0 = tm.lap("retire", t0)
-            if n == 0:
-                return t0, dist_c, dist_e
-            dist_c = dist_c[:n]
-            dist_e = dist_e[:n]
-        elif tm is not None:
-            t0 = tm.lap("bookkeeping", t0)
-        return t0, dist_c, dist_e
+        return t0
 
     def _stage_rng(self, t0: float):
-        """Hop draws for the surviving cohort.
+        """Hop draws for the surviving cohort: returns the ring plane the
+        step consumes.
 
-        Most steps consume a ready ring plane (a zero-dispatch view); a
-        drained ring is refilled for every live slot by one span pass —
+        Most steps consume a ready ring plane (zero dispatches); a drained
+        ring is refilled for every live slot by one span pass —
         ``RNG_PREFETCH_DEPTH`` steps deep up to the :data:`RING_TILE`
         width, one step deep for wider vectors.
         """
@@ -681,9 +636,7 @@ class WalkPipeline:
         c = self._ring_cursor
         if c < self._ring_depth:
             self._ring_cursor = c + 1
-            # (n, 3) transposed view: each draw-slot column is contiguous;
-            # consuming a ready plane dispatches nothing.
-            return t0, self._ring_v[c, :n]
+            return t0, c
         # Every live slot (including walks launched mid-ring, whose partial
         # spans drained at the same phase) needs steps step_no onwards.
         depth = self._prefetch if n <= self._span_max_n else 1
@@ -699,96 +652,45 @@ class WalkPipeline:
             t0 = tm.lap("rng", t0)
         self._ring_depth = depth
         self._ring_cursor = 1
-        return t0, self._ring_v[0, :n]
+        return t0, 0
 
-    def _stage_sample(self, t0: float, u, dist_c, dist_e) -> None:
-        """Transition sampling and position update for the cohort."""
-        cfg = self.ctx.config
+    def _stage_sample(self, t0: float, plane: int) -> None:
+        """Transition sampling and position update for the cohort: the
+        compiled cube hop (``cube_hop``, first-hop weights included), then
+        the hemisphere step of the walks it left on an interface."""
         tm = self.timers
         n = self._n
-        pos = self._pos[:n]
-        # allow = min(dist_c, dist_e, h_cap); dist_c is dead after this and
-        # is reused as the destination buffer.
-        allow = np.minimum(dist_c, dist_e, out=dist_c)
-        np.minimum(allow, self.ctx.h_cap, out=allow)
-        first = self._first[:n]
-
-        if self._stack.is_homogeneous:
-            h = allow
-            snapped = None
-        else:
-            dist_i = self._stack.interface_distance(pos[:, 2])
-            h = np.minimum(allow, dist_i, out=self._h2[:n])
-            # First hops never snap: the hemisphere step has no unbiased
-            # normal-gradient estimator across the interface, so the flux
-            # weight must come from an interface-clamped cube (the context
-            # guarantees launch points keep clearance from interfaces).
-            on_iface = np.less(
-                dist_i, cfg.interface_snap_fraction * allow, out=self._b0[:n]
-            )
-            on_iface &= np.logical_not(first, out=self._b1[:n])
-            snapped = np.nonzero(on_iface)[0]
-
-        # Every walk takes the cube hop over the full vector; the rows that
-        # snapped onto an interface are then overwritten by their hemisphere
-        # step.  Exact, because a cube hop has no side effects beyond its
-        # own output row, and first hops (which store omega) never snap.
-        floor = cfg.first_hop_interface_floor
-        if self._have_first and floor > 0.0 and np.any(first):
-            # First hops carry the 1/h flux weight: floor h near interfaces
-            # (the cube then crosses the interface slightly — a small,
-            # bounded bias instead of unbounded weight variance).
-            h[first] = np.maximum(h[first], floor * allow[first])
-        cells = self._table.sample_cells(u[:, 0])
-        unit = self._table.unit_positions(cells, u[:, 1], u[:, 2])
-        npos = self._pos_next[:n]
-        np.subtract(pos, h[:, None], out=npos)
-        h2 = np.multiply(2.0, h, out=self._h[:n])
-        np.multiply(unit, h2[:, None], out=unit)
-        np.add(npos, unit, out=npos)
-        if snapped is not None and snapped.shape[0]:
-            k = self._stack.nearest_interface(pos[snapped, 2])
-            eps_below, eps_above = self._stack.interface_eps_pair(k)
-            # Sphere radius: stay clear of conductors/walls (minus the snap
-            # displacement) and of the other interfaces.
-            r = np.minimum(
-                allow[snapped] - dist_i[snapped],
-                _other_interface_gap(self._interfaces, k),
-            )
-            r = np.maximum(r, 0.5 * self._tol[snapped])
-            direction = interface_hemisphere_direction(
-                u[snapped, 0], u[snapped, 1], u[snapped, 2], eps_below, eps_above
-            )
-            center = pos[snapped]
-            center[:, 2] = self._stack.interface_z(k)
-            npos[snapped] = center + r[:, None] * direction
+        n_snap = self._cube_hop(self._arena_ref, n, plane)
+        if n_snap:
+            self._hemisphere(self._snapped[:n_snap], self._ring_v[plane])
         if tm is not None:
             t0 = tm.lap("sample", t0)
-        if self._have_first:
-            fc = np.nonzero(first)[0]
-            if fc.shape[0]:
-                ratio = self._table.grad_ratio[self._naxis[fc], cells[fc]]
-                omega = (
-                    -self._lane_flux[self._lane[fc]]
-                    * self._eps[fc]
-                    * self._nsign[fc]
-                    * ratio
-                    / (2.0 * h[fc])
-                )
-                self._store_omega(fc, omega)
-            if tm is not None:
-                t0 = tm.lap("bookkeeping", t0)
-
-        # Commit: double-buffer swap, no copy.
-        self._pos, self._pos_next = self._pos_next, self._pos
-        if self._have_first:
-            self._first[:n] = False
-            self._have_first = False
-        self._step_no[:n] += 1
         if self.trace is not None:
             self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
         if tm is not None:
             tm.lap("bookkeeping", t0)
+
+    def _hemisphere(self, rows: np.ndarray, u: np.ndarray) -> None:
+        """The exact two-medium hemisphere step of the snapped ``rows``,
+        which the cube hop left at their old positions (it stays in NumPy:
+        its direction calls ``sin``/``cos``)."""
+        stack = self._stack
+        pos = self._pos
+        k = stack.nearest_interface(pos[rows, 2])
+        eps_below, eps_above = stack.interface_eps_pair(k)
+        # Sphere radius: stay clear of conductors/walls (minus the snap
+        # displacement) and of the other interfaces.
+        r = np.minimum(
+            self._dist[rows] - self._dist_i[rows],
+            _other_interface_gap(self._interfaces, k),
+        )
+        r = np.maximum(r, 0.5 * self._tol[rows])
+        direction = interface_hemisphere_direction(
+            u[rows, 0], u[rows, 1], u[rows, 2], eps_below, eps_above
+        )
+        center = pos[rows]
+        center[:, 2] = stack.interface_z(k)
+        pos[rows] = center + r[:, None] * direction
 
     # ------------------------------------------------------------------
     # Batch emission
@@ -814,6 +716,7 @@ class WalkPipeline:
         self._res_dest = self._res_dest[n0:]
         self._res_steps = self._res_steps[n0:]
         self._win_base_g += n0
+        self._point_window()
         return seq, res
 
     def next_batch(self) -> tuple[object, WalkResults] | None:

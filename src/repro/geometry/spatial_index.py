@@ -6,7 +6,8 @@ sizes the transition cube and decides absorption.  Two implementations:
 
 * :class:`BruteForceIndex` — vectorised all-pairs distances; exact.  The
   reference the grid is tested against, and the walk-on-spheres engine's
-  Euclidean index.
+  Euclidean index.  Its compiled descriptor is a one-cell grid with no
+  cap, so the walk engine can run on it too.
 * :class:`GridIndex` — a uniform grid whose per-cell candidate lists are
   precomputed into flat CSR arrays at build time, so a query is one call
   of a compiled kernel (:func:`repro.native.grid_query`) that scans each
@@ -136,6 +137,7 @@ class BruteForceIndex:
 
     def __init__(self, structure: Structure):
         self._lo, self._hi, self._owner = structure.box_arrays
+        self._grid = None
 
     def _query(
         self, points: np.ndarray, metric: str
@@ -173,12 +175,30 @@ class BruteForceIndex:
         """Euclidean variant (used by the walk-on-spheres engine)."""
         return self._query(points, "l2")
 
-    def query_into(self, points, dist, cond, timers=None, t0: float = 0.0):
-        """:meth:`query` into preallocated views: the walk engine's entry
-        point, as on :class:`GridIndex` (the engine charges the time to
-        its ``index`` stage); returns ``t0``."""
-        dist[:], cond[:] = self.query(points)
-        return t0
+    def descriptor(self) -> native.Grid:
+        """The compiled query's state: a one-cell grid with no cap, whose
+        cell is near-field and lists every box in ascending order, so the
+        compiled scan answers exactly what :meth:`query` does.  Built on
+        first use."""
+        if self._grid is None:
+            m = self._lo.shape[0]
+            self._grid = native.grid(
+                np.inf,
+                np.zeros(3),
+                np.zeros(3),
+                np.ones(3, dtype=np.int64),
+                np.zeros(3, dtype=np.int64),
+                near=np.ones(1, dtype=bool),
+                indptr=np.array([0, m]),
+                indices=np.arange(m),
+                lo=self._lo,
+                hi=self._hi,
+                owner=self._owner,
+            )
+        return self._grid
+
+    def count_query(self, points: int, near: int, visited: int) -> None:
+        """The brute-force index keeps no query counters."""
 
 
 class GridIndex:
@@ -488,6 +508,15 @@ class GridIndex:
                 f"float64/int64 outputs, got {points.shape}, {dist.dtype} {dist.shape}, "
                 f"{cond.dtype} {cond.shape}"
             )
+        near, visited = native.grid_query(self.descriptor(), points, dist, cond)
+        self.count_query(n, near, visited)
+        if timers is not None:
+            t0 = timers.lap("index", t0)
+        return t0
+
+    def descriptor(self) -> native.Grid:
+        """The compiled query's state (:func:`repro.native.grid`), built
+        on first use; the walk engine's query reads it too."""
         if self._grid is None:
             self._grid = native.grid(
                 self.h_cap,
@@ -502,17 +531,19 @@ class GridIndex:
                 hi=self._hi,
                 owner=self._owner,
             )
-        near, visited = native.grid_query(self._grid, points, dist, cond)
+        return self._grid
+
+    def count_query(self, points: int, near: int, visited: int) -> None:
+        """Add one query of ``points`` points, ``near`` of them near-field
+        with ``visited`` candidates scanned, to :attr:`stats` as one
+        locked update."""
         with self._stats_lock:
             st = self.stats
             st.queries += 1
-            st.points += n
-            st.far_field_hits += n - near
+            st.points += points
+            st.far_field_hits += points - near
             st.near_points += near
             st.candidates_visited += visited
-        if timers is not None:
-            t0 = timers.lap("index", t0)
-        return t0
 
 
 def build_index(structure: Structure, h_cap: float) -> GridIndex:

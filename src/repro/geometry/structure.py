@@ -25,24 +25,6 @@ from .dielectric import DielectricStack
 ENCLOSURE_NAME = "ENV"
 
 
-def wall_distance(points, lo, hi, out=None, tmp=None) -> np.ndarray:
-    """Chebyshev distance from ``points (n, 3)`` to the walls of box
-    ``[lo, hi]``, as a running ``np.minimum`` over the six per-axis
-    columns (an ``(n, 3)`` ``.min(axis=1)`` costs ~20x more).  Minima are
-    exact, so any reduction order gives the same values.  ``out``/``tmp``
-    are optional ``(n,)`` float64 buffers."""
-    n = points.shape[0]
-    out = np.empty(n) if out is None else out
-    tmp = np.empty(n) if tmp is None else tmp
-    np.subtract(points[:, 0], lo[0], out=out)
-    for axis in range(3):
-        col = points[:, axis]
-        if axis:
-            np.minimum(out, np.subtract(col, lo[axis], out=tmp), out=out)
-        np.minimum(out, np.subtract(hi[axis], col, out=tmp), out=out)
-    return out
-
-
 @dataclass
 class Structure:
     """A capacitance-extraction problem.
@@ -157,9 +139,21 @@ class Structure:
     # Enclosure distance kernels (the walk is always inside the enclosure)
     # ------------------------------------------------------------------
     def enclosure_distance(self, points: np.ndarray) -> np.ndarray:
-        """Chebyshev distance from interior points to the enclosure walls."""
+        """Chebyshev distance from interior points ``(n, 3)`` to the
+        enclosure walls: a running ``np.minimum`` over the six per-axis
+        wall gaps, low then high wall of x, y and z.  The walk engine's
+        compiled query (``locate`` in ``repro/native/kernels.c``) takes the
+        minima in the same order, so it gives the same bits, zero signs
+        included."""
         points = np.asarray(points, dtype=np.float64)
-        return wall_distance(points, self.enclosure.lo, self.enclosure.hi)
+        lo, hi = self.enclosure.lo, self.enclosure.hi
+        out = points[:, 0] - lo[0]
+        for axis in range(3):
+            col = points[:, axis]
+            if axis:
+                np.minimum(out, col - lo[axis], out=out)
+            np.minimum(out, hi[axis] - col, out=out)
+        return out
 
     # ------------------------------------------------------------------
     # Validation

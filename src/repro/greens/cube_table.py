@@ -26,7 +26,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..geometry.surface import TRANSVERSE, face_points
+from .. import native
+from ..geometry.surface import TRANSVERSE
 from .cube_series import (
     DEFAULT_MODES,
     gradient_kernel_parallel,
@@ -93,26 +94,11 @@ class CubeTransitionTable:
         ``g[k-1]`` with a power-of-two width covering the widest such
         bracket, over a cdf padded with ``+inf`` so that probes past the
         end never count.
+
+        One compiled call (:func:`repro.native.sample_cells`, the engine's
+        hop uses the same inline function); ``u`` may have any shape.
         """
-        u = np.asarray(u, dtype=np.float64)
-        buckets, last_le, cdf_pad, width = self._guide
-        # p: index of the last cdf entry known to be <= u (-1 for none).
-        # Every index is in range; mode="clip" only skips numpy's buffered
-        # bounds check.
-        k = np.multiply(u, buckets).astype(np.int64)
-        p = last_le.take(k, mode="clip")
-        probe = np.empty_like(p)
-        value = np.empty(u.shape)
-        hit = np.empty(u.shape, dtype=bool)
-        step = width >> 1
-        while step:
-            np.add(p, step, out=probe)
-            cdf_pad.take(probe, out=value, mode="clip")
-            np.less_equal(value, u, out=hit)
-            np.copyto(p, probe, where=hit)
-            step >>= 1
-        p += 1
-        return np.minimum(p, self.n_cells - 1, out=p)
+        return native.sample_cells(self._native, np.asarray(u, dtype=np.float64))
 
     @cached_property
     def _guide(self) -> tuple:
@@ -126,10 +112,30 @@ class CubeTransitionTable:
         cdf_pad = np.concatenate([cdf, np.full(width, np.inf)])
         return buckets, g[:-2] - 1, cdf_pad, width
 
+    @cached_property
+    def _native(self):
+        """The compiled kernels' descriptor of the guide and the per-cell
+        arrays, built once per table object."""
+        buckets, last_le, cdf_pad, width = self._guide
+        return native.table(
+            self.nf,
+            buckets,
+            width,
+            last_le=last_le,
+            cdf_pad=cdf_pad,
+            face_axis=self.face_axis,
+            face_side=self.face_side,
+            cell_i=self.cell_i,
+            cell_j=self.cell_j,
+            grad_ratio=self.grad_ratio,
+        )
+
     def __getstate__(self) -> dict:
-        # The guide is derived state: never pickled (nor published).
+        # The guide and the descriptor are derived state: never pickled
+        # (nor published).
         state = dict(self.__dict__)
         state.pop("_guide", None)
+        state.pop("_native", None)
         return state
 
     def packed(self) -> tuple[dict, dict]:
@@ -167,12 +173,21 @@ class CubeTransitionTable:
         """Positions on the unit cube ``[0,1]^3`` for sampled cells.
 
         ``jitter_a``/``jitter_b`` place the point uniformly inside the cell
-        (the distribution is piecewise constant per cell).
+        (the distribution is piecewise constant per cell): the face axis
+        takes the face side, the transverse axes (:data:`TRANSVERSE` order)
+        take ``(cell_i + jitter_a) / nf`` and ``(cell_j + jitter_b) / nf``.
+        One compiled call (:func:`repro.native.unit_positions`, the
+        engine's hop uses the same inline function).
         """
         cells = np.asarray(cells, dtype=np.int64)
-        a = (self.cell_i[cells] + np.asarray(jitter_a)) / self.nf
-        b = (self.cell_j[cells] + np.asarray(jitter_b)) / self.nf
-        return face_points(self.face_axis[cells], self.face_side[cells], a, b)
+        n = cells.shape[0]
+        if n and (cells.min() < 0 or cells.max() >= self.n_cells):
+            raise IndexError(f"cell index out of range [0, {self.n_cells})")
+        jitter = (
+            np.broadcast_to(np.asarray(j, dtype=np.float64), (n,))
+            for j in (jitter_a, jitter_b)
+        )
+        return native.unit_positions(self._native, cells, *jitter)
 
 
 _T0 = np.array([TRANSVERSE[a][0] for a in range(3)], dtype=np.int64)

@@ -1,8 +1,13 @@
 """The compiled engine kernels: build, cache and call ``kernels.c``.
 
-Two stages of the walk engine run in C: the Philox span fill behind
-:meth:`repro.rng.WalkStreams.draws_span` and the grid query behind
-:meth:`repro.geometry.GridIndex.query_into`.  They give the bits of their
+The walk engine's stages run in C: the Philox span fill behind
+:meth:`repro.rng.WalkStreams.draws_span`, the grid query behind
+:meth:`repro.geometry.GridIndex.query_into`, the cube table's cell draw
+behind :meth:`repro.greens.CubeTransitionTable.sample_cells` and
+:meth:`~repro.greens.CubeTransitionTable.unit_positions`, and the vector
+step's query-and-absorb, retirement and cube hop
+(:class:`repro.frw.WalkPipeline`), which read one :class:`Arena`
+descriptor of the pipeline's slot arena.  They give the bits of their
 references exactly (``docs/DETERMINISM.md``).
 
 The library is built with the system C compiler on first use — never at
@@ -64,6 +69,61 @@ class Grid(ctypes.Structure):
         ("lo", _PTR),
         ("hi", _PTR),
         ("owner", _PTR),
+    ]
+
+
+class Table(ctypes.Structure):
+    """A :class:`~repro.greens.CubeTransitionTable`'s sampling state
+    (``table_t``)."""
+
+    _fields_ = [
+        ("nf", _I64),
+        ("n_cells", _I64),
+        ("buckets", _I64),
+        ("width", _I64),
+        ("n_last", _I64),
+        ("n_pad", _I64),
+        ("last_le", _PTR),
+        ("cdf_pad", _PTR),
+        ("face_axis", _PTR),
+        ("face_side", _PTR),
+        ("cell_i", _PTR),
+        ("cell_j", _PTR),
+        ("grad_ratio", _PTR),
+    ]
+
+
+class Arena(ctypes.Structure):
+    """A :class:`~repro.frw.WalkPipeline`'s slot arena and walk space
+    (``arena_t``).  It holds raw addresses: the pipeline keeps every array
+    it points at alive and re-points a field whenever its array changes."""
+
+    _fields_ = [
+        *((name, _PTR) for name in (
+            "uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
+            "naxis", "nsign", "dist", "dist_e", "dist_i", "done", "dest",
+            "snapped",
+        )),
+        ("capacity", _I64),
+        ("ring", _PTR),
+        *((name, _PTR) for name in (
+            "res_omega", "res_dest", "res_steps", "win_starts",
+            "win_remaining", "win_truncated",
+        )),
+        ("n_win", _I64),
+        ("win_base_g", _I64),
+        ("lane_flux", _PTR),
+        ("grid", _PTR),
+        ("table", _PTR),
+        ("interfaces", _PTR),
+        ("n_interfaces", _I64),
+        ("enc_lo", ctypes.c_double * 3),
+        ("enc_hi", ctypes.c_double * 3),
+        ("enc_index", _I64),
+        ("h_cap", ctypes.c_double),
+        ("snap_fraction", ctypes.c_double),
+        ("first_floor", ctypes.c_double),
+        ("counts", _I64 * 2),
     ]
 
 
@@ -134,11 +194,27 @@ def _load() -> ctypes.CDLL:
         # cond, cond stride, counts
         "grid_query": [ctypes.POINTER(Grid), _I64, _PTR, _I64, _I64]
         + [_PTR, _I64] * 2 + [_PTR],
+        # table, n, u, u stride, out
+        "sample_cells": [ctypes.POINTER(Table), _I64, _PTR, _I64, _PTR],
+        # table, n, cells, jitters a and b (each with its stride), out
+        "unit_positions": [ctypes.POINTER(Table), _I64] + [_PTR, _I64] * 3
+        + [_PTR],
+    }
+    # arena, n, then: nothing (locate), truncated flag, ring cursor and
+    # depth (retire), ring plane (cube_hop); each returns a count.
+    counted = {
+        "locate": [],
+        "retire": [_I64] * 3,
+        "cube_hop": [_I64],
     }
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
+    for name, extra in counted.items():
+        fn = getattr(lib, name)
+        fn.argtypes = [ctypes.POINTER(Arena), _I64] + extra
+        fn.restype = _I64
     return lib
 
 
@@ -152,7 +228,8 @@ def library() -> ctypes.CDLL:
     return _LIB
 
 
-def _ptr(a: np.ndarray) -> int:
+def address(a: np.ndarray) -> int:
+    """The data address of an array (for descriptor fields and calls)."""
     return a.__array_interface__["data"][0]
 
 
@@ -165,7 +242,7 @@ def philox4x32_block(counter, key) -> tuple[int, int, int, int]:
     ctr = np.asarray(counter, dtype=np.uint32)
     k = np.asarray(key, dtype=np.uint32)
     out = np.empty(4, dtype=np.uint32)
-    library().philox4x32_block(_ptr(ctr), _ptr(k), _ptr(out))
+    library().philox4x32_block(address(ctr), address(k), address(out))
     return tuple(int(w) for w in out)
 
 
@@ -190,14 +267,14 @@ def philox_span(
         uids.shape[0],
         depth,
         count,
-        _ptr(uids),
+        address(uids),
         _stride(uids, 0),
-        _ptr(steps),
+        address(steps),
         _stride(steps, 0) if steps.ndim else 0,
-        _ptr(k0),
-        _ptr(k1),
+        address(k0),
+        address(k1),
         _stride(k0, 0) if k0.ndim else 0,
-        _ptr(out),
+        address(out),
         *(_stride(out, axis) for axis in range(3)),
     )
 
@@ -227,7 +304,7 @@ def grid(
         tuple(float(v) for v in inv_cell),
         tuple(int(v) for v in n_cells),
         tuple(int(v) for v in cell_max),
-        *(_ptr(a) for a in kept.values()),
+        *(address(a) for a in kept.values()),
     )
     g.arrays = kept
     return g
@@ -244,13 +321,74 @@ def grid_query(
     library().grid_query(
         ctypes.byref(g),
         points.shape[0],
-        _ptr(points),
+        address(points),
         _stride(points, 0),
         _stride(points, 1),
-        _ptr(dist),
+        address(dist),
         _stride(dist, 0),
-        _ptr(cond),
+        address(cond),
         _stride(cond, 0),
-        _ptr(counts),
+        address(counts),
     )
     return int(counts[0]), int(counts[1])
+
+
+def table(
+    nf: int, buckets: int, width: int, **arrays: np.ndarray
+) -> Table:
+    """The sampling state of a cube transition table for
+    :func:`sample_cells`, :func:`unit_positions` and the engine's hop.
+
+    ``arrays`` are ``last_le`` (the guide, int64), ``cdf_pad``
+    (``+inf``-padded cdf), ``face_axis``, ``face_side``, ``cell_i``,
+    ``cell_j`` (int64 per cell) and ``grad_ratio`` (``(3, n_cells)``
+    float64); the descriptor keeps them alive.
+    """
+    dtypes = {"cdf_pad": np.float64, "grad_ratio": np.float64}
+    kept = {
+        name: np.ascontiguousarray(arrays[name], dtype=dtypes.get(name, np.int64))
+        for name, _ in Table._fields_[6:]
+    }
+    n_cells = kept["face_axis"].shape[0]
+    t = Table(
+        nf,
+        n_cells,
+        buckets,
+        width,
+        kept["last_le"].shape[0],
+        kept["cdf_pad"].shape[0],
+        *(address(a) for a in kept.values()),
+    )
+    t.arrays = kept
+    return t
+
+
+def sample_cells(t: Table, u: np.ndarray) -> np.ndarray:
+    """The cells of uniforms ``u`` (float64, any shape and strides)."""
+    flat = u.reshape(-1)
+    out = np.empty(flat.shape[0], dtype=np.int64)
+    library().sample_cells(
+        ctypes.byref(t), flat.shape[0], address(flat), _stride(flat, 0), address(out)
+    )
+    return out.reshape(u.shape)
+
+
+def unit_positions(
+    t: Table, cells: np.ndarray, jitter_a: np.ndarray, jitter_b: np.ndarray
+) -> np.ndarray:
+    """``(n, 3)`` unit-cube points of ``cells`` (int64 ``(n,)``, in range)
+    with jitters (float64 ``(n,)``, any strides)."""
+    n = cells.shape[0]
+    out = np.empty((n, 3), dtype=np.float64)
+    library().unit_positions(
+        ctypes.byref(t),
+        n,
+        address(cells),
+        _stride(cells, 0),
+        address(jitter_a),
+        _stride(jitter_a, 0),
+        address(jitter_b),
+        _stride(jitter_b, 0),
+        address(out),
+    )
+    return out

@@ -46,6 +46,7 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
         "cross_master.discarded_batches": 0,
         "engine.rng_dispatches": 1938,
         "parallel.dispatches": 76,
+        "engine.steps_per_walk": 19.4254,
         "latency_ms": 2500.0,
     }
     run = {
@@ -66,6 +67,28 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
     assert found[0] == "correct is not true"
     path.write_text(json.dumps(run))
     assert checker.main([str(path), "sram_tol_traced"]) == 1
+
+
+def test_steps_per_walk_tripwire_catches_drift(checker):
+    """The traced steps per walk passes at its seed-9 value and fails
+    0.002 either side of it, on both tripwired workloads."""
+    for name, value in (
+        ("open_field_tol_traced", 30.307),
+        ("sram_tol_traced", 19.4254),
+    ):
+        gates = [
+            g
+            for g in _expected(checker)[name]["gates"]
+            if g["metric"] == "engine.steps_per_walk"
+        ]
+        assert [g["op"] for g in gates] == [">=", "<="]
+
+        def run(v):
+            return {"correct": True, "metrics": {"engine.steps_per_walk": {"value": v}}}
+
+        assert checker.violations(run(value), gates) == []
+        for drift in (-0.002, 0.002):
+            assert len(checker.violations(run(value + drift), gates)) == 1
 
 
 def test_default_path_gate_dispatches_nothing(checker):

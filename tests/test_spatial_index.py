@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FRWConfig
+from repro import FRWConfig, native
 from repro.errors import GeometryError
 from repro.geometry import (
     Box,
@@ -290,6 +290,42 @@ def test_compiled_query_matches_references(seed, n_boxes, h_cap, resolution):
     d_r, c_r = reference_query(grid, outside)
     assert d_o.tobytes() == d_r.tobytes()
     assert np.array_equal(c_o, c_r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_boxes=st.integers(0, 20),
+    resolution=st.integers(1, 4),
+)
+def test_brute_force_descriptor_matches_query(seed, n_boxes, resolution):
+    """The brute-force index's compiled descriptor (one near-field cell
+    listing every box, no cap) answers exactly what its NumPy all-pairs
+    query does, zero signs included: at random points inside and outside
+    the enclosure, on the cell boundaries of a grid over the structure,
+    on box faces, and on the coordinate planes at -0.0 and +0.0.  The
+    walk engine runs on this descriptor when the far-field goldens swap
+    the grid for brute force."""
+    s = zero_face_structure(seed, n_boxes)
+    brute = BruteForceIndex(s)
+    grid = GridIndex(s, h_cap=2.0, resolution=resolution)
+    rng = np.random.default_rng(seed ^ 0xA5A5)
+    pts = rng.uniform(-60, 110, (300, 3))
+    cell = grid._cell
+    lattice = grid._origin + np.round((pts[:60] - grid._origin) / cell) * cell
+    pts[:60] = lattice
+    lo, hi, _ = s.box_arrays
+    faces = np.concatenate([lo, hi])
+    pick = rng.integers(0, faces.shape[0], (60, 3))
+    pts[60:120] = faces[pick, np.arange(3)]
+    pts[120:180] = rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0, 1.5, -1.5], (60, 3))
+    d_ref, c_ref = brute.query(pts)
+    dist = np.empty(pts.shape[0])
+    cond = np.empty(pts.shape[0], dtype=np.int64)
+    near, visited = native.grid_query(brute.descriptor(), pts, dist, cond)
+    assert dist.tobytes() == d_ref.tobytes()
+    assert np.array_equal(cond, c_ref)
+    assert (near, visited) == (pts.shape[0], pts.shape[0] * lo.shape[0])
 
 
 def test_query_stats_totals_are_pinned():

@@ -9,7 +9,12 @@ versions are kept here, verbatim in behaviour, as the oracle:
   fancy 2-D scatter;
 * column-wise enclosure distance vs ``(n, 3).min(axis=1)``;
 * interface loops vs the ``(n, n_iface)`` broadcast;
-* the single-thread ``simulate_dynamic_queue`` fast path vs the heap loop.
+* the single-thread ``simulate_dynamic_queue`` fast path vs the heap loop;
+* the compiled vector step (``locate``, ``retire``, ``cube_hop`` in
+  ``repro/native/kernels.c``) vs the NumPy stage code it replaced, on a
+  live pipeline's arena, plus pinned engine runs through the paths no
+  row golden covers (per-walk stream release, the early-absorption error
+  and step-cap truncation).
 
 It also pins that the cube table's sampling guide is built once per table
 object, that attached contexts share one table, and that the guide never
@@ -17,6 +22,7 @@ reaches pickles or the shared-memory plane.
 """
 
 import dataclasses
+import hashlib
 import heapq
 import pickle
 
@@ -25,10 +31,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FRWConfig
-from repro.frw import build_context, run_walks, shm, simulate_dynamic_queue
+from repro import Conductor, FRWConfig, Structure, native
+from repro.errors import ConvergenceError
+from repro.frw import (
+    WalkPipeline,
+    build_context,
+    make_streams,
+    run_segments,
+    run_walks,
+    shm,
+    simulate_dynamic_queue,
+)
+from repro.frw.context import SharedAssets
 from repro.geometry import Box, DielectricStack, build_offset_surface
-from repro.geometry.structure import wall_distance
 from repro.geometry.surface import TRANSVERSE
 from repro.greens import CubeTransitionTable, get_cube_table
 from repro.rng import WalkStreams
@@ -73,6 +88,18 @@ def old_surface_sample(surf, u):
     points[rows, np.array([TRANSVERSE[ax][0] for ax in axis], dtype=np.int64)] = a
     points[rows, np.array([TRANSVERSE[ax][1] for ax in axis], dtype=np.int64)] = b
     return points, axis, surf._sign[idx]
+
+
+def old_wall_distance(points, lo, hi):
+    """The engine's former NumPy enclosure distance (``wall_distance``)."""
+    out = np.subtract(points[:, 0], lo[0])
+    tmp = np.empty(points.shape[0])
+    for axis in range(3):
+        col = points[:, axis]
+        if axis:
+            np.minimum(out, np.subtract(col, lo[axis], out=tmp), out=out)
+        np.minimum(out, np.subtract(hi[axis], col, out=tmp), out=out)
+    return out
 
 
 def old_engine_enclosure_distance(pos, lo, hi):
@@ -258,25 +285,30 @@ _coord = st.one_of(
 )
 
 
+_WALLS = Structure(
+    [Conductor.single("c", Box.from_bounds(-1, 1, -1, 1, 2, 3))],
+    enclosure=Box.from_bounds(-6, 6, -5, 6, 0, 6),
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(points=st.lists(st.tuples(_coord, _coord, _coord), max_size=64))
 def test_enclosure_distance_matches_axis_min(points):
     """Points on, inside and just outside the walls of (-6,6)x(-5,6)x(0,6).
 
-    The old formulations reduce in different orders, so a tie between
-    -0.0 and +0.0 (z = -0.0 on the z = 0 wall, plus a second wall) can come
-    out with either sign; ``+ 0.0`` folds both zeros into +0.0.  Any zero
-    distance is absorbed, so its sign never reaches a result.
+    ``Structure.enclosure_distance`` gives the bits of the engine's former
+    ``wall_distance``, zero signs included.  The older formulations
+    reduce in different orders, so a tie between -0.0 and +0.0 (z = -0.0
+    on the z = 0 wall, plus a second wall) can come out with either sign;
+    ``+ 0.0`` folds both zeros into +0.0.  Any zero distance is absorbed,
+    so its sign never reaches a result.
     """
-    lo, hi = (-6.0, -5.0, 0.0), (6.0, 6.0, 6.0)
+    lo, hi = _WALLS.enclosure.lo, _WALLS.enclosure.hi
     pos = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    got = wall_distance(pos, lo, hi)
+    got = _WALLS.enclosure_distance(pos)
+    assert _same_bits(got, old_wall_distance(pos, lo, hi))
     for old in (old_engine_enclosure_distance, old_structure_enclosure_distance):
         assert _same_bits(got + 0.0, old(pos, lo, hi) + 0.0)
-    out = np.full(pos.shape[0], np.nan)
-    tmp = np.full(pos.shape[0], np.nan)
-    assert wall_distance(pos, lo, hi, out=out, tmp=tmp) is out
-    assert _same_bits(out, got)
 
 
 @st.composite
@@ -373,10 +405,11 @@ def test_guide_is_per_table_object():
 def test_guide_is_not_pickled():
     table = _fresh_copy(get_cube_table(8))
     u = np.random.default_rng(2).random(500)
-    want = table.sample_cells(u)  # builds the guide
-    assert "_guide" in table.__dict__
+    want = table.sample_cells(u)  # builds the guide and the descriptor
+    assert "_guide" in table.__dict__ and "_native" in table.__dict__
     clone = pickle.loads(pickle.dumps(table))
     assert "_guide" not in clone.__dict__
+    assert "_native" not in clone.__dict__
     assert _same_bits(clone.sample_cells(u), want)
     assert clone._guide is not table._guide
 
@@ -428,3 +461,393 @@ def test_publish_is_unchanged_by_the_guide(plates, _clean_plane):
     assert [a.key for a in after.table.arrays] == [
         "cdf", "prob", "grad_ratio", "face_axis", "face_side", "cell_i", "cell_j"
     ]
+
+
+# ----------------------------------------------------------------------
+# The compiled vector step against the NumPy stage code it replaced.
+# ----------------------------------------------------------------------
+#: Per-slot arena arrays that retirement moves with their walk.
+_SLOTS = (
+    "uid", "lane", "tol", "grow", "step_no", "eps", "first", "naxis",
+    "nsign", "pos", "dist", "dist_e",
+)
+
+_LAYERS = Structure(
+    [Conductor.single("c", Box.from_bounds(-1, 1, -1, 1, 0.75, 1.75))],
+    dielectric=DielectricStack(interfaces=(0.0, 2.5), eps=(3.9, 2.7, 1.5)),
+    enclosure=Box.from_bounds(-6, 6, -5, 6, -3, 6),
+)
+
+
+#: Homogeneous (False) and stratified (True) contexts of the kernel tests.
+_CTXS = {
+    layered: build_context(
+        _LAYERS if layered else _WALLS, 0, FRWConfig.frw_r(seed=3)
+    )
+    for layered in (False, True)
+}
+
+
+def _pipeline(ctx, sizes, width):
+    """A pipeline with batches of ``sizes`` walks queued on ``ctx`` and
+    its first ``width`` walks launched, so its result window spans every
+    batch those walks come from."""
+    pipe = WalkPipeline()
+    start = 0
+    for seq, size in enumerate(sizes):
+        uids = np.arange(start, start + size, dtype=np.uint64)
+        pipe.submit(seq, 0, ctx, WalkStreams(3, ctx.master), uids, width)
+        start += size
+    pipe._refill()
+    return pipe
+
+
+def _snapshot(pipe):
+    n = pipe._n
+    state = {name: getattr(pipe, "_" + name)[:n].copy() for name in _SLOTS}
+    state["ring"] = pipe._ring[:, :, :n].copy()
+    return state
+
+
+def old_locate(ctx, pos, tol):
+    """``_stage_index`` and ``_stage_absorb``'s masks: ``(dist_c, cond,
+    dist_e, done, dest of the done walks)``."""
+    enc = ctx.structure.enclosure
+    dist_c, cond = ctx.index.query(pos)
+    dist_e = old_wall_distance(pos, enc.lo, enc.hi)
+    absorb_wall = np.less(dist_e, tol)
+    absorb_cond = np.less(dist_c, tol)
+    absorb_cond &= np.greater_equal(cond, 0)
+    absorb_cond &= np.logical_not(absorb_wall)
+    done = np.logical_or(absorb_wall, absorb_cond)
+    dest = np.where(absorb_wall[done], ctx.enclosure_index, cond[done])
+    return dist_c, cond, dist_e, done, dest
+
+
+def old_retire_compact(state, window, done, dest, truncated, cursor, depth):
+    """``_retire_compact`` on a snapshot of the arena and its window;
+    returns the new active count."""
+    n = done.shape[0]
+    g = state["grow"][done]
+    idx = g - window["base"]
+    window["res_dest"][idx] = dest
+    window["res_steps"][idx] = state["step_no"][done]
+    b = np.searchsorted(window["starts"], g, side="right") - 1
+    counts = np.bincount(b, minlength=window["remaining"].shape[0])
+    window["remaining"] -= counts
+    if truncated:
+        window["truncated"] += counts
+    n_new = n - dest.shape[0]
+    movers = n_new + np.nonzero(~done[n_new:n])[0]
+    holes = np.nonzero(done[:n_new])[0]
+    if holes.shape[0]:
+        for name in _SLOTS:
+            state[name][holes] = state[name][movers]
+        live = slice(cursor, depth)
+        state["ring"][live, :, holes] = state["ring"][live, :, movers]
+    return n_new
+
+
+def old_cube_hop(ctx, state, u, lane_flux):
+    """``_stage_sample``'s cube path and first-hop weights: ``(snapped
+    rows, their allow and interface distance, cube-hop positions of every
+    row, first-hop rows, their weights)``."""
+    cfg = ctx.config
+    stack = ctx.structure.dielectric
+    table = ctx.table
+    pos = state["pos"]
+    first = state["first"]
+    allow = np.minimum(state["dist"], state["dist_e"])
+    np.minimum(allow, ctx.h_cap, out=allow)
+    if stack.is_homogeneous:
+        h = allow
+        dist_i = np.full(allow.shape, np.inf)
+        snapped = np.zeros(0, dtype=np.int64)
+    else:
+        dist_i = stack.interface_distance(pos[:, 2])
+        h = np.minimum(allow, dist_i)
+        on_iface = np.less(dist_i, cfg.interface_snap_fraction * allow)
+        on_iface &= np.logical_not(first)
+        snapped = np.nonzero(on_iface)[0]
+    snap_allow, snap_dist_i = allow[snapped], dist_i[snapped]
+    floor = cfg.first_hop_interface_floor
+    if floor > 0.0 and np.any(first):
+        h[first] = np.maximum(h[first], floor * allow[first])
+    cells = old_sample_cells(table, u[:, 0])
+    unit = old_unit_positions(table, cells, u[:, 1], u[:, 2])
+    npos = np.subtract(pos, h[:, None])
+    h2 = np.multiply(2.0, h)
+    np.multiply(unit, h2[:, None], out=unit)
+    np.add(npos, unit, out=npos)
+    fc = np.nonzero(first)[0]
+    ratio = table.grad_ratio[state["naxis"][fc], cells[fc]]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        omega = (
+            -lane_flux[state["lane"][fc]]
+            * state["eps"][fc]
+            * state["nsign"][fc]
+            * ratio
+            / (2.0 * h[fc])
+        )
+    return snapped, snap_allow, snap_dist_i, npos, fc, omega
+
+
+def _axis_coords(ctx, axis, tol):
+    """Coordinates along ``axis`` on the enclosure walls, exactly ``tol``
+    inside them, on the conductor's faces and exactly ``tol`` off them,
+    and at -0.0 and +0.0."""
+    lo, hi = ctx.structure.enclosure.lo[axis], ctx.structure.enclosure.hi[axis]
+    box_lo, box_hi, _ = ctx.structure.box_arrays
+    blo, bhi = float(box_lo[0, axis]), float(box_hi[0, axis])
+    specials = [lo, hi, lo + tol, hi - tol, blo, bhi, blo - tol, bhi + tol,
+                -0.0, 0.0]
+    return st.one_of(
+        st.sampled_from(specials), st.floats(lo - 0.5, hi + 0.5)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), layered=st.booleans())
+def test_locate_matches_numpy_stages(data, layered):
+    """``locate`` gives the NumPy query, wall distance and absorption masks
+    bit for bit, on the enclosure walls and at the tolerance exactly (a
+    distance equal to ``tol`` is not absorbed), and reports a walk
+    absorbed before its first hop."""
+    ctx = _CTXS[layered]
+    n = data.draw(st.integers(1, 40))
+    pipe = _pipeline(ctx, [n], n)
+    # 0.25 keeps wall +- tol exact, so some distances equal tol exactly.
+    tol = np.array(data.draw(st.lists(
+        st.sampled_from([0.25, ctx.absorb_tol, 0.0]), min_size=n, max_size=n
+    )))
+    pos = np.array(data.draw(st.lists(
+        st.tuples(*(_axis_coords(ctx, a, 0.25) for a in range(3))),
+        min_size=n, max_size=n,
+    )))
+    # Half the examples have no walk on its first hop.
+    first = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    first &= data.draw(st.booleans())
+    pipe._pos[:n], pipe._tol[:n], pipe._first[:n] = pos, tol, first
+    got = pipe._locate(pipe._arena_ref, n)
+    dist_c, _, dist_e, done, dest = old_locate(ctx, pos, tol)
+    assert got == (-1 if (done & first).any() else int(done.sum()))
+    assert _same_bits(pipe._dist[:n], dist_c)
+    assert _same_bits(pipe._dist_e[:n], dist_e)
+    assert _same_bits(pipe._done[:n], done)
+    assert _same_bits(pipe._dest[:n][done], dest)
+    counts = native.grid_query(
+        ctx.index.descriptor(), pos, np.empty(n), np.empty(n, dtype=np.int64)
+    )
+    assert tuple(pipe._arena.counts) == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    layered=st.booleans(),
+    truncated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_retire_matches_numpy_compaction(data, layered, truncated, seed):
+    """``retire`` banks, counts and compacts as ``_retire_compact`` did:
+    random ``done`` masks over walks from several batches of the result
+    window, with live ring planes that travel with their walks, for
+    absorbed and over-cap (truncated) retirement alike."""
+    ctx = _CTXS[layered]
+    sizes = data.draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    pipe = _pipeline(ctx, sizes, data.draw(st.integers(1, sum(sizes))))
+    n = pipe._n
+    depth = data.draw(st.integers(1, pipe._prefetch))
+    cursor = data.draw(st.integers(1, depth))
+    pipe._ring_depth, pipe._ring_cursor = depth, cursor
+    rng = np.random.default_rng(seed)
+    pipe._ring[...] = rng.random(pipe._ring.shape)
+    pipe._step_no[:n] = rng.integers(1, 60, n)
+    pipe._first[:n] = rng.random(n) < 0.3
+    pipe._dist[:n], pipe._dist_e[:n] = rng.random(n), rng.random(n)
+    done = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    dest = rng.integers(-1, 5, n)
+    pipe._done[:n], pipe._dest[:n] = done, dest
+    state = _snapshot(pipe)
+    window = {
+        "base": pipe._win_base_g,
+        "starts": pipe._win_starts.copy(),
+        "remaining": pipe._win_remaining.copy(),
+        "truncated": pipe._win_truncated.copy(),
+        "res_dest": pipe._res_dest.copy(),
+        "res_steps": pipe._res_steps.copy(),
+    }
+    n_new = old_retire_compact(
+        state, window, done, dest[done], truncated, cursor, depth
+    )
+    pipe._retire_done(truncated)
+    assert pipe._n == n_new
+    for name in _SLOTS:
+        assert _same_bits(getattr(pipe, "_" + name)[:n_new], state[name][:n_new])
+    live = slice(cursor, depth)
+    assert _same_bits(pipe._ring[live, :, :n_new], state["ring"][live, :, :n_new])
+    assert _same_bits(pipe._win_remaining, window["remaining"])
+    assert _same_bits(pipe._win_truncated, window["truncated"])
+    assert _same_bits(pipe._res_dest, window["res_dest"])
+    assert _same_bits(pipe._res_steps, window["res_steps"])
+
+
+@st.composite
+def _bucket_edge(draw, table):
+    """A guide bucket edge ``k / M`` or one of its neighbours, in [0, 1)."""
+    buckets = 4 * table.n_cells
+    u = draw(st.integers(0, buckets)) / buckets
+    u = float(np.nextafter(u, draw(st.sampled_from([-np.inf, u, np.inf]))))
+    return min(max(u, 0.0), _BELOW_ONE)
+
+
+def _uniforms(table):
+    """Draw-slot-0 uniforms on guide bucket edges and their neighbours,
+    as well as anywhere in [0, 1)."""
+    return _bucket_edge(table) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), layered=st.booleans())
+def test_cube_hop_matches_numpy_sample(data, layered):
+    """``cube_hop`` gives ``_stage_sample``'s cube path bit for bit:
+    homogeneous and stratified stacks, first and later hops, cell draws
+    on guide bucket edges, interface distances equal to ``snap * allow``
+    exactly (not snapped) and ties between the distances, ``h_cap`` and
+    ±0.0 (whose signs reach the first-hop weight).  Snapped walks are
+    listed and left in place for the hemisphere step."""
+    ctx = _CTXS[layered]
+    table = ctx.table
+    n = data.draw(st.integers(1, 40))
+    pipe = _pipeline(ctx, [n], n)
+    plane = data.draw(st.integers(0, pipe._prefetch - 1))
+    distance = st.one_of(
+        st.sampled_from([-0.0, 0.0, ctx.h_cap, 0.5, 1.0]),
+        st.floats(0.0, 2.0 * ctx.h_cap),
+    )
+    dist = np.array(data.draw(st.lists(distance, min_size=n, max_size=n)))
+    dist_e = np.array(data.draw(st.lists(distance, min_size=n, max_size=n)))
+    tied = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    dist_e[tied] = dist[tied]
+    first = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pos = np.asarray(pipe._pos[:n]).copy()
+    # Heights at snap * allow exactly above the z = 0 interface, on it,
+    # or anywhere.
+    allow = np.minimum(np.minimum(dist, dist_e), ctx.h_cap)
+    z_kind = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    snap = ctx.config.interface_snap_fraction
+    pos[z_kind == 0, 2] = (snap * allow)[z_kind == 0]
+    pos[z_kind == 1, 2] = 0.0
+    jitter = st.sampled_from([0.0, 0.5, _BELOW_ONE]) | st.floats(
+        0.0, 1.0, exclude_max=True
+    )
+    u = np.column_stack([
+        data.draw(st.lists(slot, min_size=n, max_size=n))
+        for slot in (_uniforms(table), jitter, jitter)
+    ])
+    pipe._pos[:n], pipe._dist[:n], pipe._dist_e[:n] = pos, dist, dist_e
+    pipe._first[:n] = first
+    pipe._ring[plane, :, :n] = u.T
+    pipe._res_omega[:] = np.nan
+    state = _snapshot(pipe)
+    n_snap = pipe._cube_hop(pipe._arena_ref, n, plane)
+    snapped, snap_allow, snap_dist_i, npos, fc, omega = old_cube_hop(
+        ctx, state, u, pipe._lane_flux
+    )
+    assert _same_bits(pipe._snapped[:n_snap], snapped)
+    if layered:  # dist_i == snap * allow is not below it: no snap
+        assert not np.isin(np.nonzero(z_kind == 0)[0], snapped).any()
+    moved = np.ones(n, dtype=bool)
+    moved[snapped] = False
+    assert _same_bits(pipe._pos[:n][moved], npos[moved])
+    assert _same_bits(pipe._pos[:n][snapped], state["pos"][snapped])
+    assert _same_bits(pipe._dist[snapped], snap_allow)
+    if layered:
+        assert _same_bits(pipe._dist_i[snapped], snap_dist_i)
+    assert _same_bits(pipe._res_omega[pipe._grow[fc] - pipe._win_base_g], omega)
+    assert _same_bits(pipe._step_no[:n], state["step_no"] + np.uint64(1))
+    assert not pipe._first[:n].any()
+
+
+# ----------------------------------------------------------------------
+# Engine paths no row golden covers, pinned at the NumPy step's values.
+# ----------------------------------------------------------------------
+def _digest(results):
+    h = hashlib.sha256()
+    for r in results:
+        for a in (r.uids, r.omega, r.dest, r.steps):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(str(r.truncated).encode())
+    return (
+        h.hexdigest()[:16],
+        sum(r.truncated for r in results),
+        int(sum(r.steps.sum() for r in results)),
+    )
+
+
+def _segments(count, size, lanes):
+    return [
+        (s % lanes, np.arange(s * size, (s + 1) * size, dtype=np.uint64))
+        for s in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "which,pin",
+    [
+        ("layered_wires", ("b449f20a1b12a557", 0, 19299)),
+        ("plates", ("d2c167d497d411cf", 0, 8847)),
+    ],
+)
+def test_stream_release_path_is_pinned(which, pin, request):
+    """Per-walk Mersenne-Twister streams (``frw-nc``), which the engine
+    releases as their walks retire, on two lanes through one vector."""
+    structure = request.getfixturevalue(which)
+    cfg = FRWConfig(
+        seed=5, variant="frw-nc", antithetic=False, min_walks=256,
+        max_walks=256, batch_size=256,
+    )
+    assets = SharedAssets(structure)
+    lanes = [
+        (build_context(structure, m, cfg, assets), make_streams(cfg, m))
+        for m in (0, 1)
+    ]
+    assert all(hasattr(streams, "release") for _, streams in lanes)
+    assert _digest(run_segments(lanes, _segments(6, 150, 2), 96)) == pin
+
+
+@pytest.mark.parametrize(
+    "which,cap,pin",
+    [
+        ("layered_wires", 3, ("6b6f0a961d143f87", 466, 1948)),
+        ("plates", 2, ("b0dc262a4322f318", 420, 1420)),
+        ("layered_wires", 12, ("0f6d443549847674", 331, 5482)),
+    ],
+)
+def test_step_cap_truncation_is_pinned(which, cap, pin, request):
+    structure = request.getfixturevalue(which)
+    ctx = build_context(structure, 0, FRWConfig.frw_r(seed=11, max_steps=cap))
+    results = run_segments([(ctx, WalkStreams(11, 0))], _segments(4, 125, 1), 80)
+    assert _digest(results) == pin
+
+
+@pytest.mark.parametrize(
+    "which,stats",
+    [
+        ("plates", (1, 64, 0, 64, 128)),
+        ("layered_wires", (1, 64, 0, 64, 79)),
+    ],
+)
+def test_absorbed_before_first_hop_is_pinned(which, stats, request):
+    """A tolerance wider than the Gaussian surface offset raises on the
+    first query, after that query's counters are recorded."""
+    structure = request.getfixturevalue(which)
+    ctx = build_context(structure, 0, FRWConfig.frw_r(seed=11))
+    bad = dataclasses.replace(ctx, absorb_tol=4.0 * ctx.surface.delta)
+    with pytest.raises(ConvergenceError, match="absorbed before its first hop"):
+        run_segments([(bad, WalkStreams(11, 0))], _segments(2, 100, 1), 64)
+    st_ = ctx.index.stats
+    assert (
+        st_.queries, st_.points, st_.far_field_hits, st_.near_points,
+        st_.candidates_visited,
+    ) == stats
