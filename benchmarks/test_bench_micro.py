@@ -151,7 +151,8 @@ def test_cube_table_construction(benchmark):
 
 
 # ----------------------------------------------------------------------
-# The compiled vector step (locate / retire / cube_hop) at full width
+# The compiled vector step (launch / locate / retire / cube_hop) at full
+# width
 # ----------------------------------------------------------------------
 STEP_WIDTH = 10_000
 
@@ -190,8 +191,30 @@ def test_step_locate_case5(benchmark, case5_vector):
     benchmark(pipe._locate, pipe._arena_ref, pipe._n)
 
 
+def test_step_launch_case5(benchmark, case5_vector):
+    """Surface point, layer permittivity and slot state of every slot's
+    walk, launched afresh from the ring's plane 0."""
+    from repro import native
+
+    pipe, restore = case5_vector
+    restore()
+    n = pipe._n
+    uids = np.arange(n, dtype=np.uint64)
+
+    def launch():
+        pipe._launch(
+            pipe._arena_ref, pipe._surfaces[0], 0, n, native.address(uids), 0,
+            pipe._lane_tol[0], 0, 0,
+        )
+
+    benchmark(launch)
+    assert pipe._first[:n].all()
+    restore()
+
+
 def test_step_cube_hop_case5(benchmark, case5_vector):
-    """Allow, interface distance and snap list, cell draw and move."""
+    """Allow, interface distance, snap test, cell draw and move, and the
+    hemisphere step of the walks that snap onto an interface."""
     pipe, restore = case5_vector
     restore()
 

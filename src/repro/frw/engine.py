@@ -38,12 +38,13 @@ runs on contiguous slots); launching scatter-writes new walks into the
 freed tail slots.  Steady-state steps therefore perform **zero array
 reallocation** of walk state: the step's own temporaries come from the
 same arena, and draws are generated straight into a preallocated ring by
-the fused Philox kernel.  The step itself is compiled
-(``repro/native/kernels.c``): ``locate`` queries and absorbs, ``retire``
-banks and compacts, and ``cube_hop`` moves every walk, each in one call
-over a :class:`repro.native.Arena` descriptor of the slot arena.  Only
-walks that snap onto a dielectric interface take their hemisphere step
-in NumPy.
+the fused Philox kernel.  The step and the launch are compiled
+(``repro/native/kernels.c``): ``launch`` writes new walks from their
+Gaussian surface, ``locate`` queries and absorbs, ``retire`` banks and
+compacts, and ``cube_hop`` moves every walk, the hemisphere step of
+walks on a dielectric interface included, each in one call over a
+:class:`repro.native.Arena` descriptor of the slot arena.  What stays in
+NumPy per step is the draw-span call and the over-cap mask.
 
 Walks carry their own step counters, so the active set may mix walks from
 several batches at different depths.  When walks absorb, their slots are
@@ -86,7 +87,6 @@ import numpy as np
 
 from .. import native
 from ..errors import ConfigError, ConvergenceError
-from ..greens.sphere import interface_hemisphere_direction
 from ..rng import LaneDraws
 from .context import ExtractionContext
 
@@ -132,11 +132,12 @@ class StageTimers:
     far-field mask and candidate scan), enclosure distance and the
     absorption test; ``index_fast`` — the far-field split of the former
     NumPy query, now always 0 (benchmark harnesses still read it);
-    ``sample`` — launch surface sampling, the compiled cube hop (position
-    update and first-hop weights included) and the hemisphere step of
-    snapped walks; ``retire`` — stream release, result banking and slot
-    compaction of absorbed or over-cap walks; ``bookkeeping`` — the
-    over-cap mask, launch scatter-writes and the remaining per-step glue.
+    ``sample`` — the compiled launch (surface point, layer permittivity
+    and slot writes) and the compiled cube hop (position update, first-hop
+    weights and the hemisphere step of snapped walks included);
+    ``retire`` — stream release, result banking and slot compaction of
+    absorbed or over-cap walks; ``bookkeeping`` — the over-cap mask and
+    the remaining per-step glue.
 
     ``counts[stage]`` counts ``lap`` calls — i.e. kernel-cohort dispatches
     charged to the stage — so a stage's fixed Python-dispatch overhead is
@@ -292,8 +293,7 @@ class WalkPipeline:
         """Start an idle vector on ``ctx``'s structure, ``width`` walks wide."""
         self.ctx = ctx
         self.width = max(1, int(width))
-        self._stack = ctx.structure.dielectric
-        self._interfaces = self._stack._z  # () for homogeneous
+        stack = ctx.structure.dielectric
         self._enclosure_index = ctx.enclosure_index
         self._index = ctx.index
         self._grow_arena(self.width)
@@ -320,8 +320,9 @@ class WalkPipeline:
         a.ring = native.address(self._ring_store)
         a.grid = ctypes.addressof(ctx.index.descriptor())
         a.table = ctypes.addressof(ctx.table._native)
-        a.interfaces = native.address(self._interfaces)
-        a.n_interfaces = self._interfaces.shape[0]
+        a.interfaces = native.address(stack._z)
+        a.n_interfaces = stack._z.shape[0]  # 0 for homogeneous
+        a.layer_eps = native.address(stack._eps)
         a.enc_lo[:] = [float(v) for v in enc.lo]
         a.enc_hi[:] = [float(v) for v in enc.hi]
         a.enc_index = self._enclosure_index
@@ -330,8 +331,8 @@ class WalkPipeline:
         a.first_floor = cfg.first_hop_interface_floor
         self._point_window()
         lib = native.library()
-        self._locate, self._retire, self._cube_hop = (
-            lib.locate, lib.retire, lib.cube_hop
+        self._launch, self._locate, self._retire, self._cube_hop = (
+            lib.launch, lib.locate, lib.retire, lib.cube_hop
         )
 
     def _grow_arena(self, capacity: int) -> None:
@@ -356,21 +357,18 @@ class WalkPipeline:
         self._first = np.zeros(capacity, dtype=bool)
         self._naxis = np.empty(capacity, dtype=np.int64)
         self._nsign = np.empty(capacity, dtype=np.float64)
-        # Step scratch: the kernels' distances, absorption and snap lists.
+        # Step scratch: the kernels' distances and absorption.
         self._dist = np.empty(capacity, dtype=np.float64)
         self._dist_e = np.empty(capacity, dtype=np.float64)
-        self._dist_i = np.empty(capacity, dtype=np.float64)
         self._done = np.empty(capacity, dtype=bool)
         self._dest = np.empty(capacity, dtype=np.int64)
-        self._snapped = np.empty(capacity, dtype=np.int64)
         if self._arena is None:
             self._arena = native.Arena()
             self._arena_ref = ctypes.byref(self._arena)
         a = self._arena
         for name in (
             "uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
-            "naxis", "nsign", "dist", "dist_e", "dist_i", "done", "dest",
-            "snapped",
+            "naxis", "nsign", "dist", "dist_e", "done", "dest",
         ):
             setattr(a, name, native.address(getattr(self, "_" + name)))
         a.capacity = capacity
@@ -409,13 +407,13 @@ class WalkPipeline:
                     "h_cap and step settings"
                 )
             lane = self._keys[key] = len(self._surfaces)
-            self._surfaces += (ctx.surface,)
+            self._surfaces += (ctypes.byref(ctx.surface._native),)
             self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
             self._arena.lane_flux = native.address(self._lane_flux)
             self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
             providers = self._draws.providers if lane else ()
             self._draws = LaneDraws(providers + (streams,))
-        uids = np.asarray(uids, dtype=np.uint64)
+        uids = np.ascontiguousarray(uids, dtype=np.uint64)
         self._queue.append((seq, lane, uids))
         self.live[seq] = uids.shape[0]
 
@@ -474,62 +472,45 @@ class WalkPipeline:
         return True
 
     def _refill(self) -> None:
+        """Launch queued walks into the free tail slots, one lane's run of
+        UIDs at a time: their draws, then one compiled ``launch`` call for
+        their surface points and slot state."""
+        tm = self.timers
         launched = False
         while self._n < self.width and self._ensure_pending():
-            off = self._pending_off
-            take = min(self.width - self._n, self._pending.shape[0] - off)
-            uids = self._pending[off : off + take]
-            self._pending_off = off + take
-            self._launch(self._pending_lane, uids, self._pending_start_g, off)
+            if tm is not None:
+                t0 = perf_counter()
+            n, off, lane = self._n, self._pending_off, self._pending_lane
+            k = min(self.width - n, self._pending.shape[0] - off)
+            uids = self._pending[off : off + k]
+            self._pending_off = off + k
+            # The launch span joins the global ring phase: with the cursor
+            # at ``c``, live slots hold steps ``step_no .. step_no+r-1`` in
+            # the ``r`` unconsumed planes ``c..D-1`` (``D`` =
+            # ``_ring_depth``); a fresh walk (step_no 1) needs steps
+            # ``1..r`` there, plus step 0 for the launch itself — one span
+            # of depth ``r+1`` starting at 0, written straight into planes
+            # ``c-1..D-1`` of the new slots (plane ``c-1`` is already
+            # consumed, so it is free for step 0).
+            c = self._ring_cursor
+            r = self._ring_depth - c
+            self._draws.providers[lane].draws_span(
+                uids, 0, r + 1, 3, out=self._ring_v[c - 1 : c + r, n : n + k]
+            )
+            if tm is not None:
+                t0 = tm.lap("rng", t0)
+            self._launch(
+                self._arena_ref, self._surfaces[lane], n, k,
+                native.address(uids), lane, self._lane_tol[lane],
+                self._pending_start_g + off, c - 1,
+            )
+            self._n = n + k
+            if tm is not None:
+                tm.lap("sample", t0)
             launched = True
         if launched and self.trace is not None:
             n = self._n
             self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
-
-    def _launch(
-        self, lane: int, uids: np.ndarray, start_g: int, off: int
-    ) -> None:
-        """Scatter-write freshly launched walks of one lane into free tail
-        slots (its surface, its stream)."""
-        tm = self.timers
-        if tm is not None:
-            t0 = perf_counter()
-        k = uids.shape[0]
-        n = self._n
-        sl = slice(n, n + k)
-        # The launch span joins the global ring phase: with the cursor at
-        # ``c``, live slots hold steps ``step_no .. step_no+r-1`` in the
-        # ``r`` unconsumed planes ``c..D-1`` (``D`` = ``_ring_depth``); a
-        # fresh walk (step_no 1) needs steps ``1..r`` there, plus step 0
-        # for the launch itself — one span of depth ``r+1`` starting at 0,
-        # written straight into planes ``c-1..D-1`` of the new slots
-        # (plane ``c-1`` is already consumed, so it is free for step 0).
-        c = self._ring_cursor
-        r = self._ring_depth - c
-        u = self._draws.providers[lane].draws_span(
-            uids, 0, r + 1, 3, out=self._ring_v[c - 1 : c + r, sl]
-        )[0]
-        if tm is not None:
-            t0 = tm.lap("rng", t0)
-        pos, naxis, nsign = self._surfaces[lane].sample(u)
-        eps = self._stack.eps_at(pos[:, 2])
-        if tm is not None:
-            t0 = tm.lap("sample", t0)
-        self._uid[sl] = uids
-        self._lane[sl] = lane
-        self._tol[sl] = self._lane_tol[lane]
-        self._grow[sl] = np.arange(
-            start_g + off, start_g + off + k, dtype=np.int64
-        )
-        self._step_no[sl] = 1
-        self._pos[sl] = pos
-        self._eps[sl] = eps
-        self._first[sl] = True
-        self._naxis[sl] = naxis
-        self._nsign[sl] = nsign
-        self._n = n + k
-        if tm is not None:
-            tm.lap("bookkeeping", t0)
 
     # ------------------------------------------------------------------
     # Retiring and compaction
@@ -559,12 +540,10 @@ class WalkPipeline:
 
         The step is four stages over the dense slot prefix:
         ``stage_retire_overcap -> stage_locate -> stage_rng ->
-        stage_sample``.  Locating, retiring and the cube hop are one
-        compiled call each over the arena descriptor; the RNG stage
-        consumes a prefetched ring plane on most steps (one fused span
-        dispatch per ``RNG_PREFETCH_DEPTH`` steps), and only the walks
-        that snap onto a dielectric interface take the NumPy hemisphere
-        step.
+        stage_sample``.  Locating, retiring and the hop (cube or
+        hemisphere) are one compiled call each over the arena descriptor;
+        the RNG stage consumes a prefetched ring plane on most steps (one
+        fused span dispatch per ``RNG_PREFETCH_DEPTH`` steps).
         """
         if self._n == 0:
             return
@@ -655,42 +634,18 @@ class WalkPipeline:
         return t0, 0
 
     def _stage_sample(self, t0: float, plane: int) -> None:
-        """Transition sampling and position update for the cohort: the
-        compiled cube hop (``cube_hop``, first-hop weights included), then
-        the hemisphere step of the walks it left on an interface."""
+        """Transition sampling and position update for the cohort: one
+        compiled ``cube_hop`` call (first-hop weights, and the hemisphere
+        step of walks that snap onto an interface, included)."""
         tm = self.timers
         n = self._n
-        n_snap = self._cube_hop(self._arena_ref, n, plane)
-        if n_snap:
-            self._hemisphere(self._snapped[:n_snap], self._ring_v[plane])
+        self._cube_hop(self._arena_ref, n, plane)
         if tm is not None:
             t0 = tm.lap("sample", t0)
         if self.trace is not None:
             self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
         if tm is not None:
             tm.lap("bookkeeping", t0)
-
-    def _hemisphere(self, rows: np.ndarray, u: np.ndarray) -> None:
-        """The exact two-medium hemisphere step of the snapped ``rows``,
-        which the cube hop left at their old positions (it stays in NumPy:
-        its direction calls ``sin``/``cos``)."""
-        stack = self._stack
-        pos = self._pos
-        k = stack.nearest_interface(pos[rows, 2])
-        eps_below, eps_above = stack.interface_eps_pair(k)
-        # Sphere radius: stay clear of conductors/walls (minus the snap
-        # displacement) and of the other interfaces.
-        r = np.minimum(
-            self._dist[rows] - self._dist_i[rows],
-            _other_interface_gap(self._interfaces, k),
-        )
-        r = np.maximum(r, 0.5 * self._tol[rows])
-        direction = interface_hemisphere_direction(
-            u[rows, 0], u[rows, 1], u[rows, 2], eps_below, eps_above
-        )
-        center = pos[rows]
-        center[:, 2] = stack.interface_z(k)
-        pos[rows] = center + r[:, None] * direction
 
     # ------------------------------------------------------------------
     # Batch emission
@@ -845,16 +800,3 @@ def _shares_walk_space(a: ExtractionContext, b: ExtractionContext) -> bool:
         and ca.first_hop_interface_floor == cb.first_hop_interface_floor
     )
 
-
-def _other_interface_gap(interfaces: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Distance from interface ``k`` to its nearest neighbouring interface."""
-    if interfaces.shape[0] < 2:
-        return np.full(np.asarray(k).shape, np.inf)
-    gaps = np.diff(interfaces)
-    below = np.where(k > 0, gaps[np.maximum(k - 1, 0)], np.inf)
-    above = np.where(
-        k < interfaces.shape[0] - 1,
-        gaps[np.minimum(k, gaps.shape[0] - 1)],
-        np.inf,
-    )
-    return np.minimum(below, above)

@@ -1,14 +1,17 @@
 """Stratified (planar multilayer) dielectric stacks.
 
 Advanced-node back-end-of-line stacks are, to first order, planar layers of
-different permittivity stacked along z.  The FRW engine needs three queries,
-all vectorised:
+different permittivity stacked along z.  The stack answers two vectorised
+queries:
 
 * permittivity at a point (for the first-hop flux weight),
 * distance from a point to the nearest layer interface (transition cubes
-  must not cross an interface, so the cube half-size is clamped by it),
-* the permittivity pair straddling an interface (for the exact two-medium
-  hemisphere transition used when a walk lands on an interface).
+  must not cross an interface, so the cube half-size is clamped by it).
+
+The walk engine's compiled step reads the interfaces (``_z``) and the
+layer permittivities (``_eps``) directly: its launch takes the layer of
+a point and its hemisphere step the permittivity pair straddling an
+interface (``repro/native/kernels.c``).
 """
 
 from __future__ import annotations
@@ -83,26 +86,3 @@ class DielectricStack:
         for zk in self._z[1:]:
             np.minimum(dist, np.abs(z - zk), out=dist)
         return dist
-
-    def nearest_interface(self, z: np.ndarray) -> np.ndarray:
-        """Index of the nearest interface per z (homogeneous: error).  Ties
-        go to the lower index, as with ``argmin``."""
-        if self.is_homogeneous:
-            raise GeometryError("homogeneous stack has no interfaces")
-        z = np.asarray(z, dtype=np.float64)
-        best = np.abs(z - self._z[0])
-        idx = np.zeros(z.shape, dtype=np.int64)
-        for k in range(1, self._z.shape[0]):
-            dist = np.abs(z - self._z[k])
-            np.copyto(idx, k, where=dist < best)
-            np.minimum(best, dist, out=best)
-        return idx
-
-    def interface_eps_pair(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Permittivities (below, above) of interface ``k``."""
-        k = np.asarray(k, dtype=np.int64)
-        return self._eps[k], self._eps[k + 1]
-
-    def interface_z(self, k: np.ndarray) -> np.ndarray:
-        """z-coordinate of interface ``k``."""
-        return self._z[np.asarray(k, dtype=np.int64)]

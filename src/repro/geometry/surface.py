@@ -18,9 +18,11 @@ distance to the nearest conductor) is as large as possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .. import native
 from ..errors import GaussianSurfaceError
 from .box import Box
 from .rect import Rect, subtract_many
@@ -28,20 +30,6 @@ from .structure import Structure
 
 #: Transverse axes (sorted) for each normal axis.
 TRANSVERSE = ((1, 2), (0, 2), (0, 1))
-
-
-def face_points(
-    axis: np.ndarray, normal: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Points ``(n, 3)`` on axis-normal faces: column ``axis`` takes
-    ``normal``, the sorted transverse columns (:data:`TRANSVERSE`) take
-    ``a`` then ``b``.  Built by ``np.where`` selection per column."""
-    points = np.empty((axis.shape[0], 3), dtype=np.float64)
-    on_x = axis == 0
-    points[:, 0] = np.where(on_x, normal, a)
-    points[:, 1] = np.where(axis == 1, normal, np.where(on_x, a, b))
-    points[:, 2] = np.where(axis == 2, normal, b)
-    return points
 
 
 @dataclass(frozen=True)
@@ -120,15 +108,22 @@ class GaussianSurface:
         self.patches = None
         self.delta = float(scalars["delta"])
         self.total_area = float(scalars["total_area"])
-        self._cum = arrays["cum"]
-        self._axis = arrays["axis"]
-        self._sign = arrays["sign"]
-        self._coord = arrays["coord"]
-        self._x0 = arrays["x0"]
-        self._x1 = arrays["x1"]
-        self._y0 = arrays["y0"]
-        self._y1 = arrays["y1"]
+        for key, array in arrays.items():
+            setattr(self, "_" + key, array)
         return self
+
+    @cached_property
+    def _native(self) -> native.Surface:
+        """The compiled kernels' descriptor of the packed arrays, built
+        once per surface object."""
+        scalars, arrays = self.packed()
+        return native.surface(scalars["total_area"], **arrays)
+
+    def __getstate__(self) -> dict:
+        # The descriptor is derived state: never pickled.
+        state = dict(self.__dict__)
+        state.pop("_native", None)
+        return state
 
     def sample(
         self, u: np.ndarray
@@ -136,18 +131,17 @@ class GaussianSurface:
         """Map uniforms ``u (n, 3)`` to surface points.
 
         Returns ``(points (n,3), normal_axis (n,), normal_sign (n,))``.
-        ``u[:, 0]`` selects the patch by cumulative area; ``u[:, 1:]`` place
-        the point inside the patch — a pure function of ``u``, as required
-        for reproducible per-walk streams.
+        ``u[:, 0]`` selects the patch by cumulative area
+        (``searchsorted(cum, u0 * total_area, "right")``, clipped to the
+        last patch); ``u[:, 1:]`` place the point inside the patch — a pure
+        function of ``u``, as required for reproducible per-walk streams.
+        One compiled call (:func:`repro.native.surface_sample`; the
+        engine's launch uses the same inline function).
         """
         u = np.asarray(u, dtype=np.float64)
-        idx = np.searchsorted(self._cum, u[:, 0] * self.total_area, side="right")
-        np.minimum(idx, self.n_patches - 1, out=idx)
-        a = self._x0[idx] + u[:, 1] * (self._x1[idx] - self._x0[idx])
-        b = self._y0[idx] + u[:, 2] * (self._y1[idx] - self._y0[idx])
-        axis = self._axis[idx]
-        points = face_points(axis, self._coord[idx], a, b)
-        return points, axis, self._sign[idx]
+        if u.ndim != 2 or u.shape[1] < 3:
+            raise ValueError(f"need uniforms of shape (n, 3), got {u.shape}")
+        return native.surface_sample(self._native, u)
 
 
 def _face_rect(box: Box, axis: int) -> Rect:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import native
+
 
 def uniform_direction(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Map two uniforms to unit vectors uniform on the sphere, shape (n, 3)."""
@@ -50,16 +52,9 @@ def interface_hemisphere_direction(
     ``u_side`` picks the medium (upper with probability
     ``eps_above/(eps_below+eps_above)``); ``(u1, u2)`` place the point
     uniformly on the chosen hemisphere.  Returns unit vectors (n, 3) whose
-    z component has the sign of the chosen side.
+    z component has the sign of the chosen side (uniform on a hemisphere:
+    ``|z| = u1``, azimuth ``2 pi u2``).  One compiled call
+    (:func:`repro.native.hemisphere_directions`; the engine's hemisphere
+    step uses the same inline function).
     """
-    u_side = np.asarray(u_side, dtype=np.float64)
-    eps_below = np.asarray(eps_below, dtype=np.float64)
-    eps_above = np.asarray(eps_above, dtype=np.float64)
-    p_up = eps_above / (eps_below + eps_above)
-    go_up = u_side < p_up
-    # Uniform on a hemisphere: |z| uniform in [0, 1).
-    z = np.asarray(u1, dtype=np.float64)
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = 2.0 * np.pi * np.asarray(u2, dtype=np.float64)
-    z_signed = np.where(go_up, z, -z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z_signed], axis=1)
+    return native.hemisphere_directions(u_side, u1, u2, eps_below, eps_above)

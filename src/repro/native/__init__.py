@@ -4,8 +4,11 @@ The walk engine's stages run in C: the Philox span fill behind
 :meth:`repro.rng.WalkStreams.draws_span`, the grid query behind
 :meth:`repro.geometry.GridIndex.query_into`, the cube table's cell draw
 behind :meth:`repro.greens.CubeTransitionTable.sample_cells` and
-:meth:`~repro.greens.CubeTransitionTable.unit_positions`, and the vector
-step's query-and-absorb, retirement and cube hop
+:meth:`~repro.greens.CubeTransitionTable.unit_positions`, the Gaussian
+surface point behind :meth:`repro.geometry.GaussianSurface.sample`, the
+hemisphere direction behind
+:func:`repro.greens.interface_hemisphere_direction`, and the vector
+step's launch, query-and-absorb, retirement and hop
 (:class:`repro.frw.WalkPipeline`), which read one :class:`Arena`
 descriptor of the pipeline's slot arena.  They give the bits of their
 references exactly (``docs/DETERMINISM.md``).
@@ -44,8 +47,14 @@ SOURCE = Path(__file__).with_name("kernels.c")
 
 #: The compile command, less its output and input paths.  No fast-math,
 #: and no fused multiply-add, so every operation is the IEEE one NumPy
-#: performs.
-COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: performs; no errno from math calls, so ``sqrt`` is one instruction.
+COMPILE = (
+    "gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"
+)
+
+#: Libraries linked after the source: libm for the hemisphere step's
+#: ``sin``/``cos``, recorded as a ``NEEDED`` entry of the library.
+LINK = ("-lm",)
 
 _LOCK = threading.Lock()
 _LIB = None
@@ -101,8 +110,7 @@ class Arena(ctypes.Structure):
     _fields_ = [
         *((name, _PTR) for name in (
             "uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
-            "naxis", "nsign", "dist", "dist_e", "dist_i", "done", "dest",
-            "snapped",
+            "naxis", "nsign", "dist", "dist_e", "done", "dest",
         )),
         ("capacity", _I64),
         ("ring", _PTR),
@@ -117,6 +125,7 @@ class Arena(ctypes.Structure):
         ("table", _PTR),
         ("interfaces", _PTR),
         ("n_interfaces", _I64),
+        ("layer_eps", _PTR),
         ("enc_lo", ctypes.c_double * 3),
         ("enc_hi", ctypes.c_double * 3),
         ("enc_index", _I64),
@@ -124,6 +133,19 @@ class Arena(ctypes.Structure):
         ("snap_fraction", ctypes.c_double),
         ("first_floor", ctypes.c_double),
         ("counts", _I64 * 2),
+    ]
+
+
+class Surface(ctypes.Structure):
+    """A :class:`~repro.geometry.GaussianSurface`'s sampling state
+    (``surface_t``)."""
+
+    _fields_ = [
+        ("n_patches", _I64),
+        ("total_area", ctypes.c_double),
+        *((name, _PTR) for name in (
+            "cum", "axis", "sign", "coord", "x0", "x1", "y0", "y1",
+        )),
     ]
 
 
@@ -138,7 +160,7 @@ def cache_dir() -> Path:
 def library_path() -> Path:
     """The cached library's path for this source, command and platform."""
     digest = hashlib.sha256(SOURCE.read_bytes())
-    digest.update("\0".join(COMPILE).encode())
+    digest.update("\0".join(COMPILE + LINK).encode())
     digest.update(sysconfig.get_platform().encode())
     return cache_dir() / f"kernels-{digest.hexdigest()[:16]}.so"
 
@@ -155,11 +177,17 @@ def _checked_dir(path: Path) -> None:
         )
 
 
+def compile_command(out, extra=()) -> list[str]:
+    """The command that builds the library into ``out``, with the ``extra``
+    flags (warnings, say) after :data:`COMPILE`."""
+    return [*COMPILE, *extra, "-o", str(out), str(SOURCE), *LINK]
+
+
 def _build(path: Path) -> None:
     """Compile the source to a temporary file and rename it to ``path``."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
     os.close(fd)
-    cmd = [*COMPILE, "-o", tmp, str(SOURCE)]
+    cmd = compile_command(tmp)
     try:
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -199,6 +227,15 @@ def _load() -> ctypes.CDLL:
         # table, n, cells, jitters a and b (each with its stride), out
         "unit_positions": [ctypes.POINTER(Table), _I64] + [_PTR, _I64] * 3
         + [_PTR],
+        # surface, n, u, u strides (row, draw), points, axis, sign
+        "surface_sample": [ctypes.POINTER(Surface), _I64, _PTR, _I64, _I64]
+        + [_PTR] * 3,
+        # n, the (5, n) inputs, out
+        "hemisphere_directions": [_I64, _PTR, _PTR],
+        # arena, surface, first slot, count, uids, lane, tol, first row,
+        # ring plane
+        "launch": [ctypes.POINTER(Arena), ctypes.POINTER(Surface), _I64,
+                   _I64, _PTR, _I64, ctypes.c_double, _I64, _I64],
     }
     # arena, n, then: nothing (locate), truncated flag, ring cursor and
     # depth (retire), ring plane (cube_hop); each returns a count.
@@ -391,4 +428,49 @@ def unit_positions(
         _stride(jitter_b, 0),
         address(out),
     )
+    return out
+
+
+def surface(total_area: float, **arrays: np.ndarray) -> Surface:
+    """The sampling state of a Gaussian surface for :func:`surface_sample`
+    and the engine's launch.
+
+    ``arrays`` are ``cum`` (cumulative patch areas), ``axis`` and ``sign``
+    (int64 patch normals), ``coord`` (plane positions) and ``x0``, ``x1``,
+    ``y0``, ``y1`` (transverse bounds); the descriptor keeps them alive.
+    """
+    dtypes = {"axis": np.int64, "sign": np.int64}
+    kept = {
+        name: np.ascontiguousarray(arrays[name], dtype=dtypes.get(name, np.float64))
+        for name, _ in Surface._fields_[2:]
+    }
+    s = Surface(
+        kept["cum"].shape[0], total_area, *(address(a) for a in kept.values())
+    )
+    s.arrays = kept
+    return s
+
+
+def surface_sample(
+    s: Surface, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(points (n, 3), axis (n,), sign (n,))`` of uniforms ``u``
+    (float64 ``(n, 3)``, any strides)."""
+    n = u.shape[0]
+    points = np.empty((n, 3), dtype=np.float64)
+    axis, sign = np.empty((2, n), dtype=np.int64)
+    library().surface_sample(
+        ctypes.byref(s), n, address(u), _stride(u, 0), _stride(u, 1),
+        address(points), address(axis), address(sign),
+    )
+    return points, axis, sign
+
+
+def hemisphere_directions(*inputs: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` hemisphere directions of the five broadcast ``(n,)``
+    inputs ``u_side, u1, u2, eps_below, eps_above``."""
+    stacked = np.array(np.broadcast_arrays(*inputs), dtype=np.float64)
+    n = stacked.shape[1]
+    out = np.empty((n, 3), dtype=np.float64)
+    library().hemisphere_directions(n, address(stacked), address(out))
     return out

@@ -9,21 +9,31 @@
  *                   (repro.geometry.GridIndex.query_into).
  *   sample_cells,   the cube transition table's inverse-CDF cell draw and
  *   unit_positions  its unit-cube point (repro.greens.CubeTransitionTable).
- *   locate          the walk step's query and absorption test,
+ *   surface_sample  a Gaussian surface's area-uniform point
+ *                   (repro.geometry.GaussianSurface.sample).
+ *   hemisphere_directions
+ *                   the two-medium hemisphere direction
+ *                   (repro.greens.interface_hemisphere_direction).
+ *   launch          the walk step's launch,
+ *   locate          its query and absorption test,
  *   retire          its result banking and slot compaction, and
- *   cube_hop        its cube hop (repro.frw.engine.WalkPipeline), all
- *                   over one arena_t descriptor of the slot arena.
+ *   cube_hop        its cube hop and hemisphere step
+ *                   (repro.frw.engine.WalkPipeline), all over one arena_t
+ *                   descriptor of the slot arena.
  *
  * All produce the bits of their NumPy references exactly.  Philox is
  * integer arithmetic modulo 2^32; the word-pair-to-double conversion is
  * an exact integer-to-double cast, one exact scale by 2^26, an exact add
  * (the sum is an integer below 2^53) and an exact scale by 2^-53.  The
- * other kernels use only IEEE + - * /, comparisons, minima, maxima and
- * fabs, each rounded once and in NumPy's order.  A minimum or maximum of
- * equal arguments returns the second one, as np.minimum and np.maximum
- * do, which decides the sign of a zero result.  No libm function is
- * called, and the build passes -ffp-contract=off, so no multiply-add is
- * fused.
+ * other kernels use IEEE + - * / and sqrt, comparisons, minima, maxima
+ * and fabs, each rounded once and in NumPy's order.  A minimum or maximum
+ * of equal arguments returns the second one, as np.minimum and np.maximum
+ * do, which decides the sign of a zero result.  The one libm dependency
+ * is the hemisphere direction's sin and cos (gcc merges the pair into
+ * sincos), whose bits are glibc's and equal NumPy's np.sin and np.cos
+ * (docs/DETERMINISM.md).  The build passes -ffp-contract=off, so no
+ * multiply-add is fused, and -fno-math-errno, so sqrt is the sqrtsd
+ * instruction.
  */
 
 #include <math.h>
@@ -299,19 +309,24 @@ static inline int64_t sample_cell(const table_t *t, double u)
     return p < t->n_cells - 1 ? p : t->n_cells - 1;
 }
 
+/* The point of an `axis`-normal face at `plane`: the face axis takes
+ * `plane`, the transverse axes (in sorted order) take a then b. */
+static inline void face_point(int64_t axis, double plane, double a, double b,
+                              double out[3])
+{
+    out[0] = axis == 0 ? plane : a;
+    out[1] = axis == 1 ? plane : (axis == 0 ? a : b);
+    out[2] = axis == 2 ? plane : b;
+}
+
 /* The unit-cube point of `cell` with in-cell jitters (ja, jb): the face
- * axis takes the face side, the transverse axes (in sorted order) take
- * (cell_i + ja) / nf and (cell_j + jb) / nf. */
+ * side, then (cell_i + ja) / nf and (cell_j + jb) / nf. */
 static inline void unit_position(const table_t *t, int64_t cell, double ja,
                                  double jb, double out[3])
 {
     double a = ((double)t->cell_i[cell] + ja) / (double)t->nf;
     double b = ((double)t->cell_j[cell] + jb) / (double)t->nf;
-    int64_t axis = t->face_axis[cell];
-    double side = (double)t->face_side[cell];
-    out[0] = axis == 0 ? side : a;
-    out[1] = axis == 1 ? side : (axis == 0 ? a : b);
-    out[2] = axis == 2 ? side : b;
+    face_point(t->face_axis[cell], (double)t->face_side[cell], a, b, out);
 }
 
 void sample_cells(const table_t *t, int64_t n, const double *u,
@@ -329,6 +344,94 @@ void unit_positions(const table_t *t, int64_t n,
     for (int64_t i = 0; i < n; i++)
         unit_position(t, cells[i * c_stride], ja[i * ja_stride],
                       jb[i * jb_stride], out + 3 * i);
+}
+
+/* The count of entries of the ascending x[0..n) that are <= v:
+ * searchsorted(x, v, "right"). */
+static inline int64_t count_le(const double *x, int64_t n, double v)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (x[mid] <= v)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* A GaussianSurface's sampling state; field order matches
+ * repro.native.Surface.  Patch p has the outward normal sign[p] along
+ * axis[p], lies in the plane coord[p] and spans [x0, x1] x [y0, y1] of
+ * its transverse axes; cum is the cumulative patch area. */
+typedef struct {
+    int64_t n_patches;
+    double total_area;
+    const double *cum;
+    const int64_t *axis;
+    const int64_t *sign;
+    const double *coord;
+    const double *x0;
+    const double *x1;
+    const double *y0;
+    const double *y1;
+} surface_t;
+
+/* The surface point of uniforms (u0, u1, u2): u0 picks the patch by
+ * cumulative area, clipped to the last patch, and (u1, u2) place the
+ * point in it.  Returns the patch. */
+static inline int64_t surface_point(const surface_t *s, double u0, double u1,
+                                    double u2, double out[3])
+{
+    int64_t p = count_le(s->cum, s->n_patches, u0 * s->total_area);
+    if (p > s->n_patches - 1)
+        p = s->n_patches - 1;
+    double a = s->x0[p] + u1 * (s->x1[p] - s->x0[p]);
+    double b = s->y0[p] + u2 * (s->y1[p] - s->y0[p]);
+    face_point(s->axis[p], s->coord[p], a, b, out);
+    return p;
+}
+
+/* points[i] (row-major (n, 3)), axis[i] and sign[i] of the uniforms
+ * u[i * u_s0 + d * u_s1], d < 3. */
+void surface_sample(const surface_t *s, int64_t n, const double *u,
+                    int64_t u_s0, int64_t u_s1, double *points,
+                    int64_t *axis, int64_t *sign)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *v = u + i * u_s0;
+        int64_t p = surface_point(s, v[0], v[u_s1], v[2 * u_s1],
+                                  points + 3 * i);
+        axis[i] = s->axis[p];
+        sign[i] = s->sign[p];
+    }
+}
+
+/*
+ * The unit direction of a walk leaving an interface between permittivities
+ * eb (below) and ea (above): the upper hemisphere when u_side <
+ * ea / (eb + ea), |z| = u1 and the azimuth 2 pi u2.
+ */
+static inline void hemisphere_direction(double u_side, double u1, double u2,
+                                        double eb, double ea, double out[3])
+{
+    double p_up = ea / (eb + ea);
+    double rr = sqrt(max_tie_b(1.0 - u1 * u1, 0.0));
+    /* 2.0 * np.pi, folded first as Python does. */
+    double phi = 6.283185307179586 * u2;
+    out[0] = rr * cos(phi);
+    out[1] = rr * sin(phi);
+    out[2] = u_side < p_up ? u1 : -u1;
+}
+
+/* out[i] (row-major (n, 3)) = the direction of in[k * n + i] for the
+ * five inputs k = u_side, u1, u2, eps below, eps above. */
+void hemisphere_directions(int64_t n, const double *in, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        hemisphere_direction(in[i], in[n + i], in[2 * n + i], in[3 * n + i],
+                             in[4 * n + i], out + 3 * i);
 }
 
 /*
@@ -350,12 +453,10 @@ typedef struct {
     int64_t *naxis;
     double *nsign;
     /* Step scratch. */
-    double *dist;             /* conductor distance, then the hop's allow */
+    double *dist;             /* conductor distance */
     double *dist_e;           /* wall distance */
-    double *dist_i;           /* interface distance */
     uint8_t *done;
     int64_t *dest;
-    int64_t *snapped;
     int64_t capacity;
     double *ring;
     /* Result window over the launched, unemitted batches. */
@@ -371,8 +472,9 @@ typedef struct {
     /* Walk space. */
     const grid_t *grid;
     const table_t *table;
-    const double *interfaces;
+    const double *interfaces; /* ascending layer interfaces */
     int64_t n_interfaces;
+    const double *layer_eps;  /* n_interfaces + 1, bottom to top */
     double enc_lo[3];
     double enc_hi[3];
     int64_t enc_index;
@@ -382,6 +484,36 @@ typedef struct {
     /* locate's query counts: near points, candidates visited. */
     int64_t counts[2];
 } arena_t;
+
+/*
+ * Launch walks uids[0..k) of lane `lane` (tolerance `tol`, global rows
+ * first_row + j) from surface `s` into slots [n, n + k), with the launch
+ * draws of ring plane `plane`: the surface point, its normal, the
+ * permittivity of its layer (a point on an interface takes the upper
+ * layer) and a first step of 1.
+ */
+void launch(arena_t *a, const surface_t *s, int64_t n, int64_t k,
+            const uint64_t *uids, int64_t lane, double tol,
+            int64_t first_row, int64_t plane)
+{
+    const double *u0 = a->ring + plane * 3 * a->capacity;
+    const double *u1 = u0 + a->capacity, *u2 = u1 + a->capacity;
+    for (int64_t j = 0; j < k; j++) {
+        int64_t i = n + j;
+        double *pos = a->pos + 3 * i;
+        int64_t p = surface_point(s, u0[i], u1[i], u2[i], pos);
+        a->uid[i] = uids[j];
+        a->lane[i] = lane;
+        a->tol[i] = tol;
+        a->grow[i] = first_row + j;
+        a->step_no[i] = 1;
+        a->eps[i] = a->layer_eps[count_le(a->interfaces, a->n_interfaces,
+                                          pos[2])];
+        a->first[i] = 1;
+        a->naxis[i] = s->axis[p];
+        a->nsign[i] = (double)s->sign[p];
+    }
+}
 
 /*
  * Query and absorption test of slots [0, n).  Per slot: dist = capped
@@ -490,12 +622,47 @@ int64_t retire(arena_t *a, int64_t n, int64_t truncated, int64_t cursor,
 }
 
 /*
+ * The exact two-medium hemisphere step of slot i, snapped onto the
+ * interface nearest to it (the lower one on a tie), di away, with free
+ * space `allow`: a sphere of radius min(allow - di, the gap to the
+ * neighbouring interfaces), floored at tol / 2, centred on the interface
+ * below the walk, and a direction drawn from (u0, u1, u2).  Kept out of
+ * line: every xmm register is caller-saved across the sin/cos call, which
+ * would otherwise cost cube_hop's loop its registers.
+ */
+static __attribute__((noinline)) void hemisphere_step(
+    arena_t *a, int64_t i, double allow, double di, double u0, double u1,
+    double u2)
+{
+    double *p = a->pos + 3 * i;
+    const double *z = a->interfaces;
+    int64_t m = a->n_interfaces, k = 0;
+    double best = fabs(p[2] - z[0]);
+    for (int64_t j = 1; j < m; j++) {
+        double d = fabs(p[2] - z[j]);
+        if (d < best) {
+            best = d;
+            k = j;
+        }
+    }
+    double below = k > 0 ? z[k] - z[k - 1] : INFINITY;
+    double above = k < m - 1 ? z[k + 1] - z[k] : INFINITY;
+    double r = min_tie_b(allow - di, min_tie_b(below, above));
+    r = max_tie_b(r, 0.5 * a->tol[i]);
+    double dir[3];
+    hemisphere_direction(u0, u1, u2, a->layer_eps[k], a->layer_eps[k + 1],
+                         dir);
+    p[0] = p[0] + r * dir[0];
+    p[1] = p[1] + r * dir[1];
+    p[2] = z[k] + r * dir[2];
+}
+
+/*
  * The hop of slots [0, n) with the draws of ring plane `plane`.  Per
- * slot: allow = min(dist, dist_e, h_cap) (stored back in dist); on a
- * stratified stack the interface distance (stored in dist_i) caps the
- * cube, and a walk past its first hop that lies within snap_fraction of
- * allow of an interface is listed in `snapped` and left in place for the
- * hemisphere step.  Every other walk floors a first-hop cube at
+ * slot: allow = min(dist, dist_e, h_cap); on a stratified stack the
+ * interface distance di caps the cube, and a walk past its first hop
+ * that lies within snap_fraction of allow of an interface takes the
+ * hemisphere step instead.  Every other walk floors a first-hop cube at
  * first_floor * allow, draws a cell and its unit-cube point, moves to
  * pos - h + unit * 2h and, on its first hop, banks its weight
  * -flux * eps * nsign * grad_ratio / (2h).  Every slot then leaves its
@@ -512,21 +679,21 @@ int64_t cube_hop(arena_t *a, int64_t n, int64_t plane)
         double allow = min_tie_b(min_tie_b(a->dist[i], a->dist_e[i]),
                                  a->h_cap);
         double h = allow;
-        a->dist[i] = allow;
+        int first = a->first[i];
+        a->first[i] = 0;
+        a->step_no[i] += 1;
         if (a->n_interfaces) {
             double di = fabs(p[2] - a->interfaces[0]);
             for (int64_t k = 1; k < a->n_interfaces; k++)
                 di = min_tie_b(di, fabs(p[2] - a->interfaces[k]));
-            a->dist_i[i] = di;
             h = min_tie_b(allow, di);
-            if (!a->first[i] && di < a->snap_fraction * allow) {
-                a->snapped[n_snap++] = i;
-                a->first[i] = 0;
-                a->step_no[i] += 1;
+            if (!first && di < a->snap_fraction * allow) {
+                hemisphere_step(a, i, allow, di, u0[i], u1[i], u2[i]);
+                n_snap++;
                 continue;
             }
         }
-        if (a->first[i] && a->first_floor > 0.0)
+        if (first && a->first_floor > 0.0)
             h = max_tie_b(h, a->first_floor * allow);
         int64_t cell = sample_cell(t, u0[i]);
         double unit[3];
@@ -534,7 +701,7 @@ int64_t cube_hop(arena_t *a, int64_t n, int64_t plane)
         double h2 = 2.0 * h;
         for (int d = 0; d < 3; d++)
             p[d] = (p[d] - h) + unit[d] * h2;
-        if (a->first[i]) {
+        if (first) {
             double ratio = t->grad_ratio[a->naxis[i] * t->n_cells + cell];
             double w = -a->lane_flux[a->lane[i]];
             w = w * a->eps[i];
@@ -542,8 +709,6 @@ int64_t cube_hop(arena_t *a, int64_t n, int64_t plane)
             w = w * ratio;
             a->res_omega[a->grow[i] - a->win_base_g] = w / (2.0 * h);
         }
-        a->first[i] = 0;
-        a->step_no[i] += 1;
     }
     return n_snap;
 }

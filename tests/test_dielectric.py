@@ -13,8 +13,6 @@ def test_homogeneous():
     assert s.n_layers == 1
     assert np.all(s.eps_at(np.array([-10.0, 0.0, 42.0])) == 3.9)
     assert np.all(np.isinf(s.interface_distance(np.array([0.0, 5.0]))))
-    with pytest.raises(GeometryError):
-        s.nearest_interface(np.array([0.0]))
 
 
 def test_layer_lookup():
@@ -29,19 +27,10 @@ def test_point_on_interface_goes_up():
     assert s.eps_at(np.array([1.0]))[0] == 4.0
 
 
-def test_interface_distance_and_nearest():
+def test_interface_distance():
     s = DielectricStack(interfaces=(0.0, 3.0), eps=(1.0, 2.0, 3.0))
     z = np.array([-2.0, 1.0, 2.0, 3.5])
     assert s.interface_distance(z).tolist() == [2.0, 1.0, 1.0, 0.5]
-    assert s.nearest_interface(z).tolist() == [0, 0, 1, 1]
-
-
-def test_interface_eps_pair_and_z():
-    s = DielectricStack(interfaces=(0.0, 3.0), eps=(1.0, 2.0, 3.0))
-    below, above = s.interface_eps_pair(np.array([0, 1]))
-    assert below.tolist() == [1.0, 2.0]
-    assert above.tolist() == [2.0, 3.0]
-    assert s.interface_z(np.array([1])).tolist() == [3.0]
 
 
 def test_validation_errors():

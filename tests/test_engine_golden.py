@@ -246,20 +246,25 @@ def test_spawn_parallel_matches_golden(golden_case, n_workers):
 
 def test_stratified_case_exercises_interface_snapping(monkeypatch):
     """The stratified golden case must actually take hemisphere steps —
-    otherwise it would not cover the interface-snap path it claims to."""
+    otherwise it would not cover the interface-snap path it claims to.
+    ``cube_hop`` returns the number of walks it snapped in each call."""
     cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
     ctx = build_context(_build_structure("stratified"), 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
-    calls = []
-    original = engine_mod.interface_hemisphere_direction
+    snaps = []
+    real_start = WalkPipeline._start
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def start(self, *args):
+        real_start(self, *args)
+        hop = self._cube_hop
 
-    monkeypatch.setattr(
-        engine_mod, "interface_hemisphere_direction", counting
-    )
+        def counting(*hop_args):
+            snaps.append(hop(*hop_args))
+            return snaps[-1]
+
+        self._cube_hop = counting
+
+    monkeypatch.setattr(WalkPipeline, "_start", start)
     res = run_walks(ctx, WalkStreams(SEED, 0), uids)
     _check("stratified", res)
-    assert len(calls) > 0
+    assert sum(snaps) > 0

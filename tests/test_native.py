@@ -5,7 +5,10 @@ steps, keys, depths, counts and output strides.  The grid query's
 properties live in ``test_spatial_index``.  The loader must build into an
 empty cache, survive concurrent builds, refuse unsafe cache directories,
 name the command of a failed build, and let process workers load the
-parent's build instead of compiling their own.
+parent's build instead of compiling their own.  The built library may
+import no function but libm's ``sincos``, and the stratified golden row
+must keep its bytes when the library is built at ``-O0`` and at ``-O3
+-march=native``.
 """
 
 import os
@@ -237,3 +240,81 @@ def test_process_workers_load_the_parent_build(
     with FRWSolver(three_wires, cfg) as solver:
         ref = solver.extract()
     assert got.matrix.values.tobytes() == ref.matrix.values.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Imported symbols and optimisation levels
+# ----------------------------------------------------------------------
+def _imported_functions(path) -> set:
+    """The undefined (imported) functions of a shared library."""
+    out = subprocess.run(
+        ["nm", "-D", "--undefined-only", str(path)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return {
+        fields[1].split("@")[0]
+        for fields in (line.split() for line in out.splitlines())
+        if fields[0] == "U"
+    }
+
+
+def test_library_imports_only_sincos():
+    """The one imported function is the hemisphere step's ``sin``/``cos``,
+    which gcc merges into ``sincos`` at ``-O2``; libm is a ``NEEDED``
+    entry, so the library does not rely on the process having loaded it."""
+    native.library()
+    path = native.library_path()
+    assert _imported_functions(path) == {"sincos"}
+    dynamic = subprocess.run(
+        ["readelf", "-d", str(path)], capture_output=True, text=True, check=True
+    ).stdout
+    assert "[libm.so.6]" in dynamic
+
+
+_GOLDEN_ROW = """
+import sys
+import numpy as np
+from repro import FRWConfig, native
+from repro.frw import build_context, run_walks
+from repro.rng import WalkStreams
+import test_engine_golden as g
+native.COMPILE = tuple(sys.argv[1:])
+cfg = FRWConfig.frw_r(seed=g.SEED, antithetic=False)
+ctx = build_context(g._build_structure("stratified"), 0, cfg)
+res = run_walks(ctx, WalkStreams(g.SEED, 0), np.arange(g.N_WALKS, dtype=np.uint64))
+print(g._digest(res), native.library_path())
+"""
+
+
+@pytest.mark.parametrize(
+    "opt,calls",
+    [
+        (("-O0",), {"sin", "cos", "sqrt"}),
+        (("-O3", "-march=native"), {"sincos"}),
+    ],
+)
+def test_golden_row_is_the_same_at_any_opt_level(tmp_path, opt, calls):
+    """The stratified golden row, whose hemisphere steps call libm, has
+    the same bytes from a library built at ``-O0`` (separate ``sin`` and
+    ``cos`` calls, and libm's ``sqrt`` where ``-O2`` inlines ``sqrtsd``)
+    and at ``-O3 -march=native`` (one ``sincos``), each in
+    a fresh cache; both keep the FP flags of :data:`repro.native.COMPILE`."""
+    from test_engine_golden import GOLDEN
+
+    command = [f for f in native.COMPILE if not f.startswith("-O")]
+    assert {"-ffp-contract=off", "-fno-math-errno"} <= set(command)
+    command[1:1] = opt
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(tmp_path),
+        PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_ROW, *command],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest, path = proc.stdout.split()
+    assert Path(path).parent == tmp_path / "repro"
+    assert _imported_functions(path) == calls
+    assert digest == GOLDEN["stratified"]["sha256"]

@@ -635,15 +635,22 @@ def test_pipelined_runner_counts_speculation(plates):
 
 @pytest.fixture
 def launched(monkeypatch):
-    """Sizes of every launch of walks into any engine vector."""
+    """Sizes of every launch of walks into any engine vector: the count
+    argument of each compiled ``launch`` call."""
     sizes = []
-    launch = WalkPipeline._launch
+    start = WalkPipeline._start
 
-    def counting_launch(self, lane, uids, start_g, off):
-        sizes.append(uids.shape[0])
-        return launch(self, lane, uids, start_g, off)
+    def counting_start(self, *args):
+        start(self, *args)
+        launch = self._launch
 
-    monkeypatch.setattr(WalkPipeline, "_launch", counting_launch)
+        def counting_launch(arena, surface, n, k, *rest):
+            sizes.append(k)
+            return launch(arena, surface, n, k, *rest)
+
+        self._launch = counting_launch
+
+    monkeypatch.setattr(WalkPipeline, "_start", counting_start)
     return sizes
 
 

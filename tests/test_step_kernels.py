@@ -10,17 +10,18 @@ versions are kept here, verbatim in behaviour, as the oracle:
 * column-wise enclosure distance vs ``(n, 3).min(axis=1)``;
 * interface loops vs the ``(n, n_iface)`` broadcast;
 * the single-thread ``simulate_dynamic_queue`` fast path vs the heap loop;
-* the compiled vector step (``locate``, ``retire``, ``cube_hop`` in
-  ``repro/native/kernels.c``) vs the NumPy stage code it replaced, on a
-  live pipeline's arena, plus pinned engine runs through the paths no
-  row golden covers (per-walk stream release, the early-absorption error
-  and step-cap truncation).
+* the compiled vector step (``launch``, ``locate``, ``retire``,
+  ``cube_hop`` and its hemisphere step in ``repro/native/kernels.c``) vs
+  the NumPy stage code it replaced, on a live pipeline's arena, plus
+  pinned engine runs through the paths no row golden covers (per-walk
+  stream release, the early-absorption error and step-cap truncation).
 
 It also pins that the cube table's sampling guide is built once per table
 object, that attached contexts share one table, and that the guide never
 reaches pickles or the shared-memory plane.
 """
 
+import ctypes
 import dataclasses
 import hashlib
 import heapq
@@ -43,7 +44,12 @@ from repro.frw import (
     simulate_dynamic_queue,
 )
 from repro.frw.context import SharedAssets
-from repro.geometry import Box, DielectricStack, build_offset_surface
+from repro.geometry import (
+    Box,
+    DielectricStack,
+    GaussianSurface,
+    build_offset_surface,
+)
 from repro.geometry.surface import TRANSVERSE
 from repro.greens import CubeTransitionTable, get_cube_table
 from repro.rng import WalkStreams
@@ -122,6 +128,46 @@ def old_interface_distance(stack, z):
 
 def old_nearest_interface(stack, z):
     return np.abs(z[..., None] - stack._z[None, :]).argmin(axis=-1)
+
+
+def old_other_interface_gap(interfaces, k):
+    """Distance from interface ``k`` to its nearest neighbouring interface."""
+    if interfaces.shape[0] < 2:
+        return np.full(np.asarray(k).shape, np.inf)
+    gaps = np.diff(interfaces)
+    below = np.where(k > 0, gaps[np.maximum(k - 1, 0)], np.inf)
+    above = np.where(
+        k < interfaces.shape[0] - 1,
+        gaps[np.minimum(k, gaps.shape[0] - 1)],
+        np.inf,
+    )
+    return np.minimum(below, above)
+
+
+def old_hemisphere_direction(u_side, u1, u2, eps_below, eps_above):
+    """The NumPy ``interface_hemisphere_direction``."""
+    p_up = eps_above / (eps_below + eps_above)
+    go_up = u_side < p_up
+    z = np.asarray(u1, dtype=np.float64)
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    phi = 2.0 * np.pi * np.asarray(u2, dtype=np.float64)
+    z_signed = np.where(go_up, z, -z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z_signed], axis=1)
+
+
+def old_hemisphere(stack, pos, allow, dist_i, tol, u):
+    """``WalkPipeline._hemisphere`` on snapped walks at ``pos`` with free
+    space ``allow``, interface distance ``dist_i``, tolerance ``tol`` and
+    draws ``u`` (n, 3): their new positions."""
+    k = old_nearest_interface(stack, pos[:, 2])
+    r = np.minimum(allow - dist_i, old_other_interface_gap(stack._z, k))
+    r = np.maximum(r, 0.5 * tol)
+    direction = old_hemisphere_direction(
+        u[:, 0], u[:, 1], u[:, 2], stack._eps[k], stack._eps[k + 1]
+    )
+    center = pos.copy()
+    center[:, 2] = stack._z[k]
+    return center + r[:, None] * direction
 
 
 def heap_dynamic_queue(durations, n_threads):
@@ -337,15 +383,22 @@ def _stack_and_z(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=_stack_and_z())
 def test_interface_queries_match_broadcast(case):
+    """The interface distance, and the nearest interface the hemisphere
+    step snaps to (its landing height at ``|z| = u1 = 0``), match the
+    ``(n, n_iface)`` broadcast."""
     stack, z = case
     assert _same_bits(stack.interface_distance(z), old_interface_distance(stack, z))
-    assert _same_bits(stack.nearest_interface(z), old_nearest_interface(stack, z))
+    if z.shape[0]:
+        _, landed, n_snap = _hemisphere_hop(stack, z, np.zeros((z.shape[0], 3)))
+        assert n_snap == z.shape[0]
+        assert _same_bits(landed[:, 2], stack._z[old_nearest_interface(stack, z)])
 
 
 def test_nearest_interface_midway_tie_goes_low():
     stack = DielectricStack((1.0, 3.0, 5.0), (1.0, 2.0, 3.0, 4.0))
     z = np.array([2.0, 4.0, 3.0])
-    assert stack.nearest_interface(z).tolist() == [0, 1, 1]
+    _, landed, _ = _hemisphere_hop(stack, z, np.zeros((3, 3)))
+    assert landed[:, 2].tolist() == [1.0, 3.0, 3.0]
     assert stack.interface_distance(z).tolist() == [1.0, 1.0, 0.0]
 
 
@@ -500,6 +553,34 @@ def _pipeline(ctx, sizes, width):
         start += size
     pipe._refill()
     return pipe
+
+
+def _rewire(pipe, stack):
+    """Point a pipeline's arena at the layers of ``stack`` (which the
+    caller keeps alive while the arena is used)."""
+    a = pipe._arena
+    a.interfaces = native.address(stack._z)
+    a.n_interfaces = stack._z.shape[0]
+    a.layer_eps = native.address(stack._eps)
+
+
+def _hemisphere_hop(stack, z, u, allow=1e4, tol=0.0):
+    """``cube_hop`` of walks past their first hop at heights ``z`` on
+    ``stack``, with free space ``allow`` (``h_cap`` lifted), tolerance
+    ``tol`` and draws ``u`` (n, 3): ``(positions before, positions after,
+    snapped count)``."""
+    n = z.shape[0]
+    pipe = _pipeline(_CTXS[True], [n], n)
+    _rewire(pipe, stack)
+    pipe._arena.h_cap = np.inf
+    pipe._pos[:n, 2] = z
+    pipe._dist[:n] = pipe._dist_e[:n] = allow
+    pipe._tol[:n] = tol
+    pipe._first[:n] = False
+    pipe._ring[0, :, :n] = u.T
+    before = pipe._pos[:n].copy()
+    n_snap = pipe._cube_hop(pipe._arena_ref, n, 0)
+    return before, pipe._pos[:n].copy(), n_snap
 
 
 def _snapshot(pipe):
@@ -714,8 +795,8 @@ def test_cube_hop_matches_numpy_sample(data, layered):
     homogeneous and stratified stacks, first and later hops, cell draws
     on guide bucket edges, interface distances equal to ``snap * allow``
     exactly (not snapped) and ties between the distances, ``h_cap`` and
-    ±0.0 (whose signs reach the first-hop weight).  Snapped walks are
-    listed and left in place for the hemisphere step."""
+    ±0.0 (whose signs reach the first-hop weight).  Snapped walks take
+    the deleted ``_hemisphere`` step's positions."""
     ctx = _CTXS[layered]
     table = ctx.table
     n = data.draw(st.integers(1, 40))
@@ -754,19 +835,223 @@ def test_cube_hop_matches_numpy_sample(data, layered):
     snapped, snap_allow, snap_dist_i, npos, fc, omega = old_cube_hop(
         ctx, state, u, pipe._lane_flux
     )
-    assert _same_bits(pipe._snapped[:n_snap], snapped)
+    assert n_snap == snapped.shape[0]
     if layered:  # dist_i == snap * allow is not below it: no snap
         assert not np.isin(np.nonzero(z_kind == 0)[0], snapped).any()
     moved = np.ones(n, dtype=bool)
     moved[snapped] = False
     assert _same_bits(pipe._pos[:n][moved], npos[moved])
-    assert _same_bits(pipe._pos[:n][snapped], state["pos"][snapped])
-    assert _same_bits(pipe._dist[snapped], snap_allow)
     if layered:
-        assert _same_bits(pipe._dist_i[snapped], snap_dist_i)
+        want = old_hemisphere(
+            ctx.structure.dielectric, state["pos"][snapped], snap_allow,
+            snap_dist_i, state["tol"][snapped], u[snapped],
+        )
+        assert _same_bits(pipe._pos[:n][snapped], want)
     assert _same_bits(pipe._res_omega[pipe._grow[fc] - pipe._win_base_g], omega)
     assert _same_bits(pipe._step_no[:n], state["step_no"] + np.uint64(1))
     assert not pipe._first[:n].any()
+
+
+def _edges(*values):
+    """Each value with its nextafter neighbours, restricted to [0, 1)."""
+    v = np.asarray(values, dtype=np.float64)
+    u = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    return sorted(float(x) for x in u[(u >= 0.0) & (u < 1.0)])
+
+
+#: Uniforms at 0, at 1 - ulp and at the hemisphere's p_up = 1/2 tie.
+_U_EDGE = st.sampled_from(_edges(0.0, 0.5, _BELOW_ONE)) | st.floats(
+    0.0, 1.0, exclude_max=True
+)
+#: Azimuth uniforms on the quadrant edges of 2 pi u2.
+_U_QUADRANT = st.sampled_from(_edges(0.0, 0.25, 0.5, 0.75, _BELOW_ONE)) | _U_EDGE
+
+
+@st.composite
+def _hemisphere_case(draw):
+    """A stack (possibly with equal permittivities) and walks at heights on
+    interfaces, midway between them, near them or anywhere, with free
+    space and tolerance that may put the radius on its tol / 2 floor."""
+    steps = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    scale = draw(st.sampled_from([1.0, 0.25, 0.1, 1.7]))
+    z_if = np.cumsum(steps) * scale
+    eps = draw(st.lists(
+        st.sampled_from([1.0, 2.7, 3.9]), min_size=len(steps) + 1,
+        max_size=len(steps) + 1,
+    ))
+    stack = DielectricStack(tuple(float(v) for v in z_if), tuple(eps))
+    n = draw(st.integers(1, 40))
+    specials = np.concatenate([(z_if[1:] + z_if[:-1]) / 2.0, z_if, z_if + 0.01])
+    z = np.array(draw(st.lists(
+        st.sampled_from([float(v) for v in specials])
+        | st.floats(float(z_if[0]) - 1.0, float(z_if[-1]) + 1.0),
+        min_size=n, max_size=n,
+    )))
+    allow = np.array(draw(st.lists(
+        st.sampled_from([1e3, 100.0, 10.0]) | st.floats(1e-3, 1e3),
+        min_size=n, max_size=n,
+    )))
+    di = old_interface_distance(stack, z)
+    # tol / 2 below the radius, far above it, or exactly allow - di.
+    tol = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1e-3, 1e4, -1.0]), min_size=n, max_size=n
+    )))
+    tol[tol < 0] = 2.0 * (allow - di)[tol < 0]
+    u = np.column_stack([
+        draw(st.lists(slot, min_size=n, max_size=n))
+        for slot in (_U_EDGE, _U_EDGE, _U_QUADRANT)
+    ])
+    return stack, z, allow, tol, u
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_hemisphere_case())
+def test_hemisphere_matches_numpy(case):
+    """``cube_hop``'s hemisphere step gives the deleted NumPy step's
+    positions bit for bit: ``u`` at 0 and 1 - ulp, the azimuth on quadrant
+    edges, heights midway between interfaces (the lower one wins), equal
+    permittivities with ``u_side`` at ``p_up = 1/2`` exactly (strictly
+    below goes up), and radii on their ``tol / 2`` floor."""
+    stack, z, allow, tol, u = case
+    before, after, n_snap = _hemisphere_hop(stack, z, u, allow, tol)
+    di = old_interface_distance(stack, z)
+    snapped = np.nonzero(di < FRWConfig().interface_snap_fraction * allow)[0]
+    assert n_snap == snapped.shape[0]
+    want = old_hemisphere(
+        stack, before[snapped], allow[snapped], di[snapped], tol[snapped],
+        u[snapped],
+    )
+    assert _same_bits(after[snapped], want)
+
+
+def test_hemisphere_direction_matches_numpy():
+    """``interface_hemisphere_direction`` (a wrapper over the step's inline
+    C) gives the NumPy directions, broadcasting scalar permittivities."""
+    from repro.greens import interface_hemisphere_direction
+
+    rng = np.random.default_rng(8)
+    u = np.concatenate([
+        rng.random((500, 3)),
+        np.array(_edges(0.0, 0.25, 0.5, 0.75, _BELOW_ONE))[:, None]
+        * np.ones(3),
+    ])
+    for eb, ea in ((1.0, 3.0), (2.7, 2.7)):
+        got = interface_hemisphere_direction(u[:, 0], u[:, 1], u[:, 2], eb, ea)
+        want = old_hemisphere_direction(
+            u[:, 0], u[:, 1], u[:, 2], np.full(len(u), eb), np.full(len(u), ea)
+        )
+        assert _same_bits(got, want)
+
+
+def _on_layers(surf):
+    """A stack with interfaces on the surface's horizontal faces and at
+    z = 0.5, which its side faces cross."""
+    planes = np.unique(np.append(surf._coord[surf._axis == 2], 0.5))
+    return DielectricStack(
+        tuple(float(v) for v in planes), tuple(1.0 + np.arange(len(planes) + 1))
+    )
+
+
+def _clamped(surf):
+    """The surface with its total area one ulp above its last cumulative
+    area, so u0 near 1 searches past the last patch."""
+    scalars, arrays = surf.packed()
+    scalars = dict(scalars, total_area=float(np.nextafter(surf._cum[-1], np.inf)))
+    return GaussianSurface.from_packed(scalars, arrays)
+
+
+def _area_edges(surf):
+    """Uniforms u0 with ``u0 * total_area`` exactly a cumulative area."""
+    out = [
+        u for c in surf._cum for u in _edges(c / surf.total_area)
+        if u * surf.total_area == c
+    ]
+    assert out
+    return out
+
+
+def _launch(pipe, surf, uids, tol, first_row, plane):
+    """One compiled launch of ``uids`` into the slots after the live ones,
+    as ``WalkPipeline._launch`` makes it."""
+    n = pipe._n
+    pipe._launch(
+        pipe._arena_ref, ctypes.byref(surf._native), n, uids.shape[0],
+        native.address(uids), 0, tol, first_row, plane,
+    )
+    pipe._n = n + uids.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    which=st.sampled_from(range(len(_SURFACES))),
+    clamp=st.booleans(),
+)
+def test_launch_matches_numpy(data, which, clamp):
+    """``launch`` writes the NumPy launch's slot state bit for bit: the
+    point of ``GaussianSurface.sample``, its normal, the permittivity of
+    ``eps_at`` (points on an interface take the upper layer) and the
+    walk's identity, with ``u0 * total_area`` exactly on a cumulative
+    area and, past the last one, clipped to the last patch."""
+    surf = _clamped(_SURFACES[which]) if clamp else _SURFACES[which]
+    stack = _on_layers(surf)
+    live = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, 30))
+    pipe = _pipeline(_CTXS[True], [live + k], live + k)
+    pipe._n = live  # the rest of the arena is free
+    _rewire(pipe, stack)
+    plane = data.draw(st.integers(0, pipe._prefetch - 1))
+    u0 = st.sampled_from(_area_edges(surf)) | _U_EDGE
+    u = np.column_stack([
+        data.draw(st.lists(slot, min_size=k, max_size=k))
+        for slot in (u0, _U_QUADRANT, _U_QUADRANT)
+    ])
+    if clamp:
+        u[0, 0] = _BELOW_ONE
+        assert np.searchsorted(
+            surf._cum, _BELOW_ONE * surf.total_area, side="right"
+        ) == surf.n_patches
+    pipe._ring[plane, :, live : live + k] = u.T
+    head = _snapshot(pipe)
+    uids = np.arange(2**40, 2**40 + k, dtype=np.uint64)
+    _launch(pipe, surf, uids, 0.125, 7, plane)
+    for name in _SLOTS:
+        if name not in ("dist", "dist_e"):
+            assert _same_bits(getattr(pipe, "_" + name)[:live], head[name])
+    points, axis, sign = old_surface_sample(surf, u)
+    got = {name: getattr(pipe, "_" + name)[live : live + k] for name in _SLOTS}
+    assert _same_bits(got["pos"], points)
+    assert _same_bits(got["naxis"], axis)
+    assert _same_bits(got["nsign"], sign.astype(np.float64))
+    eps = stack._eps[np.searchsorted(stack._z, points[:, 2], side="right")]
+    assert _same_bits(got["eps"], eps)
+    assert _same_bits(got["uid"], uids)
+    assert _same_bits(got["grow"], 7 + np.arange(k, dtype=np.int64))
+    assert (got["lane"] == 0).all() and (got["tol"] == 0.125).all()
+    assert (got["step_no"] == 1).all() and got["first"].all()
+
+
+def test_launch_on_an_interface_takes_the_upper_layer():
+    """A launch point exactly on an interface (a horizontal face of the
+    Gaussian surface) takes the permittivity above it."""
+    surf = _SURFACES[0]
+    stack = _on_layers(surf)
+    # The middle of each horizontal patch's area interval.
+    faces = np.nonzero(surf._axis == 2)[0]
+    pipe = _pipeline(_CTXS[True], [1 + len(faces)], 1 + len(faces))
+    pipe._n = 1
+    _rewire(pipe, stack)
+    lo = np.concatenate([[0.0], surf._cum])[faces]
+    u = np.column_stack([
+        (lo + surf._cum[faces]) / 2.0 / surf.total_area,
+        np.full(len(faces), 0.5), np.full(len(faces), 0.5),
+    ])
+    pipe._ring[0, :, 1 : 1 + len(faces)] = u.T
+    _launch(pipe, surf, np.arange(len(faces), dtype=np.uint64), 0.1, 1, 0)
+    z = pipe._pos[1 : 1 + len(faces), 2]
+    assert np.isin(z, stack._z).all()
+    above = stack._eps[np.searchsorted(stack._z, z) + 1]
+    assert _same_bits(pipe._eps[1 : 1 + len(faces)], above)
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,15 @@ def test_sampling_determinism():
     assert np.array_equal(p1[0], p2[0])
 
 
+@pytest.mark.parametrize("shape", [(50,), (50, 2), (2, 50, 3)])
+def test_sampling_rejects_uniforms_of_the_wrong_shape(shape):
+    """The compiled sampler reads three uniforms per row, so any other
+    shape is refused before it runs."""
+    surf = build_offset_surface([Box.from_bounds(0, 1, 0, 1, 0, 1)], delta=0.2)
+    with pytest.raises(ValueError, match="shape"):
+        surf.sample(np.zeros(shape))
+
+
 def test_build_gaussian_surface_from_structure():
     a = Conductor.single("a", Box.from_bounds(0, 1, 0, 5, 0, 1))
     b = Conductor.single("b", Box.from_bounds(3, 4, 0, 5, 0, 1))
