@@ -27,14 +27,26 @@ def test_philox_per_walk_streams(benchmark):
 
 
 def test_mt_per_walk_reseeding(benchmark):
-    """The cost Sec. III-C eliminates: a fresh 624-word MT state per walk."""
-    uids = np.arange(N_WALKS, dtype=np.uint64)
+    """The cost Sec. III-C eliminates: the compiled launch of 10,000 walks
+    on an FRW-NC lane seeds a fresh 624-word MT19937 state per walk
+    before its step-0 draws (compare ``test_step_launch_case5``'s Philox
+    launch)."""
+    from repro import native
+    from repro.frw import WalkPipeline, build_context
 
-    def run():
-        ws = MTWalkStreams(seed=1)  # fresh cache: every draw reseeds
-        return ws.draws(uids, 0, 3)
+    ctx = build_context(build_case(5), 0, FRWConfig.frw_nc(seed=1))
+    pipe = WalkPipeline()
+    uids = np.arange(STEP_WIDTH, dtype=np.uint64)
+    pipe.submit(0, 0, ctx, MTWalkStreams(1, 0), uids, STEP_WIDTH)
 
-    benchmark(run)
+    def launch():
+        pipe._launch(
+            pipe._arena_ref, pipe._surfaces[0], 0, STEP_WIDTH,
+            native.address(uids), 0, pipe._lane_tol[0], 0,
+        )
+
+    benchmark(launch)
+    assert pipe._first[:STEP_WIDTH].all()
 
 
 def test_philox_bulk_generation(benchmark):
@@ -47,18 +59,16 @@ def test_philox_bulk_generation(benchmark):
     assert out.size == 100_000
 
 
-@pytest.mark.parametrize("depth", [1, 8])
-def test_draws_span_compiled(benchmark, depth):
-    """The compiled span kernel at the engine's full width, filling the
-    engine's slot-major ring (three draw slots per step) one step deep,
-    as at full width, and eight deep, as in the drain tail."""
+def test_draws_span_compiled(benchmark):
+    """The compiled span kernel at the engine's full width: one step of
+    three draw slots per walk into slot-major storage."""
     n = 10_000
     ws = WalkStreams(seed=1)
     uids = np.arange(n, dtype=np.uint64)
     steps = np.arange(n, dtype=np.uint64) % 40
-    ring = np.empty((depth, 3, n)).transpose(0, 2, 1)
+    out = np.empty((1, 3, n)).transpose(0, 2, 1)
 
-    benchmark(ws.draws_span, uids, steps, depth, 3, out=ring)
+    benchmark(ws.draws_span, uids, steps, 1, 3, out=out)
 
 
 def test_grid_query_into_case5(benchmark):
@@ -173,13 +183,12 @@ def case5_vector():
     names = ("uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
              "naxis", "nsign", "dist", "dist_e")
     saved = {name: getattr(pipe, "_" + name).copy() for name in names}
-    saved_n, saved_ring = pipe._n, (pipe._ring_cursor, pipe._ring_depth)
+    saved_n = pipe._n
 
     def restore():
         for name, arr in saved.items():
             getattr(pipe, "_" + name)[...] = arr
         pipe._n = saved_n
-        pipe._ring_cursor, pipe._ring_depth = saved_ring
 
     return pipe, restore
 
@@ -192,8 +201,8 @@ def test_step_locate_case5(benchmark, case5_vector):
 
 
 def test_step_launch_case5(benchmark, case5_vector):
-    """Surface point, layer permittivity and slot state of every slot's
-    walk, launched afresh from the ring's plane 0."""
+    """Step-0 draws, surface point, layer permittivity and slot state of
+    every slot's walk, launched afresh."""
     from repro import native
 
     pipe, restore = case5_vector
@@ -204,7 +213,7 @@ def test_step_launch_case5(benchmark, case5_vector):
     def launch():
         pipe._launch(
             pipe._arena_ref, pipe._surfaces[0], 0, n, native.address(uids), 0,
-            pipe._lane_tol[0], 0, 0,
+            pipe._lane_tol[0], 0,
         )
 
     benchmark(launch)
@@ -213,8 +222,9 @@ def test_step_launch_case5(benchmark, case5_vector):
 
 
 def test_step_cube_hop_case5(benchmark, case5_vector):
-    """Allow, interface distance, snap test, cell draw and move, and the
-    hemisphere step of the walks that snap onto an interface."""
+    """The step's draws, allow, interface distance, snap test, cell draw
+    and move, and the hemisphere step of the walks that snap onto an
+    interface."""
     pipe, restore = case5_vector
     restore()
 
@@ -223,14 +233,14 @@ def test_step_cube_hop_case5(benchmark, case5_vector):
         pipe._locate(pipe._arena_ref, pipe._n)
 
     n_snap = benchmark.pedantic(
-        pipe._cube_hop, args=(pipe._arena_ref, pipe._n, 0), setup=setup,
+        pipe._cube_hop, args=(pipe._arena_ref, pipe._n), setup=setup,
         rounds=50,
     )
     assert 0 < n_snap < pipe._n
 
 
 def test_step_retire_case5(benchmark, case5_vector):
-    """Banking and compaction of one walk in ten, ring planes included."""
+    """Banking and compaction of one walk in ten."""
     pipe, restore = case5_vector
     restore()
     n = pipe._n
@@ -243,8 +253,6 @@ def test_step_retire_case5(benchmark, case5_vector):
         pipe._done[:] = done
         pipe._dest[:] = 0
         pipe._win_remaining[:] = remaining
-        # One live ring plane travels with each moved walk.
-        pipe._ring_cursor, pipe._ring_depth = 0, 1
 
     benchmark.pedantic(pipe._retire_done, args=(False,), setup=setup, rounds=50)
     assert pipe._n == n - np.count_nonzero(done)

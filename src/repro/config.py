@@ -98,9 +98,9 @@ RESULT_FIELDS = (
 #: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, and each
 #: worker's one vector refilling from its batch queue, several masters'
 #: walks sharing it, in completion order — plus the far-field index tier
-#: and the RNG prefetch depth are fixed behaviour, not fields: walk draws
-#: are a pure function of (master stream, uid, step), so none of them can
-#: reach a bit, and each won its suite A/B (docs/PERFORMANCE.md).
+#: are fixed behaviour, not fields: walk draws are a pure function of
+#: (master stream, uid, step), so none of them can reach a bit, and each
+#: won its suite A/B (docs/PERFORMANCE.md).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",

@@ -126,9 +126,10 @@ def write_experiments_md(
             "\n\nShape vs paper Fig. 5: near-linear modeled speedup for the "
             "Alg. 2 schemes (the dynamic queue keeps efficiency ~1), FRW-RR "
             "indistinguishable from FRW-R (regularization is negligible), "
-            "and FRW-NC several times slower end-to-end — the counter-based "
-            "RNG advantage (the paper measures ~2x in C++; per-walk MT "
-            "reseeding costs even more in Python).  Alg. 1 matches FRW-R's "
+            "and FRW-NC about 2.4x slower on one core — the counter-based "
+            "RNG advantage (the paper measures ~2x in C++; here each walk "
+            "seeds and draws its MT19937 stream inside the compiled walk "
+            "kernels, as Philox walks draw theirs).  Alg. 1 matches FRW-R's "
             "efficiency at low T and degrades slightly at high T (per-thread "
             "convergence overshoot)."
         )

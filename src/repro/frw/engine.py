@@ -1,8 +1,8 @@
 """Vectorised floating-random-walk engine.
 
 Executes batches of walks whose randomness comes entirely from per-walk
-counter streams, so the results of a walk depend only on ``(seed, uid)`` —
-never on batching, ordering, or the number of threads.  This is the property
+streams, so the results of a walk depend only on ``(seed, uid)`` — never
+on batching, ordering, or the number of threads.  This is the property
 Alg. 2 builds on.
 
 Walk recipe (Sec. II-B):
@@ -37,14 +37,15 @@ the holes (the free-list is the tail, kept dense so every per-step kernel
 runs on contiguous slots); launching scatter-writes new walks into the
 freed tail slots.  Steady-state steps therefore perform **zero array
 reallocation** of walk state: the step's own temporaries come from the
-same arena, and draws are generated straight into a preallocated ring by
-the fused Philox kernel.  The step and the launch are compiled
+same arena.  The step and the launch are compiled
 (``repro/native/kernels.c``): ``launch`` writes new walks from their
 Gaussian surface, ``locate`` queries and absorbs, ``retire`` banks and
 compacts, and ``cube_hop`` moves every walk, the hemisphere step of
 walks on a dielectric interface included, each in one call over a
-:class:`repro.native.Arena` descriptor of the slot arena.  What stays in
-NumPy per step is the draw-span call and the over-cap mask.
+:class:`repro.native.Arena` descriptor of the slot arena.  ``launch`` and
+``cube_hop`` compute the draws they consume, walk by walk, from the
+slot's lane descriptor (:func:`lane_draws`): no draw is stored between
+steps.  What stays in NumPy per step is the over-cap mask.
 
 Walks carry their own step counters, so the active set may mix walks from
 several batches at different depths.  When walks absorb, their slots are
@@ -60,9 +61,9 @@ occupies is invisible to its arithmetic).  A dropped batch launches no
 further walk.
 
 One vector may also carry walks of several masters ("lanes"): each slot
-records its lane, launches use the lane's Gaussian surface and stream,
-absorption compares against the lane's tolerance, and one keyed RNG pass
-refills every lane at once (:class:`~repro.rng.LaneDraws`).
+records its lane, launches use the lane's Gaussian surface, absorption
+compares against the lane's tolerance, and the kernels draw each walk
+from its lane's stream.
 :func:`run_segments` runs a fixed list of ``(lane, uids)`` segments —
 pieces of several masters' batches — through one such vector, so their
 drain tails overlap; :func:`run_walks`, the historical batch API, is its
@@ -70,7 +71,7 @@ one-segment case.  Both use the calling thread's own vector, so repeated
 runs share a warm arena.  An executor's workers each keep one long-lived
 vector (:mod:`repro.frw.parallel`).
 
-Per-stage costs (rng / index / sample / bookkeeping) can be measured by
+Per-stage costs (index / sample / retire / bookkeeping) can be measured by
 passing a :class:`StageTimers` to the pipeline; the engine benchmark
 reports the breakdown.
 """
@@ -87,7 +88,7 @@ import numpy as np
 
 from .. import native
 from ..errors import ConfigError, ConvergenceError
-from ..rng import LaneDraws
+from ..rng import MirroredDraws, MTWalkStreams, WalkStreams
 from .context import ExtractionContext
 
 
@@ -105,39 +106,23 @@ class WalkResults:
 #: Stage names of :class:`StageTimers`, in reporting order.
 STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 
-#: RNG prefetch depth ``K`` (steps per fused span pass).  On traced
-#: ``open_field_tol`` depth 8 cuts rng dispatches 9575 -> 2602 against
-#: depth 1 (docs/PERFORMANCE.md layer 8); it is bit-invisible, so it is a
-#: constant rather than a parameter.
-RNG_PREFETCH_DEPTH = 8
-
-#: Width budget of a deep ring refill, in (step block, walk) lattice
-#: entries: a vector of ``n`` live walks refills ``K`` steps deep while
-#: ``2 * K * n <= RING_TILE`` (``n <= 1024`` at ``K = 8``) and one step
-#: deep above that.  Deep refills amortize a fixed per-call cost, which
-#: dominates in the pipeline's narrow drain tail; at full width they only
-#: add cache pressure and draws that retiring walks never consume.  The
-#: rule sets ``engine.rng_dispatches``, which CI gates.
-RING_TILE = 16384
-
 
 @dataclass
 class StageTimers:
     """Accumulated wall time *and dispatch counts* of the engine's stages.
 
-    ``rng`` — counter-stream draws (with the prefetch ring, one fused span
-    pass covers ``RNG_PREFETCH_DEPTH`` steps, so its dispatch count drops by
-    ~that factor while ``steps`` keeps counting every vector step);
     ``index`` — the compiled ``locate`` call: grid query (cell lookup,
     far-field mask and candidate scan), enclosure distance and the
-    absorption test; ``index_fast`` — the far-field split of the former
-    NumPy query, now always 0 (benchmark harnesses still read it);
-    ``sample`` — the compiled launch (surface point, layer permittivity
-    and slot writes) and the compiled cube hop (position update, first-hop
-    weights and the hemisphere step of snapped walks included);
-    ``retire`` — stream release, result banking and slot compaction of
-    absorbed or over-cap walks; ``bookkeeping`` — the over-cap mask and
-    the remaining per-step glue.
+    absorption test; ``sample`` — the compiled launch (step-0 draws,
+    surface point, layer permittivity and slot writes) and the compiled
+    cube hop (the step's draws, position update, first-hop weights and the
+    hemisphere step of snapped walks included); ``retire`` — result
+    banking and slot compaction of absorbed or over-cap walks;
+    ``bookkeeping`` — the over-cap mask and the remaining per-step glue.
+    ``rng`` (the former draw stage, now inside ``sample``) and
+    ``index_fast`` (the far-field split of the former NumPy query) always
+    read 0: they stay only because the frozen benchmark harness reads
+    them, and go with its next change.
 
     ``counts[stage]`` counts ``lap`` calls — i.e. kernel-cohort dispatches
     charged to the stage — so a stage's fixed Python-dispatch overhead is
@@ -197,16 +182,16 @@ class WalkPipeline:
 
     A lane is one master's ``(ctx, streams)``: an extraction context and a
     per-walk stream provider (``WalkStreams``, ``MirroredDraws`` or
-    ``MTWalkStreams``), named by a caller's key.  Lanes differ only in
-    their launch surface, flux scale, absorption tolerance and streams;
-    they must share the structure, the ``index`` and ``table`` objects,
-    ``h_cap`` and the step settings (:class:`~repro.errors.ConfigError`
-    otherwise).  A walk's numbers depend only on its own lane and
-    ``(uid, step)``, so mixing lanes never changes a value.  Once no batch
-    is live the vector goes idle: it forgets its lanes, width and ring
-    phase, and the next :meth:`submit` starts it afresh on that call's
-    context and ``width``.  The arena arrays are kept (grown, never
-    shrunk), so a long-lived vector stays warm.
+    ``MTWalkStreams``, see :func:`lane_draws`), named by a caller's key.
+    Lanes differ only in their launch surface, flux scale, absorption
+    tolerance and streams; they must share the structure, the ``index``
+    and ``table`` objects, ``h_cap`` and the step settings
+    (:class:`~repro.errors.ConfigError` otherwise).  A walk's numbers
+    depend only on its own lane and ``(uid, step)``, so mixing lanes never
+    changes a value.  Once no batch is live the vector goes idle: it
+    forgets its lanes and width, and the next :meth:`submit` starts it
+    afresh on that call's context and ``width``.  The arena arrays are
+    kept (grown, never shrunk), so a long-lived vector stays warm.
 
     Attributes
     ----------
@@ -220,19 +205,13 @@ class WalkPipeline:
         reference and Fig. 2).  Frame-internal order is unspecified —
         consumers map rows by value.
 
-    Draws come through an RNG prefetch ring of depth ``K =``
-    :data:`RNG_PREFETCH_DEPTH` (read when the vector starts): one fused
-    span pass fills the draws for the next ``K`` steps of every live slot
-    into the ring buffer, consumed one plane per step, so the fixed
-    per-call draw-dispatch cost is paid once per ``K`` steps.  The ring is
-    *phase-aligned*: a single cursor is shared by all slots (consuming a
-    plane dispatches nothing), launches fill a partial span that
-    joins the global phase, and retirement compaction moves ring columns
-    with the other slot state — so the per-slot cursor is simply
-    ``(step_no[i], cursor)``.  Because each walk's draws depend only on
-    its own ``(uid, step)`` sequence, results are bit-identical at every
-    depth (prefetching can only compute draws a retired walk never
-    consumes).
+    A walk's draws are computed where they are consumed: ``launch``
+    computes step 0's, ``cube_hop`` step ``step_no``'s, from the lane's
+    row of ``_lane_draws``.  A Philox draw is a pure function of ``(key,
+    uid, step, slot)``, so it needs no stored state; an MT lane's walks
+    keep their MT19937 states in the arena (``_mt``, allocated only for a
+    vector with an MT lane), and compaction carries each state's index
+    (``_mt_slot``) with its walk.
     """
 
     def __init__(
@@ -241,25 +220,25 @@ class WalkPipeline:
         self.timers = timers
         self.trace = trace
         self._capacity = 0
-        self._ring_store = None
+        self._mt = self._mt_slot = None
         # The compiled step kernels' view of the arena, built by the first
-        # _grow_arena: slot pointers are set there, the walk space, ring
-        # and result window by _start, and the window and lane weights
-        # again whenever those arrays change.  An idle vector's descriptor
+        # _grow_arena: slot pointers are set there, the walk space and
+        # result window by _start, and the window and lane arrays again
+        # whenever those arrays change.  An idle vector's descriptor
         # may point at freed arrays; no kernel runs before _start.
         self._arena = None
         self._reset()
 
     def _reset(self) -> None:
-        """Go idle: forget the lanes, the queue, the result window and the
-        ring phase (the arena arrays stay for the next batches)."""
+        """Go idle: forget the lanes, the queue and the result window (the
+        arena arrays stay for the next batches)."""
         self.ctx = self._index = None
         self.width = 0
         self._keys: dict = {}  # caller's key -> lane
         self._surfaces: tuple = ()
         self._lane_flux = np.empty(0, dtype=np.float64)
         self._lane_tol = np.empty(0, dtype=np.float64)
-        self._draws = None
+        self._lane_draws = np.empty((0, 3), dtype=np.uint64)
         self.live: dict = {}  # seq -> walks, until emitted or dropped
         self._queue: deque = deque()  # (seq, lane, uids) not yet launching
 
@@ -284,10 +263,6 @@ class WalkPipeline:
 
         # Active walks occupy the arena prefix [0, n); the rest is free.
         self._n = 0
-        # Planes filled by the last refill; cursor == _ring_depth means
-        # "ring drained": the next step refills before consuming.
-        self._ring_depth = 1
-        self._ring_cursor = 1
 
     def _start(self, ctx: ExtractionContext, width: int) -> None:
         """Start an idle vector on ``ctx``'s structure, ``width`` walks wide."""
@@ -297,27 +272,9 @@ class WalkPipeline:
         self._enclosure_index = ctx.enclosure_index
         self._index = ctx.index
         self._grow_arena(self.width)
-        self._prefetch = RNG_PREFETCH_DEPTH
-        # Refill K deep only up to the RING_TILE width (see there).
-        self._span_max_n = max(1, RING_TILE // (2 * self._prefetch))
-        ring = self._ring_store
-        if ring is None or ring.shape[0] < self._prefetch:
-            # ``ring[k, d, i]`` holds draw slot ``d`` of arena slot ``i`` at
-            # the ``k``-th buffered step; it is the engine's only draw
-            # buffer (hop and launch draws alike).  Slot-major storage
-            # keeps the span kernel's writes and the step kernels' per-draw-
-            # slot reads contiguous.
-            self._ring_store = np.empty(
-                (self._prefetch, 3, self._capacity), dtype=np.float64
-            )
-        self._ring = self._ring_store[: self._prefetch]
-        # The `_v` view exposes the (depth, n, count) axis order
-        # draws_span expects, sharing the memory.
-        self._ring_v = self._ring.transpose(0, 2, 1)
         cfg = ctx.config
         enc = ctx.structure.enclosure
         a = self._arena
-        a.ring = native.address(self._ring_store)
         a.grid = ctypes.addressof(ctx.index.descriptor())
         a.table = ctypes.addressof(ctx.table._native)
         a.interfaces = native.address(stack._z)
@@ -344,7 +301,6 @@ class WalkPipeline:
         if capacity <= self._capacity:
             return
         self._capacity = capacity
-        self._ring_store = None  # regrown at the new width by _start
         self._uid = np.empty(capacity, dtype=np.uint64)
         # The slot's lane (master) and that lane's absorption tolerance.
         self._lane = np.empty(capacity, dtype=np.int64)
@@ -372,6 +328,20 @@ class WalkPipeline:
         ):
             setattr(a, name, native.address(getattr(self, "_" + name)))
         a.capacity = capacity
+        # MT states are allocated at this width by the first MT lane.
+        self._mt = self._mt_slot = a.mt = a.mt_slot = None
+
+    def _grow_mt(self) -> None:
+        """Allocate the arena's per-slot MT19937 states (~2.5 KB a slot)
+        for a vector that has an MT lane."""
+        if self._mt is not None:
+            return
+        self._mt = np.empty((self._capacity, native.MT_WORDS), dtype=np.uint32)
+        # Slot i's state is _mt[_mt_slot[i]]: a permutation, swapped along
+        # with the walks by compaction.
+        self._mt_slot = np.arange(self._capacity, dtype=np.int64)
+        self._arena.mt = native.address(self._mt)
+        self._arena.mt_slot = native.address(self._mt_slot)
 
     def _point_window(self) -> None:
         """Point the arena descriptor at the current result window."""
@@ -411,8 +381,13 @@ class WalkPipeline:
             self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
             self._arena.lane_flux = native.address(self._lane_flux)
             self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
-            providers = self._draws.providers if lane else ()
-            self._draws = LaneDraws(providers + (streams,))
+            draws = lane_draws(streams)
+            self._lane_draws = np.concatenate(
+                [self._lane_draws, np.array([draws], dtype=np.uint64)]
+            )
+            self._arena.lane_draws = native.address(self._lane_draws)
+            if draws[0] & native.DRAW_MT:
+                self._grow_mt()
         uids = np.ascontiguousarray(uids, dtype=np.uint64)
         self._queue.append((seq, lane, uids))
         self.live[seq] = uids.shape[0]
@@ -473,8 +448,8 @@ class WalkPipeline:
 
     def _refill(self) -> None:
         """Launch queued walks into the free tail slots, one lane's run of
-        UIDs at a time: their draws, then one compiled ``launch`` call for
-        their surface points and slot state."""
+        UIDs at a time: one compiled ``launch`` call for their step-0
+        draws, surface points and slot state."""
         tm = self.timers
         launched = False
         while self._n < self.width and self._ensure_pending():
@@ -484,25 +459,10 @@ class WalkPipeline:
             k = min(self.width - n, self._pending.shape[0] - off)
             uids = self._pending[off : off + k]
             self._pending_off = off + k
-            # The launch span joins the global ring phase: with the cursor
-            # at ``c``, live slots hold steps ``step_no .. step_no+r-1`` in
-            # the ``r`` unconsumed planes ``c..D-1`` (``D`` =
-            # ``_ring_depth``); a fresh walk (step_no 1) needs steps
-            # ``1..r`` there, plus step 0 for the launch itself — one span
-            # of depth ``r+1`` starting at 0, written straight into planes
-            # ``c-1..D-1`` of the new slots (plane ``c-1`` is already
-            # consumed, so it is free for step 0).
-            c = self._ring_cursor
-            r = self._ring_depth - c
-            self._draws.providers[lane].draws_span(
-                uids, 0, r + 1, 3, out=self._ring_v[c - 1 : c + r, n : n + k]
-            )
-            if tm is not None:
-                t0 = tm.lap("rng", t0)
             self._launch(
                 self._arena_ref, self._surfaces[lane], n, k,
                 native.address(uids), lane, self._lane_tol[lane],
-                self._pending_start_g + off, c - 1,
+                self._pending_start_g + off,
             )
             self._n = n + k
             if tm is not None:
@@ -517,19 +477,10 @@ class WalkPipeline:
     # ------------------------------------------------------------------
     def _retire_done(self, truncated: bool) -> None:
         """Retire the walks flagged in ``_done`` (with their ``_dest``):
-        release their streams, then bank their outcomes by global row and
-        compact the arena by moving kept tail walks into the holes, in one
-        compiled call (``retire``), which carries their unconsumed ring
-        planes with them."""
-        n = self._n
-        if self._draws.releases:
-            # Each stream is released exactly once, when its walk retires
-            # (matters for the MTWalkStreams per-walk state cache).
-            done = self._done[:n]
-            self._draws.release(self._lane[:n][done], self._uid[:n][done])
-        self._n = self._retire(
-            self._arena_ref, n, truncated, self._ring_cursor, self._ring_depth
-        )
+        bank their outcomes by global row and compact the arena by moving
+        kept tail walks into the holes, in one compiled call
+        (``retire``)."""
+        self._n = self._retire(self._arena_ref, self._n, truncated)
 
     # ------------------------------------------------------------------
     # The vector step
@@ -538,12 +489,10 @@ class WalkPipeline:
         """Advance every active walk by one hop (walks at different depths
         mix freely because all per-walk operations are elementwise).
 
-        The step is four stages over the dense slot prefix:
-        ``stage_retire_overcap -> stage_locate -> stage_rng ->
-        stage_sample``.  Locating, retiring and the hop (cube or
-        hemisphere) are one compiled call each over the arena descriptor;
-        the RNG stage consumes a prefetched ring plane on most steps (one
-        fused span dispatch per ``RNG_PREFETCH_DEPTH`` steps).
+        The step is three stages over the dense slot prefix:
+        ``stage_retire_overcap -> stage_locate -> stage_sample``.
+        Locating, retiring and the hop (cube or hemisphere, with its
+        draws) are one compiled call each over the arena descriptor.
         """
         if self._n == 0:
             return
@@ -560,8 +509,7 @@ class WalkPipeline:
         t0 = self._stage_locate(t0)
         if self._n == 0:
             return
-        t0, plane = self._stage_rng(t0)
-        self._stage_sample(t0, plane)
+        self._stage_sample(t0)
 
     def _stage_retire_overcap(self, t0: float) -> float:
         """Safety net: retire over-cap survivors as absorbed by the
@@ -601,45 +549,13 @@ class WalkPipeline:
                 t0 = tm.lap("retire", t0)
         return t0
 
-    def _stage_rng(self, t0: float):
-        """Hop draws for the surviving cohort: returns the ring plane the
-        step consumes.
-
-        Most steps consume a ready ring plane (zero dispatches); a drained
-        ring is refilled for every live slot by one span pass —
-        ``RNG_PREFETCH_DEPTH`` steps deep up to the :data:`RING_TILE`
-        width, one step deep for wider vectors.
-        """
+    def _stage_sample(self, t0: float) -> None:
+        """Draws, transition sampling and position update for the cohort:
+        one compiled ``cube_hop`` call (first-hop weights, and the
+        hemisphere step of walks that snap onto an interface, included)."""
         tm = self.timers
         n = self._n
-        c = self._ring_cursor
-        if c < self._ring_depth:
-            self._ring_cursor = c + 1
-            return t0, c
-        # Every live slot (including walks launched mid-ring, whose partial
-        # spans drained at the same phase) needs steps step_no onwards.
-        depth = self._prefetch if n <= self._span_max_n else 1
-        self._draws.draws_span(
-            self._lane[:n],
-            self._uid[:n],
-            self._step_no[:n],
-            depth,
-            3,
-            out=self._ring_v[:depth, :n],
-        )
-        if tm is not None:
-            t0 = tm.lap("rng", t0)
-        self._ring_depth = depth
-        self._ring_cursor = 1
-        return t0, 0
-
-    def _stage_sample(self, t0: float, plane: int) -> None:
-        """Transition sampling and position update for the cohort: one
-        compiled ``cube_hop`` call (first-hop weights, and the hemisphere
-        step of walks that snap onto an interface, included)."""
-        tm = self.timers
-        n = self._n
-        self._cube_hop(self._arena_ref, n, plane)
+        self._cube_hop(self._arena_ref, n)
         if tm is not None:
             t0 = tm.lap("sample", t0)
         if self.trace is not None:
@@ -777,6 +693,26 @@ def concat_results(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
         steps=np.concatenate([p.steps for p in parts]),
         truncated=sum(p.truncated for p in parts),
     )
+
+
+def lane_draws(streams) -> tuple[int, int, int]:
+    """The draw descriptor ``(kind, key0, key1)`` of a lane's stream
+    provider (``lane_draw_t`` in ``kernels.c``): a
+    :class:`~repro.rng.WalkStreams` gives its Philox key, a
+    :class:`~repro.rng.MirroredDraws` view over one adds
+    :data:`~repro.native.DRAW_MIRRORED`, and an
+    :class:`~repro.rng.MTWalkStreams` gives :data:`~repro.native.DRAW_MT`
+    and its base.  Any other provider raises
+    :class:`~repro.errors.ConfigError`: the kernels draw nothing else."""
+    if isinstance(streams, MTWalkStreams):
+        return native.DRAW_MT, streams.base, 0
+    if isinstance(streams, MirroredDraws) and isinstance(
+        streams.base, WalkStreams
+    ):
+        return native.DRAW_MIRRORED, *streams.base.key
+    if isinstance(streams, WalkStreams):
+        return 0, *streams.key
+    raise ConfigError(f"the walk engine cannot draw from {streams!r}")
 
 
 def _shares_walk_space(a: ExtractionContext, b: ExtractionContext) -> bool:

@@ -6,8 +6,7 @@ one long-lived :class:`~repro.frw.engine.WalkPipeline`, which keeps its
 own queue of batches and refills freed slots from the next queued batch
 of any master.  :class:`PersistentExecutor` runs one in-process at one
 worker, or one in each of ``n_workers`` long-lived worker processes fed
-through their own pipes (the engine makes ~110 small NumPy calls per
-step, so threads would only contend for the GIL).  :meth:`~PersistentExecutor.submit` cuts a
+through their own pipes.  :meth:`~PersistentExecutor.submit` cuts a
 batch into queue entries for the least-loaded workers, and
 :meth:`~PersistentExecutor.next_done` returns the next batch whose entries
 are all back, in UID order — bit-identical to the serial engine at any

@@ -38,8 +38,8 @@ DET009    every ``FRWConfig`` field read on the result path is in the
           fields are staleness
 DET010    ``SharedMemory`` lifecycle typestate: no leaks, double-unlinks,
           or use-after-close along any path
-DET011    Philox counter arithmetic and the prefetch-ring cursor stay
-          inside their sanctioned helper modules
+DET011    Philox kernel calls stay inside ``repro.rng``: the compiled
+          counter helper is the one counter layout
 DET012    no writes to a context/manifest after executor registration
 ========  ==============================================================
 

@@ -18,9 +18,10 @@ DET010    shared-memory typestate: every ``SharedMemory`` block (and
           published context manifest) follows create/attach -> close ->
           unlink-exactly-once; leaks, double-unlinks, and use-after-close
           are reported along any path
-DET011    RNG counter discipline: Philox counter arithmetic stays inside
-          ``repro.rng``; the engine's prefetch-ring cursor is mutated
-          only by ``repro.frw.engine``'s sanctioned helpers
+DET011    RNG counter discipline: calls to the Philox kernels stay
+          inside ``repro.rng``, so the compiled counter helper the stream
+          helpers and the engine's kernels share is the only counter
+          layout
 DET012    post-registration mutation: a context/manifest handed to an
           executor's ``register`` (or published to the context plane) is
           frozen — later writes through it are schedule-visible
@@ -514,10 +515,8 @@ def det010_shm_typestate(p: Check, graph: ProjectGraph) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # DET011 — RNG counter discipline
 # ----------------------------------------------------------------------
-#: Only the stream-helper package may do Philox counter arithmetic.
+#: Only the stream-helper package may call the Philox kernels.
 _RNG_PACKAGES = ("repro.rng",)
-#: Only the engine's stage kernels may advance the prefetch-ring cursor.
-_CURSOR_MODULES = ("repro.frw.engine",)
 #: The raw Philox kernels and key-derivation entry points, Python and
 #: compiled (the ``repro.native`` wrappers of ``kernels.c``).
 _PHILOX_KERNELS = frozenset(
@@ -530,71 +529,47 @@ _PHILOX_KERNELS = frozenset(
     }
 )
 _PHILOX_PACKAGES = ("repro.rng.", "repro.native.")
-#: The prefetch-ring cursor and fill depth (engine).
-_RING_CURSOR_ATTRS = frozenset({"_ring_cursor", "_ring_depth"})
 
 
 @check(
     "DET011",
-    "Philox counter arithmetic / prefetch-ring cursor outside "
-    "sanctioned helpers",
+    "Philox counter arithmetic outside sanctioned helpers",
     whole_program=True,
 )
 def det011_rng_counter_discipline(
     p: Check, graph: ProjectGraph
 ) -> Iterator[Finding]:
     """Draws are a pure function of ``(seed, uid, step, slot)`` only
-    because exactly one place builds Philox counters
-    (``repro.rng.counter_stream``, through the compiled span kernel
-    ``repro.native.philox_span``) and exactly one place
-    moves the prefetch ring's cursor and fill depth (``repro.frw.engine``'s
-    phase-aligned helpers).  A future kernel that calls ``philox4x32*``
-    directly, or bumps ``_ring_cursor`` / ``_ring_depth`` from outside,
-    silently forks the stream: results stay plausible and bit-identity
-    across DOP quietly dies.  This pass confines (a) calls to the raw
-    Philox kernels and ``derive_key`` to ``repro.rng`` and (b) writes to
-    the cursor attributes to ``repro.frw.engine``.  The compiled
-    kernels' Python wrappers in ``repro.native`` count as raw kernels."""
+    because the Philox counter layout is defined once: the shared
+    counter helper of ``repro/native/kernels.c``, which the span kernel
+    behind ``repro.rng.WalkStreams.draws_span`` and the engine's compiled
+    launch and hop all use.  A Python caller that invokes ``philox4x32*``,
+    ``philox_span`` or ``derive_key`` directly builds its own counters or
+    keys and silently forks the stream: results stay plausible and
+    bit-identity across DOP quietly dies.  This pass confines calls to
+    the raw Philox kernels and ``derive_key`` to ``repro.rng``; the
+    compiled kernels' Python wrappers in ``repro.native`` count as raw
+    kernels."""
     for module in _analyzed_modules(graph):
         src = graph.sources[module]
+        if in_package(module, _RNG_PACKAGES):
+            continue
         resolver = graph.resolvers[module]
-        in_rng = in_package(module, _RNG_PACKAGES)
-        in_engine = in_package(module, _CURSOR_MODULES)
         for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call) and not in_rng:
-                canon = resolver.canonical(node.func) or ""
-                tail = canon.rsplit(".", 1)[-1]
-                if tail in _PHILOX_KERNELS and canon.startswith(
-                    _PHILOX_PACKAGES
-                ):
-                    yield p.finding(
-                        src,
-                        node,
-                        f"raw Philox kernel call '{tail}' outside "
-                        "repro.rng — counter arithmetic is confined to "
-                        "the sanctioned stream helpers (WalkStreams."
-                        "draws_span); a hand-built counter forks "
-                        "the per-walk stream",
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
+            if not isinstance(node, ast.Call):
+                continue
+            canon = resolver.canonical(node.func) or ""
+            tail = canon.rsplit(".", 1)[-1]
+            if tail in _PHILOX_KERNELS and canon.startswith(_PHILOX_PACKAGES):
+                yield p.finding(
+                    src,
+                    node,
+                    f"raw Philox kernel call '{tail}' outside repro.rng — "
+                    "the counter layout is defined once, in the compiled "
+                    "counter helper the stream helpers (WalkStreams."
+                    "draws_span) and the engine's kernels share; a "
+                    "hand-built counter forks the per-walk stream",
                 )
-                for target in targets:
-                    if not isinstance(target, ast.Attribute):
-                        continue
-                    if target.attr in _RING_CURSOR_ATTRS and not in_engine:
-                        yield p.finding(
-                            src,
-                            node,
-                            f"write to '{dotted_name(target) or target.attr}'"
-                            " outside repro.frw.engine — the prefetch-ring "
-                            "cursor is advanced only by the engine's "
-                            "phase-aligned helpers; an outside bump "
-                            "desynchronizes ring planes from walk steps",
-                        )
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ hemisphere direction behind
 :func:`repro.greens.interface_hemisphere_direction`, and the vector
 step's launch, query-and-absorb, retirement and hop
 (:class:`repro.frw.WalkPipeline`), which read one :class:`Arena`
-descriptor of the pipeline's slot arena.  They give the bits of their
+descriptor of the pipeline's slot arena.  The launch and the hop compute
+the draws they consume from each slot's lane descriptor
+(:data:`DRAW_MIRRORED`, :data:`DRAW_MT`).  They give the bits of their
 references exactly (``docs/DETERMINISM.md``).
 
 The library is built with the system C compiler on first use — never at
@@ -55,6 +57,19 @@ COMPILE = (
 #: Libraries linked after the source: libm for the hemisphere step's
 #: ``sin``/``cos``, recorded as a ``NEEDED`` entry of the library.
 LINK = ("-lm",)
+
+#: Draw kind bits of a lane descriptor row ``(kind, key0, key1)``: none
+#: for plain Philox streams (:class:`~repro.rng.WalkStreams`, key ``(k0,
+#: k1)``), :data:`DRAW_MIRRORED` for the antithetic view over them
+#: (:class:`~repro.rng.MirroredDraws`), :data:`DRAW_MT` for per-walk
+#: MT19937 streams (:class:`~repro.rng.MTWalkStreams`, its ``base`` in
+#: ``key0``).
+DRAW_MIRRORED = 1
+DRAW_MT = 2
+
+#: uint32 words of one walk's MT19937 state in the arena: 624 state
+#: words and the next word's index.
+MT_WORDS = 625
 
 _LOCK = threading.Lock()
 _LIB = None
@@ -113,7 +128,8 @@ class Arena(ctypes.Structure):
             "naxis", "nsign", "dist", "dist_e", "done", "dest",
         )),
         ("capacity", _I64),
-        ("ring", _PTR),
+        ("mt", _PTR),
+        ("mt_slot", _PTR),
         *((name, _PTR) for name in (
             "res_omega", "res_dest", "res_steps", "win_starts",
             "win_remaining", "win_truncated",
@@ -121,6 +137,7 @@ class Arena(ctypes.Structure):
         ("n_win", _I64),
         ("win_base_g", _I64),
         ("lane_flux", _PTR),
+        ("lane_draws", _PTR),
         ("grid", _PTR),
         ("table", _PTR),
         ("interfaces", _PTR),
@@ -214,10 +231,10 @@ def _load() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     signatures = {
         "philox4x32_block": [_PTR, _PTR, _PTR],
-        # n, depth, count, uids, uid stride, steps, step stride, k0s, k1s,
-        # key stride, out, out strides (k, i, d)
-        "philox_span": [_I64] * 3 + [_PTR, _I64] * 2 + [_PTR, _PTR]
-        + [_I64, _PTR] + [_I64] * 3,
+        # n, depth, count, uids, uid stride, steps, step stride, k0, k1,
+        # out, out strides (k, i, d)
+        "philox_span": [_I64] * 3 + [_PTR, _I64] * 2
+        + [ctypes.c_uint64] * 2 + [_PTR] + [_I64] * 3,
         # grid, n, points, point strides (row, axis), dist, dist stride,
         # cond, cond stride, counts
         "grid_query": [ctypes.POINTER(Grid), _I64, _PTR, _I64, _I64]
@@ -232,17 +249,16 @@ def _load() -> ctypes.CDLL:
         + [_PTR] * 3,
         # n, the (5, n) inputs, out
         "hemisphere_directions": [_I64, _PTR, _PTR],
-        # arena, surface, first slot, count, uids, lane, tol, first row,
-        # ring plane
+        # arena, surface, first slot, count, uids, lane, tol, first row
         "launch": [ctypes.POINTER(Arena), ctypes.POINTER(Surface), _I64,
-                   _I64, _PTR, _I64, ctypes.c_double, _I64, _I64],
+                   _I64, _PTR, _I64, ctypes.c_double, _I64],
     }
-    # arena, n, then: nothing (locate), truncated flag, ring cursor and
-    # depth (retire), ring plane (cube_hop); each returns a count.
+    # arena, n, then: nothing (locate, cube_hop), the truncated flag
+    # (retire); each returns a count.
     counted = {
         "locate": [],
-        "retire": [_I64] * 3,
-        "cube_hop": [_I64],
+        "retire": [_I64],
+        "cube_hop": [],
     }
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)
@@ -286,19 +302,18 @@ def philox4x32_block(counter, key) -> tuple[int, int, int, int]:
 def philox_span(
     uids: np.ndarray,
     steps: np.ndarray,
-    k0: np.ndarray,
-    k1: np.ndarray,
+    key: tuple[int, int],
     depth: int,
     count: int,
     out: np.ndarray,
 ) -> None:
     """Fill ``out[k, i, d]`` with draw slot ``d`` of step ``steps[i] + k``
-    of walk ``uids[i]`` under key ``(k0[i], k1[i])``.
+    of walk ``uids[i]`` under the Philox key ``(k0, k1)``.
 
-    ``uids`` is ``(n,)`` uint64; ``steps``, ``k0`` and ``k1`` are uint64,
-    ``(n,)`` or 0-d (one value for every walk); ``out`` is float64 of
-    shape ``(depth, n, count)`` with any strides.  Arguments are not
-    validated here: :meth:`~repro.rng.WalkStreams.draws_span` does that.
+    ``uids`` is ``(n,)`` uint64; ``steps`` is uint64, ``(n,)`` or 0-d (one
+    step for every walk); ``out`` is float64 of shape ``(depth, n,
+    count)`` with any strides.  Arguments are not validated here:
+    :meth:`~repro.rng.WalkStreams.draws_span` does that.
     """
     library().philox_span(
         uids.shape[0],
@@ -308,9 +323,7 @@ def philox_span(
         _stride(uids, 0),
         address(steps),
         _stride(steps, 0) if steps.ndim else 0,
-        address(k0),
-        address(k1),
-        _stride(k0, 0) if k0.ndim else 0,
+        *key,
         address(out),
         *(_stride(out, axis) for axis in range(3)),
     )

@@ -21,12 +21,20 @@
  *                   (repro.frw.engine.WalkPipeline), all over one arena_t
  *                   descriptor of the slot arena.
  *
- * All produce the bits of their NumPy references exactly.  Philox is
- * integer arithmetic modulo 2^32; the word-pair-to-double conversion is
- * an exact integer-to-double cast, one exact scale by 2^26, an exact add
- * (the sum is an integer below 2^53) and an exact scale by 2^-53.  The
- * other kernels use IEEE + - * / and sqrt, comparisons, minima, maxima
- * and fabs, each rounded once and in NumPy's order.  A minimum or maximum
+ * launch and cube_hop compute the draws they consume, per slot, from the
+ * draw descriptor of the slot's lane: Philox at the walk's counter
+ * (walk_counter, the one definition of the counter layout), the
+ * antithetic partner's step-1 reflection (repro.rng.MirroredDraws), or
+ * the walk's own MT19937 stream (repro.rng.MTWalkStreams), whose state
+ * lives in the arena.
+ *
+ * All produce the bits of their NumPy references exactly.  Philox and
+ * MT19937 are integer arithmetic modulo 2^32 (2^64 for splitmix64); the
+ * word-pair-to-double conversion is an exact integer-to-double cast, one
+ * exact scale by 2^26, an exact add (the sum is an integer below 2^53)
+ * and an exact scale by 2^-53.  The other kernels use IEEE + - * / and
+ * sqrt, comparisons, minima, maxima, fabs and floor, each rounded once
+ * and in NumPy's order.  A minimum or maximum
  * of equal arguments returns the second one, as np.minimum and np.maximum
  * do, which decides the sign of a zero result.  The one libm dependency
  * is the hemisphere direction's sin and cos (gcc merges the pair into
@@ -49,6 +57,17 @@
 /* Counter layout of repro.rng.counter_stream. */
 #define BLOCKS_PER_STEP 4
 #define DOMAIN_TAG 0x46525752u
+
+/* MT19937 (repro.rng.MTWalkStreams, numpy.random.RandomState). */
+#define MT_N 624
+#define MT_M 397
+#define MT_MATRIX_A 0x9908B0DFu
+#define MT_UPPER 0x80000000u
+#define MT_LOWER 0x7FFFFFFFu
+
+/* Draw kind bits of a lane (repro.native.DRAW_MIRRORED, DRAW_MT). */
+#define DRAW_MIRRORED 1u
+#define DRAW_MT 2u
 
 /* Walks per interleaved group of philox_span: independent lanes let the
  * ten dependent rounds of one block overlap with the other lanes'. */
@@ -98,6 +117,19 @@ void philox4x32_block(const uint32_t *ctr, const uint32_t *key,
     out[3] = x3[0];
 }
 
+/* The Philox counter of draw block `block` of step `step` of walk `uid`:
+ * c0 = step * BLOCKS_PER_STEP + block, c1 and c2 the uid's low and high
+ * words, c3 = DOMAIN_TAG. */
+static inline void walk_counter(uint64_t uid, uint64_t step, uint64_t block,
+                                uint32_t *c0, uint32_t *c1, uint32_t *c2,
+                                uint32_t *c3)
+{
+    *c0 = (uint32_t)(step * BLOCKS_PER_STEP + block);
+    *c1 = (uint32_t)uid;
+    *c2 = (uint32_t)(uid >> 32);
+    *c3 = DOMAIN_TAG;
+}
+
 /* The 53-bit uniform in [0, 1) of the word pair (hi, lo). */
 static inline double unit_double(uint32_t hi, uint32_t lo)
 {
@@ -108,43 +140,35 @@ static inline double unit_double(uint32_t hi, uint32_t lo)
 
 /*
  * out[k*s_k + i*s_i + d*s_d] = draw slot d of step steps[i] + k of walk
- * uids[i], for k < depth, i < n, d < count.  All strides count elements;
- * a stride of 0 broadcasts one step or one key to every walk.
+ * uids[i] under the key (k0, k1), for k < depth, i < n, d < count.  All
+ * strides count elements; a step stride of 0 broadcasts one step to every
+ * walk.
  */
 void philox_span(int64_t n, int64_t depth, int64_t count,
                  const uint64_t *uids, int64_t uid_stride,
                  const uint64_t *steps, int64_t step_stride,
-                 const uint64_t *k0s, const uint64_t *k1s,
-                 int64_t key_stride,
+                 uint64_t k0, uint64_t k1,
                  double *out, int64_t s_k, int64_t s_i, int64_t s_d)
 {
     int64_t blocks = (count + 1) / 2;
     for (int64_t a = 0; a < n; a += LANES) {
         int m = n - a < LANES ? (int)(n - a) : LANES;
-        uint64_t step[LANES];
-        uint32_t uid_lo[LANES], uid_hi[LANES], key0[LANES], key1[LANES];
+        uint64_t uid[LANES], step[LANES];
         for (int l = 0; l < LANES; l++) {
             /* Lanes past the end repeat the last walk and are not stored. */
             int64_t i = a + (l < m ? l : m - 1);
-            uint64_t uid = uids[i * uid_stride];
+            uid[l] = uids[i * uid_stride];
             step[l] = steps[i * step_stride];
-            uid_lo[l] = (uint32_t)uid;
-            uid_hi[l] = (uint32_t)(uid >> 32);
-            key0[l] = (uint32_t)k0s[i * key_stride];
-            key1[l] = (uint32_t)k1s[i * key_stride];
         }
         for (int64_t k = 0; k < depth; k++) {
             for (int64_t j = 0; j < blocks; j++) {
                 uint32_t x0[LANES], x1[LANES], x2[LANES], x3[LANES];
                 uint32_t c0[LANES], c1[LANES];
                 for (int l = 0; l < LANES; l++) {
-                    x0[l] = (uint32_t)((step[l] + (uint64_t)k)
-                                       * BLOCKS_PER_STEP + (uint64_t)j);
-                    x1[l] = uid_lo[l];
-                    x2[l] = uid_hi[l];
-                    x3[l] = DOMAIN_TAG;
-                    c0[l] = key0[l];
-                    c1[l] = key1[l];
+                    walk_counter(uid[l], step[l] + (uint64_t)k, (uint64_t)j,
+                                 &x0[l], &x1[l], &x2[l], &x3[l]);
+                    c0[l] = (uint32_t)k0;
+                    c1[l] = (uint32_t)k1;
                 }
                 philox_lanes(x0, x1, x2, x3, c0, c1);
                 double *lo_slot = out + k * s_k + 2 * j * s_d + a * s_i;
@@ -158,6 +182,96 @@ void philox_span(int64_t n, int64_t depth, int64_t count,
             }
         }
     }
+}
+
+/* One splitmix64 output step (repro.rng.splitmix64). */
+static inline uint64_t splitmix64(uint64_t x)
+{
+    uint64_t z = x + 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/* One walk's MT19937 state: the 624 words and the next word's index
+ * (repro.native.MT_WORDS words in all). */
+typedef struct {
+    uint32_t mt[MT_N];
+    uint32_t pos;
+} mt_t;
+
+/* init_genrand(seed), as numpy.random.RandomState(seed) seeds. */
+static void mt_seed(mt_t *s, uint32_t seed)
+{
+    s->mt[0] = seed;
+    for (uint32_t i = 1; i < MT_N; i++)
+        s->mt[i] = 1812433253u * (s->mt[i - 1] ^ (s->mt[i - 1] >> 30)) + i;
+    s->pos = MT_N;
+}
+
+static inline uint32_t mt_mix(uint32_t hi, uint32_t lo, uint32_t far)
+{
+    uint32_t y = (hi & MT_UPPER) | (lo & MT_LOWER);
+    return far ^ (y >> 1) ^ ((y & 1u) ? MT_MATRIX_A : 0u);
+}
+
+/* genrand_int32: the next tempered word, regenerating all 624 words
+ * once they are used up. */
+static uint32_t mt_next(mt_t *s)
+{
+    if (s->pos >= MT_N) {
+        uint32_t *w = s->mt;
+        int k = 0;
+        for (; k < MT_N - MT_M; k++)
+            w[k] = mt_mix(w[k], w[k + 1], w[k + MT_M]);
+        for (; k < MT_N - 1; k++)
+            w[k] = mt_mix(w[k], w[k + 1], w[k + MT_M - MT_N]);
+        w[MT_N - 1] = mt_mix(w[MT_N - 1], w[0], w[MT_M - 1]);
+        s->pos = 0;
+    }
+    uint32_t y = s->mt[s->pos++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9D2C5680u;
+    y ^= (y << 15) & 0xEFC60000u;
+    y ^= y >> 18;
+    return y;
+}
+
+/* genrand_res53, RandomState.random_sample's uniform. */
+static inline double mt_uniform(mt_t *s)
+{
+    uint32_t a = mt_next(s);
+    return unit_double(a, mt_next(s));
+}
+
+/* floor(x) for |x| < 2^52 without libm: the truncation, less one below
+ * a negative non-integer.  Exact, as every such double's truncation is;
+ * -0.0 gives +0.0, which no caller below ever passes. */
+static inline double floor_small(double x)
+{
+    double t = (double)(int64_t)x;
+    return t > x ? t - 1.0 : t;
+}
+
+/* repro.rng.mirror_uniform at reflect 1: (u * -1 + 1) - floor of it. */
+static inline double mirror_draw(double u)
+{
+    double w = u * -1.0 + 1.0;
+    return w - floor_small(w);
+}
+
+/* repro.rng.antipodal_uniform at reflect 1: u reflected within its third
+ * of [0, 1), in NumPy's operation order. */
+static inline double antipodal_draw(double u)
+{
+    double third = floor_small(u * 3.0);
+    third = third < 2.0 ? third : 2.0;
+    third = third / 3.0;
+    double w = u - third;
+    w = w * -1.0;
+    w = w + 1.0 / 3.0;
+    w = w - floor_small(w * 3.0) / 3.0;
+    return w + third;
 }
 
 /* A GridIndex's query state; field order matches repro.native.Grid. */
@@ -434,11 +548,24 @@ void hemisphere_directions(int64_t n, const double *in, double *out)
                              in[4 * n + i], out + 3 * i);
 }
 
+/* A lane's draw descriptor, a uint64 row (kind, key0, key1) of
+ * WalkPipeline._lane_draws (repro.frw.engine.lane_draws).  kind holds
+ * DRAW_MIRRORED and DRAW_MT bits: none for plain Philox
+ * streams (repro.rng.WalkStreams), DRAW_MIRRORED for the antithetic view
+ * over them, DRAW_MT for per-walk MT19937 streams.  key is the Philox key
+ * (k0, k1); an MT lane keeps its stream's base in key[0]. */
+typedef struct {
+    uint64_t kind;
+    uint64_t key[2];
+} lane_draw_t;
+
 /*
  * A WalkPipeline's slot arena and walk space; field order matches
  * repro.native.Arena.  The active walks are slots [0, n).  Slot arrays
- * hold `capacity` entries (pos: (capacity, 3) row-major); the prefetch
- * ring is ring[k][d][slot], planes of 3 * capacity doubles.
+ * hold `capacity` entries (pos: (capacity, 3) row-major).  Slot i's MT
+ * stream is mt[mt_slot[i]]; mt_slot is a permutation of [0, capacity)
+ * that compaction swaps along with the walks, and both are NULL unless
+ * the vector has an MT lane.
  */
 typedef struct {
     /* Slot state. */
@@ -458,7 +585,8 @@ typedef struct {
     uint8_t *done;
     int64_t *dest;
     int64_t capacity;
-    double *ring;
+    mt_t *mt;
+    int64_t *mt_slot;
     /* Result window over the launched, unemitted batches. */
     double *res_omega;
     int64_t *res_dest;
@@ -468,7 +596,9 @@ typedef struct {
     int64_t *win_truncated;
     int64_t n_win;
     int64_t win_base_g;
+    /* Per lane. */
     const double *lane_flux;
+    const lane_draw_t *lane_draws;
     /* Walk space. */
     const grid_t *grid;
     const table_t *table;
@@ -486,32 +616,108 @@ typedef struct {
 } arena_t;
 
 /*
+ * u[d][l] = draw slot d < 3 of step step_no[i0 + l] of the walk in slot
+ * i0 + l, for l < m <= LANES, by its lane's kind: Philox at the walk's
+ * counter (a mirrored lane's odd UID reads its primary's, uid - 1), an
+ * MT lane's next three uniforms of the walk's stream, and, for an odd UID
+ * of a mirrored lane at step 1, the antipodal slot 0 and mirrored slots
+ * 1 and 2.
+ */
+static inline void slot_draws(arena_t *a, int64_t i0, int m,
+                              double u[3][LANES])
+{
+    uint64_t uid[LANES], step[LANES], kind[LANES];
+    uint64_t kinds = 0, all_mt = DRAW_MT;
+    uint32_t key0[LANES], key1[LANES];
+    for (int l = 0; l < LANES; l++) {
+        /* Lanes past the end repeat the last walk and are not stored. */
+        int64_t i = i0 + (l < m ? l : m - 1);
+        const lane_draw_t *d = a->lane_draws + a->lane[i];
+        kind[l] = d->kind;
+        kinds |= d->kind;
+        all_mt &= d->kind;
+        uid[l] = d->kind & DRAW_MIRRORED ? a->uid[i] & ~(uint64_t)1
+                                          : a->uid[i];
+        step[l] = a->step_no[i];
+        key0[l] = (uint32_t)d->key[0];
+        key1[l] = (uint32_t)d->key[1];
+    }
+    if (!all_mt) {
+        /* Draw slots 0 and 1 from block 0, slot 2 from block 1. */
+        for (uint64_t j = 0; j < 2; j++) {
+            uint32_t x0[LANES], x1[LANES], x2[LANES], x3[LANES];
+            uint32_t k0[LANES], k1[LANES];
+            for (int l = 0; l < LANES; l++) {
+                walk_counter(uid[l], step[l], j, &x0[l], &x1[l], &x2[l],
+                             &x3[l]);
+                k0[l] = key0[l];
+                k1[l] = key1[l];
+            }
+            philox_lanes(x0, x1, x2, x3, k0, k1);
+            for (int l = 0; l < LANES; l++)
+                u[2 * j][l] = unit_double(x0[l], x1[l]);
+            if (j == 0)
+                for (int l = 0; l < LANES; l++)
+                    u[1][l] = unit_double(x2[l], x3[l]);
+        }
+    }
+    if (!(kinds & (DRAW_MIRRORED | DRAW_MT)))
+        return;
+    for (int l = 0; l < m; l++) {
+        if (kind[l] & DRAW_MT) {
+            mt_t *s = a->mt + a->mt_slot[i0 + l];
+            for (int d = 0; d < 3; d++)
+                u[d][l] = mt_uniform(s);
+        }
+        if ((kind[l] & DRAW_MIRRORED) && (a->uid[i0 + l] & 1u)
+            && step[l] == 1) {
+            u[0][l] = antipodal_draw(u[0][l]);
+            u[1][l] = mirror_draw(u[1][l]);
+            u[2][l] = mirror_draw(u[2][l]);
+        }
+    }
+}
+
+/*
  * Launch walks uids[0..k) of lane `lane` (tolerance `tol`, global rows
- * first_row + j) from surface `s` into slots [n, n + k), with the launch
- * draws of ring plane `plane`: the surface point, its normal, the
+ * first_row + j) from surface `s` into slots [n, n + k), with their step-0
+ * draws (an MT lane seeds each walk's stream first, as
+ * MTWalkStreams.walk_seed): the surface point, its normal, the
  * permittivity of its layer (a point on an interface takes the upper
  * layer) and a first step of 1.
  */
 void launch(arena_t *a, const surface_t *s, int64_t n, int64_t k,
             const uint64_t *uids, int64_t lane, double tol,
-            int64_t first_row, int64_t plane)
+            int64_t first_row)
 {
-    const double *u0 = a->ring + plane * 3 * a->capacity;
-    const double *u1 = u0 + a->capacity, *u2 = u1 + a->capacity;
-    for (int64_t j = 0; j < k; j++) {
-        int64_t i = n + j;
-        double *pos = a->pos + 3 * i;
-        int64_t p = surface_point(s, u0[i], u1[i], u2[i], pos);
-        a->uid[i] = uids[j];
-        a->lane[i] = lane;
-        a->tol[i] = tol;
-        a->grow[i] = first_row + j;
-        a->step_no[i] = 1;
-        a->eps[i] = a->layer_eps[count_le(a->interfaces, a->n_interfaces,
-                                          pos[2])];
-        a->first[i] = 1;
-        a->naxis[i] = s->axis[p];
-        a->nsign[i] = (double)s->sign[p];
+    const lane_draw_t *d = a->lane_draws + lane;
+    for (int64_t j0 = 0; j0 < k; j0 += LANES) {
+        int m = k - j0 < LANES ? (int)(k - j0) : LANES;
+        for (int l = 0; l < m; l++) {
+            int64_t i = n + j0 + l;
+            a->uid[i] = uids[j0 + l];
+            a->lane[i] = lane;
+            a->step_no[i] = 0;
+            if (d->kind & DRAW_MT) {
+                uint64_t h = splitmix64(d->key[0] ^ splitmix64(a->uid[i]));
+                mt_seed(a->mt + a->mt_slot[i], (uint32_t)h);
+            }
+        }
+        double u[3][LANES];
+        slot_draws(a, n + j0, m, u);
+        for (int l = 0; l < m; l++) {
+            int64_t i = n + j0 + l;
+            double *pos = a->pos + 3 * i;
+            int64_t p = surface_point(s, u[0][l], u[1][l], u[2][l], pos);
+            a->tol[i] = tol;
+            a->grow[i] = first_row + j0 + l;
+            a->step_no[i] = 1;
+            a->eps[i] = a->layer_eps[count_le(a->interfaces,
+                                              a->n_interfaces, pos[2])];
+            a->first[i] = 1;
+            a->naxis[i] = s->axis[p];
+            a->nsign[i] = (double)s->sign[p];
+        }
     }
 }
 
@@ -555,9 +761,8 @@ int64_t locate(arena_t *a, int64_t n)
     return early ? -1 : absorbed;
 }
 
-/* Move walk `from` into slot `to`, with its ring planes [cursor, depth). */
-static inline void move_slot(arena_t *a, int64_t to, int64_t from,
-                             int64_t cursor, int64_t depth)
+/* Move walk `from` into slot `to`, swapping their MT streams. */
+static inline void move_slot(arena_t *a, int64_t to, int64_t from)
 {
     a->uid[to] = a->uid[from];
     a->lane[to] = a->lane[from];
@@ -572,10 +777,10 @@ static inline void move_slot(arena_t *a, int64_t to, int64_t from,
         a->pos[3 * to + d] = a->pos[3 * from + d];
     a->dist[to] = a->dist[from];
     a->dist_e[to] = a->dist_e[from];
-    for (int64_t k = cursor; k < depth; k++) {
-        double *plane = a->ring + k * 3 * a->capacity;
-        for (int d = 0; d < 3; d++)
-            plane[d * a->capacity + to] = plane[d * a->capacity + from];
+    if (a->mt_slot) {
+        int64_t held = a->mt_slot[to];
+        a->mt_slot[to] = a->mt_slot[from];
+        a->mt_slot[from] = held;
     }
 }
 
@@ -586,8 +791,7 @@ static inline void move_slot(arena_t *a, int64_t to, int64_t from,
  * walks of the tail [n - retired, n) into the holes of the head, both in
  * ascending slot order.  Returns the new active count.
  */
-int64_t retire(arena_t *a, int64_t n, int64_t truncated, int64_t cursor,
-               int64_t depth)
+int64_t retire(arena_t *a, int64_t n, int64_t truncated)
 {
     int64_t retired = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -616,7 +820,7 @@ int64_t retire(arena_t *a, int64_t n, int64_t truncated, int64_t cursor,
             continue;
         while (!a->done[hole])
             hole++;
-        move_slot(a, hole++, m, cursor, depth);
+        move_slot(a, hole++, m);
     }
     return kept;
 }
@@ -658,7 +862,7 @@ static __attribute__((noinline)) void hemisphere_step(
 }
 
 /*
- * The hop of slots [0, n) with the draws of ring plane `plane`.  Per
+ * The hop of slots [0, n) with the draws of their step step_no.  Per
  * slot: allow = min(dist, dist_e, h_cap); on a stratified stack the
  * interface distance di caps the cube, and a walk past its first hop
  * that lies within snap_fraction of allow of an interface takes the
@@ -668,46 +872,51 @@ static __attribute__((noinline)) void hemisphere_step(
  * -flux * eps * nsign * grad_ratio / (2h).  Every slot then leaves its
  * first hop and advances its step count.  Returns the snapped count.
  */
-int64_t cube_hop(arena_t *a, int64_t n, int64_t plane)
+int64_t cube_hop(arena_t *a, int64_t n)
 {
     const table_t *t = a->table;
-    const double *u0 = a->ring + plane * 3 * a->capacity;
-    const double *u1 = u0 + a->capacity, *u2 = u1 + a->capacity;
     int64_t n_snap = 0;
-    for (int64_t i = 0; i < n; i++) {
-        double *p = a->pos + 3 * i;
-        double allow = min_tie_b(min_tie_b(a->dist[i], a->dist_e[i]),
-                                 a->h_cap);
-        double h = allow;
-        int first = a->first[i];
-        a->first[i] = 0;
-        a->step_no[i] += 1;
-        if (a->n_interfaces) {
-            double di = fabs(p[2] - a->interfaces[0]);
-            for (int64_t k = 1; k < a->n_interfaces; k++)
-                di = min_tie_b(di, fabs(p[2] - a->interfaces[k]));
-            h = min_tie_b(allow, di);
-            if (!first && di < a->snap_fraction * allow) {
-                hemisphere_step(a, i, allow, di, u0[i], u1[i], u2[i]);
-                n_snap++;
-                continue;
+    for (int64_t i0 = 0; i0 < n; i0 += LANES) {
+        int m = n - i0 < LANES ? (int)(n - i0) : LANES;
+        double u[3][LANES];
+        slot_draws(a, i0, m, u);
+        for (int l = 0; l < m; l++) {
+            int64_t i = i0 + l;
+            double *p = a->pos + 3 * i;
+            double allow = min_tie_b(min_tie_b(a->dist[i], a->dist_e[i]),
+                                     a->h_cap);
+            double h = allow;
+            int first = a->first[i];
+            a->first[i] = 0;
+            a->step_no[i] += 1;
+            if (a->n_interfaces) {
+                double di = fabs(p[2] - a->interfaces[0]);
+                for (int64_t k = 1; k < a->n_interfaces; k++)
+                    di = min_tie_b(di, fabs(p[2] - a->interfaces[k]));
+                h = min_tie_b(allow, di);
+                if (!first && di < a->snap_fraction * allow) {
+                    hemisphere_step(a, i, allow, di, u[0][l], u[1][l],
+                                    u[2][l]);
+                    n_snap++;
+                    continue;
+                }
             }
-        }
-        if (first && a->first_floor > 0.0)
-            h = max_tie_b(h, a->first_floor * allow);
-        int64_t cell = sample_cell(t, u0[i]);
-        double unit[3];
-        unit_position(t, cell, u1[i], u2[i], unit);
-        double h2 = 2.0 * h;
-        for (int d = 0; d < 3; d++)
-            p[d] = (p[d] - h) + unit[d] * h2;
-        if (first) {
-            double ratio = t->grad_ratio[a->naxis[i] * t->n_cells + cell];
-            double w = -a->lane_flux[a->lane[i]];
-            w = w * a->eps[i];
-            w = w * a->nsign[i];
-            w = w * ratio;
-            a->res_omega[a->grow[i] - a->win_base_g] = w / (2.0 * h);
+            if (first && a->first_floor > 0.0)
+                h = max_tie_b(h, a->first_floor * allow);
+            int64_t cell = sample_cell(t, u[0][l]);
+            double unit[3];
+            unit_position(t, cell, u[1][l], u[2][l], unit);
+            double h2 = 2.0 * h;
+            for (int d = 0; d < 3; d++)
+                p[d] = (p[d] - h) + unit[d] * h2;
+            if (first) {
+                double ratio = t->grad_ratio[a->naxis[i] * t->n_cells + cell];
+                double w = -a->lane_flux[a->lane[i]];
+                w = w * a->eps[i];
+                w = w * a->nsign[i];
+                w = w * ratio;
+                a->res_omega[a->grow[i] - a->win_base_g] = w / (2.0 * h);
+            }
         }
     }
     return n_snap;

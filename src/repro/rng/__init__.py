@@ -3,9 +3,13 @@
 Provides the counter-based Philox4x32-10 generator (implemented from
 scratch and validated against the Random123 known-answer vectors), per-walk
 stateless streams for fine-grained reseeding (Alg. 2; the Alg. 1 baseline
-runs on them too, with per-thread UIDs), the lane view that serves one walk
-vector mixing several masters' streams, and a deliberately costly
-Mersenne-Twister adapter for the FRW-NC ablation.
+runs on them too, with per-thread UIDs), their antithetic view, and the
+per-walk-seeded Mersenne-Twister streams of the FRW-NC ablation.  The walk
+engine takes from these only what names a stream — a Philox key, or an MT
+stream's base — and computes every draw inside its compiled launch and hop
+(``repro/native/kernels.c``); the draw methods here are the references the
+kernels are tested against, and ``WalkStreams.draws`` also serves the
+walk-on-spheres reference solver.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .counter_stream import (
     MAX_DRAWS_PER_STEP,
     WalkStreams,
 )
-from .lanes import LaneDraws
 from .mersenne import MTWalkStreams
 from .philox import (
     PHILOX_ROUNDS,
@@ -46,7 +49,6 @@ def seeded_generator(seed: int) -> np.random.Generator:
 __all__ = [
     "BLOCKS_PER_STEP",
     "DOMAIN_TAG",
-    "LaneDraws",
     "MAX_DRAWS_PER_STEP",
     "MTWalkStreams",
     "MirroredDraws",

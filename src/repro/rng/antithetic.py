@@ -110,6 +110,12 @@ class MirroredDraws:
     reflects them on hop step 1.  Even UIDs (and all draws at other
     steps) pass through untransformed.
 
+    The walk engine reads only the base stream's :attr:`key`: its compiled
+    launch and hop compute the same draws in place
+    (``repro/native/kernels.c``).  :meth:`draws`, :meth:`draws_span` and
+    :meth:`draws_scalar` stay as the references the tests compare the
+    kernels against.
+
     The base provider must be counter-based — draws keyed by ``(uid,
     step, slot)``, not by consumption order — because partners re-read
     the primary's words.  Stateful providers (``MTWalkStreams``) would
@@ -132,12 +138,10 @@ class MirroredDraws:
         uids: np.ndarray,
         step: int | np.ndarray,
         count: int,
-        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Return ``(len(uids), count)`` uniforms in [0, 1); the depth-1
         view of :meth:`draws_span`."""
-        span_out = None if out is None else out[None]
-        return self.draws_span(uids, step, 1, count, out=span_out)[0]
+        return self.draws_span(uids, step, 1, count)[0]
 
     def draws_span(
         self,
@@ -145,10 +149,9 @@ class MirroredDraws:
         steps: int | np.ndarray,
         depth: int,
         count: int,
-        out: np.ndarray | None = None,
-        keys: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Fused multi-step draws; plane ``k`` holds step ``steps + k``.
+        """Fused multi-step draws; plane ``k`` holds step ``steps + k``
+        (a test reference for the kernels).
 
         Pure per-walk function of ``(uid, step, slot)`` exactly like the
         base stream — batching, ordering, and co-scheduling of primaries
@@ -156,14 +159,11 @@ class MirroredDraws:
         span to the base provider at the primary UIDs, then reflects the
         partners' step-1 plane: the mask is per ``(step offset, walk)``,
         so a span that covers step 1 for some walks only transforms
-        exactly those entries.  Per-walk ``keys`` pass through to the base
-        provider (the transform depends on the UID and step only).
+        exactly those entries.
         """
         uids = np.asarray(uids, dtype=np.uint64)
         k = np.mod(uids, np.uint64(2))
-        u = self.base.draws_span(
-            uids - k, steps, depth, count, out=out, keys=keys
-        )
+        u = self.base.draws_span(uids - k, steps, depth, count)
         # step_grid[k_off, i] = steps_i + k_off; broadcasting covers both
         # scalar and per-walk steps.
         step_grid = np.add(
@@ -186,7 +186,8 @@ class MirroredDraws:
         return u
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
-        """Scalar reference path; bit-identical to :meth:`draws_span`."""
+        """Scalar reference path (for the tests); bit-identical to
+        :meth:`draws_span`."""
         uid = int(uid)
         k = uid % 2
         values = self.base.draws_scalar(uid - k, step, count)

@@ -18,14 +18,13 @@ Each Philox call yields 4 words = 2 doubles, so a step may consume up to
 ``2 * BLOCKS_PER_STEP`` doubles.  The walk engine uses at most
 :data:`MAX_DRAWS_PER_STEP`.
 
-Every stream provider (:class:`WalkStreams`, the antithetic
-:class:`~repro.rng.MirroredDraws` view, the MT ablation's
-:class:`~repro.rng.MTWalkStreams`) speaks one protocol:
-``draws_span(uids, steps, depth, count, out=)`` fills ``depth``
-consecutive steps of every walk, and ``draws(uids, step, count, out=)``
-is its depth-1 view.  The counter-based providers also take per-walk
-``keys=``, so one pass can serve walks of several streams
-(:class:`~repro.rng.LaneDraws`).
+The walk engine does not call these streams: its compiled launch and
+hop compute each walk's draws in place from the stream's :attr:`~
+WalkStreams.key`, through the same counter layout
+(``repro/native/kernels.c``).  :meth:`WalkStreams.draws_span` fills
+``depth`` consecutive steps of a vector of walks with the same kernel
+code (the walk-on-spheres reference and the tests use it), and
+:meth:`WalkStreams.draws` is its depth-1 view.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ MAX_DRAWS_PER_STEP = 2 * BLOCKS_PER_STEP
 #: Domain-separation tag placed in counter word c3 ("FRWR").
 DOMAIN_TAG = 0x46525752
 
-#: Maximum step depth of a fused :meth:`WalkStreams.draws_span` pass (the
-#: engine's RNG prefetch ring).
-MAX_PREFETCH_STEPS = 16
+#: Maximum step depth of one :meth:`WalkStreams.draws_span` call.
+MAX_SPAN_STEPS = 16
 
 _MASK32 = 0xFFFFFFFF
 
@@ -74,9 +72,6 @@ class WalkStreams:
         self.seed = int(seed)
         self.stream = int(stream)
         self._k0, self._k1 = derive_key(self.seed, self.stream)
-        self._key_words = tuple(
-            np.array(k, dtype=np.uint64) for k in (self._k0, self._k1)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WalkStreams(seed={self.seed}, stream={self.stream})"
@@ -110,32 +105,24 @@ class WalkStreams:
         depth: int,
         count: int,
         out: np.ndarray | None = None,
-        keys: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Fused draws for ``depth`` consecutive steps of every walk.
 
         Returns ``(depth, len(uids), count)`` uniforms where ``[k, i, :]``
         is draw slots ``0..count-1`` of step ``steps + k`` of walk
-        ``uids[i]`` (bit-identical to :meth:`draws_scalar`) — the engine's
-        RNG prefetch ring consumes one plane per step.  ``steps`` may be a
-        scalar or a per-walk array (the pipelined engine mixes walks at
-        different depths in one vector).  One call of the compiled span
-        kernel (:func:`repro.native.philox_span`) fills every plane, so
-        the fixed per-call cost is paid once per ``depth`` steps.
+        ``uids[i]`` (bit-identical to :meth:`draws_scalar`).  ``steps``
+        may be a scalar or a per-walk array.  One call of the compiled
+        span kernel (:func:`repro.native.philox_span`) fills every plane.
         ``out`` — shape ``(depth, >= n, >= count)``, float64, any strides
-        — makes the call allocation-free.  ``keys`` — a ``(k0, k1)`` pair
-        of ``(n,)`` uint64 arrays — replaces this stream's key per walk, so
-        one pass serves walks of several streams (:class:`~repro.rng.
-        LaneDraws`); each walk's draws are then those of the stream whose
-        :attr:`key` it carries.
+        — makes the call allocation-free.
         """
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
                 f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"
             )
-        if depth < 1 or depth > MAX_PREFETCH_STEPS:
+        if depth < 1 or depth > MAX_SPAN_STEPS:
             raise RNGError(
-                f"depth must be in [1, {MAX_PREFETCH_STEPS}], got {depth}"
+                f"depth must be in [1, {MAX_SPAN_STEPS}], got {depth}"
             )
         uids = np.asarray(uids, dtype=np.uint64)
         if uids.ndim != 1:
@@ -155,17 +142,12 @@ class WalkStreams:
                 f"array of at least ({depth}, {n}, {count})"
             )
         steps = np.asarray(steps, dtype=np.uint64)
-        if keys is None:
-            k0, k1 = self._key_words
-        else:
-            k0, k1 = (np.asarray(k, dtype=np.uint64) for k in keys)
-        if any(a.shape not in ((), (n,)) for a in (steps, k0, k1)):
+        if steps.shape not in ((), (n,)):
             raise RNGError(
-                f"steps {steps.shape} and keys {k0.shape} must be scalar "
-                f"or one per walk ({n},)"
+                f"steps {steps.shape} must be scalar or one per walk ({n},)"
             )
         out = out[:depth, :n, :count]
-        philox_span(uids, steps, k0, k1, depth, count, out)
+        philox_span(uids, steps, self.key, depth, count, out)
         return out
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:

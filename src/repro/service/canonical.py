@@ -156,7 +156,7 @@ def geometry_digest(form: CanonicalForm) -> str:
 def config_digest(config: FRWConfig) -> str:
     """Hex digest of the result-affecting config projection.
 
-    Engine knobs (executor, worker count, pipelining, prefetch depth, ...)
+    Engine knobs (executor, worker count, pipelining, ...)
     are certified bit-invisible by the golden suites and excluded, so a
     request solved on one backend is a cache hit for every other.
     """

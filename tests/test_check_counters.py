@@ -44,7 +44,7 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
         "parallel.published_mb": 0.574,
         "index.candidates_per_near_point": 3.554,
         "cross_master.discarded_batches": 0,
-        "engine.rng_dispatches": 1938,
+        "engine.rng_dispatches": 0,
         "parallel.dispatches": 76,
         "engine.steps_per_walk": 19.4254,
         "latency_ms": 2500.0,
@@ -61,9 +61,10 @@ def test_violations_require_correct_and_every_bound(checker, tmp_path):
 
     run["metrics"]["parallel.dispatches"]["value"] = 77
     run["metrics"]["context.index_builds"]["value"] = 2
+    run["metrics"]["engine.rng_dispatches"]["value"] = 1
     run["correct"] = False
     found = checker.violations(run, gates)
-    assert len(found) == 3
+    assert len(found) == 4
     assert found[0] == "correct is not true"
     path.write_text(json.dumps(run))
     assert checker.main([str(path), "sram_tol_traced"]) == 1

@@ -1,5 +1,7 @@
 """Tests for per-walk counter streams (fine-grained reseeding)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from repro.errors import RNGError
 from repro.rng import (
     MAX_DRAWS_PER_STEP,
-    LaneDraws,
     MirroredDraws,
     WalkStreams,
 )
+from repro.rng.counter_stream import MAX_SPAN_STEPS
 
 
 def test_draws_shape_and_range():
@@ -94,7 +96,7 @@ def test_draw_count_limits():
 def test_fused_draws_matches_scalar_property(seed, count, pairs, use_out):
     """The fused single-pass Philox kernel is bit-identical to the scalar
     reference for arbitrary (uid, step) mixes — including per-walk step
-    vectors (the pipelined engine's calling convention), every count up to
+    vectors, every count up to
     MAX_DRAWS_PER_STEP, and the caller-supplied ``out=`` buffer path."""
     ws = WalkStreams(seed)
     uids = np.array([u for u, _ in pairs], dtype=np.uint64)
@@ -110,38 +112,96 @@ def test_fused_draws_matches_scalar_property(seed, count, pairs, use_out):
         assert vec[i].tolist() == ws.draws_scalar(uid, step, count)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    depth=st.integers(min_value=1, max_value=16),
-    count=st.integers(min_value=1, max_value=MAX_DRAWS_PER_STEP),
-    walks=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),  # lane
-            st.integers(min_value=0, max_value=2**64 - 1),  # uid
-            st.integers(min_value=0, max_value=2**20),  # step
-        ),
-        min_size=1,
-        max_size=24,
-    ),
-    mirrored=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+    depth=st.integers(min_value=1, max_value=MAX_SPAN_STEPS),
+    count=st.integers(min_value=1, max_value=8),
 )
-def test_lane_span_matches_each_lanes_scalar(
-    seed, depth, count, walks, mirrored
-):
-    """One keyed span over a random lane assignment equals, walk by walk
-    and step by step, the scalar draws of that walk's own lane — for plain
-    counter streams and their antithetic view alike."""
-    lanes = [WalkStreams(seed, stream) for stream in range(4)]
-    if mirrored:
-        lanes = [MirroredDraws(base) for base in lanes]
-    lane = np.array([w[0] for w in walks], dtype=np.intp)
-    uids = np.array([w[1] for w in walks], dtype=np.uint64)
-    steps = np.array([w[2] for w in walks], dtype=np.uint64)
-    span = LaneDraws(lanes).draws_span(lane, uids, steps, depth, count)
-    assert span.shape == (depth, len(walks), count)
-    for i, (l, uid, step) in enumerate(walks):
-        for k in range(depth):
-            assert span[k, i].tolist() == lanes[l].draws_scalar(
-                uid, step + k, count
-            )
+def test_draws_span_equals_per_step_draws(seed, data, depth, count):
+    """A span is the scalar reference at every step it covers."""
+    n = data.draw(st.integers(min_value=1, max_value=33), label="n")
+    uids = np.asarray(
+        data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2**64 - 1),
+                min_size=n,
+                max_size=n,
+            ),
+            label="uids",
+        ),
+        dtype=np.uint64,
+    )
+    steps = np.asarray(
+        data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=10_000),
+                min_size=n,
+                max_size=n,
+            ),
+            label="steps",
+        ),
+        dtype=np.uint64,
+    )
+    streams = WalkStreams(seed, 0)
+    span = streams.draws_span(uids, steps, depth, count)
+    assert span.shape == (depth, n, count)
+    for k in range(depth):
+        expect = [
+            streams.draws_scalar(int(uid), int(step) + k, count)
+            for uid, step in zip(uids, steps)
+        ]
+        np.testing.assert_array_equal(span[k], expect)
+    np.testing.assert_array_equal(
+        streams.draws(uids, steps, count), span[0]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    base=st.integers(min_value=0, max_value=2**40),
+    step0=st.integers(min_value=0, max_value=4),  # small: some spans cover step 1
+    depth=st.integers(min_value=1, max_value=8),
+)
+def test_mirrored_draws_span_equals_per_step(seed, base, step0, depth):
+    """The antithetic view's span applies the same transforms the scalar
+    reference applies — one (depth, n) step grid, same words out."""
+    n = 5
+    uids = np.arange(base, base + n, dtype=np.uint64)
+    mirrored = MirroredDraws(WalkStreams(seed, 0))
+    steps = np.arange(step0, step0 + n, dtype=np.uint64)
+    span = mirrored.draws_span(uids, steps, depth, 3)
+    for k in range(depth):
+        expect = [
+            mirrored.draws_scalar(int(uid), int(step) + k, 3)
+            for uid, step in zip(uids, steps)
+        ]
+        np.testing.assert_array_equal(span[k], expect)
+
+
+def test_span_scratch_is_bounded():
+    """The span kernel keeps no scratch: a deep span over a few walks
+    followed by a one-step span over many walks allocates their outputs
+    and nothing that grows with the span shapes."""
+    uids = np.arange(10_000, dtype=np.uint64)
+    streams = WalkStreams(5, 0)
+    streams.draws_span(uids[:2], 0, 1, 3)  # the library loads outside the trace
+    tracemalloc.start()
+    try:
+        deep = streams.draws_span(uids[:33], 0, 16, 3)
+        wide = streams.draws_span(uids, 0, 1, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= deep.nbytes + wide.nbytes + 64 * 2**10
+
+
+def test_draws_span_validates_arguments():
+    streams = WalkStreams(7, 0)
+    uids = np.arange(4, dtype=np.uint64)
+    with pytest.raises(Exception):
+        streams.draws_span(uids, 0, 0, 3)
+    with pytest.raises(Exception):
+        streams.draws_span(uids, 0, MAX_SPAN_STEPS + 1, 3)

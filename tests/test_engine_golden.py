@@ -7,7 +7,7 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
 
 * the plain batch engine (``run_walks``),
 * the refill pipeline (``WalkPipeline`` over consecutive batches, with a
-  caller that holds later batches back or not) at every RNG prefetch depth,
+  caller that holds later batches back or not),
 * thread-parallel execution: concurrent caller threads (as the
   service's slots are) running ``run_walks`` on one shared context, for
   1, 2 and 4 threads,
@@ -28,7 +28,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.frw.engine as engine_mod
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
 from repro.frw import (
     PersistentExecutor,
@@ -171,20 +170,6 @@ def test_pipelined_engine_matches_golden(golden_case, width, ahead):
         parts.append(res)
     assert pipe.next_batch() is None
     _check(case, concat_results(uids, parts))
-
-
-@pytest.mark.parametrize("prefetch", [1, 2, 4, 8, 16])
-def test_prefetch_ring_matches_golden(
-    golden_case, run_pipelined, monkeypatch, prefetch
-):
-    """The RNG prefetch ring is bit-invisible: every depth reproduces the
-    scalar-reference goldens byte for byte (draws are pure functions of
-    ``(seed, uid, step, slot)``, so *when* they are generated cannot
-    matter — this pins that the ring bookkeeping preserves it)."""
-    case, ctx, uids = golden_case
-    monkeypatch.setattr(engine_mod, "RNG_PREFETCH_DEPTH", prefetch)
-    res = run_pipelined(ctx, WalkStreams(SEED, 0), uids, width=64)
-    _check(case, res)
 
 
 def _executor_run(ctx, uids, n_workers, **kwargs):

@@ -296,7 +296,7 @@ def test_det010_typestate(tmp_path, body, expect):
         assert fragment in finding.message
 
 
-def test_det011_kernel_and_cursor_confinement(tmp_path):
+def test_det011_kernel_confinement(tmp_path):
     files = {
         "src/repro/__init__.py": "",
         "src/repro/rng/__init__.py": "",
@@ -314,22 +314,12 @@ def test_det011_kernel_and_cursor_confinement(tmp_path):
             "from repro.rng.philox import philox4x32\n"
             "def fast(ctr, key):\n"
             "    return philox4x32(ctr, key)\n"
-            "class Stage:\n"
-            "    def bump(self):\n"
-            "        self._ring_cursor += 1\n"
-        ),
-        # engine may move its own cursor
-        "src/repro/frw/engine.py": (
-            "class Pipe:\n"
-            "    def step(self):\n"
-            "        self._ring_cursor = 0\n"
         ),
     }
     errors = pass_errors(tmp_path, files, "DET011")
-    assert [f.rule for f in errors] == ["DET011", "DET011"]
-    assert all("rogue" in f.path for f in errors)
-    kinds = " | ".join(f.message for f in errors)
-    assert "philox4x32" in kinds and "_ring_cursor" in kinds
+    assert [f.rule for f in errors] == ["DET011"]
+    assert "rogue" in errors[0].path
+    assert "philox4x32" in errors[0].message
 
 
 def test_det012_post_registration_mutation(tmp_path):
@@ -442,17 +432,3 @@ def test_mutation_calling_compiled_philox_is_one_det011(repo_copy, call):
     assert [f.rule for f in errors] == ["DET011"]
     assert "raw Philox kernel call" in errors[0].message
     assert errors[0].scope == "_rogue_draws"
-
-
-@pytest.mark.parametrize("attr", ["_ring_cursor", "_ring_depth"])
-def test_mutation_bypassing_ring_cursor_is_one_det011(repo_copy, attr):
-    walk = repo_copy / "src/repro/frw/walk.py"
-    walk.write_text(
-        walk.read_text()
-        + "\n\ndef _rogue_advance(pipeline):\n"
-        + f"    pipeline.{attr} += 1\n"
-    )
-    errors = mutated_errors(repo_copy)
-    assert [f.rule for f in errors] == ["DET011"]
-    assert attr in errors[0].message
-    assert errors[0].scope == "_rogue_advance"

@@ -1,7 +1,8 @@
 """The compiled engine kernels: bit-identity and build robustness.
 
 ``philox_span`` must give the scalar reference's draws for any UIDs,
-steps, keys, depths, counts and output strides.  The grid query's
+steps, keys, depths, counts and output strides.  The draws the step
+kernels compute are tested in ``test_step_kernels``.  The grid query's
 properties live in ``test_spatial_index``.  The loader must build into an
 empty cache, survive concurrent builds, refuse unsafe cache directories,
 name the command of a failed build, and let process workers load the
@@ -27,7 +28,7 @@ from repro import FRWConfig, FRWSolver, native
 from repro.errors import KernelBuildError, RNGError
 from repro.frw import PersistentExecutor
 from repro.rng import MAX_DRAWS_PER_STEP, WalkStreams
-from repro.rng.counter_stream import MAX_PREFETCH_STEPS
+from repro.rng.counter_stream import MAX_SPAN_STEPS
 
 SRC = Path(native.__file__).resolve().parents[2]
 
@@ -47,17 +48,16 @@ def fresh_cache(tmp_path, monkeypatch):
 @given(
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
-    depth=st.integers(1, MAX_PREFETCH_STEPS),
+    depth=st.integers(1, MAX_SPAN_STEPS),
     count=st.integers(1, MAX_DRAWS_PER_STEP),
     per_walk_steps=st.booleans(),
-    per_walk_keys=st.booleans(),
 )
 def test_philox_span_equals_draws_scalar(
-    seed, data, depth, count, per_walk_steps, per_walk_keys
+    seed, data, depth, count, per_walk_steps
 ):
-    """Every entry of a span — UIDs past 2**32, scalar or per-walk steps
-    and keys, written through a strided ``out`` — is the scalar
-    reference's draw, and nothing outside the span is written."""
+    """Every entry of a span — UIDs past 2**32, scalar or per-walk steps,
+    written through a strided ``out`` — is the scalar reference's draw,
+    and nothing outside the span is written."""
     n = data.draw(st.integers(1, 24), label="n")
     uids = np.array(
         data.draw(st.lists(st.integers(2**32, 2**64 - 1), min_size=n, max_size=n)),
@@ -70,27 +70,18 @@ def test_philox_span_equals_draws_scalar(
         )
     else:
         steps = np.uint64(data.draw(st.integers(0, 2**40), label="step"))
-    streams = [WalkStreams(seed, s) for s in range(3)]
-    lane = np.array(
-        data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.intp
-    )
-    if not per_walk_keys:
-        lane[:] = 0
-    keys = None
-    if per_walk_keys:
-        table = np.array([s.key for s in streams], dtype=np.uint64).T
-        keys = (table[0, lane], table[1, lane])
+    streams = WalkStreams(seed, data.draw(st.integers(0, 2), label="stream"))
     # Slot-major storage with a gap column between walks: the span's
     # walk axis has stride 2 and its slot axis the longest stride.
     store = np.full((depth + 1, MAX_DRAWS_PER_STEP, 2 * n + 1), np.nan)
     out = store.transpose(0, 2, 1)[1:, ::2]
-    got = streams[0].draws_span(uids, steps, depth, count, out=out, keys=keys)
+    got = streams.draws_span(uids, steps, depth, count, out=out)
     assert got.shape == (depth, n, count)
     assert np.shares_memory(got, store)
     steps_i = np.broadcast_to(steps, (n,))
     for k in range(depth):
         for i in range(n):
-            expect = streams[lane[i]].draws_scalar(
+            expect = streams.draws_scalar(
                 int(uids[i]), int(steps_i[i]) + k, count
             )
             assert got[k, i].tolist() == expect
@@ -104,9 +95,6 @@ def test_draws_span_rejects_mismatched_arguments():
     uids = np.arange(4, dtype=np.uint64)
     with pytest.raises(RNGError, match="steps"):
         streams.draws_span(uids, np.arange(3, dtype=np.uint64), 1, 3)
-    with pytest.raises(RNGError, match="keys"):
-        key = np.zeros(5, dtype=np.uint64)
-        streams.draws_span(uids, 0, 1, 3, keys=(key, key))
     with pytest.raises(RNGError, match="float64"):
         streams.draws_span(uids, 0, 1, 3, out=np.empty((1, 4, 3), np.float32))
     frozen = np.empty((1, 4, 3))

@@ -413,12 +413,15 @@ class TestMemoization:
             time.sleep(0.005)
             return canonicalize(structure)
 
+        monkeypatch.setattr(server, "canonicalize", slow_canonicalize)
         with ExtractionService(ServiceSettings(slots=1)) as service:
             payload = request_for(small_structure())
-            service.submit(payload).result(timeout=300)
-            monkeypatch.setattr(server, "canonicalize", slow_canonicalize)
+            assert not service.submit(payload).result(timeout=300)["cached"]
             assert service.submit(payload).result(timeout=30)["cached"]
-            # Two samples: the p50 is the smaller, the full hit's.
+            # Two samples, the cold solve's and the full hit's, both
+            # parsed slowly: the p50 is the smaller, so it holds only if
+            # each latency covers its parsing (a cold solve may take less
+            # than the 5 ms parse on its own).
             latency = service.stats()["latency"]["interactive"]
             assert latency["count"] == 2 and latency["p50_ms"] >= 5.0
 

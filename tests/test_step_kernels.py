@@ -12,9 +12,16 @@ versions are kept here, verbatim in behaviour, as the oracle:
 * the single-thread ``simulate_dynamic_queue`` fast path vs the heap loop;
 * the compiled vector step (``launch``, ``locate``, ``retire``,
   ``cube_hop`` and its hemisphere step in ``repro/native/kernels.c``) vs
-  the NumPy stage code it replaced, on a live pipeline's arena, plus
-  pinned engine runs through the paths no row golden covers (per-walk
-  stream release, the early-absorption error and step-cap truncation).
+  the NumPy stage code it replaced, on a live pipeline's arena, with the
+  draws the kernels compute against the reference streams' draws (plain,
+  antithetic and MT lanes), plus pinned engine runs through the paths no
+  row golden covers (per-walk MT streams, the early-absorption error and
+  step-cap truncation).
+
+The kernels compute their own draws, so a test that needs chosen draws
+runs an MT lane and writes each slot's MT19937 state so that its next
+words are the chosen draws' (:func:`_feed`); a chosen draw must then lie
+on the 53-bit lattice ``k / 2**53`` every generator draw lies on.
 
 It also pins that the cube table's sampling guide is built once per table
 object, that attached contexts share one table, and that the guide never
@@ -44,6 +51,7 @@ from repro.frw import (
     simulate_dynamic_queue,
 )
 from repro.frw.context import SharedAssets
+from repro.frw.engine import lane_draws
 from repro.geometry import (
     Box,
     DielectricStack,
@@ -52,7 +60,13 @@ from repro.geometry import (
 )
 from repro.geometry.surface import TRANSVERSE
 from repro.greens import CubeTransitionTable, get_cube_table
-from repro.rng import WalkStreams
+from repro.rng import (
+    MirroredDraws,
+    MTWalkStreams,
+    WalkStreams,
+    antipodal_uniform,
+    mirror_uniform,
+)
 
 _T0 = np.array([TRANSVERSE[a][0] for a in range(3)], dtype=np.int64)
 _T1 = np.array([TRANSVERSE[a][1] for a in range(3)], dtype=np.int64)
@@ -299,23 +313,30 @@ _SURFACES = [
 
 @settings(max_examples=60, deadline=None)
 @given(
+    data=st.data(),
     which=st.sampled_from(range(len(_SURFACES))),
-    u=st.lists(
-        st.tuples(
-            *[
-                st.one_of(
-                    st.sampled_from([0.0, 0.5, _BELOW_ONE]),
-                    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-                )
-            ]
-            * 3
-        ),
-        max_size=64,
-    ),
+    clamp=st.booleans(),
 )
-def test_surface_sample_matches_scatter(which, u):
-    surf = _SURFACES[which]
-    u = np.asarray(u, dtype=np.float64).reshape(-1, 3)
+def test_surface_sample_matches_scatter(data, which, clamp):
+    """``sample`` (and the engine's launch, which shares its inline C)
+    gives the scatter formulation bit for bit, with ``u0 * total_area``
+    exactly on a cumulative area and, on a surface whose total area is
+    one ulp above its last cumulative area, past the last one (clipped
+    to the last patch)."""
+    surf = _clamped(_SURFACES[which]) if clamp else _SURFACES[which]
+    edge = st.sampled_from([0.0, 0.5, _BELOW_ONE]) | st.floats(
+        min_value=0.0, max_value=1.0, exclude_max=True
+    )
+    u0 = st.sampled_from(_area_edges(surf)) | edge
+    u = np.array(
+        data.draw(st.lists(st.tuples(u0, edge, edge), max_size=64)),
+        dtype=np.float64,
+    ).reshape(-1, 3)
+    if clamp and u.shape[0]:
+        u[0, 0] = _BELOW_ONE
+        assert np.searchsorted(
+            surf._cum, _BELOW_ONE * surf.total_area, side="right"
+        ) == surf.n_patches
     got = surf.sample(u)
     want = old_surface_sample(surf, u)
     for g, w in zip(got, want):
@@ -541,18 +562,62 @@ _CTXS = {
 }
 
 
-def _pipeline(ctx, sizes, width):
-    """A pipeline with batches of ``sizes`` walks queued on ``ctx`` and
-    its first ``width`` walks launched, so its result window spans every
-    batch those walks come from."""
+def _pipeline(ctx, sizes, width, streams=None):
+    """A pipeline with batches of ``sizes`` walks queued on ``ctx`` with
+    ``streams`` (``WalkStreams(3, master)`` by default) and its first
+    ``width`` walks launched, so its result window spans every batch those
+    walks come from."""
     pipe = WalkPipeline()
+    streams = streams or WalkStreams(3, ctx.master)
     start = 0
     for seq, size in enumerate(sizes):
         uids = np.arange(start, start + size, dtype=np.uint64)
-        pipe.submit(seq, 0, ctx, WalkStreams(3, ctx.master), uids, width)
+        pipe.submit(seq, 0, ctx, streams, uids, width)
         start += size
     pipe._refill()
     return pipe
+
+
+def _on_lattice(u):
+    """``u`` rounded down onto the lattice ``k / 2**53`` of generator
+    draws (exact: a power-of-two scale, a floor and its inverse)."""
+    return np.floor(np.asarray(u, dtype=np.float64) * 2.0**53) / 2.0**53
+
+
+def _temper(y):
+    y ^= y >> 11
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    return y ^ (y >> 18)
+
+
+def _untemper(word):
+    """The MT19937 state word that ``genrand_int32`` tempers to ``word``."""
+    y = word
+    steps = ((18, None), (15, 0xEFC60000), (7, 0x9D2C5680), (11, None))
+    for shift, mask in steps:
+        x = y
+        for _ in range(32 // shift + 1):
+            x = y ^ (x >> shift if mask is None else (x << shift) & mask)
+        y = x & 0xFFFFFFFF
+    assert _temper(y) == word
+    return y
+
+
+def _feed(pipe, u):
+    """Make the next draws of slots ``[0, n)`` of a pipeline on an MT lane
+    ``u`` ``(n, 3)`` (on the lattice): each slot's stream restarts at word
+    0, which holds the untempered word pairs ``genrand_res53`` turns into
+    those draws."""
+    for i, row in enumerate(u):
+        words = []
+        for v in row:
+            k = int(v * 2.0**53)
+            assert k / 2.0**53 == v
+            words += [(k >> 26) << 5, (k & (2**26 - 1)) << 6]
+        state = pipe._mt[pipe._mt_slot[i]]
+        state[:6] = [_untemper(w) for w in words]
+        state[native.MT_WORDS - 1] = 0
 
 
 def _rewire(pipe, stack):
@@ -567,26 +632,27 @@ def _rewire(pipe, stack):
 def _hemisphere_hop(stack, z, u, allow=1e4, tol=0.0):
     """``cube_hop`` of walks past their first hop at heights ``z`` on
     ``stack``, with free space ``allow`` (``h_cap`` lifted), tolerance
-    ``tol`` and draws ``u`` (n, 3): ``(positions before, positions after,
-    snapped count)``."""
+    ``tol`` and draws ``u`` (n, 3, on the lattice): ``(positions before,
+    positions after, snapped count)``."""
     n = z.shape[0]
-    pipe = _pipeline(_CTXS[True], [n], n)
+    pipe = _pipeline(_CTXS[True], [n], n, MTWalkStreams(3, 0))
     _rewire(pipe, stack)
     pipe._arena.h_cap = np.inf
     pipe._pos[:n, 2] = z
     pipe._dist[:n] = pipe._dist_e[:n] = allow
     pipe._tol[:n] = tol
     pipe._first[:n] = False
-    pipe._ring[0, :, :n] = u.T
+    _feed(pipe, u)
     before = pipe._pos[:n].copy()
-    n_snap = pipe._cube_hop(pipe._arena_ref, n, 0)
+    n_snap = pipe._cube_hop(pipe._arena_ref, n)
     return before, pipe._pos[:n].copy(), n_snap
 
 
 def _snapshot(pipe):
     n = pipe._n
     state = {name: getattr(pipe, "_" + name)[:n].copy() for name in _SLOTS}
-    state["ring"] = pipe._ring[:, :, :n].copy()
+    if pipe._mt_slot is not None:
+        state["mt_slot"] = pipe._mt_slot.copy()
     return state
 
 
@@ -605,9 +671,10 @@ def old_locate(ctx, pos, tol):
     return dist_c, cond, dist_e, done, dest
 
 
-def old_retire_compact(state, window, done, dest, truncated, cursor, depth):
-    """``_retire_compact`` on a snapshot of the arena and its window;
-    returns the new active count."""
+def old_retire_compact(state, window, done, dest, truncated):
+    """``_retire_compact`` on a snapshot of the arena and its window, with
+    MT state indices swapped between each hole and its mover; returns the
+    new active count."""
     n = done.shape[0]
     g = state["grow"][done]
     idx = g - window["base"]
@@ -624,8 +691,9 @@ def old_retire_compact(state, window, done, dest, truncated, cursor, depth):
     if holes.shape[0]:
         for name in _SLOTS:
             state[name][holes] = state[name][movers]
-        live = slice(cursor, depth)
-        state["ring"][live, :, holes] = state["ring"][live, :, movers]
+        if "mt_slot" in state:
+            mt = state["mt_slot"]
+            mt[holes], mt[movers] = mt[movers], mt[holes].copy()
     return n_new
 
 
@@ -728,21 +796,23 @@ def test_locate_matches_numpy_stages(data, layered):
     layered=st.booleans(),
     truncated=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    mt=st.booleans(),
 )
-def test_retire_matches_numpy_compaction(data, layered, truncated, seed):
+def test_retire_matches_numpy_compaction(data, layered, truncated, seed, mt):
     """``retire`` banks, counts and compacts as ``_retire_compact`` did:
     random ``done`` masks over walks from several batches of the result
-    window, with live ring planes that travel with their walks, for
-    absorbed and over-cap (truncated) retirement alike."""
+    window, for absorbed and over-cap (truncated) retirement alike.  On an
+    MT lane each walk's state index travels with it, and the indices stay
+    a permutation of the arena's states."""
     ctx = _CTXS[layered]
     sizes = data.draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
-    pipe = _pipeline(ctx, sizes, data.draw(st.integers(1, sum(sizes))))
+    streams = MTWalkStreams(3, 0) if mt else None
+    width = data.draw(st.integers(1, sum(sizes)))
+    pipe = _pipeline(ctx, sizes, width, streams)
     n = pipe._n
-    depth = data.draw(st.integers(1, pipe._prefetch))
-    cursor = data.draw(st.integers(1, depth))
-    pipe._ring_depth, pipe._ring_cursor = depth, cursor
     rng = np.random.default_rng(seed)
-    pipe._ring[...] = rng.random(pipe._ring.shape)
+    if mt:
+        pipe._mt_slot[:] = rng.permutation(pipe._capacity)
     pipe._step_no[:n] = rng.integers(1, 60, n)
     pipe._first[:n] = rng.random(n) < 0.3
     pipe._dist[:n], pipe._dist_e[:n] = rng.random(n), rng.random(n)
@@ -758,15 +828,16 @@ def test_retire_matches_numpy_compaction(data, layered, truncated, seed):
         "res_dest": pipe._res_dest.copy(),
         "res_steps": pipe._res_steps.copy(),
     }
-    n_new = old_retire_compact(
-        state, window, done, dest[done], truncated, cursor, depth
-    )
+    n_new = old_retire_compact(state, window, done, dest[done], truncated)
     pipe._retire_done(truncated)
     assert pipe._n == n_new
     for name in _SLOTS:
         assert _same_bits(getattr(pipe, "_" + name)[:n_new], state[name][:n_new])
-    live = slice(cursor, depth)
-    assert _same_bits(pipe._ring[live, :, :n_new], state["ring"][live, :, :n_new])
+    if mt:
+        assert _same_bits(pipe._mt_slot, state["mt_slot"])
+        assert (np.sort(pipe._mt_slot) == np.arange(pipe._capacity)).all()
+    else:
+        assert pipe._mt_slot is None
     assert _same_bits(pipe._win_remaining, window["remaining"])
     assert _same_bits(pipe._win_truncated, window["truncated"])
     assert _same_bits(pipe._res_dest, window["res_dest"])
@@ -796,12 +867,13 @@ def test_cube_hop_matches_numpy_sample(data, layered):
     on guide bucket edges, interface distances equal to ``snap * allow``
     exactly (not snapped) and ties between the distances, ``h_cap`` and
     ±0.0 (whose signs reach the first-hop weight).  Snapped walks take
-    the deleted ``_hemisphere`` step's positions."""
+    the deleted ``_hemisphere`` step's positions.  The draws are fed
+    through an MT lane, so they lie on the lattice: bucket edges become
+    the generator draws nearest them."""
     ctx = _CTXS[layered]
     table = ctx.table
     n = data.draw(st.integers(1, 40))
-    pipe = _pipeline(ctx, [n], n)
-    plane = data.draw(st.integers(0, pipe._prefetch - 1))
+    pipe = _pipeline(ctx, [n], n, MTWalkStreams(3, 0))
     distance = st.one_of(
         st.sampled_from([-0.0, 0.0, ctx.h_cap, 0.5, 1.0]),
         st.floats(0.0, 2.0 * ctx.h_cap),
@@ -822,16 +894,16 @@ def test_cube_hop_matches_numpy_sample(data, layered):
     jitter = st.sampled_from([0.0, 0.5, _BELOW_ONE]) | st.floats(
         0.0, 1.0, exclude_max=True
     )
-    u = np.column_stack([
+    u = _on_lattice(np.column_stack([
         data.draw(st.lists(slot, min_size=n, max_size=n))
         for slot in (_uniforms(table), jitter, jitter)
-    ])
+    ]))
     pipe._pos[:n], pipe._dist[:n], pipe._dist_e[:n] = pos, dist, dist_e
     pipe._first[:n] = first
-    pipe._ring[plane, :, :n] = u.T
+    _feed(pipe, u)
     pipe._res_omega[:] = np.nan
     state = _snapshot(pipe)
-    n_snap = pipe._cube_hop(pipe._arena_ref, n, plane)
+    n_snap = pipe._cube_hop(pipe._arena_ref, n)
     snapped, snap_allow, snap_dist_i, npos, fc, omega = old_cube_hop(
         ctx, state, u, pipe._lane_flux
     )
@@ -897,10 +969,10 @@ def _hemisphere_case(draw):
         st.sampled_from([0.0, 1e-3, 1e4, -1.0]), min_size=n, max_size=n
     )))
     tol[tol < 0] = 2.0 * (allow - di)[tol < 0]
-    u = np.column_stack([
+    u = _on_lattice(np.column_stack([
         draw(st.lists(slot, min_size=n, max_size=n))
         for slot in (_U_EDGE, _U_EDGE, _U_QUADRANT)
-    ])
+    ]))
     return stack, z, allow, tol, u
 
 
@@ -908,10 +980,11 @@ def _hemisphere_case(draw):
 @given(case=_hemisphere_case())
 def test_hemisphere_matches_numpy(case):
     """``cube_hop``'s hemisphere step gives the deleted NumPy step's
-    positions bit for bit: ``u`` at 0 and 1 - ulp, the azimuth on quadrant
-    edges, heights midway between interfaces (the lower one wins), equal
-    permittivities with ``u_side`` at ``p_up = 1/2`` exactly (strictly
-    below goes up), and radii on their ``tol / 2`` floor."""
+    positions bit for bit: ``u`` at 0 and 1 - ulp, the azimuth at the
+    draws nearest the quadrant edges, heights midway between interfaces
+    (the lower one wins), equal permittivities with ``u_side`` at ``p_up
+    = 1/2`` exactly (strictly below goes up), and radii on their ``tol /
+    2`` floor."""
     stack, z, allow, tol, u = case
     before, after, n_snap = _hemisphere_hop(stack, z, u, allow, tol)
     di = old_interface_distance(stack, z)
@@ -970,55 +1043,65 @@ def _area_edges(surf):
     return out
 
 
-def _launch(pipe, surf, uids, tol, first_row, plane):
-    """One compiled launch of ``uids`` into the slots after the live ones,
-    as ``WalkPipeline._launch`` makes it."""
+def _launch(pipe, surf, uids, tol, first_row):
+    """One compiled launch of ``uids`` on lane 0 into the slots after the
+    live ones, as ``WalkPipeline._refill`` makes it."""
     n = pipe._n
     pipe._launch(
         pipe._arena_ref, ctypes.byref(surf._native), n, uids.shape[0],
-        native.address(uids), 0, tol, first_row, plane,
+        native.address(uids), 0, tol, first_row,
     )
     pipe._n = n + uids.shape[0]
+
+
+#: The stream providers of the three lane kinds.
+_KINDS = {
+    "plain": lambda: WalkStreams(3, 0),
+    "mirrored": lambda: MirroredDraws(WalkStreams(3, 0)),
+    "mt": lambda: MTWalkStreams(3, 0),
+}
+
+
+def _reference(streams, uids, step):
+    """The reference draws ``(n, 3)`` of step ``step`` of ``uids``."""
+    return np.array(
+        [streams.draws_scalar(int(uid), step, 3) for uid in uids],
+        dtype=np.float64,
+    ).reshape(-1, 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
     which=st.sampled_from(range(len(_SURFACES))),
-    clamp=st.booleans(),
+    kind=st.sampled_from(sorted(_KINDS)),
 )
-def test_launch_matches_numpy(data, which, clamp):
-    """``launch`` writes the NumPy launch's slot state bit for bit: the
-    point of ``GaussianSurface.sample``, its normal, the permittivity of
-    ``eps_at`` (points on an interface take the upper layer) and the
-    walk's identity, with ``u0 * total_area`` exactly on a cumulative
-    area and, past the last one, clipped to the last patch."""
-    surf = _clamped(_SURFACES[which]) if clamp else _SURFACES[which]
+def test_launch_matches_numpy(data, which, kind):
+    """``launch`` computes each walk's step-0 draws from its lane — plain
+    Philox, the antithetic view at odd and even UIDs (a partner launches
+    from its primary's point), or a freshly seeded MT stream — and writes
+    the NumPy launch's slot state bit for bit: ``GaussianSurface.sample``
+    of the reference draws, its normal, the permittivity of ``eps_at``
+    (points on an interface take the upper layer) and the walk's identity.
+    The live slots before it keep their state."""
+    surf = _SURFACES[which]
     stack = _on_layers(surf)
     live = data.draw(st.integers(1, 8))
     k = data.draw(st.integers(1, 30))
-    pipe = _pipeline(_CTXS[True], [live + k], live + k)
+    streams = _KINDS[kind]()
+    pipe = _pipeline(_CTXS[True], [live + k], live + k, streams)
     pipe._n = live  # the rest of the arena is free
     _rewire(pipe, stack)
-    plane = data.draw(st.integers(0, pipe._prefetch - 1))
-    u0 = st.sampled_from(_area_edges(surf)) | _U_EDGE
-    u = np.column_stack([
-        data.draw(st.lists(slot, min_size=k, max_size=k))
-        for slot in (u0, _U_QUADRANT, _U_QUADRANT)
-    ])
-    if clamp:
-        u[0, 0] = _BELOW_ONE
-        assert np.searchsorted(
-            surf._cum, _BELOW_ONE * surf.total_area, side="right"
-        ) == surf.n_patches
-    pipe._ring[plane, :, live : live + k] = u.T
     head = _snapshot(pipe)
-    uids = np.arange(2**40, 2**40 + k, dtype=np.uint64)
-    _launch(pipe, surf, uids, 0.125, 7, plane)
+    uids = np.array(
+        data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k)),
+        dtype=np.uint64,
+    )
+    _launch(pipe, surf, uids, 0.125, 7)
     for name in _SLOTS:
         if name not in ("dist", "dist_e"):
             assert _same_bits(getattr(pipe, "_" + name)[:live], head[name])
-    points, axis, sign = old_surface_sample(surf, u)
+    points, axis, sign = surf.sample(_reference(streams, uids, 0))
     got = {name: getattr(pipe, "_" + name)[live : live + k] for name in _SLOTS}
     assert _same_bits(got["pos"], points)
     assert _same_bits(got["naxis"], axis)
@@ -1036,22 +1119,73 @@ def test_launch_on_an_interface_takes_the_upper_layer():
     Gaussian surface) takes the permittivity above it."""
     surf = _SURFACES[0]
     stack = _on_layers(surf)
-    # The middle of each horizontal patch's area interval.
-    faces = np.nonzero(surf._axis == 2)[0]
-    pipe = _pipeline(_CTXS[True], [1 + len(faces)], 1 + len(faces))
+    k = 64
+    pipe = _pipeline(_CTXS[True], [1 + k], 1 + k)
     pipe._n = 1
     _rewire(pipe, stack)
-    lo = np.concatenate([[0.0], surf._cum])[faces]
-    u = np.column_stack([
-        (lo + surf._cum[faces]) / 2.0 / surf.total_area,
-        np.full(len(faces), 0.5), np.full(len(faces), 0.5),
-    ])
-    pipe._ring[0, :, 1 : 1 + len(faces)] = u.T
-    _launch(pipe, surf, np.arange(len(faces), dtype=np.uint64), 0.1, 1, 0)
-    z = pipe._pos[1 : 1 + len(faces), 2]
+    _launch(pipe, surf, np.arange(k, dtype=np.uint64), 0.1, 1)
+    on_face = pipe._naxis[1 : 1 + k] == 2
+    assert on_face.any()
+    z = pipe._pos[1 : 1 + k, 2][on_face]
     assert np.isin(z, stack._z).all()
     above = stack._eps[np.searchsorted(stack._z, z) + 1]
-    assert _same_bits(pipe._eps[1 : 1 + len(faces)], above)
+    assert _same_bits(pipe._eps[1 : 1 + k][on_face], above)
+
+
+#: Slot-0 draws on the edges of the antipodal reflection's thirds.
+_THIRDS = _on_lattice([
+    0.0, 1 / 3, np.nextafter(1 / 3, 0.0), np.nextafter(1 / 3, 1.0),
+    2 / 3, np.nextafter(2 / 3, 0.0), np.nextafter(2 / 3, 1.0), _BELOW_ONE,
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), layered=st.booleans(), crafted=st.booleans())
+def test_first_hop_reflects_mirrored_partners(data, layered, crafted):
+    """On a mirrored lane, one ``cube_hop`` at step 1 equals the NumPy cube
+    hop fed the reference draws: the primary's words, with an odd UID's
+    slot 0 reflected within its third (``antipodal_uniform``) and slots 1
+    and 2 over the whole interval (``mirror_uniform``).  ``crafted`` feeds
+    chosen raw draws through an MT source under the mirrored kind, with
+    slot 0 at 0, 1/3 and 2/3 (each +- 1 ulp) and 1 - ulp; otherwise the
+    draws are the Philox ones of random UIDs."""
+    ctx = _CTXS[layered]
+    n = data.draw(st.integers(1, 40))
+    uids = np.array(
+        data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)),
+        dtype=np.uint64,
+    )
+    streams = MirroredDraws(WalkStreams(3, 0))
+    pipe = WalkPipeline()
+    source = MTWalkStreams(3, 0) if crafted else streams
+    pipe.submit(0, 0, ctx, source, uids, n)
+    pipe._refill()
+    pipe._locate(pipe._arena_ref, n)  # the distances the hop reads
+    assert (pipe._step_no[:n] == 1).all()
+    if crafted:
+        pipe._lane_draws[0, 0] |= native.DRAW_MIRRORED
+        jitter = st.sampled_from([0.0, 0.5, _BELOW_ONE]) | st.floats(
+            0.0, 1.0, exclude_max=True
+        )
+        slot0 = st.sampled_from([float(v) for v in _THIRDS]) | jitter
+        raw = _on_lattice(np.column_stack([
+            data.draw(st.lists(slot, min_size=n, max_size=n))
+            for slot in (slot0, jitter, jitter)
+        ]))
+        _feed(pipe, raw)
+        u = raw.copy()
+        reflect = (pipe._uid[:n] % np.uint64(2)).astype(np.float64)[:, None]
+        antipodal_uniform(u[:, :1], reflect)
+        mirror_uniform(u[:, 1:], reflect)
+    else:
+        u = _reference(streams, pipe._uid[:n], 1)
+    pipe._res_omega[:] = np.nan
+    state = _snapshot(pipe)
+    n_snap = pipe._cube_hop(pipe._arena_ref, n)
+    assert n_snap == 0  # every walk is on its first hop
+    _, _, _, npos, fc, omega = old_cube_hop(ctx, state, u, pipe._lane_flux)
+    assert _same_bits(pipe._pos[:n], npos)
+    assert _same_bits(pipe._res_omega[pipe._grow[fc] - pipe._win_base_g], omega)
 
 
 # ----------------------------------------------------------------------
@@ -1080,13 +1214,17 @@ def _segments(count, size, lanes):
 @pytest.mark.parametrize(
     "which,pin",
     [
-        ("layered_wires", ("b449f20a1b12a557", 0, 19299)),
-        ("plates", ("d2c167d497d411cf", 0, 8847)),
+        ("layered_wires", ("b449f20a1b12a557", 0, 19299, 141)),
+        ("plates", ("d2c167d497d411cf", 0, 8847, 54)),
     ],
 )
 def test_stream_release_path_is_pinned(which, pin, request):
-    """Per-walk Mersenne-Twister streams (``frw-nc``), which the engine
-    releases as their walks retire, on two lanes through one vector."""
+    """Per-walk Mersenne-Twister streams (``frw-nc``) on two lanes through
+    one vector: each walk's MT19937 state lives in the arena, is seeded at
+    launch and moves with its walk through compaction.  The last pin is
+    the longest walk's step count: ``layered_wires``' walk of 141 steps
+    draws 423 uniforms (846 words), so its state regenerates after its
+    first 624 words, past any walk of more than 104 steps."""
     structure = request.getfixturevalue(which)
     cfg = FRWConfig(
         seed=5, variant="frw-nc", antithetic=False, min_walks=256,
@@ -1097,8 +1235,12 @@ def test_stream_release_path_is_pinned(which, pin, request):
         (build_context(structure, m, cfg, assets), make_streams(cfg, m))
         for m in (0, 1)
     ]
-    assert all(hasattr(streams, "release") for _, streams in lanes)
-    assert _digest(run_segments(lanes, _segments(6, 150, 2), 96)) == pin
+    assert all(
+        lane_draws(streams)[0] == native.DRAW_MT for _, streams in lanes
+    )
+    results = run_segments(lanes, _segments(6, 150, 2), 96)
+    longest = max(int(r.steps.max()) for r in results)
+    assert (*_digest(results), longest) == pin
 
 
 @pytest.mark.parametrize(
