@@ -167,6 +167,19 @@ def test_cube_table_construction(benchmark):
 STEP_WIDTH = 10_000
 
 
+@pytest.fixture(params=["one", "all"])
+def team(request):
+    """The kernels' thread team at one thread, then at every usable CPU
+    (the in-process default), for the kernels that split."""
+    from repro import native
+
+    native._set_team_size(
+        1 if request.param == "one" else native.usable_cpus()
+    )
+    yield
+    native._set_team_size(native.usable_cpus())
+
+
 @pytest.fixture(scope="module")
 def case5_vector():
     """A pipeline on SRAM case 5 (stratified, so some walks snap onto an
@@ -193,16 +206,18 @@ def case5_vector():
     return pipe, restore
 
 
-def test_step_locate_case5(benchmark, case5_vector):
-    """Query, wall distance and absorption test of every live walk."""
+def test_step_locate_case5(benchmark, case5_vector, team):
+    """Query, wall distance and absorption test of every live walk, on a
+    team of one thread and of every CPU."""
     pipe, restore = case5_vector
     restore()
     benchmark(pipe._locate, pipe._arena_ref, pipe._n)
 
 
-def test_step_launch_case5(benchmark, case5_vector):
+def test_step_launch_case5(benchmark, case5_vector, team):
     """Step-0 draws, surface point, layer permittivity and slot state of
-    every slot's walk, launched afresh."""
+    every slot's walk, launched afresh, on a team of one thread and of
+    every CPU."""
     from repro import native
 
     pipe, restore = case5_vector
@@ -221,10 +236,10 @@ def test_step_launch_case5(benchmark, case5_vector):
     restore()
 
 
-def test_step_cube_hop_case5(benchmark, case5_vector):
+def test_step_cube_hop_case5(benchmark, case5_vector, team):
     """The step's draws, allow, interface distance, snap test, cell draw
     and move, and the hemisphere step of the walks that snap onto an
-    interface."""
+    interface, on a team of one thread and of every CPU."""
     pipe, restore = case5_vector
     restore()
 

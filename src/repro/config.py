@@ -182,8 +182,10 @@ class FRWConfig:
         field's one reader): one worker is an in-process engine
         vector shared by every master; more start worker processes fed
         through the shared-memory plane (:mod:`repro.frw.shm`).  There is
-        no thread backend (the engine's ~110 small NumPy calls per step
-        would contend for the GIL).  Every executor reassembles batches
+        no thread executor: the vector step is C and runs without the
+        GIL, and the kernels' thread team splits each wide step of the
+        one vector over this process's CPUs (a pool worker's team gets
+        its share of them).  Every executor reassembles batches
         in UID order, so rows are bit-identical on all of them — the
         DOP-independence contract of Alg. 2.
     n_workers:

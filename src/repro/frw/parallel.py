@@ -76,24 +76,16 @@ def resolve_workers(n_workers: int) -> int:
     """Worker count with ``0`` meaning auto; a negative count raises
     :class:`~repro.errors.ConfigError`.
 
-    Auto prefers ``os.sched_getaffinity(0)`` — the CPUs this process may
-    actually run on — over ``os.cpu_count()``: in containers and under
-    taskset/cgroup limits the two differ, and sizing a pool by the host
-    count oversubscribes the allowed cores (or, with a restricted
-    ``cpu_count``, undersizes it).  Falls back to the host count where
-    affinity is not exposed (macOS, Windows).
+    Auto is :func:`repro.native.usable_cpus`, the CPUs this process may
+    actually run on: in containers and under taskset/cgroup limits the
+    host count differs, and sizing a pool by it oversubscribes the
+    allowed cores (or, with a restricted ``cpu_count``, undersizes it).
     """
     if n_workers < 0:
         raise ConfigError(f"n_workers must be >= 0, got {n_workers}")
     if n_workers > 0:
         return int(n_workers)
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            return len(getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic kernels
-            pass
-    return os.cpu_count() or 1
+    return native.usable_cpus()
 
 
 def resolve_start_method(method: str = "auto") -> str:
@@ -139,11 +131,14 @@ def _wire(uids: np.ndarray):
     return uids
 
 
-def _worker_main(conn) -> None:
-    """Process-worker entry.  Between batches, read every waiting
+def _worker_main(conn, n_workers: int) -> None:
+    """Process-worker entry, one of ``n_workers``: its thread team gets
+    its share of the CPUs (:func:`repro.native.share_cpus`).  Between
+    batches, read every waiting
     ``("run", seq, manifest, uids, width)``, ``("drop", seq)``, ``("stats",)`` or
     ``("stop",)`` message (blocking only while idle), then step the vector
     to its next completed batch and send back ``(seq, results)``."""
+    native.share_cpus(n_workers)
     vector = WalkPipeline()
     try:
         while True:
@@ -268,7 +263,9 @@ class PersistentExecutor:
             for _ in range(self.n_workers):
                 conn, child = mp_ctx.Pipe()
                 proc = mp_ctx.Process(
-                    target=_worker_main, args=(child,), daemon=True
+                    target=_worker_main,
+                    args=(child, self.n_workers),
+                    daemon=True,
                 )
                 proc.start()
                 child.close()

@@ -15,6 +15,12 @@ the draws they consume from each slot's lane descriptor
 (:data:`DRAW_MIRRORED`, :data:`DRAW_MT`).  They give the bits of their
 references exactly (``docs/DETERMINISM.md``).
 
+The launch, the query-and-absorb and the hop of a wide vector split its
+slots over the process's thread team (``team_size`` in ``kernels.c``),
+which ``ctypes`` runs without the GIL.  The team has one thread per CPU
+this process may use (:func:`usable_cpus`), or its share of them in a pool
+worker (:func:`share_cpus`); a split never changes a bit.
+
 The library is built with the system C compiler on first use — never at
 ``import repro`` — by :func:`library`, and cached as
 ``$XDG_CACHE_HOME/repro/kernels-<hash>.so`` (``~/.cache/repro`` without
@@ -55,8 +61,9 @@ COMPILE = (
 )
 
 #: Libraries linked after the source: libm for the hemisphere step's
-#: ``sin``/``cos``, recorded as a ``NEEDED`` entry of the library.
-LINK = ("-lm",)
+#: ``sin``/``cos``, recorded as a ``NEEDED`` entry of the library, and
+#: the threads of the team.
+LINK = ("-lm", "-pthread")
 
 #: Draw kind bits of a lane descriptor row ``(kind, key0, key1)``: none
 #: for plain Philox streams (:class:`~repro.rng.WalkStreams`, key ``(k0,
@@ -253,6 +260,10 @@ def _load() -> ctypes.CDLL:
         "launch": [ctypes.POINTER(Arena), ctypes.POINTER(Surface), _I64,
                    _I64, _PTR, _I64, ctypes.c_double, _I64],
     }
+    # threads (or 0 to read it) -> the team's size
+    lib.team_size.argtypes = [_I64]
+    lib.team_size.restype = _I64
+    lib.team_size(usable_cpus())
     # arena, n, then: nothing (locate, cube_hop), the truncated flag
     # (retire); each returns a count.
     counted = {
@@ -279,6 +290,34 @@ def library() -> ctypes.CDLL:
             if _LIB is None:
                 _LIB = _load()
     return _LIB
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: ``os.sched_getaffinity(0)``
+    where the platform exposes it (containers and taskset/cgroup limits
+    make it differ from the host count), else ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic kernels
+            pass
+    return os.cpu_count() or 1
+
+
+def share_cpus(n_workers: int) -> None:
+    """Size this process's thread team as one of ``n_workers`` workers
+    sharing its CPUs: ``max(1, usable_cpus() // n_workers)`` threads, the
+    caller included.  A process starts with every CPU (one in-process
+    worker)."""
+    _set_team_size(max(1, usable_cpus() // n_workers))
+
+
+def _set_team_size(threads: int) -> int:
+    """Set the team to ``threads`` threads (clamped to 1..64; 0 leaves it)
+    and return its size: the private hook behind :func:`share_cpus`, which
+    tests use to run one vector on any team."""
+    return int(library().team_size(int(threads)))
 
 
 def address(a: np.ndarray) -> int:

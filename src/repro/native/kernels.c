@@ -20,6 +20,14 @@
  *   cube_hop        its cube hop and hemisphere step
  *                   (repro.frw.engine.WalkPipeline), all over one arena_t
  *                   descriptor of the slot arena.
+ *   team_size       the size of the process's thread team.
+ *
+ * launch, locate and cube_hop split a call over SPLIT_MIN slots or more
+ * into contiguous chunks that the threads of the team run (split).  Every
+ * slot's arithmetic is its own, each chunk writes only its own slots and
+ * result rows, and the only outputs chunks share are integer counts,
+ * summed, so a call's bits do not depend on the team's size or on which
+ * thread runs which chunk.
  *
  * launch and cube_hop compute the draws they consume, per slot, from the
  * draw descriptor of the slot's lane: Philox at the walk's counter
@@ -44,9 +52,13 @@
  * instruction.
  */
 
+#define _GNU_SOURCE
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 #define PHILOX_ROUNDS 10
 #define PHILOX_M0 0xD2511F53u
@@ -616,6 +628,240 @@ typedef struct {
 } arena_t;
 
 /*
+ * The thread team: one per process, `size` threads with the caller, whose
+ * helpers start on the first split call and wait for work by spinning for
+ * SPIN_NS, then sleeping.  A split call cuts its slots into contiguous,
+ * LANES-aligned chunks that the caller and the awake helpers claim from
+ * one atomic ticket, so a helper that is slow to wake or to run never
+ * holds up the others.  A caller takes the team with a try-lock and runs
+ * alone when another thread holds it, so concurrent callers never
+ * oversubscribe the CPUs.  Before fork() the helpers are parked (joined);
+ * they restart on the next split call, so a child, and the parent at the
+ * fork, holds one thread.
+ */
+#define TEAM_MAX 64
+#define SPLIT_MIN 1024
+#define CHUNK_MIN 256
+#define CHUNKS_PER_THREAD 8
+#define SPIN_NS 100000
+/* A helper's thread name (/proc/<pid>/task/<tid>/comm). */
+#define TEAM_NAME "repro-team"
+
+/* One chunk of a split call: slots [lo, hi), its counts added to out. */
+typedef void (*chunk_fn)(arena_t *a, const void *args, int64_t lo,
+                         int64_t hi, int64_t out[4]);
+
+static struct {
+    pthread_mutex_t lock;       /* held by the caller that owns the team */
+    pthread_mutex_t sleep_lock;
+    pthread_cond_t wake;
+    int64_t size;               /* threads of a split call, caller included */
+    int64_t helpers;            /* running helpers */
+    int quit;
+    pthread_t tid[TEAM_MAX];
+    /* The posted call: ticket = generation << 32 | next chunk << 16 |
+     * chunks; the fields below stay put until every chunk is done. */
+    uint64_t ticket;
+    chunk_fn fn;
+    arena_t *a;
+    const void *args;
+    int64_t n, chunk;
+    int64_t done;               /* chunks finished */
+    int64_t sum[4];
+} team = {.lock = PTHREAD_MUTEX_INITIALIZER,
+          .sleep_lock = PTHREAD_MUTEX_INITIALIZER,
+          .wake = PTHREAD_COND_INITIALIZER,
+          .size = 1};
+
+static inline void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+static int64_t since_ns(const struct timespec *t0)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)(t.tv_sec - t0->tv_sec) * 1000000000
+           + (t.tv_nsec - t0->tv_nsec);
+}
+
+static inline uint32_t ticket_gen(uint64_t t)
+{
+    return (uint32_t)(t >> 32);
+}
+
+/* Claim and run chunks of call `gen` until none is left. */
+static void work(uint32_t gen)
+{
+    uint64_t t = __atomic_load_n(&team.ticket, __ATOMIC_ACQUIRE);
+    for (;;) {
+        if (ticket_gen(t) != gen || (t >> 16 & 0xFFFF) >= (t & 0xFFFF))
+            return;
+        if (!__atomic_compare_exchange_n(&team.ticket, &t, t + 0x10000, 1,
+                                         __ATOMIC_ACQUIRE, __ATOMIC_ACQUIRE))
+            continue;
+        int64_t lo = (int64_t)(t >> 16 & 0xFFFF) * team.chunk;
+        int64_t hi = lo + team.chunk < team.n ? lo + team.chunk : team.n;
+        int64_t out[4] = {0, 0, 0, 0};
+        team.fn(team.a, team.args, lo, hi, out);
+        for (int d = 0; d < 4; d++)
+            if (out[d])
+                __atomic_fetch_add(&team.sum[d], out[d], __ATOMIC_RELAXED);
+        __atomic_fetch_add(&team.done, 1, __ATOMIC_RELEASE);
+        t = __atomic_load_n(&team.ticket, __ATOMIC_ACQUIRE);
+    }
+}
+
+static void *helper(void *arg)
+{
+    uint32_t seen = (uint32_t)(uintptr_t)arg;
+    for (;;) {
+        struct timespec t0;
+        clock_gettime(CLOCK_MONOTONIC, &t0);
+        uint32_t gen;
+        for (unsigned spin = 1;; spin++) {
+            gen = ticket_gen(__atomic_load_n(&team.ticket, __ATOMIC_ACQUIRE));
+            if (gen != seen || (spin % 256 == 0 && since_ns(&t0) > SPIN_NS))
+                break;
+            cpu_relax();
+        }
+        if (gen == seen) {
+            pthread_mutex_lock(&team.sleep_lock);
+            while ((gen = ticket_gen(__atomic_load_n(&team.ticket,
+                                                     __ATOMIC_ACQUIRE)))
+                   == seen)
+                pthread_cond_wait(&team.wake, &team.sleep_lock);
+            pthread_mutex_unlock(&team.sleep_lock);
+        }
+        seen = gen;
+        if (__atomic_load_n(&team.quit, __ATOMIC_ACQUIRE))
+            return NULL;
+        work(gen);
+    }
+}
+
+/* Post a call of `chunks` chunks and wake the helpers (the caller holds
+ * team.lock); returns its generation. */
+static uint32_t post(int64_t chunks)
+{
+    uint32_t gen = ticket_gen(team.ticket) + 1;
+    __atomic_store_n(&team.ticket, (uint64_t)gen << 32 | (uint64_t)chunks,
+                     __ATOMIC_RELEASE);
+    pthread_mutex_lock(&team.sleep_lock);
+    pthread_cond_broadcast(&team.wake);
+    pthread_mutex_unlock(&team.sleep_lock);
+    return gen;
+}
+
+/* Stop and join the helpers (the caller holds team.lock). */
+static void park(void)
+{
+    if (!team.helpers)
+        return;
+    __atomic_store_n(&team.quit, 1, __ATOMIC_RELAXED);
+    post(0);
+    for (int64_t k = 0; k < team.helpers; k++)
+        pthread_join(team.tid[k], NULL);
+    team.helpers = 0;
+    __atomic_store_n(&team.quit, 0, __ATOMIC_RELAXED);
+}
+
+static void fork_prepare(void)
+{
+    pthread_mutex_lock(&team.lock);
+    park();
+}
+
+static void fork_done(void)
+{
+    pthread_mutex_unlock(&team.lock);
+}
+
+static void __attribute__((constructor)) hook_forks(void)
+{
+    pthread_atfork(fork_prepare, fork_done, fork_done);
+}
+
+/* Start helpers up to size - 1 (the caller holds team.lock); a failed
+ * start shrinks the team to the threads running. */
+static void start_helpers(void)
+{
+    void *seen = (void *)(uintptr_t)ticket_gen(team.ticket);
+    while (team.helpers + 1 < team.size) {
+        if (pthread_create(&team.tid[team.helpers], NULL, helper, seen)) {
+            __atomic_store_n(&team.size, team.helpers + 1, __ATOMIC_RELAXED);
+            break;
+        }
+        pthread_setname_np(team.tid[team.helpers++], TEAM_NAME);
+    }
+}
+
+/*
+ * Set the team's size to `threads` (clamped to [1, TEAM_MAX]) when it is
+ * positive, parking helpers it no longer has; returns the size.
+ */
+int64_t team_size(int64_t threads)
+{
+    if (threads > 0) {
+        pthread_mutex_lock(&team.lock);
+        threads = threads < TEAM_MAX ? threads : TEAM_MAX;
+        if (threads < team.helpers + 1)
+            park();
+        __atomic_store_n(&team.size, threads, __ATOMIC_RELAXED);
+        pthread_mutex_unlock(&team.lock);
+    }
+    return __atomic_load_n(&team.size, __ATOMIC_RELAXED);
+}
+
+/*
+ * fn over slots [0, n), with the chunks' counts summed into out: on the
+ * caller alone below SPLIT_MIN slots, on a team of one or when another
+ * caller holds the team, and otherwise in up to CHUNKS_PER_THREAD
+ * LANES-aligned chunks of at least CHUNK_MIN slots per thread.
+ */
+static void split(chunk_fn fn, arena_t *a, const void *args, int64_t n,
+                  int64_t out[4])
+{
+    for (int d = 0; d < 4; d++)
+        out[d] = 0;
+    if (n < SPLIT_MIN || __atomic_load_n(&team.size, __ATOMIC_RELAXED) < 2
+        || pthread_mutex_trylock(&team.lock)) {
+        fn(a, args, 0, n, out);
+        return;
+    }
+    if (team.helpers + 1 < team.size)
+        start_helpers();
+    int64_t chunks = (n + CHUNK_MIN - 1) / CHUNK_MIN;
+    if (chunks > CHUNKS_PER_THREAD * (team.helpers + 1))
+        chunks = CHUNKS_PER_THREAD * (team.helpers + 1);
+    team.chunk = ((n + chunks - 1) / chunks + LANES - 1) / LANES * LANES;
+    team.fn = fn;
+    team.a = a;
+    team.args = args;
+    team.n = n;
+    team.done = 0;
+    for (int d = 0; d < 4; d++)
+        team.sum[d] = 0;
+    chunks = (n + team.chunk - 1) / team.chunk;
+    work(post(chunks));
+    for (unsigned spin = 1;
+         __atomic_load_n(&team.done, __ATOMIC_ACQUIRE) < chunks; spin++) {
+        if (spin < 4096)
+            cpu_relax();
+        else
+            sched_yield();
+    }
+    for (int d = 0; d < 4; d++)
+        out[d] = team.sum[d];
+    pthread_mutex_unlock(&team.lock);
+}
+
+/*
  * u[d][l] = draw slot d < 3 of step step_no[i0 + l] of the walk in slot
  * i0 + l, for l < m <= LANES, by its lane's kind: Philox at the walk's
  * counter (a mirrored lane's odd UID reads its primary's, uid - 1), an
@@ -678,6 +924,54 @@ static inline void slot_draws(arena_t *a, int64_t i0, int m,
     }
 }
 
+/* launch's arguments, less the arena. */
+typedef struct {
+    const surface_t *s;
+    int64_t n;
+    const uint64_t *uids;
+    int64_t lane;
+    double tol;
+    int64_t first_row;
+} launch_args_t;
+
+/* launch of walks [lo, hi) of the call. */
+static void launch_chunk(arena_t *a, const void *args, int64_t lo,
+                         int64_t hi, int64_t out[4])
+{
+    const launch_args_t *c = args;
+    const surface_t *s = c->s;
+    const lane_draw_t *d = a->lane_draws + c->lane;
+    (void)out;
+    for (int64_t j0 = lo; j0 < hi; j0 += LANES) {
+        int m = hi - j0 < LANES ? (int)(hi - j0) : LANES;
+        for (int l = 0; l < m; l++) {
+            int64_t i = c->n + j0 + l;
+            a->uid[i] = c->uids[j0 + l];
+            a->lane[i] = c->lane;
+            a->step_no[i] = 0;
+            if (d->kind & DRAW_MT) {
+                uint64_t h = splitmix64(d->key[0] ^ splitmix64(a->uid[i]));
+                mt_seed(a->mt + a->mt_slot[i], (uint32_t)h);
+            }
+        }
+        double u[3][LANES];
+        slot_draws(a, c->n + j0, m, u);
+        for (int l = 0; l < m; l++) {
+            int64_t i = c->n + j0 + l;
+            double *pos = a->pos + 3 * i;
+            int64_t p = surface_point(s, u[0][l], u[1][l], u[2][l], pos);
+            a->tol[i] = c->tol;
+            a->grow[i] = c->first_row + j0 + l;
+            a->step_no[i] = 1;
+            a->eps[i] = a->layer_eps[count_le(a->interfaces,
+                                              a->n_interfaces, pos[2])];
+            a->first[i] = 1;
+            a->naxis[i] = s->axis[p];
+            a->nsign[i] = (double)s->sign[p];
+        }
+    }
+}
+
 /*
  * Launch walks uids[0..k) of lane `lane` (tolerance `tol`, global rows
  * first_row + j) from surface `s` into slots [n, n + k), with their step-0
@@ -690,60 +984,30 @@ void launch(arena_t *a, const surface_t *s, int64_t n, int64_t k,
             const uint64_t *uids, int64_t lane, double tol,
             int64_t first_row)
 {
-    const lane_draw_t *d = a->lane_draws + lane;
-    for (int64_t j0 = 0; j0 < k; j0 += LANES) {
-        int m = k - j0 < LANES ? (int)(k - j0) : LANES;
-        for (int l = 0; l < m; l++) {
-            int64_t i = n + j0 + l;
-            a->uid[i] = uids[j0 + l];
-            a->lane[i] = lane;
-            a->step_no[i] = 0;
-            if (d->kind & DRAW_MT) {
-                uint64_t h = splitmix64(d->key[0] ^ splitmix64(a->uid[i]));
-                mt_seed(a->mt + a->mt_slot[i], (uint32_t)h);
-            }
-        }
-        double u[3][LANES];
-        slot_draws(a, n + j0, m, u);
-        for (int l = 0; l < m; l++) {
-            int64_t i = n + j0 + l;
-            double *pos = a->pos + 3 * i;
-            int64_t p = surface_point(s, u[0][l], u[1][l], u[2][l], pos);
-            a->tol[i] = tol;
-            a->grow[i] = first_row + j0 + l;
-            a->step_no[i] = 1;
-            a->eps[i] = a->layer_eps[count_le(a->interfaces,
-                                              a->n_interfaces, pos[2])];
-            a->first[i] = 1;
-            a->naxis[i] = s->axis[p];
-            a->nsign[i] = (double)s->sign[p];
-        }
-    }
+    launch_args_t args = {s, n, uids, lane, tol, first_row};
+    int64_t out[4];
+    split(launch_chunk, a, &args, k, out);
 }
 
-/*
- * Query and absorption test of slots [0, n).  Per slot: dist = capped
- * conductor distance, dist_e = wall distance (a running minimum over the
- * six wall gaps in Structure.enclosure_distance's order), done = absorbed
- * (wall within tol first, then a conductor within tol) and, if so, dest =
- * the absorbing conductor.  Returns the absorbed count, or -1 when a
- * walk absorbed before its first hop.
- */
-int64_t locate(arena_t *a, int64_t n)
+/* locate of slots [lo, hi): out = absorbed, early, near points and
+ * candidates visited. */
+static void locate_chunk(arena_t *a, const void *args, int64_t lo,
+                         int64_t hi, int64_t out[4])
 {
-    const double *lo = a->enc_lo, *hi = a->enc_hi;
+    const double *elo = a->enc_lo, *ehi = a->enc_hi;
     int64_t absorbed = 0, early = 0, near = 0, visited = 0;
-    for (int64_t i = 0; i < n; i++) {
+    (void)args;
+    for (int64_t i = lo; i < hi; i++) {
         const double *p = a->pos + 3 * i;
         int64_t cond;
         double dc = query_one(a->grid, p[0], p[1], p[2], &cond, &near,
                               &visited);
-        double de = p[0] - lo[0];
-        de = min_tie_b(de, hi[0] - p[0]);
-        de = min_tie_b(de, p[1] - lo[1]);
-        de = min_tie_b(de, hi[1] - p[1]);
-        de = min_tie_b(de, p[2] - lo[2]);
-        de = min_tie_b(de, hi[2] - p[2]);
+        double de = p[0] - elo[0];
+        de = min_tie_b(de, ehi[0] - p[0]);
+        de = min_tie_b(de, p[1] - elo[1]);
+        de = min_tie_b(de, ehi[1] - p[1]);
+        de = min_tie_b(de, p[2] - elo[2]);
+        de = min_tie_b(de, ehi[2] - p[2]);
         double tol = a->tol[i];
         int wall = de < tol;
         int hit = wall || (dc < tol && cond >= 0);
@@ -756,9 +1020,27 @@ int64_t locate(arena_t *a, int64_t n)
             early |= a->first[i];
         }
     }
-    a->counts[0] = near;
-    a->counts[1] = visited;
-    return early ? -1 : absorbed;
+    out[0] += absorbed;
+    out[1] += early;
+    out[2] += near;
+    out[3] += visited;
+}
+
+/*
+ * Query and absorption test of slots [0, n).  Per slot: dist = capped
+ * conductor distance, dist_e = wall distance (a running minimum over the
+ * six wall gaps in Structure.enclosure_distance's order), done = absorbed
+ * (wall within tol first, then a conductor within tol) and, if so, dest =
+ * the absorbing conductor.  Returns the absorbed count, or -1 when a
+ * walk absorbed before its first hop.
+ */
+int64_t locate(arena_t *a, int64_t n)
+{
+    int64_t out[4];
+    split(locate_chunk, a, NULL, n, out);
+    a->counts[0] = out[2];
+    a->counts[1] = out[3];
+    return out[1] ? -1 : out[0];
 }
 
 /* Move walk `from` into slot `to`, swapping their MT streams. */
@@ -861,23 +1143,15 @@ static __attribute__((noinline)) void hemisphere_step(
     p[2] = z[k] + r * dir[2];
 }
 
-/*
- * The hop of slots [0, n) with the draws of their step step_no.  Per
- * slot: allow = min(dist, dist_e, h_cap); on a stratified stack the
- * interface distance di caps the cube, and a walk past its first hop
- * that lies within snap_fraction of allow of an interface takes the
- * hemisphere step instead.  Every other walk floors a first-hop cube at
- * first_floor * allow, draws a cell and its unit-cube point, moves to
- * pos - h + unit * 2h and, on its first hop, banks its weight
- * -flux * eps * nsign * grad_ratio / (2h).  Every slot then leaves its
- * first hop and advances its step count.  Returns the snapped count.
- */
-int64_t cube_hop(arena_t *a, int64_t n)
+/* cube_hop of slots [lo, hi): out[0] = the snapped count. */
+static void cube_hop_chunk(arena_t *a, const void *args, int64_t lo,
+                           int64_t hi, int64_t out[4])
 {
     const table_t *t = a->table;
     int64_t n_snap = 0;
-    for (int64_t i0 = 0; i0 < n; i0 += LANES) {
-        int m = n - i0 < LANES ? (int)(n - i0) : LANES;
+    (void)args;
+    for (int64_t i0 = lo; i0 < hi; i0 += LANES) {
+        int m = hi - i0 < LANES ? (int)(hi - i0) : LANES;
         double u[3][LANES];
         slot_draws(a, i0, m, u);
         for (int l = 0; l < m; l++) {
@@ -919,5 +1193,23 @@ int64_t cube_hop(arena_t *a, int64_t n)
             }
         }
     }
-    return n_snap;
+    out[0] += n_snap;
+}
+
+/*
+ * The hop of slots [0, n) with the draws of their step step_no.  Per
+ * slot: allow = min(dist, dist_e, h_cap); on a stratified stack the
+ * interface distance di caps the cube, and a walk past its first hop
+ * that lies within snap_fraction of allow of an interface takes the
+ * hemisphere step instead.  Every other walk floors a first-hop cube at
+ * first_floor * allow, draws a cell and its unit-cube point, moves to
+ * pos - h + unit * 2h and, on its first hop, banks its weight
+ * -flux * eps * nsign * grad_ratio / (2h).  Every slot then leaves its
+ * first hop and advances its step count.  Returns the snapped count.
+ */
+int64_t cube_hop(arena_t *a, int64_t n)
+{
+    int64_t out[4];
+    split(cube_hop_chunk, a, NULL, n, out);
+    return out[0];
 }

@@ -4,8 +4,16 @@ engine run."""
 import numpy as np
 import pytest
 
-from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
+from repro import Box, Conductor, DielectricStack, FRWConfig, Structure, native
 from repro.frw.engine import concat_results, run_segments
+
+
+@pytest.fixture
+def team_size():
+    """The thread team's private size hook (threads -> the size set); the
+    team gets one thread per usable CPU back when the test ends."""
+    yield native._set_team_size
+    native._set_team_size(native.usable_cpus())
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,11 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
   ``fork`` and ``spawn`` start methods (spawn workers inherit nothing, so
   byte-equality proves the manifest protocol is complete).
 
+Those runs are narrower than the kernels' split size, so they run on one
+thread.  :data:`WIDE_GOLDEN` pins 20,000-walk rows of both geometries
+and every lane kind, wide enough that the launch, the query and the hop
+split over the thread team, at team sizes 1 to 4.
+
 Two geometries are covered: a homogeneous-dielectric case and a stratified
 case whose walks take interface-snapped hemisphere steps (asserted, not
 assumed).  The first eight walks' weights are pinned as float hex for
@@ -38,7 +43,7 @@ from repro.frw import (
 )
 from repro.frw.engine import concat_results
 from repro.lint.sanitizer import forbid_global_rng
-from repro.rng import WalkStreams
+from repro.rng import MirroredDraws, MTWalkStreams, WalkStreams
 
 SEED = 2024
 N_WALKS = 256
@@ -84,6 +89,42 @@ GOLDEN = {
         "steps_head": [56, 105, 58, 13, 38, 5, 33, 2],
     },
 }
+
+
+#: Walks of a wide row: every vector step from the launch to the drain
+#: tail's first ~1,000 walks splits over the thread team.
+WIDE_WALKS = 20_000
+
+#: SHA-256 prefixes of the wide rows (``run_walks`` of ``WIDE_WALKS``
+#: walks) per geometry and lane kind, pinned on one thread before the
+#: kernels split: plain Philox, mirrored (antithetic) and per-walk MT19937
+#: (FRW-NC) lanes.
+WIDE_GOLDEN = {
+    ("homogeneous", "plain"): "40e402279c227410",
+    ("homogeneous", "mirrored"): "f7b470eac53afa14",
+    ("homogeneous", "mt"): "b99ca27934c95f96",
+    ("stratified", "plain"): "867d71403f5e7bac",
+    ("stratified", "mirrored"): "1e6edf29a91b3d0f",
+    ("stratified", "mt"): "1de76bdd6155b2da",
+}
+
+
+def wide_row(case: str, lane: str) -> tuple[str, tuple]:
+    """The digest prefix of a wide row and its index query counts."""
+    if lane == "mt":
+        cfg = FRWConfig.frw_nc(seed=SEED)
+        streams = MTWalkStreams(SEED, 0)
+    elif lane == "mirrored":
+        cfg = FRWConfig.frw_r(seed=SEED)
+        streams = MirroredDraws(WalkStreams(SEED, 0))
+    else:
+        cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
+        streams = WalkStreams(SEED, 0)
+    ctx = build_context(_build_structure(case), 0, cfg)
+    res = run_walks(ctx, streams, np.arange(WIDE_WALKS, dtype=np.uint64))
+    st = ctx.index.stats
+    counts = (st.queries, st.points, st.near_points, st.candidates_visited)
+    return _digest(res)[:16], counts
 
 
 def _build_structure(case: str) -> Structure:
@@ -227,6 +268,19 @@ def test_spawn_parallel_matches_golden(golden_case, n_workers):
         ctx, uids, n_workers, mp_start_method="spawn"
     )
     _check(case, res)
+
+
+@pytest.mark.parametrize("case,lane", sorted(WIDE_GOLDEN))
+def test_wide_rows_are_the_same_on_any_team(case, lane, team_size):
+    """A wide row's launch, query and hop split over teams of 1 to 4
+    threads (3 leaves a ragged last part; 4 oversubscribes a 2-CPU host):
+    every team gives the pinned bytes and the same index query counts."""
+    seen = set()
+    for threads in (1, 2, 3, 4):
+        assert team_size(threads) == threads
+        seen.add(wide_row(case, lane))
+    assert len(seen) == 1
+    assert seen.pop()[0] == WIDE_GOLDEN[case, lane]
 
 
 def test_stratified_case_exercises_interface_snapping(monkeypatch):

@@ -246,13 +246,33 @@ def _imported_functions(path) -> set:
     }
 
 
-def test_library_imports_only_sincos():
-    """The one imported function is the hemisphere step's ``sin``/``cos``,
-    which gcc merges into ``sincos`` at ``-O2``; libm is a ``NEEDED``
-    entry, so the library does not rely on the process having loaded it."""
+#: The thread team's imports (``kernels.c``): thread start, name and
+#: join, the team's locks and wake-up, the fork hook (``pthread_atfork``
+#: links as ``__register_atfork``), the spin's clock and the waiting
+#: caller's yield.
+TEAM_IMPORTS = {
+    "pthread_create",
+    "pthread_setname_np",
+    "pthread_join",
+    "pthread_mutex_lock",
+    "pthread_mutex_trylock",
+    "pthread_mutex_unlock",
+    "pthread_cond_wait",
+    "pthread_cond_broadcast",
+    "__register_atfork",
+    "clock_gettime",
+    "sched_yield",
+}
+
+
+def test_library_imports_only_sincos_and_the_team_calls():
+    """The one libm function imported is the hemisphere step's
+    ``sin``/``cos``, which gcc merges into ``sincos`` at ``-O2``; the rest
+    are the thread team's libc calls.  libm is a ``NEEDED`` entry, so the
+    library does not rely on the process having loaded it."""
     native.library()
     path = native.library_path()
-    assert _imported_functions(path) == {"sincos"}
+    assert _imported_functions(path) == {"sincos"} | TEAM_IMPORTS
     dynamic = subprocess.run(
         ["readelf", "-d", str(path)], capture_output=True, text=True, check=True
     ).stdout
@@ -270,7 +290,9 @@ native.COMPILE = tuple(sys.argv[1:])
 cfg = FRWConfig.frw_r(seed=g.SEED, antithetic=False)
 ctx = build_context(g._build_structure("stratified"), 0, cfg)
 res = run_walks(ctx, WalkStreams(g.SEED, 0), np.arange(g.N_WALKS, dtype=np.uint64))
-print(g._digest(res), native.library_path())
+native._set_team_size(2)
+wide, _ = g.wide_row("stratified", "mirrored")
+print(g._digest(res), wide, native.library_path())
 """
 
 
@@ -282,12 +304,13 @@ print(g._digest(res), native.library_path())
     ],
 )
 def test_golden_row_is_the_same_at_any_opt_level(tmp_path, opt, calls):
-    """The stratified golden row, whose hemisphere steps call libm, has
-    the same bytes from a library built at ``-O0`` (separate ``sin`` and
-    ``cos`` calls, and libm's ``sqrt`` where ``-O2`` inlines ``sqrtsd``)
-    and at ``-O3 -march=native`` (one ``sincos``), each in
-    a fresh cache; both keep the FP flags of :data:`repro.native.COMPILE`."""
-    from test_engine_golden import GOLDEN
+    """The stratified golden row, whose hemisphere steps call libm, and a
+    wide mirrored stratified row split over a team of two have the same
+    bytes from a library built at ``-O0`` (separate ``sin`` and ``cos``
+    calls, and libm's ``sqrt`` where ``-O2`` inlines ``sqrtsd``) and at
+    ``-O3 -march=native`` (one ``sincos``), each in a fresh cache; both
+    keep the FP flags of :data:`repro.native.COMPILE`."""
+    from test_engine_golden import GOLDEN, WIDE_GOLDEN
 
     command = [f for f in native.COMPILE if not f.startswith("-O")]
     assert {"-ffp-contract=off", "-fno-math-errno"} <= set(command)
@@ -302,7 +325,8 @@ def test_golden_row_is_the_same_at_any_opt_level(tmp_path, opt, calls):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    digest, path = proc.stdout.split()
+    digest, wide, path = proc.stdout.split()
     assert Path(path).parent == tmp_path / "repro"
-    assert _imported_functions(path) == calls
+    assert _imported_functions(path) == calls | TEAM_IMPORTS
     assert digest == GOLDEN["stratified"]["sha256"]
+    assert wide == WIDE_GOLDEN["stratified", "mirrored"]
