@@ -40,7 +40,7 @@ def test_mt_per_walk_reseeding(benchmark):
     pipe.submit(0, 0, ctx, MTWalkStreams(1, 0), uids, STEP_WIDTH)
 
     def launch():
-        pipe._launch(
+        native.library().launch(
             pipe._arena_ref, pipe._surfaces[0], 0, STEP_WIDTH,
             native.address(uids), 0, pipe._lane_tol[0], 0,
         )
@@ -184,24 +184,28 @@ def team(request):
 def case5_vector():
     """A pipeline on SRAM case 5 (stratified, so some walks snap onto an
     interface) with 10,000 walks launched and one step taken, plus a
-    snapshot of its arena to restore between rounds."""
+    snapshot of its arena to restore between rounds.  A traced ``advance``
+    stops after the launch, and again after the step's hop."""
+    from repro import native
     from repro.frw import WalkPipeline, build_context
 
     ctx = build_context(build_case(5), 0, FRWConfig.frw_r(seed=9))
-    pipe = WalkPipeline()
+    pipe = WalkPipeline(trace=[])
     uids = np.arange(STEP_WIDTH, dtype=np.uint64)
     pipe.submit(0, 0, ctx, WalkStreams(9, 0), uids, STEP_WIDTH)
-    pipe._refill()
-    pipe._step()
+    while pipe._advance() == native.ADVANCE_RUN:
+        pipe._load_run()
+    assert pipe._advance() == native.ADVANCE_FRAME
+    pipe.trace = None
     names = ("uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
              "naxis", "nsign", "dist", "dist_e")
     saved = {name: getattr(pipe, "_" + name).copy() for name in names}
-    saved_n = pipe._n
+    saved_n = pipe._arena.n
 
     def restore():
         for name, arr in saved.items():
             getattr(pipe, "_" + name)[...] = arr
-        pipe._n = saved_n
+        pipe._arena.n = saved_n
 
     return pipe, restore
 
@@ -209,9 +213,11 @@ def case5_vector():
 def test_step_locate_case5(benchmark, case5_vector, team):
     """Query, wall distance and absorption test of every live walk, on a
     team of one thread and of every CPU."""
+    from repro import native
+
     pipe, restore = case5_vector
     restore()
-    benchmark(pipe._locate, pipe._arena_ref, pipe._n)
+    benchmark(native.library().locate, pipe._arena_ref, pipe._arena.n)
 
 
 def test_step_launch_case5(benchmark, case5_vector, team):
@@ -222,11 +228,11 @@ def test_step_launch_case5(benchmark, case5_vector, team):
 
     pipe, restore = case5_vector
     restore()
-    n = pipe._n
+    n = pipe._arena.n
     uids = np.arange(n, dtype=np.uint64)
 
     def launch():
-        pipe._launch(
+        native.library().launch(
             pipe._arena_ref, pipe._surfaces[0], 0, n, native.address(uids), 0,
             pipe._lane_tol[0], 0,
         )
@@ -240,25 +246,29 @@ def test_step_cube_hop_case5(benchmark, case5_vector, team):
     """The step's draws, allow, interface distance, snap test, cell draw
     and move, and the hemisphere step of the walks that snap onto an
     interface, on a team of one thread and of every CPU."""
+    from repro import native
+
     pipe, restore = case5_vector
     restore()
+    lib, n = native.library(), pipe._arena.n
 
     def setup():
         restore()
-        pipe._locate(pipe._arena_ref, pipe._n)
+        lib.locate(pipe._arena_ref, n)
 
     n_snap = benchmark.pedantic(
-        pipe._cube_hop, args=(pipe._arena_ref, pipe._n), setup=setup,
-        rounds=50,
+        lib.cube_hop, args=(pipe._arena_ref, n), setup=setup, rounds=50,
     )
-    assert 0 < n_snap < pipe._n
+    assert 0 < n_snap < n
 
 
 def test_step_retire_case5(benchmark, case5_vector):
     """Banking and compaction of one walk in ten."""
+    from repro import native
+
     pipe, restore = case5_vector
     restore()
-    n = pipe._n
+    n = pipe._arena.n
     done = np.zeros(pipe._capacity, dtype=bool)
     done[:n:10] = True
     remaining = pipe._win_remaining.copy()
@@ -269,8 +279,36 @@ def test_step_retire_case5(benchmark, case5_vector):
         pipe._dest[:] = 0
         pipe._win_remaining[:] = remaining
 
-    benchmark.pedantic(pipe._retire_done, args=(False,), setup=setup, rounds=50)
-    assert pipe._n == n - np.count_nonzero(done)
+    kept = benchmark.pedantic(
+        native.library().retire, args=(pipe._arena_ref, n, False),
+        setup=setup, rounds=50,
+    )
+    assert kept == n - np.count_nonzero(done)
+
+
+def test_drain_open_field(benchmark, team):
+    """One ``next_batch`` of a 10,000-walk batch on the open-field
+    geometry (three 1x8x1 wires in a wide enclosure, ``h_cap`` at 5% of
+    it): ~30 steps a walk, so the vector drains through hundreds of
+    narrow steps and the per-step overhead of the loop sets the time."""
+    from repro import Box, Conductor, Structure
+    from repro.frw import build_context, run_walks
+
+    wires = [
+        Conductor.single(
+            f"w{i}", Box.from_bounds(2.0 * i, 2.0 * i + 1.0, 0, 8, 0, 1)
+        )
+        for i in range(3)
+    ]
+    structure = Structure(
+        wires, enclosure=Box.from_bounds(-20, 25, -20, 28, -20, 21)
+    )
+    ctx = build_context(
+        structure, 0, FRWConfig.frw_r(seed=9, h_cap_fraction=0.05)
+    )
+    uids = np.arange(STEP_WIDTH, dtype=np.uint64)
+    res = benchmark(run_walks, ctx, WalkStreams(9, 0), uids)
+    assert res.steps.mean() > 20
 
 
 # ----------------------------------------------------------------------

@@ -37,15 +37,18 @@ the holes (the free-list is the tail, kept dense so every per-step kernel
 runs on contiguous slots); launching scatter-writes new walks into the
 freed tail slots.  Steady-state steps therefore perform **zero array
 reallocation** of walk state: the step's own temporaries come from the
-same arena.  The step and the launch are compiled
+same arena.  The step, the launch and the loop over them are compiled
 (``repro/native/kernels.c``): ``launch`` writes new walks from their
 Gaussian surface, ``locate`` queries and absorbs, ``retire`` banks and
 compacts, and ``cube_hop`` moves every walk, the hemisphere step of
-walks on a dielectric interface included, each in one call over a
+walks on a dielectric interface included, each over a
 :class:`repro.native.Arena` descriptor of the slot arena.  ``launch`` and
 ``cube_hop`` compute the draws they consume, walk by walk, from the
 slot's lane descriptor (:func:`lane_draws`): no draw is stored between
-steps.  What stays in NumPy per step is the over-cap mask.
+steps.  One ``advance`` call runs them, step after step, from one batch
+boundary to the next; Python keeps the batch queue and the result
+window, and steps in only to load the next queued batch, emit a
+finished one, or record a trace frame.
 
 Walks carry their own step counters, so the active set may mix walks from
 several batches at different depths.  When walks absorb, their slots are
@@ -72,8 +75,8 @@ runs share a warm arena.  An executor's workers each keep one long-lived
 vector (:mod:`repro.frw.parallel`).
 
 Per-stage costs (index / sample / retire / bookkeeping) can be measured by
-passing a :class:`StageTimers` to the pipeline; the engine benchmark
-reports the breakdown.
+passing a :class:`StageTimers` to the pipeline, which the compiled loop
+times in C; the engine benchmark reports the breakdown.
 """
 
 from __future__ import annotations
@@ -111,23 +114,24 @@ STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 class StageTimers:
     """Accumulated wall time *and dispatch counts* of the engine's stages.
 
-    ``index`` — the compiled ``locate`` call: grid query (cell lookup,
+    ``index`` — the ``locate`` kernel: grid query (cell lookup,
     far-field mask and candidate scan), enclosure distance and the
-    absorption test; ``sample`` — the compiled launch (step-0 draws,
-    surface point, layer permittivity and slot writes) and the compiled
-    cube hop (the step's draws, position update, first-hop weights and the
-    hemisphere step of snapped walks included); ``retire`` — result
-    banking and slot compaction of absorbed or over-cap walks;
-    ``bookkeeping`` — the over-cap mask and the remaining per-step glue.
-    ``rng`` (the former draw stage, now inside ``sample``) and
-    ``index_fast`` (the far-field split of the former NumPy query) always
-    read 0: they stay only because the frozen benchmark harness reads
-    them, and go with its next change.
+    absorption test; ``sample`` — the ``launch`` kernel (step-0 draws,
+    surface point, layer permittivity and slot writes) and the
+    ``cube_hop`` kernel (the step's draws, position update, first-hop
+    weights and the hemisphere step of snapped walks included);
+    ``retire`` — result banking and slot compaction of absorbed or
+    over-cap walks; ``bookkeeping`` — the compiled loop's over-cap scan.
+    The loop reads the clock between its kernel calls, so the Python
+    between ``advance`` calls (loading a batch, emitting one) is charged
+    to no stage.  ``rng`` (the former draw stage, now inside ``sample``)
+    and ``index_fast`` (the far-field split of the former NumPy query)
+    always read 0: they stay only because the frozen benchmark harness
+    reads them, and go with its next change.
 
-    ``counts[stage]`` counts ``lap`` calls — i.e. kernel-cohort dispatches
-    charged to the stage — so a stage's fixed Python-dispatch overhead is
-    measurable separately from its seconds (the engine's pipelining work
-    targets exactly that overhead).
+    ``counts[stage]`` counts the kernel calls (``lap`` calls, for a caller
+    timing its own) charged to the stage, so a stage's fixed per-call
+    overhead is measurable separately from its seconds.
     """
 
     rng: float = 0.0
@@ -198,12 +202,15 @@ class WalkPipeline:
     timers:
         Optional :class:`StageTimers` accumulating per-stage wall time.
     trace:
-        When a list, per-step positions of all active walks are appended as
-        ``(global_rows, positions)`` tuples, a walk's global row being its
-        launch index since the vector last went idle — its row in the
-        batch for a single-batch run (small runs only; used by the scalar
-        reference and Fig. 2).  Frame-internal order is unspecified —
-        consumers map rows by value.
+        When a list, the positions of all active walks are appended after
+        each round of launches and each hop as ``(global_rows,
+        positions)`` tuples, a walk's global row being its launch index
+        since the vector last went idle — its row in the batch for a
+        single-batch run (small runs only; used by the scalar reference
+        and Fig. 2).  Frame-internal order is unspecified — consumers map
+        rows by value.
+    width_profile:
+        The vector's steps and walk-steps by live width, over its life.
 
     A walk's draws are computed where they are consumed: ``launch``
     computes step 0's, ``cube_hop`` step ``step_no``'s, from the lane's
@@ -221,12 +228,13 @@ class WalkPipeline:
         self.trace = trace
         self._capacity = 0
         self._mt = self._mt_slot = None
-        # The compiled step kernels' view of the arena, built by the first
-        # _grow_arena: slot pointers are set there, the walk space and
-        # result window by _start, and the window and lane arrays again
-        # whenever those arrays change.  An idle vector's descriptor
-        # may point at freed arrays; no kernel runs before _start.
-        self._arena = None
+        # The compiled loop's view of the arena: slot pointers are set by
+        # _grow_arena, the walk space and result window by _start, the
+        # window, run and lane fields again whenever those arrays change.
+        # An idle vector's descriptor may point at freed arrays; no kernel
+        # runs before _start.
+        self._arena = native.Arena()
+        self._arena_ref = ctypes.byref(self._arena)
         self._reset()
 
     def _reset(self) -> None:
@@ -242,10 +250,10 @@ class WalkPipeline:
         self.live: dict = {}  # seq -> walks, until emitted or dropped
         self._queue: deque = deque()  # (seq, lane, uids) not yet launching
 
-        self._pending = np.empty(0, dtype=np.uint64)
-        self._pending_lane = 0
-        self._pending_start_g = 0
-        self._pending_off = 0
+        # The batch the arena's run points into, kept alive here.
+        self._run = None
+        a = self._arena
+        a.run_n = a.run_off = a.queued = a.refilled = 0
 
         # Flat result window over the launched, unemitted batches.  Each
         # walk banks its outcome by *global row* — a scatter write, no
@@ -262,14 +270,13 @@ class WalkPipeline:
         self._next_g = 0  # next global row to assign
 
         # Active walks occupy the arena prefix [0, n); the rest is free.
-        self._n = 0
+        a.n = 0
 
     def _start(self, ctx: ExtractionContext, width: int) -> None:
         """Start an idle vector on ``ctx``'s structure, ``width`` walks wide."""
         self.ctx = ctx
         self.width = max(1, int(width))
         stack = ctx.structure.dielectric
-        self._enclosure_index = ctx.enclosure_index
         self._index = ctx.index
         self._grow_arena(self.width)
         cfg = ctx.config
@@ -282,15 +289,13 @@ class WalkPipeline:
         a.layer_eps = native.address(stack._eps)
         a.enc_lo[:] = [float(v) for v in enc.lo]
         a.enc_hi[:] = [float(v) for v in enc.hi]
-        a.enc_index = self._enclosure_index
+        a.enc_index = ctx.enclosure_index
         a.h_cap = ctx.h_cap
         a.snap_fraction = cfg.interface_snap_fraction
         a.first_floor = cfg.first_hop_interface_floor
+        a.width = self.width
+        a.max_steps = cfg.max_steps
         self._point_window()
-        lib = native.library()
-        self._launch, self._locate, self._retire, self._cube_hop = (
-            lib.launch, lib.locate, lib.retire, lib.cube_hop
-        )
 
     def _grow_arena(self, capacity: int) -> None:
         """Grow the slot arena and the step scratch to ``capacity`` slots
@@ -318,9 +323,6 @@ class WalkPipeline:
         self._dist_e = np.empty(capacity, dtype=np.float64)
         self._done = np.empty(capacity, dtype=bool)
         self._dest = np.empty(capacity, dtype=np.int64)
-        if self._arena is None:
-            self._arena = native.Arena()
-            self._arena_ref = ctypes.byref(self._arena)
         a = self._arena
         for name in (
             "uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
@@ -355,6 +357,16 @@ class WalkPipeline:
         a.n_win = self._win_starts.shape[0]
         a.win_base_g = self._win_base_g
 
+    @property
+    def width_profile(self) -> np.ndarray:
+        """The vector's steps by live width, over its life: row ``b`` of
+        the ``(WIDTH_BUCKETS, 2)`` int64 array holds the steps that began
+        with ``2**b`` to ``2**(b + 1) - 1`` live walks and the walk-steps
+        they took (each walk's step count is the number of steps it began
+        live in)."""
+        a = self._arena
+        return np.array([a.width_steps, a.width_walks], dtype=np.int64).T
+
     # ------------------------------------------------------------------
     # The batch queue
     # ------------------------------------------------------------------
@@ -377,7 +389,7 @@ class WalkPipeline:
                     "h_cap and step settings"
                 )
             lane = self._keys[key] = len(self._surfaces)
-            self._surfaces += (ctypes.byref(ctx.surface._native),)
+            self._surfaces += (ctx.surface._native,)
             self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
             self._arena.lane_flux = native.address(self._lane_flux)
             self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
@@ -390,6 +402,7 @@ class WalkPipeline:
                 self._grow_mt()
         uids = np.ascontiguousarray(uids, dtype=np.uint64)
         self._queue.append((seq, lane, uids))
+        self._arena.queued = 1
         self.live[seq] = uids.shape[0]
 
     def drop(self, seq) -> int:
@@ -401,8 +414,9 @@ class WalkPipeline:
         if seq not in self._win_seqs:  # still queued
             unlaunched = walks
         elif seq == self._win_seqs[-1]:  # the batch launching now
-            unlaunched = self._pending.shape[0] - self._pending_off
-            self._pending_off = self._pending.shape[0]
+            a = self._arena
+            unlaunched = a.run_n - a.run_off
+            a.run_off = a.run_n
             self._win_remaining[-1] -= unlaunched
         else:
             unlaunched = 0
@@ -410,15 +424,12 @@ class WalkPipeline:
             self._reset()
         return unlaunched
 
-    # ------------------------------------------------------------------
-    # Launching
-    # ------------------------------------------------------------------
-    def _ensure_pending(self) -> bool:
-        """Make sure un-launched UIDs are available; False when the queue
-        holds no live batch."""
-        while self._pending_off >= self._pending.shape[0]:
-            if not self._queue:
-                return False
+    def _load_run(self) -> None:
+        """Make the next live queued batch the run of UIDs to launch: its
+        rows join the result window.  Batches dropped while queued are
+        skipped."""
+        a = self._arena
+        while self._queue:
             seq, lane, uids = self._queue.popleft()
             if seq not in self.live:  # dropped while queued
                 continue
@@ -438,130 +449,46 @@ class WalkPipeline:
                 self._res_steps = np.concatenate(
                     [self._res_steps, np.zeros(n, dtype=np.int64)]
                 )
-            self._pending = uids
-            self._pending_lane = lane
-            self._pending_start_g = self._next_g
-            self._pending_off = 0
+            self._run = uids
+            a.run = native.address(uids)
+            a.run_n, a.run_off, a.run_lane = n, 0, lane
+            a.run_row = self._next_g
+            a.run_surface = ctypes.addressof(self._surfaces[lane])
+            a.run_tol = self._lane_tol[lane]
             self._next_g += n
             self._point_window()
-        return True
+            break
+        a.queued = 1 if self._queue else 0
 
-    def _refill(self) -> None:
-        """Launch queued walks into the free tail slots, one lane's run of
-        UIDs at a time: one compiled ``launch`` call for their step-0
-        draws, surface points and slot state."""
+    # ------------------------------------------------------------------
+    # The vector loop
+    # ------------------------------------------------------------------
+    def _advance(self) -> int:
+        """One compiled ``advance`` call, which launches, steps and retires
+        walks until the front batch is done or it needs Python (see
+        :data:`~repro.native.ADVANCE_FRONT` and the others).  Its counts
+        go to the index's query stats and the timers, and a trace frame,
+        ``(global_rows, positions)`` of the live walks, to ``trace``.
+        Returns what the call stopped at."""
+        a = self._arena
         tm = self.timers
-        launched = False
-        while self._n < self.width and self._ensure_pending():
-            if tm is not None:
-                t0 = perf_counter()
-            n, off, lane = self._n, self._pending_off, self._pending_lane
-            k = min(self.width - n, self._pending.shape[0] - off)
-            uids = self._pending[off : off + k]
-            self._pending_off = off + k
-            self._launch(
-                self._arena_ref, self._surfaces[lane], n, k,
-                native.address(uids), lane, self._lane_tol[lane],
-                self._pending_start_g + off,
-            )
-            self._n = n + k
-            if tm is not None:
-                tm.lap("sample", t0)
-            launched = True
-        if launched and self.trace is not None:
-            n = self._n
+        a.trace = self.trace is not None
+        a.timed = tm is not None
+        status = native.library().advance(self._arena_ref)
+        if a.locates:
+            self._index.count_query(a.points, a.near, a.visited, a.locates)
+        if tm is not None:
+            tm.steps += a.steps
+            for stage, ns, calls in zip(
+                native.ADVANCE_STAGES, a.stage_ns, a.stage_calls
+            ):
+                if calls:
+                    setattr(tm, stage, getattr(tm, stage) + ns * 1e-9)
+                    tm.counts[stage] = tm.counts.get(stage, 0) + calls
+        if status == native.ADVANCE_FRAME:
+            n = a.n
             self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
-
-    # ------------------------------------------------------------------
-    # Retiring and compaction
-    # ------------------------------------------------------------------
-    def _retire_done(self, truncated: bool) -> None:
-        """Retire the walks flagged in ``_done`` (with their ``_dest``):
-        bank their outcomes by global row and compact the arena by moving
-        kept tail walks into the holes, in one compiled call
-        (``retire``)."""
-        self._n = self._retire(self._arena_ref, self._n, truncated)
-
-    # ------------------------------------------------------------------
-    # The vector step
-    # ------------------------------------------------------------------
-    def _step(self) -> None:
-        """Advance every active walk by one hop (walks at different depths
-        mix freely because all per-walk operations are elementwise).
-
-        The step is three stages over the dense slot prefix:
-        ``stage_retire_overcap -> stage_locate -> stage_sample``.
-        Locating, retiring and the hop (cube or hemisphere, with its
-        draws) are one compiled call each over the arena descriptor.
-        """
-        if self._n == 0:
-            return
-        tm = self.timers
-        if tm is not None:
-            tm.steps += 1
-            t0 = perf_counter()
-        else:
-            t0 = 0.0
-
-        t0 = self._stage_retire_overcap(t0)
-        if self._n == 0:
-            return
-        t0 = self._stage_locate(t0)
-        if self._n == 0:
-            return
-        self._stage_sample(t0)
-
-    def _stage_retire_overcap(self, t0: float) -> float:
-        """Safety net: retire over-cap survivors as absorbed by the
-        enclosure (counted as truncated)."""
-        tm = self.timers
-        n = self._n
-        over = np.greater(
-            self._step_no[:n], self.ctx.config.max_steps, out=self._done[:n]
-        )
-        if over.any():
-            self._dest[:n] = self._enclosure_index
-            self._retire_done(truncated=True)
-            if tm is not None:
-                t0 = tm.lap("retire", t0)
-        elif tm is not None:
-            t0 = tm.lap("bookkeeping", t0)
-        return t0
-
-    def _stage_locate(self, t0: float) -> float:
-        """Conductor and wall distances and the absorption test of every
-        walk (``locate``, charged to ``index``), then retirement of the
-        absorbed ones."""
-        tm = self.timers
-        n = self._n
-        absorbed = self._locate(self._arena_ref, n)
-        self._index.count_query(n, *self._arena.counts)
-        if absorbed < 0:
-            raise ConvergenceError(
-                "walk absorbed before its first hop; the Gaussian surface "
-                "offset is smaller than the absorption tolerance"
-            )
-        if tm is not None:
-            t0 = tm.lap("index", t0)
-        if absorbed:
-            self._retire_done(truncated=False)
-            if tm is not None:
-                t0 = tm.lap("retire", t0)
-        return t0
-
-    def _stage_sample(self, t0: float) -> None:
-        """Draws, transition sampling and position update for the cohort:
-        one compiled ``cube_hop`` call (first-hop weights, and the
-        hemisphere step of walks that snap onto an interface, included)."""
-        tm = self.timers
-        n = self._n
-        self._cube_hop(self._arena_ref, n)
-        if tm is not None:
-            t0 = tm.lap("sample", t0)
-        if self.trace is not None:
-            self.trace.append((self._grow[:n].copy(), self._pos[:n].copy()))
-        if tm is not None:
-            tm.lap("bookkeeping", t0)
+        return status
 
     # ------------------------------------------------------------------
     # Batch emission
@@ -600,15 +527,20 @@ class WalkPipeline:
         finish in their turn and are never returned.
         """
         while self.live:
-            self._refill()
-            if self._win_remaining[0]:
-                self._step()
-                continue
-            seq, res = self._emit_front()
-            if self.live.pop(seq, None) is not None:  # else dropped
-                if not self.live:
-                    self._reset()
-                return seq, res
+            status = self._advance()
+            if status == native.ADVANCE_RUN:
+                self._load_run()
+            elif status == native.ADVANCE_EARLY:
+                raise ConvergenceError(
+                    "walk absorbed before its first hop; the Gaussian surface "
+                    "offset is smaller than the absorption tolerance"
+                )
+            elif status == native.ADVANCE_FRONT:
+                seq, res = self._emit_front()
+                if self.live.pop(seq, None) is not None:  # else dropped
+                    if not self.live:
+                        self._reset()
+                    return seq, res
         return None
 
 

@@ -197,7 +197,9 @@ class BruteForceIndex:
             )
         return self._grid
 
-    def count_query(self, points: int, near: int, visited: int) -> None:
+    def count_query(
+        self, points: int, near: int, visited: int, queries: int = 1
+    ) -> None:
         """The brute-force index keeps no query counters."""
 
 
@@ -533,13 +535,15 @@ class GridIndex:
             )
         return self._grid
 
-    def count_query(self, points: int, near: int, visited: int) -> None:
-        """Add one query of ``points`` points, ``near`` of them near-field
-        with ``visited`` candidates scanned, to :attr:`stats` as one
-        locked update."""
+    def count_query(
+        self, points: int, near: int, visited: int, queries: int = 1
+    ) -> None:
+        """Add ``queries`` queries of ``points`` points in all, ``near`` of
+        them near-field with ``visited`` candidates scanned, to
+        :attr:`stats` as one locked update."""
         with self._stats_lock:
             st = self.stats
-            st.queries += 1
+            st.queries += queries
             st.points += points
             st.far_field_hits += points - near
             st.near_points += near

@@ -8,7 +8,8 @@ behind :meth:`repro.greens.CubeTransitionTable.sample_cells` and
 surface point behind :meth:`repro.geometry.GaussianSurface.sample`, the
 hemisphere direction behind
 :func:`repro.greens.interface_hemisphere_direction`, and the vector
-step's launch, query-and-absorb, retirement and hop
+step's launch, query-and-absorb, retirement and hop, with the loop that
+runs them from one batch boundary to the next
 (:class:`repro.frw.WalkPipeline`), which read one :class:`Arena`
 descriptor of the pipeline's slot arena.  The launch and the hop compute
 the draws they consume from each slot's lane descriptor
@@ -78,6 +79,19 @@ DRAW_MT = 2
 #: words and the next word's index.
 MT_WORDS = 625
 
+#: What a compiled ``advance`` call stopped at: the front batch of the
+#: result window is done, the pending run is used up while batches are
+#: queued, a walk absorbed before its first hop, or a trace frame.
+ADVANCE_FRONT, ADVANCE_RUN, ADVANCE_EARLY, ADVANCE_FRAME = range(4)
+
+#: The :class:`repro.frw.StageTimers` stages of ``Arena.stage_ns`` and
+#: ``Arena.stage_calls``, in order.
+ADVANCE_STAGES = ("index", "sample", "retire", "bookkeeping")
+
+#: Live-width buckets of the arena's step profile: bucket ``b`` holds
+#: widths ``[2**b, 2**(b + 1))``.
+WIDTH_BUCKETS = 32
+
 _LOCK = threading.Lock()
 _LIB = None
 
@@ -126,8 +140,9 @@ class Table(ctypes.Structure):
 
 class Arena(ctypes.Structure):
     """A :class:`~repro.frw.WalkPipeline`'s slot arena and walk space
-    (``arena_t``).  It holds raw addresses: the pipeline keeps every array
-    it points at alive and re-points a field whenever its array changes."""
+    (``arena_t``), with the inputs and outputs of ``advance``.  It holds
+    raw addresses: the pipeline keeps every array it points at alive and
+    re-points a field whenever its array changes."""
 
     _fields_ = [
         *((name, _PTR) for name in (
@@ -157,6 +172,19 @@ class Arena(ctypes.Structure):
         ("snap_fraction", ctypes.c_double),
         ("first_floor", ctypes.c_double),
         ("counts", _I64 * 2),
+        ("run", _PTR),
+        *((name, _I64) for name in ("run_n", "run_off", "run_lane", "run_row")),
+        ("run_surface", _PTR),
+        ("run_tol", ctypes.c_double),
+        *((name, _I64) for name in (
+            "queued", "width", "max_steps", "trace", "timed", "n", "refilled",
+            "steps", "locates", "points", "near", "visited", "launched",
+            "snapped",
+        )),
+        ("stage_ns", _I64 * 4),
+        ("stage_calls", _I64 * 4),
+        ("width_steps", _I64 * WIDTH_BUCKETS),
+        ("width_walks", _I64 * WIDTH_BUCKETS),
     ]
 
 
@@ -264,6 +292,9 @@ def _load() -> ctypes.CDLL:
     lib.team_size.argtypes = [_I64]
     lib.team_size.restype = _I64
     lib.team_size(usable_cpus())
+    # arena -> what it stopped at (ADVANCE_*)
+    lib.advance.argtypes = [ctypes.POINTER(Arena)]
+    lib.advance.restype = _I64
     # arena, n, then: nothing (locate, cube_hop), the truncated flag
     # (retire); each returns a count.
     counted = {

@@ -16,10 +16,11 @@
  *                   (repro.greens.interface_hemisphere_direction).
  *   launch          the walk step's launch,
  *   locate          its query and absorption test,
- *   retire          its result banking and slot compaction, and
- *   cube_hop        its cube hop and hemisphere step
- *                   (repro.frw.engine.WalkPipeline), all over one arena_t
- *                   descriptor of the slot arena.
+ *   retire          its result banking and slot compaction,
+ *   cube_hop        its cube hop and hemisphere step, and
+ *   advance         the loop that runs them from one batch boundary to
+ *                   the next (repro.frw.engine.WalkPipeline), all over one
+ *                   arena_t descriptor of the slot arena.
  *   team_size       the size of the process's thread team.
  *
  * launch, locate and cube_hop split a call over SPLIT_MIN slots or more
@@ -571,6 +572,9 @@ typedef struct {
     uint64_t key[2];
 } lane_draw_t;
 
+/* Live-width buckets of arena_t's step profile. */
+#define WIDTH_BUCKETS 32
+
 /*
  * A WalkPipeline's slot arena and walk space; field order matches
  * repro.native.Arena.  The active walks are slots [0, n).  Slot arrays
@@ -625,6 +629,43 @@ typedef struct {
     double first_floor;
     /* locate's query counts: near points, candidates visited. */
     int64_t counts[2];
+    /* advance's inputs: the pending run (UIDs run[run_off..run_n) not yet
+     * launched, of lane run_lane, launched from run_surface with tolerance
+     * run_tol, run[j] at global row run_row + j), whether more batches
+     * are queued, the vector's width, the step cap, and whether to stop
+     * for a trace frame and to read the clock. */
+    const uint64_t *run;
+    int64_t run_n;
+    int64_t run_off;
+    int64_t run_lane;
+    int64_t run_row;
+    const surface_t *run_surface;
+    double run_tol;
+    int64_t queued;
+    int64_t width;
+    int64_t max_steps;
+    int64_t trace;
+    int64_t timed;
+    /* The live walks, slots [0, n), and whether walks launched since the
+     * last trace frame. */
+    int64_t n;
+    int64_t refilled;
+    /* advance's outputs, per call: steps, locate calls, points queried,
+     * near points, candidates visited, walks launched, walks snapped, and
+     * the nanoseconds and kernel calls of each STAGE_*. */
+    int64_t steps;
+    int64_t locates;
+    int64_t points;
+    int64_t near;
+    int64_t visited;
+    int64_t launched;
+    int64_t snapped;
+    int64_t stage_ns[4];
+    int64_t stage_calls[4];
+    /* Over the arena's life: steps, and walks they stepped, by live width,
+     * bucket b holding widths [2^b, 2^(b+1)). */
+    int64_t width_steps[WIDTH_BUCKETS];
+    int64_t width_walks[WIDTH_BUCKETS];
 } arena_t;
 
 /*
@@ -1212,4 +1253,112 @@ int64_t cube_hop(arena_t *a, int64_t n)
     int64_t out[4];
     split(cube_hop_chunk, a, NULL, n, out);
     return out[0];
+}
+
+/* advance's stages (repro.frw.engine.StageTimers): locate, then launch and
+ * cube_hop, then retire, then the loop's own over-cap scan. */
+enum { STAGE_INDEX, STAGE_SAMPLE, STAGE_RETIRE, STAGE_BOOKKEEPING };
+
+/* advance's returns (repro.native.ADVANCE_*). */
+enum { ADVANCE_FRONT, ADVANCE_RUN, ADVANCE_EARLY, ADVANCE_FRAME };
+
+/* With a->timed, charge the time since *t and one call to `stage`. */
+static inline void lap(arena_t *a, int stage, struct timespec *t)
+{
+    if (!a->timed)
+        return;
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    a->stage_ns[stage] += (int64_t)(now.tv_sec - t->tv_sec) * 1000000000
+                          + (now.tv_nsec - t->tv_nsec);
+    a->stage_calls[stage] += 1;
+    *t = now;
+}
+
+/*
+ * Step the vector until the front batch of the window (win_remaining[0])
+ * has no walk left.  Each round first launches the pending run into the
+ * free slots [n, width), then, unless the front batch is done, takes one
+ * step of the live walks: it retires walks past max_steps as truncated
+ * (absorbed by the enclosure), locates, retires the absorbed walks and
+ * hops the rest.  Returns ADVANCE_FRONT when the front batch is done,
+ * ADVANCE_RUN when the free slots need the next queued batch's run,
+ * ADVANCE_EARLY when a walk absorbed before its first hop (after that
+ * locate's counts), and, with a->trace, ADVANCE_FRAME after each round's
+ * launches and after each hop.  A later call picks up where one returned.
+ */
+int64_t advance(arena_t *a)
+{
+    struct timespec t = {0, 0};
+    if (a->timed)
+        clock_gettime(CLOCK_MONOTONIC, &t);
+    a->steps = a->locates = a->points = a->near = a->visited = 0;
+    a->launched = a->snapped = 0;
+    for (int s = 0; s < 4; s++)
+        a->stage_ns[s] = a->stage_calls[s] = 0;
+    for (;;) {
+        while (a->n < a->width) {
+            if (a->run_off == a->run_n) {
+                if (a->queued)
+                    return ADVANCE_RUN;
+                break;
+            }
+            int64_t k = a->width - a->n;
+            if (k > a->run_n - a->run_off)
+                k = a->run_n - a->run_off;
+            launch(a, a->run_surface, a->n, k, a->run + a->run_off,
+                   a->run_lane, a->run_tol, a->run_row + a->run_off);
+            a->n += k;
+            a->run_off += k;
+            a->launched += k;
+            a->refilled = 1;
+            lap(a, STAGE_SAMPLE, &t);
+        }
+        if (a->refilled) {
+            a->refilled = 0;
+            if (a->trace)
+                return ADVANCE_FRAME;
+        }
+        if (!a->win_remaining[0])
+            return ADVANCE_FRONT;
+        int64_t n = a->n;
+        a->steps++;
+        int b = 63 - __builtin_clzll((uint64_t)n);
+        b = b < WIDTH_BUCKETS ? b : WIDTH_BUCKETS - 1;
+        a->width_steps[b]++;
+        a->width_walks[b] += n;
+        int64_t over = 0;
+        for (int64_t i = 0; i < n; i++) {
+            uint8_t o = a->step_no[i] > (uint64_t)a->max_steps;
+            a->done[i] = o;
+            if (o)
+                a->dest[i] = a->enc_index;
+            over += o;
+        }
+        lap(a, STAGE_BOOKKEEPING, &t);
+        if (over) {
+            n = a->n = retire(a, n, 1);
+            lap(a, STAGE_RETIRE, &t);
+            if (!n)
+                continue;
+        }
+        int64_t absorbed = locate(a, n);
+        a->locates++;
+        a->points += n;
+        a->near += a->counts[0];
+        a->visited += a->counts[1];
+        lap(a, STAGE_INDEX, &t);
+        if (absorbed < 0)
+            return ADVANCE_EARLY;
+        if (absorbed) {
+            n = a->n = retire(a, n, 0);
+            lap(a, STAGE_RETIRE, &t);
+            if (!n)
+                continue;
+        }
+        a->snapped += cube_hop(a, n);
+        lap(a, STAGE_SAMPLE, &t);
+        if (a->trace)
+            return ADVANCE_FRAME;
+    }
 }

@@ -1,9 +1,11 @@
 """Tests for the vectorised walk engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro import FRWConfig
+from repro import FRWConfig, native
 from repro.frw import build_context, make_streams, run_walks
 from repro.rng import WalkStreams
 
@@ -219,6 +221,82 @@ def test_pipeline_keeps_vector_width_full(plates):
     # the vector full, so the same walks need far fewer (wider) iterations
     # than per-batch execution, which drains to a ragged tail 8 times.
     assert len(piped_trace) < 0.75 * len(plain_trace)
+
+
+def _frames_digest(frames):
+    """The count and a digest of trace frames, each frame's walks in row
+    order."""
+    h = hashlib.sha256()
+    for rows, pos in frames:
+        order = np.argsort(rows, kind="stable")
+        h.update(rows[order].tobytes())
+        h.update(pos[order].tobytes())
+    return len(frames), h.hexdigest()[:16]
+
+
+def test_trace_frames_are_pinned(plates):
+    """A traced vector records a frame after each round of launches and
+    after each hop: ``trace_walks`` and the frames of a four-batch run on
+    a narrower vector keep the paths, counts and contents pinned when the
+    step loop was Python."""
+    from repro.frw import WalkPipeline, trace_walks
+
+    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=55))
+    traces = trace_walks(ctx, list(range(6)))
+    h = hashlib.sha256()
+    for t in traces:
+        h.update(np.ascontiguousarray(t.positions).tobytes())
+        h.update(str((t.omega, t.dest)).encode())
+    assert [t.n_hops for t in traces] == [2, 4, 2, 14, 2, 1]
+    assert h.hexdigest()[:16] == "e6d78c076295f1da"
+    frames = []
+    uids = np.arange(6, dtype=np.uint64)
+    run_walks(ctx, make_streams(ctx.config, 0), uids, trace=frames)
+    assert _frames_digest(frames) == (15, "e580825d6c4ef4a2")
+    frames = []
+    pipe = WalkPipeline(trace=frames)
+    batches = [
+        np.arange(u * 48, (u + 1) * 48, dtype=np.uint64) for u in range(4)
+    ]
+    _submit_all(pipe, ctx_for(plates), batches, 64)
+    while pipe.next_batch() is not None:
+        pass
+    assert _frames_digest(frames) == (106, "00f2d2650f994360")
+
+
+@pytest.mark.parametrize("max_steps", [10_000, 3])
+def test_timers_and_width_profile_match_the_loop(plates, max_steps):
+    """``StageTimers.steps`` is the loop's step count and ``index``,
+    ``sample`` and ``retire`` are charged time; the index counts one query
+    per ``locate`` call.  The width profile sums to the step count and its
+    walk-steps to the walks' step counts (over-cap retirement included at
+    ``max_steps`` 3), and every bucket's walk-steps lie within its
+    widths."""
+    from repro.frw import StageTimers, WalkPipeline
+
+    ctx = ctx_for(plates, max_steps=max_steps)
+    queries = ctx.index.stats.queries
+    tm = StageTimers()
+    pipe = WalkPipeline(timers=tm)
+    batches = [
+        np.arange(u * 300, (u + 1) * 300, dtype=np.uint64) for u in range(4)
+    ]
+    _submit_all(pipe, ctx, batches, 256)
+    results = []
+    while (out := pipe.next_batch()) is not None:
+        results.append(out[1])
+    assert (sum(r.truncated for r in results) > 0) == (max_steps == 3)
+    assert tm.steps > 0
+    assert tm.index > 0 and tm.sample > 0 and tm.retire > 0
+    assert ctx.index.stats.queries - queries == tm.counts["index"]
+    profile = pipe.width_profile
+    assert profile.shape == (native.WIDTH_BUCKETS, 2)
+    steps, walk_steps = profile.sum(axis=0)
+    assert steps == tm.steps
+    assert walk_steps == sum(int(r.steps.sum()) for r in results)
+    lo = 2 ** np.arange(native.WIDTH_BUCKETS, dtype=np.int64)
+    assert (profile[:, 1] >= profile[:, 0] * lo).all()
+    assert (profile[:, 1] <= profile[:, 0] * (2 * lo - 1)).all()
 
 
 # ----------------------------------------------------------------------

@@ -286,24 +286,19 @@ def test_wide_rows_are_the_same_on_any_team(case, lane, team_size):
 def test_stratified_case_exercises_interface_snapping(monkeypatch):
     """The stratified golden case must actually take hemisphere steps —
     otherwise it would not cover the interface-snap path it claims to.
-    ``cube_hop`` returns the number of walks it snapped in each call."""
+    Each compiled ``advance`` call reports the walks it snapped."""
     cfg = FRWConfig.frw_r(seed=SEED, antithetic=False)
     ctx = build_context(_build_structure("stratified"), 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
     snaps = []
-    real_start = WalkPipeline._start
+    real_advance = WalkPipeline._advance
 
-    def start(self, *args):
-        real_start(self, *args)
-        hop = self._cube_hop
+    def counting(self):
+        status = real_advance(self)
+        snaps.append(self._arena.snapped)
+        return status
 
-        def counting(*hop_args):
-            snaps.append(hop(*hop_args))
-            return snaps[-1]
-
-        self._cube_hop = counting
-
-    monkeypatch.setattr(WalkPipeline, "_start", start)
+    monkeypatch.setattr(WalkPipeline, "_advance", counting)
     res = run_walks(ctx, WalkStreams(SEED, 0), uids)
     _check("stratified", res)
     assert sum(snaps) > 0

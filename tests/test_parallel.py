@@ -635,22 +635,18 @@ def test_pipelined_runner_counts_speculation(plates):
 
 @pytest.fixture
 def launched(monkeypatch):
-    """Sizes of every launch of walks into any engine vector: the count
-    argument of each compiled ``launch`` call."""
+    """Walks launched into any engine vector: the launched count of each
+    compiled ``advance`` call that launched any."""
     sizes = []
-    start = WalkPipeline._start
+    advance = WalkPipeline._advance
 
-    def counting_start(self, *args):
-        start(self, *args)
-        launch = self._launch
+    def counting_advance(self):
+        status = advance(self)
+        if self._arena.launched:
+            sizes.append(self._arena.launched)
+        return status
 
-        def counting_launch(arena, surface, n, k, *rest):
-            sizes.append(k)
-            return launch(arena, surface, n, k, *rest)
-
-        self._launch = counting_launch
-
-    monkeypatch.setattr(WalkPipeline, "_start", counting_start)
+    monkeypatch.setattr(WalkPipeline, "_advance", counting_advance)
     return sizes
 
 

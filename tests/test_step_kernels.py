@@ -574,8 +574,17 @@ def _pipeline(ctx, sizes, width, streams=None):
         uids = np.arange(start, start + size, dtype=np.uint64)
         pipe.submit(seq, 0, ctx, streams, uids, width)
         start += size
-    pipe._refill()
+    _launch_queued(pipe)
     return pipe
+
+
+def _launch_queued(pipe):
+    """Launch queued walks into the free slots as the vector loop does:
+    a traced ``advance`` stops at the frame after the launch."""
+    pipe.trace = []
+    while pipe._advance() == native.ADVANCE_RUN:
+        pipe._load_run()
+    pipe.trace = None
 
 
 def _on_lattice(u):
@@ -644,12 +653,12 @@ def _hemisphere_hop(stack, z, u, allow=1e4, tol=0.0):
     pipe._first[:n] = False
     _feed(pipe, u)
     before = pipe._pos[:n].copy()
-    n_snap = pipe._cube_hop(pipe._arena_ref, n)
+    n_snap = native.library().cube_hop(pipe._arena_ref, n)
     return before, pipe._pos[:n].copy(), n_snap
 
 
 def _snapshot(pipe):
-    n = pipe._n
+    n = pipe._arena.n
     state = {name: getattr(pipe, "_" + name)[:n].copy() for name in _SLOTS}
     if pipe._mt_slot is not None:
         state["mt_slot"] = pipe._mt_slot.copy()
@@ -698,9 +707,9 @@ def old_retire_compact(state, window, done, dest, truncated):
 
 
 def old_cube_hop(ctx, state, u, lane_flux):
-    """``_stage_sample``'s cube path and first-hop weights: ``(snapped
-    rows, their allow and interface distance, cube-hop positions of every
-    row, first-hop rows, their weights)``."""
+    """The deleted ``_stage_sample``'s cube path and first-hop weights:
+    ``(snapped rows, their allow and interface distance, cube-hop
+    positions of every row, first-hop rows, their weights)``."""
     cfg = ctx.config
     stack = ctx.structure.dielectric
     table = ctx.table
@@ -777,7 +786,7 @@ def test_locate_matches_numpy_stages(data, layered):
     first = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     first &= data.draw(st.booleans())
     pipe._pos[:n], pipe._tol[:n], pipe._first[:n] = pos, tol, first
-    got = pipe._locate(pipe._arena_ref, n)
+    got = native.library().locate(pipe._arena_ref, n)
     dist_c, _, dist_e, done, dest = old_locate(ctx, pos, tol)
     assert got == (-1 if (done & first).any() else int(done.sum()))
     assert _same_bits(pipe._dist[:n], dist_c)
@@ -809,7 +818,7 @@ def test_retire_matches_numpy_compaction(data, layered, truncated, seed, mt):
     streams = MTWalkStreams(3, 0) if mt else None
     width = data.draw(st.integers(1, sum(sizes)))
     pipe = _pipeline(ctx, sizes, width, streams)
-    n = pipe._n
+    n = pipe._arena.n
     rng = np.random.default_rng(seed)
     if mt:
         pipe._mt_slot[:] = rng.permutation(pipe._capacity)
@@ -829,8 +838,7 @@ def test_retire_matches_numpy_compaction(data, layered, truncated, seed, mt):
         "res_steps": pipe._res_steps.copy(),
     }
     n_new = old_retire_compact(state, window, done, dest[done], truncated)
-    pipe._retire_done(truncated)
-    assert pipe._n == n_new
+    assert native.library().retire(pipe._arena_ref, n, truncated) == n_new
     for name in _SLOTS:
         assert _same_bits(getattr(pipe, "_" + name)[:n_new], state[name][:n_new])
     if mt:
@@ -862,11 +870,11 @@ def _uniforms(table):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), layered=st.booleans())
 def test_cube_hop_matches_numpy_sample(data, layered):
-    """``cube_hop`` gives ``_stage_sample``'s cube path bit for bit:
-    homogeneous and stratified stacks, first and later hops, cell draws
-    on guide bucket edges, interface distances equal to ``snap * allow``
-    exactly (not snapped) and ties between the distances, ``h_cap`` and
-    ±0.0 (whose signs reach the first-hop weight).  Snapped walks take
+    """``cube_hop`` gives the deleted ``_stage_sample``'s cube path bit
+    for bit: homogeneous and stratified stacks, first and later hops,
+    cell draws on guide bucket edges, interface distances equal to ``snap
+    * allow`` exactly (not snapped) and ties between the distances,
+    ``h_cap`` and ±0.0 (whose signs reach the first-hop weight).  Snapped walks take
     the deleted ``_hemisphere`` step's positions.  The draws are fed
     through an MT lane, so they lie on the lattice: bucket edges become
     the generator draws nearest them."""
@@ -903,7 +911,7 @@ def test_cube_hop_matches_numpy_sample(data, layered):
     _feed(pipe, u)
     pipe._res_omega[:] = np.nan
     state = _snapshot(pipe)
-    n_snap = pipe._cube_hop(pipe._arena_ref, n)
+    n_snap = native.library().cube_hop(pipe._arena_ref, n)
     snapped, snap_allow, snap_dist_i, npos, fc, omega = old_cube_hop(
         ctx, state, u, pipe._lane_flux
     )
@@ -1045,13 +1053,13 @@ def _area_edges(surf):
 
 def _launch(pipe, surf, uids, tol, first_row):
     """One compiled launch of ``uids`` on lane 0 into the slots after the
-    live ones, as ``WalkPipeline._refill`` makes it."""
-    n = pipe._n
-    pipe._launch(
+    live ones, as the vector loop makes it."""
+    n = pipe._arena.n
+    native.library().launch(
         pipe._arena_ref, ctypes.byref(surf._native), n, uids.shape[0],
         native.address(uids), 0, tol, first_row,
     )
-    pipe._n = n + uids.shape[0]
+    pipe._arena.n = n + uids.shape[0]
 
 
 #: The stream providers of the three lane kinds.
@@ -1090,7 +1098,7 @@ def test_launch_matches_numpy(data, which, kind):
     k = data.draw(st.integers(1, 30))
     streams = _KINDS[kind]()
     pipe = _pipeline(_CTXS[True], [live + k], live + k, streams)
-    pipe._n = live  # the rest of the arena is free
+    pipe._arena.n = live  # the rest of the arena is free
     _rewire(pipe, stack)
     head = _snapshot(pipe)
     uids = np.array(
@@ -1121,7 +1129,7 @@ def test_launch_on_an_interface_takes_the_upper_layer():
     stack = _on_layers(surf)
     k = 64
     pipe = _pipeline(_CTXS[True], [1 + k], 1 + k)
-    pipe._n = 1
+    pipe._arena.n = 1
     _rewire(pipe, stack)
     _launch(pipe, surf, np.arange(k, dtype=np.uint64), 0.1, 1)
     on_face = pipe._naxis[1 : 1 + k] == 2
@@ -1159,8 +1167,8 @@ def test_first_hop_reflects_mirrored_partners(data, layered, crafted):
     pipe = WalkPipeline()
     source = MTWalkStreams(3, 0) if crafted else streams
     pipe.submit(0, 0, ctx, source, uids, n)
-    pipe._refill()
-    pipe._locate(pipe._arena_ref, n)  # the distances the hop reads
+    _launch_queued(pipe)
+    native.library().locate(pipe._arena_ref, n)  # the distances the hop reads
     assert (pipe._step_no[:n] == 1).all()
     if crafted:
         pipe._lane_draws[0, 0] |= native.DRAW_MIRRORED
@@ -1181,7 +1189,7 @@ def test_first_hop_reflects_mirrored_partners(data, layered, crafted):
         u = _reference(streams, pipe._uid[:n], 1)
     pipe._res_omega[:] = np.nan
     state = _snapshot(pipe)
-    n_snap = pipe._cube_hop(pipe._arena_ref, n)
+    n_snap = native.library().cube_hop(pipe._arena_ref, n)
     assert n_snap == 0  # every walk is on its first hop
     _, _, _, npos, fc, omega = old_cube_hop(ctx, state, u, pipe._lane_flux)
     assert _same_bits(pipe._pos[:n], npos)
