@@ -50,28 +50,27 @@ def test_mt_per_walk_reseeding(benchmark):
 
 
 def test_philox_bulk_generation(benchmark):
-    """The engine's fused span draws: 100,000 uniforms per call."""
+    """Bulk compiled draws: 100,000 uniforms (eight slots of one step for
+    12,500 walks) per call."""
     ws = WalkStreams(seed=1)
-    uids = np.arange(10_000, dtype=np.uint64)
-    out = np.empty((5, 10_000, 2))
+    uids = np.arange(12_500, dtype=np.uint64)
 
-    benchmark(ws.draws_span, uids, 0, 5, 2, out=out)
-    assert out.size == 100_000
+    u = benchmark(ws.draws, uids, 0, 8)
+    assert u.size == 100_000
 
 
-def test_draws_span_compiled(benchmark):
-    """The compiled span kernel at the engine's full width: one step of
-    three draw slots per walk into slot-major storage."""
+def test_draws_compiled(benchmark):
+    """The compiled draw kernel at the engine's full width: one step of
+    three draw slots per walk, one step per walk."""
     n = 10_000
     ws = WalkStreams(seed=1)
     uids = np.arange(n, dtype=np.uint64)
     steps = np.arange(n, dtype=np.uint64) % 40
-    out = np.empty((1, 3, n)).transpose(0, 2, 1)
 
-    benchmark(ws.draws_span, uids, steps, 1, 3, out=out)
+    benchmark(ws.draws, uids, steps, 3)
 
 
-def test_grid_query_into_case5(benchmark):
+def test_grid_query_case5(benchmark):
     """The compiled grid query on SRAM case 5 at the default cap: 10,000
     enclosure points, most of them near-field."""
     structure = build_case(5)
@@ -81,10 +80,8 @@ def test_grid_query_into_case5(benchmark):
     lo = np.asarray(structure.enclosure.lo)
     hi = np.asarray(structure.enclosure.hi)
     pts = lo + (hi - lo) * np.random.default_rng(5).random((10_000, 3))
-    dist = np.empty(10_000)
-    cond = np.empty(10_000, dtype=np.int64)
 
-    benchmark(index.query_into, pts, dist, cond)
+    benchmark(index.query, pts)
 
 
 def test_kahan_vector_accumulate(benchmark):

@@ -17,7 +17,8 @@ and the named constructors mirror the paper's experiment matrix:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -91,21 +92,20 @@ RESULT_FIELDS = (
 #: This tuple is also the *justified allowlist* of the det-lint DET009
 #: cache-key-completeness pass (docs/STATIC_ANALYSIS.md): a field read on
 #: the solver/engine/estimator result path that appears in neither tuple
-#: fails CI.  Justifications, by group — backend placement (``executor``,
-#: ``n_workers``, ``mp_start_method``: UID-ordered reassembly makes worker
-#: layout and batch cuts invisible) and guards (``sanitize``: raises or
-#: no-ops).  The batch schedule — cross-master interleaving, the even
-#: in-flight quota and its ``1 + PIPELINE_LOOKAHEAD`` cap, and each
-#: worker's one vector refilling from its batch queue, several masters'
-#: walks sharing it, in completion order — plus the far-field index tier
-#: are fixed behaviour, not fields: walk draws are a pure function of
-#: (master stream, uid, step), so none of them can reach a bit, and each
-#: won its suite A/B (docs/PERFORMANCE.md).
+#: fails CI.  Justification — backend placement (``executor``,
+#: ``n_workers``, ``mp_start_method``): UID-ordered reassembly makes worker
+#: layout and batch cuts invisible.  The batch schedule — cross-master
+#: interleaving, the even in-flight quota and its ``1 +
+#: PIPELINE_LOOKAHEAD`` cap, and each worker's one vector refilling from
+#: its batch queue, several masters' walks sharing it, in completion
+#: order — plus the far-field index tier are fixed behaviour, not fields:
+#: walk draws are a pure function of (master stream, uid, step), so none
+#: of them can reach a bit, and each won its suite A/B
+#: (docs/PERFORMANCE.md).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
     "mp_start_method",
-    "sanitize",
 )
 
 
@@ -229,16 +229,6 @@ class FRWConfig:
         accumulation skips the virtual-thread merge replay that Table II's
         RI study measures).  ``min_walks`` / ``max_walks`` keep counting
         raw walks (pairs × 2).
-    sanitize:
-        Arm the runtime RNG sanitizer
-        (:func:`repro.lint.sanitizer.forbid_global_rng`) for the duration
-        of ``extract``/``extract_row``: any global ``np.random.*`` or
-        stdlib ``random.*`` call — from this library or a third-party
-        dependency — raises :class:`~repro.errors.DeterminismError`
-        instead of silently breaking bit-identity.  Private seeded
-        generators are unaffected.  Off by default (tiny patch/unpatch
-        cost, and test frameworks like hypothesis legitimately use the
-        global stdlib RNG between extractions).
     """
 
     seed: int = 0
@@ -261,9 +251,21 @@ class FRWConfig:
     n_workers: int = 0
     mp_start_method: str = "auto"
     antithetic: bool = True
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            # A float, bool or string where an integer belongs would run
+            # under another cache key (or, for the flag, a truthy "no").
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ConfigError(
+                        f"{f.name} must be an integer, got {value!r}"
+                    )
+                # A NumPy integer hashes apart from the equal int.
+                object.__setattr__(self, f.name, int(value))
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a bool, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}"

@@ -85,7 +85,6 @@ import ctypes
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -129,9 +128,9 @@ class StageTimers:
     always read 0: they stay only because the frozen benchmark harness
     reads them, and go with its next change.
 
-    ``counts[stage]`` counts the kernel calls (``lap`` calls, for a caller
-    timing its own) charged to the stage, so a stage's fixed per-call
-    overhead is measurable separately from its seconds.
+    ``counts[stage]`` counts the kernel calls charged to the stage, so a
+    stage's fixed per-call overhead is measurable separately from its
+    seconds.
     """
 
     rng: float = 0.0
@@ -142,13 +141,6 @@ class StageTimers:
     bookkeeping: float = 0.0
     steps: int = 0
     counts: dict = field(default_factory=dict)
-
-    def lap(self, stage: str, t0: float) -> float:
-        """Charge ``now - t0`` to ``stage``; returns the new timestamp."""
-        t1 = perf_counter()
-        setattr(self, stage, getattr(self, stage) + (t1 - t0))
-        self.counts[stage] = self.counts.get(stage, 0) + 1
-        return t1
 
     @property
     def total(self) -> float:
@@ -311,7 +303,7 @@ class WalkPipeline:
         self._lane = np.empty(capacity, dtype=np.int64)
         self._tol = np.empty(capacity, dtype=np.float64)
         self._grow = np.empty(capacity, dtype=np.int64)
-        # uint64 so the RNG's counter build consumes it without a cast copy.
+        # uint64: the kernels' ``step_no`` is the Philox counter's step.
         self._step_no = np.empty(capacity, dtype=np.uint64)
         self._pos = np.empty((capacity, 3), dtype=np.float64)
         self._eps = np.empty(capacity, dtype=np.float64)

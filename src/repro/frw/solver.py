@@ -41,7 +41,6 @@ from ..analysis.capmatrix import CapacitanceMatrix
 from ..config import FRWConfig
 from ..errors import ConfigError
 from ..geometry import Structure
-from ..lint.sanitizer import maybe_forbid_global_rng
 from ..reliability import PropertyReport, check_properties, regularize
 from .alg1_baseline import extract_row_alg1
 from .alg2_reproducible import RunStats, extract_row_alg2
@@ -156,19 +155,11 @@ class FRWSolver:
         self.close()
 
     def extract_row(self, master: int) -> tuple[CapacitanceRow, RunStats]:
-        """Extract a single row of the capacitance matrix.
-
-        With ``config.sanitize`` set, the runtime RNG sanitizer is armed
-        for the duration of the call: any global-RNG use anywhere in the
-        process raises :class:`~repro.errors.DeterminismError`.
-        """
-        with maybe_forbid_global_rng(self.config.sanitize):
-            ctx = self.context(master)
-            if self.config.variant == "alg1":
-                return extract_row_alg1(ctx, self.config)
-            return extract_row_alg2(
-                ctx, self.config, executor=self.walk_executor()
-            )
+        """Extract a single row of the capacitance matrix."""
+        ctx = self.context(master)
+        if self.config.variant == "alg1":
+            return extract_row_alg1(ctx, self.config)
+        return extract_row_alg2(ctx, self.config, executor=self.walk_executor())
 
     def _extract_serial_masters(
         self, masters: list[int]
@@ -201,13 +192,12 @@ class FRWSolver:
         cfg = self.config
         executor = self.walk_executor()
         t0 = time.perf_counter()
-        with maybe_forbid_global_rng(cfg.sanitize):
-            if cfg.variant == "alg1":
-                rows, stats = self._extract_serial_masters(masters)
-            else:
-                rows, stats = extract_rows_interleaved(
-                    masters, cfg, self.context, executor=executor
-                )
+        if cfg.variant == "alg1":
+            rows, stats = self._extract_serial_masters(masters)
+        else:
+            rows, stats = extract_rows_interleaved(
+                masters, cfg, self.context, executor=executor
+            )
         wall = time.perf_counter() - t0
 
         meta = {

@@ -469,52 +469,22 @@ class GridIndex:
         return int(self._near.shape[0] - np.count_nonzero(self._near))
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Capped nearest Chebyshev distance and conductor index per point."""
-        points = np.asarray(points, dtype=np.float64)
-        n = points.shape[0]
-        dist = np.empty(n, dtype=np.float64)
-        cond = np.empty(n, dtype=np.int64)
-        self.query_into(points, dist, cond)
-        return dist, cond
+        """Capped nearest Chebyshev distance and conductor index per point.
 
-    def query_into(
-        self,
-        points: np.ndarray,
-        dist: np.ndarray,
-        cond: np.ndarray,
-        timers=None,
-        t0: float = 0.0,
-    ) -> float:
-        """Query into preallocated ``dist``/``cond`` views (length ``n``).
-
-        The engine's zero-allocation entry point: one call of the compiled
-        grid kernel (:func:`repro.native.grid_query`) looks up every
-        point's cell, answers far-field cells with ``(h_cap, -1)`` and
-        scans the candidate lists of near ones, keeping the first lowest
-        box.  When ``timers`` (a :class:`~repro.frw.engine.StageTimers`)
-        is given, the whole query is charged to its ``index`` stage;
-        returns the rolling timestamp.
+        One call of the compiled grid kernel (:func:`repro.native.grid_query`)
+        looks up every point's cell, answers far-field cells with
+        ``(h_cap, -1)`` and scans the candidate lists of near ones, keeping
+        the first lowest box.  ``points`` must be ``(n, 3)``: the kernel
+        reads three doubles per row.
         """
-        points = np.asarray(points, dtype=np.float64)
-        n = points.shape[0]
-        if (
-            points.shape != (n, 3)
-            or dist.shape != (n,)
-            or cond.shape != (n,)
-            or dist.dtype != np.float64
-            or cond.dtype != np.int64
-            or not (dist.flags.writeable and cond.flags.writeable)
-        ):
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
             raise GeometryError(
-                f"query_into needs (n, 3) points and writeable (n,) "
-                f"float64/int64 outputs, got {points.shape}, {dist.dtype} {dist.shape}, "
-                f"{cond.dtype} {cond.shape}"
+                f"query needs (n, 3) points, got shape {points.shape}"
             )
-        near, visited = native.grid_query(self.descriptor(), points, dist, cond)
-        self.count_query(n, near, visited)
-        if timers is not None:
-            t0 = timers.lap("index", t0)
-        return t0
+        dist, cond, near, visited = native.grid_query(self.descriptor(), points)
+        self.count_query(points.shape[0], near, visited)
+        return dist, cond
 
     def descriptor(self) -> native.Grid:
         """The compiled query's state (:func:`repro.native.grid`), built

@@ -53,8 +53,7 @@ detach a suppression; a suppression without a reason is itself an error
 ``python -m repro.lint [paths]`` or ``frw-rr lint`` (see
 :mod:`repro.lint.cli`); the full design is in ``docs/STATIC_ANALYSIS.md``.
 The paired *runtime* guard is
-:func:`repro.lint.sanitizer.forbid_global_rng`, wired into
-``FRWSolver.extract`` via ``FRWConfig.sanitize``.  This package module
-re-exports nothing, so ``import repro`` (which loads the sanitizer) never
-loads the analyzer.
+:func:`repro.lint.sanitizer.forbid_global_rng`, a context manager the
+golden suites wrap their extractions in.  This package module re-exports
+nothing, so importing the sanitizer never loads the analyzer.
 """

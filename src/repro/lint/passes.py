@@ -542,7 +542,7 @@ def det011_rng_counter_discipline(
     """Draws are a pure function of ``(seed, uid, step, slot)`` only
     because the Philox counter layout is defined once: the shared
     counter helper of ``repro/native/kernels.c``, which the span kernel
-    behind ``repro.rng.WalkStreams.draws_span`` and the engine's compiled
+    behind ``repro.rng.WalkStreams.draws`` and the engine's compiled
     launch and hop all use.  A Python caller that invokes ``philox4x32*``,
     ``philox_span`` or ``derive_key`` directly builds its own counters or
     keys and silently forks the stream: results stay plausible and
@@ -567,7 +567,7 @@ def det011_rng_counter_discipline(
                     f"raw Philox kernel call '{tail}' outside repro.rng — "
                     "the counter layout is defined once, in the compiled "
                     "counter helper the stream helpers (WalkStreams."
-                    "draws_span) and the engine's kernels share; a "
+                    "draws) and the engine's kernels share; a "
                     "hand-built counter forks the per-walk stream",
                 )
 

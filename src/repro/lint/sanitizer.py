@@ -14,10 +14,11 @@ and ``np.random.RandomState(seed)`` are deterministic and are what
 ``repro.rng`` builds on.  Private ``Generator``/``RandomState`` *instances*
 are untouched: only the process-global state is fenced off.
 
-``FRWSolver.extract`` (and ``extract_row``) enter this context when
-``FRWConfig.sanitize`` is set; the golden bit-identity suites run with it
-on, so a regression that reaches for global RNG state fails loudly rather
-than surfacing as a one-bit drift three PRs later.
+The golden bit-identity suites run every extraction inside this
+context, so a regression that reaches for global RNG state fails loudly
+rather than surfacing as a one-bit drift three PRs later.  The solver
+never arms it itself: a caller that wants the fence wraps its extraction
+in it.
 
 The patch is process-wide and reference-counted, so nested/concurrent
 sanitized extractions are safe; fork-pool workers inherit the patched
@@ -69,7 +70,7 @@ def _raiser(qualname: str):
     def blocked(*args, **kwargs):
         raise DeterminismError(
             f"'{qualname}' was called while the RNG sanitizer is active "
-            "(FRWConfig.sanitize / forbid_global_rng): global RNG state is "
+            "(forbid_global_rng): global RNG state is "
             "forbidden during reproducible extraction — draw from the "
             "per-walk streams or an explicitly seeded generator from "
             "repro.rng instead"
@@ -175,15 +176,3 @@ def sanitizer_active() -> bool:
     """Whether the global-RNG fence is currently installed."""
     return _depth > 0
 
-
-def maybe_forbid_global_rng(enabled: bool):
-    """``forbid_global_rng()`` when ``enabled``, else a null context.
-
-    The call-site shape for config-gated use::
-
-        with maybe_forbid_global_rng(config.sanitize):
-            ... extraction ...
-    """
-    if enabled:
-        return forbid_global_rng()
-    return contextlib.nullcontext()

@@ -1,20 +1,21 @@
 """The compiled engine kernels: build, cache and call ``kernels.c``.
 
-The walk engine's stages run in C: the Philox span fill behind
-:meth:`repro.rng.WalkStreams.draws_span`, the grid query behind
-:meth:`repro.geometry.GridIndex.query_into`, the cube table's cell draw
-behind :meth:`repro.greens.CubeTransitionTable.sample_cells` and
+The walk engine runs in C: the vector step's launch, query-and-absorb,
+retirement and hop, and the loop that runs them from one batch boundary
+to the next (:class:`repro.frw.WalkPipeline`), all over one
+:class:`Arena` descriptor of the pipeline's slot arena.  The launch and
+the hop compute the draws they consume from each slot's lane descriptor
+(:data:`DRAW_MIRRORED`, :data:`DRAW_MT`).  The same source holds the
+one-call entry points the tests and the reference engines use: the
+Philox draws of one step behind :meth:`repro.rng.WalkStreams.draws`, the
+grid query behind :meth:`repro.geometry.GridIndex.query`, the cube
+table's cell draw behind
+:meth:`repro.greens.CubeTransitionTable.sample_cells` and
 :meth:`~repro.greens.CubeTransitionTable.unit_positions`, the Gaussian
-surface point behind :meth:`repro.geometry.GaussianSurface.sample`, the
-hemisphere direction behind
-:func:`repro.greens.interface_hemisphere_direction`, and the vector
-step's launch, query-and-absorb, retirement and hop, with the loop that
-runs them from one batch boundary to the next
-(:class:`repro.frw.WalkPipeline`), which read one :class:`Arena`
-descriptor of the pipeline's slot arena.  The launch and the hop compute
-the draws they consume from each slot's lane descriptor
-(:data:`DRAW_MIRRORED`, :data:`DRAW_MT`).  They give the bits of their
-references exactly (``docs/DETERMINISM.md``).
+surface point behind :meth:`repro.geometry.GaussianSurface.sample` and
+the hemisphere direction behind
+:func:`repro.greens.interface_hemisphere_direction`.  Every kernel gives
+the bits of its reference exactly (``docs/DETERMINISM.md``).
 
 The launch, the query-and-absorb and the hop of a wide vector split its
 slots over the process's thread team (``team_size`` in ``kernels.c``),
@@ -266,14 +267,11 @@ def _load() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     signatures = {
         "philox4x32_block": [_PTR, _PTR, _PTR],
-        # n, depth, count, uids, uid stride, steps, step stride, k0, k1,
-        # out, out strides (k, i, d)
-        "philox_span": [_I64] * 3 + [_PTR, _I64] * 2
-        + [ctypes.c_uint64] * 2 + [_PTR] + [_I64] * 3,
-        # grid, n, points, point strides (row, axis), dist, dist stride,
-        # cond, cond stride, counts
-        "grid_query": [ctypes.POINTER(Grid), _I64, _PTR, _I64, _I64]
-        + [_PTR, _I64] * 2 + [_PTR],
+        # n, count, uids, steps, per walk (1) or one step (0), k0, k1, out
+        "philox_span": [_I64, _I64, _PTR, _PTR, _I64]
+        + [ctypes.c_uint64] * 2 + [_PTR],
+        # grid, n, points, dist, cond, counts
+        "grid_query": [ctypes.POINTER(Grid), _I64] + [_PTR] * 4,
         # table, n, u, u stride, out
         "sample_cells": [ctypes.POINTER(Table), _I64, _PTR, _I64, _PTR],
         # table, n, cells, jitters a and b (each with its stride), out
@@ -370,33 +368,24 @@ def philox4x32_block(counter, key) -> tuple[int, int, int, int]:
 
 
 def philox_span(
-    uids: np.ndarray,
-    steps: np.ndarray,
-    key: tuple[int, int],
-    depth: int,
-    count: int,
-    out: np.ndarray,
-) -> None:
-    """Fill ``out[k, i, d]`` with draw slot ``d`` of step ``steps[i] + k``
-    of walk ``uids[i]`` under the Philox key ``(k0, k1)``.
+    uids: np.ndarray, steps: np.ndarray, key: tuple[int, int], count: int
+) -> np.ndarray:
+    """``(n, count)`` uniforms: row ``i`` holds draw slots ``0..count-1``
+    of step ``steps[i]`` of walk ``uids[i]`` under the Philox key ``(k0,
+    k1)``.
 
-    ``uids`` is ``(n,)`` uint64; ``steps`` is uint64, ``(n,)`` or 0-d (one
-    step for every walk); ``out`` is float64 of shape ``(depth, n,
-    count)`` with any strides.  Arguments are not validated here:
-    :meth:`~repro.rng.WalkStreams.draws_span` does that.
+    ``uids`` is contiguous ``(n,)`` uint64; ``steps`` is uint64, ``(n,)``
+    or 0-d (one step for every walk).  Arguments are not validated here:
+    :meth:`~repro.rng.WalkStreams.draws` does that.
     """
+    n = uids.shape[0]
+    per_walk = steps.ndim
+    steps = np.ascontiguousarray(steps)
+    out = np.empty((n, count), dtype=np.float64)
     library().philox_span(
-        uids.shape[0],
-        depth,
-        count,
-        address(uids),
-        _stride(uids, 0),
-        address(steps),
-        _stride(steps, 0) if steps.ndim else 0,
-        *key,
-        address(out),
-        *(_stride(out, axis) for axis in range(3)),
+        n, count, address(uids), address(steps), per_walk, *key, address(out)
     )
+    return out
 
 
 def grid(
@@ -431,26 +420,21 @@ def grid(
 
 
 def grid_query(
-    g: Grid, points: np.ndarray, dist: np.ndarray, cond: np.ndarray
-) -> tuple[int, int]:
-    """Capped nearest-conductor distance and conductor of every point of
-    ``points`` (``(n, 3)`` float64) into ``dist`` (float64) and ``cond``
-    (int64), both ``(n,)`` with any stride.  Returns ``(near_points,
-    candidates_visited)``."""
+    g: Grid, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Capped nearest-conductor distance (float64) and conductor (int64)
+    of every point of ``points`` (C-contiguous ``(n, 3)`` float64, not
+    validated here: :meth:`~repro.geometry.GridIndex.query` does that).
+    Returns ``(dist, cond, near_points, candidates_visited)``."""
+    n = points.shape[0]
+    dist = np.empty(n, dtype=np.float64)
+    cond = np.empty(n, dtype=np.int64)
     counts = np.zeros(2, dtype=np.int64)
     library().grid_query(
-        ctypes.byref(g),
-        points.shape[0],
-        address(points),
-        _stride(points, 0),
-        _stride(points, 1),
-        address(dist),
-        _stride(dist, 0),
-        address(cond),
-        _stride(cond, 0),
+        ctypes.byref(g), n, address(points), address(dist), address(cond),
         address(counts),
     )
-    return int(counts[0]), int(counts[1])
+    return dist, cond, int(counts[0]), int(counts[1])
 
 
 def table(

@@ -3,10 +3,10 @@
  *
  * Each entry point is the one implementation of its stage:
  *
- *   philox_span     Philox4x32-10 draws for `depth` consecutive steps of a
- *                   vector of walks (repro.rng.WalkStreams.draws_span).
+ *   philox_span     Philox4x32-10 draws for one step of a vector of walks
+ *                   (repro.rng.WalkStreams.draws).
  *   grid_query      capped nearest-conductor queries on the uniform grid
- *                   (repro.geometry.GridIndex.query_into).
+ *                   (repro.geometry.GridIndex.query).
  *   sample_cells,   the cube transition table's inverse-CDF cell draw and
  *   unit_positions  its unit-cube point (repro.greens.CubeTransitionTable).
  *   surface_sample  a Gaussian surface's area-uniform point
@@ -152,46 +152,35 @@ static inline double unit_double(uint32_t hi, uint32_t lo)
 }
 
 /*
- * out[k*s_k + i*s_i + d*s_d] = draw slot d of step steps[i] + k of walk
- * uids[i] under the key (k0, k1), for k < depth, i < n, d < count.  All
- * strides count elements; a step stride of 0 broadcasts one step to every
- * walk.
+ * out[i*count + d] = draw slot d of step steps[i * per_walk] of walk
+ * uids[i] under the key (k0, k1), for i < n, d < count.  per_walk is 1
+ * for one step per walk, or 0 to give every walk the step steps[0].
  */
-void philox_span(int64_t n, int64_t depth, int64_t count,
-                 const uint64_t *uids, int64_t uid_stride,
-                 const uint64_t *steps, int64_t step_stride,
-                 uint64_t k0, uint64_t k1,
-                 double *out, int64_t s_k, int64_t s_i, int64_t s_d)
+void philox_span(int64_t n, int64_t count, const uint64_t *uids,
+                 const uint64_t *steps, int64_t per_walk,
+                 uint64_t k0, uint64_t k1, double *out)
 {
     int64_t blocks = (count + 1) / 2;
     for (int64_t a = 0; a < n; a += LANES) {
         int m = n - a < LANES ? (int)(n - a) : LANES;
-        uint64_t uid[LANES], step[LANES];
-        for (int l = 0; l < LANES; l++) {
-            /* Lanes past the end repeat the last walk and are not stored. */
-            int64_t i = a + (l < m ? l : m - 1);
-            uid[l] = uids[i * uid_stride];
-            step[l] = steps[i * step_stride];
-        }
-        for (int64_t k = 0; k < depth; k++) {
-            for (int64_t j = 0; j < blocks; j++) {
-                uint32_t x0[LANES], x1[LANES], x2[LANES], x3[LANES];
-                uint32_t c0[LANES], c1[LANES];
-                for (int l = 0; l < LANES; l++) {
-                    walk_counter(uid[l], step[l] + (uint64_t)k, (uint64_t)j,
-                                 &x0[l], &x1[l], &x2[l], &x3[l]);
-                    c0[l] = (uint32_t)k0;
-                    c1[l] = (uint32_t)k1;
-                }
-                philox_lanes(x0, x1, x2, x3, c0, c1);
-                double *lo_slot = out + k * s_k + 2 * j * s_d + a * s_i;
-                for (int l = 0; l < m; l++)
-                    lo_slot[l * s_i] = unit_double(x0[l], x1[l]);
-                if (2 * j + 1 < count) {
-                    double *hi_slot = lo_slot + s_d;
-                    for (int l = 0; l < m; l++)
-                        hi_slot[l * s_i] = unit_double(x2[l], x3[l]);
-                }
+        for (int64_t j = 0; j < blocks; j++) {
+            uint32_t x0[LANES], x1[LANES], x2[LANES], x3[LANES];
+            uint32_t c0[LANES], c1[LANES];
+            for (int l = 0; l < LANES; l++) {
+                /* Lanes past the end repeat the last walk and are not
+                 * stored. */
+                int64_t i = a + (l < m ? l : m - 1);
+                walk_counter(uids[i], steps[i * per_walk], (uint64_t)j,
+                             &x0[l], &x1[l], &x2[l], &x3[l]);
+                c0[l] = (uint32_t)k0;
+                c1[l] = (uint32_t)k1;
+            }
+            philox_lanes(x0, x1, x2, x3, c0, c1);
+            double *slot = out + a * count + 2 * j;
+            for (int l = 0; l < m; l++) {
+                slot[l * count] = unit_double(x0[l], x1[l]);
+                if (2 * j + 1 < count)
+                    slot[l * count + 1] = unit_double(x2[l], x3[l]);
             }
         }
     }
@@ -373,21 +362,18 @@ static inline __attribute__((always_inline)) double query_one(const grid_t *g, d
 }
 
 /*
- * Capped Chebyshev distance and conductor per point; counts[0] += near
- * points, counts[1] += candidates visited.
+ * Capped Chebyshev distance and conductor of each of the n points
+ * (row-major (n, 3)); counts[0] += near points, counts[1] += candidates
+ * visited.
  */
-void grid_query(const grid_t *g, int64_t n,
-                const double *pts, int64_t p_s0, int64_t p_s1,
-                double *dist, int64_t dist_stride,
-                int64_t *cond, int64_t cond_stride,
-                int64_t *counts)
+void grid_query(const grid_t *g, int64_t n, const double *pts,
+                double *dist, int64_t *cond, int64_t *counts)
 {
     int64_t near_points = 0, visited = 0;
     for (int64_t i = 0; i < n; i++) {
-        const double *p = pts + i * p_s0;
-        dist[i * dist_stride] = query_one(g, p[0], p[p_s1], p[2 * p_s1],
-                                          cond + i * cond_stride,
-                                          &near_points, &visited);
+        const double *p = pts + 3 * i;
+        dist[i] = query_one(g, p[0], p[1], p[2], cond + i, &near_points,
+                            &visited);
     }
     counts[0] += near_points;
     counts[1] += visited;

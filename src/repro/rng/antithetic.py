@@ -112,9 +112,8 @@ class MirroredDraws:
 
     The walk engine reads only the base stream's :attr:`key`: its compiled
     launch and hop compute the same draws in place
-    (``repro/native/kernels.c``).  :meth:`draws`, :meth:`draws_span` and
-    :meth:`draws_scalar` stay as the references the tests compare the
-    kernels against.
+    (``repro/native/kernels.c``).  :meth:`draws` and :meth:`draws_scalar`
+    stay as the references the tests compare the kernels against.
 
     The base provider must be counter-based — draws keyed by ``(uid,
     step, slot)``, not by consumption order — because partners re-read
@@ -134,60 +133,37 @@ class MirroredDraws:
         return self.base.key
 
     def draws(
-        self,
-        uids: np.ndarray,
-        step: int | np.ndarray,
-        count: int,
+        self, uids: np.ndarray, step: int | np.ndarray, count: int
     ) -> np.ndarray:
-        """Return ``(len(uids), count)`` uniforms in [0, 1); the depth-1
-        view of :meth:`draws_span`."""
-        return self.draws_span(uids, step, 1, count)[0]
-
-    def draws_span(
-        self,
-        uids: np.ndarray,
-        steps: int | np.ndarray,
-        depth: int,
-        count: int,
-    ) -> np.ndarray:
-        """Fused multi-step draws; plane ``k`` holds step ``steps + k``
-        (a test reference for the kernels).
+        """Return ``(len(uids), count)`` uniforms in [0, 1).
 
         Pure per-walk function of ``(uid, step, slot)`` exactly like the
         base stream — batching, ordering, and co-scheduling of primaries
-        and partners are invisible to the values.  Delegates the Philox
-        span to the base provider at the primary UIDs, then reflects the
-        partners' step-1 plane: the mask is per ``(step offset, walk)``,
-        so a span that covers step 1 for some walks only transforms
-        exactly those entries.
+        and partners are invisible to the values.  Draws the base stream
+        at the primary UIDs, then reflects the rows of partners at step 1
+        (``step`` is a scalar or one step per walk).
         """
         uids = np.asarray(uids, dtype=np.uint64)
         k = np.mod(uids, np.uint64(2))
-        u = self.base.draws_span(uids - k, steps, depth, count)
-        # step_grid[k_off, i] = steps_i + k_off; broadcasting covers both
-        # scalar and per-walk steps.
-        step_grid = np.add(
-            np.asarray(steps, dtype=np.uint64),
-            np.arange(depth, dtype=np.uint64)[:, None],
-        )
-        transform = (k > 0) & (step_grid == np.uint64(1))
+        u = self.base.draws(uids - k, step, count)
+        transform = (k > 0) & (np.asarray(step, dtype=np.uint64) == 1)
         if not transform.any():
             return u
-        # Branchless whole-block transform: untransformed entries get the
+        # Branchless whole-block transform: untransformed rows get the
         # exact identity (reflect 0 — u*1+0 and u-floor(u) are bit-exact
         # for u in [0, 1)), so no fancy-index write-back copy.  Slot 0 is
         # the transition-cube cell selection and reflects within its
         # third (antipodal hop); the remaining slots reflect over the
         # whole interval.
-        reflect = transform.astype(np.float64)[:, :, None]
-        antipodal_uniform(u[:, :, :1], reflect)
+        reflect = transform.astype(np.float64)[:, None]
+        antipodal_uniform(u[:, :1], reflect)
         if count > 1:
-            mirror_uniform(u[:, :, 1:], reflect)
+            mirror_uniform(u[:, 1:], reflect)
         return u
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
         """Scalar reference path (for the tests); bit-identical to
-        :meth:`draws_span`."""
+        :meth:`draws`."""
         uid = int(uid)
         k = uid % 2
         values = self.base.draws_scalar(uid - k, step, count)

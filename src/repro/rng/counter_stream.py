@@ -21,10 +21,9 @@ Each Philox call yields 4 words = 2 doubles, so a step may consume up to
 The walk engine does not call these streams: its compiled launch and
 hop compute each walk's draws in place from the stream's :attr:`~
 WalkStreams.key`, through the same counter layout
-(``repro/native/kernels.c``).  :meth:`WalkStreams.draws_span` fills
-``depth`` consecutive steps of a vector of walks with the same kernel
-code (the walk-on-spheres reference and the tests use it), and
-:meth:`WalkStreams.draws` is its depth-1 view.
+(``repro/native/kernels.c``).  :meth:`WalkStreams.draws` fills one step
+of a vector of walks with the same kernel code (the walk-on-spheres
+reference and the tests use it).
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ MAX_DRAWS_PER_STEP = 2 * BLOCKS_PER_STEP
 #: Domain-separation tag placed in counter word c3 ("FRWR").
 DOMAIN_TAG = 0x46525752
 
-#: Maximum step depth of one :meth:`WalkStreams.draws_span` call.
-MAX_SPAN_STEPS = 16
-
 _MASK32 = 0xFFFFFFFF
 
 
@@ -64,7 +60,7 @@ class WalkStreams:
 
     The draw *values* are a pure function of ``(seed, stream, uid, step,
     slot)``, so any number of instances agree bit-for-bit.  An instance
-    holds only its key, and the span kernel keeps no scratch, so one
+    holds only its key, and the draw kernel keeps no scratch, so one
     instance may serve concurrent calls from any number of threads.
     """
 
@@ -82,76 +78,35 @@ class WalkStreams:
         return self._k0, self._k1
 
     def draws(
-        self,
-        uids: np.ndarray,
-        step: int | np.ndarray,
-        count: int,
-        out: np.ndarray | None = None,
+        self, uids: np.ndarray, step: int | np.ndarray, count: int
     ) -> np.ndarray:
         """Return ``(len(uids), count)`` uniforms in [0, 1).
 
-        The depth-1 view of :meth:`draws_span`: the result depends only on
-        ``(seed, stream, uid, step, slot)`` — not on the order or grouping
-        of ``uids`` — and ``step`` may be a scalar or a per-walk array.
-        ``out`` — shape ``(n, >= count)``, float64 — receives the draws.
-        """
-        span_out = None if out is None else out[None]
-        return self.draws_span(uids, step, 1, count, out=span_out)[0]
-
-    def draws_span(
-        self,
-        uids: np.ndarray,
-        steps: int | np.ndarray,
-        depth: int,
-        count: int,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Fused draws for ``depth`` consecutive steps of every walk.
-
-        Returns ``(depth, len(uids), count)`` uniforms where ``[k, i, :]``
-        is draw slots ``0..count-1`` of step ``steps + k`` of walk
-        ``uids[i]`` (bit-identical to :meth:`draws_scalar`).  ``steps``
-        may be a scalar or a per-walk array.  One call of the compiled
-        span kernel (:func:`repro.native.philox_span`) fills every plane.
-        ``out`` — shape ``(depth, >= n, >= count)``, float64, any strides
-        — makes the call allocation-free.
+        Row ``i`` is draw slots ``0..count-1`` of step ``step`` (a scalar,
+        or one step per walk) of walk ``uids[i]``, bit-identical to
+        :meth:`draws_scalar`: it depends only on ``(seed, stream, uid,
+        step, slot)``, not on the order or grouping of ``uids``.  One call
+        of the compiled kernel (:func:`repro.native.philox_span`) fills
+        the array.
         """
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
                 f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"
             )
-        if depth < 1 or depth > MAX_SPAN_STEPS:
-            raise RNGError(
-                f"depth must be in [1, {MAX_SPAN_STEPS}], got {depth}"
-            )
         uids = np.asarray(uids, dtype=np.uint64)
         if uids.ndim != 1:
             raise RNGError(f"uids must be one-dimensional, got {uids.shape}")
+        uids = np.ascontiguousarray(uids)
         n = uids.shape[0]
-        if out is None:
-            out = np.empty((depth, n, count), dtype=np.float64)
-        elif (
-            out.dtype != np.float64
-            or not out.flags.writeable
-            or out.shape[0] < depth
-            or out.shape[1] < n
-            or out.shape[2] < count
-        ):
+        step = np.asarray(step, dtype=np.uint64)
+        if step.shape not in ((), (n,)):
             raise RNGError(
-                f"out {out.dtype} {out.shape} is not a writeable float64 "
-                f"array of at least ({depth}, {n}, {count})"
+                f"step {step.shape} must be scalar or one per walk ({n},)"
             )
-        steps = np.asarray(steps, dtype=np.uint64)
-        if steps.shape not in ((), (n,)):
-            raise RNGError(
-                f"steps {steps.shape} must be scalar or one per walk ({n},)"
-            )
-        out = out[:depth, :n, :count]
-        philox_span(uids, steps, self.key, depth, count, out)
-        return out
+        return philox_span(uids, step, self.key, count)
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
-        """Scalar reference path; bit-identical to :meth:`draws_span`."""
+        """Scalar reference path; bit-identical to :meth:`draws`."""
         if count < 1 or count > MAX_DRAWS_PER_STEP:
             raise RNGError(
                 f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"

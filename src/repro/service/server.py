@@ -34,6 +34,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -211,8 +212,6 @@ class ExtractionService:
         )
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-        # ``sanitize`` stays at its default, off: the runtime RNG sanitizer
-        # patches process-global state, so concurrent slots would race on it.
         config = FRWConfig(
             **{k: raw_config[k] for k in RESULT_FIELDS if k in raw_config}
         )
@@ -220,6 +219,12 @@ class ExtractionService:
         masters = request.get("masters")
         if masters is None:
             masters = list(range(n))
+        if not isinstance(masters, (list, tuple)) or any(
+            isinstance(m, bool) or not isinstance(m, Integral) for m in masters
+        ):
+            raise ConfigError(
+                f"masters must be a list of integer indices, got {masters!r}"
+            )
         masters = [int(m) for m in masters]
         if not masters or len(set(masters)) != len(masters):
             raise ConfigError("masters must be a non-empty list of distinct indices")

@@ -57,7 +57,6 @@ ALT_ENGINE_VALUES = {
     "executor": "process",
     "n_workers": 3,
     "mp_start_method": "spawn",
-    "sanitize": True,
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for per-walk counter streams (fine-grained reseeding)."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,38 @@ from repro.rng import (
     MirroredDraws,
     WalkStreams,
 )
-from repro.rng.counter_stream import MAX_SPAN_STEPS
+
+
+def _draw_digest(provider) -> str:
+    """SHA-256 of ``provider.draws`` over UIDs on both sides of 2**32 (even
+    primaries and odd partners), scalar steps 0, 1, 2 and 10,000, a
+    per-walk step vector with step 1 on most walks, and counts 1-8."""
+    uids = np.array(
+        [0, 1, 2, 3, 998, 999, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1,
+         2**32 + 6, 2**40 + 7, 2**63, 2**64 - 2, 2**64 - 1],
+        dtype=np.uint64,
+    )
+    per_walk = np.array(
+        [1, 0, 1, 1, 2, 1, 0, 1, 1, 3, 1, 17, 1, 1, 4096], dtype=np.uint64
+    )
+    h = hashlib.sha256()
+    for count in range(1, MAX_DRAWS_PER_STEP + 1):
+        for step in (0, 1, 2, 10_000, per_walk):
+            h.update(provider.draws(uids, step, count).tobytes())
+    return h.hexdigest()
+
+
+def test_draws_digests_are_pinned():
+    """The bits of both draw providers, pinned: a change to the compiled
+    Philox kernel or to the antithetic reflection that moves any draw
+    fails here."""
+    base = WalkStreams(20251018, 3)
+    assert _draw_digest(base) == (
+        "81ef23be3041a2cfdc7685d4e7f8e4e629ad21fcef60151085be4cc21d8a357f"
+    )
+    assert _draw_digest(MirroredDraws(base)) == (
+        "a3feb65b9be071b6c24c12bebb2f69559907b7ad1d23527c4a8b4ebdc8ff76de"
+    )
 
 
 def test_draws_shape_and_range():
@@ -81,46 +113,49 @@ def test_draw_count_limits():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
     count=st.integers(min_value=1, max_value=MAX_DRAWS_PER_STEP),
     pairs=st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=2**64 - 1),  # uid
+            st.one_of(  # uid, on both sides of 2**32
+                st.integers(min_value=0, max_value=2**32),
+                st.integers(min_value=2**32, max_value=2**64 - 1),
+            ),
             st.integers(min_value=0, max_value=2**20),  # step
         ),
         min_size=1,
-        max_size=16,
+        max_size=33,
     ),
-    use_out=st.booleans(),
+    scalar_step=st.booleans(),
 )
-def test_fused_draws_matches_scalar_property(seed, count, pairs, use_out):
-    """The fused single-pass Philox kernel is bit-identical to the scalar
-    reference for arbitrary (uid, step) mixes — including per-walk step
-    vectors, every count up to
-    MAX_DRAWS_PER_STEP, and the caller-supplied ``out=`` buffer path."""
+def test_fused_draws_matches_scalar_property(seed, count, pairs, scalar_step):
+    """The compiled Philox kernel is bit-identical to the scalar reference
+    for arbitrary (uid, step) mixes — one step for every walk or one per
+    walk, and every count up to MAX_DRAWS_PER_STEP."""
     ws = WalkStreams(seed)
     uids = np.array([u for u, _ in pairs], dtype=np.uint64)
     steps = np.array([s for _, s in pairs], dtype=np.uint64)
-    if use_out:
-        out = np.empty((len(pairs), MAX_DRAWS_PER_STEP), dtype=np.float64)
-        vec = ws.draws(uids, steps, count, out=out)
-        assert vec.base is out
+    if scalar_step:
+        steps[:] = steps[0]
+        vec = ws.draws(uids, int(steps[0]), count)
     else:
         vec = ws.draws(uids, steps, count)
     assert vec.shape == (len(pairs), count)
-    for i, (uid, step) in enumerate(pairs):
-        assert vec[i].tolist() == ws.draws_scalar(uid, step, count)
+    for i, (uid, step) in enumerate(zip(uids, steps)):
+        assert vec[i].tolist() == ws.draws_scalar(int(uid), int(step), count)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     data=st.data(),
-    depth=st.integers(min_value=1, max_value=MAX_SPAN_STEPS),
+    depth=st.integers(min_value=1, max_value=8),
     count=st.integers(min_value=1, max_value=8),
 )
 def test_draws_span_equals_per_step_draws(seed, data, depth, count):
-    """A span is the scalar reference at every step it covers."""
+    """Draws over a span of consecutive steps, one ``draws`` call per step
+    from per-walk start steps as the vector loop takes them, are the scalar
+    reference at every step the span covers."""
     n = data.draw(st.integers(min_value=1, max_value=33), label="n")
     uids = np.asarray(
         data.draw(
@@ -145,7 +180,9 @@ def test_draws_span_equals_per_step_draws(seed, data, depth, count):
         dtype=np.uint64,
     )
     streams = WalkStreams(seed, 0)
-    span = streams.draws_span(uids, steps, depth, count)
+    span = np.stack(
+        [streams.draws(uids, steps + np.uint64(k), count) for k in range(depth)]
+    )
     assert span.shape == (depth, n, count)
     for k in range(depth):
         expect = [
@@ -153,55 +190,44 @@ def test_draws_span_equals_per_step_draws(seed, data, depth, count):
             for uid, step in zip(uids, steps)
         ]
         np.testing.assert_array_equal(span[k], expect)
-    np.testing.assert_array_equal(
-        streams.draws(uids, steps, count), span[0]
-    )
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    base=st.integers(min_value=0, max_value=2**40),
-    step0=st.integers(min_value=0, max_value=4),  # small: some spans cover step 1
-    depth=st.integers(min_value=1, max_value=8),
+    base=st.sampled_from([0, 2**32 - 4, 2**40]),
+    step0=st.integers(min_value=0, max_value=2),  # small: some rows at step 1
+    scalar_step=st.booleans(),
 )
-def test_mirrored_draws_span_equals_per_step(seed, base, step0, depth):
-    """The antithetic view's span applies the same transforms the scalar
-    reference applies — one (depth, n) step grid, same words out."""
-    n = 5
+def test_mirrored_draws_equal_draws_scalar(seed, base, step0, scalar_step):
+    """The antithetic view applies the transforms the scalar reference
+    applies, per row, for a scalar step and for per-walk steps."""
+    n = 8
     uids = np.arange(base, base + n, dtype=np.uint64)
     mirrored = MirroredDraws(WalkStreams(seed, 0))
-    steps = np.arange(step0, step0 + n, dtype=np.uint64)
-    span = mirrored.draws_span(uids, steps, depth, 3)
-    for k in range(depth):
-        expect = [
-            mirrored.draws_scalar(int(uid), int(step) + k, 3)
-            for uid, step in zip(uids, steps)
-        ]
-        np.testing.assert_array_equal(span[k], expect)
+    if scalar_step:
+        steps = np.full(n, step0, dtype=np.uint64)
+        got = mirrored.draws(uids, step0, 3)
+    else:
+        steps = np.arange(step0, step0 + n, dtype=np.uint64) % 3
+        got = mirrored.draws(uids, steps, 3)
+    expect = [
+        mirrored.draws_scalar(int(uid), int(step), 3)
+        for uid, step in zip(uids, steps)
+    ]
+    np.testing.assert_array_equal(got, expect)
 
 
 def test_span_scratch_is_bounded():
-    """The span kernel keeps no scratch: a deep span over a few walks
-    followed by a one-step span over many walks allocates their outputs
-    and nothing that grows with the span shapes."""
+    """The span kernel keeps no scratch: draws over many walks allocate
+    their output and nothing that grows with the vector."""
     uids = np.arange(10_000, dtype=np.uint64)
     streams = WalkStreams(5, 0)
-    streams.draws_span(uids[:2], 0, 1, 3)  # the library loads outside the trace
+    streams.draws(uids[:2], 0, 3)  # the library loads outside the trace
     tracemalloc.start()
     try:
-        deep = streams.draws_span(uids[:33], 0, 16, 3)
-        wide = streams.draws_span(uids, 0, 1, 3)
+        wide = streams.draws(uids, 0, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= deep.nbytes + wide.nbytes + 64 * 2**10
-
-
-def test_draws_span_validates_arguments():
-    streams = WalkStreams(7, 0)
-    uids = np.arange(4, dtype=np.uint64)
-    with pytest.raises(Exception):
-        streams.draws_span(uids, 0, 0, 3)
-    with pytest.raises(Exception):
-        streams.draws_span(uids, 0, MAX_SPAN_STEPS + 1, 3)
+    assert peak <= wide.nbytes + 64 * 2**10

@@ -19,6 +19,7 @@ from repro.frw import (
     run_walks,
     streams_from_spec,
 )
+from repro.lint.sanitizer import forbid_global_rng
 
 BASE = dict(
     seed=13,
@@ -27,18 +28,31 @@ BASE = dict(
     min_walks=512,
     max_walks=1536,
     tolerance=2e-2,
-    # Golden suites run with the runtime RNG sanitizer armed: any global
-    # np.random/random use during extraction fails loudly instead of
-    # surfacing as one-bit drift later.
-    sanitize=True,
 )
+
+
+@pytest.fixture(autouse=True)
+def _rng_sanitizer(request):
+    """Golden suites run with the runtime RNG sanitizer armed: any global
+    np.random/random use during extraction fails loudly instead of
+    surfacing as one-bit drift later.  Hypothesis seeds the global stdlib
+    RNG around each example, so its property tests run unfenced."""
+    if getattr(request.function, "is_hypothesis_test", False):
+        yield
+        return
+    with forbid_global_rng():
+        yield
 
 
 @pytest.fixture(scope="module")
 def golden_rows(three_wires):
     """Reference: serial per-master ``extract_row`` (no look-ahead)."""
     cfg = FRWConfig.frw_r(**BASE, executor="serial")
-    with pytest.MonkeyPatch.context() as mp, FRWSolver(three_wires, cfg) as solver:
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        forbid_global_rng(),
+        FRWSolver(three_wires, cfg) as solver,
+    ):
         mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", 0)
         return [solver.extract_row(m) for m in range(3)]
 

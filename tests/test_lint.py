@@ -816,17 +816,24 @@ def test_repo_suppressions_are_justified(repo_report):
 
 
 def test_import_repro_does_not_load_the_analyzer():
-    """The solver imports the runtime sanitizer; that must not pull in
-    the static analyzer (parsers, graph, checks) on every import."""
-    code = (
-        "import sys, repro\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
+    """``import repro`` loads nothing of ``repro.lint``, and the runtime
+    sanitizer, imported on its own, does not pull in the static analyzer
+    (parsers, graph, checks)."""
+
+    def lint_modules(imports: str) -> str:
+        code = (
+            f"import sys, {imports}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        ).stdout.strip()
+
+    assert lint_modules("repro") == "[]"
+    assert lint_modules("repro.lint.sanitizer") == (
+        "['repro.lint', 'repro.lint.sanitizer']"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-    ).stdout
-    assert out.strip() == "['repro.lint', 'repro.lint.sanitizer']"

@@ -415,8 +415,8 @@ def test_mutation_leaking_shm_block_is_one_det010(repo_copy):
     "call",
     [
         "from repro.native import philox_span\n"
-        "def _rogue_draws(uids, steps, k0, k1, out):\n"
-        "    philox_span(uids, steps, k0, k1, 1, 3, out)\n",
+        "def _rogue_draws(uids, steps, key):\n"
+        "    return philox_span(uids, steps, key, 3)\n",
         "from .. import native\n"
         "def _rogue_draws(counter, key):\n"
         "    return native.philox4x32_block(counter, key)\n",

@@ -1,7 +1,7 @@
 """The compiled engine kernels: bit-identity and build robustness.
 
 ``philox_span`` must give the scalar reference's draws for any UIDs,
-steps, keys, depths, counts and output strides.  The draws the step
+steps, keys and counts.  The draws the step
 kernels compute are tested in ``test_step_kernels``.  The grid query's
 properties live in ``test_spatial_index``.  The loader must build into an
 empty cache, survive concurrent builds, refuse unsafe cache directories,
@@ -28,7 +28,6 @@ from repro import FRWConfig, FRWSolver, native
 from repro.errors import KernelBuildError, RNGError
 from repro.frw import PersistentExecutor
 from repro.rng import MAX_DRAWS_PER_STEP, WalkStreams
-from repro.rng.counter_stream import MAX_SPAN_STEPS
 
 SRC = Path(native.__file__).resolve().parents[2]
 
@@ -42,25 +41,28 @@ def fresh_cache(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Bit identity of the span kernel
+# Bit identity of the draw kernel
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
-    depth=st.integers(1, MAX_SPAN_STEPS),
     count=st.integers(1, MAX_DRAWS_PER_STEP),
     per_walk_steps=st.booleans(),
 )
-def test_philox_span_equals_draws_scalar(
-    seed, data, depth, count, per_walk_steps
-):
-    """Every entry of a span — UIDs past 2**32, scalar or per-walk steps,
-    written through a strided ``out`` — is the scalar reference's draw,
-    and nothing outside the span is written."""
+def test_philox_span_equals_draws_scalar(seed, data, count, per_walk_steps):
+    """Every draw — UIDs on both sides of 2**32 read through a strided
+    view, scalar or per-walk steps — is the scalar reference's draw, in a
+    fresh contiguous ``(n, count)`` array."""
     n = data.draw(st.integers(1, 24), label="n")
     uids = np.array(
-        data.draw(st.lists(st.integers(2**32, 2**64 - 1), min_size=n, max_size=n)),
+        data.draw(
+            st.lists(
+                st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**64 - 1)),
+                min_size=n,
+                max_size=n,
+            )
+        ),
         dtype=np.uint64,
     )
     if per_walk_steps:
@@ -71,38 +73,27 @@ def test_philox_span_equals_draws_scalar(
     else:
         steps = np.uint64(data.draw(st.integers(0, 2**40), label="step"))
     streams = WalkStreams(seed, data.draw(st.integers(0, 2), label="stream"))
-    # Slot-major storage with a gap column between walks: the span's
-    # walk axis has stride 2 and its slot axis the longest stride.
-    store = np.full((depth + 1, MAX_DRAWS_PER_STEP, 2 * n + 1), np.nan)
-    out = store.transpose(0, 2, 1)[1:, ::2]
-    got = streams.draws_span(uids, steps, depth, count, out=out)
-    assert got.shape == (depth, n, count)
-    assert np.shares_memory(got, store)
+    strided = np.zeros(2 * n, dtype=np.uint64)
+    strided[::2] = uids
+    got = streams.draws(strided[::2], steps, count)
+    assert got.shape == (n, count) and got.flags.c_contiguous
     steps_i = np.broadcast_to(steps, (n,))
-    for k in range(depth):
-        for i in range(n):
-            expect = streams.draws_scalar(
-                int(uids[i]), int(steps_i[i]) + k, count
-            )
-            assert got[k, i].tolist() == expect
-    written = np.zeros(store.shape, dtype=bool)
-    written.transpose(0, 2, 1)[1:, ::2][:depth, :n, :count] = True
-    assert np.isnan(store[~written]).all()
+    for i in range(n):
+        expect = streams.draws_scalar(int(uids[i]), int(steps_i[i]), count)
+        assert got[i].tolist() == expect
 
 
-def test_draws_span_rejects_mismatched_arguments():
+def test_draws_rejects_mismatched_arguments():
     streams = WalkStreams(1, 0)
     uids = np.arange(4, dtype=np.uint64)
-    with pytest.raises(RNGError, match="steps"):
-        streams.draws_span(uids, np.arange(3, dtype=np.uint64), 1, 3)
-    with pytest.raises(RNGError, match="float64"):
-        streams.draws_span(uids, 0, 1, 3, out=np.empty((1, 4, 3), np.float32))
-    frozen = np.empty((1, 4, 3))
-    frozen.flags.writeable = False
-    with pytest.raises(RNGError, match="writeable"):
-        streams.draws_span(uids, 0, 1, 3, out=frozen)
+    with pytest.raises(RNGError, match="step"):
+        streams.draws(uids, np.arange(3, dtype=np.uint64), 3)
     with pytest.raises(RNGError, match="one-dimensional"):
-        streams.draws_span(uids.reshape(2, 2), 0, 1, 3)
+        streams.draws(uids.reshape(2, 2), 0, 3)
+    with pytest.raises(RNGError, match="one-dimensional"):
+        streams.draws(np.uint64(3), 0, 3)
+    with pytest.raises(RNGError, match="count"):
+        streams.draws(uids, 0, MAX_DRAWS_PER_STEP + 1)
 
 
 # ----------------------------------------------------------------------
@@ -134,8 +125,8 @@ while not os.path.exists(sys.argv[2]):
     time.sleep(0.001)
 native.library()
 streams = WalkStreams(3, 1)
-span = streams.draws_span(np.array([2**33 + 5], dtype=np.uint64), 4, 2, 3)
-assert span[1, 0].tolist() == streams.draws_scalar(2**33 + 5, 5, 3)
+u = streams.draws(np.array([2**33 + 5], dtype=np.uint64), 5, 3)
+assert u[0].tolist() == streams.draws_scalar(2**33 + 5, 5, 3)
 """
 
 

@@ -2,8 +2,8 @@
 
 The known-answer vectors pin both the scalar reference and the compiled
 kernel the walk engine runs (``repro/native/kernels.c``, through its raw
-block entry ``repro.native.philox4x32_block``); the engine's span fill
-converts the compiled words to uniforms exactly as
+block entry ``repro.native.philox4x32_block``); the compiled draws
+convert its words to uniforms exactly as
 ``unit_double_scalar`` does."""
 
 import numpy as np
@@ -85,7 +85,7 @@ def test_uniform_conversion_range_and_resolution():
     assert vals[0] == 0.0
     assert vals[1] == 1.0 - 2.0**-53  # the largest double below 1
     assert vals[2] == 0.5
-    # The compiled span converts a block's words exactly as the scalar
+    # The compiled draws convert a block's words exactly as the scalar
     # does: slots (0, 1) of step 3 of walk 2**40 + 7 are block 12's word
     # pairs.
     streams = WalkStreams(11, 2)
@@ -94,8 +94,8 @@ def test_uniform_conversion_range_and_resolution():
         (3 * BLOCKS_PER_STEP, uid & 0xFFFFFFFF, uid >> 32, DOMAIN_TAG),
         streams.key,
     )
-    span = streams.draws_span(np.array([uid], dtype=np.uint64), 3, 1, 2)
-    assert span[0, 0].tolist() == [
+    u = streams.draws(np.array([uid], dtype=np.uint64), 3, 2)
+    assert u[0].tolist() == [
         unit_double_scalar(words[0], words[1]),
         unit_double_scalar(words[2], words[3]),
     ]
@@ -103,7 +103,7 @@ def test_uniform_conversion_range_and_resolution():
 
 def test_uniform_statistics():
     n = 200_000
-    u = WalkStreams(123, 456).draws_span(np.arange(n, dtype=np.uint64), 0, 1, 1)
+    u = WalkStreams(123, 456).draws(np.arange(n, dtype=np.uint64), 0, 1)
     u = u.ravel()
     assert 0.0 <= u.min() and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 3.0 / np.sqrt(12 * n)

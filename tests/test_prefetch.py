@@ -21,11 +21,11 @@ import pytest
 
 from repro import FRWConfig
 from repro.frw import build_context, cross_master, extract_row_alg2
+from repro.lint.sanitizer import forbid_global_rng
 
-# Every extraction arms the sanitizer through FRWConfig.sanitize.
 _BASE = dict(
     seed=13, n_threads=4, batch_size=256, min_walks=512, max_walks=1024,
-    tolerance=1e-6, sanitize=True,
+    tolerance=1e-6,
 )
 
 _BACKENDS = [
@@ -40,8 +40,9 @@ _BACKENDS = [
 
 
 def _extract(structure, depth, **overrides):
+    """One row at look-ahead ``depth``, with the RNG sanitizer armed."""
     cfg = FRWConfig.frw_r(**_BASE, **overrides)
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, forbid_global_rng():
         mp.setattr(cross_master, "PIPELINE_LOOKAHEAD", depth)
         return extract_row_alg2(build_context(structure, 0, cfg))
 

@@ -7,11 +7,7 @@ import pytest
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
 from repro.errors import DeterminismError, ReproError
-from repro.lint.sanitizer import (
-    forbid_global_rng,
-    maybe_forbid_global_rng,
-    sanitizer_active,
-)
+from repro.lint.sanitizer import forbid_global_rng, sanitizer_active
 
 
 @pytest.fixture
@@ -109,30 +105,16 @@ def test_restored_even_when_body_raises():
     np.random.random()  # det: allow(DET001) the forbidden call IS the test subject
 
 
-def test_maybe_forbid_is_config_gated():
-    with maybe_forbid_global_rng(False):
-        assert not sanitizer_active()
-        np.random.random()  # det: allow(DET001) the forbidden call IS the test subject
-    with maybe_forbid_global_rng(True):
-        assert sanitizer_active()
-        with pytest.raises(DeterminismError):
-            np.random.random()  # det: allow(DET001) the forbidden call IS the test subject
-
-
 def test_sanitized_extraction_is_bit_identical(plates_structure):
-    """FRWConfig.sanitize only fences global RNG — results are unchanged."""
-    base = dict(
+    """The fence only forbids global RNG — results are unchanged."""
+    cfg = FRWConfig.frw_r(
         seed=1, batch_size=400, tolerance=6e-2, min_walks=400,
         executor="serial",
     )
-    with FRWSolver(
-        plates_structure, FRWConfig.frw_r(**base, sanitize=True)
-    ) as solver:
+    with forbid_global_rng(), FRWSolver(plates_structure, cfg) as solver:
         sanitized = solver.extract()
     assert not sanitizer_active()
-    with FRWSolver(
-        plates_structure, FRWConfig.frw_r(**base, sanitize=False)
-    ) as solver:
+    with FRWSolver(plates_structure, cfg) as solver:
         plain = solver.extract()
     assert np.array_equal(sanitized.matrix.values, plain.matrix.values)
 
@@ -142,9 +124,9 @@ def test_sanitized_extraction_mt_variant(plates_structure):
     constructor must pass those through."""
     cfg = FRWConfig.frw_nc(
         seed=1, batch_size=200, tolerance=9e-2, min_walks=200,
-        executor="serial", sanitize=True,
+        executor="serial",
     )
-    with FRWSolver(plates_structure, cfg) as solver:
+    with forbid_global_rng(), FRWSolver(plates_structure, cfg) as solver:
         row, stats = solver.extract_row(0)
     assert row.walks > 0
 
@@ -164,9 +146,9 @@ def test_sanitizer_catches_global_rng_during_extraction(
     monkeypatch.setattr(alg2, "machine_rng", tainted)
     cfg = FRWConfig.frw_r(
         seed=1, batch_size=200, tolerance=9e-2, min_walks=200,
-        executor="serial", sanitize=True,
+        executor="serial",
     )
     with FRWSolver(plates_structure, cfg) as solver:
-        with pytest.raises(DeterminismError):
+        with pytest.raises(DeterminismError), forbid_global_rng():
             solver.extract_row(0)
     assert not sanitizer_active()

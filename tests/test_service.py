@@ -64,6 +64,7 @@ REMOVED_CONFIG_FIELDS = {
     "pipeline_lookahead": 1,
     "antithetic_group": 4,
     "antithetic_depth": 2,
+    "sanitize": False,
 }
 
 
@@ -330,6 +331,14 @@ class TestMemoization:
                 service.submit({"structure": structure, "masters": [9]})
             with pytest.raises(ConfigError):
                 service.submit({"structure": structure, "priority": "vip"})
+
+    @pytest.mark.parametrize("masters", [[1.7], [True], ["1"], [0, 1.0], 1])
+    def test_masters_must_be_integer_indices(self, masters):
+        """A master index that is not an integer is refused, not rounded:
+        ``1.7`` and ``true`` would otherwise solve master 1."""
+        with ExtractionService(ServiceSettings(slots=1)) as service:
+            with pytest.raises(ConfigError, match="masters must be a list"):
+                service.submit(request_for(small_structure(), masters=masters))
 
     def test_settings_reject_thread_executor(self):
         """The executor is no setting: the worker count alone picks it, so
@@ -665,6 +674,22 @@ class TestHTTP:
             assert json.loads(body)["error"].endswith(
                 f"unknown config field(s): {name}"
             )
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"masters": [1.7]},
+            {"masters": [True]},
+            {"config": {**BASE_CONFIG, "seed": 1.5}},
+            {"config": {**BASE_CONFIG, "antithetic": "no"}},
+        ],
+        ids=["fractional-master", "bool-master", "float-seed", "string-flag"],
+    )
+    def test_untyped_request_is_400(self, live_server, request_fields):
+        payload = {**request_for(small_structure()), **request_fields}
+        status, body = live_server._request("POST", "/extract", payload)
+        assert status == 400
+        assert " must be " in json.loads(body)["error"]
 
     @pytest.mark.parametrize("conflict", sorted(ANTITHETIC_CONFLICTS))
     def test_antithetic_conflict_is_400_naming_the_fix(self, live_server, conflict):

@@ -1,5 +1,7 @@
 """Tests for spatial indices: grid equivalence with brute force."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,15 +173,20 @@ def test_query_stats_counters_and_reset():
     assert st.points == 0 and st.candidates_pruned == pruned  # build-time
 
 
-def test_query_into_matches_query():
+def test_query_of_strided_points_matches_contiguous():
+    """The kernel reads contiguous rows, so ``query`` copies any other
+    layout first: a strided view and a Fortran-order array answer what a
+    contiguous copy does, and the caller's array is left alone."""
     s = random_structure(15)
     grid = GridIndex(s, h_cap=2.5)
-    pts = np.random.default_rng(16).uniform(-5, 50, (64, 3))
-    d1, c1 = grid.query(pts)
-    dist = np.empty(64, dtype=np.float64)
-    cond = np.empty(64, dtype=np.int64)
-    grid.query_into(pts, dist, cond)
-    assert np.array_equal(d1, dist) and np.array_equal(c1, cond)
+    wide = np.random.default_rng(16).uniform(-5, 50, (64, 7))
+    view = wide[:, 1:7:2]
+    before = wide.copy()
+    d1, c1 = grid.query(np.ascontiguousarray(view))
+    for pts in (view, np.asfortranarray(view)):
+        d2, c2 = grid.query(pts)
+        assert d1.tobytes() == d2.tobytes() and np.array_equal(c1, c2)
+    assert np.array_equal(wide, before)
 
 
 def test_cell_bounds_are_conservative():
@@ -320,9 +327,7 @@ def test_brute_force_descriptor_matches_query(seed, n_boxes, resolution):
     pts[60:120] = faces[pick, np.arange(3)]
     pts[120:180] = rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0, 1.5, -1.5], (60, 3))
     d_ref, c_ref = brute.query(pts)
-    dist = np.empty(pts.shape[0])
-    cond = np.empty(pts.shape[0], dtype=np.int64)
-    near, visited = native.grid_query(brute.descriptor(), pts, dist, cond)
+    dist, cond, near, visited = native.grid_query(brute.descriptor(), pts)
     assert dist.tobytes() == d_ref.tobytes()
     assert np.array_equal(cond, c_ref)
     assert (near, visited) == (pts.shape[0], pts.shape[0] * lo.shape[0])
@@ -362,19 +367,40 @@ def test_query_stats_totals_are_pinned():
     assert int(c.sum()) == 179353
 
 
-def test_query_into_rejects_mismatched_outputs():
+def test_query_digest_case5_is_pinned():
+    """The bits of the compiled query on SRAM case 5 at the default cap,
+    pinned: a cloud over 1.4x the enclosure, so near-field, far-field and
+    out-of-enclosure points (about 64% of them) all take part."""
+    s = build_case(5)
+    grid = GridIndex(s, h_cap=_default_cap(s))
+    lo, hi = np.asarray(s.enclosure.lo), np.asarray(s.enclosure.hi)
+    span = hi - lo
+    rng = np.random.default_rng(45)
+    pts = lo - 0.2 * span + 1.4 * span * rng.random((6000, 3))
+    d, c = grid.query(pts)
+    assert hashlib.sha256(d.tobytes() + c.tobytes()).hexdigest() == (
+        "d870b93d63826e532a5f88815a961d2f5ca0c0e0e8f4a3ec96620e04bd006088"
+    )
+    assert grid.stats.as_dict() == {
+        "queries": 1,
+        "points": 6000,
+        "far_field_hits": 3442,
+        "near_points": 2558,
+        "candidates_visited": 3648,
+        "candidates_pruned": 50952,
+        "far_field_rate": 0.5737,
+    }
+
+
+def test_query_rejects_non_point_arrays():
+    """Anything but ``(n, 3)`` points is refused before the kernel reads
+    three doubles per row."""
     grid = GridIndex(random_structure(15), h_cap=2.5)
     pts = np.zeros((8, 3))
-    with pytest.raises(GeometryError):
-        grid.query_into(pts, np.empty(7), np.empty(8, dtype=np.int64))
-    with pytest.raises(GeometryError):
-        grid.query_into(pts, np.empty(8), np.empty(8, dtype=np.int32))
-    with pytest.raises(GeometryError):
-        grid.query_into(pts[:, :2], np.empty(8), np.empty(8, dtype=np.int64))
-    frozen = np.empty(8)
-    frozen.flags.writeable = False
-    with pytest.raises(GeometryError, match="writeable"):
-        grid.query_into(pts, frozen, np.empty(8, dtype=np.int64))
+    for bad in (pts[:, :2], pts.reshape(-1), pts[:, :, None], np.float64(1.0)):
+        with pytest.raises(GeometryError, match=r"\(n, 3\) points"):
+            grid.query(bad)
+    assert grid.stats.queries == 0
 
 
 def test_owner_mapping_multibox():
