@@ -42,7 +42,7 @@ def test_mt_per_walk_reseeding(benchmark):
     def launch():
         native.library().launch(
             pipe._arena_ref, pipe._surfaces[0], 0, STEP_WIDTH,
-            native.address(uids), 0, pipe._lane_tol[0], 0,
+            native.address(uids), 0, pipe._lane_run[0][1], 0,
         )
 
     benchmark(launch)
@@ -231,7 +231,7 @@ def test_step_launch_case5(benchmark, case5_vector, team):
     def launch():
         native.library().launch(
             pipe._arena_ref, pipe._surfaces[0], 0, n, native.address(uids), 0,
-            pipe._lane_tol[0], 0,
+            pipe._lane_run[0][1], 0,
         )
 
     benchmark(launch)
@@ -362,7 +362,7 @@ def test_engine_pipelined_batches(benchmark, ctx_case1):
 
 
 def test_merge_replay_ordered(benchmark):
-    """The vectorised virtual-thread merge replay (order-preserving Kahan)."""
+    """The compiled walk-by-walk fold (order-preserving Kahan)."""
     from repro.frw import RowAccumulator
 
     rng = np.random.default_rng(7)

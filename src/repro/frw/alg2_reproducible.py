@@ -21,6 +21,7 @@ including merge order and machine timing noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,14 @@ from .scheduler import jittered_durations, simulate_dynamic_queue
 
 @dataclass
 class RunStats:
-    """Bookkeeping of one row extraction (for Table III / Fig. 5)."""
+    """Bookkeeping of one row extraction (for Table III / Fig. 5).
+
+    ``thread_work`` and ``makespan`` are the Fig. 5 load-balance model:
+    the simulated dynamic-queue schedule of each batch, which also fixes
+    an unpaired row's merge order.  A paired (antithetic) row folds in UID
+    order and runs no schedule, so they stay zero there (Alg. 1 fills them
+    from its own per-thread clocks).
+    """
 
     walks: int = 0
     batches: int = 0
@@ -95,8 +103,14 @@ class RowProgress:
             summation=cfg.summation,
             paired=cfg.antithetic,
         )
-        self.rng_machine = machine_rng(cfg, ctx.master)
+        # Only an unpaired row runs the virtual-thread schedule, so only
+        # it draws machine timing noise.
+        self.rng_machine = (
+            None if cfg.antithetic else machine_rng(cfg, ctx.master)
+        )
         self.stats = RunStats(thread_work=np.zeros(cfg.n_threads))
+        #: The diagonal's relative error at the last checkpoint.
+        self.error = math.inf
         self.done = False
 
     def absorb(self, results) -> bool:
@@ -108,35 +122,35 @@ class RowProgress:
         cfg = self.cfg
         acc = self.acc
         stats = self.stats
-        durations = jittered_durations(results.steps, self.rng_machine)
-        schedule = simulate_dynamic_queue(durations, cfg.n_threads)
         if acc.paired:
             # Pair means need whole UID-aligned pairs, so paired rows are
             # absorbed in UID order (the virtual-thread replay would split
             # pairs across simulated threads) and are bitwise
-            # DOP-independent; the schedule still feeds the Fig. 5
-            # load-balance model.  Batches are even (config validation and
+            # DOP-independent.  Batches are even (config validation and
             # ``checkpoint_walks``), so pairs never straddle a batch.
             acc.add_batch(results.omega, results.dest, results.steps)
         else:
             # The paper's FRW-R: each virtual thread sums its walks in
             # fetch order, and the partials merge at the checkpoint.
-            for thread_order in schedule.thread_order:
-                local = acc.spawn()
-                local.add_walks_ordered(
-                    results.omega[thread_order],
-                    results.dest[thread_order],
-                    results.steps[thread_order],
-                )
-                acc.merge(local)
-        stats.thread_work += schedule.thread_work
-        stats.makespan += schedule.makespan
+            durations = jittered_durations(results.steps, self.rng_machine)
+            schedule = simulate_dynamic_queue(durations, cfg.n_threads)
+            order = schedule.thread_order
+            acc.add_walks_ordered(
+                results.omega,
+                results.dest,
+                results.steps,
+                np.concatenate(order),
+                np.cumsum([0, *(o.shape[0] for o in order)]),
+            )
+            stats.thread_work += schedule.thread_work
+            stats.makespan += schedule.makespan
         stats.truncated += results.truncated
         stats.batches += 1
 
         # The global checkpoint (Alg. 2 line 11).
+        self.error = acc.self_relative_error
         walks = acc.walks
-        if walks >= cfg.min_walks and acc.self_relative_error < cfg.tolerance:
+        if walks >= cfg.min_walks and self.error < cfg.tolerance:
             stats.converged = True
             self.done = True
         elif walks >= cfg.max_walks:

@@ -161,14 +161,15 @@ class _MasterRun:
             self.row, self.stats = self.progress.finalize()
             return walks
         # The error estimate shrinks as 1/sqrt(walks) to the predicted stop.
-        acc, cfg = self.progress.acc, self.progress.cfg
-        stop = acc.walks * (acc.self_relative_error / cfg.tolerance) ** 2
+        progress = self.progress
+        absorbed = progress.acc.walks
+        stop = absorbed * (progress.error / progress.cfg.tolerance) ** 2
         if 0.0 < stop < math.inf:
             if self.drifts:
-                drift = math.log(stop / self.stop) * acc.walks
+                drift = math.log(stop / self.stop) * absorbed
                 self.drift += drift * drift / self.runner.b0
             else:
-                self.drift = DRIFT_PRIOR * stop * cfg.tolerance**2
+                self.drift = DRIFT_PRIOR * stop * progress.cfg.tolerance**2
             self.drifts += 1
             self.stop = stop
         return walks

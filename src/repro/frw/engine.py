@@ -56,7 +56,9 @@ refilled with UIDs from the next queued batches instead of letting the
 active set shrink to a ragged tail — the vector width stays near the batch
 size for the whole run.  Completed-walk results are scatter-banked by
 global row into a flat result window covering the outstanding batches (no
-per-batch Python loops), so checkpoint consumers still see exactly the
+per-batch Python loops; its buffers are reused, batch after batch, so
+loading and emitting a batch allocates only the emitted copy), so
+checkpoint consumers still see exactly the
 batch's UID set, in UID order, bit-identical to unpipelined execution
 (per-walk arithmetic is elementwise and draws are keyed by ``(uid,
 step)``, so co-scheduling never changes a walk's numbers — the slot a walk
@@ -165,6 +167,61 @@ class StageTimers:
         return out
 
 
+class _Window:
+    """Parallel grow-only 1-D buffers (one per dtype) holding a window
+    ``[head, tail)`` of entries, added at the tail and consumed from the
+    head.  When an addition would pass the end, the live entries move
+    back to index 0, and the buffers grow to 1.25 times the window if it
+    would fill more than four fifths of them: a steady stream of
+    additions and consumptions allocates nothing, and the buffers stay
+    within a quarter of the largest window (the resident set with
+    them)."""
+
+    __slots__ = ("arrays", "head", "tail", "_bases")
+
+    def __init__(self, *dtypes):
+        self.arrays = [np.empty(0, dtype=dt) for dt in dtypes]
+        self.head = self.tail = 0
+        # No buffer yet: the kernels read a window only once it holds a
+        # batch, and the first addition allocates.
+        self._bases = [0] * len(dtypes)
+
+    def add(self, n: int) -> int:
+        """Room for ``n`` entries at the tail; returns the first one's
+        index (its contents are the caller's to set)."""
+        if self.tail + n > self.arrays[0].shape[0]:
+            live = self.tail - self.head
+            size = max(self.arrays[0].shape[0], (live + n) * 5 // 4)
+            for k, a in enumerate(self.arrays):
+                b = a if size == a.shape[0] else np.empty(size, dtype=a.dtype)
+                b[:live] = a[self.head : self.tail]  # overlap-safe
+                self.arrays[k] = b
+            self.head, self.tail = 0, live
+            self._bases = [native.address(a) for a in self.arrays]
+        start = self.tail
+        self.tail += n
+        return start
+
+    def consume(self, n: int) -> None:
+        """Drop the ``n`` entries at the head."""
+        self.head += n
+        if self.head == self.tail:
+            self.head = self.tail = 0
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self.head = self.tail = 0
+
+    def views(self) -> list[np.ndarray]:
+        """The live entries of every buffer (views)."""
+        return [a[self.head : self.tail] for a in self.arrays]
+
+    def pointers(self) -> list[int]:
+        """Every buffer's address of its head entry (all items are 8
+        bytes)."""
+        return [base + 8 * self.head for base in self._bases]
+
+
 class WalkPipeline:
     """One worker vector: a refill-capable walk engine with cross-batch
     pipelining, over its own slot arena and its own batch queue.
@@ -227,6 +284,12 @@ class WalkPipeline:
         # runs before _start.
         self._arena = native.Arena()
         self._arena_ref = ctypes.byref(self._arena)
+        # The result window over the launched, unemitted batches: per
+        # global row (omega, dest, steps) and per batch (start row,
+        # remaining walks, truncated walks).  Each walk banks its outcome
+        # by *global row* — a scatter write, no per-batch grouping loops.
+        self._rows = _Window(np.float64, np.int64, np.int64)
+        self._batches = _Window(np.int64, np.int64, np.int64)
         self._reset()
 
     def _reset(self) -> None:
@@ -236,8 +299,10 @@ class WalkPipeline:
         self.width = 0
         self._keys: dict = {}  # caller's key -> lane
         self._surfaces: tuple = ()
+        # Per lane: its launch surface's address and its absorption
+        # tolerance, the run fields ``_load_run`` sets.
+        self._lane_run: list[tuple[int, float]] = []
         self._lane_flux = np.empty(0, dtype=np.float64)
-        self._lane_tol = np.empty(0, dtype=np.float64)
         self._lane_draws = np.empty((0, 3), dtype=np.uint64)
         self.live: dict = {}  # seq -> walks, until emitted or dropped
         self._queue: deque = deque()  # (seq, lane, uids) not yet launching
@@ -247,17 +312,11 @@ class WalkPipeline:
         a = self._arena
         a.run_n = a.run_off = a.queued = a.refilled = 0
 
-        # Flat result window over the launched, unemitted batches.  Each
-        # walk banks its outcome by *global row* — a scatter write, no
-        # per-batch grouping loops.
+        # The result window's batches (its buffers stay allocated).
         self._win_seqs: list = []
         self._win_uids: list[np.ndarray] = []
-        self._win_starts = np.empty(0, dtype=np.int64)  # global start rows
-        self._win_remaining = np.empty(0, dtype=np.int64)
-        self._win_truncated = np.empty(0, dtype=np.int64)
-        self._res_omega = np.empty(0, dtype=np.float64)
-        self._res_dest = np.empty(0, dtype=np.int64)
-        self._res_steps = np.empty(0, dtype=np.int64)
+        self._rows.clear()
+        self._batches.clear()
         self._win_base_g = 0  # global row of the window's first slot
         self._next_g = 0  # next global row to assign
 
@@ -340,14 +399,20 @@ class WalkPipeline:
     def _point_window(self) -> None:
         """Point the arena descriptor at the current result window."""
         a = self._arena
-        a.res_omega = native.address(self._res_omega)
-        a.res_dest = native.address(self._res_dest)
-        a.res_steps = native.address(self._res_steps)
-        a.win_starts = native.address(self._win_starts)
-        a.win_remaining = native.address(self._win_remaining)
-        a.win_truncated = native.address(self._win_truncated)
-        a.n_win = self._win_starts.shape[0]
+        a.res_omega, a.res_dest, a.res_steps = self._rows.pointers()
+        batches = self._batches
+        a.win_starts, a.win_remaining, a.win_truncated = batches.pointers()
+        a.n_win = batches.tail - batches.head
         a.win_base_g = self._win_base_g
+
+    # The result window's live entries, as views: per row from
+    # ``_win_base_g`` and per batch from the front one.
+    _res_omega = property(lambda self: self._rows.views()[0])
+    _res_dest = property(lambda self: self._rows.views()[1])
+    _res_steps = property(lambda self: self._rows.views()[2])
+    _win_starts = property(lambda self: self._batches.views()[0])
+    _win_remaining = property(lambda self: self._batches.views()[1])
+    _win_truncated = property(lambda self: self._batches.views()[2])
 
     @property
     def width_profile(self) -> np.ndarray:
@@ -382,9 +447,11 @@ class WalkPipeline:
                 )
             lane = self._keys[key] = len(self._surfaces)
             self._surfaces += (ctx.surface._native,)
+            self._lane_run.append(
+                (ctypes.addressof(ctx.surface._native), float(ctx.absorb_tol))
+            )
             self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
             self._arena.lane_flux = native.address(self._lane_flux)
-            self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
             draws = lane_draws(streams)
             self._lane_draws = np.concatenate(
                 [self._lane_draws, np.array([draws], dtype=np.uint64)]
@@ -409,7 +476,7 @@ class WalkPipeline:
             a = self._arena
             unlaunched = a.run_n - a.run_off
             a.run_off = a.run_n
-            self._win_remaining[-1] -= unlaunched
+            self._batches.arrays[1][self._batches.tail - 1] -= unlaunched
         else:
             unlaunched = 0
         if not self.live:
@@ -428,25 +495,18 @@ class WalkPipeline:
             n = uids.shape[0]
             self._win_seqs.append(seq)
             self._win_uids.append(uids)
-            self._win_starts = np.append(self._win_starts, self._next_g)
-            self._win_remaining = np.append(self._win_remaining, n)
-            self._win_truncated = np.append(self._win_truncated, 0)
-            if n:
-                self._res_omega = np.concatenate(
-                    [self._res_omega, np.zeros(n, dtype=np.float64)]
-                )
-                self._res_dest = np.concatenate(
-                    [self._res_dest, np.full(n, -1, dtype=np.int64)]
-                )
-                self._res_steps = np.concatenate(
-                    [self._res_steps, np.zeros(n, dtype=np.int64)]
-                )
+            b = self._batches.add(1)
+            starts, remaining, truncated = self._batches.arrays
+            starts[b], remaining[b], truncated[b] = self._next_g, n, 0
+            # The kernels write every row of a batch before it is emitted:
+            # omega at the walk's first hop (a walk absorbed before it
+            # stops the run), dest and steps when it retires.
+            self._rows.add(n)
             self._run = uids
             a.run = native.address(uids)
             a.run_n, a.run_off, a.run_lane = n, 0, lane
             a.run_row = self._next_g
-            a.run_surface = ctypes.addressof(self._surfaces[lane])
-            a.run_tol = self._lane_tol[lane]
+            a.run_surface, a.run_tol = self._lane_run[lane]
             self._next_g += n
             self._point_window()
             break
@@ -491,20 +551,17 @@ class WalkPipeline:
         seq = self._win_seqs.pop(0)
         uids = self._win_uids.pop(0)
         n0 = uids.shape[0]
-        truncated = int(self._win_truncated[0])
-        self._win_starts = self._win_starts[1:]
-        self._win_remaining = self._win_remaining[1:]
-        self._win_truncated = self._win_truncated[1:]
+        lo = self._rows.head
+        omega, dest, steps = self._rows.arrays
         res = WalkResults(
             uids=uids,
-            omega=self._res_omega[:n0].copy(),
-            dest=self._res_dest[:n0].copy(),
-            steps=self._res_steps[:n0].copy(),
-            truncated=truncated,
+            omega=omega[lo : lo + n0].copy(),
+            dest=dest[lo : lo + n0].copy(),
+            steps=steps[lo : lo + n0].copy(),
+            truncated=int(self._batches.arrays[2][self._batches.head]),
         )
-        self._res_omega = self._res_omega[n0:]
-        self._res_dest = self._res_dest[n0:]
-        self._res_steps = self._res_steps[n0:]
+        self._rows.consume(n0)
+        self._batches.consume(1)
         self._win_base_g += n0
         self._point_window()
         return seq, res

@@ -28,11 +28,13 @@ algebra of Healy (PAPERS.md) applied at pair granularity.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..errors import ConfigError
 from ..numerics.summation import KahanVector, NaiveVector
 
@@ -60,10 +62,8 @@ class CapacitanceRow:
     @property
     def self_relative_error(self) -> float:
         """Relative standard error of C_ii (the paper's stopping metric)."""
-        c = self.values[self.master]
-        if c == 0.0:
-            return math.inf
-        return math.sqrt(max(self.sigma2[self.master], 0.0)) / abs(c)
+        i = self.master
+        return _relative_error(self.values[i], self.sigma2[i])
 
 
 class RowAccumulator:
@@ -75,6 +75,10 @@ class RowAccumulator:
     Paired accumulation happens only through :meth:`add_batch`; the
     per-walk paths refuse to run paired so the two bookkeeping schemes can
     never silently mix.
+
+    Both batch paths are one compiled fold (``fold_batch`` in
+    ``repro/native/kernels.c``) over the registers; the scalar
+    :meth:`add_walk` is its reference.
     """
 
     def __init__(
@@ -84,7 +88,8 @@ class RowAccumulator:
         summation: str = "kahan",
         paired: bool = False,
     ):
-        vector_cls = KahanVector if summation == "kahan" else NaiveVector
+        kahan = summation == "kahan"
+        vector_cls = KahanVector if kahan else NaiveVector
         self.master = master
         self.n_conductors = n_conductors
         self.summation = summation
@@ -92,8 +97,28 @@ class RowAccumulator:
         self.sum_w = vector_cls(n_conductors)
         self.sum_w2 = vector_cls(n_conductors)
         self.hits = np.zeros(n_conductors, dtype=np.int64)
-        self.walks = 0
-        self.total_steps = 0
+        # The fold's fresh registers and column sums, zero between folds.
+        self._scratch = np.zeros((4, n_conductors), dtype=np.float64)
+        self._row = native.Row(
+            native.address(self.sum_w.total),
+            native.address(self.sum_w.compensation) if kahan else None,
+            native.address(self.sum_w2.total),
+            native.address(self.sum_w2.compensation) if kahan else None,
+            native.address(self.hits),
+            native.address(self._scratch),
+            n_conductors,
+        )
+        self._row_ref = ctypes.byref(self._row)
+
+    @property
+    def walks(self) -> int:
+        """Raw walks accumulated."""
+        return self._row.walks
+
+    @property
+    def total_steps(self) -> int:
+        """Steps of the accumulated walks."""
+        return self._row.total_steps
 
     def spawn(self) -> "RowAccumulator":
         """A fresh accumulator with the same configuration (thread-local)."""
@@ -110,35 +135,34 @@ class RowAccumulator:
             )
 
     def add_walk(self, omega: float, dest: int, steps: int = 0) -> None:
-        """Accumulate a single walk (scalar hot path of the simulator)."""
+        """Accumulate a single walk (the scalar reference of the fold)."""
         self._require_unpaired("add_walk")
         self.sum_w.add_at(dest, omega)
         self.sum_w2.add_at(dest, omega * omega)
         self.hits[dest] += 1
-        self.walks += 1
-        self.total_steps += steps
+        self._row.walks += 1
+        self._row.total_steps += steps
 
     def add_walks_ordered(
-        self, omega: np.ndarray, dest: np.ndarray, steps: np.ndarray | None = None
+        self,
+        omega: np.ndarray,
+        dest: np.ndarray,
+        steps: np.ndarray | None = None,
+        order: np.ndarray | None = None,
+        bounds: np.ndarray | None = None,
     ) -> None:
-        """Accumulate walks in the given array order, vectorised.
+        """Accumulate walks one by one, in ``order`` (a permutation of the
+        batch; default: array order).
 
-        Bit-identical to calling :meth:`add_walk` once per element in array
-        order (per-destination slots are independent, so the summation
-        backends replay each slot's subsequence sequentially), but without
-        the per-walk Python call overhead.  This is the hot path of the
-        virtual-thread merge replay.
+        Bit-identical to calling :meth:`add_walk` once per walk in that
+        order.  With ``bounds`` (``0 = bounds[0] <= ... <= bounds[-1] =
+        len(omega)``), the walks ``order[bounds[t]:bounds[t + 1]]`` of each
+        virtual thread ``t`` go into fresh registers that are then merged
+        in, in thread order: the virtual-thread replay, bit-identical to
+        :meth:`spawn`, per-walk adds and :meth:`merge` per thread.
         """
         self._require_unpaired("add_walks_ordered")
-        omega = np.asarray(omega, dtype=np.float64)
-        dest = np.asarray(dest, dtype=np.int64)
-        self._check_batch(omega, dest)
-        self.sum_w.add_ordered(dest, omega)
-        self.sum_w2.add_ordered(dest, omega * omega)
-        np.add.at(self.hits, dest, 1)
-        self.walks += int(dest.shape[0])
-        if steps is not None:
-            self.total_steps += int(np.sum(steps))
+        self._fold(omega, dest, steps, 0, order, bounds)
 
     def add_batch(
         self, omega: np.ndarray, dest: np.ndarray, steps: np.ndarray | None = None
@@ -148,27 +172,45 @@ class RowAccumulator:
         Walks form samples of ``g`` consecutive walks: ``g = 2`` when
         paired (elements ``2k`` and ``2k + 1`` are the partners of pair
         ``k``), else ``g = 1``.  Each sample's mean weight vector enters
-        the compensated accumulators once; ``hits``/``walks``/
-        ``total_steps`` keep raw per-walk counts.  Partial sums are formed
-        over the input order, so the result depends only on the UID
-        order — not the schedule that produced the batch.
+        per-conductor column sums, in sample order from 0.0, and each
+        column then enters the compensated registers once;
+        ``hits``/``walks``/``total_steps`` keep raw per-walk counts.  The
+        result depends only on the UID order — not the schedule that
+        produced the batch.
         """
         g = 2 if self.paired else 1
-        omega = np.asarray(omega, dtype=np.float64)
-        dest = np.asarray(dest, dtype=np.int64)
-        self._check_batch(omega, dest)
-        n = dest.shape[0]
+        n = len(omega)
         if n % g != 0:
             raise ConfigError(f"add_batch needs whole pairs: {n} walks is odd")
-        gm = np.zeros((n // g, self.n_conductors), dtype=np.float64)
-        np.add.at(gm, (np.arange(n, dtype=np.int64) // g, dest), omega)
-        gm /= g
-        self.sum_w.add(gm.sum(axis=0))
-        self.sum_w2.add((gm * gm).sum(axis=0))
-        np.add.at(self.hits, dest, 1)
-        self.walks += int(n)
-        if steps is not None:
-            self.total_steps += int(np.sum(steps))
+        self._fold(omega, dest, steps, g)
+
+    def _fold(self, omega, dest, steps, group, order=None, bounds=None):
+        """Validate a batch and fold it in with ``fold_batch``: one mean
+        per sample of ``group`` walks, or with ``group`` 0 walk by walk."""
+        omega = np.ascontiguousarray(omega, dtype=np.float64)
+        n = omega.shape[0]
+        dest, dest_p = _int64s(dest, n, "dest")
+        steps, steps_p = _int64s(steps, n, "steps")
+        order, order_p = _int64s(order, n, "order")
+        bounds, bounds_p = _int64s(bounds, None, "bounds")
+        status = native.library().fold_batch(
+            self._row_ref,
+            n,
+            native.address(omega),
+            dest_p,
+            steps_p,
+            group,
+            order_p,
+            bounds_p,
+            0 if bounds is None else bounds.shape[0] - 1,
+        )
+        if status == -1:
+            raise ConfigError(
+                f"dest indices out of range for {self.n_conductors} "
+                "conductors"
+            )
+        if status == -2:
+            raise ConfigError("walk order or thread bounds out of range")
 
     def merge(self, other: "RowAccumulator") -> None:
         """Absorb another accumulator (e.g. a thread-local partial).
@@ -204,22 +246,8 @@ class RowAccumulator:
         self.sum_w.merge(other.sum_w)
         self.sum_w2.merge(other.sum_w2)
         self.hits += other.hits
-        self.walks += other.walks
-        self.total_steps += other.total_steps
-
-    def _check_batch(self, omega: np.ndarray, dest: np.ndarray) -> None:
-        if omega.shape[0] != dest.shape[0]:
-            raise ConfigError(
-                f"omega/dest length mismatch: {omega.shape[0]} vs "
-                f"{dest.shape[0]}"
-            )
-        if dest.shape[0] and (
-            int(dest.min()) < 0 or int(dest.max()) >= self.n_conductors
-        ):
-            raise ConfigError(
-                f"dest indices out of range for {self.n_conductors} "
-                "conductors"
-            )
+        self._row.walks += other.walks
+        self._row.total_steps += other.total_steps
 
     @property
     def samples(self) -> int:
@@ -260,5 +288,34 @@ class RowAccumulator:
     @property
     def self_relative_error(self) -> float:
         """Relative standard error of the diagonal entry (the stopping
-        metric), from the one variance formula in :meth:`row`."""
-        return self.row().self_relative_error
+        metric): the master's entry of :meth:`row` bit for bit, in the
+        same operations on its registers' floats, without building the
+        row."""
+        m = self.samples
+        i = self.master
+        s1, s2 = self.sum_w.value_at(i), self.sum_w2.value_at(i)
+        value = s1 / m if m else 0.0
+        if m < 2:
+            return _relative_error(value, math.inf)
+        ss = s2 - m * value * value
+        ss = ss if ss > 0.0 or ss != ss else 0.0  # np.maximum(ss, 0.0)
+        return _relative_error(value, ss / (m * (m - 1)))
+
+
+def _int64s(a, n: int | None, name: str):
+    """``a`` as a contiguous int64 array, checked to hold ``n`` entries
+    (any number for ``None``), and its address; ``(None, None)`` for no
+    array."""
+    if a is None:
+        return None, None
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    if n is not None and a.shape[0] != n:
+        raise ConfigError(f"omega/{name} length mismatch: {n} vs {a.shape[0]}")
+    return a, native.address(a)
+
+
+def _relative_error(value: float, sigma2: float) -> float:
+    """Relative standard error of a mean ``value`` of variance ``sigma2``."""
+    if value == 0.0:
+        return math.inf
+    return math.sqrt(max(sigma2, 0.0)) / abs(value)

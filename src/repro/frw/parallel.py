@@ -195,7 +195,9 @@ class PersistentExecutor:
         # construction, not mid-extraction.
         self._start_method = resolve_start_method(mp_start_method)
         self._vector = WalkPipeline() if self.n_workers == 1 else None
-        self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
+        # key -> [context, stream spec, the spec's stream provider]; the
+        # provider is built on the key's first batch at one worker.
+        self._registry: dict[int, list] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
         self._ids = count()  # dispatch keys, tickets and entry seqs
@@ -228,7 +230,9 @@ class PersistentExecutor:
 
         With a pool this *publishes* the context immediately (its assets'
         blocks on first reference); the workers keep running and attach
-        on first sight.  With one worker it is a dict insert.
+        on first sight.  With one worker it is a dict insert, and the
+        spec's stream provider is built on the first batch, once for
+        every batch of the key.
         """
         self._check_open()
         ident = (id(ctx), spec)
@@ -236,7 +240,7 @@ class PersistentExecutor:
         if key is not None:
             return key
         key = next(self._ids)
-        self._registry[key] = (ctx, spec)
+        self._registry[key] = [ctx, spec, None]
         self._keys[ident] = key
         if self._vector is None:
             self._manifests[key] = shm.publish_context(ctx, spec)
@@ -323,10 +327,11 @@ class PersistentExecutor:
             part = uids[j * n // pieces : (j + 1) * n // pieces]
             w = self._queued.index(min(self._queued))
             if self._vector is not None:
-                ctx, spec = self._registry[key]
-                self._vector.submit(
-                    seq, key, ctx, streams_from_spec(spec), part, width
-                )
+                entry = self._registry[key]
+                ctx, spec, streams = entry
+                if streams is None:
+                    streams = entry[2] = streams_from_spec(spec)
+                self._vector.submit(seq, key, ctx, streams, part, width)
             else:
                 msg = ("run", seq, self._manifests[key], _wire(part), width)
                 self.dispatch_pickle_bytes += self._message(w, msg)

@@ -195,7 +195,6 @@ def _unordered_iter(node: ast.AST) -> str | None:
 _ACCUM_CALLS = (
     "merge",
     "add_at",
-    "add_ordered",
     "add_walk",
     "add_walks_ordered",
     "add_batch",

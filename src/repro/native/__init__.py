@@ -5,10 +5,12 @@ retirement and hop, and the loop that runs them from one batch boundary
 to the next (:class:`repro.frw.WalkPipeline`), all over one
 :class:`Arena` descriptor of the pipeline's slot arena.  The launch and
 the hop compute the draws they consume from each slot's lane descriptor
-(:data:`DRAW_MIRRORED`, :data:`DRAW_MT`).  The same source holds the
-one-call entry points the tests and the reference engines use: the
-Philox draws of one step behind :meth:`repro.rng.WalkStreams.draws`, the
-grid query behind :meth:`repro.geometry.GridIndex.query`, the cube
+(:data:`DRAW_MIRRORED`, :data:`DRAW_MT`).  At the batch boundary,
+``fold_batch`` folds a finished batch into a row's registers (the
+:class:`Row` of a :class:`repro.frw.RowAccumulator`).  The same source
+holds the one-call entry points the tests and the reference engines use:
+the Philox draws of one step behind :meth:`repro.rng.WalkStreams.draws`,
+the grid query behind :meth:`repro.geometry.GridIndex.query`, the cube
 table's cell draw behind
 :meth:`repro.greens.CubeTransitionTable.sample_cells` and
 :meth:`~repro.greens.CubeTransitionTable.unit_positions`, the Gaussian
@@ -189,6 +191,20 @@ class Arena(ctypes.Structure):
     ]
 
 
+class Row(ctypes.Structure):
+    """A :class:`~repro.frw.RowAccumulator`'s registers (``row_t``): the
+    addresses of its weight and squared-weight sums and compensations
+    (``w_c`` and ``w2_c`` 0 under naive summation), hits and scratch, and
+    its walk and step counts, which ``fold_batch`` updates in place."""
+
+    _fields_ = [
+        *((name, _PTR) for name in (
+            "w", "w_c", "w2", "w2_c", "hits", "scratch",
+        )),
+        *((name, _I64) for name in ("n_cond", "walks", "total_steps")),
+    ]
+
+
 class Surface(ctypes.Structure):
     """A :class:`~repro.geometry.GaussianSurface`'s sampling state
     (``surface_t``)."""
@@ -290,6 +306,11 @@ def _load() -> ctypes.CDLL:
     lib.team_size.argtypes = [_I64]
     lib.team_size.restype = _I64
     lib.team_size(usable_cpus())
+    # row, n, omega, dest, steps, group, order, bounds, segments -> 0, or
+    # -1 (a dest out of range) or -2 (an order or bounds out of range)
+    lib.fold_batch.argtypes = [ctypes.POINTER(Row), _I64, _PTR, _PTR, _PTR,
+                               _I64, _PTR, _PTR, _I64]
+    lib.fold_batch.restype = _I64
     # arena -> what it stopped at (ADVANCE_*)
     lib.advance.argtypes = [ctypes.POINTER(Arena)]
     lib.advance.restype = _I64
@@ -350,8 +371,13 @@ def _set_team_size(threads: int) -> int:
 
 
 def address(a: np.ndarray) -> int:
-    """The data address of an array (for descriptor fields and calls)."""
-    return a.__array_interface__["data"][0]
+    """The data address of an array (for descriptor fields and calls):
+    through a buffer export where the array allows a writable one (the
+    cheap path), else through its array interface."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError, BufferError):  # read-only, empty, strided
+        return a.__array_interface__["data"][0]
 
 
 def _stride(a: np.ndarray, axis: int) -> int:

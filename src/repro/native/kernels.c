@@ -22,6 +22,9 @@
  *                   the next (repro.frw.engine.WalkPipeline), all over one
  *                   arena_t descriptor of the slot arena.
  *   team_size       the size of the process's thread team.
+ *   fold_batch      a finished batch folded into a row's compensated
+ *                   registers (repro.frw.RowAccumulator), in its one
+ *                   fixed order per mode.
  *
  * launch, locate and cube_hop split a call over SPLIT_MIN slots or more
  * into contiguous chunks that the threads of the team run (split).  Every
@@ -1347,4 +1350,162 @@ int64_t advance(arena_t *a)
         if (a->trace)
             return ADVANCE_FRAME;
     }
+}
+
+/*
+ * A RowAccumulator's registers (repro.native.Row): per destination
+ * conductor, the sums of weights w and of squared weights w2 with their
+ * Neumaier compensations w_c and w2_c (both NULL under naive summation),
+ * and the hits; the walks and their steps; and 4 * n_cond doubles of
+ * scratch, zero between calls.
+ */
+typedef struct {
+    double *w;
+    double *w_c;
+    double *w2;
+    double *w2_c;
+    int64_t *hits;
+    double *scratch;
+    int64_t n_cond;
+    int64_t walks;
+    int64_t total_steps;
+} row_t;
+
+/* x into *total: Neumaier's compensated add into (*total, *comp)
+ * (repro.numerics.KahanVector.add_at), or a plain add when comp is NULL
+ * (NaiveVector.add_at). */
+static inline void fold_add(double *total, double *comp, double x)
+{
+    double s = *total;
+    double t = s + x;
+    if (comp)
+        *comp += fabs(s) >= fabs(x) ? (s - t) + x : (x - t) + s;
+    *total = t;
+}
+
+/* Add every slot of the fresh registers (f, f_c) into (w, w_c), as
+ * KahanVector.merge and NaiveVector.merge do, and zero them again. */
+static void fold_merge(int64_t n_cond, double *w, double *w_c, double *f,
+                       double *f_c)
+{
+    for (int64_t j = 0; j < n_cond; j++) {
+        fold_add(w + j, w_c ? w_c + j : NULL, f[j]);
+        if (w_c)
+            w_c[j] += f_c[j];
+        f[j] = 0.0;
+        f_c[j] = 0.0;
+    }
+}
+
+/* Walks order[lo..hi) (positions lo..hi without an order), one by one,
+ * into the registers (w, w_c) and (w2, w2_c), each counted in hits. */
+static void fold_walks(double *w, double *w_c, double *w2, double *w2_c,
+                       int64_t *hits, const double *omega,
+                       const int64_t *dest, const int64_t *order, int64_t lo,
+                       int64_t hi)
+{
+    for (int64_t k = lo; k < hi; k++) {
+        int64_t i = order ? order[k] : k;
+        int64_t d = dest[i];
+        double x = omega[i];
+        hits[d] += 1;
+        fold_add(w + d, w_c ? w_c + d : NULL, x);
+        fold_add(w2 + d, w2_c ? w2_c + d : NULL, x * x);
+    }
+}
+
+/*
+ * One observation per sample of `group` (1 or 2) consecutive walks: the
+ * sample's mean weight on each destination, ((0.0 + w_2k) + w_2k+1) / 2
+ * on a pair's shared destination, (0.0 + w) / group on any other (the
+ * zero-filled sample-by-conductor matrix np.add.at wrote), summed with
+ * its square into per-conductor columns in sample order from 0.0, then
+ * each column added once into the registers.
+ */
+static void fold_means(row_t *r, int64_t n, const double *omega,
+                       const int64_t *dest, int64_t group)
+{
+    double *s1 = r->scratch, *s2 = r->scratch + r->n_cond;
+    for (int64_t k = 0; k < n; k += group) {
+        int64_t d = dest[k];
+        double m = 0.0 + omega[k];
+        r->hits[d] += 1;
+        if (group == 2) {
+            int64_t d1 = dest[k + 1];
+            r->hits[d1] += 1;
+            if (d1 == d) {
+                m = (m + omega[k + 1]) / 2.0;
+            } else {
+                double m1 = (0.0 + omega[k + 1]) / 2.0;
+                s1[d1] += m1;
+                s2[d1] += m1 * m1;
+                m = m / 2.0;
+            }
+        }
+        s1[d] += m;
+        s2[d] += m * m;
+    }
+    for (int64_t j = 0; j < r->n_cond; j++) {
+        fold_add(r->w + j, r->w_c ? r->w_c + j : NULL, s1[j]);
+        fold_add(r->w2 + j, r->w2_c ? r->w2_c + j : NULL, s2[j]);
+        s1[j] = 0.0;
+        s2[j] = 0.0;
+    }
+}
+
+/*
+ * Fold a finished batch of n walks (omega, dest, steps; steps may be
+ * NULL) into the row: every walk counts in hits, walks and total_steps.
+ * With group > 0 each sample of `group` walks enters the sums once as
+ * its mean (fold_means).  With group 0 the walks enter one by one in
+ * `order` (a permutation of [0, n), or NULL for 0..n-1; hits count the
+ * walks it lists): straight into
+ * the registers when n_seg is 0, else cut at bounds[0..n_seg] into the
+ * virtual threads' segments, each folded into fresh registers that are
+ * then merged in.  Returns 0, or before any write -1 for a dest outside
+ * [0, n_cond) and -2 for an order or bounds outside [0, n].
+ */
+int64_t fold_batch(row_t *r, int64_t n, const double *omega,
+                   const int64_t *dest, const int64_t *steps, int64_t group,
+                   const int64_t *order, const int64_t *bounds,
+                   int64_t n_seg)
+{
+    int64_t total_steps = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (dest[i] < 0 || dest[i] >= r->n_cond)
+            return -1;
+        if (steps)
+            total_steps += steps[i];
+    }
+    if (order)
+        for (int64_t k = 0; k < n; k++)
+            if (order[k] < 0 || order[k] >= n)
+                return -2;
+    if (n_seg) {
+        if (bounds[0] != 0 || bounds[n_seg] != n)
+            return -2;
+        for (int64_t t = 0; t < n_seg; t++)
+            if (bounds[t] > bounds[t + 1])
+                return -2;
+    }
+    r->walks += n;
+    r->total_steps += total_steps;
+    if (group) {
+        fold_means(r, n, omega, dest, group);
+        return 0;
+    }
+    if (!n_seg) {
+        fold_walks(r->w, r->w_c, r->w2, r->w2_c, r->hits, omega, dest, order,
+                   0, n);
+        return 0;
+    }
+    double *f = r->scratch, *f_c = f + r->n_cond;
+    double *f2 = f_c + r->n_cond, *f2_c = f2 + r->n_cond;
+    for (int64_t t = 0; t < n_seg; t++) {
+        fold_walks(f, r->w_c ? f_c : NULL, f2, r->w2_c ? f2_c : NULL,
+                   r->hits, omega, dest, order, bounds[t], bounds[t + 1]);
+        fold_merge(r->n_cond, r->w, r->w_c, f, f_c);
+        fold_merge(r->n_cond, r->w2, r->w2_c, f2, f2_c);
+    }
+    return 0;
 }

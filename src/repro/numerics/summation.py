@@ -14,6 +14,12 @@ registers:
   incoming term is larger than the running sum); FRW-R.
 * :class:`NaiveVector` — the same interface, uncompensated; the FRW-NK
   ablation.
+
+A row's batches reach these registers through the compiled fold
+(``fold_batch`` in ``repro/native/kernels.c``), which repeats
+:meth:`KahanVector.add_at` / :meth:`NaiveVector.add_at` and ``merge``
+operation for operation; every method here works in place, so the
+registers keep the addresses the fold was given.
 """
 
 from __future__ import annotations
@@ -36,14 +42,14 @@ class KahanVector:
         self.compensation = np.zeros(shape, dtype=np.float64)
 
     def add(self, x: np.ndarray) -> None:
-        """Elementwise compensated add of an array of the accumulator shape."""
+        """Elementwise compensated add of an array of the accumulator shape
+        (in place: the registers keep their addresses)."""
         x = np.asarray(x, dtype=np.float64)
-        t = self.total + x
-        big = np.abs(self.total) >= np.abs(x)
-        self.compensation += np.where(
-            big, (self.total - t) + x, (x - t) + self.total
-        )
-        self.total = t
+        total = self.total
+        t = total + x
+        big = np.abs(total) >= np.abs(x)
+        self.compensation += np.where(big, (total - t) + x, (x - t) + total)
+        total[...] = t
 
     def add_at(self, index: int, x: float) -> None:
         """Compensated add of a scalar into one slot (scalar hot path)."""
@@ -54,31 +60,6 @@ class KahanVector:
             self.compensation[index] += (x - t) + self.total[index]
         self.total[index] = t
 
-    def add_ordered(self, dest: np.ndarray, values: np.ndarray) -> None:
-        """Scatter-add ``values`` into slots ``dest``, preserving order.
-
-        Bit-identical to calling :meth:`add_at` once per element in array
-        order: slots are independent, so each slot's subsequence is replayed
-        through the scalar Neumaier recurrence on native floats.  This
-        replaces a per-walk Python call chain with one tight loop per
-        destination plus vectorised grouping.
-        """
-        dest = np.asarray(dest, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        for j in np.unique(dest):
-            seq = values[dest == j].tolist()
-            total = float(self.total[j])
-            comp = float(self.compensation[j])
-            for x in seq:
-                t = total + x
-                if abs(total) >= abs(x):
-                    comp += (total - t) + x
-                else:
-                    comp += (x - t) + total
-                total = t
-            self.total[j] = total
-            self.compensation[j] = comp
-
     def merge(self, other: "KahanVector") -> None:
         """Absorb another accumulator of the same shape."""
         self.add(other.total)
@@ -88,6 +69,10 @@ class KahanVector:
     def value(self) -> np.ndarray:
         """Best current estimate of the elementwise sums."""
         return self.total + self.compensation
+
+    def value_at(self, index: int) -> float:
+        """Entry ``index`` of :attr:`value`, computed alone."""
+        return self.total.item(index) + self.compensation.item(index)
 
 
 class NaiveVector:
@@ -103,24 +88,17 @@ class NaiveVector:
         self.total = np.zeros(shape, dtype=np.float64)
 
     def add(self, x: np.ndarray) -> None:
-        self.total = self.total + np.asarray(x, dtype=np.float64)
+        self.total += np.asarray(x, dtype=np.float64)
 
     def add_at(self, index: int, x: float) -> None:
         self.total[index] = self.total[index] + x
 
-    def add_ordered(self, dest: np.ndarray, values: np.ndarray) -> None:
-        """Order-preserving scatter-add; bit-identical to per-element add_at.
-
-        ``np.add.at`` is unbuffered and applies repeated-index updates in
-        array order, which is exactly the sequential naive recurrence.
-        """
-        dest = np.asarray(dest, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        np.add.at(self.total, dest, values)
-
     def merge(self, other: "NaiveVector") -> None:
-        self.total = self.total + other.total
+        self.total += other.total
 
     @property
     def value(self) -> np.ndarray:
         return self.total.copy()
+
+    def value_at(self, index: int) -> float:
+        return self.total.item(index)

@@ -26,8 +26,14 @@ def test_converges_and_reports_stats(plates):
     assert row.self_relative_error < 5e-2
     assert stats.walks % 1500 == 0  # whole batches between checkpoints
     assert stats.batches == stats.walks // 1500
+    # A paired row folds in UID order and runs no virtual-thread schedule.
     assert stats.thread_work.shape == (4,)
-    assert stats.makespan > 0
+    assert not stats.thread_work.any() and stats.makespan == 0.0
+    # An unpaired row's schedule fixes its merge order and feeds Fig. 5.
+    _, unpaired = run(plates, antithetic=False)
+    assert unpaired.thread_work.shape == (4,)
+    assert (unpaired.thread_work > 0).all()
+    assert unpaired.makespan > 0
 
 
 def test_dop_independence(plates):

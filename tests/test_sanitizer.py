@@ -134,7 +134,10 @@ def test_sanitized_extraction_mt_variant(plates_structure):
 def test_sanitizer_catches_global_rng_during_extraction(
     plates_structure, monkeypatch
 ):
-    """A regression that reaches for global RNG mid-extraction fails loudly."""
+    """A regression that reaches for global RNG mid-extraction fails loudly.
+
+    The taint goes into the machine RNG's factory, which only an unpaired
+    row calls (a paired row runs no virtual-thread schedule)."""
     import repro.frw.alg2_reproducible as alg2
 
     original = alg2.machine_rng
@@ -146,7 +149,7 @@ def test_sanitizer_catches_global_rng_during_extraction(
     monkeypatch.setattr(alg2, "machine_rng", tainted)
     cfg = FRWConfig.frw_r(
         seed=1, batch_size=200, tolerance=9e-2, min_walks=200,
-        executor="serial",
+        executor="serial", antithetic=False,
     )
     with FRWSolver(plates_structure, cfg) as solver:
         with pytest.raises(DeterminismError), forbid_global_rng():

@@ -1,6 +1,8 @@
 """Tests for the compensated and naive summation backends.
 
 ``math.fsum`` (correctly rounded, order independent) is the reference.
+Ordered folds of many terms go through the estimator's compiled fold,
+which writes these registers.
 """
 
 import math
@@ -9,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.frw import RowAccumulator
 from repro.numerics import KahanVector, NaiveVector
 
 finite_floats = st.floats(
@@ -24,13 +27,21 @@ def _fold(cls, values) -> float:
     return float(acc.value)
 
 
+def _ordered(summation, values, dest=None, n=1):
+    """The weight register after the compiled fold took ``values`` one by
+    one, in array order, into slots ``dest`` (default: slot 0 of 1)."""
+    if dest is None:
+        dest = np.zeros(len(values), dtype=np.int64)
+    acc = RowAccumulator(n, 0, summation=summation)
+    acc.add_walks_ordered(np.asarray(values, dtype=np.float64), dest)
+    return acc.sum_w
+
+
 def test_kahan_classic_cancellation():
     # 1 + 1e-16 repeated: naive loses the tiny terms, Kahan keeps them.
     values = [1.0] + [1e-16] * 1_000_000
-    naive = NaiveVector(1)
-    naive.add_ordered(np.zeros(len(values), dtype=np.int64), values)
-    compensated = KahanVector(1)
-    compensated.add_ordered(np.zeros(len(values), dtype=np.int64), values)
+    naive = _ordered("naive", values)
+    compensated = _ordered("kahan", values)
     assert naive.value[0] == 1.0  # every tiny add is absorbed
     assert abs(compensated.value[0] - (1.0 + 1e-10)) < 1e-22
 
@@ -117,11 +128,10 @@ def test_naive_vector_interface():
     other.add_at(1, 1.0)
     acc.merge(other)
     assert acc.value.tolist() == [2.0, 3.0]
-    # add_ordered is the per-element add_at recurrence, in array order.
+    # The ordered fold is the per-element add_at recurrence, in array order.
     dest = np.array([1, 0, 1, 1])
     values = np.array([0.1, 0.2, 0.3, 1e16])
-    ordered = NaiveVector(2)
-    ordered.add_ordered(dest, values)
+    ordered = _ordered("naive", values, dest, n=2)
     looped = NaiveVector(2)
     for j, v in zip(dest, values):
         looped.add_at(int(j), float(v))
@@ -138,14 +148,12 @@ def test_kahan_beats_naive_on_random_order():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-6, 6, 20_000)
     reference = math.fsum(values)
-    zeros = np.zeros(values.shape[0], dtype=np.int64)
     naive_spread = set()
     kahan_spread = set()
     for trial in range(5):
         perm = np.random.default_rng(trial).permutation(values.shape[0])
-        naive, kahan = NaiveVector(1), KahanVector(1)
-        naive.add_ordered(zeros, values[perm])
-        kahan.add_ordered(zeros, values[perm])
+        naive = _ordered("naive", values[perm])
+        kahan = _ordered("kahan", values[perm])
         naive_spread.add(float(naive.value[0]))
         kahan_spread.add(float(kahan.value[0]))
     naive_err = max(abs(v - reference) for v in naive_spread)
@@ -157,6 +165,6 @@ def test_kahan_beats_naive_on_random_order():
 def test_empty_sums():
     for cls in (KahanVector, NaiveVector):
         assert _fold(cls, []) == 0.0
-        acc = cls(3)
-        acc.add_ordered(np.array([], dtype=np.int64), np.array([]))
+    for summation in ("kahan", "naive"):
+        acc = _ordered(summation, [], np.array([], dtype=np.int64), n=3)
         assert acc.value.tolist() == [0.0, 0.0, 0.0]
