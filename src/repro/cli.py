@@ -88,8 +88,8 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
         "--workers",
         type=_positive("--workers"),
         default=1,
-        help="workers per slot executor: 1 runs in-process, more start a "
-        "process pool",
+        help="workers per slot executor: 1 runs in-process, more start "
+        "that many worker threads",
     )
     p.add_argument(
         "--result-cache",

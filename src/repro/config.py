@@ -49,7 +49,6 @@ VARIANTS = {
     "frw-rr": Scheme("philox", "kahan", True),
 }
 EXECUTOR_KINDS = ("serial", "process")
-MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
 
 #: Config fields that determine the extracted bits.  Two extractions of the
 #: same structure whose configs agree on every field here produce
@@ -93,8 +92,8 @@ RESULT_FIELDS = (
 #: cache-key-completeness pass (docs/STATIC_ANALYSIS.md): a field read on
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justification — backend placement (``executor``,
-#: ``n_workers``, ``mp_start_method``): UID-ordered reassembly makes worker
-#: layout and batch cuts invisible.  The batch schedule — cross-master
+#: ``n_workers``): UID-ordered reassembly makes worker layout and batch
+#: cuts invisible.  The batch schedule — cross-master
 #: interleaving, the even in-flight quota and its ``1 +
 #: PIPELINE_LOOKAHEAD`` cap, and each worker's one vector refilling from
 #: its batch queue, several masters' walks sharing it, in completion
@@ -105,7 +104,6 @@ RESULT_FIELDS = (
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
-    "mp_start_method",
 )
 
 
@@ -175,32 +173,26 @@ class FRWConfig:
         noise amplitude is :data:`repro.frw.scheduler.MACHINE_JITTER`.
     executor:
         ``"serial"`` (the default) runs one in-process worker whatever
-        ``n_workers`` says, and ``"process"`` runs ``n_workers``; the
-        benchmark harness still spells one worker this way.  The worker
-        count alone picks the executor
+        ``n_workers`` says, and ``"process"`` runs ``n_workers`` worker
+        threads (the name predates the threads; the benchmark harness
+        still spells the worker count this way).  The worker count alone
+        picks the executor
         (:meth:`repro.frw.parallel.PersistentExecutor.for_config` is this
-        field's one reader): one worker is an in-process engine
-        vector shared by every master; more start worker processes fed
-        through the shared-memory plane (:mod:`repro.frw.shm`).  There is
-        no thread executor: the vector step is C and runs without the
-        GIL, and the kernels' thread team splits each wide step of the
-        one vector over this process's CPUs (a pool worker's team gets
-        its share of them).  Every executor reassembles batches
+        field's one reader): one worker is an in-process engine vector
+        shared by every master; more start that many worker threads, one
+        vector each, which share the caller's contexts by reference.  The
+        vector step is C and runs without the GIL, and the kernels'
+        thread team splits each wide step over this process's CPUs (its
+        share of them per worker while worker threads run).
+        ``"thread"`` is not a kind.  Every executor reassembles batches
         in UID order, so rows are bit-identical on all of them — the
         DOP-independence contract of Alg. 2.
     n_workers:
         Worker count under ``executor="process"``; ``0`` means auto (the
         CPUs this process may actually run on — ``os.sched_getaffinity``
         where available, so containerized/affinity-restricted hosts size
-        pools correctly — falling back to the host CPU count).  A count
-        that resolves to one runs in-process, with no pool.
-    mp_start_method:
-        Start method of the worker processes: ``"fork"``, ``"spawn"``,
-        ``"forkserver"``, or ``"auto"`` (fork where available, else
-        spawn).  Contexts travel through the shared-memory context plane,
-        so all methods are bit-identical; spawn/forkserver cost more per
-        pool start but work on every platform and give workers a clean
-        interpreter state.
+        the workers correctly — falling back to the host CPU count).  A
+        count that resolves to one runs in-process, with no worker thread.
     antithetic:
         Antithetic sampling (variance reduction): walk UIDs pair up as
         ``(2k, 2k+1)``; the even UID is the *primary* and the odd one a
@@ -213,8 +205,8 @@ class FRWConfig:
         under the intra-pair correlation), and the stopping rule
         consumes the pair-mean standard error.  Because partners are a
         pure function of ``(seed, primary uid, step, slot)``,
-        bit-identity across backends, worker counts, and start methods
-        holds exactly as without the flag.  Larger groups and deeper
+        bit-identity across backends and worker counts holds exactly as
+        without the flag.  Larger groups and deeper
         mirroring measured worse than the pair (PERFORMANCE.md layer 7),
         so the pair is fixed.  Requires a variant that can take pairs
         (:attr:`Scheme.pairs`: not ``alg1`` or ``frw-nc``), an even
@@ -249,7 +241,6 @@ class FRWConfig:
     machine_seed: int = 0
     executor: str = "serial"
     n_workers: int = 0
-    mp_start_method: str = "auto"
     antithetic: bool = True
 
     def __post_init__(self) -> None:
@@ -329,11 +320,6 @@ class FRWConfig:
             )
         if self.n_workers < 0:
             raise ConfigError(f"n_workers must be >= 0, got {self.n_workers}")
-        if self.mp_start_method not in MP_START_METHODS:
-            raise ConfigError(
-                f"mp_start_method must be one of {MP_START_METHODS}, got "
-                f"{self.mp_start_method!r}"
-            )
         if self.antithetic:
             fix = "; pass antithetic=False to sample without pairs"
             if not VARIANTS[self.variant].pairs:

@@ -10,7 +10,7 @@ from .alg2_reproducible import (
     machine_rng,
     make_streams,
 )
-from .context import ExtractionContext, SharedAssets, StructureView, build_context
+from .context import ExtractionContext, SharedAssets, build_context
 from .cross_master import extract_rows_interleaved
 from .engine import (
     StageTimers,
@@ -24,18 +24,9 @@ from .parallel import (
     BatchRunner,
     PersistentExecutor,
     make_batch_runner,
-    resolve_start_method,
     resolve_workers,
     stream_spec,
     streams_from_spec,
-)
-from .shm import (
-    ContextManifest,
-    attach_context,
-    publish_context,
-    published_blocks,
-    release_all,
-    release_manifest,
 )
 from .scheduler import (
     ScheduleResult,
@@ -49,7 +40,6 @@ from .walk import WalkTrace, run_single_walk, trace_walks
 __all__ = [
     "BatchRunner",
     "CapacitanceRow",
-    "ContextManifest",
     "ExtractionContext",
     "ExtractionResult",
     "FRWSolver",
@@ -59,11 +49,9 @@ __all__ = [
     "RunStats",
     "ScheduleResult",
     "SharedAssets",
-    "StructureView",
     "WalkPipeline",
     "WalkResults",
     "WalkTrace",
-    "attach_context",
     "build_context",
     "extract",
     "extract_row_alg1",
@@ -73,13 +61,8 @@ __all__ = [
     "machine_rng",
     "make_batch_runner",
     "make_streams",
-    "publish_context",
-    "published_blocks",
-    "release_all",
-    "release_manifest",
     "run_single_walk",
     "StageTimers",
-    "resolve_start_method",
     "resolve_workers",
     "run_segments",
     "run_walks",

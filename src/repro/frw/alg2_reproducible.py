@@ -175,7 +175,7 @@ def extract_row_alg2(
     :func:`~repro.frw.cross_master.extract_rows_interleaved`, so the row is
     bit-identical to the same master inside any multi-master extraction,
     on every backend.  Pass ``executor`` (e.g. from
-    :class:`~repro.frw.solver.FRWSolver`) to reuse one pool across
+    :class:`~repro.frw.solver.FRWSolver`) to reuse one executor across
     masters; otherwise one is created here for the config, and it is
     closed on return.
     """

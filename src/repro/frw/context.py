@@ -28,46 +28,11 @@ from ..greens import CubeTransitionTable, get_cube_table
 from ..units import EPS0_FF_PER_UM
 
 
-class StructureView:
-    """Worker-side stand-in for :class:`~repro.geometry.Structure`.
-
-    Carries exactly the structure state the walk engine reads — the
-    dielectric stack, the enclosure box, and the conductor counts.  The
-    conductor list and box arrays are not duplicated here: the geometry SoA
-    lives in the shared-memory block as part of the spatial index, which is
-    the only consumer on the walk path.  Used by
-    :func:`repro.frw.shm.attach_context` to rebuild contexts in workers
-    without pickling the full structure.
-    """
-
-    __slots__ = ("dielectric", "enclosure", "_n_base")
-
-    def __init__(self, dielectric, enclosure, n_base_conductors: int):
-        self.dielectric = dielectric
-        self.enclosure = enclosure
-        self._n_base = int(n_base_conductors)
-
-    @property
-    def n_conductors(self) -> int:
-        """Total conductors N including the enclosure."""
-        return self._n_base + 1
-
-    @property
-    def enclosure_index(self) -> int:
-        """Destination index for walks absorbed at the domain boundary."""
-        return self._n_base
-
-    @property
-    def conductors(self) -> tuple:
-        """Placeholder tuple so ``len(structure.conductors)`` stays valid."""
-        return tuple(range(self._n_base))
-
-
 @dataclass
 class ExtractionContext:
     """Precomputed state for extracting one row of the capacitance matrix."""
 
-    structure: Structure | StructureView
+    structure: Structure
     master: int
     config: FRWConfig
     surface: GaussianSurface
@@ -114,8 +79,7 @@ class SharedAssets:
         """The structure's spatial index for ``h_cap``.  Sharing one
         index — its CSR lists *and* its cell bounds arrays — means the
         far-field precompute happens once per extraction, never per
-        master, and process workers attach the one published copy instead
-        of rebuilding it."""
+        master."""
         key = float(h_cap)
         index = self._indexes.get(key)
         if index is None:

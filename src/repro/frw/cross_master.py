@@ -45,9 +45,8 @@ only decide when and where walks run — never a batch's contents.  Every
 row is therefore bit-identical at any backend, worker count or master
 count.
 
-A master's context is built — and, on the process backend, published to
-the shared-memory plane — only when it is admitted, and every live master
-holds at least one batch of at least ``b0`` walks, so at most
+A master's context is built and registered only when it is admitted, and
+every live master holds at least one batch of at least ``b0`` walks, so at most
 ``ceil(budget / b0)`` masters are live at once and admission never waits
 on in-flight batches.
 """

@@ -333,8 +333,12 @@ class WalkPipeline:
         cfg = ctx.config
         enc = ctx.structure.enclosure
         a = self._arena
-        a.grid = ctypes.addressof(ctx.index.descriptor())
-        a.table = ctypes.addressof(ctx.table._native)
+        # Held here, not only by the index and the table: two vectors
+        # starting at once on worker threads may each build a descriptor,
+        # and the arena keeps only their addresses.
+        self._descriptors = (ctx.index.descriptor(), ctx.table._native)
+        a.grid = ctypes.addressof(self._descriptors[0])
+        a.table = ctypes.addressof(self._descriptors[1])
         a.interfaces = native.address(stack._z)
         a.n_interfaces = stack._z.shape[0]  # 0 for homogeneous
         a.layer_eps = native.address(stack._eps)
@@ -701,8 +705,7 @@ def _shares_walk_space(a: ExtractionContext, b: ExtractionContext) -> bool:
     input other than the launch surface, the flux scale and the absorption
     tolerance (which :class:`WalkPipeline` keeps per lane) must agree.
     The index and the table must be the same objects: one solver's
-    contexts share both, and a process worker attaches one object per
-    published block."""
+    contexts share both."""
     sa, sb = a.structure, b.structure
     ca, cb = a.config, b.config
     return (

@@ -1,52 +1,45 @@
-"""Real shared-memory executors and batch runners for walk computation.
+"""Walk executors and batch runners for walk computation.
 
 The virtual-thread scheduler reproduces parallel *floating-point behaviour*;
 this module provides actual concurrency for throughput.  Every worker is
 one long-lived :class:`~repro.frw.engine.WalkPipeline`, which keeps its
 own queue of batches and refills freed slots from the next queued batch
 of any master.  :class:`PersistentExecutor` runs one in-process at one
-worker, or one in each of ``n_workers`` long-lived worker processes fed
-through their own pipes.  :meth:`~PersistentExecutor.submit` cuts a
-batch into queue entries for the least-loaded workers, and
-:meth:`~PersistentExecutor.next_done` returns the next batch whose entries
-are all back, in UID order — bit-identical to the serial engine at any
-worker count, cut or completion order, which is exactly the
-DOP-independence contract of Alg. 2.  :class:`BatchRunner` names one
-master's batches, a checkpoint every ``b0`` walks, for the Alg. 2
-driver, :func:`~repro.frw.cross_master.extract_rows_interleaved`.
+worker, or one on each of ``n_workers`` worker threads fed through their
+own queues: one ``advance`` call runs in C without the GIL from one batch
+boundary to the next, so the threads' vectors step at once.
+:meth:`~PersistentExecutor.submit` cuts a batch into queue entries for
+the least-loaded workers, and :meth:`~PersistentExecutor.next_done`
+returns the next batch whose entries are all back, in UID order —
+bit-identical to the serial engine at any worker count, cut or completion
+order, which is exactly the DOP-independence contract of Alg. 2.
+:class:`BatchRunner` names one master's batches, a checkpoint every ``b0``
+walks, for the Alg. 2 driver,
+:func:`~repro.frw.cross_master.extract_rows_interleaved`.
 
-Process workers get contexts through the **shared-memory context plane**
-(:mod:`repro.frw.shm`): registering a context publishes its index and cube
-table (one shared block each per process, however many masters reference
-them), and an entry carries only a small manifest and a UID range, which a
-worker attaches once — so every start method (``fork``, ``spawn``,
-``forkserver``) works.  A worker that dies raises
-:class:`~repro.errors.WorkerLostError` from the waiting call.
+Worker threads share the caller's address space: a registered context
+and its stream provider reach them by reference.  An error a worker's
+vector raises is re-raised, with its own type, by the waiting call.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
-import pickle
-import time
+import queue
+import threading
 from itertools import count
-from multiprocessing.connection import wait
 
 import numpy as np
 
 from .. import native
-from ..config import MP_START_METHODS, FRWConfig
-from ..errors import ConfigError, WorkerLostError
-from . import shm
+from ..config import FRWConfig
+from ..errors import ConfigError
 from .context import ExtractionContext
 from .engine import StageTimers, WalkPipeline, WalkResults, concat_results
 
 #: A stream spec is ``(rng_kind, seed, stream, antithetic)`` — enough to
-#: rebuild a per-walk stream provider anywhere (in this process or a
-#: worker process), which is what makes "any worker can evaluate any walk"
-#: real.
+#: rebuild a master's per-walk stream provider, which is what makes "any
+#: worker can evaluate any walk" real.
 StreamSpec = tuple
 
 
@@ -78,8 +71,8 @@ def resolve_workers(n_workers: int) -> int:
 
     Auto is :func:`repro.native.usable_cpus`, the CPUs this process may
     actually run on: in containers and under taskset/cgroup limits the
-    host count differs, and sizing a pool by it oversubscribes the
-    allowed cores (or, with a restricted ``cpu_count``, undersizes it).
+    host count differs, and sizing the workers by it oversubscribes the
+    allowed cores (or, with a restricted ``cpu_count``, undersizes them).
     """
     if n_workers < 0:
         raise ConfigError(f"n_workers must be >= 0, got {n_workers}")
@@ -88,78 +81,38 @@ def resolve_workers(n_workers: int) -> int:
     return native.usable_cpus()
 
 
-def resolve_start_method(method: str = "auto") -> str:
-    """Concrete multiprocessing start method for worker processes.
-
-    ``"auto"`` resolves to ``fork`` where the platform offers it (cheapest
-    pool start) and ``spawn`` otherwise.  Explicit methods are validated
-    against the platform's supported set.
-    """
-    if method not in MP_START_METHODS:
-        raise ConfigError(
-            f"mp_start_method must be one of {MP_START_METHODS}, got "
-            f"{method!r}"
-        )
-    available = multiprocessing.get_all_start_methods()
-    if method == "auto":
-        return "fork" if "fork" in available else "spawn"
-    if method not in available:  # pragma: no cover - platform dependent
-        raise ConfigError(
-            f"start method {method!r} is not supported on this platform "
-            f"(available: {available})"
-        )
-    return method
-
-
 # ----------------------------------------------------------------------
-# Process workers: each runs one WalkPipeline from the messages on its pipe.
+# Worker threads: each runs one WalkPipeline from the messages on its queue.
 # ----------------------------------------------------------------------
 _LOG = logging.getLogger(__name__)
 
-#: How long :meth:`PersistentExecutor.close` lets its workers exit after
-#: the stop message before it terminates them.
-CLOSE_JOIN_S = 5.0
 
-
-def _wire(uids: np.ndarray):
-    """An entry's UIDs as sent: a contiguous run travels as ``(first,
-    count)``, so a parent never blocks on a pipe its worker is not
-    reading."""
-    n = uids.shape[0]
-    if n and np.array_equal(uids, uids[0] + np.arange(n, dtype=np.uint64)):
-        return int(uids[0]), n
-    return uids
-
-
-def _worker_main(conn, n_workers: int) -> None:
-    """Process-worker entry, one of ``n_workers``: its thread team gets
-    its share of the CPUs (:func:`repro.native.share_cpus`).  Between
-    batches, read every waiting
-    ``("run", seq, manifest, uids, width)``, ``("drop", seq)``, ``("stats",)`` or
+def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+    """A worker thread's loop.  Between batches, take every waiting
+    ``("run", seq, key, ctx, streams, uids, width)``, ``("drop", seq)`` or
     ``("stop",)`` message (blocking only while idle), then step the vector
-    to its next completed batch and send back ``(seq, results)``."""
-    native.share_cpus(n_workers)
+    to its next completed batch and put ``(seq, results)`` on the shared
+    outbox.  An error goes to the outbox as ``(lost, error)``, ``lost``
+    listing the entries the vector held, and the worker carries on with
+    a fresh vector."""
     vector = WalkPipeline()
-    try:
-        while True:
-            while not vector.live or conn.poll():
-                kind, *args = conn.recv()
-                if kind == "run":
-                    seq, manifest, uids, width = args
-                    if isinstance(uids, tuple):
-                        uids = np.arange(uids[0], sum(uids), dtype=np.uint64)
-                    ctx = shm.attach_context(manifest)
-                    streams = streams_from_spec(manifest.spec)
-                    vector.submit(seq, manifest.name, ctx, streams, uids, width)
-                elif kind == "drop":
-                    vector.drop(args[0])
-                elif kind == "stats":
-                    conn.send((None, (os.getpid(), shm.attach_count())))
-                else:
+    while True:
+        queuing = []  # the entry being queued, until the vector holds it
+        try:
+            while not vector.live or not inbox.empty():
+                kind, *args = inbox.get()
+                if kind == "stop":
                     return
-            conn.send(vector.next_batch())
-    except EOFError:  # the parent is gone
-        return
+                if kind == "drop":
+                    vector.drop(*args)
+                    continue
+                queuing = args[:1]
+                vector.submit(*args)
+                queuing = []
+            outbox.put(vector.next_batch())
+        except Exception as exc:  # re-raised by the waiting caller
+            outbox.put(([*vector.live, *queuing], exc))
+            vector = WalkPipeline()
 
 
 class PersistentExecutor:
@@ -169,37 +122,30 @@ class PersistentExecutor:
     ----------
     n_workers:
         Worker count; ``0`` means auto (:func:`resolve_workers`).  One
-        worker runs in-process; more start a pool of worker processes.
-    mp_start_method:
-        Start method of the worker processes (``"auto"``, ``"fork"``,
-        ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`),
-        validated here whatever the worker count.
+        worker runs in-process; more start that many worker threads.
 
     Contexts are registered once per master (:meth:`register`); then
     batches are queued with :meth:`submit` and collected with
     :meth:`next_done` (:meth:`run` does both for one batch).  With one
     worker every master's batches queue on one in-process vector, which
-    runs only while a caller waits.  A pool starts its workers on first
-    use and never restarts them.  A closed executor rejects further work
-    with :class:`~repro.errors.ConfigError` instead of restarting
-    workers or publishing blocks.
+    runs only while a caller waits.  Worker threads start on first use
+    and give the kernels' thread team their share of the CPUs
+    (:func:`repro.native.share_cpus`) until :meth:`close`, which restores
+    the full team.  A closed executor rejects further work with
+    :class:`~repro.errors.ConfigError` instead of restarting workers.
     """
 
-    def __init__(self, n_workers: int = 1, mp_start_method: str = "auto"):
+    def __init__(self, n_workers: int = 1):
         # Set first so __del__/close stay safe if validation below raises.
         self._closed = True
-        self._workers: list = []  # (Process, Connection), started on first use
+        self._workers: list = []  # (thread, inbox), started on first use
         self.n_workers = resolve_workers(n_workers)
-        self.mp_start_method = mp_start_method
-        # Resolve eagerly so a bad method/platform combination fails at
-        # construction, not mid-extraction.
-        self._start_method = resolve_start_method(mp_start_method)
         self._vector = WalkPipeline() if self.n_workers == 1 else None
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
         # key -> [context, stream spec, the spec's stream provider]; the
-        # provider is built on the key's first batch at one worker.
+        # provider is built on the key's first batch.
         self._registry: dict[int, list] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
-        self._manifests: dict[int, "shm.ContextManifest"] = {}
         self._ids = count()  # dispatch keys, tickets and entry seqs
         self._queued = [0] * self.n_workers  # walks out on each worker
         # seq -> (ticket, worker, walks) of every entry not yet back.
@@ -209,95 +155,57 @@ class PersistentExecutor:
         self._finished: dict[int, WalkResults] = {}  # not yet collected
         self._closed = False
         self.dispatches = 0
-        self.dispatch_pickle_bytes = 0
 
     @classmethod
     def for_config(cls, config: FRWConfig) -> "PersistentExecutor":
         """The executor a config asks for: ``executor="serial"`` is one
         worker, ``"process"`` is ``n_workers`` of them."""
-        n_workers = 1 if config.executor == "serial" else config.n_workers
-        return cls(n_workers, config.mp_start_method)
+        return cls(1 if config.executor == "serial" else config.n_workers)
 
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigError("PersistentExecutor is closed")
 
     # ------------------------------------------------------------------
-    # Registration (context shipping)
+    # Registration
     # ------------------------------------------------------------------
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
-        """Register a context + stream spec once; returns its dispatch key.
-
-        With a pool this *publishes* the context immediately (its assets'
-        blocks on first reference); the workers keep running and attach
-        on first sight.  With one worker it is a dict insert, and the
-        spec's stream provider is built on the first batch, once for
-        every batch of the key.
-        """
+        """Register a context + stream spec once; returns its dispatch
+        key.  A dict insert: every worker reads the context and the
+        spec's stream provider (immutable, built on the key's first
+        batch) by reference."""
         self._check_open()
         ident = (id(ctx), spec)
         key = self._keys.get(ident)
-        if key is not None:
-            return key
-        key = next(self._ids)
-        self._registry[key] = [ctx, spec, None]
-        self._keys[ident] = key
-        if self._vector is None:
-            self._manifests[key] = shm.publish_context(ctx, spec)
+        if key is None:
+            key = self._keys[ident] = next(self._ids)
+            self._registry[key] = [ctx, spec, None]
         return key
 
     def release(self, contexts) -> None:
-        """Forget these contexts' registrations (published process blocks
-        stay until :meth:`close`)."""
+        """Forget these contexts' registrations."""
         ids = {id(ctx) for ctx in contexts}
         for ident in [ident for ident in self._keys if ident[0] in ids]:
             del self._registry[self._keys.pop(ident)]
 
     # ------------------------------------------------------------------
-    # Worker processes
+    # Worker threads
     # ------------------------------------------------------------------
-    def _processes(self) -> list:
+    def _start(self) -> list:
+        """The ``(thread, inbox)`` of every worker, started on first use."""
         if not self._workers:
-            # Build or load the compiled kernels before any worker starts:
-            # fork workers inherit the loaded library, and spawn and
-            # forkserver workers load the cached build, so no worker
-            # compiles.
-            native.library()
-            mp_ctx = multiprocessing.get_context(self._start_method)
-            for _ in range(self.n_workers):
-                conn, child = mp_ctx.Pipe()
-                proc = mp_ctx.Process(
-                    target=_worker_main,
-                    args=(child, self.n_workers),
+            native.share_cpus(self.n_workers)
+            for w in range(self.n_workers):
+                inbox = queue.SimpleQueue()
+                thread = threading.Thread(
+                    target=_serve,
+                    args=(inbox, self._outbox),
+                    name=f"repro-worker-{w}",
                     daemon=True,
                 )
-                proc.start()
-                child.close()
-                self._workers.append((proc, conn))
+                thread.start()
+                self._workers.append((thread, inbox))
         return self._workers
-
-    def _message(self, w: int, msg) -> int:
-        """Send ``msg`` to worker ``w``; returns its pickled size."""
-        data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            self._processes()[w][1].send_bytes(data)
-        except OSError as exc:
-            raise WorkerLostError(f"process worker {w} is gone") from exc
-        return len(data)
-
-    def _recv(self, workers) -> tuple:
-        """The next ``(seq, payload)`` any of ``workers`` sends; only a
-        worker holds its end of its pipe, so its death reads as EOF."""
-        conns = {self._workers[w][1]: w for w in workers}
-        conn = wait(list(conns))[0]
-        try:
-            return conn.recv()
-        except (EOFError, OSError):
-            w = conns[conn]
-            raise WorkerLostError(
-                f"process worker {w} (pid {self._workers[w][0].pid}) died "
-                "with batches in flight"
-            ) from None
 
     # ------------------------------------------------------------------
     # Batch queue
@@ -320,6 +228,10 @@ class PersistentExecutor:
         n = uids.shape[0]
         width = n if width is None else int(width)
         pieces = max(1, min(int(pieces), n))
+        entry = self._registry[key]
+        ctx, spec, streams = entry
+        if streams is None:
+            streams = entry[2] = streams_from_spec(spec)
         ticket = next(self._ids)
         seqs = [next(self._ids) for _ in range(pieces)]
         self._tickets[ticket] = (uids, seqs, {})
@@ -327,14 +239,10 @@ class PersistentExecutor:
             part = uids[j * n // pieces : (j + 1) * n // pieces]
             w = self._queued.index(min(self._queued))
             if self._vector is not None:
-                entry = self._registry[key]
-                ctx, spec, streams = entry
-                if streams is None:
-                    streams = entry[2] = streams_from_spec(spec)
                 self._vector.submit(seq, key, ctx, streams, part, width)
             else:
-                msg = ("run", seq, self._manifests[key], _wire(part), width)
-                self.dispatch_pickle_bytes += self._message(w, msg)
+                inbox = self._start()[w][1]
+                inbox.put(("run", seq, key, ctx, streams, part, width))
                 self.dispatches += 1
             self._queued[w] += part.shape[0]
             self._entries[seq] = (ticket, w, part.shape[0])
@@ -359,11 +267,17 @@ class PersistentExecutor:
             )
 
     def _pump(self) -> None:
-        """Wait for one entry on any worker and file it."""
+        """Wait for one entry on any worker and file it.  An error a
+        worker thread raised is raised here if it lost an entry still
+        awaited; an error that lost only discarded entries is dropped."""
         if self._vector is not None:
             self._collect(*self._vector.next_batch())
-        else:
-            self._collect(*self._recv(range(self.n_workers)))
+            return
+        seq, results = self._outbox.get()
+        if not isinstance(results, Exception):
+            self._collect(seq, results)
+        elif any(lost in self._entries for lost in seq):
+            raise results
 
     def next_done(self) -> tuple[int, WalkResults]:
         """Wait for the next batch completed on any worker; returns
@@ -391,8 +305,8 @@ class PersistentExecutor:
     def discard(self, ticket: int) -> int:
         """Drop a batch ungathered; returns how many of its walks were
         launched.  A piece still queued is never launched, and a piece
-        launching launches no further walk; a piece out on a process
-        worker is dropped there the same way, but the worker reports
+        launching launches no further walk; a piece out on a worker
+        thread is dropped there the same way, but the worker reports
         nothing back, so it counts whole."""
         uids, seqs, parts = self._tickets.pop(ticket)
         unlaunched = 0
@@ -404,96 +318,35 @@ class PersistentExecutor:
             if self._vector is not None:
                 unlaunched += self._vector.drop(seq)
             else:
-                self._message(w, ("drop", seq))
+                self._workers[w][1].put(("drop", seq))
         return uids.shape[0] - unlaunched
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     def dispatch_stats(self) -> dict:
-        """Cumulative dispatch telemetry.
-
-        ``dispatches`` counts the queue entries sent to process workers
-        (one per batch, or per piece of a cut batch) and ``pickle_bytes``
-        their pickled messages: a manifest and a UID range each, whatever
-        the context size.  ``published_nbytes`` sums the distinct asset
-        blocks this executor's manifests name.
-        """
-        n = max(1, self.dispatches)
-        blocks = {
-            ref.block: ref.nbytes
-            for m in self._manifests.values()
-            for ref in (m.index, m.table)
-        }
-        return {
-            "dispatches": self.dispatches,
-            "pickle_bytes": self.dispatch_pickle_bytes,
-            "pickle_bytes_per_dispatch": round(
-                self.dispatch_pickle_bytes / n, 1
-            ),
-            "published_contexts": len(self._manifests),
-            "published_blocks": len(blocks),
-            "published_nbytes": sum(blocks.values()),
-        }
-
-    def worker_stats(self) -> dict:
-        """Every process worker's PID and how many shared asset blocks it
-        has attached (starting the workers if need be); empty at one
-        worker.  Telemetry only — it never feeds back into walk values."""
-        self._check_open()
-        if self._vector is not None:
-            return {}
-        for w in range(self.n_workers):
-            self._message(w, ("stats",))
-        attaches: dict[int, int] = {}
-        for w in range(self.n_workers):
-            seq, payload = self._recv([w])
-            while seq is not None:  # a batch finished before the answer
-                self._collect(seq, payload)
-                seq, payload = self._recv([w])
-            pid, n = payload
-            attaches[pid] = n
-        pids = sorted(attaches)
-        return {
-            "worker_pids": pids,
-            "attach_counts": {str(pid): attaches[pid] for pid in pids},
-            "total_attaches": sum(attaches.values()),
-        }
+        """Cumulative dispatch telemetry: ``dispatches`` counts the queue
+        entries sent to worker threads (one per batch, or per piece of a
+        cut batch)."""
+        return {"dispatches": self.dispatches}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the workers and release published blocks (idempotent).
-
-        Each worker gets a stop message and :data:`CLOSE_JOIN_S` seconds
-        to exit, during which whatever it still sends is read and dropped
-        (so it is never stuck on a full pipe); then it is terminated."""
+        """Stop and join the worker threads and give the kernels' thread
+        team every CPU back (idempotent).  A worker stops at its next
+        batch boundary."""
         if self._closed:
             return
         self._closed = True
-        for _, conn in self._workers:
-            try:
-                conn.send(("stop",))
-            except OSError:  # already gone
-                pass
-        deadline = time.monotonic() + CLOSE_JOIN_S
-        for proc, conn in self._workers:
-            while wait([conn], max(0.0, deadline - time.monotonic())):
-                try:
-                    conn.recv_bytes()
-                except (EOFError, OSError):  # the worker has exited
-                    break
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for _, inbox in self._workers:
+            inbox.put(("stop",))
+        for thread, _ in self._workers:
+            thread.join()
+        if self._workers:
+            native.share_cpus(1)
         self._workers = []
-        # Unlink after the workers are gone: attached mappings die with
-        # them, so no segment outlives the executor in /dev/shm.
-        if self._manifests:
-            for key in sorted(self._manifests):
-                shm.release_manifest(self._manifests[key])
-            self._manifests.clear()
 
     def __enter__(self) -> "PersistentExecutor":
         return self
@@ -506,8 +359,8 @@ class PersistentExecutor:
             self.close()
         except (OSError, RuntimeError, ValueError) as exc:
             # Teardown can race interpreter shutdown (half-collected
-            # module globals, dead worker pipes).  Those failures are
-            # expected here and only here; anything else should propagate.
+            # module globals).  Those failures are expected here and only
+            # here; anything else should propagate.
             _LOG.debug("PersistentExecutor.__del__: close() failed: %r", exc)
 
 
@@ -567,8 +420,9 @@ def make_batch_runner(
     Returns ``(runner, owned_executor)``: ``owned_executor`` is the
     executor created here for the config when none was supplied (the
     caller must close it), else ``None``.  ``timers`` (optional) times
-    the stages of a one-worker executor's vector; process workers cannot
-    report stages, so they leave it untouched.
+    the stages of a one-worker executor's vector; worker threads leave it
+    untouched, since one :class:`StageTimers` cannot take several vectors'
+    stages at once.
     """
     owned = None
     if executor is None:

@@ -88,7 +88,7 @@ class FRWSolver:
     :func:`~repro.greens.get_cube_table`) and one
     :class:`~repro.frw.parallel.PersistentExecutor` is created lazily and
     reused across batches *and* masters.  Call :meth:`close` (or use the
-    solver as a context manager) to release its pools; results are
+    solver as a context manager) to stop its worker threads; results are
     bit-identical across executor backends, so this only affects wall
     time.
     """
@@ -104,7 +104,7 @@ class FRWSolver:
         longer-lived host — the memoizing extraction service shares one
         executor fleet across all requests.  Any executor serves any
         config, since rows are bit-identical on every executor; it is
-        never closed by this solver (only owned pools are released by
+        never closed by this solver (only an owned executor is closed by
         :meth:`close`).
         """
         self.structure = structure
@@ -127,14 +127,14 @@ class FRWSolver:
     def walk_executor(self) -> PersistentExecutor:
         """The solver's persistent executor, created on first use
         (:meth:`PersistentExecutor.for_config`); a one-worker executor
-        creates no pool and publishes nothing.
+        starts no thread.
         """
         if self._executor is None:
             self._executor = PersistentExecutor.for_config(self.config)
         return self._executor
 
     def close(self) -> None:
-        """Release owned executor pools (idempotent; solver stays usable).
+        """Close an owned executor (idempotent; solver stays usable).
 
         Borrowed executors (injected at construction) are left running —
         their owner decides their lifetime — and only forget this solver's
@@ -208,12 +208,7 @@ class FRWSolver:
             "schedule": {
                 "antithetic": cfg.antithetic,
                 "asset_cache": self.assets.stats(),
-                # Pool workers are processes that query their own copies
-                # of the index, so the in-process counters would report
-                # zero queries.
-                "query_stats": (
-                    None if executor.n_workers > 1 else self.assets.query_stats()
-                ),
+                "query_stats": self.assets.query_stats(),
                 "dispatched_batches": sum(s.dispatched_batches for s in stats),
                 "discarded_batches": sum(s.discarded_batches for s in stats),
                 "discarded_walks": sum(s.discarded_walks for s in stats),
@@ -251,10 +246,9 @@ def extract(
 ) -> ExtractionResult:
     """One-call extraction convenience function.
 
-    Owns the solver lifecycle: executor pools and shared-memory context
-    blocks are released deterministically before returning, so repeated
-    one-shot extractions never leak workers, semaphores, or ``/dev/shm``
-    segments.
+    Owns the solver lifecycle: the executor's worker threads are joined
+    before returning, so repeated one-shot extractions never leak
+    workers.
     """
     with FRWSolver(structure, config) as solver:
         return solver.extract(masters)

@@ -236,8 +236,7 @@ class GridIndex:
         self.h_cap = float(h_cap)
         self.stats = QueryStats()
         # Bulk counter updates take this lock, so stats invariants hold
-        # exactly when threads share the index (fork workers each
-        # inherit their own copy; the lock is never pickled).
+        # exactly when worker threads share the index.
         self._stats_lock = threading.Lock()
         self._lo, self._hi, self._owner = structure.box_arrays
         # The compiled query's state, made on the first query.
@@ -401,67 +400,6 @@ class GridIndex:
         cells = cells[keep]
         boxes = boxes[keep]
         return np.bincount(cells, minlength=n_cells), cells, boxes
-
-    def packed(self) -> tuple[dict, dict]:
-        """(scalars, arrays) split for shared-memory publication.
-
-        Only query state is published: the geometry SoA, the CSR lists and
-        the near-cell mask go in ``arrays`` (shared); the float cell
-        bounds are build-time products and stay with the builder.  Box ids
-        travel as int32, halving the largest array.  The grid geometry
-        vectors are tiny and travel in ``scalars`` (pickled), preserving
-        their exact bits.
-        """
-        scalars = {
-            "h_cap": self.h_cap,
-            "resolution": self.resolution,
-            "candidates_pruned": int(self.stats.candidates_pruned),
-            "origin": self._origin,
-            "n_cells": self._n_cells,
-            "cell": self._cell,
-            "inv_cell": self._inv_cell,
-            "cell_max": self._cell_max,
-        }
-        arrays = {
-            "lo": self._lo,
-            "hi": self._hi,
-            "owner": self._owner,
-            "indptr": self._indptr,
-            "indices": self._indices.astype(np.int32),
-            "near": self._near,
-        }
-        return scalars, arrays
-
-    @classmethod
-    def from_packed(cls, scalars: dict, arrays: dict) -> "GridIndex":
-        """Rebuild an index from :meth:`packed` state (worker-side attach).
-
-        The packed arrays may be read-only shared views.  The box ids are
-        widened back to the int64 the compiled query reads, so queries are
-        bit-identical to the published index.  Stats counters
-        start fresh (each attaching process accumulates its own telemetry)
-        except the build-time ``candidates_pruned``, which is carried over.
-        """
-        self = cls.__new__(cls)
-        self.h_cap = float(scalars["h_cap"])
-        self.resolution = int(scalars["resolution"])
-        self.stats = QueryStats(
-            candidates_pruned=int(scalars["candidates_pruned"])
-        )
-        self._stats_lock = threading.Lock()
-        self._lo = arrays["lo"]
-        self._hi = arrays["hi"]
-        self._owner = arrays["owner"]
-        self._grid = None
-        self._origin = np.asarray(scalars["origin"], dtype=np.float64)
-        self._n_cells = np.asarray(scalars["n_cells"], dtype=np.int64)
-        self._cell = np.asarray(scalars["cell"], dtype=np.float64)
-        self._inv_cell = np.asarray(scalars["inv_cell"], dtype=np.float64)
-        self._cell_max = np.asarray(scalars["cell_max"], dtype=np.int64)
-        self._indptr = arrays["indptr"]
-        self._indices = arrays["indices"].astype(np.int64)
-        self._near = arrays["near"]
-        return self
 
     @property
     def n_far_cells(self) -> int:

@@ -78,9 +78,9 @@ class GaussianSurface:
         return int(self._axis.shape[0])
 
     def packed(self) -> tuple[dict, dict]:
-        """Split the surface into (scalars, arrays) for shared-memory
-        publication (:mod:`repro.frw.shm`).  The arrays are exactly the
-        packed sampling state, so a surface rebuilt from them samples
+        """Split the surface into (scalars, arrays): the arrays are exactly
+        the packed sampling state the compiled descriptor reads, so a
+        surface rebuilt from them (:meth:`from_packed`) samples
         bit-identically."""
         scalars = {"delta": self.delta, "total_area": self.total_area}
         arrays = {
@@ -97,12 +97,11 @@ class GaussianSurface:
 
     @classmethod
     def from_packed(cls, scalars: dict, arrays: dict) -> "GaussianSurface":
-        """Rebuild a surface from :meth:`packed` state (worker-side attach).
+        """Rebuild a surface from :meth:`packed` state.
 
         The patch object list is not reconstructed (``patches`` is
-        ``None``): sampling uses only the packed arrays, and the builders
-        that need patch objects run in the publishing process.  The arrays
-        may be read-only shared views — sampling never writes to them.
+        ``None``): sampling uses only the packed arrays.  The arrays may
+        be read-only views — sampling never writes to them.
         """
         self = cls.__new__(cls)
         self.patches = None

@@ -131,15 +131,15 @@ class CubeTransitionTable:
         )
 
     def __getstate__(self) -> dict:
-        # The guide and the descriptor are derived state: never pickled
-        # (nor published).
+        # The guide and the descriptor are derived state: never pickled.
         state = dict(self.__dict__)
         state.pop("_guide", None)
         state.pop("_native", None)
         return state
 
     def packed(self) -> tuple[dict, dict]:
-        """(scalars, arrays) split for shared-memory publication."""
+        """(scalars, arrays) split of the table's defining state, without
+        the derived guide and descriptor."""
         scalars = {"nf": int(self.nf)}
         arrays = {
             "cdf": self.cdf,
@@ -154,8 +154,9 @@ class CubeTransitionTable:
 
     @classmethod
     def from_packed(cls, scalars: dict, arrays: dict) -> "CubeTransitionTable":
-        """Rebuild a table from :meth:`packed` state (worker-side attach).
-        The arrays may be read-only shared views — sampling never writes."""
+        """Rebuild a table from :meth:`packed` state, with no guide or
+        descriptor built yet.  The arrays may be read-only views —
+        sampling never writes."""
         return cls(
             nf=int(scalars["nf"]),
             cdf=arrays["cdf"],

@@ -16,13 +16,13 @@ DET002    no wall-clock- or entropy-derived seeds (``time.time``,
           ``os.urandom``, argless ``default_rng()``)
 DET003    no iteration over ``set``/``dict`` views feeding an accumulator
 DET004    no bare/broad ``except`` in ``repro.frw`` / ``repro.numerics``
+          unless it re-raises or hands the error on
 DET005    no raw ``+=`` / ``sum()`` float accumulation in loops where the
           Kahan primitives of ``repro.numerics.summation`` are required
 DET006    no mutation of closed-over/shared state inside callables
-          submitted to executors
+          submitted to executors or run as a process or library thread
 DET007    every ``FRWConfig`` field is validated in ``config.py`` and
           documented in ``docs/PERFORMANCE.md`` or ``README.md``
-DET008    no raw ``SharedMemory`` use outside ``repro.frw.shm``
 ========  ==============================================================
 
 The **whole-program checks** (passes, :mod:`repro.lint.passes`) run on
@@ -36,11 +36,9 @@ DET009    every ``FRWConfig`` field read on the result path is in the
           canonical cache key (``RESULT_FIELDS``) or the declared
           bit-invisible allowlist (``ENGINE_FIELDS``); hashed-but-unread
           fields are staleness
-DET010    ``SharedMemory`` lifecycle typestate: no leaks, double-unlinks,
-          or use-after-close along any path
 DET011    Philox kernel calls stay inside ``repro.rng``: the compiled
           counter helper is the one counter layout
-DET012    no writes to a context/manifest after executor registration
+DET012    no writes to a context after executor registration
 ========  ==============================================================
 
 Both kinds are :class:`repro.lint.core.Check` objects in one registry

@@ -1,10 +1,11 @@
 """det-lint engine: source model, the check frame, and suppressions.
 
 A *check* (:class:`Check`) is a registered function that yields
-:class:`Finding` objects.  A per-file check (DET001–008,
+:class:`Finding` objects.  A per-file check (DET001–007,
 :mod:`repro.lint.rules`) sees one parsed :class:`SourceFile` at a time; a
-whole-program check (DET009–012, :mod:`repro.lint.passes`) sees the
-:class:`~repro.lint.graph.ProjectGraph` built from every parsed file.
+whole-program check (DET009, DET011 and DET012, :mod:`repro.lint.passes`)
+sees the :class:`~repro.lint.graph.ProjectGraph` built from every parsed
+file.
 :func:`repro.lint.project.lint_project` runs both over the same trees and
 then applies the suppression comments::
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 # Importing the check modules registers every check in CHECKS_BY_ID;
-# passes imports rules, so DET001-008 register before DET009-012.
+# passes imports rules, so DET001-007 register before DET009-012.
 from . import passes, rules
 from .core import (
     CHECKS_BY_ID,

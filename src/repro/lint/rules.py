@@ -1,4 +1,4 @@
-"""The per-file det-lint checks (DET001..DET008).
+"""The per-file det-lint checks (DET001..DET007).
 
 Every check here is a small AST visitor over one
 :class:`~repro.lint.core.SourceFile` (DET007 additionally reads ``README.md``
@@ -270,7 +270,9 @@ def _broad_handler(handler: ast.ExceptHandler) -> str | None:
 def det004_broad_except(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Broad handlers in the hot paths swallow the very errors (RNG misuse,
     shape bugs, worker crashes) that reproducibility depends on surfacing.
-    Handlers that re-raise are exempt."""
+    Handlers that re-raise are exempt, and so are handlers that hand the
+    error on: they pass the name they bound it to to a call (a worker
+    thread posting it to the caller that re-raises it)."""
     if not in_package(src.module, _HOT_MODULES):
         return
     for node in ast.walk(src.tree):
@@ -279,12 +281,21 @@ def det004_broad_except(rule: Check, src: SourceFile) -> Iterator[Finding]:
         what = _broad_handler(node)
         if what is None:
             continue
-        reraises = any(
-            isinstance(n, ast.Raise) and n.exc is None
+        surfaces = any(
+            (isinstance(n, ast.Raise) and n.exc is None)
+            or (
+                isinstance(n, ast.Call)
+                and node.name is not None
+                and any(
+                    isinstance(m, ast.Name) and m.id == node.name
+                    for arg in n.args
+                    for m in ast.walk(arg)
+                )
+            )
             for stmt in node.body
             for n in ast.walk(stmt)
         )
-        if reraises:
+        if surfaces:
             continue
         yield rule.finding(
             src,
@@ -371,17 +382,21 @@ def det005_naive_accumulation(
 # DET006 — shared-state mutation inside executor-submitted callables
 # ----------------------------------------------------------------------
 _SUBMIT_ATTRS = ("submit", "apply_async", "map_async", "starmap", "imap")
+#: Tests and benchmarks start threads to drive the library concurrently
+#: and collect each thread's result in its own slot; the library's own
+#: thread loops are the ones DET006 follows.
+_THREAD_PACKAGES = ("repro",)
 
 
-def _submitted(node: ast.AST) -> ast.expr | None:
+def _submitted(node: ast.AST, threads: bool) -> ast.expr | None:
     """The callable a call hands to an executor: the first argument of
     ``.submit()``-style methods, or the ``target=`` of ``Process(...)`` /
-    ``ctx.Process(...)``."""
+    ``ctx.Process(...)`` and, when ``threads``, of ``Thread(...)``."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
     name = getattr(func, "attr", getattr(func, "id", None))
-    if name == "Process":
+    if name == "Process" or (threads and name == "Thread"):
         return next((k.value for k in node.keywords if k.arg == "target"), None)
     if isinstance(func, ast.Attribute) and name in _SUBMIT_ATTRS and node.args:
         return node.args[0]
@@ -407,9 +422,26 @@ def _local_names(fn: ast.FunctionDef) -> set[str]:
     return names
 
 
+def _locked(fn: ast.FunctionDef) -> set[int]:
+    """Ids of the statements inside ``with <lock>:`` blocks, a lock being
+    a bare name or attribute (``with self._cond:``); a call such as
+    ``open(...)`` is no lock."""
+    inside: set[int] = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.With) and all(
+            isinstance(item.context_expr, (ast.Name, ast.Attribute))
+            for item in node.items
+        ):
+            inside.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return inside
+
+
 def _shared_mutations(fn: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
     locals_ = _local_names(fn)
+    locked = _locked(fn)
     for node in ast.walk(fn):
+        if id(node) in locked:
+            continue
         targets: list[ast.AST] = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -428,12 +460,15 @@ def _shared_mutations(fn: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
 @check("DET006", "shared-state mutation inside executor-submitted callables")
 def det006_executor_races(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Callables handed to ``.submit()`` / ``.apply_async()`` or run as
-    a ``Process(target=...)`` that assign to attributes or items of
-    closed-over / global objects: with a thread pool that is a data race,
-    and either way the mutation order becomes schedule-dependent.  Return
-    values and reassemble in the dispatcher instead (UID-ordered), or
-    suppress with the reason the object is not actually shared (e.g.
-    per-process state in fork workers)."""
+    a ``Process(target=...)`` — or, in the library, as a
+    ``Thread(target=...)``, such as the executor's worker loop — that
+    assign to attributes or items of closed-over / global objects: on a
+    thread that is a data race, and either way the mutation order
+    becomes schedule-dependent.  Writes inside a ``with <lock>:`` block
+    are serialized and exempt.  Return values and reassemble in the
+    dispatcher instead (UID-ordered), or suppress with the reason the
+    object is not actually shared."""
+    threads = in_package(src.module, _THREAD_PACKAGES)
     defs: dict[str, ast.FunctionDef] = {
         node.name: node
         for node in ast.walk(src.tree)
@@ -441,7 +476,7 @@ def det006_executor_races(rule: Check, src: SourceFile) -> Iterator[Finding]:
     }
     reported: set[tuple[int, str]] = set()
     for node in ast.walk(src.tree):
-        callee = _submitted(node)
+        callee = _submitted(node, threads)
         if callee is None:
             continue
         name = None
@@ -581,42 +616,4 @@ def det007_config_coverage(rule: Check, src: SourceFile) -> Iterator[Finding]:
                 stmt,
                 f"FRWConfig.{name} is not mentioned in "
                 f"{' or '.join(_DOC_FILES)} — document every knob",
-            )
-
-
-# ----------------------------------------------------------------------
-# DET008 — raw SharedMemory use outside the context plane
-# ----------------------------------------------------------------------
-#: The one module allowed to construct raw shared-memory segments.
-_SHM_MODULE = "repro.frw.shm"
-_SHM_CTORS = (
-    "multiprocessing.shared_memory.SharedMemory",
-    "multiprocessing.shared_memory.ShareableList",
-    "shared_memory.SharedMemory",
-    "shared_memory.ShareableList",
-)
-
-
-@check("DET008", "raw SharedMemory use outside repro.frw.shm")
-def det008_raw_shared_memory(rule: Check, src: SourceFile) -> Iterator[Finding]:
-    """Raw ``multiprocessing.shared_memory`` segments bypass the context
-    plane's ownership protocol: blocks constructed elsewhere have no
-    manifest, no content hash, no read-only discipline, and no
-    unlink-exactly-once owner — a recipe for leaked ``/dev/shm`` segments
-    and silently torn reads.  All shared-memory traffic must go through
-    :func:`repro.frw.shm.publish_context` / ``attach_context``."""
-    if src.module == _SHM_MODULE:
-        return
-    imports = ImportResolver(src)
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = imports.canonical(node.func)
-        if name in _SHM_CTORS:
-            yield rule.finding(
-                src,
-                node,
-                f"raw {name.rsplit('.', 1)[-1]} constructed outside "
-                f"{_SHM_MODULE} — publish/attach through repro.frw.shm so "
-                "blocks carry a manifest and are unlinked exactly once",
             )

@@ -22,8 +22,9 @@ the bits of its reference exactly (``docs/DETERMINISM.md``).
 The launch, the query-and-absorb and the hop of a wide vector split its
 slots over the process's thread team (``team_size`` in ``kernels.c``),
 which ``ctypes`` runs without the GIL.  The team has one thread per CPU
-this process may use (:func:`usable_cpus`), or its share of them in a pool
-worker (:func:`share_cpus`); a split never changes a bit.
+this process may use (:func:`usable_cpus`), or a worker thread's share of
+them while an executor's worker threads run (:func:`share_cpus`); a split
+never changes a bit.
 
 The library is built with the system C compiler on first use — never at
 ``import repro`` — by :func:`library`, and cached as
@@ -31,8 +32,8 @@ The library is built with the system C compiler on first use — never at
 ``XDG_CACHE_HOME``).  The hash covers the source, the compile command and
 the platform, so an edited source or flag builds a new file.  A build
 writes a temporary file in the cache directory and renames it into place,
-so processes that build at once (pool workers, service boots, test
-processes) each load a complete library.  The cache directory must be
+so processes that build at once (service boots, test processes) each
+load a complete library.  The cache directory must be
 owned by the user and writable by nobody else, since the library is
 loaded into the process.  A missing compiler, a failed compile or an
 unsafe directory raises :class:`~repro.errors.KernelBuildError`.
@@ -356,10 +357,10 @@ def usable_cpus() -> int:
 
 
 def share_cpus(n_workers: int) -> None:
-    """Size this process's thread team as one of ``n_workers`` workers
+    """Size this process's thread team for ``n_workers`` worker threads
     sharing its CPUs: ``max(1, usable_cpus() // n_workers)`` threads, the
     caller included.  A process starts with every CPU (one in-process
-    worker)."""
+    worker), which ``share_cpus(1)`` restores."""
     _set_team_size(max(1, usable_cpus() // n_workers))
 
 

@@ -41,11 +41,7 @@ import numpy as np
 from .. import __version__
 from ..config import ENGINE_FIELDS, RESULT_FIELDS, FRWConfig
 from ..errors import ConfigError, GeometryError
-from ..frw.parallel import (
-    PersistentExecutor,
-    resolve_start_method,
-    resolve_workers,
-)
+from ..frw.parallel import PersistentExecutor, resolve_workers
 from ..frw.solver import FRWSolver
 from ..geometry import structure_from_dict
 from .cache import LRUCache
@@ -71,19 +67,17 @@ READ_REQUEST_S = 30.0
 class ServiceSettings:
     """Configuration of one service instance.
 
-    ``frw-rr serve`` sets every field but ``mp_start_method`` from a flag
-    of the same name (``n_workers`` from ``--workers``,
-    ``result_cache_entries`` from ``--result-cache``); the start method
-    is set only from Python.  Each slot's executor has ``n_workers``
-    workers: one runs in-process, any other count, ``0`` (auto)
-    included, starts a process pool.
+    ``frw-rr serve`` sets every field from a flag of the same name
+    (``n_workers`` from ``--workers``, ``result_cache_entries`` from
+    ``--result-cache``).  Each slot's executor has ``n_workers`` workers:
+    one runs in-process, any other count, ``0`` (auto) included, starts
+    that many worker threads.
     """
 
     host: str = "127.0.0.1"
     port: int = 8231
     slots: int = 1
     n_workers: int = 1
-    mp_start_method: str = "auto"
     result_cache_entries: int = 1024
     port_file: str | None = None
 
@@ -95,7 +89,6 @@ class ServiceSettings:
         if self.result_cache_entries < 1:
             raise ConfigError("cache bounds must be >= 1")
         resolve_workers(self.n_workers)
-        resolve_start_method(self.mp_start_method)
 
 
 @dataclass
@@ -263,9 +256,7 @@ class ExtractionService:
         cfg = self.settings
         executor = self._executors.get(slot)
         if executor is None:
-            executor = self._executors[slot] = PersistentExecutor(
-                cfg.n_workers, cfg.mp_start_method
-            )
+            executor = self._executors[slot] = PersistentExecutor(cfg.n_workers)
         return executor
 
     def _worker_loop(self, slot: int) -> None:

@@ -1,11 +1,34 @@
 """Shared fixtures: small structures, extraction configs and a pipelined
 engine run."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure, native
 from repro.frw.engine import concat_results, run_segments
+
+
+def _workers() -> set[threading.Thread]:
+    """The executors' worker threads alive in this process."""
+    return {
+        t for t in threading.enumerate() if t.name.startswith("repro-worker")
+    }
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves an executor's worker thread alive: every
+    executor a test starts must be closed (or its solver's ``with`` block
+    left) before the test ends."""
+    before = _workers()
+    yield
+    leaked = _workers() - before
+    if leaked:
+        pytest.fail(
+            f"worker threads left alive: {sorted(t.name for t in leaked)}"
+        )
 
 
 @pytest.fixture

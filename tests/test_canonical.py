@@ -56,7 +56,6 @@ ALT_RESULT_VALUES = {
 ALT_ENGINE_VALUES = {
     "executor": "process",
     "n_workers": 3,
-    "mp_start_method": "spawn",
 }
 
 

@@ -127,12 +127,11 @@ def test_serve_rejects_invalid_settings(capsys):
 
 def test_serve_startup_shutdown_no_leaks(tmp_path):
     """Boot the real server via the CLI, drive one request, shut down,
-    and verify nothing leaks: exit code 0, no published shared-memory
-    blocks, no surviving service threads."""
+    and verify nothing leaks: exit code 0, no surviving service or
+    worker threads."""
     import threading
     import time
 
-    from repro.frw import shm
     from repro.geometry import structure_to_dict
     from repro.service import ServiceClient
     from repro.structures import parallel_wires
@@ -166,9 +165,8 @@ def test_serve_startup_shutdown_no_leaks(tmp_path):
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert outcome["code"] == 0
-    assert shm.published_blocks() == []
     leftovers = [
         t.name for t in threading.enumerate()
-        if t.name.startswith("repro-service")
+        if t.name.startswith(("repro-service", "repro-worker"))
     ]
     assert leftovers == []

@@ -93,7 +93,7 @@ def test_with_replaces_fields():
         dict(min_walks=100, max_walks=50),
         dict(executor="gpu"),
         dict(n_workers=-1),
-        dict(mp_start_method="greenlet"),
+        dict(absorption_fraction=0.0),
         dict(absorption_fraction=0.5),
         dict(seed=-1),
         dict(machine_seed=-3),

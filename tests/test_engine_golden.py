@@ -11,10 +11,9 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
 * thread-parallel execution: concurrent caller threads (as the
   service's slots are) running ``run_walks`` on one shared context, for
   1, 2 and 4 threads,
-* process-parallel execution on a ``PersistentExecutor`` for
-  ``n_workers`` in {1, 2, 4} and over the shared-memory context plane, both
-  ``fork`` and ``spawn`` start methods (spawn workers inherit nothing, so
-  byte-equality proves the manifest protocol is complete).
+* executor-parallel execution on a ``PersistentExecutor`` for
+  ``n_workers`` in {1, 2, 4}: one in-process vector, or one vector on each
+  worker thread, the batch cut over them.
 
 Those runs are narrower than the kernels' split size, so they run on one
 thread.  :data:`WIDE_GOLDEN` pins 20,000-walk rows of both geometries
@@ -213,8 +212,8 @@ def test_pipelined_engine_matches_golden(golden_case, width, ahead):
     _check(case, concat_results(uids, parts))
 
 
-def _executor_run(ctx, uids, n_workers, **kwargs):
-    with PersistentExecutor(n_workers, **kwargs) as ex:
+def _executor_run(ctx, uids, n_workers):
+    with PersistentExecutor(n_workers) as ex:
         return ex.run(ex.register(ctx, stream_spec(ctx.config, 0)), uids)
 
 
@@ -257,17 +256,6 @@ def test_thread_parallel_matches_golden(golden_case, n_threads):
 def test_process_parallel_matches_golden(golden_case, n_workers):
     case, ctx, uids = golden_case
     _check(case, _executor_run(ctx, uids, n_workers))
-
-
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_spawn_parallel_matches_golden(golden_case, n_workers):
-    """Spawn workers inherit nothing: the golden bytes coming back prove
-    the shared-memory manifest protocol carries the whole context."""
-    case, ctx, uids = golden_case
-    res = _executor_run(
-        ctx, uids, n_workers, mp_start_method="spawn"
-    )
-    _check(case, res)
 
 
 @pytest.mark.parametrize("case,lane", sorted(WIDE_GOLDEN))

@@ -1,5 +1,5 @@
 """Tests for det-lint v2's whole-program layer: the project graph
-(:mod:`repro.lint.graph`), the four interprocedural passes
+(:mod:`repro.lint.graph`), the three interprocedural passes
 (:mod:`repro.lint.passes`), and the acceptance mutation tests — each
 contract violation injected into a *copy of the real source tree* must
 produce exactly one new finding with the right rule id.
@@ -202,100 +202,6 @@ def test_det009_staleness_needs_full_entry_closure(tmp_path):
     assert all("never read" not in f.message for f in errors)
 
 
-DET010_FILES = {
-    "src/repro/__init__.py": "",
-    "src/repro/frw/__init__.py": "",
-}
-
-
-@pytest.mark.parametrize(
-    "body, expect",
-    [
-        (  # leak: still open at exit on every path
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            def f(n):
-                seg = SharedMemory(name="x", create=True, size=n)
-                seg.buf[:1] = b"a"
-                return n
-            """,
-            ["may still be mapped"],
-        ),
-        (  # branch leak: cleaned on one path only
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            def f(n, keep):
-                seg = SharedMemory(name="x", create=True, size=n)
-                if not keep:
-                    seg.close()
-                    seg.unlink()
-            """,
-            ["may still be mapped"],
-        ),
-        (  # double unlink
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            def f(n):
-                seg = SharedMemory(name="x", create=True, size=n)
-                seg.close()
-                seg.unlink()
-                seg.unlink()
-            """,
-            ["unlink()ed twice"],
-        ),
-        (  # use after close
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            def f(n):
-                seg = SharedMemory(name="x", create=True, size=n)
-                seg.close()
-                return bytes(seg.buf[:1])
-            """,
-            ["after close()"],
-        ),
-        (  # clean protocol: no findings
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            def f(n):
-                seg = SharedMemory(name="x", create=True, size=n)
-                try:
-                    seg.buf[:1] = b"a"
-                finally:
-                    seg.close()
-                    seg.unlink()
-            """,
-            [],
-        ),
-        (  # ownership escape: returning the open block is fine
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            def f(n):
-                seg = SharedMemory(name="x", create=True, size=n)
-                return seg
-            """,
-            [],
-        ),
-        (  # ownership escape: stored in a registry
-            """
-            from multiprocessing.shared_memory import SharedMemory
-            REG = {}
-            def f(n):
-                seg = SharedMemory(name="x", create=True, size=n)
-                REG[n] = (seg, n)
-            """,
-            [],
-        ),
-    ],
-)
-def test_det010_typestate(tmp_path, body, expect):
-    files = dict(DET010_FILES)
-    files["src/repro/frw/piece.py"] = body
-    errors = pass_errors(tmp_path, files, "DET010")
-    assert [f.rule for f in errors] == ["DET010"] * len(expect)
-    for fragment, finding in zip(expect, errors):
-        assert fragment in finding.message
-
-
 def test_det011_kernel_confinement(tmp_path):
     files = {
         "src/repro/__init__.py": "",
@@ -395,20 +301,6 @@ def test_mutation_dropping_hash_field_is_one_det009(repo_copy):
     assert [f.rule for f in errors] == ["DET009"]
     assert "max_steps" in errors[0].message
     assert "neither RESULT_FIELDS" in errors[0].message
-
-
-def test_mutation_leaking_shm_block_is_one_det010(repo_copy):
-    shm = repo_copy / "src/repro/frw/shm.py"
-    shm.write_text(
-        shm.read_text()
-        + "\n\ndef _rogue_scratch(nbytes):\n"
-        + '    seg = SharedMemory(name="rogue", create=True, size=nbytes)\n'
-        + "    seg.buf[:1] = b'x'\n"
-    )
-    errors = mutated_errors(repo_copy)
-    assert [f.rule for f in errors] == ["DET010"]
-    assert "may still be mapped" in errors[0].message
-    assert errors[0].scope == "_rogue_scratch"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,10 @@
-"""Tests for the real walk executors (one worker, process pool) and
+"""Tests for the real walk executors (one worker, worker threads) and
 batch runners."""
 
-import multiprocessing
+import dataclasses
 import os
-import signal
+import sys
 import threading
-import time
 
 from types import SimpleNamespace
 
@@ -18,7 +17,6 @@ from repro import Box, Conductor, FRWConfig, Structure
 from repro.frw import (
     BatchRunner,
     PersistentExecutor,
-    RowProgress,
     StageTimers,
     WalkPipeline,
     build_context,
@@ -31,6 +29,7 @@ from repro.frw import (
     stream_spec,
 )
 from repro.frw.parallel import checkpoint_walks
+from repro.frw import solver as solver_module
 from repro.frw.solver import FRWSolver
 from repro.rng import WalkStreams
 from repro.structures import build_case
@@ -76,7 +75,8 @@ def test_single_worker_shortcut(plates):
 
 
 def test_process_pool_matches_serial(plates):
-    """The distributed-memory backend: bit-identical to the serial engine."""
+    """Two worker threads, four pieces: bit-identical to the serial
+    engine."""
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77, antithetic=False))
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
@@ -115,7 +115,8 @@ def test_persistent_executor_bitwise(plates, n_workers):
 
 
 def test_persistent_executor_reused_across_masters(plates):
-    """One pool serves several registered contexts (masters)."""
+    """One executor's workers serve several registered contexts
+    (masters)."""
     cfg = FRWConfig.frw_r(seed=5, antithetic=False)
     with PersistentExecutor(2) as ex:
         for master in (0, 1):
@@ -165,21 +166,21 @@ def one_batch_reference(plates):
         dict(executor="serial", lookahead=3),
         dict(executor="process", n_workers=3),
         dict(executor="process", n_workers=3, lookahead=3),
-        dict(executor="process", n_workers=2, mp_start_method="forkserver"),
+        dict(executor="process", n_workers=3, lookahead=0),
         dict(executor="process", n_workers=4, lookahead=0),
         dict(executor="process", n_workers=1),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
         dict(executor="process", n_workers=2, lookahead=3),
         dict(executor="process", n_workers=2, lookahead=0),
-        dict(executor="process", n_workers=2, mp_start_method="spawn"),
-        dict(executor="process", n_workers=4, mp_start_method="spawn"),
+        dict(executor="process", n_workers=4, lookahead=3),
+        dict(executor="process", n_workers=1, lookahead=3),
     ],
 )
 def test_extract_row_backends_bitwise(plates, one_batch_reference, kwargs):
     """The acceptance criterion: the extracted row (values, sigma2, hits,
     walks, steps) is bitwise identical across all executor backends,
-    worker counts, start methods and look-ahead depths — the schedule
+    worker counts and look-ahead depths — the schedule
     trades wall time only.  ``lookahead`` patches PIPELINE_LOOKAHEAD."""
     ref_row, ref_stats = one_batch_reference
     kwargs = dict(kwargs)
@@ -206,12 +207,15 @@ def test_solver_owns_executor_lifecycle(plates):
         assert ex is not None
         assert solver.walk_executor() is ex  # created once, reused
         solver.extract_row(0)
+        threads = [thread for thread, _ in ex._workers]
+        assert len(threads) == 2 and all(t.is_alive() for t in threads)
     assert solver._executor is None  # released on exit
+    assert ex._workers == [] and not any(t.is_alive() for t in threads)
 
 
 def test_solver_serial_config_gets_a_one_worker_executor(plates):
     """A serial or one-worker config gets a one-worker executor, which
-    extracts in-process: it creates no pool and publishes no block."""
+    extracts in-process: it starts no worker thread."""
     base = dict(seed=13, batch_size=256, min_walks=512, max_walks=512)
     for kwargs in (
         dict(executor="serial", n_workers=4),
@@ -222,22 +226,18 @@ def test_solver_serial_config_gets_a_one_worker_executor(plates):
             assert ex.n_workers == 1
             result = solver.extract()
             assert ex._workers == []
-            stats = ex.dispatch_stats()
-            assert stats["dispatches"] == stats["published_contexts"] == 0
-            assert shm.published_blocks() == []
+            assert ex.dispatch_stats() == {"dispatches": 0}
         assert result.matrix.meta["schedule"]["query_stats"] is not None
 
 
 def test_default_config_extracts_in_process():
     """The default config extracts Table I case 1 on the one-worker
-    executor: it starts no thread and no child process, and dispatches
-    no queue entry to a worker process."""
+    executor: it starts no thread and dispatches no queue entry to a
+    worker thread."""
     threads = threading.active_count()
-    children = sorted(p.pid for p in multiprocessing.active_children())
     with FRWSolver(build_case(1), FRWConfig()) as solver:
         result = solver.extract()
         assert threading.active_count() == threads
-        assert sorted(p.pid for p in multiprocessing.active_children()) == children
         assert solver.walk_executor().dispatch_stats()["dispatches"] == 0
     assert result.converged
 
@@ -327,7 +327,7 @@ def test_vector_width_is_the_batch_size(plates):
 
 
 def test_make_batch_runner_on_a_pool(plates):
-    """A pool runner cuts a batch over both workers and owns the
+    """A two-worker runner cuts a batch over both workers and owns the
     executor it created."""
     cfg = FRWConfig.frw_r(
         seed=77, batch_size=64, executor="process", n_workers=2, antithetic=False
@@ -347,47 +347,33 @@ def test_make_batch_runner_on_a_pool(plates):
 
 
 # ----------------------------------------------------------------------
-# Shared-memory context plane: spawn-safe process backend
+# Worker threads
 # ----------------------------------------------------------------------
-from repro.errors import ConfigError, WorkerLostError
-from repro.frw import shm
-from repro.frw.parallel import resolve_start_method, resolve_workers
+from repro.errors import ConfigError, ConvergenceError
+from repro.frw.parallel import resolve_workers
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_spawn_backend_bitwise(plates, n_workers):
-    """The spawn start method inherits nothing — everything the workers
-    see travels through the manifest protocol.  Bit-identity here is the
-    proof the shared-memory plane carries the full context."""
-    cfg = FRWConfig.frw_r(seed=77, antithetic=False)
-    ctx = build_context(plates, 0, cfg)
-    uids = np.arange(700, dtype=np.uint64)
-    serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(n_workers, mp_start_method="spawn") as ex:
-        key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
-    assert np.array_equal(serial.omega, res.omega)
-    assert np.array_equal(serial.dest, res.dest)
-    assert np.array_equal(serial.steps, res.steps)
-    assert serial.truncated == res.truncated
+def _threads(ex):
+    return [thread for thread, _ in ex._workers]
 
 
 def test_second_wave_registration_keeps_pool(plates):
-    """Registering more contexts must publish blocks, not restart the
-    workers: the worker PID set is unchanged across registration waves."""
+    """Registering more contexts is a dict insert: the worker threads are
+    the same across registration waves."""
     cfg = FRWConfig.frw_r(seed=5, antithetic=False)
     with PersistentExecutor(2) as ex:
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
         res0 = ex.run(k0, uids)
-        pids_before = ex.worker_stats()["worker_pids"]
-        # Second wave: a new master registers while the pool is warm.
+        threads_before = _threads(ex)
+        # Second wave: a new master registers while the workers run.
         ctx1 = build_context(plates, 1, cfg)
         k1 = ex.register(ctx1, stream_spec(cfg, 1))
         res1 = ex.run(k1, uids)
-        assert len(pids_before) == 2
-        assert ex.worker_stats()["worker_pids"] == pids_before
+        assert len(threads_before) == 2
+        assert _threads(ex) == threads_before
+        assert all(t.name.startswith("repro-worker") for t in threads_before)
         assert np.array_equal(
             run_walks(ctx0, WalkStreams(5, 0), uids).omega, res0.omega
         )
@@ -400,45 +386,19 @@ def test_executor_dispatch_telemetry(plates):
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(400, dtype=np.uint64)
-    # Spawn workers inherit no attach cache, so their counts are exact.
-    with PersistentExecutor(2, mp_start_method="spawn") as ex:
+    with PersistentExecutor(2) as ex:
         ex.register(ctx, stream_spec(cfg, 0))
         key = ex.register(ctx, stream_spec(cfg, 0))
         ex.submit(key, uids, 4)
         ex.next_done()
-        stats = ex.dispatch_stats()
-        assert stats["dispatches"] == 4  # 400 uids in 4 queue entries
-        assert stats["published_contexts"] == 1
-        assert stats["published_nbytes"] > 0
-        # Steady-state entries are (manifest, UID range): a few KB each.
-        assert 0 < stats["pickle_bytes_per_dispatch"] < 16384
-        assert stats["published_blocks"] == 2  # one index, one table
-        workers = ex.worker_stats()
-        # Two entries each: every worker attached the index and the table.
-        assert list(workers["attach_counts"].values()) == [2, 2]
-        assert workers["total_attaches"] == 2 * ex.n_workers
-
-
-def test_spawn_worker_attaches_each_asset_once(three_wires):
-    """A spawn worker running every master of a multi-master case maps,
-    verifies and rebuilds one index and one table, not one per master."""
-    cfg = FRWConfig.frw_r(
-        seed=13, batch_size=256, min_walks=512, max_walks=512,
-        executor="process", n_workers=2, mp_start_method="spawn",
-    )
-    with FRWSolver(three_wires, cfg) as solver:
-        solver.extract()
-        ex = solver.walk_executor()
-        assert ex.dispatch_stats()["published_contexts"] == 3
-        workers = ex.worker_stats()
-    assert len(workers["worker_pids"]) == ex.n_workers
-    assert max(workers["attach_counts"].values()) <= 2
+        # 400 uids in 4 queue entries, one per piece.
+        assert ex.dispatch_stats() == {"dispatches": 4}
 
 
 def test_executors_share_asset_blocks(plates):
-    """Two process executors in one process that register contexts over
-    the same table object share its block; closing one leaves the other
-    able to dispatch."""
+    """Two executors in one process that register contexts over the same
+    table object both run them; closing one leaves the other able to
+    dispatch."""
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx0 = build_context(plates, 0, cfg)
     ctx1 = build_context(plates, 1, cfg)
@@ -447,32 +407,17 @@ def test_executors_share_asset_blocks(plates):
     a = PersistentExecutor(2)
     b = PersistentExecutor(2)
     try:
-        a.register(ctx0, stream_spec(cfg, 0))
+        a.run(a.register(ctx0, stream_spec(cfg, 0)), uids)
         key = b.register(ctx1, stream_spec(cfg, 1))
-        table_block = a._manifests[0].table.block
-        assert b._manifests[key].table.block == table_block
         a.close()
-        assert table_block in shm.published_blocks()
         res = b.run(key, uids)
-        assert len(b.worker_stats()["worker_pids"]) == b.n_workers
+        assert len(_threads(b)) == b.n_workers
     finally:
         a.close()
         b.close()
     ref = run_walks(ctx1, WalkStreams(77, 1), uids)
     assert np.array_equal(ref.omega, res.omega)
     assert np.array_equal(ref.dest, res.dest)
-    assert table_block not in shm.published_blocks()
-
-
-def test_executor_close_unlinks_blocks(plates):
-    cfg = FRWConfig.frw_r(seed=77)
-    ctx = build_context(plates, 0, cfg)
-    ex = PersistentExecutor(2)
-    key = ex.register(ctx, stream_spec(cfg, 0))
-    blocks = shm.published_blocks()
-    assert blocks  # registration published the context
-    ex.close()
-    assert all(b not in shm.published_blocks() for b in blocks)
 
 
 def _within(seconds, fn):
@@ -494,67 +439,83 @@ def _within(seconds, fn):
 
 
 def test_close_with_batches_in_flight_is_bounded(plates):
-    """close() with queue entries still out stops every worker promptly
-    (a stop message, then a bounded join) and leaves no child process;
-    the closed executor rejects a further wait."""
+    """close() with queue entries still out stops every worker at its
+    next batch boundary and joins it; the closed executor rejects a
+    further wait."""
     cfg = FRWConfig.frw_r(seed=77, antithetic=False)
     ctx = build_context(plates, 0, cfg)
-    children = set(multiprocessing.active_children())
     ex = PersistentExecutor(2)
     key = ex.register(ctx, stream_spec(cfg, 0))
     for part in np.split(np.arange(6144, dtype=np.uint64), 6):
         ex.submit(key, part, 2)
-    assert _within(parallel.CLOSE_JOIN_S + 10, ex.close) is None
-    assert set(multiprocessing.active_children()) <= children
+    threads = _threads(ex)
+    assert _within(30, ex.close) is None
+    assert len(threads) == 2 and not any(t.is_alive() for t in threads)
     with pytest.raises(ConfigError):
         ex.next_done()
 
 
-def test_killed_worker_raises_worker_lost_error(three_wires):
-    """A SIGKILLed fork worker ends the extraction in WorkerLostError
-    within seconds, never a hang, and leaves no child process and no
-    shared-memory block behind."""
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_worker_error_reaches_the_caller_with_its_type(
+    plates, monkeypatch, n_workers
+):
+    """A vector's error reaches ``extract()`` with its own type, whether
+    the vector is in-process or on a worker thread, and the executor
+    then serves the next extraction, whose rows are a fresh one's."""
+    good = FRWConfig.frw_r(seed=13, batch_size=256, min_walks=512, max_walks=512)
+
+    def too_wide(*args, **kwargs):
+        """A context whose absorption tolerance is wider than the Gaussian
+        surface offset: its walks absorb before their first hop."""
+        ctx = build_context(*args, **kwargs)
+        return dataclasses.replace(ctx, absorb_tol=4.0 * ctx.surface.delta)
+
+    with PersistentExecutor(n_workers) as ex:
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_module, "build_context", too_wide)
+            with FRWSolver(plates, good, executor=ex) as solver:
+                raised = _within(60, solver.extract)
+        assert isinstance(raised, ConvergenceError)
+        assert "absorbed before its first hop" in str(raised)
+        with FRWSolver(plates, good, executor=ex) as solver:
+            got = solver.extract()
+        threads = _threads(ex)
+    with FRWSolver(plates, good) as fresh:
+        ref = fresh.extract()
+    assert got.matrix.values.tobytes() == ref.matrix.values.tobytes()
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_many_workers_share_one_index_under_stress(three_wires):
+    """Eight worker threads on fewer cores, with the interpreter switching
+    threads every microsecond: the vectors start at once on a fresh
+    index, each holding the descriptor it points at, and count their
+    queries into that one index under its lock.  The rows are still the
+    serial ones, and the index's counters stay consistent."""
     cfg = FRWConfig.frw_r(
-        seed=13, batch_size=256, min_walks=4096, max_walks=8192,
-        tolerance=1e-9, executor="process", n_workers=2,
-        mp_start_method="fork",
+        seed=13, batch_size=128, min_walks=256, max_walks=1024,
+        tolerance=2e-2, executor="process", n_workers=8,
     )
-    absorb = RowProgress.absorb
-    killed = []
-    children = set(multiprocessing.active_children())
-
-    def killing_absorb(self, results):
-        if not killed:
-            os.kill(victim, signal.SIGKILL)
-            killed.append(time.monotonic())
-        return absorb(self, results)
-
-    with pytest.MonkeyPatch.context() as mp:
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
         with FRWSolver(three_wires, cfg) as solver:
-            victim = solver.walk_executor().worker_stats()["worker_pids"][0]
-            mp.setattr(RowProgress, "absorb", killing_absorb)
-            raised = _within(30, solver.extract)
-            assert isinstance(raised, WorkerLostError)
-            assert time.monotonic() - killed[0] < 10
-    assert set(multiprocessing.active_children()) <= children
-    prefix = f"frwctx-{os.getpid()}-"
-    assert not [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
-
-
-def test_solver_releases_shared_blocks(plates):
-    cfg = FRWConfig.frw_r(
-        seed=13, batch_size=256, min_walks=512, max_walks=512,
-        executor="process", n_workers=2,
-    )
-    with FRWSolver(plates, cfg) as solver:
-        solver.extract_row(0)
-        assert shm.published_blocks()  # context lives on the plane
-    assert shm.published_blocks() == []  # context-manager exit unlinked
+            error = _within(120, lambda: results.append(solver.extract()))
+    finally:
+        sys.setswitchinterval(interval)
+    with FRWSolver(three_wires, cfg.with_(executor="serial")) as solver:
+        ref = solver.extract()
+    assert error is None
+    (result,) = results
+    qs = result.matrix.meta["schedule"]["query_stats"]
+    assert qs["points"] == qs["far_field_hits"] + qs["near_points"]
+    assert result.matrix.values.tobytes() == ref.matrix.values.tobytes()
+    assert result.raw_matrix.sigma2.tobytes() == ref.raw_matrix.sigma2.tobytes()
 
 
 def test_closed_executor_rejects_work(plates):
-    """A closed executor raises instead of re-creating its pool or
-    publishing blocks that no later close() would reclaim."""
+    """A closed executor raises instead of restarting its workers."""
     cfg = FRWConfig.frw_r(seed=77)
     ctx0 = build_context(plates, 0, cfg)
     ctx1 = build_context(plates, 1, cfg)
@@ -563,26 +524,14 @@ def test_closed_executor_rejects_work(plates):
     key = ex.register(ctx0, stream_spec(cfg, 0))
     ex.run(key, uids)
     ex.close()
-    blocks = shm.published_blocks()
     with pytest.raises(ConfigError):
         ex.register(ctx1, stream_spec(cfg, 1))
     with pytest.raises(ConfigError):
         ex.run(key, uids)
     with pytest.raises(ConfigError):
         ex.submit(key, uids)
-    with pytest.raises(ConfigError):
-        ex.worker_stats()
     ex.close()
-    assert shm.published_blocks() == blocks
     assert ex._workers == []
-
-
-def test_resolve_start_method():
-    assert resolve_start_method("fork") == "fork"
-    assert resolve_start_method("spawn") == "spawn"
-    assert resolve_start_method("auto") in ("fork", "spawn")
-    with pytest.raises(ConfigError):
-        resolve_start_method("greenlet")
 
 
 def test_resolve_workers_prefers_affinity(monkeypatch):
@@ -604,12 +553,11 @@ def test_resolve_workers_affinity_fallback(monkeypatch):
 
 
 def test_worker_count_picks_the_executor():
-    """One worker runs in-process, more start a pool, a negative count
-    is an error, and a config's ``executor="serial"`` means one worker."""
+    """One worker runs in-process, more start worker threads, a negative
+    count is an error, and a config's ``executor="serial"`` means one
+    worker."""
     with pytest.raises(ConfigError, match="n_workers"):
         PersistentExecutor(-1)
-    with pytest.raises(ConfigError, match="greenlet"):
-        PersistentExecutor(1, "greenlet")
     for cfg, n in [
         (FRWConfig(executor="serial", n_workers=4), 1),
         (FRWConfig(executor="process", n_workers=1), 1),
@@ -808,7 +756,7 @@ def test_one_serial_executor_serves_several_structures(plates, three_wires):
 
 
 def test_borrowed_executor_serves_any_config(three_wires):
-    """A solver runs on whatever executor it is lent: a 2-worker pool
+    """A solver runs on whatever executor it is lent: a 2-worker executor
     lent to a ``executor="serial"`` config gives the rows of the
     solver's own in-process executor byte for byte."""
     cfg = FRWConfig.frw_r(

@@ -3,17 +3,14 @@ cross-master pipeline prefetches batches, on every execution backend.
 
 A walk's draws are pure functions of its ``(seed, uid, step, slot)`` (or,
 for the MT ablation, of its own seeded stream), computed by the compiled
-launch and hop whatever vector, worker or process runs the walk.  How many
+launch and hop whatever vector or worker runs the walk.  How many
 batches a master runs ahead of the one being gathered
 (:data:`repro.frw.cross_master.PIPELINE_LOOKAHEAD`, patched to
 {1, 2, 4, 8} against a reference at 0) only decides which speculative
 batches are in flight, never a batch's contents.  So a row extracted on
-the serial engine, on process pools of 1 to 4 workers and under every
-multiprocessing start method is the same bytes at every prefetch depth,
-with antithetic sampling off *and* on.  The look-ahead lives in the
-parent's driver, so it applies to spawned and forkserver pools too; those
-workers import the package afresh, so byte equality also proves they need
-nothing the parent holds but the shared-memory manifest.
+the serial engine and on 1 to 6 worker threads (more workers than CPUs
+cut each batch into more pieces) is the same bytes at every prefetch
+depth, with antithetic sampling off *and* on.
 """
 
 import numpy as np
@@ -32,10 +29,10 @@ _BACKENDS = [
     dict(executor="serial"),
     dict(executor="process", n_workers=1),
     dict(executor="process", n_workers=3),
-    dict(executor="process", n_workers=2, mp_start_method="forkserver"),
+    dict(executor="process", n_workers=5),
     dict(executor="process", n_workers=2),
     dict(executor="process", n_workers=4),
-    dict(executor="process", n_workers=2, mp_start_method="spawn"),
+    dict(executor="process", n_workers=6),
 ]
 
 
@@ -84,7 +81,7 @@ def prefetch_anti_reference(plates):
         dict(executor="serial"),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
-        dict(executor="process", n_workers=2, mp_start_method="spawn"),
+        dict(executor="process", n_workers=6),
     ],
 )
 def test_antithetic_rows_bitwise_across_depths(

@@ -47,7 +47,6 @@ from repro.frw import (
     make_streams,
     run_segments,
     run_walks,
-    shm,
     simulate_dynamic_queue,
 )
 from repro.frw.context import SharedAssets
@@ -455,7 +454,7 @@ def test_single_thread_queue_empty_batch():
 
 
 # ----------------------------------------------------------------------
-# The guide is per-process derived state.
+# The guide is per-table derived state.
 # ----------------------------------------------------------------------
 def _fresh_copy(table):
     """An equal table over copied arrays, with no guide built yet."""
@@ -486,55 +485,6 @@ def test_guide_is_not_pickled():
     assert "_native" not in clone.__dict__
     assert _same_bits(clone.sample_cells(u), want)
     assert clone._guide is not table._guide
-
-
-@pytest.fixture
-def _clean_plane():
-    shm.release_all()
-    yield
-    shm.release_all()
-
-
-def test_attached_contexts_share_one_guide(plates, _clean_plane):
-    """Two contexts attached in one process share one table object, so the
-    guide is built once for both."""
-    cfg = FRWConfig.frw_r(seed=3)
-    ctxs = [build_context(plates, m, cfg) for m in (0, 1)]
-    manifests = [
-        shm.publish_context(ctx, ("philox", 3, m)) for m, ctx in enumerate(ctxs)
-    ]
-    assert manifests[0].table == manifests[1].table  # one table block
-    attached = [shm.attach_context(m) for m in manifests]
-    assert attached[0] is not attached[1]
-    assert attached[0].table is attached[1].table
-    uids = np.arange(200, dtype=np.uint64)
-    for ctx in attached:
-        run_walks(ctx, WalkStreams(3, ctx.master), uids)
-    assert attached[0].table._guide is attached[1].table._guide
-
-
-def test_publish_is_unchanged_by_the_guide(plates, _clean_plane):
-    """The guide never enters the table's asset block: equal tables
-    published before and after their guide exists give the same array
-    specs, scalars and content hash, and the block holds exactly the
-    packed arrays."""
-    cfg = FRWConfig.frw_r(seed=4)
-    ctx = build_context(plates, 0, cfg)
-    cold = dataclasses.replace(ctx, table=_fresh_copy(ctx.table))
-    warm = dataclasses.replace(ctx, table=_fresh_copy(ctx.table))
-    run_walks(warm, WalkStreams(4, 0), np.arange(100, dtype=np.uint64))
-    assert "_guide" not in cold.table.__dict__
-    assert "_guide" in warm.table.__dict__
-    before = shm.publish_context(cold, ("philox", 4, 0))
-    after = shm.publish_context(warm, ("philox", 4, 0))
-    assert before.table.block != after.table.block  # two table objects
-    assert before.table.arrays == after.table.arrays
-    assert before.table.scalars == after.table.scalars
-    assert before.table.content_hash == after.table.content_hash
-    assert before.content_hash == after.content_hash
-    assert [a.key for a in after.table.arrays] == [
-        "cdf", "prob", "grad_ratio", "face_axis", "face_side", "cell_i", "cell_j"
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""The kernels' thread team across fork() and concurrent callers.
+"""The kernels' thread team across fork(), worker threads and
+concurrent callers.
 
-A wide in-process extraction starts the team's helpers.  A ``fork`` pool
-started afterwards must reproduce its rows with workers that hold no
-helper beyond their share of the CPUs: fork copies only the calling
-thread, and the team's fork hook parks (joins) the helpers first, so the
-parent holds one thread at the fork as well.  Python 3.12 warns when a
-multi-threaded process forks, and CI runs this file with that warning as
-an error.  Two caller threads that run wide vectors at once share one
-team through its try-lock, and each gets the bytes of a team of one.
+A wide in-process extraction starts the team's helpers.  ``subprocess``
+and user code still fork, and fork copies only the calling thread, so
+the team's fork hook parks (joins) the helpers first: the process holds
+one thread at the fork.  Python 3.12 warns when a multi-threaded process
+forks, and CI runs the fork test with that warning as an error.  An
+executor's worker threads share the team, sized to their share of the
+CPUs while they run and restored to every CPU when the executor closes.
+Two caller threads that run wide vectors at once share one team through
+its try-lock, and each gets the bytes of a team of one.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import FRWConfig, FRWSolver, native
-from repro.frw import build_context, run_walks
+from repro.frw import PersistentExecutor, build_context, run_walks, stream_spec
 from repro.rng import WalkStreams
 
 #: Walks of a wide vector: far above the kernels' split size.
@@ -60,10 +62,10 @@ def bounded():
 
 
 def test_fork_after_the_team_started(three_wires, team_size, bounded):
-    """In-process rows, a bare fork with the team awake, then a 2-worker
-    ``fork`` pool on the same net: no helper alive at either fork, none
-    in a worker beyond its share of the CPUs (none on two CPUs), the same
-    rows and no shared block left."""
+    """In-process rows, a bare fork with the team awake, then 2 worker
+    threads on the same net: no helper alive at the fork, none beyond
+    the workers' share of the CPUs while they run (none on two CPUs),
+    the same rows, and no helper at a fork after the executor closes."""
     cfg = FRWConfig.frw_r(
         seed=31, batch_size=8192, min_walks=16384, max_walks=16384,
         tolerance=1e-9,
@@ -76,18 +78,26 @@ def test_fork_after_the_team_started(three_wires, team_size, bounded):
     assert _helpers() == threads - 1
     assert _helpers_at_fork() == 0
 
-    forked = dataclasses.replace(
-        cfg, executor="process", n_workers=2, mp_start_method="fork"
-    )
-    with FRWSolver(three_wires, forked) as solver:
+    threaded = dataclasses.replace(cfg, executor="process", n_workers=2)
+    with FRWSolver(three_wires, threaded) as solver:
         pooled = solver.extract()
-        pids = solver.walk_executor().worker_stats()["worker_pids"]
         share = max(1, native.usable_cpus() // 2)
-        assert len(pids) == 2
-        assert all(_helpers(p) <= share - 1 for p in pids)
+        assert team_size(0) == share
+        assert _helpers() <= share - 1
     assert np.array_equal(pooled.matrix.values, serial.matrix.values)
-    prefix = f"frwctx-{os.getpid()}-"
-    assert not [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+    assert _helpers_at_fork() == 0
+
+
+def test_closed_executor_restores_the_full_team(plates, team_size):
+    """Worker threads share the team's CPUs while they run; closing the
+    executor gives the team one thread per usable CPU again."""
+    team_size(native.usable_cpus())
+    cfg = FRWConfig.frw_r(seed=5, antithetic=False)
+    ctx = build_context(plates, 0, cfg)
+    with PersistentExecutor(2) as ex:
+        ex.run(ex.register(ctx, stream_spec(cfg, 0)), np.arange(WIDE))
+        assert team_size(0) == max(1, native.usable_cpus() // 2)
+    assert team_size(0) == native.usable_cpus()
 
 
 def test_concurrent_callers_get_the_single_thread_bytes(plates, team_size):
