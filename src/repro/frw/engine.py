@@ -449,10 +449,14 @@ class WalkPipeline:
                     "pipeline lanes must share the structure, index, table, "
                     "h_cap and step settings"
                 )
+            # Read once: vectors starting at once on worker threads may
+            # each build the surface's descriptor, and the arena keeps
+            # only the address of the one held here.
+            surface = ctx.surface._native
             lane = self._keys[key] = len(self._surfaces)
-            self._surfaces += (ctx.surface._native,)
+            self._surfaces += (surface,)
             self._lane_run.append(
-                (ctypes.addressof(ctx.surface._native), float(ctx.absorb_tol))
+                (ctypes.addressof(surface), float(ctx.absorb_tol))
             )
             self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
             self._arena.lane_flux = native.address(self._lane_flux)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import queue
+import sys
 import threading
 from itertools import count
 
@@ -115,6 +116,21 @@ def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
             vector = WalkPipeline()
 
 
+_TEAM_LOCK = threading.Lock()
+#: Worker threads running across every executor in this process.
+_RUNNING = 0
+
+
+def _share_team(workers: int) -> None:
+    """Count ``workers`` more (or, negative, fewer) worker threads running
+    and size the kernels' one thread team for all of them: their share
+    of the CPUs, every CPU once none runs."""
+    global _RUNNING
+    with _TEAM_LOCK:
+        _RUNNING += workers
+        native.share_cpus(max(1, _RUNNING))
+
+
 class PersistentExecutor:
     """A walk executor created once and reused for a whole extraction.
 
@@ -129,9 +145,10 @@ class PersistentExecutor:
     :meth:`next_done` (:meth:`run` does both for one batch).  With one
     worker every master's batches queue on one in-process vector, which
     runs only while a caller waits.  Worker threads start on first use
-    and give the kernels' thread team their share of the CPUs
-    (:func:`repro.native.share_cpus`) until :meth:`close`, which restores
-    the full team.  A closed executor rejects further work with
+    and, until :meth:`close`, count among the worker threads of every
+    executor that the kernels' one thread team shares the CPUs with
+    (:func:`repro.native.share_cpus`); once none runs, the team has every
+    CPU again.  A closed executor rejects further work with
     :class:`~repro.errors.ConfigError` instead of restarting workers.
     """
 
@@ -194,7 +211,7 @@ class PersistentExecutor:
     def _start(self) -> list:
         """The ``(thread, inbox)`` of every worker, started on first use."""
         if not self._workers:
-            native.share_cpus(self.n_workers)
+            _share_team(self.n_workers)
             for w in range(self.n_workers):
                 inbox = queue.SimpleQueue()
                 thread = threading.Thread(
@@ -334,9 +351,9 @@ class PersistentExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop and join the worker threads and give the kernels' thread
-        team every CPU back (idempotent).  A worker stops at its next
-        batch boundary."""
+        """Stop and join the worker threads, which then no longer share
+        the kernels' thread team (idempotent).  A worker stops at its
+        next batch boundary."""
         if self._closed:
             return
         self._closed = True
@@ -345,7 +362,7 @@ class PersistentExecutor:
         for thread, _ in self._workers:
             thread.join()
         if self._workers:
-            native.share_cpus(1)
+            _share_team(-self.n_workers)
         self._workers = []
 
     def __enter__(self) -> "PersistentExecutor":
@@ -354,7 +371,12 @@ class PersistentExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
+    def __del__(self, _finalizing=sys.is_finalizing) -> None:  # pragma: no cover
+        if _finalizing():
+            # An executor left open at exit: its daemon workers cannot
+            # take the GIL back to read a stop message, so a join would
+            # hang the exit, which ends them anyway.
+            return
         try:
             self.close()
         except (OSError, RuntimeError, ValueError) as exc:

@@ -266,13 +266,35 @@ def _broad_handler(handler: ast.ExceptHandler) -> str | None:
     return None
 
 
+#: Methods that hand a caught error to another thread, which raises it.
+_HANDOFF_ATTRS = ("put", "put_nowait", "set_exception")
+
+
+def _hands_on(node: ast.AST, name: str | None) -> bool:
+    """Whether ``node`` is a ``.put(...)``-style call passing the error
+    bound to ``name`` (directly or inside a tuple/list)."""
+    return (
+        name is not None
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _HANDOFF_ATTRS
+        and any(
+            isinstance(m, ast.Name) and m.id == name
+            for arg in node.args
+            for m in ast.walk(arg)
+        )
+    )
+
+
 @check("DET004", "bare/broad except in repro.frw / repro.numerics")
 def det004_broad_except(rule: Check, src: SourceFile) -> Iterator[Finding]:
     """Broad handlers in the hot paths swallow the very errors (RNG misuse,
     shape bugs, worker crashes) that reproducibility depends on surfacing.
     Handlers that re-raise are exempt, and so are handlers that hand the
-    error on: they pass the name they bound it to to a call (a worker
-    thread posting it to the caller that re-raises it)."""
+    error on to a caller who raises it: they pass the name they bound it
+    to to a ``.put(...)`` or ``.set_exception(...)`` (a worker thread
+    posting it to a queue or a future).  Logging or printing the error
+    and carrying on is still a swallow."""
     if not in_package(src.module, _HOT_MODULES):
         return
     for node in ast.walk(src.tree):
@@ -283,15 +305,7 @@ def det004_broad_except(rule: Check, src: SourceFile) -> Iterator[Finding]:
             continue
         surfaces = any(
             (isinstance(n, ast.Raise) and n.exc is None)
-            or (
-                isinstance(n, ast.Call)
-                and node.name is not None
-                and any(
-                    isinstance(m, ast.Name) and m.id == node.name
-                    for arg in n.args
-                    for m in ast.walk(arg)
-                )
-            )
+            or _hands_on(n, node.name)
             for stmt in node.body
             for n in ast.walk(stmt)
         )
@@ -422,23 +436,66 @@ def _local_names(fn: ast.FunctionDef) -> set[str]:
     return names
 
 
-def _locked(fn: ast.FunctionDef) -> set[int]:
-    """Ids of the statements inside ``with <lock>:`` blocks, a lock being
-    a bare name or attribute (``with self._cond:``); a call such as
-    ``open(...)`` is no lock."""
+_LOCK_TYPES = ("Lock", "RLock", "Condition")
+
+
+def _lock_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The module's locks: the global names and the ``self.`` attributes
+    assigned a ``threading.Lock()`` / ``RLock()`` / ``Condition()``."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Call)
+        ):
+            continue
+        func = node.value.func
+        if getattr(func, "attr", getattr(func, "id", None)) not in _LOCK_TYPES:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for t in targets:
+            if isinstance(t, ast.Name) and node in tree.body:
+                names.add(t.id)
+            elif (
+                isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+            ):
+                attrs.add(t.attr)
+    return names, attrs
+
+
+def _locked(fn: ast.FunctionDef, locks: tuple[set[str], set[str]]) -> set[int]:
+    """Ids of the nodes inside ``with <lock>:`` blocks, a lock being one
+    of the module's (:func:`_lock_names`): ``with LOCK:`` or ``with
+    self._cond:``.  Any other context manager serializes nothing."""
+    names, attrs = locks
+
+    def is_lock(expr: ast.expr) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in names
+        return (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+            and expr.attr in attrs
+        )
+
     inside: set[int] = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.With) and all(
-            isinstance(item.context_expr, (ast.Name, ast.Attribute))
-            for item in node.items
+            is_lock(item.context_expr) for item in node.items
         ):
             inside.update(id(n) for stmt in node.body for n in ast.walk(stmt))
     return inside
 
 
-def _shared_mutations(fn: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
+def _shared_mutations(
+    fn: ast.FunctionDef, locks: tuple[set[str], set[str]]
+) -> Iterator[tuple[ast.AST, str]]:
     locals_ = _local_names(fn)
-    locked = _locked(fn)
+    locked = _locked(fn, locks)
     for node in ast.walk(fn):
         if id(node) in locked:
             continue
@@ -464,8 +521,9 @@ def det006_executor_races(rule: Check, src: SourceFile) -> Iterator[Finding]:
     ``Thread(target=...)``, such as the executor's worker loop — that
     assign to attributes or items of closed-over / global objects: on a
     thread that is a data race, and either way the mutation order
-    becomes schedule-dependent.  Writes inside a ``with <lock>:`` block
-    are serialized and exempt.  Return values and reassemble in the
+    becomes schedule-dependent.  Writes inside a ``with`` block on one of
+    the module's ``threading`` locks or conditions are serialized and
+    exempt.  Return values and reassemble in the
     dispatcher instead (UID-ordered), or suppress with the reason the
     object is not actually shared."""
     threads = in_package(src.module, _THREAD_PACKAGES)
@@ -474,6 +532,7 @@ def det006_executor_races(rule: Check, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+    locks = _lock_names(src.tree)
     reported: set[tuple[int, str]] = set()
     for node in ast.walk(src.tree):
         callee = _submitted(node, threads)
@@ -487,7 +546,7 @@ def det006_executor_races(rule: Check, src: SourceFile) -> Iterator[Finding]:
         fn = defs.get(name) if name else None
         if fn is None:
             continue
-        for site, target in _shared_mutations(fn):
+        for site, target in _shared_mutations(fn, locks):
             key = (site.lineno, target)
             if key in reported:
                 continue

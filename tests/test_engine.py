@@ -385,6 +385,47 @@ def test_lanes_must_share_the_walk_space(plates, three_wires):
     assert [pipe.next_batch()[0] for _ in range(2)] == [0, 1]
 
 
+def test_lane_descriptors_are_the_ones_the_vector_holds(plates, monkeypatch):
+    """Vectors starting at once on worker threads may each build a
+    context's index, table and surface descriptors, the last store
+    winning.  Simulated here by rebuilding them on every read: the
+    vector keeps alive the very descriptors whose addresses it uses, so
+    its walks are still the reference walks."""
+    import ctypes
+    import gc
+
+    from repro.frw import WalkPipeline
+    from repro.geometry import GridIndex
+    from repro.geometry.surface import GaussianSurface
+    from repro.greens.cube_table import CubeTransitionTable
+
+    ctx = ctx_for(plates)
+    uids = np.arange(300, dtype=np.uint64)
+    ref = run_walks(ctx, WalkStreams(11, 0), uids)
+    grid = GridIndex.descriptor
+
+    def fresh_grid(self):
+        self._grid = None
+        return grid(self)
+
+    monkeypatch.setattr(GridIndex, "descriptor", fresh_grid)
+    for cls in (GaussianSurface, CubeTransitionTable):
+        build = cls.__dict__["_native"].func
+        monkeypatch.setattr(cls, "_native", property(build))
+    monkeypatch.delitem(ctx.surface.__dict__, "_native", raising=False)
+    monkeypatch.delitem(ctx.table.__dict__, "_native", raising=False)
+
+    pipe = WalkPipeline()
+    pipe.submit(0, 0, ctx, WalkStreams(11, 0), uids, 64)
+    gc.collect()
+    assert pipe._lane_run[0][0] == ctypes.addressof(pipe._surfaces[0])
+    seq, res = pipe.next_batch()
+    assert seq == 0
+    assert np.array_equal(res.omega, ref.omega)
+    assert np.array_equal(res.dest, ref.dest)
+    assert np.array_equal(res.steps, ref.steps)
+
+
 # ----------------------------------------------------------------------
 # StageTimers: stage seconds + per-stage dispatch counts
 # ----------------------------------------------------------------------

@@ -433,6 +433,21 @@ def test_det004_allows_handing_the_error_on(tmp_path):
     assert findings[0].line == 8
 
 
+def test_det004_flags_logging_the_error_and_carrying_on(tmp_path):
+    """Passing the bound error to a logger or print is no hand-off: the
+    caller never sees it."""
+    for call in ("_LOG.warning('failed: %s', exc)", "print(exc)"):
+        src = (
+            "def serve():\n"
+            "    try:\n"
+            "        work()\n"
+            "    except Exception as exc:\n"
+            f"        {call}\n"
+        )
+        findings = run_rule(tmp_path, "src/repro/frw/x.py", src, "DET004")
+        assert error_rules(findings) == ["DET004"], call
+
+
 def test_det004_suppressed(tmp_path):
     src = (
         "def risky():\n"
@@ -613,6 +628,50 @@ def test_det006_allows_thread_target_with_local_or_locked_state(tmp_path):
         src = DET006_THREAD % body
         findings = run_rule(tmp_path, "src/repro/frw/x.py", src, "DET006")
         assert error_rules(findings) == [], body
+
+
+def test_det006_flags_writes_under_a_context_manager_that_is_no_lock(
+    tmp_path,
+):
+    """Only a ``with`` on one of the module's threading locks exempts a
+    write; a tracer, a timer or an unknown name serializes nothing."""
+    src = DET006_THREAD.replace(
+        "LOCK = threading.Lock()", "LOCK = threading.Lock()\nTRACER = Tracer()"
+    )
+    for manager in ("TRACER", "timers", "self._timers"):
+        body = f"with {manager}:\n        CACHE[inbox] = inbox.get()"
+        findings = run_rule(tmp_path, "src/repro/frw/x.py", src % body, "DET006")
+        assert error_rules(findings) == ["DET006"], manager
+
+
+DET006_LOCKED_METHOD = """\
+import threading
+
+class Service:
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._timers = Timers()
+        self.done = 0
+        threading.Thread(target=self._loop, daemon=True).start()
+
+    def _loop(self):
+        with self.%s:
+            self.done += 1
+"""
+
+
+def test_det006_exempts_writes_under_a_self_lock_only(tmp_path):
+    findings = run_rule(
+        tmp_path, "src/repro/service/x.py", DET006_LOCKED_METHOD % "_cond",
+        "DET006",
+    )
+    assert error_rules(findings) == []
+    findings = run_rule(
+        tmp_path, "src/repro/service/x.py", DET006_LOCKED_METHOD % "_timers",
+        "DET006",
+    )
+    assert error_rules(findings) == ["DET006"]
+    assert "self.done" in findings[0].message
 
 
 def test_det006_follows_threads_in_the_library_only(tmp_path):

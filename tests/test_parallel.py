@@ -455,6 +455,47 @@ def test_close_with_batches_in_flight_is_bounded(plates):
         ex.next_done()
 
 
+EXIT_WITH_AN_OPEN_EXECUTOR = """\
+import numpy as np
+from repro import Box, Conductor, FRWConfig, Structure
+from repro.frw import PersistentExecutor, build_context, stream_spec
+
+plates = Structure(
+    [
+        Conductor.single("P1", Box.from_bounds(-2, 2, -2, 2, 0.0, 0.25)),
+        Conductor.single("P2", Box.from_bounds(-2, 2, -2, 2, 0.75, 1.0)),
+    ],
+    enclosure=Box.from_bounds(-6, 6, -6, 6, -5, 6),
+)
+cfg = FRWConfig.frw_r(seed=5)
+EXECUTOR = PersistentExecutor(2)
+key = EXECUTOR.register(build_context(plates, 0, cfg), stream_spec(cfg, 0))
+EXECUTOR.run(key, np.arange(64))
+"""
+
+
+def test_exit_with_an_open_executor_does_not_hang(tmp_path):
+    """A process that exits while a module global still holds an open
+    executor exits at once: collected during interpreter finalization,
+    the executor does not wait for worker threads that can no longer
+    run."""
+    import subprocess
+
+    script = tmp_path / "exit_open.py"
+    script.write_text(EXIT_WITH_AN_OPEN_EXECUTOR)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_worker_error_reaches_the_caller_with_its_type(
     plates, monkeypatch, n_workers

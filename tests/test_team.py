@@ -100,6 +100,23 @@ def test_closed_executor_restores_the_full_team(plates, team_size):
     assert team_size(0) == native.usable_cpus()
 
 
+def test_team_is_shared_among_every_executors_workers(plates, team_size):
+    """Two executors' worker threads run at once: the team takes the
+    share of all of them, keeps the remaining executor's share when one
+    closes, and has every CPU only once both have closed."""
+    team_size(native.usable_cpus())
+    cfg = FRWConfig.frw_r(seed=5, antithetic=False)
+    ctx = build_context(plates, 0, cfg)
+    uids = np.arange(256)
+    with PersistentExecutor(2) as first:
+        first.run(first.register(ctx, stream_spec(cfg, 0)), uids)
+        with PersistentExecutor(3) as second:
+            second.run(second.register(ctx, stream_spec(cfg, 0)), uids)
+            assert team_size(0) == max(1, native.usable_cpus() // 5)
+        assert team_size(0) == max(1, native.usable_cpus() // 2)
+    assert team_size(0) == native.usable_cpus()
+
+
 def test_concurrent_callers_get_the_single_thread_bytes(plates, team_size):
     """Two threads run wide vectors at once: whichever holds the team
     splits, the other runs alone, and both rows are a team of one's."""
