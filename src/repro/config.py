@@ -18,7 +18,7 @@ and the named constructors mirror the paper's experiment matrix:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -149,7 +149,7 @@ class FRWConfig:
         Gaussian surface offset as a fraction of conductor clearance.
     h_cap_fraction:
         Transition-cube half-size cap as a fraction of the enclosure's
-        smallest edge.
+        smallest edge, in [0.001, 1].
     absorption_fraction:
         Absorption tolerance as a fraction of the master's Gaussian offset.
     interface_snap_fraction:
@@ -253,10 +253,22 @@ class FRWConfig:
                     raise ConfigError(
                         f"{f.name} must be an integer, got {value!r}"
                     )
+                # Seeds fold into unsigned 64-bit words; counts are int64.
+                bits = 64 if f.name in ("seed", "machine_seed") else 63
+                if value >= 2**bits:
+                    raise ConfigError(
+                        f"{f.name} must be below 2**{bits}, got {value!r}"
+                    )
                 # A NumPy integer hashes apart from the equal int.
                 object.__setattr__(self, f.name, int(value))
+            if f.type == "float" and (
+                isinstance(value, bool) or not isinstance(value, Real)
+            ):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if f.type == "bool" and not isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be a bool, got {value!r}")
+            if f.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}"
@@ -306,9 +318,11 @@ class FRWConfig:
             raise ConfigError(
                 f"offset_fraction must be in (0, 1), got {self.offset_fraction}"
             )
-        if not (0.0 < self.h_cap_fraction <= 1.0):
+        if not (1e-3 <= self.h_cap_fraction <= 1.0):
+            # Below a thousandth, no walk gets far within max_steps, and
+            # first-hop weights of 1/h_cap overflow their squares.
             raise ConfigError(
-                f"h_cap_fraction must be in (0, 1], got {self.h_cap_fraction}"
+                f"h_cap_fraction must be in [0.001, 1], got {self.h_cap_fraction}"
             )
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..geometry import Structure
 from ..units import EPS0_FF_PER_UM
@@ -140,6 +139,8 @@ class FDMExtractor:
         rows_all = np.concatenate(rows + [np.arange(self.n_unknowns)])
         cols_all = np.concatenate(cols + [np.arange(self.n_unknowns)])
         vals_all = np.concatenate(vals + [diag])
+        import scipy.sparse as sp  # on first use: ``import repro`` loads no SciPy
+
         self._matrix = sp.csr_matrix(
             (vals_all, (rows_all, cols_all)),
             shape=(self.n_unknowns, self.n_unknowns),

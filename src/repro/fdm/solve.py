@@ -8,11 +8,14 @@ solver is available for small systems and cross-checks.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import ConvergenceError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def conjugate_gradient(
@@ -79,6 +82,8 @@ def solve_sparse(
     if method == "auto":
         method = "direct" if n <= 40_000 else "cg"
     if method == "direct":
+        import scipy.sparse.linalg as spla  # on first use, like all of SciPy
+
         return spla.spsolve(a.tocsc(), b)
     if method == "cg":
         return conjugate_gradient(a, b, tol=tol)

@@ -122,7 +122,10 @@ def build_context(
             f"(structure has {len(structure.conductors)} conductors)"
         )
     surface = build_gaussian_surface(
-        structure, master, offset_fraction=config.offset_fraction
+        structure,
+        master,
+        offset_fraction=config.offset_fraction,
+        absorption_fraction=config.absorption_fraction,
     )
     enc = structure.enclosure
     h_cap = config.h_cap_fraction * min(enc.sizes)

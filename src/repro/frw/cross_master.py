@@ -162,7 +162,8 @@ class _MasterRun:
         # The error estimate shrinks as 1/sqrt(walks) to the predicted stop.
         progress = self.progress
         absorbed = progress.acc.walks
-        stop = absorbed * (progress.error / progress.cfg.tolerance) ** 2
+        ratio = progress.error / progress.cfg.tolerance
+        stop = absorbed * ratio * ratio  # inf, not OverflowError, at a tiny tolerance
         if 0.0 < stop < math.inf:
             if self.drifts:
                 drift = math.log(stop / self.stop) * absorbed

@@ -51,7 +51,10 @@ def build_wos_context(
             "the WOS validation engine supports homogeneous dielectrics only"
         )
     surface = build_gaussian_surface(
-        structure, master, offset_fraction=config.offset_fraction
+        structure,
+        master,
+        offset_fraction=config.offset_fraction,
+        absorption_fraction=config.absorption_fraction,
     )
     return WOSContext(
         structure=structure,

@@ -11,6 +11,7 @@ instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,10 @@ class Box:
 
     def __post_init__(self) -> None:
         for axis in range(3):
-            if not (self.lo[axis] < self.hi[axis]):
+            # False for NaN too, and for an infinite bound.
+            if not (-math.inf < self.lo[axis] < self.hi[axis] < math.inf):
                 raise GeometryError(
-                    f"degenerate box along {AXIS_NAMES[axis]}: "
+                    f"degenerate or non-finite box along {AXIS_NAMES[axis]}: "
                     f"lo={self.lo} hi={self.hi}"
                 )
 

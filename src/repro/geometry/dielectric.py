@@ -45,6 +45,11 @@ class DielectricStack:
                 f"need len(eps) == len(interfaces) + 1, got "
                 f"{eps.shape[0]} vs {z.shape[0]}"
             )
+        if not (np.isfinite(z).all() and np.isfinite(eps).all()):
+            raise GeometryError(
+                f"interfaces and permittivities must be finite, got "
+                f"{self.interfaces} and {self.eps}"
+            )
         if z.shape[0] and np.any(np.diff(z) <= 0):
             raise GeometryError("interfaces must be strictly increasing")
         if np.any(eps <= 0):

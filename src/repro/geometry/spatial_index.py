@@ -63,6 +63,11 @@ from .structure import Structure
 #: the dense SRAM arrays (cases 5 and 6) measure 3.1-3.4.
 REFINE_DENSITY = 2.5
 
+#: Most cells a grid may have (~17 bytes each).  A cap that is tiny next
+#: to the enclosure would otherwise ask for billions; past this the cells
+#: grow, which costs query time only, never a bit of the answers.
+MAX_CELLS = 1 << 23
+
 #: Most (point, box) pairs a :class:`BruteForceIndex` block evaluates.
 BRUTE_FORCE_CHUNK = 4_000_000
 
@@ -314,9 +319,10 @@ class GridIndex:
         boundary cells lose their far-field flag, never the reverse).
         """
         self.resolution = resolution
-        self._n_cells = np.maximum(
-            1, np.floor(self._extent / (self.h_cap / resolution)).astype(np.int64)
-        )
+        per_axis = np.minimum(self._extent / (self.h_cap / resolution), MAX_CELLS)
+        while np.prod(np.maximum(per_axis, 1.0)) > MAX_CELLS:
+            per_axis = per_axis / 2
+        self._n_cells = np.maximum(1, np.floor(per_axis).astype(np.int64))
         self._cell = self._extent / self._n_cells
         self._inv_cell = 1.0 / self._cell
         self._cell_max = self._n_cells - 1

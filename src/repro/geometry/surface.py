@@ -17,6 +17,7 @@ distance to the nearest conductor) is as large as possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -218,6 +219,7 @@ def build_gaussian_surface(
     conductor_index: int,
     offset_fraction: float = 0.5,
     min_offset: float = 0.0,
+    absorption_fraction: float = 0.0,
 ) -> GaussianSurface:
     """Gaussian surface of conductor ``conductor_index`` in a structure.
 
@@ -233,6 +235,12 @@ def build_gaussian_surface(
     the candidate offset puts any horizontal face within 20% of the offset
     from an interface, progressively smaller offsets are tried and the one
     with the best interface margin is used.
+
+    A walk launched from the surface must not be absorbed before its
+    first hop: a launch point lies ``delta`` from the conductor and at
+    least ``clearance - delta`` from everything else, and both gaps must
+    exceed the absorption tolerance ``absorption_fraction * delta`` by
+    more than the rounding of coordinates as large as the enclosure's.
     """
     if not (0.0 < offset_fraction < 1.0):
         raise GaussianSurfaceError(
@@ -264,4 +272,13 @@ def build_gaussian_surface(
                 if score > best_score:
                     best_delta, best_score = candidate, score
             delta = best_delta
+    margin = min(delta, clearance - delta) - absorption_fraction * delta
+    enc = structure.enclosure
+    if not margin > 8 * math.ulp(max(abs(c) for c in (*enc.lo, *enc.hi))):
+        raise GaussianSurfaceError(
+            f"conductor {structure.conductors[conductor_index].name!r}: a walk "
+            f"launched {delta!r} from it, with clearance {clearance!r}, would "
+            "be absorbed before its first hop; lower absorption_fraction or "
+            "offset_fraction, or widen the gap"
+        )
     return build_offset_surface(boxes, delta)

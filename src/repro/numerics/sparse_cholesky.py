@@ -18,11 +18,14 @@ tests.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import NumericalError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def elimination_tree(a: sp.csc_matrix) -> np.ndarray:
@@ -58,8 +61,9 @@ class SparseCholesky:
     """
 
     def __init__(self, a: sp.csc_matrix):
-        # Imported on first use: loading scipy.sparse.csgraph takes about
-        # 0.1 s, which every ``import repro`` and worker start would pay.
+        # Imported on first use: loading SciPy takes about 0.15 s and
+        # 25 MB, which every ``import repro`` and service boot would pay.
+        import scipy.sparse as sp
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         a = sp.csc_matrix(a, dtype=np.float64)

@@ -31,7 +31,6 @@ available through ``diagonal_weight``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..analysis.capmatrix import CapacitanceMatrix
 from ..errors import RegularizationError
@@ -130,6 +129,10 @@ def regularize(
     a_diag = np.bincount(rows, v_bar, nm) + np.bincount(r2, v2, nm)
     b = -(np.bincount(rows, c_bar, nm) + np.bincount(r2, c_bar[pair], nm))
     diag = np.arange(nm)
+    # Imported on first use, so ``import repro`` loads no SciPy: only
+    # Alg. 3 and the FDM reference need it.
+    import scipy.sparse as sp
+
     a_tilde = sp.csc_matrix(
         (
             np.concatenate([a_diag, v2, v2]),

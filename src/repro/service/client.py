@@ -1,22 +1,29 @@
 """Stdlib HTTP client for the extraction service.
 
-A thin convenience over :mod:`http.client` — one connection per call (the
-server closes connections after each response), JSON in/out.  Request
-bodies are rendered with sorted keys so identical requests are byte-equal
-on the wire; ``extract_raw`` exposes the raw response bytes for the
+A thin convenience over :mod:`http.client`, JSON in/out.  Each calling
+thread keeps one persistent HTTP/1.1 connection and reuses it for every
+call, so a cache hit costs one round trip, not a TCP handshake too.  If
+the server has closed a reused connection (it drops connections idle
+for ``READ_REQUEST_S``), the client reconnects and resends the request
+once; that is safe because every route is a pure function of its
+request, ``/extract`` included.  :meth:`ServiceClient.close` (or leaving
+a ``with`` block) closes every thread's connection.  Request bodies are
+rendered with sorted keys so identical requests are byte-equal on the
+wire; ``extract_raw`` exposes the raw response bytes for the
 byte-identity golden tests.
 
 Example::
 
     from repro.service import ServiceClient
-    client = ServiceClient(port=8231)
-    response = client.extract(structure, config={"seed": 7, "max_walks": 2000})
+    with ServiceClient(port=8231) as client:
+        response = client.extract(structure, config={"seed": 7, "max_walks": 2000})
     print(response["cached"], response["rows"][0]["values"])
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from http.client import HTTPConnection
 
 from ..config import RESULT_FIELDS, FRWConfig
@@ -43,7 +50,10 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Client for one ``repro.cli serve`` endpoint."""
+    """Client for one ``repro.cli serve`` endpoint (see module doc).
+
+    Safe to share between threads: each thread gets its own connection.
+    """
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8231, timeout: float = 60.0
@@ -51,6 +61,20 @@ class ServiceClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread, HTTPConnection] = {}
+
+    def _connection(self) -> HTTPConnection:
+        """The calling thread's connection; closes those of dead threads."""
+        me = threading.current_thread()
+        with self._lock:
+            conn = self._connections.get(me)
+            if conn is None:
+                for thread in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(thread).close()
+                conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+                self._connections[me] = conn
+        return conn
 
     def _request(self, method: str, path: str, payload: dict | None = None):
         body = (
@@ -58,18 +82,43 @@ class ServiceClient:
             if payload is not None
             else b""
         )
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = self._connection()
+        # An open socket has served a request before, so the server may
+        # have closed it since; a fresh one failing is a real error.
+        reused = conn.sock is not None
         try:
-            conn.request(
-                method,
-                path,
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
+            try:
+                return self._exchange(conn, method, path, body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+            return self._exchange(conn, method, path, body)  # on a new socket
+        except BaseException:
             conn.close()
+            raise
+
+    @staticmethod
+    def _exchange(conn: HTTPConnection, method: str, path: str, body: bytes):
+        conn.request(
+            method, path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = conn.getresponse()
+        return response.status, response.read()
+
+    def close(self) -> None:
+        """Close every thread's connection; later calls reconnect."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @staticmethod
     def _build_payload(

@@ -34,6 +34,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from http import HTTPStatus
 from numbers import Integral
 
 import numpy as np
@@ -319,6 +320,10 @@ class ExtractionService:
                     rows[m] = payload
         if missing:
             missing.sort()
+            # A box outside the enclosure or touching another net is a
+            # client error (400).  Only a solve checks it: a hit's
+            # canonical geometry has passed once already.
+            form.structure.validate()
             solver = FRWSolver(form.structure, job.config, executor=executor)
             try:
                 result = solver.extract(missing)
@@ -447,13 +452,12 @@ def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _http_response(status: int, body: bytes) -> bytes:
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Payload Too Large", 500: "Internal Server Error"}.get(status, "OK")
+def _http_response(status: int, body: bytes, keep_alive: bool) -> bytes:
     head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
     return head.encode() + body
 
@@ -463,7 +467,15 @@ class _BodyTooLarge(ValueError):
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request: (method, path, body) or ``None`` on EOF."""
+    """Parse one request: ``(method, path, body, keep_alive)``, or ``None``
+    on EOF before a request line.
+
+    A body is framed by one ``Content-Length`` only, so on a reused
+    connection every reader agrees where a request ends: a
+    ``Transfer-Encoding`` header or a repeated or non-numeric length is a
+    ``ValueError`` (400, then the connection closes).  ``keep_alive`` is
+    false for HTTP/1.0 and for a ``Connection: close`` request.
+    """
     line = await reader.readline()
     if not line:
         return None
@@ -471,18 +483,31 @@ async def _read_request(reader: asyncio.StreamReader):
     if len(parts) < 2:
         raise ValueError("malformed request line")
     method, path = parts[0].upper(), parts[1]
-    length = 0
+    keep_alive = parts[2:] == ["HTTP/1.1"]
+    lengths = []
     while True:
         header = await reader.readline()
         if header in (b"\r\n", b"\n", b""):
             break
         name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value.strip())
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length":
+            lengths.append(value)
+        elif name == "transfer-encoding":
+            raise ValueError("Transfer-Encoding is not supported")
+        elif name == "connection" and "close" in (
+            token.strip() for token in value.lower().split(",")
+        ):
+            keep_alive = False
+    if len(lengths) > 1:
+        raise ValueError("more than one Content-Length header")
+    if lengths and not (lengths[0].isascii() and lengths[0].isdigit()):
+        raise ValueError(f"invalid Content-Length {lengths[0]!r}")
+    length = int(lengths[0]) if lengths else 0
     if length > MAX_BODY_BYTES:
         raise _BodyTooLarge(f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
-    return method, path, body
+    return method, path, body, keep_alive
 
 
 class ServiceServer:
@@ -493,30 +518,53 @@ class ServiceServer:
         self.service = ExtractionService(settings)
         self.bound_port: int | None = None
         self._stop: asyncio.Event | None = None
+        # Connections waiting for their next request, which /shutdown
+        # closes, and the tasks serving every connection.
+        self._reading: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
 
     async def _handle(self, reader, writer) -> None:
+        """Serve requests on one connection until either side closes it.
+
+        The connection closes on a client's ``Connection: close``, on
+        HTTP/1.0, after any error status, on EOF, after ``READ_REQUEST_S``
+        without a whole request, and at shutdown.
+        """
+        self._handlers.add(asyncio.current_task())
         try:
-            try:
-                request = await asyncio.wait_for(
-                    _read_request(reader), READ_REQUEST_S
-                )
-                if request is None:
+            keep_alive = True
+            while keep_alive and not self._stop.is_set():
+                self._reading.add(writer)
+                try:
+                    request = await asyncio.wait_for(
+                        _read_request(reader), READ_REQUEST_S
+                    )
+                    if request is None:
+                        return
+                except asyncio.TimeoutError:  # idle or stalled: close unanswered
                     return
-                status, payload = await self._route(*request)
-            except ConnectionError:
-                raise
-            except asyncio.TimeoutError:  # a stalled client: close unanswered
-                return
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                status = 413 if isinstance(exc, _BodyTooLarge) else 400
-                payload = {"error": str(exc)}
-            except Exception as exc:
-                # Whatever _route lets escape still gets a status line.
-                _LOG.exception("unhandled error serving a request")
-                status = 500
-                payload = {"error": f"{type(exc).__name__}: {exc}"}
-            writer.write(_http_response(status, _json_bytes(payload)))
-            await writer.drain()
+                except (ValueError, asyncio.IncompleteReadError) as exc:
+                    request = None
+                    status = 413 if isinstance(exc, _BodyTooLarge) else 400
+                    payload = {"error": str(exc)}
+                finally:
+                    self._reading.discard(writer)
+                if request is not None:
+                    method, path, body, keep_alive = request
+                    try:
+                        status, payload = await self._route(method, path, body)
+                    except Exception as exc:
+                        # Whatever _route lets escape still gets a status line.
+                        _LOG.exception("unhandled error serving a request")
+                        status = 500
+                        payload = {"error": f"{type(exc).__name__}: {exc}"}
+                keep_alive = (
+                    keep_alive and status < 400 and not self._stop.is_set()
+                )
+                writer.write(
+                    _http_response(status, _json_bytes(payload), keep_alive)
+                )
+                await writer.drain()
         except ConnectionError:
             pass
         finally:
@@ -525,6 +573,7 @@ class ServiceServer:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            self._handlers.discard(asyncio.current_task())
 
     async def _route(self, method: str, path: str, body: bytes):
         if method == "GET" and path == "/health":
@@ -568,6 +617,14 @@ class ServiceServer:
         try:
             async with server:
                 await self._stop.wait()
+                # Close idle connections and let every handler finish, so
+                # that Python 3.12's Server.wait_closed(), which waits for
+                # all connections, returns, and no handler is cancelled
+                # mid-read when the loop ends (3.11 logs that).
+                for writer in list(self._reading):
+                    writer.close()
+                if self._handlers:
+                    await asyncio.wait(self._handlers, timeout=READ_REQUEST_S)
         finally:
             self.service.close()
 

@@ -138,3 +138,20 @@ def test_nearest_box_empty():
     d, i = nearest_box(np.zeros((3, 3)), np.empty((0, 3)), np.empty((0, 3)))
     assert np.all(np.isinf(d))
     assert np.all(i == -1)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (float("-inf"), 1, 0, 1, 0, 1),
+        (0, float("inf"), 0, 1, 0, 1),
+        (0, 1, float("nan"), 1, 0, 1),
+        (0, 1, 0, 1, float("-inf"), float("inf")),
+    ],
+    ids=["-inf", "inf", "nan", "both"],
+)
+def test_non_finite_bounds_rejected(bounds):
+    """A bound must be finite: an infinite enclosure ran and returned a
+    plausible-looking row."""
+    with pytest.raises(GeometryError, match="non-finite"):
+        Box.from_bounds(*bounds)

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from http.client import HTTPConnection
 
 import pytest
 
@@ -170,3 +175,46 @@ def test_serve_startup_shutdown_no_leaks(tmp_path):
         if t.name.startswith(("repro-service", "repro-worker"))
     ]
     assert leftovers == []
+
+
+def test_serve_exits_promptly_with_an_idle_keepalive_connection(tmp_path):
+    """``python -m repro serve`` exits 0 within 5 s of POST /shutdown while
+    another client holds an idle keep-alive connection (Python 3.12's
+    ``Server.wait_closed()`` waits for every open connection), and
+    writes nothing to stderr."""
+    from repro.service import ServiceClient
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    port_file = tmp_path / "port"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--port-file", str(port_file)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    idle = None
+    try:
+        deadline = time.perf_counter() + 60
+        while not (port_file.exists() and port_file.read_text().endswith("\n")):
+            assert proc.poll() is None and time.perf_counter() < deadline
+            time.sleep(0.01)
+        port = int(port_file.read_text())
+        idle = HTTPConnection("127.0.0.1", port, timeout=30)
+        idle.request("GET", "/health")
+        response = idle.getresponse()
+        assert response.getheader("Connection") == "keep-alive"
+        response.read()
+        with ServiceClient(port=port) as client:
+            client.shutdown()
+            t0 = time.perf_counter()
+            _, stderr = proc.communicate(timeout=5)
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 0
+        assert stderr == b""
+    finally:
+        if idle is not None:
+            idle.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()

@@ -102,7 +102,11 @@ def test_with_replaces_fields():
         dict(offset_fraction=0.0),
         dict(offset_fraction=1.0),
         dict(h_cap_fraction=0.0),
+        dict(h_cap_fraction=9e-4),
         dict(h_cap_fraction=1.5),
+        dict(seed=2**64),
+        dict(machine_seed=2**64),
+        dict(max_walks=2**63),
         dict(max_steps=0),
         dict(check_every=0),
     ],
@@ -130,6 +134,11 @@ def test_invalid_configs_rejected(kwargs):
         dict(antithetic="no"),
         dict(antithetic=1),
         dict(antithetic=None),
+        dict(tolerance="0.1"),
+        dict(tolerance=True),
+        dict(h_cap_fraction=[0.25]),
+        dict(offset_fraction=None),
+        dict(executor=0),
     ],
     ids=repr,
 )
@@ -137,10 +146,17 @@ def test_untyped_values_are_rejected(kwargs):
     """An integer field takes an integer, not a float, a bool or a string,
     and ``antithetic`` takes a bool: a fractional seed would run an
     integer seed's walks under another cache key, and ``"no"`` would turn
-    pairs on.  The error names the field and the value."""
+    pairs on.  A float field takes a number and a string field a string
+    (a list raised TypeError).  The error names the field and the value."""
     (name, value), = kwargs.items()
     with pytest.raises(ConfigError, match=rf"^{name} must be .*{value!r}"):
         FRWConfig.frw_r(**kwargs)
+
+
+def test_unhashable_variant_is_a_config_error():
+    """A list for ``variant`` raised TypeError from the table lookup."""
+    with pytest.raises(ConfigError, match=r"^variant must be a string"):
+        FRWConfig(variant=["frw-r"])
 
 
 def test_numpy_integers_are_integers():
@@ -169,6 +185,7 @@ def test_every_field_boundary_values_accepted():
     actually uses (guards against over-tight DET007-driven validators)."""
     FRWConfig(seed=0, machine_seed=0)
     FRWConfig(table_resolution=2, offset_fraction=0.9, h_cap_fraction=1.0)
+    FRWConfig(h_cap_fraction=1e-3, seed=2**64 - 1, max_walks=2**63 - 1)
     FRWConfig(max_steps=1, check_every=1)
 
 

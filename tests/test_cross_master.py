@@ -423,3 +423,15 @@ def test_admission_follows_the_walk_budget(eight_wires):
     assert {width for *_, width in tally.log} == {256}
     assert np.array_equal(np.stack([r.values for r in rows]), golden.values)
     assert np.array_equal(np.stack([r.sigma2 for r in rows]), golden.sigma2)
+
+
+def test_tiny_tolerance_predicts_an_unbounded_stop(plates):
+    """The predicted stop ``walks * (error / tolerance)**2`` overflowed
+    at a tolerance of 1e-173 and raised OverflowError; it is now inf, no
+    prediction is kept, and the row runs to ``max_walks``."""
+    cfg = FRWConfig.frw_r(
+        seed=3, tolerance=1e-200, batch_size=64, min_walks=64, max_walks=256
+    )
+    with FRWSolver(plates, cfg) as solver:
+        row = solver.extract([0]).rows[0]
+    assert row.walks == 256

@@ -40,3 +40,21 @@ def test_validation_errors():
         DielectricStack(interfaces=(2.0, 1.0), eps=(1.0, 2.0, 3.0))  # not sorted
     with pytest.raises(GeometryError):
         DielectricStack(interfaces=(), eps=(-1.0,))  # negative eps
+
+
+@pytest.mark.parametrize(
+    "interfaces,eps",
+    [
+        ((float("nan"),), (1.0, 2.0)),
+        ((float("inf"),), (1.0, 2.0)),
+        ((), (float("nan"),)),
+        ((1.0,), (1.0, float("inf"))),
+    ],
+    ids=["nan-interface", "inf-interface", "nan-eps", "inf-eps"],
+)
+def test_non_finite_values_rejected(interfaces, eps):
+    """A NaN interface solved to a row of zeros (every walk truncated), a
+    NaN or infinite permittivity to a NaN row, and an infinite interface
+    to a plausible-looking one."""
+    with pytest.raises(GeometryError, match="must be finite"):
+        DielectricStack(interfaces=interfaces, eps=eps)

@@ -5,10 +5,14 @@ the HTTP front door, and the headline guarantee: a cache hit replays rows
 byte-identical to a cold solve, under every executor backend.
 """
 
+import contextlib
 import json
+import math
+import select
 import socket
 import threading
 import time
+from http import HTTPStatus
 from http.client import HTTPConnection
 
 import numpy as np
@@ -76,10 +80,21 @@ ANTITHETIC_CONFLICTS = {
     "min_walks": {"min_walks": 3},
 }
 
-#: Structure documents whose dielectric or enclosure has the wrong shape.
+#: Structure documents with a field of the wrong shape or a value that is
+#: not a finite number.  Before they were refused, a NaN interface solved
+#: to a row of zeros, a NaN or infinite permittivity to a NaN row, and an
+#: infinite interface to a plausible row, each then cached for good.
 MALFORMED_FIELDS = {
     "dielectric": {"dielectric": [1, 2]},
     "enclosure": {"enclosure": [0, 0, 0]},
+    "nan-interface": {"dielectric": {"interfaces": [math.nan], "eps": [1, 2]}},
+    "inf-interface": {"dielectric": {"interfaces": [math.inf], "eps": [1, 2]}},
+    "nan-eps": {"dielectric": {"interfaces": [], "eps": [math.nan]}},
+    "inf-eps": {"dielectric": {"interfaces": [], "eps": [math.inf]}},
+    "inf-enclosure": {"enclosure": [-math.inf, -9, -9, 9, 9, 9]},
+    "bool-coordinate": {
+        "conductors": [{"name": "a", "boxes": [[0, 0, 0, True, 1, 1]]}]
+    },
 }
 
 
@@ -546,9 +561,10 @@ class TestTraffic:
 # HTTP front door
 # ----------------------------------------------------------------------
 
-@pytest.fixture
-def live_server():
-    """A real server on an ephemeral port, in a background thread."""
+@contextlib.contextmanager
+def serving():
+    """A real server on an ephemeral port, in a background thread; yields
+    a client and shuts the server down on exit."""
     ready = threading.Event()
     bound = {}
 
@@ -563,11 +579,17 @@ def live_server():
     )
     thread.start()
     assert ready.wait(timeout=30)
-    client = ServiceClient(port=bound["port"])
-    yield client
-    client.shutdown()
+    with ServiceClient(port=bound["port"]) as client:
+        yield client
+        client.shutdown()
     thread.join(timeout=60)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def live_server():
+    with serving() as client:
+        yield client
 
 
 class TestHTTP:
@@ -722,3 +744,189 @@ class TestHTTP:
         assert json.loads(body) == {"error": "RuntimeError: submit failed"}
         assert live_server.health()["ok"] is True
         assert not live_server.extract(small_structure(), BASE_CONFIG)["cached"]
+
+
+def _wire(payload: dict) -> bytes:
+    """A request body as :class:`ServiceClient` renders it."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _send_raw(client: ServiceClient, data: bytes) -> list[tuple[int, str, bytes]]:
+    """Send ``data`` on a new socket, read until the server closes it, and
+    split what came back into ``(status, reason, head)`` per response."""
+    with socket.create_connection((client.host, client.port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    replies, rest = [], b"".join(chunks)
+    while rest:
+        head, _, rest = rest.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        _version, status, reason = lines[0].split(" ", 2)
+        length = next(
+            int(line.split(":")[1]) for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        replies.append((int(status), reason, head))
+        rest = rest[length:]
+    return replies
+
+
+class TestKeepAlive:
+    def test_two_extracts_share_one_socket(self, live_server):
+        """Two /extract calls on one connection use one socket, and their
+        bodies are byte-equal to one-connection-per-call bodies."""
+        body = _wire(request_for(small_structure()))
+        conn = HTTPConnection(live_server.host, live_server.port, timeout=60)
+        bodies, sockets = [], []
+        try:
+            for _ in range(2):
+                conn.request("POST", "/extract", body=body)
+                response = conn.getresponse()
+                assert response.getheader("Connection") == "keep-alive"
+                bodies.append(response.read())
+                sockets.append(conn.sock)
+        finally:
+            conn.close()
+        assert sockets[0] is not None and sockets[0] is sockets[1]
+        one_shot = []
+        with serving() as fresh:
+            for _ in range(2):
+                conn = HTTPConnection(fresh.host, fresh.port, timeout=60)
+                try:
+                    conn.request(
+                        "POST", "/extract", body=body,
+                        headers={"Connection": "close"},
+                    )
+                    response = conn.getresponse()
+                    assert response.getheader("Connection") == "close"
+                    one_shot.append(response.read())
+                finally:
+                    conn.close()
+        assert bodies == one_shot
+        assert b'"cached":true' in bodies[1]
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n",
+            b"GET /health HTTP/1.0\r\n\r\n",
+            b"GET /missing HTTP/1.1\r\n\r\n",
+        ],
+        ids=["connection-close", "close-token", "http-1.0", "error-status"],
+    )
+    def test_connection_closes_after_one_response(self, live_server, first):
+        """``Connection: close``, HTTP/1.0 and an error status each end
+        the connection: a request pipelined behind is never served."""
+        replies = _send_raw(live_server, first + b"GET /stats HTTP/1.1\r\n\r\n")
+        assert len(replies) == 1
+        assert b"Connection: close" in replies[0][2]
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            b"Transfer-Encoding: chunked\r\n",
+            b"Content-Length: 2\r\nContent-Length: 2\r\n",
+            b"Content-Length: 2\r\nContent-Length: 40\r\n",
+            b"Content-Length: 2, 40\r\n",
+            b"Content-Length: -1\r\n",
+            b"Content-Length: +2\r\n",
+        ],
+        ids=[
+            "transfer-encoding", "repeated", "conflicting", "list",
+            "negative", "signed",
+        ],
+    )
+    def test_ambiguous_framing_is_400_and_closes(self, live_server, headers):
+        """A body length the server and a client could read differently
+        is refused, and nothing after it on the connection is served."""
+        smuggled = b"GET /stats HTTP/1.1\r\n\r\n"
+        data = b"POST /extract HTTP/1.1\r\n" + headers + b"\r\n{}" + smuggled
+        replies = _send_raw(live_server, data)
+        assert [(status, reason) for status, reason, _ in replies] == [
+            (400, "Bad Request")
+        ]
+        assert live_server.health()["ok"] is True
+
+    def test_smuggled_request_behind_conflicting_length_is_never_served(
+        self, live_server
+    ):
+        """A second request hidden in the body one Content-Length claims
+        and the other does not is never answered, let alone run."""
+        hidden = b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        data = (
+            b"POST /extract HTTP/1.1\r\nContent-Length: 0\r\n"
+            + f"Content-Length: {len(hidden)}\r\n\r\n".encode()
+            + hidden
+        )
+        replies = _send_raw(live_server, data)
+        assert [status for status, _, _ in replies] == [400]
+        assert live_server.health()["ok"] is True  # no shutdown ran
+
+    def test_413_closes_unread_body(self, live_server):
+        """The 413 body is never read, so what follows cannot be parsed as
+        a request: the connection closes after the one response."""
+        data = (
+            b"POST /extract HTTP/1.1\r\n"
+            + f"Content-Length: {server.MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            + b"GET /stats HTTP/1.1\r\n\r\n"
+        )
+        replies = _send_raw(live_server, data)
+        assert [(s, r) for s, r, _ in replies] == [
+            (413, HTTPStatus(413).phrase)
+        ]
+
+    def test_client_reuses_its_connection(self, live_server):
+        client = live_server
+        client.health()
+        sock = client._connections[threading.current_thread()].sock
+        client.stats()
+        assert client._connections[threading.current_thread()].sock is sock
+
+    def test_client_resends_once_after_an_idle_drop(self, live_server, monkeypatch):
+        """The server drops a connection idle for ``READ_REQUEST_S``; the
+        client's next call reconnects and sends the request exactly once,
+        and ``close()`` leaves no socket open."""
+        monkeypatch.setattr(server, "READ_REQUEST_S", 0.2)
+        with ServiceClient(port=live_server.port) as client:
+            assert client.health()["ok"] is True
+            stale = client._connections[threading.current_thread()].sock
+            readable, _, _ = select.select([stale], [], [], 30)
+            assert readable and stale.recv(1, socket.MSG_PEEK) == b""  # dropped
+            assert not client.extract(small_structure(), BASE_CONFIG)["cached"]
+            fresh = client._connections[threading.current_thread()].sock
+            assert fresh is not None and fresh is not stale
+            assert stale.fileno() == -1
+            assert client.stats()["requests"]["interactive"] == 1
+        assert fresh.fileno() == -1
+        assert client._connections == {}
+
+    def test_client_raises_when_the_resend_fails(self):
+        """After the server has gone, the stale connection fails, the one
+        resend fails to connect, and that error reaches the caller."""
+        with serving() as running:
+            client = ServiceClient(port=running.port)
+            assert client.health()["ok"] is True
+        with client:
+            assert client._connections[threading.current_thread()].sock
+            with pytest.raises(ConnectionRefusedError):
+                client.health()
+
+    def test_client_connection_per_thread(self, live_server):
+        seen = {}
+
+        def call(name):
+            live_server.health()
+            seen[name] = live_server._connections[threading.current_thread()]
+
+        threads = [threading.Thread(target=call, args=(n,)) for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen["a"] is not seen["b"]
+        live_server.health()  # a new thread's connection closes the dead ones
+        assert set(live_server._connections) == {threading.current_thread()}
+        assert seen["a"].sock is None and seen["b"].sock is None

@@ -17,6 +17,7 @@ from repro.geometry import (
     Structure,
     build_index,
 )
+from repro.geometry import spatial_index
 from repro.geometry.io import structure_from_dict
 from repro.service import TrafficGenerator
 from repro.structures import build_case
@@ -207,6 +208,23 @@ def test_cell_bounds_are_conservative():
     cdmax = grid._cell_dmax[cells]
     finite = np.isfinite(cdmax)
     assert np.all(d_true[finite] <= cdmax[finite] + 1e-12)
+
+
+@pytest.mark.parametrize("h_cap", [3.0, 1e-3])
+def test_grid_past_the_cell_cap_coarsens_and_stays_exact(monkeypatch, h_cap):
+    """A cap tiny next to the enclosure would ask for billions of cells;
+    past ``MAX_CELLS`` the grid's cells grow instead, and every answer
+    keeps its bits."""
+    monkeypatch.setattr(spatial_index, "MAX_CELLS", 1000)
+    s = random_structure(3)
+    grid = GridIndex(s, h_cap=h_cap)
+    assert 100 < np.prod(grid._n_cells) <= 1000
+    pts = np.random.default_rng(4).uniform(-5, 50, (400, 3))
+    d_b, c_b = BruteForceIndex(s).query(pts)
+    far = d_b >= h_cap
+    d_g, c_g = grid.query(pts)
+    assert np.array_equal(d_g, np.where(far, h_cap, d_b))
+    assert np.array_equal(c_g, np.where(far, -1, c_b))
 
 
 @settings(max_examples=60, deadline=None)

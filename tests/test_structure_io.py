@@ -76,6 +76,32 @@ def test_malformed_dielectric_or_enclosure_raises(extra):
         structure_from_dict({**data, **extra})
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"conductors": [{"name": "a", "boxes": [[0, 0, 0, True, 1, 1]]}]},
+        {"conductors": [{"name": "a", "boxes": [[0, 0, 0, "1", 1, 1]]}]},
+        {"conductors": [{"name": "a", "boxes": [[0, 0, 0, 1, 1, 1, 1]]}]},
+        {"conductors": [{"name": 7, "boxes": [[0, 0, 0, 1, 1, 1]]}]},
+        {"enclosure": [-1, -1, -1, 2, 2, float("inf")]},
+        {"enclosure": [-1, -1, -1, 2, 2, 10**400]},
+        {"dielectric": {"interfaces": [float("nan")], "eps": [1, 2]}},
+        {"dielectric": {"interfaces": [], "eps": [False]}},
+        {"dielectric": {"interfaces": [], "eps": ["2"]}},
+    ],
+    ids=[
+        "bool-coordinate", "string-coordinate", "seven-bounds", "number-name", "inf-enclosure",
+        "huge-int", "nan-interface", "bool-eps", "string-eps",
+    ],
+)
+def test_values_that_are_not_finite_numbers_raise(extra):
+    """JSON ``true`` would run as 1.0 and a string eps as its number;
+    non-finite values solved to NaN or zero rows."""
+    data = {"conductors": [{"name": "a", "boxes": [[0, 0, 0, 1, 1, 1]]}]}
+    with pytest.raises(GeometryError, match="malformed structure document"):
+        structure_from_dict({**data, **extra})
+
+
 def test_dict_is_json_serialisable():
     d = structure_to_dict(build_case(1, "fast"))
     json.dumps(d)  # must not raise

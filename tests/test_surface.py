@@ -125,3 +125,26 @@ def test_build_gaussian_surface_validation():
         build_gaussian_surface(s, 0, offset_fraction=1.5)
     with pytest.raises(GaussianSurfaceError):
         build_offset_surface(list(a.boxes), delta=-1.0)
+
+
+@pytest.mark.parametrize(
+    "enclosure_x0,offset,absorption",
+    [(-8e-247, 0.5, 2e-3), (-2.0, 0.9, 0.4), (-2.0, 0.99, 0.49)],
+    ids=["unresolved-clearance", "offset-0.9", "offset-0.99"],
+)
+def test_surface_whose_walks_would_absorb_at_launch_is_refused(
+    enclosure_x0, offset, absorption
+):
+    """A launch point lies ``delta`` from the conductor and ``clearance -
+    delta`` from the rest; when the absorption tolerance reaches either,
+    or the clearance is below the coordinates' rounding, the engine
+    would raise ConvergenceError mid-extraction (a 500 in the service).
+    The surface refuses it up front with a GeometryError."""
+    a = Conductor.single("a", Box.from_bounds(0, 1, 0, 1, 0, 1))
+    s = Structure([a], enclosure=Box.from_bounds(enclosure_x0, 3, -2, 3, -2, 3))
+    with pytest.raises(GaussianSurfaceError, match="before its first hop"):
+        build_gaussian_surface(
+            s, 0, offset_fraction=offset, absorption_fraction=absorption
+        )
+    if enclosure_x0 == -2.0:
+        build_gaussian_surface(s, 0, offset_fraction=offset)
