@@ -13,7 +13,7 @@ from repro import FRWConfig
 from repro.geometry import BruteForceIndex, GridIndex
 from repro.greens import get_cube_table
 from repro.numerics import KahanVector, NaiveVector
-from repro.rng import MTWalkStreams, WalkStreams
+from repro.rng import MirroredDraws, MTWalkStreams, WalkStreams
 from repro.structures import build_case
 
 
@@ -177,26 +177,29 @@ def team(request):
     native._set_team_size(native.usable_cpus())
 
 
-@pytest.fixture(scope="module")
-def case5_vector():
+def _case5_vector(streams):
     """A pipeline on SRAM case 5 (stratified, so some walks snap onto an
-    interface) with 10,000 walks launched and one step taken, plus a
-    snapshot of its arena to restore between rounds.  A traced ``advance``
-    stops after the launch, and again after the step's hop."""
+    interface) with 10,000 walks of one lane on ``streams`` launched and
+    one step taken, plus a function that restores its arena (MT states
+    included) between rounds.  A traced ``advance`` stops after the
+    launch, and again after the step's hop."""
     from repro import native
     from repro.frw import WalkPipeline, build_context
 
     ctx = build_context(build_case(5), 0, FRWConfig.frw_r(seed=9))
     pipe = WalkPipeline(trace=[])
     uids = np.arange(STEP_WIDTH, dtype=np.uint64)
-    pipe.submit(0, 0, ctx, WalkStreams(9, 0), uids, STEP_WIDTH)
+    pipe.submit(0, 0, ctx, streams, uids, STEP_WIDTH)
     while pipe._advance() == native.ADVANCE_RUN:
         pipe._load_run()
     assert pipe._advance() == native.ADVANCE_FRAME
     pipe.trace = None
     names = ("uid", "lane", "tol", "grow", "step_no", "pos", "eps", "first",
-             "naxis", "nsign", "dist", "dist_e")
-    saved = {name: getattr(pipe, "_" + name).copy() for name in names}
+             "naxis", "nsign", "dist", "dist_e", "mt", "mt_slot")
+    saved = {
+        name: getattr(pipe, "_" + name).copy() for name in names
+        if getattr(pipe, "_" + name) is not None
+    }
     saved_n = pipe._arena.n
 
     def restore():
@@ -205,6 +208,28 @@ def case5_vector():
         pipe._arena.n = saved_n
 
     return pipe, restore
+
+
+@pytest.fixture(scope="module")
+def case5_vector():
+    """The case-5 vector on one plain Philox lane."""
+    return _case5_vector(WalkStreams(9, 0))
+
+
+#: The draw kinds of a lane: mirrored Philox (every default, antithetic
+#: extraction), plain Philox, and per-walk MT19937 (FRW-NC), which the
+#: kernels draw on the scalar path.
+LANE_KINDS = {
+    "mirrored": lambda: MirroredDraws(WalkStreams(9, 0)),
+    "plain": lambda: WalkStreams(9, 0),
+    "mt": lambda: MTWalkStreams(9, 0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LANE_KINDS))
+def case5_lanes(request):
+    """The case-5 vector on one lane of each draw kind."""
+    return _case5_vector(LANE_KINDS[request.param]())
 
 
 def test_step_locate_case5(benchmark, case5_vector, team):
@@ -217,13 +242,13 @@ def test_step_locate_case5(benchmark, case5_vector, team):
     benchmark(native.library().locate, pipe._arena_ref, pipe._arena.n)
 
 
-def test_step_launch_case5(benchmark, case5_vector, team):
+def test_step_launch_case5(benchmark, case5_lanes, team):
     """Step-0 draws, surface point, layer permittivity and slot state of
-    every slot's walk, launched afresh, on a team of one thread and of
-    every CPU."""
+    every slot's walk, launched afresh, by lane kind, on a team of one
+    thread and of every CPU."""
     from repro import native
 
-    pipe, restore = case5_vector
+    pipe, restore = case5_lanes
     restore()
     n = pipe._arena.n
     uids = np.arange(n, dtype=np.uint64)
@@ -239,13 +264,13 @@ def test_step_launch_case5(benchmark, case5_vector, team):
     restore()
 
 
-def test_step_cube_hop_case5(benchmark, case5_vector, team):
+def test_step_cube_hop_case5(benchmark, case5_lanes, team):
     """The step's draws, allow, interface distance, snap test, cell draw
     and move, and the hemisphere step of the walks that snap onto an
-    interface, on a team of one thread and of every CPU."""
+    interface, by lane kind, on a team of one thread and of every CPU."""
     from repro import native
 
-    pipe, restore = case5_vector
+    pipe, restore = case5_lanes
     restore()
     lib, n = native.library(), pipe._arena.n
 

@@ -303,6 +303,9 @@ def _load() -> ctypes.CDLL:
         "launch": [ctypes.POINTER(Arena), ctypes.POINTER(Surface), _I64,
                    _I64, _PTR, _I64, ctypes.c_double, _I64],
     }
+    # -> the draw path dispatched at load (1 AVX2, 0 scalar)
+    lib.draw_path.argtypes = []
+    lib.draw_path.restype = _I64
     # threads (or 0 to read it) -> the team's size
     lib.team_size.argtypes = [_I64]
     lib.team_size.restype = _I64
@@ -369,6 +372,15 @@ def _set_team_size(threads: int) -> int:
     and return its size: the private hook behind :func:`share_cpus`, which
     tests use to run one vector on any team."""
     return int(library().team_size(int(threads)))
+
+
+def draw_path() -> str:
+    """The draw path the loaded library dispatched to, once, at load:
+    ``"avx2"`` when the host has AVX2 (full 8-slot groups of Philox lanes
+    draw their counters, rounds, uniforms and cube cells eight at a time)
+    or ``"scalar"`` (other hosts, and builds with ``-DREPRO_SCALAR_DRAWS``).
+    Both give the same bits."""
+    return "avx2" if library().draw_path() else "scalar"
 
 
 def address(a: np.ndarray) -> int:

@@ -22,6 +22,7 @@
  *                   the next (repro.frw.engine.WalkPipeline), all over one
  *                   arena_t descriptor of the slot arena.
  *   team_size       the size of the process's thread team.
+ *   draw_path       the draw path dispatched at load (AVX2 or scalar).
  *   fold_batch      a finished batch folded into a row's compensated
  *                   registers (repro.frw.RowAccumulator), in its one
  *                   fixed order per mode.
@@ -39,6 +40,18 @@
  * antithetic partner's step-1 reflection (repro.rng.MirroredDraws), or
  * the walk's own MT19937 stream (repro.rng.MTWalkStreams), whose state
  * lives in the arena.
+ *
+ * On an x86-64 host with AVX2 (__builtin_cpu_supports, read once at
+ * load), a full group of LANES slots whose lanes are all Philox takes
+ * the AVX2 draw path: the counters built in registers from the slots'
+ * UID and step words, both blocks' rounds eight lanes at a time, the
+ * uniforms converted four at a time, and cube_hop's cell draw as one
+ * gathered guide lookup and bisection.  philox_span and philox4x32_block
+ * run the same rounds.  Partial groups, MT lanes, the unit-cube point,
+ * the move, the first-hop weight and the hemisphere step stay scalar, as
+ * does every other host and any build with REPRO_SCALAR_DRAWS.  The path
+ * is integer arithmetic, exact conversions, one IEEE multiply for the
+ * bucket and the same <= probes, so both paths give the same bits.
  *
  * All produce the bits of their NumPy references exactly.  Philox and
  * MT19937 are integer arithmetic modulo 2^32 (2^64 for splitmix64); the
@@ -63,6 +76,19 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <time.h>
+
+/* The AVX2 draw path: x86-64 builds only, and none built with
+ * REPRO_SCALAR_DRAWS, which pins the scalar path on any host.  Its
+ * functions carry their own target attribute, so the library builds
+ * without -mavx2 and runs on any x86-64 host. */
+#if defined(__x86_64__) && !defined(REPRO_SCALAR_DRAWS)
+#define DRAWS_AVX2 1
+#include <immintrin.h>
+#define AVX2_FN static __attribute__((target("avx2"), noinline))
+#define AVX2_INLINE static inline __attribute__((target("avx2"), always_inline))
+#else
+#define DRAWS_AVX2 0
+#endif
 
 #define PHILOX_ROUNDS 10
 #define PHILOX_M0 0xD2511F53u
@@ -111,6 +137,90 @@ static inline void philox_lanes(uint32_t x0[LANES], uint32_t x1[LANES],
     }
 }
 
+/* Whether the host runs the AVX2 draw path, set once at load. */
+static int use_avx2;
+
+static void __attribute__((constructor)) pick_draw_path(void)
+{
+#if DRAWS_AVX2
+    __builtin_cpu_init();
+    use_avx2 = __builtin_cpu_supports("avx2") != 0;
+#endif
+}
+
+/* The draw path this library dispatched to: 1 for AVX2, 0 for scalar. */
+int64_t draw_path(void)
+{
+    return use_avx2;
+}
+
+#if DRAWS_AVX2
+/* The high and low words of the eight products m * x[l] (m in every
+ * word of `m`): even words multiply in place, odd ones shifted down. */
+AVX2_INLINE void mul_hilo8(__m256i x, __m256i m, __m256i *hi, __m256i *lo)
+{
+    __m256i even = _mm256_mul_epu32(x, m);
+    __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), m);
+    *hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+    *lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+}
+
+/* One Philox round of philox_lanes on eight lanes x[0..3]. */
+AVX2_INLINE void philox_round8(__m256i x[4], __m256i k0, __m256i k1)
+{
+    __m256i hi0, lo0, hi2, lo2;
+    mul_hilo8(x[0], _mm256_set1_epi32((int)PHILOX_M0), &hi0, &lo0);
+    mul_hilo8(x[2], _mm256_set1_epi32((int)PHILOX_M1), &hi2, &lo2);
+    __m256i y0 = _mm256_xor_si256(_mm256_xor_si256(hi2, x[1]), k0);
+    __m256i y2 = _mm256_xor_si256(_mm256_xor_si256(hi0, x[3]), k1);
+    x[1] = lo2;
+    x[3] = lo0;
+    x[0] = y0;
+    x[2] = y2;
+}
+
+/* Philox4x32-10 on `nb` blocks x[b] of eight lanes under the same keys,
+ * their rounds interleaved. */
+AVX2_INLINE void philox8(__m256i x[][4], int nb, __m256i k0, __m256i k1)
+{
+    for (int r = 0; r < PHILOX_ROUNDS; r++) {
+        for (int b = 0; b < nb; b++)
+            philox_round8(x[b], k0, k1);
+        k0 = _mm256_add_epi32(k0, _mm256_set1_epi32((int)PHILOX_W0));
+        k1 = _mm256_add_epi32(k1, _mm256_set1_epi32((int)PHILOX_W1));
+    }
+}
+
+/* philox_lanes on eight lanes at once. */
+AVX2_FN void philox_lanes_avx2(uint32_t x0[LANES], uint32_t x1[LANES],
+                               uint32_t x2[LANES], uint32_t x3[LANES],
+                               uint32_t k0[LANES], uint32_t k1[LANES])
+{
+    uint32_t *w[4] = {x0, x1, x2, x3};
+    __m256i x[1][4];
+    for (int d = 0; d < 4; d++)
+        x[0][d] = _mm256_loadu_si256((const __m256i *)w[d]);
+    philox8(x, 1, _mm256_loadu_si256((const __m256i *)k0),
+            _mm256_loadu_si256((const __m256i *)k1));
+    for (int d = 0; d < 4; d++)
+        _mm256_storeu_si256((__m256i *)w[d], x[0][d]);
+}
+#endif
+
+/* philox_lanes on the host's draw path. */
+static void philox_rounds(uint32_t x0[LANES], uint32_t x1[LANES],
+                          uint32_t x2[LANES], uint32_t x3[LANES],
+                          uint32_t k0[LANES], uint32_t k1[LANES])
+{
+#if DRAWS_AVX2
+    if (use_avx2) {
+        philox_lanes_avx2(x0, x1, x2, x3, k0, k1);
+        return;
+    }
+#endif
+    philox_lanes(x0, x1, x2, x3, k0, k1);
+}
+
 /* One raw Philox4x32-10 block, out = philox(ctr, key), through the
  * rounds philox_span runs. */
 void philox4x32_block(const uint32_t *ctr, const uint32_t *key,
@@ -126,7 +236,7 @@ void philox4x32_block(const uint32_t *ctr, const uint32_t *key,
         k0[l] = key[0];
         k1[l] = key[1];
     }
-    philox_lanes(x0, x1, x2, x3, k0, k1);
+    philox_rounds(x0, x1, x2, x3, k0, k1);
     out[0] = x0[0];
     out[1] = x1[0];
     out[2] = x2[0];
@@ -178,7 +288,7 @@ void philox_span(int64_t n, int64_t count, const uint64_t *uids,
                 c0[l] = (uint32_t)k0;
                 c1[l] = (uint32_t)k1;
             }
-            philox_lanes(x0, x1, x2, x3, c0, c1);
+            philox_rounds(x0, x1, x2, x3, c0, c1);
             double *slot = out + a * count + 2 * j;
             for (int l = 0; l < m; l++) {
                 slot[l * count] = unit_double(x0[l], x1[l]);
@@ -425,6 +535,84 @@ static inline int64_t sample_cell(const table_t *t, double u)
     return p < t->n_cells - 1 ? p : t->n_cells - 1;
 }
 
+#if DRAWS_AVX2
+/* Whether cells_avx2's 32-bit bucket, guide and probe indices hold every
+ * index of t: the probes stay below n_pad, and the guide's entries, from
+ * -1 to n_cells - 1, below it too. */
+static inline int cells_fit_32(const table_t *t)
+{
+    return t->n_pad <= INT32_MAX && t->n_last <= INT32_MAX;
+}
+
+/* The low (high = 0) or high (high = 1) words of the eight 64-bit lanes
+ * of (a, b), in order. */
+AVX2_INLINE __m256i words8(__m256i a, __m256i b, int high)
+{
+    const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+    a = _mm256_permutevar8x32_epi32(a, pick);
+    b = _mm256_permutevar8x32_epi32(b, pick);
+    return high ? _mm256_permute2x128_si256(a, b, 0x31)
+                : _mm256_permute2x128_si256(a, b, 0x20);
+}
+
+/*
+ * cell[l] = sample_cell(t, u[l]) for l < LANES, t within cells_fit_32.
+ * The bucket is the same product, clamped to n_last - 1 in double
+ * (min(cap, x) keeps a NaN x, which truncates to INT32_MIN as the scalar
+ * cast gives INT64_MIN) before the truncation and the floor at 0, which
+ * is clip_index of the truncation; each bisection step gathers the eight
+ * clipped probes' cdf entries and takes the probe where cdf <= u.
+ */
+AVX2_FN void cells_avx2(const table_t *t, const double u[LANES],
+                        int64_t cell[LANES])
+{
+    __m256d u0 = _mm256_loadu_pd(u), u1 = _mm256_loadu_pd(u + 4);
+    __m256d m = _mm256_set1_pd((double)t->buckets);
+    __m256d cap = _mm256_set1_pd((double)(t->n_last - 1));
+    __m256i zero = _mm256_setzero_si256();
+    __m256i k = _mm256_set_m128i(
+        _mm256_cvttpd_epi32(_mm256_min_pd(cap, _mm256_mul_pd(u1, m))),
+        _mm256_cvttpd_epi32(_mm256_min_pd(cap, _mm256_mul_pd(u0, m))));
+    k = _mm256_max_epi32(k, zero);
+    /* The low words of last_le[k], which hold the entries whole. */
+    __m256i p = _mm256_i32gather_epi32((const int *)t->last_le, k, 8);
+    __m256i pad_max = _mm256_set1_epi32((int)(t->n_pad - 1));
+    for (int64_t step = t->width >> 1; step; step >>= 1) {
+        __m256i probe = _mm256_add_epi32(p, _mm256_set1_epi32((int)step));
+        __m256i at = _mm256_min_epi32(_mm256_max_epi32(probe, zero), pad_max);
+        __m256d c0 = _mm256_i32gather_pd(t->cdf_pad,
+                                         _mm256_castsi256_si128(at), 8);
+        __m256d c1 = _mm256_i32gather_pd(t->cdf_pad,
+                                         _mm256_extracti128_si256(at, 1), 8);
+        __m256i le = words8(
+            _mm256_castpd_si256(_mm256_cmp_pd(c0, u0, _CMP_LE_OQ)),
+            _mm256_castpd_si256(_mm256_cmp_pd(c1, u1, _CMP_LE_OQ)), 0);
+        p = _mm256_blendv_epi8(p, probe, le);
+    }
+    p = _mm256_add_epi32(p, _mm256_set1_epi32(1));
+    p = _mm256_min_epi32(p, _mm256_set1_epi32((int)(t->n_cells - 1)));
+    _mm256_storeu_si256((__m256i *)cell,
+                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p)));
+    _mm256_storeu_si256((__m256i *)(cell + 4),
+                        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(p, 1)));
+}
+#endif
+
+/* cell[l] = sample_cell(t, u[l]) for l < m <= LANES, on the AVX2 path
+ * when the host, the group and the table allow it. */
+static inline void sample_cells8(const table_t *t, const double u[LANES],
+                                 int m, int64_t cell[LANES])
+{
+#if DRAWS_AVX2
+    if (m == LANES && use_avx2 && cells_fit_32(t)) {
+        cells_avx2(t, u, cell);
+        return;
+    }
+#endif
+    for (int l = 0; l < m; l++)
+        cell[l] = sample_cell(t, u[l]);
+}
+
 /* The point of an `axis`-normal face at `plane`: the face axis takes
  * `plane`, the transverse axes (in sorted order) take a then b. */
 static inline void face_point(int64_t axis, double plane, double a, double b,
@@ -448,8 +636,17 @@ static inline void unit_position(const table_t *t, int64_t cell, double ja,
 void sample_cells(const table_t *t, int64_t n, const double *u,
                   int64_t u_stride, int64_t *out)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = sample_cell(t, u[i * u_stride]);
+    for (int64_t i0 = 0; i0 < n; i0 += LANES) {
+        int m = n - i0 < LANES ? (int)(n - i0) : LANES;
+        double v[LANES];
+        const double *w = u + i0;
+        if (u_stride != 1) {
+            for (int l = 0; l < m; l++)
+                v[l] = u[(i0 + l) * u_stride];
+            w = v;
+        }
+        sample_cells8(t, w, m, out + i0);
+    }
 }
 
 void unit_positions(const table_t *t, int64_t n,
@@ -891,17 +1088,117 @@ static void split(chunk_fn fn, arena_t *a, const void *args, int64_t n,
     pthread_mutex_unlock(&team.lock);
 }
 
+#if DRAWS_AVX2
+/* out[l] = unit_double(hi[l], lo[l]) for the eight lanes: the same exact
+ * conversions, scale, add and scale, four lanes at a time. */
+AVX2_INLINE void unit_doubles8(__m256i hi, __m256i lo, double out[LANES])
+{
+    __m256i a = _mm256_srli_epi32(hi, 5), b = _mm256_srli_epi32(lo, 6);
+    __m128i ah[2] = {_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1)};
+    __m128i bh[2] = {_mm256_castsi256_si128(b), _mm256_extracti128_si256(b, 1)};
+    for (int h = 0; h < 2; h++) {
+        __m256d v = _mm256_mul_pd(_mm256_cvtepi32_pd(ah[h]),
+                                  _mm256_set1_pd(67108864.0));
+        v = _mm256_add_pd(v, _mm256_cvtepi32_pd(bh[h]));
+        v = _mm256_mul_pd(v, _mm256_set1_pd(1.0 / 9007199254740992.0));
+        _mm256_storeu_pd(out + 4 * h, v);
+    }
+}
+
+/* The 32-bit word at field `field` of the descriptors of lanes l0 (lanes
+ * 0-3) and l1 (lanes 4-7): the low words of kind, key[0] and key[1]. */
+AVX2_INLINE __m256i gather_lane_word(const lane_draw_t *d, __m256i l0,
+                                     __m256i l1, int field)
+{
+    const int *base = (const int *)((const uint64_t *)d + field);
+    __m256i r0 = _mm256_add_epi64(_mm256_slli_epi64(l0, 1), l0);
+    __m256i r1 = _mm256_add_epi64(_mm256_slli_epi64(l1, 1), l1);
+    return _mm256_set_m128i(_mm256_i64gather_epi32(base, r1, 8),
+                            _mm256_i64gather_epi32(base, r0, 8));
+}
+
+/*
+ * slot_draws of the full group of slots [i0, i0 + LANES) when every lane
+ * in it is Philox (returns 1), else nothing (returns 0).  The counters
+ * come from the slots' UID and step words, the keys from one descriptor
+ * or, when the group mixes lanes, from a gather of each slot's; both
+ * blocks run eight lanes at a time, and a mirrored odd UID at step 1
+ * takes its reflections per slot.
+ */
+AVX2_FN int slot_draws_avx2(arena_t *a, int64_t i0, double u[3][LANES])
+{
+    const int64_t *lane = a->lane + i0;
+    __m256i l0 = _mm256_loadu_si256((const __m256i *)lane);
+    __m256i l1 = _mm256_loadu_si256((const __m256i *)(lane + 4));
+    __m256i first = _mm256_set1_epi64x(lane[0]);
+    __m256i same = _mm256_and_si256(_mm256_cmpeq_epi64(l0, first),
+                                    _mm256_cmpeq_epi64(l1, first));
+    __m256i kind, k0, k1;
+    if (_mm256_movemask_epi8(same) == -1) {
+        const lane_draw_t *d = a->lane_draws + lane[0];
+        kind = _mm256_set1_epi32((int)(uint32_t)d->kind);
+        k0 = _mm256_set1_epi32((int)(uint32_t)d->key[0]);
+        k1 = _mm256_set1_epi32((int)(uint32_t)d->key[1]);
+    } else {
+        kind = gather_lane_word(a->lane_draws, l0, l1, 0);
+        k0 = gather_lane_word(a->lane_draws, l0, l1, 1);
+        k1 = gather_lane_word(a->lane_draws, l0, l1, 2);
+    }
+    if (!_mm256_testz_si256(kind, _mm256_set1_epi32(DRAW_MT)))
+        return 0;
+    const __m256i *uid = (const __m256i *)(a->uid + i0);
+    const __m256i *step = (const __m256i *)(a->step_no + i0);
+    __m256i uid0 = _mm256_loadu_si256(uid), uid1 = _mm256_loadu_si256(uid + 1);
+    __m256i st0 = _mm256_loadu_si256(step), st1 = _mm256_loadu_si256(step + 1);
+    __m256i mirrored = _mm256_and_si256(kind, _mm256_set1_epi32(DRAW_MIRRORED));
+    __m256i uid_lo = words8(uid0, uid1, 0);
+    /* Blocks 0 and 1; a mirrored lane's UID is its primary's, uid & ~1. */
+    __m256i x[2][4] = {{
+        _mm256_slli_epi32(words8(st0, st1, 0), 2),
+        _mm256_andnot_si256(mirrored, uid_lo),
+        words8(uid0, uid1, 1),
+        _mm256_set1_epi32((int)DOMAIN_TAG),
+    }};
+    x[1][0] = _mm256_add_epi32(x[0][0], _mm256_set1_epi32(1));
+    for (int d = 1; d < 4; d++)
+        x[1][d] = x[0][d];
+    philox8(x, 2, k0, k1);
+    unit_doubles8(x[0][0], x[0][1], u[0]);
+    unit_doubles8(x[0][2], x[0][3], u[1]);
+    unit_doubles8(x[1][0], x[1][1], u[2]);
+    /* Bit 0 set in the lanes of mirrored odd UIDs at step 1 (all 64
+     * bits of it). */
+    __m256i at1 = words8(_mm256_cmpeq_epi64(st0, _mm256_set1_epi64x(1)),
+                         _mm256_cmpeq_epi64(st1, _mm256_set1_epi64x(1)), 0);
+    __m256i fix = _mm256_and_si256(_mm256_and_si256(mirrored, uid_lo), at1);
+    int lanes = _mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_slli_epi32(fix, 31)));
+    for (int l = 0; l < LANES; l++)
+        if (lanes >> l & 1) {
+            u[0][l] = antipodal_draw(u[0][l]);
+            u[1][l] = mirror_draw(u[1][l]);
+            u[2][l] = mirror_draw(u[2][l]);
+        }
+    return 1;
+}
+#endif
+
 /*
  * u[d][l] = draw slot d < 3 of step step_no[i0 + l] of the walk in slot
  * i0 + l, for l < m <= LANES, by its lane's kind: Philox at the walk's
  * counter (a mirrored lane's odd UID reads its primary's, uid - 1), an
  * MT lane's next three uniforms of the walk's stream, and, for an odd UID
  * of a mirrored lane at step 1, the antipodal slot 0 and mirrored slots
- * 1 and 2.
+ * 1 and 2.  A full group of Philox lanes takes the AVX2 path on a host
+ * that has it; returns whether it did.
  */
-static inline void slot_draws(arena_t *a, int64_t i0, int m,
-                              double u[3][LANES])
+static inline int slot_draws(arena_t *a, int64_t i0, int m,
+                             double u[3][LANES])
 {
+#if DRAWS_AVX2
+    if (m == LANES && use_avx2 && slot_draws_avx2(a, i0, u))
+        return 1;
+#endif
     uint64_t uid[LANES], step[LANES], kind[LANES];
     uint64_t kinds = 0, all_mt = DRAW_MT;
     uint32_t key0[LANES], key1[LANES];
@@ -929,7 +1226,7 @@ static inline void slot_draws(arena_t *a, int64_t i0, int m,
                 k0[l] = key0[l];
                 k1[l] = key1[l];
             }
-            philox_lanes(x0, x1, x2, x3, k0, k1);
+            philox_rounds(x0, x1, x2, x3, k0, k1);
             for (int l = 0; l < LANES; l++)
                 u[2 * j][l] = unit_double(x0[l], x1[l]);
             if (j == 0)
@@ -938,7 +1235,7 @@ static inline void slot_draws(arena_t *a, int64_t i0, int m,
         }
     }
     if (!(kinds & (DRAW_MIRRORED | DRAW_MT)))
-        return;
+        return 0;
     for (int l = 0; l < m; l++) {
         if (kind[l] & DRAW_MT) {
             mt_t *s = a->mt + a->mt_slot[i0 + l];
@@ -952,6 +1249,7 @@ static inline void slot_draws(arena_t *a, int64_t i0, int m,
             u[2][l] = mirror_draw(u[2][l]);
         }
     }
+    return 0;
 }
 
 /* launch's arguments, less the arena. */
@@ -1183,7 +1481,10 @@ static void cube_hop_chunk(arena_t *a, const void *args, int64_t lo,
     for (int64_t i0 = lo; i0 < hi; i0 += LANES) {
         int m = hi - i0 < LANES ? (int)(hi - i0) : LANES;
         double u[3][LANES];
-        slot_draws(a, i0, m, u);
+        int64_t cells[LANES];
+        int vec = slot_draws(a, i0, m, u);
+        if (vec)
+            sample_cells8(t, u[0], m, cells);
         for (int l = 0; l < m; l++) {
             int64_t i = i0 + l;
             double *p = a->pos + 3 * i;
@@ -1207,7 +1508,7 @@ static void cube_hop_chunk(arena_t *a, const void *args, int64_t lo,
             }
             if (first && a->first_floor > 0.0)
                 h = max_tie_b(h, a->first_floor * allow);
-            int64_t cell = sample_cell(t, u[0][l]);
+            int64_t cell = vec ? cells[l] : sample_cell(t, u[0][l]);
             double unit[3];
             unit_position(t, cell, u[1][l], u[2][l], unit);
             double h2 = 2.0 * h;

@@ -8,8 +8,8 @@ empty cache, survive concurrent builds, refuse unsafe cache directories,
 name the command of a failed build, and let process workers load the
 parent's build instead of compiling their own.  The built library may
 import no function but libm's ``sincos``, and the stratified golden row
-must keep its bytes when the library is built at ``-O0`` and at ``-O3
--march=native``.
+must keep its bytes when the library is built at ``-O0``, at ``-O3
+-march=native`` and with its AVX2 draw path compiled out.
 """
 
 import os
@@ -283,8 +283,12 @@ ctx = build_context(g._build_structure("stratified"), 0, cfg)
 res = run_walks(ctx, WalkStreams(g.SEED, 0), np.arange(g.N_WALKS, dtype=np.uint64))
 native._set_team_size(2)
 wide, _ = g.wide_row("stratified", "mirrored")
-print(g._digest(res), wide, native.library_path())
+print(g._digest(res), wide, native.library_path(), native.draw_path())
 """
+
+#: The flag that compiles the AVX2 draw path out of a build, pinning the
+#: scalar path on any host.
+SCALAR_DRAWS = "-DREPRO_SCALAR_DRAWS"
 
 
 @pytest.mark.parametrize(
@@ -292,15 +296,19 @@ print(g._digest(res), wide, native.library_path())
     [
         (("-O0",), {"sin", "cos", "sqrt"}),
         (("-O3", "-march=native"), {"sincos"}),
+        (("-O2", SCALAR_DRAWS), {"sincos"}),
     ],
 )
 def test_golden_row_is_the_same_at_any_opt_level(tmp_path, opt, calls):
     """The stratified golden row, whose hemisphere steps call libm, and a
     wide mirrored stratified row split over a team of two have the same
     bytes from a library built at ``-O0`` (separate ``sin`` and ``cos``
-    calls, and libm's ``sqrt`` where ``-O2`` inlines ``sqrtsd``) and at
-    ``-O3 -march=native`` (one ``sincos``), each in a fresh cache; both
-    keep the FP flags of :data:`repro.native.COMPILE`."""
+    calls, and libm's ``sqrt`` where ``-O2`` inlines ``sqrtsd``), at
+    ``-O3 -march=native`` (one ``sincos``) and at ``-O2`` with the AVX2
+    draw path compiled out (:data:`SCALAR_DRAWS`), each in a fresh cache;
+    all keep the FP flags of :data:`repro.native.COMPILE`.  On an AVX2
+    host the first two dispatch to the AVX2 path and the third runs the
+    scalar one, so the goldens pin both."""
     from test_engine_golden import GOLDEN, WIDE_GOLDEN
 
     command = [f for f in native.COMPILE if not f.startswith("-O")]
@@ -316,8 +324,12 @@ def test_golden_row_is_the_same_at_any_opt_level(tmp_path, opt, calls):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    digest, wide, path = proc.stdout.split()
+    digest, wide, path, draws = proc.stdout.split()
     assert Path(path).parent == tmp_path / "repro"
+    if SCALAR_DRAWS in opt:
+        assert draws == "scalar"
+    else:
+        assert draws == native.draw_path()
     assert _imported_functions(path) == calls | TEAM_IMPORTS
     assert digest == GOLDEN["stratified"]["sha256"]
     assert wide == WIDE_GOLDEN["stratified", "mirrored"]

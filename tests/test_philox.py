@@ -2,15 +2,23 @@
 
 The known-answer vectors pin both the scalar reference and the compiled
 kernel the walk engine runs (``repro/native/kernels.c``, through its raw
-block entry ``repro.native.philox4x32_block``); the compiled draws
-convert its words to uniforms exactly as
-``unit_double_scalar`` does."""
+block entry ``repro.native.philox4x32_block``), on the rounds the host
+dispatches to (AVX2 on a host that has it) and on a build with the AVX2
+path compiled out; the compiled draws convert its words to uniforms
+exactly as ``unit_double_scalar`` does."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.errors import RNGError
 from repro.native import philox4x32_block
 from repro.rng import (
@@ -45,9 +53,39 @@ def test_known_answer_scalar(counter, key, expected):
 
 
 def test_known_answer_vectorised():
-    """Every KAT vector through the compiled kernel's raw block entry."""
+    """Every KAT vector through the compiled kernel's raw block entry, on
+    the rounds the host dispatches to."""
     for counter, key, expected in KAT:
         assert philox4x32_block(counter, key) == expected
+
+
+_SCALAR_KAT = """
+import json, sys
+from repro import native
+native.COMPILE = (*native.COMPILE, "-DREPRO_SCALAR_DRAWS")
+kat = json.loads(sys.argv[1])
+print(json.dumps([native.philox4x32_block(c, k) for c, k in kat]))
+print(native.draw_path())
+"""
+
+
+def test_known_answer_with_the_avx2_path_compiled_out(tmp_path):
+    """Every KAT vector through the raw block entry of a build, in a fresh
+    cache, whose rounds are the scalar ones on any host."""
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(tmp_path),
+        PYTHONPATH=str(Path(native.__file__).resolve().parents[2]),
+    )
+    kat = json.dumps([[c, k] for c, k, _ in KAT])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCALAR_KAT, kat],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    words, path = proc.stdout.split("\n")[:2]
+    assert [tuple(w) for w in json.loads(words)] == [e for _, _, e in KAT]
+    assert path == "scalar"
 
 
 @given(

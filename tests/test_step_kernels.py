@@ -16,7 +16,11 @@ versions are kept here, verbatim in behaviour, as the oracle:
   draws the kernels compute against the reference streams' draws (plain,
   antithetic and MT lanes), plus pinned engine runs through the paths no
   row golden covers (per-walk MT streams, the early-absorption error and
-  step-cap truncation).
+  step-cap truncation);
+* ``launch`` and ``cube_hop`` on full 8-slot groups, which draw on AVX2
+  where the host has it (``native.draw_path()``), slot by slot against
+  the same reference: plain, mirrored, mixed-master and MT-holding
+  groups, with a partial tail group.
 
 The kernels compute their own draws, so a test that needs chosen draws
 runs an MT lane and writes each slot's MT19937 state so that its next
@@ -33,6 +37,7 @@ import dataclasses
 import hashlib
 import heapq
 import pickle
+import platform
 
 import numpy as np
 import pytest
@@ -999,13 +1004,13 @@ def _area_edges(surf):
     return out
 
 
-def _launch(pipe, surf, uids, tol, first_row):
-    """One compiled launch of ``uids`` on lane 0 into the slots after the
-    live ones, as the vector loop makes it."""
+def _launch(pipe, surf, uids, tol, first_row, lane=0):
+    """One compiled launch of ``uids`` on ``lane`` into the slots after
+    the live ones, as the vector loop makes it."""
     n = pipe._arena.n
     native.library().launch(
         pipe._arena_ref, ctypes.byref(surf._native), n, uids.shape[0],
-        native.address(uids), 0, tol, first_row,
+        native.address(uids), lane, tol, first_row,
     )
     pipe._arena.n = n + uids.shape[0]
 
@@ -1142,6 +1147,153 @@ def test_first_hop_reflects_mirrored_partners(data, layered, crafted):
     _, _, _, npos, fc, omega = old_cube_hop(ctx, state, u, pipe._lane_flux)
     assert _same_bits(pipe._pos[:n], npos)
     assert _same_bits(pipe._res_omega[pipe._grow[fc] - pipe._win_base_g], omega)
+
+
+# ----------------------------------------------------------------------
+# Full 8-slot groups, which take the AVX2 draw path on a host that has it.
+# ----------------------------------------------------------------------
+def _host_has_avx2():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(
+                line.startswith("flags") and "avx2" in line.split()
+                for line in fh
+            )
+    except OSError:
+        return False
+
+
+def test_draw_path_is_avx2_on_avx2_hosts():
+    """The library reports the draw path it dispatched to, and an x86-64
+    host whose CPU lists AVX2 gets the AVX2 one, so the full-group tests
+    below run it rather than silently falling back to scalar."""
+    path = native.draw_path()
+    assert path in ("avx2", "scalar")
+    if platform.machine() == "x86_64" and _host_has_avx2():
+        assert path == "avx2"
+
+
+#: Three full groups of 8 slots and a partial tail group of 5.
+_GROUPS_N = 3 * 8 + 5
+
+#: The full-group tests' lanes: two plain Philox lanes under different
+#: keys, a mirrored lane and an MT lane.
+_GROUP_LANES = (
+    WalkStreams(3, 0),
+    WalkStreams(3, 1),
+    MirroredDraws(WalkStreams(3, 2)),
+    MTWalkStreams(3, 3),
+)
+_PLAIN, _PLAIN_B, _MIRRORED, _MT = range(4)
+
+
+def _group_pipeline(n):
+    """A stratified pipeline with every lane of ``_GROUP_LANES`` and ``n``
+    walks of the first launched."""
+    pipe = WalkPipeline()
+    for lane, streams in enumerate(_GROUP_LANES):
+        uids = np.arange(lane * n, (lane + 1) * n, dtype=np.uint64)
+        pipe.submit(lane, lane, _CTXS[True], streams, uids, n)
+    _launch_queued(pipe)
+    return pipe
+
+
+def _mt_reference(words):
+    """The next three uniforms of a 625-word MT19937 arena state."""
+    state = np.random.RandomState(0)
+    state.set_state(("MT19937", words[:624], int(words[624])))
+    return state.random_sample(3)
+
+
+#: The slots' lanes per case: one plain lane, the mirrored lane at step 1
+#: (odd partners reflect), a random mix of the three Philox lanes (keys
+#: gathered per slot), and that mix with an MT slot in the second group.
+_GROUP_CASES = ("plain", "mirrored", "mixed", "mt")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", _GROUP_CASES)
+def test_cube_hop_on_full_groups_matches_numpy(case, seed):
+    """``cube_hop`` on three full groups and a partial tail gives the
+    NumPy hop of each slot's reference draws, slot by slot: the cell draw,
+    the move, the first-hop weight and the hemisphere step.  Steps include
+    1 (a mirrored odd UID reflects), 2**32 + 1 (whose low word is 1) and
+    large ones; UIDs straddle 2**32."""
+    ctx = _CTXS[True]
+    n = _GROUPS_N
+    pipe = _group_pipeline(n)
+    rng = np.random.default_rng([seed, _GROUP_CASES.index(case)])
+    if case == "plain":
+        lanes = np.full(n, _PLAIN)
+    elif case == "mirrored":
+        lanes = np.full(n, _MIRRORED)
+    else:
+        lanes = rng.choice([_PLAIN, _PLAIN_B, _MIRRORED], n)
+    if case == "mt":
+        lanes[8 + rng.integers(8)] = _MT
+    uids = rng.integers(0, 2**33, n, dtype=np.uint64)
+    if case == "mirrored":
+        steps = np.ones(n, dtype=np.uint64)
+    else:
+        steps = rng.choice(
+            np.array([1, 2, 7, 2**32 + 1, 2**40 + 3], dtype=np.uint64), n
+        )
+    pipe._lane[:n], pipe._uid[:n], pipe._step_no[:n] = lanes, uids, steps
+    for i in np.nonzero(lanes == _MT)[0]:
+        words = pipe._mt[pipe._mt_slot[i]]
+        words[:624] = np.random.RandomState(int(seed) + 11).get_state()[1]
+        words[624] = 624
+    native.library().locate(pipe._arena_ref, n)  # the distances the hop reads
+    pipe._first[:n] = rng.random(n) < 0.3
+    pipe._res_omega[:] = np.nan
+    state = _snapshot(pipe)
+    u = np.array([
+        _mt_reference(pipe._mt[pipe._mt_slot[i]]) if lanes[i] == _MT
+        else _GROUP_LANES[lanes[i]].draws_scalar(int(uids[i]), int(steps[i]), 3)
+        for i in range(n)
+    ])
+    n_snap = native.library().cube_hop(pipe._arena_ref, n)
+    snapped, snap_allow, snap_dist_i, npos, fc, omega = old_cube_hop(
+        ctx, state, u, pipe._lane_flux
+    )
+    assert n_snap == snapped.shape[0]
+    moved = np.ones(n, dtype=bool)
+    moved[snapped] = False
+    assert _same_bits(pipe._pos[:n][moved], npos[moved])
+    want = old_hemisphere(
+        ctx.structure.dielectric, state["pos"][snapped], snap_allow,
+        snap_dist_i, state["tol"][snapped], u[snapped],
+    )
+    assert _same_bits(pipe._pos[:n][snapped], want)
+    assert _same_bits(pipe._res_omega[pipe._grow[fc] - pipe._win_base_g], omega)
+    assert _same_bits(pipe._step_no[:n], steps + np.uint64(1))
+
+
+@pytest.mark.parametrize("live", [0, 3])
+@pytest.mark.parametrize("lane", [_PLAIN, _PLAIN_B, _MIRRORED, _MT])
+def test_launch_on_full_groups_matches_numpy(lane, live):
+    """``launch`` of three full groups and a partial tail on each lane,
+    after 0 or 3 live slots (so its groups start off the arena's 8-slot
+    grid), writes the NumPy launch's points, normals and permittivities
+    of the lane's reference step-0 draws, slot by slot."""
+    surf = _SURFACES[1]
+    stack = _on_layers(surf)
+    n = _GROUPS_N
+    pipe = _group_pipeline(live + n)
+    pipe._arena.n = live
+    _rewire(pipe, stack)
+    uids = np.random.default_rng(lane).integers(
+        0, 2**64 - 1, n, dtype=np.uint64, endpoint=True
+    )
+    _launch(pipe, surf, uids, 0.125, 7, lane)
+    points, axis, sign = surf.sample(_reference(_GROUP_LANES[lane], uids, 0))
+    got = {name: getattr(pipe, "_" + name)[live : live + n] for name in _SLOTS}
+    assert _same_bits(got["pos"], points)
+    assert _same_bits(got["naxis"], axis)
+    assert _same_bits(got["nsign"], sign.astype(np.float64))
+    eps = stack._eps[np.searchsorted(stack._z, points[:, 2], side="right")]
+    assert _same_bits(got["eps"], eps)
+    assert (got["lane"] == lane).all() and _same_bits(got["uid"], uids)
 
 
 # ----------------------------------------------------------------------
