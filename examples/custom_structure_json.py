@@ -43,7 +43,8 @@ def main() -> None:
     print(structure.summary())
 
     config = FRWConfig.frw_rr(seed=99, n_threads=8, tolerance=2e-2)
-    result = FRWSolver(structure, config).extract()
+    with FRWSolver(structure, config) as solver:
+        result = solver.extract()
     print(result.matrix.pretty())
     print(f"reliable: {result.report.reliable}")
 

@@ -41,7 +41,8 @@ def main() -> None:
         n_threads=16,       # DOP does not change the result (Alg. 2)
         tolerance=1e-2,     # 1% standard error on self-capacitances
     )
-    result = FRWSolver(structure, config).extract()
+    with FRWSolver(structure, config) as solver:
+        result = solver.extract()
     print("\nCapacitance matrix (fF):")
     print(result.matrix.pretty())
     print(f"\nwalks: {result.total_walks}, wall: {result.wall_time:.2f}s, "

@@ -27,7 +27,8 @@ def repeated_runs(structure, masters, factory, dops, machines, antithetic=False)
             # replay; antithetic pairs are absorbed in UID order instead.
             antithetic=antithetic,
         )
-        result = FRWSolver(structure, config).extract(masters)
+        with FRWSolver(structure, config) as solver:
+            result = solver.extract(masters)
         matrices.append(result.matrix.values)
         print(
             f"    T={t:>2} machine={machine}: "

@@ -40,7 +40,8 @@ def main() -> None:
     # A touch-sensor-flavoured pattern: a grid of sense/drive bars.
     structure = parallel_wires(n_wires=6, width=1.2, spacing=0.8, length=14.0)
     config = FRWConfig.frw_r(seed=9, n_threads=8, tolerance=2e-2)
-    result = FRWSolver(structure, config).extract()
+    with FRWSolver(structure, config) as solver:
+        result = solver.extract()
     raw = result.matrix
     print("raw extraction:")
     describe("(none)", raw, raw)

@@ -27,7 +27,8 @@ def main() -> None:
         tolerance=3e-2,
         batch_size=4000,
     )
-    result = FRWSolver(structure, config).extract(masters)
+    with FRWSolver(structure, config) as solver:
+        result = solver.extract(masters)
 
     raw_report = check_properties(result.raw_matrix)
     reg_report = check_properties(result.matrix)

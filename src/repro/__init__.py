@@ -18,7 +18,8 @@ Quickstart::
 
     wires = [Conductor.single(f"w{i}", Box.from_bounds(i, i + 1, 0, 10, 0, 1))
              for i in range(0, 6, 2)]
-    result = FRWSolver(Structure(wires), FRWConfig.frw_rr(seed=1)).extract()
+    with FRWSolver(Structure(wires), FRWConfig.frw_rr(seed=1)) as solver:
+        result = solver.extract()  # worker threads joined on exit
     print(result.matrix.pretty())
 """
 

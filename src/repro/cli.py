@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .analysis.tables import format_table
 from .config import FRWConfig, VARIANTS
-from .frw import FRWSolver
+from .frw import extract
 from .reliability import check_properties
 from .structures import CASES, build_case, case_masters
 
@@ -141,7 +141,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     print(structure.summary())
     print(f"extracting {len(masters)} master(s) with {args.variant} ...")
-    result = FRWSolver(structure, config).extract(masters)
+    result = extract(structure, config, masters)
     print(result.matrix.pretty())
     print(
         f"walks={result.total_walks} wall={result.wall_time:.2f}s "

@@ -172,10 +172,10 @@ class FRWConfig:
         distinct machines/OS schedules; never affects walk samples).  The
         noise amplitude is :data:`repro.frw.scheduler.MACHINE_JITTER`.
     executor:
-        ``"serial"`` (the default) runs one in-process worker whatever
-        ``n_workers`` says, and ``"process"`` runs ``n_workers`` worker
-        threads (the name predates the threads; the benchmark harness
-        still spells the worker count this way).  The worker count alone
+        ``"process"`` (the default) runs ``n_workers`` worker threads (the
+        name predates the threads; the benchmark harness still spells the
+        worker count this way), and ``"serial"`` runs one in-process
+        worker whatever ``n_workers`` says.  The worker count alone
         picks the executor
         (:meth:`repro.frw.parallel.PersistentExecutor.for_config` is this
         field's one reader): one worker is an in-process engine vector
@@ -183,16 +183,21 @@ class FRWConfig:
         vector each, which share the caller's contexts by reference.  The
         vector step is C and runs without the GIL, and the kernels'
         thread team splits each wide step over this process's CPUs (its
-        share of them per worker while worker threads run).
+        share of them per worker while worker threads run, so one each
+        at the default worker count).  Independent vectors beat one
+        vector split over the team, whose every launch, locate and hop
+        ends at a barrier (docs/PERFORMANCE.md layer 20).
         ``"thread"`` is not a kind.  Every executor reassembles batches
         in UID order, so rows are bit-identical on all of them — the
         DOP-independence contract of Alg. 2.
     n_workers:
-        Worker count under ``executor="process"``; ``0`` means auto (the
-        CPUs this process may actually run on — ``os.sched_getaffinity``
-        where available, so containerized/affinity-restricted hosts size
-        the workers correctly — falling back to the host CPU count).  A
-        count that resolves to one runs in-process, with no worker thread.
+        Worker count under ``executor="process"``; ``0`` (the default)
+        means auto (the CPUs this process may actually run on —
+        ``os.sched_getaffinity`` where available, so
+        containerized/affinity-restricted hosts size the workers
+        correctly — falling back to the host CPU count).  A count that
+        resolves to one runs in-process, with no worker thread, so a
+        default extraction on one usable CPU starts no thread.
     antithetic:
         Antithetic sampling (variance reduction): walk UIDs pair up as
         ``(2k, 2k+1)``; the even UID is the *primary* and the odd one a
@@ -239,7 +244,7 @@ class FRWConfig:
     max_steps: int = 10_000
     check_every: int = 1_000
     machine_seed: int = 0
-    executor: str = "serial"
+    executor: str = "process"
     n_workers: int = 0
     antithetic: bool = True
 

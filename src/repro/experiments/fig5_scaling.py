@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_seconds, format_table
-from ..frw import FRWSolver, jittered_durations, simulate_dynamic_queue, simulate_static_blocks
+from ..frw import extract, jittered_durations, simulate_dynamic_queue, simulate_static_blocks
 from ..structures import build_case, case_masters
 from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
@@ -63,7 +63,7 @@ def run(
                     min_walks=batch_size,
                     machine_seed=t,
                 )
-                result = FRWSolver(structure, cfg).extract(masters)
+                result = extract(structure, cfg, masters)
                 total_work = sum(float(s.thread_work.sum()) for s in result.stats)
                 span = sum(float(s.makespan) for s in result.stats)
                 if secs_per_unit is None:

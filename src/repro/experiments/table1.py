@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..frw import FRWSolver
+from ..frw import extract
 from ..structures import CASES, build_case, case_masters
 from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
 
@@ -32,7 +32,7 @@ def measure_nc(structure, masters, seed: int = 1, walks: int = 4000) -> int:
         max_walks=walks,
         tolerance=0.5,
     )
-    result = FRWSolver(structure, cfg).extract(masters)
+    result = extract(structure, cfg, masters)
     hits = result.matrix.hits
     nm, n = hits.shape
     seen = hits > 0

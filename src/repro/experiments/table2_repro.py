@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..frw import FRWSolver
+from ..frw import extract
 from ..numerics import RIStats, reproducibility_indices
 from ..structures import CASES, build_case, case_masters
 from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
@@ -55,7 +55,7 @@ def run_mode(
                 batch_size=batch_size,
                 min_walks=batch_size,
             )
-            result = FRWSolver(structure, cfg).extract(masters)
+            result = extract(structure, cfg, masters)
             matrices.append(result.matrix.values.copy())
             run_index += 1
     return reproducibility_indices(matrices)

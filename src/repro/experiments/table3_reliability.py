@@ -20,7 +20,7 @@ import numpy as np
 
 from ..analysis.tables import format_scientific, format_seconds, format_table
 from ..fdm import FDMExtractor
-from ..frw import FRWSolver
+from ..frw import extract
 from ..reliability import capacitance_error, check_properties
 from ..structures import build_case, case_masters
 from .common import ExperimentRecord, Stopwatch, environment_info, paper_config
@@ -46,7 +46,7 @@ def reference_matrix(
             batch_size=20_000,
             min_walks=20_000,
         )
-        result = FRWSolver(structure, cfg).extract(masters)
+        result = extract(structure, cfg, masters)
         return result.matrix.values
     raise ValueError(f"unknown reference kind {kind!r}")
 
@@ -86,7 +86,7 @@ def run(
                     batch_size=batch_size,
                     min_walks=batch_size,
                 )
-                result = FRWSolver(structure, cfg).extract(masters)
+                result = extract(structure, cfg, masters)
                 report = check_properties(result.matrix)
                 err_cap = (
                     capacitance_error(result.matrix, ref) if ref is not None else None

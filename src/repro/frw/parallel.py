@@ -442,13 +442,20 @@ def make_batch_runner(
     Returns ``(runner, owned_executor)``: ``owned_executor`` is the
     executor created here for the config when none was supplied (the
     caller must close it), else ``None``.  ``timers`` (optional) times
-    the stages of a one-worker executor's vector; worker threads leave it
-    untouched, since one :class:`StageTimers` cannot take several vectors'
-    stages at once.
+    the stages of a one-worker executor's vector; with worker threads it
+    raises :class:`~repro.errors.ConfigError`, since one
+    :class:`StageTimers` cannot take several vectors' stages at once.
     """
     owned = None
     if executor is None:
         owned = executor = PersistentExecutor.for_config(config)
-    if timers is not None and executor._vector is not None:
+    if timers is not None:
+        if executor._vector is None:
+            if owned is not None:
+                owned.close()
+            raise ConfigError(
+                f"timers need a one-worker executor, got {executor.n_workers} "
+                'workers; pass executor="serial" to time the stages'
+            )
         executor._vector.timers = timers
     return BatchRunner(ctx, config, executor), owned

@@ -4,9 +4,9 @@ Typical use::
 
     from repro import FRWSolver, FRWConfig, Structure
 
-    solver = FRWSolver(structure, FRWConfig.frw_rr(seed=7, n_threads=16,
-                                                   tolerance=1e-2))
-    result = solver.extract()          # all conductors as masters
+    config = FRWConfig.frw_rr(seed=7, n_threads=16, tolerance=1e-2)
+    with FRWSolver(structure, config) as solver:  # joins its worker threads
+        result = solver.extract()      # all conductors as masters
     print(result.matrix.pretty())
     print(result.report)               # property metrics
 

@@ -54,7 +54,7 @@ ALT_RESULT_VALUES = {
 
 #: A value different from the default for every engine field.
 ALT_ENGINE_VALUES = {
-    "executor": "process",
+    "executor": "serial",
     "n_workers": 3,
 }
 

@@ -92,16 +92,22 @@ def test_steps_per_walk_tripwire_catches_drift(checker):
             assert len(checker.violations(run(value + drift), gates)) == 1
 
 
-def test_default_path_gate_dispatches_nothing(checker):
+def test_default_path_gate_counts_one_dispatch_per_batch(checker):
     """The traced ``case1_tol`` run extracts with the default config, which
-    runs on one in-process vector: any pool work item fails its gate."""
+    runs one worker thread per CPU on the 2-CPU pin: it passes at one
+    queue entry per dispatched batch and fails with nothing dispatched
+    (the in-process path) or with batches cut into more entries."""
     expected = _expected(checker)
     assert expected["case1_tol"]["gates"][0]["value"] == 146667
     entry = expected["case1_tol_traced"]
     assert "--trace 1" in entry["run"]
-    run = {"correct": True, "metrics": {"parallel.dispatches": {"value": 0}}}
+    assert entry["run"].startswith("taskset -c 0,1 ")
+    run = {"correct": True, "metrics": {"parallel.dispatches": {"value": 118}}}
     assert checker.violations(run, entry["gates"]) == []
-    run["metrics"]["parallel.dispatches"]["value"] = 12
-    found = checker.violations(run, entry["gates"])
-    assert len(found) == 1
-    assert found[0].startswith("parallel.dispatches = 12, expected == 0")
+    for value in (0, 119):
+        run["metrics"]["parallel.dispatches"]["value"] = value
+        found = checker.violations(run, entry["gates"])
+        assert len(found) == 1
+        assert found[0].startswith(
+            f"parallel.dispatches = {value}, expected == 118"
+        )

@@ -175,7 +175,7 @@ def test_numpy_integers_are_integers():
 
 def test_thread_executor_is_rejected():
     """The thread backend is gone; asking for it names the two left."""
-    assert FRWConfig().executor == "serial"
+    assert FRWConfig().executor == "process"
     with pytest.raises(ConfigError, match=r"\('serial', 'process'\)"):
         FRWConfig(executor="thread")
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Box, Conductor, FRWConfig, Structure
+from repro import Box, Conductor, FRWConfig, Structure, native
 from repro.frw import (
     BatchRunner,
     PersistentExecutor,
@@ -230,16 +230,45 @@ def test_solver_serial_config_gets_a_one_worker_executor(plates):
         assert result.matrix.meta["schedule"]["query_stats"] is not None
 
 
-def test_default_config_extracts_in_process():
-    """The default config extracts Table I case 1 on the one-worker
-    executor: it starts no thread and dispatches no queue entry to a
-    worker thread."""
+def test_default_config_extracts_on_worker_threads(team_size, monkeypatch):
+    """On two CPUs the default config runs one worker thread per CPU,
+    sends each dispatched batch as one queue entry, and extracts Table I
+    cases 1 and 5 to the bytes of ``executor="serial"``.  (``team_size``
+    comes first so that it restores the team after the CPU count.)"""
+    monkeypatch.setattr(native, "usable_cpus", lambda: 2)
+    for case, tolerance in ((1, FRWConfig().tolerance), (5, 7e-2)):
+        structure = build_case(case)
+        cfg = FRWConfig(tolerance=tolerance)
+        with FRWSolver(structure, cfg) as solver:
+            result = solver.extract()
+            ex = solver.walk_executor()
+            assert ex.n_workers == 2
+            assert [t.is_alive() for t, _ in ex._workers] == [True, True]
+            dispatched = result.matrix.meta["schedule"]["dispatched_batches"]
+            assert ex.dispatch_stats()["dispatches"] == dispatched > 0
+        assert result.converged
+        with FRWSolver(structure, cfg.with_(executor="serial")) as solver:
+            serial = solver.extract()
+        for ours, theirs in (
+            (result.raw_matrix, serial.raw_matrix),
+            (result.matrix, serial.matrix),
+        ):
+            assert ours.values.tobytes() == theirs.values.tobytes()
+
+
+def test_default_config_on_one_cpu_runs_in_process(plates, monkeypatch):
+    """On one usable CPU the default's auto worker count is the
+    in-process one-worker executor: it runs a batch and starts no
+    thread."""
+    monkeypatch.setattr(native, "usable_cpus", lambda: 1)
+    cfg = FRWConfig()
     threads = threading.active_count()
-    with FRWSolver(build_case(1), FRWConfig()) as solver:
-        result = solver.extract()
+    with PersistentExecutor.for_config(cfg) as ex:
+        assert ex.n_workers == 1 and ex._vector is not None
+        ctx = build_context(plates, 0, cfg)
+        ex.run(ex.register(ctx, stream_spec(cfg, 0)), np.arange(256))
         assert threading.active_count() == threads
-        assert solver.walk_executor().dispatch_stats()["dispatches"] == 0
-    assert result.converged
+        assert ex.dispatch_stats() == {"dispatches": 0}
 
 
 def test_make_batch_runner_one_worker(plates):
@@ -324,6 +353,21 @@ def test_vector_width_is_the_batch_size(plates):
         _, res = ex.next_done()
     ref = run_walks(ctx, make_streams(cfg, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
+
+
+def test_make_batch_runner_timers_need_one_worker(plates):
+    """One StageTimers cannot take several vectors' stages at once:
+    timers on worker threads raise, naming ``executor="serial"``, whether
+    the executor is made here (and closed again) or lent."""
+    cfg = FRWConfig.frw_r(seed=77, batch_size=64, n_workers=2)
+    ctx = build_context(plates, 0, cfg)
+    fix = 'executor="serial"'
+    with pytest.raises(ConfigError, match=fix):
+        make_batch_runner(ctx, cfg, timers=StageTimers())
+    with PersistentExecutor(2) as ex:
+        with pytest.raises(ConfigError, match=fix):
+            make_batch_runner(ctx, cfg, ex, timers=StageTimers())
+        assert ex._workers == []
 
 
 def test_make_batch_runner_on_a_pool(plates):

@@ -68,7 +68,7 @@ def test_fork_after_the_team_started(three_wires, team_size, bounded):
     the same rows, and no helper at a fork after the executor closes."""
     cfg = FRWConfig.frw_r(
         seed=31, batch_size=8192, min_walks=16384, max_walks=16384,
-        tolerance=1e-9,
+        tolerance=1e-9, executor="serial",
     )
     team_size(1)  # parks any helpers an earlier test left awake
     assert _helpers() == 0
