@@ -358,7 +358,7 @@ def test_vector_width_is_the_batch_size(plates):
 def test_make_batch_runner_timers_need_one_worker(plates):
     """One StageTimers cannot take several vectors' stages at once:
     timers on worker threads raise, naming ``executor="serial"``, whether
-    the executor is made here (and closed again) or lent."""
+    the executor is made here or lent."""
     cfg = FRWConfig.frw_r(seed=77, batch_size=64, n_workers=2)
     ctx = build_context(plates, 0, cfg)
     fix = 'executor="serial"'
